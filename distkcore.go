@@ -172,9 +172,10 @@ func TracedEngine(eng Engine, tr *Tracer) Engine { return cliutil.Traced(eng, tr
 func SequentialEngine() Engine { return dist.SeqEngine{} }
 
 // ParallelEngine returns the batched worker-pool engine: GOMAXPROCS
-// long-lived workers own contiguous node ranges and fill the shared inbox
-// arena in parallel, with converged fusion-safe regions skipping rounds
-// entirely (DESIGN.md §12). It produces executions byte-identical to
+// long-lived workers own contiguous node ranges, step them in one barriered
+// phase per broadcast-only round (and fill the shared inbox arena in
+// parallel on the others), with converged fusion-safe regions skipping
+// rounds entirely (DESIGN.md §12). It produces executions byte-identical to
 // SequentialEngine's.
 func ParallelEngine() Engine { return dist.ParEngine{} }
 

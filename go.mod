@@ -1,3 +1,3 @@
 module distkcore
 
-go 1.21
+go 1.24

@@ -14,9 +14,7 @@ import (
 // tiny and flat: its surviving number b, the maintained tie-breaking
 // permutation of Updater, and the latest value heard from each neighbor
 // (PeerTable.vals). Everything else (arcs, peers, arcRank, the vals scratch)
-// is rebuilt from topology, and the sort.Interface aliasing of Updater.srt
-// is preserved by restoring the permutation element-wise into the slice
-// NewUpdater allocated.
+// is rebuilt from topology.
 
 var errAuxCheckpoint = errors.New("core: TrackAux runs are not checkpointable (auxiliary sets are not retained per node)")
 
@@ -24,7 +22,7 @@ var errAuxCheckpoint = errors.New("core: TrackAux runs are not checkpointable (a
 // the arc-order permutation (uvarints), and the neighbor value table (raw
 // float bits), each length-prefixed for hostile-input validation on restore.
 func (p *eliminationProgram) AppendState(dst []byte) ([]byte, error) {
-	if p.trackAux {
+	if p.run.trackAux {
 		return nil, errAuxCheckpoint
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.b))
@@ -45,7 +43,7 @@ func (p *eliminationProgram) AppendState(dst []byte) ([]byte, error) {
 // node had halted, its published result is re-recorded into the (fresh)
 // result sink — Init/finish will never run again for it.
 func (p *eliminationProgram) RestoreState(c *dist.Ctx, halted bool, src []byte) (int, error) {
-	if p.trackAux {
+	if p.run.trackAux {
 		return 0, errAuxCheckpoint
 	}
 	pos := 0
@@ -89,10 +87,10 @@ func (p *eliminationProgram) RestoreState(c *dist.Ctx, halted bool, src []byte) 
 	if uint64(len(src)-pos) < nvals*8 {
 		return 0, fmt.Errorf("core: restore: state truncated in value table")
 	}
-	p.upd = NewUpdater(arcs)
-	copy(p.upd.order, order) // element-wise: srt aliases the original slice
+	p.upd.Init(arcs, &p.run.slab)
+	copy(p.upd.order, order)
 	p.b = b
-	p.nbrB = NewPeerTable(p.id, arcs, peers, math.Inf(1))
+	p.nbrB.Init(p.id, arcs, peers, math.Inf(1), &p.run.slab)
 	for i := range p.nbrB.vals {
 		p.nbrB.vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[pos:]))
 		pos += 8
@@ -100,9 +98,9 @@ func (p *eliminationProgram) RestoreState(c *dist.Ctx, halted bool, src []byte) 
 	if halted {
 		// The node published its result and halted in the snapshotted run;
 		// re-publish into this run's sink (idempotent under the lock).
-		p.sink.mu.Lock()
-		p.sink.B[p.id] = p.b
-		p.sink.mu.Unlock()
+		p.run.sink.mu.Lock()
+		p.run.sink.B[p.id] = p.b
+		p.run.sink.mu.Unlock()
 	}
 	return pos, nil
 }

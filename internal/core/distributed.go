@@ -17,15 +17,33 @@ import (
 // final round, where it halts instead (the last broadcast would never be
 // read).
 type eliminationProgram struct {
-	id       graph.NodeID
+	run *eliminationRun
+	id  graph.NodeID
+	b   float64
+	upd Updater
+	// nbrB is the latest value per neighbor, flat (DESIGN.md §7).
+	nbrB PeerTable
+}
+
+// eliminationRun is what the programs of one run share: the protocol
+// parameters, the result sink, and the slabs their state is carved from —
+// the programs themselves included, so a run's allocation count does not
+// grow with n.
+type eliminationRun struct {
 	T        int
 	lam      quantize.Lambda
 	trackAux bool
+	sink     *DistResult
+	slab     Slab
+	progs    []eliminationProgram // current chunk, guarded by slab.mu
+}
 
-	upd  *Updater
-	b    float64
-	nbrB PeerTable // latest value per neighbor, flat (DESIGN.md §7)
-	sink *DistResult
+func (r *eliminationRun) program(v graph.NodeID) dist.Program {
+	r.slab.mu.Lock()
+	p := &carve(&r.progs, 1)[0]
+	r.slab.mu.Unlock()
+	p.run, p.id = r, v
+	return p
 }
 
 // DistResult collects the outputs of a distributed elimination run.
@@ -60,24 +78,16 @@ func RunDistributed(g *graph.Graph, opt Options, eng dist.Engine) (*Result, dist
 	if opt.TrackAux {
 		sink.AuxEdges = make([][]int, g.N())
 	}
-	factory := func(v graph.NodeID) dist.Program {
-		return &eliminationProgram{
-			id:       v,
-			T:        opt.Rounds,
-			lam:      lam,
-			trackAux: opt.TrackAux,
-			sink:     sink,
-		}
-	}
-	met := eng.Run(g, factory, opt.Rounds)
+	run := &eliminationRun{T: opt.Rounds, lam: lam, trackAux: opt.TrackAux, sink: sink}
+	met := eng.Run(g, run.program, opt.Rounds)
 	res := &Result{B: sink.B, AuxEdges: sink.AuxEdges, Rounds: met.Rounds}
 	return res, met
 }
 
 func (p *eliminationProgram) Init(c *dist.Ctx) {
-	p.upd = NewUpdater(c.Neighbors())
+	p.upd.Init(c.Neighbors(), &p.run.slab)
 	p.b = math.Inf(1)
-	p.nbrB = NewPeerTable(p.id, c.Neighbors(), c.Peers(), math.Inf(1))
+	p.nbrB.Init(p.id, c.Neighbors(), c.Peers(), math.Inf(1), &p.run.slab)
 	if len(c.Neighbors()) == 0 {
 		// Isolated node: β_t = 0 for all t ≥ 1; nothing to say or hear.
 		p.b = 0
@@ -88,23 +98,21 @@ func (p *eliminationProgram) Init(c *dist.Ctx) {
 }
 
 func (p *eliminationProgram) Round(c *dist.Ctx, inbox []dist.Message) {
-	for _, m := range inbox {
-		p.nbrB.Set(m.From, m.F0)
-	}
+	p.nbrB.Merge(inbox)
 	arcs := c.Neighbors()
 	nb, auxArcs := p.upd.Step(func(i int) float64 {
 		return p.nbrB.ArcVal(i, p.b) // a self-loop arc sees the node's own value
 	})
-	p.b = p.lam.RoundDown(nb)
-	if c.Round() >= p.T {
-		if p.trackAux {
+	p.b = p.run.lam.RoundDown(nb)
+	if c.Round() >= p.run.T {
+		if p.run.trackAux {
 			edges := make([]int, len(auxArcs))
 			for k, ai := range auxArcs {
 				edges[k] = arcs[ai].EdgeID
 			}
-			p.sink.mu.Lock()
-			p.sink.AuxEdges[p.id] = edges
-			p.sink.mu.Unlock()
+			p.run.sink.mu.Lock()
+			p.run.sink.AuxEdges[p.id] = edges
+			p.run.sink.mu.Unlock()
 		}
 		p.finish(c)
 		return
@@ -113,9 +121,9 @@ func (p *eliminationProgram) Round(c *dist.Ctx, inbox []dist.Message) {
 }
 
 func (p *eliminationProgram) finish(c *dist.Ctx) {
-	p.sink.mu.Lock()
-	p.sink.B[p.id] = p.b
-	p.sink.mu.Unlock()
+	p.run.sink.mu.Lock()
+	p.run.sink.B[p.id] = p.b
+	p.run.sink.mu.Unlock()
 	c.Halt()
 }
 

@@ -33,51 +33,68 @@ type Updater struct {
 	arcs  []graph.Arc
 	order []int // arc indices, maintained across rounds
 	vals  []float64
-	srt   byVal // reusable sort.Interface over (order, vals): keeps Step allocation-free
 }
 
-// byVal stable-sorts an arc-index permutation by the current surviving
-// numbers. It is a named sort.Interface (rather than a sort.SliceStable
-// closure) so the per-round sort in Updater.Step costs zero allocations —
-// Step runs once per node per round on every engine's hot path.
-type byVal struct {
-	order []int
-	vals  []float64
-}
+// byVal is the sort.Interface view of an Updater: its arc-index permutation
+// ordered by the current values. A pointer conversion, not a wrapper value,
+// so handing it to sort.Stable allocates nothing — Step runs once per node
+// per round on every engine's hot path.
+type byVal Updater
 
 func (s *byVal) Len() int           { return len(s.order) }
 func (s *byVal) Less(a, b int) bool { return s.vals[s.order[a]] < s.vals[s.order[b]] }
 func (s *byVal) Swap(a, b int)      { s.order[a], s.order[b] = s.order[b], s.order[a] }
 
-// byArcID orders arc indices by (neighbor ID, arc index) for the initial
-// tie-breaking order.
-type byArcID struct {
-	order []int
-	arcs  []graph.Arc
-}
+// insertionSortMax is the degree up to which sortOrder insertion-sorts. The
+// order carried over from the previous round is nearly sorted, which is
+// insertion sort's best case, and typical degrees are far below the cut-off;
+// above it sort.Stable keeps a hub's worst case at O(d log d).
+const insertionSortMax = 48
 
-func (s *byArcID) Len() int { return len(s.order) }
-func (s *byArcID) Less(a, b int) bool {
-	ia, ib := s.order[a], s.order[b]
-	if s.arcs[ia].To != s.arcs[ib].To {
-		return s.arcs[ia].To < s.arcs[ib].To
+// sortOrder stable-sorts order by vals ascending. The output of a stable
+// sort is unique — equal keys keep their input order, unequal ones are
+// ordered by key — so both branches produce the same permutation bit for
+// bit, and stability is what implements the paper's historical-lexicographic
+// tie-breaking.
+func (u *Updater) sortOrder() {
+	order, vals := u.order, u.vals
+	if len(order) > insertionSortMax {
+		sort.Stable((*byVal)(u))
+		return
 	}
-	return ia < ib
+	for i := 1; i < len(order); i++ {
+		x := order[i]
+		vx := vals[x]
+		j := i
+		for ; j > 0 && vals[order[j-1]] > vx; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = x
+	}
 }
-func (s *byArcID) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
 
 // NewUpdater creates the Update state for a node with the given incident
 // arcs. The initial order is by (neighbor ID, arc index), realizing the
 // paper's "any remaining tie is resolved consistently using the node
 // identity".
 func NewUpdater(arcs []graph.Arc) *Updater {
-	u := &Updater{arcs: arcs, order: make([]int, len(arcs)), vals: make([]float64, len(arcs))}
-	for i := range u.order {
-		u.order[i] = i
-	}
-	sort.Stable(&byArcID{order: u.order, arcs: arcs})
-	u.srt = byVal{order: u.order, vals: u.vals}
+	u := new(Updater)
+	u.Init(arcs, nil)
 	return u
+}
+
+// Init is NewUpdater in place, with the state's arrays carved from sl (nil
+// allocates them individually).
+func (u *Updater) Init(arcs []graph.Arc, sl *Slab) {
+	u.arcs = arcs
+	u.order, u.vals, _ = sl.carve(len(arcs), len(arcs), 0)
+	// (neighbor ID, arc index) is the stable sort of the identity permutation
+	// by neighbor ID; node IDs are exact in a float64.
+	for i, a := range arcs {
+		u.order[i] = i
+		u.vals[i] = float64(a.To)
+	}
+	u.sortOrder()
 }
 
 // Degree returns the node's weighted degree Σ w(e).
@@ -111,9 +128,7 @@ func (u *Updater) Step(bOf func(arcIdx int) float64) (b float64, aux []int) {
 	for _, i := range u.order {
 		u.vals[i] = bOf(i)
 	}
-	// Stable sort by current value ascending; stability implements the
-	// paper's historical-lexicographic tie-breaking.
-	sort.Stable(&u.srt)
+	u.sortOrder()
 	s := 0.0
 	for i := d - 1; i >= 0; i-- {
 		s += u.arcs[u.order[i]].W

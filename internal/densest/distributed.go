@@ -51,9 +51,10 @@ type weakProgram struct {
 	T     int
 	gamma float64
 	sink  *weakSink
+	slab  *core.Slab // the run's, for the phase 1 arrays
 
 	// phase 1 state
-	upd  *core.Updater
+	upd  core.Updater
 	b    float64
 	nbrB core.PeerTable // latest β per neighbor, flat (DESIGN.md §7)
 
@@ -106,8 +107,9 @@ func RunWeakDistributed(g *graph.Graph, cfg Config, eng dist.Engine) (*Result, d
 		gamma = 1 // acceptance test becomes bmax ≥ b_v
 	}
 	maxRounds := 6*T + 10
+	slab := new(core.Slab)
 	met := eng.Run(g, func(v graph.NodeID) dist.Program {
-		return &weakProgram{id: v, T: T, gamma: gamma, sink: sink}
+		return &weakProgram{id: v, T: T, gamma: gamma, sink: sink, slab: slab}
 	}, maxRounds)
 
 	return assembleResult(g, cfg, T, sink), met
@@ -158,9 +160,9 @@ func assembleResult(g *graph.Graph, cfg Config, T int, sink *weakSink) *Result {
 }
 
 func (p *weakProgram) Init(c *dist.Ctx) {
-	p.upd = core.NewUpdater(c.Neighbors())
+	p.upd.Init(c.Neighbors(), p.slab)
 	p.b = math.Inf(1)
-	p.nbrB = core.NewPeerTable(p.id, c.Neighbors(), c.Peers(), math.Inf(1))
+	p.nbrB.Init(p.id, c.Neighbors(), c.Peers(), math.Inf(1), p.slab)
 	p.leader = p.id
 	p.parent = p.id
 	p.active = true
@@ -187,11 +189,7 @@ func (p *weakProgram) Round(c *dist.Ctx, inbox []dist.Message) {
 
 // phase1: Algorithm 2 for T rounds.
 func (p *weakProgram) phase1(c *dist.Ctx, inbox []dist.Message, t int) {
-	for _, m := range inbox {
-		if m.Kind == kElim {
-			p.nbrB.Set(m.From, m.F0)
-		}
-	}
+	p.nbrB.Merge(inbox) // rounds 1..T only ever carry kElim
 	nb, _ := p.upd.Step(func(i int) float64 {
 		return p.nbrB.ArcVal(i, p.b) // a self-loop arc sees the node's own value
 	})

@@ -127,3 +127,20 @@ func TestDistributedLiteralAcceptance(t *testing.T) {
 	got, _ := RunWeakDistributed(g, cfg, dist.SeqEngine{})
 	assertSameResult(t, "literal", want, got)
 }
+
+// TestDistributedSurvivesInboxPoisoning runs the four-phase protocol — its
+// phase 3/4 hook holds a pointer into the inbox while it works — with the
+// runtime overwriting every inbox the moment Round returns: nothing may be
+// kept past the call (dist.Program), on either delivery path.
+func TestDistributedSurvivesInboxPoisoning(t *testing.T) {
+	dist.CheckInboxRetention = true
+	defer func() { dist.CheckInboxRetention = false }()
+	for name, g := range workloads() {
+		cfg := Config{Gamma: 3}
+		want := Weak(g, cfg)
+		for _, eng := range []dist.Engine{dist.SeqEngine{}, dist.ParEngine{W: 3}} {
+			got, _ := RunWeakDistributed(g, cfg, eng)
+			assertSameResult(t, name, want, got)
+		}
+	}
+}

@@ -7,9 +7,10 @@
 //     Broadcast/Send/Halt), and an Engine that drives all n programs in
 //     lock-step rounds. This package provides SeqEngine, a deterministic
 //     single-threaded scheduler, and ParEngine, a batched worker pool (W
-//     long-lived workers owning contiguous node ranges, with per-round
-//     barriers, a deterministic parallel inbox fill, and round fusion for
-//     Fusible programs — see par.go and DESIGN.md §12). Engines outside the
+//     long-lived workers owning contiguous node ranges, one barrier per
+//     broadcast-only round, a deterministic parallel inbox fill on the
+//     others, and round fusion for Fusible programs — see par.go and
+//     DESIGN.md §12). Engines outside the
 //     package register through the
 //     same interface by building on Driver, which exposes the shared
 //     step/deliver machinery without giving up the determinism contract:
@@ -37,6 +38,7 @@ package dist
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -92,6 +94,13 @@ type Metrics struct {
 // calls Init once at round 0 and then Round once per round t = 1, 2, ...
 // with the messages sent to this node during round t-1, until the program
 // calls Ctx.Halt or the engine's round budget runs out.
+//
+// inbox is valid only for the duration of the Round call: after a
+// broadcast-only round it is a scratch buffer of the stepping goroutine,
+// overwritten for the next node (DESIGN.md §7). A program that needs a
+// message later copies it out — the Message value, and the Vec it points
+// to if it must outlive the next delivery. CheckInboxRetention makes a
+// violation fail in tests.
 type Program interface {
 	Init(*Ctx)
 	Round(c *Ctx, inbox []Message)
@@ -114,12 +123,23 @@ type Engine interface {
 	WithWireLambda(lam quantize.Lambda) Engine
 }
 
-// envelope is a buffered outgoing message. vh caches the hash of m.Vec at
-// send time when CheckVecAliasing is on (0 otherwise).
+// envelope is a queued outgoing message: every send of a node's round except
+// a leading Broadcast, which lives in the node's slot instead. vh caches the
+// hash of m.Vec at send time when CheckVecAliasing is on (0 otherwise).
 type envelope struct {
 	to graph.NodeID
 	m  Message
 	vh uint64
+}
+
+// slot is a sender's broadcast slot: the message its round opened with, if
+// that was a Broadcast, written once instead of once per peer. seq is the
+// delivery sequence number of the round that wrote it (0 = never), so a
+// stale slot is told from a fresh one without clearing anything between
+// rounds.
+type slot struct {
+	m   Message
+	seq uint32
 }
 
 // CheckVecAliasing enables an integrity check on shared Vec payloads in the
@@ -128,10 +148,19 @@ type envelope struct {
 // check on, the runtime hashes each Vec at send time and again after the
 // receivers' hooks have run, and panics if any program mutated it — so a
 // protocol that violates the contract fails loudly instead of silently
-// corrupting sibling inboxes. Set it before Run and do not toggle it while
-// an engine is running (the parallel engines read it concurrently). It is
-// meant for tests; the default build pays one branch per send.
+// corrupting sibling inboxes. A broadcast slot is hashed once, not once per
+// recipient. Set it before Run and do not toggle it while an engine is
+// running (the parallel engines read it concurrently). It is meant for
+// tests; the default build pays one branch per send.
 var CheckVecAliasing bool
+
+// CheckInboxRetention makes the runtime overwrite a node's inbox with
+// poison messages (Kind 0xFF, From -1, NaN) the moment its Round hook
+// returns, so a program that keeps the slice — or a pointer into it — past
+// the call, against the Program contract, reads garbage and fails its
+// equivalence test instead of depending on which delivery path the round
+// took. Same rules as CheckVecAliasing: tests only, set before Run.
+var CheckInboxRetention bool
 
 // vecHash is a word-granular FNV-1a variant over the float bit patterns of
 // v: each Float64bits word is folded in with one xor and one multiply by the
@@ -164,7 +193,7 @@ type Ctx struct {
 	sim    *sim
 	round  int
 	halted bool
-	out    []envelope
+	out    []envelope // this round's queued sends; grown on first use
 }
 
 // ID returns the node this context belongs to.
@@ -182,12 +211,27 @@ func (c *Ctx) Round() int { return c.round }
 // Broadcast sends m to every distinct neighbor (self excluded — a
 // self-loop is local state, not a communication link). Delivery happens at
 // the start of the next round.
+//
+// When it is the node's first send of the round the message is written to
+// the node's slot — once, whatever the fan-out — and the receivers read it
+// from there; any later send of the same round is queued per recipient
+// behind it, which keeps each receiver's view in send order.
 func (c *Ctx) Broadcast(m Message) {
 	m.From = c.id
 	var vh uint64
 	if CheckVecAliasing && len(m.Vec) > 0 {
 		vh = vecHash(m.Vec)
 	}
+	s := c.sim
+	if sl := &s.slots[s.wr+c.id]; sl.seq != s.seq && len(c.out) == 0 {
+		sl.m, sl.seq = m, s.seq
+		if s.slotVH != nil {
+			s.slotVH[s.wr+c.id] = vh
+		}
+		return
+	}
+	s.noteQueued()
+	c.out = slices.Grow(c.out, len(c.peers))
 	for _, p := range c.peers {
 		c.out = append(c.out, envelope{to: p, m: m, vh: vh})
 	}
@@ -204,6 +248,7 @@ func (c *Ctx) Send(to graph.NodeID, m Message) {
 	if CheckVecAliasing && len(m.Vec) > 0 {
 		vh = vecHash(m.Vec)
 	}
+	c.sim.noteQueued()
 	c.out = append(c.out, envelope{to: to, m: m, vh: vh})
 }
 
@@ -239,30 +284,52 @@ func isPeerOf(peers []graph.NodeID, v graph.NodeID) bool {
 
 // sim is the engine-shared state of one synchronous run: contexts, mailboxes
 // and metrics. The built-in engines are thin schedulers over it (external
-// engines reach it through Driver); deliver() is the single place messages
-// move and metrics accumulate, and it always runs single-threaded (between
+// engines reach it through Driver); a delivery is the single place metrics
+// accumulate, and its sequential glue always runs on one goroutine (between
 // barriers in the concurrent engines), which is what keeps every engine
 // execution-identical.
 //
-// Mailboxes are round arenas (DESIGN.md §7): every round's inboxes live in
-// one shared backing array sized by a counting pass over the send queues,
-// and inboxOf(v) is a subslice of it. The contexts' send queues are likewise
-// carved out of a single backing array at construction, segmented by each
-// node's broadcast fan-out (a node that sends more in one round falls back
-// to an ordinary append-grown slice, trading the arena for correctness).
+// Mailboxes (DESIGN.md §7). A round's leading Broadcast sits in its sender's
+// slot; everything else sits in the senders' queues. What a delivery does
+// with them depends only on what the round's hooks called:
+//
+//   - pull: no queue was touched and no transport hook is installed. Nothing
+//     moves. Each fresh slot is priced once × its fan-out, and node v's
+//     inbox is gathered from the slots of Peers(v) right before its hook
+//     runs (inbox) — ascending sender order for free, since Peers is
+//     ascending and a slot holds one message.
+//   - scatter: anything else. Every message — slot × peers first, then the
+//     queue, per sender in ascending ID — is counted, then placed into one
+//     round arena, and inboxOf(v) is a subslice of it.
+//
+// Slots are double-buffered: round k's hooks write half k&1 while they read
+// the half round k-1 wrote, so concurrent steppers never meet on a slot.
 type sim struct {
-	g          *graph.Graph
-	lam        quantize.Lambda
-	progs      []Program
-	ctxs       []Ctx
-	inboxArena []Message
-	inboxOff   []int32 // n+1 offsets into inboxArena, rebuilt each delivery
-	cnt        []int32 // per-node counting/cursor scratch, zeroed between rounds
-	alive      int
-	haltedNow  atomic.Int32 // Halts since the last delivery retired them
-	mu         sync.Mutex
-	met        Metrics
-	vecChecks  []vecCheck // delivered Vecs awaiting verification (CheckVecAliasing)
+	g     *graph.Graph
+	lam   quantize.Lambda
+	progs []Program
+	ctxs  []Ctx
+
+	slots  []slot   // 2n: two halves of one slot per sender
+	slotVH []uint64 // send-time Vec hash per slot; nil unless CheckVecAliasing
+	seq    uint32   // stamp of the round being stepped: deliveries done + 1
+	wr, rd int      // offsets of the half being written / read
+	queued atomic.Bool
+	// pull records that the last delivery moved nothing: inboxes come from
+	// slots[rd:]. pullMsgs is what those slots carry in total — 0 means every
+	// inbox of the round is empty, the whole-range fusion test of ParEngine.
+	pull     bool
+	pullMsgs int64
+
+	inboxArena []Message // the last scatter's inboxes, sized by its counting pass
+	inboxOff   []int32   // n+1 offsets into inboxArena
+	cnt        []int32   // per-node counting/cursor scratch, zero between rounds
+
+	alive     int
+	haltedNow atomic.Int32 // Halts since the last delivery retired them
+	mu        sync.Mutex
+	met       Metrics
+	vecChecks []vecCheck // delivered Vecs awaiting verification (CheckVecAliasing)
 }
 
 func newSim(g *graph.Graph, lam quantize.Lambda, factory Factory) *sim {
@@ -272,6 +339,9 @@ func newSim(g *graph.Graph, lam quantize.Lambda, factory Factory) *sim {
 		lam:      lam,
 		progs:    make([]Program, n),
 		ctxs:     make([]Ctx, n),
+		slots:    make([]slot, 2*n),
+		seq:      1,
+		wr:       n,
 		inboxOff: make([]int32, n+1),
 		cnt:      make([]int32, n),
 		alive:    n,
@@ -279,27 +349,89 @@ func newSim(g *graph.Graph, lam quantize.Lambda, factory Factory) *sim {
 	if s.lam == nil {
 		s.lam = quantize.Reals{}
 	}
-	outArena := make([]envelope, 0, g.NumPeerSlots())
+	if CheckVecAliasing {
+		s.slotVH = make([]uint64, 2*n)
+	}
 	for v := 0; v < n; v++ {
 		c := &s.ctxs[v]
 		c.id = v
 		c.arcs = g.Adj(v)
 		c.peers = g.Peers(v)
 		c.sim = s
-		// Full-capacity zero-length segment: one Broadcast per round fits
-		// without ever reallocating.
-		lo := len(outArena)
-		outArena = outArena[:lo+len(c.peers)]
-		c.out = outArena[lo:lo:len(outArena)]
 		s.progs[v] = factory(v)
 	}
 	return s
 }
 
-// inboxOf returns node v's current-round inbox — a subslice of the shared
-// round arena, valid until the next delivery.
+// noteQueued records that this round needs a scatter. Hooks run concurrently
+// in the parallel engines; after the first store the flag's cache line stays
+// shared, so a Send-heavy round does not bounce it between workers.
+func (s *sim) noteQueued() {
+	if !s.queued.Load() {
+		s.queued.Store(true)
+	}
+}
+
+// gatherBufs recycles the stepping goroutines' gather buffers across
+// Driver.Step calls and across runs.
+var gatherBufs = sync.Pool{New: func() any { return new([]Message) }}
+
+// inboxOf returns node v's inbox in the round arena of the last scatter
+// (empty before the first one).
 func (s *sim) inboxOf(v graph.NodeID) []Message {
 	return s.inboxArena[s.inboxOff[v]:s.inboxOff[v+1]]
+}
+
+// inbox returns node v's inbox for the round being stepped: its slice of the
+// arena after a scatter, or — after a pull delivery — the fresh slots of
+// Peers(v) gathered into *buf, the calling goroutine's scratch. Either way
+// the result is only good until the caller steps its next node.
+func (s *sim) inbox(v graph.NodeID, buf *[]Message) []Message {
+	if !s.pull {
+		return s.inboxOf(v)
+	}
+	peers := s.ctxs[v].peers
+	b := *buf
+	if cap(b) < len(peers) {
+		b = make([]Message, max(len(peers), 2*cap(b)))
+		*buf = b
+	}
+	b = b[:len(peers)]
+	rd, fresh, k := s.slots[s.rd:s.rd+len(s.ctxs)], s.seq-1, 0
+	for _, p := range peers {
+		if sl := &rd[p]; sl.seq == fresh {
+			b[k] = sl.m
+			k++
+		}
+	}
+	return b[:k]
+}
+
+// round runs node v's Round hook for round t on its inbox. The caller has
+// checked that v is not halted.
+func (s *sim) round(v graph.NodeID, t int, inbox []Message) {
+	c := &s.ctxs[v]
+	c.round = t
+	s.progs[v].Round(c, inbox)
+	if CheckInboxRetention {
+		for i := range inbox {
+			inbox[i] = Message{Kind: 0xFF, From: -1, I0: -1, F0: math.NaN()}
+		}
+	}
+}
+
+// step runs node v's hook for round t — Init at t == 0 — and reports whether
+// a hook ran (false for a halted node).
+func (s *sim) step(v graph.NodeID, t int, buf *[]Message) bool {
+	if s.ctxs[v].halted {
+		return false
+	}
+	if t == 0 {
+		s.progs[v].Init(&s.ctxs[v])
+	} else {
+		s.round(v, t, s.inbox(v, buf))
+	}
+	return true
 }
 
 // RouteFunc is the transport hook of Driver.Deliver: the engine's delivery
@@ -312,46 +444,98 @@ func (s *sim) inboxOf(v graph.NodeID) []Message {
 // ships them before learning that), though those are then dropped.
 type RouteFunc func(from, to graph.NodeID, m Message) Message
 
-// deliver moves every buffered outgoing message into its receiver's inbox
-// for the next round, accounts metrics, and retires freshly halted nodes.
-// Senders are processed in ascending node ID, so inboxes are ordered by
-// sender — the determinism contract of the package.
-func (s *sim) deliver() { s.deliverVia(nil) }
-
-// traceDeliver is deliverVia wrapped in a deliver span whose byte and
-// message counts are the delivery's own Metrics deltas — the tracer records
-// exactly the numbers the run accounted, nothing recomputed.
+// traceDeliver is deliver wrapped in a deliver span whose byte and message
+// counts are the delivery's own Metrics deltas — the tracer records exactly
+// the numbers the run accounted, nothing recomputed.
 func (s *sim) traceDeliver(tr *obs.Tracer, round int, route RouteFunc) {
 	if tr == nil {
-		s.deliverVia(route)
+		s.deliver(route)
 		return
 	}
 	wb0, mg0 := s.met.WireBytes, s.met.Messages
 	sp := tr.Begin(obs.PhaseDeliver, round, -1)
-	s.deliverVia(route)
+	s.deliver(route)
 	sp.EndN(s.met.WireBytes-wb0, s.met.Messages-mg0)
 }
 
-// deliverVia is deliver with an optional transport hook. Metrics always
-// account the original message (Words/WireBytes are properties of the
-// protocol, not of the transport), and the delivery order is independent of
-// route — which is what keeps engines built on transports byte-identical to
-// SeqEngine.
-func (s *sim) deliverVia(route RouteFunc) {
+// deliver closes the round on one goroutine: it accounts every message the
+// hooks sent, makes them the next round's inboxes — by leaving them in the
+// slots (pull) or by moving them into the arena (scatter, always taken with
+// a transport hook, which must see every message) — and retires freshly
+// halted nodes. Metrics always account the original message (Words and
+// WireBytes are properties of the protocol, not of the transport), and
+// neither the path nor route changes the delivery order — which is what
+// keeps engines built on transports byte-identical to SeqEngine.
+func (s *sim) deliver(route RouteFunc) {
+	pull := route == nil && !s.queued.Load()
 	if CheckVecAliasing {
 		s.verifyDeliveredVecs()
+		s.checkSlotVecs(pull)
 	}
-	n := len(s.ctxs)
-	// Counting pass: how many messages each live receiver gets this round.
-	// Halted flags are stable here (they only change inside hooks), so the
-	// counts match the fill pass exactly.
-	for v := 0; v < n; v++ {
-		for _, env := range s.ctxs[v].out {
-			if !s.ctxs[env.to].halted {
-				s.cnt[env.to]++
-			}
+	msgs := s.account(s.priceSlots(0, len(s.ctxs)))
+	if !pull {
+		s.scatter(route)
+	}
+	s.endDelivery(pull, msgs)
+}
+
+// account adds one range's metric partials to the run's Metrics and hands
+// the message count back.
+func (s *sim) account(msgs, words, wire int64) int64 {
+	s.met.Messages += msgs
+	s.met.Words += words
+	s.met.WireBytes += wire
+	return msgs
+}
+
+// priceSlots prices the fresh slots of senders [lo, hi): each once, times
+// its fan-out — to the byte what pricing every copy would sum to, halted
+// recipients included (a real sender pays for those too).
+func (s *sim) priceSlots(lo, hi graph.NodeID) (msgs, words, wire int64) {
+	wr := s.slots[s.wr : s.wr+len(s.ctxs)]
+	for v := lo; v < hi; v++ {
+		sl := &wr[v]
+		if sl.seq != s.seq {
+			continue
+		}
+		fan := int64(len(s.g.Peers(v))) // the CSR offsets, not the 100-byte Ctx
+		msgs += fan
+		words += fan * int64(sl.m.Words())
+		wire += fan * int64(WireSize(s.lam, sl.m))
+	}
+	return msgs, words, wire
+}
+
+// checkSlotVecs is the per-slot half of CheckVecAliasing: the send-time hash
+// must still hold, and on the pull path — where no copy passes through place
+// — a Vec that reaches anyone is queued for re-verification after the
+// receivers' hooks have run.
+func (s *sim) checkSlotVecs(pull bool) {
+	for v := range s.ctxs {
+		sl := &s.slots[s.wr+v]
+		if sl.seq != s.seq || len(sl.m.Vec) == 0 {
+			continue
+		}
+		if vecHash(sl.m.Vec) != s.slotVH[s.wr+v] {
+			panic(errVecMutatedAfterSend)
+		}
+		if pull && len(s.ctxs[v].peers) > 0 {
+			s.vecChecks = append(s.vecChecks, vecCheck{vec: sl.m.Vec, h: s.slotVH[s.wr+v]})
 		}
 	}
+}
+
+const errVecMutatedAfterSend = "dist: Message.Vec mutated after Broadcast/Send — sent messages are read-only (see Message)"
+
+// scatter materialises the round's inboxes in the arena: a counting pass
+// over every sender sizes them, prefix sums place them, and the fill pass
+// writes them in the deterministic global order. It prices the queued sends
+// on the way (the slots are priced by priceSlots on both paths).
+func (s *sim) scatter(route RouteFunc) {
+	n := len(s.ctxs)
+	// Halted flags are stable here (they only change inside hooks), so the
+	// counts match the fill pass exactly.
+	s.countSends(0, n, s.cnt)
 	// Prefix sums size the arena; cnt becomes the per-receiver write cursor.
 	total := int32(0)
 	for v := 0; v < n; v++ {
@@ -360,42 +544,95 @@ func (s *sim) deliverVia(route RouteFunc) {
 		s.cnt[v] = s.inboxOff[v]
 	}
 	s.inboxOff[n] = total
+	s.sizeArena(total)
+	s.account(s.fillSends(0, n, s.cnt, route))
+	clear(s.cnt)
+}
+
+// sizeArena makes the arena hold total messages; a run of broadcast-only
+// rounds never allocates it.
+func (s *sim) sizeArena(total int32) {
 	if cap(s.inboxArena) < int(total) {
 		s.inboxArena = make([]Message, total)
 	} else {
 		s.inboxArena = s.inboxArena[:total]
 	}
-	// Fill pass in the deterministic global order: ascending sender ID, ties
-	// in send order. Receivers are filled through their cursors, so each
-	// inbox comes out ordered by sender — the determinism contract.
-	for v := 0; v < n; v++ {
+}
+
+// countSends adds to row, per live receiver, the messages senders [lo, hi)
+// sent this round: slot × peers, then the queue.
+func (s *sim) countSends(lo, hi graph.NodeID, row []int32) {
+	wr := s.slots[s.wr : s.wr+len(s.ctxs)]
+	for v := lo; v < hi; v++ {
 		c := &s.ctxs[v]
-		for _, env := range c.out {
-			s.met.Messages++
-			s.met.Words += int64(env.m.Words())
-			s.met.WireBytes += int64(WireSize(s.lam, env.m))
-			if CheckVecAliasing && len(env.m.Vec) > 0 && vecHash(env.m.Vec) != env.vh {
-				panic("dist: Message.Vec mutated after Broadcast/Send — sent messages are read-only (see Message)")
-			}
-			m := env.m
-			if route != nil {
-				m = route(env.m.From, env.to, env.m)
-			}
-			if !s.ctxs[env.to].halted {
-				s.inboxArena[s.cnt[env.to]] = m
-				s.cnt[env.to]++
-				if CheckVecAliasing && len(m.Vec) > 0 {
-					s.vecChecks = append(s.vecChecks, vecCheck{vec: m.Vec, h: vecHash(m.Vec)})
+		if wr[v].seq == s.seq {
+			for _, to := range c.peers {
+				if !s.ctxs[to].halted {
+					row[to]++
 				}
 			}
 		}
+		for i := range c.out {
+			if to := c.out[i].to; !s.ctxs[to].halted {
+				row[to]++
+			}
+		}
+	}
+}
+
+// fillSends places the messages of senders [lo, hi) through the cursors cur
+// — sender ascending, slot × peers before the queue, the queue in send
+// order, so each inbox comes out ordered by sender — and empties the queues.
+// It returns the metric partials of the queued sends. Ranges with disjoint
+// cursors may fill concurrently when route is nil and CheckVecAliasing off.
+func (s *sim) fillSends(lo, hi graph.NodeID, cur []int32, route RouteFunc) (msgs, words, wire int64) {
+	wr := s.slots[s.wr : s.wr+len(s.ctxs)]
+	for v := lo; v < hi; v++ {
+		c := &s.ctxs[v]
+		if sl := &wr[v]; sl.seq == s.seq {
+			for _, to := range c.peers {
+				s.place(cur, to, sl.m, route)
+			}
+		}
+		for i := range c.out {
+			env := &c.out[i]
+			msgs++
+			words += int64(env.m.Words())
+			wire += int64(WireSize(s.lam, env.m))
+			if CheckVecAliasing && len(env.m.Vec) > 0 && vecHash(env.m.Vec) != env.vh {
+				panic(errVecMutatedAfterSend)
+			}
+			s.place(cur, env.to, env.m, route)
+		}
 		c.out = c.out[:0]
 	}
-	for v := 0; v < n; v++ {
-		s.cnt[v] = 0
+	return msgs, words, wire
+}
+
+// place routes one message and, unless its receiver has halted, writes it at
+// the receiver's cursor.
+func (s *sim) place(cur []int32, to graph.NodeID, m Message, route RouteFunc) {
+	if route != nil {
+		m = route(m.From, to, m)
 	}
-	// Retire the round's Halts incrementally instead of rescanning all n
-	// contexts.
+	if s.ctxs[to].halted {
+		return
+	}
+	s.inboxArena[cur[to]] = m
+	cur[to]++
+	if CheckVecAliasing && len(m.Vec) > 0 {
+		s.vecChecks = append(s.vecChecks, vecCheck{vec: m.Vec, h: vecHash(m.Vec)})
+	}
+}
+
+// endDelivery is the shared tail of every delivery: flip the slot halves,
+// record which path the next round's inboxes come from, and retire the
+// round's Halts incrementally instead of rescanning all n contexts.
+func (s *sim) endDelivery(pull bool, msgs int64) {
+	s.pull, s.pullMsgs = pull, msgs
+	s.queued.Store(false)
+	s.seq++
+	s.wr, s.rd = s.rd, s.wr
 	s.alive -= int(s.haltedNow.Swap(0))
 }
 

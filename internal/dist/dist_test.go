@@ -384,6 +384,60 @@ func TestAliasingCheckAllowsWellBehavedPrograms(t *testing.T) {
 	}
 }
 
+// --- inbox lifetime check -------------------------------------------------
+
+// TestInboxRetentionCheckPoisonsKeptInbox publishes the last round's inbox
+// slice to a sink read after the run — the Program contract forbids keeping
+// it past the call — and demands that the check turns the violation into
+// garbage on both delivery paths, rather than into data that happens to be
+// intact after a scatter and overwritten after a pull.
+func TestInboxRetentionCheckPoisonsKeptInbox(t *testing.T) {
+	CheckInboxRetention = true
+	defer func() { CheckInboxRetention = false }()
+	g := graph.Cycle(6)
+	for _, unicast := range []bool{false, true} { // pull rounds, scatter rounds
+		for _, eng := range []Engine{SeqEngine{}, ParEngine{W: 2}} {
+			kept := make([][]Message, g.N())
+			eng.Run(g, func(v graph.NodeID) Program {
+				say := func(c *Ctx) {
+					if unicast {
+						c.Send(c.Peers()[0], Message{F0: 1})
+					} else {
+						c.Broadcast(Message{F0: 1})
+					}
+				}
+				return programFunc{init: say, round: func(c *Ctx, inbox []Message) {
+					if c.Round() < 2 {
+						say(c)
+						return
+					}
+					kept[v] = inbox
+					c.Halt()
+				}}
+			}, 4)
+			seen := 0
+			for _, inbox := range kept {
+				for _, m := range inbox {
+					seen++
+					if m.Kind != 0xFF || m.From != -1 || !math.IsNaN(m.F0) {
+						t.Fatalf("unicast=%v: a kept inbox still reads %+v after its hook returned", unicast, m)
+					}
+				}
+			}
+			if seen != g.N()*(2-btoi(unicast)) {
+				t.Fatalf("unicast=%v: %d kept messages", unicast, seen)
+			}
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // --- asynchronous simulator ----------------------------------------------
 
 // echoProgram broadcasts once at init; every first message from a neighbor

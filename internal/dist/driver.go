@@ -35,19 +35,13 @@ func (d *Driver) Alive() int { return d.s.alive }
 func (d *Driver) Halted(v graph.NodeID) bool { return d.s.ctxs[v].halted }
 
 // Step runs node v's hook for round t — Init when t == 0, Round with the
-// node's current inbox otherwise — and is a no-op for halted nodes.
+// node's current inbox otherwise — and is a no-op for halted nodes. The
+// inbox is valid only for the duration of the hook (see Program).
 // Concurrent Steps are safe for distinct v; the engine must barrier before
 // calling Deliver.
 func (d *Driver) Step(v graph.NodeID, t int) {
-	c := &d.s.ctxs[v]
-	if c.halted {
-		return
-	}
-	c.round = t
-	if t == 0 {
-		d.s.progs[v].Init(c)
-	} else {
-		d.s.progs[v].Round(c, d.s.inboxOf(v))
+	if !d.s.ctxs[v].halted {
+		d.StepRange(v, v+1, t)
 	}
 }
 
@@ -59,45 +53,48 @@ func (d *Driver) Step(v graph.NodeID, t int) {
 // batched shape without re-deriving the loop. Concurrent StepRanges are
 // safe for disjoint ranges; the engine must barrier before Deliver.
 func (d *Driver) StepRange(lo, hi graph.NodeID, t int) int {
+	buf := gatherBufs.Get().(*[]Message)
 	stepped := 0
 	for v := lo; v < hi; v++ {
-		c := &d.s.ctxs[v]
-		if c.halted {
-			continue
+		if d.s.step(v, t, buf) {
+			stepped++
 		}
-		c.round = t
-		if t == 0 {
-			d.s.progs[v].Init(c)
-		} else {
-			d.s.progs[v].Round(c, d.s.inboxOf(v))
-		}
-		stepped++
 	}
+	gatherBufs.Put(buf)
 	return stepped
 }
 
-// Sends invokes fn for every message node v has buffered since the last
-// Deliver, in send order, without consuming anything. It is the transport
-// tap of the seam: an engine that ships a shard's traffic over a real wire
+// Sends invokes fn for every message node v has sent since the last
+// Deliver, in send order — a leading Broadcast once per peer, then the
+// queued sends — without consuming anything. It is the transport tap of the
+// seam: an engine that ships a shard's traffic over a real wire
 // (internal/net) calls it after the round's Steps and before the Deliver
-// that flushes the queues, encoding cross-shard messages into frames and
+// that flushes them, encoding cross-shard messages into frames and
 // accounting its shard's Metrics share through WireSize. Call it only in
 // that window, from a goroutine that is not concurrently Stepping v; the
 // Message values (Vec included) are the live send buffers and must not be
 // retained or mutated.
 func (d *Driver) Sends(v graph.NodeID, fn func(to graph.NodeID, m Message)) {
-	for _, env := range d.s.ctxs[v].out {
+	s := d.s
+	c := &s.ctxs[v]
+	if sl := &s.slots[s.wr+v]; sl.seq == s.seq {
+		for _, to := range c.peers {
+			fn(to, sl.m)
+		}
+	}
+	for _, env := range c.out {
 		fn(env.to, env.m)
 	}
 }
 
-// Deliver moves every buffered send into the receivers' next-round inboxes
-// in the package's deterministic global order (ascending sender ID, ties in
-// send order), accounting Metrics on the way. Each message passes through
-// route when non-nil (see RouteFunc) — the hook transports use to divert
-// traffic through their own wire format. Must be called from one goroutine,
-// after every Step of the round has returned.
-func (d *Driver) Deliver(route RouteFunc) { d.s.deliverVia(route) }
+// Deliver closes the round: it accounts Metrics for every message sent
+// since the last Deliver and makes them the receivers' next-round inboxes
+// in the package's deterministic order (ascending sender ID, ties in send
+// order). Each message passes through route when non-nil (see RouteFunc) —
+// the hook transports use to divert traffic through their own wire format.
+// Must be called from one goroutine, after every Step of the round has
+// returned.
+func (d *Driver) Deliver(route RouteFunc) { d.s.deliver(route) }
 
 // Finish stamps and returns the run-level Metrics once the round loop
 // exits.

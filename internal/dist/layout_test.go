@@ -76,7 +76,7 @@ type haltOnInit struct{}
 func (haltOnInit) Init(c *Ctx)           { c.Halt() }
 func (haltOnInit) Round(*Ctx, []Message) {}
 
-// floodProgram exercises the arena delivery path: every node broadcasts a
+// floodProgram exercises the pull delivery path: every node broadcasts a
 // scalar every round until round R.
 type floodProgram struct{ R int }
 
@@ -93,10 +93,11 @@ func (f *floodProgram) Round(c *Ctx, inbox []Message) {
 	c.Broadcast(Message{F0: s})
 }
 
-// BenchmarkDeliver measures the runtime's mailbox machinery in isolation:
-// a broadcast flood where the per-round work is dominated by deliver. The
-// arena refactor is visible as allocs/op ≈ the run's one-time setup rather
-// than O(rounds·n).
+// BenchmarkDeliver measures the runtime's mailbox machinery in isolation: a
+// broadcast flood whose hooks do next to nothing, so the per-round work is
+// the slot write, the per-slot pricing and the gather from Peers(v).
+// allocs/op is the run's one-time setup (contexts, slots, programs), not
+// O(rounds·n).
 func BenchmarkDeliver(b *testing.B) {
 	g := graph.BarabasiAlbert(2_000, 4, 7)
 	b.ReportAllocs()
@@ -106,8 +107,10 @@ func BenchmarkDeliver(b *testing.B) {
 	}
 }
 
-// BenchmarkSimSetup isolates newSim — context construction, peer lists and
-// send-arena carving — which the CSR graph core made allocation-constant.
+// BenchmarkSimSetup isolates newSim — context construction over the CSR
+// graph's shared peer lists and the 2n-slot array — which is
+// allocation-constant; send queues are not part of it (they grow on a
+// node's first queued send).
 func BenchmarkSimSetup(b *testing.B) {
 	g := graph.BarabasiAlbert(5_000, 4, 7)
 	b.ReportAllocs()

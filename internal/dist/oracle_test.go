@@ -1,0 +1,249 @@
+package dist_test
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
+	"testing"
+
+	"distkcore/internal/dist"
+	"distkcore/internal/graph"
+	"distkcore/internal/net"
+	"distkcore/internal/quantize"
+	"distkcore/internal/shard"
+)
+
+// The equivalence tests of this package compare engines to SeqEngine. This
+// one compares every engine — SeqEngine included — to a delivery oracle
+// that shares no code with the runtime: a scripted protocol whose sends are
+// a pure function of (seed, node, round), and a naive model of what the
+// package comment promises about them.
+
+// scriptSend is one Ctx call of the script: a Broadcast, or a Send to `to`.
+type scriptSend struct {
+	bcast bool
+	to    graph.NodeID
+	m     dist.Message
+}
+
+// script is the seeded protocol. act derives node v's round-t behaviour from
+// a hash of (seed, v, t): one of silent, Broadcast, Broadcast+Send,
+// Send+Broadcast, two Broadcasts, Sends only, Vec payloads on both kinds of
+// send, or Broadcast-then-Halt — every way a round can mix the slot and the
+// queue. Two rounds in three are calm: every node keeps to the first
+// Broadcast of its draw (or stays silent), so the run alternates between
+// deliveries that move nothing and deliveries that scatter.
+type script struct {
+	seed uint64
+	got  [][]uint64 // per node: one inbox hash per Round call
+}
+
+func mix(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
+}
+
+func (sc *script) act(v graph.NodeID, t int, peers []graph.NodeID) (sends []scriptSend, halt bool) {
+	h := mix(sc.seed ^ mix(uint64(v)<<20^uint64(t)))
+	msg := func(k uint64, vec int) dist.Message {
+		x := mix(h + k)
+		m := dist.Message{Kind: uint8(x % 4), I0: int(x>>8%7) - 3, F0: float64(x>>16%1000) / 8}
+		for i := 0; i < vec; i++ {
+			m.Vec = append(m.Vec, float64(mix(x+uint64(i))%100))
+		}
+		return m
+	}
+	bcast := func(k uint64, vec int) { sends = append(sends, scriptSend{bcast: true, m: msg(k, vec)}) }
+	send := func(k uint64, vec int) {
+		if len(peers) > 0 {
+			sends = append(sends, scriptSend{to: peers[mix(h+k+99)%uint64(len(peers))], m: msg(k, vec)})
+		}
+	}
+	draw := h % 10
+	if calm := mix(sc.seed+uint64(t))%3 != 0; calm && draw != 9 {
+		draw = []uint64{0, 1, 1, 10}[h>>8%4]
+	}
+	switch draw {
+	case 0: // silent
+	case 1, 2: // the common case gets two tickets
+		bcast(1, 0)
+	case 3:
+		bcast(1, 0)
+		send(2, 0)
+	case 4:
+		send(1, 0)
+		bcast(2, 0)
+	case 5:
+		bcast(1, 0)
+		bcast(2, 0)
+	case 6:
+		send(1, 0)
+		send(2, 0)
+	case 7:
+		bcast(1, 3)
+		send(2, 2)
+	case 8:
+		send(1, 1)
+		send(2, 0)
+		bcast(3, 2)
+	case 9:
+		bcast(1, 0)
+		halt = t > 2
+	case 10: // calm rounds only
+		bcast(1, 3)
+	}
+	return sends, halt
+}
+
+type scriptProg struct {
+	sc *script
+	id graph.NodeID
+}
+
+func (p *scriptProg) Init(c *dist.Ctx) { p.play(c) }
+func (p *scriptProg) Round(c *dist.Ctx, inbox []dist.Message) {
+	p.sc.got[p.id] = append(p.sc.got[p.id], hashInbox(inbox)) // own row only: no lock needed
+	p.play(c)
+}
+
+func (p *scriptProg) play(c *dist.Ctx) {
+	sends, halt := p.sc.act(p.id, c.Round(), c.Peers())
+	for _, s := range sends {
+		if s.bcast {
+			c.Broadcast(s.m)
+		} else {
+			c.Send(s.to, s.m)
+		}
+	}
+	if halt {
+		c.Halt()
+	}
+}
+
+func hashInbox(inbox []dist.Message) uint64 {
+	h := uint64(len(inbox))
+	for _, m := range inbox {
+		h = mix(h ^ uint64(m.From))
+		h = mix(h ^ uint64(m.Kind)<<32 ^ uint64(int64(m.I0)))
+		h = mix(h ^ math.Float64bits(m.F0))
+		h = mix(h ^ uint64(len(m.Vec)))
+		for _, x := range m.Vec {
+			h = mix(h ^ math.Float64bits(x))
+		}
+	}
+	return h
+}
+
+// oracle is the naive delivery model: every round, collect what the live
+// nodes send, sort by (sender, send order), price each message with
+// WireSize, and hand it to its receiver unless the receiver has halted by
+// the end of that round. It returns the per-node inbox transcript and the
+// Metrics an engine must report.
+func oracle(g *graph.Graph, sc *script, maxRounds int) (want [][]uint64, met dist.Metrics) {
+	type sent struct {
+		from, to graph.NodeID
+		m        dist.Message
+	}
+	n := g.N()
+	want = make([][]uint64, n)
+	halted := make([]bool, n)
+	inbox := make([][]dist.Message, n)
+	alive := n
+	for t := 0; t == 0 || (t <= maxRounds && alive > 0); t++ {
+		met.Rounds = t
+		var all []sent
+		var halts []graph.NodeID
+		for v := n - 1; v >= 0; v-- { // descending, so the sort below is not a no-op
+			if halted[v] {
+				continue
+			}
+			if t > 0 {
+				want[v] = append(want[v], hashInbox(inbox[v]))
+			}
+			sends, halt := sc.act(v, t, g.Peers(v))
+			for _, s := range sends {
+				s.m.From = v
+				if !s.bcast {
+					all = append(all, sent{v, s.to, s.m})
+					continue
+				}
+				for _, p := range g.Peers(v) {
+					all = append(all, sent{v, p, s.m})
+				}
+			}
+			if halt {
+				halts = append(halts, v)
+			}
+		}
+		for _, v := range halts {
+			halted[v] = true
+			alive--
+		}
+		sort.SliceStable(all, func(i, j int) bool { return all[i].from < all[j].from })
+		inbox = make([][]dist.Message, n)
+		for _, s := range all {
+			met.Messages++
+			met.Words += int64(1 + len(s.m.Vec))
+			met.WireBytes += int64(dist.WireSize(quantize.Reals{}, s.m))
+			if !halted[s.to] {
+				inbox[s.to] = append(inbox[s.to], s.m)
+			}
+		}
+	}
+	met.Halted = alive == 0
+	return want, met
+}
+
+func TestEnginesMatchDeliveryOracle(t *testing.T) {
+	multi := graph.NewBuilder(9)
+	for _, e := range [][2]int{{0, 1}, {1, 0}, {0, 1}, {2, 2}, {2, 3}, {3, 4}, {4, 2}, {4, 4}, {5, 6}, {6, 5}, {7, 0}, {7, 7}} {
+		multi.AddUnitEdge(e[0], e[1]) // parallel edges, self-loops, node 8 isolated
+	}
+	graphs := map[string]*graph.Graph{
+		"ba":       graph.BarabasiAlbert(70, 3, 11),
+		"multi":    multi.Build(),
+		"isolated": graph.ErdosRenyi(50, 0.02, 5),
+	}
+	stream := net.NewEngine(3, shard.Hash{})
+	stream.Stream = true
+	engines := []dist.Engine{
+		dist.SeqEngine{},
+		dist.ParEngine{W: 1}, dist.ParEngine{W: 2}, dist.ParEngine{W: 4},
+		shard.NewEngine(3, shard.Hash{}),
+		net.NewEngine(3, shard.Hash{}),
+		stream,
+	}
+	names := []string{"seq", "par:1", "par:2", "par:4", "shard", "net:pipe", "net:pipe:stream"}
+	// The script never keeps an inbox, so it must read the same under the
+	// retention check's poisoning.
+	dist.CheckInboxRetention = true
+	defer func() { dist.CheckInboxRetention = false }()
+	for gname, g := range graphs {
+		for _, seed := range []uint64{1, 2, 3} {
+			for _, budget := range []int{6, 300} { // cut off mid-run, and run until all have halted
+				want, wantMet := oracle(g, &script{seed: seed}, budget)
+				for i, eng := range engines {
+					sc := &script{seed: seed, got: make([][]uint64, g.N())}
+					met := eng.Run(g, func(v graph.NodeID) dist.Program { return &scriptProg{sc: sc, id: v} }, budget)
+					id := fmt.Sprintf("%s seed %d budget %d on %s", gname, seed, budget, names[i])
+					if wantMet.Halted != (budget == 300) {
+						t.Fatalf("%s: the script no longer covers both ways a run ends", id)
+					}
+					if met != wantMet {
+						t.Errorf("%s: metrics %+v, oracle %+v", id, met, wantMet)
+					}
+					for v := range want {
+						if !reflect.DeepEqual(sc.got[v], want[v]) {
+							t.Errorf("%s: node %d inbox transcript %x, oracle %x", id, v, sc.got[v], want[v])
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -12,25 +12,30 @@ import (
 
 // ParEngine is the shared-memory parallel engine: a pool of W long-lived
 // workers (default runtime.GOMAXPROCS(0)), each owning one contiguous,
-// degree-balanced range of node IDs. A round is three barriered phases —
-// step (each worker runs its range's hooks), count (each worker counts its
-// senders' messages per receiver), fill (each worker writes its senders'
-// messages into precomputed disjoint slots of the shared inbox arena) —
-// with the cheap glue (prefix offsets, arena sizing, metric merge) run by
-// the coordinator between barriers. Because ranges are contiguous and
-// ascending, "fill per worker" IS the deterministic global fill order of
-// the package (ascending sender ID, ties in send order), so executions —
-// values, inbox orders, Metrics — are byte-identical to SeqEngine's
-// (DESIGN.md §12 has the four-step argument; the pinned metrics rows and
-// the dist equivalence tests hold the engine to it).
+// cost-balanced range of node IDs. A broadcast-only round is one barriered
+// phase: each worker steps its range's hooks — gathering every inbox from
+// the senders' slots into its own buffer — and prices the slots its range
+// wrote; the coordinator merges the metric partials. A round in which any
+// hook queued a send adds the scatter as two more barriered phases — count
+// (each worker counts its senders' messages per receiver) and fill (each
+// worker writes its senders' messages into precomputed disjoint cells of
+// the shared inbox arena) — with the prefix offsets and arena sizing run by
+// the coordinator in between. Because ranges are contiguous and ascending,
+// "fill per worker" IS the deterministic global fill order of the package
+// (ascending sender ID, ties in send order), and a gathered inbox is in
+// Peers order whoever gathers it, so executions — values, inbox orders,
+// Metrics — are byte-identical to SeqEngine's (DESIGN.md §12 has the
+// argument; the pinned metrics rows and the dist equivalence tests hold
+// the engine to it).
 //
 // On top of the pool the engine fuses rounds: a node whose Program opted in
 // through Fusible and whose inbox is empty is skipped without calling Round
 // — by contract the call would be a pure no-op — and a whole range all of
 // whose live nodes are fusible skips its step (and, having sent nothing,
-// its count and fill) the moment its slice of the inbox arena is empty, an
-// O(1) test on the arena offsets. Converged regions therefore cost the
-// coordinator a few loads per round instead of a wave of no-op hooks.
+// its count and fill) the moment it provably has no mail: its slice of the
+// inbox arena is empty after a scatter, no slot was written at all after a
+// pull — both O(1) tests. Converged regions therefore cost the coordinator
+// a few loads per round instead of a wave of no-op hooks.
 //
 // The zero value is ready to use and runs with GOMAXPROCS workers; W == 1
 // (or a single-CPU machine) runs the whole schedule inline on the calling
@@ -97,6 +102,16 @@ func (e ParEngine) WithWireLambda(lam quantize.Lambda) Engine {
 	return e
 }
 
+// rangeNodeWeight is what stepping a node costs beyond its arcs, in arcs.
+// Fitted from the two workers' step spans of W = 2 coreness runs on
+// BarabasiAlbert(n, 4) with the split point swept (DESIGN.md §12.1): in
+// cache (n = 2 000) the per-node term vanishes and the split is flat; out of
+// it a node costs 59–68 ns — the slot write is a cross-core invalidation —
+// against 15–25 ns per arc, a ratio of 4.7 at n = 10⁴ and 2.3 at 10⁵. The
+// scatter-era weight of 1 left the low-degree tail range 17 % slower than
+// the hub range at n = 10⁴.
+const rangeNodeWeight = 3
+
 // parOp is a phase opcode on the pool's job channels.
 type parOp uint8
 
@@ -126,12 +141,15 @@ type parWorker struct {
 	// whole range was fused); a range that did not step sent nothing, so
 	// its count and fill phases are skipped too and its count row is stale.
 	ran bool
+	// buf is the worker's gather buffer (sim.inbox).
+	buf []Message
 	// fused accumulates per-node skips made on the slow (mixed-range) path.
 	fused int64
 	// stepped accumulates hook invocations.
 	stepped int64
-	// msgs/words/wire are the fill phase's metric partials for one round,
-	// merged by the coordinator in worker order.
+	// msgs/words/wire are the range's metric partials for one round — its
+	// slots, priced at the end of the step phase, plus its queued sends,
+	// priced by the fill phase — merged by the coordinator in worker order.
 	msgs, words, wire int64
 }
 
@@ -146,7 +164,8 @@ type parRun struct {
 	// worker i's per-receiver message count for the current round. cur is
 	// the matching fill cursor matrix: cur[i*n+v] is the next arena slot for
 	// a message from a range-i sender to receiver v. Rows of workers that
-	// did not step are stale and skipped by the prefix pass.
+	// did not step are stale and skipped by the prefix pass. Both are
+	// allocated by the first scatter.
 	cnt, cur []int32
 	stats    ParStats
 }
@@ -167,8 +186,6 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 	}
 
 	r := &parRun{e: e, s: s, w: w, ws: make([]parWorker, w)}
-	r.cnt = make([]int32, w*n)
-	r.cur = make([]int32, w*n)
 	r.stats.Workers = w
 
 	// Fusion capability per node, fixed at construction: the contract is a
@@ -180,11 +197,12 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 		}
 	}
 
-	// Degree-balanced contiguous ranges: split the CSR node order so every
-	// worker owns about the same arc mass (1 + deg(v) per node, so isolated
-	// nodes still spread). Contiguity is what makes both the O(1) per-range
-	// inbox-emptiness test and the deterministic parallel fill possible.
-	total := int64(n)
+	// Cost-balanced contiguous ranges: split the CSR node order so every
+	// worker owns about the same step cost, rangeNodeWeight + deg(v) per
+	// node (so isolated nodes still spread). Contiguity is what makes the
+	// O(1) per-range no-mail test, the deterministic parallel fill and the
+	// per-range slot pricing possible.
+	total := int64(n) * rangeNodeWeight
 	for v := 0; v < n; v++ {
 		total += int64(g.Degree(v))
 	}
@@ -196,7 +214,7 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 		maxHi := n - (w - 1 - i)
 		hi := lo
 		for hi < maxHi && (hi == lo || acc < target) {
-			acc += 1 + int64(g.Degree(hi))
+			acc += rangeNodeWeight + int64(g.Degree(hi))
 			hi++
 		}
 		ws := &r.ws[i]
@@ -253,11 +271,11 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 			// Round fusion, range granularity: the dirty bit of range i is
 			// "its slice of the inbox arena is non-empty" — one subtraction
 			// on the prefix offsets, possible only because ranges are
-			// contiguous. A clean range all of whose live nodes are fusible
-			// steps nothing, and having sent nothing last time it reached
-			// this state, receives no count/fill work either.
-			if t > 0 && ws.liveNonFusible == 0 &&
-				s.inboxOff[ws.hi] == s.inboxOff[ws.lo] {
+			// contiguous — or, after a pull, "some slot was written". A
+			// clean range all of whose live nodes are fusible steps nothing,
+			// and having sent nothing last time it reached this state,
+			// receives no count/fill work either.
+			if t > 0 && ws.liveNonFusible == 0 && r.noMail(ws) {
 				ws.ran = false
 				r.stats.FusedRanges++
 				r.stats.FusedNodeRounds += int64(ws.alive)
@@ -274,10 +292,25 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 		sp := e.Trace.Begin(obs.PhaseDeliver, t, -1)
 		if CheckVecAliasing {
 			// The aliasing verifier keeps cross-round state in append order;
-			// the test-only mode takes the sequential fill.
-			s.deliverVia(nil)
+			// the test-only mode takes the sequential delivery (which picks
+			// pull or scatter exactly as this one does).
+			s.deliver(nil)
 		} else {
-			r.parDeliver(t, dispatch, barrier)
+			pull := !s.queued.Load()
+			if !pull {
+				r.parScatter(t, dispatch, barrier)
+			}
+			// Merge the metric partials in worker order (they are integer
+			// sums, so any order would do — worker order keeps it obviously
+			// deterministic) and close the round as the sequential deliver
+			// does.
+			var msgs int64
+			for i := range r.ws {
+				ws := &r.ws[i]
+				msgs += s.account(ws.msgs, ws.words, ws.wire)
+				ws.msgs, ws.words, ws.wire = 0, 0, 0
+			}
+			s.endDelivery(pull, msgs)
 		}
 		sp.EndN(s.met.WireBytes-wb0, s.met.Messages-mg0)
 	}
@@ -300,15 +333,32 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 	return s.finish(rounds)
 }
 
+// noMail reports in O(1) that no node of the range has a message waiting.
+func (r *parRun) noMail(ws *parWorker) bool {
+	if r.s.pull {
+		return r.s.pullMsgs == 0
+	}
+	return r.s.inboxOff[ws.hi] == r.s.inboxOff[ws.lo]
+}
+
 // runJob executes one phase of one worker's schedule.
 func (r *parRun) runJob(i int, jb parJob) {
+	s, ws := r.s, &r.ws[i]
 	switch jb.op {
 	case opStep:
 		r.stepRange(i, jb.t)
+		if !CheckVecAliasing { // else the sequential deliver prices them
+			ws.msgs, ws.words, ws.wire = s.priceSlots(ws.lo, ws.hi)
+		}
 	case opCount:
-		r.countRange(i)
+		n := len(s.ctxs)
+		row := r.cnt[i*n : (i+1)*n]
+		clear(row)
+		s.countSends(ws.lo, ws.hi, row)
 	case opFill:
-		r.fillRange(i)
+		n := len(s.ctxs)
+		msgs, words, wire := s.fillSends(ws.lo, ws.hi, r.cur[i*n:(i+1)*n], nil)
+		ws.msgs, ws.words, ws.wire = ws.msgs+msgs, ws.words+words, ws.wire+wire
 	}
 }
 
@@ -324,15 +374,15 @@ func (r *parRun) stepRange(i, t int) {
 		if c.halted {
 			continue
 		}
-		if t > 0 && r.fusible[v] && s.inboxOff[v+1] == s.inboxOff[v] {
-			ws.fused++
-			continue
-		}
-		c.round = t
 		if t == 0 {
 			s.progs[v].Init(c)
 		} else {
-			s.progs[v].Round(c, s.inboxOf(v))
+			inbox := s.inbox(v, &ws.buf)
+			if r.fusible[v] && len(inbox) == 0 {
+				ws.fused++
+				continue
+			}
+			s.round(v, t, inbox)
 		}
 		stepped++
 		if c.halted {
@@ -346,58 +396,19 @@ func (r *parRun) stepRange(i, t int) {
 	sp.EndN(0, int64(stepped))
 }
 
-// countRange zeroes worker i's count row and counts its senders' messages
-// per live receiver — the first half of the deterministic two-level fill.
-func (r *parRun) countRange(i int) {
-	s, ws := r.s, &r.ws[i]
-	n := len(s.ctxs)
-	row := r.cnt[i*n : (i+1)*n]
-	for j := range row {
-		row[j] = 0
-	}
-	for v := ws.lo; v < ws.hi; v++ {
-		for _, env := range s.ctxs[v].out {
-			if !s.ctxs[env.to].halted {
-				row[env.to]++
-			}
-		}
-	}
-}
-
-// fillRange moves worker i's senders' messages into the arena slots the
-// prefix pass assigned it — disjoint from every other worker's slots by
-// construction — accumulating the range's metric partials, and resets the
-// send queues it owns.
-func (r *parRun) fillRange(i int) {
-	s, ws := r.s, &r.ws[i]
-	n := len(s.ctxs)
-	cur := r.cur[i*n : (i+1)*n]
-	var msgs, words, wire int64
-	for v := ws.lo; v < ws.hi; v++ {
-		c := &s.ctxs[v]
-		for _, env := range c.out {
-			msgs++
-			words += int64(env.m.Words())
-			wire += int64(WireSize(s.lam, env.m))
-			if !s.ctxs[env.to].halted {
-				s.inboxArena[cur[env.to]] = env.m
-				cur[env.to]++
-			}
-		}
-		c.out = c.out[:0]
-	}
-	ws.msgs, ws.words, ws.wire = msgs, words, wire
-}
-
-// parDeliver is the pool's delivery: parallel count, coordinator prefix,
-// parallel fill, coordinator merge. The inbox layout it produces is
-// byte-identical to deliverVia(nil)'s: receiver v's inbox holds range-0
-// senders' messages first, then range-1's, and so on — which, ranges being
-// contiguous ascending ID blocks, is exactly "ascending sender ID, ties in
-// send order".
-func (r *parRun) parDeliver(t int, dispatch func(int, parJob), barrier func()) {
+// parScatter is the pool's scatter, for rounds in which some hook queued a
+// send: parallel count, coordinator prefix, parallel fill. The inbox layout
+// it produces is byte-identical to sim.scatter's: receiver v's inbox holds
+// range-0 senders' messages first, then range-1's, and so on — which, ranges
+// being contiguous ascending ID blocks, is exactly "ascending sender ID,
+// ties in send order".
+func (r *parRun) parScatter(t int, dispatch func(int, parJob), barrier func()) {
 	s, w := r.s, r.w
 	n := len(s.ctxs)
+	if r.cnt == nil {
+		r.cnt = make([]int32, w*n)
+		r.cur = make([]int32, w*n)
+	}
 	for i := range r.ws {
 		if r.ws[i].ran {
 			dispatch(i, parJob{op: opCount, t: t})
@@ -423,29 +434,11 @@ func (r *parRun) parDeliver(t int, dispatch func(int, parJob), barrier func()) {
 		}
 	}
 	s.inboxOff[n] = total
-	if cap(s.inboxArena) < int(total) {
-		s.inboxArena = make([]Message, total)
-	} else {
-		s.inboxArena = s.inboxArena[:total]
-	}
+	s.sizeArena(total)
 	for i := range r.ws {
 		if r.ws[i].ran {
 			dispatch(i, parJob{op: opFill, t: t})
 		}
 	}
 	barrier()
-	// Merge the metric partials in worker order (they are integer sums, so
-	// any order would do — worker order keeps it obviously deterministic)
-	// and retire the round's halts exactly as the sequential deliver does.
-	for i := range r.ws {
-		ws := &r.ws[i]
-		if !ws.ran {
-			continue
-		}
-		s.met.Messages += ws.msgs
-		s.met.Words += ws.words
-		s.met.WireBytes += ws.wire
-		ws.msgs, ws.words, ws.wire = 0, 0, 0
-	}
-	s.alive -= int(s.haltedNow.Swap(0))
 }

@@ -34,25 +34,17 @@ func (e SeqEngine) WithWireLambda(lam quantize.Lambda) Engine {
 // Run implements Engine.
 func (e SeqEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 	s := newSim(g, e.Lam, factory)
-	sp := e.Trace.Begin(obs.PhaseStep, 0, -1)
-	for v := 0; v < g.N(); v++ {
-		s.progs[v].Init(&s.ctxs[v])
-	}
-	sp.EndN(0, int64(g.N()))
-	s.traceDeliver(e.Trace, 0, nil)
+	buf := gatherBufs.Get().(*[]Message)
+	defer gatherBufs.Put(buf)
 	rounds := 0
-	for t := 1; t <= maxRounds && s.alive > 0; t++ {
+	for t := 0; t == 0 || (t <= maxRounds && s.alive > 0); t++ {
 		rounds = t
 		sp := e.Trace.Begin(obs.PhaseStep, t, -1)
 		stepped := 0
 		for v := 0; v < g.N(); v++ {
-			c := &s.ctxs[v]
-			if c.halted {
-				continue
+			if s.step(v, t, buf) {
+				stepped++
 			}
-			c.round = t
-			s.progs[v].Round(c, s.inboxOf(v))
-			stepped++
 		}
 		sp.EndN(0, int64(stepped))
 		s.traceDeliver(e.Trace, t, nil)

@@ -36,7 +36,9 @@ type nodeSnap struct {
 
 // AppendSnapshot appends a snapshot of the listed nodes to dst: for each
 // node its halted flag, its pending next-round inbox (the messages the last
-// Deliver parked for it), and its program state via Checkpointable. The
+// Deliver parked for it — gathered from the senders' slots if that Deliver
+// moved nothing, so the bytes do not depend on the path the round took),
+// and its program state via Checkpointable. The
 // snapshot is taken at a barrier — call it only after a Deliver and before
 // the next Step wave, when every send queue is empty. nodes must be
 // ascending and is typically an engine shard's local nodes; remote ghost
@@ -45,20 +47,24 @@ func (d *Driver) AppendSnapshot(dst []byte, nodes []graph.NodeID) ([]byte, error
 	s := d.s
 	n := len(s.ctxs)
 	dst = binary.AppendUvarint(dst, uint64(len(nodes)))
+	var buf []Message
 	for _, v := range nodes {
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("dist: snapshot node %d out of range [0,%d)", v, n)
 		}
 		c := &s.ctxs[v]
-		if len(c.out) != 0 {
-			return nil, fmt.Errorf("dist: snapshot of node %d with %d unflushed sends (snapshot only at a barrier)", v, len(c.out))
+		if len(c.out) != 0 || s.slots[s.wr+v].seq == s.seq {
+			return nil, fmt.Errorf("dist: snapshot of node %d with unflushed sends (snapshot only at a barrier)", v)
 		}
 		if c.halted {
 			dst = append(dst, 1)
 		} else {
 			dst = append(dst, 0)
 		}
-		inbox := s.inboxOf(v)
+		var inbox []Message
+		if !c.halted { // a halted receiver was dropped from the delivery
+			inbox = s.inbox(v, &buf)
+		}
 		dst = binary.AppendUvarint(dst, uint64(len(inbox)))
 		for _, m := range inbox {
 			dst = append(dst, m.Kind)
@@ -86,8 +92,11 @@ func (d *Driver) AppendSnapshot(dst []byte, nodes []graph.NodeID) ([]byte, error
 
 // RestoreSnapshot rebuilds the listed nodes' state from a snapshot written
 // by AppendSnapshot against the same graph and node list. The driver must be
-// freshly constructed (no Step has run). Hostile input yields an error, not
-// a panic, and the sim is only mutated after the full snapshot has decoded.
+// freshly constructed (no Step has run). The pending inboxes are restored
+// into the arena, as after a scatter — the senders' slots are not part of a
+// snapshot — and the first Deliver after the restore picks its own path
+// again. Hostile input yields an error, not a panic, and the sim is only
+// mutated after the full snapshot has decoded.
 func (d *Driver) RestoreSnapshot(src []byte, nodes []graph.NodeID) error {
 	s := d.s
 	n := len(s.ctxs)
@@ -108,11 +117,8 @@ func (d *Driver) RestoreSnapshot(src []byte, nodes []graph.NodeID) error {
 	for _, ns := range snaps {
 		total += int32(len(ns.inbox))
 	}
-	if cap(s.inboxArena) < int(total) {
-		s.inboxArena = make([]Message, total)
-	} else {
-		s.inboxArena = s.inboxArena[:total]
-	}
+	s.pull = false
+	s.sizeArena(total)
 	off := int32(0)
 	j := 0
 	for v := 0; v < n; v++ {

@@ -233,10 +233,6 @@ func (g *Graph) Degree(v NodeID) int { return int(g.off[v+1] - g.off[v]) }
 // modify it.
 func (g *Graph) Peers(v NodeID) []NodeID { return g.peers[g.poff[v]:g.poff[v+1]] }
 
-// NumPeerSlots returns Σ_v |Peers(v)| — the total broadcast fan-out of the
-// graph, which the runtime uses to size its send arenas.
-func (g *Graph) NumPeerSlots() int { return len(g.peers) }
-
 // WeightedDegree returns deg(v) = Σ_{e : v ∈ e} w(e).
 func (g *Graph) WeightedDegree(v NodeID) float64 { return g.wdeg[v] }
 

@@ -139,3 +139,26 @@ func TestVecAliasingCheckCleanOverNet(t *testing.T) {
 		t.Fatalf("aliasing-checked net run diverges from seq")
 	}
 }
+
+// The inbox a hook receives is valid for the call only (dist.Program). With
+// the runtime poisoning every inbox on return, the cluster — ghost replay,
+// relay and streamed rounds, Vec payloads decoded from frames — must still
+// carry the identical execution.
+func TestInboxRetentionCheckCleanOverNet(t *testing.T) {
+	g := graph.BarabasiAlbert(80, 3, 3)
+	T := core.TForEpsilon(g.N(), 0.5)
+	ref, refMet := core.RunDistributed(g, core.Options{Rounds: T}, dist.SeqEngine{})
+	dref, drefMet := densest.RunWeakDistributed(g, densest.Config{Gamma: 3}, dist.SeqEngine{})
+	dist.CheckInboxRetention = true
+	defer func() { dist.CheckInboxRetention = false }()
+	for _, stream := range []bool{false, true} {
+		eng := NewEngine(3, shard.Greedy{})
+		eng.Stream = stream
+		if res, met := core.RunDistributed(g, core.Options{Rounds: T}, eng); met != refMet || !reflect.DeepEqual(res.B, ref.B) {
+			t.Fatalf("stream=%v: poisoned coreness run diverges from seq", stream)
+		}
+		if res, met := densest.RunWeakDistributed(g, densest.Config{Gamma: 3}, eng); met != drefMet || !reflect.DeepEqual(res, dref) {
+			t.Fatalf("stream=%v: poisoned weak-densest run diverges from seq", stream)
+		}
+	}
+}

@@ -203,3 +203,32 @@ func TestSessionNotificationTranscript(t *testing.T) {
 	// coreness topic (exactly once per changed value, not per epoch).
 	_ = led1
 }
+
+// TestSessionSurvivesInboxPoisoning opens a session and pushes one epoch
+// with the runtime overwriting every inbox the moment its hook returns
+// (dist.CheckInboxRetention): the session's workers — elimination programs
+// next to ghost replay — must keep nothing past the call.
+func TestSessionSurvivesInboxPoisoning(t *testing.T) {
+	const T = 8
+	g := graph.BarabasiAlbert(200, 3, 5)
+	d := dist.RandomChurn(g, 24, 9)
+	cur, err := d.Apply(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := core.RunDistributed(cur, core.Options{Rounds: T}, dist.SeqEngine{})
+
+	dist.CheckInboxRetention = true
+	defer func() { dist.CheckInboxRetention = false }()
+	s, err := Open(g, Options{P: 3, Rounds: T, Part: shard.Greedy{}, IOTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	if _, err := s.Push(d, 0); err != nil {
+		t.Fatalf("Push: %v", err)
+	}
+	if _, _, vd := s.Digests(); vd != ValuesDigest(ref.B) {
+		t.Fatalf("poisoned session epoch: values digest %#x, fresh seq %#x", vd, ValuesDigest(ref.B))
+	}
+}
