@@ -156,12 +156,16 @@ func (u *Updater) Step(bOf func(arcIdx int) float64) (b float64, aux []int) {
 // This is the allocation-free path used by the centralized simulator when
 // auxiliary sets are not requested, by the asynchronous elimination's
 // recompute, and by dynamic.Maintainer's frontier repair — all of which
-// call it once per node evaluation on their hot paths, which is why the
-// argsort below is a hand-rolled heapsort rather than sort.Slice (whose
-// closure and reflection-based swapper allocate per call; pinned by
-// TestAsyncRecomputeAllocationFree). Unlike Updater.Step it needs no
-// stable tie order: the returned value is a function of the (b, w)
-// multiset alone.
+// call it once per node evaluation on their hot paths (pinned by
+// TestAsyncRecomputeAllocationFree).
+//
+// The answer max_k min(b_(k), S_k) — b_(k) the k-th largest value, S_k the
+// weight of the k largest — is decided at the first k whose running weight
+// passes the next value down, so only the top of the descending order is
+// ever read: heapify in O(d), then pop the maximum and accumulate until the
+// crossing, O(d + k·log d) with k ≈ β instead of a full O(d·log d) sort.
+// Unlike Updater.Step it needs no stable tie order: the returned value is a
+// function of the (b, w) multiset alone.
 func UpdateValue(bs, w []float64, scratch []int) float64 {
 	d := len(bs)
 	if d == 0 {
@@ -171,35 +175,30 @@ func UpdateValue(bs, w []float64, scratch []int) float64 {
 	for i := 0; i < d; i++ {
 		idx = append(idx, i)
 	}
-	argsortByVal(idx, bs)
+	for i := d/2 - 1; i >= 0; i-- {
+		siftDownByVal(idx, bs, i, d)
+	}
 	s := 0.0
-	for i := d - 1; i >= 0; i-- {
-		s += w[idx[i]]
-		prev := math.Inf(-1)
-		if i > 0 {
-			prev = bs[idx[i-1]]
+	for n := d; ; n-- {
+		top := idx[0]
+		s += w[top]
+		// The next value down is the larger child of the root; no sift needed
+		// to read it.
+		next := math.Inf(-1)
+		if n > 1 {
+			next = bs[idx[1]]
+			if n > 2 && bs[idx[2]] > next {
+				next = bs[idx[2]]
+			}
 		}
-		if s > prev {
-			if bi := bs[idx[i]]; s > bi {
+		if s > next {
+			if bi := bs[top]; s > bi {
 				return bi
 			}
 			return s
 		}
-	}
-	return 0
-}
-
-// argsortByVal heapsorts idx ascending by bs[idx[i]]: in-place, no
-// allocation, no reflection. Tie order is unspecified (heapsort is not
-// stable) — see UpdateValue for why that is sound.
-func argsortByVal(idx []int, bs []float64) {
-	d := len(idx)
-	for i := d/2 - 1; i >= 0; i-- {
-		siftDownByVal(idx, bs, i, d)
-	}
-	for n := d - 1; n > 0; n-- {
-		idx[0], idx[n] = idx[n], idx[0]
-		siftDownByVal(idx, bs, 0, n)
+		idx[0] = idx[n-1]
+		siftDownByVal(idx, bs, 0, n-1)
 	}
 }
 

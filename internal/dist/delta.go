@@ -76,55 +76,61 @@ func (d GraphDelta) Digest() uint64 {
 // deletes of edges that do not exist at that point of the batch — a failed
 // delta must abort a run rather than fork the cluster's inputs.
 func (d GraphDelta) Apply(g *graph.Graph) (*graph.Graph, error) {
-	n := g.N()
-	// Mark-and-sweep over edge indices, with a per-pair queue of live copies
-	// in ascending index order: a delete pops the queue's front (the
-	// lowest-index copy — the canonical one), an insert appends a fresh,
-	// strictly larger index, so the whole batch costs O(m + ops) instead of
-	// a list scan-and-shift per delete.
-	type pairKey struct{ a, b graph.NodeID }
-	norm := func(u, v graph.NodeID) pairKey {
-		if u > v {
-			u, v = v, u
-		}
-		return pairKey{u, v}
-	}
-	edges := append([]graph.Edge(nil), g.Edges()...)
-	live := make(map[pairKey][]int, len(edges))
-	for i, e := range edges {
-		k := norm(e.U, e.V)
-		live[k] = append(live[k], i)
-	}
-	deleted := make([]bool, len(edges), len(edges)+len(d.Ops))
+	n, old := g.N(), g.Edges()
+	// Mark-and-sweep over edge indices: original edge i is index i, the
+	// batch's j-th insert is index len(old)+j. Adjacency lists are in edge
+	// order, so the first live arc to the other endpoint is the lowest-index
+	// copy — the canonical one; only when no original copy is live can the
+	// victim be one of the batch's own inserts, and those are ≤ len(d.Ops).
+	// A delete costs the smaller endpoint degree, the batch O(m + ops).
+	dead := make([]bool, len(old)+len(d.Ops))
+	ins := make([]graph.Edge, 0, len(d.Ops))
+	ndead := 0
 	for i, op := range d.Ops {
 		if op.U < 0 || op.U >= n || op.V < 0 || op.V >= n {
 			return nil, fmt.Errorf("dist: delta op %d: edge (%d,%d) out of range [0,%d)", i, op.U, op.V, n)
 		}
-		if op.Del {
-			k := norm(op.U, op.V)
-			q := live[k]
-			if len(q) == 0 {
-				return nil, fmt.Errorf("dist: delta op %d: delete of missing edge {%d,%d}", i, op.U, op.V)
+		if !op.Del {
+			if op.W < 0 || math.IsNaN(op.W) || math.IsInf(op.W, 0) {
+				return nil, fmt.Errorf("dist: delta op %d: invalid insert weight %v", i, op.W)
 			}
-			deleted[q[0]] = true
-			live[k] = q[1:]
+			ins = append(ins, graph.Edge{U: op.U, V: op.V, W: op.W})
 			continue
 		}
-		if op.W < 0 || math.IsNaN(op.W) || math.IsInf(op.W, 0) {
-			return nil, fmt.Errorf("dist: delta op %d: invalid insert weight %v", i, op.W)
+		from, to := op.U, op.V
+		if g.Degree(to) < g.Degree(from) {
+			from, to = to, from
 		}
-		k := norm(op.U, op.V)
-		live[k] = append(live[k], len(edges))
-		edges = append(edges, graph.Edge{U: op.U, V: op.V, W: op.W})
-		deleted = append(deleted, false)
+		victim := -1
+		for _, a := range g.Adj(from) {
+			if a.To == to && !dead[a.EdgeID] {
+				victim = a.EdgeID
+				break
+			}
+		}
+		for j := 0; victim < 0 && j < len(ins); j++ {
+			if e := ins[j]; !dead[len(old)+j] && (e.U == op.U && e.V == op.V || e.U == op.V && e.V == op.U) {
+				victim = len(old) + j
+			}
+		}
+		if victim < 0 {
+			return nil, fmt.Errorf("dist: delta op %d: delete of missing edge {%d,%d}", i, op.U, op.V)
+		}
+		dead[victim] = true
+		ndead++
 	}
-	b := graph.NewBuilder(n)
-	for i, e := range edges {
-		if !deleted[i] {
-			b.AddEdge(e.U, e.V, e.W)
+	edges := make([]graph.Edge, 0, len(old)+len(ins)-ndead)
+	for i, e := range old {
+		if !dead[i] {
+			edges = append(edges, e)
 		}
 	}
-	return b.Build(), nil
+	for j, e := range ins {
+		if !dead[len(old)+j] {
+			edges = append(edges, e)
+		}
+	}
+	return graph.FromEdges(n, edges), nil
 }
 
 // RandomChurn builds a deterministic churn batch of `ops` mutations for g:

@@ -9,8 +9,15 @@
 // Maintainer stores the full per-round history H[t][v] and, on an update,
 // re-evaluates round t only at the *change frontier* — the endpoints plus
 // the neighbors of nodes whose round-(t-1) value changed — which usually
-// dies out long before it reaches the T-hop ball's boundary. Experiment
-// E14 measures the bill (re-evals per update versus the n·T full
+// dies out long before it reaches the T-hop ball's boundary. The unit of
+// repair is the batch, not the op: ApplyDelta mutates the adjacency for
+// every op of a dist.GraphDelta first and then runs one T-round repair
+// seeded with the union of their endpoints, so each (t, v) is evaluated at
+// most once per batch, against final round-(t-1) values, and H[t] is
+// exactly the from-scratch β_t of the mutated graph. InsertEdge and
+// DeleteEdge are batches of one. The frontier lives in generation-stamped
+// marks and reused slices; a steady-state repair allocates nothing.
+// Experiment E14 measures the bill (re-evals per update versus the n·T full
 // recompute); DensestValue additionally keeps max_v β_T(v), the
 // evolving-graphs densest-subgraph functionality of the Epasto et al. /
 // Hu et al. lines the paper cites, for one slice scan per repair.

@@ -91,14 +91,18 @@ func NewBuilder(n int) *Builder {
 // their weights). u == v records a self-loop. Weights must be non-negative
 // and finite.
 func (b *Builder) AddEdge(u, v NodeID, w float64) *Builder {
-	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
+	checkEdge(b.n, u, v, w)
+	b.edges = append(b.edges, Edge{U: u, V: v, W: w})
+	return b
+}
+
+func checkEdge(n int, u, v NodeID, w float64) {
+	if u < 0 || u >= n || v < 0 || v >= n {
+		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, n))
 	}
 	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 		panic(fmt.Sprintf("graph: invalid edge weight %v", w))
 	}
-	b.edges = append(b.edges, Edge{U: u, V: v, W: w})
-	return b
 }
 
 // AddUnitEdge records {u,v} with weight 1.
@@ -117,8 +121,28 @@ func (b *Builder) NumEdges() int { return len(b.edges) }
 // message-passing runtime reproducible across Builder implementations
 // (asserted by TestCSRMatchesEdgeListReference).
 func (b *Builder) Build() *Graph {
+	return build(b.n, append([]Edge(nil), b.edges...))
+}
+
+// FromEdges is NewBuilder(n) + AddEdge per edge + Build for a caller that
+// already holds the final edge list: the graph takes ownership of edges (the
+// caller must not touch the slice afterwards), so nothing is grown by
+// doubling and nothing is copied a second time. Edges are validated exactly
+// as AddEdge validates them.
+func FromEdges(n int, edges []Edge) *Graph {
+	if n < 0 {
+		panic("graph: negative node count")
+	}
+	for _, e := range edges {
+		checkEdge(n, e.U, e.V, e.W)
+	}
+	return build(n, edges)
+}
+
+// build lays out the CSR form over an edge list it owns.
+func build(n int, edges []Edge) *Graph {
 	narcs := 0
-	for _, e := range b.edges {
+	for _, e := range edges {
 		narcs += 2
 		if e.IsLoop() {
 			narcs--
@@ -128,26 +152,26 @@ func (b *Builder) Build() *Graph {
 		panic("graph: arc count overflows CSR offsets")
 	}
 	g := &Graph{
-		n:     b.n,
-		edges: append([]Edge(nil), b.edges...),
+		n:     n,
+		edges: edges,
 		arcs:  make([]Arc, narcs),
-		off:   make([]int32, b.n+1),
-		wdeg:  make([]float64, b.n),
+		off:   make([]int32, n+1),
+		wdeg:  make([]float64, n),
 	}
 	// Counting pass: arc degree per node, then prefix sums into offsets.
-	deg := make([]int32, b.n)
+	deg := make([]int32, n)
 	for _, e := range g.edges {
 		deg[e.U]++
 		if !e.IsLoop() {
 			deg[e.V]++
 		}
 	}
-	for v := 0; v < b.n; v++ {
+	for v := 0; v < n; v++ {
 		g.off[v+1] = g.off[v] + deg[v]
 	}
 	// Fill pass in edge order, reusing deg as per-node write cursors.
 	cur := deg
-	copy(cur, g.off[:b.n])
+	copy(cur, g.off[:n])
 	for id, e := range g.edges {
 		g.arcs[cur[e.U]] = Arc{To: e.V, W: e.W, EdgeID: id}
 		cur[e.U]++
@@ -410,9 +434,7 @@ func (g *Graph) Fingerprint() uint64 {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	b := NewBuilder(g.n)
-	b.edges = append(b.edges, g.edges...)
-	return b.Build()
+	return build(g.n, append([]Edge(nil), g.edges...))
 }
 
 // WithWeights returns a copy of g whose edge weights are w[i] for edge i.

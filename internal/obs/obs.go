@@ -60,8 +60,8 @@ const (
 	// waiting for its worker goroutines, a net worker waiting for the
 	// coordinator's deliver record.
 	PhaseBarrierWait
-	// PhaseRepair is incremental oracle work: dynamic.Maintainer frontier
-	// repair inside a session epoch.
+	// PhaseRepair is a session worker absorbing an epoch's delta: the graph
+	// rebuild (GraphDelta.Apply) and the dynamic.Maintainer frontier repair.
 	PhaseRepair
 	// PhaseRebalance is incremental partitioning: Partitioner.Rebalance
 	// after a churn batch.

@@ -223,17 +223,22 @@ func (w *WorkerState) epochStep(body []byte) error {
 	if w.killed(obs.PhaseRepair, epoch) {
 		return net.ErrKilled
 	}
+	// The repair span covers both halves of absorbing the delta — the graph
+	// rebuild and the oracle's frontier repair — on the error paths too, so
+	// no part of an epoch is time that belongs to no phase.
+	rp := w.trace.Begin(obs.PhaseRepair, epoch, w.shard)
 	g2, err := d.Apply(w.g)
 	if err != nil {
+		rp.End()
 		return fmt.Errorf("session: epoch %d delta: %w", epoch, err)
 	}
-	rp := w.trace.Begin(obs.PhaseRepair, epoch, w.shard)
-	if err := w.m.ApplyDelta(d); err != nil {
+	err = w.m.ApplyDelta(d)
+	rp.EndN(0, int64(d.Len()))
+	if err != nil {
 		// The engine-side Apply succeeded, so the oracle must too; disagreeing
 		// means forked state, which kills the session.
 		return fmt.Errorf("session: epoch %d oracle: %w", epoch, err)
 	}
-	rp.EndN(0, int64(d.Len()))
 	rb := w.trace.Begin(obs.PhaseRebalance, epoch, w.shard)
 	next := shard.RebalanceAssign(w.part, g2, w.p, w.assign, d, budget)
 	rb.End()
