@@ -561,7 +561,7 @@ func runCoord(args []string) {
 
 // writeReport writes the optional JSON run report through the obs-owned
 // envelope, so the frame-byte and churn keys here are byte-for-byte the
-// ones cmd/bench writes for the same metric structs.
+// ones the recorded BENCH_PR*.json rows carry for the same metric structs.
 func writeReport(path, spec string, p int, part string, T int, met dist.Metrics, sm shard.ShardMetrics, churnOps int, cm shard.ChurnMetrics, verified bool, elapsed time.Duration, tracer *obs.Tracer) error {
 	if path == "" {
 		return nil

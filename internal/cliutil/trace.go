@@ -10,8 +10,8 @@ import (
 	"distkcore/internal/shard"
 )
 
-// TraceUsage is the -trace flag help text shared by cmd/kcore, cmd/cluster
-// and cmd/bench.
+// TraceUsage is the -trace flag help text shared by cmd/kcore and
+// cmd/cluster.
 const TraceUsage = "write a Chrome trace-event JSON timeline of the run to this file (open in chrome://tracing or ui.perfetto.dev; - = stdout)"
 
 // Traced installs tr on every engine kind that has a tracing seam and

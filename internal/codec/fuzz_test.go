@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -150,6 +151,59 @@ func FuzzDecodeWindow(f *testing.F) {
 		}
 		if n2 != len(enc) || w2 != w {
 			t.Fatalf("window changed across a round trip: %+v (%d bytes) vs %+v (%d bytes)", w, len(enc), w2, n2)
+		}
+	})
+}
+
+// The barrier records of the streamed plane travel worker→coordinator on the
+// control connection; the coordinator decodes them before any of its own
+// checks run.
+
+func FuzzDecodeStreamDone(f *testing.F) {
+	f.Add(AppendStreamDone(nil, StreamDone{Round: 3, Alive: 41, Sent: []PeerDigest{
+		{Peer: 0, Chunks: 2, Msgs: 310, Bytes: 4021, Digest: 0xfeedface}, {Peer: 2}}}))
+	f.Add(AppendStreamDone(nil, StreamDone{}))
+	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // hostile entry count
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sd, n, err := DecodeStreamDone(data)
+		if err != nil {
+			return
+		}
+		if n > len(data) {
+			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
+		}
+		enc := AppendStreamDone(nil, sd)
+		sd2, n2, err := DecodeStreamDone(enc)
+		if err != nil {
+			t.Fatalf("re-decode of a re-encoded stream-done failed: %v", err)
+		}
+		if n2 != len(enc) || !reflect.DeepEqual(sd2, sd) {
+			t.Fatalf("stream-done changed across a round trip: %+v (%d bytes) vs %+v (%d bytes)", sd, len(enc), sd2, n2)
+		}
+	})
+}
+
+func FuzzDecodeStreamAck(f *testing.F) {
+	f.Add(AppendStreamAck(nil, StreamAck{Round: 3,
+		Wire: StreamWire{Sent: 9000, Recv: 8000, Relayed: 70, Chunks: 6, Credits: 5},
+		Recv: []PeerDigest{{Peer: 1, Chunks: 2, Msgs: 310, Bytes: 4021, Digest: 0xfeedface}, {Peer: 2}}}))
+	f.Add(AppendStreamAck(nil, StreamAck{}))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // hostile entry count
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sa, n, err := DecodeStreamAck(data)
+		if err != nil {
+			return
+		}
+		if n > len(data) {
+			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
+		}
+		enc := AppendStreamAck(nil, sa)
+		sa2, n2, err := DecodeStreamAck(enc)
+		if err != nil {
+			t.Fatalf("re-decode of a re-encoded stream-ack failed: %v", err)
+		}
+		if n2 != len(enc) || !reflect.DeepEqual(sa2, sa) {
+			t.Fatalf("stream-ack changed across a round trip: %+v (%d bytes) vs %+v (%d bytes)", sa, len(enc), sa2, n2)
 		}
 	})
 }

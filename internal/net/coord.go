@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"distkcore/internal/codec"
@@ -45,12 +44,12 @@ type Spec struct {
 	IOTimeout time.Duration
 	// Recover arms crash recovery (DESIGN.md §13): workers checkpoint
 	// after every delivery, the coordinator retains the last RetainRounds
-	// checkpoints and rounds of relay history per worker, and a dead worker
-	// is respawned via Respawn and restored instead of failing the run.
+	// checkpoints and sealed rounds per worker, and a dead worker is
+	// respawned via Respawn and restored instead of failing the run.
 	Recover bool
 	// RetainRounds is K, the per-worker retention depth for checkpoints and
-	// relay history; ≤ 0 means the default of 4 (a worker's checkpoint lag
-	// is at most 2 rounds, so 4 leaves slack).
+	// what catch-up re-feeds; ≤ 0 means the default of 4 (a worker's
+	// checkpoint lag is at most 2 rounds, so 4 leaves slack).
 	RetainRounds int
 	// Respawn produces a fresh connection to a restarted worker for the
 	// given shard: the in-process engine spawns a goroutine on a fresh
@@ -65,11 +64,11 @@ type Spec struct {
 	// step broadcast — the fault-injection seam multi-process harnesses use
 	// to SIGKILL a worker at a chosen round.
 	OnRound func(t int)
-	// Stream arms streamed delivery (DESIGN.md §14): round traffic flows
-	// worker↔worker over a mesh of data connections, and the coordinator
-	// shrinks to a round-barrier and digest-verification service — it never
-	// sees a frame. Workers must be given mesh endpoints (Worker.MeshDial
-	// et al., or cmd/cluster's mesh listeners via MeshSpec).
+	// Stream selects the streamed frame plane (DESIGN.md §8.4, §14) for the
+	// same round loop: cross-shard messages flow worker↔worker over a mesh
+	// of data connections and the coordinator verifies digests of frames it
+	// never sees. Workers must be given mesh endpoints (Worker.MeshDial et
+	// al., or cmd/cluster's mesh listeners via MeshSpec).
 	Stream bool
 	// MeshThreshold is the P at or above which a streamed run uses the
 	// hypercube relay topology instead of the full mesh (power-of-two P
@@ -84,9 +83,10 @@ type Spec struct {
 	// streamed runs (comma-joined, indexed by shard); empty in-process.
 	MeshSpec string
 	// Trace, when set, records the coordinator's per-round barrier-wait and
-	// relay spans plus one Flow per relayed frame — the P×P matrix that
-	// makes the coordinator funnel visible. It observes bytes the ledger
-	// already prices, so a traced run is byte-identical to an untraced one.
+	// relay (streamed: verify) spans plus one Flow per cross-shard frame —
+	// the P×P matrix that makes the relay's coordinator funnel visible. It
+	// observes bytes the ledger already prices, so a traced run is
+	// byte-identical to an untraced one.
 	Trace *obs.Tracer
 }
 
@@ -140,188 +140,48 @@ func (r *Report) Assemble(n int) ([]float64, error) {
 	return out, nil
 }
 
-// inRec is one record (or terminal read error) from one worker, as pushed
-// by the coordinator's per-connection reader goroutines. gen is the
-// connection generation the record came from: records from a dead
-// incarnation that was replaced by recovery are filtered out by take.
-type inRec struct {
-	from int
-	gen  int
-	typ  byte
-	body []byte
-	err  error
+// RunError is a failed run's diagnosis: the round in flight, the worker the
+// failure is pinned on (-1 when it cannot be pinned on one — a coordinator-
+// side check, a timeout with several laggards) and where that worker stood
+// in the round by the coordinator's records: step until its done record is
+// in, barrier-wait until it is released, deliver after. With Worker -1 the
+// phase is where the workers still owing a record stood. Hub.Run and
+// RunCoordinator return it for every fault past the handshake, so errors.As
+// recovers the structure (the twin of session.BreakCause).
+type RunError struct {
+	Round  int
+	Phase  obs.Phase
+	Worker int
+	Err    error
 }
 
-// Hub owns the coordinator side of P established worker connections: one
-// reader goroutine per connection pumping records into a shared channel,
-// plus the run protocol (Run) on top. Unlike the one-shot RunCoordinator
-// wrapper, a Hub outlives a run — its readers keep pumping after Run
-// returns, which is what lets a session (internal/session) keep the same
-// workers hot across an epoch stream on one set of connections. Close it
-// exactly once, after the last exchange; the caller still owns and closes
-// the connections themselves.
-type Hub struct {
-	// Timeout, when non-zero, bounds every Next wait: silence longer than
-	// this fails the exchange with a timeout error instead of hanging.
-	Timeout time.Duration
-
-	conns []*Conn
-	// gens[i] is worker i's connection generation, bumped by Replace.
-	// Touched only by the single protocol-driving goroutine; readers get
-	// their generation as a parameter at spawn.
-	gens []int
-	ch   chan inRec
-	done chan struct{}
-	once sync.Once
-}
-
-// NewHub wraps conns (conns[i] is shard i) and starts the per-connection
-// reader goroutines.
-func NewHub(conns []*Conn) *Hub {
-	h := &Hub{
-		conns: conns,
-		gens:  make([]int, len(conns)),
-		ch:    make(chan inRec, 8*len(conns)),
-		done:  make(chan struct{}),
+// Error implements error: the attribution, then the underlying error.
+func (e *RunError) Error() string {
+	if e.Worker >= 0 {
+		return fmt.Sprintf("net: run failed at round %d (%s, worker %d): %v", e.Round, e.Phase, e.Worker, e.Err)
 	}
-	for i, cn := range conns {
-		go h.reader(i, 0, cn)
-	}
-	return h
+	return fmt.Sprintf("net: run failed at round %d (%s): %v", e.Round, e.Phase, e.Err)
 }
 
-// Replace swaps worker i's connection for a respawned incarnation and
-// starts a reader for it. Records still in flight from the dead incarnation
-// carry the old generation and are dropped by take's filter — its terminal
-// read error included, so a replaced death never resurfaces. Call only from
-// the protocol-driving goroutine; the caller owns closing the old conn.
-func (h *Hub) Replace(i int, cn *Conn) {
-	h.gens[i]++
-	h.conns[i] = cn
-	go h.reader(i, h.gens[i], cn)
-}
-
-// P returns the worker count.
-func (h *Hub) P() int { return len(h.conns) }
-
-// Conn returns worker i's connection for writes. All writes must come from
-// one goroutine at a time; reads stay with the Hub's readers — never read a
-// hub-owned connection directly.
-func (h *Hub) Conn(i int) *Conn { return h.conns[i] }
-
-// Close releases the reader goroutines: any reader parked on the bounded
-// channel unblocks and exits, and readers blocked in a connection read exit
-// as soon as the caller closes the connections. Idempotent.
-func (h *Hub) Close() { h.once.Do(func() { close(h.done) }) }
-
-// SendError best-effort ships an error record to every worker, so an abort
-// carries its reason instead of a bare broken connection.
-func (h *Hub) SendError(err error) {
-	for _, cn := range h.conns {
-		cn.SendError(err)
-	}
-}
-
-// reader pumps one connection's records into the shared channel, copying
-// each payload out of the Conn's reused buffer. It exits on the first read
-// error (EOF included, which is the normal end once the caller closes the
-// connection after the last exchange) or when the hub is closed and nobody
-// will drain the channel again.
-func (h *Hub) reader(i, gen int, cn *Conn) {
-	for {
-		typ, body, err := cn.AwaitRecord()
-		if err != nil {
-			select {
-			case h.ch <- inRec{from: i, gen: gen, err: err}:
-			case <-h.done:
-			}
-			return
-		}
-		cp := make([]byte, len(body))
-		copy(cp, body)
-		select {
-		case h.ch <- inRec{from: i, gen: gen, typ: typ, body: cp}:
-		case <-h.done:
-			return
-		}
-	}
-}
-
-// take receives one raw record, dropping records from replaced (dead)
-// connection generations and folding a reply timeout into a from: -1 error
-// record. Errors are not yet folded — callers that need the raw record for
-// fault attribution (recovery) go through take; everyone else uses next.
-func (h *Hub) take() inRec {
-	for {
-		var r inRec
-		if h.Timeout > 0 {
-			t := time.NewTimer(h.Timeout)
-			select {
-			case r = <-h.ch:
-				t.Stop()
-			case <-t.C:
-				return inRec{from: -1, err: fmt.Errorf("net: no worker record within %v (dead peer?)", h.Timeout)}
-			}
-		} else {
-			r = <-h.ch
-		}
-		if h.stale(r) {
-			continue
-		}
-		return r
-	}
-}
-
-// stale reports whether r came from a replaced connection generation.
-func (h *Hub) stale(r inRec) bool {
-	return r.from >= 0 && r.gen != h.gens[r.from]
-}
-
-// foldRec folds a raw record's transport error or worker error record into
-// a Go error.
-func foldRec(r inRec) (inRec, error) {
-	if r.err != nil {
-		if r.from < 0 {
-			return r, r.err
-		}
-		return r, fmt.Errorf("net: worker %d: %w", r.from, r.err)
-	}
-	if r.typ == recError {
-		return r, fmt.Errorf("net: worker %d aborted: %s", r.from, r.body)
-	}
-	return r, nil
-}
-
-// next receives one record, folding transport errors, worker error records
-// and reply timeouts into Go errors.
-func (h *Hub) next() (inRec, error) {
-	return foldRec(h.take())
-}
-
-// Next is the exported record receive for protocol layers driving the hub
-// beyond the built-in run (internal/session's epoch exchanges): one record
-// from whichever worker spoke, with transport errors, worker error records
-// and timeouts folded into err. The body is a private copy.
-func (h *Hub) Next() (from int, typ byte, body []byte, err error) {
-	r, err := h.next()
-	return r.from, r.typ, r.body, err
-}
+// Unwrap exposes the underlying error to errors.Is/As chains.
+func (e *RunError) Unwrap() error { return e.Err }
 
 // RunCoordinator drives one full run over P established worker
-// connections: handshake, per-round barrier (step → frame relay → deliver),
-// finish, metric aggregation. conns[i] becomes shard i. It returns the
-// run-level Metrics — byte-identical to dist.SeqEngine's for the same
+// connections: handshake, per-round barrier (step → frame exchange →
+// deliver), finish, metric aggregation. conns[i] becomes shard i. It returns
+// the run-level Metrics — byte-identical to dist.SeqEngine's for the same
 // protocol, graph and Λ — plus the cluster Report.
 //
 // Failure behavior (DESIGN.md §8): the protocol chooses determinism over
 // availability. Any connection error, version skew, digest mismatch or
-// protocol violation aborts the whole run with an error after best-effort
-// error records to the surviving workers; there is no retry, reconnect or
-// partial result. Spec.IOTimeout (or deadlines set on the conns) makes a
-// dead worker fail fast instead of hanging the coordinator. The caller
-// owns the connections and closes them afterwards; together with the
-// hub teardown that releases channel-blocked readers, that terminates the
-// reader goroutines this call spawns. To keep the workers alive for more
+// protocol violation aborts the whole run with an error (a *RunError once
+// the handshake is through) after best-effort error records to the
+// surviving workers; unless Spec.Recover is armed there is no retry,
+// reconnect or partial result. Spec.IOTimeout (or deadlines set on the
+// conns) makes a dead worker fail fast instead of hanging the coordinator.
+// The caller owns the connections and closes them afterwards; together with
+// the hub teardown that releases channel-blocked readers, that terminates
+// the reader goroutines this call spawns. To keep the workers alive for more
 // exchanges after the run — a session — build a Hub yourself and call its
 // Run; this wrapper tears the hub down when the run ends.
 func RunCoordinator(conns []*Conn, spec Spec) (dist.Metrics, *Report, error) {
@@ -343,17 +203,22 @@ func (h *Hub) Run(spec Spec) (dist.Metrics, *Report, error) {
 		h.Timeout = spec.IOTimeout
 	}
 	c := &coordinator{
-		hub:  h,
-		spec: spec,
-		rep:  &Report{Sharding: shard.ShardMetrics{P: p, PerShardBytes: make([]int64, p)}},
+		hub:    h,
+		spec:   spec,
+		rep:    &Report{Sharding: shard.ShardMetrics{P: p, PerShardBytes: make([]int64, p)}},
+		cur:    -1,
+		at:     make([]obs.Phase, p),
+		hellos: make([][]byte, p),
 	}
 	if spec.Stream {
 		c.rep.StreamWire = make([]codec.StreamWire, p)
+		c.plane = &streamCoord{c: c}
+	} else {
+		c.plane = &relayCoord{c: c, hist: make([][]relayRound, p)}
 	}
 	if spec.Recover {
-		c.hellos = make([][]byte, p)
 		c.ckpts = make([][]codec.Checkpoint, p)
-		c.hist = make([][]histRound, p)
+		c.sealed = make([][]sealedRound, p)
 		c.chains = make([]uint64, p)
 		for i := range c.chains {
 			c.chains[i] = frameChainSeed
@@ -367,249 +232,210 @@ func (h *Hub) Run(spec Spec) (dist.Metrics, *Report, error) {
 	return met, c.rep, nil
 }
 
-// frameRec is one parked cross-shard frame: the full record body (header +
-// messages) plus its source and message count, so a dead worker's parked
-// contribution can be discarded with an exact ledger undo.
-type frameRec struct {
-	src, count int
-	body       []byte
+// coordPlane is the coordinator half of a frame plane: what differs between
+// relayed and streamed delivery under the one round loop. relayCoord
+// (relay.go) parks and forwards the frames themselves; streamCoord
+// (stream.go) never sees one and verifies the digest matrix instead.
+type coordPlane interface {
+	// phase names the coordinator's release span: relay or verify.
+	phase() obs.Phase
+	// begin resets the per-round state for round t.
+	begin(t int)
+	// record consumes one record worker from sent during round t. settled
+	// reports that it was the worker's done record (alive is then its live
+	// node count) or the ack of its release.
+	record(t, from int, typ byte, body []byte) (settled bool, alive int, err error)
+	// discard drops what worker w contributed to the round in flight before
+	// it died short of its done record.
+	discard(w int)
+	// seal closes round t's collection once all P done records are in:
+	// ledger, and under recovery the per-worker chains and retention. It
+	// runs before anything is released, so a death during the release can
+	// still be caught up through round t.
+	seal(t int) error
+	// release writes round t's barrier release to worker q and reports
+	// whether q now owes an ack.
+	release(t, q int) (owesAck bool, err error)
+	// volume is what the release span records: bytes and items released.
+	volume() (bytes, items int64)
+	// resend has the peers re-feed respawned worker w (incarnation gen) the
+	// inbound flows of rounds from..c.cur that only they still hold.
+	resend(w, gen, from int) error
+	// replay writes worker w's catch-up of round t to its new connection.
+	replay(cn *Conn, w, t int) (bytes, items int64, err error)
 }
 
-// histRound is one retained round of relay history for one worker: the
-// frames relayed to it and the worker's expected frame-chain digest after
-// folding them (checkpoint verification, catch-up replay).
-type histRound struct {
-	round      int
-	frames     []frameRec
-	chainAfter uint64
+// sealedRound is one retained round of one worker's expected frame-chain
+// digest: what its checkpoint for that round must carry.
+type sealedRound struct {
+	round int
+	chain uint64
 }
 
-// maxRecoveries caps recovery attempts per worker per run: a worker that
-// keeps dying (a crash loop, a poisoned input) eventually fails the run
-// instead of respawning forever.
-const maxRecoveries = 8
+// keepLast trims a retention ring to its newest k entries.
+func keepLast[T any](ring []T, k int) []T {
+	if len(ring) > k {
+		return ring[len(ring)-k:]
+	}
+	return ring
+}
 
 type coordinator struct {
-	hub  *Hub
-	spec Spec
-	rep  *Report
+	hub   *Hub
+	spec  Spec
+	rep   *Report
+	plane coordPlane
 
-	// stash defers records from other workers that arrive while a recovery
-	// exchange is awaiting a specific worker's reply; nextRec drains it
-	// FIFO before touching the hub again, so per-worker order holds.
-	stash []inRec
+	// cur is the round in flight (-1 during the handshake, the last executed
+	// round during the finish), and at[w] where worker w stands in it —
+	// what a RunError reports.
+	cur int
+	at  []obs.Phase
+
+	// The handshake as first sent — re-admitting a respawned worker replays
+	// the identical bytes.
+	hellos   [][]byte // hello record body per worker
+	deltaRec []byte   // churn delta record, if any
 
 	// Recovery retention (allocated when spec.Recover; nil otherwise).
-	hellos   [][]byte             // original hello record body per worker
-	deltaRec []byte               // original churn delta record, if any
-	ckpts    [][]codec.Checkpoint // last K checkpoints per worker, ascending rounds
-	hist     [][]histRound        // last K rounds of relay history per worker
-	chains   []uint64             // cumulative relayed frame chain per worker
-	attempts []int                // recoveries performed per worker
+	ckpts  [][]codec.Checkpoint // last K checkpoints per worker, ascending rounds
+	sealed [][]sealedRound      // last K rounds of expected chains per worker
+	chains []uint64             // cumulative inbound frame chain per worker
 }
 
 // recoverable reports whether worker death is survivable in this run.
 func (c *coordinator) recoverable() bool { return c.spec.Recover && c.spec.Respawn != nil }
 
-// retainK is the retention depth K.
-func (c *coordinator) retainK() int {
-	if c.spec.RetainRounds > 0 {
-		return c.spec.RetainRounds
+// retainDepth resolves a RetainRounds setting to the retention depth K, on
+// the coordinator and on streamed workers alike.
+func retainDepth(k int) int {
+	if k > 0 {
+		return k
 	}
 	return 4
 }
 
-// next receives one record for a protocol exchange: stashed records drain
-// first, checkpoint records are absorbed into the retention rings on the
-// way, and errors fold like Hub.next.
-func (c *coordinator) next() (inRec, error) {
-	for {
-		var r inRec
-		if len(c.stash) > 0 {
-			r = c.stash[0]
-			c.stash = c.stash[1:]
-			if c.hub.stale(r) {
-				continue
-			}
-		} else {
-			r = c.hub.take()
-		}
-		if c.spec.Recover && r.err == nil && r.typ == recCheckpoint {
-			if err := c.absorbCheckpoint(r); err != nil {
-				return r, err
-			}
-			continue
-		}
-		return foldRec(r)
+func (c *coordinator) retainK() int { return retainDepth(c.spec.RetainRounds) }
+
+// fail attributes a fatal fault to worker w (-1: nobody) at its position in
+// the round in flight; waiting is the position of the workers still owing a
+// record, reported when nobody is implicated.
+func (c *coordinator) fail(w int, waiting obs.Phase, err error) error {
+	if w >= 0 {
+		waiting = c.at[w]
 	}
+	return &RunError{Round: c.cur, Phase: waiting, Worker: w, Err: err}
 }
 
-// awaitFrom receives the next record from worker w specifically, stashing
-// records other workers interleave (their dones, frames and even deaths
-// are deferred, not lost) and absorbing checkpoints. Recovery exchanges use
-// it to read the respawned worker's welcome.
-func (c *coordinator) awaitFrom(w int) (inRec, error) {
-	for {
-		r := c.hub.take()
-		if r.err == nil && r.typ == recCheckpoint && c.spec.Recover {
-			if err := c.absorbCheckpoint(r); err != nil {
-				return r, err
-			}
-			continue
+// collect is Hub.Collect with checkpoint records absorbed into the retention
+// rings on the way: per-connection FIFO puts a worker's checkpoint ahead of
+// the next record it owes, so one always surfaces while its sender is owed.
+func (c *coordinator) collect(owed []bool, handle func(from int, typ byte, body []byte) (bool, error),
+	died func(w int, cause error) error) (int, error) {
+	return c.hub.Collect(owed, func(from int, typ byte, body []byte) (bool, error) {
+		if typ == recCheckpoint && c.spec.Recover {
+			return false, c.absorbCheckpoint(from, body)
 		}
-		if r.from != w && r.from >= 0 {
-			c.stash = append(c.stash, r)
-			continue
-		}
-		return foldRec(r)
+		return handle(from, typ, body)
+	}, died)
+}
+
+// sendRestoring writes one record to worker i. A write that fails finds the
+// worker dead since its last release: with recovery armed it is restored
+// through round upTo and handed the record again.
+func (c *coordinator) sendRestoring(i, upTo int, typ byte, body []byte) (restarted bool, err error) {
+	if err = c.hub.send(i, typ, body); err == nil || !c.recoverable() {
+		return false, err
 	}
+	if err = c.restart(i, upTo); err != nil {
+		return false, err
+	}
+	return true, c.hub.send(i, typ, body)
 }
 
 // absorbCheckpoint stores one worker checkpoint in the retention ring,
-// verifying its frame chain against the relay history when the round is
+// verifying its frame chain against the sealed rounds when the round is
 // still retained. A catch-up re-checkpoint supersedes ring entries at or
 // past its round (they were the dead incarnation's).
-func (c *coordinator) absorbCheckpoint(r inRec) error {
-	ck, used, err := codec.DecodeCheckpoint(r.body)
+func (c *coordinator) absorbCheckpoint(w int, body []byte) error {
+	ck, used, err := codec.DecodeCheckpoint(body)
 	if err != nil {
 		return err
 	}
-	if used != len(r.body) {
-		return fmt.Errorf("net: worker %d checkpoint carries %d trailing bytes", r.from, len(r.body)-used)
+	if used != len(body) {
+		return fmt.Errorf("net: worker %d checkpoint carries %d trailing bytes", w, len(body)-used)
 	}
-	w := r.from
-	for i := range c.hist[w] {
-		if c.hist[w][i].round == ck.Round {
-			if c.hist[w][i].chainAfter != ck.FrameChain {
-				return fmt.Errorf("net: worker %d checkpoint for round %d has frame chain %#x, coordinator relayed %#x",
-					w, ck.Round, ck.FrameChain, c.hist[w][i].chainAfter)
-			}
-			break
+	for _, sr := range c.sealed[w] {
+		if sr.round == ck.Round && sr.chain != ck.FrameChain {
+			return fmt.Errorf("net: worker %d checkpoint for round %d has frame chain %#x, coordinator sealed %#x",
+				w, ck.Round, ck.FrameChain, sr.chain)
 		}
 	}
 	ring := c.ckpts[w]
 	for len(ring) > 0 && ring[len(ring)-1].Round >= ck.Round {
 		ring = ring[:len(ring)-1]
 	}
-	ring = append(ring, ck)
-	if k := c.retainK(); len(ring) > k {
-		ring = ring[len(ring)-k:]
-	}
-	c.ckpts[w] = ring
+	c.ckpts[w] = keepLast(append(ring, ck), c.retainK())
 	return nil
 }
 
-// retain records round t's relay traffic into every worker's history ring
-// and advances the per-worker frame chains. Must run after the round's
-// collection and before the relay writes, so a death during relay can
-// still be caught up through round t.
-func (c *coordinator) retain(t int, relay [][]frameRec) {
-	for q := range relay {
-		for _, fr := range relay[q] {
-			c.chains[q] = foldFrame(c.chains[q], fr.body)
-		}
-		hr := append(c.hist[q], histRound{round: t, frames: relay[q], chainAfter: c.chains[q]})
-		if k := c.retainK(); len(hr) > k {
-			hr = hr[len(hr)-k:]
-		}
-		c.hist[q] = hr
-	}
+// retain records worker w's chain after round t — what the plane's seal
+// advanced c.chains[w] to — so checkpoints verify against it.
+func (c *coordinator) retain(t, w int) {
+	c.sealed[w] = keepLast(append(c.sealed[w], sealedRound{round: t, chain: c.chains[w]}), c.retainK())
 }
 
-// histOf returns the retained relay history of worker w for one round, or
-// nil when retention has trimmed it.
-func (c *coordinator) histOf(w, round int) *histRound {
-	for i := range c.hist[w] {
-		if c.hist[w][i].round == round {
-			return &c.hist[w][i]
-		}
-	}
-	return nil
-}
-
-// restartWorker is the recovery core (DESIGN.md §13): respawn worker w,
-// re-admit it with the original hello, restore it from its newest retained
-// checkpoint at or before round upTo, and replay the relayed frames of
-// every round after the checkpoint through upTo. When it returns nil the
-// new incarnation holds exactly the state the dead one had sealed at the
-// end of round upTo, and is parked in its read loop awaiting whatever the
-// coordinator sends next. Deadlock-free: the replay writes below can block
-// on a full pipe only until the new connection's hub reader drains the
-// worker's catch-up checkpoints, which it does continuously.
-func (c *coordinator) restartWorker(w, upTo int) error {
-	if !c.recoverable() {
-		return fmt.Errorf("net: worker %d died and recovery is not armed", w)
-	}
-	if c.attempts == nil {
-		c.attempts = make([]int, c.hub.P())
-	}
-	if c.attempts[w]++; c.attempts[w] > maxRecoveries {
-		return fmt.Errorf("net: worker %d died %d times; giving up", w, c.attempts[w])
-	}
+// restart is the recovery core (DESIGN.md §8.4): respawn worker w, re-admit
+// it with the original handshake, restore it from its newest retained
+// checkpoint at or before round upTo, and catch it up through upTo on the
+// frame plane — each missed round is a re-step with sends suppressed (the
+// peers already hold the dead incarnation's identical bytes) fed the
+// round's inbound flows again. When it returns nil the new incarnation
+// holds exactly the state the dead one had sealed at the end of round upTo,
+// and is parked in its read loop awaiting whatever the coordinator sends
+// next. Deadlock-free: the writes below can block on a full pipe only until
+// the new connection's hub reader drains the worker's catch-up checkpoints,
+// which it does continuously.
+func (c *coordinator) restart(w, upTo int) error {
 	sp := c.spec.Trace.Begin(obs.PhaseRecover, upTo, w)
 	defer sp.End()
-	cn, err := c.spec.Respawn(w)
+	cn, gen, err := c.hub.Respawn(w, c.spec.Respawn)
 	if err != nil {
-		return fmt.Errorf("net: respawning worker %d: %w", w, err)
+		return err
 	}
-	if c.spec.IOTimeout > 0 {
-		cn.SetIOTimeout(c.spec.IOTimeout)
-	}
-	// Close the dead incarnation's conn (releasing its fd and unparking its
-	// reader, whose final error record is generation-filtered out), then
-	// swap in the replacement.
-	c.hub.conns[w].Close()
-	c.hub.Replace(w, cn)
-	if err := cn.writeRecord(recHello, c.hellos[w]); err != nil {
+	if err := c.admit(w); err != nil {
 		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
 	}
-	if c.deltaRec != nil {
-		if err := cn.writeRecord(recDelta, c.deltaRec); err != nil {
-			return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
-		}
-	}
-	if err := cn.flush(); err != nil {
-		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
-	}
-	r, err := c.awaitFrom(w)
+	typ, body, err := c.hub.AwaitFrom(w)
 	if err != nil {
 		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
 	}
-	if _, err := c.checkWelcome(r); err != nil {
+	if _, err := c.checkWelcome(w, typ, body); err != nil {
 		return err
 	}
 	// Newest retained checkpoint at or before upTo; -1 restarts from Init.
-	ck := -1
 	rs := codec.Resume{CkptRound: -1}
 	for j := len(c.ckpts[w]) - 1; j >= 0; j-- {
 		if cp := c.ckpts[w][j]; cp.Round <= upTo {
-			ck = cp.Round
 			rs = codec.Resume{CkptRound: cp.Round, FrameChain: cp.FrameChain,
 				Msgs: cp.Msgs, Words: cp.Words, Wire: cp.Wire, State: cp.State}
 			break
 		}
 	}
-	rs.Catchup = upTo - ck
+	rs.Catchup = upTo - rs.CkptRound
+	if err := c.plane.resend(w, gen, rs.CkptRound+1); err != nil {
+		return err
+	}
 	if err := cn.writeRecord(recResume, codec.AppendResume(nil, rs)); err != nil {
 		return fmt.Errorf("net: resuming worker %d: %w", w, err)
 	}
-	for t := ck + 1; t <= upTo; t++ {
-		hr := c.histOf(w, t)
-		if hr == nil {
-			return fmt.Errorf("net: recovering worker %d needs round %d replayed, but retention (K=%d) trimmed it", w, t, c.retainK())
-		}
+	for t := rs.CkptRound + 1; t <= upTo; t++ {
 		rp := c.spec.Trace.Begin(obs.PhaseReplay, t, w)
-		if err := cn.writeRecord(recReplay, codec.AppendReplay(nil, codec.Replay{Round: t, Frames: len(hr.frames)})); err != nil {
+		bytes, items, err := c.plane.replay(cn, w, t)
+		if err != nil {
 			return fmt.Errorf("net: replaying round %d to worker %d: %w", t, w, err)
 		}
-		var rb int64
-		for _, fr := range hr.frames {
-			if err := cn.writeRecord(recFrame, fr.body); err != nil {
-				return fmt.Errorf("net: replaying round %d to worker %d: %w", t, w, err)
-			}
-			rb += int64(len(fr.body))
-		}
-		rp.EndN(rb, int64(len(hr.frames)))
+		rp.EndN(bytes, items)
 	}
 	if err := cn.flush(); err != nil {
 		return fmt.Errorf("net: resuming worker %d: %w", w, err)
@@ -618,23 +444,38 @@ func (c *coordinator) restartWorker(w, upTo int) error {
 	return nil
 }
 
+// admit opens the handshake toward worker i: its hello, then the churn delta
+// when the run has one.
+func (c *coordinator) admit(i int) error {
+	cn := c.hub.Conn(i)
+	if err := cn.writeRecord(recHello, c.hellos[i]); err != nil {
+		return err
+	}
+	if c.deltaRec != nil {
+		if err := cn.writeRecord(recDelta, c.deltaRec); err != nil {
+			return err
+		}
+	}
+	return cn.flush()
+}
+
 // checkWelcome validates one welcome record against the spec (shared by
 // the initial handshake and recovery re-admission).
-func (c *coordinator) checkWelcome(r inRec) (codec.Welcome, error) {
-	if r.typ != recWelcome {
-		return codec.Welcome{}, fmt.Errorf("net: worker %d sent record %d before welcome", r.from, r.typ)
+func (c *coordinator) checkWelcome(from int, typ byte, body []byte) (codec.Welcome, error) {
+	if typ != recWelcome {
+		return codec.Welcome{}, fmt.Errorf("net: worker %d sent record %d before welcome", from, typ)
 	}
-	w, _, err := codec.DecodeWelcome(r.body)
+	w, _, err := codec.DecodeWelcome(body)
 	if err != nil {
 		return codec.Welcome{}, err
 	}
 	switch {
 	case w.Version != codec.HandshakeVersion:
-		return codec.Welcome{}, fmt.Errorf("net: worker %d speaks version %d, want %d", r.from, w.Version, codec.HandshakeVersion)
-	case w.Shard != r.from:
-		return codec.Welcome{}, fmt.Errorf("net: worker %d answered as shard %d", r.from, w.Shard)
+		return codec.Welcome{}, fmt.Errorf("net: worker %d speaks version %d, want %d", from, w.Version, codec.HandshakeVersion)
+	case w.Shard != from:
+		return codec.Welcome{}, fmt.Errorf("net: worker %d answered as shard %d", from, w.Shard)
 	case w.GraphHash != c.spec.GraphHash || w.PartDigest != c.spec.PartDigest:
-		return codec.Welcome{}, fmt.Errorf("net: worker %d echoes mismatched digests", r.from)
+		return codec.Welcome{}, fmt.Errorf("net: worker %d echoes mismatched digests", from)
 	}
 	return w, nil
 }
@@ -642,12 +483,11 @@ func (c *coordinator) checkWelcome(r inRec) (codec.Welcome, error) {
 func (c *coordinator) run() (dist.Metrics, error) {
 	p := c.hub.P()
 	kind, lamL, lamName := lambdaFields(c.spec.Lam)
-	var deltaRec []byte
 	if len(c.spec.Delta.Ops) > 0 {
-		deltaRec = shard.AppendDelta(nil, c.spec.MoveBudget, c.spec.Delta)
+		c.deltaRec = shard.AppendDelta(nil, c.spec.MoveBudget, c.spec.Delta)
 	}
-	for i, cn := range c.hub.conns {
-		h := codec.Hello{
+	for i := 0; i < p; i++ {
+		c.hellos[i] = codec.AppendHello(nil, codec.Hello{
 			Version:     codec.HandshakeVersion,
 			P:           p,
 			Shard:       i,
@@ -667,57 +507,30 @@ func (c *coordinator) run() (dist.Metrics, error) {
 			MeshKind:    meshKindFor(p, c.spec.MeshThreshold, c.spec.Recover),
 			Window:      c.spec.Window,
 			MeshSpec:    c.spec.MeshSpec,
-		}
-		helloRec := codec.AppendHello(nil, h)
-		if c.spec.Recover {
-			// Retain the exact hello (and delta) bytes: re-admitting a
-			// respawned worker replays the identical handshake.
-			c.hellos[i] = helloRec
-			c.deltaRec = deltaRec
-		}
-		if err := cn.writeRecord(recHello, helloRec); err != nil {
-			return dist.Metrics{}, err
-		}
-		if deltaRec != nil {
-			if err := cn.writeRecord(recDelta, deltaRec); err != nil {
-				return dist.Metrics{}, err
-			}
-		}
-		if err := cn.flush(); err != nil {
+		})
+		if err := c.admit(i); err != nil {
 			return dist.Metrics{}, err
 		}
 	}
-	welcomed := make([]bool, p)
-	for i := 0; i < p; i++ {
-		r, err := c.next()
-		if err != nil {
-			return dist.Metrics{}, err
-		}
-		w, err := c.checkWelcome(r)
-		if err != nil {
-			return dist.Metrics{}, err
-		}
-		if welcomed[r.from] {
-			return dist.Metrics{}, fmt.Errorf("net: worker %d welcomed twice", r.from)
-		}
-		welcomed[r.from] = true
+	if _, err := c.hub.Collect(c.hub.Everyone(), func(from int, typ byte, body []byte) (bool, error) {
+		w, err := c.checkWelcome(from, typ, body)
 		c.rep.Nodes += w.Nodes
+		return true, err
+	}, nil); err != nil {
+		return dist.Metrics{}, err
 	}
 
 	// The round loop mirrors dist.SeqEngine.Run condition for condition:
 	// Init is round 0 and always runs; round t runs while t ≤ maxRounds
 	// and someone is still alive; Rounds is the last t executed.
-	alive, err := c.anyRound(0)
+	alive, err := c.round(0)
+	for t := 1; err == nil && t <= c.spec.MaxRounds && alive > 0; t++ {
+		alive, err = c.round(t)
+	}
 	if err != nil {
 		return dist.Metrics{}, err
 	}
-	rounds := 0
-	for t := 1; t <= c.spec.MaxRounds && alive > 0; t++ {
-		rounds = t
-		if alive, err = c.anyRound(t); err != nil {
-			return dist.Metrics{}, err
-		}
-	}
+	rounds := c.cur
 
 	fin := binary.AppendUvarint(nil, uint64(rounds))
 	if alive == 0 {
@@ -725,126 +538,82 @@ func (c *coordinator) run() (dist.Metrics, error) {
 	} else {
 		fin = append(fin, 0)
 	}
-	sendFin := func(i int) error {
-		cn := c.hub.conns[i]
-		if err := cn.writeRecord(recFinish, fin); err != nil {
-			return err
-		}
-		return cn.flush()
-	}
 	// A finish-phase restart replays the whole worker flow, so a restarted
 	// worker legitimately re-sends records its dead incarnation already
 	// delivered; restarted[i] is what lets the dup checks tolerate that.
 	restarted := make([]bool, p)
-	for i := range c.hub.conns {
-		if err := sendFin(i); err != nil {
-			// A worker killed at the last round's delivery surfaces here:
-			// recover it through the final round and re-send the finish.
-			if !c.recoverable() {
-				return dist.Metrics{}, err
-			}
-			if err := c.restart(i, rounds); err != nil {
-				return dist.Metrics{}, err
-			}
-			restarted[i] = true
-			if err := sendFin(i); err != nil {
-				return dist.Metrics{}, err
-			}
+	for i := range restarted {
+		// A worker killed at the last round's delivery surfaces here.
+		if restarted[i], err = c.sendRestoring(i, rounds, recFinish, fin); err != nil {
+			return dist.Metrics{}, c.fail(i, obs.PhaseDeliver, err)
 		}
 	}
 	met := dist.Metrics{Rounds: rounds, Halted: alive == 0}
-	want := p
-	if c.spec.WantValues {
-		want = 2 * p
-	}
 	gotMetrics := make([]bool, p)
 	gotValues := make([]bool, p)
-	// A worker may close its connection as soon as it has shipped its last
-	// record, while siblings are still reporting — an EOF from a worker
-	// whose records are all in is the normal end, not a failure.
-	complete := func(i int) bool {
-		return gotMetrics[i] && (!c.spec.WantValues || gotValues[i])
-	}
-	for got := 0; got < want; {
-		r, err := c.next()
-		if err != nil {
-			if r.err != nil && r.from >= 0 && complete(r.from) {
-				continue
-			}
-			if c.recoverable() {
-				w := r.from
-				if w < 0 {
-					// A timeout names nobody; attribute it only when exactly
-					// one worker still owes records.
-					cand, lagging := -1, 0
-					for i := 0; i < p; i++ {
-						if !complete(i) {
-							cand, lagging = i, lagging+1
-						}
-					}
-					if lagging == 1 {
-						w = cand
-					}
-				}
-				if w >= 0 && !complete(w) {
-					if err := c.restart(w, rounds); err != nil {
-						return dist.Metrics{}, err
-					}
-					restarted[w] = true
-					if err := sendFin(w); err != nil {
-						return dist.Metrics{}, err
-					}
-					continue
-				}
-			}
-			return dist.Metrics{}, err
-		}
-		got++
-		switch r.typ {
+	owed := c.hub.Everyone()
+	w, err := c.collect(owed, func(from int, typ byte, body []byte) (bool, error) {
+		switch typ {
 		case recMetrics:
-			if gotMetrics[r.from] {
-				if restarted[r.from] {
-					// The dead incarnation's metrics already counted; the
-					// restarted worker's re-send is byte-identical. Drop it
-					// without advancing got.
-					got--
-					continue
-				}
-				return dist.Metrics{}, fmt.Errorf("net: worker %d reported metrics twice", r.from)
+			if gotMetrics[from] && !restarted[from] {
+				return false, fmt.Errorf("net: worker %d reported metrics twice", from)
 			}
-			gotMetrics[r.from] = true
-			d := 0
-			for _, dst := range []*int64{&met.Messages, &met.Words, &met.WireBytes} {
-				u, k := binary.Uvarint(r.body[d:])
-				if k <= 0 {
-					return dist.Metrics{}, fmt.Errorf("net: worker %d sent a truncated metrics record", r.from)
+			if !gotMetrics[from] {
+				// (A restarted worker's re-send is byte-identical to what its
+				// dead incarnation already had counted, and is dropped.)
+				gotMetrics[from] = true
+				d := 0
+				for _, dst := range []*int64{&met.Messages, &met.Words, &met.WireBytes} {
+					u, k := binary.Uvarint(body[d:])
+					if k <= 0 {
+						return false, fmt.Errorf("net: worker %d sent a truncated metrics record", from)
+					}
+					*dst += int64(u)
+					d += k
 				}
-				*dst += int64(u)
-				d += k
 			}
 		case recValues:
-			if !c.spec.WantValues || gotValues[r.from] {
-				return dist.Metrics{}, fmt.Errorf("net: worker %d shipped unsolicited values", r.from)
+			if !c.spec.WantValues || gotValues[from] {
+				return false, fmt.Errorf("net: worker %d shipped unsolicited values", from)
 			}
-			gotValues[r.from] = true
-			cnt, k := binary.Uvarint(r.body)
+			gotValues[from] = true
+			cnt, k := binary.Uvarint(body)
 			if k <= 0 {
-				return dist.Metrics{}, fmt.Errorf("net: worker %d sent a truncated values record", r.from)
+				return false, fmt.Errorf("net: worker %d sent a truncated values record", from)
 			}
 			d := k
 			for j := uint64(0); j < cnt; j++ {
-				v, k := binary.Uvarint(r.body[d:])
+				v, k := binary.Uvarint(body[d:])
 				d += k
-				if k <= 0 || len(r.body[d:]) < 8 {
-					return dist.Metrics{}, fmt.Errorf("net: worker %d sent a truncated values record", r.from)
+				if k <= 0 || len(body[d:]) < 8 {
+					return false, fmt.Errorf("net: worker %d sent a truncated values record", from)
 				}
-				bits := binary.LittleEndian.Uint64(r.body[d:])
+				bits := binary.LittleEndian.Uint64(body[d:])
 				d += 8
 				c.rep.Values = append(c.rep.Values, NodeValue{Node: graph.NodeID(v), Bits: bits})
 			}
 		default:
-			return dist.Metrics{}, fmt.Errorf("net: unexpected record type %d at finish", r.typ)
+			return false, fmt.Errorf("net: unexpected record type %d at finish", typ)
 		}
+		return gotMetrics[from] && (!c.spec.WantValues || gotValues[from]), nil
+	}, func(w int, cause error) error {
+		// A worker may close its connection as soon as it has shipped its last
+		// record, while siblings are still reporting — an EOF from a worker
+		// whose records are all in is the normal end, not a failure.
+		if !owed[w] {
+			return nil
+		}
+		if !c.recoverable() {
+			return cause
+		}
+		if err := c.restart(w, rounds); err != nil {
+			return err
+		}
+		restarted[w] = true
+		return c.hub.send(w, recFinish, fin)
+	})
+	if err != nil {
+		return dist.Metrics{}, c.fail(w, obs.PhaseDeliver, err)
 	}
 	for _, b := range c.rep.Sharding.PerShardBytes {
 		if b > c.rep.Sharding.MaxShardBytes {
@@ -854,200 +623,111 @@ func (c *coordinator) run() (dist.Metrics, error) {
 	return met, nil
 }
 
-// round drives one barrier round: step broadcast, then a pure collection
-// phase (frames are parked in memory until every worker reports done), then
-// the relay + deliver writes. Writing only after all P dones is what makes
-// the protocol deadlock-free on unbuffered transports (net.Pipe): by then
-// every worker has flushed its last record of the round and sits in its
-// read loop, so the coordinator's writes always drain. Returns the number
-// of nodes still alive across the cluster after the round.
+// round drives one barrier round on either frame plane: step broadcast,
+// then a pure collection phase until every worker's done record is in, then
+// seal, then the release writes, then — where the plane has workers
+// acknowledge their release — a second collection. Writing only after all P
+// dones is what makes the protocol deadlock-free on unbuffered transports
+// (net.Pipe): by then every worker has flushed its last record of the round
+// and sits in its read loop, so the coordinator's writes always drain.
+// Returns the number of nodes still alive across the cluster after the
+// round.
 //
 // With recovery armed, a worker death inside the round is handled by where
-// it surfaces (DESIGN.md §13): before the worker's done record, its partial
-// round-t contribution is discarded (exact ledger undo) and the restored
-// worker re-steps round t; after its done record (or during relay), the
-// parked frames and alive count stand, and the worker is restored through
-// round t once the relay phase ends.
+// it surfaces (DESIGN.md §8.4): before the worker's done record, whatever it
+// contributed to round t is discarded and the restored worker re-steps the
+// round; after its done record, its contribution stands — the frames are
+// parked at the coordinator, or on the wire (a streamed worker drains its
+// mesh writers before the done record) — and the worker is restored through
+// round t once the round's last collection ends.
 func (c *coordinator) round(t int) (alive int, err error) {
 	if c.spec.OnRound != nil {
 		c.spec.OnRound(t)
 	}
 	p := c.hub.P()
+	c.cur = t
+	for i := range c.at {
+		c.at[i] = obs.PhaseStep
+	}
+	c.plane.begin(t)
 	step := binary.AppendUvarint(nil, uint64(t))
-	sendStep := func(i int) error {
-		cn := c.hub.conns[i] // re-read: Replace may have swapped it
-		if err := cn.writeRecord(recStep, step); err != nil {
+	for i := 0; i < p; i++ {
+		// Dead before stepping round t: restore through t-1, then step.
+		if _, err := c.sendRestoring(i, t-1, recStep, step); err != nil {
+			return 0, c.fail(i, obs.PhaseStep, err)
+		}
+	}
+	owed := c.hub.Everyone()
+	// dead marks workers that died with their round-t contribution standing
+	// (after their done record, or at their release): restored through t
+	// once the round's collections end.
+	dead := make([]bool, p)
+	handle := func(from int, typ byte, body []byte) (bool, error) {
+		settled, n, err := c.plane.record(t, from, typ, body)
+		alive += n
+		if settled && c.at[from] == obs.PhaseStep {
+			c.at[from] = obs.PhaseBarrierWait // its done record is in
+		}
+		return settled, err
+	}
+	bw := c.spec.Trace.Begin(obs.PhaseBarrierWait, t, -1)
+	w, err := c.collect(owed, handle, func(w int, cause error) error {
+		if !c.recoverable() {
+			return cause
+		}
+		if !owed[w] {
+			// Died after its done record (per-conn FIFO: everything it sent
+			// preceded the fault): the round stands.
+			dead[w] = true
+			return nil
+		}
+		// Died mid-round: drop its partial round t, restore through t-1,
+		// re-step.
+		c.plane.discard(w)
+		if err := c.restart(w, t-1); err != nil {
 			return err
 		}
-		return cn.flush()
+		return c.hub.send(w, recStep, step)
+	})
+	bw.End()
+	if err != nil {
+		return 0, c.fail(w, obs.PhaseStep, err)
 	}
-	for i := range c.hub.conns {
-		if err := sendStep(i); err != nil {
-			if !c.recoverable() {
-				return 0, err
-			}
-			// Dead before stepping round t: restore through t-1, re-step.
-			if err := c.restartWorker(i, t-1); err != nil {
-				return 0, err
-			}
-			if err := sendStep(i); err != nil {
-				return 0, err
-			}
+	if err := c.plane.seal(t); err != nil {
+		return 0, c.fail(-1, obs.PhaseBarrierWait, err)
+	}
+	rl := c.spec.Trace.Begin(c.plane.phase(), t, -1)
+	for q := 0; q < p; q++ {
+		if dead[q] {
+			continue
 		}
-	}
-	relay := make([][]frameRec, p) // relay[q] = frames parked for worker q
-	framesFrom := make([]int, p)
-	done := make([]bool, p)
-	// deadDone marks workers that died after their round-t done record was
-	// in (or during the relay writes): their contribution stands, and they
-	// are restored through round t after the relay phase.
-	deadDone := make([]bool, p)
-	bw := c.spec.Trace.Begin(obs.PhaseBarrierWait, t, -1)
-	for dones := 0; dones < p; {
-		r, err := c.next()
+		owesAck, err := c.plane.release(t, q)
 		if err != nil {
 			if !c.recoverable() {
-				return 0, err
+				return 0, c.fail(q, obs.PhaseBarrierWait, err)
 			}
-			w := r.from
-			if w < 0 {
-				// A timeout names nobody; attribute it only when exactly one
-				// worker still owes its done record.
-				cand, lagging := -1, 0
-				for i := 0; i < p; i++ {
-					if !done[i] {
-						cand, lagging = i, lagging+1
-					}
-				}
-				if lagging == 1 {
-					w = cand
-				}
-			}
-			if w < 0 {
-				return 0, err
-			}
-			if done[w] {
-				// Died after its done record: frames and alive count stand
-				// (per-conn FIFO means they all preceded the error). Restore
-				// after the relay phase, through round t.
-				deadDone[w] = true
-				continue
-			}
-			// Died mid-round: discard its partial round-t contribution with
-			// an exact ledger undo, restore through t-1, re-step round t.
-			for q := range relay {
-				kept := relay[q][:0]
-				for _, fr := range relay[q] {
-					if fr.src == w {
-						c.rep.Sharding.CrossMessages -= int64(fr.count)
-						c.rep.Sharding.CrossFrameBytes -= int64(len(fr.body))
-						c.rep.Sharding.PerShardBytes[w] -= int64(len(fr.body))
-						continue
-					}
-					kept = append(kept, fr)
-				}
-				relay[q] = kept
-			}
-			framesFrom[w] = 0
-			if err := c.restartWorker(w, t-1); err != nil {
-				return 0, err
-			}
-			if err := sendStep(w); err != nil {
-				return 0, err
-			}
+			dead[q] = true // its done record is in: restore through t below
 			continue
 		}
-		switch r.typ {
-		case recFrame:
-			fh, _, err := codec.DecodeFrameHeader(r.body)
-			if err != nil {
-				return 0, err
-			}
-			if fh.Src != r.from || fh.Dst < 0 || fh.Dst >= p || fh.Dst == fh.Src || fh.Round != t || fh.Count <= 0 {
-				return 0, fmt.Errorf("net: invalid frame %+v from worker %d in round %d", fh, r.from, t)
-			}
-			// The relayed record body is byte-for-byte the frame (header +
-			// messages), so the ledger prices exactly what internal/shard's
-			// engine prices for the same run.
-			c.rep.Sharding.CrossMessages += int64(fh.Count)
-			c.rep.Sharding.CrossFrameBytes += int64(len(r.body))
-			c.rep.Sharding.PerShardBytes[fh.Src] += int64(len(r.body))
-			c.spec.Trace.Flow(t, fh.Src, fh.Dst, int64(len(r.body)), int64(fh.Count))
-			framesFrom[r.from]++
-			relay[fh.Dst] = append(relay[fh.Dst], frameRec{src: fh.Src, count: fh.Count, body: r.body})
-		case recDone:
-			d := 0
-			var vals [3]uint64
-			for j := range vals {
-				u, k := binary.Uvarint(r.body[d:])
-				if k <= 0 {
-					return 0, fmt.Errorf("net: worker %d sent a truncated done record", r.from)
-				}
-				vals[j] = u
-				d += k
-			}
-			if int(vals[0]) != t {
-				return 0, fmt.Errorf("net: worker %d done for round %d during round %d", r.from, vals[0], t)
-			}
-			if done[r.from] {
-				return 0, fmt.Errorf("net: worker %d done twice in round %d", r.from, t)
-			}
-			if int(vals[2]) != framesFrom[r.from] {
-				return 0, fmt.Errorf("net: worker %d announced %d frames, %d arrived", r.from, vals[2], framesFrom[r.from])
-			}
-			done[r.from] = true
-			alive += int(vals[1])
-			dones++
-		default:
-			return 0, fmt.Errorf("net: unexpected record type %d from worker %d in round %d", r.typ, r.from, t)
-		}
+		c.at[q], owed[q] = obs.PhaseDeliver, owesAck
 	}
-	bw.End()
-	if c.spec.Recover {
-		// Record the round into the relay history and frame chains before
-		// writing anything, so a death during relay can be caught up through
-		// round t.
-		c.retain(t, relay)
+	w, err = c.collect(owed, handle, func(w int, cause error) error {
+		if !c.recoverable() {
+			return cause
+		}
+		// Died at its receive barrier, its delivery, or just after the ack:
+		// its done stood, so restore through t with the rest.
+		dead[w], owed[w] = true, false
+		return nil
+	})
+	rl.EndN(c.plane.volume())
+	if err != nil {
+		return 0, c.fail(w, obs.PhaseDeliver, err)
 	}
-	rl := c.spec.Trace.Begin(obs.PhaseRelay, t, -1)
-	var relayBytes, relayFrames int64
-	for q := range c.hub.conns {
-		if deadDone[q] {
-			continue
-		}
-		cn := c.hub.conns[q]
-		werr := func() error {
-			for _, fr := range relay[q] {
-				if err := cn.writeRecord(recFrame, fr.body); err != nil {
-					return err
-				}
-			}
-			del := binary.AppendUvarint(nil, uint64(t))
-			del = binary.AppendUvarint(del, uint64(len(relay[q])))
-			if err := cn.writeRecord(recDeliver, del); err != nil {
-				return err
-			}
-			return cn.flush()
-		}()
-		if werr != nil {
-			if !c.recoverable() {
-				return 0, werr
-			}
-			// Died during relay: its done record is in, so restore through
-			// round t with the rest of the deadDone workers.
-			deadDone[q] = true
-			continue
-		}
-		for _, fr := range relay[q] {
-			relayBytes += int64(len(fr.body))
-			relayFrames++
-		}
-	}
-	rl.EndN(relayBytes, relayFrames)
-	for q := range deadDone {
-		if deadDone[q] {
-			if err := c.restartWorker(q, t); err != nil {
-				return 0, err
+	for q := range dead {
+		if dead[q] {
+			if err := c.restart(q, t); err != nil {
+				return 0, c.fail(q, obs.PhaseDeliver, err)
 			}
 		}
 	}

@@ -19,8 +19,14 @@
 //     Metrics through dist.WireSize, and encodes every cross-shard message
 //     into one frame per destination shard (shard.AppendMessage — the
 //     lossless body codec, byte-for-byte the sharded engine's format).
-//   - The coordinator relays frames between workers and closes the round
-//     with a barrier; a worker replays each received frame through ghost
+//   - The round closes at the coordinator's barrier, and the cross-shard
+//     messages reach their destination workers on one of two frame planes
+//     under the same round loop (DESIGN.md §8.4): relayed — one frame per
+//     shard pair sent to the coordinator, parked there until every worker
+//     is done, then forwarded (relay.go) — or, with Stream, streamed —
+//     chunked straight onto a worker↔worker mesh while the coordinator only
+//     verifies the digest matrix of flows it never sees (stream.go,
+//     mesh.go). Either way a worker replays what it received through ghost
 //     programs — stand-ins for the remote senders that re-issue the decoded
 //     messages — so the local delivery assembles every inbox in the
 //     package-wide deterministic order (ascending sender ID, ties in send
@@ -36,7 +42,19 @@
 // dist.Factory. RunCoordinator and Worker are the two protocol endpoints
 // cmd/cluster wires to separate processes; there the factory cannot cross
 // the process boundary, so the handshake carries generator/partitioner/
-// protocol spec strings each worker resolves locally.
+// protocol spec strings each worker resolves locally. Hub is the
+// coordinator's side of the connections and owns the receive/respawn
+// discipline every exchange on top uses — Collect (an owed set, the one
+// place a timeout is blamed on a worker), AwaitFrom (one worker's reply,
+// everyone else's records stashed in order), Respawn (generations, the
+// per-worker cap) — for Run here and for internal/session's epochs alike.
+//
+// With Spec.Recover a worker death is survived instead of failing the run
+// (DESIGN.md §13): workers seal every round with a checkpoint, and one
+// restart — respawn, repeat the handshake, resume from the newest retained
+// checkpoint, catch up on the frame plane — puts the new incarnation in
+// exactly the dead one's sealed state. Any failure that does end a run is
+// a *RunError naming the round, the worker and the phase it stood in.
 //
 // What the cluster adds on top of dist.Metrics is the same placement
 // ledger the sharded engine reports: a shard.ShardMetrics with the frame

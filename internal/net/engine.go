@@ -32,10 +32,11 @@ const (
 
 // Engine is the in-process form of the socket cluster: a dist.Engine whose
 // Run spawns P Worker goroutines connected to a coordinator over real
-// net.Conns and speaks the full wire protocol — handshake, frames, barrier
-// — end to end. Executions are byte-identical to dist.SeqEngine's (package
-// comment has the argument; the equivalence and pinned-metrics tests hold
-// it to that). Obtain one with NewEngine; the zero value is not usable.
+// net.Conns and speaks the full wire protocol — handshake, round loop on
+// either frame plane, finish — end to end. Executions are byte-identical to
+// dist.SeqEngine's (package comment has the argument; the equivalence and
+// pinned-metrics tests hold it to that). Obtain one with NewEngine; the zero
+// value is not usable.
 type Engine struct {
 	// Transport selects the connection kind: TransportPipe (default),
 	// TransportUnix or TransportTCP. Set it before Run.
@@ -52,13 +53,13 @@ type Engine struct {
 	// failing the run. Set it before Run, together with an IOTimeout so a
 	// silent death surfaces as a timeout.
 	Recover bool
-	// RetainRounds overrides the checkpoint/relay-history retention depth K
-	// (≤ 0 means the protocol default of 4).
+	// RetainRounds overrides the checkpoint/catch-up retention depth K (≤ 0
+	// means the protocol default of 4).
 	RetainRounds int
-	// Stream arms streamed delivery (DESIGN.md §14): round traffic flows
-	// worker↔worker over an in-process mesh of net.Pipe links and the
-	// coordinator only runs the barrier/digest service. Results stay
-	// byte-identical to every other engine's.
+	// Stream selects the streamed frame plane (DESIGN.md §8.4, §14): the
+	// same round loop, with cross-shard messages flowing worker↔worker over
+	// an in-process mesh of net.Pipe links instead of through the
+	// coordinator. Results stay byte-identical to every other engine's.
 	Stream bool
 	// MeshThreshold is the P at or above which a streamed run relays over
 	// a hypercube instead of the full mesh (≤ 0 means the default of 16;
@@ -83,8 +84,8 @@ type Engine struct {
 	cm    *shard.ChurnMetrics
 	// trace, when set, is installed on the coordinator spec and every
 	// in-process worker, so one tracer collects the full cluster timeline:
-	// coordinator barrier-wait/relay spans and funnel flows interleaved
-	// with per-worker step/encode/barrier-wait/deliver spans.
+	// coordinator barrier-wait and relay/verify spans and shard-pair flows
+	// interleaved with the per-worker spans.
 	trace *obs.Tracer
 	// kill is the armed fault injection (KillAt) and recov the last run's
 	// recovery count, both shared across WithWireLambda copies like sm.
@@ -335,15 +336,12 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 		meshGens := make([]int, p)
 		spec.Respawn = func(s int) (*Conn, error) {
 			a, b := net.Pipe()
-			cc, wc := NewConn(a), NewConn(b)
-			if e.IOTimeout > 0 {
-				cc.SetIOTimeout(e.IOTimeout)
-				wc.SetIOTimeout(e.IOTimeout)
-			}
+			wc := NewConn(b)
+			wc.SetIOTimeout(e.IOTimeout) // the hub arms the coordinator's end
 			meshGens[s]++
 			wg.Add(1)
 			go runWorker(s, meshGens[s], wc)
-			return cc, nil
+			return NewConn(a), nil
 		}
 	}
 	met, rep, err := RunCoordinator(coord, spec)
@@ -354,7 +352,7 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	}
 	wg.Wait()
 	if err != nil {
-		panic("net: " + err.Error())
+		panic(fmt.Errorf("net: %w", err))
 	}
 	*e.recov = rep.Recoveries
 	*e.swire = rep.StreamWire

@@ -137,6 +137,10 @@ type mesh struct {
 	window int
 	round  int // current receive/send round; -1 before the first
 	err    error
+	// lost is the first link death of a full-mesh run without recovery (see
+	// linkDownLocked): it fails the next receive barrier that cannot
+	// complete.
+	lost   error
 	closed bool
 
 	// Send state, per destination, reset by beginRound.
@@ -408,8 +412,8 @@ func (mt *meshTimer) stop() {
 
 // enqueueLocked queues one record on the link toward neighbor hop. Requires
 // m.mu. Records queued to a down link are dropped — under recovery the
-// resend protocol re-covers them; without recovery the link death has
-// already latched a fatal error.
+// resend protocol re-covers them; without it the link death has already
+// doomed the run (linkDownLocked).
 func (m *mesh) enqueueLocked(hop int, typ byte, payload []byte) {
 	l := m.links[hop]
 	if l == nil || l.down {
@@ -420,8 +424,7 @@ func (m *mesh) enqueueLocked(hop int, typ byte, payload []byte) {
 }
 
 // writeLoop drains one link's queue. On a write error the link is marked
-// down; under recovery the run continues (resends will cover the loss),
-// otherwise the mesh fails.
+// down (linkDownLocked decides what that means for the run).
 func (m *mesh) writeLoop(l *meshLink) {
 	m.mu.Lock()
 	for {
@@ -457,10 +460,17 @@ func (m *mesh) writeLoop(l *meshLink) {
 	}
 }
 
-// linkDownLocked marks a link dead. Under recovery the loss is survivable:
-// the tokens of the (full-mesh) destination behind it refill so a sender
-// blocked on credits from the dead peer finishes its round — the dropped
-// chunks are re-covered by the resend protocol once the peer respawns.
+// linkDownLocked marks a link dead. On the full mesh that is not fatal on
+// the spot: the tokens of the destination behind it refill so a sender
+// blocked on credits from the dead peer finishes its round, and what was
+// dropped is re-covered by the resend protocol once the peer respawns —
+// or, without recovery, the loss is latched for the receive barrier. This
+// worker cannot tell a dead peer from a broken link, and aborting mid-step
+// would race the peer's own death to the coordinator and take the blame
+// for it; its done record still goes out, and the coordinator, which sees
+// every control connection, names the dead worker. On a hypercube (never
+// under recovery) the link also carried flows this worker only relays, so
+// nothing downstream can complete: fail at once.
 func (m *mesh) linkDownLocked(l *meshLink, err error) {
 	if l.down {
 		return
@@ -468,9 +478,13 @@ func (m *mesh) linkDownLocked(l *meshLink, err error) {
 	l.down = true
 	l.c.Close()
 	l.q = nil
-	if !m.cfg.Recover {
-		m.failLocked(fmt.Errorf("net: worker %d mesh link: %w", m.cfg.Self, err))
+	err = fmt.Errorf("net: worker %d mesh link: %w", m.cfg.Self, err)
+	if m.cfg.Kind == codec.MeshCube {
+		m.failLocked(err)
 		return
+	}
+	if !m.cfg.Recover && m.lost == nil {
+		m.lost = err
 	}
 	for j, lk := range m.links {
 		if lk == l {
@@ -928,8 +942,8 @@ func (m *mesh) barrier() error {
 // round digest — the ascending-source fold of the per-flow digests that
 // feeds the worker's checkpoint chain. Under recovery a missing flow waits
 // indefinitely (the coordinator restarts the dead sender and its peers
-// resend); without it, a dead link fails fast and the timeout bounds the
-// wait as the teardown backstop.
+// resend); without it, a round left incomplete by a lost link fails here
+// and the timeout bounds the wait as the teardown backstop.
 func (m *mesh) waitComplete(t int) ([]codec.PeerDigest, uint64, error) {
 	deadline := m.armTimeout()
 	defer deadline.stop()
@@ -954,6 +968,9 @@ func (m *mesh) waitComplete(t int) ([]codec.PeerDigest, uint64, error) {
 		}
 		if complete {
 			break
+		}
+		if m.lost != nil {
+			return nil, 0, m.lost
 		}
 		if !m.cfg.Recover && deadline.hit() {
 			return nil, 0, fmt.Errorf("net: worker %d round %d receive barrier timed out", m.cfg.Self, t)

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -24,9 +25,10 @@ import (
 // any checkpoint exists), 1 (first resumable round), the middle and the
 // final round (whose recovery surfaces at the finish phase).
 
-// killPhases are the worker-side fault-injection seams of the relay round
-// loop. The streamed loop replaces encode with the send tap and adds the
-// receive wait as a new seam, so its sweep covers send/recv instead.
+// killPhases are the worker-side fault-injection seams of the round loop on
+// the relay plane. The stream plane names its outbound half send instead of
+// encode and adds the receive wait as a seam, so its sweep covers send/recv
+// instead.
 var killPhases = []obs.Phase{obs.PhaseStep, obs.PhaseEncode, obs.PhaseBarrierWait, obs.PhaseDeliver}
 var streamKillPhases = []obs.Phase{obs.PhaseStep, obs.PhaseSend, obs.PhaseBarrierWait, obs.PhaseRecv, obs.PhaseDeliver}
 
@@ -105,19 +107,34 @@ func TestRecoverySweepBitIdentical(t *testing.T) {
 }
 
 // A kill without recovery armed must still fail the run — fault injection
-// does not soften the determinism-over-availability contract.
+// does not soften the determinism-over-availability contract — and the
+// failure must say where: the round in flight, the dead worker, and the
+// phase it stood in (its done record was in, its release was not), however
+// the death reached the coordinator — as an EOF during the collection or as
+// a failed release write.
 func TestKillWithoutRecoveryFailsRun(t *testing.T) {
 	g := graph.BarabasiAlbert(80, 3, 2)
 	opt := core.Options{Rounds: 6}
-	eng := NewEngine(2, shard.Hash{})
-	eng.IOTimeout = 2 * time.Second
-	eng.KillAt(obs.PhaseBarrierWait, 1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("killed run without recovery returned normally")
-		}
-	}()
-	core.RunDistributed(g, opt, eng)
+	for _, stream := range []bool{false, true} {
+		eng := NewEngine(2, shard.Hash{})
+		eng.Stream = stream
+		eng.IOTimeout = 2 * time.Second
+		eng.KillAt(obs.PhaseBarrierWait, 1, 1)
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				var re *RunError
+				if !errors.As(err, &re) {
+					t.Fatalf("stream=%v: killed run without recovery ended with %v, want a *RunError", stream, err)
+				}
+				if re.Round != 1 || re.Phase != obs.PhaseBarrierWait || re.Worker != 1 {
+					t.Errorf("stream=%v: failure attributed to round %d, %s, worker %d (%v); want round 1, barrier-wait, worker 1",
+						stream, re.Round, re.Phase, re.Worker, re)
+				}
+			}()
+			core.RunDistributed(g, opt, eng)
+		}()
+	}
 }
 
 // Recovery over a churn run: the respawned worker must replay the retained

@@ -5,409 +5,168 @@ import (
 	"fmt"
 
 	"distkcore/internal/codec"
-	"distkcore/internal/dist"
-	"distkcore/internal/graph"
 	"distkcore/internal/obs"
-	"distkcore/internal/quantize"
 	"distkcore/internal/shard"
 )
 
-// This file is the round protocol of streamed delivery (DESIGN.md §14), on
-// both sides of the coordinator connection. The worker half (runStream)
-// replaces the relay round loop: cross-shard sends stream straight to their
-// destination workers over the mesh as the local step produces them, and
-// the coordinator connection carries only barrier records — done (with
-// per-peer sent digests), the release, the ack (with per-peer received
-// digests), checkpoints. The coordinator half (streamRound, streamRestart)
-// shrinks accordingly: it never sees a frame, only verifies that the digest
-// matrix closes — sent[a][b] == recv[b][a] for every pair, every round —
-// and that each worker's checkpoint chain folds from exactly those digests.
+// This file is the streamed frame plane (DESIGN.md §8.4), both halves.
+// Cross-shard sends stream straight to their destination workers over the
+// mesh (mesh.go) as the local step produces them, and the coordinator
+// connection carries only barrier records — done (with per-peer sent
+// digests), the release, the ack (with per-peer received digests),
+// checkpoints. The coordinator never sees a frame: it verifies that the
+// digest matrix closes — sent[a][b] == recv[b][a] for every pair, every
+// round — and that each worker's checkpoint chain folds from exactly those
+// digests.
 
-// runStream is the worker's streamed round loop. Entered from run() after
-// the handshake and driver construction; the mesh forms before the welcome
-// is sent, so "welcomed" means "reachable by peers".
-func (w *Worker) runStream(h *codec.Hello, lam quantize.Lambda, d *dist.Driver,
-	gh *ghost, local []graph.NodeID, assign []int, n int) (dist.Metrics, error) {
-	p := h.P
+// streamWorker is the worker half: per-peer chunk streams going out over
+// the mesh, whose readers absorb the inbound chunks as they arrive.
+type streamWorker struct {
+	r *workerLoop
+	m *mesh
+	// recv holds the receive-side digests of the round just completed, for
+	// its ack.
+	recv []codec.PeerDigest
+}
+
+// newStreamWorker forms the mesh; it returns once every neighbor link is
+// attached.
+func newStreamWorker(r *workerLoop) (*streamWorker, error) {
+	w, h := r.w, r.h
 	if w.MeshDial == nil || w.MeshAccept == nil {
-		return dist.Metrics{}, fmt.Errorf("net: streamed hello but worker %d has no mesh endpoints", h.Shard)
+		return nil, fmt.Errorf("net: streamed hello but worker %d has no mesh endpoints", h.Shard)
 	}
 	if h.MeshKind != codec.MeshFull && h.MeshKind != codec.MeshCube {
-		return dist.Metrics{}, fmt.Errorf("net: unknown mesh kind %d", h.MeshKind)
+		return nil, fmt.Errorf("net: unknown mesh kind %d", h.MeshKind)
 	}
-	if h.MeshKind == codec.MeshCube && p&(p-1) != 0 {
-		return dist.Metrics{}, fmt.Errorf("net: hypercube mesh needs a power-of-two P, got %d", p)
+	if h.MeshKind == codec.MeshCube && h.P&(h.P-1) != 0 {
+		return nil, fmt.Errorf("net: hypercube mesh needs a power-of-two P, got %d", h.P)
 	}
-	retainK := w.RetainRounds
-	if retainK <= 0 {
-		retainK = 4
-	}
-
-	// Decoded Vec payloads live exactly one round, but streamed chunks of
-	// round t can arrive while round t-1's vectors are still feeding local
-	// hooks — so the arenas double-buffer by round parity: slot t%2 is reset
-	// at beginRound(t), when its round t-2 tenants are provably dead. One
-	// arena pair per source keeps each reader goroutine's decodes disjoint.
-	var arenas [][2]*shard.VecArena
-	if !dist.CheckVecAliasing {
-		arenas = make([][2]*shard.VecArena, p)
-		for i := range arenas {
-			arenas[i][0], arenas[i][1] = new(shard.VecArena), new(shard.VecArena)
-		}
-	}
-	// senders and gh.pending are written by mesh readers (under the mesh
-	// mutex) and consumed by this goroutine strictly after waitComplete —
-	// which acquires the same mutex, ordering the accesses.
-	var senders []graph.NodeID
-	deliver := func(src, round int, body []byte, count int) error {
-		var ar *shard.VecArena
-		if arenas != nil {
-			ar = arenas[src][round&1]
-		}
-		cnt := 0
-		for len(body) > 0 {
-			to, msg, used, err := shard.DecodeMessage(body, lam, ar)
-			if err != nil {
-				return err
-			}
-			body = body[used:]
-			u := msg.From
-			if u < 0 || u >= n || assign[u] != src {
-				return fmt.Errorf("net: chunk %d→%d carries sender %d not owned by shard %d", src, h.Shard, u, src)
-			}
-			if to < 0 || to >= n || assign[to] != h.Shard {
-				return fmt.Errorf("net: chunk %d→%d addresses node %d outside shard %d", src, h.Shard, to, h.Shard)
-			}
-			if len(gh.pending[u]) == 0 {
-				senders = append(senders, u)
-			}
-			gh.pending[u] = append(gh.pending[u], replayMsg{to: to, m: msg})
-			cnt++
-		}
-		if cnt != count {
-			return fmt.Errorf("net: chunk %d→%d decoded %d messages, header says %d", src, h.Shard, cnt, count)
-		}
-		return nil
-	}
-
 	m := newMesh(meshConfig{
-		Self: h.Shard, P: p, Kind: h.MeshKind, Window: h.Window, Gen: w.MeshGen,
-		Recover: h.Recover, RetainK: retainK, Timeout: w.IOTimeout,
+		Self: h.Shard, P: h.P, Kind: h.MeshKind, Window: h.Window, Gen: w.MeshGen,
+		Recover: h.Recover, RetainK: retainDepth(w.RetainRounds), Timeout: w.IOTimeout,
 		Dial: w.MeshDial, Accept: w.MeshAccept, CloseAccept: w.MeshClose,
-		Deliver: deliver,
+		Deliver: r.absorb,
 	})
-	w.mesh = m
-	defer m.Close()
 	if err := m.form(); err != nil {
-		return dist.Metrics{}, err
+		m.Close()
+		return nil, err
 	}
-
-	if err := w.c.writeRecord(recWelcome, codec.AppendWelcome(nil, codec.Welcome{
-		Version:    codec.HandshakeVersion,
-		Shard:      h.Shard,
-		GraphHash:  h.GraphHash,
-		PartDigest: h.PartDigest,
-		Nodes:      len(local),
-	})); err != nil {
-		return dist.Metrics{}, err
-	}
-	if err := w.c.flush(); err != nil {
-		return dist.Metrics{}, err
-	}
-
 	chunk := w.ChunkBytes
 	if chunk <= 0 {
 		chunk = shard.DefaultChunkBytes
 	}
-	streams := make([]*shard.PeerStream, p)
-	for q := 0; q < p; q++ {
+	for q := range r.out {
 		if q == h.Shard {
 			continue
 		}
-		q := q
-		streams[q] = &shard.PeerStream{Lam: lam, Limit: chunk,
+		r.out[q] = &shard.PeerStream{Lam: r.lam, Limit: chunk,
 			Flush: func(body []byte, count int) error { return m.sendChunk(q, body, count) }}
 	}
-
-	var mMsgs, mWords, mWire int64
-	chain := frameChainSeed
-	curRound := -1
-	var bw obs.SpanRef
-
-	onNewRound := func(t int) func() {
-		if arenas == nil {
-			return nil
-		}
-		return func() {
-			for i := range arenas {
-				arenas[i][t&1].Reset()
-			}
-		}
-	}
-
-	// stepRound runs the local half of round t: step hooks, tap sends into
-	// the per-peer streams (suppressed during catch-up replay — the peers
-	// already hold this incarnation's predecessors' bytes), end every flow,
-	// drain the mesh writers, and report done. The flow ledger prices
-	// logical frame bytes (one relay-style header + bodies per nonempty
-	// flow), which is what keeps ShardMetrics bit-equal to the relay path.
-	stepRound := func(t int, suppress bool) error {
-		curRound = t
-		if err := m.beginRound(t, onNewRound(t)); err != nil {
-			return err
-		}
-		sp := w.Trace.Begin(obs.PhaseStep, t, h.Shard)
-		for _, v := range local {
-			d.Step(v, t)
-		}
-		sp.EndN(0, int64(len(local)))
-		if !suppress && w.killed(obs.PhaseSend, t) {
-			return ErrKilled
-		}
-		sn := w.Trace.Begin(obs.PhaseSend, t, h.Shard)
-		var serr error
-		for _, v := range local {
-			d.Sends(v, func(to graph.NodeID, msg dist.Message) {
-				mMsgs++
-				mWords += int64(msg.Words())
-				mWire += int64(dist.WireSize(lam, msg))
-				if q := assign[to]; q != h.Shard && !suppress && serr == nil {
-					serr = streams[q].Append(to, msg)
-				}
-			})
-			if serr != nil {
-				return serr
-			}
-		}
-		if suppress {
-			sn.End()
-			return nil
-		}
-		ents := make([]codec.PeerDigest, 0, p-1)
-		var logicalBytes, logicalMsgs int64
-		for q := 0; q < p; q++ {
-			if q == h.Shard {
-				continue
-			}
-			ps := streams[q]
-			if err := ps.Finish(); err != nil {
-				return err
-			}
-			lb := shard.LogicalFrameBytes(h.Shard, q, t, ps.Msgs, ps.BodyBytes)
-			e, err := m.sendEnd(q, int64(ps.Msgs), lb)
-			if err != nil {
-				return err
-			}
-			ents = append(ents, e)
-			logicalBytes += lb
-			logicalMsgs += int64(ps.Msgs)
-			ps.Reset()
-		}
-		// Drain the writers before done: "done received" must mean "this
-		// worker's chunks are on the wire", or a death right after done
-		// could strand peers waiting on flows nobody will resend for it.
-		if err := m.barrier(); err != nil {
-			return err
-		}
-		sn.EndN(logicalBytes, logicalMsgs)
-		alive := 0
-		for _, v := range local {
-			if !d.Halted(v) {
-				alive++
-			}
-		}
-		if err := w.c.writeRecord(recStreamDone, codec.AppendStreamDone(nil,
-			codec.StreamDone{Round: t, Alive: alive, Sent: ents})); err != nil {
-			return err
-		}
-		if err := w.c.flush(); err != nil {
-			return err
-		}
-		if w.killed(obs.PhaseBarrierWait, t) {
-			return ErrKilled
-		}
-		bw = w.Trace.Begin(obs.PhaseBarrierWait, t, h.Shard)
-		return nil
-	}
-
-	// completeRound runs the receive half: await every inbound flow's end
-	// marker, deliver in the global deterministic order, checkpoint (before
-	// the ack — an acked round is always restorable), then ack with the
-	// received digests and wire counters.
-	completeRound := func(t int, ack bool) error {
-		if w.killed(obs.PhaseRecv, t) {
-			return ErrKilled
-		}
-		rv := w.Trace.Begin(obs.PhaseRecv, t, h.Shard)
-		ents, roundDig, err := m.waitComplete(t)
-		if err != nil {
-			return err
-		}
-		var rb, rc int64
-		for _, e := range ents {
-			rb += e.Bytes
-			rc += int64(e.Chunks)
-		}
-		rv.EndN(rb, rc)
-		if w.killed(obs.PhaseDeliver, t) {
-			return ErrKilled
-		}
-		dl := w.Trace.Begin(obs.PhaseDeliver, t, h.Shard)
-		for _, u := range senders {
-			d.Step(u, t)
-			gh.pending[u] = gh.pending[u][:0]
-		}
-		senders = senders[:0]
-		d.Deliver(nil)
-		dl.End()
-		chain = foldU64(chain, roundDig)
-		if h.Recover {
-			st, err := d.AppendSnapshot(nil, local)
-			if err != nil {
-				return err
-			}
-			if err := w.c.writeRecord(recCheckpoint, codec.AppendCheckpoint(nil, codec.Checkpoint{
-				Round: t, FrameChain: chain,
-				Msgs: mMsgs, Words: mWords, Wire: mWire, State: st,
-			})); err != nil {
-				return err
-			}
-		}
-		if ack {
-			if err := w.c.writeRecord(recStreamAck, codec.AppendStreamAck(nil,
-				codec.StreamAck{Round: t, Wire: m.wireSnapshot(), Recv: ents})); err != nil {
-				return err
-			}
-		}
-		return w.c.flush()
-	}
-
-	for {
-		typ, body, err := w.c.readRecord()
-		if err != nil {
-			return dist.Metrics{}, fmt.Errorf("net: worker read: %w", err)
-		}
-		switch typ {
-		case recStep:
-			t, k := binary.Uvarint(body)
-			if k <= 0 {
-				return dist.Metrics{}, fmt.Errorf("net: truncated step record")
-			}
-			if w.killed(obs.PhaseStep, int(t)) {
-				return dist.Metrics{}, ErrKilled
-			}
-			if err := stepRound(int(t), false); err != nil {
-				return dist.Metrics{}, err
-			}
-
-		case recDeliver:
-			// The barrier release: all P dones are in, receive and deliver.
-			t, k := binary.Uvarint(body)
-			if k <= 0 {
-				return dist.Metrics{}, fmt.Errorf("net: truncated release record")
-			}
-			if int(t) != curRound {
-				return dist.Metrics{}, fmt.Errorf("net: release for round %d but worker is at %d", t, curRound)
-			}
-			bw.End()
-			bw = obs.SpanRef{}
-			if err := completeRound(int(t), true); err != nil {
-				return dist.Metrics{}, err
-			}
-
-		case recStreamResend:
-			// Re-feed a respawned peer: replay the retained records of
-			// rounds [from, to] toward its new incarnation, verbatim.
-			dd := 0
-			var vals [4]uint64 // target, from, to, generation
-			for j := range vals {
-				u, k := binary.Uvarint(body[dd:])
-				if k <= 0 {
-					return dist.Metrics{}, fmt.Errorf("net: truncated resend record")
-				}
-				vals[j] = u
-				dd += k
-			}
-			if err := m.resend(int(vals[0]), int(vals[1]), int(vals[2]), int(vals[3])); err != nil {
-				return dist.Metrics{}, err
-			}
-
-		case recResume:
-			rs, used, err := codec.DecodeResume(body)
-			if err != nil {
-				return dist.Metrics{}, err
-			}
-			if used != len(body) {
-				return dist.Metrics{}, fmt.Errorf("net: resume record carries %d trailing bytes", len(body)-used)
-			}
-			if rs.CkptRound >= 0 {
-				if err := d.RestoreSnapshot(rs.State, local); err != nil {
-					return dist.Metrics{}, err
-				}
-				curRound = rs.CkptRound
-				chain = rs.FrameChain
-				mMsgs, mWords, mWire = rs.Msgs, rs.Words, rs.Wire
-			} else {
-				curRound = -1
-				chain = frameChainSeed
-				mMsgs, mWords, mWire = 0, 0, 0
-			}
-
-		case recStreamReplay:
-			// One catch-up round: re-step with sends suppressed (the peers
-			// already received the dead incarnation's identical bytes),
-			// absorb the resent inbound flows, deliver, re-checkpoint.
-			rp, used, err := codec.DecodeReplay(body)
-			if err != nil {
-				return dist.Metrics{}, err
-			}
-			if used != len(body) {
-				return dist.Metrics{}, fmt.Errorf("net: replay record carries %d trailing bytes", len(body)-used)
-			}
-			if rp.Round != curRound+1 || rp.Frames != 0 {
-				return dist.Metrics{}, fmt.Errorf("net: stream replay(round %d, %d frames) but worker is at round %d", rp.Round, rp.Frames, curRound)
-			}
-			if err := stepRound(rp.Round, true); err != nil {
-				return dist.Metrics{}, err
-			}
-			if err := completeRound(rp.Round, false); err != nil {
-				return dist.Metrics{}, err
-			}
-
-		case recFinish:
-			rounds, k := binary.Uvarint(body)
-			if k <= 0 || len(body) <= k {
-				return dist.Metrics{}, fmt.Errorf("net: truncated finish record")
-			}
-			halted := body[k] != 0
-			enc := binary.AppendUvarint(nil, uint64(mMsgs))
-			enc = binary.AppendUvarint(enc, uint64(mWords))
-			enc = binary.AppendUvarint(enc, uint64(mWire))
-			if err := w.c.writeRecord(recMetrics, enc); err != nil {
-				return dist.Metrics{}, err
-			}
-			if err := w.c.flush(); err != nil {
-				return dist.Metrics{}, err
-			}
-			return dist.Metrics{
-				Rounds:    int(rounds),
-				Messages:  mMsgs,
-				Words:     mWords,
-				WireBytes: mWire,
-				Halted:    halted,
-			}, nil
-
-		case recError:
-			return dist.Metrics{}, fmt.Errorf("net: coordinator aborted: %s", body)
-
-		default:
-			return dist.Metrics{}, fmt.Errorf("net: unexpected record type %d at streamed worker", typ)
-		}
-	}
+	return &streamWorker{r: r, m: m}, nil
 }
 
-// ---------------------------------------------------------------------------
-// Coordinator side.
+func (p *streamWorker) close() { p.m.Close() }
+
+// begin opens the mesh round; the arena slot recycles under the mesh mutex
+// before the round number advances, so no chunk of round t can decode into
+// an arena that is still being reset.
+func (p *streamWorker) begin(t int) error {
+	return p.m.beginRound(t, func() { p.r.resetArenas(t) })
+}
+
+// done ends every flow, drains the mesh writers and reports the per-peer
+// sent digests. The flow ledger prices logical frame bytes (one relay-style
+// header + bodies per nonempty flow), which is what keeps ShardMetrics
+// bit-equal to the relay plane's.
+func (p *streamWorker) done(t, alive int) (bytes, msgs int64, err error) {
+	self := p.r.h.Shard
+	ents := make([]codec.PeerDigest, 0, len(p.r.out)-1)
+	for q, ps := range p.r.out {
+		if q == self {
+			continue
+		}
+		if err := ps.Finish(); err != nil {
+			return 0, 0, err
+		}
+		lb := shard.LogicalFrameBytes(self, q, t, ps.Msgs, ps.BodyBytes)
+		e, err := p.m.sendEnd(q, int64(ps.Msgs), lb)
+		if err != nil {
+			return 0, 0, err
+		}
+		ents = append(ents, e)
+		bytes += lb
+		msgs += int64(ps.Msgs)
+		ps.Reset()
+	}
+	// Drain the writers before done: "done received" must mean "this
+	// worker's chunks are on the wire", or a death right after done could
+	// strand peers waiting on flows nobody will resend for it.
+	if err := p.m.barrier(); err != nil {
+		return 0, 0, err
+	}
+	return bytes, msgs, p.r.w.c.writeRecord(recStreamDone, codec.AppendStreamDone(nil,
+		codec.StreamDone{Round: t, Alive: alive, Sent: ents}))
+}
+
+func (p *streamWorker) record(typ byte, body []byte) error {
+	switch typ {
+	case recStreamResend:
+		// Re-feed a respawned peer: replay the retained records of rounds
+		// [from, to] toward its new incarnation, verbatim.
+		d := 0
+		var vals [4]uint64 // target, from, to, generation
+		for j := range vals {
+			u, k := binary.Uvarint(body[d:])
+			if k <= 0 {
+				return fmt.Errorf("net: truncated resend record")
+			}
+			vals[j] = u
+			d += k
+		}
+		return p.m.resend(int(vals[0]), int(vals[1]), int(vals[2]), int(vals[3]))
+	case recStreamReplay:
+		// The round's inbound flows arrive over the mesh (resent by the
+		// peers), not on this connection.
+		rp, err := p.r.replay(body)
+		if err != nil {
+			return err
+		}
+		if rp.Frames != 0 {
+			return fmt.Errorf("net: stream replay of round %d announces %d frames", rp.Round, rp.Frames)
+		}
+		return p.r.finish(rp.Round, false, nil)
+	}
+	return fmt.Errorf("net: unexpected record type %d at streamed worker", typ)
+}
+
+// inbound is the receive barrier: await every inbound flow's end marker,
+// then fold the round's digest into the checkpoint chain.
+func (p *streamWorker) inbound(t int, live bool, _ []byte) error {
+	w := p.r.w
+	if live && w.killed(obs.PhaseRecv, t) {
+		return ErrKilled
+	}
+	rv := w.Trace.Begin(obs.PhaseRecv, t, p.r.h.Shard)
+	ents, roundDig, err := p.m.waitComplete(t)
+	if err != nil {
+		return err
+	}
+	var rb, rc int64
+	for _, e := range ents {
+		rb += e.Bytes
+		rc += int64(e.Chunks)
+	}
+	rv.EndN(rb, rc)
+	p.recv = ents
+	p.r.chain = foldU64(p.r.chain, roundDig)
+	return nil
+}
+
+func (p *streamWorker) ack(t int) error {
+	return p.r.w.c.writeRecord(recStreamAck, codec.AppendStreamAck(nil,
+		codec.StreamAck{Round: t, Wire: p.m.wireSnapshot(), Recv: p.recv}))
+}
 
 // defaultMeshThreshold is the P at or above which a streamed run (with
 // recovery off and a power-of-two P) switches from the full mesh to the
@@ -428,23 +187,6 @@ func meshKindFor(p, threshold int, recov bool) byte {
 	return codec.MeshFull
 }
 
-// anyRound dispatches one round to the relay or the streamed protocol.
-func (c *coordinator) anyRound(t int) (int, error) {
-	if c.spec.Stream {
-		return c.streamRound(t)
-	}
-	return c.round(t)
-}
-
-// restart dispatches one post-round worker recovery (finish or metrics
-// phase) to the relay or the streamed restart.
-func (c *coordinator) restart(w, upTo int) error {
-	if c.spec.Stream {
-		return c.streamRestart(w, upTo, upTo)
-	}
-	return c.restartWorker(w, upTo)
-}
-
 // digestFor returns the PeerDigest entry for peer q in a done/ack entry
 // list (ascending Peer, self excluded).
 func digestFor(ents []codec.PeerDigest, q int) (codec.PeerDigest, error) {
@@ -456,371 +198,158 @@ func digestFor(ents []codec.PeerDigest, q int) (codec.PeerDigest, error) {
 	return codec.PeerDigest{}, fmt.Errorf("net: no digest entry for peer %d", q)
 }
 
-// streamRound drives one streamed round (DESIGN.md §14): step broadcast,
-// collect every worker's done record (its per-peer sent digests — the data
-// plane runs worker↔worker in the meantime), price the ledger and retain the
-// digest chains, release the barrier, then collect every worker's ack and
-// verify the digest matrix closes: sent[a][b] == recv[b][a] for every pair.
-// The coordinator never sees a frame; the matrix is what proves every flow
-// arrived whole and untouched.
-//
-// Worker deaths mirror the relay round's split, shifted to the records that
-// carry the evidence: before the worker's done, its streamed contribution is
-// a prefix the peers' sequence gates will deduplicate — restore through t-1
-// and re-step; after its done, its chunks are on the wire (the worker
-// barriers its mesh writers before the done record), so the round stands and
-// the worker is restored through t once the ack phase ends.
-func (c *coordinator) streamRound(t int) (alive int, err error) {
-	if c.spec.OnRound != nil {
-		c.spec.OnRound(t)
-	}
-	p := c.hub.P()
-	step := binary.AppendUvarint(nil, uint64(t))
-	sendStep := func(i int) error {
-		cn := c.hub.conns[i] // re-read: Replace may have swapped it
-		if err := cn.writeRecord(recStep, step); err != nil {
-			return err
-		}
-		return cn.flush()
-	}
-	for i := range c.hub.conns {
-		if err := sendStep(i); err != nil {
-			if !c.recoverable() {
-				return 0, err
-			}
-			// Dead before stepping round t: restore through t-1 (peers
-			// resend the inbound flows of the catch-up rounds and of round
-			// t itself), re-step.
-			if err := c.streamRestart(i, t-1, t); err != nil {
-				return 0, err
-			}
-			if err := sendStep(i); err != nil {
-				return 0, err
-			}
-		}
-	}
-	done := make([]bool, p)
-	dead := make([]bool, p) // died with round t's contribution standing
-	sent := make([][]codec.PeerDigest, p)
-	bw := c.spec.Trace.Begin(obs.PhaseBarrierWait, t, -1)
-	for dones := 0; dones < p; {
-		r, err := c.next()
-		if err != nil {
-			if !c.recoverable() {
-				return 0, err
-			}
-			w := r.from
-			if w < 0 {
-				// A timeout names nobody; attribute it only when exactly one
-				// worker still owes its done record.
-				cand, lagging := -1, 0
-				for i := 0; i < p; i++ {
-					if !done[i] {
-						cand, lagging = i, lagging+1
-					}
-				}
-				if lagging == 1 {
-					w = cand
-				}
-			}
-			if w < 0 {
-				return 0, err
-			}
-			if done[w] {
-				// Died after its done: the mesh barrier before the done
-				// record means its chunks are on the wire, so the peers can
-				// complete the round without it. Restore through t after the
-				// ack phase.
-				dead[w] = true
-				continue
-			}
-			// Died mid-round: the prefix it streamed is deduplicated by the
-			// peers' sequence gates when the restored worker re-streams the
-			// identical bytes; nothing to undo — the ledger prices done
-			// records, and this worker never sent one.
-			if err := c.streamRestart(w, t-1, t); err != nil {
-				return 0, err
-			}
-			if err := sendStep(w); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		if r.typ != recStreamDone {
-			return 0, fmt.Errorf("net: unexpected record type %d from worker %d in streamed round %d", r.typ, r.from, t)
-		}
-		sd, used, err := codec.DecodeStreamDone(r.body)
-		if err != nil {
-			return 0, err
-		}
-		if used != len(r.body) {
-			return 0, fmt.Errorf("net: worker %d done record carries %d trailing bytes", r.from, len(r.body)-used)
-		}
-		if sd.Round != t {
-			return 0, fmt.Errorf("net: worker %d done for round %d during round %d", r.from, sd.Round, t)
-		}
-		if done[r.from] {
-			return 0, fmt.Errorf("net: worker %d done twice in round %d", r.from, t)
-		}
-		if len(sd.Sent) != p-1 {
-			return 0, fmt.Errorf("net: worker %d done reports %d flows, want %d", r.from, len(sd.Sent), p-1)
-		}
-		done[r.from] = true
-		sent[r.from] = sd.Sent
-		alive += sd.Alive
-		dones++
-	}
-	bw.End()
-	// Ledger and trace from the done records: each worker's per-peer logical
-	// totals are exactly what the relay path would have priced for the same
-	// frames (one relay-style header plus bodies, nothing for empty flows).
-	for w := 0; w < p; w++ {
-		for _, e := range sent[w] {
-			if e.Peer < 0 || e.Peer >= p || e.Peer == w {
-				return 0, fmt.Errorf("net: worker %d done reports flow to %d", w, e.Peer)
-			}
-			c.rep.Sharding.CrossMessages += e.Msgs
-			c.rep.Sharding.CrossFrameBytes += e.Bytes
-			c.rep.Sharding.PerShardBytes[w] += e.Bytes
-			if e.Msgs > 0 {
-				c.spec.Trace.Flow(t, w, e.Peer, e.Bytes, e.Msgs)
-			}
-		}
-	}
-	if c.spec.Recover {
-		// Advance the per-worker digest chains before releasing anything, so
-		// a death during the ack phase can verify catch-up checkpoints.
-		c.streamRetain(t, sent)
-	}
-	rl := c.spec.Trace.Begin(obs.PhaseVerify, t, -1)
-	release := binary.AppendUvarint(nil, uint64(t))
-	for q := range c.hub.conns {
-		if dead[q] {
-			continue
-		}
-		cn := c.hub.conns[q]
-		werr := cn.writeRecord(recDeliver, release)
-		if werr == nil {
-			werr = cn.flush()
-		}
-		if werr != nil {
-			if !c.recoverable() {
-				return 0, werr
-			}
-			dead[q] = true
-		}
-	}
-	// Collect the acks: every live worker's receive-side digests, which must
-	// mirror the senders' entry for entry.
-	acked := make([]bool, p)
-	pending := func() int {
-		n := 0
-		for i := 0; i < p; i++ {
-			if !acked[i] && !dead[i] {
-				n++
-			}
-		}
-		return n
-	}
-	var ackBytes, ackFlows int64
-	for pending() > 0 {
-		r, err := c.next()
-		if err != nil {
-			if !c.recoverable() {
-				return 0, err
-			}
-			w := r.from
-			if w < 0 {
-				cand, lagging := -1, 0
-				for i := 0; i < p; i++ {
-					if !acked[i] && !dead[i] {
-						cand, lagging = i, lagging+1
-					}
-				}
-				if lagging == 1 {
-					w = cand
-				}
-			}
-			if w < 0 {
-				return 0, err
-			}
-			// Died at the receive barrier, the delivery, or just after the
-			// ack: its done stood, so restore through t with the rest.
-			dead[w] = true
-			continue
-		}
-		if r.typ != recStreamAck {
-			return 0, fmt.Errorf("net: unexpected record type %d from worker %d in streamed round %d ack phase", r.typ, r.from, t)
-		}
-		sa, used, err := codec.DecodeStreamAck(r.body)
-		if err != nil {
-			return 0, err
-		}
-		if used != len(r.body) {
-			return 0, fmt.Errorf("net: worker %d ack record carries %d trailing bytes", r.from, len(r.body)-used)
-		}
-		if sa.Round != t {
-			return 0, fmt.Errorf("net: worker %d ack for round %d during round %d", r.from, sa.Round, t)
-		}
-		if acked[r.from] {
-			return 0, fmt.Errorf("net: worker %d acked twice in round %d", r.from, t)
-		}
-		if len(sa.Recv) != p-1 {
-			return 0, fmt.Errorf("net: worker %d ack reports %d flows, want %d", r.from, len(sa.Recv), p-1)
-		}
-		for _, e := range sa.Recv {
-			if e.Peer < 0 || e.Peer >= p || e.Peer == r.from {
-				return 0, fmt.Errorf("net: worker %d ack reports flow from %d", r.from, e.Peer)
-			}
-			se, err := digestFor(sent[e.Peer], r.from)
-			if err != nil {
-				return 0, err
-			}
-			if se.Chunks != e.Chunks || se.Msgs != e.Msgs || se.Bytes != e.Bytes || se.Digest != e.Digest {
-				return 0, fmt.Errorf("net: round %d flow %d→%d mismatch (sent %d chunks %d msgs %d bytes %#x, received %d/%d/%d/%#x)",
-					t, e.Peer, r.from, se.Chunks, se.Msgs, se.Bytes, se.Digest, e.Chunks, e.Msgs, e.Bytes, e.Digest)
-			}
-			ackBytes += e.Bytes
-			ackFlows++
-		}
-		acked[r.from] = true
-		c.rep.StreamWire[r.from] = sa.Wire
-	}
-	rl.EndN(ackBytes, ackFlows)
-	for w := range dead {
-		if dead[w] {
-			if err := c.streamRestart(w, t, t); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return alive, nil
+// streamCoord is the coordinator half: a barrier and digest-matrix service.
+// A worker's streamed contribution needs no undo when it dies short of its
+// done record — the prefix it streamed is deduplicated by the peers'
+// sequence gates when the restored worker re-streams the identical bytes,
+// and the ledger prices done records only.
+type streamCoord struct {
+	c *coordinator
+	// sent[w] is worker w's done record for the round: its per-peer sent
+	// digests, nil until the record is in.
+	sent [][]codec.PeerDigest
+	// bytes and flows are the round's verified flow volume.
+	bytes, flows int64
 }
 
-// streamRetain advances the per-worker digest chains through round t and
-// records them in the retention rings, so checkpoints verify against what
-// the senders proved they shipped. Worker w's round digest is the
-// ascending-source fold of the flows it received — each equal, by the matrix
-// check, to the sender's entry toward w.
-func (c *coordinator) streamRetain(t int, sent [][]codec.PeerDigest) {
-	p := c.hub.P()
-	for w := 0; w < p; w++ {
-		dig := frameChainSeed
-		for q := 0; q < p; q++ {
-			if q == w {
-				continue
+func (p *streamCoord) phase() obs.Phase       { return obs.PhaseVerify }
+func (p *streamCoord) volume() (int64, int64) { return p.bytes, p.flows }
+func (p *streamCoord) discard(int)            {}
+
+func (p *streamCoord) begin(int) {
+	p.sent = make([][]codec.PeerDigest, p.c.hub.P())
+	p.bytes, p.flows = 0, 0
+}
+
+func (p *streamCoord) record(t, from int, typ byte, body []byte) (bool, int, error) {
+	np := len(p.sent)
+	switch typ {
+	case recStreamDone:
+		sd, used, err := codec.DecodeStreamDone(body)
+		if err != nil {
+			return false, 0, err
+		}
+		switch {
+		case used != len(body):
+			return false, 0, fmt.Errorf("net: worker %d done record carries %d trailing bytes", from, len(body)-used)
+		case sd.Round != t:
+			return false, 0, fmt.Errorf("net: worker %d done for round %d during round %d", from, sd.Round, t)
+		case p.sent[from] != nil:
+			return false, 0, fmt.Errorf("net: worker %d done twice in round %d", from, t)
+		case len(sd.Sent) != np-1:
+			return false, 0, fmt.Errorf("net: worker %d done reports %d flows, want %d", from, len(sd.Sent), np-1)
+		}
+		p.sent[from] = sd.Sent
+		return true, sd.Alive, nil
+	case recStreamAck:
+		// The worker's receive-side digests must mirror the senders' entry
+		// for entry.
+		sa, used, err := codec.DecodeStreamAck(body)
+		if err != nil {
+			return false, 0, err
+		}
+		switch {
+		case used != len(body):
+			return false, 0, fmt.Errorf("net: worker %d ack record carries %d trailing bytes", from, len(body)-used)
+		case sa.Round != t:
+			return false, 0, fmt.Errorf("net: worker %d ack for round %d during round %d", from, sa.Round, t)
+		case p.sent[from] == nil:
+			return false, 0, fmt.Errorf("net: worker %d acked round %d before its done record", from, t)
+		case len(sa.Recv) != np-1:
+			return false, 0, fmt.Errorf("net: worker %d ack reports %d flows, want %d", from, len(sa.Recv), np-1)
+		}
+		for _, e := range sa.Recv {
+			if e.Peer < 0 || e.Peer >= np || e.Peer == from {
+				return false, 0, fmt.Errorf("net: worker %d ack reports flow from %d", from, e.Peer)
 			}
-			if e, err := digestFor(sent[q], w); err == nil {
+			se, err := digestFor(p.sent[e.Peer], from)
+			if err != nil {
+				return false, 0, err
+			}
+			if se.Chunks != e.Chunks || se.Msgs != e.Msgs || se.Bytes != e.Bytes || se.Digest != e.Digest {
+				return false, 0, fmt.Errorf("net: round %d flow %d→%d mismatch (sent %d chunks %d msgs %d bytes %#x, received %d/%d/%d/%#x)",
+					t, e.Peer, from, se.Chunks, se.Msgs, se.Bytes, se.Digest, e.Chunks, e.Msgs, e.Bytes, e.Digest)
+			}
+			p.bytes += e.Bytes
+			p.flows++
+		}
+		p.c.rep.StreamWire[from] = sa.Wire
+		return true, 0, nil
+	}
+	return false, 0, fmt.Errorf("net: unexpected record type %d from worker %d in streamed round %d", typ, from, t)
+}
+
+// seal prices the ledger and trace from the done records — each worker's
+// per-peer logical totals are exactly what the relay plane would have priced
+// for the same frames (one relay-style header plus bodies, nothing for empty
+// flows) — and, under recovery, advances the per-worker digest chains.
+// Worker w's round digest is the ascending-source fold of the flows it
+// received — each equal, by the matrix check, to the sender's entry toward
+// w.
+func (p *streamCoord) seal(t int) error {
+	sm := &p.c.rep.Sharding
+	for w, ents := range p.sent {
+		for _, e := range ents {
+			if e.Peer < 0 || e.Peer >= len(p.sent) || e.Peer == w {
+				return fmt.Errorf("net: worker %d done reports flow to %d", w, e.Peer)
+			}
+			sm.CrossMessages += e.Msgs
+			sm.CrossFrameBytes += e.Bytes
+			sm.PerShardBytes[w] += e.Bytes
+			if e.Msgs > 0 {
+				p.c.spec.Trace.Flow(t, w, e.Peer, e.Bytes, e.Msgs)
+			}
+		}
+	}
+	if !p.c.spec.Recover {
+		return nil
+	}
+	for w := range p.sent {
+		dig := frameChainSeed
+		for q := range p.sent {
+			if e, err := digestFor(p.sent[q], w); q != w && err == nil {
 				dig = foldU64(dig, e.Digest)
 			}
 		}
-		c.chains[w] = foldU64(c.chains[w], dig)
-		hr := append(c.hist[w], histRound{round: t, chainAfter: c.chains[w]})
-		if k := c.retainK(); len(hr) > k {
-			hr = hr[len(hr)-k:]
-		}
-		c.hist[w] = hr
+		p.c.chains[w] = foldU64(p.c.chains[w], dig)
+		p.c.retain(t, w)
 	}
+	return nil
 }
 
-// streamRestart is the streamed recovery core: respawn worker w, re-admit it
-// (its new incarnation re-forms the mesh before the welcome), instruct every
-// live peer to resend its retained flows of rounds (ckpt, resendThrough]
-// toward w, then restore w from its newest retained checkpoint at or before
-// upTo and replay rounds (ckpt, upTo] — each a re-step with sends suppressed
-// (the peers already hold the dead incarnation's identical bytes) that
-// absorbs the resent inbound flows and re-checkpoints. resendThrough may
-// exceed upTo by one round: a worker that died mid-round t is restored
-// through t-1 but needs round t's inbound flows too, since the peers already
-// streamed (and will not re-stream) them.
-func (c *coordinator) streamRestart(w, upTo, resendThrough int) error {
-	if !c.recoverable() {
-		return fmt.Errorf("net: worker %d died and recovery is not armed", w)
+func (p *streamCoord) release(t, q int) (bool, error) {
+	return true, p.c.hub.send(q, recDeliver, binary.AppendUvarint(nil, uint64(t)))
+}
+
+// resend instructs every peer to re-send toward respawned worker w its
+// retained flows of rounds from..cur. That can reach one round past what w
+// replays: a worker that died mid-round t is restored through t-1 but needs
+// round t's inbound flows too, since the peers already streamed (and will
+// not re-stream) them. w's welcome is in, so its mesh is formed from its
+// side and every peer's accept of the new links is in flight; the record
+// carries w's new mesh generation — which by the Respawn contract is the
+// number of respawns performed for the shard — so each peer waits for that
+// incarnation's link before writing a byte (records to the dead link would
+// drop silently).
+func (p *streamCoord) resend(w, gen, from int) error {
+	if from > p.c.cur {
+		return nil
 	}
-	if c.attempts == nil {
-		c.attempts = make([]int, c.hub.P())
-	}
-	if c.attempts[w]++; c.attempts[w] > maxRecoveries {
-		return fmt.Errorf("net: worker %d died %d times; giving up", w, c.attempts[w])
-	}
-	sp := c.spec.Trace.Begin(obs.PhaseRecover, upTo, w)
-	defer sp.End()
-	cn, err := c.spec.Respawn(w)
-	if err != nil {
-		return fmt.Errorf("net: respawning worker %d: %w", w, err)
-	}
-	if c.spec.IOTimeout > 0 {
-		cn.SetIOTimeout(c.spec.IOTimeout)
-	}
-	c.hub.conns[w].Close()
-	c.hub.Replace(w, cn)
-	if err := cn.writeRecord(recHello, c.hellos[w]); err != nil {
-		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
-	}
-	if c.deltaRec != nil {
-		if err := cn.writeRecord(recDelta, c.deltaRec); err != nil {
-			return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
+	req := binary.AppendUvarint(nil, uint64(w))
+	req = binary.AppendUvarint(req, uint64(from))
+	req = binary.AppendUvarint(req, uint64(p.c.cur))
+	req = binary.AppendUvarint(req, uint64(gen))
+	for q := range p.sent {
+		if q == w {
+			continue
+		}
+		if err := p.c.hub.send(q, recStreamResend, req); err != nil {
+			return fmt.Errorf("net: requesting resend %d→%d: %w", q, w, err)
 		}
 	}
-	if err := cn.flush(); err != nil {
-		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
-	}
-	r, err := c.awaitFrom(w)
-	if err != nil {
-		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
-	}
-	if _, err := c.checkWelcome(r); err != nil {
-		return err
-	}
-	// Newest retained checkpoint at or before upTo; -1 restarts from Init.
-	ck := -1
-	rs := codec.Resume{CkptRound: -1}
-	for j := len(c.ckpts[w]) - 1; j >= 0; j-- {
-		if cp := c.ckpts[w][j]; cp.Round <= upTo {
-			ck = cp.Round
-			rs = codec.Resume{CkptRound: cp.Round, FrameChain: cp.FrameChain,
-				Msgs: cp.Msgs, Words: cp.Words, Wire: cp.Wire, State: cp.State}
-			break
-		}
-	}
-	rs.Catchup = upTo - ck
-	if resendThrough > ck {
-		// The welcome is in, so w's mesh is formed from its side and every
-		// peer's accept of the new links is in flight. The resend record
-		// carries w's new mesh generation — which by the Respawn contract is
-		// the number of respawns performed for the shard, i.e. attempts —
-		// so each peer waits for that incarnation's link before writing a
-		// byte (records to the dead link would drop silently).
-		req := binary.AppendUvarint(nil, uint64(w))
-		req = binary.AppendUvarint(req, uint64(ck+1))
-		req = binary.AppendUvarint(req, uint64(resendThrough))
-		req = binary.AppendUvarint(req, uint64(c.attempts[w]))
-		for q := range c.hub.conns {
-			if q == w {
-				continue
-			}
-			qc := c.hub.conns[q]
-			if err := qc.writeRecord(recStreamResend, req); err != nil {
-				return fmt.Errorf("net: requesting resend %d→%d: %w", q, w, err)
-			}
-			if err := qc.flush(); err != nil {
-				return fmt.Errorf("net: requesting resend %d→%d: %w", q, w, err)
-			}
-		}
-	}
-	if err := cn.writeRecord(recResume, codec.AppendResume(nil, rs)); err != nil {
-		return fmt.Errorf("net: resuming worker %d: %w", w, err)
-	}
-	for t := ck + 1; t <= upTo; t++ {
-		rp := c.spec.Trace.Begin(obs.PhaseReplay, t, w)
-		if err := cn.writeRecord(recStreamReplay, codec.AppendReplay(nil, codec.Replay{Round: t})); err != nil {
-			return fmt.Errorf("net: replaying round %d to worker %d: %w", t, w, err)
-		}
-		rp.End()
-	}
-	if err := cn.flush(); err != nil {
-		return fmt.Errorf("net: resuming worker %d: %w", w, err)
-	}
-	c.rep.Recoveries++
 	return nil
+}
+
+func (p *streamCoord) replay(cn *Conn, w, t int) (int64, int64, error) {
+	return 0, 0, cn.writeRecord(recStreamReplay, codec.AppendReplay(nil, codec.Replay{Round: t}))
 }

@@ -25,19 +25,21 @@ var ErrKilled = errors.New("net: worker killed by fault injection")
 
 // KillFunc is the fault-injection seam of the recovery test harness: a
 // worker consults it at each phase boundary of its round loop (step,
-// encode, barrier-wait, deliver) and dies on the spot when it returns true.
+// encode or send, barrier-wait, recv on the mesh, deliver) and dies on the
+// spot when it returns true.
 type KillFunc func(phase obs.Phase, round int) bool
 
 // frameChainSeed starts each worker's frame-chain digest: an FNV-1a fold
-// (offset basis, 64-bit prime) over every relayed frame the worker
-// receives, length then bytes, maintained identically by the coordinator at
-// relay time. A checkpoint carries the chain so the coordinator can verify
-// the worker received exactly the bytes it relayed — and a replayed
-// catch-up, folding the identical frames in the identical order, lands on
-// the identical chain (DESIGN.md §13).
+// (offset basis, 64-bit prime) over everything the worker receives — every
+// relayed frame, length then bytes, or every streamed round's digest —
+// maintained identically by the coordinator when it seals the round. A
+// checkpoint carries the chain so the coordinator can verify the worker
+// received exactly what the round sent it — and a catch-up replay, folding
+// the identical inbound flows in the identical order, lands on the
+// identical chain (DESIGN.md §13).
 const frameChainSeed = uint64(14695981039346656037)
 
-// foldFrame folds one relayed frame record body into the chain.
+// foldFrame folds one frame (or streamed chunk) record body into a chain.
 func foldFrame(h uint64, body []byte) uint64 {
 	h = (h ^ uint64(len(body))) * 1099511628211
 	for _, b := range body {
@@ -60,9 +62,10 @@ type DelayFunc func(src, dst, round, frameBytes int)
 // dist.Engine whose Run participates in one coordinated run over a
 // connection instead of driving rounds itself. It holds the full graph and
 // the full shard assignment, steps only the nodes the hello's shard index
-// assigns to it, and replays the frames the coordinator relays through
-// ghost programs so its local delivery is byte-identical to the global
-// execution (see the package comment for the argument).
+// assigns to it, and replays what the other shards sent it — relayed by the
+// coordinator or streamed by the peers — through ghost programs so its
+// local delivery is byte-identical to the global execution (see the package
+// comment for the argument).
 //
 // The in-process Engine constructs Workers itself. cmd/cluster uses one
 // directly: read the hello with ReadHello, resolve graph/partition/
@@ -74,7 +77,8 @@ type Worker struct {
 	// Hello is the pre-read handshake record; when nil, Run reads it from
 	// the connection as its first act.
 	Hello *codec.Hello
-	// Delay, when non-nil, runs before each outgoing frame write.
+	// Delay, when non-nil, runs before each outgoing frame write (relay
+	// plane).
 	Delay DelayFunc
 	// Part is the partitioner that produced the worker's assignment. It is
 	// only consulted when the hello announces a churn batch (DeltaDigest ≠
@@ -83,16 +87,17 @@ type Worker struct {
 	// without it is a protocol error.
 	Part shard.Partitioner
 	// Trace, when set, records this worker's per-round timeline: step,
-	// encode (framing + frame writes), barrier-wait (done flushed → deliver
-	// record arrives) and deliver spans, all under the worker's shard index.
+	// encode (framing + frame writes; send on the mesh), barrier-wait (done
+	// flushed → release arrives), recv (mesh only) and deliver spans, all
+	// under the worker's shard index.
 	Trace *obs.Tracer
 	// Kill, when non-nil, is the fault-injection hook (KillFunc): consulted
 	// at every phase boundary of the round loop, a true return crashes the
 	// worker — connection closed, no error record, Run dies with ErrKilled.
 	Kill KillFunc
 
-	// Streamed-delivery plumbing (DESIGN.md §14), consulted only when the
-	// hello arms Stream. MeshDial opens a raw connection to a peer's mesh
+	// Stream-plane plumbing (DESIGN.md §14), consulted only when the hello
+	// arms Stream. MeshDial opens a raw connection to a peer's mesh
 	// endpoint; MeshAccept blocks for the next inbound one (and must error
 	// out once MeshClose runs); MeshGen is this incarnation's generation —
 	// 0 initially, +1 per respawn, so peers prefer the newest link.
@@ -116,7 +121,7 @@ type Worker struct {
 	assign []int
 	lam    quantize.Lambda
 	st     *workerState
-	mesh   *mesh
+	plane  workerPlane // set once the run's frame plane is up
 }
 
 // NewWorker returns a worker endpoint over c for a run on g partitioned by
@@ -178,10 +183,10 @@ func (w *Worker) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 func (w *Worker) killed(phase obs.Phase, round int) bool {
 	if w.Kill != nil && w.Kill(phase, round) {
 		w.c.Close()
-		if w.mesh != nil {
+		if w.plane != nil {
 			// A dead process takes its mesh connections with it; closing
 			// them is what lets the peers observe the death.
-			w.mesh.Close()
+			w.plane.close()
 		}
 		return true
 	}
@@ -197,8 +202,8 @@ type replayMsg struct {
 // ghost is the stand-in Program for every node owned by another worker: it
 // never acts on its own, only re-issues (in original send order) the
 // messages the real remote node sent this round, as decoded from the
-// relayed frames. Sending through the ordinary Ctx is what slots the
-// remote traffic into the local Driver's deterministic delivery order.
+// inbound flows. Sending through the ordinary Ctx is what slots the remote
+// traffic into the local Driver's deterministic delivery order.
 type ghost struct {
 	pending [][]replayMsg
 }
@@ -210,6 +215,239 @@ func (gh *ghost) replay(c *dist.Ctx) {
 	for _, r := range gh.pending[c.ID()] {
 		c.Send(r.to, r.m)
 	}
+}
+
+// workerPlane is the worker half of a frame plane: how a round's
+// cross-shard messages leave this worker and how the peers' arrive, which
+// is all that differs between relayed and streamed delivery under the one
+// round loop. relayWorker (relay.go) frames them onto the coordinator
+// connection; streamWorker (stream.go) chunks them onto the mesh.
+type workerPlane interface {
+	// begin opens round t before the local step.
+	begin(t int) error
+	// done finishes the round's outbound streams (workerLoop.out, whose
+	// Flush hooks are the plane's) and buffers the done record that reports
+	// them and the alive count; bytes and msgs are what the outbound span
+	// records.
+	done(t, alive int) (bytes, msgs int64, err error)
+	// record handles the records only this plane speaks.
+	record(typ byte, body []byte) error
+	// inbound returns once every inbound flow of round t has been absorbed.
+	// On a live round rest is the tail of the coordinator's release record.
+	inbound(t int, live bool, rest []byte) error
+	// ack buffers whatever acknowledges a live round's delivery.
+	ack(t int) error
+	// close releases the plane's resources when the run ends.
+	close()
+}
+
+// workerLoop is one worker's run state under the round loop: the driver and
+// its ghosts, this shard's share of the protocol metrics, the frame chain,
+// and the outbound streams that feed the frame plane (Worker.plane).
+type workerLoop struct {
+	w      *Worker
+	h      *codec.Hello
+	lam    quantize.Lambda
+	d      *dist.Driver
+	gh     *ghost
+	local  []graph.NodeID // ascending — the shard's step order
+	assign []int
+	// outPhase is the plane's name for the outbound half of a round (span
+	// and kill seam): encode or send.
+	outPhase obs.Phase
+	// out[q] encodes the round's messages toward shard q (nil for this
+	// shard) and hands them to the plane through its Flush hook: in chunks
+	// as they are produced on the mesh, as the one frame of the round on the
+	// relay.
+	out []*shard.PeerStream
+
+	// arenas[src] holds the Vec payloads decoded from src's flows. They live
+	// exactly one round, but round t's flows can arrive while round t-1's
+	// vectors are still feeding local hooks — so the arenas double-buffer by
+	// round parity: slot t%2 is reset when round t opens, when its round t-2
+	// tenants are provably dead. One pair per source keeps concurrent
+	// decodes (streamed mesh readers) disjoint. Nil under CheckVecAliasing,
+	// which re-hashes delivered Vecs one delivery later: every Vec then gets
+	// a fresh allocation instead.
+	arenas [][2]*shard.VecArena
+	// senders lists the remote senders with pending replays this round.
+	// Like gh.pending it may be written by mesh readers (under the mesh
+	// mutex) and is consumed by the loop strictly after plane.inbound —
+	// which acquires the same mutex, ordering the accesses.
+	senders []graph.NodeID
+
+	msgs, words, wire int64
+	// chain is the frame-chain digest over everything received so far.
+	chain uint64
+	cur   int
+	// bw is the round's pending barrier-wait span: begun once the done
+	// record is flushed, ended when the coordinator's release arrives — the
+	// time this worker spends parked at the barrier.
+	bw obs.SpanRef
+}
+
+// resetArenas recycles the arena slot round t decodes into.
+func (r *workerLoop) resetArenas(t int) {
+	for i := range r.arenas {
+		r.arenas[i][t&1].Reset()
+	}
+}
+
+// absorb decodes count messages shard src sent this worker in the given
+// round and queues them on their senders' ghosts, validating that every
+// sender belongs to src and every recipient to this shard.
+func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
+	var ar *shard.VecArena
+	if r.arenas != nil {
+		ar = r.arenas[src][round&1]
+	}
+	assign, pending, self, cnt := r.assign, r.gh.pending, r.h.Shard, 0
+	n := len(assign)
+	for len(body) > 0 {
+		to, m, used, err := shard.DecodeMessage(body, r.lam, ar)
+		if err != nil {
+			return err
+		}
+		body = body[used:]
+		u := m.From
+		if u < 0 || u >= n || assign[u] != src {
+			return fmt.Errorf("net: flow %d→%d carries sender %d not owned by shard %d", src, self, u, src)
+		}
+		if to < 0 || to >= n || assign[to] != self {
+			return fmt.Errorf("net: flow %d→%d addresses node %d outside shard %d", src, self, to, self)
+		}
+		if len(pending[u]) == 0 {
+			r.senders = append(r.senders, u)
+		}
+		pending[u] = append(pending[u], replayMsg{to: to, m: m})
+		cnt++
+	}
+	if cnt != count {
+		return fmt.Errorf("net: flow %d→%d decoded %d messages, header says %d", src, self, cnt, count)
+	}
+	return nil
+}
+
+// step runs the local half of round t: the step hooks, then the tap that
+// prices this shard's share of the protocol Metrics (every send, intra-shard
+// included) and hands the cross-shard subset to the plane, then the done
+// record. A catch-up replay (live false) re-runs hooks and pricing only —
+// the peers already hold the dead incarnation's identical bytes — and
+// consults no kill seam.
+func (r *workerLoop) step(t int, live bool) error {
+	w, self := r.w, r.h.Shard
+	r.cur = t
+	if err := w.plane.begin(t); err != nil {
+		return err
+	}
+	sp := w.Trace.Begin(obs.PhaseStep, t, self)
+	for _, v := range r.local {
+		r.d.Step(v, t)
+	}
+	sp.EndN(0, int64(len(r.local)))
+	if live && w.killed(r.outPhase, t) {
+		return ErrKilled
+	}
+	out := w.Trace.Begin(r.outPhase, t, self)
+	var serr error
+	assign, streams, lam := r.assign, r.out, r.lam
+	for _, v := range r.local {
+		r.d.Sends(v, func(to graph.NodeID, m dist.Message) {
+			r.msgs++
+			r.words += int64(m.Words())
+			r.wire += int64(dist.WireSize(lam, m))
+			if q := assign[to]; q != self && live && serr == nil {
+				serr = streams[q].Append(to, m)
+			}
+		})
+		if serr != nil {
+			return serr
+		}
+	}
+	if !live {
+		out.End()
+		return nil
+	}
+	alive := 0
+	for _, v := range r.local {
+		if !r.d.Halted(v) {
+			alive++
+		}
+	}
+	bytes, msgs, err := w.plane.done(t, alive)
+	if err != nil {
+		return err
+	}
+	out.EndN(bytes, msgs)
+	if err := w.c.flush(); err != nil {
+		return err
+	}
+	if w.killed(obs.PhaseBarrierWait, t) {
+		return ErrKilled
+	}
+	r.bw = w.Trace.Begin(obs.PhaseBarrierWait, t, self)
+	return nil
+}
+
+// finish is the receive half of round t: wait out the inbound flows, let
+// ghost replay slot the remote sends into the Driver's queues, Deliver every
+// local inbox in the global deterministic order (ascending sender, ties in
+// send order), and — under Recover — ship the sealed barrier state to the
+// coordinator as a checkpoint, before any ack: an acked round is always
+// restorable.
+func (r *workerLoop) finish(t int, live bool, rest []byte) error {
+	w := r.w
+	r.bw.End()
+	r.bw = obs.SpanRef{}
+	if err := w.plane.inbound(t, live, rest); err != nil {
+		return err
+	}
+	if live && w.killed(obs.PhaseDeliver, t) {
+		return ErrKilled
+	}
+	dl := w.Trace.Begin(obs.PhaseDeliver, t, r.h.Shard)
+	for _, u := range r.senders {
+		r.d.Step(u, t)
+		r.gh.pending[u] = r.gh.pending[u][:0]
+	}
+	r.senders = r.senders[:0]
+	r.d.Deliver(nil)
+	dl.End()
+	if r.h.Recover {
+		st, err := r.d.AppendSnapshot(nil, r.local)
+		if err != nil {
+			return err
+		}
+		if err := w.c.writeRecord(recCheckpoint, codec.AppendCheckpoint(nil, codec.Checkpoint{
+			Round: t, FrameChain: r.chain,
+			Msgs: r.msgs, Words: r.words, Wire: r.wire, State: st,
+		})); err != nil {
+			return err
+		}
+	}
+	if live {
+		if err := w.plane.ack(t); err != nil {
+			return err
+		}
+	}
+	return w.c.flush()
+}
+
+// replay decodes a catch-up round announcement (the planes announce it
+// under their own record numbers) and re-steps that round with sends
+// suppressed; the plane then feeds it the round's inbound flows again.
+func (r *workerLoop) replay(body []byte) (codec.Replay, error) {
+	rp, used, err := codec.DecodeReplay(body)
+	if err != nil {
+		return rp, err
+	}
+	if used != len(body) {
+		return rp, fmt.Errorf("net: replay record carries %d trailing bytes", len(body)-used)
+	}
+	if rp.Round != r.cur+1 || rp.Frames < 0 {
+		return rp, fmt.Errorf("net: replay(round %d, %d frames) but worker is at round %d", rp.Round, rp.Frames, r.cur)
+	}
+	return rp, r.step(rp.Round, false)
 }
 
 func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.Metrics, error) {
@@ -289,100 +527,50 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 		w.st.assign = assign
 	}
 
-	var local []graph.NodeID // ascending — the shard's step order
+	r := &workerLoop{w: w, h: h, lam: lam, assign: assign, out: make([]*shard.PeerStream, h.P),
+		gh: &ghost{pending: make([][]replayMsg, n)}, chain: frameChainSeed, cur: -1}
 	for v := 0; v < n; v++ {
 		if assign[v] == h.Shard {
-			local = append(local, v)
+			r.local = append(r.local, v)
 		}
 	}
-	gh := &ghost{pending: make([][]replayMsg, n)}
-	d := dist.NewDriver(g, lam, func(v graph.NodeID) dist.Program {
+	r.d = dist.NewDriver(g, lam, func(v graph.NodeID) dist.Program {
 		if assign[v] == h.Shard {
 			return factory(v)
 		}
-		return gh
+		return r.gh
 	})
-
-	if h.Stream {
-		// Streamed delivery (DESIGN.md §14): rounds flow worker↔worker over
-		// a mesh instead of through the coordinator. The mesh must form
-		// before the welcome — the coordinator treats the welcome as "ready
-		// for round records".
-		return w.runStream(h, lam, d, gh, local, assign, n)
+	if !dist.CheckVecAliasing {
+		r.arenas = make([][2]*shard.VecArena, h.P)
+		for i := range r.arenas {
+			r.arenas[i][0], r.arenas[i][1] = new(shard.VecArena), new(shard.VecArena)
+		}
 	}
+	if h.Stream {
+		// The mesh forms before the welcome — the coordinator treats the
+		// welcome as "ready for round records", which on a streamed run means
+		// "reachable by peers".
+		sw, err := newStreamWorker(r)
+		if err != nil {
+			return dist.Metrics{}, err
+		}
+		w.plane, r.outPhase = sw, obs.PhaseSend
+	} else {
+		w.plane, r.outPhase = newRelayWorker(r), obs.PhaseEncode
+	}
+	defer w.plane.close()
 
 	if err := w.c.writeRecord(recWelcome, codec.AppendWelcome(nil, codec.Welcome{
 		Version:    codec.HandshakeVersion,
 		Shard:      h.Shard,
 		GraphHash:  h.GraphHash,
 		PartDigest: h.PartDigest,
-		Nodes:      len(local),
+		Nodes:      len(r.local),
 	})); err != nil {
 		return dist.Metrics{}, err
 	}
 	if err := w.c.flush(); err != nil {
 		return dist.Metrics{}, err
-	}
-
-	// Decoded Vec payloads live exactly one round; the arena recycles their
-	// blocks. CheckVecAliasing re-hashes delivered Vecs one delivery later —
-	// after this worker has already decoded the next round's frames over the
-	// arena — so under the checker every Vec gets a fresh allocation instead.
-	var arena *shard.VecArena
-	if !dist.CheckVecAliasing {
-		arena = new(shard.VecArena)
-	}
-	frames := make([]struct {
-		buf   []byte
-		count int
-	}, h.P)
-	var hdrBuf []byte
-	var mMsgs, mWords, mWire int64
-	var senders []graph.NodeID // remote senders with pending replays this round
-	framesIn := 0
-	curRound := -1
-	// bw is the round's pending barrier-wait span: begun once the done
-	// record is flushed, ended when the coordinator's deliver record
-	// arrives — the time this worker spends parked at the barrier.
-	var bw obs.SpanRef
-	// Recovery state (DESIGN.md §13): the frame-chain digest over received
-	// relayed frames, and the count of replayed frames still expected for
-	// the current catch-up round (0 outside catch-up).
-	chain := frameChainSeed
-	replayLeft := 0
-
-	// deliverNow is the shared tail of a round: ghost replay slots the
-	// remote sends into the Driver's queues, Deliver assembles every local
-	// inbox in the global deterministic order (ascending sender, ties in
-	// send order), and — under Recover — the sealed barrier state ships to
-	// the coordinator as a checkpoint. Both the normal deliver record and
-	// the last replayed frame of a catch-up round land here.
-	deliverNow := func() error {
-		bw.End()
-		bw = obs.SpanRef{}
-		dl := w.Trace.Begin(obs.PhaseDeliver, curRound, h.Shard)
-		for _, u := range senders {
-			d.Step(u, curRound)
-			gh.pending[u] = gh.pending[u][:0]
-		}
-		senders = senders[:0]
-		framesIn = 0
-		d.Deliver(nil)
-		dl.End()
-		if h.Recover {
-			st, err := d.AppendSnapshot(nil, local)
-			if err != nil {
-				return err
-			}
-			if err := w.c.writeRecord(recCheckpoint, codec.AppendCheckpoint(nil, codec.Checkpoint{
-				Round: curRound, FrameChain: chain,
-				Msgs: mMsgs, Words: mWords, Wire: mWire, State: st,
-			})); err != nil {
-				return err
-			}
-			return w.c.flush()
-		}
-		return nil
 	}
 
 	for {
@@ -399,151 +587,28 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			if w.killed(obs.PhaseStep, int(t)) {
 				return dist.Metrics{}, ErrKilled
 			}
-			curRound = int(t)
-			sp := w.Trace.Begin(obs.PhaseStep, curRound, h.Shard)
-			for _, v := range local {
-				d.Step(v, curRound)
-			}
-			sp.EndN(0, int64(len(local)))
-			if w.killed(obs.PhaseEncode, curRound) {
-				return dist.Metrics{}, ErrKilled
-			}
-			// Tap the shard's sends: price this worker's share of the
-			// protocol Metrics (every send, intra-shard included) and
-			// frame the cross-shard subset.
-			en := w.Trace.Begin(obs.PhaseEncode, curRound, h.Shard)
-			var encBytes, encMsgs int64
-			for _, v := range local {
-				d.Sends(v, func(to graph.NodeID, m dist.Message) {
-					mMsgs++
-					mWords += int64(m.Words())
-					mWire += int64(dist.WireSize(lam, m))
-					if q := assign[to]; q != h.Shard {
-						fb := &frames[q]
-						fb.buf = shard.AppendMessage(fb.buf, lam, to, m)
-						fb.count++
-						encMsgs++
-					}
-				})
-			}
-			nf := 0
-			for q := range frames {
-				fb := &frames[q]
-				if fb.count == 0 {
-					continue
-				}
-				fh := codec.FrameHeader{Src: h.Shard, Dst: q, Round: curRound, Count: fb.count}
-				hdrBuf = codec.AppendFrameHeader(hdrBuf[:0], fh)
-				if w.Delay != nil {
-					w.Delay(h.Shard, q, curRound, len(hdrBuf)+len(fb.buf))
-				}
-				if err := w.c.writeRecord(recFrame, hdrBuf, fb.buf); err != nil {
-					return dist.Metrics{}, err
-				}
-				encBytes += int64(len(hdrBuf) + len(fb.buf))
-				fb.buf = fb.buf[:0]
-				fb.count = 0
-				nf++
-			}
-			en.EndN(encBytes, encMsgs)
-			alive := 0
-			for _, v := range local {
-				if !d.Halted(v) {
-					alive++
-				}
-			}
-			done := binary.AppendUvarint(nil, t)
-			done = binary.AppendUvarint(done, uint64(alive))
-			done = binary.AppendUvarint(done, uint64(nf))
-			if err := w.c.writeRecord(recDone, done); err != nil {
+			if err := r.step(int(t), true); err != nil {
 				return dist.Metrics{}, err
-			}
-			if err := w.c.flush(); err != nil {
-				return dist.Metrics{}, err
-			}
-			if w.killed(obs.PhaseBarrierWait, curRound) {
-				return dist.Metrics{}, ErrKilled
-			}
-			// The round's local hooks have all returned, so the previous
-			// round's decoded Vecs are dead — recycle before the frames of
-			// this round decode into the arena.
-			if arena != nil {
-				arena.Reset()
-			}
-			bw = w.Trace.Begin(obs.PhaseBarrierWait, curRound, h.Shard)
-
-		case recFrame:
-			fh, k, err := codec.DecodeFrameHeader(body)
-			if err != nil {
-				return dist.Metrics{}, err
-			}
-			if fh.Dst != h.Shard || fh.Src == h.Shard || fh.Src < 0 || fh.Src >= h.P || fh.Round != curRound {
-				return dist.Metrics{}, fmt.Errorf("net: stray frame %+v at shard %d round %d", fh, h.Shard, curRound)
-			}
-			if h.Recover {
-				chain = foldFrame(chain, body)
-			}
-			rest := body[k:]
-			cnt := 0
-			for len(rest) > 0 {
-				to, m, used, err := shard.DecodeMessage(rest, lam, arena)
-				if err != nil {
-					return dist.Metrics{}, err
-				}
-				rest = rest[used:]
-				u := m.From
-				if u < 0 || u >= n || assign[u] != fh.Src {
-					return dist.Metrics{}, fmt.Errorf("net: frame %d→%d carries sender %d not owned by shard %d", fh.Src, fh.Dst, u, fh.Src)
-				}
-				if to < 0 || to >= n || assign[to] != h.Shard {
-					return dist.Metrics{}, fmt.Errorf("net: frame %d→%d addresses node %d outside shard %d", fh.Src, fh.Dst, to, h.Shard)
-				}
-				if len(gh.pending[u]) == 0 {
-					senders = append(senders, u)
-				}
-				gh.pending[u] = append(gh.pending[u], replayMsg{to: to, m: m})
-				cnt++
-			}
-			if cnt != fh.Count {
-				return dist.Metrics{}, fmt.Errorf("net: frame %d→%d decoded %d messages, header says %d", fh.Src, fh.Dst, cnt, fh.Count)
-			}
-			framesIn++
-			if replayLeft > 0 {
-				// Catch-up: the coordinator announced exactly this many
-				// frames for the round; the last one triggers the delivery
-				// the original deliver record would have.
-				replayLeft--
-				if replayLeft == 0 {
-					if err := deliverNow(); err != nil {
-						return dist.Metrics{}, err
-					}
-				}
 			}
 
 		case recDeliver:
+			// The barrier release: all P dones are in — receive and deliver.
 			t, k := binary.Uvarint(body)
 			if k <= 0 {
-				return dist.Metrics{}, fmt.Errorf("net: truncated deliver record")
+				return dist.Metrics{}, fmt.Errorf("net: truncated release record")
 			}
-			nf, k2 := binary.Uvarint(body[k:])
-			if k2 <= 0 {
-				return dist.Metrics{}, fmt.Errorf("net: truncated deliver record")
+			if int(t) != r.cur {
+				return dist.Metrics{}, fmt.Errorf("net: release for round %d but worker is at %d", t, r.cur)
 			}
-			if int(t) != curRound || int(nf) != framesIn {
-				return dist.Metrics{}, fmt.Errorf("net: deliver(round %d, %d frames) but worker is at round %d with %d frames", t, nf, curRound, framesIn)
-			}
-			if w.killed(obs.PhaseDeliver, curRound) {
-				return dist.Metrics{}, ErrKilled
-			}
-			if err := deliverNow(); err != nil {
+			if err := r.finish(r.cur, true, body[k:]); err != nil {
 				return dist.Metrics{}, err
 			}
 
 		case recResume:
-			// Re-admission (DESIGN.md §13): restore the driver to the last
-			// retained checkpoint — or to the fresh pre-Init state when no
-			// round was sealed before the crash — then expect Catchup rounds
-			// of recReplay + recFrame records.
+			// Re-admission (DESIGN.md §8.4): restore the driver to the last
+			// retained checkpoint — or keep the fresh pre-Init state when no
+			// round was sealed before the crash — then expect Catchup replay
+			// rounds.
 			rs, used, err := codec.DecodeResume(body)
 			if err != nil {
 				return dist.Metrics{}, err
@@ -551,54 +616,14 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			if used != len(body) {
 				return dist.Metrics{}, fmt.Errorf("net: resume record carries %d trailing bytes", len(body)-used)
 			}
+			r.cur, r.chain = -1, frameChainSeed
+			r.msgs, r.words, r.wire = 0, 0, 0
 			if rs.CkptRound >= 0 {
-				if err := d.RestoreSnapshot(rs.State, local); err != nil {
+				if err := r.d.RestoreSnapshot(rs.State, r.local); err != nil {
 					return dist.Metrics{}, err
 				}
-				curRound = rs.CkptRound
-				chain = rs.FrameChain
-				mMsgs, mWords, mWire = rs.Msgs, rs.Words, rs.Wire
-			} else {
-				curRound = -1
-				chain = frameChainSeed
-				mMsgs, mWords, mWire = 0, 0, 0
-			}
-			replayLeft = 0
-
-		case recReplay:
-			// One catch-up round: re-run the local hooks (metrics tapped,
-			// frame writes suppressed — the coordinator already relayed the
-			// identical bytes to the peers), then absorb the announced
-			// replayed frames; the last one delivers.
-			rp, used, err := codec.DecodeReplay(body)
-			if err != nil {
-				return dist.Metrics{}, err
-			}
-			if used != len(body) {
-				return dist.Metrics{}, fmt.Errorf("net: replay record carries %d trailing bytes", len(body)-used)
-			}
-			if rp.Round != curRound+1 || rp.Frames < 0 {
-				return dist.Metrics{}, fmt.Errorf("net: replay(round %d, %d frames) but worker is at round %d", rp.Round, rp.Frames, curRound)
-			}
-			curRound = rp.Round
-			for _, v := range local {
-				d.Step(v, curRound)
-			}
-			for _, v := range local {
-				d.Sends(v, func(to graph.NodeID, m dist.Message) {
-					mMsgs++
-					mWords += int64(m.Words())
-					mWire += int64(dist.WireSize(lam, m))
-				})
-			}
-			if arena != nil {
-				arena.Reset()
-			}
-			replayLeft = rp.Frames
-			if rp.Frames == 0 {
-				if err := deliverNow(); err != nil {
-					return dist.Metrics{}, err
-				}
+				r.cur, r.chain = rs.CkptRound, rs.FrameChain
+				r.msgs, r.words, r.wire = rs.Msgs, rs.Words, rs.Wire
 			}
 
 		case recFinish:
@@ -606,10 +631,9 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			if k <= 0 || len(body) <= k {
 				return dist.Metrics{}, fmt.Errorf("net: truncated finish record")
 			}
-			halted := body[k] != 0
-			enc := binary.AppendUvarint(nil, uint64(mMsgs))
-			enc = binary.AppendUvarint(enc, uint64(mWords))
-			enc = binary.AppendUvarint(enc, uint64(mWire))
+			enc := binary.AppendUvarint(nil, uint64(r.msgs))
+			enc = binary.AppendUvarint(enc, uint64(r.words))
+			enc = binary.AppendUvarint(enc, uint64(r.wire))
 			if err := w.c.writeRecord(recMetrics, enc); err != nil {
 				return dist.Metrics{}, err
 			}
@@ -618,17 +642,19 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			}
 			return dist.Metrics{
 				Rounds:    int(rounds),
-				Messages:  mMsgs,
-				Words:     mWords,
-				WireBytes: mWire,
-				Halted:    halted,
+				Messages:  r.msgs,
+				Words:     r.words,
+				WireBytes: r.wire,
+				Halted:    body[k] != 0,
 			}, nil
 
 		case recError:
 			return dist.Metrics{}, fmt.Errorf("net: coordinator aborted: %s", body)
 
 		default:
-			return dist.Metrics{}, fmt.Errorf("net: unexpected record type %d at worker", typ)
+			if err := w.plane.record(typ, body); err != nil {
+				return dist.Metrics{}, err
+			}
 		}
 	}
 }

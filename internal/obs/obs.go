@@ -216,7 +216,7 @@ func (t *Tracer) Trace() *RunTrace {
 }
 
 // Reset drops all recorded records and restarts the clock, so one tracer
-// can time a sequence of runs (cmd/bench rows) without cross-talk.
+// can time a sequence of runs without cross-talk.
 // Nil-safe.
 func (t *Tracer) Reset() {
 	if t == nil {

@@ -6,10 +6,9 @@ import (
 )
 
 // RunReport is the one report envelope every JSON-writing surface shares:
-// cmd/cluster's -json run report and cmd/bench's per-row run descriptions
-// both marshal through it, so frame-byte, churn and phase-timing fields
-// appear under the same keys everywhere (they used to be hand-rolled per
-// command, and cmd/bench dropped ShardMetrics/ChurnMetrics entirely).
+// cmd/cluster's -json run report marshals through it, as the rows of the
+// recorded BENCH_PR*.json files did, so frame-byte, churn and phase-timing
+// fields appear under the same keys everywhere.
 //
 // Metrics/Sharding/Churn are `any` on purpose: this package sits below
 // dist and shard in the import graph (they call into it to trace), so it

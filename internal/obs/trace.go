@@ -131,8 +131,8 @@ type PhaseTotal struct {
 }
 
 // PhaseTotals folds the trace into per-phase totals, in phase order,
-// omitting phases with no spans. This is the breakdown cmd/bench writes
-// next to ns/op so BENCH files explain where a row's time went.
+// omitting phases with no spans. This is the breakdown cmd/cluster's
+// report and the trusted benchmark's phase rows are made of.
 func (tr *RunTrace) PhaseTotals() []PhaseTotal {
 	var acc [numPhases]PhaseTotal
 	for _, s := range tr.Spans {

@@ -3,6 +3,7 @@ package session
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -64,15 +65,12 @@ type Coordinator struct {
 	trace *obs.Tracer
 	// Crash recovery (DESIGN.md §13), armed by EnableRecovery: respawn
 	// produces a fresh connection to a restarted worker, lastStamp is the
-	// re-admission stamp (the last sealed epoch's), attempts caps per-worker
-	// recoveries and recovered counts the successful ones. stash defers
-	// records other workers interleave while a recovery exchange awaits a
-	// specific worker's reply.
+	// re-admission stamp (the last sealed epoch's) and recovered counts the
+	// successful recoveries. The receive/respawn discipline itself — stash,
+	// generations, the per-worker cap — is the hub's.
 	respawn   func(shard int) (*net.Conn, error)
 	lastStamp codec.Stamp
-	attempts  []int
 	recovered int64
-	stash     []hubRec
 	// Running totals behind Stat; owned by the session goroutine.
 	pushes, rejected    int64
 	changed, deltaBytes int64
@@ -105,8 +103,10 @@ func NewCoordinator(hub *net.Hub, g *graph.Graph, assign []int, part shard.Parti
 	c.gh, c.pd, c.vd = g.Fingerprint(), shard.PartitionDigest(c.assign), ValuesDigest(c.b)
 	c.chain = ChainNext(0, c.gh, c.pd, c.vd)
 	st := codec.Stamp{Epoch: 0, GraphHash: c.gh, PartDigest: c.pd, ValuesDigest: c.vd, ChainDigest: c.chain}
-	if err := c.broadcastStamp(st); err != nil {
-		return nil, c.fail(0, "stamp-broadcast", err)
+	for i := 0; i < p; i++ {
+		if err := c.sendTo(i, net.RecValuesDigest, codec.AppendStamp(nil, st)); err != nil {
+			return nil, c.fail(0, "stamp-broadcast", faultOf(i, err))
+		}
 	}
 	if err := c.collectEchoes(st, nil, nil); err != nil {
 		return nil, c.fail(0, "stamp-echo", err)
@@ -136,48 +136,17 @@ func (c *Coordinator) Recoveries() int64 { return c.recovered }
 // recoverable reports whether worker death is survivable.
 func (c *Coordinator) recoverable() bool { return c.respawn != nil }
 
-// hubRec is one deferred hub record (see stash).
-type hubRec struct {
-	from int
-	typ  byte
-	body []byte
-	err  error
-}
-
-// maxRecoveries caps recovery attempts per worker per session, so a crash
-// loop eventually breaks the session instead of respawning forever.
-const maxRecoveries = 8
-
-// nextRec receives one record for a collect loop: stashed records drain
-// FIFO before the hub is touched again, so per-worker order holds across a
-// recovery exchange.
-func (c *Coordinator) nextRec() (int, byte, []byte, error) {
-	if len(c.stash) > 0 {
-		r := c.stash[0]
-		c.stash = c.stash[1:]
-		return r.from, r.typ, r.body, r.err
+// recoverThen answers a fault of worker w: with recovery armed the worker is
+// re-admitted at the last sealed epoch and then walked forward by then;
+// otherwise, or when the re-admission itself fails, the fault stands.
+func (c *Coordinator) recoverThen(w int, cause error, then func() error) error {
+	if !c.recoverable() {
+		return cause
 	}
-	return c.hub.Next()
-}
-
-// awaitFrom receives the next record from worker w specifically, stashing
-// whatever other workers interleave (their reconverges, echoes and even
-// deaths are deferred, not lost).
-func (c *Coordinator) awaitFrom(w int) (byte, []byte, error) {
-	for i, r := range c.stash {
-		if r.from == w {
-			c.stash = append(c.stash[:i], c.stash[i+1:]...)
-			return r.typ, r.body, r.err
-		}
+	if rerr := c.recoverWorker(w); rerr != nil {
+		return fmt.Errorf("%v (recovery: %w)", cause, rerr)
 	}
-	for {
-		from, typ, body, err := c.hub.Next()
-		if from != w && from >= 0 {
-			c.stash = append(c.stash, hubRec{from: from, typ: typ, body: body, err: err})
-			continue
-		}
-		return typ, body, err
-	}
+	return then()
 }
 
 // recoverWorker respawns worker w and re-admits it: the fresh connection
@@ -186,33 +155,16 @@ func (c *Coordinator) awaitFrom(w int) (byte, []byte, error) {
 // the committed graph — must echo it byte-identically. On return the worker
 // stands at the last sealed epoch, parked in its serve loop.
 func (c *Coordinator) recoverWorker(w int) error {
-	if !c.recoverable() {
-		return fmt.Errorf("session: worker %d died and recovery is not armed", w)
-	}
-	if c.attempts == nil {
-		c.attempts = make([]int, c.p)
-	}
-	if c.attempts[w]++; c.attempts[w] > maxRecoveries {
-		return fmt.Errorf("session: worker %d died %d times; giving up", w, c.attempts[w])
-	}
 	sp := c.trace.Begin(obs.PhaseRecover, c.epoch, w)
 	defer sp.End()
-	cn, err := c.respawn(w)
-	if err != nil {
-		return fmt.Errorf("session: respawning worker %d: %w", w, err)
+	if _, _, err := c.hub.Respawn(w, c.respawn); err != nil {
+		return err
 	}
-	// Close the dead incarnation's conn (its reader's final error is
-	// generation-filtered by the hub) and swap in the replacement.
-	c.hub.Conn(w).Close()
-	c.hub.Replace(w, cn)
 	st := c.lastStamp
-	if err := cn.WriteRecord(net.RecEpochResume, codec.AppendStamp(nil, st)); err != nil {
-		return fmt.Errorf("session: re-admitting worker %d: %w", w, err)
+	if err := c.sendTo(w, net.RecEpochResume, codec.AppendStamp(nil, st)); err != nil {
+		return err
 	}
-	if err := cn.Flush(); err != nil {
-		return fmt.Errorf("session: re-admitting worker %d: %w", w, err)
-	}
-	typ, body, err := c.awaitFrom(w)
+	typ, body, err := c.hub.AwaitFrom(w)
 	if err != nil {
 		return fmt.Errorf("session: re-admitting worker %d: %w", w, err)
 	}
@@ -237,14 +189,10 @@ func (c *Coordinator) recoverWorker(w int) error {
 // incarnation's change set bit for bit), and hand it the sealing stamp. Its
 // echo then arrives through the ordinary collection.
 func (c *Coordinator) redoEpoch(w, epoch int, push []byte, st codec.Stamp, want []ValueChange) error {
-	cn := c.hub.Conn(w)
-	if err := cn.WriteRecord(net.RecDeltaPush, push); err != nil {
-		return fmt.Errorf("session: redoing epoch %d at worker %d: %w", epoch, w, err)
+	if err := c.sendTo(w, net.RecDeltaPush, push); err != nil {
+		return err
 	}
-	if err := cn.Flush(); err != nil {
-		return fmt.Errorf("session: redoing epoch %d at worker %d: %w", epoch, w, err)
-	}
-	typ, body, err := c.awaitFrom(w)
+	typ, body, err := c.hub.AwaitFrom(w)
 	if err != nil {
 		return fmt.Errorf("session: redoing epoch %d at worker %d: %w", epoch, w, err)
 	}
@@ -259,21 +207,10 @@ func (c *Coordinator) redoEpoch(w, epoch int, push []byte, st codec.Stamp, want 
 		return fmt.Errorf("session: worker %d redo reconverge (epoch %d, %#x, %#x) disagrees with seal (epoch %d, %#x, %#x)",
 			w, r.Epoch, r.GraphHash, r.PartDigest, epoch, st.GraphHash, st.PartDigest)
 	}
-	if len(r.Changes) != len(want) {
-		return fmt.Errorf("session: worker %d redo shipped %d changes, dead incarnation shipped %d", w, len(r.Changes), len(want))
+	if !slices.Equal(r.Changes, want) {
+		return fmt.Errorf("session: worker %d redo shipped %d changes that differ from the dead incarnation's %d", w, len(r.Changes), len(want))
 	}
-	for i := range want {
-		if r.Changes[i] != want[i] {
-			return fmt.Errorf("session: worker %d redo change %d differs from the dead incarnation's", w, i)
-		}
-	}
-	if err := cn.WriteRecord(net.RecValuesDigest, codec.AppendStamp(nil, st)); err != nil {
-		return fmt.Errorf("session: redoing epoch %d at worker %d: %w", epoch, w, err)
-	}
-	if err := cn.Flush(); err != nil {
-		return fmt.Errorf("session: redoing epoch %d at worker %d: %w", epoch, w, err)
-	}
-	return nil
+	return c.sendTo(w, net.RecValuesDigest, codec.AppendStamp(nil, st))
 }
 
 // SetTracer installs (or, with nil, removes) the tracer subsequent pushes
@@ -307,18 +244,15 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 	ep := c.trace.Begin(obs.PhaseEpoch, epoch, -1)
 	push := AppendDeltaPush(nil, epoch, moveBudget, d)
 	for i := 0; i < c.p; i++ {
-		if err := c.sendTo(i, net.RecDeltaPush, push); err != nil {
+		resend := func() error { return c.sendTo(i, net.RecDeltaPush, push) }
+		err := resend()
+		if err != nil {
 			// Dead before the epoch reached it: recover to the sealed epoch
 			// and hand it the push again.
-			if !c.recoverable() {
-				return nil, c.fail(epoch, "delta-broadcast", faultOf(i, err))
-			}
-			if rerr := c.recoverWorker(i); rerr != nil {
-				return nil, c.fail(epoch, "delta-broadcast", faultOf(i, fmt.Errorf("%v (recovery: %w)", err, rerr)))
-			}
-			if err := c.sendTo(i, net.RecDeltaPush, push); err != nil {
-				return nil, c.fail(epoch, "delta-broadcast", faultOf(i, err))
-			}
+			err = c.recoverThen(i, err, resend)
+		}
+		if err != nil {
+			return nil, c.fail(epoch, "delta-broadcast", faultOf(i, err))
 		}
 	}
 	gh, pd := g2.Fingerprint(), shard.PartitionDigest(next)
@@ -341,18 +275,14 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 	chain := ChainNext(c.chain, gh, pd, vd)
 	st := codec.Stamp{Epoch: epoch, GraphHash: gh, PartDigest: pd, ValuesDigest: vd, ChainDigest: chain, Changed: len(all)}
 	for i := 0; i < c.p; i++ {
-		if err := c.sendTo(i, net.RecValuesDigest, codec.AppendStamp(nil, st)); err != nil {
+		err := c.sendTo(i, net.RecValuesDigest, codec.AppendStamp(nil, st))
+		if err != nil {
 			// Dead between its reconverge and the seal: recover to the sealed
 			// epoch and redo the in-flight one privately.
-			if !c.recoverable() {
-				return nil, c.fail(epoch, "stamp-broadcast", faultOf(i, err))
-			}
-			if rerr := c.recoverWorker(i); rerr != nil {
-				return nil, c.fail(epoch, "stamp-broadcast", faultOf(i, fmt.Errorf("%v (recovery: %w)", err, rerr)))
-			}
-			if rerr := c.redoEpoch(i, epoch, push, st, byWorker[i]); rerr != nil {
-				return nil, c.fail(epoch, "stamp-broadcast", faultOf(i, rerr))
-			}
+			err = c.recoverThen(i, err, func() error { return c.redoEpoch(i, epoch, push, st, byWorker[i]) })
+		}
+		if err != nil {
+			return nil, c.fail(epoch, "stamp-broadcast", faultOf(i, err))
 		}
 	}
 	if err := c.collectEchoes(st, push, byWorker); err != nil {
@@ -381,21 +311,6 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 	}, nil
 }
 
-// soleLaggard attributes a from-less fault (a timeout) to the only worker
-// still owed a record, or -1 when the blame cannot land on exactly one.
-func soleLaggard(got []bool) int {
-	cand, lagging := -1, 0
-	for i, g := range got {
-		if !g {
-			cand, lagging = i, lagging+1
-		}
-	}
-	if lagging == 1 {
-		return cand
-	}
-	return -1
-}
-
 // collectReconverges gathers one reconverge per worker, verifying digests,
 // epoch, post-rebalance ownership and duplicate-freedom. It returns the
 // merged change set ascending by node plus each worker's own slice (what a
@@ -406,59 +321,41 @@ func soleLaggard(got []bool) int {
 // determinism.
 func (c *Coordinator) collectReconverges(epoch int, gh, pd uint64, next []int, push []byte) ([]ValueChange, [][]ValueChange, error) {
 	byWorker := make([][]ValueChange, c.p)
-	got := make([]bool, c.p)
-	for n := 0; n < c.p; {
-		from, typ, body, err := c.nextRec()
-		if err != nil {
-			w := from
-			if w < 0 {
-				w = soleLaggard(got)
-			}
-			if w < 0 || !c.recoverable() {
-				return nil, nil, faultOf(from, err)
-			}
-			if got[w] {
-				// Died after reconverging; drop its set and let the redo
-				// reproduce it, so one path covers both orders.
-				got[w], byWorker[w] = false, nil
-				n--
-			}
-			if rerr := c.recoverWorker(w); rerr != nil {
-				return nil, nil, faultOf(w, fmt.Errorf("%v (recovery: %w)", err, rerr))
-			}
-			if serr := c.sendTo(w, net.RecDeltaPush, push); serr != nil {
-				return nil, nil, faultOf(w, serr)
-			}
-			continue
-		}
+	owed := c.hub.Everyone()
+	w, err := c.hub.Collect(owed, func(from int, typ byte, body []byte) (bool, error) {
 		if typ != net.RecReconverge {
-			return nil, nil, faultOf(from, fmt.Errorf("session: worker %d sent record type %d, want reconverge", from, typ))
+			return false, fmt.Errorf("session: worker %d sent record type %d, want reconverge", from, typ)
 		}
 		r, err := DecodeReconverge(body)
 		if err != nil {
-			return nil, nil, faultOf(from, err)
+			return false, err
 		}
 		switch {
-		case got[from]:
-			return nil, nil, faultOf(from, fmt.Errorf("session: worker %d reconverged twice at epoch %d", from, epoch))
 		case r.Epoch != epoch:
-			return nil, nil, faultOf(from, fmt.Errorf("session: worker %d reconverged epoch %d, want %d", from, r.Epoch, epoch))
+			return false, fmt.Errorf("session: worker %d reconverged epoch %d, want %d", from, r.Epoch, epoch)
 		case r.GraphHash != gh:
-			return nil, nil, faultOf(from, fmt.Errorf("session: worker %d epoch %d graph fingerprint %#x, coordinator %#x", from, epoch, r.GraphHash, gh))
+			return false, fmt.Errorf("session: worker %d epoch %d graph fingerprint %#x, coordinator %#x", from, epoch, r.GraphHash, gh)
 		case r.PartDigest != pd:
-			return nil, nil, faultOf(from, fmt.Errorf("session: worker %d epoch %d partition digest %#x, coordinator %#x", from, epoch, r.PartDigest, pd))
+			return false, fmt.Errorf("session: worker %d epoch %d partition digest %#x, coordinator %#x", from, epoch, r.PartDigest, pd)
 		}
 		for _, ch := range r.Changes {
 			if ch.Node < 0 || ch.Node >= len(next) {
-				return nil, nil, faultOf(from, fmt.Errorf("session: worker %d shipped change for node %d of %d", from, ch.Node, len(next)))
+				return false, fmt.Errorf("session: worker %d shipped change for node %d of %d", from, ch.Node, len(next))
 			}
 			if next[ch.Node] != from {
-				return nil, nil, faultOf(from, fmt.Errorf("session: worker %d shipped change for node %d owned by shard %d", from, ch.Node, next[ch.Node]))
+				return false, fmt.Errorf("session: worker %d shipped change for node %d owned by shard %d", from, ch.Node, next[ch.Node])
 			}
 		}
-		got[from] = true
 		byWorker[from] = r.Changes
-		n++
+		return true, nil
+	}, func(w int, cause error) error {
+		// Whether it died before or after reconverging, drop its set and let
+		// the recovered worker reproduce it, so one path covers both orders.
+		byWorker[w], owed[w] = nil, true
+		return c.recoverThen(w, cause, func() error { return c.sendTo(w, net.RecDeltaPush, push) })
+	})
+	if err != nil {
+		return nil, nil, faultOf(w, err)
 	}
 	var all []ValueChange
 	for _, chs := range byWorker {
@@ -486,77 +383,41 @@ func (c *Coordinator) sendTo(i int, typ byte, body []byte) error {
 	return nil
 }
 
-// broadcast writes one record to every worker (no recovery — used by the
-// epoch-0 seal and the goodbye).
-func (c *Coordinator) broadcast(typ byte, body []byte) error {
-	for i := 0; i < c.p; i++ {
-		if err := c.sendTo(i, typ, body); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *Coordinator) broadcastStamp(st codec.Stamp) error {
-	return c.broadcast(net.RecValuesDigest, codec.AppendStamp(nil, st))
-}
-
 // collectEchoes demands every worker's byte-identical stamp echo. With
 // recovery armed (push non-nil), a worker fault is answered by recovering
 // the worker and walking it through a private epoch redo; its echo then
 // arrives like everyone else's.
 func (c *Coordinator) collectEchoes(want codec.Stamp, push []byte, byWorker [][]ValueChange) error {
-	got := make([]bool, c.p)
-	for n := 0; n < c.p; {
-		from, typ, body, err := c.nextRec()
-		if err != nil {
-			w := from
-			if w < 0 {
-				w = soleLaggard(got)
-			}
-			if w < 0 || push == nil || !c.recoverable() {
-				return faultOf(from, err)
-			}
-			if got[w] {
-				// Echoed, then died: it must still be re-admitted for the
-				// epochs to come, and the redo makes it echo again.
-				got[w] = false
-				n--
-			}
-			if rerr := c.recoverWorker(w); rerr != nil {
-				return faultOf(w, fmt.Errorf("%v (recovery: %w)", err, rerr))
-			}
-			if rerr := c.redoEpoch(w, want.Epoch, push, want, byWorker[w]); rerr != nil {
-				return faultOf(w, rerr)
-			}
-			continue
-		}
+	owed := c.hub.Everyone()
+	w, err := c.hub.Collect(owed, func(from int, typ byte, body []byte) (bool, error) {
 		if typ != net.RecValuesDigest {
-			return faultOf(from, fmt.Errorf("session: worker %d sent record type %d, want stamp echo", from, typ))
+			return false, fmt.Errorf("session: worker %d sent record type %d, want stamp echo", from, typ)
 		}
 		st, _, err := codec.DecodeStamp(body)
 		if err != nil {
-			return faultOf(from, err)
-		}
-		if got[from] {
-			return faultOf(from, fmt.Errorf("session: worker %d echoed epoch %d twice", from, want.Epoch))
+			return false, err
 		}
 		if st != want {
-			return faultOf(from, fmt.Errorf("session: worker %d echoed %+v, want %+v", from, st, want))
+			return false, fmt.Errorf("session: worker %d echoed %+v, want %+v", from, st, want)
 		}
-		got[from] = true
-		n++
-	}
-	return nil
+		return true, nil
+	}, func(w int, cause error) error {
+		if push == nil {
+			return cause
+		}
+		// Even one that echoed and then died must be re-admitted for the
+		// epochs to come, and the redo makes it echo again.
+		owed[w] = true
+		return c.recoverThen(w, cause, func() error { return c.redoEpoch(w, want.Epoch, push, want, byWorker[w]) })
+	})
+	return faultOf(w, err)
 }
 
 // Bye broadcasts a clean goodbye (best-effort; the session is over either
 // way).
 func (c *Coordinator) Bye() {
 	for i := 0; i < c.p; i++ {
-		cn := c.hub.Conn(i)
-		_ = cn.WriteRecord(net.RecBye)
-		_ = cn.Flush()
+		_ = c.sendTo(i, net.RecBye, nil)
 	}
 }
 

@@ -150,13 +150,10 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 	respawnConn := func(run func(idx int, wc *net.Conn)) func(int) (*net.Conn, error) {
 		return func(idx int) (*net.Conn, error) {
 			a, b := stdnet.Pipe()
-			cc, wc := net.NewConn(a), net.NewConn(b)
-			if opt.IOTimeout > 0 {
-				cc.SetIOTimeout(opt.IOTimeout)
-				wc.SetIOTimeout(opt.IOTimeout)
-			}
+			wc := net.NewConn(b)
+			wc.SetIOTimeout(opt.IOTimeout) // the hub arms the coordinator's end
 			run(idx, wc)
-			return cc, nil
+			return net.NewConn(a), nil
 		}
 	}
 	if opt.Recover {

@@ -1,8 +1,10 @@
 // Perf smoke for the PR 8 worker-pool rewrite: the parallel engine must at
 // least keep up with the sequential reference on the bench workload once
 // real cores are available. The old goroutine-per-node engine lost this by
-// 2.3× (BENCH_PR7.json: 340ms vs 152ms on BA n=10⁴); the pool is the fix,
-// and this test is the tripwire that keeps it fixed.
+// 2.3× (as recorded in BENCH_PR7.json: 340ms vs 152ms on BA n=10⁴); the
+// pool is the fix, and this test is the tripwire that keeps it fixed. The
+// live numbers for the pair are the trusted benchmark's `coreness-seq` /
+// `coreness-par` workloads and its `dist.par_speedup` row.
 //
 // It is opt-in (DKC_PERF_SMOKE=1) because wall-clock assertions are only
 // meaningful on an otherwise idle multi-core runner — CI sets the variable
