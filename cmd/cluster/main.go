@@ -206,6 +206,18 @@ func runWorker(args []string) {
 		w.MeshGen = *meshGen
 	}
 
+	if *sess {
+		// Session worker: the run seeds this worker's state, then it keeps the
+		// connection and serves DeltaPush/stamp exchanges until the coordinator
+		// says goodbye — the same life an in-process session worker leads.
+		ws, err := session.ServeWorker(c, w, g, assign, T)
+		if err != nil {
+			fatalTell(c, err)
+		}
+		fmt.Printf("cluster worker: shard %d/%d session closed after epoch %d (chain %#x)\n",
+			h.Shard, h.P, ws.Epoch(), ws.ChainDigest())
+		return
+	}
 	// The worker side of the protocol is just core.RunDistributed with the
 	// Worker as its engine — the same driver stack every other engine runs
 	// under, which is the point: nothing protocol-specific lives here.
@@ -217,27 +229,6 @@ func runWorker(args []string) {
 	}
 	fmt.Printf("cluster worker: shard %d/%d done: %d nodes, local share %d msgs / %d wire bytes, %d rounds\n",
 		h.Shard, h.P, g.N(), met.Messages, met.WireBytes, met.Rounds)
-	if !*sess {
-		return
-	}
-	// Session epochs: the run seeded this worker's state; keep the
-	// connection and serve DeltaPush/stamp exchanges until the coordinator
-	// says goodbye. Sessions require an unchurned Λ = ℝ run to open on.
-	if h.DeltaDigest != 0 {
-		fatalTell(c, fmt.Errorf("sessions open on an unchurned run; churn streams in afterwards"))
-	}
-	if _, ok := lam.(quantize.Reals); !ok {
-		fatalTell(c, fmt.Errorf("sessions require the exact threshold set Λ = ℝ"))
-	}
-	ws, err := session.NewWorkerState(c, g, assign, h.Shard, h.P, T, part, res.B)
-	if err != nil {
-		fatalTell(c, err)
-	}
-	if err := ws.ServeEpochs(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("cluster worker: shard %d/%d session closed after epoch %d (chain %#x)\n",
-		h.Shard, h.P, ws.Epoch(), ws.ChainDigest())
 }
 
 // parseProto resolves the handshake's protocol spec. Only the coreness
@@ -307,53 +298,18 @@ func runCoord(args []string) {
 		fatal(fmt.Errorf("-recover and -kill only work with -spawn (the coordinator must own the worker processes)"))
 	}
 
-	// Everything that acquires cluster resources runs inside this closure
-	// and returns errors, so the cleanup below always executes — fatal's
-	// os.Exit must never strand spawned worker processes in Accept or leak
-	// the socket directory.
-	var (
-		procs []*exec.Cmd
-		dir   string
-		// killedByUs marks processes this harness SIGKILLed (-kill) — their
-		// non-zero exit is the point, not a failure.
-		killedByUs = map[*exec.Cmd]bool{}
-	)
+	var timeout time.Duration
+	if *recov {
+		// Deadlines on every conn: a run that can survive deaths must detect
+		// them as timeouts, never block forever on one.
+		timeout = 30 * time.Second
+	}
+	var f fleet
 	runErr := func() error {
-		var addrs []string
-		// spawnWorker starts one worker subprocess listening on a; the
-		// respawn path reuses it with a fresh socket name and extra flags.
-		spawnWorker := func(a string, extra ...string) (*exec.Cmd, error) {
-			exe, err := os.Executable()
-			if err != nil {
-				return nil, err
-			}
-			cmd := exec.Command(exe, append([]string{"worker", "-listen", a}, extra...)...)
-			cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
-			if err := cmd.Start(); err != nil {
-				return nil, err
-			}
-			procs = append(procs, cmd)
-			return cmd, nil
+		if err := f.open(*workers, *spawn, timeout); err != nil {
+			return err
 		}
-		switch {
-		case *spawn > 0:
-			var err error
-			if dir, err = os.MkdirTemp("", "dkc-cluster-"); err != nil {
-				return err
-			}
-			for i := 0; i < *spawn; i++ {
-				a := fmt.Sprintf("unix:%s", filepath.Join(dir, fmt.Sprintf("w%d.sock", i)))
-				if _, err := spawnWorker(a); err != nil {
-					return err
-				}
-				addrs = append(addrs, a)
-			}
-		case *workers != "":
-			addrs = strings.Split(*workers, ",")
-		default:
-			return fmt.Errorf("need -workers or -spawn")
-		}
-		p := len(addrs)
+		p := len(f.addrs)
 		if *killSpec != "" && killW >= p {
 			return fmt.Errorf("-kill worker %d of %d", killW, p)
 		}
@@ -362,7 +318,7 @@ func runCoord(args []string) {
 		var meshSpec string
 		if *stream {
 			ms := make([]string, 0, p)
-			for _, a := range addrs {
+			for _, a := range f.addrs {
 				network, path, err := splitAddr(a)
 				if err != nil {
 					return err
@@ -374,37 +330,14 @@ func runCoord(args []string) {
 			}
 			meshSpec = strings.Join(ms, ",")
 		}
-		assign := part.Partition(g, p)
 		// Under -churn the run executes on the mutated graph with the
 		// incrementally rebalanced assignment; the handshake pins both and
 		// the delta travels to every worker as a delta record (DESIGN §9).
-		runG, runAssign := g, assign
-		var cm shard.ChurnMetrics
-		if delta.Len() > 0 {
-			var err error
-			if runG, runAssign, cm, err = shard.AbsorbDelta(part, g, p, assign, delta, *budget); err != nil {
-				return err
-			}
+		pl, err := shard.Place(part, g, p, delta, *budget)
+		if err != nil {
+			return err
 		}
-
-		conns := make([]*dnet.Conn, p)
-		for i, a := range addrs {
-			network, addr, err := splitAddr(a)
-			if err != nil {
-				return err
-			}
-			nc, err := dialRetry(network, addr, 5*time.Second)
-			if err != nil {
-				return fmt.Errorf("worker %d at %s: %w", i, a, err)
-			}
-			conns[i] = dnet.NewConn(nc)
-			defer conns[i].Close()
-			if *recov {
-				// Deadlines on every conn: a run that can survive deaths must
-				// detect them as timeouts, never block forever on one.
-				conns[i].SetIOTimeout(30 * time.Second)
-			}
-		}
+		runG, runAssign, cm := pl.G, pl.Assign, pl.Churn
 
 		// The tracer sees the coordinator's side only — barrier waits, frame
 		// relays and the funnel's flow matrix; worker timelines live in the
@@ -428,70 +361,28 @@ func runCoord(args []string) {
 			Trace:      tracer,
 			Stream:     *stream,
 			MeshSpec:   meshSpec,
+			IOTimeout:  timeout,
+			Recover:    *recov,
 		}
 		if *recov {
-			rspec.Recover = true
-			rspec.IOTimeout = 30 * time.Second
-			// Respawn re-execs the worker binary on a fresh socket in the run
-			// directory; the coordinator then re-handshakes and restores it
-			// from its last retained checkpoint. Called from the coordinator
-			// goroutine, so appending to procs is race-free.
-			respawns := 0
-			meshGens := make([]int, p)
-			rspec.Respawn = func(s int) (*dnet.Conn, error) {
-				respawns++
-				a := fmt.Sprintf("unix:%s", filepath.Join(dir, fmt.Sprintf("w%d-r%d.sock", s, respawns)))
-				var extra []string
-				if *stream {
-					// Mesh-generation contract (dnet.Spec.Respawn): the new
-					// incarnation's gen is the per-shard respawn count, so
-					// peers can tell its links from the dead one's.
-					meshGens[s]++
-					extra = append(extra, "-mesh-gen", strconv.Itoa(meshGens[s]))
-				}
-				if _, err := spawnWorker(a, extra...); err != nil {
-					return nil, err
-				}
-				network, addr, err := splitAddr(a)
-				if err != nil {
-					return nil, err
-				}
-				nc, err := dialRetry(network, addr, 5*time.Second)
-				if err != nil {
-					return nil, fmt.Errorf("respawned worker %d at %s: %w", s, a, err)
-				}
-				cn := dnet.NewConn(nc)
-				cn.SetIOTimeout(rspec.IOTimeout)
-				fmt.Printf("cluster: respawned worker %d on %s\n", s, a)
-				return cn, nil
-			}
+			rspec.Respawn = func(s int) (*dnet.Conn, error) { return f.respawn(s, *stream) }
 		}
 		if *killSpec != "" {
 			rspec.OnRound = func(t int) {
-				if t != killR {
-					return
+				if t == killR && f.kill(killW) {
+					fmt.Printf("cluster: SIGKILLed worker %d at round %d\n", killW, t)
 				}
-				cmd := procs[killW]
-				if killedByUs[cmd] {
-					return
-				}
-				killedByUs[cmd] = true
-				cmd.Process.Kill()
-				fmt.Printf("cluster: SIGKILLed worker %d at round %d\n", killW, t)
 			}
 		}
 		start := time.Now()
-		met, rep, err := dnet.RunCoordinator(conns, rspec)
+		met, rep, err := dnet.RunCoordinator(f.conns, rspec)
 		if err != nil {
 			return err
 		}
 		elapsed := time.Since(start)
-		for _, cmd := range procs {
-			if err := cmd.Wait(); err != nil && !killedByUs[cmd] {
-				return fmt.Errorf("worker process: %w", err)
-			}
+		if err := f.reap(); err != nil {
+			return err
 		}
-		procs = nil // all reaped; nothing for the cleanup pass to kill
 		rep.Sharding.EdgeCutFraction = shard.CutFraction(runG, runAssign)
 		b, err := rep.Assemble(runG.N())
 		if err != nil {
@@ -547,15 +438,160 @@ func runCoord(args []string) {
 		}
 		return writeReport(*jsonOut, spec, p, part.Name(), T, met, sm, delta.Len(), cm, verified, elapsed, tracer)
 	}()
-	for _, cmd := range procs {
+	f.close()
+	if runErr != nil {
+		fatal(runErr)
+	}
+}
+
+// fleet is the worker side of a coordinating command (coord, serve) as the
+// coordinator process sees it: the worker addresses, one connection to each
+// and — under -spawn — the worker processes it started and must not strand.
+// open, respawn, reap and close are the whole life; every step returns its
+// error instead of exiting, so close always runs.
+type fleet struct {
+	addrs []string
+	conns []*dnet.Conn
+	// flags are appended to every spawned worker's command line.
+	flags []string
+	procs []*exec.Cmd
+	dir   string
+	// timeout is installed on every connection, respawned ones included.
+	timeout time.Duration
+	// killed marks processes this harness SIGKILLed (-kill) — their non-zero
+	// exit is the point, not a failure.
+	killed map[*exec.Cmd]bool
+	// gens[s] counts shard s's respawns: its newest incarnation's mesh
+	// generation (the dnet.Spec.Respawn contract) and socket name.
+	gens []int
+}
+
+// open resolves the worker set — spawn > 0 starts that many worker
+// subprocesses on unix sockets in a fresh temp directory, otherwise workers
+// is a comma-separated address list — and dials every worker.
+func (f *fleet) open(workers string, spawn int, timeout time.Duration) error {
+	f.timeout, f.killed = timeout, map[*exec.Cmd]bool{}
+	switch {
+	case spawn > 0:
+		var err error
+		if f.dir, err = os.MkdirTemp("", "dkc-cluster-"); err != nil {
+			return err
+		}
+		for i := 0; i < spawn; i++ {
+			a := fmt.Sprintf("unix:%s", filepath.Join(f.dir, fmt.Sprintf("w%d.sock", i)))
+			if err := f.spawn(a); err != nil {
+				return err
+			}
+			f.addrs = append(f.addrs, a)
+		}
+	case workers != "":
+		f.addrs = strings.Split(workers, ",")
+	default:
+		return fmt.Errorf("need -workers or -spawn")
+	}
+	f.gens = make([]int, len(f.addrs))
+	for i, a := range f.addrs {
+		cn, err := f.dial(a)
+		if err != nil {
+			return fmt.Errorf("worker %d at %s: %w", i, a, err)
+		}
+		f.conns = append(f.conns, cn)
+	}
+	return nil
+}
+
+// spawn starts one worker subprocess listening on a.
+func (f *fleet) spawn(a string, extra ...string) error {
+	exe, err := os.Executable()
+	if err != nil {
+		return err
+	}
+	args := append(append([]string{"worker", "-listen", a}, f.flags...), extra...)
+	cmd := exec.Command(exe, args...)
+	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
+	if err := cmd.Start(); err != nil {
+		return err
+	}
+	f.procs = append(f.procs, cmd)
+	return nil
+}
+
+// dial connects to the worker at a (retrying while it binds its listener)
+// and arms the fleet's IO timeout.
+func (f *fleet) dial(a string) (*dnet.Conn, error) {
+	network, addr, err := splitAddr(a)
+	if err != nil {
+		return nil, err
+	}
+	nc, err := dialRetry(network, addr, 5*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	cn := dnet.NewConn(nc)
+	cn.SetIOTimeout(f.timeout)
+	return cn, nil
+}
+
+// respawn re-execs the worker binary for shard s on a fresh socket in the
+// run directory and dials it; the coordinator then re-handshakes and restores
+// it from its last retained checkpoint. Called from the coordinator
+// goroutine, so the bookkeeping is race-free. On a streamed run the new
+// incarnation is told its mesh generation, so peers can tell its links from
+// the dead one's.
+func (f *fleet) respawn(s int, stream bool) (*dnet.Conn, error) {
+	f.gens[s]++
+	a := fmt.Sprintf("unix:%s", filepath.Join(f.dir, fmt.Sprintf("w%d-r%d.sock", s, f.gens[s])))
+	var extra []string
+	if stream {
+		extra = []string{"-mesh-gen", strconv.Itoa(f.gens[s])}
+	}
+	if err := f.spawn(a, extra...); err != nil {
+		return nil, err
+	}
+	cn, err := f.dial(a)
+	if err != nil {
+		return nil, fmt.Errorf("respawned worker %d at %s: %w", s, a, err)
+	}
+	fmt.Printf("cluster: respawned worker %d on %s\n", s, a)
+	return cn, nil
+}
+
+// kill SIGKILLs spawned worker w, once; it reports whether this call did.
+func (f *fleet) kill(w int) bool {
+	cmd := f.procs[w]
+	if f.killed[cmd] {
+		return false
+	}
+	f.killed[cmd] = true
+	cmd.Process.Kill()
+	return true
+}
+
+// reap waits for the spawned workers to exit by themselves; an exit status
+// this harness did not cause is an error (the rest stay for close to kill).
+func (f *fleet) reap() error {
+	for len(f.procs) > 0 {
+		cmd := f.procs[0]
+		f.procs = f.procs[1:]
+		if err := cmd.Wait(); err != nil && !f.killed[cmd] {
+			return fmt.Errorf("worker process: %w", err)
+		}
+	}
+	return nil
+}
+
+// close releases whatever is still held: connections, unreaped worker
+// processes (killed), the socket directory.
+func (f *fleet) close() {
+	for _, c := range f.conns {
+		c.Close()
+	}
+	for _, cmd := range f.procs {
 		cmd.Process.Kill()
 		cmd.Wait()
 	}
-	if dir != "" {
-		os.RemoveAll(dir)
-	}
-	if runErr != nil {
-		fatal(runErr)
+	if f.dir != "" {
+		os.RemoveAll(f.dir)
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"net/http"
 	_ "net/http/pprof" // /debug/pprof on the -debug-addr mux
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -59,56 +57,17 @@ func runServe(args []string) {
 		T = core.TForEpsilon(g.N(), *eps)
 	}
 
-	var (
-		procs []*exec.Cmd
-		dir   string
-	)
+	f := fleet{flags: []string{"-session"}}
 	runErr := func() error {
-		var addrs []string
-		switch {
-		case *spawn > 0:
-			var err error
-			if dir, err = os.MkdirTemp("", "dkc-session-"); err != nil {
-				return err
-			}
-			exe, err := os.Executable()
-			if err != nil {
-				return err
-			}
-			for i := 0; i < *spawn; i++ {
-				a := fmt.Sprintf("unix:%s", filepath.Join(dir, fmt.Sprintf("w%d.sock", i)))
-				cmd := exec.Command(exe, "worker", "-listen", a, "-session")
-				cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
-				if err := cmd.Start(); err != nil {
-					return err
-				}
-				procs = append(procs, cmd)
-				addrs = append(addrs, a)
-			}
-		case *workers != "":
-			addrs = strings.Split(*workers, ",")
-		default:
-			return fmt.Errorf("need -workers or -spawn")
+		if err := f.open(*workers, *spawn, *timeout); err != nil {
+			return err
 		}
-		p := len(addrs)
-		assign := part.Partition(g, p)
-
-		conns := make([]*dnet.Conn, p)
-		for i, a := range addrs {
-			network, addr, err := splitAddr(a)
-			if err != nil {
-				return err
-			}
-			nc, err := dialRetry(network, addr, 5*time.Second)
-			if err != nil {
-				return fmt.Errorf("worker %d at %s: %w", i, a, err)
-			}
-			conns[i] = dnet.NewConn(nc)
-			defer conns[i].Close()
-			if *timeout > 0 {
-				conns[i].SetIOTimeout(*timeout)
-			}
+		p := len(f.addrs)
+		pl, err := shard.Place(part, g, p, dist.GraphDelta{}, 0)
+		if err != nil {
+			return err
 		}
+		assign := pl.Assign
 
 		// Epoch 0: one full coordinated run over a hub that outlives it.
 		// The tracer (when asked for) spans the whole session life:
@@ -117,7 +76,7 @@ func runServe(args []string) {
 		if *traceOut != "" {
 			tracer = obs.NewTracer()
 		}
-		hub := dnet.NewHub(conns)
+		hub := dnet.NewHub(f.conns)
 		defer hub.Close()
 		start := time.Now()
 		met, rep, err := hub.Run(dnet.Spec{
@@ -182,24 +141,12 @@ func runServe(args []string) {
 		// Clean goodbye to the workers (best-effort even when serveErr is a
 		// broken session — the error record already went out then).
 		co.Bye()
-		for _, c := range conns {
-			c.Close()
+		if err := f.reap(); err != nil && serveErr == nil {
+			serveErr = err
 		}
-		for _, cmd := range procs {
-			if err := cmd.Wait(); err != nil && serveErr == nil {
-				serveErr = fmt.Errorf("worker process: %w", err)
-			}
-		}
-		procs = nil
 		return serveErr
 	}()
-	for _, cmd := range procs {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}
-	if dir != "" {
-		os.RemoveAll(dir)
-	}
+	f.close()
 	if runErr != nil {
 		fatal(runErr)
 	}
@@ -252,10 +199,7 @@ func runPush(args []string) {
 	havePrev := false
 	for e := 1; e <= *epochs; e++ {
 		d := dist.RandomChurn(cur, *ops, *churnSeed+int64(e))
-		if err := c.WriteRecord(dnet.RecDeltaPush, session.AppendDeltaPush(nil, 0, *budget, d)); err != nil {
-			fatal(err)
-		}
-		if err := c.Flush(); err != nil {
+		if err := c.Send(dnet.RecDeltaPush, session.AppendDeltaPush(nil, 0, *budget, d)); err != nil {
 			fatal(err)
 		}
 		typ, body, err := c.AwaitRecord()
@@ -295,8 +239,7 @@ func runPush(args []string) {
 		prevChain, havePrev = st.ChainDigest, true
 	}
 	if *shutdown {
-		_ = c.WriteRecord(dnet.RecBye, []byte("shutdown"))
-		_ = c.Flush()
+		_ = c.Send(dnet.RecBye, []byte("shutdown"))
 	}
 }
 
@@ -321,10 +264,7 @@ func runStat(args []string) {
 	c := dnet.NewConn(nc)
 	defer c.Close()
 
-	if err := c.WriteRecord(dnet.RecStat, nil); err != nil {
-		fatal(err)
-	}
-	if err := c.Flush(); err != nil {
+	if err := c.Send(dnet.RecStat, nil); err != nil {
 		fatal(err)
 	}
 	typ, body, err := c.AwaitRecord()
@@ -398,10 +338,7 @@ func runSub(args []string) {
 	c := dnet.NewConn(nc)
 	defer c.Close()
 
-	if err := c.WriteRecord(dnet.RecSubscribe, session.AppendSubscribe(nil, topics)); err != nil {
-		fatal(err)
-	}
-	if err := c.Flush(); err != nil {
+	if err := c.Send(dnet.RecSubscribe, session.AppendSubscribe(nil, topics)); err != nil {
 		fatal(err)
 	}
 	typ, body, err := c.AwaitRecord()

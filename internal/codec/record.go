@@ -171,26 +171,26 @@ func AppendHello(dst []byte, h Hello) []byte {
 // DecodeHello decodes a Hello and returns the number of bytes consumed.
 func DecodeHello(src []byte) (Hello, int, error) {
 	var h Hello
-	d := decoder{src: src}
-	h.Version = int(d.uvarint())
-	h.P = int(d.uvarint())
-	h.Shard = int(d.uvarint())
-	h.MaxRounds = int(d.uvarint())
-	h.GraphHash = d.u64()
-	h.PartDigest = d.u64()
-	h.DeltaDigest = d.u64()
-	h.LamKind = d.byte()
-	h.LamL = math.Float64frombits(d.u64())
-	h.LamName = d.string()
-	h.GraphSpec = d.string()
-	h.PartName = d.string()
-	h.ProtoSpec = d.string()
-	h.WantValues = d.byte() != 0
-	h.Recover = d.byte() != 0
-	h.Stream = d.byte() != 0
-	h.MeshKind = d.byte()
-	h.Window = int(d.uvarint())
-	h.MeshSpec = d.string()
+	d := Decoder{src: src}
+	h.Version = int(d.Uvarint())
+	h.P = int(d.Uvarint())
+	h.Shard = int(d.Uvarint())
+	h.MaxRounds = int(d.Uvarint())
+	h.GraphHash = d.U64()
+	h.PartDigest = d.U64()
+	h.DeltaDigest = d.U64()
+	h.LamKind = d.Byte()
+	h.LamL = math.Float64frombits(d.U64())
+	h.LamName = d.Str()
+	h.GraphSpec = d.Str()
+	h.PartName = d.Str()
+	h.ProtoSpec = d.Str()
+	h.WantValues = d.Byte() != 0
+	h.Recover = d.Byte() != 0
+	h.Stream = d.Byte() != 0
+	h.MeshKind = d.Byte()
+	h.Window = int(d.Uvarint())
+	h.MeshSpec = d.Str()
 	if d.err == nil && h.Window < 0 {
 		d.err = fmt.Errorf("negative field from oversized uvarint")
 	}
@@ -223,12 +223,12 @@ func AppendWelcome(dst []byte, w Welcome) []byte {
 // DecodeWelcome decodes a Welcome and returns the number of bytes consumed.
 func DecodeWelcome(src []byte) (Welcome, int, error) {
 	var w Welcome
-	d := decoder{src: src}
-	w.Version = int(d.uvarint())
-	w.Shard = int(d.uvarint())
-	w.GraphHash = d.u64()
-	w.PartDigest = d.u64()
-	w.Nodes = int(d.uvarint())
+	d := Decoder{src: src}
+	w.Version = int(d.Uvarint())
+	w.Shard = int(d.Uvarint())
+	w.GraphHash = d.U64()
+	w.PartDigest = d.U64()
+	w.Nodes = int(d.Uvarint())
 	if d.err != nil {
 		return Welcome{}, 0, fmt.Errorf("codec: bad welcome record: %w", d.err)
 	}
@@ -249,15 +249,40 @@ func appendBool(dst []byte, b bool) []byte {
 	return append(dst, 0)
 }
 
-// decoder is a cursor over src that latches the first error, so the record
-// decoders above read field after field without per-field error plumbing.
-type decoder struct {
+// Decoder is a cursor over a record body that latches the first error, so
+// record decoders — this package's and, through NewDecoder, the session
+// layer's — read field after field without per-field error plumbing. It runs
+// on bytes straight off a socket: truncations and hostile lengths latch an
+// error, never panic.
+type Decoder struct {
 	src []byte
 	n   int
 	err error
 }
 
-func (d *decoder) uvarint() uint64 {
+// NewDecoder returns a decoder over src.
+func NewDecoder(src []byte) *Decoder { return &Decoder{src: src} }
+
+// Rest returns the number of bytes not yet consumed.
+func (d *Decoder) Rest() int { return len(d.src) - d.n }
+
+// Fail latches err unless an earlier error already is.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+// Finish ends a decode that must consume its whole input: the latched error,
+// or an error naming the trailing bytes.
+func (d *Decoder) Finish() error {
+	if d.err == nil && d.n != len(d.src) {
+		d.err = fmt.Errorf("%d trailing bytes", len(d.src)-d.n)
+	}
+	return d.err
+}
+
+func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -270,7 +295,7 @@ func (d *decoder) uvarint() uint64 {
 	return u
 }
 
-func (d *decoder) u64() uint64 {
+func (d *Decoder) U64() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -283,7 +308,7 @@ func (d *decoder) u64() uint64 {
 	return u
 }
 
-func (d *decoder) byte() byte {
+func (d *Decoder) Byte() byte {
 	if d.err != nil {
 		return 0
 	}
@@ -296,8 +321,8 @@ func (d *decoder) byte() byte {
 	return b
 }
 
-func (d *decoder) string() string {
-	l := d.uvarint()
+func (d *Decoder) Str() string {
+	l := d.Uvarint()
 	if d.err != nil {
 		return ""
 	}

@@ -36,13 +36,13 @@ func AppendCheckpoint(dst []byte, c Checkpoint) []byte {
 // DecodeCheckpoint decodes a Checkpoint and returns the bytes consumed.
 func DecodeCheckpoint(src []byte) (Checkpoint, int, error) {
 	var c Checkpoint
-	d := decoder{src: src}
-	c.Round = int(d.uvarint())
-	c.FrameChain = d.u64()
-	c.Msgs = int64(d.uvarint())
-	c.Words = int64(d.uvarint())
-	c.Wire = int64(d.uvarint())
-	c.State = d.bytes()
+	d := Decoder{src: src}
+	c.Round = int(d.Uvarint())
+	c.FrameChain = d.U64()
+	c.Msgs = int64(d.Uvarint())
+	c.Words = int64(d.Uvarint())
+	c.Wire = int64(d.Uvarint())
+	c.State = d.Bytes()
 	if d.err == nil && (c.Round < 0 || c.Msgs < 0 || c.Words < 0 || c.Wire < 0) {
 		d.err = fmt.Errorf("negative field from oversized uvarint")
 	}
@@ -83,14 +83,14 @@ func AppendResume(dst []byte, r Resume) []byte {
 // DecodeResume decodes a Resume and returns the bytes consumed.
 func DecodeResume(src []byte) (Resume, int, error) {
 	var r Resume
-	d := decoder{src: src}
-	r.CkptRound = int(d.uvarint()) - 1
-	r.Catchup = int(d.uvarint())
-	r.FrameChain = d.u64()
-	r.Msgs = int64(d.uvarint())
-	r.Words = int64(d.uvarint())
-	r.Wire = int64(d.uvarint())
-	r.State = d.bytes()
+	d := Decoder{src: src}
+	r.CkptRound = int(d.Uvarint()) - 1
+	r.Catchup = int(d.Uvarint())
+	r.FrameChain = d.U64()
+	r.Msgs = int64(d.Uvarint())
+	r.Words = int64(d.Uvarint())
+	r.Wire = int64(d.Uvarint())
+	r.State = d.Bytes()
 	if d.err == nil && (r.CkptRound < -1 || r.Catchup < 0 || r.Msgs < 0 || r.Words < 0 || r.Wire < 0) {
 		d.err = fmt.Errorf("negative field from oversized uvarint")
 	}
@@ -116,9 +116,9 @@ func AppendReplay(dst []byte, r Replay) []byte {
 // DecodeReplay decodes a Replay and returns the bytes consumed.
 func DecodeReplay(src []byte) (Replay, int, error) {
 	var r Replay
-	d := decoder{src: src}
-	r.Round = int(d.uvarint())
-	r.Frames = int(d.uvarint())
+	d := Decoder{src: src}
+	r.Round = int(d.Uvarint())
+	r.Frames = int(d.Uvarint())
 	if d.err == nil && (r.Round < 0 || r.Frames < 0) {
 		d.err = fmt.Errorf("negative field from oversized uvarint")
 	}
@@ -136,8 +136,8 @@ func appendBytes(dst, b []byte) []byte {
 
 // bytes decodes a uvarint-length-prefixed byte slice (a subslice of src,
 // not a copy), with the same hostile-length guard as string.
-func (d *decoder) bytes() []byte {
-	l := d.uvarint()
+func (d *Decoder) Bytes() []byte {
+	l := d.Uvarint()
 	if d.err != nil {
 		return nil
 	}

@@ -37,13 +37,13 @@ func AppendStamp(dst []byte, s Stamp) []byte {
 // DecodeStamp decodes a Stamp and returns the number of bytes consumed.
 func DecodeStamp(src []byte) (Stamp, int, error) {
 	var s Stamp
-	d := decoder{src: src}
-	s.Epoch = int(d.uvarint())
-	s.GraphHash = d.u64()
-	s.PartDigest = d.u64()
-	s.ValuesDigest = d.u64()
-	s.ChainDigest = d.u64()
-	s.Changed = int(d.uvarint())
+	d := Decoder{src: src}
+	s.Epoch = int(d.Uvarint())
+	s.GraphHash = d.U64()
+	s.PartDigest = d.U64()
+	s.ValuesDigest = d.U64()
+	s.ChainDigest = d.U64()
+	s.Changed = int(d.Uvarint())
 	if d.err != nil {
 		return Stamp{}, 0, fmt.Errorf("codec: bad stamp record: %w", d.err)
 	}

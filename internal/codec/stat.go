@@ -74,24 +74,24 @@ func AppendStat(dst []byte, s Stat) []byte {
 // DecodeStat decodes a Stat and returns the number of bytes consumed.
 func DecodeStat(src []byte) (Stat, int, error) {
 	var s Stat
-	d := decoder{src: src}
-	s.Epoch = int(d.uvarint())
-	s.ChainDigest = d.u64()
-	s.Workers = int(d.uvarint())
-	s.Nodes = int(d.uvarint())
-	s.Subscribers = int(d.uvarint())
-	s.Pushes = int64(d.uvarint())
-	s.Rejected = int64(d.uvarint())
-	s.Changed = int64(d.uvarint())
-	s.DeltaBytes = int64(d.uvarint())
-	s.Notifications = int64(d.uvarint())
-	s.EpochMicros = int64(d.uvarint())
-	s.Recoveries = int64(d.uvarint())
-	s.Broken = d.byte() != 0
-	s.CauseEpoch = int(d.uvarint())
-	s.CauseWorker = int(d.uvarint()) - 1
-	s.CausePhase = d.string()
-	s.Cause = d.string()
+	d := Decoder{src: src}
+	s.Epoch = int(d.Uvarint())
+	s.ChainDigest = d.U64()
+	s.Workers = int(d.Uvarint())
+	s.Nodes = int(d.Uvarint())
+	s.Subscribers = int(d.Uvarint())
+	s.Pushes = int64(d.Uvarint())
+	s.Rejected = int64(d.Uvarint())
+	s.Changed = int64(d.Uvarint())
+	s.DeltaBytes = int64(d.Uvarint())
+	s.Notifications = int64(d.Uvarint())
+	s.EpochMicros = int64(d.Uvarint())
+	s.Recoveries = int64(d.Uvarint())
+	s.Broken = d.Byte() != 0
+	s.CauseEpoch = int(d.Uvarint())
+	s.CauseWorker = int(d.Uvarint()) - 1
+	s.CausePhase = d.Str()
+	s.Cause = d.Str()
 	if d.err != nil {
 		return Stat{}, 0, fmt.Errorf("codec: bad stat record: %w", d.err)
 	}

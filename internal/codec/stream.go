@@ -39,12 +39,12 @@ func AppendPeerFrame(dst []byte, pf PeerFrame) []byte {
 // DecodePeerFrame decodes a chunk header and returns the bytes consumed.
 func DecodePeerFrame(src []byte) (PeerFrame, int, error) {
 	var pf PeerFrame
-	d := decoder{src: src}
-	pf.Src = int(d.uvarint())
-	pf.Dst = int(d.uvarint())
-	pf.Round = int(d.uvarint())
-	pf.Seq = int(d.uvarint())
-	pf.Count = int(d.uvarint())
+	d := Decoder{src: src}
+	pf.Src = int(d.Uvarint())
+	pf.Dst = int(d.Uvarint())
+	pf.Round = int(d.Uvarint())
+	pf.Seq = int(d.Uvarint())
+	pf.Count = int(d.Uvarint())
 	if d.err == nil && (pf.Src < 0 || pf.Dst < 0 || pf.Round < 0 || pf.Seq < 0 || pf.Count < 0) {
 		d.err = fmt.Errorf("negative field from oversized uvarint")
 	}
@@ -99,16 +99,16 @@ func AppendWindow(dst []byte, w Window) []byte {
 // DecodeWindow decodes a Window and returns the bytes consumed.
 func DecodeWindow(src []byte) (Window, int, error) {
 	var w Window
-	d := decoder{src: src}
-	w.Kind = d.byte()
-	w.Src = int(d.uvarint())
-	w.Dst = int(d.uvarint())
-	w.Round = int(d.uvarint())
-	w.Chunks = int(d.uvarint())
-	w.Msgs = int64(d.uvarint())
-	w.Bytes = int64(d.uvarint())
-	w.Digest = d.u64()
-	w.Credits = int(d.uvarint())
+	d := Decoder{src: src}
+	w.Kind = d.Byte()
+	w.Src = int(d.Uvarint())
+	w.Dst = int(d.Uvarint())
+	w.Round = int(d.Uvarint())
+	w.Chunks = int(d.Uvarint())
+	w.Msgs = int64(d.Uvarint())
+	w.Bytes = int64(d.Uvarint())
+	w.Digest = d.U64()
+	w.Credits = int(d.Uvarint())
 	if d.err == nil && (w.Src < 0 || w.Dst < 0 || w.Round < 0 || w.Chunks < 0 ||
 		w.Msgs < 0 || w.Bytes < 0 || w.Credits < 0) {
 		d.err = fmt.Errorf("negative field from oversized uvarint")
@@ -154,9 +154,9 @@ func AppendStreamDone(dst []byte, sd StreamDone) []byte {
 // DecodeStreamDone decodes a StreamDone and returns the bytes consumed.
 func DecodeStreamDone(src []byte) (StreamDone, int, error) {
 	var sd StreamDone
-	d := decoder{src: src}
-	sd.Round = int(d.uvarint())
-	sd.Alive = int(d.uvarint())
+	d := Decoder{src: src}
+	sd.Round = int(d.Uvarint())
+	sd.Alive = int(d.Uvarint())
 	sd.Sent = d.peerDigests()
 	if d.err == nil && (sd.Round < 0 || sd.Alive < 0) {
 		d.err = fmt.Errorf("negative field from oversized uvarint")
@@ -191,13 +191,13 @@ func AppendStreamWire(dst []byte, sw StreamWire) []byte {
 	return binary.AppendUvarint(dst, uint64(sw.Credits))
 }
 
-func (d *decoder) streamWire() StreamWire {
+func (d *Decoder) streamWire() StreamWire {
 	var sw StreamWire
-	sw.Sent = int64(d.uvarint())
-	sw.Recv = int64(d.uvarint())
-	sw.Relayed = int64(d.uvarint())
-	sw.Chunks = int64(d.uvarint())
-	sw.Credits = int64(d.uvarint())
+	sw.Sent = int64(d.Uvarint())
+	sw.Recv = int64(d.Uvarint())
+	sw.Relayed = int64(d.Uvarint())
+	sw.Chunks = int64(d.Uvarint())
+	sw.Credits = int64(d.Uvarint())
 	if d.err == nil && (sw.Sent < 0 || sw.Recv < 0 || sw.Relayed < 0 || sw.Chunks < 0 || sw.Credits < 0) {
 		d.err = fmt.Errorf("negative field from oversized uvarint")
 	}
@@ -223,8 +223,8 @@ func AppendStreamAck(dst []byte, sa StreamAck) []byte {
 // DecodeStreamAck decodes a StreamAck and returns the bytes consumed.
 func DecodeStreamAck(src []byte) (StreamAck, int, error) {
 	var sa StreamAck
-	d := decoder{src: src}
-	sa.Round = int(d.uvarint())
+	d := Decoder{src: src}
+	sa.Round = int(d.Uvarint())
 	sa.Wire = d.streamWire()
 	sa.Recv = d.peerDigests()
 	if d.err == nil && sa.Round < 0 {
@@ -252,8 +252,8 @@ func appendPeerDigests(dst []byte, pds []PeerDigest) []byte {
 // peerDigests decodes a counted PeerDigest list. Each entry occupies at
 // least 12 bytes (four uvarints plus the 8-byte digest), so a hostile count
 // is rejected against the remaining input instead of driving an allocation.
-func (d *decoder) peerDigests() []PeerDigest {
-	cnt := d.uvarint()
+func (d *Decoder) peerDigests() []PeerDigest {
+	cnt := d.Uvarint()
 	if d.err != nil {
 		return nil
 	}
@@ -264,11 +264,11 @@ func (d *decoder) peerDigests() []PeerDigest {
 	pds := make([]PeerDigest, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
 		var pd PeerDigest
-		pd.Peer = int(d.uvarint())
-		pd.Chunks = int(d.uvarint())
-		pd.Msgs = int64(d.uvarint())
-		pd.Bytes = int64(d.uvarint())
-		pd.Digest = d.u64()
+		pd.Peer = int(d.Uvarint())
+		pd.Chunks = int(d.Uvarint())
+		pd.Msgs = int64(d.Uvarint())
+		pd.Bytes = int64(d.Uvarint())
+		pd.Digest = d.U64()
 		if d.err != nil {
 			return nil
 		}

@@ -170,9 +170,9 @@ func TestChurnDeltaRecordDigestMismatch(t *testing.T) {
 	go func() {
 		h := codec.Hello{Version: codec.HandshakeVersion, P: 1, MaxRounds: 3,
 			GraphHash: 0xdead, PartDigest: 0xbeef, DeltaDigest: delta.Digest()}
-		cc.writeRecord(recHello, codec.AppendHello(nil, h))
-		cc.writeRecord(recDelta, shard.AppendDelta(nil, 0, evil))
-		cc.flush()
+		cc.WriteRecord(recHello, codec.AppendHello(nil, h))
+		cc.WriteRecord(recDelta, shard.AppendDelta(nil, 0, evil))
+		cc.Flush()
 	}()
 	w := NewWorker(wc, g, assign)
 	w.Part = part

@@ -47,8 +47,7 @@ const (
 	// coordinator→worker, body is the codec.Stamp of the last sealed epoch;
 	// the worker recomputes its state from the current graph, verifies the
 	// stamp, and echoes it byte-identically (DESIGN.md §13). Exported with
-	// the session records because internal/session drives it through the
-	// exported record IO.
+	// the session records because internal/session speaks it itself.
 	RecEpochResume = byte(22)
 )
 
@@ -91,9 +90,9 @@ const (
 // Session record types (DESIGN.md §10): the generalization of the one-shot
 // churn record recDelta into a long-lived epoch protocol spoken after a run
 // finishes instead of hanging up. They are exported — unlike the run records
-// above — because internal/session drives them through the exported record
-// IO (ReadRecord/WriteRecord) rather than through this package's run loop;
-// the number space is one table.
+// above — because internal/session speaks them itself over Conn's record IO
+// rather than through this package's run loop; the number space is one
+// table.
 const (
 	// RecDeltaPush streams one churn batch. Coordinator→worker the body is
 	// uvarint epoch ++ shard.AppendDelta(budget, batch); client→coordinator
@@ -120,8 +119,8 @@ const (
 	// subscriber and push totals, timing, break cause).
 	RecStat = byte(18)
 	// RecError re-exports the run protocol's error record for session
-	// endpoints reading through the exported record IO: error records abort
-	// whatever exchange is in flight in both protocols.
+	// endpoints: error records abort whatever exchange is in flight in both
+	// protocols.
 	RecError = recError
 )
 
@@ -133,8 +132,8 @@ type Conn struct {
 	nc   net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
-	rbuf []byte // readRecord reuse
-	wbuf []byte // writeRecord encode scratch
+	rbuf []byte // ReadRecord reuse
+	wbuf []byte // WriteRecord encode scratch
 	// timeout, when non-zero, arms a read deadline before every record read
 	// and a write deadline before every record write/flush (SetIOTimeout).
 	timeout time.Duration
@@ -172,17 +171,18 @@ func (c *Conn) Close() error { return c.nc.Close() }
 // awaiting client pushes — go through AwaitRecord, which ignores d.
 func (c *Conn) SetIOTimeout(d time.Duration) { c.timeout = d }
 
-// readRecord reads one record and splits off the type byte, arming the
+// ReadRecord reads one record and splits off the type byte, arming the
 // read deadline when SetIOTimeout configured one. The returned body aliases
-// an internal buffer valid until the next read.
-func (c *Conn) readRecord() (typ byte, body []byte, err error) {
+// an internal buffer valid until the next read — decode before reading
+// again.
+func (c *Conn) ReadRecord() (typ byte, body []byte, err error) {
 	if c.timeout > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(c.timeout))
 	}
 	return c.rawReadRecord()
 }
 
-// rawReadRecord is readRecord without touching the deadline.
+// rawReadRecord is ReadRecord without touching the deadline.
 func (c *Conn) rawReadRecord() (typ byte, body []byte, err error) {
 	payload, err := codec.ReadRecord(c.br, c.rbuf, 0)
 	if err != nil {
@@ -195,12 +195,6 @@ func (c *Conn) rawReadRecord() (typ byte, body []byte, err error) {
 	return payload[0], payload[1:], nil
 }
 
-// ReadRecord is the exported form of the record read for protocol layers
-// built on top of this package (internal/session): one record, type byte
-// split off, IO deadline armed when configured. The body aliases an
-// internal buffer valid until the next read — decode before reading again.
-func (c *Conn) ReadRecord() (typ byte, body []byte, err error) { return c.readRecord() }
-
 // AwaitRecord is ReadRecord minus the deadline: it clears any read deadline
 // first, so it can park indefinitely. Session endpoints use it at epoch
 // boundaries — a worker waiting for the next delta push, a server waiting
@@ -212,12 +206,12 @@ func (c *Conn) AwaitRecord() (typ byte, body []byte, err error) {
 	return c.rawReadRecord()
 }
 
-// writeRecord buffers one record of the given type; chunks are
+// WriteRecord buffers one record of the given type; chunks are
 // concatenated into the body. The payload length is known up front, so the
 // whole record — uvarint length, type byte, chunks — is assembled in one
 // scratch buffer (frames are the wire hot path; no intermediate copy).
-// Flush with flush before switching to reads.
-func (c *Conn) writeRecord(typ byte, chunks ...[]byte) error {
+// Call Flush before switching to reads.
+func (c *Conn) WriteRecord(typ byte, chunks ...[]byte) error {
 	if c.timeout > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(c.timeout))
 	}
@@ -235,35 +229,32 @@ func (c *Conn) writeRecord(typ byte, chunks ...[]byte) error {
 	return err
 }
 
-func (c *Conn) flush() error {
+// Flush flushes buffered record writes to the connection.
+func (c *Conn) Flush() error {
 	if c.timeout > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(c.timeout))
 	}
 	return c.bw.Flush()
 }
 
-// WriteRecord buffers one record of the given type (chunks concatenated
-// into the body) — the exported form of the record write for protocol
-// layers built on top of this package. Call Flush before switching to
-// reads.
-func (c *Conn) WriteRecord(typ byte, chunks ...[]byte) error { return c.writeRecord(typ, chunks...) }
-
-// Flush flushes buffered record writes to the connection.
-func (c *Conn) Flush() error { return c.flush() }
+// Send writes one record and flushes it — the whole of most exchanges.
+func (c *Conn) Send(typ byte, chunks ...[]byte) error {
+	if err := c.WriteRecord(typ, chunks...); err != nil {
+		return err
+	}
+	return c.Flush()
+}
 
 // SendError best-effort ships an error record to the peer so it can abort
 // with a reason instead of a bare broken connection.
-func (c *Conn) SendError(err error) {
-	_ = c.writeRecord(recError, []byte(err.Error()))
-	_ = c.flush()
-}
+func (c *Conn) SendError(err error) { _ = c.Send(recError, []byte(err.Error())) }
 
 // ReadHello reads the coordinator's handshake record from c. cmd/cluster's
 // worker calls it first, so it can resolve the graph, partition and
 // protocol the hello describes before constructing the Worker (whose Run
 // then skips the read — set Worker.Hello to the returned record).
 func ReadHello(c *Conn) (*codec.Hello, error) {
-	typ, body, err := c.readRecord()
+	typ, body, err := c.ReadRecord()
 	if err != nil {
 		return nil, fmt.Errorf("net: reading hello: %w", err)
 	}

@@ -43,14 +43,10 @@ type Spec struct {
 	// deadline side of "determinism over availability").
 	IOTimeout time.Duration
 	// Recover arms crash recovery (DESIGN.md §13): workers checkpoint
-	// after every delivery, the coordinator retains the last RetainRounds
+	// after every delivery, the coordinator retains the last retainRounds
 	// checkpoints and sealed rounds per worker, and a dead worker is
 	// respawned via Respawn and restored instead of failing the run.
 	Recover bool
-	// RetainRounds is K, the per-worker retention depth for checkpoints and
-	// what catch-up re-feeds; ≤ 0 means the default of 4 (a worker's
-	// checkpoint lag is at most 2 rounds, so 4 leaves slack).
-	RetainRounds int
 	// Respawn produces a fresh connection to a restarted worker for the
 	// given shard: the in-process engine spawns a goroutine on a fresh
 	// pipe, cmd/cluster re-execs the worker binary on a fresh socket.
@@ -75,10 +71,6 @@ type Spec struct {
 	// only; ≤ 0 means the default of 16). Recovery forces the full mesh —
 	// resends need a direct path that a relay hop's death cannot sever.
 	MeshThreshold int
-	// Window is the per-peer flow-control window of a streamed run: how
-	// many unacknowledged chunks a sender may have in flight toward one
-	// destination (≤ 0 means the protocol default).
-	Window int
 	// MeshSpec names the workers' mesh listen addresses for multi-process
 	// streamed runs (comma-joined, indexed by shard); empty in-process.
 	MeshSpec string
@@ -306,16 +298,11 @@ type coordinator struct {
 // recoverable reports whether worker death is survivable in this run.
 func (c *coordinator) recoverable() bool { return c.spec.Recover && c.spec.Respawn != nil }
 
-// retainDepth resolves a RetainRounds setting to the retention depth K, on
-// the coordinator and on streamed workers alike.
-func retainDepth(k int) int {
-	if k > 0 {
-		return k
-	}
-	return 4
-}
-
-func (c *coordinator) retainK() int { return retainDepth(c.spec.RetainRounds) }
+// retainRounds is K, the per-worker retention depth — checkpoints, sealed
+// chains and relay history at the coordinator, sent flows at streamed
+// workers: what a catch-up can re-feed. A worker's checkpoint lag is at most
+// 2 rounds, so 4 leaves slack.
+const retainRounds = 4
 
 // fail attributes a fatal fault to worker w (-1: nobody) at its position in
 // the round in flight; waiting is the position of the workers still owing a
@@ -344,13 +331,13 @@ func (c *coordinator) collect(owed []bool, handle func(from int, typ byte, body 
 // worker dead since its last release: with recovery armed it is restored
 // through round upTo and handed the record again.
 func (c *coordinator) sendRestoring(i, upTo int, typ byte, body []byte) (restarted bool, err error) {
-	if err = c.hub.send(i, typ, body); err == nil || !c.recoverable() {
+	if err = c.hub.Send(i, typ, body); err == nil || !c.recoverable() {
 		return false, err
 	}
 	if err = c.restart(i, upTo); err != nil {
 		return false, err
 	}
-	return true, c.hub.send(i, typ, body)
+	return true, c.hub.Send(i, typ, body)
 }
 
 // absorbCheckpoint stores one worker checkpoint in the retention ring,
@@ -375,14 +362,14 @@ func (c *coordinator) absorbCheckpoint(w int, body []byte) error {
 	for len(ring) > 0 && ring[len(ring)-1].Round >= ck.Round {
 		ring = ring[:len(ring)-1]
 	}
-	c.ckpts[w] = keepLast(append(ring, ck), c.retainK())
+	c.ckpts[w] = keepLast(append(ring, ck), retainRounds)
 	return nil
 }
 
 // retain records worker w's chain after round t — what the plane's seal
 // advanced c.chains[w] to — so checkpoints verify against it.
 func (c *coordinator) retain(t, w int) {
-	c.sealed[w] = keepLast(append(c.sealed[w], sealedRound{round: t, chain: c.chains[w]}), c.retainK())
+	c.sealed[w] = keepLast(append(c.sealed[w], sealedRound{round: t, chain: c.chains[w]}), retainRounds)
 }
 
 // restart is the recovery core (DESIGN.md §8.4): respawn worker w, re-admit
@@ -426,7 +413,7 @@ func (c *coordinator) restart(w, upTo int) error {
 	if err := c.plane.resend(w, gen, rs.CkptRound+1); err != nil {
 		return err
 	}
-	if err := cn.writeRecord(recResume, codec.AppendResume(nil, rs)); err != nil {
+	if err := cn.WriteRecord(recResume, codec.AppendResume(nil, rs)); err != nil {
 		return fmt.Errorf("net: resuming worker %d: %w", w, err)
 	}
 	for t := rs.CkptRound + 1; t <= upTo; t++ {
@@ -437,7 +424,7 @@ func (c *coordinator) restart(w, upTo int) error {
 		}
 		rp.EndN(bytes, items)
 	}
-	if err := cn.flush(); err != nil {
+	if err := cn.Flush(); err != nil {
 		return fmt.Errorf("net: resuming worker %d: %w", w, err)
 	}
 	c.rep.Recoveries++
@@ -448,15 +435,15 @@ func (c *coordinator) restart(w, upTo int) error {
 // when the run has one.
 func (c *coordinator) admit(i int) error {
 	cn := c.hub.Conn(i)
-	if err := cn.writeRecord(recHello, c.hellos[i]); err != nil {
+	if err := cn.WriteRecord(recHello, c.hellos[i]); err != nil {
 		return err
 	}
 	if c.deltaRec != nil {
-		if err := cn.writeRecord(recDelta, c.deltaRec); err != nil {
+		if err := cn.WriteRecord(recDelta, c.deltaRec); err != nil {
 			return err
 		}
 	}
-	return cn.flush()
+	return cn.Flush()
 }
 
 // checkWelcome validates one welcome record against the spec (shared by
@@ -505,7 +492,6 @@ func (c *coordinator) run() (dist.Metrics, error) {
 			Recover:     c.spec.Recover,
 			Stream:      c.spec.Stream,
 			MeshKind:    meshKindFor(p, c.spec.MeshThreshold, c.spec.Recover),
-			Window:      c.spec.Window,
 			MeshSpec:    c.spec.MeshSpec,
 		})
 		if err := c.admit(i); err != nil {
@@ -610,7 +596,7 @@ func (c *coordinator) run() (dist.Metrics, error) {
 			return err
 		}
 		restarted[w] = true
-		return c.hub.send(w, recFinish, fin)
+		return c.hub.Send(w, recFinish, fin)
 	})
 	if err != nil {
 		return dist.Metrics{}, c.fail(w, obs.PhaseDeliver, err)
@@ -687,7 +673,7 @@ func (c *coordinator) round(t int) (alive int, err error) {
 		if err := c.restart(w, t-1); err != nil {
 			return err
 		}
-		return c.hub.send(w, recStep, step)
+		return c.hub.Send(w, recStep, step)
 	})
 	bw.End()
 	if err != nil {

@@ -37,12 +37,18 @@
 //     own loop, which mirrors SeqEngine's round loop condition for
 //     condition.
 //
-// Engine is the in-process form (workers as goroutines over net.Pipe, or
-// over real localhost sockets with Transport "unix"/"tcp") and accepts any
-// dist.Factory. RunCoordinator and Worker are the two protocol endpoints
-// cmd/cluster wires to separate processes; there the factory cannot cross
-// the process boundary, so the handshake carries generator/partitioner/
-// protocol spec strings each worker resolves locally. Hub is the
+// Cluster is the one in-process bring-up: dial (net.Pipe, or real localhost
+// sockets with Transport "unix"/"tcp"), deadlines, hub, one goroutine per
+// worker running the caller's Body on a Seat — its errors and panics turned
+// into error records — the pipe respawn with its mesh generation, the mesh
+// broker of a streamed cluster, the teardown. Engine is "Start, Run, Close"
+// over it with Worker.run as the body, and accepts any dist.Factory; a
+// session (internal/session) is the same launcher with a body that goes on
+// into the epoch loop and a hub that stays open. RunCoordinator and Worker
+// are the two protocol endpoints cmd/cluster wires to separate processes;
+// there the factory cannot cross the process boundary, so the handshake
+// carries generator/partitioner/protocol spec strings each worker resolves
+// locally. Hub is the
 // coordinator's side of the connections and owns the receive/respawn
 // discipline every exchange on top uses — Collect (an owed set, the one
 // place a timeout is blamed on a worker), AwaitFrom (one worker's reply,

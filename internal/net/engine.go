@@ -1,11 +1,7 @@
 package net
 
 import (
-	"errors"
 	"fmt"
-	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -53,9 +49,6 @@ type Engine struct {
 	// failing the run. Set it before Run, together with an IOTimeout so a
 	// silent death surfaces as a timeout.
 	Recover bool
-	// RetainRounds overrides the checkpoint/catch-up retention depth K (≤ 0
-	// means the protocol default of 4).
-	RetainRounds int
 	// Stream selects the streamed frame plane (DESIGN.md §8.4, §14): the
 	// same round loop, with cross-shard messages flowing worker↔worker over
 	// an in-process mesh of net.Pipe links instead of through the
@@ -65,9 +58,6 @@ type Engine struct {
 	// a hypercube instead of the full mesh (≤ 0 means the default of 16;
 	// power-of-two P only, and recovery forces the full mesh).
 	MeshThreshold int
-	// Window overrides the per-peer flow-control window of a streamed run
-	// (≤ 0 means the protocol default).
-	Window int
 	// ChunkBytes overrides the streaming chunk flush threshold (≤ 0 means
 	// shard.DefaultChunkBytes). Tests shrink it to force multi-chunk flows.
 	ChunkBytes int
@@ -226,276 +216,52 @@ func (e *Engine) ClusterMetrics() shard.ShardMetrics {
 	return sm
 }
 
-// Run implements dist.Engine. Like the other engines it has no error
-// channel; connection failures and protocol violations — impossible in a
-// correct in-process run short of a resource failure — panic with the
-// coordinator's diagnosis.
+// Run implements dist.Engine: bring a Cluster up whose worker body is one
+// coordinated run, drive the run, tear the cluster down. Like the other
+// engines it has no error channel; connection failures and protocol
+// violations — impossible in a correct in-process run short of a resource
+// failure — panic with the coordinator's diagnosis.
 func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.Metrics {
-	p := e.p
-	assign := e.part.Partition(g, p)
-	if len(assign) != g.N() {
-		panic(fmt.Sprintf("net: partitioner %s returned %d assignments for %d nodes",
-			e.part.Name(), len(assign), g.N()))
-	}
-	for v, s := range assign {
-		if s < 0 || s >= p {
-			panic(fmt.Sprintf("net: partitioner %s assigned node %d to shard %d (p=%d)",
-				e.part.Name(), v, s, p))
-		}
-	}
-	// Under churn the coordinator side computes the post-churn inputs to pin
-	// in the handshake; the workers are handed the PRE-churn graph and base
+	// Under churn the coordinator side pins the post-churn placement in the
+	// handshake; the workers are handed the PRE-churn graph and base
 	// assignment and must arrive at the same results from the delta record —
 	// the full protocol runs even in-process.
-	runG, runAssign := g, assign
-	spec := Spec{
-		P:         p,
-		MaxRounds: maxRounds,
-		Lam:       e.lam,
-		Trace:     e.trace,
-	}
-	if len(e.churn.delta.Ops) > 0 {
-		spec.Delta, spec.MoveBudget = e.churn.delta, e.churn.budget
-		g2, next, cm, err := shard.AbsorbDelta(e.part, g, p, assign, spec.Delta, spec.MoveBudget)
-		if err != nil {
-			panic("net: " + err.Error())
-		}
-		*e.cm = cm
-		runG, runAssign = g2, next
-	}
-	spec.GraphHash = runG.Fingerprint()
-	spec.PartDigest = shard.PartitionDigest(runAssign)
-	spec.IOTimeout = e.IOTimeout
-	coord, workers, cleanup, err := DialCluster(e.Transport, p)
+	pl, err := shard.Place(e.part, g, e.p, e.churn.delta, e.churn.budget)
 	if err != nil {
 		panic("net: " + err.Error())
 	}
-	defer cleanup()
-	if e.IOTimeout > 0 {
-		for i := 0; i < p; i++ {
-			coord[i].SetIOTimeout(e.IOTimeout)
-			workers[i].SetIOTimeout(e.IOTimeout)
-		}
+	if len(e.churn.delta.Ops) > 0 {
+		*e.cm = pl.Churn
 	}
-
-	var broker *meshBroker
-	if e.Stream {
-		spec.Stream = true
-		spec.MeshThreshold = e.MeshThreshold
-		spec.Window = e.Window
-		broker = newMeshBroker(p)
+	body := func(s Seat) error {
+		w := s.Worker(g, pl.Base)
+		w.lam, w.Delay, w.Part, w.Trace, w.ChunkBytes = e.lam, e.Delay, e.part, e.trace, e.ChunkBytes
+		w.Kill = func(ph obs.Phase, r int) bool { return e.kill.fire(ph, r, s.Shard) }
+		_, err := w.run(g, factory, maxRounds)
+		return err
 	}
-	var wg sync.WaitGroup
-	// runWorker is the worker goroutine body, shared between the initial
-	// spawn loop and recovery respawns so both incarnations are identical;
-	// gen is the incarnation's mesh generation (0 initial, +1 per respawn).
-	runWorker := func(s, gen int, c *Conn) {
-		defer wg.Done()
-		defer c.Close()
-		// A panicking protocol hook (a factory bug) must not hang the
-		// coordinator: convert it into an error record so the run
-		// aborts with the reason. A fault-injection kill dies silently —
-		// the closed connection is the whole point.
-		defer func() {
-			if r := recover(); r != nil {
-				if err, ok := r.(error); ok && errors.Is(err, ErrKilled) {
-					return
-				}
-				c.SendError(fmt.Errorf("worker panic: %v", r))
-			}
-		}()
-		w := &Worker{c: c, g: g, assign: assign, lam: e.lam, Delay: e.Delay, Part: e.part, Trace: e.trace}
-		w.Kill = func(ph obs.Phase, r int) bool { return e.kill.fire(ph, r, s) }
-		if broker != nil {
-			ib := broker.register(s)
-			w.MeshDial = broker.dial
-			w.MeshAccept = ib.accept
-			w.MeshClose = func() { broker.close(ib) }
-			w.MeshGen = gen
-			w.ChunkBytes = e.ChunkBytes
-			w.RetainRounds = e.RetainRounds
-			w.IOTimeout = e.IOTimeout
-		}
-		if _, err := w.run(g, factory, maxRounds); err != nil && !errors.Is(err, ErrKilled) {
-			c.SendError(err)
-		}
+	cl := &Cluster{P: e.p, Transport: e.Transport, IOTimeout: e.IOTimeout, Stream: e.Stream}
+	if err := cl.Start(body); err != nil {
+		panic("net: " + err.Error())
 	}
-	for s := 0; s < p; s++ {
-		wg.Add(1)
-		go runWorker(s, 0, workers[s])
-	}
-	if e.Recover {
-		spec.Recover = true
-		spec.RetainRounds = e.RetainRounds
-		// Respawned workers always run over a fresh net.Pipe pair, whatever
-		// the original transport: the protocol bytes are transport-agnostic
-		// and the pipe needs no listener plumbing. meshGens implements the
-		// streamed Respawn contract — the new incarnation's mesh generation
-		// is the number of respawns performed for the shard. Touched only by
-		// the coordinator goroutine.
-		meshGens := make([]int, p)
-		spec.Respawn = func(s int) (*Conn, error) {
-			a, b := net.Pipe()
-			wc := NewConn(b)
-			wc.SetIOTimeout(e.IOTimeout) // the hub arms the coordinator's end
-			meshGens[s]++
-			wg.Add(1)
-			go runWorker(s, meshGens[s], wc)
-			return NewConn(a), nil
-		}
-	}
-	met, rep, err := RunCoordinator(coord, spec)
-	for i := range coord {
-		// The hub shares this slice, so after a recovery coord[i] is the
-		// respawned worker's conn; dead incarnations were closed at restart.
-		coord[i].Close()
-	}
-	wg.Wait()
+	met, rep, err := cl.Run(Spec{
+		MaxRounds:     maxRounds,
+		Lam:           e.lam,
+		GraphHash:     pl.G.Fingerprint(),
+		PartDigest:    shard.PartitionDigest(pl.Assign),
+		Delta:         e.churn.delta,
+		MoveBudget:    e.churn.budget,
+		Recover:       e.Recover,
+		MeshThreshold: e.MeshThreshold,
+		Trace:         e.trace,
+	}, body)
+	cl.Close()
 	if err != nil {
 		panic(fmt.Errorf("net: %w", err))
 	}
 	*e.recov = rep.Recoveries
 	*e.swire = rep.StreamWire
-	rep.Sharding.EdgeCutFraction = shard.CutFraction(runG, runAssign)
+	rep.Sharding.EdgeCutFraction = shard.CutFraction(pl.G, pl.Assign)
 	*e.sm = rep.Sharding
 	return met
-}
-
-// meshBroker is the in-process stand-in for the mesh listeners of a real
-// deployment: each worker incarnation registers an inbox of inbound mesh
-// connections, and a dial manufactures a net.Pipe pair, parking one end in
-// the destination's current inbox. Respawns re-register, closing the dead
-// incarnation's inbox so its accept loop exits.
-type meshBroker struct {
-	mu      sync.Mutex
-	inboxes []*meshInbox
-}
-
-// meshInbox is one incarnation's inbound mesh connection queue.
-type meshInbox struct {
-	ch     chan net.Conn
-	closed bool
-}
-
-func newMeshBroker(p int) *meshBroker {
-	return &meshBroker{inboxes: make([]*meshInbox, p)}
-}
-
-// register installs a fresh inbox for shard s's newest incarnation, closing
-// any previous one.
-func (b *meshBroker) register(s int) *meshInbox {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if old := b.inboxes[s]; old != nil {
-		b.closeLocked(old)
-	}
-	// Buffered past the worst dial burst (every peer at once, twice over)
-	// so dialers never block parking a conn.
-	ib := &meshInbox{ch: make(chan net.Conn, 2*len(b.inboxes))}
-	b.inboxes[s] = ib
-	return ib
-}
-
-// close shuts one incarnation's inbox (idempotent): its accept loop exits,
-// and any parked conns are closed so their dialers' handshakes fail fast
-// and retry against the successor inbox.
-func (b *meshBroker) close(ib *meshInbox) {
-	b.mu.Lock()
-	b.closeLocked(ib)
-	b.mu.Unlock()
-}
-
-func (b *meshBroker) closeLocked(ib *meshInbox) {
-	if ib.closed {
-		return
-	}
-	ib.closed = true
-	close(ib.ch)
-	for c := range ib.ch {
-		c.Close()
-	}
-}
-
-// accept blocks for the next inbound mesh connection.
-func (ib *meshInbox) accept() (net.Conn, error) {
-	c, ok := <-ib.ch
-	if !ok {
-		return nil, errors.New("net: mesh inbox closed")
-	}
-	return c, nil
-}
-
-// dial connects to shard dst's current incarnation.
-func (b *meshBroker) dial(dst int) (net.Conn, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ib := b.inboxes[dst]
-	if ib == nil || ib.closed {
-		return nil, fmt.Errorf("net: mesh endpoint %d not accepting", dst)
-	}
-	a, c := net.Pipe()
-	select {
-	case ib.ch <- c:
-		return a, nil
-	default:
-		a.Close()
-		c.Close()
-		return nil, fmt.Errorf("net: mesh endpoint %d backlog full", dst)
-	}
-}
-
-// DialCluster establishes p coordinator↔worker connection pairs over the
-// given transport (coord[i] ↔ workers[i]). cleanup tears down any listener
-// and socket directory. Exported for internal/session, whose in-process
-// Open wires up the same topology and then keeps it alive across epochs.
-func DialCluster(transport string, p int) (coord []*Conn, workers []*Conn, cleanup func(), err error) {
-	coord = make([]*Conn, p)
-	workers = make([]*Conn, p)
-	cleanup = func() {}
-	switch transport {
-	case "", TransportPipe:
-		for i := 0; i < p; i++ {
-			a, b := net.Pipe()
-			coord[i], workers[i] = NewConn(a), NewConn(b)
-		}
-		return coord, workers, cleanup, nil
-	case TransportUnix, TransportTCP:
-		var ln net.Listener
-		if transport == TransportTCP {
-			ln, err = net.Listen("tcp", "127.0.0.1:0")
-		} else {
-			var dir string
-			if dir, err = os.MkdirTemp("", "distkcore-net-"); err != nil {
-				return nil, nil, nil, err
-			}
-			sock := filepath.Join(dir, "cluster.sock")
-			if ln, err = net.Listen("unix", sock); err != nil {
-				os.RemoveAll(dir)
-				return nil, nil, nil, err
-			}
-			cleanup = func() { os.RemoveAll(dir) }
-		}
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		defer ln.Close()
-		addr := ln.Addr()
-		for i := 0; i < p; i++ {
-			wc, err := net.Dial(addr.Network(), addr.String())
-			if err != nil {
-				cleanup()
-				return nil, nil, nil, err
-			}
-			cc, err := ln.Accept()
-			if err != nil {
-				cleanup()
-				return nil, nil, nil, err
-			}
-			coord[i], workers[i] = NewConn(cc), NewConn(wc)
-		}
-		return coord, workers, cleanup, nil
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown transport %q (want %s, %s or %s)",
-			transport, TransportPipe, TransportUnix, TransportTCP)
-	}
 }

@@ -90,13 +90,10 @@ func (h *Hub) SendError(err error) {
 	}
 }
 
-// send writes and flushes one record to worker i's current connection.
-func (h *Hub) send(i int, typ byte, chunks ...[]byte) error {
-	cn := h.conns[i]
-	if err := cn.writeRecord(typ, chunks...); err != nil {
-		return err
-	}
-	return cn.flush()
+// Send writes and flushes one record to worker i's current connection (a
+// Respawn's replacement included).
+func (h *Hub) Send(i int, typ byte, chunks ...[]byte) error {
+	return h.conns[i].Send(typ, chunks...)
 }
 
 // reader pumps one connection's records into the shared channel, copying

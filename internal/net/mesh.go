@@ -31,9 +31,9 @@ import (
 // connection gets 64 KiB ones.
 const meshBufSize = 8 << 10
 
-// defaultWindow is the per-peer flow-control window when Hello.Window is 0:
-// how many unacknowledged chunks a sender may have in flight toward one
-// destination.
+// defaultWindow is the per-peer flow-control window: how many
+// unacknowledged chunks a sender may have in flight toward one destination.
+// (Hello.Window stays on the wire and is always sent as 0, "the default".)
 const defaultWindow = 8
 
 // meshNeighbors returns the sorted neighbor set of self in the topology.
@@ -66,7 +66,7 @@ func meshHop(kind byte, self, dst int) int {
 }
 
 // outRec is one queued mesh write: a record type and its payload (without
-// the type byte; the writer passes both to Conn.writeRecord).
+// the type byte; the writer passes both to Conn.WriteRecord).
 type outRec struct {
 	typ     byte
 	payload []byte
@@ -86,10 +86,8 @@ type meshConfig struct {
 	Self    int
 	P       int
 	Kind    byte // codec.MeshFull | codec.MeshCube
-	Window  int  // 0 = defaultWindow
 	Gen     int  // this incarnation's generation (0 initial, +1 per respawn)
-	Recover bool
-	RetainK int // retained send rounds per destination when Recover
+	Recover bool // retain the last retainRounds rounds sent per destination
 	Timeout time.Duration
 	// Dial opens a raw connection to worker dst's mesh endpoint.
 	Dial func(dst int) (net.Conn, error)
@@ -133,10 +131,9 @@ type mesh struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	links  []*meshLink // by neighbor id; nil until attached
-	window int
-	round  int // current receive/send round; -1 before the first
-	err    error
+	links []*meshLink // by neighbor id; nil until attached
+	round int         // current receive/send round; -1 before the first
+	err   error
 	// lost is the first link death of a full-mesh run without recovery (see
 	// linkDownLocked): it fails the next receive barrier that cannot
 	// complete.
@@ -159,7 +156,7 @@ type mesh struct {
 	// future[src] buffers inbound flow records ahead of the current round.
 	future [][]futRec
 
-	// retained[dst] holds the last RetainK rounds of records sent toward
+	// retained[dst] holds the last retainRounds rounds of records sent toward
 	// dst, verbatim, for recovery resends. Nil when Recover is off.
 	retained [][]retRound
 
@@ -167,13 +164,9 @@ type mesh struct {
 }
 
 func newMesh(cfg meshConfig) *mesh {
-	if cfg.Window <= 0 {
-		cfg.Window = defaultWindow
-	}
 	m := &mesh{
 		cfg:     cfg,
 		links:   make([]*meshLink, cfg.P),
-		window:  cfg.Window,
 		round:   -1,
 		tokens:  make([]int, cfg.P),
 		sendSeq: make([]int, cfg.P),
@@ -188,7 +181,7 @@ func newMesh(cfg meshConfig) *mesh {
 	}
 	m.cond = sync.NewCond(&m.mu)
 	for j := range m.tokens {
-		m.tokens[j] = m.window
+		m.tokens[j] = defaultWindow
 	}
 	if cfg.Recover {
 		m.retained = make([][]retRound, cfg.P)
@@ -234,7 +227,8 @@ func (m *mesh) Close() {
 // respawned peers can re-dial at any time.
 func (m *mesh) form() error {
 	go m.acceptLoop()
-	for _, j := range meshNeighbors(m.cfg.Kind, m.cfg.Self, m.cfg.P) {
+	nb := meshNeighbors(m.cfg.Kind, m.cfg.Self, m.cfg.P)
+	for _, j := range nb {
 		if m.cfg.Gen > 0 || j < m.cfg.Self {
 			if err := m.dial(j); err != nil {
 				m.mu.Lock()
@@ -244,7 +238,16 @@ func (m *mesh) form() error {
 			}
 		}
 	}
-	return m.waitFormed()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.wait(m.cfg.Timeout, "mesh formation timed out", func() (bool, error) {
+		for _, j := range nb {
+			if m.links[j] == nil {
+				return false, nil
+			}
+		}
+		return true, nil
+	})
 }
 
 func (m *mesh) dial(dst int) error {
@@ -263,16 +266,10 @@ func (m *mesh) dial(dst int) error {
 		time.Sleep(2 * time.Millisecond)
 	}
 	c := NewConnSize(nc, meshBufSize)
-	if m.cfg.Timeout > 0 {
-		c.SetIOTimeout(m.cfg.Timeout)
-	}
+	c.SetIOTimeout(m.cfg.Timeout)
 	hello := binary.AppendUvarint(nil, uint64(m.cfg.Self))
 	hello = binary.AppendUvarint(hello, uint64(m.cfg.Gen))
-	if err := c.writeRecord(recMeshHello, hello); err != nil {
-		c.Close()
-		return fmt.Errorf("net: mesh hello %d→%d: %w", m.cfg.Self, dst, err)
-	}
-	if err := c.flush(); err != nil {
+	if err := c.Send(recMeshHello, hello); err != nil {
 		c.Close()
 		return fmt.Errorf("net: mesh hello %d→%d: %w", m.cfg.Self, dst, err)
 	}
@@ -293,9 +290,7 @@ func (m *mesh) acceptLoop() {
 // handleAccepted reads the inbound mesh hello and attaches the link.
 func (m *mesh) handleAccepted(nc net.Conn) {
 	c := NewConnSize(nc, meshBufSize)
-	if m.cfg.Timeout > 0 {
-		c.SetIOTimeout(m.cfg.Timeout)
-	}
+	c.SetIOTimeout(m.cfg.Timeout)
 	typ, body, err := c.AwaitRecord()
 	if err != nil || typ != recMeshHello {
 		c.Close()
@@ -339,76 +334,61 @@ func (m *mesh) attach(j, gen int, c *Conn) {
 	}
 	l := &meshLink{c: c, gen: gen}
 	m.links[j] = l
-	m.tokens[j] = m.window
+	m.tokens[j] = defaultWindow
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	go m.readLoop(j, l)
 	go m.writeLoop(l)
 }
 
-// waitFormed blocks until every neighbor link is attached.
-func (m *mesh) waitFormed() error {
-	nb := meshNeighbors(m.cfg.Kind, m.cfg.Self, m.cfg.P)
-	deadline := m.armTimeout()
-	defer deadline.stop()
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// wait is the mesh's one wait discipline. Called with m.mu held, it parks on
+// the condition variable until ready reports true (nil) or an error of its
+// own, and otherwise ends on, in this order: the latched mesh error; the
+// mesh having been closed (ErrKilled — only a fault-injected death closes a
+// mesh somebody still waits on); timeout elapsing (0 waits forever), reported
+// as "worker N <stalled>". The timer only broadcasts; fired is read and
+// written under m.mu like everything else here.
+func (m *mesh) wait(timeout time.Duration, stalled string, ready func() (bool, error)) error {
+	fired := false
+	if timeout > 0 {
+		t := time.AfterFunc(timeout, func() {
+			m.mu.Lock()
+			fired = true
+			m.cond.Broadcast()
+			m.mu.Unlock()
+		})
+		defer t.Stop()
+	}
 	for {
 		if m.err != nil {
 			return m.err
 		}
-		formed := true
-		for _, j := range nb {
-			if m.links[j] == nil {
-				formed = false
-				break
-			}
+		if m.closed {
+			return ErrKilled
 		}
-		if formed {
-			return nil
+		if ok, err := ready(); ok || err != nil {
+			return err
 		}
-		if deadline.hit() {
-			return fmt.Errorf("net: worker %d mesh formation timed out", m.cfg.Self)
+		if fired {
+			return fmt.Errorf("net: worker %d %s", m.cfg.Self, stalled)
 		}
 		m.cond.Wait()
 	}
 }
 
-// meshTimer turns the IOTimeout into a cond-compatible deadline: when it
-// fires it broadcasts, and waiters consult hit().
-type meshTimer struct {
-	m     *mesh
-	t     *time.Timer
-	mu    sync.Mutex
-	fired bool
-}
-
-func (m *mesh) armTimeout() *meshTimer {
-	mt := &meshTimer{m: m}
-	if m.cfg.Timeout > 0 {
-		mt.t = time.AfterFunc(m.cfg.Timeout, func() {
-			mt.mu.Lock()
-			mt.fired = true
-			mt.mu.Unlock()
-			m.mu.Lock()
-			m.cond.Broadcast()
-			m.mu.Unlock()
-		})
+// awaitToken blocks until a credit toward dst is in hand. The slow path arms
+// the IOTimeout as a backstop — a receiver that stays silent past it (dead,
+// with recovery unable to respawn it in time) fails this worker instead of
+// hanging it; stalled is the timeout message's format, taking dst.
+func (m *mesh) awaitToken(dst int, stalled string) error {
+	if m.tokens[dst] > 0 {
+		return nil
 	}
-	return mt
+	return m.wait(m.cfg.Timeout, fmt.Sprintf(stalled, dst), func() (bool, error) { return m.tokens[dst] > 0, nil })
 }
 
-func (mt *meshTimer) hit() bool {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	return mt.fired
-}
-
-func (mt *meshTimer) stop() {
-	if mt.t != nil {
-		mt.t.Stop()
-	}
-}
+// drained reports whether link l's writer has nothing queued or in flight.
+func (l *meshLink) drained() bool { return len(l.q) == 0 && !l.busy }
 
 // enqueueLocked queues one record on the link toward neighbor hop. Requires
 // m.mu. Records queued to a down link are dropped — under recovery the
@@ -442,12 +422,12 @@ func (m *mesh) writeLoop(l *meshLink) {
 		m.mu.Unlock()
 		var werr error
 		for _, r := range batch {
-			if werr = l.c.writeRecord(r.typ, r.payload); werr != nil {
+			if werr = l.c.WriteRecord(r.typ, r.payload); werr != nil {
 				break
 			}
 		}
 		if werr == nil {
-			werr = l.c.flush()
+			werr = l.c.Flush()
 		}
 		m.mu.Lock()
 		l.busy = false
@@ -488,7 +468,7 @@ func (m *mesh) linkDownLocked(l *meshLink, err error) {
 	}
 	for j, lk := range m.links {
 		if lk == l {
-			m.tokens[j] = m.window
+			m.tokens[j] = defaultWindow
 		}
 	}
 	m.cond.Broadcast()
@@ -543,8 +523,8 @@ func (m *mesh) handleRecord(typ byte, body []byte) error {
 		}
 		if wd.Kind == codec.WindowCredit {
 			m.mu.Lock()
-			if m.tokens[wd.Src] += wd.Credits; m.tokens[wd.Src] > m.window {
-				m.tokens[wd.Src] = m.window
+			if m.tokens[wd.Src] += wd.Credits; m.tokens[wd.Src] > defaultWindow {
+				m.tokens[wd.Src] = defaultWindow
 			}
 			m.cond.Broadcast()
 			m.mu.Unlock()
@@ -689,11 +669,7 @@ func (m *mesh) beginRound(t int, onNewRound func()) error {
 			if j == m.cfg.Self {
 				continue
 			}
-			r := append(m.retained[j], retRound{round: t})
-			if len(r) > m.cfg.RetainK {
-				r = r[len(r)-m.cfg.RetainK:]
-			}
-			m.retained[j] = r
+			m.retained[j] = keepLast(append(m.retained[j], retRound{round: t}), retainRounds)
 		}
 	}
 	m.round = t
@@ -735,19 +711,8 @@ func (m *mesh) beginRound(t int, onNewRound func()) error {
 func (m *mesh) sendChunk(dst int, body []byte, count int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.tokens[dst] == 0 {
-		// Out of credits: the slow path arms the IOTimeout as a backstop —
-		// a receiver that stays silent past it (dead, with recovery unable
-		// to respawn it in time) fails this worker instead of hanging it.
-		deadline := m.armTimeout()
-		for m.tokens[dst] == 0 && m.err == nil && !m.closed {
-			if deadline.hit() {
-				deadline.stop()
-				return fmt.Errorf("net: worker %d flow to %d stalled out of credits", m.cfg.Self, dst)
-			}
-			m.cond.Wait()
-		}
-		deadline.stop()
+	if err := m.awaitToken(dst, "flow to %d stalled out of credits"); err != nil {
+		return err
 	}
 	if m.err != nil {
 		return m.err
@@ -816,27 +781,17 @@ func (m *mesh) retainLocked(dst int, typ byte, payload []byte) {
 // toward the target refill (the new incarnation grants credits from
 // scratch); chunk records re-acquire them so the resend respects the window.
 func (m *mesh) resend(target, from, to, gen int) error {
-	deadline := m.armTimeout()
-	defer deadline.stop()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for {
-		if m.err != nil {
-			return m.err
-		}
-		if m.closed {
-			return ErrKilled
-		}
-		if l := m.links[target]; l != nil && !l.down && l.gen >= gen {
-			break
-		}
-		if deadline.hit() {
-			return fmt.Errorf("net: worker %d resend to %d: incarnation %d never attached", m.cfg.Self, target, gen)
-		}
-		m.cond.Wait()
+	if err := m.wait(m.cfg.Timeout, fmt.Sprintf("resend to %d: incarnation %d never attached", target, gen), func() (bool, error) {
+		l := m.links[target]
+		return l != nil && !l.down && l.gen >= gen, nil
+	}); err != nil {
+		return err
 	}
-	m.tokens[target] = m.window
+	m.tokens[target] = defaultWindow
 	m.cond.Broadcast()
+	hop := meshHop(m.cfg.Kind, m.cfg.Self, target)
 	for t := from; t <= to; t++ {
 		if t > m.round {
 			continue // not streamed yet — the live round reaches the fresh link
@@ -850,58 +805,31 @@ func (m *mesh) resend(target, from, to, gen int) error {
 		}
 		if e == nil {
 			return fmt.Errorf("net: worker %d cannot resend round %d to %d: retention (K=%d) trimmed it",
-				m.cfg.Self, t, target, m.cfg.RetainK)
+				m.cfg.Self, t, target, retainRounds)
 		}
 		for _, r := range e.recs {
 			if r.typ == recPeerFrame {
-				for m.tokens[target] == 0 && m.err == nil && !m.closed {
-					if deadline.hit() {
-						return fmt.Errorf("net: worker %d resend to %d stalled out of credits", m.cfg.Self, target)
-					}
-					m.cond.Wait()
-				}
-				if m.err != nil {
-					return m.err
-				}
-				if m.closed {
-					return ErrKilled
+				if err := m.awaitToken(target, "resend to %d stalled out of credits"); err != nil {
+					return err
 				}
 				m.tokens[target]--
-				m.wire.Sent += int64(len(r.payload) + 1)
 				m.wire.Chunks++
-			} else {
-				m.wire.Sent += int64(len(r.payload) + 1)
 			}
-			m.enqueueLocked(meshHop(m.cfg.Kind, m.cfg.Self, target), r.typ, r.payload)
+			m.wire.Sent += int64(len(r.payload) + 1)
+			m.enqueueLocked(hop, r.typ, r.payload)
 		}
 	}
 	// Flush barrier on the target's link: the resend returns only once the
 	// records are on the wire. Without it, a resend racing the run's finish
 	// could die in the queue — this worker processes its finish record next,
 	// tears the mesh down, and the respawned target waits forever on flows
-	// nobody will send again.
-	hop := meshHop(m.cfg.Kind, m.cfg.Self, target)
-	for {
+	// nobody will send again. A link that went down means the target died
+	// again mid-resend; its next incarnation gets a fresh resend instruction
+	// covering everything dropped here.
+	return m.wait(m.cfg.Timeout, fmt.Sprintf("resend to %d flush timed out", target), func() (bool, error) {
 		l := m.links[hop]
-		if l == nil || l.down {
-			// The target died again mid-resend; its next incarnation gets a
-			// fresh resend instruction covering everything dropped here.
-			return nil
-		}
-		if len(l.q) == 0 && !l.busy {
-			return nil
-		}
-		if m.err != nil {
-			return m.err
-		}
-		if m.closed {
-			return ErrKilled
-		}
-		if deadline.hit() {
-			return fmt.Errorf("net: worker %d resend to %d flush timed out", m.cfg.Self, target)
-		}
-		m.cond.Wait()
-	}
+		return l == nil || l.down || l.drained(), nil
+	})
 }
 
 // barrier waits until every link's writer queue has drained and flushed.
@@ -909,32 +837,16 @@ func (m *mesh) resend(target, from, to, gen int) error {
 // "done received" mean "this worker's chunks are physically on the wire" —
 // the invariant the coordinator's crash attribution leans on.
 func (m *mesh) barrier() error {
-	deadline := m.armTimeout()
-	defer deadline.stop()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for {
-		if m.err != nil {
-			return m.err
-		}
-		if m.closed {
-			return ErrKilled
-		}
-		drained := true
+	return m.wait(m.cfg.Timeout, "mesh flush timed out", func() (bool, error) {
 		for _, l := range m.links {
-			if l != nil && !l.down && (len(l.q) > 0 || l.busy) {
-				drained = false
-				break
+			if l != nil && !l.down && !l.drained() {
+				return false, nil
 			}
 		}
-		if drained {
-			return nil
-		}
-		if deadline.hit() {
-			return fmt.Errorf("net: worker %d mesh flush timed out", m.cfg.Self)
-		}
-		m.cond.Wait()
-	}
+		return true, nil
+	})
 }
 
 // waitComplete blocks until every inbound flow of round t has ended, then
@@ -945,37 +857,24 @@ func (m *mesh) barrier() error {
 // resend); without it, a round left incomplete by a lost link fails here
 // and the timeout bounds the wait as the teardown backstop.
 func (m *mesh) waitComplete(t int) ([]codec.PeerDigest, uint64, error) {
-	deadline := m.armTimeout()
-	defer deadline.stop()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for {
-		if m.err != nil {
-			return nil, 0, m.err
-		}
-		if m.closed {
-			return nil, 0, ErrKilled
-		}
+	timeout := m.cfg.Timeout
+	if m.cfg.Recover {
+		timeout = 0
+	}
+	if err := m.wait(timeout, fmt.Sprintf("round %d receive barrier timed out", t), func() (bool, error) {
 		if m.round != t {
-			return nil, 0, fmt.Errorf("net: worker %d completing round %d while mesh is at %d", m.cfg.Self, t, m.round)
+			return false, fmt.Errorf("net: worker %d completing round %d while mesh is at %d", m.cfg.Self, t, m.round)
 		}
-		complete := true
-		for j := 0; j < m.cfg.P; j++ {
-			if !m.ended[j] {
-				complete = false
-				break
+		for _, e := range m.ended {
+			if !e {
+				return false, m.lost
 			}
 		}
-		if complete {
-			break
-		}
-		if m.lost != nil {
-			return nil, 0, m.lost
-		}
-		if !m.cfg.Recover && deadline.hit() {
-			return nil, 0, fmt.Errorf("net: worker %d round %d receive barrier timed out", m.cfg.Self, t)
-		}
-		m.cond.Wait()
+		return true, nil
+	}); err != nil {
+		return nil, 0, err
 	}
 	ents := make([]codec.PeerDigest, 0, m.cfg.P-1)
 	dig := frameChainSeed

@@ -46,7 +46,7 @@ func newRelayWorker(r *workerLoop) *relayWorker {
 				w.Delay(self, q, r.cur, len(p.hdr)+len(body))
 			}
 			p.sent, p.sentBytes = p.sent+1, p.sentBytes+int64(len(p.hdr)+len(body))
-			return w.c.writeRecord(recFrame, p.hdr, body)
+			return w.c.WriteRecord(recFrame, p.hdr, body)
 		}}
 	}
 	return p
@@ -73,7 +73,7 @@ func (p *relayWorker) done(t, alive int) (bytes, msgs int64, err error) {
 	done := binary.AppendUvarint(nil, uint64(t))
 	done = binary.AppendUvarint(done, uint64(alive))
 	done = binary.AppendUvarint(done, uint64(p.sent))
-	return p.sentBytes, msgs, p.r.w.c.writeRecord(recDone, done)
+	return p.sentBytes, msgs, p.r.w.c.WriteRecord(recDone, done)
 }
 
 func (p *relayWorker) record(typ byte, body []byte) error {
@@ -236,7 +236,7 @@ func (p *relayCoord) seal(t int) error {
 			p.c.chains[q] = foldFrame(p.c.chains[q], fr.body)
 		}
 		p.c.retain(t, q)
-		p.hist[q] = keepLast(append(p.hist[q], relayRound{round: t, frames: frames}), p.c.retainK())
+		p.hist[q] = keepLast(append(p.hist[q], relayRound{round: t, frames: frames}), retainRounds)
 	}
 	return nil
 }
@@ -247,17 +247,17 @@ func (p *relayCoord) release(t, q int) (bool, error) {
 	cn := p.c.hub.Conn(q)
 	var bytes int64
 	for _, fr := range p.park[q] {
-		if err := cn.writeRecord(recFrame, fr.body); err != nil {
+		if err := cn.WriteRecord(recFrame, fr.body); err != nil {
 			return false, err
 		}
 		bytes += int64(len(fr.body))
 	}
 	del := binary.AppendUvarint(nil, uint64(t))
 	del = binary.AppendUvarint(del, uint64(len(p.park[q])))
-	if err := cn.writeRecord(recDeliver, del); err != nil {
+	if err := cn.WriteRecord(recDeliver, del); err != nil {
 		return false, err
 	}
-	if err := cn.flush(); err != nil {
+	if err := cn.Flush(); err != nil {
 		return false, err
 	}
 	p.bytes, p.n = p.bytes+bytes, p.n+int64(len(p.park[q]))
@@ -274,13 +274,13 @@ func (p *relayCoord) replay(cn *Conn, w, t int) (bytes, items int64, err error) 
 		}
 	}
 	if hr == nil {
-		return 0, 0, fmt.Errorf("retention (K=%d) trimmed it", p.c.retainK())
+		return 0, 0, fmt.Errorf("retention (K=%d) trimmed it", retainRounds)
 	}
-	if err := cn.writeRecord(recReplay, codec.AppendReplay(nil, codec.Replay{Round: t, Frames: len(hr.frames)})); err != nil {
+	if err := cn.WriteRecord(recReplay, codec.AppendReplay(nil, codec.Replay{Round: t, Frames: len(hr.frames)})); err != nil {
 		return 0, 0, err
 	}
 	for _, fr := range hr.frames {
-		if err := cn.writeRecord(recFrame, fr.body); err != nil {
+		if err := cn.WriteRecord(recFrame, fr.body); err != nil {
 			return 0, 0, err
 		}
 		bytes += int64(len(fr.body))

@@ -43,8 +43,8 @@ func newStreamWorker(r *workerLoop) (*streamWorker, error) {
 		return nil, fmt.Errorf("net: hypercube mesh needs a power-of-two P, got %d", h.P)
 	}
 	m := newMesh(meshConfig{
-		Self: h.Shard, P: h.P, Kind: h.MeshKind, Window: h.Window, Gen: w.MeshGen,
-		Recover: h.Recover, RetainK: retainDepth(w.RetainRounds), Timeout: w.IOTimeout,
+		Self: h.Shard, P: h.P, Kind: h.MeshKind, Gen: w.MeshGen,
+		Recover: h.Recover, Timeout: w.IOTimeout,
 		Dial: w.MeshDial, Accept: w.MeshAccept, CloseAccept: w.MeshClose,
 		Deliver: r.absorb,
 	})
@@ -105,7 +105,7 @@ func (p *streamWorker) done(t, alive int) (bytes, msgs int64, err error) {
 	if err := p.m.barrier(); err != nil {
 		return 0, 0, err
 	}
-	return bytes, msgs, p.r.w.c.writeRecord(recStreamDone, codec.AppendStreamDone(nil,
+	return bytes, msgs, p.r.w.c.WriteRecord(recStreamDone, codec.AppendStreamDone(nil,
 		codec.StreamDone{Round: t, Alive: alive, Sent: ents}))
 }
 
@@ -164,7 +164,7 @@ func (p *streamWorker) inbound(t int, live bool, _ []byte) error {
 }
 
 func (p *streamWorker) ack(t int) error {
-	return p.r.w.c.writeRecord(recStreamAck, codec.AppendStreamAck(nil,
+	return p.r.w.c.WriteRecord(recStreamAck, codec.AppendStreamAck(nil,
 		codec.StreamAck{Round: t, Wire: p.m.wireSnapshot(), Recv: p.recv}))
 }
 
@@ -318,7 +318,7 @@ func (p *streamCoord) seal(t int) error {
 }
 
 func (p *streamCoord) release(t, q int) (bool, error) {
-	return true, p.c.hub.send(q, recDeliver, binary.AppendUvarint(nil, uint64(t)))
+	return true, p.c.hub.Send(q, recDeliver, binary.AppendUvarint(nil, uint64(t)))
 }
 
 // resend instructs every peer to re-send toward respawned worker w its
@@ -343,7 +343,7 @@ func (p *streamCoord) resend(w, gen, from int) error {
 		if q == w {
 			continue
 		}
-		if err := p.c.hub.send(q, recStreamResend, req); err != nil {
+		if err := p.c.hub.Send(q, recStreamResend, req); err != nil {
 			return fmt.Errorf("net: requesting resend %d→%d: %w", q, w, err)
 		}
 	}
@@ -351,5 +351,5 @@ func (p *streamCoord) resend(w, gen, from int) error {
 }
 
 func (p *streamCoord) replay(cn *Conn, w, t int) (int64, int64, error) {
-	return 0, 0, cn.writeRecord(recStreamReplay, codec.AppendReplay(nil, codec.Replay{Round: t}))
+	return 0, 0, cn.WriteRecord(recStreamReplay, codec.AppendReplay(nil, codec.Replay{Round: t}))
 }

@@ -109,9 +109,6 @@ type Worker struct {
 	// shard.DefaultChunkBytes). Every incarnation of every worker must use
 	// the same value: recovery re-steps re-produce the identical chunking.
 	ChunkBytes int
-	// RetainRounds is the streamed retention depth K for recovery resends
-	// (≤ 0 means the protocol default of 4, matching the coordinator's).
-	RetainRounds int
 	// IOTimeout bounds mesh formation, flush barriers and — without
 	// recovery — the receive barrier (0 means wait forever).
 	IOTimeout time.Duration
@@ -379,7 +376,7 @@ func (r *workerLoop) step(t int, live bool) error {
 		return err
 	}
 	out.EndN(bytes, msgs)
-	if err := w.c.flush(); err != nil {
+	if err := w.c.Flush(); err != nil {
 		return err
 	}
 	if w.killed(obs.PhaseBarrierWait, t) {
@@ -418,7 +415,7 @@ func (r *workerLoop) finish(t int, live bool, rest []byte) error {
 		if err != nil {
 			return err
 		}
-		if err := w.c.writeRecord(recCheckpoint, codec.AppendCheckpoint(nil, codec.Checkpoint{
+		if err := w.c.WriteRecord(recCheckpoint, codec.AppendCheckpoint(nil, codec.Checkpoint{
 			Round: t, FrameChain: r.chain,
 			Msgs: r.msgs, Words: r.words, Wire: r.wire, State: st,
 		})); err != nil {
@@ -430,7 +427,7 @@ func (r *workerLoop) finish(t int, live bool, rest []byte) error {
 			return err
 		}
 	}
-	return w.c.flush()
+	return w.c.Flush()
 }
 
 // replay decodes a catch-up round announcement (the planes announce it
@@ -487,7 +484,7 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 		// *results*, so the two digest checks below cover the pre-churn
 		// inputs, the batch itself (DeltaDigest) and the application order
 		// all at once.
-		typ, body, err := w.c.readRecord()
+		typ, body, err := w.c.ReadRecord()
 		if err != nil {
 			return dist.Metrics{}, fmt.Errorf("net: reading delta: %w", err)
 		}
@@ -560,7 +557,7 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 	}
 	defer w.plane.close()
 
-	if err := w.c.writeRecord(recWelcome, codec.AppendWelcome(nil, codec.Welcome{
+	if err := w.c.Send(recWelcome, codec.AppendWelcome(nil, codec.Welcome{
 		Version:    codec.HandshakeVersion,
 		Shard:      h.Shard,
 		GraphHash:  h.GraphHash,
@@ -569,12 +566,9 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 	})); err != nil {
 		return dist.Metrics{}, err
 	}
-	if err := w.c.flush(); err != nil {
-		return dist.Metrics{}, err
-	}
 
 	for {
-		typ, body, err := w.c.readRecord()
+		typ, body, err := w.c.ReadRecord()
 		if err != nil {
 			return dist.Metrics{}, fmt.Errorf("net: worker read: %w", err)
 		}
@@ -634,10 +628,7 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			enc := binary.AppendUvarint(nil, uint64(r.msgs))
 			enc = binary.AppendUvarint(enc, uint64(r.words))
 			enc = binary.AppendUvarint(enc, uint64(r.wire))
-			if err := w.c.writeRecord(recMetrics, enc); err != nil {
-				return dist.Metrics{}, err
-			}
-			if err := w.c.flush(); err != nil {
+			if err := w.c.Send(recMetrics, enc); err != nil {
 				return dist.Metrics{}, err
 			}
 			return dist.Metrics{
@@ -688,8 +679,5 @@ func (w *Worker) SendValues(vals []float64) error {
 			enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(x))
 		}
 	}
-	if err := w.c.writeRecord(recValues, enc); err != nil {
-		return err
-	}
-	return w.c.flush()
+	return w.c.Send(recValues, enc)
 }

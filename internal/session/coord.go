@@ -370,14 +370,10 @@ func (c *Coordinator) collectReconverges(epoch int, gh, pd uint64, next []int, p
 	return all, byWorker, nil
 }
 
-// sendTo writes and flushes one record to worker i (re-reading the hub's
-// slot, so a recovery's replacement connection is picked up).
+// sendTo writes and flushes one record to worker i (through the hub, so a
+// recovery's replacement connection is picked up).
 func (c *Coordinator) sendTo(i int, typ byte, body []byte) error {
-	cn := c.hub.Conn(i)
-	if err := cn.WriteRecord(typ, body); err != nil {
-		return fmt.Errorf("session: record to worker %d: %w", i, err)
-	}
-	if err := cn.Flush(); err != nil {
+	if err := c.hub.Send(i, typ, body); err != nil {
 		return fmt.Errorf("session: record to worker %d: %w", i, err)
 	}
 	return nil

@@ -3,10 +3,13 @@
 // churn streams in, instead of paying a full cold start per update
 // (DESIGN.md §10).
 //
-// A session begins as an ordinary coordinated run over internal/net — the
-// v2 handshake pins the graph fingerprint, the partition digest and (under
-// churn) the delta digest exactly as before — but the connections do not
-// hang up when the run finishes. The coordinator seals the run as epoch 0
+// A session is a run whose hub stays open. It begins as an ordinary
+// coordinated run over internal/net — brought up by the same net.Cluster
+// launcher the net engine uses, the handshake pinning the graph fingerprint
+// and the partition digest exactly as before — but the worker body
+// (ServeWorker, the one worker life in-process goroutines and `cluster
+// worker -session` processes both lead) does not hang up when the run
+// finishes. The coordinator seals the run as epoch 0
 // with a values-digest stamp, every worker verifies it against the
 // incremental oracle it just built (a dynamic.Maintainer seeded from the
 // run's graph), and from then on the session speaks the epoch protocol:

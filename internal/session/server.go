@@ -59,6 +59,8 @@ func Serve(co *Coordinator, ln stdnet.Listener, logf func(format string, args ..
 		cl.subs = nil
 		cl.c.Close()
 	}
+	// Replies are best-effort: a client that died is dropped when its reader
+	// reports the broken connection.
 	for e := range ev {
 		if e.cl == nil {
 			return fmt.Errorf("session server: accept: %w", e.err)
@@ -80,9 +82,7 @@ func Serve(co *Coordinator, ln stdnet.Listener, logf func(format string, args ..
 			id := co.Subs().Subscribe(topics)
 			cl.subs = append(cl.subs, id)
 			subOwner[id] = cl
-			if err := cl.c.WriteRecord(net.RecSubscribe, binary.AppendUvarint(nil, uint64(id))); err == nil {
-				cl.c.Flush()
-			}
+			_ = cl.c.Send(net.RecSubscribe, binary.AppendUvarint(nil, uint64(id)))
 			logf("session server: client %d subscribed as sub%d (%d topics)", cl.id, id, len(topics))
 
 		case net.RecDeltaPush:
@@ -113,22 +113,16 @@ func Serve(co *Coordinator, ln stdnet.Listener, logf func(format string, args ..
 				if owner == nil {
 					continue
 				}
-				if err := owner.c.WriteRecord(net.RecNotify, AppendNotify(nil, n)); err == nil {
-					owner.c.Flush()
-				}
+				_ = owner.c.Send(net.RecNotify, AppendNotify(nil, n))
 			}
-			if err := cl.c.WriteRecord(net.RecValuesDigest, codec.AppendStamp(nil, rep.Stamp())); err == nil {
-				cl.c.Flush()
-			}
+			_ = cl.c.Send(net.RecValuesDigest, codec.AppendStamp(nil, rep.Stamp()))
 			logf("session server: epoch %d sealed: %d ops, %d changed, %d notifications, chain %#x",
 				rep.Epoch, d.Len(), len(rep.Changed), len(rep.Notifications), rep.ChainDigest)
 
 		case net.RecStat:
 			// Introspection: a read-only snapshot, served from the same
 			// goroutine that owns the session, so no locking is needed.
-			if err := cl.c.WriteRecord(net.RecStat, codec.AppendStat(nil, co.Stat())); err == nil {
-				cl.c.Flush()
-			}
+			_ = cl.c.Send(net.RecStat, codec.AppendStat(nil, co.Stat()))
 			logf("session server: client %d probed stat (epoch %d)", cl.id, co.Epoch())
 
 		case net.RecBye:

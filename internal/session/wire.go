@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"distkcore/internal/codec"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
 	"distkcore/internal/shard"
@@ -73,13 +74,9 @@ func AppendReconverge(dst []byte, r Reconverge) []byte {
 
 // DecodeReconverge decodes a Reconverge body, requiring full consumption.
 func DecodeReconverge(src []byte) (Reconverge, error) {
-	var r Reconverge
-	c := cursor{src: src}
-	r.Epoch = int(c.uvarint())
-	r.GraphHash = c.u64()
-	r.PartDigest = c.u64()
-	r.Changes = c.changes()
-	if err := c.done("reconverge"); err != nil {
+	d := codec.NewDecoder(src)
+	r := Reconverge{Epoch: int(d.Uvarint()), GraphHash: d.U64(), PartDigest: d.U64(), Changes: decodeChanges(d)}
+	if err := finish(d, "reconverge"); err != nil {
 		return Reconverge{}, err
 	}
 	return r, nil
@@ -113,20 +110,17 @@ func AppendSubscribe(dst []byte, topics []Topic) []byte {
 // DecodeSubscribe decodes a Subscribe request body, requiring full
 // consumption and well-formed topics.
 func DecodeSubscribe(src []byte) ([]Topic, error) {
-	c := cursor{src: src}
-	cnt := c.uvarint()
-	if c.err == nil && cnt > uint64(len(src)) {
-		c.err = fmt.Errorf("topic count %d exceeds payload", cnt)
+	d := codec.NewDecoder(src)
+	cnt := d.Uvarint()
+	if cnt > uint64(len(src)) {
+		d.Fail(fmt.Errorf("topic count %d exceeds payload", cnt))
+		cnt = 0
 	}
 	topics := make([]Topic, 0, cnt)
-	for i := uint64(0); i < cnt && c.err == nil; i++ {
-		t, err := ParseTopic(c.str())
-		if c.err == nil && err != nil {
-			c.err = err
-		}
-		topics = append(topics, t)
+	for i := uint64(0); i < cnt; i++ {
+		topics = append(topics, decodeTopic(d))
 	}
-	if err := c.done("subscribe"); err != nil {
+	if err := finish(d, "subscribe"); err != nil {
 		return nil, err
 	}
 	return topics, nil
@@ -145,103 +139,44 @@ func AppendNotify(dst []byte, n Notification) []byte {
 
 // DecodeNotify decodes a Notify body, requiring full consumption.
 func DecodeNotify(src []byte) (Notification, error) {
-	var n Notification
-	c := cursor{src: src}
-	n.Sub = int(c.uvarint())
-	n.Epoch = int(c.uvarint())
-	t, err := ParseTopic(c.str())
-	if c.err == nil && err != nil {
-		c.err = err
-	}
-	n.Topic = t
-	n.Changes = c.changes()
-	if err := c.done("notify"); err != nil {
+	d := codec.NewDecoder(src)
+	n := Notification{Sub: int(d.Uvarint()), Epoch: int(d.Uvarint()), Topic: decodeTopic(d), Changes: decodeChanges(d)}
+	if err := finish(d, "notify"); err != nil {
 		return Notification{}, err
 	}
 	return n, nil
 }
 
-// cursor walks a record body latching the first error, so the decoders
-// above read field after field without per-field plumbing (the codec
-// package's decoder, re-stated here for session bodies).
-type cursor struct {
-	src []byte
-	n   int
-	err error
+// decodeTopic reads one topic in its canonical string form.
+func decodeTopic(d *codec.Decoder) Topic {
+	t, err := ParseTopic(d.Str())
+	if err != nil {
+		d.Fail(err)
+	}
+	return t
 }
 
-func (c *cursor) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	u, k := binary.Uvarint(c.src[c.n:])
-	if k <= 0 {
-		c.err = fmt.Errorf("truncated uvarint at offset %d", c.n)
-		return 0
-	}
-	c.n += k
-	return u
-}
-
-func (c *cursor) u64() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	if len(c.src[c.n:]) < 8 {
-		c.err = fmt.Errorf("truncated word at offset %d", c.n)
-		return 0
-	}
-	u := binary.LittleEndian.Uint64(c.src[c.n:])
-	c.n += 8
-	return u
-}
-
-func (c *cursor) str() string {
-	l := c.uvarint()
-	if c.err != nil {
-		return ""
-	}
-	// Compare in uint64: a hostile length near 2^64 must not wrap negative
-	// through int and slip past the bounds check into a panic.
-	if l > uint64(len(c.src)-c.n) {
-		c.err = fmt.Errorf("truncated string at offset %d", c.n)
-		return ""
-	}
-	s := string(c.src[c.n : c.n+int(l)])
-	c.n += int(l)
-	return s
-}
-
-func (c *cursor) changes() []ValueChange {
-	cnt := c.uvarint()
-	if c.err != nil {
-		return nil
-	}
+// decodeChanges reads a change list: uvarint count, then count changes.
+func decodeChanges(d *codec.Decoder) []ValueChange {
+	cnt := d.Uvarint()
 	// Every change occupies at least 17 bytes (1-byte node uvarint + two
 	// words), so a larger count is a lie about bytes that cannot be there.
-	if cnt > uint64(len(c.src)-c.n)/17 {
-		c.err = fmt.Errorf("change count %d exceeds payload", cnt)
+	if cnt > uint64(d.Rest())/17 {
+		d.Fail(fmt.Errorf("change count %d exceeds payload", cnt))
 		return nil
 	}
 	chs := make([]ValueChange, 0, cnt)
-	for i := uint64(0); i < cnt && c.err == nil; i++ {
-		var ch ValueChange
-		ch.Node = graph.NodeID(c.uvarint())
-		ch.OldBits = c.u64()
-		ch.NewBits = c.u64()
-		chs = append(chs, ch)
+	for i := uint64(0); i < cnt; i++ {
+		chs = append(chs, ValueChange{Node: graph.NodeID(d.Uvarint()), OldBits: d.U64(), NewBits: d.U64()})
 	}
 	return chs
 }
 
-// done finalizes a decode: any latched error or unconsumed trailing bytes
-// fail it.
-func (c *cursor) done(what string) error {
-	if c.err != nil {
-		return fmt.Errorf("session: bad %s record: %w", what, c.err)
-	}
-	if c.n != len(c.src) {
-		return fmt.Errorf("session: %s record carries %d trailing bytes", what, len(c.src)-c.n)
+// finish ends a session-body decode: a latched error or unconsumed trailing
+// bytes fail it.
+func finish(d *codec.Decoder, what string) error {
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("session: bad %s record: %w", what, err)
 	}
 	return nil
 }

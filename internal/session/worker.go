@@ -1,11 +1,11 @@
 package session
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"distkcore/internal/codec"
+	"distkcore/internal/core"
 	"distkcore/internal/dynamic"
 	"distkcore/internal/graph"
 	net "distkcore/internal/net"
@@ -78,9 +78,41 @@ func NewWorkerState(c *net.Conn, g *graph.Graph, assign []int, shardIdx, p, T in
 	}, nil
 }
 
-// SetTracer installs (or, with nil, removes) the tracer this worker's
-// epoch repair and rebalance spans record into.
-func (w *WorkerState) SetTracer(t *obs.Tracer) { w.trace = t }
+// ServeWorker is a session worker's whole life on connection c, the one
+// both the in-process cluster's worker body and cmd/cluster's `worker
+// -session` process run: the handshake (read here unless w.Hello already
+// holds it), the epoch-0 run with w as its engine, the run's values shipped
+// to the coordinator, the session state built from them — tracing and dying
+// where w does — and the epoch loop until the coordinator's goodbye. g and
+// assign are what w was built on, T the round budget; w.Part must be set.
+// Errors come back unreported (the caller tells the coordinator); protocol
+// violations inside the run panic, as Worker.Run's do.
+func ServeWorker(c *net.Conn, w *net.Worker, g *graph.Graph, assign []int, T int) (*WorkerState, error) {
+	if w.Hello == nil {
+		h, err := net.ReadHello(c)
+		if err != nil {
+			return nil, err
+		}
+		w.Hello = h
+	}
+	// Sessions open on an unchurned Λ = ℝ run; churn streams in afterwards.
+	if w.Hello.DeltaDigest != 0 {
+		return nil, fmt.Errorf("session: sessions open on an unchurned run; churn streams in afterwards")
+	}
+	if w.Hello.LamKind != codec.LamReals {
+		return nil, fmt.Errorf("session: sessions require the exact threshold set Λ = ℝ")
+	}
+	res, _ := core.RunDistributed(g, core.Options{Rounds: T}, w)
+	if err := w.SendValues(res.B); err != nil {
+		return nil, err
+	}
+	ws, err := NewWorkerState(c, g, assign, w.Hello.Shard, w.Hello.P, T, w.Part, res.B)
+	if err != nil {
+		return nil, err
+	}
+	ws.trace, ws.Kill = w.Trace, w.Kill
+	return ws, ws.ServeEpochs()
+}
 
 // ServeEpochs runs the worker's session loop until a Bye or an error. The
 // first record must be the coordinator's epoch-0 stamp, which seals the run
@@ -90,18 +122,14 @@ func (w *WorkerState) SetTracer(t *obs.Tracer) { w.trace = t }
 //	incremental Rebalance → ship own-shard changed values → verify and
 //	echo the coordinator's stamp → commit.
 //
-// Any verification failure sends an error record and returns the error —
-// sessions choose determinism over availability exactly like runs do.
+// Any verification failure ends the loop with the error — sessions choose
+// determinism over availability exactly like runs do — and the caller ships
+// it to the coordinator as an error record (Cluster's worker wrapper,
+// cmd/cluster's worker).
 // Waits for the next epoch go through AwaitRecord (idleness is not death);
 // the intra-epoch stamp read is deadline-armed when the connection has an
 // IO timeout, because mid-epoch silence is.
-func (w *WorkerState) ServeEpochs() error {
-	if err := w.sealEpochZero(); err != nil {
-		w.c.SendError(err)
-		return err
-	}
-	return w.serveLoop()
-}
+func (w *WorkerState) ServeEpochs() error { return w.serve(net.RecValuesDigest) }
 
 // ServeResumed is the serve loop of a respawned session worker (DESIGN.md
 // §13): instead of an epoch-0 stamp, the first record must be the
@@ -112,17 +140,14 @@ func (w *WorkerState) ServeEpochs() error {
 // stamp's graph/partition/values digests against that state, adopts the
 // epoch number and chain digest, echoes the stamp byte-identically as its
 // re-admission proof, and joins the ordinary epoch loop.
-func (w *WorkerState) ServeResumed() error {
-	if err := w.sealResume(); err != nil {
-		w.c.SendError(err)
+func (w *WorkerState) ServeResumed() error { return w.serve(net.RecEpochResume) }
+
+// serve admits the worker with the stamp record it must see first, then runs
+// the steady-state epoch loop fresh and resumed workers share.
+func (w *WorkerState) serve(admission byte) error {
+	if err := w.admit(admission); err != nil {
 		return err
 	}
-	return w.serveLoop()
-}
-
-// serveLoop is the steady-state epoch loop shared by fresh and resumed
-// workers.
-func (w *WorkerState) serveLoop() error {
 	for {
 		typ, body, err := w.c.AwaitRecord()
 		if err != nil {
@@ -133,44 +158,42 @@ func (w *WorkerState) serveLoop() error {
 			return nil
 		case net.RecDeltaPush:
 			if err := w.epochStep(body); err != nil {
-				if !errors.Is(err, net.ErrKilled) {
-					w.c.SendError(err)
-				}
 				return err
 			}
 		default:
-			err := fmt.Errorf("session: unexpected record type %d at worker between epochs", typ)
-			w.c.SendError(err)
-			return err
+			return fmt.Errorf("session: unexpected record type %d at worker between epochs", typ)
 		}
 	}
 }
 
-// sealResume reads, verifies and echoes the re-admission stamp. The chain
-// digest cannot be re-derived from the graph alone (it folds the whole
-// epoch history), so the worker verifies what IS derivable — graph,
-// partition and values digests — and adopts the coordinator's chain; every
-// subsequent epoch then re-verifies the chain extension as usual.
-func (w *WorkerState) sealResume() error {
+// admit reads, verifies and echoes the stamp that lets the worker into the
+// epoch loop. Either way the stamp's graph, partition and values digests
+// must match the state the worker holds. A fresh worker's epoch-0 stamp must
+// also carry the chain digest the worker derives itself; a resumed worker
+// adopts the stamp's epoch and chain — the chain folds the whole epoch
+// history and cannot be re-derived from the graph alone, and every later
+// epoch re-verifies its extension as usual.
+func (w *WorkerState) admit(admission byte) error {
 	typ, body, err := w.c.AwaitRecord()
 	if err != nil {
-		return fmt.Errorf("session: worker awaiting resume stamp: %w", err)
+		return fmt.Errorf("session: worker awaiting its admission stamp: %w", err)
 	}
-	if typ != net.RecEpochResume {
-		return fmt.Errorf("session: expected resume stamp, got record type %d", typ)
+	if typ != admission {
+		return fmt.Errorf("session: expected admission stamp (record type %d), got record type %d", admission, typ)
 	}
 	st, _, err := codec.DecodeStamp(body)
 	if err != nil {
 		return err
 	}
-	gh, pd, vd := w.g.Fingerprint(), shard.PartitionDigest(w.assign), ValuesDigest(w.prev)
-	switch {
-	case st.GraphHash != gh:
-		return fmt.Errorf("session: resume at epoch %d: graph fingerprint mismatch (stamp %#x, recomputed %#x)", st.Epoch, st.GraphHash, gh)
-	case st.PartDigest != pd:
-		return fmt.Errorf("session: resume at epoch %d: partition digest mismatch (stamp %#x, recomputed %#x)", st.Epoch, st.PartDigest, pd)
-	case st.ValuesDigest != vd:
-		return fmt.Errorf("session: resume at epoch %d: values digest mismatch (stamp %#x, recomputed %#x)", st.Epoch, st.ValuesDigest, vd)
+	var opening uint64 // epoch 0 extends the empty chain
+	prevChain := &opening
+	if admission == net.RecEpochResume {
+		prevChain = nil
+	} else if st.Epoch != 0 || st.Changed != 0 {
+		return fmt.Errorf("session: epoch-0 stamp claims epoch %d with %d changes", st.Epoch, st.Changed)
+	}
+	if err := w.verifyStamp(st, prevChain, w.g.Fingerprint(), shard.PartitionDigest(w.assign), ValuesDigest(w.prev)); err != nil {
+		return err
 	}
 	w.epoch, w.chain = st.Epoch, st.ChainDigest
 	return w.echoStamp(st)
@@ -184,29 +207,6 @@ func (w *WorkerState) killed(phase obs.Phase, epoch int) bool {
 		return true
 	}
 	return false
-}
-
-// sealEpochZero reads, verifies and echoes the epoch-0 stamp.
-func (w *WorkerState) sealEpochZero() error {
-	typ, body, err := w.c.AwaitRecord()
-	if err != nil {
-		return fmt.Errorf("session: worker awaiting epoch-0 stamp: %w", err)
-	}
-	if typ != net.RecValuesDigest {
-		return fmt.Errorf("session: expected epoch-0 stamp, got record type %d", typ)
-	}
-	st, _, err := codec.DecodeStamp(body)
-	if err != nil {
-		return err
-	}
-	if st.Epoch != 0 || st.Changed != 0 {
-		return fmt.Errorf("session: epoch-0 stamp claims epoch %d with %d changes", st.Epoch, st.Changed)
-	}
-	if err := w.verifyStamp(st, 0, w.g.Fingerprint(), shard.PartitionDigest(w.assign), ValuesDigest(w.prev)); err != nil {
-		return err
-	}
-	w.chain = st.ChainDigest
-	return w.echoStamp(st)
 }
 
 // epochStep advances one epoch from a DeltaPush body.
@@ -260,10 +260,7 @@ func (w *WorkerState) epochStep(body []byte) error {
 	}
 	gh, pd := g2.Fingerprint(), shard.PartitionDigest(next)
 	rec := AppendReconverge(nil, Reconverge{Epoch: epoch, GraphHash: gh, PartDigest: pd, Changes: own})
-	if err := w.c.WriteRecord(net.RecReconverge, rec); err != nil {
-		return err
-	}
-	if err := w.c.Flush(); err != nil {
+	if err := w.c.Send(net.RecReconverge, rec); err != nil {
 		return err
 	}
 	// Fault-injection seam: death after the reconverge shipped — the
@@ -294,7 +291,7 @@ func (w *WorkerState) epochStep(body []byte) error {
 	if st.Changed != changed {
 		return fmt.Errorf("session: epoch %d stamp counts %d changes, oracle saw %d", epoch, st.Changed, changed)
 	}
-	if err := w.verifyStamp(st, w.chain, gh, pd, ValuesDigest(cur)); err != nil {
+	if err := w.verifyStamp(st, &w.chain, gh, pd, ValuesDigest(cur)); err != nil {
 		return err
 	}
 	if err := w.echoStamp(st); err != nil {
@@ -308,9 +305,10 @@ func (w *WorkerState) epochStep(body []byte) error {
 	return nil
 }
 
-// verifyStamp checks a stamp's digests against locally derived state and
-// advances nothing.
-func (w *WorkerState) verifyStamp(st codec.Stamp, prevChain, gh, pd, vd uint64) error {
+// verifyStamp checks a stamp's digests against locally derived state — and,
+// unless prevChain is nil, its chain digest against the extension of
+// *prevChain — and advances nothing.
+func (w *WorkerState) verifyStamp(st codec.Stamp, prevChain *uint64, gh, pd, vd uint64) error {
 	switch {
 	case st.GraphHash != gh:
 		return fmt.Errorf("session: epoch %d graph fingerprint mismatch (stamp %#x, worker %#x)", st.Epoch, st.GraphHash, gh)
@@ -319,7 +317,10 @@ func (w *WorkerState) verifyStamp(st codec.Stamp, prevChain, gh, pd, vd uint64) 
 	case st.ValuesDigest != vd:
 		return fmt.Errorf("session: epoch %d values digest mismatch (stamp %#x, worker %#x)", st.Epoch, st.ValuesDigest, vd)
 	}
-	if chain := ChainNext(prevChain, gh, pd, vd); st.ChainDigest != chain {
+	if prevChain == nil {
+		return nil
+	}
+	if chain := ChainNext(*prevChain, gh, pd, vd); st.ChainDigest != chain {
 		return fmt.Errorf("session: epoch %d chain digest mismatch (stamp %#x, worker %#x)", st.Epoch, st.ChainDigest, chain)
 	}
 	return nil
@@ -327,10 +328,7 @@ func (w *WorkerState) verifyStamp(st codec.Stamp, prevChain, gh, pd, vd uint64) 
 
 // echoStamp returns the verified stamp to the coordinator.
 func (w *WorkerState) echoStamp(st codec.Stamp) error {
-	if err := w.c.WriteRecord(net.RecValuesDigest, codec.AppendStamp(nil, st)); err != nil {
-		return err
-	}
-	return w.c.Flush()
+	return w.c.Send(net.RecValuesDigest, codec.AppendStamp(nil, st))
 }
 
 // Epoch returns the last sealed epoch.
@@ -338,10 +336,3 @@ func (w *WorkerState) Epoch() int { return w.epoch }
 
 // ChainDigest returns the chain digest of the last sealed epoch.
 func (w *WorkerState) ChainDigest() uint64 { return w.chain }
-
-// B returns a copy of the worker's full value vector at the last sealed
-// epoch.
-func (w *WorkerState) B() []float64 { return append([]float64(nil), w.prev...) }
-
-// Stats exposes the oracle's incremental-work counters.
-func (w *WorkerState) Stats() dynamic.Stats { return w.m.Stats }

@@ -206,3 +206,50 @@ func AbsorbDelta(part Partitioner, g *graph.Graph, p int, assign []int, d dist.G
 	cm.DeltaBytes = int64(len(enc))
 	return g2, next, cm, nil
 }
+
+// Placement is the validated answer to "where does every node live" that
+// opens every clustered run: the graph the run executes on with its
+// assignment, and the pre-churn assignment they were derived from.
+type Placement struct {
+	// G and Assign are what the run executes on — the mutated graph and the
+	// rebalanced assignment under churn, the inputs themselves otherwise.
+	G      *graph.Graph
+	Assign []int
+	// Base is part's assignment of the pre-churn graph (Assign itself when
+	// nothing churned): what a worker that absorbs the delta itself starts
+	// from.
+	Base []int
+	// Churn is the ledger of the absorbed batch, zero without one.
+	Churn ChurnMetrics
+}
+
+// Place is the placement prologue shared by the sharded engine, the socket
+// cluster's engine, session.Open and cmd/cluster: partition g into p shards,
+// refuse an assignment that does not cover the graph or leaves [0, p), and
+// absorb d (AbsorbDelta; an empty d absorbs nothing) under moveBudget.
+func Place(part Partitioner, g *graph.Graph, p int, d dist.GraphDelta, moveBudget int) (Placement, error) {
+	check := func(g *graph.Graph, assign []int) error {
+		if len(assign) != g.N() {
+			return fmt.Errorf("shard: partitioner %s returned %d assignments for %d nodes", part.Name(), len(assign), g.N())
+		}
+		for v, s := range assign {
+			if s < 0 || s >= p {
+				return fmt.Errorf("shard: partitioner %s assigned node %d to shard %d (p=%d)", part.Name(), v, s, p)
+			}
+		}
+		return nil
+	}
+	base := part.Partition(g, p)
+	if err := check(g, base); err != nil {
+		return Placement{}, err
+	}
+	pl := Placement{G: g, Assign: base, Base: base}
+	if len(d.Ops) == 0 {
+		return pl, nil
+	}
+	var err error
+	if pl.G, pl.Assign, pl.Churn, err = AbsorbDelta(part, g, p, base, d, moveBudget); err != nil {
+		return Placement{}, err
+	}
+	return pl, check(pl.G, pl.Assign)
+}

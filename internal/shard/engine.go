@@ -114,29 +114,19 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	if lam == nil {
 		lam = quantize.Reals{}
 	}
-	assign := e.part.Partition(g, p)
-	if len(assign) != g.N() {
-		panic(fmt.Sprintf("shard: partitioner %s returned %d assignments for %d nodes",
-			e.part.Name(), len(assign), g.N()))
+	// Like every other engine failure, a placement or a delta that does not
+	// hold is a panic — the Engine interface has no error channel, and
+	// running on a forked input would be worse.
+	pl, err := Place(e.part, g, p, e.churn.delta, e.churn.budget)
+	if err != nil {
+		panic(err.Error())
 	}
 	if len(e.churn.delta.Ops) > 0 {
-		// Absorb the installed delta (codec round trip, canonical apply,
-		// incremental rebalance). Like every other engine failure, a delta
-		// that does not apply is a panic — the Engine interface has no
-		// error channel, and running on a forked input would be worse.
-		g2, next, cm, err := AbsorbDelta(e.part, g, p, assign, e.churn.delta, e.churn.budget)
-		if err != nil {
-			panic(err.Error())
-		}
-		*e.cm = cm
-		g, assign = g2, next
+		*e.cm = pl.Churn
 	}
+	g, assign := pl.G, pl.Assign
 	shards := make([][]graph.NodeID, p)
 	for v, s := range assign { // ascending v ⇒ ascending IDs within a shard
-		if s < 0 || s >= p {
-			panic(fmt.Sprintf("shard: partitioner %s assigned node %d to shard %d (p=%d)",
-				e.part.Name(), v, s, p))
-		}
 		shards[s] = append(shards[s], v)
 	}
 
