@@ -227,8 +227,14 @@ func runWorker(args []string) {
 			fatal(err)
 		}
 	}
-	fmt.Printf("cluster worker: shard %d/%d done: %d nodes, local share %d msgs / %d wire bytes, %d rounds\n",
-		h.Shard, h.P, g.N(), met.Messages, met.WireBytes, met.Rounds)
+	local := 0
+	for _, s := range w.Assign() {
+		if s == h.Shard {
+			local++
+		}
+	}
+	fmt.Printf("cluster worker: shard %d/%d done: %d of %d nodes, local share %d msgs / %d wire bytes, %d rounds\n",
+		h.Shard, h.P, local, g.N(), met.Messages, met.WireBytes, met.Rounds)
 }
 
 // parseProto resolves the handshake's protocol spec. Only the coreness
@@ -365,7 +371,7 @@ func runCoord(args []string) {
 			Recover:    *recov,
 		}
 		if *recov {
-			rspec.Respawn = func(s int) (*dnet.Conn, error) { return f.respawn(s, *stream) }
+			rspec.Respawn = f.respawn
 		}
 		if *killSpec != "" {
 			rspec.OnRound = func(t int) {
@@ -461,9 +467,6 @@ type fleet struct {
 	// killed marks processes this harness SIGKILLed (-kill) — their non-zero
 	// exit is the point, not a failure.
 	killed map[*exec.Cmd]bool
-	// gens[s] counts shard s's respawns: its newest incarnation's mesh
-	// generation (the dnet.Spec.Respawn contract) and socket name.
-	gens []int
 }
 
 // open resolves the worker set — spawn > 0 starts that many worker
@@ -489,7 +492,6 @@ func (f *fleet) open(workers string, spawn int, timeout time.Duration) error {
 	default:
 		return fmt.Errorf("need -workers or -spawn")
 	}
-	f.gens = make([]int, len(f.addrs))
 	for i, a := range f.addrs {
 		cn, err := f.dial(a)
 		if err != nil {
@@ -532,20 +534,14 @@ func (f *fleet) dial(a string) (*dnet.Conn, error) {
 	return cn, nil
 }
 
-// respawn re-execs the worker binary for shard s on a fresh socket in the
-// run directory and dials it; the coordinator then re-handshakes and restores
-// it from its last retained checkpoint. Called from the coordinator
-// goroutine, so the bookkeeping is race-free. On a streamed run the new
-// incarnation is told its mesh generation, so peers can tell its links from
-// the dead one's.
-func (f *fleet) respawn(s int, stream bool) (*dnet.Conn, error) {
-	f.gens[s]++
-	a := fmt.Sprintf("unix:%s", filepath.Join(f.dir, fmt.Sprintf("w%d-r%d.sock", s, f.gens[s])))
-	var extra []string
-	if stream {
-		extra = []string{"-mesh-gen", strconv.Itoa(f.gens[s])}
-	}
-	if err := f.spawn(a, extra...); err != nil {
+// respawn re-execs the worker binary for shard s — incarnation gen, the hub's
+// count (dnet.Spec.Respawn) — on a fresh socket in the run directory and dials
+// it; the coordinator then re-handshakes and restores it from its last
+// retained checkpoint. The new incarnation is told its generation, which on a
+// streamed run lets peers tell its mesh links from the dead one's.
+func (f *fleet) respawn(s, gen int) (*dnet.Conn, error) {
+	a := fmt.Sprintf("unix:%s", filepath.Join(f.dir, fmt.Sprintf("w%d-r%d.sock", s, gen)))
+	if err := f.spawn(a, "-mesh-gen", strconv.Itoa(gen)); err != nil {
 		return nil, err
 	}
 	cn, err := f.dial(a)
@@ -595,9 +591,7 @@ func (f *fleet) close() {
 	}
 }
 
-// writeReport writes the optional JSON run report through the obs-owned
-// envelope, so the frame-byte and churn keys here are byte-for-byte the
-// ones the recorded BENCH_PR*.json rows carry for the same metric structs.
+// writeReport writes the optional JSON run report (obs.RunReport).
 func writeReport(path, spec string, p int, part string, T int, met dist.Metrics, sm shard.ShardMetrics, churnOps int, cm shard.ChurnMetrics, verified bool, elapsed time.Duration, tracer *obs.Tracer) error {
 	if path == "" {
 		return nil

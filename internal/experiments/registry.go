@@ -1,8 +1,7 @@
 // Package experiments regenerates every figure, theorem-as-table and
 // full-version empirical claim of the paper (see DESIGN.md §4 for the
 // index). Each experiment is a pure function from a Config to a Report of
-// ASCII tables; cmd/repro prints them and bench_test.go wraps each one in a
-// testing.B benchmark.
+// ASCII tables; cmd/repro prints them.
 package experiments
 
 import (

@@ -1,0 +1,151 @@
+package net
+
+import (
+	"encoding/binary"
+	stdnet "net"
+	"strings"
+	"testing"
+
+	"distkcore/internal/codec"
+	"distkcore/internal/dist"
+	"distkcore/internal/graph"
+	"distkcore/internal/shard"
+)
+
+// uv encodes a body of uvarints.
+func uv(vals ...uint64) []byte {
+	var b []byte
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// workerGets runs a real P=1 worker (relayed or streamed) against a scripted
+// coordinator that completes the handshake and then sends one record, and
+// returns what the worker's run made of it.
+func workerGets(t *testing.T, stream bool, typ byte, body []byte) error {
+	t.Helper()
+	g := graph.BarabasiAlbert(20, 2, 1)
+	assign := make([]int, g.N())
+	a, b := stdnet.Pipe()
+	cc, wc := NewConn(a), NewConn(b)
+	defer cc.Close()
+	w := NewWorker(wc, g, assign)
+	if stream {
+		br := newMeshBroker(1)
+		ib := br.register(0)
+		w.MeshDial, w.MeshAccept, w.MeshClose = br.dial, ib.accept, func() { br.close(ib) }
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.run(g, func(graph.NodeID) dist.Program { return nil }, 3)
+		wc.Close()
+		done <- err
+	}()
+	hello := codec.AppendHello(nil, codec.Hello{
+		Version: codec.HandshakeVersion, P: 1, MaxRounds: 3, Stream: stream, MeshKind: codec.MeshFull,
+		GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign),
+	})
+	if err := cc.Send(recHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := cc.ReadRecord(); err != nil || typ != recWelcome {
+		t.Fatalf("welcome: type %d, %v", typ, err)
+	}
+	if err := cc.Send(typ, body); err != nil {
+		t.Fatal(err)
+	}
+	return <-done
+}
+
+// coordGets runs a real coordinator against a scripted P=1 worker that sends
+// body as its typ record — its round-0 done record, or a finish-phase record
+// after an honest round 0 that leaves nobody alive — and returns the run's
+// error.
+func coordGets(t *testing.T, typ byte, body []byte) error {
+	t.Helper()
+	a, b := stdnet.Pipe()
+	cc, wc := NewConn(a), NewConn(b)
+	go func() {
+		defer wc.Close()
+		h, err := ReadHello(wc)
+		if err != nil {
+			return
+		}
+		_ = wc.Send(recWelcome, codec.AppendWelcome(nil, codec.Welcome{
+			Version: codec.HandshakeVersion, GraphHash: h.GraphHash, PartDigest: h.PartDigest}))
+		_, _, _ = wc.ReadRecord() // step 0
+		if typ != recDone {
+			_ = wc.Send(recDone, uv(0, 0, 0))
+			_, _, _ = wc.ReadRecord() // release
+			_, _, _ = wc.ReadRecord() // finish
+		}
+		_ = wc.Send(typ, body)
+		_, _, _ = wc.ReadRecord() // the abort (or EOF)
+	}()
+	_, _, err := RunCoordinator([]*Conn{cc}, Spec{P: 1, MaxRounds: 3, WantValues: true})
+	cc.Close()
+	return err
+}
+
+// meshGets hands a fresh P=3 mesh one inbound connection opening with body as
+// its mesh-hello. The accept path has nobody to report to — a refused hello is
+// a closed connection and no link — so the row's error is the decode's own.
+func meshGets(t *testing.T, body []byte) error {
+	t.Helper()
+	m := newMesh(meshConfig{Self: 0, P: 3, Kind: codec.MeshFull})
+	defer m.Close()
+	a, b := stdnet.Pipe()
+	go func() { _ = NewConn(b).Send(recMeshHello, body) }()
+	m.handleAccepted(a)
+	b.Close()
+	m.mu.Lock()
+	attached := m.links[1] != nil
+	m.mu.Unlock()
+	var src, gen int
+	err := uvarints("mesh-hello", body, &src, &gen)
+	if attached != (err == nil) {
+		t.Fatalf("mesh-hello %x: link attached %v, decode error %v", body, attached, err)
+	}
+	return err
+}
+
+// Every run record whose body is decoded in place — no codec type of its own
+// — must be consumed whole: a truncated body and one with bytes after the last
+// field are both an error naming the record, at the site that reads it off the
+// wire.
+func TestInlineBodiesAreStrict(t *testing.T) {
+	vals := append(uv(1, 7), 0, 0, 0, 0, 0, 0, 0xf0, 0x3f) // one (node, bits) pair
+	cases := []struct {
+		rec  string
+		good []byte
+		send func(body []byte) error
+	}{
+		{"step", uv(0), func(b []byte) error { return workerGets(t, false, recStep, b) }},
+		{"deliver", uv(0, 0), func(b []byte) error { return workerGets(t, false, recDeliver, b) }},
+		{"deliver", uv(0), func(b []byte) error { return workerGets(t, true, recDeliver, b) }},
+		{"finish", append(uv(3), 1), func(b []byte) error { return workerGets(t, false, recFinish, b) }},
+		{"stream-resend", uv(0, 1, 2, 1), func(b []byte) error { return workerGets(t, true, recStreamResend, b) }},
+		{"done", uv(0, 0, 0), func(b []byte) error { return coordGets(t, recDone, b) }},
+		{"metrics", uv(5, 5, 40), func(b []byte) error { return coordGets(t, recMetrics, b) }},
+		{"values", vals, func(b []byte) error { return coordGets(t, recValues, b) }},
+		{"mesh-hello", uv(1, 0), func(b []byte) error { return meshGets(t, b) }},
+	}
+	for _, tc := range cases {
+		want := "bad " + tc.rec + " record"
+		for name, body := range map[string][]byte{
+			"trailing":  append(append([]byte(nil), tc.good...), 0),
+			"truncated": tc.good[:len(tc.good)-1],
+		} {
+			if err := tc.send(body); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, %s body %x: %v, want an error saying %q", tc.rec, name, body, err, want)
+			}
+		}
+	}
+	// The well-formed mesh hello is accepted (the other rows' good bodies are
+	// every passing run of the suite).
+	if err := meshGets(t, uv(1, 0)); err != nil {
+		t.Errorf("well-formed mesh-hello refused: %v", err)
+	}
+}

@@ -47,10 +47,6 @@ type Cluster struct {
 	broker  *meshBroker
 	cleanup func()
 	wg      sync.WaitGroup
-	// gens[s] counts shard s's respawns — the mesh generation of its newest
-	// incarnation (the streamed Respawn contract of Spec.Respawn). Touched
-	// only by the goroutine driving the hub.
-	gens []int
 }
 
 // Body is what one worker incarnation does with its Seat, start to finish.
@@ -90,7 +86,7 @@ func (cl *Cluster) Start(body Body) error {
 	if err != nil {
 		return err
 	}
-	cl.cleanup, cl.gens = cleanup, make([]int, cl.P)
+	cl.cleanup = cleanup
 	if cl.Stream {
 		cl.broker = newMeshBroker(cl.P)
 	}
@@ -128,18 +124,17 @@ func (cl *Cluster) spawn(s Seat, body Body) {
 	}()
 }
 
-// Respawn starts a replacement incarnation of shard running body and returns
-// the coordinator end of its connection — the shape Spec.Respawn and the
-// session layer's epoch recovery want. Whatever the original transport, the
-// replacement runs over a fresh net.Pipe: the protocol bytes are
-// transport-agnostic and the pipe needs no listener plumbing. Call it from
-// the goroutine driving the hub.
-func (cl *Cluster) Respawn(shard int, body Body) (*Conn, error) {
+// Respawn starts incarnation gen of shard (the generation Hub.Respawn hands
+// its spawn callback) running body and returns the coordinator end of its
+// connection — the shape Spec.Respawn and the session layer's epoch recovery
+// want. Whatever the original transport, the replacement runs over a fresh
+// net.Pipe: the protocol bytes are transport-agnostic and the pipe needs no
+// listener plumbing.
+func (cl *Cluster) Respawn(shard, gen int, body Body) (*Conn, error) {
 	a, b := net.Pipe()
 	wc := NewConn(b)
 	wc.SetIOTimeout(cl.IOTimeout) // Hub.Respawn arms the coordinator's end
-	cl.gens[shard]++
-	cl.spawn(Seat{Shard: shard, Conn: wc, cl: cl, gen: cl.gens[shard]}, body)
+	cl.spawn(Seat{Shard: shard, Conn: wc, cl: cl, gen: gen}, body)
 	return NewConn(a), nil
 }
 
@@ -150,7 +145,7 @@ func (cl *Cluster) Respawn(shard int, body Body) (*Conn, error) {
 func (cl *Cluster) Run(spec Spec, body Body) (dist.Metrics, *Report, error) {
 	spec.P, spec.Stream = cl.P, cl.Stream
 	if spec.Recover {
-		spec.Respawn = func(s int) (*Conn, error) { return cl.Respawn(s, body) }
+		spec.Respawn = func(s, gen int) (*Conn, error) { return cl.Respawn(s, gen, body) }
 	}
 	return cl.Hub.Run(spec)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"distkcore/internal/codec"
+	"distkcore/internal/graph"
 	"distkcore/internal/quantize"
 )
 
@@ -66,9 +67,9 @@ const (
 	recStreamAck = byte(24)
 	// recStreamResend asks a worker to re-send its retained flows toward a
 	// respawned peer: coordinator→worker, body is uvarint target, from, to
-	// (inclusive round range). The worker replays the retained chunk and end
-	// records verbatim — byte-identical by determinism, accepted idempotently
-	// by the receiver's Seq gate.
+	// (inclusive round range), target's generation. The worker replays the
+	// retained chunk and end records verbatim — byte-identical by determinism,
+	// accepted idempotently by the receiver's Seq gate.
 	recStreamResend = byte(25)
 	// recStreamReplay announces one catch-up round to a resumed streamed
 	// worker: coordinator→worker, codec.Replay with Frames == 0 (the frames
@@ -123,6 +124,46 @@ const (
 	// protocols.
 	RecError = recError
 )
+
+// uvarints decodes a record body that is exactly len(dst) uvarints — the
+// shape of the run records with no codec type of their own (step, done,
+// deliver, metrics, stream-resend, mesh-hello) — through the same latching
+// codec.Decoder every other body goes through: a truncated body, trailing
+// bytes or a field past int range is one error naming the record.
+func uvarints(rec string, body []byte, dst ...*int) error {
+	d := codec.NewDecoder(body)
+	for _, p := range dst {
+		if *p = int(d.Uvarint()); *p < 0 {
+			d.Fail(fmt.Errorf("negative field from oversized uvarint"))
+		}
+	}
+	return bodyErr(rec, d)
+}
+
+// bodyErr ends the decode of a record body that must be consumed whole.
+func bodyErr(rec string, d *codec.Decoder) error {
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("net: bad %s record: %w", rec, err)
+	}
+	return nil
+}
+
+// decodeValues appends the (node, value bits) pairs of a values record body
+// to dst.
+func decodeValues(dst []NodeValue, body []byte) ([]NodeValue, error) {
+	d := codec.NewDecoder(body)
+	cnt := d.Uvarint()
+	// A pair is at least 9 bytes, so a lying count fails before the loop runs
+	// on its say-so.
+	if cnt > uint64(d.Rest())/9 {
+		d.Fail(fmt.Errorf("count %d exceeds the %d bytes that follow", cnt, d.Rest()))
+		cnt = 0
+	}
+	for ; cnt > 0; cnt-- {
+		dst = append(dst, NodeValue{Node: graph.NodeID(d.Uvarint()), Bits: d.U64()})
+	}
+	return dst, bodyErr("values", d)
+}
 
 // Conn wraps one coordinator↔worker connection with buffered record IO.
 // It is not safe for concurrent use of the same direction; the coordinator

@@ -51,11 +51,11 @@ type Spec struct {
 	// given shard: the in-process engine spawns a goroutine on a fresh
 	// pipe, cmd/cluster re-execs the worker binary on a fresh socket.
 	// Recovery requires it; a nil Respawn with Recover set fails the run on
-	// the first death, exactly as if recovery were off. Streamed runs add a
-	// contract: the new incarnation's mesh generation (Worker.MeshGen)
-	// must equal the number of Respawn calls performed for the shard, so
-	// the coordinator can name the incarnation in resend instructions.
-	Respawn func(shard int) (*Conn, error)
+	// the first death, exactly as if recovery were off. gen is the hub's
+	// count of the shard's respawns, this one included; on a streamed run it
+	// is the new incarnation's mesh generation (Worker.MeshGen), the name
+	// resend instructions know it by.
+	Respawn func(shard, gen int) (*Conn, error)
 	// OnRound, when non-nil, runs at the top of every round before the
 	// step broadcast — the fault-injection seam multi-process harnesses use
 	// to SIGKILL a worker at a chosen round.
@@ -548,35 +548,22 @@ func (c *coordinator) run() (dist.Metrics, error) {
 				// (A restarted worker's re-send is byte-identical to what its
 				// dead incarnation already had counted, and is dropped.)
 				gotMetrics[from] = true
-				d := 0
-				for _, dst := range []*int64{&met.Messages, &met.Words, &met.WireBytes} {
-					u, k := binary.Uvarint(body[d:])
-					if k <= 0 {
-						return false, fmt.Errorf("net: worker %d sent a truncated metrics record", from)
-					}
-					*dst += int64(u)
-					d += k
+				var msgs, words, wire int
+				if err := uvarints("metrics", body, &msgs, &words, &wire); err != nil {
+					return false, err
 				}
+				met.Messages += int64(msgs)
+				met.Words += int64(words)
+				met.WireBytes += int64(wire)
 			}
 		case recValues:
 			if !c.spec.WantValues || gotValues[from] {
 				return false, fmt.Errorf("net: worker %d shipped unsolicited values", from)
 			}
 			gotValues[from] = true
-			cnt, k := binary.Uvarint(body)
-			if k <= 0 {
-				return false, fmt.Errorf("net: worker %d sent a truncated values record", from)
-			}
-			d := k
-			for j := uint64(0); j < cnt; j++ {
-				v, k := binary.Uvarint(body[d:])
-				d += k
-				if k <= 0 || len(body[d:]) < 8 {
-					return false, fmt.Errorf("net: worker %d sent a truncated values record", from)
-				}
-				bits := binary.LittleEndian.Uint64(body[d:])
-				d += 8
-				c.rep.Values = append(c.rep.Values, NodeValue{Node: graph.NodeID(v), Bits: bits})
+			var err error
+			if c.rep.Values, err = decodeValues(c.rep.Values, body); err != nil {
+				return false, err
 			}
 		default:
 			return false, fmt.Errorf("net: unexpected record type %d at finish", typ)

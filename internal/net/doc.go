@@ -73,7 +73,5 @@
 // digest; workers apply the batch under the canonical order and rerun the
 // partitioner's Rebalance locally, so a churned execution stays
 // byte-identical to a fresh SeqEngine run on the mutated graph.
-// Engine.ChurnMetrics reports the churn ledger. ModelDelay bridges the
-// asynchronous simulator's DelayModel onto the per-frame DelayFunc seam
-// for latency-injected (but byte-identical) cluster runs.
+// Engine.ChurnMetrics reports the churn ledger.
 package net

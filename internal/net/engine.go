@@ -17,9 +17,10 @@ import (
 // Pipe is the default: synchronous in-memory net.Conn pairs, zero setup
 // cost, and the strictest flow-control regime (every write rendezvouses
 // with a read), which makes it the best deadlock canary for the protocol.
-// Unix and TCP run the same bytes over real localhost sockets — what the
-// BENCH_PR4 seq-vs-shard-vs-net comparison uses, and the closest in-process
-// stand-in for a real deployment (cmd/cluster is the multi-process one).
+// Unix and TCP run the same bytes over real localhost sockets — the closest
+// in-process stand-in for a real deployment (cmd/cluster is the multi-process
+// one); the ladder.net4_relay_unix_ms and ladder.net4_stream_unix_ms rungs of
+// benchmark/README.md price them against their pipe twins.
 const (
 	TransportPipe = "pipe"
 	TransportUnix = "unix"
@@ -37,8 +38,6 @@ type Engine struct {
 	// Transport selects the connection kind: TransportPipe (default),
 	// TransportUnix or TransportTCP. Set it before Run.
 	Transport string
-	// Delay, when non-nil, is installed on every worker (see DelayFunc).
-	Delay DelayFunc
 	// IOTimeout, when non-zero, is installed on every connection
 	// (Conn.SetIOTimeout) and on the coordinator's reply waits
 	// (Spec.IOTimeout): a stalled peer fails the run instead of hanging it.
@@ -235,7 +234,7 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	}
 	body := func(s Seat) error {
 		w := s.Worker(g, pl.Base)
-		w.lam, w.Delay, w.Part, w.Trace, w.ChunkBytes = e.lam, e.Delay, e.part, e.trace, e.ChunkBytes
+		w.lam, w.Part, w.Trace, w.ChunkBytes = e.lam, e.part, e.trace, e.ChunkBytes
 		w.Kill = func(ph obs.Phase, r int) bool { return e.kill.fire(ph, r, s.Shard) }
 		_, err := w.run(g, factory, maxRounds)
 		return err

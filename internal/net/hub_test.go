@@ -64,7 +64,7 @@ func TestHubDiscipline(t *testing.T) {
 			buffered(t, h, 1)
 			cc, wc := pipe()
 			defer wc.Close()
-			if _, gen, err := h.Respawn(0, func(int) (*Conn, error) { return cc, nil }); err != nil || gen != 1 {
+			if _, gen, err := h.Respawn(0, func(int, int) (*Conn, error) { return cc, nil }); err != nil || gen != 1 {
 				t.Fatalf("Respawn: generation %d, %v", gen, err)
 			}
 			buffered(t, h, 2) // the stale record and the old reader's terminal error
@@ -106,14 +106,16 @@ func TestHubDiscipline(t *testing.T) {
 			}
 		}},
 		{"the 9th recovery of one worker fails with the cap error", func(t *testing.T, h *Hub, ws []*Conn) {
-			spawn := func(int) (*Conn, error) {
+			told := 0 // the generation the hub handed the spawn callback
+			spawn := func(_, gen int) (*Conn, error) {
+				told = gen
 				cc, wc := pipe()
 				t.Cleanup(func() { wc.Close() })
 				return cc, nil
 			}
 			for i := 1; i <= maxRecoveries; i++ {
-				if _, gen, err := h.Respawn(2, spawn); err != nil || gen != i {
-					t.Fatalf("recovery %d: generation %d, %v", i, gen, err)
+				if _, gen, err := h.Respawn(2, spawn); err != nil || gen != i || told != i {
+					t.Fatalf("recovery %d: generation %d (spawn told %d), %v", i, gen, told, err)
 				}
 			}
 			if _, _, err := h.Respawn(2, spawn); err == nil || !strings.Contains(err.Error(), "giving up") {

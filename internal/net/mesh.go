@@ -296,17 +296,12 @@ func (m *mesh) handleAccepted(nc net.Conn) {
 		c.Close()
 		return
 	}
-	src, k := binary.Uvarint(body)
-	if k <= 0 {
+	var src, gen int
+	if uvarints("mesh-hello", body, &src, &gen) != nil || src >= m.cfg.P || src == m.cfg.Self {
 		c.Close()
 		return
 	}
-	gen, k2 := binary.Uvarint(body[k:])
-	if k2 <= 0 || int(src) < 0 || int(src) >= m.cfg.P || int(src) == m.cfg.Self {
-		c.Close()
-		return
-	}
-	m.attach(int(src), int(gen), c)
+	m.attach(src, gen, c)
 }
 
 // attach installs (or swaps in) the link to neighbor j and spawns its

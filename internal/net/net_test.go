@@ -3,7 +3,6 @@ package net
 import (
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"distkcore/internal/core"
@@ -38,34 +37,6 @@ func TestClusterLedgerMatchesShardEngine(t *testing.T) {
 				t.Fatalf("λ=%v: shard %d bytes %d vs %d", lam, s, ssm.PerShardBytes[s], nsm.PerShardBytes[s])
 			}
 		}
-	}
-}
-
-// The delay hook must fire once per outgoing frame with plausible
-// arguments, and must not perturb the execution.
-func TestDelayHookFiresPerFrame(t *testing.T) {
-	g := graph.BarabasiAlbert(150, 3, 2)
-	T := core.TForEpsilon(g.N(), 0.5)
-	_, refMet := core.RunDistributed(g, core.Options{Rounds: T}, dist.SeqEngine{})
-	var calls, bytes atomic.Int64
-	eng := NewEngine(3, shard.Hash{})
-	eng.Delay = func(src, dst, round, frameBytes int) {
-		if src == dst || src < 0 || src >= 3 || dst < 0 || dst >= 3 || frameBytes <= 0 {
-			t.Errorf("delay hook got (src=%d dst=%d round=%d bytes=%d)", src, dst, round, frameBytes)
-		}
-		calls.Add(1)
-		bytes.Add(int64(frameBytes))
-	}
-	_, met := core.RunDistributed(g, core.Options{Rounds: T}, eng)
-	if met != refMet {
-		t.Fatalf("delay hook perturbed metrics: %+v vs %+v", met, refMet)
-	}
-	sm := eng.ClusterMetrics()
-	if calls.Load() == 0 {
-		t.Fatal("delay hook never fired despite cross traffic")
-	}
-	if bytes.Load() != sm.CrossFrameBytes {
-		t.Fatalf("delay hook saw %d frame bytes, ledger says %d", bytes.Load(), sm.CrossFrameBytes)
 	}
 }
 

@@ -15,9 +15,8 @@ import (
 // coordinator connection, and the coordinator parks every frame until all P
 // done records are in, then forwards each to its destination ahead of the
 // release. Everything only relayed delivery needs lives here — retiring the
-// plane is deleting this file, its two constructor calls, the record numbers
-// recFrame, recDone and recReplay, and the per-frame Delay seam only it
-// honours.
+// plane is deleting this file, its two constructor calls and the record
+// numbers recFrame, recDone and recReplay.
 
 // relayWorker is the worker half: one frame per destination going out,
 // recFrame records coming in on the control connection.
@@ -42,9 +41,6 @@ func newRelayWorker(r *workerLoop) *relayWorker {
 		}
 		r.out[q] = &shard.PeerStream{Lam: r.lam, Limit: math.MaxInt, Flush: func(body []byte, count int) error {
 			p.hdr = codec.AppendFrameHeader(p.hdr[:0], codec.FrameHeader{Src: self, Dst: q, Round: r.cur, Count: count})
-			if w.Delay != nil {
-				w.Delay(self, q, r.cur, len(p.hdr)+len(body))
-			}
 			p.sent, p.sentBytes = p.sent+1, p.sentBytes+int64(len(p.hdr)+len(body))
 			return w.c.WriteRecord(recFrame, p.hdr, body)
 		}}
@@ -119,11 +115,16 @@ func (p *relayWorker) record(typ byte, body []byte) error {
 }
 
 // inbound has nothing to wait for — the frames precede the release on the
-// same connection — but holds the release to the count that arrived.
-func (p *relayWorker) inbound(t int, live bool, rest []byte) error {
+// same connection — but holds the release to the round in flight and the
+// count that arrived.
+func (p *relayWorker) inbound(t int, live bool, rel []byte) error {
 	if live {
-		if nf, k := binary.Uvarint(rest); k <= 0 || int(nf) != p.framesIn {
-			return fmt.Errorf("net: deliver(round %d, %d frames) but %d frames arrived", t, nf, p.framesIn)
+		var round, nf int
+		if err := uvarints("deliver", rel, &round, &nf); err != nil {
+			return err
+		}
+		if round != t || nf != p.framesIn {
+			return fmt.Errorf("net: deliver(round %d, %d frames) but worker is at round %d with %d frames in", round, nf, t, p.framesIn)
 		}
 	}
 	p.framesIn = 0
@@ -186,23 +187,17 @@ func (p *relayCoord) record(t, from int, typ byte, body []byte) (bool, int, erro
 		p.park[fh.Dst] = append(p.park[fh.Dst], frameRec{src: from, count: fh.Count, body: body})
 		return false, 0, nil
 	case recDone:
-		d := 0
-		var vals [3]uint64 // round, alive, frames sent
-		for j := range vals {
-			u, k := binary.Uvarint(body[d:])
-			if k <= 0 {
-				return false, 0, fmt.Errorf("net: worker %d sent a truncated done record", from)
-			}
-			vals[j] = u
-			d += k
+		var round, alive, sent int
+		if err := uvarints("done", body, &round, &alive, &sent); err != nil {
+			return false, 0, err
 		}
-		if int(vals[0]) != t {
-			return false, 0, fmt.Errorf("net: worker %d done for round %d during round %d", from, vals[0], t)
+		if round != t {
+			return false, 0, fmt.Errorf("net: worker %d done for round %d during round %d", from, round, t)
 		}
-		if int(vals[2]) != p.framesFrom[from] {
-			return false, 0, fmt.Errorf("net: worker %d announced %d frames, %d arrived", from, vals[2], p.framesFrom[from])
+		if sent != p.framesFrom[from] {
+			return false, 0, fmt.Errorf("net: worker %d announced %d frames, %d arrived", from, sent, p.framesFrom[from])
 		}
-		return true, int(vals[1]), nil
+		return true, alive, nil
 	}
 	return false, 0, fmt.Errorf("net: unexpected record type %d from worker %d in round %d", typ, from, t)
 }

@@ -114,17 +114,11 @@ func (p *streamWorker) record(typ byte, body []byte) error {
 	case recStreamResend:
 		// Re-feed a respawned peer: replay the retained records of rounds
 		// [from, to] toward its new incarnation, verbatim.
-		d := 0
-		var vals [4]uint64 // target, from, to, generation
-		for j := range vals {
-			u, k := binary.Uvarint(body[d:])
-			if k <= 0 {
-				return fmt.Errorf("net: truncated resend record")
-			}
-			vals[j] = u
-			d += k
+		var target, from, to, gen int
+		if err := uvarints("stream-resend", body, &target, &from, &to, &gen); err != nil {
+			return err
 		}
-		return p.m.resend(int(vals[0]), int(vals[1]), int(vals[2]), int(vals[3]))
+		return p.m.resend(target, from, to, gen)
 	case recStreamReplay:
 		// The round's inbound flows arrive over the mesh (resent by the
 		// peers), not on this connection.
@@ -142,8 +136,17 @@ func (p *streamWorker) record(typ byte, body []byte) error {
 
 // inbound is the receive barrier: await every inbound flow's end marker,
 // then fold the round's digest into the checkpoint chain.
-func (p *streamWorker) inbound(t int, live bool, _ []byte) error {
+func (p *streamWorker) inbound(t int, live bool, rel []byte) error {
 	w := p.r.w
+	if live {
+		var round int
+		if err := uvarints("deliver", rel, &round); err != nil {
+			return err
+		}
+		if round != t {
+			return fmt.Errorf("net: release for round %d but worker is at %d", round, t)
+		}
+	}
 	if live && w.killed(obs.PhaseRecv, t) {
 		return ErrKilled
 	}
@@ -327,10 +330,10 @@ func (p *streamCoord) release(t, q int) (bool, error) {
 // round t's inbound flows too, since the peers already streamed (and will
 // not re-stream) them. w's welcome is in, so its mesh is formed from its
 // side and every peer's accept of the new links is in flight; the record
-// carries w's new mesh generation — which by the Respawn contract is the
-// number of respawns performed for the shard — so each peer waits for that
-// incarnation's link before writing a byte (records to the dead link would
-// drop silently).
+// carries w's new mesh generation — the hub's respawn count, the same
+// number Spec.Respawn started the incarnation under — so each peer waits for
+// that incarnation's link before writing a byte (records to the dead link
+// would drop silently).
 func (p *streamCoord) resend(w, gen, from int) error {
 	if from > p.c.cur {
 		return nil

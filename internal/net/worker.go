@@ -48,16 +48,6 @@ func foldFrame(h uint64, body []byte) uint64 {
 	return h
 }
 
-// DelayFunc is the transport's latency-injection seam: when non-nil a
-// worker calls it immediately before writing each cross-shard frame, with
-// the frame's shard pair, round and wire size. A hook may sleep
-// (netem-style link simulation) but must not mutate run state. It exists so
-// the async/dynamic lines can later plug delay models into the real
-// transport without touching the engine: the coordinator's barrier makes
-// the execution independent of timing, so a delay can slow a run but never
-// change its bytes.
-type DelayFunc func(src, dst, round, frameBytes int)
-
 // Worker is the worker-side endpoint of the cluster protocol: a
 // dist.Engine whose Run participates in one coordinated run over a
 // connection instead of driving rounds itself. It holds the full graph and
@@ -77,9 +67,6 @@ type Worker struct {
 	// Hello is the pre-read handshake record; when nil, Run reads it from
 	// the connection as its first act.
 	Hello *codec.Hello
-	// Delay, when non-nil, runs before each outgoing frame write (relay
-	// plane).
-	Delay DelayFunc
 	// Part is the partitioner that produced the worker's assignment. It is
 	// only consulted when the hello announces a churn batch (DeltaDigest ≠
 	// 0): the worker must rerun the identical incremental Rebalance the
@@ -230,8 +217,9 @@ type workerPlane interface {
 	// record handles the records only this plane speaks.
 	record(typ byte, body []byte) error
 	// inbound returns once every inbound flow of round t has been absorbed.
-	// On a live round rest is the tail of the coordinator's release record.
-	inbound(t int, live bool, rest []byte) error
+	// On a live round rel is the body of the coordinator's release record,
+	// whose layout is the plane's; it must name round t.
+	inbound(t int, live bool, rel []byte) error
 	// ack buffers whatever acknowledges a live round's delivery.
 	ack(t int) error
 	// close releases the plane's resources when the run ends.
@@ -392,11 +380,11 @@ func (r *workerLoop) step(t int, live bool) error {
 // send order), and — under Recover — ship the sealed barrier state to the
 // coordinator as a checkpoint, before any ack: an acked round is always
 // restorable.
-func (r *workerLoop) finish(t int, live bool, rest []byte) error {
+func (r *workerLoop) finish(t int, live bool, rel []byte) error {
 	w := r.w
 	r.bw.End()
 	r.bw = obs.SpanRef{}
-	if err := w.plane.inbound(t, live, rest); err != nil {
+	if err := w.plane.inbound(t, live, rel); err != nil {
 		return err
 	}
 	if live && w.killed(obs.PhaseDeliver, t) {
@@ -574,27 +562,21 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 		}
 		switch typ {
 		case recStep:
-			t, k := binary.Uvarint(body)
-			if k <= 0 {
-				return dist.Metrics{}, fmt.Errorf("net: truncated step record")
+			var t int
+			if err := uvarints("step", body, &t); err != nil {
+				return dist.Metrics{}, err
 			}
-			if w.killed(obs.PhaseStep, int(t)) {
+			if w.killed(obs.PhaseStep, t) {
 				return dist.Metrics{}, ErrKilled
 			}
-			if err := r.step(int(t), true); err != nil {
+			if err := r.step(t, true); err != nil {
 				return dist.Metrics{}, err
 			}
 
 		case recDeliver:
 			// The barrier release: all P dones are in — receive and deliver.
-			t, k := binary.Uvarint(body)
-			if k <= 0 {
-				return dist.Metrics{}, fmt.Errorf("net: truncated release record")
-			}
-			if int(t) != r.cur {
-				return dist.Metrics{}, fmt.Errorf("net: release for round %d but worker is at %d", t, r.cur)
-			}
-			if err := r.finish(r.cur, true, body[k:]); err != nil {
+			// Its body is the plane's to decode (inbound).
+			if err := r.finish(r.cur, true, body); err != nil {
 				return dist.Metrics{}, err
 			}
 
@@ -621,9 +603,10 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			}
 
 		case recFinish:
-			rounds, k := binary.Uvarint(body)
-			if k <= 0 || len(body) <= k {
-				return dist.Metrics{}, fmt.Errorf("net: truncated finish record")
+			d := codec.NewDecoder(body)
+			rounds, halted := d.Uvarint(), d.Byte() != 0
+			if err := bodyErr("finish", d); err != nil {
+				return dist.Metrics{}, err
 			}
 			enc := binary.AppendUvarint(nil, uint64(r.msgs))
 			enc = binary.AppendUvarint(enc, uint64(r.words))
@@ -636,7 +619,7 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 				Messages:  r.msgs,
 				Words:     r.words,
 				WireBytes: r.wire,
-				Halted:    body[k] != 0,
+				Halted:    halted,
 			}, nil
 
 		case recError:
@@ -650,6 +633,16 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 	}
 }
 
+// Assign returns the assignment the run executed on: under churn the
+// rebalanced one, which the run recorded in the shared worker state (before
+// the run, and without churn, the one the worker was built with).
+func (w *Worker) Assign() []int {
+	if w.st != nil && w.st.assign != nil {
+		return w.st.assign
+	}
+	return w.assign
+}
+
 // SendValues ships the values of this worker's local nodes (vals is the
 // run-global n-sized result vector, e.g. the surviving numbers; remote
 // entries are ignored) as exact float bit patterns. Call it after the run,
@@ -659,13 +652,7 @@ func (w *Worker) SendValues(vals []float64) error {
 	if w.Hello == nil {
 		return fmt.Errorf("net: SendValues before handshake")
 	}
-	// Under churn the run executed on the rebalanced assignment, which the
-	// run recorded in the shared worker state; ship the nodes the run
-	// actually owned, not the stale pre-churn shard.
-	assign := w.assign
-	if w.st != nil && w.st.assign != nil {
-		assign = w.st.assign
-	}
+	assign := w.Assign()
 	cnt := 0
 	for v := range vals {
 		if assign[v] == w.Hello.Shard {

@@ -180,9 +180,8 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
-// TestMarshalReport pins the shared report marshaler: indented, trailing
-// newline, and the RunReport key set stays stable (cluster reports and
-// BENCH files are parsed by CI).
+// TestMarshalReport pins the report marshaler: indented, trailing newline,
+// and the RunReport key set stays stable (cluster reports are parsed by CI).
 func TestMarshalReport(t *testing.T) {
 	enc, err := MarshalReport(RunReport{Engine: "seq", Rounds: 3, Verified: false})
 	if err != nil {

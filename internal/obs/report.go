@@ -5,10 +5,8 @@ import (
 	"os"
 )
 
-// RunReport is the one report envelope every JSON-writing surface shares:
-// cmd/cluster's -json run report marshals through it, as the rows of the
-// recorded BENCH_PR*.json files did, so frame-byte, churn and phase-timing
-// fields appear under the same keys everywhere.
+// RunReport is the report envelope of cmd/cluster's -json run report (the CI
+// smokes assert on its verified and phases fields).
 //
 // Metrics/Sharding/Churn are `any` on purpose: this package sits below
 // dist and shard in the import graph (they call into it to trace), so it
@@ -30,8 +28,8 @@ type RunReport struct {
 	ElapsedMS int64        `json:"elapsed_ms,omitempty"`
 }
 
-// MarshalReport is the one marshaling path for run reports and the files
-// that embed them: indented JSON with a trailing newline.
+// MarshalReport is the marshaling path for run reports: indented JSON with a
+// trailing newline.
 func MarshalReport(v any) ([]byte, error) {
 	enc, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -68,7 +68,7 @@ type Coordinator struct {
 	// re-admission stamp (the last sealed epoch's) and recovered counts the
 	// successful recoveries. The receive/respawn discipline itself — stash,
 	// generations, the per-worker cap — is the hub's.
-	respawn   func(shard int) (*net.Conn, error)
+	respawn   func(shard, gen int) (*net.Conn, error)
 	lastStamp codec.Stamp
 	recovered int64
 	// Running totals behind Stat; owned by the session goroutine.
@@ -125,7 +125,7 @@ func NewCoordinator(hub *net.Hub, g *graph.Graph, assign []int, part shard.Parti
 // the dead worker held — which is why no state ships. respawn is called
 // from the session-owning goroutine. Epoch-0 faults (NewCoordinator) stay
 // fatal: recovery can only be armed on a sealed session.
-func (c *Coordinator) EnableRecovery(respawn func(shard int) (*net.Conn, error)) {
+func (c *Coordinator) EnableRecovery(respawn func(shard, gen int) (*net.Conn, error)) {
 	c.respawn = respawn
 }
 

@@ -124,9 +124,9 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 		// the dead incarnation held at the last seal, so no state ships; there
 		// is no fresh run to cross-check against (runB nil), the resume stamp's
 		// values digest is the admission check instead.
-		co.EnableRecovery(func(idx int) (*net.Conn, error) {
+		co.EnableRecovery(func(idx, gen int) (*net.Conn, error) {
 			g2, as2 := co.g, co.assign
-			return cl.Respawn(idx, func(s net.Seat) error {
+			return cl.Respawn(idx, gen, func(s net.Seat) error {
 				ws, err := NewWorkerState(s.Conn, g2, as2, idx, p, T, part, nil)
 				if err != nil {
 					return err
