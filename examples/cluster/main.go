@@ -26,7 +26,10 @@ func main() {
 		g.N(), g.M(), T, met.Messages, met.WireBytes)
 
 	// The same protocol on 8 shards under each partitioner. The protocol
-	// metrics do not move — only the cluster-level frame traffic does.
+	// metrics do not move — only the cluster-level frame traffic does. (A
+	// broadcast crosses the wire once per destination shard that holds a
+	// neighbour, not once per neighbour: "cross msgs" counts those frame
+	// entries.)
 	fmt.Println("partitioner  edge cut   cross msgs  frame bytes  max shard bytes")
 	for _, part := range []distkcore.Partitioner{
 		distkcore.HashPartitioner(),

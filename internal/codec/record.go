@@ -142,8 +142,9 @@ const (
 // version 3 added Hello.Recover and the checkpoint/resume/replay records of
 // the crash-recovery protocol (DESIGN.md §13); version 4 added the streamed
 // delivery fields (Stream, MeshKind, Window, MeshSpec) and the mesh record
-// types of DESIGN.md §14.
-const HandshakeVersion = 4
+// types of DESIGN.md §14; version 5 changed the frame entry layout (tag
+// ahead of the receiver) and added the broadcast entry (DESIGN.md §6).
+const HandshakeVersion = 5
 
 // AppendHello appends the wire encoding of h to dst.
 func AppendHello(dst []byte, h Hello) []byte {

@@ -14,9 +14,9 @@
 //     package register through the
 //     same interface by building on Driver, which exposes the shared
 //     step/deliver machinery without giving up the determinism contract:
-//     internal/shard (P worker goroutines, batched cross-shard frames, via
-//     the RouteFunc transport hook) and internal/net (coordinator plus P
-//     workers over real connections, via the Sends tap and ghost replay).
+//     internal/shard (P worker goroutines, batched cross-shard frames) and
+//     internal/net (coordinator plus P workers over real connections, with
+//     ghost replay of the remote sends), both through the Slot/Queued tap.
 //     All engines produce byte-identical executions, so every protocol
 //     property can be tested on the cheap engine and trusted on a cluster.
 //
@@ -438,10 +438,12 @@ func (s *sim) step(v graph.NodeID, t int, buf *[]Message) bool {
 // loop calls it once per message, in the deterministic global delivery
 // order (ascending sender ID, ties in send order), and places the returned
 // message in the receiver's inbox. A transport may transform the message in
-// flight — the sharded engine routes cross-shard messages through its frame
-// codec — as long as the result is semantically identical; it is called
-// even for messages whose receiver has already halted (a real transport
-// ships them before learning that), though those are then dropped.
+// flight — round-trip it through a wire codec, say — as long as the result
+// is semantically identical; it is called even for messages whose receiver
+// has already halted (a real transport ships them before learning that),
+// though those are then dropped. A delivery with a hook is always a scatter,
+// one call per copy; the cluster engines of this repo tap the senders
+// instead (Driver.Slot, Driver.Queued) and Deliver(nil).
 type RouteFunc func(from, to graph.NodeID, m Message) Message
 
 // traceDeliver is deliver wrapped in a deliver span whose byte and message

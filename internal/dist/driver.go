@@ -7,13 +7,13 @@ import (
 
 // Driver exposes the engine-shared machinery — per-node programs and
 // contexts, mailboxes, delivery order and metrics accounting — to Engine
-// implementations that live outside this package (the sharded cluster
-// engine of internal/shard). It is the same sim core both built-in engines
-// are thin schedulers over, so an engine built on a Driver inherits the
-// package's determinism contract wholesale: step nodes in any order (or
-// concurrently, for distinct nodes) between barriers, then call Deliver
-// from a single goroutine, and the execution is byte-identical to
-// SeqEngine's.
+// implementations that live outside this package (the sharded engine of
+// internal/shard, the socket cluster's workers in internal/net). It is the
+// same sim core both built-in engines are thin schedulers over, so an
+// engine built on a Driver inherits the package's determinism contract
+// wholesale: step nodes in any order (or concurrently, for distinct nodes)
+// between barriers, then call Deliver from a single goroutine, and the
+// execution is byte-identical to SeqEngine's.
 type Driver struct{ s *sim }
 
 // NewDriver instantiates one Program per node of g via factory and returns
@@ -39,10 +39,24 @@ func (d *Driver) Halted(v graph.NodeID) bool { return d.s.ctxs[v].halted }
 // inbox is valid only for the duration of the hook (see Program).
 // Concurrent Steps are safe for distinct v; the engine must barrier before
 // calling Deliver.
-func (d *Driver) Step(v graph.NodeID, t int) {
-	if !d.s.ctxs[v].halted {
-		d.StepRange(v, v+1, t)
+func (d *Driver) Step(v graph.NodeID, t int) { d.StepList([]graph.NodeID{v}, t) }
+
+// StepList runs Step for every listed node, in list order, for round t and
+// returns the number of hooks invoked. It is the form for an engine whose
+// share of the nodes is not a contiguous range — a shard's local nodes, a
+// cluster worker's ghost senders — and borrows the gather buffer once for
+// the whole list. Concurrent StepLists are safe for disjoint lists; the
+// engine must barrier before Deliver.
+func (d *Driver) StepList(nodes []graph.NodeID, t int) int {
+	buf := gatherBufs.Get().(*[]Message)
+	stepped := 0
+	for _, v := range nodes {
+		if d.s.step(v, t, buf) {
+			stepped++
+		}
 	}
+	gatherBufs.Put(buf)
+	return stepped
 }
 
 // StepRange runs Step for every node in [lo, hi) in ascending order for
@@ -64,27 +78,41 @@ func (d *Driver) StepRange(lo, hi graph.NodeID, t int) int {
 	return stepped
 }
 
-// Sends invokes fn for every message node v has sent since the last
-// Deliver, in send order — a leading Broadcast once per peer, then the
-// queued sends — without consuming anything. It is the transport tap of the
-// seam: an engine that ships a shard's traffic over a real wire
-// (internal/net) calls it after the round's Steps and before the Deliver
-// that flushes them, encoding cross-shard messages into frames and
-// accounting its shard's Metrics share through WireSize. Call it only in
-// that window, from a goroutine that is not concurrently Stepping v; the
-// Message values (Vec included) are the live send buffers and must not be
-// retained or mutated.
-func (d *Driver) Sends(v graph.NodeID, fn func(to graph.NodeID, m Message)) {
+// Slot returns the Broadcast node v opened this round with — the message
+// sitting in its slot, addressed to every one of Peers(v) — and whether
+// there is one (false when v sent nothing, or sent something else first).
+// Together with Queued it is the transport tap of the seam: an engine that
+// ships a shard's traffic over a real wire (internal/shard, internal/net)
+// reads them after the round's Steps and before the Deliver that flushes
+// them, so a leading broadcast is seen once, whatever its fan-out. Call
+// both only in that window, from a goroutine that is not concurrently
+// Stepping v; the Message values (Vec included) are the live send buffers
+// and must not be retained or mutated.
+func (d *Driver) Slot(v graph.NodeID) (Message, bool) {
 	s := d.s
-	c := &s.ctxs[v]
-	if sl := &s.slots[s.wr+v]; sl.seq == s.seq {
-		for _, to := range c.peers {
-			fn(to, sl.m)
-		}
-	}
-	for _, env := range c.out {
+	sl := &s.slots[s.wr+v]
+	return sl.m, sl.seq == s.seq
+}
+
+// Queued invokes fn for every send of node v's round that is not in its
+// slot — each Send, and the per-peer copies of any Broadcast that was not
+// the round's first send — in send order, without consuming anything.
+func (d *Driver) Queued(v graph.NodeID, fn func(to graph.NodeID, m Message)) {
+	for _, env := range d.s.ctxs[v].out {
 		fn(env.to, env.m)
 	}
+}
+
+// Sends invokes fn for every message node v has sent since the last
+// Deliver, in send order, one call per recipient: Slot expanded over
+// Peers(v), then Queued.
+func (d *Driver) Sends(v graph.NodeID, fn func(to graph.NodeID, m Message)) {
+	if m, ok := d.Slot(v); ok {
+		for _, to := range d.s.ctxs[v].peers {
+			fn(to, m)
+		}
+	}
+	d.Queued(v, fn)
 }
 
 // Deliver closes the round: it accounts Metrics for every message sent

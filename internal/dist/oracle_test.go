@@ -1,15 +1,18 @@
 package dist_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
 	"distkcore/internal/net"
+	"distkcore/internal/obs"
 	"distkcore/internal/quantize"
 	"distkcore/internal/shard"
 )
@@ -47,6 +50,19 @@ func mix(x uint64) uint64 {
 	return x ^ x>>33
 }
 
+// calm reports whether round t is one of the two in three that keep to the
+// leading Broadcast.
+func (sc *script) calm(t int) bool { return mix(sc.seed+uint64(t))%3 != 0 }
+
+// mixedRound returns the first round after Init that is not calm.
+func (sc *script) mixedRound() int {
+	t := 1
+	for sc.calm(t) {
+		t++
+	}
+	return t
+}
+
 func (sc *script) act(v graph.NodeID, t int, peers []graph.NodeID) (sends []scriptSend, halt bool) {
 	h := mix(sc.seed ^ mix(uint64(v)<<20^uint64(t)))
 	msg := func(k uint64, vec int) dist.Message {
@@ -64,7 +80,7 @@ func (sc *script) act(v graph.NodeID, t int, peers []graph.NodeID) (sends []scri
 		}
 	}
 	draw := h % 10
-	if calm := mix(sc.seed+uint64(t))%3 != 0; calm && draw != 9 {
+	if sc.calm(t) && draw != 9 {
 		draw = []uint64{0, 1, 1, 10}[h>>8%4]
 	}
 	switch draw {
@@ -122,6 +138,23 @@ func (p *scriptProg) play(c *dist.Ctx) {
 	if halt {
 		c.Halt()
 	}
+}
+
+// The script's only cross-round state is how much of its transcript row it
+// has written: a restored node (dist.Checkpointable, crash recovery) winds
+// the row back to the checkpoint, so a round the dead incarnation had already
+// stepped is recorded once.
+func (p *scriptProg) AppendState(dst []byte) ([]byte, error) {
+	return binary.AppendUvarint(dst, uint64(len(p.sc.got[p.id]))), nil
+}
+
+func (p *scriptProg) RestoreState(_ *dist.Ctx, _ bool, src []byte) (int, error) {
+	k, n := binary.Uvarint(src)
+	if n <= 0 || k > uint64(len(p.sc.got[p.id])) {
+		return 0, fmt.Errorf("script state %x does not fit a row of %d", src, len(p.sc.got[p.id]))
+	}
+	p.sc.got[p.id] = p.sc.got[p.id][:k]
+	return n, nil
 }
 
 func hashInbox(inbox []dist.Message) uint64 {
@@ -208,16 +241,32 @@ func TestEnginesMatchDeliveryOracle(t *testing.T) {
 		"multi":    multi.Build(),
 		"isolated": graph.ErdosRenyi(50, 0.02, 5),
 	}
-	stream := net.NewEngine(3, shard.Hash{})
-	stream.Stream = true
-	engines := []dist.Engine{
-		dist.SeqEngine{},
-		dist.ParEngine{W: 1}, dist.ParEngine{W: 2}, dist.ParEngine{W: 4},
-		shard.NewEngine(3, shard.Hash{}),
-		net.NewEngine(3, shard.Hash{}),
-		stream,
+	streamed := func(p int, part shard.Partitioner) *net.Engine {
+		e := net.NewEngine(p, part)
+		e.Stream = true
+		return e
 	}
-	names := []string{"seq", "par:1", "par:2", "par:4", "shard", "net:pipe", "net:pipe:stream"}
+	cube := streamed(4, shard.Hash{})
+	cube.MeshThreshold = 4 // hypercube: 0↔3 and 1↔2 relay through a third worker
+	// recov loses worker 1 between the inbound flows and the delivery of the
+	// run's first mixed round: the restored incarnation re-steps that round
+	// and is re-fed its flows — broadcast and unicast entries, in chunks of a
+	// few — by its peers' resend.
+	recov := streamed(3, shard.Hash{})
+	recov.Recover, recov.IOTimeout, recov.ChunkBytes = true, 10*time.Second, 64
+	engines := []struct {
+		name string
+		eng  dist.Engine
+	}{
+		{"seq", dist.SeqEngine{}},
+		{"par:1", dist.ParEngine{W: 1}}, {"par:2", dist.ParEngine{W: 2}}, {"par:4", dist.ParEngine{W: 4}},
+		{"shard", shard.NewEngine(3, shard.Hash{})},
+		{"net:pipe", net.NewEngine(3, shard.Hash{})},
+		{"net:pipe:stream", streamed(3, shard.Hash{})},
+		{"net:pipe:stream/greedy", streamed(3, shard.Greedy{})},
+		{"net:pipe:stream/cube", cube},
+		{"net:pipe:stream/recover", recov},
+	}
 	// The script never keeps an inbox, so it must read the same under the
 	// retention check's poisoning.
 	dist.CheckInboxRetention = true
@@ -226,10 +275,16 @@ func TestEnginesMatchDeliveryOracle(t *testing.T) {
 		for _, seed := range []uint64{1, 2, 3} {
 			for _, budget := range []int{6, 300} { // cut off mid-run, and run until all have halted
 				want, wantMet := oracle(g, &script{seed: seed}, budget)
-				for i, eng := range engines {
+				for _, e := range engines {
 					sc := &script{seed: seed, got: make([][]uint64, g.N())}
-					met := eng.Run(g, func(v graph.NodeID) dist.Program { return &scriptProg{sc: sc, id: v} }, budget)
-					id := fmt.Sprintf("%s seed %d budget %d on %s", gname, seed, budget, names[i])
+					id := fmt.Sprintf("%s seed %d budget %d on %s", gname, seed, budget, e.name)
+					if e.eng == dist.Engine(recov) {
+						recov.KillAt(obs.PhaseDeliver, sc.mixedRound(), 1)
+					}
+					met := e.eng.Run(g, func(v graph.NodeID) dist.Program { return &scriptProg{sc: sc, id: v} }, budget)
+					if e.eng == dist.Engine(recov) && recov.Recoveries() != 1 {
+						t.Fatalf("%s: %d recoveries, want the one armed at round %d", id, recov.Recoveries(), sc.mixedRound())
+					}
 					if wantMet.Halted != (budget == 300) {
 						t.Fatalf("%s: the script no longer covers both ways a run ends", id)
 					}

@@ -261,3 +261,69 @@ func TestDriverStepRange(t *testing.T) {
 		}
 	}
 }
+
+// TestDriverStepListAndTap drives the same protocol through Driver.StepList
+// over two interleaved (non-contiguous) node lists, and at every barrier
+// holds the transport tap to its definition: Sends is Slot expanded over the
+// peers, then Queued — the trace protocol's Init leaves a slot and nothing
+// queued, its Rounds a slot and one queued Send.
+func TestDriverStepListAndTap(t *testing.T) {
+	g := graph.BarabasiAlbert(120, 3, 4)
+	const T = 6
+	seqSink, seqMet := runTrace(g, T, SeqEngine{})
+
+	sink := &traceSink{lines: make([][]string, g.N())}
+	d := NewDriver(g, nil, func(v graph.NodeID) Program {
+		return &traceProgram{id: v, T: T, sink: sink}
+	})
+	var lists [2][]graph.NodeID
+	for v := 0; v < g.N(); v++ {
+		lists[v%2] = append(lists[v%2], v)
+	}
+	type copyTo struct {
+		to graph.NodeID
+		m  Message
+	}
+	collect := func(dst *[]copyTo) func(graph.NodeID, Message) {
+		return func(to graph.NodeID, m Message) { *dst = append(*dst, copyTo{to, m}) }
+	}
+	rounds := 0
+	for t2 := 0; t2 == 0 || (t2 <= T+2 && d.Alive() > 0); t2++ {
+		rounds = t2
+		alive := d.Alive()
+		if got := d.StepList(lists[1], t2) + d.StepList(lists[0], t2); got != alive {
+			t.Fatalf("round %d stepped %d of %d live nodes", t2, got, alive)
+		}
+		for v := 0; v < g.N(); v++ {
+			var want, queued, got []copyTo
+			m, ok := d.Slot(v)
+			if ok {
+				for _, to := range g.Peers(v) {
+					want = append(want, copyTo{to, m})
+				}
+			}
+			d.Queued(v, collect(&queued))
+			d.Sends(v, collect(&got))
+			if want = append(want, queued...); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d node %d: Sends %v, Slot × Peers then Queued %v", t2, v, got, want)
+			}
+			sent := len(sink.lines[v]) == t2 && t2 < T // stepped this round and not halting in it
+			wantQueued := 0
+			if sent && t2 > 0 && len(g.Peers(v)) > 0 {
+				wantQueued = 1
+			}
+			if ok != sent || len(queued) != wantQueued || (ok && (m.From != v || m.Kind != 1)) {
+				t.Fatalf("round %d node %d: slot %+v (%v), %d queued; want slot %v, %d queued", t2, v, m, ok, len(queued), sent, wantQueued)
+			}
+		}
+		d.Deliver(nil)
+	}
+	if met := d.Finish(rounds); met != seqMet {
+		t.Fatalf("StepList execution metrics %+v, seq %+v", met, seqMet)
+	}
+	for v := 0; v < g.N(); v++ {
+		if !reflect.DeepEqual(seqSink.lines[v], sink.lines[v]) {
+			t.Fatalf("node %d: StepList transcript %v, seq %v", v, sink.lines[v], seqSink.lines[v])
+		}
+	}
+}

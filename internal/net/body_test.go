@@ -9,6 +9,7 @@ import (
 	"distkcore/internal/codec"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
+	"distkcore/internal/quantize"
 	"distkcore/internal/shard"
 )
 
@@ -147,5 +148,70 @@ func TestInlineBodiesAreStrict(t *testing.T) {
 	// every passing run of the suite).
 	if err := meshGets(t, uv(1, 0)); err != nil {
 		t.Errorf("well-formed mesh-hello refused: %v", err)
+	}
+}
+
+// What a flow may carry is narrower than what the entry codec can express
+// (DESIGN.md §8.4 step 3): every sender owned by the flow's source shard,
+// every unicast recipient by this one, and at most one broadcast entry per
+// sender per round — first among that sender's entries, and only from a
+// sender with a peer here. Each violation aborts with a flow error instead of
+// reaching a ghost, where a repeated broadcast would fall through
+// Ctx.Broadcast into the queue and deliver twice.
+func TestAbsorbRefusesMalformedFlows(t *testing.T) {
+	// 4 — 0 — 1 — 2 — 3 with shard 0 = {0, 1, 4} and shard 1 = {2, 3}: seen
+	// from worker 1, sender 1 has a peer here, senders 0 and 4 do not.
+	b := graph.NewBuilder(5)
+	for _, e := range [][2]int{{4, 0}, {0, 1}, {1, 2}, {2, 3}} {
+		b.AddUnitEdge(e[0], e[1])
+	}
+	g, assign, lam := b.Build(), []int{0, 0, 1, 1, 0}, quantize.Reals{}
+	type entry struct {
+		to   graph.NodeID
+		from graph.NodeID
+	}
+	bc := func(from graph.NodeID) entry { return entry{shard.Broadcast, from} }
+	cases := []struct {
+		name   string
+		chunks [][]entry // absorbed in order, as the chunks of one round's flow 0→1
+		count  int       // announced for the last chunk; 0 means its true count
+		want   string    // "" means accepted
+	}{
+		{"broadcast then unicast", [][]entry{{bc(1), {2, 1}}}, 0, ""},
+		{"unicast only", [][]entry{{{2, 1}, {2, 1}}}, 0, ""},
+		{"broadcast twice", [][]entry{{bc(1), bc(1)}}, 0, "broadcast of sender 1 behind 1 other entries"},
+		{"broadcast twice across chunks", [][]entry{{bc(1)}, {bc(1)}}, 0, "broadcast of sender 1 behind 1 other entries"},
+		{"broadcast behind unicast", [][]entry{{{2, 1}, bc(1)}}, 0, "broadcast of sender 1 behind 1 other entries"},
+		{"broadcast with no peer here", [][]entry{{bc(0)}}, 0, "sender 0, which has no peer in shard 1"},
+		{"broadcast from this shard's own node", [][]entry{{bc(2)}}, 0, "sender 2 not owned by shard 0"},
+		{"broadcast from a node out of range", [][]entry{{bc(5)}}, 0, "sender 5 not owned by shard 0"},
+		{"unicast from this shard's own node", [][]entry{{{3, 2}}}, 0, "sender 2 not owned by shard 0"},
+		{"unicast outside this shard", [][]entry{{{0, 1}}}, 0, "addresses node 0 outside shard 1"},
+		{"unicast out of range", [][]entry{{{5, 1}}}, 0, "addresses node 5 outside shard 1"},
+		{"count overstated", [][]entry{{bc(1)}}, 2, "decoded 1 messages, header says 2"},
+	}
+	for _, tc := range cases {
+		r := &workerLoop{h: &codec.Hello{P: 2, Shard: 1}, lam: lam, assign: assign,
+			fan: shard.NewFanout(g, assign, 2), gh: &ghost{pending: make([][]replayMsg, g.N())}}
+		var err error
+		for i, chunk := range tc.chunks {
+			var body []byte
+			for _, e := range chunk {
+				body = shard.AppendMessage(body, lam, e.to, dist.Message{From: e.from, F0: 1})
+			}
+			count := len(chunk)
+			if i == len(tc.chunks)-1 && tc.count != 0 {
+				count = tc.count
+			}
+			if err = r.absorb(0, 0, body, count); err != nil {
+				break
+			}
+		}
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), "net: flow 0→1 ") || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: %v, want a flow 0→1 error saying %q", tc.name, err, tc.want)
+		}
 	}
 }

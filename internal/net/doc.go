@@ -14,11 +14,16 @@
 //     but steps only the nodes of its own shard. The handshake pins the
 //     inputs (graph.Fingerprint, shard.PartitionDigest, the threshold set
 //     Λ, the round budget) so no two processes can silently disagree.
-//   - After the round's local Steps, the worker taps its nodes' buffered
-//     sends (dist.Driver.Sends), prices its shard's share of the protocol
-//     Metrics through dist.WireSize, and encodes every cross-shard message
-//     into one frame per destination shard (shard.AppendMessage — the
-//     lossless body codec, byte-for-byte the sharded engine's format).
+//   - After the round's local Steps, the worker taps what its nodes sent
+//     (dist.Driver.Slot and Queued: a node's leading Broadcast once, then
+//     its queued sends), prices its shard's share of the protocol Metrics
+//     through dist.WireSize — a broadcast once × its fan-out — and frames
+//     the cross-shard part, one frame per destination shard
+//     (shard.Fanout.Emit over shard.AppendMessage — the lossless entry
+//     codec, byte-for-byte the sharded engine's format): a leading
+//     Broadcast as ONE broadcast entry per destination shard that holds a
+//     peer of the sender, everything else as one unicast entry per
+//     recipient.
 //   - The round closes at the coordinator's barrier, and the cross-shard
 //     messages reach their destination workers on one of two frame planes
 //     under the same round loop (DESIGN.md §8.4): relayed — one frame per
@@ -26,11 +31,16 @@
 //     is done, then forwarded (relay.go) — or, with Stream, streamed —
 //     chunked straight onto a worker↔worker mesh while the coordinator only
 //     verifies the digest matrix of flows it never sees (stream.go,
-//     mesh.go). Either way a worker replays what it received through ghost
-//     programs — stand-ins for the remote senders that re-issue the decoded
-//     messages — so the local delivery assembles every inbox in the
-//     package-wide deterministic order (ascending sender ID, ties in send
-//     order) exactly as SeqEngine would.
+//     mesh.go). Either way a worker validates each entry against its own
+//     copy of the graph and the partition (a broadcast entry names no
+//     recipients — they are the sender's peers, which the receiver knows)
+//     and replays what it received through ghost programs — stand-ins for
+//     the remote senders that re-issue a broadcast entry as a Broadcast,
+//     into the ghost's slot, and a unicast entry as a Send — so the local
+//     delivery assembles every inbox in the package-wide deterministic
+//     order (ascending sender ID, ties in send order) exactly as SeqEngine
+//     would, and by the same path: a round of leading broadcasts moves
+//     nothing on a worker either (DESIGN.md §7).
 //   - Metrics are sums over messages, hence order-independent: the
 //     coordinator adds up the workers' shares and necessarily lands on
 //     SeqEngine's numbers. Rounds and Halted come from the coordinator's

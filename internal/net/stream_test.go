@@ -18,9 +18,9 @@ import (
 // Streamed-mesh specific properties (DESIGN.md §14). Byte-identity of the
 // streamed engine against seq is pinned by the equivalence and recovery
 // sweeps; the tests here pin the *transport* claims — that the hypercube
-// topology actually relays, that per-worker wire load stays ~flat as P
-// grows (the coordinator funnel is gone), and that a P=64 mesh over pipes
-// survives a full run without leaking goroutines.
+// topology actually relays, that no worker funnels the cluster's traffic at
+// any P (the busiest one stays within 2× the mean), and that a P=64 mesh
+// over pipes survives a full run without leaking goroutines.
 
 func streamEngine(p int, part shard.Partitioner) *Engine {
 	e := NewEngine(p, part)
@@ -89,17 +89,16 @@ func TestStreamHypercubeRelays(t *testing.T) {
 	}
 }
 
-// Per-worker wire load must stay roughly flat as P grows — the whole point
-// of the mesh is that no single endpoint funnels the cluster's traffic. At
-// P=16 the default threshold flips the topology to the hypercube, so this
-// also covers cube selection without a forced override.
+// No single endpoint may funnel the cluster's traffic — the whole point of
+// the mesh — at any P. At P=16 the default threshold flips the topology to
+// the hypercube, so this also covers cube selection without a forced
+// override.
 func TestStreamWireFlatAcrossP(t *testing.T) {
 	g := graph.BarabasiAlbert(800, 5, 9)
 	T := core.TForEpsilon(g.N(), 0.5)
 	opt := core.Options{Rounds: T, Lambda: quantize.NewPowerGrid(0.1)}
 	ref, refMet := core.RunDistributed(g, opt, dist.SeqEngine{})
 
-	loads := map[int]int64{}
 	for _, p := range []int{4, 16} {
 		e := streamEngine(p, shard.Hash{})
 		res, met := core.RunDistributed(g, opt, e)
@@ -109,23 +108,28 @@ func TestStreamWireFlatAcrossP(t *testing.T) {
 		if !reflect.DeepEqual(res.B, ref.B) {
 			t.Fatalf("P=%d B vector diverges from seq", p)
 		}
-		loads[p] = maxWorkerWire(e)
-		t.Logf("P=%d max per-worker wire %d, total %d", p, loads[p], totalWorkerWire(e))
+		t.Logf("P=%d max per-worker wire %d, total %d", p, maxWorkerWire(e), totalWorkerWire(e))
+		checkNoFunnel(t, p, e)
 	}
-	// Quadrupling the cluster must not grow the heaviest worker's wire
-	// share: total cross traffic is fixed by the protocol, so spreading it
-	// over 4× the workers — even with cube relay overhead (log P hops) —
-	// has to shrink, or at worst hold, the per-worker maximum.
-	if loads[16] > loads[4] {
-		t.Fatalf("per-worker wire grew with P: P=4 max %d, P=16 max %d", loads[4], loads[16])
+}
+
+// checkNoFunnel holds the busiest worker's wire to twice the mean. Total
+// cross traffic is NOT fixed by the protocol: a leading broadcast ships one
+// entry per (sender, destination shard), so entries per sender grow with P
+// until they reach the degree, and the cube adds log P relay hops on top —
+// the per-worker maximum need not fall as P grows. What the mesh promises is
+// that the load stays spread.
+func checkNoFunnel(t *testing.T, p int, e *Engine) {
+	t.Helper()
+	if max, tot := maxWorkerWire(e), totalWorkerWire(e); max*int64(p) > 2*tot {
+		t.Fatalf("P=%d: busiest worker carries %d bytes, over 2× the mean of %d", p, max, tot/int64(p))
 	}
 }
 
 // P=64 pipe soak, gated behind DKC_SCALE_SOAK=1: a 6-dimensional hypercube
 // (64 workers, 384 goroutine-backed data links plus control conns) runs a
-// full protocol byte-identical to seq, per-worker wire stays in the same
-// band as a small mesh, and the whole apparatus drains without leaking a
-// goroutine.
+// full protocol byte-identical to seq, no worker funnels the traffic, and
+// the whole apparatus drains without leaking a goroutine.
 func TestStreamSoakP64(t *testing.T) {
 	if os.Getenv("DKC_SCALE_SOAK") == "" {
 		t.Skip("set DKC_SCALE_SOAK=1 to run the P=64 mesh soak")
@@ -136,7 +140,6 @@ func TestStreamSoakP64(t *testing.T) {
 	ref, refMet := core.RunDistributed(g, opt, dist.SeqEngine{})
 
 	before := runtime.NumGoroutine()
-	loads := map[int]int64{}
 	for _, p := range []int{4, 64} {
 		e := streamEngine(p, shard.Hash{})
 		e.ChunkBytes = shard.DefaultChunkBytes
@@ -147,12 +150,9 @@ func TestStreamSoakP64(t *testing.T) {
 		if !reflect.DeepEqual(res.B, ref.B) {
 			t.Fatalf("P=%d B vector diverges from seq", p)
 		}
-		loads[p] = maxWorkerWire(e)
 		t.Logf("P=%d max per-worker wire %d, total %d (name %s)",
-			p, loads[p], totalWorkerWire(e), e.Name())
-	}
-	if loads[64] > loads[4] {
-		t.Fatalf("per-worker wire grew 4→64: max %d vs %d", loads[64], loads[4])
+			p, maxWorkerWire(e), totalWorkerWire(e), e.Name())
+		checkNoFunnel(t, p, e)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

@@ -177,17 +177,22 @@ func (w *Worker) killed(phase obs.Phase, round int) bool {
 	return false
 }
 
-// replayMsg is one decoded cross-shard message awaiting ghost replay.
+// replayMsg is one decoded frame entry awaiting ghost replay; to is
+// shard.Broadcast for a broadcast entry.
 type replayMsg struct {
 	to graph.NodeID
 	m  dist.Message
 }
 
 // ghost is the stand-in Program for every node owned by another worker: it
-// never acts on its own, only re-issues (in original send order) the
-// messages the real remote node sent this round, as decoded from the
-// inbound flows. Sending through the ordinary Ctx is what slots the remote
-// traffic into the local Driver's deterministic delivery order.
+// never acts on its own, only re-issues (in original send order) what the
+// real remote node sent this round, as decoded from the inbound flows — its
+// leading Broadcast as a Broadcast, which lands in the ghost's slot exactly
+// as the real one landed in the sender's, everything else as the Sends the
+// flow spelled out. Sending through the ordinary Ctx is what slots the
+// remote traffic into the local Driver's deterministic delivery order, and
+// what leaves a round in which nobody queued anything — here or remotely —
+// a pull round (DESIGN.md §7).
 type ghost struct {
 	pending [][]replayMsg
 }
@@ -197,7 +202,11 @@ func (gh *ghost) Round(c *dist.Ctx, _ []dist.Message) { gh.replay(c) }
 
 func (gh *ghost) replay(c *dist.Ctx) {
 	for _, r := range gh.pending[c.ID()] {
-		c.Send(r.to, r.m)
+		if r.to == shard.Broadcast {
+			c.Broadcast(r.m)
+		} else {
+			c.Send(r.to, r.m)
+		}
 	}
 }
 
@@ -233,10 +242,15 @@ type workerLoop struct {
 	w      *Worker
 	h      *codec.Hello
 	lam    quantize.Lambda
+	g      *graph.Graph // the graph the run executes on (post-churn)
 	d      *dist.Driver
 	gh     *ghost
 	local  []graph.NodeID // ascending — the shard's step order
 	assign []int
+	// fan says which shards a node's leading broadcast is framed for, and —
+	// read from the other side — whether a remote sender's broadcast entry
+	// has any business in this shard.
+	fan *shard.Fanout
 	// outPhase is the plane's name for the outbound half of a round (span
 	// and kill seam): encode or send.
 	outPhase obs.Phase
@@ -278,9 +292,12 @@ func (r *workerLoop) resetArenas(t int) {
 	}
 }
 
-// absorb decodes count messages shard src sent this worker in the given
-// round and queues them on their senders' ghosts, validating that every
-// sender belongs to src and every recipient to this shard.
+// absorb decodes count entries shard src sent this worker in the given round
+// and queues them on their senders' ghosts, validating that every sender
+// belongs to src, every unicast recipient to this shard, and that a
+// broadcast entry opens its sender's round and comes from a sender with a
+// peer here — who receives it is read off this worker's own graph, never
+// off the wire.
 func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
 	var ar *shard.VecArena
 	if r.arenas != nil {
@@ -298,8 +315,15 @@ func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
 		if u < 0 || u >= n || assign[u] != src {
 			return fmt.Errorf("net: flow %d→%d carries sender %d not owned by shard %d", src, self, u, src)
 		}
-		if to < 0 || to >= n || assign[to] != self {
-			return fmt.Errorf("net: flow %d→%d addresses node %d outside shard %d", src, self, to, self)
+		switch {
+		case to != shard.Broadcast:
+			if to >= n || assign[to] != self {
+				return fmt.Errorf("net: flow %d→%d addresses node %d outside shard %d", src, self, to, self)
+			}
+		case len(pending[u]) != 0:
+			return fmt.Errorf("net: flow %d→%d carries a broadcast of sender %d behind %d other entries of its round", src, self, u, len(pending[u]))
+		case !r.fan.Reaches(u, self):
+			return fmt.Errorf("net: flow %d→%d carries a broadcast of sender %d, which has no peer in shard %d", src, self, u, self)
 		}
 		if len(pending[u]) == 0 {
 			r.senders = append(r.senders, u)
@@ -315,9 +339,10 @@ func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
 
 // step runs the local half of round t: the step hooks, then the tap that
 // prices this shard's share of the protocol Metrics (every send, intra-shard
-// included) and hands the cross-shard subset to the plane, then the done
-// record. A catch-up replay (live false) re-runs hooks and pricing only —
-// the peers already hold the dead incarnation's identical bytes — and
+// included; a leading broadcast once × its fan-out, as dist prices a slot)
+// and frames the cross-shard subset for the plane (shard.Fanout.Emit), then
+// the done record. A catch-up replay (live false) re-runs hooks and pricing
+// only — the peers already hold the dead incarnation's identical bytes — and
 // consults no kill seam.
 func (r *workerLoop) step(t int, live bool) error {
 	w, self := r.w, r.h.Shard
@@ -326,25 +351,32 @@ func (r *workerLoop) step(t int, live bool) error {
 		return err
 	}
 	sp := w.Trace.Begin(obs.PhaseStep, t, self)
-	for _, v := range r.local {
-		r.d.Step(v, t)
-	}
+	r.d.StepList(r.local, t)
 	sp.EndN(0, int64(len(r.local)))
 	if live && w.killed(r.outPhase, t) {
 		return ErrKilled
 	}
 	out := w.Trace.Begin(r.outPhase, t, self)
 	var serr error
-	assign, streams, lam := r.assign, r.out, r.lam
+	price := func(fan int64, m dist.Message) {
+		r.msgs += fan
+		r.words += fan * int64(m.Words())
+		r.wire += fan * int64(dist.WireSize(r.lam, m))
+	}
+	queued := func(_ graph.NodeID, m dist.Message) { price(1, m) }
+	entry := func(q int, to graph.NodeID, m dist.Message) {
+		if serr == nil {
+			serr = r.out[q].Append(to, m)
+		}
+	}
 	for _, v := range r.local {
-		r.d.Sends(v, func(to graph.NodeID, m dist.Message) {
-			r.msgs++
-			r.words += int64(m.Words())
-			r.wire += int64(dist.WireSize(lam, m))
-			if q := assign[to]; q != self && live && serr == nil {
-				serr = streams[q].Append(to, m)
-			}
-		})
+		if m, ok := r.d.Slot(v); ok {
+			price(int64(len(r.g.Peers(v))), m)
+		}
+		r.d.Queued(v, queued)
+		if live {
+			r.fan.Emit(r.d, v, entry)
+		}
 		if serr != nil {
 			return serr
 		}
@@ -375,11 +407,11 @@ func (r *workerLoop) step(t int, live bool) error {
 }
 
 // finish is the receive half of round t: wait out the inbound flows, let
-// ghost replay slot the remote sends into the Driver's queues, Deliver every
-// local inbox in the global deterministic order (ascending sender, ties in
-// send order), and — under Recover — ship the sealed barrier state to the
-// coordinator as a checkpoint, before any ack: an acked round is always
-// restorable.
+// ghost replay put the remote sends into the Driver's slots and queues,
+// Deliver every local inbox in the global deterministic order (ascending
+// sender, ties in send order), and — under Recover — ship the sealed barrier
+// state to the coordinator as a checkpoint, before any ack: an acked round is
+// always restorable.
 func (r *workerLoop) finish(t int, live bool, rel []byte) error {
 	w := r.w
 	r.bw.End()
@@ -391,8 +423,8 @@ func (r *workerLoop) finish(t int, live bool, rel []byte) error {
 		return ErrKilled
 	}
 	dl := w.Trace.Begin(obs.PhaseDeliver, t, r.h.Shard)
+	r.d.StepList(r.senders, t)
 	for _, u := range r.senders {
-		r.d.Step(u, t)
 		r.gh.pending[u] = r.gh.pending[u][:0]
 	}
 	r.senders = r.senders[:0]
@@ -512,8 +544,9 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 		w.st.assign = assign
 	}
 
-	r := &workerLoop{w: w, h: h, lam: lam, assign: assign, out: make([]*shard.PeerStream, h.P),
-		gh: &ghost{pending: make([][]replayMsg, n)}, chain: frameChainSeed, cur: -1}
+	r := &workerLoop{w: w, h: h, lam: lam, g: g, assign: assign, fan: shard.NewFanout(g, assign, h.P),
+		out: make([]*shard.PeerStream, h.P),
+		gh:  &ghost{pending: make([][]replayMsg, n)}, chain: frameChainSeed, cur: -1}
 	for v := 0; v < n; v++ {
 		if assign[v] == h.Shard {
 			r.local = append(r.local, v)

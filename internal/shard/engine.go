@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"distkcore/internal/codec"
@@ -13,13 +14,14 @@ import (
 
 // Engine is the sharded cluster engine. It implements dist.Engine on a
 // dist.Driver: P worker goroutines each step the nodes of one shard
-// (ascending ID within the shard), a barrier closes the round, and the
-// coordinator delivers all buffered sends single-threaded. During delivery
-// every cross-shard message is appended to its shard pair's frame and the
-// receiver gets the *decoded* frame contents, so the bytes accounted in
-// ShardMetrics are exactly the bytes the execution ran on. Executions are
-// byte-identical to dist.SeqEngine's (the dist package's determinism
-// contract; asserted by this package's equivalence tests).
+// (ascending ID within the shard) and frame what they sent across shard
+// boundaries, a barrier closes the round, and the coordinator prices the
+// frames and delivers single-threaded. Every frame entry is decoded back
+// and held bit for bit to the message it was encoded from (a difference
+// panics), so the bytes accounted in ShardMetrics are exactly bytes the
+// execution could have run on. Executions are byte-identical to
+// dist.SeqEngine's (the dist package's determinism contract; asserted by
+// this package's equivalence tests).
 //
 // Obtain one with NewEngine; the zero value is not usable.
 type Engine struct {
@@ -35,10 +37,11 @@ type Engine struct {
 	// the caller's handle reaches the copy the protocol driver runs.
 	churn *churnState
 	cm    *ChurnMetrics
-	// trace, when set, records per-shard step spans, the coordinator's
-	// barrier-wait and deliver spans, and one Flow per non-empty frame at
-	// flush. It observes the ledgers the run already keeps, so a traced run
-	// is byte-identical to an untraced one (obs package comment).
+	// trace, when set, records per-shard step and encode spans, the
+	// coordinator's barrier-wait and deliver spans, and one Flow per
+	// non-empty frame at flush. It observes the ledgers the run already
+	// keeps, so a traced run is byte-identical to an untraced one (obs
+	// package comment).
 	trace *obs.Tracer
 }
 
@@ -134,37 +137,22 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 
 	d := dist.NewDriver(g, lam, factory)
 
-	// frames[s*p+q] batches this round's s→q traffic. route runs inside
-	// Deliver (single-threaded), appends each cross-shard message to its
-	// frame and returns the decode of the bytes just written — the
-	// round trip that ties the accounting to the execution. The buffer
-	// matrix comes from a sync.Pool, so repeated runs reuse the grown
-	// encode buffers instead of allocating fresh ones, and decoded Vec
-	// payloads are carved from the pooled arena — valid for exactly the
-	// one round their inbox lives (the arena resets right before each
-	// delivery, after the previous round's readers have all run).
+	// frames[s*p+q] batches this round's s→q traffic. Shard s's worker
+	// frames its own nodes' sends right after stepping them (Fanout.Emit:
+	// one entry per destination shard for a leading broadcast, one per
+	// cross-shard recipient for everything else), so row s of the matrix
+	// has one writer. Every entry is decoded again on the spot and held to
+	// the message it encodes, bit for bit — the round trip that ties the
+	// bytes accounted to the execution. The buffer matrix comes from a
+	// sync.Pool, so repeated runs reuse the grown encode buffers instead of
+	// allocating fresh ones.
+	fan := NewFanout(g, assign, p)
 	fs := getFrameSet(p)
 	defer putFrameSet(fs)
 	frames := fs.frames
-	route := func(from, to graph.NodeID, m dist.Message) dist.Message {
-		sf, df := assign[from], assign[to]
-		if sf == df {
-			return m // intra-shard: handed over in memory, free on the wire
-		}
-		fb := &frames[sf*p+df]
-		start := len(fb.buf)
-		fb.buf = AppendMessage(fb.buf, lam, to, m)
-		fb.count++
-		sm.CrossMessages++
-		_, dm, _, err := DecodeMessage(fb.buf[start:], lam, &fs.vecs)
-		if err != nil {
-			panic("shard: frame codec round trip failed: " + err.Error())
-		}
-		return dm
-	}
 	// flush closes the round's frames: prices each non-empty one (header +
-	// body) into the shard ledgers, emits its Flow record, and resets the
-	// buffers.
+	// body) and its entries into the shard ledgers, emits its Flow record,
+	// and resets the buffers.
 	flush := func(round int) {
 		for s := 0; s < p; s++ {
 			for q := 0; q < p; q++ {
@@ -175,6 +163,7 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 				n := int64(codec.FrameHeaderSize(codec.FrameHeader{
 					Src: s, Dst: q, Round: round, Count: fb.count,
 				})) + int64(len(fb.buf))
+				sm.CrossMessages += int64(fb.count)
 				sm.CrossFrameBytes += n
 				sm.PerShardBytes[s] += n
 				e.trace.Flow(round, s, q, n, int64(fb.count))
@@ -185,19 +174,33 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	}
 
 	// One worker per shard; a round value on the work channel means "step
-	// your nodes" (0 = Init). The WaitGroup is the per-round barrier and
-	// the happens-before edge that makes the coordinator's Deliver safe.
+	// your nodes, then frame what they sent" (0 = Init). The WaitGroup is
+	// the per-round barrier and the happens-before edge that makes the
+	// coordinator's flush and Deliver safe.
 	work := make([]chan int, p)
 	var wg sync.WaitGroup
 	for s := 0; s < p; s++ {
 		work[s] = make(chan int, 1)
 		go func(s int) {
+			row := frames[s*p : (s+1)*p]
+			var scratch VecArena // the check's decoded Vecs, dead after each entry
+			entry := func(q int, to graph.NodeID, m dist.Message) {
+				fb := &row[q]
+				start := len(fb.buf)
+				fb.buf = AppendMessage(fb.buf, lam, to, m)
+				fb.count++
+				scratch.Reset()
+				assertRoundTrip(fb.buf[start:], lam, &scratch, to, m)
+			}
 			for t := range work[s] {
 				sp := e.trace.Begin(obs.PhaseStep, t, s)
-				for _, v := range shards[s] {
-					d.Step(v, t) // no-op for halted nodes
-				}
+				d.StepList(shards[s], t)
 				sp.EndN(0, int64(len(shards[s])))
+				enc := e.trace.Begin(obs.PhaseEncode, t, s)
+				for _, v := range shards[s] {
+					fan.Emit(d, v, entry)
+				}
+				enc.End()
 				wg.Done()
 			}
 		}(s)
@@ -210,16 +213,10 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 		bw := e.trace.Begin(obs.PhaseBarrierWait, t, -1)
 		wg.Wait()
 		bw.End()
-		// The previous round's hooks have all returned, so last round's
-		// decoded Vecs are dead — recycle their blocks before this
-		// delivery decodes into them. (The aliasing verifier inside
-		// Deliver re-hashes the old Vecs before any route decode writes,
-		// so CheckVecAliasing still sees them intact.)
-		fs.vecs.Reset()
 		cb0, cm0 := sm.CrossFrameBytes, sm.CrossMessages
 		dl := e.trace.Begin(obs.PhaseDeliver, t, -1)
-		d.Deliver(route)
 		flush(t)
+		d.Deliver(nil)
 		dl.EndN(sm.CrossFrameBytes-cb0, sm.CrossMessages-cm0)
 	}
 
@@ -239,4 +236,22 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	}
 	*e.sm = sm
 	return d.Finish(rounds)
+}
+
+// assertRoundTrip decodes the entry just encoded and panics unless it is
+// exactly (to, m) and nothing more: a codec that lost a bit would otherwise
+// only show on the surfaces that deliver the decoded bytes.
+func assertRoundTrip(enc []byte, lam quantize.Lambda, a *VecArena, to graph.NodeID, m dist.Message) {
+	dto, dm, n, err := DecodeMessage(enc, lam, a)
+	if err != nil {
+		panic("shard: frame codec round trip failed: " + err.Error())
+	}
+	same := n == len(enc) && dto == to && dm.From == m.From && dm.Kind == m.Kind && dm.I0 == m.I0 &&
+		math.Float64bits(dm.F0) == math.Float64bits(m.F0) && len(dm.Vec) == len(m.Vec)
+	for i := 0; same && i < len(m.Vec); i++ {
+		same = math.Float64bits(dm.Vec[i]) == math.Float64bits(m.Vec[i])
+	}
+	if !same {
+		panic(fmt.Sprintf("shard: frame codec round trip changed an entry: (%d, %+v) decoded as (%d, %+v)", to, m, dto, dm))
+	}
 }

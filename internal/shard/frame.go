@@ -13,22 +13,30 @@ import (
 )
 
 // Cross-shard frame format. One frame per ordered shard pair per round
-// with at least one message:
+// with at least one entry:
 //
 //	header  codec.FrameHeader{Src, Dst, Round, Count} — four uvarints
-//	body    Count messages, each:
-//	        uvarint from | uvarint to | tag byte |
+//	body    Count entries, each:
+//	        uvarint from | tag byte |
+//	        [uvarint to]         unless tagBcast
 //	        [Kind byte]          when tagKind
 //	        [zigzag-varint I0]   when tagI0
 //	        F0: raw 8-byte float when tagRawF0, else codec.EncodeValue
 //	        [uvarint len + len × 8-byte words]  when tagVec
 //
+// An entry is either a unicast message or — tagBcast, no `to` — the
+// Broadcast its sender opened the round with, shipped once per destination
+// shard holding at least one of the sender's peers (Fanout) however many
+// live there: the receiver derives the recipients from its own copy of the
+// graph. Within a frame entries run in ascending sender order, a sender's
+// broadcast entry ahead of its unicast ones (Fanout.Emit).
+//
 // The encoding is *lossless* for every message, not only ones rounded to
 // the engine's Λ: codec.RoundTrips decides per value whether the grid code
 // reproduces the exact bit pattern, and the raw escape (tagRawF0) covers
-// everything else. That is what lets the engine deliver the decoded frame
-// contents — the bytes that actually crossed the wire — while staying
-// byte-identical to dist.SeqEngine.
+// everything else. That is what keeps a run whose traffic crossed the wire
+// byte-identical to dist.SeqEngine — the engine here asserts the round trip
+// on every entry it accounts, internal/net delivers the decoded bytes.
 //
 // AppendMessage and DecodeMessage are exported because the real-socket
 // cluster transport (internal/net) ships the exact same body encoding over
@@ -39,23 +47,26 @@ const (
 	tagI0    = 1 << 1 // I0 ≠ 0 follows
 	tagVec   = 1 << 2 // Vec length + words follow
 	tagRawF0 = 1 << 3 // F0 shipped as raw float64 bits (off-grid escape)
+	tagBcast = 1 << 4 // broadcast entry: no `to` on the wire
 )
 
-// frameBuf accumulates one shard pair's message bodies for the current
-// round; the header is accounted when the frame is flushed.
+// Broadcast is the `to` of a broadcast entry: what AppendMessage takes to
+// write one and what DecodeMessage reports for one.
+const Broadcast graph.NodeID = -1
+
+// frameBuf accumulates one shard pair's entries for the current round; the
+// header is accounted when the frame is flushed.
 type frameBuf struct {
 	buf   []byte
 	count int
 }
 
-// frameSet is the p×p matrix of frame buffers of one run plus the Vec
-// arena its decodes draw from. Sets are recycled through framePool so the
-// encode buffers — grown to each shard pair's steady-state frame size —
-// and the arena blocks survive across runs instead of being reallocated
-// per Engine.Run.
+// frameSet is the p×p matrix of frame buffers of one run. Sets are recycled
+// through framePool so the encode buffers — grown to each shard pair's
+// steady-state frame size — survive across runs instead of being
+// reallocated per Engine.Run.
 type frameSet struct {
 	frames []frameBuf
-	vecs   VecArena
 }
 
 var framePool = sync.Pool{New: func() any { return new(frameSet) }}
@@ -64,7 +75,6 @@ var framePool = sync.Pool{New: func() any { return new(frameSet) }}
 // Return it with putFrameSet when the run is done.
 func getFrameSet(p int) *frameSet {
 	fs := framePool.Get().(*frameSet)
-	fs.vecs.Reset()
 	if cap(fs.frames) < p*p {
 		fs.frames = make([]frameBuf, p*p)
 		return fs
@@ -112,12 +122,15 @@ func (a *VecArena) take(n int) []float64 {
 	return a.buf[lo : lo+n : lo+n]
 }
 
-// AppendMessage appends the body encoding of m (addressed to node `to`)
-// under lam.
+// AppendMessage appends the entry encoding of m under lam: addressed to
+// node `to`, or — to == Broadcast — to every peer of m.From the receiving
+// shard holds.
 func AppendMessage(dst []byte, lam quantize.Lambda, to graph.NodeID, m dist.Message) []byte {
 	dst = binary.AppendUvarint(dst, uint64(m.From))
-	dst = binary.AppendUvarint(dst, uint64(to))
 	var tag byte
+	if to == Broadcast {
+		tag |= tagBcast
+	}
 	if m.Kind != 0 {
 		tag |= tagKind
 	}
@@ -129,6 +142,9 @@ func AppendMessage(dst []byte, lam quantize.Lambda, to graph.NodeID, m dist.Mess
 	}
 	dst = append(dst, tag)
 	tagIdx := len(dst) - 1 // patched below if F0 needs the raw escape
+	if to != Broadcast {
+		dst = binary.AppendUvarint(dst, uint64(to))
+	}
 	if m.Kind != 0 {
 		dst = append(dst, m.Kind)
 	}
@@ -150,19 +166,14 @@ func AppendMessage(dst []byte, lam quantize.Lambda, to graph.NodeID, m dist.Mess
 	return dst
 }
 
-// DecodeMessage reads one message body and returns the receiver, the
-// reconstructed message and the number of bytes consumed. Vec payloads are
-// carved from a when non-nil (see VecArena for the lifetime contract) and
-// freshly allocated otherwise.
+// DecodeMessage reads one entry and returns the receiver (Broadcast for a
+// broadcast entry), the reconstructed message and the number of bytes
+// consumed. Vec payloads are carved from a when non-nil (see VecArena for
+// the lifetime contract) and freshly allocated otherwise.
 func DecodeMessage(src []byte, lam quantize.Lambda, a *VecArena) (to graph.NodeID, m dist.Message, n int, err error) {
 	from, k := binary.Uvarint(src)
 	if k <= 0 {
 		return 0, m, 0, fmt.Errorf("shard: truncated frame message (from)")
-	}
-	n += k
-	toU, k := binary.Uvarint(src[n:])
-	if k <= 0 {
-		return 0, m, 0, fmt.Errorf("shard: truncated frame message (to)")
 	}
 	n += k
 	if n >= len(src) {
@@ -170,6 +181,20 @@ func DecodeMessage(src []byte, lam quantize.Lambda, a *VecArena) (to graph.NodeI
 	}
 	tag := src[n]
 	n++
+	to = Broadcast
+	if tag&tagBcast == 0 {
+		toU, k := binary.Uvarint(src[n:])
+		if k <= 0 {
+			return 0, m, 0, fmt.Errorf("shard: truncated frame message (to)")
+		}
+		// A receiver past the int range would wrap negative — onto Broadcast,
+		// for one value — and no graph has such a node.
+		if toU > math.MaxInt64 {
+			return 0, m, 0, fmt.Errorf("shard: frame message addresses node %d", toU)
+		}
+		to = graph.NodeID(toU)
+		n += k
+	}
 	m.From = graph.NodeID(from)
 	if tag&tagKind != 0 {
 		if n >= len(src) {
@@ -221,5 +246,5 @@ func DecodeMessage(src []byte, lam quantize.Lambda, a *VecArena) (to graph.NodeI
 			n += 8
 		}
 	}
-	return graph.NodeID(toU), m, n, nil
+	return to, m, n, nil
 }

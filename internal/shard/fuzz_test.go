@@ -17,7 +17,11 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(AppendMessage(nil, quantize.Reals{}, 7, dist.Message{From: 3, Kind: 2, I0: -5, F0: 3.25, Vec: []float64{1, 2}}))
 	f.Add(AppendMessage(nil, quantize.NewPowerGrid(0.5), 1, dist.Message{From: 0, F0: 1.5}))
 	f.Add(AppendMessage(nil, quantize.Reals{}, 0, dist.Message{F0: math.Inf(1)}))
-	f.Add([]byte{0, 0, byte(tagVec), 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // hostile vec length
+	f.Add(AppendMessage(nil, quantize.Reals{}, Broadcast, dist.Message{From: 3, Kind: 2, I0: -5, F0: 3.25, Vec: []float64{1, 2}}))
+	f.Add(AppendMessage(nil, quantize.NewPowerGrid(0.5), Broadcast, dist.Message{From: 9, F0: 1.5}))
+	f.Add([]byte{0, byte(tagVec), 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})         // hostile vec length
+	f.Add([]byte{0, byte(tagBcast | tagVec), 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // the same on a broadcast entry
+	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0})                       // receiver 2⁶⁴−1: must not read as Broadcast
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, lam := range []quantize.Lambda{quantize.Reals{}, quantize.NewPowerGrid(0.5)} {
 			to, m, n, err := DecodeMessage(data, lam, nil)
@@ -26,6 +30,9 @@ func FuzzDecodeMessage(f *testing.F) {
 			}
 			if n > len(data) {
 				t.Fatalf("decode consumed %d of %d bytes", n, len(data))
+			}
+			if to < Broadcast {
+				t.Fatalf("decoded receiver %d is neither a node nor Broadcast", to)
 			}
 			enc := AppendMessage(nil, lam, to, m)
 			to2, m2, n2, err := DecodeMessage(enc, lam, nil)

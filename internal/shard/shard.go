@@ -7,13 +7,14 @@
 //
 // The engine produces executions byte-identical to dist.SeqEngine — same
 // inbox ordering, same results, same Metrics — because it is built on
-// dist.Driver: workers only run node hooks (which touch per-node state),
-// and all delivery happens single-threaded between barriers in the
-// package-wide deterministic order. The frame transport is lossless
-// (see frame.go), so routing a message through the wire cannot perturb the
-// execution either. What sharding adds is the *placement* ledger:
-// ShardMetrics reports how much of the protocol's traffic actually crossed
-// machine boundaries, and how evenly.
+// dist.Driver: workers only run node hooks (which touch per-node state) and
+// frame what their own nodes sent, and all delivery happens single-threaded
+// between barriers in the package-wide deterministic order. The frame
+// codec is lossless (see frame.go) and the engine asserts as much on every
+// entry it accounts, so the same frames carried over a real wire
+// (internal/net) cannot perturb the execution either. What sharding adds is
+// the *placement* ledger: ShardMetrics reports how much of the protocol's
+// traffic actually crossed machine boundaries, and how evenly.
 //
 // Partitioners decide placement: Hash (locality-oblivious baseline), Range
 // (contiguous ID blocks) and Greedy (streaming LDG edge-cut minimization).
@@ -26,8 +27,10 @@ package shard
 type ShardMetrics struct {
 	// P is the shard count of the run.
 	P int
-	// CrossMessages counts point-to-point messages whose sender and
-	// receiver live on different shards; each travels in exactly one frame.
+	// CrossMessages counts frame entries — what the codec and the wire
+	// handle, the sum of the frame headers' Count: a node's leading
+	// Broadcast is one entry per foreign shard holding a peer of it, every
+	// other cross-shard send one entry per recipient (frame.go).
 	CrossMessages int64
 	// CrossFrameBytes is the total wire volume of all frames, headers
 	// included. Intra-shard messages contribute nothing.

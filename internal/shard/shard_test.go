@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -106,29 +107,61 @@ func TestFrameMessageRoundTrip(t *testing.T) {
 	}
 	for _, lam := range lams {
 		for _, m := range msgs {
-			buf := AppendMessage(nil, lam, 123456, m)
-			to, got, n, err := DecodeMessage(buf, lam, nil)
-			if err != nil {
-				t.Fatalf("%s %+v: decode error %v", lam.Name(), m, err)
-			}
-			if n != len(buf) {
-				t.Fatalf("%s %+v: consumed %d of %d bytes", lam.Name(), m, n, len(buf))
-			}
-			if to != 123456 {
-				t.Fatalf("%s: receiver %d, want 123456", lam.Name(), to)
-			}
-			if got.From != m.From || got.Kind != m.Kind || got.I0 != m.I0 ||
-				math.Float64bits(got.F0) != math.Float64bits(m.F0) {
-				t.Fatalf("%s: round trip %+v -> %+v", lam.Name(), m, got)
-			}
-			if len(got.Vec) != len(m.Vec) {
-				t.Fatalf("%s: vec length %d, want %d", lam.Name(), len(got.Vec), len(m.Vec))
-			}
-			for i := range m.Vec {
-				if math.Float64bits(got.Vec[i]) != math.Float64bits(m.Vec[i]) {
-					t.Fatalf("%s: vec[%d] %v, want %v", lam.Name(), i, got.Vec[i], m.Vec[i])
+			for _, want := range []graph.NodeID{123456, Broadcast} {
+				buf := AppendMessage(nil, lam, want, m)
+				to, got, n, err := DecodeMessage(buf, lam, nil)
+				if err != nil {
+					t.Fatalf("%s %+v: decode error %v", lam.Name(), m, err)
+				}
+				if n != len(buf) {
+					t.Fatalf("%s %+v: consumed %d of %d bytes", lam.Name(), m, n, len(buf))
+				}
+				if to != want {
+					t.Fatalf("%s: receiver %d, want %d", lam.Name(), to, want)
+				}
+				if got.From != m.From || got.Kind != m.Kind || got.I0 != m.I0 ||
+					math.Float64bits(got.F0) != math.Float64bits(m.F0) {
+					t.Fatalf("%s: round trip %+v -> %+v", lam.Name(), m, got)
+				}
+				if len(got.Vec) != len(m.Vec) {
+					t.Fatalf("%s: vec length %d, want %d", lam.Name(), len(got.Vec), len(m.Vec))
+				}
+				for i := range m.Vec {
+					if math.Float64bits(got.Vec[i]) != math.Float64bits(m.Vec[i]) {
+						t.Fatalf("%s: vec[%d] %v, want %v", lam.Name(), i, got.Vec[i], m.Vec[i])
+					}
 				}
 			}
+		}
+	}
+}
+
+// A broadcast entry is a unicast entry minus its receiver: one tag bit, no
+// `to` on the wire. Nothing a peer can put in a unicast entry's receiver
+// field may decode as one, and a broadcast entry cut short anywhere is a
+// decode error.
+func TestBroadcastEntryWireForm(t *testing.T) {
+	lam := quantize.Reals{}
+	m := dist.Message{From: 300, Kind: 2, I0: -7, F0: 3.5, Vec: []float64{1, 2}}
+	uni, bc := AppendMessage(nil, lam, 70000, m), AppendMessage(nil, lam, Broadcast, m)
+	if len(uni)-len(bc) != 3 { // uvarint(70000) is three bytes
+		t.Fatalf("broadcast entry is %d bytes, unicast %d: want exactly the receiver's 3 apart", len(bc), len(uni))
+	}
+	if bc[2]&tagBcast == 0 || uni[2]&tagBcast != 0 { // from is two bytes, the tag follows
+		t.Fatalf("tag bytes %#x (broadcast) / %#x (unicast): tagBcast not where it belongs", bc[2], uni[2])
+	}
+	for cut := 0; cut < len(bc); cut++ {
+		if _, _, _, err := DecodeMessage(bc[:cut], lam, nil); err == nil {
+			t.Fatalf("broadcast entry truncated to %d of %d bytes accepted", cut, len(bc))
+		}
+	}
+	// Receivers 2⁶³ … 2⁶⁴−1 would wrap negative as a NodeID, the last one onto
+	// Broadcast itself.
+	for _, to := range []uint64{1 << 63, math.MaxUint64} {
+		hostile := binary.AppendUvarint([]byte{1, 0}, to) // from 1, empty tag, receiver
+		hostile = append(hostile, 0, 0, 0, 0, 0, 0, 0, 0) // F0
+		if to, _, _, err := DecodeMessage(hostile, lam, nil); err == nil {
+			t.Fatalf("receiver field wrapped to %d instead of failing", to)
 		}
 	}
 }
@@ -163,6 +196,42 @@ func TestFrameGridValuesUseGridCode(t *testing.T) {
 	}
 }
 
+// --- foreign-shard table ----------------------------------------------------
+
+// Fanout rows against the definition, read off the graph the slow way:
+// multigraph edges and self-loops add nothing, an isolated node has an empty
+// row, and P may exceed any machine word (no bitmask inside).
+func TestFanoutMatchesDefinition(t *testing.T) {
+	multi := graph.NewBuilder(6)
+	for _, e := range [][2]int{{0, 1}, {1, 0}, {0, 1}, {2, 2}, {2, 3}, {3, 4}, {4, 2}} {
+		multi.AddUnitEdge(e[0], e[1]) // node 5 isolated
+	}
+	for _, g := range []*graph.Graph{multi.Build(), graph.BarabasiAlbert(300, 4, 3), graph.ErdosRenyi(80, 0.02, 5)} {
+		for _, p := range []int{1, 2, 5, 70} {
+			assign := Hash{}.Partition(g, p)
+			f := NewFanout(g, assign, p)
+			for v := 0; v < g.N(); v++ {
+				holds := make([]bool, p)
+				for _, u := range g.Peers(v) {
+					holds[assign[u]] = true
+				}
+				var want []int32
+				for q := 0; q < p; q++ {
+					if holds[q] && q != assign[v] {
+						want = append(want, int32(q))
+					}
+					if q != assign[v] && f.Reaches(v, q) != holds[q] {
+						t.Fatalf("n=%d p=%d: Reaches(%d, %d) = %v, peers there: %v", g.N(), p, v, q, !holds[q], holds[q])
+					}
+				}
+				if got := f.Of(v); !reflect.DeepEqual(append([]int32(nil), got...), want) {
+					t.Fatalf("n=%d p=%d: Of(%d) = %v, want %v", g.N(), p, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 // --- hand-computed ShardMetrics on a 2-shard toy graph --------------------
 
 // twoWaveProgram broadcasts F0=1 in Init and F0=2 in round 1, then halts in
@@ -182,12 +251,13 @@ func TestShardMetricsHandComputedOnPath(t *testing.T) {
 	// P4 path 0-1-2-3 under Range with p=2: shards {0,1} | {2,3}; the only
 	// cut edge is {1,2}, so EdgeCutFraction = 1/3.
 	//
-	// Each broadcast wave crosses the cut twice (1→2 and 2→1): one message
-	// per direction per wave, two waves (after Init, after round 1), so
-	// CrossMessages = 4. Each frame holds one message of 11 bytes
-	// (from varint 1 + to varint 1 + tag 1 + Λ=ℝ float64 8) behind a
-	// 4-byte header (four one-byte uvarints), 15 bytes per frame; four
-	// frames total = 60 bytes, 30 per shard.
+	// Each broadcast wave crosses the cut twice (1→2 and 2→1): one frame
+	// entry per direction per wave, two waves (after Init, after round 1), so
+	// CrossMessages = 4. Both waves are leading broadcasts, so every entry is
+	// a broadcast entry — one per (sender, destination shard), no `to` — of
+	// 10 bytes (from varint 1 + tag 1 + Λ=ℝ float64 8) behind a 4-byte
+	// header (four one-byte uvarints), 14 bytes per frame; four frames total
+	// = 56 bytes, 28 per shard.
 	g := graph.Path(4)
 	eng := NewEngine(2, Range{})
 	factory := func(graph.NodeID) dist.Program { return twoWaveProgram{} }
@@ -202,9 +272,9 @@ func TestShardMetricsHandComputedOnPath(t *testing.T) {
 	want := ShardMetrics{
 		P:               2,
 		CrossMessages:   4,
-		CrossFrameBytes: 60,
-		PerShardBytes:   []int64{30, 30},
-		MaxShardBytes:   30,
+		CrossFrameBytes: 56,
+		PerShardBytes:   []int64{28, 28},
+		MaxShardBytes:   28,
 		EdgeCutFraction: 1.0 / 3.0,
 	}
 	if !reflect.DeepEqual(sm, want) {

@@ -8,13 +8,14 @@ import (
 )
 
 // PeerStream is the streaming form of a frameBuf (DESIGN.md §14): one
-// destination shard's outbound message bodies for the current round,
+// destination shard's outbound frame entries for the current round,
 // flushed in chunks as they are produced instead of parked until the
 // barrier. The transport (internal/net's mesh) supplies the Flush hook,
-// which receives each full chunk body and its message count; PeerStream
+// which receives each full chunk body and its entry count; PeerStream
 // itself is transport-agnostic and carries the round's logical accounting —
-// Msgs and BodyBytes — which is what keeps the streamed ledger bit-equal to
-// the relay path's (one relay-style frame header plus these bodies).
+// Msgs (entries) and BodyBytes — which is what keeps the streamed ledger
+// bit-equal to the relay path's (one relay-style frame header plus these
+// bodies).
 type PeerStream struct {
 	// Lam is the threshold set messages encode under (AppendMessage).
 	Lam quantize.Lambda
@@ -38,8 +39,8 @@ type PeerStream struct {
 // small enough that a round's traffic streams instead of parking.
 const DefaultChunkBytes = 32 << 10
 
-// Append encodes one message addressed to node `to` into the stream,
-// flushing a chunk when the buffer crosses the limit.
+// Append encodes one entry — m addressed to node `to`, or to == Broadcast —
+// into the stream, flushing a chunk when the buffer crosses the limit.
 func (ps *PeerStream) Append(to graph.NodeID, m dist.Message) error {
 	pre := len(ps.buf)
 	ps.buf = AppendMessage(ps.buf, ps.Lam, to, m)
@@ -89,6 +90,5 @@ func LogicalFrameBytes(src, dst, round, msgs int, bodyBytes int64) int64 {
 	if msgs == 0 {
 		return 0
 	}
-	hdr := codec.AppendFrameHeader(nil, codec.FrameHeader{Src: src, Dst: dst, Round: round, Count: msgs})
-	return int64(len(hdr)) + bodyBytes
+	return int64(codec.FrameHeaderSize(codec.FrameHeader{Src: src, Dst: dst, Round: round, Count: msgs})) + bodyBytes
 }
