@@ -135,12 +135,14 @@ func TestDesignRecordTableMatchesConn(t *testing.T) {
 	}
 }
 
-// The measurement layer the trusted benchmark superseded, and the latency
-// seam only the relay honoured, are gone; nothing may cite them again. The
-// archive (CHANGES.md), the plan (ROADMAP.md, ISSUE.md) and the frozen
-// benchmark directory may name them.
+// The measurement layer the trusted benchmark superseded, the latency seam
+// only the relay honoured, round fusion and the net workers' stand-in programs
+// for remote senders are gone; nothing may cite them again. The archive
+// (CHANGES.md), the plan (ROADMAP.md, ISSUE.md) and the frozen benchmark
+// directory may name them.
 func TestRetiredNamesStayRetired(t *testing.T) {
-	retired := []string{"BENCH_PR", "cmd/bench", "prodn", "DKC_PERF_SMOKE", "DelayFunc", "ModelDelay"}
+	retired := []string{"BENCH_PR", "cmd/bench", "prodn", "DKC_PERF_SMOKE", "DelayFunc", "ModelDelay",
+		"Fusible", "RoundFusionSafe", "FusedRanges", "ghost program"}
 	exempt := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "docs_test.go": true}
 	walkRepo(t, func(path string) {
 		if exempt[path] || strings.HasPrefix(path, "benchmark/") {

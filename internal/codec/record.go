@@ -296,6 +296,19 @@ func (d *Decoder) Uvarint() uint64 {
 	return u
 }
 
+func (d *Decoder) Varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	x, k := binary.Varint(d.src[d.n:])
+	if k <= 0 {
+		d.err = fmt.Errorf("truncated varint at offset %d", d.n)
+		return 0
+	}
+	d.n += k
+	return x
+}
+
 func (d *Decoder) U64() uint64 {
 	if d.err != nil {
 		return 0

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"distkcore/internal/codec"
 	"distkcore/internal/dist"
 )
 
@@ -46,55 +47,43 @@ func (p *eliminationProgram) RestoreState(c *dist.Ctx, halted bool, src []byte) 
 	if p.run.trackAux {
 		return 0, errAuxCheckpoint
 	}
-	pos := 0
-	if len(src) < 8 {
-		return 0, fmt.Errorf("core: restore: state truncated")
-	}
-	b := math.Float64frombits(binary.LittleEndian.Uint64(src))
-	pos += 8
-	nord, k := binary.Uvarint(src[pos:])
-	if k <= 0 {
-		return 0, fmt.Errorf("core: restore: state truncated at byte %d", pos)
-	}
-	pos += k
-	arcs := c.Neighbors()
+	d := codec.NewDecoder(src)
+	b := math.Float64frombits(d.U64())
+	arcs, peers := c.Neighbors(), c.Peers()
+	nord := d.Uvarint()
 	if nord != uint64(len(arcs)) {
-		return 0, fmt.Errorf("core: restore: order length %d, node has %d arcs", nord, len(arcs))
+		d.Fail(fmt.Errorf("order length %d, node has %d arcs", nord, len(arcs)))
+		nord = 0
 	}
 	order := make([]int, nord)
 	seen := make([]bool, nord)
 	for i := range order {
-		x, k := binary.Uvarint(src[pos:])
-		if k <= 0 {
-			return 0, fmt.Errorf("core: restore: state truncated at byte %d", pos)
-		}
-		pos += k
+		x := d.Uvarint()
 		if x >= nord || seen[x] {
-			return 0, fmt.Errorf("core: restore: order is not a permutation (entry %d)", x)
+			d.Fail(fmt.Errorf("order is not a permutation (entry %d)", x))
+			break
 		}
 		seen[x] = true
 		order[i] = int(x)
 	}
-	nvals, k := binary.Uvarint(src[pos:])
-	if k <= 0 {
-		return 0, fmt.Errorf("core: restore: state truncated at byte %d", pos)
-	}
-	pos += k
-	peers := c.Peers()
+	nvals := d.Uvarint()
 	if nvals != uint64(len(peers)) {
-		return 0, fmt.Errorf("core: restore: value table length %d, node has %d peers", nvals, len(peers))
+		d.Fail(fmt.Errorf("value table length %d, node has %d peers", nvals, len(peers)))
+		nvals = 0
 	}
-	if uint64(len(src)-pos) < nvals*8 {
-		return 0, fmt.Errorf("core: restore: state truncated in value table")
+	vals := make([]float64, nvals)
+	for i := range vals {
+		vals[i] = math.Float64frombits(d.U64())
+	}
+	// Everything is staged: nothing of the node changes on a bad state.
+	if err := d.Finish(); err != nil {
+		return 0, fmt.Errorf("core: restore: %w", err)
 	}
 	p.upd.Init(arcs, &p.run.slab)
 	copy(p.upd.order, order)
 	p.b = b
 	p.nbrB.Init(p.id, arcs, peers, math.Inf(1), &p.run.slab)
-	for i := range p.nbrB.vals {
-		p.nbrB.vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[pos:]))
-		pos += 8
-	}
+	copy(p.nbrB.vals, vals)
 	if halted {
 		// The node published its result and halted in the snapshotted run;
 		// re-publish into this run's sink (idempotent under the lock).
@@ -102,5 +91,5 @@ func (p *eliminationProgram) RestoreState(c *dist.Ctx, halted bool, src []byte) 
 		p.run.sink.B[p.id] = p.b
 		p.run.sink.mu.Unlock()
 	}
-	return pos, nil
+	return len(src), nil
 }

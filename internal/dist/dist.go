@@ -9,14 +9,14 @@
 //     single-threaded scheduler, and ParEngine, a batched worker pool (W
 //     long-lived workers owning contiguous node ranges, one barrier per
 //     broadcast-only round, a deterministic parallel inbox fill on the
-//     others, and round fusion for Fusible programs — see par.go and
-//     DESIGN.md §12). Engines outside the
-//     package register through the
-//     same interface by building on Driver, which exposes the shared
-//     step/deliver machinery without giving up the determinism contract:
-//     internal/shard (P worker goroutines, batched cross-shard frames) and
-//     internal/net (coordinator plus P workers over real connections, with
-//     ghost replay of the remote sends), both through the Slot/Queued tap.
+//     others — see par.go and DESIGN.md §12). Engines outside the package
+//     register through the same interface by building on Driver, which
+//     exposes the shared step/deliver machinery without giving up the
+//     determinism contract: internal/shard (P worker goroutines, batched
+//     cross-shard frames) and internal/net (coordinator plus P workers over
+//     real connections). Both read their nodes' sends through the
+//     Slot/Queued tap; a net worker writes the other workers' sends back in
+//     through Inject, and no hook runs there for a node it does not own.
 //     All engines produce byte-identical executions, so every protocol
 //     property can be tested on the cheap engine and trusted on a cluster.
 //
@@ -316,10 +316,8 @@ type sim struct {
 	wr, rd int      // offsets of the half being written / read
 	queued atomic.Bool
 	// pull records that the last delivery moved nothing: inboxes come from
-	// slots[rd:]. pullMsgs is what those slots carry in total — 0 means every
-	// inbox of the round is empty, the whole-range fusion test of ParEngine.
-	pull     bool
-	pullMsgs int64
+	// slots[rd:].
+	pull bool
 
 	inboxArena []Message // the last scatter's inboxes, sized by its counting pass
 	inboxOff   []int32   // n+1 offsets into inboxArena
@@ -373,7 +371,7 @@ func (s *sim) noteQueued() {
 }
 
 // gatherBufs recycles the stepping goroutines' gather buffers across
-// Driver.Step calls and across runs.
+// Driver.StepList/StepRange calls and across runs.
 var gatherBufs = sync.Pool{New: func() any { return new([]Message) }}
 
 // inboxOf returns node v's inbox in the round arena of the last scatter
@@ -474,20 +472,18 @@ func (s *sim) deliver(route RouteFunc) {
 		s.verifyDeliveredVecs()
 		s.checkSlotVecs(pull)
 	}
-	msgs := s.account(s.priceSlots(0, len(s.ctxs)))
+	s.account(s.priceSlots(0, len(s.ctxs)))
 	if !pull {
 		s.scatter(route)
 	}
-	s.endDelivery(pull, msgs)
+	s.endDelivery(pull)
 }
 
-// account adds one range's metric partials to the run's Metrics and hands
-// the message count back.
-func (s *sim) account(msgs, words, wire int64) int64 {
+// account adds one range's metric partials to the run's Metrics.
+func (s *sim) account(msgs, words, wire int64) {
 	s.met.Messages += msgs
 	s.met.Words += words
 	s.met.WireBytes += wire
-	return msgs
 }
 
 // priceSlots prices the fresh slots of senders [lo, hi): each once, times
@@ -630,8 +626,8 @@ func (s *sim) place(cur []int32, to graph.NodeID, m Message, route RouteFunc) {
 // endDelivery is the shared tail of every delivery: flip the slot halves,
 // record which path the next round's inboxes come from, and retire the
 // round's Halts incrementally instead of rescanning all n contexts.
-func (s *sim) endDelivery(pull bool, msgs int64) {
-	s.pull, s.pullMsgs = pull, msgs
+func (s *sim) endDelivery(pull bool) {
+	s.pull = pull
 	s.queued.Store(false)
 	s.seq++
 	s.wr, s.rd = s.rd, s.wr

@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"fmt"
+
 	"distkcore/internal/graph"
 	"distkcore/internal/quantize"
 )
@@ -22,31 +24,25 @@ func NewDriver(g *graph.Graph, lam quantize.Lambda, factory Factory) *Driver {
 	return &Driver{s: newSim(g, lam, factory)}
 }
 
-// N returns the node count of the run.
-func (d *Driver) N() int { return len(d.s.ctxs) }
-
 // Alive returns the number of nodes that have not halted. Valid between a
-// Deliver and the next Step wave (deliver is where halts are retired).
+// Deliver and the next step wave (deliver is where halts are retired).
 func (d *Driver) Alive() int { return d.s.alive }
 
 // Halted reports whether node v has halted. Safe to read concurrently with
-// Steps of other nodes; racing it against Step(v, ·) of the same node is
-// the caller's bug.
+// steps of other nodes; racing it against a step of the same node is the
+// caller's bug.
 func (d *Driver) Halted(v graph.NodeID) bool { return d.s.ctxs[v].halted }
 
-// Step runs node v's hook for round t — Init when t == 0, Round with the
-// node's current inbox otherwise — and is a no-op for halted nodes. The
-// inbox is valid only for the duration of the hook (see Program).
-// Concurrent Steps are safe for distinct v; the engine must barrier before
-// calling Deliver.
-func (d *Driver) Step(v graph.NodeID, t int) { d.StepList([]graph.NodeID{v}, t) }
-
-// StepList runs Step for every listed node, in list order, for round t and
+// StepList runs the hook of every listed node, in list order, for round t —
+// Init when t == 0, Round with the node's current inbox otherwise (valid only
+// for the duration of the hook, see Program), nothing for a halted node — and
 // returns the number of hooks invoked. It is the form for an engine whose
-// share of the nodes is not a contiguous range — a shard's local nodes, a
-// cluster worker's ghost senders — and borrows the gather buffer once for
-// the whole list. Concurrent StepLists are safe for disjoint lists; the
-// engine must barrier before Deliver.
+// share of the nodes is not a contiguous range — a shard's, a cluster
+// worker's local nodes — and borrows the gather buffer once for the whole
+// list. A node the engine never lists never runs a hook: its Program may be
+// a stub and its sends, if it has any, come in through Inject. Concurrent
+// StepLists are safe for disjoint lists; the engine must barrier before
+// Deliver.
 func (d *Driver) StepList(nodes []graph.NodeID, t int) int {
 	buf := gatherBufs.Get().(*[]Message)
 	stepped := 0
@@ -59,13 +55,12 @@ func (d *Driver) StepList(nodes []graph.NodeID, t int) int {
 	return stepped
 }
 
-// StepRange runs Step for every node in [lo, hi) in ascending order for
-// round t and returns the number of hooks invoked (halted nodes are
-// skipped). It is the range-granular form of Step that the worker-pool
-// parallel engine schedules over contiguous CSR blocks; engines built on
-// the Driver (a sharded maintainer, a NUMA-pinned pool) get the same
-// batched shape without re-deriving the loop. Concurrent StepRanges are
-// safe for disjoint ranges; the engine must barrier before Deliver.
+// StepRange is StepList over the nodes [lo, hi) in ascending order: the
+// range-granular form the worker-pool parallel engine schedules over
+// contiguous CSR blocks; engines built on the Driver (a sharded maintainer, a
+// NUMA-pinned pool) get the same batched shape without re-deriving the loop.
+// Concurrent StepRanges are safe for disjoint ranges; the engine must barrier
+// before Deliver.
 func (d *Driver) StepRange(lo, hi graph.NodeID, t int) int {
 	buf := gatherBufs.Get().(*[]Message)
 	stepped := 0
@@ -113,6 +108,41 @@ func (d *Driver) Sends(v graph.NodeID, fn func(to graph.NodeID, m Message)) {
 		}
 	}
 	d.Queued(v, fn)
+}
+
+// Inject is the inbound counterpart of the Slot/Queued tap: it records that
+// node from — one this engine does not step, because another worker does —
+// sent m this round, exactly where from's own hook would have put it. With
+// to < 0 the message is the Broadcast from opened its round with and goes
+// into from's slot; otherwise it is one queued send to the neighbor to.
+// Injecting a node's Slot and then its Queued sends, in order, reproduces its
+// round. What the real hook cannot have produced is refused with an error,
+// not a panic — the entries come off a wire: a sender out of range, a
+// broadcast that is not the sender's first send of the round (a later one
+// travels as its per-peer copies), a recipient that is not a neighbor.
+//
+// Call it between the Deliver that closed the previous round and the one
+// that closes this one. It touches only from's own slot and queue, so it may
+// run concurrently with Injects for other senders and with the steps of the
+// round's local nodes; the engine orders all of them before Deliver.
+func (d *Driver) Inject(from, to graph.NodeID, m Message) error {
+	s := d.s
+	if from < 0 || from >= len(s.ctxs) {
+		return fmt.Errorf("dist: inject: sender %d out of range [0,%d)", from, len(s.ctxs))
+	}
+	c := &s.ctxs[from]
+	if to >= 0 {
+		if !isPeerOf(c.peers, to) {
+			return fmt.Errorf("dist: inject: node %d is not a neighbor of sender %d", to, from)
+		}
+		c.Send(to, m)
+		return nil
+	}
+	if len(c.out) != 0 || s.slots[s.wr+from].seq == s.seq {
+		return fmt.Errorf("dist: inject: broadcast of sender %d is not the first send of its round", from)
+	}
+	c.Broadcast(m)
+	return nil
 }
 
 // Deliver closes the round: it accounts Metrics for every message sent

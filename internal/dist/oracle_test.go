@@ -231,6 +231,69 @@ func oracle(g *graph.Graph, sc *script, maxRounds int) (want [][]uint64, met dis
 	return want, met
 }
 
+// seamEngine is the Driver seam with nothing around it: two Drivers over the
+// split v%2, each stepping its own half and handed the other half's round —
+// tapped with Slot and Queued, written back with Inject — in memory, before
+// both Deliver. No codec, no sockets: when this row holds and a net row does
+// not, the fault is not in the seam. Every send is injected, so either
+// Driver's Metrics are the run's; only Halted needs both halves.
+type seamEngine struct{}
+
+type unstepped struct{}
+
+func (unstepped) Init(*dist.Ctx)                  { panic("hook of a node the engine does not own") }
+func (unstepped) Round(*dist.Ctx, []dist.Message) { panic("hook of a node the engine does not own") }
+
+func (seamEngine) WithWireLambda(quantize.Lambda) dist.Engine { return seamEngine{} }
+
+func (seamEngine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.Metrics {
+	var own [2][]graph.NodeID
+	for v := 0; v < g.N(); v++ {
+		own[v%2] = append(own[v%2], v)
+	}
+	var d [2]*dist.Driver
+	for i := range d {
+		d[i] = dist.NewDriver(g, nil, func(v graph.NodeID) dist.Program {
+			if v%2 == i {
+				return factory(v)
+			}
+			return unstepped{}
+		})
+	}
+	inject := func(to *dist.Driver, from, rcpt graph.NodeID, m dist.Message) {
+		if err := to.Inject(from, rcpt, m); err != nil {
+			panic(err)
+		}
+	}
+	rounds, alive := 0, g.N()
+	for t := 0; t == 0 || (t <= maxRounds && alive > 0); t++ {
+		rounds = t
+		for i := range d {
+			d[i].StepList(own[i], t)
+		}
+		alive = 0
+		for i := range d {
+			for _, v := range own[i] {
+				if m, ok := d[i].Slot(v); ok {
+					inject(d[1-i], v, -1, m)
+				}
+				d[i].Queued(v, func(to graph.NodeID, m dist.Message) { inject(d[1-i], v, to, m) })
+				if !d[i].Halted(v) {
+					alive++
+				}
+			}
+		}
+		d[0].Deliver(nil)
+		d[1].Deliver(nil)
+	}
+	met := d[0].Finish(rounds)
+	if other := d[1].Finish(rounds); other != met {
+		panic(fmt.Sprintf("the two halves priced the run differently: %+v and %+v", met, other))
+	}
+	met.Halted = alive == 0
+	return met
+}
+
 func TestEnginesMatchDeliveryOracle(t *testing.T) {
 	multi := graph.NewBuilder(9)
 	for _, e := range [][2]int{{0, 1}, {1, 0}, {0, 1}, {2, 2}, {2, 3}, {3, 4}, {4, 2}, {4, 4}, {5, 6}, {6, 5}, {7, 0}, {7, 7}} {
@@ -259,6 +322,7 @@ func TestEnginesMatchDeliveryOracle(t *testing.T) {
 		eng  dist.Engine
 	}{
 		{"seq", dist.SeqEngine{}},
+		{"seam", seamEngine{}},
 		{"par:1", dist.ParEngine{W: 1}}, {"par:2", dist.ParEngine{W: 2}}, {"par:4", dist.ParEngine{W: 4}},
 		{"shard", shard.NewEngine(3, shard.Hash{})},
 		{"net:pipe", net.NewEngine(3, shard.Hash{})},

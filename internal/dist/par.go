@@ -28,64 +28,33 @@ import (
 // argument; the pinned metrics rows and the dist equivalence tests hold
 // the engine to it).
 //
-// On top of the pool the engine fuses rounds: a node whose Program opted in
-// through Fusible and whose inbox is empty is skipped without calling Round
-// — by contract the call would be a pure no-op — and a whole range all of
-// whose live nodes are fusible skips its step (and, having sent nothing,
-// its count and fill) the moment it provably has no mail: its slice of the
-// inbox arena is empty after a scatter, no slot was written at all after a
-// pull — both O(1) tests. Converged regions therefore cost the coordinator
-// a few loads per round instead of a wave of no-op hooks.
-//
 // The zero value is ready to use and runs with GOMAXPROCS workers; W == 1
 // (or a single-CPU machine) runs the whole schedule inline on the calling
 // goroutine — no pool, no channels. Lam and Trace are as in SeqEngine,
 // except that step spans are per worker (round, worker) rather than one
 // whole-wave span; deliver spans are per round, identical to seq's. Stats,
-// when non-nil, receives the pool/fusion ledger of each Run.
+// when non-nil, receives the pool ledger of each Run.
 type ParEngine struct {
 	// W is the worker count; <= 0 means runtime.GOMAXPROCS(0). The count is
 	// capped at the node count (empty ranges would only cost barriers).
 	W     int
 	Lam   quantize.Lambda
 	Trace *obs.Tracer
-	// Stats, when set, is overwritten by every Run with the pool's ledger —
-	// worker count and fusion counters. Like the engine itself, the sink is
-	// not safe for use from concurrent Runs.
+	// Stats, when set, is overwritten by every Run with the pool's ledger.
+	// Like the engine itself, the sink is not safe for use from concurrent
+	// Runs.
 	Stats *ParStats
 }
 
-// ParStats is the pool/fusion ledger of one ParEngine.Run. All counters are
-// deterministic: they are functions of the execution, not of the scheduler.
+// ParStats is the pool ledger of one ParEngine.Run.
 type ParStats struct {
 	// Workers is the effective worker count of the run (after the
 	// GOMAXPROCS default and the node-count cap).
 	Workers int
-	// SteppedNodes counts Init/Round invocations actually made.
-	SteppedNodes int64
-	// FusedNodeRounds counts (node, round) pairs skipped by round fusion:
-	// live fusible nodes with an empty inbox whose Round was never called.
+	// FusedNodeRounds is always 0: the pool runs every live node's hook every
+	// round. The field stays only until the benchmark row that reads it
+	// (dist.fused_node_rounds) is retired — ROADMAP item 1c.
 	FusedNodeRounds int64
-	// FusedRanges counts whole-range skips: rounds in which a worker was
-	// never woken because every live node it owns was fusible with an empty
-	// inbox (the O(1) dirty-bitmap fast path).
-	FusedRanges int64
-}
-
-// Fusible is an optional capability a Program implements to enable round
-// fusion. RoundFusionSafe must only return true if calling Round with an
-// empty inbox is a pure no-op for this program, in every reachable state:
-// no sends, no Halt, no change to the program's own state, no writes to
-// shared sinks, and no dependence on Ctx.Round(). Under that contract an
-// engine may skip empty-inbox Round invocations entirely — the execution
-// (values, Metrics, message order) is provably unchanged, because a skipped
-// invocation would have contributed nothing to it. Programs that act on
-// silence — timeout logic, round-counted halting, per-round bookkeeping —
-// must not opt in; the reference SeqEngine never fuses, so the cross-engine
-// equivalence tests catch a false promise on any fused graph where the
-// difference is observable.
-type Fusible interface {
-	RoundFusionSafe() bool
 }
 
 // Name identifies the engine in experiment tables and CLI flags.
@@ -132,21 +101,8 @@ type parJob struct {
 // between barriers, so none of it needs locking.
 type parWorker struct {
 	lo, hi int // owned node range [lo, hi)
-	// alive is the number of non-halted nodes in the range; liveNonFusible
-	// the subset whose programs did not opt into fusion. Both are maintained
-	// exactly: halts can only happen inside this range's own step phase.
-	alive          int
-	liveNonFusible int
-	// ran records whether the range stepped this round (false when the
-	// whole range was fused); a range that did not step sent nothing, so
-	// its count and fill phases are skipped too and its count row is stale.
-	ran bool
 	// buf is the worker's gather buffer (sim.inbox).
 	buf []Message
-	// fused accumulates per-node skips made on the slow (mixed-range) path.
-	fused int64
-	// stepped accumulates hook invocations.
-	stepped int64
 	// msgs/words/wire are the range's metric partials for one round — its
 	// slots, priced at the end of the step phase, plus its queued sends,
 	// priced by the fill phase — merged by the coordinator in worker order.
@@ -155,19 +111,16 @@ type parWorker struct {
 
 // parRun is the schedule state shared by the coordinator and the pool.
 type parRun struct {
-	e       ParEngine
-	s       *sim
-	w       int
-	ws      []parWorker
-	fusible []bool
+	e  ParEngine
+	s  *sim
+	w  int
+	ws []parWorker
 	// cnt is the two-level counting matrix: row i (cnt[i*n:(i+1)*n]) is
 	// worker i's per-receiver message count for the current round. cur is
 	// the matching fill cursor matrix: cur[i*n+v] is the next arena slot for
-	// a message from a range-i sender to receiver v. Rows of workers that
-	// did not step are stale and skipped by the prefix pass. Both are
-	// allocated by the first scatter.
+	// a message from a range-i sender to receiver v. Both are allocated by
+	// the first scatter.
 	cnt, cur []int32
-	stats    ParStats
 }
 
 // Run implements Engine.
@@ -186,22 +139,11 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 	}
 
 	r := &parRun{e: e, s: s, w: w, ws: make([]parWorker, w)}
-	r.stats.Workers = w
-
-	// Fusion capability per node, fixed at construction: the contract is a
-	// property of the program, not of a round.
-	r.fusible = make([]bool, n)
-	for v := 0; v < n; v++ {
-		if f, ok := s.progs[v].(Fusible); ok && f.RoundFusionSafe() {
-			r.fusible[v] = true
-		}
-	}
 
 	// Cost-balanced contiguous ranges: split the CSR node order so every
 	// worker owns about the same step cost, rangeNodeWeight + deg(v) per
 	// node (so isolated nodes still spread). Contiguity is what makes the
-	// O(1) per-range no-mail test, the deterministic parallel fill and the
-	// per-range slot pricing possible.
+	// deterministic parallel fill and the per-range slot pricing possible.
 	total := int64(n) * rangeNodeWeight
 	for v := 0; v < n; v++ {
 		total += int64(g.Degree(v))
@@ -217,14 +159,7 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 			acc += rangeNodeWeight + int64(g.Degree(hi))
 			hi++
 		}
-		ws := &r.ws[i]
-		ws.lo, ws.hi = lo, hi
-		ws.alive = hi - lo
-		for v := lo; v < hi; v++ {
-			if !r.fusible[v] {
-				ws.liveNonFusible++
-			}
-		}
+		r.ws[i].lo, r.ws[i].hi = lo, hi
 		lo = hi
 	}
 
@@ -251,40 +186,17 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 			}
 		}()
 	}
-	dispatch := func(i int, jb parJob) {
+	// phase runs one opcode on every worker's range and waits for all of them.
+	phase := func(op parOp, t int) {
 		if w == 1 {
-			r.runJob(i, jb)
+			r.runJob(0, parJob{op: op, t: t})
 			return
 		}
-		wg.Add(1)
-		jobs[i] <- jb
-	}
-	barrier := func() {
-		if w > 1 {
-			wg.Wait()
+		wg.Add(w)
+		for _, c := range jobs {
+			c <- parJob{op: op, t: t}
 		}
-	}
-
-	step := func(t int) {
-		for i := range r.ws {
-			ws := &r.ws[i]
-			// Round fusion, range granularity: the dirty bit of range i is
-			// "its slice of the inbox arena is non-empty" — one subtraction
-			// on the prefix offsets, possible only because ranges are
-			// contiguous — or, after a pull, "some slot was written". A
-			// clean range all of whose live nodes are fusible steps nothing,
-			// and having sent nothing last time it reached this state,
-			// receives no count/fill work either.
-			if t > 0 && ws.liveNonFusible == 0 && r.noMail(ws) {
-				ws.ran = false
-				r.stats.FusedRanges++
-				r.stats.FusedNodeRounds += int64(ws.alive)
-				continue
-			}
-			ws.ran = true
-			dispatch(i, parJob{op: opStep, t: t})
-		}
-		barrier()
+		wg.Wait()
 	}
 
 	deliver := func(t int) {
@@ -298,47 +210,34 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 		} else {
 			pull := !s.queued.Load()
 			if !pull {
-				r.parScatter(t, dispatch, barrier)
+				r.parScatter(t, phase)
 			}
 			// Merge the metric partials in worker order (they are integer
 			// sums, so any order would do — worker order keeps it obviously
 			// deterministic) and close the round as the sequential deliver
 			// does.
-			var msgs int64
 			for i := range r.ws {
 				ws := &r.ws[i]
-				msgs += s.account(ws.msgs, ws.words, ws.wire)
+				s.account(ws.msgs, ws.words, ws.wire)
 				ws.msgs, ws.words, ws.wire = 0, 0, 0
 			}
-			s.endDelivery(pull, msgs)
+			s.endDelivery(pull)
 		}
 		sp.EndN(s.met.WireBytes-wb0, s.met.Messages-mg0)
 	}
 
-	step(0)
+	phase(opStep, 0)
 	deliver(0)
 	rounds := 0
 	for t := 1; t <= maxRounds && s.alive > 0; t++ {
 		rounds = t
-		step(t)
+		phase(opStep, t)
 		deliver(t)
 	}
-	for i := range r.ws {
-		r.stats.SteppedNodes += r.ws[i].stepped
-		r.stats.FusedNodeRounds += r.ws[i].fused
-	}
 	if e.Stats != nil {
-		*e.Stats = r.stats
+		*e.Stats = ParStats{Workers: w}
 	}
 	return s.finish(rounds)
-}
-
-// noMail reports in O(1) that no node of the range has a message waiting.
-func (r *parRun) noMail(ws *parWorker) bool {
-	if r.s.pull {
-		return r.s.pullMsgs == 0
-	}
-	return r.s.inboxOff[ws.hi] == r.s.inboxOff[ws.lo]
 }
 
 // runJob executes one phase of one worker's schedule.
@@ -362,37 +261,17 @@ func (r *parRun) runJob(i int, jb parJob) {
 	}
 }
 
-// stepRange runs the hooks of worker i's live nodes for round t, skipping
-// fused nodes (live, opted in, empty inbox) on the per-node slow path, and
-// maintains the range's alive/liveNonFusible ledger as hooks halt.
+// stepRange runs the hooks of worker i's live nodes for round t — sim.step
+// per node, exactly what Driver.StepRange runs — under the worker's step span.
 func (r *parRun) stepRange(i, t int) {
-	s, ws := r.s, &r.ws[i]
+	ws := &r.ws[i]
 	sp := r.e.Trace.Begin(obs.PhaseStep, t, i)
 	stepped := 0
 	for v := ws.lo; v < ws.hi; v++ {
-		c := &s.ctxs[v]
-		if c.halted {
-			continue
-		}
-		if t == 0 {
-			s.progs[v].Init(c)
-		} else {
-			inbox := s.inbox(v, &ws.buf)
-			if r.fusible[v] && len(inbox) == 0 {
-				ws.fused++
-				continue
-			}
-			s.round(v, t, inbox)
-		}
-		stepped++
-		if c.halted {
-			ws.alive--
-			if !r.fusible[v] {
-				ws.liveNonFusible--
-			}
+		if r.s.step(v, t, &ws.buf) {
+			stepped++
 		}
 	}
-	ws.stepped += int64(stepped)
 	sp.EndN(0, int64(stepped))
 }
 
@@ -402,43 +281,26 @@ func (r *parRun) stepRange(i, t int) {
 // range-0 senders' messages first, then range-1's, and so on — which, ranges
 // being contiguous ascending ID blocks, is exactly "ascending sender ID,
 // ties in send order".
-func (r *parRun) parScatter(t int, dispatch func(int, parJob), barrier func()) {
+func (r *parRun) parScatter(t int, phase func(parOp, int)) {
 	s, w := r.s, r.w
 	n := len(s.ctxs)
 	if r.cnt == nil {
 		r.cnt = make([]int32, w*n)
 		r.cur = make([]int32, w*n)
 	}
-	for i := range r.ws {
-		if r.ws[i].ran {
-			dispatch(i, parJob{op: opCount, t: t})
-		}
-	}
-	barrier()
+	phase(opCount, t)
 	// Prefix pass (coordinator): walk receivers in ascending ID and, within
 	// one receiver, workers in ascending index, assigning each (worker,
-	// receiver) cell its start cursor. Rows of ranges that did not step are
-	// stale and contribute nothing.
-	rows := make([]int, 0, w)
-	for i := range r.ws {
-		if r.ws[i].ran {
-			rows = append(rows, i*n)
-		}
-	}
+	// receiver) cell its start cursor.
 	total := int32(0)
 	for v := 0; v < n; v++ {
 		s.inboxOff[v] = total
-		for _, base := range rows {
-			r.cur[base+v] = total
-			total += r.cnt[base+v]
+		for base := v; base < w*n; base += n {
+			r.cur[base] = total
+			total += r.cnt[base]
 		}
 	}
 	s.inboxOff[n] = total
 	s.sizeArena(total)
-	for i := range r.ws {
-		if r.ws[i].ran {
-			dispatch(i, parJob{op: opFill, t: t})
-		}
-	}
-	barrier()
+	phase(opFill, t)
 }

@@ -1,23 +1,21 @@
 package dist
 
 import (
-	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"distkcore/internal/graph"
-	"distkcore/internal/obs"
 )
 
 // --- worker-pool equivalence across W --------------------------------------
 
 // TestParPoolMatchesSeqAcrossWorkerCounts drives the stateful trace protocol
-// (which is NOT fusible — it logs every round) through the pool at worker
-// counts below, at and above GOMAXPROCS and the node count, demanding the
-// byte-identical executions the engine contract promises: same Metrics, same
-// per-node transcripts.
+// (it logs every round) through the pool at worker counts below, at and above
+// GOMAXPROCS and the node count, demanding the byte-identical executions the
+// engine contract promises: same Metrics, same per-node transcripts.
 func TestParPoolMatchesSeqAcrossWorkerCounts(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"ba":       graph.BarabasiAlbert(90, 3, 5),
@@ -40,161 +38,6 @@ func TestParPoolMatchesSeqAcrossWorkerCounts(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// --- round fusion ----------------------------------------------------------
-
-// fuseMin is a change-driven minimum flood that opts into round fusion: it
-// broadcasts only when its minimum improves, never halts, never reads
-// Ctx.Round() in Round, and touches nothing but its own state — so a Round
-// call with an empty inbox is a pure no-op, exactly the Fusible contract.
-// Once a region has converged its nodes receive nothing and send nothing,
-// which is the workload fusion exists for.
-type fuseMin struct {
-	id  graph.NodeID
-	min float64
-}
-
-func (p *fuseMin) RoundFusionSafe() bool { return true }
-
-func (p *fuseMin) Init(c *Ctx) {
-	p.min = float64(p.id)
-	c.Broadcast(Message{F0: p.min})
-}
-
-func (p *fuseMin) Round(c *Ctx, inbox []Message) {
-	changed := false
-	for _, m := range inbox {
-		if m.F0 < p.min {
-			p.min = m.F0
-			changed = true
-		}
-	}
-	if changed {
-		c.Broadcast(Message{F0: p.min})
-	}
-}
-
-// runFuseMin executes the fusible flood on eng with a tracer and returns the
-// final minima, the Metrics and the trace.
-func runFuseMin(g *graph.Graph, budget int, eng Engine) ([]float64, Metrics, *obs.RunTrace) {
-	tr := obs.NewTracer()
-	switch e := eng.(type) {
-	case SeqEngine:
-		e.Trace = tr
-		eng = e
-	case ParEngine:
-		e.Trace = tr
-		eng = e
-	}
-	progs := make([]*fuseMin, g.N())
-	met := eng.Run(g, func(v graph.NodeID) Program {
-		progs[v] = &fuseMin{id: v}
-		return progs[v]
-	}, budget)
-	vals := make([]float64, g.N())
-	for v, p := range progs {
-		vals[v] = p.min
-	}
-	return vals, met, tr.Trace()
-}
-
-// deliverSpans extracts the (round, bytes, count) sequence of the deliver
-// spans in canonical order — the part of the trace the fused path must
-// reproduce exactly (step spans legitimately differ: the pool skips no-op
-// hooks seq still runs).
-func deliverSpans(rt *obs.RunTrace) [][3]int64 {
-	var out [][3]int64
-	for _, s := range rt.Spans {
-		if s.Phase == obs.PhaseDeliver {
-			out = append(out, [3]int64{int64(s.Round), s.Bytes, s.Count})
-		}
-	}
-	return out
-}
-
-// TestFusedRunsBitIdenticalToSeq is the fused-path equivalence sweep: on
-// generator×seed graphs with long post-convergence tails, every worker count
-// must reproduce seq's values, Metrics and deliver spans bit for bit even
-// though the pool stops calling Round on converged regions.
-func TestFusedRunsBitIdenticalToSeq(t *testing.T) {
-	graphs := map[string]*graph.Graph{
-		"ba/s2":    graph.BarabasiAlbert(120, 3, 2),
-		"ba/s9":    graph.BarabasiAlbert(150, 2, 9),
-		"ws/s5":    graph.WattsStrogatz(100, 6, 0.1, 5),
-		"er/s3":    graph.ErdosRenyi(80, 0.05, 3),
-		"caveman":  graph.Caveman(5, 6),
-		"isolated": graph.ErdosRenyi(60, 0.015, 4),
-	}
-	const budget = 40 // far past convergence: a long fully-fused tail
-	for name, g := range graphs {
-		seqVals, seqMet, seqTr := runFuseMin(g, budget, SeqEngine{})
-		for _, w := range []int{1, 2, 4, 8} {
-			vals, met, tr := runFuseMin(g, budget, ParEngine{W: w})
-			if met != seqMet {
-				t.Fatalf("%s W=%d: metrics differ: seq %+v par %+v", name, w, seqMet, met)
-			}
-			for v := range vals {
-				if math.Float64bits(vals[v]) != math.Float64bits(seqVals[v]) {
-					t.Fatalf("%s W=%d node %d: value %v, seq %v", name, w, v, vals[v], seqVals[v])
-				}
-			}
-			if !reflect.DeepEqual(deliverSpans(tr), deliverSpans(seqTr)) {
-				t.Fatalf("%s W=%d: deliver spans diverged from seq:\npar: %v\nseq: %v",
-					name, w, deliverSpans(tr), deliverSpans(seqTr))
-			}
-		}
-	}
-}
-
-// TestFusionActuallySkips pins that fusion is not vacuous: on a clustered
-// graph whose regions converge quickly, the pool must report skipped node
-// rounds — including whole-range skips once a worker's entire slice of the
-// arena goes quiet — while still matching seq bit for bit (checked above;
-// here we assert the counters and the Stats ledger shape).
-func TestFusionActuallySkips(t *testing.T) {
-	g := graph.Caveman(4, 6)
-	const budget = 30
-	for _, w := range []int{1, 2, 4} {
-		var st ParStats
-		vals, _, _ := runFuseMin(g, budget, ParEngine{W: w, Stats: &st})
-		_ = vals
-		if st.Workers != w {
-			t.Fatalf("W=%d: Stats.Workers = %d", w, st.Workers)
-		}
-		if st.FusedNodeRounds == 0 {
-			t.Fatalf("W=%d: converged-region run fused no node rounds: %+v", w, st)
-		}
-		if st.FusedRanges == 0 {
-			t.Fatalf("W=%d: no whole-range skips on a fully converged graph: %+v", w, st)
-		}
-		if st.SteppedNodes == 0 || st.SteppedNodes >= int64(budget+1)*int64(g.N()) {
-			t.Fatalf("W=%d: implausible SteppedNodes %d", w, st.SteppedNodes)
-		}
-	}
-	// A non-fusible program must never fuse, whatever the topology.
-	var st ParStats
-	e := ParEngine{W: 2, Stats: &st}
-	runTrace(g, 6, e)
-	if st.FusedNodeRounds != 0 || st.FusedRanges != 0 {
-		t.Fatalf("non-fusible program was fused: %+v", st)
-	}
-}
-
-// TestFusionStatsDeterministic reruns one fused workload and demands the
-// identical ledger — the counters are functions of the execution, not of
-// goroutine scheduling.
-func TestFusionStatsDeterministic(t *testing.T) {
-	g := graph.Caveman(4, 6)
-	run := func() ParStats {
-		var st ParStats
-		runFuseMin(g, 25, ParEngine{W: 4, Stats: &st})
-		return st
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("two identical fused runs produced different stats:\n%+v\n%+v", a, b)
 	}
 }
 
@@ -326,4 +169,59 @@ func TestDriverStepListAndTap(t *testing.T) {
 			t.Fatalf("node %d: StepList transcript %v, seq %v", v, sink.lines[v], seqSink.lines[v])
 		}
 	}
+}
+
+// TestDriverInjectRefusals holds Inject to its contract on the path
+// 0 — 1 — 2: what a hook could have sent lands where the hook would have put
+// it — read back through the tap and priced by Deliver — and what no hook can
+// have sent is an error that leaves the sender's cells as they were. A Vec
+// handed to Inject is under the aliasing check like any other sent one.
+func TestDriverInjectRefusals(t *testing.T) {
+	const bcast = graph.NodeID(-1)
+	d := NewDriver(graph.Path(3), nil, func(graph.NodeID) Program { return programFunc{} })
+	for i, tc := range []struct {
+		from, to graph.NodeID
+		want     string // "" means accepted
+	}{
+		{1, bcast, ""}, {1, 0, ""}, {1, bcast, "not the first send"}, // a second broadcast
+		{0, 1, ""}, {0, bcast, "not the first send"}, // a broadcast behind a send
+		{2, bcast, ""}, {2, bcast, "not the first send"},
+		{0, 2, "not a neighbor"}, {1, 1, "not a neighbor"}, {1, 3, "not a neighbor"},
+		{3, bcast, "out of range"}, {-1, 0, "out of range"},
+	} {
+		err := d.Inject(tc.from, tc.to, Message{F0: float64(i)})
+		if (tc.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), tc.want)) {
+			t.Fatalf("Inject(%d, %d): %v, want %q", tc.from, tc.to, err, tc.want)
+		}
+	}
+	for v, want := range []struct {
+		slot   float64 // -1: none
+		queued []graph.NodeID
+	}{{-1, []graph.NodeID{1}}, {0, []graph.NodeID{0}}, {5, nil}} {
+		m, ok := d.Slot(v)
+		var queued []graph.NodeID
+		d.Queued(v, func(to graph.NodeID, _ Message) { queued = append(queued, to) })
+		if ok != (want.slot >= 0) || (ok && (m.F0 != want.slot || m.From != v)) || !reflect.DeepEqual(queued, want.queued) {
+			t.Fatalf("node %d after the injects: slot %+v (%v), queued to %v; want slot %v, queued to %v", v, m, ok, queued, want.slot, want.queued)
+		}
+	}
+	d.Deliver(nil)
+	if met := d.Finish(0); met.Messages != 5 { // node 1's slot × 2 peers, node 2's × 1, two sends
+		t.Fatalf("the accepted injects priced %d messages, want 5", met.Messages)
+	}
+
+	CheckVecAliasing = true
+	defer func() {
+		CheckVecAliasing = false
+		if recover() == nil {
+			t.Fatal("a Vec mutated after Inject passed the aliasing check")
+		}
+	}()
+	d = NewDriver(graph.Path(3), nil, func(graph.NodeID) Program { return programFunc{} })
+	vec := []float64{1, 2}
+	if err := d.Inject(1, bcast, Message{Vec: vec}); err != nil {
+		t.Fatal(err)
+	}
+	vec[0] = 99
+	d.Deliver(nil)
 }

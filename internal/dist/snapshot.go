@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"distkcore/internal/codec"
 	"distkcore/internal/graph"
 )
 
@@ -40,9 +41,10 @@ type nodeSnap struct {
 // moved nothing, so the bytes do not depend on the path the round took),
 // and its program state via Checkpointable. The
 // snapshot is taken at a barrier — call it only after a Deliver and before
-// the next Step wave, when every send queue is empty. nodes must be
-// ascending and is typically an engine shard's local nodes; remote ghost
-// nodes carry no protocol state and need no entry.
+// the next step wave, when every send queue is empty. nodes must be
+// ascending and is typically the nodes the engine steps — a net worker's
+// local nodes; a node another worker owns has no program state here, and its
+// halted flag and inbox are that worker's to record.
 func (d *Driver) AppendSnapshot(dst []byte, nodes []graph.NodeID) ([]byte, error) {
 	s := d.s
 	n := len(s.ctxs)
@@ -155,100 +157,54 @@ func (d *Driver) RestoreSnapshot(src []byte, nodes []graph.NodeID) error {
 }
 
 // decodeSnapshot decodes a full snapshot into staged nodeSnaps with bounds
-// checks on every field, without touching the sim.
+// checks on every field, without touching the sim. The bytes have crossed two
+// sockets (worker → coordinator → respawned worker), so they go through the
+// latching codec.Decoder like every other record body: a lying count is
+// zeroed before anything loops or allocates on its say-so.
 func decodeSnapshot(src []byte, nnodes, n int) ([]nodeSnap, error) {
-	pos := 0
-	uv := func() (uint64, error) {
-		x, k := binary.Uvarint(src[pos:])
-		if k <= 0 {
-			return 0, fmt.Errorf("dist: snapshot truncated at byte %d", pos)
-		}
-		pos += k
-		return x, nil
-	}
-	count, err := uv()
-	if err != nil {
-		return nil, err
-	}
-	if count != uint64(nnodes) {
-		return nil, fmt.Errorf("dist: snapshot has %d nodes, want %d", count, nnodes)
+	d := codec.NewDecoder(src)
+	if count := d.Uvarint(); count != uint64(nnodes) {
+		d.Fail(fmt.Errorf("%d nodes, want %d", count, nnodes))
 	}
 	snaps := make([]nodeSnap, nnodes)
 	for i := range snaps {
-		if pos >= len(src) {
-			return nil, fmt.Errorf("dist: snapshot truncated at node %d", i)
+		ns := &snaps[i]
+		flag := d.Byte()
+		if flag > 1 {
+			d.Fail(fmt.Errorf("node %d: bad halted flag %d", i, flag))
 		}
-		switch src[pos] {
-		case 0:
-		case 1:
-			snaps[i].halted = true
-		default:
-			return nil, fmt.Errorf("dist: snapshot node %d: bad halted flag %d", i, src[pos])
-		}
-		pos++
-		nmsg, err := uv()
-		if err != nil {
-			return nil, err
-		}
+		ns.halted = flag == 1
+		nmsg := d.Uvarint()
 		// Each message is at least 11 bytes (kind + from + i0 + f0).
-		if nmsg > uint64(len(src)-pos)/11 {
-			return nil, fmt.Errorf("dist: snapshot node %d: inbox count %d exceeds buffer", i, nmsg)
+		if nmsg > uint64(d.Rest())/11 {
+			d.Fail(fmt.Errorf("node %d: inbox count %d exceeds buffer", i, nmsg))
+			nmsg = 0
 		}
-		snaps[i].inbox = make([]Message, 0, nmsg)
-		for k := uint64(0); k < nmsg; k++ {
-			var m Message
-			if pos >= len(src) {
-				return nil, fmt.Errorf("dist: snapshot truncated in node %d inbox", i)
-			}
-			m.Kind = src[pos]
-			pos++
-			from, err := uv()
-			if err != nil {
-				return nil, err
-			}
+		ns.inbox = make([]Message, nmsg)
+		for k := range ns.inbox {
+			m := &ns.inbox[k]
+			m.Kind = d.Byte()
+			from := d.Uvarint()
 			if from >= uint64(n) {
-				return nil, fmt.Errorf("dist: snapshot node %d: sender %d out of range", i, from)
+				d.Fail(fmt.Errorf("node %d: sender %d out of range", i, from))
 			}
-			m.From = graph.NodeID(from)
-			i0, k2 := binary.Varint(src[pos:])
-			if k2 <= 0 {
-				return nil, fmt.Errorf("dist: snapshot truncated at byte %d", pos)
-			}
-			pos += k2
-			m.I0 = int(i0)
-			if len(src)-pos < 8 {
-				return nil, fmt.Errorf("dist: snapshot truncated in node %d inbox", i)
-			}
-			m.F0 = math.Float64frombits(binary.LittleEndian.Uint64(src[pos:]))
-			pos += 8
-			nvec, err := uv()
-			if err != nil {
-				return nil, err
-			}
-			if nvec > uint64(len(src)-pos)/8 {
-				return nil, fmt.Errorf("dist: snapshot node %d: vec length %d exceeds buffer", i, nvec)
+			m.From, m.I0, m.F0 = graph.NodeID(from), int(d.Varint()), math.Float64frombits(d.U64())
+			nvec := d.Uvarint()
+			if nvec > uint64(d.Rest())/8 {
+				d.Fail(fmt.Errorf("node %d: vec length %d exceeds buffer", i, nvec))
+				nvec = 0
 			}
 			if nvec > 0 {
 				m.Vec = make([]float64, nvec)
 				for j := range m.Vec {
-					m.Vec[j] = math.Float64frombits(binary.LittleEndian.Uint64(src[pos:]))
-					pos += 8
+					m.Vec[j] = math.Float64frombits(d.U64())
 				}
 			}
-			snaps[i].inbox = append(snaps[i].inbox, m)
 		}
-		nst, err := uv()
-		if err != nil {
-			return nil, err
-		}
-		if nst > uint64(len(src)-pos) {
-			return nil, fmt.Errorf("dist: snapshot node %d: state length %d exceeds buffer", i, nst)
-		}
-		snaps[i].state = src[pos : pos+int(nst) : pos+int(nst)]
-		pos += int(nst)
+		ns.state = d.Bytes()
 	}
-	if pos != len(src) {
-		return nil, fmt.Errorf("dist: snapshot has %d trailing bytes", len(src)-pos)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("dist: bad snapshot: %w", err)
 	}
 	return snaps, nil
 }

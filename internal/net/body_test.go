@@ -155,9 +155,10 @@ func TestInlineBodiesAreStrict(t *testing.T) {
 // (DESIGN.md §8.4 step 3): every sender owned by the flow's source shard,
 // every unicast recipient by this one, and at most one broadcast entry per
 // sender per round — first among that sender's entries, and only from a
-// sender with a peer here. Each violation aborts with a flow error instead of
-// reaching a ghost, where a repeated broadcast would fall through
-// Ctx.Broadcast into the queue and deliver twice.
+// sender with a peer here — and every unicast recipient a neighbor of its
+// sender. Each violation aborts with a flow error: a repeated broadcast would
+// otherwise fall through Ctx.Broadcast into the queue and deliver twice, a
+// send to a non-neighbor panic inside Ctx.Send.
 func TestAbsorbRefusesMalformedFlows(t *testing.T) {
 	// 4 — 0 — 1 — 2 — 3 with shard 0 = {0, 1, 4} and shard 1 = {2, 3}: seen
 	// from worker 1, sender 1 has a peer here, senders 0 and 4 do not.
@@ -179,20 +180,21 @@ func TestAbsorbRefusesMalformedFlows(t *testing.T) {
 	}{
 		{"broadcast then unicast", [][]entry{{bc(1), {2, 1}}}, 0, ""},
 		{"unicast only", [][]entry{{{2, 1}, {2, 1}}}, 0, ""},
-		{"broadcast twice", [][]entry{{bc(1), bc(1)}}, 0, "broadcast of sender 1 behind 1 other entries"},
-		{"broadcast twice across chunks", [][]entry{{bc(1)}, {bc(1)}}, 0, "broadcast of sender 1 behind 1 other entries"},
-		{"broadcast behind unicast", [][]entry{{{2, 1}, bc(1)}}, 0, "broadcast of sender 1 behind 1 other entries"},
+		{"broadcast twice", [][]entry{{bc(1), bc(1)}}, 0, "broadcast of sender 1 is not the first send of its round"},
+		{"broadcast twice across chunks", [][]entry{{bc(1)}, {bc(1)}}, 0, "broadcast of sender 1 is not the first send of its round"},
+		{"broadcast behind unicast", [][]entry{{{2, 1}, bc(1)}}, 0, "broadcast of sender 1 is not the first send of its round"},
 		{"broadcast with no peer here", [][]entry{{bc(0)}}, 0, "sender 0, which has no peer in shard 1"},
 		{"broadcast from this shard's own node", [][]entry{{bc(2)}}, 0, "sender 2 not owned by shard 0"},
 		{"broadcast from a node out of range", [][]entry{{bc(5)}}, 0, "sender 5 not owned by shard 0"},
 		{"unicast from this shard's own node", [][]entry{{{3, 2}}}, 0, "sender 2 not owned by shard 0"},
 		{"unicast outside this shard", [][]entry{{{0, 1}}}, 0, "addresses node 0 outside shard 1"},
 		{"unicast out of range", [][]entry{{{5, 1}}}, 0, "addresses node 5 outside shard 1"},
+		{"unicast to a non-neighbor here", [][]entry{{{3, 1}}}, 0, "node 3 is not a neighbor of sender 1"},
 		{"count overstated", [][]entry{{bc(1)}}, 2, "decoded 1 messages, header says 2"},
 	}
 	for _, tc := range cases {
-		r := &workerLoop{h: &codec.Hello{P: 2, Shard: 1}, lam: lam, assign: assign,
-			fan: shard.NewFanout(g, assign, 2), gh: &ghost{pending: make([][]replayMsg, g.N())}}
+		r := &workerLoop{h: &codec.Hello{P: 2, Shard: 1}, lam: lam, assign: assign, fan: shard.NewFanout(g, assign, 2),
+			d: dist.NewDriver(g, lam, func(graph.NodeID) dist.Program { return remote{} })}
 		var err error
 		for i, chunk := range tc.chunks {
 			var body []byte

@@ -34,9 +34,9 @@
 //     mesh.go). Either way a worker validates each entry against its own
 //     copy of the graph and the partition (a broadcast entry names no
 //     recipients — they are the sender's peers, which the receiver knows)
-//     and replays what it received through ghost programs — stand-ins for
-//     the remote senders that re-issue a broadcast entry as a Broadcast,
-//     into the ghost's slot, and a unicast entry as a Send — so the local
+//     and writes it, as it is decoded, where the remote sender's own hook
+//     put the original (dist.Driver.Inject: a broadcast entry into the
+//     sender's slot, a unicast entry onto its queue) — so the local
 //     delivery assembles every inbox in the package-wide deterministic
 //     order (ascending sender ID, ties in send order) exactly as SeqEngine
 //     would, and by the same path: a round of leading broadcasts moves

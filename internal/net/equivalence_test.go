@@ -141,9 +141,9 @@ func TestVecAliasingCheckCleanOverNet(t *testing.T) {
 }
 
 // The inbox a hook receives is valid for the call only (dist.Program). With
-// the runtime poisoning every inbox on return, the cluster — ghost replay,
-// relay and streamed rounds, Vec payloads decoded from frames — must still
-// carry the identical execution.
+// the runtime poisoning every inbox on return, the cluster — injected remote
+// sends, relay and streamed rounds, Vec payloads decoded from frames — must
+// still carry the identical execution.
 func TestInboxRetentionCheckCleanOverNet(t *testing.T) {
 	g := graph.BarabasiAlbert(80, 3, 3)
 	T := core.TForEpsilon(g.N(), 0.5)

@@ -6,6 +6,10 @@ import (
 	"time"
 
 	"distkcore/internal/codec"
+	"distkcore/internal/dist"
+	"distkcore/internal/graph"
+	"distkcore/internal/quantize"
+	"distkcore/internal/shard"
 )
 
 // FuzzReadRecord drives arbitrary bytes through the Conn record reader —
@@ -60,5 +64,82 @@ func FuzzDecodeCoordBodies(f *testing.F) {
 		if err == nil && len(body) == 0 {
 			t.Fatal("empty values body accepted")
 		}
+	})
+}
+
+// emitProg opens its round with a Broadcast and follows it with a Send to
+// its lowest peer, Vec payloads on both for even nodes: every kind of entry
+// shard.Fanout.Emit frames.
+type emitProg struct{}
+
+func (emitProg) Round(*dist.Ctx, []dist.Message) {}
+func (emitProg) Init(c *dist.Ctx) {
+	var vec []float64
+	if c.ID()%2 == 0 {
+		vec = []float64{1, 2.5}
+	}
+	c.Broadcast(dist.Message{F0: 1.5, Vec: vec})
+	if ps := c.Peers(); len(ps) > 0 {
+		c.Send(ps[0], dist.Message{Kind: 2, I0: -3, F0: float64(c.ID()), Vec: vec})
+	}
+}
+
+// FuzzAbsorb feeds arbitrary bytes, as the body of one chunk of the flow
+// 0→1, to a worker's whole receive path — entry decode, validation against
+// the worker's own graph and partition, dist.Driver.Inject — and then closes
+// the round over whatever got in. A body is absorbed or refused with an
+// error, never a panic, under both wire-capable threshold sets; an absorbed
+// body holds exactly the announced number of entries.
+func FuzzAbsorb(f *testing.F) {
+	b := graph.NewBuilder(6)
+	for _, e := range [][2]int{{0, 3}, {3, 0}, {1, 3}, {1, 4}, {1, 2}, {2, 2}, {3, 4}, {4, 5}, {5, 5}} {
+		b.AddUnitEdge(e[0], e[1]) // a parallel edge and self-loops; node 2 has no peer in shard 1
+	}
+	g, assign := b.Build(), []int{0, 0, 0, 1, 1, 1}
+	fan := shard.NewFanout(g, assign, 2)
+	lams := []quantize.Lambda{quantize.Reals{}, quantize.NewPowerGrid(0.5)}
+	worker1 := func(lam quantize.Lambda) *workerLoop {
+		return &workerLoop{h: &codec.Hello{P: 2, Shard: 1}, lam: lam, assign: assign, fan: fan,
+			d: dist.NewDriver(g, lam, func(graph.NodeID) dist.Program { return remote{} })}
+	}
+	// Seeds: what shard 0 really frames toward shard 1 after a round of
+	// emitProg, under each Λ.
+	for i, lam := range lams {
+		d := dist.NewDriver(g, lam, func(graph.NodeID) dist.Program { return emitProg{} })
+		d.StepList([]graph.NodeID{0, 1, 2}, 0)
+		var body []byte
+		count := 0
+		for v := 0; v < 3; v++ {
+			fan.Emit(d, v, func(_ int, to graph.NodeID, m dist.Message) {
+				body = shard.AppendMessage(body, lam, to, m)
+				count++
+			})
+		}
+		if err := worker1(lam).absorb(0, 0, body, count); err != nil {
+			f.Fatalf("a real flow is refused: %v", err)
+		}
+		f.Add(body, count, i == 1)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, count int, grid bool) {
+		lam := lams[0]
+		if grid {
+			lam = lams[1]
+		}
+		r := worker1(lam)
+		if r.absorb(0, 0, body, count) != nil {
+			return
+		}
+		entries := 0
+		for rest := body; len(rest) > 0; entries++ {
+			_, _, used, err := shard.DecodeMessage(rest, lam, nil)
+			if err != nil {
+				t.Fatalf("absorbed body %x does not decode: %v", body, err)
+			}
+			rest = rest[used:]
+		}
+		if entries != count {
+			t.Fatalf("absorbed body %x holds %d entries, %d announced", body, entries, count)
+		}
+		r.d.Deliver(nil)
 	})
 }

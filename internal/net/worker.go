@@ -52,10 +52,10 @@ func foldFrame(h uint64, body []byte) uint64 {
 // dist.Engine whose Run participates in one coordinated run over a
 // connection instead of driving rounds itself. It holds the full graph and
 // the full shard assignment, steps only the nodes the hello's shard index
-// assigns to it, and replays what the other shards sent it — relayed by the
-// coordinator or streamed by the peers — through ghost programs so its
-// local delivery is byte-identical to the global execution (see the package
-// comment for the argument).
+// assigns to it, and injects what the other shards sent it — relayed by the
+// coordinator or streamed by the peers — into its Driver as those senders'
+// own sends, so its local delivery is byte-identical to the global execution
+// (see the package comment for the argument).
 //
 // The in-process Engine constructs Workers itself. cmd/cluster uses one
 // directly: read the hello with ReadHello, resolve graph/partition/
@@ -177,38 +177,13 @@ func (w *Worker) killed(phase obs.Phase, round int) bool {
 	return false
 }
 
-// replayMsg is one decoded frame entry awaiting ghost replay; to is
-// shard.Broadcast for a broadcast entry.
-type replayMsg struct {
-	to graph.NodeID
-	m  dist.Message
-}
+// remote is the Program of every node another worker owns. It is never
+// stepped: what the real node sent arrives through the inbound flows and
+// enters the Driver through Inject.
+type remote struct{}
 
-// ghost is the stand-in Program for every node owned by another worker: it
-// never acts on its own, only re-issues (in original send order) what the
-// real remote node sent this round, as decoded from the inbound flows — its
-// leading Broadcast as a Broadcast, which lands in the ghost's slot exactly
-// as the real one landed in the sender's, everything else as the Sends the
-// flow spelled out. Sending through the ordinary Ctx is what slots the
-// remote traffic into the local Driver's deterministic delivery order, and
-// what leaves a round in which nobody queued anything — here or remotely —
-// a pull round (DESIGN.md §7).
-type ghost struct {
-	pending [][]replayMsg
-}
-
-func (gh *ghost) Init(c *dist.Ctx)                    { gh.replay(c) }
-func (gh *ghost) Round(c *dist.Ctx, _ []dist.Message) { gh.replay(c) }
-
-func (gh *ghost) replay(c *dist.Ctx) {
-	for _, r := range gh.pending[c.ID()] {
-		if r.to == shard.Broadcast {
-			c.Broadcast(r.m)
-		} else {
-			c.Send(r.to, r.m)
-		}
-	}
-}
+func (remote) Init(*dist.Ctx)                  { panic("net: hook of a node another worker owns") }
+func (remote) Round(*dist.Ctx, []dist.Message) { panic("net: hook of a node another worker owns") }
 
 // workerPlane is the worker half of a frame plane: how a round's
 // cross-shard messages leave this worker and how the peers' arrive, which
@@ -235,16 +210,15 @@ type workerPlane interface {
 	close()
 }
 
-// workerLoop is one worker's run state under the round loop: the driver and
-// its ghosts, this shard's share of the protocol metrics, the frame chain,
-// and the outbound streams that feed the frame plane (Worker.plane).
+// workerLoop is one worker's run state under the round loop: the driver,
+// this shard's share of the protocol metrics, the frame chain, and the
+// outbound streams that feed the frame plane (Worker.plane).
 type workerLoop struct {
 	w      *Worker
 	h      *codec.Hello
 	lam    quantize.Lambda
 	g      *graph.Graph // the graph the run executes on (post-churn)
 	d      *dist.Driver
-	gh     *ghost
 	local  []graph.NodeID // ascending — the shard's step order
 	assign []int
 	// fan says which shards a node's leading broadcast is framed for, and —
@@ -269,11 +243,6 @@ type workerLoop struct {
 	// which re-hashes delivered Vecs one delivery later: every Vec then gets
 	// a fresh allocation instead.
 	arenas [][2]*shard.VecArena
-	// senders lists the remote senders with pending replays this round.
-	// Like gh.pending it may be written by mesh readers (under the mesh
-	// mutex) and is consumed by the loop strictly after plane.inbound —
-	// which acquires the same mutex, ordering the accesses.
-	senders []graph.NodeID
 
 	msgs, words, wire int64
 	// chain is the frame-chain digest over everything received so far.
@@ -293,17 +262,19 @@ func (r *workerLoop) resetArenas(t int) {
 }
 
 // absorb decodes count entries shard src sent this worker in the given round
-// and queues them on their senders' ghosts, validating that every sender
-// belongs to src, every unicast recipient to this shard, and that a
-// broadcast entry opens its sender's round and comes from a sender with a
-// peer here — who receives it is read off this worker's own graph, never
-// off the wire.
+// and injects each into the Driver as a send of its remote sender, validating
+// that every sender belongs to src, every unicast recipient to this shard,
+// and that a broadcast entry comes from a sender with a peer here — who
+// receives it is read off this worker's own graph, never off the wire —
+// before Inject refuses what the sender's hook cannot have produced. Mesh
+// readers call it while the loop steps the round's local nodes (see Inject);
+// plane.inbound orders them all before Deliver.
 func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
 	var ar *shard.VecArena
 	if r.arenas != nil {
 		ar = r.arenas[src][round&1]
 	}
-	assign, pending, self, cnt := r.assign, r.gh.pending, r.h.Shard, 0
+	assign, self, cnt := r.assign, r.h.Shard, 0
 	n := len(assign)
 	for len(body) > 0 {
 		to, m, used, err := shard.DecodeMessage(body, r.lam, ar)
@@ -312,23 +283,17 @@ func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
 		}
 		body = body[used:]
 		u := m.From
-		if u < 0 || u >= n || assign[u] != src {
-			return fmt.Errorf("net: flow %d→%d carries sender %d not owned by shard %d", src, self, u, src)
-		}
 		switch {
-		case to != shard.Broadcast:
-			if to >= n || assign[to] != self {
-				return fmt.Errorf("net: flow %d→%d addresses node %d outside shard %d", src, self, to, self)
-			}
-		case len(pending[u]) != 0:
-			return fmt.Errorf("net: flow %d→%d carries a broadcast of sender %d behind %d other entries of its round", src, self, u, len(pending[u]))
-		case !r.fan.Reaches(u, self):
+		case u < 0 || u >= n || assign[u] != src:
+			return fmt.Errorf("net: flow %d→%d carries sender %d not owned by shard %d", src, self, u, src)
+		case to != shard.Broadcast && (to >= n || assign[to] != self):
+			return fmt.Errorf("net: flow %d→%d addresses node %d outside shard %d", src, self, to, self)
+		case to == shard.Broadcast && !r.fan.Reaches(u, self):
 			return fmt.Errorf("net: flow %d→%d carries a broadcast of sender %d, which has no peer in shard %d", src, self, u, self)
 		}
-		if len(pending[u]) == 0 {
-			r.senders = append(r.senders, u)
+		if err := r.d.Inject(u, to, m); err != nil {
+			return fmt.Errorf("net: flow %d→%d carries an entry its sender cannot have sent: %w", src, self, err)
 		}
-		pending[u] = append(pending[u], replayMsg{to: to, m: m})
 		cnt++
 	}
 	if cnt != count {
@@ -406,12 +371,12 @@ func (r *workerLoop) step(t int, live bool) error {
 	return nil
 }
 
-// finish is the receive half of round t: wait out the inbound flows, let
-// ghost replay put the remote sends into the Driver's slots and queues,
-// Deliver every local inbox in the global deterministic order (ascending
-// sender, ties in send order), and — under Recover — ship the sealed barrier
-// state to the coordinator as a checkpoint, before any ack: an acked round is
-// always restorable.
+// finish is the receive half of round t: wait out the inbound flows — absorb
+// has put the remote sends into the Driver's slots and queues by the time
+// the last one ends — Deliver every local inbox in the global deterministic
+// order (ascending sender, ties in send order), and — under Recover — ship
+// the sealed barrier state to the coordinator as a checkpoint, before any
+// ack: an acked round is always restorable.
 func (r *workerLoop) finish(t int, live bool, rel []byte) error {
 	w := r.w
 	r.bw.End()
@@ -423,11 +388,6 @@ func (r *workerLoop) finish(t int, live bool, rel []byte) error {
 		return ErrKilled
 	}
 	dl := w.Trace.Begin(obs.PhaseDeliver, t, r.h.Shard)
-	r.d.StepList(r.senders, t)
-	for _, u := range r.senders {
-		r.gh.pending[u] = r.gh.pending[u][:0]
-	}
-	r.senders = r.senders[:0]
 	r.d.Deliver(nil)
 	dl.End()
 	if r.h.Recover {
@@ -545,8 +505,7 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 	}
 
 	r := &workerLoop{w: w, h: h, lam: lam, g: g, assign: assign, fan: shard.NewFanout(g, assign, h.P),
-		out: make([]*shard.PeerStream, h.P),
-		gh:  &ghost{pending: make([][]replayMsg, n)}, chain: frameChainSeed, cur: -1}
+		out: make([]*shard.PeerStream, h.P), chain: frameChainSeed, cur: -1}
 	for v := 0; v < n; v++ {
 		if assign[v] == h.Shard {
 			r.local = append(r.local, v)
@@ -556,7 +515,7 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 		if assign[v] == h.Shard {
 			return factory(v)
 		}
-		return r.gh
+		return remote{}
 	})
 	if !dist.CheckVecAliasing {
 		r.arenas = make([][2]*shard.VecArena, h.P)

@@ -54,7 +54,7 @@ const (
 	// their destination workers.
 	PhaseRelay
 	// PhaseDeliver is mailbox assembly: moving buffered sends into
-	// next-round inboxes (ghost replay included on net workers).
+	// next-round inboxes.
 	PhaseDeliver
 	// PhaseBarrierWait is time spent blocked on peers: a shard coordinator
 	// waiting for its worker goroutines, a net worker waiting for the

@@ -207,7 +207,7 @@ func TestSessionNotificationTranscript(t *testing.T) {
 // TestSessionSurvivesInboxPoisoning opens a session and pushes one epoch
 // with the runtime overwriting every inbox the moment its hook returns
 // (dist.CheckInboxRetention): the session's workers — elimination programs
-// next to ghost replay — must keep nothing past the call.
+// fed injected remote sends — must keep nothing past the call.
 func TestSessionSurvivesInboxPoisoning(t *testing.T) {
 	const T = 8
 	g := graph.BarabasiAlbert(200, 3, 5)

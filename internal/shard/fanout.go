@@ -12,7 +12,7 @@ import (
 // ascending. It is what turns a round's leading Broadcast into one frame
 // entry per destination shard instead of one per recipient — the sender
 // side walks a node's row (Emit), the receiver side checks a remote
-// sender's row before replaying its broadcast entry (Reaches). Built once
+// sender's row before injecting its broadcast entry (Reaches). Built once
 // per run from (g, assign) in O(n + m), for any P.
 type Fanout struct {
 	assign []int
