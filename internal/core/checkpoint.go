@@ -12,21 +12,28 @@ import (
 
 // eliminationProgram implements dist.Checkpointable so net-engine workers
 // can be crash-recovered (DESIGN.md §13). The cross-round state of a node is
-// tiny and flat: its surviving number b, the maintained tie-breaking
-// permutation of Updater, and the latest value heard from each neighbor
-// (PeerTable.vals). Everything else (arcs, peers, arcRank, the vals scratch)
-// is rebuilt from topology.
+// its ElimState, tiny and flat: its surviving number b, whether a step is owed
+// on an empty inbox, the maintained tie-breaking permutation of Updater, and
+// the latest value heard from each neighbor (PeerTable.vals). Everything else
+// (arcs, peers, arcRank, the vals scratch) is rebuilt from topology.
 
 var errAuxCheckpoint = errors.New("core: TrackAux runs are not checkpointable (auxiliary sets are not retained per node)")
 
 // AppendState serializes the node's cross-round state: b (raw float bits),
-// the arc-order permutation (uvarints), and the neighbor value table (raw
-// float bits), each length-prefixed for hostile-input validation on restore.
+// the owed flag (one byte, 0 or 1), the arc-order permutation (uvarints), and
+// the neighbor value table (raw float bits), each length-prefixed for
+// hostile-input validation on restore. The flag is state like the rest: an
+// incarnation that forgot it would skip a step its dead predecessor ran.
 func (p *eliminationProgram) AppendState(dst []byte) ([]byte, error) {
 	if p.run.trackAux {
 		return nil, errAuxCheckpoint
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.b))
+	owed := byte(0)
+	if p.owed {
+		owed = 1
+	}
+	dst = append(dst, owed)
 	dst = binary.AppendUvarint(dst, uint64(len(p.upd.order)))
 	for _, i := range p.upd.order {
 		dst = binary.AppendUvarint(dst, uint64(i))
@@ -49,6 +56,10 @@ func (p *eliminationProgram) RestoreState(c *dist.Ctx, halted bool, src []byte) 
 	}
 	d := codec.NewDecoder(src)
 	b := math.Float64frombits(d.U64())
+	owed := d.Byte()
+	if owed > 1 {
+		d.Fail(fmt.Errorf("bad owed flag %d", owed))
+	}
 	arcs, peers := c.Neighbors(), c.Peers()
 	nord := d.Uvarint()
 	if nord != uint64(len(arcs)) {
@@ -79,10 +90,9 @@ func (p *eliminationProgram) RestoreState(c *dist.Ctx, halted bool, src []byte) 
 	if err := d.Finish(); err != nil {
 		return 0, fmt.Errorf("core: restore: %w", err)
 	}
-	p.upd.Init(arcs, &p.run.slab)
+	p.Start(p.id, arcs, peers, &p.run.slab)
 	copy(p.upd.order, order)
-	p.b = b
-	p.nbrB.Init(p.id, arcs, peers, math.Inf(1), &p.run.slab)
+	p.b, p.owed = b, owed == 1
 	copy(p.nbrB.vals, vals)
 	if halted {
 		// The node published its result and halted in the snapshotted run;

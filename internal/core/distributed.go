@@ -10,19 +10,73 @@ import (
 	"distkcore/internal/quantize"
 )
 
-// eliminationProgram is the per-node dist.Program realizing Algorithm 2.
-// Protocol: in its Init a node broadcasts its initial surviving number +∞;
-// in round t it feeds the values received from its neighbors to Update,
-// rounds the result down to Λ, and broadcasts the new value — except in the
-// final round, where it halts instead (the last broadcast would never be
-// read).
-type eliminationProgram struct {
-	run *eliminationRun
-	id  graph.NodeID
+// ElimState is one node's side of Algorithm 2: its surviving number b, the
+// maintained order of Algorithm 3 and the latest value heard from each
+// neighbor. Both protocols that run the algorithm embed it — the elimination
+// program below and phase 1 of the weak densest subset protocol — so the
+// change-driven round exists once (DESIGN.md §2): b_t(v) is a pure function
+// of the neighbor table and the node's own last value, so a node that heard
+// nothing and whose own value stood still holds its next value already, and a
+// node whose value did not move has nothing to tell.
+type ElimState struct {
 	b   float64
 	upd Updater
-	// nbrB is the latest value per neighbor, flat (DESIGN.md §7).
+	// nbrB is the latest value per neighbor, flat (DESIGN.md §7). It starts at
+	// +∞, which is all a round-0 broadcast would say.
 	nbrB PeerTable
+	// owed records that a step is due even on an empty inbox: none has run
+	// yet, or the last one moved b and a self-loop arc reads b back. It is
+	// what keeps a skipped step exact to the bit, not just to the value —
+	// after a step that left b alone a second one would stable-sort a sorted
+	// order over identical keys — and so it is part of a checkpoint.
+	owed bool
+}
+
+// Start is the node's round 0: b = +∞ (0 for an isolated node, for which
+// β_t = 0 in every round t ≥ 1), the order by (neighbor ID, arc index), every
+// neighbor at +∞. arcs and peers are the node's runtime topology; the arrays
+// are carved from sl (nil allocates them individually). It sends nothing.
+func (s *ElimState) Start(id graph.NodeID, arcs []graph.Arc, peers []graph.NodeID, sl *Slab) {
+	s.upd.Init(arcs, sl)
+	s.nbrB.Init(id, arcs, peers, math.Inf(1), sl)
+	s.b, s.owed = math.Inf(1), true
+	if len(arcs) == 0 {
+		s.b = 0
+	}
+}
+
+// B returns the node's current surviving number, rounded down to Λ.
+func (s *ElimState) B() float64 { return s.b }
+
+// Advance is the node's round: it merges the inbox — the neighbors whose
+// value moved last round, F0 each — into the table and, if anything a step
+// reads has changed since the last one (or live is set), runs Algorithm 3 and
+// rounds the result down to lam. It reports whether b moved, which is when the
+// caller has something to broadcast. aux is Updater.Step's auxiliary set, nil
+// when no step ran; live forces the step, for the caller that needs the set.
+func (s *ElimState) Advance(inbox []dist.Message, lam quantize.Lambda, live bool) (moved bool, aux []int) {
+	if len(inbox) == 0 && !s.owed && !live {
+		return false, nil
+	}
+	s.nbrB.Merge(inbox)
+	nb, aux := s.upd.Step(func(i int) float64 {
+		return s.nbrB.ArcVal(i, s.b) // a self-loop arc sees the node's own value
+	})
+	nb = lam.RoundDown(nb)
+	s.owed = nb != s.b
+	s.b = nb
+	return s.owed, aux
+}
+
+// eliminationProgram is the per-node dist.Program realizing Algorithm 2,
+// change-driven. Protocol: Init is silent; in round t a node advances its
+// ElimState on the values it received and broadcasts the new value if it
+// differs from the one it last sent — except in the final round, where it
+// halts instead (the last broadcast would never be read).
+type eliminationProgram struct {
+	ElimState
+	run *eliminationRun
+	id  graph.NodeID
 }
 
 // eliminationRun is what the programs of one run share: the protocol
@@ -59,7 +113,11 @@ type DistResult struct {
 // given engine for T = opt.Rounds rounds (opt.Rounds must be > 0;
 // convergence mode is only available in the centralized Run). It returns
 // the surviving numbers, the auxiliary edge sets (if opt.TrackAux), and the
-// engine's communication metrics.
+// engine's communication metrics. The values are bit for bit those of the
+// printed algorithm, which broadcasts b_t(v) every round; the metrics are
+// those of the change-driven program (ElimState, DESIGN.md §2), which says
+// b_t(v) only when it moved: Messages = Σ_{t<T} Σ_{v : β_t(v) ≠ β_{t−1}(v)}
+// |Peers(v)|, at most the every-round T·Σ_v |Peers(v)|.
 func RunDistributed(g *graph.Graph, opt Options, eng dist.Engine) (*Result, dist.Metrics) {
 	if opt.Rounds <= 0 {
 		panic("core: RunDistributed requires Rounds > 0")
@@ -85,27 +143,19 @@ func RunDistributed(g *graph.Graph, opt Options, eng dist.Engine) (*Result, dist
 }
 
 func (p *eliminationProgram) Init(c *dist.Ctx) {
-	p.upd.Init(c.Neighbors(), &p.run.slab)
-	p.b = math.Inf(1)
-	p.nbrB.Init(p.id, c.Neighbors(), c.Peers(), math.Inf(1), &p.run.slab)
+	p.Start(p.id, c.Neighbors(), c.Peers(), &p.run.slab)
 	if len(c.Neighbors()) == 0 {
-		// Isolated node: β_t = 0 for all t ≥ 1; nothing to say or hear.
-		p.b = 0
-		p.finish(c)
-		return
+		p.finish(c) // isolated: nothing to say or hear
 	}
-	c.Broadcast(dist.Message{F0: p.b})
 }
 
 func (p *eliminationProgram) Round(c *dist.Ctx, inbox []dist.Message) {
-	p.nbrB.Merge(inbox)
-	arcs := c.Neighbors()
-	nb, auxArcs := p.upd.Step(func(i int) float64 {
-		return p.nbrB.ArcVal(i, p.b) // a self-loop arc sees the node's own value
-	})
-	p.b = p.run.lam.RoundDown(nb)
-	if c.Round() >= p.run.T {
+	last := c.Round() >= p.run.T
+	// The auxiliary set comes from a live step of the final round.
+	moved, auxArcs := p.Advance(inbox, p.run.lam, last && p.run.trackAux)
+	if last {
 		if p.run.trackAux {
+			arcs := c.Neighbors()
 			edges := make([]int, len(auxArcs))
 			for k, ai := range auxArcs {
 				edges[k] = arcs[ai].EdgeID
@@ -117,7 +167,9 @@ func (p *eliminationProgram) Round(c *dist.Ctx, inbox []dist.Message) {
 		p.finish(c)
 		return
 	}
-	c.Broadcast(dist.Message{F0: p.b})
+	if moved {
+		c.Broadcast(dist.Message{F0: p.b})
+	}
 }
 
 func (p *eliminationProgram) finish(c *dist.Ctx) {

@@ -1,13 +1,13 @@
 package densest
 
 import (
-	"math"
 	"sort"
 	"sync"
 
 	"distkcore/internal/core"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
+	"distkcore/internal/quantize"
 )
 
 // This file implements the weak densest subset pipeline as an actual
@@ -18,7 +18,7 @@ import (
 //
 // Message kinds (round ranges use R1 = T, R2 = 2T, R3 = 2T+2, R4 = 3T+2):
 //
-//	kElim    rounds 1..T       F0 = surviving number (Algorithm 2)
+//	kElim    rounds 1..T-1     F0 = surviving number, sent when it moved (Algorithm 2)
 //	kLeader  rounds T+1..2T    I0 = leader ID, F0 = leader's b (Algorithm 4)
 //	kReq     round 2T          targeted at parent: I0 = leader ID
 //	kAck     round 2T+1        targeted at requester (parent confirms)
@@ -53,30 +53,29 @@ type weakProgram struct {
 	sink  *weakSink
 	slab  *core.Slab // the run's, for the phase 1 arrays
 
-	// phase 1 state
-	upd  core.Updater
-	b    float64
-	nbrB core.PeerTable // latest β per neighbor, flat (DESIGN.md §7)
+	// phase 1 state: Algorithm 2 with Λ = ℝ, change-driven
+	core.ElimState
 
 	// phase 2 state
 	leader   graph.NodeID
 	leaderB  float64
 	parent   graph.NodeID
 	children []graph.NodeID
-	acked    bool
 
 	// phase 3 state
 	nbrLeader map[graph.NodeID]graph.NodeID
 	nbrActive map[graph.NodeID]bool
-	active    bool
 	num       []float64
 	deg       []float64
 
 	// phase 4 state
 	aggNum, aggDeg []float64
 	pendingKids    map[graph.NodeID]bool
-	sentUp         bool
-	done           bool
+
+	// The flags of phases 2 (acked), 3 (active) and 4, together so that they
+	// share one word: the program is one allocation per node and sits exactly
+	// on a size class.
+	acked, active, sentUp, done bool
 }
 
 // RunWeakDistributed executes the four phases of Theorem I.3 as a real
@@ -160,9 +159,7 @@ func assembleResult(g *graph.Graph, cfg Config, T int, sink *weakSink) *Result {
 }
 
 func (p *weakProgram) Init(c *dist.Ctx) {
-	p.upd.Init(c.Neighbors(), p.slab)
-	p.b = math.Inf(1)
-	p.nbrB.Init(p.id, c.Neighbors(), c.Peers(), math.Inf(1), p.slab)
+	p.Start(p.id, c.Neighbors(), c.Peers(), p.slab)
 	p.leader = p.id
 	p.parent = p.id
 	p.active = true
@@ -171,7 +168,6 @@ func (p *weakProgram) Init(c *dist.Ctx) {
 	p.nbrLeader = make(map[graph.NodeID]graph.NodeID)
 	p.nbrActive = make(map[graph.NodeID]bool)
 	p.pendingKids = make(map[graph.NodeID]bool)
-	c.Broadcast(dist.Message{Kind: kElim, F0: p.b})
 }
 
 func (p *weakProgram) Round(c *dist.Ctx, inbox []dist.Message) {
@@ -189,21 +185,20 @@ func (p *weakProgram) Round(c *dist.Ctx, inbox []dist.Message) {
 
 // phase1: Algorithm 2 for T rounds.
 func (p *weakProgram) phase1(c *dist.Ctx, inbox []dist.Message, t int) {
-	p.nbrB.Merge(inbox) // rounds 1..T only ever carry kElim
-	nb, _ := p.upd.Step(func(i int) float64 {
-		return p.nbrB.ArcVal(i, p.b) // a self-loop arc sees the node's own value
-	})
-	p.b = nb
+	moved, _ := p.Advance(inbox, quantize.Reals{}, false) // rounds 1..T only ever carry kElim
+	b := p.B()
 	if t < p.T {
-		c.Broadcast(dist.Message{Kind: kElim, F0: p.b})
+		if moved {
+			c.Broadcast(dist.Message{Kind: kElim, F0: b})
+		}
 		return
 	}
 	// Phase 1 done: publish b, seed phase 2 by announcing (self, b).
-	p.leaderB = p.b
+	p.leaderB = b
 	p.sink.mu.Lock()
-	p.sink.b[p.id] = p.b
+	p.sink.b[p.id] = b
 	p.sink.mu.Unlock()
-	c.Broadcast(dist.Message{Kind: kLeader, I0: p.id, F0: p.b})
+	c.Broadcast(dist.Message{Kind: kLeader, I0: p.id, F0: b})
 }
 
 // precedes reports (l1,b1) ≻ (l2,b2) in the leader order.
@@ -366,7 +361,7 @@ func (p *weakProgram) maybeSendUp(c *dist.Ctx) {
 			}
 		}
 	}
-	if tstar >= 0 && bmax >= p.b/p.gamma {
+	if tstar >= 0 && bmax >= p.B()/p.gamma {
 		p.sink.mu.Lock()
 		p.sink.tstar[p.id] = tstar
 		p.sink.mu.Unlock()

@@ -28,8 +28,10 @@
 // Section II of the paper): Init runs at round 0; a message sent during
 // round t is delivered at the start of round t+1; Round(c, inbox) is called
 // once per round on every node that has not halted, whether or not its
-// inbox is empty. The inbox is ordered by sender ID (ties by send order),
-// which is what makes all engines agree execution-for-execution.
+// inbox is empty. Silence is legal: an inbox holds the previous round's sends
+// and nothing older, and a round in which nobody sends is delivered and
+// followed like any other. The inbox is ordered by sender ID (ties by send
+// order), which is what makes all engines agree execution-for-execution.
 //
 // Communication accounting (Metrics.Words, Metrics.WireBytes) flows through
 // internal/quantize and internal/codec so that the Congest-model bandwidth
@@ -78,7 +80,10 @@ type Metrics struct {
 	// counted).
 	Rounds int
 	// Messages counts point-to-point messages: a Broadcast to d distinct
-	// neighbors counts d.
+	// neighbors counts d. It counts what the protocol chose to say: the
+	// elimination program re-sends a value only in the rounds it moved
+	// (DESIGN.md §2), so its count follows the value trajectories and the
+	// paper's every-round T·Σ|Peers(v)| is its upper bound.
 	Messages int64
 	// Words counts transmitted payload words (Message.Words per message).
 	Words int64
@@ -93,7 +98,11 @@ type Metrics struct {
 // Program is the code one node runs in a synchronous protocol. The runtime
 // calls Init once at round 0 and then Round once per round t = 1, 2, ...
 // with the messages sent to this node during round t-1, until the program
-// calls Ctx.Halt or the engine's round budget runs out.
+// calls Ctx.Halt or the engine's round budget runs out. Those messages and no
+// others: a neighbor that sent nothing in round t-1 is absent from the inbox,
+// the inbox may be empty, and the hook runs all the same — whether there is
+// anything to compute is the program's decision, and what a neighbor said
+// earlier is the program's to remember (core.PeerTable).
 //
 // inbox is valid only for the duration of the Round call: after a
 // broadcast-only round it is a scratch buffer of the stepping goroutine,

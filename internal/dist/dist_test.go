@@ -320,6 +320,54 @@ func TestMessagesToHaltedNodesAreDropped(t *testing.T) {
 	}
 }
 
+// Silence is legal, and change-driven protocols make it common: a round in
+// which nobody sends is delivered on the pull path, prices nothing, leaves
+// every inbox of the next round empty — the stale slots are told from fresh
+// ones by their stamp, nothing is cleared — and that round's hooks still run
+// for every live node, after which traffic resumes as if nothing had happened.
+// Every node broadcasts every round but the hushed one and halts in round 5.
+func TestSilentRoundIsAPullDelivery(t *testing.T) {
+	g := graph.BarabasiAlbert(60, 3, 8)
+	const hush = 2
+	lens := make([][]int, g.N())
+	d := NewDriver(g, nil, func(v graph.NodeID) Program {
+		return programFunc{
+			init: func(c *Ctx) { c.Broadcast(Message{F0: 1}) },
+			round: func(c *Ctx, in []Message) {
+				lens[v] = append(lens[v], len(in))
+				switch {
+				case c.Round() >= 5:
+					c.Halt()
+				case c.Round() != hush:
+					c.Broadcast(Message{F0: 1})
+				}
+			},
+		}
+	})
+	var before Metrics
+	for r := 0; r <= 5; r++ {
+		if stepped := d.StepRange(0, g.N(), r); stepped != g.N() {
+			t.Fatalf("round %d ran %d hooks, want one per node (%d)", r, stepped, g.N())
+		}
+		if r == hush {
+			before = d.s.met
+		}
+		d.Deliver(nil)
+		if r == hush && (!d.s.pull || d.s.met != before) {
+			t.Fatalf("the silent round's delivery: pull %v, metrics %+v → %+v", d.s.pull, before, d.s.met)
+		}
+	}
+	for v, got := range lens {
+		fan := len(g.Peers(v))
+		if want := []int{fan, fan, 0, fan, fan}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("node %d was handed inboxes of %v messages, want %v", v, got, want)
+		}
+	}
+	if met := d.Finish(5); !met.Halted || met.Messages != 2*before.Messages {
+		t.Fatalf("run metrics %+v: want every node halted and twice the %d messages of the two rounds before the silence", met, before.Messages)
+	}
+}
+
 // --- shared-Vec aliasing check -------------------------------------------
 
 func expectAliasingPanic(t *testing.T, factory Factory) {

@@ -36,9 +36,13 @@ type scriptSend struct {
 // send, or Broadcast-then-Halt — every way a round can mix the slot and the
 // queue. Two rounds in three are calm: every node keeps to the first
 // Broadcast of its draw (or stays silent), so the run alternates between
-// deliveries that move nothing and deliveries that scatter.
+// deliveries that move nothing and deliveries that scatter. In round hush
+// (none when 0) nobody says anything at all — the round a change-driven
+// protocol has once its values have settled: the delivery prices nothing,
+// every inbox of the next round is empty, and its hooks run all the same.
 type script struct {
 	seed uint64
+	hush int
 	got  [][]uint64 // per node: one inbox hash per Round call
 }
 
@@ -64,6 +68,9 @@ func (sc *script) mixedRound() int {
 }
 
 func (sc *script) act(v graph.NodeID, t int, peers []graph.NodeID) (sends []scriptSend, halt bool) {
+	if t > 0 && t == sc.hush {
+		return nil, false
+	}
 	h := mix(sc.seed ^ mix(uint64(v)<<20^uint64(t)))
 	msg := func(k uint64, vec int) dist.Message {
 		x := mix(h + k)
@@ -335,13 +342,18 @@ func TestEnginesMatchDeliveryOracle(t *testing.T) {
 	// retention check's poisoning.
 	dist.CheckInboxRetention = true
 	defer func() { dist.CheckInboxRetention = false }()
+	type row struct {
+		seed uint64
+		hush int
+	}
 	for gname, g := range graphs {
-		for _, seed := range []uint64{1, 2, 3} {
+		for _, r := range []row{{1, 0}, {2, 0}, {3, 0}, {2, 2}, {3, 4}} { // the last two: a round of silence
+			seed := r.seed
 			for _, budget := range []int{6, 300} { // cut off mid-run, and run until all have halted
-				want, wantMet := oracle(g, &script{seed: seed}, budget)
+				want, wantMet := oracle(g, &script{seed: seed, hush: r.hush}, budget)
 				for _, e := range engines {
-					sc := &script{seed: seed, got: make([][]uint64, g.N())}
-					id := fmt.Sprintf("%s seed %d budget %d on %s", gname, seed, budget, e.name)
+					sc := &script{seed: seed, hush: r.hush, got: make([][]uint64, g.N())}
+					id := fmt.Sprintf("%s seed %d hush %d budget %d on %s", gname, seed, r.hush, budget, e.name)
 					if e.eng == dist.Engine(recov) {
 						recov.KillAt(obs.PhaseDeliver, sc.mixedRound(), 1)
 					}

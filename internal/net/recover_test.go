@@ -3,6 +3,8 @@ package net
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -53,6 +55,51 @@ func TestRecoverySweepBitIdentical(t *testing.T) {
 	g := graph.BarabasiAlbert(150, 3, 11)
 	T := core.TForEpsilon(g.N(), 0.5)
 	opt := core.Options{Rounds: T, Lambda: quantize.NewPowerGrid(0.1)}
+	sweepRecovery(t, "", g, opt, []int{0, 1, T / 2, T})
+
+	// The change-driven program's own corner: a weighted multigraph with
+	// self-loops and parallel edges, Λ = ℝ, killed in an early round (the first
+	// whose inboxes hold the changed senders only) and in a late, quiet one,
+	// where nobody has anything to say and a checkpoint is all flags and tables.
+	// The reference is held to the centralized every-round simulation first.
+	lg := loopyMultigraph(90, 5)
+	const lT = 18 // past the 12 of TForEpsilon: this graph settles in round 13
+	lopt := core.Options{Rounds: lT}
+	central := core.Run(lg, core.Options{Rounds: lT, TrackAux: true, RecordHistory: true})
+	if !reflect.DeepEqual(central.History[lT-2], central.History[lT-6]) {
+		t.Fatalf("rounds %d..%d of the multigraph run are not quiet", lT-4, lT-1)
+	}
+	seq, _ := core.RunDistributed(lg, lopt, dist.SeqEngine{})
+	for v, b := range central.B {
+		if math.Float64bits(b) != math.Float64bits(seq.B[v]) {
+			t.Fatalf("multigraph: seq β(%d) = %v, centralized every-round Update gives %v", v, seq.B[v], b)
+		}
+	}
+	sweepRecovery(t, "loopy/", lg, lopt, []int{2, lT - 2})
+}
+
+// loopyMultigraph is a BA graph with weights in tenths (inexact sums: the
+// order they are added in shows in the bits), a parallel copy of every fourth
+// edge and a self-loop on every third node.
+func loopyMultigraph(n int, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	w := func() float64 { return float64(1+rng.Intn(30)) / 10 }
+	b := graph.NewBuilder(n)
+	for i, e := range graph.BarabasiAlbert(n, 3, seed).Edges() {
+		b.AddEdge(e.U, e.V, w())
+		if i%4 == 0 {
+			b.AddEdge(e.V, e.U, w())
+		}
+	}
+	for v := 0; v < n; v += 3 {
+		b.AddEdge(v, v, w())
+	}
+	return b.Build()
+}
+
+// sweepRecovery kills each of three workers at every phase seam of the given
+// rounds, on both planes, and holds the recovered run to the undisturbed one.
+func sweepRecovery(t *testing.T, prefix string, g *graph.Graph, opt core.Options, killRounds []int) {
 	seqRef, seqMet := core.RunDistributed(g, opt, dist.SeqEngine{})
 
 	modes := []struct {
@@ -71,18 +118,16 @@ func TestRecoverySweepBitIdentical(t *testing.T) {
 		ref, refMet := core.RunDistributed(g, opt, refEng)
 		refLedger := refEng.ClusterMetrics()
 		if refEng.Recoveries() != 0 {
-			t.Fatalf("%s: undisturbed run recovered %d times", mode.name, refEng.Recoveries())
+			t.Fatalf("%s%s: undisturbed run recovered %d times", prefix, mode.name, refEng.Recoveries())
 		}
 		if refMet != seqMet || !reflect.DeepEqual(ref.B, seqRef.B) {
-			t.Fatalf("%s: recovery-armed run diverges from seq before any fault", mode.name)
+			t.Fatalf("%s%s: recovery-armed run diverges from seq before any fault", prefix, mode.name)
 		}
 
-		rounds := refMet.Rounds
-		killRounds := map[int]bool{0: true, 1: true, rounds / 2: true, rounds: true}
 		for w := 0; w < 3; w++ {
 			for _, ph := range mode.phases {
-				for r := range killRounds {
-					name := fmt.Sprintf("%s/w%d/%s/r%d", mode.name, w, ph, r)
+				for _, r := range killRounds {
+					name := fmt.Sprintf("%s%s/w%d/%s/r%d", prefix, mode.name, w, ph, r)
 					t.Run(name, func(t *testing.T) {
 						eng := mode.mk(3)
 						eng.KillAt(ph, r, w)

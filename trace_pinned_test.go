@@ -28,8 +28,11 @@ import (
 // TestPinnedSeqTranscript pins the full transcript of a 3-round coreness
 // run on a 6-node cycle with one chord, traced on the sequential reference
 // engine. The counts are deterministic protocol facts: 6 nodes stepped per
-// round, 14 directed messages (2 per edge) delivered per round at 9 wire
-// bytes each, and a final empty deliver after the last step.
+// round; a silent Init; round 1, in which every value moves from +∞ to the
+// node's degree, delivered as 14 directed messages (2 per edge) at 9 wire
+// bytes each; round 2, in which only the chord's endpoints move (3 → 2) and
+// tell their 3 neighbors each (DESIGN.md §2); and a final empty deliver after
+// the last step.
 func TestPinnedSeqTranscript(t *testing.T) {
 	b := graph.NewBuilder(6)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {0, 3}} {
@@ -39,11 +42,11 @@ func TestPinnedSeqTranscript(t *testing.T) {
 	tr := obs.NewTracer()
 	core.RunDistributed(g, core.Options{Rounds: 3}, dist.SeqEngine{Trace: tr})
 	want := "span round=0 worker=-1 phase=step count=6\n" +
-		"span round=0 worker=-1 phase=deliver bytes=126 count=14\n" +
+		"span round=0 worker=-1 phase=deliver\n" +
 		"span round=1 worker=-1 phase=step count=6\n" +
 		"span round=1 worker=-1 phase=deliver bytes=126 count=14\n" +
 		"span round=2 worker=-1 phase=step count=6\n" +
-		"span round=2 worker=-1 phase=deliver bytes=126 count=14\n" +
+		"span round=2 worker=-1 phase=deliver bytes=54 count=6\n" +
 		"span round=3 worker=-1 phase=step count=6\n" +
 		"span round=3 worker=-1 phase=deliver\n"
 	if got := tr.Trace().Transcript(); got != want {
