@@ -222,8 +222,10 @@ func runPush(args []string) {
 		fmt.Printf("cluster push: epoch %d sealed: ops=%d changed=%d graph=%#x values=%#x chain=%#x\n",
 			st.Epoch, d.Len(), st.Changed, st.GraphHash, st.ValuesDigest, st.ChainDigest)
 		if *verify {
-			if st.GraphHash != cur.Fingerprint() {
-				fatal(fmt.Errorf("epoch %d: GRAPH DIVERGES: receipt %#x, local %#x", st.Epoch, st.GraphHash, cur.Fingerprint()))
+			// The receipt's graph field is the hash the cluster kept rolling
+			// through its in-place mutations; recompute it from scratch here.
+			if gh := cur.EdgeSetHash(); st.GraphHash != gh {
+				fatal(fmt.Errorf("epoch %d: GRAPH DIVERGES: receipt %#x, local edge-set hash %#x", st.Epoch, st.GraphHash, gh))
 			}
 			ref, _ := core.RunDistributed(cur, core.Options{Rounds: T}, dist.SeqEngine{})
 			if vd := session.ValuesDigest(ref.B); st.ValuesDigest != vd {

@@ -143,8 +143,12 @@ const (
 // the crash-recovery protocol (DESIGN.md §13); version 4 added the streamed
 // delivery fields (Stream, MeshKind, Window, MeshSpec) and the mesh record
 // types of DESIGN.md §14; version 5 changed the frame entry layout (tag
-// ahead of the receiver) and added the broadcast entry (DESIGN.md §6).
-const HandshakeVersion = 5
+// ahead of the receiver) and added the broadcast entry (DESIGN.md §6);
+// version 6 changed what a session stamp's graph field digests — the rolling
+// edge-multiset hash (graph.EdgeSetHash), no longer graph.Fingerprint — with
+// the record layout untouched, so only the version can tell two peers apart
+// before their first stamp disagrees (DESIGN.md §10.2).
+const HandshakeVersion = 6
 
 // AppendHello appends the wire encoding of h to dst.
 func AppendHello(dst []byte, h Hello) []byte {

@@ -7,8 +7,9 @@ import (
 
 // Stamp seals one session epoch (DESIGN.md §10): after the coordinator has
 // absorbed a delta batch and assembled the re-converged values, it pins the
-// resulting state in a stamp — the epoch number, the post-churn graph
-// fingerprint, the rebalanced partition digest, the digest of the full
+// resulting state in a stamp — the epoch number, the post-churn graph's
+// edge-multiset hash (graph.EdgeSetHash, which every party keeps rolling as
+// it mutates), the rebalanced partition digest, the digest of the full
 // value vector, and the running chain digest that folds all of those into
 // every digest of every earlier epoch. Workers verify each field against
 // their own state and echo the stamp back; any mismatch aborts the session.

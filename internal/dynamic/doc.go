@@ -8,15 +8,29 @@
 // can alter β_t only at nodes within t hops of its endpoints. The
 // Maintainer stores the full per-round history H[t][v] and, on an update,
 // re-evaluates round t only at the *change frontier* — the endpoints plus
-// the neighbors of nodes whose round-(t-1) value changed — which usually
-// dies out long before it reaches the T-hop ball's boundary. The unit of
+// those neighbors of nodes whose round-(t-1) value changed that the change
+// can reach: Algorithm 3's update is a threshold function, so a neighbor z
+// whose stored β_t(z) lies strictly below, or strictly above, both the old
+// and the new value of the node that moved cannot move with it, the pruning
+// every h-index-style core maintenance uses (proof at repair and in
+// DESIGN.md §9) — which usually dies out long before it reaches the T-hop
+// ball's boundary. The unit of
 // repair is the batch, not the op: ApplyDelta mutates the adjacency for
 // every op of a dist.GraphDelta first and then runs one T-round repair
 // seeded with the union of their endpoints, so each (t, v) is evaluated at
 // most once per batch, against final round-(t-1) values, and H[t] is
 // exactly the from-scratch β_t of the mutated graph. InsertEdge and
 // DeleteEdge are batches of one. The frontier lives in generation-stamped
-// marks and reused slices; a steady-state repair allocates nothing.
+// marks and reused slices; a steady-state repair allocates nothing, and
+// Moved reports the batch's change set — the nodes whose β_T moved, with
+// their old values — straight from the last round.
+//
+// The graph under the history is an Adjacency: per-node arc lists mutated in
+// place under the canonical order of dist.GraphDelta.Apply, the rolling
+// graph.EdgeSetHash of the edge multiset they hold, and Validate, which
+// answers whether a batch would apply without touching anything. A session
+// worker's Maintainer is its only copy of the graph; the session coordinator
+// holds a bare Adjacency (DESIGN.md §10.2).
 // Experiment E14 measures the bill (re-evals per update versus the n·T full
 // recompute); DensestValue additionally keeps max_v β_T(v), the
 // evolving-graphs densest-subgraph functionality of the Epasto et al. /
@@ -27,7 +41,9 @@
 // batches the execution engines absorb by mutate-and-rerun, and experiment
 // E19 pins the two against each other — the maintainer must land on the
 // same β values as a from-scratch run on the mutated graph while touching
-// only the frontier.
+// only the frontier. That equality is exact to the bit under the contract
+// sessions open on: Λ = ℝ and exactly summable weights, so that float sums
+// do not depend on order.
 //
 // Everything here is centralized, single-threaded and deterministic; the
 // distributed twin of an update is the engines' churn path, not this

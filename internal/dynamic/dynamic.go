@@ -1,25 +1,19 @@
 package dynamic
 
 import (
-	"fmt"
 	"math"
+	"slices"
 
 	"distkcore/internal/core"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
 )
 
-// arc is one mutable adjacency entry.
-type arc struct {
-	to graph.NodeID
-	w  float64
-}
-
-// Maintainer tracks β_T values of a mutable graph.
+// Maintainer tracks β_T values of a mutable graph: an Adjacency plus the
+// per-round history of the elimination procedure on it.
 type Maintainer struct {
 	T   int
-	n   int
-	adj [][]arc
+	adj *Adjacency
 	// hist[t][v] = β_t(v); hist[0][v] = +∞ (the initial surviving number).
 	hist [][]float64
 	// eval scratch, grown to the largest degree evaluated so far
@@ -27,13 +21,21 @@ type Maintainer struct {
 	scratch []int
 	// Frontier of the repair in flight, reused across batches: seeds are the
 	// endpoints of the applied ops, cand the nodes to evaluate this round,
-	// changed those whose value moved last round; mark[x] == gen means x is
-	// already in cand.
-	seeds, cand, changed []graph.NodeID
-	mark                 []uint32
-	gen                  uint32
+	// moved those whose value moved last round (after a repair: in round T);
+	// mark[x] == gen means x is already in cand.
+	seeds, cand []graph.NodeID
+	moved       []Move
+	mark        []uint32
+	gen         uint32
 	// Stats accumulates work counters across updates.
 	Stats Stats
+}
+
+// Move is one node whose value a repair round changed, with the value it
+// held before.
+type Move struct {
+	Node graph.NodeID
+	Old  float64
 }
 
 // Stats reports incremental-work counters.
@@ -41,7 +43,8 @@ type Stats struct {
 	// Updates is the number of edge mutations applied (ops, not batches).
 	Updates int
 	// Reevaluated counts node-rounds evaluated by the batched repairs: each
-	// (t, x) at most once per batch, however many of its ops touch it.
+	// (t, x) at most once per batch, however many of its ops touch it, and a
+	// non-seed x only when a neighbour's move could reach β_t(x) (see repair).
 	Reevaluated int64
 	// Changed counts those node-rounds whose value actually changed.
 	Changed int64
@@ -54,14 +57,7 @@ func New(g *graph.Graph, T int) *Maintainer {
 		panic("dynamic: T must be >= 1")
 	}
 	n := g.N()
-	m := &Maintainer{T: T, n: n, adj: make([][]arc, n), mark: make([]uint32, n)}
-	for v := 0; v < n; v++ {
-		arcs := g.Adj(v)
-		m.adj[v] = make([]arc, 0, len(arcs))
-		for _, a := range arcs {
-			m.adj[v] = append(m.adj[v], arc{to: a.To, w: a.W})
-		}
-	}
+	m := &Maintainer{T: T, adj: NewAdjacency(g), mark: make([]uint32, n)}
 	m.hist = make([][]float64, T+1)
 	m.hist[0] = make([]float64, n)
 	for v := range m.hist[0] {
@@ -78,7 +74,8 @@ func New(g *graph.Graph, T int) *Maintainer {
 
 // eval recomputes β_t(v) from the round t-1 values.
 func (m *Maintainer) eval(t int, v graph.NodeID) float64 {
-	if d := len(m.adj[v]); d > cap(m.scratch) {
+	arcs := m.adj.adj[v]
+	if d := len(arcs); d > cap(m.scratch) {
 		// Inserts can push a degree past anything seen so far; scratch is
 		// handed to UpdateValue by value, so it has to be grown here.
 		m.bs, m.ws, m.scratch = make([]float64, 0, 2*d), make([]float64, 0, 2*d), make([]int, 0, 2*d)
@@ -86,7 +83,7 @@ func (m *Maintainer) eval(t int, v graph.NodeID) float64 {
 	m.bs = m.bs[:0]
 	m.ws = m.ws[:0]
 	prev := m.hist[t-1]
-	for _, a := range m.adj[v] {
+	for _, a := range arcs {
 		m.bs = append(m.bs, prev[a.to])
 		m.ws = append(m.ws, a.w)
 	}
@@ -99,6 +96,14 @@ func (m *Maintainer) B() []float64 { return m.hist[m.T] }
 
 // History returns β_t(v) for 1 ≤ t ≤ T.
 func (m *Maintainer) History(t int) []float64 { return m.hist[t] }
+
+// Adjacency returns the graph the values are maintained on, for reading (its
+// Hash, its topology). It aliases internal state: mutate it only through
+// ApplyDelta, or the history goes stale.
+func (m *Maintainer) Adjacency() *Adjacency { return m.adj }
+
+// Graph materializes the current adjacency (see Adjacency.Graph).
+func (m *Maintainer) Graph() *graph.Graph { return m.adj.Graph() }
 
 // InsertEdge adds the undirected edge {u,v} (u == v for a self-loop) with
 // weight w and repairs the affected history: a batch of one.
@@ -126,71 +131,38 @@ func (m *Maintainer) DeleteEdge(u, v graph.NodeID) bool {
 // delta must abort a run, not fork state silently — callers treat the error
 // the way the wire protocol treats a digest mismatch).
 func (m *Maintainer) ApplyDelta(d dist.GraphDelta) error {
+	applied, err := m.adj.Apply(d)
 	m.seeds = m.seeds[:0]
-	var err error
-	for i, op := range d.Ops {
-		if err = m.mutate(i, op); err != nil {
-			break
-		}
+	for _, op := range d.Ops[:applied] {
 		m.seeds = append(m.seeds, op.U, op.V)
-		m.Stats.Updates++
 	}
+	m.Stats.Updates += applied
 	m.repair()
 	return err
 }
 
-// mutate applies one op to the adjacency lists.
-func (m *Maintainer) mutate(i int, op dist.EdgeOp) error {
-	if op.U < 0 || op.U >= m.n || op.V < 0 || op.V >= m.n {
-		return fmt.Errorf("dynamic: delta op %d: edge (%d,%d) out of range [0,%d)", i, op.U, op.V, m.n)
-	}
-	if op.Del {
-		if !m.removeArc(op.U, op.V) {
-			return fmt.Errorf("dynamic: delta op %d: delete of missing edge {%d,%d}", i, op.U, op.V)
-		}
-		if op.U != op.V && !m.removeArc(op.V, op.U) {
-			panic("dynamic: adjacency lists out of sync")
-		}
-		return nil
-	}
-	if op.W < 0 || math.IsNaN(op.W) || math.IsInf(op.W, 0) {
-		return fmt.Errorf("dynamic: delta op %d: invalid insert weight %v", i, op.W)
-	}
-	m.adj[op.U] = append(m.adj[op.U], arc{to: op.V, w: op.W})
-	if op.U != op.V {
-		m.adj[op.V] = append(m.adj[op.V], arc{to: op.U, w: op.W})
-	}
-	return nil
-}
-
-// removeArc removes the FIRST arc from→to in adjacency order,
-// order-preserving. Both halves matter for the oracle contract: adjacency
-// lists start in edge-insertion order (graph.Build lays CSR arcs out that
-// way) and inserts append, so the first match is the lowest-index copy
-// of the edge — exactly the one dist.GraphDelta.Apply deletes — and the
-// shift (not a swap) keeps the order intact so *later* deletes keep
-// picking canonical copies too. With a swap-remove, parallel edges of
-// different weights could make the maintainer delete a different copy than
-// the engines, silently forking the edge multiset.
-func (m *Maintainer) removeArc(from, to graph.NodeID) bool {
-	l := m.adj[from]
-	for i := range l {
-		if l[i].to == to {
-			m.adj[from] = append(l[:i], l[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
+// Moved returns the nodes whose β_T the last ApplyDelta moved, ascending,
+// each with the value it held before — the batch's change set, known from
+// the repair without comparing n values. The slice aliases internal state
+// and is valid until the next ApplyDelta.
+func (m *Maintainer) Moved() []Move { return m.moved }
 
 // repair re-evaluates the history after the adjacency of the seeds changed.
-// The round-t frontier contains exactly the nodes whose β_t may differ: the
-// seeds (whose update expression changed, in every round — so the loop runs
-// to T even when the frontier dies) and the changed nodes of round t-1 with
-// their neighbors. Each (t, x) is evaluated once, against an already final
+// The round-t frontier contains every node whose β_t may differ: the seeds
+// (whose update expression changed, in every round — so the loop runs to T
+// even when the frontier dies) and each neighbour z of a node x that moved in
+// round t-1, unless old_x and new_x lie strictly on the same side of the
+// stored r = β_t(z). Algorithm 3's update is a threshold function,
+// r = max{b′ : S(b′) ≥ b′} with S(b′) = Σ_{u : b_u ≥ b′} w_u, and such a
+// move cannot reach it: inside (r, ∞) it changes S only on b′ ∈ (a, max] for
+// a = min(old, new) > r, where S(b′) ≤ S(a) < a < b′ stays infeasible; inside
+// (−∞, r) it changes S only below r; r stands, and several such neighbours
+// compose because r never moved (exact under this package's contract:
+// Λ = ℝ, exactly summable weights). x itself is reached through its self-loop
+// arc if it has one. Each (t, x) is evaluated once, against an already final
 // hist[t-1], so hist[t] ends as the from-scratch β_t of the mutated graph.
 func (m *Maintainer) repair() {
-	m.changed = m.changed[:0]
+	m.moved = m.moved[:0]
 	for t := 1; t <= m.T; t++ {
 		if m.gen++; m.gen == 0 { // wrapped: stale marks could alias
 			clear(m.mark)
@@ -200,23 +172,27 @@ func (m *Maintainer) repair() {
 		for _, x := range m.seeds {
 			m.push(x)
 		}
-		for _, x := range m.changed {
-			m.push(x)
-			for _, a := range m.adj[x] {
+		prev, cur := m.hist[t-1], m.hist[t]
+		for _, mv := range m.moved {
+			old, now := mv.Old, prev[mv.Node]
+			for _, a := range m.adj.adj[mv.Node] {
+				if r := cur[a.to]; (old > r && now > r) || (old < r && now < r) {
+					continue
+				}
 				m.push(a.to)
 			}
 		}
-		m.changed = m.changed[:0]
-		cur := m.hist[t]
+		m.moved = m.moved[:0]
 		for _, x := range m.cand {
 			if nb := m.eval(t, x); nb != cur[x] {
+				m.moved = append(m.moved, Move{Node: x, Old: cur[x]})
 				cur[x] = nb
-				m.changed = append(m.changed, x)
 			}
 		}
 		m.Stats.Reevaluated += int64(len(m.cand))
-		m.Stats.Changed += int64(len(m.changed))
+		m.Stats.Changed += int64(len(m.moved))
 	}
+	slices.SortFunc(m.moved, func(a, b Move) int { return a.Node - b.Node })
 }
 
 // push adds x to the current round's candidates once.
@@ -241,18 +217,4 @@ func (m *Maintainer) DensestValue() float64 {
 		}
 	}
 	return best
-}
-
-// Graph materializes the current adjacency as an immutable graph.Graph
-// (used by tests to cross-check against a from-scratch run).
-func (m *Maintainer) Graph() *graph.Graph {
-	b := graph.NewBuilder(m.n)
-	for v := 0; v < m.n; v++ {
-		for _, a := range m.adj[v] {
-			if a.to > v || a.to == v {
-				b.AddEdge(v, a.to, a.w)
-			}
-		}
-	}
-	return b.Build()
 }

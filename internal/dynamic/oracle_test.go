@@ -62,7 +62,9 @@ func (r *refMaintainer) eval(t, v int) float64 {
 	return best
 }
 
-func (r *refMaintainer) apply(op dist.EdgeOp) bool {
+// mutate applies one op to the adjacency lists; false for a delete of a
+// missing edge.
+func (r *refMaintainer) mutate(op dist.EdgeOp) bool {
 	if op.Del {
 		if !r.remove(op.U, op.V) {
 			return false
@@ -70,11 +72,18 @@ func (r *refMaintainer) apply(op dist.EdgeOp) bool {
 		if op.U != op.V {
 			r.remove(op.V, op.U)
 		}
-	} else {
-		r.adj[op.U] = append(r.adj[op.U], refArc{op.V, op.W})
-		if op.U != op.V {
-			r.adj[op.V] = append(r.adj[op.V], refArc{op.U, op.W})
-		}
+		return true
+	}
+	r.adj[op.U] = append(r.adj[op.U], refArc{op.V, op.W})
+	if op.U != op.V {
+		r.adj[op.V] = append(r.adj[op.V], refArc{op.U, op.W})
+	}
+	return true
+}
+
+func (r *refMaintainer) apply(op dist.EdgeOp) bool {
+	if !r.mutate(op) {
+		return false
 	}
 	changed := map[int]bool{}
 	for t := 1; t <= r.T; t++ {
@@ -94,6 +103,44 @@ func (r *refMaintainer) apply(op dist.EdgeOp) bool {
 		}
 	}
 	return true
+}
+
+// applyBatch is the batched repair as it was before the frontier learned to
+// prune, kept as the second test-only reference: mutate for every op (the
+// batch must be valid), then T rounds over the seeds, last round's movers and
+// ALL their neighbours. It returns the node-rounds it evaluated and how many
+// of them moved.
+func (r *refMaintainer) applyBatch(ops []dist.EdgeOp) (reevaluated, changed int64) {
+	seeds := map[int]bool{}
+	for _, op := range ops {
+		if !r.mutate(op) {
+			panic("applyBatch: invalid batch")
+		}
+		seeds[op.U], seeds[op.V] = true, true
+	}
+	moved := map[int]bool{}
+	for t := 1; t <= r.T; t++ {
+		cand := map[int]bool{}
+		for x := range seeds {
+			cand[x] = true
+		}
+		for x := range moved {
+			cand[x] = true
+			for _, a := range r.adj[x] {
+				cand[a.to] = true
+			}
+		}
+		moved = map[int]bool{}
+		for x := range cand {
+			if nb := r.eval(t, x); nb != r.hist[t][x] {
+				r.hist[t][x] = nb
+				moved[x] = true
+			}
+		}
+		reevaluated += int64(len(cand))
+		changed += int64(len(moved))
+	}
+	return reevaluated, changed
 }
 
 func (r *refMaintainer) remove(from, to int) bool {
@@ -125,12 +172,12 @@ func assertOracles(t *testing.T, label string, m *Maintainer, r *refMaintainer, 
 	}
 	for v := 0; v < g.N(); v++ {
 		want := g.Adj(v)
-		if len(m.adj[v]) != len(want) {
-			t.Fatalf("%s: node %d has %d arcs, canonical Apply %d", label, v, len(m.adj[v]), len(want))
+		if len(m.adj.adj[v]) != len(want) {
+			t.Fatalf("%s: node %d has %d arcs, canonical Apply %d", label, v, len(m.adj.adj[v]), len(want))
 		}
 		for i, a := range want {
-			if m.adj[v][i] != (arc{to: a.To, w: a.W}) {
-				t.Fatalf("%s: node %d arc %d is %+v, canonical Apply %+v (wrong copy deleted)", label, v, i, m.adj[v][i], a)
+			if m.adj.adj[v][i] != (arc{to: a.To, w: a.W}) {
+				t.Fatalf("%s: node %d arc %d is %+v, canonical Apply %+v (wrong copy deleted)", label, v, i, m.adj.adj[v][i], a)
 			}
 		}
 	}
@@ -190,6 +237,30 @@ func TestBatchedRepairMatchesOpByOpAndScratch(t *testing.T) {
 	}
 }
 
+// randomBatch draws 1–24 ops against g: inserts of random (often parallel,
+// sometimes loop) edges with weights in multiples of 1/4, deletes of edges of
+// the graph the batch starts on (possibly the same one twice) and, rarely,
+// deletes of a random pair that is usually missing — so a fair share of
+// batches fail mid-way.
+func randomBatch(rng *rand.Rand, g *graph.Graph) []dist.EdgeOp {
+	var ops []dist.EdgeOp
+	n := g.N()
+	for i, k := 0, 1+rng.Intn(24); i < k; i++ {
+		op := dist.EdgeOp{U: rng.Intn(n), V: rng.Intn(n)}
+		switch c := rng.Intn(40); {
+		case c < 16 && g.M() > 0: // delete an edge of the graph the batch started on
+			e := g.Edges()[rng.Intn(g.M())]
+			op = dist.EdgeOp{Del: true, U: e.V, V: e.U}
+		case c == 16: // delete a random pair, usually missing
+			op.Del = true
+		default:
+			op.W = float64(1+rng.Intn(12)) / 4
+		}
+		ops = append(ops, op)
+	}
+	return ops
+}
+
 // TestBatchedRepairRandomBatches chains seeded random batches — inserts of
 // random (often parallel, sometimes loop) edges and deletes of random pairs
 // that may or may not exist — through one Maintainer, checking all three
@@ -198,24 +269,11 @@ func TestBatchedRepairMatchesOpByOpAndScratch(t *testing.T) {
 func TestBatchedRepairRandomBatches(t *testing.T) {
 	for gname, g := range oracleGraphs() {
 		rng := rand.New(rand.NewSource(31))
-		n, T := g.N(), 6
+		T := 6
 		m, r := New(g, T), newRef(g, T)
 		failedBatches := 0
 		for round := 0; round < 40; round++ {
-			var ops []dist.EdgeOp
-			for i, k := 0, 1+rng.Intn(24); i < k; i++ {
-				op := dist.EdgeOp{U: rng.Intn(n), V: rng.Intn(n)}
-				switch c := rng.Intn(40); {
-				case c < 16 && g.M() > 0: // delete an edge of the graph the batch started on
-					e := g.Edges()[rng.Intn(g.M())]
-					op = dist.EdgeOp{Del: true, U: e.V, V: e.U}
-				case c == 16: // delete a random pair, usually missing
-					op.Del = true
-				default:
-					op.W = float64(1+rng.Intn(12)) / 4
-				}
-				ops = append(ops, op)
-			}
+			ops := randomBatch(rng, g)
 			prefix := len(ops)
 			for i, op := range ops {
 				if !r.apply(op) {
@@ -246,12 +304,24 @@ func TestBatchedRepairRandomBatches(t *testing.T) {
 }
 
 // TestBatchTouchesSharedNodesOncePerRound: ops that share endpoints must not
-// multiply the work — the point of repairing per batch.
+// multiply the work — the point of repairing per batch. Twenty inserts at the
+// hub of a star put the hub in the seed list twenty times; a round evaluates
+// it once.
 func TestBatchTouchesSharedNodesOncePerRound(t *testing.T) {
 	g := graph.Star(40)
 	var ops []dist.EdgeOp
 	for v := 1; v <= 20; v++ {
 		ops = append(ops, dist.EdgeOp{U: 0, V: v, W: 1})
+	}
+	// With T = 1 the only round evaluates exactly the seeds: the hub and the
+	// twenty leaves, each once.
+	one := New(g, 1)
+	one.Stats = Stats{}
+	if err := one.ApplyDelta(dist.GraphDelta{Ops: ops}); err != nil {
+		t.Fatal(err)
+	}
+	if one.Stats.Reevaluated != 21 {
+		t.Fatalf("round 1 evaluated %d nodes for 21 distinct endpoints: the hub is being re-evaluated per op", one.Stats.Reevaluated)
 	}
 	T := 4
 	batched := New(g, T)
@@ -262,17 +332,142 @@ func TestBatchTouchesSharedNodesOncePerRound(t *testing.T) {
 	if max := int64(g.N() * T); batched.Stats.Reevaluated > max {
 		t.Fatalf("one batch evaluated %d node-rounds; each (t, x) is due at most once: %d", batched.Stats.Reevaluated, max)
 	}
-	single := New(g, T)
-	single.Stats = Stats{}
-	for _, op := range ops {
-		single.InsertEdge(op.U, op.V, op.W)
+	if batched.Stats.Updates != len(ops) {
+		t.Fatalf("Updates counts ops: %d, want %d", batched.Stats.Updates, len(ops))
 	}
-	if batched.Stats.Updates != len(ops) || single.Stats.Updates != len(ops) {
-		t.Fatalf("Updates counts ops: batched %d, single %d, want %d", batched.Stats.Updates, single.Stats.Updates, len(ops))
+}
+
+// TestPrunedFrontierMatchesUnprunedAndScratch holds the pruned frontier to
+// the unpruned one it replaced and to a fresh core.Run, on every level of the
+// history bit for bit: pruning may change how many nodes are looked at, never
+// which move. Weights are in {1, ½, ¼, 2} — exactly summable, the contract
+// the rule is exact under.
+func TestPrunedFrontierMatchesUnprunedAndScratch(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"ba":    graph.BarabasiAlbert(240, 3, 5),
+		"ws":    graph.WattsStrogatz(240, 6, 0.1, 5),
+		"star":  graph.Star(60),
+		"multi": oracleGraphs()["multi"],
 	}
-	if batched.Stats.Reevaluated*4 > single.Stats.Reevaluated {
-		t.Fatalf("batched repair evaluated %d node-rounds, op-by-op %d: the hub is being re-evaluated per op",
-			batched.Stats.Reevaluated, single.Stats.Reevaluated)
+	weights := []float64{1, 0.5, 0.25, 2}
+	const T = 6
+	for gname, g := range graphs {
+		for _, size := range []int{1, 32, 128} {
+			rng := rand.New(rand.NewSource(int64(7 + size)))
+			m, r := New(g, T), newRef(g, T)
+			cur := g
+			var pruned, unpruned int64
+			for round := 0; round < 6; round++ {
+				// A valid batch: deletes name distinct edges of the graph it
+				// starts on, inserts are random (loops and parallels included).
+				var ops []dist.EdgeOp
+				victims := rng.Perm(cur.M())
+				for len(ops) < size {
+					if rng.Intn(2) == 0 && len(victims) > 0 {
+						e := cur.Edges()[victims[0]]
+						victims = victims[1:]
+						ops = append(ops, dist.EdgeOp{Del: true, U: e.V, V: e.U})
+					} else {
+						ops = append(ops, dist.EdgeOp{U: rng.Intn(cur.N()), V: rng.Intn(cur.N()), W: weights[rng.Intn(len(weights))]})
+					}
+				}
+				before := m.Stats
+				if err := m.ApplyDelta(dist.GraphDelta{Ops: ops}); err != nil {
+					t.Fatal(err)
+				}
+				re, ch := r.applyBatch(ops)
+				var err error
+				if cur, err = (dist.GraphDelta{Ops: ops}).Apply(cur); err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s batch %d round %d", gname, size, round)
+				assertOracles(t, label, m, r, cur)
+				if got := m.Stats.Changed - before.Changed; got != ch {
+					t.Fatalf("%s: %d node-rounds moved, unpruned reference %d", label, got, ch)
+				}
+				if got := m.Stats.Reevaluated - before.Reevaluated; got > re {
+					t.Fatalf("%s: pruned frontier evaluated %d node-rounds, unpruned %d", label, got, re)
+				}
+				pruned += m.Stats.Reevaluated - before.Reevaluated
+				unpruned += re
+			}
+			if gname == "ba" && pruned >= unpruned {
+				t.Fatalf("%s batch %d: the rule pruned nothing (%d of %d node-rounds)", gname, size, pruned, unpruned)
+			}
+		}
+	}
+}
+
+// TestValidateMatchesCanonicalApply: Adjacency.Validate must fail exactly
+// when dist.GraphDelta.Apply does, at the same op with the same complaint,
+// and touch nothing; a batch it passes must apply, leaving the lists in
+// canonical order and the rolling hash equal to a from-scratch recompute.
+func TestValidateMatchesCanonicalApply(t *testing.T) {
+	ins := func(u, v int, w float64) dist.EdgeOp { return dist.EdgeOp{U: u, V: v, W: w} }
+	del := func(u, v int) dist.EdgeOp { return dist.EdgeOp{Del: true, U: u, V: v} }
+	fixed := [][]dist.EdgeOp{
+		{ins(5, 6, 2), del(6, 5)},                      // insert then delete one pair
+		{ins(5, 6, 2), del(6, 5), del(5, 6)},           // ... and once too often
+		{del(0, 1), ins(0, 1, 0.75)},                   // delete then reinsert
+		{del(0, 1), del(1, 0), del(0, 1), del(0, 1)},   // parallel copies run out at op 3
+		{del(3, 3), del(3, 3)},                         // a loop is one copy
+		{ins(1, 2, 1), ins(0, 8, 1)},                   // valid prefix, endpoint out of range
+		{ins(1, 2, 1), del(0, -1)},                     // ... negative
+		{ins(1, 2, 1), ins(2, 3, math.NaN())},          // ... NaN weight
+		{del(0, 1), ins(2, 3, math.Inf(1)), del(6, 7)}, // first failure wins
+		{ins(1, 2, 1), {Del: true, U: 6, V: 7, W: -1}}, // a delete's weight is ignored, the edge is missing
+		{ins(6, 7, 1), {Del: true, U: 7, V: 6, W: -1}}, // ... and here it is not
+	}
+	for gname, g := range oracleGraphs() {
+		rng := rand.New(rand.NewSource(43))
+		a := NewAdjacency(g)
+		failed := 0
+		for round := 0; round < 40+len(fixed); round++ {
+			var ops []dist.EdgeOp
+			if round < len(fixed) {
+				if ops = fixed[round]; gname != "multi" {
+					continue // the fixed batches are written against the multigraph
+				}
+			} else {
+				ops = randomBatch(rng, g)
+			}
+			d := dist.GraphDelta{Ops: ops}
+			label := fmt.Sprintf("%s round %d", gname, round)
+			hash := a.Hash()
+			verr := a.Validate(d)
+			g2, aerr := d.Apply(g)
+			if (verr == nil) != (aerr == nil) ||
+				verr != nil && strings.TrimPrefix(verr.Error(), "dynamic: ") != strings.TrimPrefix(aerr.Error(), "dist: ") {
+				t.Fatalf("%s: Validate says %v, canonical Apply %v", label, verr, aerr)
+			}
+			if a.Hash() != hash || a.Graph().EdgeSetHash() != hash {
+				t.Fatalf("%s: Validate mutated the adjacency", label)
+			}
+			if verr != nil {
+				failed++
+				continue
+			}
+			if k, err := a.Apply(d); err != nil || k != len(ops) {
+				t.Fatalf("%s: validated batch applied %d of %d ops: %v", label, k, len(ops), err)
+			}
+			g = g2
+			if a.Hash() != g.EdgeSetHash() {
+				t.Fatalf("%s: rolling hash %#x, from-scratch %#x", label, a.Hash(), g.EdgeSetHash())
+			}
+			for v := 0; v < g.N(); v++ {
+				if a.Degree(v) != g.Degree(v) {
+					t.Fatalf("%s: node %d has %d arcs, canonical Apply %d", label, v, a.Degree(v), g.Degree(v))
+				}
+				for i, x := range g.Adj(v) {
+					if a.adj[v][i] != (arc{to: x.To, w: x.W}) {
+						t.Fatalf("%s: node %d arc %d is %+v, canonical Apply %+v", label, v, i, a.adj[v][i], x)
+					}
+				}
+			}
+		}
+		if failed < 3 || failed > 40 {
+			t.Fatalf("%s: %d batches failed validation; the generator lost one side", gname, failed)
+		}
 	}
 }
 

@@ -60,6 +60,9 @@ func checkLayout(t *testing.T, name string, g *Graph) {
 				t.Fatalf("%s: node %d arc %d: CSR %+v != reference %+v (order must be preserved)",
 					name, v, i, got[i], adj[v][i])
 			}
+			if g.Neighbor(v, i) != got[i].To {
+				t.Fatalf("%s: node %d: Neighbor(%d) = %d, Adj says %d", name, v, i, g.Neighbor(v, i), got[i].To)
+			}
 		}
 		if g.Degree(v) != len(adj[v]) {
 			t.Fatalf("%s: node %d: Degree %d, want %d", name, v, g.Degree(v), len(adj[v]))

@@ -251,6 +251,11 @@ func (g *Graph) Adj(v NodeID) []Arc { return g.arcs[g.off[v]:g.off[v+1]] }
 // Degree returns the number of incident edges of v (self-loop counts once).
 func (g *Graph) Degree(v NodeID) int { return int(g.off[v+1] - g.off[v]) }
 
+// Neighbor returns the far endpoint of v's i-th arc, Adj(v)[i].To. With N
+// and Degree it is the read-only topology view placement code walks
+// (shard.Topology), which a mutable adjacency satisfies as well.
+func (g *Graph) Neighbor(v NodeID, i int) NodeID { return g.arcs[int(g.off[v])+i].To }
+
 // Peers returns the distinct neighbors of v, self excluded, ascending — the
 // exact set Broadcast of the message-passing runtime delivers to. It is a
 // subslice of shared backing precomputed at Build time; the caller must not
@@ -430,6 +435,38 @@ func (g *Graph) Fingerprint() uint64 {
 		h = (h ^ math.Float64bits(e.W)) * prime
 	}
 	return h
+}
+
+// EdgeSetHash returns the order-free digest of g's edge multiset: a term
+// seeded by the node count plus one EdgeTerm per edge, summed mod 2⁶⁴. Unlike
+// Fingerprint it does not depend on edge order, so a party that mutates its
+// adjacency in place keeps it current with one += per insert and one −= per
+// delete — it is the graph field of a session stamp (DESIGN.md §10.2), and
+// this from-scratch form is what the rolling one is checked against.
+func (g *Graph) EdgeSetHash() uint64 {
+	h := Mix64(uint64(g.n))
+	for _, e := range g.edges {
+		h += EdgeTerm(e.U, e.V, e.W)
+	}
+	return h
+}
+
+// EdgeTerm is one undirected edge's contribution to EdgeSetHash: a mix of
+// the ordered endpoint pair and the weight's bit pattern.
+func EdgeTerm(u, v NodeID, w float64) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return Mix64(Mix64(Mix64(uint64(u))^uint64(v)) ^ math.Float64bits(w))
+}
+
+// Mix64 is the SplitMix64 finalizer: a cheap, well-mixed integer hash (the
+// one behind EdgeSetHash and shard.Hash's placement).
+func Mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // Clone returns a deep copy of g.

@@ -233,3 +233,32 @@ func TestQuickDegreeSum(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// EdgeSetHash digests the edge multiset and the node count — not the edge
+// order and not which way round an edge was written — and is a plain sum of
+// per-edge terms, so a party mutating in place can keep it rolling.
+func TestEdgeSetHashIsOrderFreeAndRolls(t *testing.T) {
+	edges := []Edge{{0, 1, 5}, {0, 2, 7}, {1, 0, 5}, {3, 3, 1.5}, {2, 3, 0.25}, {0, 1, 1}}
+	g := FromEdges(5, edges)
+	shuffled := []Edge{{3, 2, 0.25}, {1, 0, 1}, {0, 1, 5}, {3, 3, 1.5}, {2, 0, 7}, {0, 1, 5}}
+	if h := FromEdges(5, shuffled); h.EdgeSetHash() != g.EdgeSetHash() || h.Fingerprint() == g.Fingerprint() {
+		t.Fatalf("reordered edges: EdgeSetHash %#x vs %#x must agree, Fingerprint must not", h.EdgeSetHash(), g.EdgeSetHash())
+	}
+	for name, other := range map[string]*Graph{
+		"one more node":    FromEdges(6, edges),
+		"a copy fewer":     FromEdges(5, edges[1:]),
+		"another weight":   FromEdges(5, append([]Edge{{0, 1, 5.5}}, edges[1:]...)),
+		"another endpoint": FromEdges(5, append([]Edge{{0, 4, 5}}, edges[1:]...)),
+		"weights swapped":  FromEdges(5, append([]Edge{{0, 1, 7}, {0, 2, 5}}, edges[2:]...)),
+		"loop moved":       FromEdges(5, append(append([]Edge(nil), edges[:3]...), Edge{4, 4, 1.5}, edges[4], edges[5])),
+	} {
+		if other.EdgeSetHash() == g.EdgeSetHash() {
+			t.Errorf("%s: EdgeSetHash unchanged (%#x)", name, g.EdgeSetHash())
+		}
+	}
+	// Rolling: remove an edge's term, add another's.
+	want := FromEdges(5, append([]Edge{{4, 2, 3}}, edges[1:]...)).EdgeSetHash()
+	if got := g.EdgeSetHash() - EdgeTerm(1, 0, 5) + EdgeTerm(2, 4, 3); got != want {
+		t.Fatalf("rolled hash %#x, from scratch %#x", got, want)
+	}
+}

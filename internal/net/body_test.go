@@ -151,6 +151,46 @@ func TestInlineBodiesAreStrict(t *testing.T) {
 	}
 }
 
+// A peer built at another protocol version is refused by the handshake
+// itself, on both sides — before any record whose layout or meaning moved
+// between the versions (a session stamp's graph field, at version 6) can be
+// misread.
+func TestHandshakeRefusesOtherVersions(t *testing.T) {
+	g := graph.BarabasiAlbert(20, 2, 1)
+	assign := make([]int, g.N())
+	old := codec.HandshakeVersion - 1
+
+	a, b := stdnet.Pipe()
+	cc, wc := NewConn(a), NewConn(b)
+	go func() {
+		_ = cc.Send(recHello, codec.AppendHello(nil, codec.Hello{
+			Version: old, P: 1, MaxRounds: 3, GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign)}))
+	}()
+	_, err := NewWorker(wc, g, assign).run(g, func(graph.NodeID) dist.Program { return nil }, 3)
+	cc.Close()
+	wc.Close()
+	if err == nil || !strings.Contains(err.Error(), "handshake version") {
+		t.Errorf("worker offered version %d: %v, want a handshake version refusal", old, err)
+	}
+
+	a, b = stdnet.Pipe()
+	cc, wc = NewConn(a), NewConn(b)
+	go func() {
+		defer wc.Close()
+		h, err := ReadHello(wc)
+		if err != nil {
+			return
+		}
+		_ = wc.Send(recWelcome, codec.AppendWelcome(nil, codec.Welcome{Version: old, GraphHash: h.GraphHash, PartDigest: h.PartDigest}))
+		_, _, _ = wc.ReadRecord() // the abort (or EOF)
+	}()
+	_, _, err = RunCoordinator([]*Conn{cc}, Spec{P: 1, MaxRounds: 3})
+	cc.Close()
+	if err == nil || !strings.Contains(err.Error(), "speaks version") {
+		t.Errorf("worker welcomed with version %d: %v, want a version refusal", old, err)
+	}
+}
+
 // What a flow may carry is narrower than what the entry codec can express
 // (DESIGN.md §8.4 step 3): every sender owned by the flow's source shard,
 // every unicast recipient by this one, and at most one broadcast entry per

@@ -60,8 +60,8 @@ const (
 	// waiting for its worker goroutines, a net worker waiting for the
 	// coordinator's deliver record.
 	PhaseBarrierWait
-	// PhaseRepair is a session worker absorbing an epoch's delta: the graph
-	// rebuild (GraphDelta.Apply) and the dynamic.Maintainer frontier repair.
+	// PhaseRepair is a session worker absorbing an epoch's delta: the
+	// dynamic.Maintainer's in-place adjacency mutation and frontier repair.
 	PhaseRepair
 	// PhaseRebalance is incremental partitioning: Partitioner.Rebalance
 	// after a churn batch.

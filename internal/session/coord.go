@@ -1,6 +1,7 @@
 package session
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -10,6 +11,7 @@ import (
 
 	"distkcore/internal/codec"
 	"distkcore/internal/dist"
+	"distkcore/internal/dynamic"
 	"distkcore/internal/graph"
 	net "distkcore/internal/net"
 	"distkcore/internal/obs"
@@ -48,9 +50,17 @@ func (r *EpochReport) Stamp() codec.Stamp {
 // already completed their epoch-0 run and entered ServeEpochs. Not safe for
 // concurrent use — one goroutine owns the session.
 type Coordinator struct {
-	hub    *net.Hub
-	g      *graph.Graph
+	hub *net.Hub
+	// adj is the live graph, mutated in place as a batch is absorbed (so it
+	// runs one epoch ahead of the seal while a Push is in flight). The sealed
+	// graph is base — the epoch-0 CSR, or the last fold — plus log, the ops
+	// sealed since; Graph folds them.
+	adj    *dynamic.Adjacency
+	base   *graph.Graph
+	log    []dist.EdgeOp
 	assign []int
+	cut    cutCount // of the sealed graph under assign
+
 	part   shard.Partitioner
 	p      int
 	b      []float64
@@ -95,12 +105,17 @@ func NewCoordinator(hub *net.Hub, g *graph.Graph, assign []int, part shard.Parti
 		return nil, fmt.Errorf("session: coordinator needs the partitioner for epoch rebalances")
 	}
 	c := &Coordinator{
-		hub: hub, g: g, part: part, p: p,
+		hub: hub, adj: dynamic.NewAdjacency(g), base: g, part: part, p: p,
 		assign: append([]int(nil), assign...),
 		b:      append([]float64(nil), b...),
 		subs:   NewSubManager(),
 	}
-	c.gh, c.pd, c.vd = g.Fingerprint(), shard.PartitionDigest(c.assign), ValuesDigest(c.b)
+	for _, e := range g.Edges() {
+		if !e.IsLoop() {
+			c.cut.add(1, c.assign[e.U] != c.assign[e.V])
+		}
+	}
+	c.gh, c.pd, c.vd = c.adj.Hash(), shard.PartitionDigest(c.assign), ValuesDigest(c.b)
 	c.chain = ChainNext(0, c.gh, c.pd, c.vd)
 	st := codec.Stamp{Epoch: 0, GraphHash: c.gh, PartDigest: c.pd, ValuesDigest: c.vd, ChainDigest: c.chain}
 	for i := 0; i < p; i++ {
@@ -220,9 +235,10 @@ func (c *Coordinator) SetTracer(t *obs.Tracer) { c.trace = t }
 // Push absorbs one delta batch as the next epoch: broadcast, collect every
 // worker's reconverge, seal with a stamp, publish notifications. A batch
 // that fails validation (out-of-range endpoint, delete of a missing edge)
-// is rejected BEFORE anything is broadcast — the error is returned and the
-// session stays live, because no worker saw the batch. Any failure after
-// the broadcast breaks the session permanently (state may have forked), and
+// is rejected BEFORE anything is mutated or broadcast — the error is
+// returned and the session stays live, graph, hash, assignment and epoch
+// untouched, because no worker saw the batch. Any failure after the
+// broadcast breaks the session permanently (state may have forked), and
 // every later call returns the original error.
 func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, error) {
 	if c.broken != nil {
@@ -231,18 +247,17 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 	if len(d.Ops) == 0 {
 		return nil, fmt.Errorf("session: empty delta push")
 	}
-	// Absorb locally first: AbsorbDelta validates the batch end to end
-	// (codec round trip, application, rebalance) without touching a worker.
-	g2, next, cm, err := shard.AbsorbDelta(c.part, c.g, c.p, c.assign, d, moveBudget)
+	// The epoch's clock and span cover the coordinator's own absorb too; a
+	// rejected batch ends neither, so it records no span and no time.
+	epoch := c.epoch + 1
+	sealStart := time.Now()
+	ep := c.trace.Begin(obs.PhaseEpoch, epoch, -1)
+	push, next, cm, cut, err := c.absorb(epoch, d, moveBudget)
 	if err != nil {
 		c.rejected++
 		c.publishStat()
 		return nil, fmt.Errorf("session: delta rejected (session still live): %w", err)
 	}
-	epoch := c.epoch + 1
-	sealStart := time.Now()
-	ep := c.trace.Begin(obs.PhaseEpoch, epoch, -1)
-	push := AppendDeltaPush(nil, epoch, moveBudget, d)
 	for i := 0; i < c.p; i++ {
 		resend := func() error { return c.sendTo(i, net.RecDeltaPush, push) }
 		err := resend()
@@ -255,7 +270,7 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 			return nil, c.fail(epoch, "delta-broadcast", faultOf(i, err))
 		}
 	}
-	gh, pd := g2.Fingerprint(), shard.PartitionDigest(next)
+	gh, pd := c.adj.Hash(), shard.PartitionDigest(next)
 	all, byWorker, err := c.collectReconverges(epoch, gh, pd, next, push)
 	if err != nil {
 		return nil, c.fail(epoch, "reconverge", err)
@@ -289,8 +304,17 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 		return nil, c.fail(epoch, "stamp-echo", err)
 	}
 
-	// Sealed: commit, then publish against the committed transition.
-	c.g, c.assign, c.b = g2, next, cur
+	// Sealed: commit, then publish against the committed transition. The
+	// sealed graph advances by the batch; it is folded into a fresh CSR only
+	// when asked for (Graph), or here once the log has grown to the size of
+	// its base — so the log stays O(n+m) and a fold costs O(1) per op it
+	// clears.
+	c.log = append(c.log, d.Ops...)
+	if len(c.log) >= c.base.N()+c.base.M() {
+		c.Graph()
+	}
+	c.assign, c.b = next, cur
+	c.cut = cut
 	c.epoch, c.chain = epoch, chain
 	c.gh, c.pd, c.vd = gh, pd, vd
 	c.lastStamp = st
@@ -309,6 +333,103 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 		GraphHash: gh, PartDigest: pd, ValuesDigest: vd, ChainDigest: chain,
 		Notifications: notifs,
 	}, nil
+}
+
+// absorb is the coordinator's own half of an epoch: encode the push body the
+// workers will decode, hold the batch to that encoding (so what is validated
+// and priced is what is broadcast), validate it against the live adjacency,
+// and only then mutate — adjacency and rolling hash in place, no CSR — and
+// rebalance on the mutated topology. An error means nothing was touched. The
+// ledger comes back with the cut count the seal commits.
+func (c *Coordinator) absorb(epoch int, d dist.GraphDelta, moveBudget int) (push []byte, next []int, cm shard.ChurnMetrics, cut cutCount, err error) {
+	push = AppendDeltaPush(nil, epoch, moveBudget, d)
+	_, budget, decoded, err := DecodeDeltaPush(push)
+	if err != nil {
+		return nil, nil, cm, cut, fmt.Errorf("session: delta codec round trip failed: %w", err)
+	}
+	if decoded.Digest() != d.Digest() {
+		return nil, nil, cm, cut, fmt.Errorf("session: delta digest changed across the codec round trip")
+	}
+	if err := c.adj.Validate(decoded); err != nil {
+		return nil, nil, cm, cut, err
+	}
+	if _, err := c.adj.Apply(decoded); err != nil {
+		panic("session: validated delta failed to apply: " + err.Error())
+	}
+	next = shard.RebalanceAssign(c.part, c.adj, c.p, c.assign, decoded, budget)
+	cm, cut = c.ledger(decoded, next)
+	// The ledger prices the shard delta encoding: the push body less its
+	// epoch header.
+	cm.DeltaBytes = int64(len(push) - len(binary.AppendUvarint(nil, uint64(epoch))))
+	return push, next, cm, cut, nil
+}
+
+// cutCount is shard.CutFraction in integers, so it can be kept rolling: the
+// non-loop edges of a graph and how many of them cross shards.
+type cutCount struct{ cut, edges int }
+
+// add counts by (±1) more edges, cut or not.
+func (k *cutCount) add(by int, cut bool) {
+	k.edges += by
+	if cut {
+		k.cut += by
+	}
+}
+
+func (k cutCount) fraction() float64 {
+	if k.edges == 0 {
+		return 0
+	}
+	return float64(k.cut) / float64(k.edges)
+}
+
+// ledger fills the batch's shard.ChurnMetrics (DeltaBytes aside) exactly as
+// shard.RebalanceWithMetrics would on a rebuilt CSR, without walking the
+// graph: the sealed cut count moves by the batch's own edges for the "before"
+// cut (mutated graph, stale assignment) and by the arcs of the nodes that
+// changed shard for the "after" one. It returns the count under next.
+func (c *Coordinator) ledger(d dist.GraphDelta, next []int) (shard.ChurnMetrics, cutCount) {
+	k := c.cut
+	for _, op := range d.Ops {
+		if op.U != op.V {
+			by := 1
+			if op.Del {
+				by = -1
+			}
+			k.add(by, c.assign[op.U] != c.assign[op.V])
+		}
+	}
+	cm := shard.ChurnMetrics{FrontierSize: len(shard.Frontier(d)), EdgeCutBefore: k.fraction()}
+	// Take the moves one at a time, ascending: when v moves, every mover
+	// below it already sits where next puts it, every other node where
+	// assign does.
+	for v, to := range next {
+		from := c.assign[v]
+		if from == to {
+			continue
+		}
+		deg := c.adj.Degree(v)
+		cm.MovedNodes++
+		cm.MovedBytes += 8 + 8*int64(deg)
+		for i := 0; i < deg; i++ {
+			u := c.adj.Neighbor(v, i)
+			if u == v {
+				continue
+			}
+			at := c.assign[u]
+			if u < v {
+				at = next[u]
+			}
+			if at != from {
+				k.cut--
+			}
+			if at != to {
+				k.cut++
+			}
+		}
+	}
+	cm.EdgeCutAfter = k.fraction()
+	return cm, k
 }
 
 // collectReconverges gathers one reconverge per worker, verifying digests,
@@ -334,7 +455,7 @@ func (c *Coordinator) collectReconverges(epoch int, gh, pd uint64, next []int, p
 		case r.Epoch != epoch:
 			return false, fmt.Errorf("session: worker %d reconverged epoch %d, want %d", from, r.Epoch, epoch)
 		case r.GraphHash != gh:
-			return false, fmt.Errorf("session: worker %d epoch %d graph fingerprint %#x, coordinator %#x", from, epoch, r.GraphHash, gh)
+			return false, fmt.Errorf("session: worker %d epoch %d graph hash %#x, coordinator %#x", from, epoch, r.GraphHash, gh)
 		case r.PartDigest != pd:
 			return false, fmt.Errorf("session: worker %d epoch %d partition digest %#x, coordinator %#x", from, epoch, r.PartDigest, pd)
 		}
@@ -437,8 +558,21 @@ func (c *Coordinator) Digests() (graphHash, partDigest, valuesDigest uint64) {
 // Values returns a copy of the current value vector.
 func (c *Coordinator) Values() []float64 { return append([]float64(nil), c.b...) }
 
-// Graph returns the current graph (immutable; epochs replace it).
-func (c *Coordinator) Graph() *graph.Graph { return c.g }
+// Graph returns the sealed graph as an immutable CSR: the last fold plus the
+// ops sealed since, folded now by ONE dist.GraphDelta.Apply over their
+// concatenation — canonical edge order and Fingerprint exactly as if every
+// epoch had been applied on its own. It is what a respawned worker rebuilds
+// its oracle from (DESIGN.md §13.4); a batch in flight is not in it.
+func (c *Coordinator) Graph() *graph.Graph {
+	if len(c.log) > 0 {
+		g, err := dist.GraphDelta{Ops: c.log}.Apply(c.base)
+		if err != nil {
+			panic("session: sealed ops do not apply to their base: " + err.Error())
+		}
+		c.base, c.log = g, c.log[:0]
+	}
+	return c.base
+}
 
 // Subs exposes the subscription registry.
 func (c *Coordinator) Subs() *SubManager { return c.subs }

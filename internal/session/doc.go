@@ -19,18 +19,22 @@
 //	ValuesDigest both directions          codec.Stamp sealing epoch e (+ echo)
 //	Bye          either direction         clean goodbye
 //
-// Each epoch every worker applies the batch in the canonical order to its
-// full graph copy, repairs its Maintainer history (frontier repair, not a
-// re-run), reruns the coordinator's incremental Rebalance, and ships only
-// the values of its own post-rebalance shard that actually changed. The
-// coordinator folds those into its value vector and seals the epoch with a
-// stamp carrying the post-churn graph fingerprint, the rebalanced partition
-// digest, the digest of the full value vector and a running chain digest
-// that binds every earlier epoch. Workers verify all four against local
-// state — P redundant oracles cross-checking one another and the
-// coordinator bit for bit — so an N-epoch session is byte-identical to N
-// fresh sequential runs on the cumulatively mutated graph, and any
-// divergence kills the session at the epoch that introduced it.
+// Each epoch every worker hands the batch to its Maintainer — which mutates
+// its adjacency in place under the canonical order (the worker's only copy of
+// the graph; no CSR is rebuilt) and repairs its history (frontier repair, not
+// a re-run) — reruns the coordinator's incremental Rebalance on that
+// adjacency, and ships only the values of its own post-rebalance shard that
+// actually changed, as the repair reported them. The coordinator, which
+// validated the batch against its own bare adjacency before mutating or
+// broadcasting anything, folds those into its value vector and seals the
+// epoch with a stamp carrying the post-churn graph's rolling edge-multiset
+// hash, the rebalanced partition digest, the digest of the full value vector
+// and a running chain digest that binds every earlier epoch. Workers verify
+// all four against local state — P redundant oracles cross-checking one
+// another and the coordinator bit for bit — so an N-epoch session is
+// byte-identical to N fresh sequential runs on the cumulatively mutated
+// graph, and any divergence kills the session at the epoch that introduced
+// it.
 //
 // Sessions run the exact threshold set Λ = ℝ only: the Maintainer repairs
 // exact β_t histories and bit-equality with fresh runs additionally needs

@@ -39,7 +39,7 @@ func TestSessionTransportsSealIdentically(t *testing.T) {
 		}
 		defer s.Close()
 		out := sealed{met: s.Metrics()}
-		out.epochTrace = driveEpochs(t, s, deltas)
+		out.epochTrace = driveEpochs(t, s, g, deltas)
 		out.gh, out.pd, out.vd = s.Digests()
 		return out
 	}
@@ -119,7 +119,7 @@ func TestSessionLeavesNoGoroutines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}
-			driveEpochs(t, s, recoveryDeltas(g, 2))
+			driveEpochs(t, s, g, recoveryDeltas(g, 2))
 			if s.Recoveries() < 1 {
 				t.Fatalf("iteration %d never recovered", i)
 			}

@@ -56,13 +56,22 @@ type epochTrace struct {
 	values  []float64
 }
 
-func driveEpochs(t *testing.T, s *Session, deltas []dist.GraphDelta) epochTrace {
+// driveEpochs pushes deltas (chained from g, as recoveryDeltas built them)
+// and holds every sealed stamp's rolling graph hash to a from-scratch
+// recompute on the client's own Apply chain.
+func driveEpochs(t *testing.T, s *Session, g *graph.Graph, deltas []dist.GraphDelta) epochTrace {
 	t.Helper()
 	var tr epochTrace
 	for e, d := range deltas {
 		rep, err := s.Push(d, 0)
 		if err != nil {
 			t.Fatalf("epoch %d push: %v", e+1, err)
+		}
+		if g, err = d.Apply(g); err != nil {
+			t.Fatal(err)
+		}
+		if rep.GraphHash != g.EdgeSetHash() {
+			t.Fatalf("epoch %d: rolling graph hash %#x, from scratch %#x", e+1, rep.GraphHash, g.EdgeSetHash())
 		}
 		tr.chains = append(tr.chains, rep.ChainDigest)
 		tr.changes = append(tr.changes, rep.Changed)
@@ -110,7 +119,7 @@ func TestSessionRecoverySweep(t *testing.T) {
 	}
 
 	ref := open(nil)
-	want := driveEpochs(t, ref, deltas)
+	want := driveEpochs(t, ref, g, deltas)
 	if ref.Recoveries() != 0 {
 		t.Fatalf("undisturbed session recovered %d times", ref.Recoveries())
 	}
@@ -121,7 +130,7 @@ func TestSessionRecoverySweep(t *testing.T) {
 			t.Run(obs.Phase.String(ph)+"/w"+string(rune('0'+w)), func(t *testing.T) {
 				s := open(killWorkerAt(w, ph, 2))
 				defer s.Close()
-				got := driveEpochs(t, s, deltas)
+				got := driveEpochs(t, s, g, deltas)
 				if rec := s.Recoveries(); rec < 1 {
 					t.Fatalf("kill point never recovered (recoveries=%d)", rec)
 				}
@@ -165,7 +174,7 @@ func TestSessionRecoveryDuringEpochZero(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	want := driveEpochs(t, ref, deltas)
+	want := driveEpochs(t, ref, g, deltas)
 	ref.Close()
 
 	s, err := Open(g, Options{
@@ -178,12 +187,47 @@ func TestSessionRecoveryDuringEpochZero(t *testing.T) {
 		t.Fatalf("Open with epoch-0 kill: %v", err)
 	}
 	defer s.Close()
-	got := driveEpochs(t, s, deltas)
+	got := driveEpochs(t, s, g, deltas)
 	if !reflect.DeepEqual(got.chains, want.chains) {
 		t.Fatalf("chain digests %#x, want %#x", got.chains, want.chains)
 	}
 	if s.Report() == nil || s.Metrics().Rounds == 0 {
 		t.Fatal("epoch-0 run report missing after recovery")
+	}
+}
+
+// The sealed graph a respawned worker rebuilds from is base + sealed ops. Here
+// the log outgrows its base at epoch 4 and folds; worker 1 is then killed in
+// epoch 6, with two more epochs on the log — so the respawn folds on demand,
+// on top of a folded base, while epoch 6's batch already sits in the
+// coordinator's live adjacency. The chain must not notice any of it.
+func TestSessionRecoveryPastLogFold(t *testing.T) {
+	g := graph.BarabasiAlbert(40, 2, 6)
+	deltas := recoveryDeltas(g, 7) // 30 ops each
+	if size := g.N() + g.M(); 3*30 >= size || 4*30 < size {
+		t.Fatalf("test graph (n+m = %d) no longer puts the forced fold at epoch 4", size)
+	}
+	open := func(kill func(int) net.KillFunc) *Session {
+		t.Helper()
+		s, err := Open(g, Options{P: 3, Rounds: 6, Part: shard.Greedy{}, IOTimeout: 10 * time.Second, Recover: true, kill: kill})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return s
+	}
+	ref := open(nil)
+	want := driveEpochs(t, ref, g, deltas)
+	ref.Close()
+	for _, ph := range sessionKillPhases {
+		s := open(killWorkerAt(1, ph, 6))
+		got := driveEpochs(t, s, g, deltas)
+		if s.Recoveries() != 1 {
+			t.Fatalf("%v: %d recoveries, want 1", ph, s.Recoveries())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: recovered session diverges from the undisturbed one:\nchains %#x\nwant   %#x", ph, got.chains, want.chains)
+		}
+		s.Close()
 	}
 }
 

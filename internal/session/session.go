@@ -117,15 +117,17 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 	co.SetTracer(opt.Trace)
 	if opt.Recover {
 		// Session-layer recovery (DESIGN.md §13): the respawned worker rebuilds
-		// its oracle from the coordinator's committed graph and assignment —
-		// read here, at respawn time, so a recovery mid-epoch-e restores to the
-		// sealed epoch e-1 — and joins via ServeResumed. The exact incremental
+		// its oracle from the coordinator's sealed graph (folded to a CSR on
+		// this demand) and assignment — read here, at respawn time, so a
+		// recovery mid-epoch-e restores to the sealed epoch e-1, not to the
+		// adjacency the in-flight batch already mutated — and joins via
+		// ServeResumed. The exact incremental
 		// oracle under Λ = ℝ makes the recomputed state bit-identical to what
 		// the dead incarnation held at the last seal, so no state ships; there
 		// is no fresh run to cross-check against (runB nil), the resume stamp's
 		// values digest is the admission check instead.
 		co.EnableRecovery(func(idx, gen int) (*net.Conn, error) {
-			g2, as2 := co.g, co.assign
+			g2, as2 := co.Graph(), co.assign
 			return cl.Respawn(idx, gen, func(s net.Seat) error {
 				ws, err := NewWorkerState(s.Conn, g2, as2, idx, p, T, part, nil)
 				if err != nil {

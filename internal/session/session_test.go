@@ -2,6 +2,8 @@ package session
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,9 +43,11 @@ func TestSessionByteIdentity(t *testing.T) {
 				t.Fatalf("epoch %d: value diverges at node %d: session %v, fresh seq %v", epoch, v, got[v], ref.B[v])
 			}
 		}
+		// The stamp's graph field is the rolling edge-multiset hash; hold it to
+		// a from-scratch recompute on the client's own graph.
 		gh, pd, vd := s.Digests()
-		if gh != cur.Fingerprint() {
-			t.Fatalf("epoch %d: graph fingerprint %#x, want %#x", epoch, gh, cur.Fingerprint())
+		if gh != cur.EdgeSetHash() {
+			t.Fatalf("epoch %d: rolling graph hash %#x, from scratch %#x", epoch, gh, cur.EdgeSetHash())
 		}
 		if vd != ValuesDigest(ref.B) {
 			t.Fatalf("epoch %d: values digest %#x, want %#x", epoch, vd, ValuesDigest(ref.B))
@@ -58,8 +62,10 @@ func TestSessionByteIdentity(t *testing.T) {
 	if chain == 0 {
 		t.Fatal("epoch 0 left a zero chain digest")
 	}
+	moved := 0
 	for e := 1; e <= epochs; e++ {
 		d := dist.RandomChurn(cur, 40, int64(100+e))
+		before, staleAssign := s.Values(), append([]int(nil), s.co.assign...)
 		rep, err := s.Push(d, 0)
 		if err != nil {
 			t.Fatalf("epoch %d push: %v", e, err)
@@ -72,6 +78,14 @@ func TestSessionByteIdentity(t *testing.T) {
 			t.Fatalf("epoch %d reference apply: %v", e, err)
 		}
 		checkEpoch(e)
+		// The placement ledger is kept rolling from the batch and the moved
+		// nodes' arcs; hold it to the from-scratch one on the rebuilt CSR.
+		_, ledger := shard.RebalanceWithMetrics(part, cur, p, staleAssign, d, 0)
+		ledger.DeltaBytes = int64(len(shard.AppendDelta(nil, 0, d)))
+		if rep.Churn != ledger {
+			t.Fatalf("epoch %d: rolling ledger %+v, from scratch %+v", e, rep.Churn, ledger)
+		}
+		moved += ledger.MovedNodes
 		// The chain must advance and link exactly.
 		gh, pd, vd := s.Digests()
 		want := ChainNext(chain, gh, pd, vd)
@@ -79,49 +93,142 @@ func TestSessionByteIdentity(t *testing.T) {
 			t.Fatalf("epoch %d: chain digest %#x, want %#x", e, rep.ChainDigest, want)
 		}
 		chain = want
-		// The reported change set must be exactly the nodes that moved,
-		// ascending, with exact old/new bits.
-		prev := 0
-		for i, ch := range rep.Changed {
-			if i > 0 && ch.Node <= prev {
-				t.Fatalf("epoch %d: change set out of order at index %d", e, i)
+		// The reported change set — assembled from the workers' repairs, no
+		// party compares n values any more — must be exactly the nodes that
+		// moved, ascending, with exact old/new bits: the O(n) bit-compare scan
+		// is the oracle.
+		var scan []ValueChange
+		for v, nv := range s.Values() {
+			if ob, nb := math.Float64bits(before[v]), math.Float64bits(nv); ob != nb {
+				scan = append(scan, ValueChange{Node: v, OldBits: ob, NewBits: nb})
 			}
-			prev = ch.Node
+		}
+		if !slices.Equal(rep.Changed, scan) {
+			t.Fatalf("epoch %d: change set has %d entries, bit-compare scan %d:\n%v\n%v", e, len(rep.Changed), len(scan), rep.Changed, scan)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no epoch moved a node; the ledger's move accounting went unchecked")
+	}
+}
+
+// TestSessionSealedGraphFolds pins what stands in for the per-epoch CSR: the
+// coordinator's sealed graph is its base plus the ops sealed since, and
+// Graph() — one Apply over their concatenation, asked for or forced by the
+// log outgrowing the base — must be Fingerprint-equal (canonical edge order
+// included) to the client's own epoch-by-epoch Apply chain.
+func TestSessionSealedGraphFolds(t *testing.T) {
+	g := graph.BarabasiAlbert(30, 2, 3)
+	s, err := Open(g, Options{P: 2, Rounds: 5, Part: shard.Greedy{}, IOTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	const ops = 40
+	if 2*ops >= g.N()+g.M() || 3*ops < g.N()+g.M() {
+		t.Fatalf("test graph (n+m = %d) no longer puts the forced fold at epoch 3", g.N()+g.M())
+	}
+	cur := g
+	for e := 1; e <= 5; e++ {
+		d := dist.RandomChurn(cur, ops, int64(40+e))
+		if _, err := s.Push(d, 0); err != nil {
+			t.Fatalf("epoch %d push: %v", e, err)
+		}
+		if cur, err = d.Apply(cur); err != nil {
+			t.Fatal(err)
+		}
+		switch e {
+		case 1, 2:
+			// Nothing asked for a CSR, nothing was built.
+			if s.co.base != g || len(s.co.log) != e*ops {
+				t.Fatalf("epoch %d: sealed graph folded early (log holds %d ops)", e, len(s.co.log))
+			}
+		case 3:
+			// The log reached the size of its base: folded unasked.
+			if len(s.co.log) != 0 || s.co.base.Fingerprint() != cur.Fingerprint() {
+				t.Fatalf("epoch %d: log holds %d ops, base %#x, client chain %#x", e, len(s.co.log), s.co.base.Fingerprint(), cur.Fingerprint())
+			}
+		case 5:
+			// Two epochs on top of a folded base, folded on demand.
+			if len(s.co.log) != 2*ops {
+				t.Fatalf("epoch %d: log holds %d ops, want %d", e, len(s.co.log), 2*ops)
+			}
+			if got := s.co.Graph(); got.Fingerprint() != cur.Fingerprint() || len(s.co.log) != 0 {
+				t.Fatalf("epoch %d: Graph() %#x, client chain %#x", e, got.Fingerprint(), cur.Fingerprint())
+			}
+		}
+		if gh, _, _ := s.Digests(); gh != cur.EdgeSetHash() {
+			t.Fatalf("epoch %d: rolling graph hash %#x, from scratch %#x", e, gh, cur.EdgeSetHash())
 		}
 	}
 }
 
 // TestSessionRejectedDeltaKeepsSessionLive pins the failure contract: a
-// batch that fails validation is rejected before any broadcast and the
-// session keeps serving epochs.
+// batch that fails validation is rejected before anything is mutated or
+// broadcast and the session keeps serving epochs. The coordinator mutates its
+// adjacency in place, so the rejection has to be atomic: batches whose prefix
+// is valid and whose LAST op cannot apply must leave no trace — the next good
+// epoch seals with the very stamp a twin session that never saw them gets.
 func TestSessionRejectedDeltaKeepsSessionLive(t *testing.T) {
 	g := graph.BarabasiAlbert(120, 3, 3)
-	s, err := Open(g, Options{P: 2, Rounds: 6, Part: shard.Greedy{}, IOTimeout: 30 * time.Second})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
+	open := func() *Session {
+		s, err := Open(g, Options{P: 2, Rounds: 6, Part: shard.Greedy{}, IOTimeout: 30 * time.Second})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return s
 	}
+	s, twin := open(), open()
 	defer s.Close()
+	defer twin.Close()
 
-	// Delete of an edge that does not exist fails the batch validation.
-	bad := dist.GraphDelta{Ops: []dist.EdgeOp{{Del: true, U: 0, V: 1}, {Del: true, U: 0, V: 1}, {Del: true, U: 0, V: 1}, {Del: true, U: 0, V: 1}}}
-	if _, err := s.Push(bad, 0); err == nil {
+	e0 := g.Edges()[0]
+	prefix := []dist.EdgeOp{{U: 5, V: 9, W: 1}, {Del: true, U: e0.U, V: e0.V}, {U: 7, V: 7, W: 2}, {Del: true, U: 9, V: 5}}
+	for name, last := range map[string]dist.EdgeOp{
+		"missing delete":        {Del: true, U: 9, V: 5}, // the batch's own insert is already spent
+		"NaN weight":            {U: 1, V: 2, W: math.NaN()},
+		"out-of-range endpoint": {U: 3, V: g.N(), W: 1},
+	} {
+		bad := dist.GraphDelta{Ops: append(append([]dist.EdgeOp(nil), prefix...), last)}
+		if _, err := s.Push(bad, 0); err == nil || !strings.Contains(err.Error(), "delta op 4:") {
+			t.Fatalf("%s: push returned %v, want a rejection at op 4", name, err)
+		}
+		if s.Err() != nil {
+			t.Fatalf("%s: rejected delta broke the session: %v", name, s.Err())
+		}
+		if s.Epoch() != 0 {
+			t.Fatalf("%s: rejected delta advanced the epoch to %d", name, s.Epoch())
+		}
+	}
+	// A batch that dies on its first op, for good measure.
+	if _, err := s.Push(dist.GraphDelta{Ops: []dist.EdgeOp{{Del: true, U: 0, V: 0}}}, 0); err == nil {
 		t.Fatal("bad delta accepted")
 	}
-	if s.Err() != nil {
-		t.Fatalf("rejected delta broke the session: %v", s.Err())
-	}
-	if s.Epoch() != 0 {
-		t.Fatalf("rejected delta advanced the epoch to %d", s.Epoch())
+	if st := s.Stat(); st.Rejected != 4 || st.Pushes != 0 {
+		t.Fatalf("stat after four rejections: %+v", st)
 	}
 
-	// The session still seals a good epoch afterwards.
-	good := dist.RandomChurn(g, 10, 5)
-	rep, err := s.Push(good, 0)
-	if err != nil {
-		t.Fatalf("push after rejection: %v", err)
-	}
-	if rep.Epoch != 1 {
-		t.Fatalf("epoch %d after rejection, want 1", rep.Epoch)
+	// The session still seals good epochs afterwards, exactly as the twin.
+	cur := g
+	for e := 1; e <= 2; e++ {
+		good := dist.RandomChurn(cur, 20, int64(5+e))
+		rep, err := s.Push(good, 0)
+		if err != nil {
+			t.Fatalf("push after rejection: %v", err)
+		}
+		trep, err := twin.Push(good, 0)
+		if err != nil {
+			t.Fatalf("twin push: %v", err)
+		}
+		if rep.Stamp() != trep.Stamp() || rep.Epoch != e {
+			t.Fatalf("epoch %d after rejections sealed %+v, twin that never saw them %+v", e, rep.Stamp(), trep.Stamp())
+		}
+		if cur, err = good.Apply(cur); err != nil {
+			t.Fatal(err)
+		}
+		if rep.GraphHash != cur.EdgeSetHash() || s.co.Graph().Fingerprint() != cur.Fingerprint() {
+			t.Fatalf("epoch %d: a rejected batch left its prefix in the graph", e)
+		}
 	}
 }
 

@@ -84,7 +84,7 @@ func (c *Coordinator) Stat() codec.Stat {
 		Epoch:         c.epoch,
 		ChainDigest:   c.chain,
 		Workers:       c.p,
-		Nodes:         c.g.N(),
+		Nodes:         c.adj.N(),
 		Subscribers:   len(c.subs.Subscribers()),
 		Pushes:        c.pushes,
 		Rejected:      c.rejected,

@@ -69,6 +69,15 @@ func TestSessionStatCounters(t *testing.T) {
 	if sv.Epoch != 3 || sv.ChainDigest != st.ChainDigest {
 		t.Fatalf("StatView stale: %+v vs %+v", sv, st)
 	}
+
+	// An epoch's clock starts before the coordinator validates the batch; a
+	// rejected one must still cost the ledger nothing.
+	if _, err := s.Push(dist.GraphDelta{Ops: []dist.EdgeOp{{Del: true, U: 0, V: 0}}}, 0); err == nil {
+		t.Fatal("delete of a missing loop accepted")
+	}
+	if rej := s.Stat(); rej.Rejected != 1 || rej.Pushes != 3 || rej.EpochMicros != st.EpochMicros {
+		t.Fatalf("rejected push moved the epoch ledger: %+v, before %+v", rej, st)
+	}
 }
 
 // TestBreakCauseAttribution drives the broken latch directly through the
@@ -168,9 +177,16 @@ func TestSessionTracedEpochsIdentical(t *testing.T) {
 			t.Fatal(err1)
 		}
 	}
+	// A rejected batch opens an epoch span it never ends: none is recorded.
+	if _, err := traced.Push(dist.GraphDelta{Ops: []dist.EdgeOp{{Del: true, U: 0, V: 0}}}, 0); err == nil {
+		t.Fatal("delete of a missing loop accepted")
+	}
 	seen := map[string]bool{}
 	for _, pt := range tr.Trace().PhaseTotals() {
 		seen[pt.Phase] = true
+		if pt.Phase == "epoch" && pt.Spans != 3 {
+			t.Fatalf("%d epoch spans for 3 sealed epochs and one rejection", pt.Spans)
+		}
 	}
 	for _, want := range []string{"repair", "rebalance", "publish", "epoch"} {
 		if !seen[want] {

@@ -54,7 +54,7 @@ func DecodeDeltaPush(src []byte) (epoch, moveBudget int, d dist.GraphDelta, err 
 	return int(e), moveBudget, d, nil
 }
 
-// Reconverge is a worker's epoch reply: the post-churn graph fingerprint
+// Reconverge is a worker's epoch reply: the post-churn graph hash
 // and rebalanced partition digest it arrived at, plus the changed values of
 // the shard it owns after the rebalance, ascending by node.
 type Reconverge struct {

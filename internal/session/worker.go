@@ -13,11 +13,12 @@ import (
 	"distkcore/internal/shard"
 )
 
-// WorkerState is the worker side of a session after its epoch-0 run: the
-// full graph and assignment (like net.Worker, every worker holds the whole
-// graph and owns one shard of it), a dynamic.Maintainer as the incremental
-// oracle, and the digest chain. Drive it with ServeEpochs on the same
-// connection the run used.
+// WorkerState is the worker side of a session after its epoch-0 run: a
+// dynamic.Maintainer as the incremental oracle — whose adjacency, mutated in
+// place, is the worker's only copy of the graph (like net.Worker, every
+// worker holds the whole graph and owns one shard of it) — the assignment
+// and the digest chain. Drive it with ServeEpochs on the same connection the
+// run used.
 type WorkerState struct {
 	// Kill, when non-nil, is the fault-injection hook of the recovery test
 	// harness (net.KillFunc over epoch phases): consulted at the epoch
@@ -26,13 +27,11 @@ type WorkerState struct {
 	Kill net.KillFunc
 
 	c      *net.Conn
-	g      *graph.Graph
 	assign []int
 	shard  int
 	p      int
 	part   shard.Partitioner
-	m      *dynamic.Maintainer
-	prev   []float64 // β_T bits at the last sealed epoch
+	m      *dynamic.Maintainer // between epochs, m.B() is the sealed value vector
 	epoch  int
 	chain  uint64
 	trace  *obs.Tracer
@@ -72,9 +71,8 @@ func NewWorkerState(c *net.Conn, g *graph.Graph, assign []int, shardIdx, p, T in
 		}
 	}
 	return &WorkerState{
-		c: c, g: g, assign: append([]int(nil), assign...),
+		c: c, assign: append([]int(nil), assign...),
 		shard: shardIdx, p: p, part: part, m: m,
-		prev: append([]float64(nil), b...),
 	}, nil
 }
 
@@ -192,7 +190,7 @@ func (w *WorkerState) admit(admission byte) error {
 	} else if st.Epoch != 0 || st.Changed != 0 {
 		return fmt.Errorf("session: epoch-0 stamp claims epoch %d with %d changes", st.Epoch, st.Changed)
 	}
-	if err := w.verifyStamp(st, prevChain, w.g.Fingerprint(), shard.PartitionDigest(w.assign), ValuesDigest(w.prev)); err != nil {
+	if err := w.verifyStamp(st, prevChain, w.m.Adjacency().Hash(), shard.PartitionDigest(w.assign), ValuesDigest(w.m.B())); err != nil {
 		return err
 	}
 	w.epoch, w.chain = st.Epoch, st.ChainDigest
@@ -223,42 +221,33 @@ func (w *WorkerState) epochStep(body []byte) error {
 	if w.killed(obs.PhaseRepair, epoch) {
 		return net.ErrKilled
 	}
-	// The repair span covers both halves of absorbing the delta — the graph
-	// rebuild and the oracle's frontier repair — on the error paths too, so
-	// no part of an epoch is time that belongs to no phase.
+	// Absorbing the delta is the oracle's alone: it mutates its adjacency in
+	// place (rolling hash included) and repairs the frontier. The coordinator
+	// validated the batch before broadcasting it, so an op that cannot apply
+	// means forked state, which kills the session.
 	rp := w.trace.Begin(obs.PhaseRepair, epoch, w.shard)
-	g2, err := d.Apply(w.g)
-	if err != nil {
-		rp.End()
-		return fmt.Errorf("session: epoch %d delta: %w", epoch, err)
-	}
 	err = w.m.ApplyDelta(d)
 	rp.EndN(0, int64(d.Len()))
 	if err != nil {
-		// The engine-side Apply succeeded, so the oracle must too; disagreeing
-		// means forked state, which kills the session.
 		return fmt.Errorf("session: epoch %d oracle: %w", epoch, err)
 	}
+	adj := w.m.Adjacency()
 	rb := w.trace.Begin(obs.PhaseRebalance, epoch, w.shard)
-	next := shard.RebalanceAssign(w.part, g2, w.p, w.assign, d, budget)
+	next := shard.RebalanceAssign(w.part, adj, w.p, w.assign, d, budget)
 	rb.End()
-	cur := w.m.B()
 
-	// The full change set (for stamp cross-checks) and this worker's slice
-	// of it under the POST-rebalance ownership (what it ships).
+	// The change set is the repair's own round-T moved list (for the stamp's
+	// count); this worker ships its slice of it under the POST-rebalance
+	// ownership.
+	cur, moved := w.m.B(), w.m.Moved()
 	var own []ValueChange
-	changed := 0
-	for v := 0; v < len(cur); v++ {
-		ob, nb := math.Float64bits(w.prev[v]), math.Float64bits(cur[v])
-		if ob == nb {
-			continue
-		}
-		changed++
-		if next[v] == w.shard {
-			own = append(own, ValueChange{Node: v, OldBits: ob, NewBits: nb})
+	for _, mv := range moved {
+		if next[mv.Node] == w.shard {
+			own = append(own, ValueChange{Node: mv.Node, OldBits: math.Float64bits(mv.Old), NewBits: math.Float64bits(cur[mv.Node])})
 		}
 	}
-	gh, pd := g2.Fingerprint(), shard.PartitionDigest(next)
+	changed := len(moved)
+	gh, pd := adj.Hash(), shard.PartitionDigest(next)
 	rec := AppendReconverge(nil, Reconverge{Epoch: epoch, GraphHash: gh, PartDigest: pd, Changes: own})
 	if err := w.c.Send(net.RecReconverge, rec); err != nil {
 		return err
@@ -299,8 +288,7 @@ func (w *WorkerState) epochStep(body []byte) error {
 	}
 
 	// Commit: the epoch is sealed on both sides.
-	w.g, w.assign = g2, next
-	copy(w.prev, cur)
+	w.assign = next
 	w.epoch, w.chain = epoch, st.ChainDigest
 	return nil
 }
@@ -311,7 +299,7 @@ func (w *WorkerState) epochStep(body []byte) error {
 func (w *WorkerState) verifyStamp(st codec.Stamp, prevChain *uint64, gh, pd, vd uint64) error {
 	switch {
 	case st.GraphHash != gh:
-		return fmt.Errorf("session: epoch %d graph fingerprint mismatch (stamp %#x, worker %#x)", st.Epoch, st.GraphHash, gh)
+		return fmt.Errorf("session: epoch %d graph hash mismatch (stamp %#x, worker %#x)", st.Epoch, st.GraphHash, gh)
 	case st.PartDigest != pd:
 		return fmt.Errorf("session: epoch %d partition digest mismatch (stamp %#x, worker %#x)", st.Epoch, st.PartDigest, pd)
 	case st.ValuesDigest != vd:

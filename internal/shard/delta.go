@@ -151,7 +151,7 @@ type ChurnMetrics struct {
 // only — the lean path a cluster worker takes, where the coordinator
 // already owns the ledger and two extra full-edge cut scans per worker
 // would be pure waste.
-func RebalanceAssign(part Partitioner, g2 *graph.Graph, p int, assign []int, d dist.GraphDelta, moveBudget int) []int {
+func RebalanceAssign(part Partitioner, g2 Topology, p int, assign []int, d dist.GraphDelta, moveBudget int) []int {
 	frontier := Frontier(d)
 	if moveBudget <= 0 {
 		moveBudget = len(frontier)

@@ -15,7 +15,7 @@ import (
 type Partitioner interface {
 	// Partition returns one shard index in [0, p) per node.
 	Partition(g *graph.Graph, p int) []int
-	// Rebalance returns the assignment for the mutated graph g, given the
+	// Rebalance returns the assignment for the mutated topology g, given the
 	// pre-churn assignment assign and the change frontier (the distinct
 	// endpoints of the delta's ops, ascending — shard.Frontier). At most
 	// moveBudget nodes may change shard (moveBudget ≤ 0 means the whole
@@ -24,9 +24,20 @@ type Partitioner interface {
 	// re-place only frontier nodes — the placement twin of
 	// internal/dynamic's repair frontier; placement that is a pure function
 	// of the node ID (Hash, Range) never moves anything.
-	Rebalance(g *graph.Graph, p int, assign []int, frontier []graph.NodeID, moveBudget int) []int
+	Rebalance(g Topology, p int, assign []int, frontier []graph.NodeID, moveBudget int) []int
 	// Name identifies the partitioner in experiment tables and CLI flags.
 	Name() string
+}
+
+// Topology is what incremental placement reads of a graph: the node count
+// and each node's arcs by index (a self-loop is one arc to the node itself).
+// *graph.Graph satisfies it — the run-time churn path passes the rebuilt CSR
+// — and so does the adjacency a session party mutates in place
+// (dynamic.Adjacency), which is why an epoch's rebalance needs no rebuild.
+type Topology interface {
+	N() int
+	Degree(v graph.NodeID) int
+	Neighbor(v graph.NodeID, i int) graph.NodeID
 }
 
 // PartitionDigest folds a shard assignment into a deterministic 64-bit
@@ -77,23 +88,15 @@ func (Hash) Name() string { return "hash" }
 func (Hash) Partition(g *graph.Graph, p int) []int {
 	assign := make([]int, g.N())
 	for v := range assign {
-		assign[v] = int(splitmix64(uint64(v)) % uint64(p))
+		assign[v] = int(graph.Mix64(uint64(v)) % uint64(p))
 	}
 	return assign
 }
 
 // Rebalance implements Partitioner. Hash placement is a pure function of
 // the node ID, so churn never moves a node.
-func (Hash) Rebalance(_ *graph.Graph, _ int, assign []int, _ []graph.NodeID, _ int) []int {
+func (Hash) Rebalance(_ Topology, _ int, assign []int, _ []graph.NodeID, _ int) []int {
 	return assign
-}
-
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed integer hash.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Range assigns contiguous ID blocks of ~n/p nodes per shard. It wins when
@@ -116,7 +119,7 @@ func (Range) Partition(g *graph.Graph, p int) []int {
 
 // Rebalance implements Partitioner. Range placement is a pure function of
 // the node ID, so churn never moves a node.
-func (Range) Rebalance(_ *graph.Graph, _ int, assign []int, _ []graph.NodeID, _ int) []int {
+func (Range) Rebalance(_ Topology, _ int, assign []int, _ []graph.NodeID, _ int) []int {
 	return assign
 }
 
@@ -196,7 +199,7 @@ func (gr Greedy) Partition(g *graph.Graph, p int) []int {
 // by load: at churn time every neighbor is already placed, so raw
 // co-location counts are exact, and the capacity bound alone keeps shards
 // balanced.
-func (gr Greedy) Rebalance(g *graph.Graph, p int, assign []int, frontier []graph.NodeID, moveBudget int) []int {
+func (gr Greedy) Rebalance(g Topology, p int, assign []int, frontier []graph.NodeID, moveBudget int) []int {
 	if len(frontier) == 0 {
 		return assign
 	}
@@ -218,9 +221,9 @@ func (gr Greedy) Rebalance(g *graph.Graph, p int, assign []int, frontier []graph
 		for i := range placed {
 			placed[i] = 0
 		}
-		for _, a := range g.Adj(v) {
-			if a.To != v {
-				placed[next[a.To]]++
+		for i, d := 0, g.Degree(v); i < d; i++ {
+			if to := g.Neighbor(v, i); to != v {
+				placed[next[to]]++
 			}
 		}
 		cur := next[v]
