@@ -267,7 +267,7 @@ func runCoord(args []string) {
 		budget   = fs.Int("budget", 0, "rebalance move budget under -churn (0 = whole frontier)")
 		verify   = fs.Bool("verify", false, "run the sequential engine locally and demand byte-identical Metrics and values")
 		stream   = fs.Bool("stream", false, "stream round frames directly worker↔worker over a unix-socket mesh (DESIGN.md §14) instead of relaying every frame through the coordinator")
-		recov    = fs.Bool("recover", false, "arm crash recovery (DESIGN.md §13): workers checkpoint every round and a dead worker is re-exec'd and restored instead of failing the run (requires -spawn)")
+		recov    = fs.Bool("recover", false, "arm crash recovery (DESIGN.md §13): the run's frames stay retained and a dead worker is re-exec'd and replayed to instead of failing the run (requires -spawn)")
 		killSpec = fs.String("kill", "", "W:R — SIGKILL spawned worker W at the top of round R, the fault-injection half of the recovery smoke (requires -spawn)")
 		jsonOut  = fs.String("json", "", "write a JSON run report to this file")
 		traceOut = fs.String("trace", "", cliutil.TraceUsage)
@@ -536,8 +536,8 @@ func (f *fleet) dial(a string) (*dnet.Conn, error) {
 
 // respawn re-execs the worker binary for shard s — incarnation gen, the hub's
 // count (dnet.Spec.Respawn) — on a fresh socket in the run directory and dials
-// it; the coordinator then re-handshakes and restores it from its last
-// retained checkpoint. The new incarnation is told its generation, which on a
+// it; the coordinator then re-handshakes and replays the run to it from the
+// retained flows. The new incarnation is told its generation, which on a
 // streamed run lets peers tell its mesh links from the dead one's.
 func (f *fleet) respawn(s, gen int) (*dnet.Conn, error) {
 	a := fmt.Sprintf("unix:%s", filepath.Join(f.dir, fmt.Sprintf("w%d-r%d.sock", s, gen)))

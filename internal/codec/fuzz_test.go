@@ -1,76 +1,14 @@
 package codec
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
 
-// The recovery records (DESIGN.md §13) are decoded from bytes straight off
-// a socket, so each decoder gets the same hostile-input contract as the
-// frame and delta codecs: no panic, no over-consumption, no length-driven
-// allocation beyond the payload, and anything that decodes must survive an
-// encode/decode round trip bit for bit — checkpoints that drift across the
-// wire would silently poison a restore.
-
-func FuzzDecodeCheckpoint(f *testing.F) {
-	f.Add(AppendCheckpoint(nil, Checkpoint{Round: 3, FrameChain: 0xdeadbeef, Msgs: 41, Words: 120, Wire: 900, State: []byte{1, 2, 3}}))
-	f.Add(AppendCheckpoint(nil, Checkpoint{}))
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // hostile state length
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, n, err := DecodeCheckpoint(data)
-		if err != nil {
-			return
-		}
-		if n > len(data) {
-			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
-		}
-		enc := AppendCheckpoint(nil, c)
-		c2, n2, err := DecodeCheckpoint(enc)
-		if err != nil {
-			t.Fatalf("re-decode of a re-encoded checkpoint failed: %v", err)
-		}
-		if n2 != len(enc) {
-			t.Fatalf("re-decode consumed %d of %d bytes", n2, len(enc))
-		}
-		if c2.Round != c.Round || c2.FrameChain != c.FrameChain ||
-			c2.Msgs != c.Msgs || c2.Words != c.Words || c2.Wire != c.Wire ||
-			!bytes.Equal(c2.State, c.State) {
-			t.Fatalf("checkpoint changed across a round trip: %+v vs %+v", c, c2)
-		}
-	})
-}
-
-func FuzzDecodeResume(f *testing.F) {
-	f.Add(AppendResume(nil, Resume{CkptRound: 5, Catchup: 2, FrameChain: 7, Msgs: 1, Words: 2, Wire: 3, State: []byte{9}}))
-	f.Add(AppendResume(nil, Resume{CkptRound: -1})) // fresh-start sentinel
-	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, n, err := DecodeResume(data)
-		if err != nil {
-			return
-		}
-		if n > len(data) {
-			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
-		}
-		if r.CkptRound < -1 {
-			t.Fatalf("decoded checkpoint round %d below the fresh-start sentinel", r.CkptRound)
-		}
-		enc := AppendResume(nil, r)
-		r2, n2, err := DecodeResume(enc)
-		if err != nil {
-			t.Fatalf("re-decode of a re-encoded resume failed: %v", err)
-		}
-		if n2 != len(enc) {
-			t.Fatalf("re-decode consumed %d of %d bytes", n2, len(enc))
-		}
-		if r2.CkptRound != r.CkptRound || r2.Catchup != r.Catchup || r2.FrameChain != r.FrameChain ||
-			r2.Msgs != r.Msgs || r2.Words != r.Words || r2.Wire != r.Wire ||
-			!bytes.Equal(r2.State, r.State) {
-			t.Fatalf("resume changed across a round trip: %+v vs %+v", r, r2)
-		}
-	})
-}
+// The replay header of the recovery protocol (DESIGN.md §13) is decoded from
+// bytes straight off a socket, so its decoder gets the same hostile-input
+// contract as the frame and delta codecs: no panic, no over-consumption, and
+// anything that decodes must survive an encode/decode round trip bit for bit.
 
 func FuzzDecodeReplay(f *testing.F) {
 	f.Add(AppendReplay(nil, Replay{Round: 4, Frames: 2}))

@@ -102,9 +102,10 @@ type Hello struct {
 	PartName    string  // partitioner name, e.g. "greedy"
 	ProtoSpec   string  // e.g. "coreness:23"; empty in-process
 	WantValues  bool    // ship per-node result values after the metrics record
-	// Recover arms crash recovery (DESIGN.md §13): the worker checkpoints
-	// its driver state after every delivery and must honor Resume/Replay
-	// records after a re-admission handshake.
+	// Recover arms crash recovery (DESIGN.md §13): the worker folds what it
+	// receives into a frame chain, a streamed worker retains what it sends,
+	// and a respawned incarnation honors Replay records after its
+	// re-admission handshake.
 	Recover bool
 	// Stream switches round delivery to direct worker↔worker frame
 	// streaming over a mesh of data connections (DESIGN.md §14); the
@@ -114,10 +115,6 @@ type Hello struct {
 	// MeshCube. Every worker must agree (relay routing depends on it), so
 	// the coordinator decides and the hello pins it.
 	MeshKind byte
-	// Window is the per-peer flow-control window when Stream is set: the
-	// number of unacknowledged chunks a worker may have in flight toward
-	// each peer (0 means the protocol default).
-	Window int
 	// MeshSpec names the workers' mesh listen addresses (comma-joined,
 	// indexed by shard) for multi-process clusters; empty in-process, where
 	// the engine wires the mesh through an in-memory broker.
@@ -139,16 +136,18 @@ const (
 // HandshakeVersion is the protocol version stamped into Hello and Welcome;
 // both sides reject a peer speaking any other version. Version 2 added
 // DeltaDigest and the delta record of the churn protocol (DESIGN.md §9);
-// version 3 added Hello.Recover and the checkpoint/resume/replay records of
-// the crash-recovery protocol (DESIGN.md §13); version 4 added the streamed
-// delivery fields (Stream, MeshKind, Window, MeshSpec) and the mesh record
-// types of DESIGN.md §14; version 5 changed the frame entry layout (tag
+// version 3 added Hello.Recover and the records of the crash-recovery
+// protocol (DESIGN.md §13); version 4 added the streamed delivery fields
+// (Stream, MeshKind, MeshSpec) and the mesh record types of DESIGN.md §14; version 5 changed the frame entry layout (tag
 // ahead of the receiver) and added the broadcast entry (DESIGN.md §6);
 // version 6 changed what a session stamp's graph field digests — the rolling
 // edge-multiset hash (graph.EdgeSetHash), no longer graph.Fingerprint — with
 // the record layout untouched, so only the version can tell two peers apart
-// before their first stamp disagrees (DESIGN.md §10.2).
-const HandshakeVersion = 6
+// before their first stamp disagrees (DESIGN.md §10.2); version 7 made replay
+// from Init the one restart (DESIGN.md §13): the checkpoint and resume records
+// and the hello's always-zero window field are gone, a metrics record ends
+// with the worker's frame chain, and a stream-resend names no first round.
+const HandshakeVersion = 7
 
 // AppendHello appends the wire encoding of h to dst.
 func AppendHello(dst []byte, h Hello) []byte {
@@ -169,7 +168,6 @@ func AppendHello(dst []byte, h Hello) []byte {
 	dst = appendBool(dst, h.Recover)
 	dst = appendBool(dst, h.Stream)
 	dst = append(dst, h.MeshKind)
-	dst = binary.AppendUvarint(dst, uint64(h.Window))
 	return appendString(dst, h.MeshSpec)
 }
 
@@ -194,11 +192,7 @@ func DecodeHello(src []byte) (Hello, int, error) {
 	h.Recover = d.Byte() != 0
 	h.Stream = d.Byte() != 0
 	h.MeshKind = d.Byte()
-	h.Window = int(d.Uvarint())
 	h.MeshSpec = d.Str()
-	if d.err == nil && h.Window < 0 {
-		d.err = fmt.Errorf("negative field from oversized uvarint")
-	}
 	if d.err != nil {
 		return Hello{}, 0, fmt.Errorf("codec: bad hello record: %w", d.err)
 	}

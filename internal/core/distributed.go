@@ -28,7 +28,7 @@ type ElimState struct {
 	// yet, or the last one moved b and a self-loop arc reads b back. It is
 	// what keeps a skipped step exact to the bit, not just to the value —
 	// after a step that left b alone a second one would stable-sort a sorted
-	// order over identical keys — and so it is part of a checkpoint.
+	// order over identical keys.
 	owed bool
 }
 

@@ -1,7 +1,6 @@
 package dist_test
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -127,7 +126,14 @@ type scriptProg struct {
 	id graph.NodeID
 }
 
-func (p *scriptProg) Init(c *dist.Ctx) { p.play(c) }
+// Init also winds the node's transcript row back: a crash-recovered worker
+// replays its nodes from Init in fresh programs (DESIGN.md §13), so a round
+// the dead incarnation had already stepped is recorded once.
+func (p *scriptProg) Init(c *dist.Ctx) {
+	p.sc.got[p.id] = nil
+	p.play(c)
+}
+
 func (p *scriptProg) Round(c *dist.Ctx, inbox []dist.Message) {
 	p.sc.got[p.id] = append(p.sc.got[p.id], hashInbox(inbox)) // own row only: no lock needed
 	p.play(c)
@@ -145,23 +151,6 @@ func (p *scriptProg) play(c *dist.Ctx) {
 	if halt {
 		c.Halt()
 	}
-}
-
-// The script's only cross-round state is how much of its transcript row it
-// has written: a restored node (dist.Checkpointable, crash recovery) winds
-// the row back to the checkpoint, so a round the dead incarnation had already
-// stepped is recorded once.
-func (p *scriptProg) AppendState(dst []byte) ([]byte, error) {
-	return binary.AppendUvarint(dst, uint64(len(p.sc.got[p.id]))), nil
-}
-
-func (p *scriptProg) RestoreState(_ *dist.Ctx, _ bool, src []byte) (int, error) {
-	k, n := binary.Uvarint(src)
-	if n <= 0 || k > uint64(len(p.sc.got[p.id])) {
-		return 0, fmt.Errorf("script state %x does not fit a row of %d", src, len(p.sc.got[p.id]))
-	}
-	p.sc.got[p.id] = p.sc.got[p.id][:k]
-	return n, nil
 }
 
 func hashInbox(inbox []dist.Message) uint64 {

@@ -127,9 +127,9 @@ func TestInlineBodiesAreStrict(t *testing.T) {
 		{"deliver", uv(0, 0), func(b []byte) error { return workerGets(t, false, recDeliver, b) }},
 		{"deliver", uv(0), func(b []byte) error { return workerGets(t, true, recDeliver, b) }},
 		{"finish", append(uv(3), 1), func(b []byte) error { return workerGets(t, false, recFinish, b) }},
-		{"stream-resend", uv(0, 1, 2, 1), func(b []byte) error { return workerGets(t, true, recStreamResend, b) }},
+		{"stream-resend", uv(0, 2, 1), func(b []byte) error { return workerGets(t, true, recStreamResend, b) }},
 		{"done", uv(0, 0, 0), func(b []byte) error { return coordGets(t, recDone, b) }},
-		{"metrics", uv(5, 5, 40), func(b []byte) error { return coordGets(t, recMetrics, b) }},
+		{"metrics", append(uv(5, 5, 40), 1, 2, 3, 4, 5, 6, 7, 8), func(b []byte) error { return coordGets(t, recMetrics, b) }},
 		{"values", vals, func(b []byte) error { return coordGets(t, recValues, b) }},
 		{"mesh-hello", uv(1, 0), func(b []byte) error { return meshGets(t, b) }},
 	}

@@ -23,7 +23,7 @@ const (
 	recDone    = byte(5)  // worker→coordinator: uvarint round, alive, framesSent
 	recDeliver = byte(6)  // coordinator→worker: uvarint round, framesRelayed
 	recFinish  = byte(7)  // coordinator→worker: uvarint rounds, halted byte
-	recMetrics = byte(8)  // worker→coordinator: uvarint messages, words, wireBytes
+	recMetrics = byte(8)  // worker→coordinator: uvarint messages, words, wireBytes, then the 8-byte frame chain
 	recValues  = byte(9)  // worker→coordinator: uvarint count, then (uvarint node, 8-byte bits)*
 	recError   = byte(10) // either direction: UTF-8 message; aborts the run
 	recDelta   = byte(11) // coordinator→worker: shard.AppendDelta churn batch (follows a hello with DeltaDigest ≠ 0)
@@ -31,18 +31,13 @@ const (
 
 // Crash-recovery record types (DESIGN.md §13), spoken only when
 // Hello.Recover armed them. They share the run records' number space but
-// sit after the exported session block, so the table stays append-only.
+// sit after the exported session block, so the table stays append-only
+// (19 and 20 were the checkpoint and resume records of the restart scheme
+// replay-from-Init replaced).
 const (
-	// recCheckpoint seals one round: worker→coordinator, codec.Checkpoint
-	// (round, frame-chain digest, metric counters, driver snapshot). Sent
-	// after every delivery, retained by the coordinator for the last K
-	// rounds.
-	recCheckpoint = byte(19)
-	// recResume restores a re-admitted worker: coordinator→worker,
-	// codec.Resume. Sent after the re-handshake, before any replay.
-	recResume = byte(20)
-	// recReplay announces one replayed round: coordinator→worker,
-	// codec.Replay; exactly Frames recFrame records for that round follow.
+	// recReplay announces one replayed round to a respawned worker, which
+	// replays the run from Init: coordinator→worker, codec.Replay; exactly
+	// Frames recFrame records for that round follow.
 	recReplay = byte(21)
 	// RecEpochResume re-admits a session worker between epochs:
 	// coordinator→worker, body is the codec.Stamp of the last sealed epoch;
@@ -66,15 +61,17 @@ const (
 	// coordinator verifies sent[a][b] == recv[b][a] across the matrix.
 	recStreamAck = byte(24)
 	// recStreamResend asks a worker to re-send its retained flows toward a
-	// respawned peer: coordinator→worker, body is uvarint target, from, to
-	// (inclusive round range), target's generation. The worker replays the
-	// retained chunk and end records verbatim — byte-identical by determinism,
-	// accepted idempotently by the receiver's Seq gate.
+	// respawned peer: coordinator→worker, body is uvarint target, to (the
+	// last round of the range, which starts at round 0), target's generation.
+	// The worker replays the retained chunk and end records verbatim —
+	// byte-identical by determinism, accepted idempotently by the receiver's
+	// Seq gate.
 	recStreamResend = byte(25)
-	// recStreamReplay announces one catch-up round to a resumed streamed
+	// recStreamReplay announces one catch-up round to a respawned streamed
 	// worker: coordinator→worker, codec.Replay with Frames == 0 (the frames
-	// arrive over the mesh, not this connection). The worker re-steps with
-	// sends suppressed, awaits the resent flows, and delivers.
+	// arrive over the mesh, not this connection). The worker re-steps,
+	// re-retaining what it would have sent and sending nothing, awaits the
+	// resent flows, and delivers.
 	recStreamReplay = byte(26)
 	// recMeshHello opens a mesh connection: dialer→acceptor, body is uvarint
 	// src shard, generation. Generation lets a receiver prefer the link of a
@@ -127,7 +124,7 @@ const (
 
 // uvarints decodes a record body that is exactly len(dst) uvarints — the
 // shape of the run records with no codec type of their own (step, done,
-// deliver, metrics, stream-resend, mesh-hello) — through the same latching
+// deliver, stream-resend, mesh-hello) — through the same latching
 // codec.Decoder every other body goes through: a truncated body, trailing
 // bytes or a field past int range is one error naming the record.
 func uvarints(rec string, body []byte, dst ...*int) error {
@@ -146,6 +143,17 @@ func bodyErr(rec string, d *codec.Decoder) error {
 		return fmt.Errorf("net: bad %s record: %w", rec, err)
 	}
 	return nil
+}
+
+// decodeMetrics decodes a metrics record body: the worker's share of the
+// protocol counters, then the frame chain over everything it received.
+func decodeMetrics(body []byte) (msgs, words, wire int64, chain uint64, err error) {
+	d := codec.NewDecoder(body)
+	msgs, words, wire, chain = int64(d.Uvarint()), int64(d.Uvarint()), int64(d.Uvarint()), d.U64()
+	if msgs|words|wire < 0 {
+		d.Fail(fmt.Errorf("negative field from oversized uvarint"))
+	}
+	return msgs, words, wire, chain, bodyErr("metrics", d)
 }
 
 // decodeValues appends the (node, value bits) pairs of a values record body

@@ -42,10 +42,10 @@ type Spec struct {
 	// error instead of hanging the coordinator forever (fail-fast, the
 	// deadline side of "determinism over availability").
 	IOTimeout time.Duration
-	// Recover arms crash recovery (DESIGN.md §13): workers checkpoint
-	// after every delivery, the coordinator retains the last retainRounds
-	// checkpoints and sealed rounds per worker, and a dead worker is
-	// respawned via Respawn and restored instead of failing the run.
+	// Recover arms crash recovery (DESIGN.md §13): the inbound flows of every
+	// round are retained for the whole run — by the coordinator on the relay
+	// plane, by their senders on the mesh — and a dead worker is respawned via
+	// Respawn and replays the run from Init out of them instead of failing it.
 	Recover bool
 	// Respawn produces a fresh connection to a restarted worker for the
 	// given shard: the in-process engine spawns a goroutine on a fresh
@@ -206,11 +206,9 @@ func (h *Hub) Run(spec Spec) (dist.Metrics, *Report, error) {
 		c.rep.StreamWire = make([]codec.StreamWire, p)
 		c.plane = &streamCoord{c: c}
 	} else {
-		c.plane = &relayCoord{c: c, hist: make([][]relayRound, p)}
+		c.plane = &relayCoord{c: c, hist: make([][][]frameRec, p)}
 	}
 	if spec.Recover {
-		c.ckpts = make([][]codec.Checkpoint, p)
-		c.sealed = make([][]sealedRound, p)
 		c.chains = make([]uint64, p)
 		for i := range c.chains {
 			c.chains[i] = frameChainSeed
@@ -241,9 +239,9 @@ type coordPlane interface {
 	// it died short of its done record.
 	discard(w int)
 	// seal closes round t's collection once all P done records are in:
-	// ledger, and under recovery the per-worker chains and retention. It
-	// runs before anything is released, so a death during the release can
-	// still be caught up through round t.
+	// ledger, and under recovery the per-worker chains and whatever the plane
+	// retains at the coordinator. It runs before anything is released, so a
+	// death during the release can still be caught up through round t.
 	seal(t int) error
 	// release writes round t's barrier release to worker q and reports
 	// whether q now owes an ack.
@@ -251,25 +249,10 @@ type coordPlane interface {
 	// volume is what the release span records: bytes and items released.
 	volume() (bytes, items int64)
 	// resend has the peers re-feed respawned worker w (incarnation gen) the
-	// inbound flows of rounds from..c.cur that only they still hold.
-	resend(w, gen, from int) error
+	// inbound flows of rounds 0..c.cur, which only they hold.
+	resend(w, gen int) error
 	// replay writes worker w's catch-up of round t to its new connection.
 	replay(cn *Conn, w, t int) (bytes, items int64, err error)
-}
-
-// sealedRound is one retained round of one worker's expected frame-chain
-// digest: what its checkpoint for that round must carry.
-type sealedRound struct {
-	round int
-	chain uint64
-}
-
-// keepLast trims a retention ring to its newest k entries.
-func keepLast[T any](ring []T, k int) []T {
-	if len(ring) > k {
-		return ring[len(ring)-k:]
-	}
-	return ring
 }
 
 type coordinator struct {
@@ -289,20 +272,14 @@ type coordinator struct {
 	hellos   [][]byte // hello record body per worker
 	deltaRec []byte   // churn delta record, if any
 
-	// Recovery retention (allocated when spec.Recover; nil otherwise).
-	ckpts  [][]codec.Checkpoint // last K checkpoints per worker, ascending rounds
-	sealed [][]sealedRound      // last K rounds of expected chains per worker
-	chains []uint64             // cumulative inbound frame chain per worker
+	// chains[w] is the frame chain over everything sealed toward worker w so
+	// far — what w's own fold must read when it reports its metrics. Allocated
+	// when spec.Recover; nil otherwise.
+	chains []uint64
 }
 
 // recoverable reports whether worker death is survivable in this run.
 func (c *coordinator) recoverable() bool { return c.spec.Recover && c.spec.Respawn != nil }
-
-// retainRounds is K, the per-worker retention depth — checkpoints, sealed
-// chains and relay history at the coordinator, sent flows at streamed
-// workers: what a catch-up can re-feed. A worker's checkpoint lag is at most
-// 2 rounds, so 4 leaves slack.
-const retainRounds = 4
 
 // fail attributes a fatal fault to worker w (-1: nobody) at its position in
 // the round in flight; waiting is the position of the workers still owing a
@@ -312,19 +289,6 @@ func (c *coordinator) fail(w int, waiting obs.Phase, err error) error {
 		waiting = c.at[w]
 	}
 	return &RunError{Round: c.cur, Phase: waiting, Worker: w, Err: err}
-}
-
-// collect is Hub.Collect with checkpoint records absorbed into the retention
-// rings on the way: per-connection FIFO puts a worker's checkpoint ahead of
-// the next record it owes, so one always surfaces while its sender is owed.
-func (c *coordinator) collect(owed []bool, handle func(from int, typ byte, body []byte) (bool, error),
-	died func(w int, cause error) error) (int, error) {
-	return c.hub.Collect(owed, func(from int, typ byte, body []byte) (bool, error) {
-		if typ == recCheckpoint && c.spec.Recover {
-			return false, c.absorbCheckpoint(from, body)
-		}
-		return handle(from, typ, body)
-	}, died)
 }
 
 // sendRestoring writes one record to worker i. A write that fails finds the
@@ -340,49 +304,16 @@ func (c *coordinator) sendRestoring(i, upTo int, typ byte, body []byte) (restart
 	return true, c.hub.Send(i, typ, body)
 }
 
-// absorbCheckpoint stores one worker checkpoint in the retention ring,
-// verifying its frame chain against the sealed rounds when the round is
-// still retained. A catch-up re-checkpoint supersedes ring entries at or
-// past its round (they were the dead incarnation's).
-func (c *coordinator) absorbCheckpoint(w int, body []byte) error {
-	ck, used, err := codec.DecodeCheckpoint(body)
-	if err != nil {
-		return err
-	}
-	if used != len(body) {
-		return fmt.Errorf("net: worker %d checkpoint carries %d trailing bytes", w, len(body)-used)
-	}
-	for _, sr := range c.sealed[w] {
-		if sr.round == ck.Round && sr.chain != ck.FrameChain {
-			return fmt.Errorf("net: worker %d checkpoint for round %d has frame chain %#x, coordinator sealed %#x",
-				w, ck.Round, ck.FrameChain, sr.chain)
-		}
-	}
-	ring := c.ckpts[w]
-	for len(ring) > 0 && ring[len(ring)-1].Round >= ck.Round {
-		ring = ring[:len(ring)-1]
-	}
-	c.ckpts[w] = keepLast(append(ring, ck), retainRounds)
-	return nil
-}
-
-// retain records worker w's chain after round t — what the plane's seal
-// advanced c.chains[w] to — so checkpoints verify against it.
-func (c *coordinator) retain(t, w int) {
-	c.sealed[w] = keepLast(append(c.sealed[w], sealedRound{round: t, chain: c.chains[w]}), retainRounds)
-}
-
-// restart is the recovery core (DESIGN.md §8.4): respawn worker w, re-admit
-// it with the original handshake, restore it from its newest retained
-// checkpoint at or before round upTo, and catch it up through upTo on the
-// frame plane — each missed round is a re-step with sends suppressed (the
-// peers already hold the dead incarnation's identical bytes) fed the
-// round's inbound flows again. When it returns nil the new incarnation
-// holds exactly the state the dead one had sealed at the end of round upTo,
-// and is parked in its read loop awaiting whatever the coordinator sends
-// next. Deadlock-free: the writes below can block on a full pipe only until
-// the new connection's hub reader drains the worker's catch-up checkpoints,
-// which it does continuously.
+// restart is the recovery core (DESIGN.md §8.4, §13): respawn worker w, re-admit
+// it with the original handshake, and replay the run to it from Init through
+// round upTo on the frame plane — each round is a re-step that sends nothing
+// (the peers already hold the dead incarnation's identical bytes) fed the
+// round's inbound flows again. A worker's state is a pure function of what it
+// has received, so when restart returns nil the new incarnation is on its way
+// to exactly the state the dead one had sealed at the end of round upTo, and
+// reads whatever the coordinator sends next behind the replay. Deadlock-free:
+// a replaying worker writes nothing on this connection, so the writes below
+// drain as fast as it re-steps.
 func (c *coordinator) restart(w, upTo int) error {
 	sp := c.spec.Trace.Begin(obs.PhaseRecover, upTo, w)
 	defer sp.End()
@@ -400,23 +331,10 @@ func (c *coordinator) restart(w, upTo int) error {
 	if _, err := c.checkWelcome(w, typ, body); err != nil {
 		return err
 	}
-	// Newest retained checkpoint at or before upTo; -1 restarts from Init.
-	rs := codec.Resume{CkptRound: -1}
-	for j := len(c.ckpts[w]) - 1; j >= 0; j-- {
-		if cp := c.ckpts[w][j]; cp.Round <= upTo {
-			rs = codec.Resume{CkptRound: cp.Round, FrameChain: cp.FrameChain,
-				Msgs: cp.Msgs, Words: cp.Words, Wire: cp.Wire, State: cp.State}
-			break
-		}
-	}
-	rs.Catchup = upTo - rs.CkptRound
-	if err := c.plane.resend(w, gen, rs.CkptRound+1); err != nil {
+	if err := c.plane.resend(w, gen); err != nil {
 		return err
 	}
-	if err := cn.WriteRecord(recResume, codec.AppendResume(nil, rs)); err != nil {
-		return fmt.Errorf("net: resuming worker %d: %w", w, err)
-	}
-	for t := rs.CkptRound + 1; t <= upTo; t++ {
+	for t := 0; t <= upTo; t++ {
 		rp := c.spec.Trace.Begin(obs.PhaseReplay, t, w)
 		bytes, items, err := c.plane.replay(cn, w, t)
 		if err != nil {
@@ -425,7 +343,7 @@ func (c *coordinator) restart(w, upTo int) error {
 		rp.EndN(bytes, items)
 	}
 	if err := cn.Flush(); err != nil {
-		return fmt.Errorf("net: resuming worker %d: %w", w, err)
+		return fmt.Errorf("net: replaying to worker %d: %w", w, err)
 	}
 	c.rep.Recoveries++
 	return nil
@@ -538,23 +456,29 @@ func (c *coordinator) run() (dist.Metrics, error) {
 	gotMetrics := make([]bool, p)
 	gotValues := make([]bool, p)
 	owed := c.hub.Everyone()
-	w, err := c.collect(owed, func(from int, typ byte, body []byte) (bool, error) {
+	w, err := c.hub.Collect(owed, func(from int, typ byte, body []byte) (bool, error) {
 		switch typ {
 		case recMetrics:
 			if gotMetrics[from] && !restarted[from] {
 				return false, fmt.Errorf("net: worker %d reported metrics twice", from)
 			}
+			msgs, words, wire, chain, err := decodeMetrics(body)
+			if err != nil {
+				return false, err
+			}
+			// What the worker folded — live, or replayed to a respawned
+			// incarnation — must be what the coordinator sealed toward it.
+			if c.chains != nil && chain != c.chains[from] {
+				return false, fmt.Errorf("net: worker %d folded its inbound flows to frame chain %#x, coordinator sealed %#x",
+					from, chain, c.chains[from])
+			}
 			if !gotMetrics[from] {
 				// (A restarted worker's re-send is byte-identical to what its
 				// dead incarnation already had counted, and is dropped.)
 				gotMetrics[from] = true
-				var msgs, words, wire int
-				if err := uvarints("metrics", body, &msgs, &words, &wire); err != nil {
-					return false, err
-				}
-				met.Messages += int64(msgs)
-				met.Words += int64(words)
-				met.WireBytes += int64(wire)
+				met.Messages += msgs
+				met.Words += words
+				met.WireBytes += wire
 			}
 		case recValues:
 			if !c.spec.WantValues || gotValues[from] {
@@ -644,7 +568,7 @@ func (c *coordinator) round(t int) (alive int, err error) {
 		return settled, err
 	}
 	bw := c.spec.Trace.Begin(obs.PhaseBarrierWait, t, -1)
-	w, err := c.collect(owed, handle, func(w int, cause error) error {
+	w, err := c.hub.Collect(owed, handle, func(w int, cause error) error {
 		if !c.recoverable() {
 			return cause
 		}
@@ -684,7 +608,7 @@ func (c *coordinator) round(t int) (alive int, err error) {
 		}
 		c.at[q], owed[q] = obs.PhaseDeliver, owesAck
 	}
-	w, err = c.collect(owed, handle, func(w int, cause error) error {
+	w, err = c.hub.Collect(owed, handle, func(w int, cause error) error {
 		if !c.recoverable() {
 			return cause
 		}

@@ -66,10 +66,10 @@
 // per-worker cap) — for Run here and for internal/session's epochs alike.
 //
 // With Spec.Recover a worker death is survived instead of failing the run
-// (DESIGN.md §13): workers seal every round with a checkpoint, and one
-// restart — respawn, repeat the handshake, resume from the newest retained
-// checkpoint, catch up on the frame plane — puts the new incarnation in
-// exactly the dead one's sealed state. Any failure that does end a run is
+// (DESIGN.md §13): a worker's state is a function of the flows it has
+// received, which the frame plane retains for the whole run, and one restart
+// — respawn, repeat the handshake, replay the run from Init on the frame
+// plane — puts the new incarnation in exactly the dead one's sealed state. Any failure that does end a run is
 // a *RunError naming the round, the worker and the phase it stood in.
 //
 // What the cluster adds on top of dist.Metrics is the same placement

@@ -42,10 +42,10 @@ type Engine struct {
 	// (Conn.SetIOTimeout) and on the coordinator's reply waits
 	// (Spec.IOTimeout): a stalled peer fails the run instead of hanging it.
 	IOTimeout time.Duration
-	// Recover arms crash recovery (DESIGN.md §13): workers checkpoint every
-	// round, and a worker that dies mid-run — the KillAt fault injection, or
-	// a real failure — is respawned on a fresh pipe and restored instead of
-	// failing the run. Set it before Run, together with an IOTimeout so a
+	// Recover arms crash recovery (DESIGN.md §13): the run's cross-shard
+	// flows stay retained, and a worker that dies mid-run — the KillAt fault
+	// injection, or a real failure — is respawned on a fresh pipe and
+	// replayed to from Init instead of failing the run. Set it before Run, together with an IOTimeout so a
 	// silent death surfaces as a timeout.
 	Recover bool
 	// Stream selects the streamed frame plane (DESIGN.md §8.4, §14): the

@@ -48,13 +48,12 @@ func FuzzReadRecord(f *testing.F) {
 // panic, no negative counter, and never more pairs than the body has bytes
 // for (a lying count must not buy work or memory).
 func FuzzDecodeCoordBodies(f *testing.F) {
-	f.Add([]byte{5, 5, 40})
+	f.Add([]byte{5, 5, 40, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{1, 7, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
 	f.Add([]byte{0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // hostile count
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var msgs, words, wire int
-		if err := uvarints("metrics", body, &msgs, &words, &wire); err == nil && (msgs < 0 || words < 0 || wire < 0) {
+		if msgs, words, wire, _, err := decodeMetrics(body); err == nil && (msgs < 0 || words < 0 || wire < 0) {
 			t.Fatalf("metrics %x decoded negative: %d %d %d", body, msgs, words, wire)
 		}
 		vals, err := decodeValues(nil, body)

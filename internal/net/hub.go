@@ -58,8 +58,8 @@ func NewHub(conns []*Conn) *Hub {
 	h := &Hub{
 		conns: conns,
 		gens:  make([]int, len(conns)),
-		// Eight records of slack per worker: a round's frames, done record and
-		// a trailing checkpoint park here while the coordinator is writing.
+		// Eight records of slack per worker: a round's frames and done record
+		// park here while the coordinator is writing.
 		ch:   make(chan inRec, 8*len(conns)),
 		done: make(chan struct{}),
 	}

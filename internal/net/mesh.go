@@ -33,7 +33,6 @@ const meshBufSize = 8 << 10
 
 // defaultWindow is the per-peer flow-control window: how many
 // unacknowledged chunks a sender may have in flight toward one destination.
-// (Hello.Window stays on the wire and is always sent as 0, "the default".)
 const defaultWindow = 8
 
 // meshNeighbors returns the sorted neighbor set of self in the topology.
@@ -87,7 +86,7 @@ type meshConfig struct {
 	P       int
 	Kind    byte // codec.MeshFull | codec.MeshCube
 	Gen     int  // this incarnation's generation (0 initial, +1 per respawn)
-	Recover bool // retain the last retainRounds rounds sent per destination
+	Recover bool // retain every round sent, per destination, for resends
 	Timeout time.Duration
 	// Dial opens a raw connection to worker dst's mesh endpoint.
 	Dial func(dst int) (net.Conn, error)
@@ -118,12 +117,6 @@ type futRec struct {
 	full []byte // full record payload (digest fold input)
 }
 
-// retRound is one retained round of sent records toward one destination.
-type retRound struct {
-	round int
-	recs  []outRec
-}
-
 // mesh is the per-worker data plane: links, flow-control tokens, per-flow
 // send/receive state and the retention rings recovery resends replay from.
 type mesh struct {
@@ -133,7 +126,11 @@ type mesh struct {
 
 	links []*meshLink // by neighbor id; nil until attached
 	round int         // current receive/send round; -1 before the first
-	err   error
+	// live is false while a respawned worker replays the current round: its
+	// flows are sequenced, digested and retained as they were, and nothing is
+	// queued — the peers hold the dead incarnation's identical bytes.
+	live bool
+	err  error
 	// lost is the first link death of a full-mesh run without recovery (see
 	// linkDownLocked): it fails the next receive barrier that cannot
 	// complete.
@@ -156,9 +153,11 @@ type mesh struct {
 	// future[src] buffers inbound flow records ahead of the current round.
 	future [][]futRec
 
-	// retained[dst] holds the last retainRounds rounds of records sent toward
-	// dst, verbatim, for recovery resends. Nil when Recover is off.
-	retained [][]retRound
+	// retained[dst][t] holds the records of round t sent toward dst, verbatim
+	// and for the whole run: what a respawned dst replays from Init out of.
+	// Rounds open one by one from 0 (a respawned sender's own replay included),
+	// so the index is the round. Nil when Recover is off.
+	retained [][][]outRec
 
 	wire codec.StreamWire
 }
@@ -184,7 +183,7 @@ func newMesh(cfg meshConfig) *mesh {
 		m.tokens[j] = defaultWindow
 	}
 	if cfg.Recover {
-		m.retained = make([][]retRound, cfg.P)
+		m.retained = make([][][]outRec, cfg.P)
 	}
 	return m
 }
@@ -642,8 +641,9 @@ func (m *mesh) processEndLocked(wd codec.Window) error {
 // worker's arena recycler) runs before the round number advances — no chunk
 // of round t can decode into an arena that is still being reset, because
 // ahead-of-round records sit buffered until this function drains them.
-// Retention opens a fresh ring entry per destination and trims to K.
-func (m *mesh) beginRound(t int, onNewRound func()) error {
+// Retention opens round t's entry per destination; live false makes the round
+// a replay (see mesh.live).
+func (m *mesh) beginRound(t int, live bool, onNewRound func()) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if onNewRound != nil {
@@ -659,15 +659,10 @@ func (m *mesh) beginRound(t int, onNewRound func()) error {
 		m.rxMsgs[j] = 0
 		m.rxBytes[j] = 0
 	}
-	if m.retained != nil {
-		for j := range m.retained {
-			if j == m.cfg.Self {
-				continue
-			}
-			m.retained[j] = keepLast(append(m.retained[j], retRound{round: t}), retainRounds)
-		}
+	for j := range m.retained {
+		m.retained[j] = append(m.retained[j], nil)
 	}
-	m.round = t
+	m.round, m.live = t, live
 	// Drain the buffered ahead-of-round records that have become current:
 	// in arrival order per source, keeping what is still ahead. Rounds the
 	// barrier skipped past (catch-up) drop.
@@ -702,12 +697,17 @@ func (m *mesh) beginRound(t int, onNewRound func()) error {
 // sendChunk streams one chunk of the current round's flow toward dst:
 // acquire a token (blocking until the receiver credits a slot), stamp the
 // next sequence number, fold the sender digest, retain under recovery, and
-// queue on the first hop. Called from the worker goroutine only.
+// queue on the first hop — the first and the last on a live round only.
+// Called from the worker goroutine only.
 func (m *mesh) sendChunk(dst int, body []byte, count int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.awaitToken(dst, "flow to %d stalled out of credits"); err != nil {
-		return err
+	if m.live {
+		if err := m.awaitToken(dst, "flow to %d stalled out of credits"); err != nil {
+			return err
+		}
+		m.tokens[dst]--
+		m.wire.Chunks++
 	}
 	if m.err != nil {
 		return m.err
@@ -715,17 +715,13 @@ func (m *mesh) sendChunk(dst int, body []byte, count int) error {
 	if m.closed {
 		return ErrKilled
 	}
-	m.tokens[dst]--
 	pf := codec.PeerFrame{Src: m.cfg.Self, Dst: dst, Round: m.round, Seq: m.sendSeq[dst], Count: count}
 	payload := codec.AppendPeerFrame(nil, pf)
 	payload = append(payload, body...)
 	m.sendSeq[dst]++
 	m.sChunks[dst]++
 	m.sDig[dst] = foldFrame(m.sDig[dst], payload)
-	m.wire.Sent += int64(len(payload) + 1)
-	m.wire.Chunks++
-	m.retainLocked(dst, recPeerFrame, payload)
-	m.enqueueLocked(meshHop(m.cfg.Kind, m.cfg.Self, dst), recPeerFrame, payload)
+	m.sendLocked(dst, recPeerFrame, payload)
 	return nil
 }
 
@@ -742,40 +738,36 @@ func (m *mesh) sendEnd(dst int, msgs, logicalBytes int64) (codec.PeerDigest, err
 		Kind: codec.WindowEnd, Src: m.cfg.Self, Dst: dst, Round: m.round,
 		Chunks: m.sChunks[dst], Msgs: msgs, Bytes: logicalBytes, Digest: m.sDig[dst],
 	}
-	payload := codec.AppendWindow(nil, wd)
-	m.wire.Sent += int64(len(payload) + 1)
-	m.retainLocked(dst, recWindow, payload)
-	m.enqueueLocked(meshHop(m.cfg.Kind, m.cfg.Self, dst), recWindow, payload)
+	m.sendLocked(dst, recWindow, codec.AppendWindow(nil, wd))
 	return codec.PeerDigest{
 		Peer: dst, Chunks: wd.Chunks, Msgs: msgs, Bytes: logicalBytes, Digest: wd.Digest,
 	}, nil
 }
 
-// retainLocked appends one sent record to the current round's retention
-// entry for dst.
-func (m *mesh) retainLocked(dst int, typ byte, payload []byte) {
-	if m.retained == nil {
-		return
+// sendLocked retains one record of the current round's flow toward dst under
+// recovery and, on a live round, queues it on the first hop.
+func (m *mesh) sendLocked(dst int, typ byte, payload []byte) {
+	if m.retained != nil {
+		m.retained[dst][m.round] = append(m.retained[dst][m.round], outRec{typ: typ, payload: payload})
 	}
-	ring := m.retained[dst]
-	if len(ring) == 0 || ring[len(ring)-1].round != m.round {
-		return // retention ring opens at beginRound; a missing entry means catch-up replay, which never retains
+	if m.live {
+		m.wire.Sent += int64(len(payload) + 1)
+		m.enqueueLocked(meshHop(m.cfg.Kind, m.cfg.Self, dst), typ, payload)
 	}
-	e := &ring[len(ring)-1]
-	e.recs = append(e.recs, outRec{typ: typ, payload: payload})
 }
 
-// resend replays the retained records toward target for rounds [from, to]
+// resend replays the retained records toward target for rounds 0..to
 // verbatim — byte-identical to the originals by determinism, accepted
 // idempotently by the receiver's sequence gate. gen is the target's new
 // incarnation generation: the resend first waits for that incarnation's link
 // to attach, because records enqueued to the dead incarnation's link (which
 // this worker may not have noticed dying yet) would be silently dropped.
-// Rounds ahead of this worker's own current round skip — nothing of them has
-// been streamed, so live traffic toward the fresh link covers them. Tokens
+// to may run ahead of this worker's own round: nothing of those rounds has
+// been streamed or retained, and live traffic toward the fresh link covers
+// them. Tokens
 // toward the target refill (the new incarnation grants credits from
 // scratch); chunk records re-acquire them so the resend respects the window.
-func (m *mesh) resend(target, from, to, gen int) error {
+func (m *mesh) resend(target, to, gen int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.wait(m.cfg.Timeout, fmt.Sprintf("resend to %d: incarnation %d never attached", target, gen), func() (bool, error) {
@@ -787,22 +779,11 @@ func (m *mesh) resend(target, from, to, gen int) error {
 	m.tokens[target] = defaultWindow
 	m.cond.Broadcast()
 	hop := meshHop(m.cfg.Kind, m.cfg.Self, target)
-	for t := from; t <= to; t++ {
-		if t > m.round {
-			continue // not streamed yet — the live round reaches the fresh link
+	for t, recs := range m.retained[target] {
+		if t > to {
+			break
 		}
-		var e *retRound
-		for i := range m.retained[target] {
-			if m.retained[target][i].round == t {
-				e = &m.retained[target][i]
-				break
-			}
-		}
-		if e == nil {
-			return fmt.Errorf("net: worker %d cannot resend round %d to %d: retention (K=%d) trimmed it",
-				m.cfg.Self, t, target, retainRounds)
-		}
-		for _, r := range e.recs {
+		for _, r := range recs {
 			if r.typ == recPeerFrame {
 				if err := m.awaitToken(target, "resend to %d stalled out of credits"); err != nil {
 					return err
@@ -847,7 +828,7 @@ func (m *mesh) barrier() error {
 // waitComplete blocks until every inbound flow of round t has ended, then
 // returns the receive-side PeerDigest entries (ascending source) and the
 // round digest — the ascending-source fold of the per-flow digests that
-// feeds the worker's checkpoint chain. Under recovery a missing flow waits
+// feeds the worker's frame chain. Under recovery a missing flow waits
 // indefinitely (the coordinator restarts the dead sender and its peers
 // resend); without it, a round left incomplete by a lost link fails here
 // and the timeout bounds the wait as the teardown backstop.

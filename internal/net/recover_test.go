@@ -1,16 +1,22 @@
 package net
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	stdnet "net"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"distkcore/internal/core"
+	"distkcore/internal/densest"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
 	"distkcore/internal/obs"
@@ -19,13 +25,13 @@ import (
 )
 
 // The crash-recovery determinism contract (DESIGN.md §13): a run in which a
-// worker is killed at ANY phase boundary of ANY round and then recovered
-// from its last checkpoint must produce results byte-identical to the
+// worker is killed at ANY phase boundary of ANY round and then replayed from
+// Init out of the retained flows must produce results byte-identical to the
 // undisturbed run — same B vector, same dist.Metrics (Words included), same
 // cluster frame ledger. The sweep below exercises every (worker, phase,
-// round) kill point over the interesting rounds: 0 (Init, possibly before
-// any checkpoint exists), 1 (first resumable round), the middle and the
-// final round (whose recovery surfaces at the finish phase).
+// round) kill point over the interesting rounds: 0 (Init, nothing to replay),
+// 1 (the first round that carries frames), the middle and the final round
+// (whose recovery surfaces at the finish phase).
 
 // killPhases are the worker-side fault-injection seams of the round loop on
 // the relay plane. The stream plane names its outbound half send instead of
@@ -60,7 +66,7 @@ func TestRecoverySweepBitIdentical(t *testing.T) {
 	// The change-driven program's own corner: a weighted multigraph with
 	// self-loops and parallel edges, Λ = ℝ, killed in an early round (the first
 	// whose inboxes hold the changed senders only) and in a late, quiet one,
-	// where nobody has anything to say and a checkpoint is all flags and tables.
+	// where nobody has anything to say and a replayed round carries no frame.
 	// The reference is held to the centralized every-round simulation first.
 	lg := loopyMultigraph(90, 5)
 	const lT = 18 // past the 12 of TForEpsilon: this graph settles in round 13
@@ -76,6 +82,62 @@ func TestRecoverySweepBitIdentical(t *testing.T) {
 		}
 	}
 	sweepRecovery(t, "loopy/", lg, lopt, []int{2, lT - 2})
+
+	// Recovery is a property of the runtime, not of one program: a worker's
+	// state is replayed, never serialized, so the orientation run (auxiliary
+	// arc sets, published in the last round) and the weak densest subset
+	// pipeline (four phases, unicasts, Vec payloads — killed while the trees
+	// aggregate) recover like coreness does, on both planes.
+	orientation := func(eng dist.Engine) (any, dist.Metrics) {
+		res, met := core.RunDistributed(g, core.Options{Rounds: T, TrackAux: true}, eng)
+		return [2]any{res.B, res.AuxEdges}, met
+	}
+	wcfg := densest.Config{Gamma: 3, Rounds: 5}
+	weak := func(eng dist.Engine) (any, dist.Metrics) {
+		res, met := densest.RunWeakDistributed(g, wcfg, eng)
+		if len(res.Subsets) == 0 {
+			t.Fatal("densest cell accepts no subset: nothing crosses the trees")
+		}
+		return res, met
+	}
+	for _, plane := range []struct {
+		name string
+		mk   func(int) *Engine
+		ph   obs.Phase
+	}{{"relay", recoveryEngine, obs.PhaseEncode}, {"stream", streamRecoveryEngine, obs.PhaseRecv}} {
+		killCell(t, "orientation/"+plane.name, plane.mk, plane.ph, T, 1, orientation)
+		killCell(t, "densest/"+plane.name, plane.mk, plane.ph, 3*wcfg.Rounds+3, 2, weak)
+	}
+}
+
+// killCell holds one kill point of an arbitrary protocol run to the
+// undisturbed recovery-armed run of the same engine: result, Metrics and
+// cluster ledger byte-identical, and both to the sequential engine.
+func killCell(t *testing.T, name string, mk func(int) *Engine, ph obs.Phase, round, worker int,
+	run func(dist.Engine) (any, dist.Metrics)) {
+	t.Run(name, func(t *testing.T) {
+		seq, seqMet := run(dist.SeqEngine{})
+		refEng := mk(3)
+		ref, refMet := run(refEng)
+		if refEng.Recoveries() != 0 || refMet != seqMet || !reflect.DeepEqual(ref, seq) {
+			t.Fatalf("recovery-armed run diverges from seq before any fault (metrics %+v, seq %+v)", refMet, seqMet)
+		}
+		eng := mk(3)
+		eng.KillAt(ph, round, worker)
+		res, met := run(eng)
+		if n := eng.Recoveries(); n != 1 {
+			t.Fatalf("recoveries = %d, want the one armed at %s of round %d", n, ph, round)
+		}
+		if met != refMet {
+			t.Errorf("metrics %+v, want %+v", met, refMet)
+		}
+		if !reflect.DeepEqual(res, ref) {
+			t.Errorf("result diverges from the undisturbed run")
+		}
+		if lg := eng.ClusterMetrics(); !reflect.DeepEqual(lg, refEng.ClusterMetrics()) {
+			t.Errorf("cluster ledger %+v, want %+v", lg, refEng.ClusterMetrics())
+		}
+	})
 }
 
 // loopyMultigraph is a BA graph with weights in tenths (inexact sums: the
@@ -112,8 +174,8 @@ func sweepRecovery(t *testing.T, prefix string, g *graph.Graph, opt core.Options
 	}
 	for _, mode := range modes {
 		// Undisturbed capture — note the reference runs WITH recovery armed
-		// (checkpoints flowing) so the sweep isolates the kill+restore path,
-		// and a plain recovery-armed run is separately pinned against seq.
+		// (chains folded, flows retained) so the sweep isolates the kill+replay
+		// path, and a plain recovery-armed run is separately pinned against seq.
 		refEng := mode.mk(3)
 		ref, refMet := core.RunDistributed(g, opt, refEng)
 		refLedger := refEng.ClusterMetrics()
@@ -182,8 +244,8 @@ func TestKillWithoutRecoveryFailsRun(t *testing.T) {
 	}
 }
 
-// Recovery over a churn run: the respawned worker must replay the retained
-// delta record and rebalance before resuming, landing on the identical
+// Recovery over a churn run: the respawned worker must be handed the delta
+// record again and rebalance before replaying, landing on the identical
 // post-churn execution.
 func TestRecoveryAcrossChurn(t *testing.T) {
 	g := graph.BarabasiAlbert(140, 3, 6)
@@ -252,5 +314,199 @@ func TestStreamRecoveryNoGoroutineLeak(t *testing.T) {
 	}
 	if got := runtime.NumGoroutine(); got > before {
 		t.Fatalf("goroutines leaked across streamed recovered runs: %d before, %d after", before, got)
+	}
+}
+
+// clusterEngine is a dist.Engine over a hand-driven three-worker Cluster with
+// recovery armed, for the faults Engine.KillAt cannot express: kill is
+// consulted (under mu) at every phase seam of every incarnation, and wrap,
+// when set, stands between the coordinator and each respawned worker.
+type clusterEngine struct {
+	stream bool
+	mu     sync.Mutex
+	kill   func(shard int, ph obs.Phase, round int) bool
+	wrap   func(stdnet.Conn) stdnet.Conn
+	lam    quantize.Lambda
+	rep    *Report
+	err    error
+}
+
+func (e *clusterEngine) WithWireLambda(lam quantize.Lambda) dist.Engine { e.lam = lam; return e }
+
+func (e *clusterEngine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.Metrics {
+	assign := shard.Hash{}.Partition(g, 3)
+	body := func(s Seat) error {
+		w := s.Worker(g, assign)
+		w.lam, w.ChunkBytes = e.lam, 256
+		w.Kill = func(ph obs.Phase, r int) bool {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			return e.kill(s.Shard, ph, r)
+		}
+		_, err := w.run(g, factory, maxRounds)
+		return err
+	}
+	cl := &Cluster{P: 3, IOTimeout: 10 * time.Second, Stream: e.stream}
+	if err := cl.Start(body); err != nil {
+		panic(err)
+	}
+	defer cl.Close()
+	var met dist.Metrics
+	met, e.rep, e.err = cl.Hub.Run(Spec{P: 3, Stream: e.stream, MaxRounds: maxRounds, Lam: e.lam, Recover: true,
+		GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign),
+		Respawn: func(s, gen int) (*Conn, error) {
+			cn, err := cl.Respawn(s, gen, body)
+			if err == nil && e.wrap != nil {
+				cn = NewConn(e.wrap(cn.nc))
+			}
+			return cn, err
+		}})
+	return met
+}
+
+// Two workers die in one streamed run, rounds apart. The second death is fed
+// by the first one's successor, whose sends of the rounds before its own death
+// exist only because its replay retained them again: the run still ends
+// byte-identical, ledger included.
+func TestTwoDeathsInOneStreamedRun(t *testing.T) {
+	g := graph.BarabasiAlbert(150, 3, 11)
+	T := core.TForEpsilon(g.N(), 0.5)
+	opt := core.Options{Rounds: T}
+	refEng := streamRecoveryEngine(3)
+	ref, refMet := core.RunDistributed(g, opt, refEng)
+
+	deaths := map[int]int{0: 2, 2: T/2 + 2} // worker → the round it dies in, once
+	eng := &clusterEngine{stream: true, kill: func(w int, ph obs.Phase, r int) bool {
+		if at, ok := deaths[w]; !ok || ph != obs.PhaseDeliver || r != at {
+			return false
+		}
+		delete(deaths, w)
+		return true
+	}}
+	res, met := core.RunDistributed(g, opt, eng)
+	if eng.err != nil {
+		t.Fatal(eng.err)
+	}
+	if eng.rep.Recoveries != 2 {
+		t.Fatalf("recoveries = %d, want 2", eng.rep.Recoveries)
+	}
+	if met != refMet || !reflect.DeepEqual(res.B, ref.B) {
+		t.Errorf("run diverges after two deaths: metrics %+v, want %+v", met, refMet)
+	}
+	eng.rep.Sharding.EdgeCutFraction = refEng.ClusterMetrics().EdgeCutFraction
+	if !reflect.DeepEqual(eng.rep.Sharding, refEng.ClusterMetrics()) {
+		t.Errorf("cluster ledger %+v, want %+v", eng.rep.Sharding, refEng.ClusterMetrics())
+	}
+}
+
+// flipConn flips the low bit of the last byte of the first frame record
+// written through it — on a float payload under Λ = ℝ, a well-formed value
+// that is not the one sent. Writes start at record boundaries here: the
+// coordinator's buffer is larger than everything one replay writes.
+type flipConn struct {
+	stdnet.Conn
+	flipped bool
+}
+
+func (c *flipConn) Write(p []byte) (int, error) {
+	for off := 0; !c.flipped && off < len(p); {
+		n, k := binary.Uvarint(p[off:])
+		end := off + k + int(n)
+		if k <= 0 || n == 0 || end > len(p) {
+			break
+		}
+		if p[off+k] == recFrame {
+			p = append([]byte(nil), p...)
+			p[end-1] ^= 1
+			c.flipped = true
+		}
+		off = end
+	}
+	return c.Conn.Write(p)
+}
+
+// A replayed flow that differs from what the coordinator sealed — one bit of
+// one value, everything still decoding — must not be replayed into a result:
+// the respawned worker's frame chain, reported with its metrics, disagrees
+// with the coordinator's, and the run aborts naming that worker.
+func TestCorruptedReplayAbortsAttributed(t *testing.T) {
+	g := graph.BarabasiAlbert(150, 3, 11)
+	fired := false
+	flip := &flipConn{}
+	eng := &clusterEngine{
+		kill: func(w int, ph obs.Phase, r int) bool {
+			if fired || w != 1 || ph != obs.PhaseDeliver || r != 3 {
+				return false
+			}
+			fired = true
+			return true
+		},
+		wrap: func(nc stdnet.Conn) stdnet.Conn { flip.Conn = nc; return flip },
+	}
+	core.RunDistributed(g, core.Options{Rounds: 8}, eng)
+	var re *RunError
+	if !flip.flipped || !errors.As(eng.err, &re) {
+		t.Fatalf("corrupted replay (flipped: %v) ended with %v, want a *RunError", flip.flipped, eng.err)
+	}
+	if re.Worker != 1 || !strings.Contains(re.Error(), "frame chain") {
+		t.Errorf("failure %v, want worker 1's frame chain refused", re)
+	}
+}
+
+// countConn counts the bytes read through it.
+type countConn struct {
+	stdnet.Conn
+	n *atomic.Int64
+}
+
+func (c countConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// Arming recovery costs the coordinator nothing on a fault-free run: what is
+// kept to recover from a fault stays where the flows already are, so the
+// workers send it the same bytes, to the byte, as with recovery off — no
+// per-round state, on either plane.
+func TestArmedRunShipsNoStateToCoordinator(t *testing.T) {
+	g := graph.BarabasiAlbert(150, 3, 11)
+	T := core.TForEpsilon(g.N(), 0.5)
+	opt := core.Options{Rounds: T}
+	_, seqMet := core.RunDistributed(g, opt, dist.SeqEngine{})
+	assign := shard.Hash{}.Partition(g, 3)
+	received := func(stream, armed bool) int64 {
+		var recv atomic.Int64
+		br := newMeshBroker(3)
+		conns := make([]*Conn, 3)
+		var wg sync.WaitGroup
+		for s := range conns {
+			a, b := stdnet.Pipe()
+			conns[s] = NewConn(countConn{a, &recv})
+			w := NewWorker(NewConn(b), g, assign)
+			ib := br.register(s)
+			w.MeshDial, w.MeshAccept, w.MeshClose = br.dial, ib.accept, func() { br.close(ib) }
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer w.c.Close()
+				core.RunDistributed(g, opt, w)
+			}()
+		}
+		met, _, err := RunCoordinator(conns, Spec{P: 3, Stream: stream, Recover: armed, MaxRounds: T,
+			GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign)})
+		for _, c := range conns {
+			c.Close() // the caller owns them; a worker still reading sees EOF
+		}
+		wg.Wait()
+		if err != nil || met != seqMet {
+			t.Fatalf("stream=%v armed=%v: metrics %+v (%v), want %+v", stream, armed, met, err, seqMet)
+		}
+		return recv.Load()
+	}
+	for _, stream := range []bool{false, true} {
+		if off, on := received(stream, false), received(stream, true); on != off || off == 0 {
+			t.Errorf("stream=%v: the coordinator received %d bytes with recovery armed, %d without", stream, on, off)
+		}
 	}
 }

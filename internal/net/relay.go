@@ -48,23 +48,29 @@ func newRelayWorker(r *workerLoop) *relayWorker {
 	return p
 }
 
-func (p *relayWorker) begin(t int) error { p.r.resetArenas(t); return nil }
-func (p *relayWorker) ack(int) error     { return nil }
-func (p *relayWorker) close()            {}
+func (p *relayWorker) begin(t int, _ bool) error { p.r.resetArenas(t); return nil }
+func (p *relayWorker) ack(int) error             { return nil }
+func (p *relayWorker) close()                    {}
 
 // done writes one frame per nonempty destination, then the done record
-// announcing how many went out.
-func (p *relayWorker) done(t, alive int) (bytes, msgs int64, err error) {
+// announcing how many went out. A replayed round drops what it framed: the
+// coordinator has forwarded those frames already.
+func (p *relayWorker) done(t, alive int, live bool) (bytes, msgs int64, err error) {
 	p.sent, p.sentBytes = 0, 0
 	for _, ps := range p.r.out {
 		if ps == nil {
 			continue
 		}
-		msgs += int64(ps.Msgs)
-		if err := ps.Finish(); err != nil {
-			return 0, 0, err
+		if live {
+			msgs += int64(ps.Msgs)
+			if err := ps.Finish(); err != nil {
+				return 0, 0, err
+			}
 		}
 		ps.Reset()
+	}
+	if !live {
+		return 0, 0, nil
 	}
 	done := binary.AppendUvarint(nil, uint64(t))
 	done = binary.AppendUvarint(done, uint64(alive))
@@ -139,25 +145,20 @@ type frameRec struct {
 	body       []byte
 }
 
-// relayRound is one retained round of relay history for one worker: the
-// frames forwarded to it, for catch-up replay.
-type relayRound struct {
-	round  int
-	frames []frameRec
-}
-
 // relayCoord is the coordinator half: park, forward, retain.
 type relayCoord struct {
 	c          *coordinator
 	park       [][]frameRec // park[q] = round's frames parked for worker q
 	framesFrom []int
-	hist       [][]relayRound // last K rounds forwarded, per worker (recovery)
-	bytes, n   int64          // forwarded this round
+	// hist[q][t] is what round t forwarded to worker q, kept for the whole
+	// run under recovery: a respawned q replays from Init out of it.
+	hist     [][][]frameRec
+	bytes, n int64 // forwarded this round
 }
 
-func (p *relayCoord) phase() obs.Phase              { return obs.PhaseRelay }
-func (p *relayCoord) volume() (int64, int64)        { return p.bytes, p.n }
-func (p *relayCoord) resend(w, gen, from int) error { return nil }
+func (p *relayCoord) phase() obs.Phase        { return obs.PhaseRelay }
+func (p *relayCoord) volume() (int64, int64)  { return p.bytes, p.n }
+func (p *relayCoord) resend(w, gen int) error { return nil }
 
 func (p *relayCoord) begin(int) {
 	np := p.c.hub.P()
@@ -230,8 +231,7 @@ func (p *relayCoord) seal(t int) error {
 		for _, fr := range frames {
 			p.c.chains[q] = foldFrame(p.c.chains[q], fr.body)
 		}
-		p.c.retain(t, q)
-		p.hist[q] = keepLast(append(p.hist[q], relayRound{round: t, frames: frames}), retainRounds)
+		p.hist[q] = append(p.hist[q], frames)
 	}
 	return nil
 }
@@ -262,23 +262,15 @@ func (p *relayCoord) release(t, q int) (bool, error) {
 // replay re-forwards one retained round: the announcement, then exactly the
 // frames the dead incarnation was sent.
 func (p *relayCoord) replay(cn *Conn, w, t int) (bytes, items int64, err error) {
-	var hr *relayRound
-	for i := range p.hist[w] {
-		if p.hist[w][i].round == t {
-			hr = &p.hist[w][i]
-		}
-	}
-	if hr == nil {
-		return 0, 0, fmt.Errorf("retention (K=%d) trimmed it", retainRounds)
-	}
-	if err := cn.WriteRecord(recReplay, codec.AppendReplay(nil, codec.Replay{Round: t, Frames: len(hr.frames)})); err != nil {
+	frames := p.hist[w][t]
+	if err := cn.WriteRecord(recReplay, codec.AppendReplay(nil, codec.Replay{Round: t, Frames: len(frames)})); err != nil {
 		return 0, 0, err
 	}
-	for _, fr := range hr.frames {
+	for _, fr := range frames {
 		if err := cn.WriteRecord(recFrame, fr.body); err != nil {
 			return 0, 0, err
 		}
 		bytes += int64(len(fr.body))
 	}
-	return bytes, int64(len(hr.frames)), nil
+	return bytes, int64(len(frames)), nil
 }

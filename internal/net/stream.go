@@ -13,11 +13,11 @@ import (
 // Cross-shard sends stream straight to their destination workers over the
 // mesh (mesh.go) as the local step produces them, and the coordinator
 // connection carries only barrier records — done (with per-peer sent
-// digests), the release, the ack (with per-peer received digests),
-// checkpoints. The coordinator never sees a frame: it verifies that the
+// digests), the release, the ack (with per-peer received digests). The
+// coordinator never sees a frame: it verifies that the
 // digest matrix closes — sent[a][b] == recv[b][a] for every pair, every
-// round — and that each worker's checkpoint chain folds from exactly those
-// digests.
+// round — and, under recovery, that each worker's frame chain folds from
+// exactly those digests.
 
 // streamWorker is the worker half: per-peer chunk streams going out over
 // the mesh, whose readers absorb the inbound chunks as they arrive.
@@ -71,15 +71,16 @@ func (p *streamWorker) close() { p.m.Close() }
 // begin opens the mesh round; the arena slot recycles under the mesh mutex
 // before the round number advances, so no chunk of round t can decode into
 // an arena that is still being reset.
-func (p *streamWorker) begin(t int) error {
-	return p.m.beginRound(t, func() { p.r.resetArenas(t) })
+func (p *streamWorker) begin(t int, live bool) error {
+	return p.m.beginRound(t, live, func() { p.r.resetArenas(t) })
 }
 
 // done ends every flow, drains the mesh writers and reports the per-peer
 // sent digests. The flow ledger prices logical frame bytes (one relay-style
 // header + bodies per nonempty flow), which is what keeps ShardMetrics
-// bit-equal to the relay plane's.
-func (p *streamWorker) done(t, alive int) (bytes, msgs int64, err error) {
+// bit-equal to the relay plane's. On a replayed round the mesh has retained
+// the flows and queued nothing, so there is nothing to drain or report.
+func (p *streamWorker) done(t, alive int, live bool) (bytes, msgs int64, err error) {
 	self := p.r.h.Shard
 	ents := make([]codec.PeerDigest, 0, len(p.r.out)-1)
 	for q, ps := range p.r.out {
@@ -99,6 +100,9 @@ func (p *streamWorker) done(t, alive int) (bytes, msgs int64, err error) {
 		msgs += int64(ps.Msgs)
 		ps.Reset()
 	}
+	if !live {
+		return bytes, msgs, nil
+	}
 	// Drain the writers before done: "done received" must mean "this
 	// worker's chunks are on the wire", or a death right after done could
 	// strand peers waiting on flows nobody will resend for it.
@@ -113,12 +117,12 @@ func (p *streamWorker) record(typ byte, body []byte) error {
 	switch typ {
 	case recStreamResend:
 		// Re-feed a respawned peer: replay the retained records of rounds
-		// [from, to] toward its new incarnation, verbatim.
-		var target, from, to, gen int
-		if err := uvarints("stream-resend", body, &target, &from, &to, &gen); err != nil {
+		// 0..to toward its new incarnation, verbatim.
+		var target, to, gen int
+		if err := uvarints("stream-resend", body, &target, &to, &gen); err != nil {
 			return err
 		}
-		return p.m.resend(target, from, to, gen)
+		return p.m.resend(target, to, gen)
 	case recStreamReplay:
 		// The round's inbound flows arrive over the mesh (resent by the
 		// peers), not on this connection.
@@ -135,7 +139,7 @@ func (p *streamWorker) record(typ byte, body []byte) error {
 }
 
 // inbound is the receive barrier: await every inbound flow's end marker,
-// then fold the round's digest into the checkpoint chain.
+// then fold the round's digest into the frame chain.
 func (p *streamWorker) inbound(t int, live bool, rel []byte) error {
 	w := p.r.w
 	if live {
@@ -315,7 +319,6 @@ func (p *streamCoord) seal(t int) error {
 			}
 		}
 		p.c.chains[w] = foldU64(p.c.chains[w], dig)
-		p.c.retain(t, w)
 	}
 	return nil
 }
@@ -325,7 +328,7 @@ func (p *streamCoord) release(t, q int) (bool, error) {
 }
 
 // resend instructs every peer to re-send toward respawned worker w its
-// retained flows of rounds from..cur. That can reach one round past what w
+// retained flows of rounds 0..cur. That can reach one round past what w
 // replays: a worker that died mid-round t is restored through t-1 but needs
 // round t's inbound flows too, since the peers already streamed (and will
 // not re-stream) them. w's welcome is in, so its mesh is formed from its
@@ -334,12 +337,8 @@ func (p *streamCoord) release(t, q int) (bool, error) {
 // number Spec.Respawn started the incarnation under — so each peer waits for
 // that incarnation's link before writing a byte (records to the dead link
 // would drop silently).
-func (p *streamCoord) resend(w, gen, from int) error {
-	if from > p.c.cur {
-		return nil
-	}
+func (p *streamCoord) resend(w, gen int) error {
 	req := binary.AppendUvarint(nil, uint64(w))
-	req = binary.AppendUvarint(req, uint64(from))
 	req = binary.AppendUvarint(req, uint64(p.c.cur))
 	req = binary.AppendUvarint(req, uint64(gen))
 	for q := range p.sent {

@@ -32,11 +32,11 @@ type KillFunc func(phase obs.Phase, round int) bool
 // frameChainSeed starts each worker's frame-chain digest: an FNV-1a fold
 // (offset basis, 64-bit prime) over everything the worker receives — every
 // relayed frame, length then bytes, or every streamed round's digest —
-// maintained identically by the coordinator when it seals the round. A
-// checkpoint carries the chain so the coordinator can verify the worker
-// received exactly what the round sent it — and a catch-up replay, folding
-// the identical inbound flows in the identical order, lands on the
-// identical chain (DESIGN.md §13).
+// maintained identically by the coordinator when it seals the round. The
+// worker's metrics record carries the chain so the coordinator can verify the
+// worker received exactly what the rounds sent it — and a respawned
+// incarnation's replay, folding the identical inbound flows in the identical
+// order, lands on the identical chain (DESIGN.md §13).
 const frameChainSeed = uint64(14695981039346656037)
 
 // foldFrame folds one frame (or streamed chunk) record body into a chain.
@@ -142,10 +142,10 @@ func (w *Worker) Name() string { return "net-worker" }
 // connection failure or protocol violation panics after a best-effort error
 // record to the coordinator; cmd/cluster's worker recovers the panic into
 // an exit status. When the hello armed Recover (DESIGN.md §13), the worker
-// additionally checkpoints its driver state after every delivery and — in a
-// respawned incarnation — honors the coordinator's resume/replay records to
-// rejoin the run at the exact sealed barrier; worker death is then the
-// coordinator's problem, not the run's.
+// additionally folds what it receives into its frame chain and — in a
+// respawned incarnation — honors the coordinator's replay records to rejoin
+// the run at the exact sealed barrier; worker death is then the coordinator's
+// problem, not the run's.
 func (w *Worker) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.Metrics {
 	met, err := w.run(g, factory, maxRounds)
 	if err != nil {
@@ -191,13 +191,15 @@ func (remote) Round(*dist.Ctx, []dist.Message) { panic("net: hook of a node anot
 // round loop. relayWorker (relay.go) frames them onto the coordinator
 // connection; streamWorker (stream.go) chunks them onto the mesh.
 type workerPlane interface {
-	// begin opens round t before the local step.
-	begin(t int) error
+	// begin opens round t before the local step. live is false on a
+	// respawned incarnation's catch-up replay of the round, through done and
+	// inbound alike: the round is produced again and nothing is sent.
+	begin(t int, live bool) error
 	// done finishes the round's outbound streams (workerLoop.out, whose
 	// Flush hooks are the plane's) and buffers the done record that reports
 	// them and the alive count; bytes and msgs are what the outbound span
-	// records.
-	done(t, alive int) (bytes, msgs int64, err error)
+	// records. On a replayed round nothing goes out, the done record included.
+	done(t, alive int, live bool) (bytes, msgs int64, err error)
 	// record handles the records only this plane speaks.
 	record(typ byte, body []byte) error
 	// inbound returns once every inbound flow of round t has been absorbed.
@@ -306,13 +308,13 @@ func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
 // prices this shard's share of the protocol Metrics (every send, intra-shard
 // included; a leading broadcast once × its fan-out, as dist prices a slot)
 // and frames the cross-shard subset for the plane (shard.Fanout.Emit), then
-// the done record. A catch-up replay (live false) re-runs hooks and pricing
-// only — the peers already hold the dead incarnation's identical bytes — and
-// consults no kill seam.
+// the done record. A catch-up replay (live false) does all of that but the
+// sending — the peers already hold the dead incarnation's identical bytes;
+// the plane keeps what it would retain of them — and consults no kill seam.
 func (r *workerLoop) step(t int, live bool) error {
 	w, self := r.w, r.h.Shard
 	r.cur = t
-	if err := w.plane.begin(t); err != nil {
+	if err := w.plane.begin(t, live); err != nil {
 		return err
 	}
 	sp := w.Trace.Begin(obs.PhaseStep, t, self)
@@ -339,16 +341,10 @@ func (r *workerLoop) step(t int, live bool) error {
 			price(int64(len(r.g.Peers(v))), m)
 		}
 		r.d.Queued(v, queued)
-		if live {
-			r.fan.Emit(r.d, v, entry)
-		}
+		r.fan.Emit(r.d, v, entry)
 		if serr != nil {
 			return serr
 		}
-	}
-	if !live {
-		out.End()
-		return nil
 	}
 	alive := 0
 	for _, v := range r.local {
@@ -356,11 +352,14 @@ func (r *workerLoop) step(t int, live bool) error {
 			alive++
 		}
 	}
-	bytes, msgs, err := w.plane.done(t, alive)
+	bytes, msgs, err := w.plane.done(t, alive, live)
 	if err != nil {
 		return err
 	}
 	out.EndN(bytes, msgs)
+	if !live {
+		return nil
+	}
 	if err := w.c.Flush(); err != nil {
 		return err
 	}
@@ -374,9 +373,8 @@ func (r *workerLoop) step(t int, live bool) error {
 // finish is the receive half of round t: wait out the inbound flows — absorb
 // has put the remote sends into the Driver's slots and queues by the time
 // the last one ends — Deliver every local inbox in the global deterministic
-// order (ascending sender, ties in send order), and — under Recover — ship
-// the sealed barrier state to the coordinator as a checkpoint, before any
-// ack: an acked round is always restorable.
+// order (ascending sender, ties in send order), and acknowledge a live round
+// where the plane has an ack.
 func (r *workerLoop) finish(t int, live bool, rel []byte) error {
 	w := r.w
 	r.bw.End()
@@ -390,29 +388,18 @@ func (r *workerLoop) finish(t int, live bool, rel []byte) error {
 	dl := w.Trace.Begin(obs.PhaseDeliver, t, r.h.Shard)
 	r.d.Deliver(nil)
 	dl.End()
-	if r.h.Recover {
-		st, err := r.d.AppendSnapshot(nil, r.local)
-		if err != nil {
-			return err
-		}
-		if err := w.c.WriteRecord(recCheckpoint, codec.AppendCheckpoint(nil, codec.Checkpoint{
-			Round: t, FrameChain: r.chain,
-			Msgs: r.msgs, Words: r.words, Wire: r.wire, State: st,
-		})); err != nil {
-			return err
-		}
+	if !live {
+		return nil
 	}
-	if live {
-		if err := w.plane.ack(t); err != nil {
-			return err
-		}
+	if err := w.plane.ack(t); err != nil {
+		return err
 	}
 	return w.c.Flush()
 }
 
 // replay decodes a catch-up round announcement (the planes announce it
-// under their own record numbers) and re-steps that round with sends
-// suppressed; the plane then feeds it the round's inbound flows again.
+// under their own record numbers) and re-steps that round, sending nothing;
+// the plane then feeds it the round's inbound flows again.
 func (r *workerLoop) replay(body []byte) (codec.Replay, error) {
 	rp, used, err := codec.DecodeReplay(body)
 	if err != nil {
@@ -558,6 +545,9 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			if err := uvarints("step", body, &t); err != nil {
 				return dist.Metrics{}, err
 			}
+			if t != r.cur+1 {
+				return dist.Metrics{}, fmt.Errorf("net: step(round %d) but worker is at round %d", t, r.cur)
+			}
 			if w.killed(obs.PhaseStep, t) {
 				return dist.Metrics{}, ErrKilled
 			}
@@ -572,28 +562,6 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 				return dist.Metrics{}, err
 			}
 
-		case recResume:
-			// Re-admission (DESIGN.md §8.4): restore the driver to the last
-			// retained checkpoint — or keep the fresh pre-Init state when no
-			// round was sealed before the crash — then expect Catchup replay
-			// rounds.
-			rs, used, err := codec.DecodeResume(body)
-			if err != nil {
-				return dist.Metrics{}, err
-			}
-			if used != len(body) {
-				return dist.Metrics{}, fmt.Errorf("net: resume record carries %d trailing bytes", len(body)-used)
-			}
-			r.cur, r.chain = -1, frameChainSeed
-			r.msgs, r.words, r.wire = 0, 0, 0
-			if rs.CkptRound >= 0 {
-				if err := r.d.RestoreSnapshot(rs.State, r.local); err != nil {
-					return dist.Metrics{}, err
-				}
-				r.cur, r.chain = rs.CkptRound, rs.FrameChain
-				r.msgs, r.words, r.wire = rs.Msgs, rs.Words, rs.Wire
-			}
-
 		case recFinish:
 			d := codec.NewDecoder(body)
 			rounds, halted := d.Uvarint(), d.Byte() != 0
@@ -603,6 +571,7 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			enc := binary.AppendUvarint(nil, uint64(r.msgs))
 			enc = binary.AppendUvarint(enc, uint64(r.words))
 			enc = binary.AppendUvarint(enc, uint64(r.wire))
+			enc = binary.LittleEndian.AppendUint64(enc, r.chain)
 			if err := w.c.Send(recMetrics, enc); err != nil {
 				return dist.Metrics{}, err
 			}

@@ -72,7 +72,7 @@ const (
 	// PhaseEpoch is one whole session epoch, broadcast to seal.
 	PhaseEpoch
 	// PhaseRecover is crash recovery: re-admitting a dead worker and
-	// restoring it from its last retained checkpoint (DESIGN.md §13).
+	// replaying the run to it from the retained flows (DESIGN.md §13).
 	PhaseRecover
 	// PhaseReplay is catch-up replay: re-sending one round of relayed
 	// frames to a recovered worker.

@@ -162,7 +162,7 @@ func TestSessionRecoverySweep(t *testing.T) {
 	}
 }
 
-// A kill during the epoch-0 run exercises the net-layer checkpoint path
+// A kill during the epoch-0 run exercises the net-layer replay path
 // wired through Options.Recover: the session must still open, seal epoch 0
 // and run epochs bit-identically to an undisturbed session.
 func TestSessionRecoveryDuringEpochZero(t *testing.T) {

@@ -34,7 +34,7 @@ type Options struct {
 	// worker-side.
 	Trace *obs.Tracer
 	// Recover arms crash recovery (DESIGN.md §13): a worker death during
-	// the epoch-0 run is checkpoint-restored by the net layer, and one
+	// the epoch-0 run is replayed to its successor by the net layer, and one
 	// during a later epoch seal is respawned and re-admitted at the last
 	// sealed epoch instead of latching the session broken. Epoch-0
 	// handshake faults stay fatal either way.
@@ -92,7 +92,7 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 		return nil, err
 	}
 	// With Recover an epoch-0 respawn replays the whole worker life: handshake,
-	// checkpoint-restored run, then the serve loop.
+	// the run replayed from Init, then the serve loop.
 	met, rep, err := cl.Run(net.Spec{
 		MaxRounds:  T,
 		GraphHash:  g.Fingerprint(),
