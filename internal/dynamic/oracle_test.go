@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -105,12 +106,15 @@ func (r *refMaintainer) apply(op dist.EdgeOp) bool {
 	return true
 }
 
-// applyBatch is the batched repair as it was before the frontier learned to
-// prune, kept as the second test-only reference: mutate for every op (the
-// batch must be valid), then T rounds over the seeds, last round's movers and
-// ALL their neighbours. It returns the node-rounds it evaluated and how many
-// of them moved.
-func (r *refMaintainer) applyBatch(ops []dist.EdgeOp) (reevaluated, changed int64) {
+// applyBatch is the batched repair as it was before the crossing test, kept
+// as two test-only references: mutate for every op (the batch must be valid),
+// then T rounds over the seeds — in every round — and the neighbours of last
+// round's movers. Unpruned (strict = false), that is the movers themselves and
+// ALL their neighbours; with strict it is the rule the crossing test replaced:
+// a neighbour z is left out when old and new lie strictly on one side of the
+// stored β_t(z). It returns the node-rounds it evaluated and how many of them
+// moved.
+func (r *refMaintainer) applyBatch(ops []dist.EdgeOp, strict bool) (reevaluated, changed int64) {
 	seeds := map[int]bool{}
 	for _, op := range ops {
 		if !r.mutate(op) {
@@ -118,23 +122,29 @@ func (r *refMaintainer) applyBatch(ops []dist.EdgeOp) (reevaluated, changed int6
 		}
 		seeds[op.U], seeds[op.V] = true, true
 	}
-	moved := map[int]bool{}
+	moved := map[int]float64{} // node → the value it held before
 	for t := 1; t <= r.T; t++ {
 		cand := map[int]bool{}
 		for x := range seeds {
 			cand[x] = true
 		}
-		for x := range moved {
-			cand[x] = true
+		for x, old := range moved {
+			if !strict {
+				cand[x] = true
+			}
+			now := r.hist[t-1][x]
 			for _, a := range r.adj[x] {
+				if z := r.hist[t][a.to]; strict && ((old > z && now > z) || (old < z && now < z)) {
+					continue
+				}
 				cand[a.to] = true
 			}
 		}
-		moved = map[int]bool{}
+		moved = map[int]float64{}
 		for x := range cand {
 			if nb := r.eval(t, x); nb != r.hist[t][x] {
+				moved[x] = r.hist[t][x]
 				r.hist[t][x] = nb
-				moved[x] = true
 			}
 		}
 		reevaluated += int64(len(cand))
@@ -341,7 +351,9 @@ func TestBatchTouchesSharedNodesOncePerRound(t *testing.T) {
 // the unpruned one it replaced and to a fresh core.Run, on every level of the
 // history bit for bit: pruning may change how many nodes are looked at, never
 // which move. Weights are in {1, ½, ¼, 2} — exactly summable, the contract
-// the rule is exact under.
+// the rule is exact under. The strict-same-side rule the crossing test
+// replaced runs alongside as a second reference: the crossing frontier is
+// never larger than its frontier, and on ba strictly smaller.
 func TestPrunedFrontierMatchesUnprunedAndScratch(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"ba":    graph.BarabasiAlbert(240, 3, 5),
@@ -354,9 +366,9 @@ func TestPrunedFrontierMatchesUnprunedAndScratch(t *testing.T) {
 	for gname, g := range graphs {
 		for _, size := range []int{1, 32, 128} {
 			rng := rand.New(rand.NewSource(int64(7 + size)))
-			m, r := New(g, T), newRef(g, T)
+			m, r, sr := New(g, T), newRef(g, T), newRef(g, T)
 			cur := g
-			var pruned, unpruned int64
+			var pruned, unpruned, sameSide int64
 			for round := 0; round < 6; round++ {
 				// A valid batch: deletes name distinct edges of the graph it
 				// starts on, inserts are random (loops and parallels included).
@@ -375,25 +387,248 @@ func TestPrunedFrontierMatchesUnprunedAndScratch(t *testing.T) {
 				if err := m.ApplyDelta(dist.GraphDelta{Ops: ops}); err != nil {
 					t.Fatal(err)
 				}
-				re, ch := r.applyBatch(ops)
+				re, ch := r.applyBatch(ops, false)
+				sre, sch := sr.applyBatch(ops, true)
 				var err error
 				if cur, err = (dist.GraphDelta{Ops: ops}).Apply(cur); err != nil {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s batch %d round %d", gname, size, round)
 				assertOracles(t, label, m, r, cur)
+				assertOracles(t, label+" (same-side reference)", m, sr, cur)
 				if got := m.Stats.Changed - before.Changed; got != ch {
 					t.Fatalf("%s: %d node-rounds moved, unpruned reference %d", label, got, ch)
 				}
 				if got := m.Stats.Reevaluated - before.Reevaluated; got > re {
 					t.Fatalf("%s: pruned frontier evaluated %d node-rounds, unpruned %d", label, got, re)
 				}
+				if got := m.Stats.Reevaluated - before.Reevaluated; sch != ch || got > sre {
+					t.Fatalf("%s: crossing frontier evaluated %d node-rounds (%d moved), same-side reference %d (%d moved)", label, got, ch, sre, sch)
+				}
+				if m.Stats.Verified-before.Verified > m.Stats.Reevaluated-before.Reevaluated {
+					t.Fatalf("%s: %d evaluations verified out of %d made", label, m.Stats.Verified-before.Verified, m.Stats.Reevaluated-before.Reevaluated)
+				}
 				pruned += m.Stats.Reevaluated - before.Reevaluated
 				unpruned += re
+				sameSide += sre
 			}
 			if gname == "ba" && pruned >= unpruned {
 				t.Fatalf("%s batch %d: the rule pruned nothing (%d of %d node-rounds)", gname, size, pruned, unpruned)
 			}
+			if gname == "ba" && pruned >= sameSide {
+				t.Fatalf("%s batch %d: the crossing test admits %d node-rounds, the same-side rule %d: not strictly smaller", gname, size, pruned, sameSide)
+			}
+		}
+	}
+}
+
+// repairAgainstRefs applies one valid batch to a fresh Maintainer on g and
+// holds the result to the unpruned reference and to a fresh core.Run
+// (assertOracles). It returns the maintainer, with Stats counting this batch
+// only, and the reference's evaluated and moved node-rounds.
+func repairAgainstRefs(t *testing.T, label string, g *graph.Graph, T int, ops []dist.EdgeOp) (m *Maintainer, reevaluated, changed int64) {
+	t.Helper()
+	m, r := New(g, T), newRef(g, T)
+	m.Stats = Stats{}
+	if err := m.ApplyDelta(dist.GraphDelta{Ops: ops}); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	reevaluated, changed = r.applyBatch(ops, false)
+	g2, err := dist.GraphDelta{Ops: ops}.Apply(g)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	assertOracles(t, label, m, r, g2)
+	return m, reevaluated, changed
+}
+
+// spoke is one neighbour of the node under test in crossingGraph: the value it
+// holds after round 1 and the weight of its arc to node 0.
+type spoke struct{ b, w float64 }
+
+// crossingGraph builds node 0 with one neighbour per spoke (nodes 1..k), each
+// brought to its round-1 value by a private pendant edge, and returns the
+// builder plus the first of two spare isolated node ids. β_2(0) is then
+// Algorithm 3 over exactly the spokes.
+func crossingGraph(spokes []spoke) (*graph.Builder, int) {
+	k := len(spokes)
+	b := graph.NewBuilder(2*k + 3)
+	for i, sp := range spokes {
+		b.AddEdge(0, 1+i, sp.w)
+		if rest := sp.b - sp.w; rest > 0 {
+			b.AddEdge(1+i, 1+k+i, rest)
+		}
+	}
+	return b, 2*k + 1
+}
+
+// TestFrontierAdmitsOnlyCrossingMoves pins the four boundary cases of the
+// crossing test on hand-built graphs: spoke 1 of node 0 moves in round 1 and
+// the question is whether round 2 evaluates node 0, whose stored β_2 is r.
+// Landing on r, from above or from below, is not reaching it; leaving r
+// downward or starting an up-move on r is (r moves in the unit-weight cases of
+// both, so those evaluations are needed).
+func TestFrontierAdmitsOnlyCrossingMoves(t *testing.T) {
+	cases := []struct {
+		name     string
+		spokes   []spoke // spoke 1 first, at its old value
+		now      float64 // the value spoke 1 moves to
+		r, after float64 // β_2(0) before and after
+		admitted bool
+	}{
+		{"down, lands on r", []spoke{{3, 1}, {2, 1}}, 2, 2, 2, false},
+		{"down, leaves r", []spoke{{2, 1}, {2, 1}}, 1, 2, 1, true},
+		{"down, passes over r", []spoke{{3, 1}, {2, 1}, {2, 1}}, 1, 2, 2, true},
+		{"down, stays above r", []spoke{{5, 1}, {2, 1}, {2, 1}}, 3, 2, 2, false},
+		{"up, lands on r", []spoke{{1, 1}, {2, 1}, {2, 1}}, 2, 2, 2, false},
+		{"up, starts at r", []spoke{{2, 1}, {5, 1}, {5, 1}, {1, 1}}, 3, 2, 3, true},
+		{"up, passes over r", []spoke{{1, 1}, {5, 1}, {5, 1}, {1, 1}}, 3, 2, 3, true},
+		{"up, stays below r", []spoke{{0.5, 0.5}, {2, 1}, {2, 1}}, 1.5, 2, 2, false},
+		{"weighted: down, lands on r", []spoke{{2.5, 0.5}, {1.5, 1}, {4, 0.5}}, 1.5, 1.5, 1.5, false},
+		{"weighted: down, leaves r", []spoke{{1.5, 0.5}, {1.5, 1}, {4, 0.5}}, 1.25, 1.5, 1.5, true},
+	}
+	for _, c := range cases {
+		// Spoke 1 is built at the lower of its two values; an edge to a spare
+		// node carries the difference, inserted by an up-move, present from
+		// the start and deleted by a down-move.
+		old := c.spokes[0].b
+		sp := append([]spoke(nil), c.spokes...)
+		sp[0].b = min(old, c.now)
+		b, spare := crossingGraph(sp)
+		op := dist.EdgeOp{U: 1, V: spare, W: c.now - old}
+		if c.now < old {
+			b.AddEdge(1, spare, old-c.now)
+			op = dist.EdgeOp{Del: true, U: 1, V: spare}
+		}
+		g := b.Build()
+		if before := New(g, 2); before.History(1)[1] != old || before.History(2)[0] != c.r {
+			t.Fatalf("%s: spoke 1 starts at %v against β_2(0) = %v, the case wants %v against r = %v", c.name, before.History(1)[1], before.History(2)[0], old, c.r)
+		}
+		m, _, _ := repairAgainstRefs(t, c.name, g, 2, []dist.EdgeOp{op})
+		if m.History(1)[1] != c.now || m.History(2)[0] != c.after {
+			t.Fatalf("%s: spoke 1 moved to %v and β_2(0) to %v, the case wants %v and %v", c.name, m.History(1)[1], m.History(2)[0], c.now, c.after)
+		}
+		// T = 2: cand is what round 2 evaluated.
+		if got := slices.Contains(m.cand, 0); got != c.admitted {
+			t.Fatalf("%s: spoke 1 moved %v → %v against r = %v: round 2 evaluated node 0 = %v, want %v", c.name, old, c.now, c.r, got, c.admitted)
+		}
+	}
+}
+
+// TestSeedsObeyTheReachRule: an op's endpoint is evaluated in round 1 and then
+// only in the rounds the op can reach it in. The hub of a star whose leaves
+// hold exactly its value is reached every round (a deleted leaf arc leaves r
+// downward); give the hub a clique that holds its value above the leaves' and
+// a lost leaf edge never reaches it again; on a BA graph the same holds for
+// the largest hub and its lowest-degree neighbour. Reevaluated of runs with
+// T = 1, 2, 3 gives the per-round counts (a longer run repeats the shorter
+// one's rounds).
+func TestSeedsObeyTheReachRule(t *testing.T) {
+	perRound := func(g *graph.Graph, op dist.EdgeOp, hub int) (counts [3]int64, hubIn [3]bool) {
+		t.Helper()
+		last := int64(0)
+		for T := 1; T <= 3; T++ {
+			m, _, _ := repairAgainstRefs(t, fmt.Sprintf("T=%d", T), g, T, []dist.EdgeOp{op})
+			counts[T-1], last = m.Stats.Reevaluated-last, m.Stats.Reevaluated
+			hubIn[T-1] = slices.Contains(m.cand, hub)
+		}
+		return counts, hubIn
+	}
+
+	star := graph.Star(12)
+	counts, hubIn := perRound(star, dist.EdgeOp{Del: true, U: 0, V: 5}, 0)
+	if counts != [3]int64{2, 2, 2} || hubIn != [3]bool{true, true, true} {
+		t.Fatalf("star: per-round evaluations %v, hub evaluated %v; its leaves sit on its value, so every round reaches it", counts, hubIn)
+	}
+
+	// The same star with a 5-clique on the hub: β_t(hub) = 5 from round 2 on,
+	// above every leaf's 1.
+	b := graph.NewBuilder(star.N() + 5)
+	for _, e := range star.Edges() {
+		b.AddEdge(e.U, e.V, e.W)
+	}
+	for i := 0; i < 5; i++ {
+		b.AddEdge(0, star.N()+i, 1)
+		for j := i + 1; j < 5; j++ {
+			b.AddEdge(star.N()+i, star.N()+j, 1)
+		}
+	}
+	held := b.Build()
+	counts, hubIn = perRound(held, dist.EdgeOp{Del: true, U: 0, V: 5}, 0)
+	if counts != [3]int64{2, 1, 1} || hubIn != [3]bool{true, false, false} {
+		t.Fatalf("star+clique: per-round evaluations %v, hub evaluated %v; want the hub in round 1 only and the leaf alone after", counts, hubIn)
+	}
+	for _, op := range []dist.EdgeOp{{U: 0, V: 5, W: 1}, {U: 5, V: 5, W: 0.5}} {
+		// A parallel leaf edge, or a loop on the leaf, lifts the leaf to at most
+		// 2 < 5: the hub is again out after round 1.
+		if _, hubIn = perRound(held, op, 0); hubIn != [3]bool{op.U == 0, false, false} {
+			t.Fatalf("star+clique, insert {%d,%d}: hub evaluated %v", op.U, op.V, hubIn)
+		}
+	}
+
+	ba := graph.BarabasiAlbert(240, 3, 5)
+	hub, leaf := 0, -1
+	for v := 0; v < ba.N(); v++ {
+		if ba.Degree(v) > ba.Degree(hub) {
+			hub = v
+		}
+	}
+	for _, a := range ba.Adj(hub) {
+		if leaf < 0 || ba.Degree(a.To) < ba.Degree(leaf) {
+			leaf = a.To
+		}
+	}
+	fresh := core.Run(ba, core.Options{Rounds: 3, RecordHistory: true})
+	for tt := 2; tt <= 3; tt++ {
+		if fresh.History[tt-1][hub] <= fresh.History[tt-2][leaf] {
+			t.Fatalf("ba: β_%d(hub) = %v is not above β_%d(leaf) = %v; pick another pair", tt, fresh.History[tt-1][hub], tt-1, fresh.History[tt-2][leaf])
+		}
+	}
+	if _, hubIn = perRound(ba, dist.EdgeOp{Del: true, U: hub, V: leaf}, hub); hubIn != [3]bool{true, false, false} {
+		t.Fatalf("ba: hub %d lost its edge to %d, which never held a value its own reaches down to; evaluated in rounds %v", hub, leaf, hubIn)
+	}
+}
+
+// TestSeedRuleReadsTheRightRound: a deleted arc is a move from the value its
+// far end held BEFORE the repair, an inserted one a move to the value it holds
+// after — and the far end may itself move in the same batch. All batches must
+// stay bit-identical to the unpruned reference and to a fresh run.
+func TestSeedRuleReadsTheRightRound(t *testing.T) {
+	ins := func(u, v int, w float64) dist.EdgeOp { return dist.EdgeOp{U: u, V: v, W: w} }
+	del := func(u, v int) dist.EdgeOp { return dist.EdgeOp{Del: true, U: u, V: v} }
+	// Node 0 with three unit spokes at 4, so β_2(0) = 3; spares 7 and 8.
+	b, spare := crossingGraph([]spoke{{4, 1}, {4, 1}, {4, 1}})
+	g := b.Build()
+	batches := map[string][]dist.EdgeOp{
+		// Spoke 1 falls to 1 in round 1 in the same batch that cuts it off 0.
+		// Only its pre-repair 4 ≥ r says β_2(0) can fall (it does, to 2), and
+		// with the arc gone no neighbour's move can make up for a wrong read.
+		"delete reads the pre-repair value": {del(1, 4), del(0, 1)},
+		// The spare is worth 0 before the batch and 4 after, which is what
+		// lifts β_2(0) to 4.
+		"insert reads the repaired value": {ins(spare, spare+1, 3), ins(0, spare, 1)},
+		"insert then delete":              {ins(0, spare, 2), del(spare, 0)},
+		"delete then reinsert":            {del(0, 1), ins(1, 0, 1)},
+		"reinsert heavier":                {del(0, 2), ins(0, 2, 2)},
+		"self-loop in and out":            {ins(0, 0, 2), del(0, 0)},
+		"self-loop stays":                 {ins(0, 0, 0.5), ins(1, 1, 2)},
+		"parallel copies, weights":        {ins(0, 1, 0.25), ins(0, 1, 2), del(1, 0), ins(0, 1, 0.5), del(0, 1)},
+	}
+	for name, ops := range batches {
+		for T := 1; T <= 4; T++ {
+			m, re, ch := repairAgainstRefs(t, fmt.Sprintf("%s T=%d", name, T), g, T, ops)
+			if m.Stats.Changed != ch || m.Stats.Reevaluated > re || m.Stats.Verified > m.Stats.Reevaluated {
+				t.Fatalf("%s T=%d: stats %+v, unpruned reference evaluated %d and moved %d", name, T, m.Stats, re, ch)
+			}
+		}
+	}
+	for name, want := range map[string]float64{"delete reads the pre-repair value": 2, "insert reads the repaired value": 4} {
+		m := New(g, 2)
+		if err := m.ApplyDelta(dist.GraphDelta{Ops: batches[name]}); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.History(2)[0]; got != want {
+			t.Fatalf("%s: β_2(0) = %v, the batch is built to move it from 3 to %v", name, got, want)
 		}
 	}
 }
@@ -500,4 +735,28 @@ func TestSteadyStateApplyDeltaAllocationFree(t *testing.T) {
 		t.Fatalf("steady-state ApplyDelta allocates %.1f times per batch, want 0", allocs)
 	}
 	assertMatchesScratch(t, m, "after steady-state batches")
+}
+
+// TestEvalScratchHoldsTheTieElement: when every arc of a node reads a value
+// above the pivot, the verified evaluation hands UpdateValue d + 1 elements —
+// the d arcs and the tie element. A hub grown one edge at a time passes through
+// every degree, so whatever the growth policy, a scratch sized for d alone is
+// caught at the degree that fills it exactly.
+func TestEvalScratchHoldsTheTieElement(t *testing.T) {
+	n := 24
+	m := New(graph.NewBuilder(n).Build(), 2)
+	// In and out: the hub is evaluated in round 1, where all its neighbours
+	// hold +∞ and its stored value is its degree.
+	loop := dist.GraphDelta{Ops: []dist.EdgeOp{{U: 0, V: 0, W: 1}, {Del: true, U: 0, V: 0}}}
+	for v := 1; v < n; v++ {
+		m.InsertEdge(0, v, 1)
+		if allocs := testing.AllocsPerRun(5, func() {
+			if err := m.ApplyDelta(loop); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("hub of degree %d: a steady-state ApplyDelta allocates %.1f times, want 0", v, allocs)
+		}
+	}
+	assertMatchesScratch(t, m, "after growing the hub")
 }

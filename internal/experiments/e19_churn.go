@@ -86,8 +86,8 @@ func runE19(cfg Config) *Report {
 			beats := perOp < full
 			allMatch = allMatch && worst <= 1e-9 && beats
 			oracle = append(oracle, fmt.Sprintf(
-				"%s ops=%d: maintainer vs scratch max|Δβ| = %g (≤ 1e-9: %v); re-evals/op %.0f vs full recompute %.0f → %.0fx, frontier beats full: %v%s",
-				w.Name, ops, worst, worst <= 1e-9, perOp, full, full/perOp,
+				"%s ops=%d: maintainer vs scratch max|Δβ| = %g (≤ 1e-9: %v); re-evals/op %.0f (%.0f verified without a full gather) vs full recompute %.0f → %.0fx, frontier beats full: %v%s",
+				w.Name, ops, worst, worst <= 1e-9, perOp, float64(m.Stats.Verified)/float64(m.Stats.Updates), full, full/perOp,
 				beats, mismatchTag(worst <= 1e-9 && beats)))
 
 			for _, p := range ps {
