@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sort"
 
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
@@ -11,25 +11,30 @@ import (
 )
 
 // ElimState is one node's side of Algorithm 2: its surviving number b, the
-// maintained order of Algorithm 3 and the latest value heard from each
-// neighbor. Both protocols that run the algorithm embed it — the elimination
-// program below and phase 1 of the weak densest subset protocol — so the
-// change-driven round exists once (DESIGN.md §2): b_t(v) is a pure function
-// of the neighbor table and the node's own last value, so a node that heard
-// nothing and whose own value stood still holds its next value already, and a
-// node whose value did not move has nothing to tell.
+// maintained order of Algorithm 3 and, per incident arc, the latest value heard
+// from its far end. Both protocols that run the algorithm embed it — the
+// elimination program below and phase 1 of the weak densest subset protocol —
+// so the change-driven round exists once (DESIGN.md §2): b_t(v) is a pure
+// function of the neighbor values and the node's own last value, so a node
+// that heard nothing and whose own value stood still holds its next value
+// already, and a node whose value did not move has nothing to tell. A round
+// costs the node its mail, not its degree: a heard value is written to its
+// sender's arcs and the step re-places only those.
 type ElimState struct {
-	b   float64
-	upd Updater
-	// nbrB is the latest value per neighbor, flat (DESIGN.md §7). It starts at
-	// +∞, which is all a round-0 broadcast would say.
-	nbrB PeerTable
-	// owed records that a step is due even on an empty inbox: none has run
-	// yet, or the last one moved b and a self-loop arc reads b back. It is
-	// what keeps a skipped step exact to the bit, not just to the value —
-	// after a step that left b alone a second one would stable-sort a sorted
-	// order over identical keys.
-	owed bool
+	b float64
+	// upd.vals holds the neighbor values across steps. They start at +∞, which
+	// is all a round-0 broadcast would say; a self-loop arc holds b.
+	upd   Updater
+	peers []graph.NodeID
+	// byPeer lists the arc indices in Updater.init's (neighbor, arc) order,
+	// self-loops moved to the end: the arcs to peers[r] — parallel ones
+	// included — are byPeer[start[r]:start[r+1]], the self-loop arcs
+	// byPeer[start[len(peers)]:].
+	byPeer, start []int32
+	// dirty counts the arc values overwritten since the last step; with none a
+	// step would stable-sort a sorted order over identical keys, so it is
+	// skipped — exact to the bit, not just to the value.
+	dirty int
 }
 
 // Start is the node's round 0: b = +∞ (0 for an isolated node, for which
@@ -37,42 +42,96 @@ type ElimState struct {
 // neighbor at +∞. arcs and peers are the node's runtime topology; the arrays
 // are carved from sl (nil allocates them individually). It sends nothing.
 func (s *ElimState) Start(id graph.NodeID, arcs []graph.Arc, peers []graph.NodeID, sl *Slab) {
-	s.upd.Init(arcs, sl)
-	s.nbrB.Init(id, arcs, peers, math.Inf(1), sl)
-	s.b, s.owed = math.Inf(1), true
-	if len(arcs) == 0 {
-		s.b = 0
+	d, np := len(arcs), len(peers)
+	order, vals, idx := sl.carve(d, d, np+1+d)
+	s.upd.init(arcs, order, vals)
+	s.peers, s.start, s.byPeer = peers, idx[:np+1], idx[np+1:]
+	k, r := int32(0), -1
+	for _, a := range order { // sorted by neighbor: the r-th distinct one is peers[r]
+		to := arcs[a].To
+		if to == id {
+			continue
+		}
+		if r < 0 || to != peers[r] {
+			r++
+			s.start[r] = k
+		}
+		s.byPeer[k] = int32(a)
+		k++
+	}
+	s.start[np] = k
+	for _, a := range order {
+		if arcs[a].To == id {
+			s.byPeer[k] = int32(a)
+			k++
+		}
+	}
+	for i := range vals {
+		vals[i] = math.Inf(1)
+	}
+	// A first step is due on the values just written, which the order is
+	// already sorted for; an isolated node has none to take.
+	s.b, s.dirty = math.Inf(1), 1
+	if d == 0 {
+		s.b, s.dirty = 0, 0
 	}
 }
 
 // B returns the node's current surviving number, rounded down to Λ.
 func (s *ElimState) B() float64 { return s.b }
 
-// Advance is the node's round: it merges the inbox — the neighbors whose
-// value moved last round, F0 each — into the table and, if anything a step
-// reads has changed since the last one (or live is set), runs Algorithm 3 and
-// rounds the result down to lam. It reports whether b moved, which is when the
-// caller has something to broadcast. aux is Updater.Step's auxiliary set, nil
-// when no step ran; live forces the step, for the caller that needs the set.
+// Advance is the node's round: it writes the inbox — the neighbors whose
+// value moved last round, F0 each, in sender order — to the senders' arcs and,
+// if anything a step reads has changed since the last one (or live is set),
+// runs Algorithm 3 and rounds the result down to lam. It reports whether b
+// moved, which is when the caller has something to broadcast; when it did not,
+// the next round's Advance on an empty inbox is a no-op. aux is Updater.Step's
+// auxiliary set, nil when no step ran; live forces the step, for the caller
+// that needs the set. A sender that is not a neighbor — or an inbox out of
+// sender order — panics: its value has no arc to go to.
 func (s *ElimState) Advance(inbox []dist.Message, lam quantize.Lambda, live bool) (moved bool, aux []int) {
-	if len(inbox) == 0 && !s.owed && !live {
+	vals, r := s.upd.vals, 0
+	for k := range inbox {
+		from := inbox[k].From
+		if r < len(s.peers) && s.peers[r] < from {
+			r++ // when every peer spoke, the next message is the next peer's
+			if r < len(s.peers) && s.peers[r] < from {
+				r += sort.SearchInts(s.peers[r:], from)
+			}
+		}
+		if r == len(s.peers) || s.peers[r] != from {
+			panic(fmt.Sprintf("core: ElimState: message %d of the inbox is from node %d, which is not a neighbor or is out of sender order", k, from))
+		}
+		to := s.byPeer[s.start[r]:s.start[r+1]]
+		for _, a := range to {
+			vals[a] = inbox[k].F0
+		}
+		s.dirty += len(to)
+	}
+	if s.dirty == 0 && !live {
 		return false, nil
 	}
-	s.nbrB.Merge(inbox)
-	nb, aux := s.upd.Step(func(i int) float64 {
-		return s.nbrB.ArcVal(i, s.b) // a self-loop arc sees the node's own value
-	})
+	nb, aux := s.upd.step(s.dirty)
+	s.dirty = 0
 	nb = lam.RoundDown(nb)
-	s.owed = nb != s.b
+	if nb == s.b {
+		return false, aux
+	}
 	s.b = nb
-	return s.owed, aux
+	loops := s.byPeer[s.start[len(s.peers)]:] // a self-loop arc sees the node's own value
+	for _, a := range loops {
+		vals[a] = nb
+	}
+	s.dirty = len(loops)
+	return true, aux
 }
 
 // eliminationProgram is the per-node dist.Program realizing Algorithm 2,
 // change-driven. Protocol: Init is silent; in round t a node advances its
 // ElimState on the values it received and broadcasts the new value if it
-// differs from the one it last sent — except in the final round, where it
-// halts instead (the last broadcast would never be read).
+// differs from the one it last sent, and otherwise sleeps until somebody's
+// value reaches it (Ctx.SleepUntil) — except in the final round, for which
+// everyone wakes and halts instead (the last broadcast would never be read).
 type eliminationProgram struct {
 	ElimState
 	run *eliminationRun
@@ -100,11 +159,10 @@ func (r *eliminationRun) program(v graph.NodeID) dist.Program {
 	return p
 }
 
-// DistResult collects the outputs of a distributed elimination run.
-// Fields are written once per node (at halt time), guarded by mu so the
-// parallel engine can be used.
+// DistResult collects the outputs of a distributed elimination run. Each
+// node writes its own element once, at halt time, and nobody reads before the
+// engine returns, so the parallel engines need no lock.
 type DistResult struct {
-	mu       sync.Mutex
 	B        []float64
 	AuxEdges [][]int
 }
@@ -160,22 +218,20 @@ func (p *eliminationProgram) Round(c *dist.Ctx, inbox []dist.Message) {
 			for k, ai := range auxArcs {
 				edges[k] = arcs[ai].EdgeID
 			}
-			p.run.sink.mu.Lock()
 			p.run.sink.AuxEdges[p.id] = edges
-			p.run.sink.mu.Unlock()
 		}
 		p.finish(c)
 		return
 	}
 	if moved {
 		c.Broadcast(dist.Message{F0: p.b})
+	} else {
+		c.SleepUntil(p.run.T) // nothing to compute until somebody speaks; round T publishes
 	}
 }
 
 func (p *eliminationProgram) finish(c *dist.Ctx) {
-	p.run.sink.mu.Lock()
 	p.run.sink.B[p.id] = p.b
-	p.run.sink.mu.Unlock()
 	c.Halt()
 }
 

@@ -11,6 +11,7 @@ import (
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
 	"distkcore/internal/net"
+	"distkcore/internal/obs"
 	"distkcore/internal/quantize"
 	"distkcore/internal/shard"
 )
@@ -172,6 +173,78 @@ func TestSkippedStepsKeepTheOrder(t *testing.T) {
 						seed, T, v, got.B[v], got.AuxEdges[v], want.B[v], want.AuxEdges[v])
 				}
 			}
+		}
+	}
+}
+
+// A node that asked to sleep (Ctx.SleepUntil) costs a round nothing, so what a
+// round costs is the hooks it runs. This holds them, round by round, to a
+// count read off the centralized history: everyone in Init, in round 1 (the
+// first step is owed) and in round T (which publishes), and in between the
+// nodes whose value moved the round before — they broadcast, so they stayed
+// up — and the nodes that heard one. The engines report it as their step
+// spans' counts, which must mean hooks run on every surface; the graph is the
+// benchmark's coreness-seq workload, and the total is pinned in CI as well.
+func TestHooksRunMatchActiveSetOracle(t *testing.T) {
+	g := graph.BarabasiAlbert(1000, 4, 1)
+	n, T := g.N(), core.TForEpsilon(g.N(), 0.5)
+	hist := core.Run(g, core.Options{Rounds: T, RecordHistory: true}).History
+	moved := func(v graph.NodeID, t int) bool {
+		prev := math.Inf(1)
+		if t > 1 {
+			prev = hist[t-2][v]
+		}
+		return hist[t-1][v] != prev
+	}
+	want, total := make([]int64, T+1), int64(0)
+	for t := 0; t <= T; t++ {
+		want[t] = int64(n)
+		if t > 1 && t < T {
+			want[t] = 0
+			for v := 0; v < n; v++ {
+				up := moved(v, t-1)
+				for _, p := range g.Peers(v) {
+					up = up || moved(p, t-1)
+				}
+				if up {
+					want[t]++
+				}
+			}
+		}
+		total += want[t]
+	}
+	if T != 18 || total != 11090 || total >= int64(T+1)*int64(n) {
+		t.Fatalf("T = %d and %d hooks of %d: the workload no longer is the one CI pins at 11090", T, total, (T+1)*n)
+	}
+
+	tr := obs.NewTracer()
+	sh := shard.NewEngine(4, shard.Greedy{})
+	sh.SetTracer(tr)
+	stream := net.NewEngine(4, shard.Greedy{})
+	stream.Stream = true
+	stream.SetTracer(tr)
+	for _, e := range []struct {
+		name string
+		eng  dist.Engine
+	}{
+		{"seq", dist.SeqEngine{Trace: tr}},
+		{"par:3", dist.ParEngine{W: 3, Trace: tr}},
+		{"shard:4", sh},
+		{"net:4:greedy:pipe:stream", stream},
+	} {
+		tr.Reset()
+		_, met := core.RunDistributed(g, core.Options{Rounds: T}, e.eng)
+		got := make([]int64, T+1)
+		for _, sp := range tr.Trace().Spans {
+			if sp.Phase == obs.PhaseStep {
+				got[sp.Round] += sp.Count
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: hooks run per round %v, the value trajectories give %v", e.name, got, want)
+		}
+		if met.Messages != 28560 || met.Rounds != T || !met.Halted {
+			t.Errorf("%s: metrics %+v, want the 28560 messages of a run in which every hook runs", e.name, met)
 		}
 	}
 }

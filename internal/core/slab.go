@@ -5,7 +5,7 @@ import (
 	"unsafe"
 )
 
-// Slab carves the per-node arrays of a run's Updaters and PeerTables — and
+// Slab carves the per-node arrays of a run's ElimStates — and
 // whatever else a protocol keeps one of per node — out of a few shared
 // chunks, so a run costs a handful of allocations instead of several per
 // node, and only the nodes that actually initialise on this engine pay (a

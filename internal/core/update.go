@@ -31,8 +31,8 @@ import (
 // current values, which is what Updater does.
 type Updater struct {
 	arcs  []graph.Arc
-	order []int // arc indices, maintained across rounds
-	vals  []float64
+	order []int     // arc indices, maintained across rounds
+	vals  []float64 // per arc: the far end's surviving number as of the last step
 }
 
 // byVal is the sort.Interface view of an Updater: its arc-index permutation
@@ -45,31 +45,46 @@ func (s *byVal) Len() int           { return len(s.order) }
 func (s *byVal) Less(a, b int) bool { return s.vals[s.order[a]] < s.vals[s.order[b]] }
 func (s *byVal) Swap(a, b int)      { s.order[a], s.order[b] = s.order[b], s.order[a] }
 
-// insertionSortMax is the degree up to which sortOrder insertion-sorts. The
-// order carried over from the previous round is nearly sorted, which is
-// insertion sort's best case, and typical degrees are far below the cut-off;
-// above it sort.Stable keeps a hub's worst case at O(d log d).
-const insertionSortMax = 48
+// insertionSortMax is the degree up to which sortOrder always insertion-sorts,
+// and insertionSortShare the share of a larger node's arcs — one in so many —
+// that may have changed value for it still to. The order carried over from the
+// previous step is sorted but for the changed arcs, which is insertion sort's
+// best case: one pass plus at most d moves per changed arc. Typical degrees
+// are below the cut-off and a hub hears from few of its neighbors in most
+// rounds; beyond both, sort.Stable keeps the worst case at O(d log d).
+const (
+	insertionSortMax   = 48
+	insertionSortShare = 8
+)
 
-// sortOrder stable-sorts order by vals ascending. The output of a stable
-// sort is unique — equal keys keep their input order, unequal ones are
-// ordered by key — so both branches produce the same permutation bit for
-// bit, and stability is what implements the paper's historical-lexicographic
-// tie-breaking.
-func (u *Updater) sortOrder() {
+// sortOrder stable-sorts order by vals ascending; changed — how many values
+// were overwritten since order was last sorted — only picks the cheaper
+// branch. The output of a stable sort is unique — equal keys keep their input
+// order, unequal ones are ordered by key — so both branches produce the same
+// permutation bit for bit, and stability is what implements the paper's
+// historical-lexicographic tie-breaking.
+func (u *Updater) sortOrder(changed int) {
 	order, vals := u.order, u.vals
-	if len(order) > insertionSortMax {
+	if len(order) > insertionSortMax && changed*insertionSortShare > len(order) {
 		sort.Stable((*byVal)(u))
 		return
 	}
+	if len(order) == 0 {
+		return
+	}
+	prev := vals[order[0]] // the value at position i-1
 	for i := 1; i < len(order); i++ {
 		x := order[i]
 		vx := vals[x]
+		if !(prev > vx) { // in place already: the common case costs one load
+			prev = vx
+			continue
+		}
 		j := i
 		for ; j > 0 && vals[order[j-1]] > vx; j-- {
 			order[j] = order[j-1]
 		}
-		order[j] = x
+		order[j] = x // and position i holds what i-1 held
 	}
 }
 
@@ -79,22 +94,20 @@ func (u *Updater) sortOrder() {
 // identity".
 func NewUpdater(arcs []graph.Arc) *Updater {
 	u := new(Updater)
-	u.Init(arcs, nil)
+	u.init(arcs, make([]int, len(arcs)), make([]float64, len(arcs)))
 	return u
 }
 
-// Init is NewUpdater in place, with the state's arrays carved from sl (nil
-// allocates them individually).
-func (u *Updater) Init(arcs []graph.Arc, sl *Slab) {
-	u.arcs = arcs
-	u.order, u.vals, _ = sl.carve(len(arcs), len(arcs), 0)
+// init is NewUpdater in place, on arrays of len(arcs) the caller provides.
+func (u *Updater) init(arcs []graph.Arc, order []int, vals []float64) {
+	u.arcs, u.order, u.vals = arcs, order, vals
 	// (neighbor ID, arc index) is the stable sort of the identity permutation
 	// by neighbor ID; node IDs are exact in a float64.
 	for i, a := range arcs {
 		u.order[i] = i
 		u.vals[i] = float64(a.To)
 	}
-	u.sortOrder()
+	u.sortOrder(len(arcs))
 }
 
 // Degree returns the node's weighted degree Σ w(e).
@@ -121,14 +134,20 @@ func (u *Updater) Degree() float64 {
 // call; callers that retain it across rounds must copy. Step performs no
 // heap allocations.
 func (u *Updater) Step(bOf func(arcIdx int) float64) (b float64, aux []int) {
+	for _, i := range u.order {
+		u.vals[i] = bOf(i)
+	}
+	return u.step(len(u.order))
+}
+
+// step is Step on the values already in vals — the previous step's, changed
+// of them overwritten since (ElimState keeps them current as they are heard).
+func (u *Updater) step(changed int) (b float64, aux []int) {
 	d := len(u.order)
 	if d == 0 {
 		return 0, nil
 	}
-	for _, i := range u.order {
-		u.vals[i] = bOf(i)
-	}
-	u.sortOrder()
+	u.sortOrder(changed)
 	s := 0.0
 	for i := d - 1; i >= 0; i-- {
 		s += u.arcs[u.order[i]].W

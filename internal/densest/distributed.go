@@ -190,6 +190,8 @@ func (p *weakProgram) phase1(c *dist.Ctx, inbox []dist.Message, t int) {
 	if t < p.T {
 		if moved {
 			c.Broadcast(dist.Message{Kind: kElim, F0: b})
+		} else {
+			c.SleepUntil(p.T) // as the elimination program does; round T opens phase 2
 		}
 		return
 	}

@@ -28,10 +28,15 @@
 // Section II of the paper): Init runs at round 0; a message sent during
 // round t is delivered at the start of round t+1; Round(c, inbox) is called
 // once per round on every node that has not halted, whether or not its
-// inbox is empty. Silence is legal: an inbox holds the previous round's sends
-// and nothing older, and a round in which nobody sends is delivered and
-// followed like any other. The inbox is ordered by sender ID (ties by send
-// order), which is what makes all engines agree execution-for-execution.
+// inbox is empty — unless the node asked, with Ctx.SleepUntil, not to be
+// called on an empty one for a while (the sleep contract, DESIGN.md §3). A
+// round costs what was said in it: a node asleep with no mail costs an offset
+// compare, and a round in which few spoke lists its speakers per receiver
+// instead of having every receiver look at every neighbor (DESIGN.md §7).
+// Silence is legal: an inbox holds the previous round's sends and nothing
+// older, and a round in which nobody sends is delivered and followed like any
+// other. The inbox is ordered by sender ID (ties by send order), which is
+// what makes all engines agree execution-for-execution.
 //
 // Communication accounting (Metrics.Words, Metrics.WireBytes) flows through
 // internal/quantize and internal/codec so that the Congest-model bandwidth
@@ -102,7 +107,9 @@ type Metrics struct {
 // others: a neighbor that sent nothing in round t-1 is absent from the inbox,
 // the inbox may be empty, and the hook runs all the same — whether there is
 // anything to compute is the program's decision, and what a neighbor said
-// earlier is the program's to remember (core.PeerTable).
+// earlier is the program's to remember (core.ElimState). A program that knows
+// it has nothing to do until somebody speaks says so with Ctx.SleepUntil and
+// is not called on an empty inbox until then.
 //
 // inbox is valid only for the duration of the Round call: after a
 // broadcast-only round it is a scratch buffer of the stepping goroutine,
@@ -200,7 +207,8 @@ type Ctx struct {
 	peers []graph.NodeID // distinct neighbors, self excluded, ascending
 
 	sim    *sim
-	round  int
+	round  int32 // with wake in one word: n contexts are the run's largest array
+	wake   int32 // SleepUntil's round; 0 once a Round hook has been invoked
 	halted bool
 	out    []envelope // this round's queued sends; grown on first use
 }
@@ -215,7 +223,7 @@ func (c *Ctx) Neighbors() []graph.Arc { return c.arcs }
 
 // Round returns the current round number: 0 during Init, t during the
 // round-t invocation of Round.
-func (c *Ctx) Round() int { return c.round }
+func (c *Ctx) Round() int { return int(c.round) }
 
 // Broadcast sends m to every distinct neighbor (self excluded — a
 // self-loop is local state, not a communication link). Delivery happens at
@@ -279,6 +287,14 @@ func (c *Ctx) Halt() {
 	}
 }
 
+// SleepUntil asks the runtime not to invoke this node's Round hook on an empty
+// inbox before round t: the program's promise that until then such a call
+// would send nothing and change nothing (DESIGN.md §3). Any message wakes the
+// node in the round it arrives, with that inbox; every Round invocation clears
+// the request, so a program that wants to sleep on asks again. t at or before
+// the next round asks for nothing.
+func (c *Ctx) SleepUntil(t int) { c.wake = int32(t) }
+
 // Mutex returns a mutex shared by all nodes of the run, for guarding
 // writes to a result sink from program hooks. (The parallel engine runs
 // hooks concurrently; per-node state needs no locking, shared sinks do.)
@@ -306,7 +322,9 @@ func isPeerOf(peers []graph.NodeID, v graph.NodeID) bool {
 //     moves. Each fresh slot is priced once × its fan-out, and node v's
 //     inbox is gathered from the slots of Peers(v) right before its hook
 //     runs (inbox) — ascending sender order for free, since Peers is
-//     ascending and a slot holds one message.
+//     ascending and a slot holds one message. When few spoke the delivery
+//     also lists, per receiver, the senders whose slot is fresh
+//     (listSpeakers), and the gather walks that list instead of Peers(v).
 //   - scatter: anything else. Every message — slot × peers first, then the
 //     queue, per sender in ascending ID — is counted, then placed into one
 //     round arena, and inboxOf(v) is a subslice of it.
@@ -325,11 +343,14 @@ type sim struct {
 	wr, rd int      // offsets of the half being written / read
 	queued atomic.Bool
 	// pull records that the last delivery moved nothing: inboxes come from
-	// slots[rd:].
-	pull bool
+	// slots[rd:]. listed adds that it was sparse enough to list its speakers:
+	// node v's fresh senders are speakers[inboxOff[v]:inboxOff[v+1]].
+	pull, listed bool
+	speakers     []int32
+	sumPeers     int64 // Σ_v |Peers(v)|, what a round in which everyone broadcasts sends
 
 	inboxArena []Message // the last scatter's inboxes, sized by its counting pass
-	inboxOff   []int32   // n+1 offsets into inboxArena
+	inboxOff   []int32   // n+1 offsets into inboxArena, or into speakers
 	cnt        []int32   // per-node counting/cursor scratch, zero between rounds
 
 	alive     int
@@ -364,6 +385,7 @@ func newSim(g *graph.Graph, lam quantize.Lambda, factory Factory) *sim {
 		c.id = v
 		c.arcs = g.Adj(v)
 		c.peers = g.Peers(v)
+		s.sumPeers += int64(len(c.peers))
 		c.sim = s
 		s.progs[v] = factory(v)
 	}
@@ -391,20 +413,28 @@ func (s *sim) inboxOf(v graph.NodeID) []Message {
 
 // inbox returns node v's inbox for the round being stepped: its slice of the
 // arena after a scatter, or — after a pull delivery — the fresh slots of
-// Peers(v) gathered into *buf, the calling goroutine's scratch. Either way
-// the result is only good until the caller steps its next node.
+// Peers(v) gathered into *buf, the calling goroutine's scratch: found by
+// walking Peers(v), or read off v's speaker list when the delivery made one,
+// where no mail is an offset compare. Either way the result is only good
+// until the caller steps its next node.
 func (s *sim) inbox(v graph.NodeID, buf *[]Message) []Message {
 	if !s.pull {
 		return s.inboxOf(v)
 	}
-	peers := s.ctxs[v].peers
-	b := *buf
-	if cap(b) < len(peers) {
-		b = make([]Message, max(len(peers), 2*cap(b)))
-		*buf = b
+	if s.listed {
+		from := s.speakers[s.inboxOff[v]:s.inboxOff[v+1]]
+		if len(from) == 0 {
+			return nil
+		}
+		b, rd := gatherBuf(buf, len(from)), s.slots[s.rd:]
+		for k, p := range from {
+			b[k] = rd[p].m
+		}
+		return b
 	}
-	b = b[:len(peers)]
-	rd, fresh, k := s.slots[s.rd:s.rd+len(s.ctxs)], s.seq-1, 0
+	peers, rd := s.ctxs[v].peers, s.slots[s.rd:]
+	b := gatherBuf(buf, len(peers))
+	fresh, k := s.seq-1, 0
 	for _, p := range peers {
 		if sl := &rd[p]; sl.seq == fresh {
 			b[k] = sl.m
@@ -414,11 +444,19 @@ func (s *sim) inbox(v graph.NodeID, buf *[]Message) []Message {
 	return b[:k]
 }
 
+// gatherBuf returns *buf resized to n messages, growing it geometrically.
+func gatherBuf(buf *[]Message, n int) []Message {
+	if cap(*buf) < n {
+		*buf = make([]Message, max(n, 2*cap(*buf)))
+	}
+	return (*buf)[:n]
+}
+
 // round runs node v's Round hook for round t on its inbox. The caller has
 // checked that v is not halted.
 func (s *sim) round(v graph.NodeID, t int, inbox []Message) {
 	c := &s.ctxs[v]
-	c.round = t
+	c.round = int32(t)
 	s.progs[v].Round(c, inbox)
 	if CheckInboxRetention {
 		for i := range inbox {
@@ -428,16 +466,24 @@ func (s *sim) round(v graph.NodeID, t int, inbox []Message) {
 }
 
 // step runs node v's hook for round t — Init at t == 0 — and reports whether
-// a hook ran (false for a halted node).
+// a hook ran: false for a halted node, and for one asleep (Ctx.SleepUntil)
+// with no mail. Every engine steps through here, so the sleep contract is
+// decided once.
 func (s *sim) step(v graph.NodeID, t int, buf *[]Message) bool {
-	if s.ctxs[v].halted {
+	c := &s.ctxs[v]
+	if c.halted {
 		return false
 	}
 	if t == 0 {
-		s.progs[v].Init(&s.ctxs[v])
-	} else {
-		s.round(v, t, s.inbox(v, buf))
+		s.progs[v].Init(c)
+		return true
 	}
+	inbox := s.inbox(v, buf)
+	if len(inbox) == 0 && t < int(c.wake) {
+		return false
+	}
+	c.wake = 0
+	s.round(v, t, inbox)
 	return true
 }
 
@@ -481,11 +527,12 @@ func (s *sim) deliver(route RouteFunc) {
 		s.verifyDeliveredVecs()
 		s.checkSlotVecs(pull)
 	}
-	s.account(s.priceSlots(0, len(s.ctxs)))
+	msgs, words, wire := s.priceSlots(0, len(s.ctxs))
+	s.account(msgs, words, wire)
 	if !pull {
 		s.scatter(route)
 	}
-	s.endDelivery(pull)
+	s.endDelivery(pull, msgs)
 }
 
 // account adds one range's metric partials to the run's Metrics.
@@ -543,17 +590,22 @@ func (s *sim) scatter(route RouteFunc) {
 	// Halted flags are stable here (they only change inside hooks), so the
 	// counts match the fill pass exactly.
 	s.countSends(0, n, s.cnt)
-	// Prefix sums size the arena; cnt becomes the per-receiver write cursor.
+	s.sizeArena(s.prefixCounts())
+	s.account(s.fillSends(0, n, s.cnt, route))
+	clear(s.cnt)
+}
+
+// prefixCounts turns the per-receiver counts in cnt into inboxOff and into
+// the per-receiver write cursors, in place, and returns their sum.
+func (s *sim) prefixCounts() int32 {
 	total := int32(0)
-	for v := 0; v < n; v++ {
+	for v := range s.cnt {
 		s.inboxOff[v] = total
 		total += s.cnt[v]
 		s.cnt[v] = s.inboxOff[v]
 	}
-	s.inboxOff[n] = total
-	s.sizeArena(total)
-	s.account(s.fillSends(0, n, s.cnt, route))
-	clear(s.cnt)
+	s.inboxOff[len(s.cnt)] = total
+	return total
 }
 
 // sizeArena makes the arena hold total messages; a run of broadcast-only
@@ -632,11 +684,57 @@ func (s *sim) place(cur []int32, to graph.NodeID, m Message, route RouteFunc) {
 	}
 }
 
-// endDelivery is the shared tail of every delivery: flip the slot halves,
-// record which path the next round's inboxes come from, and retire the
+// listFactor is the K of the sparse pull: a pull delivery lists its speakers
+// when the round's slot fan-out is under 1/K of Σ|Peers(v)|, which bounds the
+// lists at Σ|Peers|/K entries. The sweep of DESIGN.md §7 found listing ahead
+// of the walk at every density short of everyone out of cache (a stale stamp
+// is a miss per peer per listener) and level with it in cache; 4 keeps the
+// lists at a byte per (listener, peer) pair.
+const listFactor = 4
+
+// listSpeakers gives every receiver of a sparse pull delivery the ascending
+// list of its peers whose slot is fresh: count, prefix, fill over the fresh
+// senders' peer lists, the scatter's passes with sender IDs where it places
+// messages. fanOut is what priceSlots counted, so the lists hold exactly
+// fanOut < Σ|Peers|/listFactor entries; the messages stay in the slots.
+func (s *sim) listSpeakers(fanOut int64) {
+	if fanOut == 0 { // a silent round, the long tail's common case
+		clear(s.inboxOff)
+		return
+	}
+	wr := s.slots[s.wr : s.wr+len(s.ctxs)]
+	for v := range wr {
+		if wr[v].seq == s.seq {
+			for _, to := range s.g.Peers(v) {
+				s.cnt[to]++
+			}
+		}
+	}
+	total := s.prefixCounts()
+	if s.speakers == nil {
+		s.speakers = make([]int32, s.sumPeers/listFactor) // every sparse round fits
+	}
+	s.speakers = s.speakers[:total]
+	for v := range wr {
+		if wr[v].seq == s.seq {
+			for _, to := range s.g.Peers(v) {
+				s.speakers[s.cnt[to]] = int32(v)
+				s.cnt[to]++
+			}
+		}
+	}
+	clear(s.cnt)
+}
+
+// endDelivery is the shared tail of every delivery: record which path the
+// next round's inboxes come from — listing the speakers of a sparse pull,
+// whose slots priced slotMsgs messages — flip the slot halves, and retire the
 // round's Halts incrementally instead of rescanning all n contexts.
-func (s *sim) endDelivery(pull bool) {
-	s.pull = pull
+func (s *sim) endDelivery(pull bool, slotMsgs int64) {
+	s.pull, s.listed = pull, pull && slotMsgs*listFactor < s.sumPeers
+	if s.listed {
+		s.listSpeakers(slotMsgs)
+	}
 	s.queued.Store(false)
 	s.seq++
 	s.wr, s.rd = s.rd, s.wr

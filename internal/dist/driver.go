@@ -35,11 +35,12 @@ func (d *Driver) Halted(v graph.NodeID) bool { return d.s.ctxs[v].halted }
 
 // StepList runs the hook of every listed node, in list order, for round t —
 // Init when t == 0, Round with the node's current inbox otherwise (valid only
-// for the duration of the hook, see Program), nothing for a halted node — and
-// returns the number of hooks invoked. It is the form for an engine whose
-// share of the nodes is not a contiguous range — a shard's, a cluster
-// worker's local nodes — and borrows the gather buffer once for the whole
-// list. A node the engine never lists never runs a hook: its Program may be
+// for the duration of the hook, see Program), nothing for a halted node or
+// one asleep with no mail (Ctx.SleepUntil) — and returns the number of hooks
+// invoked, the count an engine's step span records. It is the form for an
+// engine whose share of the nodes is not a contiguous range — a shard's, a
+// cluster worker's local nodes — and borrows the gather buffer once for the
+// whole list. A node the engine never lists never runs a hook: its Program may be
 // a stub and its sends, if it has any, come in through Inject. Concurrent
 // StepLists are safe for disjoint lists; the engine must barrier before
 // Deliver.

@@ -29,6 +29,15 @@ type scriptSend struct {
 	m     dist.Message
 }
 
+// actor is a protocol whose behaviour is a pure function of (node, round):
+// what the node's hook sends, whether it halts, and the round it asks to sleep
+// until (0: it does not ask). rows is the transcript its programs write: per
+// node, the round and the inbox hash of every Round call.
+type actor interface {
+	act(v graph.NodeID, t int, peers []graph.NodeID) (sends []scriptSend, halt bool, sleep int)
+	rows() [][]uint64
+}
+
 // script is the seeded protocol. act derives node v's round-t behaviour from
 // a hash of (seed, v, t): one of silent, Broadcast, Broadcast+Send,
 // Send+Broadcast, two Broadcasts, Sends only, Vec payloads on both kinds of
@@ -39,11 +48,18 @@ type scriptSend struct {
 // (none when 0) nobody says anything at all — the round a change-driven
 // protocol has once its values have settled: the delivery prices nothing,
 // every inbox of the next round is empty, and its hooks run all the same.
+// A sleepy script says something in one hook in four only and asks to sleep,
+// after three in four, for 1, 2 or 5 rounds — whatever else the hook did: the
+// runtime's side of the sleep contract is mechanical, and a hook it skips
+// simply never plays its draw.
 type script struct {
-	seed uint64
-	hush int
-	got  [][]uint64 // per node: one inbox hash per Round call
+	seed   uint64
+	hush   int
+	sleepy bool
+	got    [][]uint64
 }
+
+func (sc *script) rows() [][]uint64 { return sc.got }
 
 func mix(x uint64) uint64 {
 	x ^= x >> 33
@@ -66,11 +82,14 @@ func (sc *script) mixedRound() int {
 	return t
 }
 
-func (sc *script) act(v graph.NodeID, t int, peers []graph.NodeID) (sends []scriptSend, halt bool) {
+func (sc *script) act(v graph.NodeID, t int, peers []graph.NodeID) (sends []scriptSend, halt bool, sleep int) {
 	if t > 0 && t == sc.hush {
-		return nil, false
+		return nil, false, 0
 	}
 	h := mix(sc.seed ^ mix(uint64(v)<<20^uint64(t)))
+	if sc.sleepy {
+		sleep = []int{0, t + 1, t + 2, t + 5}[h>>24%4] // t+1 asks for nothing
+	}
 	msg := func(k uint64, vec int) dist.Message {
 		x := mix(h + k)
 		m := dist.Message{Kind: uint8(x % 4), I0: int(x>>8%7) - 3, F0: float64(x>>16%1000) / 8}
@@ -88,6 +107,9 @@ func (sc *script) act(v graph.NodeID, t int, peers []graph.NodeID) (sends []scri
 	draw := h % 10
 	if sc.calm(t) && draw != 9 {
 		draw = []uint64{0, 1, 1, 10}[h>>8%4]
+	}
+	if sc.sleepy && draw != 9 && h>>32%4 != 0 {
+		draw = 0 // mostly quiet, or there would always be mail
 	}
 	switch draw {
 	case 0: // silent
@@ -118,11 +140,11 @@ func (sc *script) act(v graph.NodeID, t int, peers []graph.NodeID) (sends []scri
 	case 10: // calm rounds only
 		bcast(1, 3)
 	}
-	return sends, halt
+	return sends, halt, sleep
 }
 
 type scriptProg struct {
-	sc *script
+	sc actor
 	id graph.NodeID
 }
 
@@ -130,23 +152,27 @@ type scriptProg struct {
 // replays its nodes from Init in fresh programs (DESIGN.md §13), so a round
 // the dead incarnation had already stepped is recorded once.
 func (p *scriptProg) Init(c *dist.Ctx) {
-	p.sc.got[p.id] = nil
+	p.sc.rows()[p.id] = nil
 	p.play(c)
 }
 
 func (p *scriptProg) Round(c *dist.Ctx, inbox []dist.Message) {
-	p.sc.got[p.id] = append(p.sc.got[p.id], hashInbox(inbox)) // own row only: no lock needed
+	row := &p.sc.rows()[p.id] // own row only: no lock needed
+	*row = append(*row, uint64(c.Round()), hashInbox(inbox))
 	p.play(c)
 }
 
 func (p *scriptProg) play(c *dist.Ctx) {
-	sends, halt := p.sc.act(p.id, c.Round(), c.Peers())
+	sends, halt, sleep := p.sc.act(p.id, c.Round(), c.Peers())
 	for _, s := range sends {
 		if s.bcast {
 			c.Broadcast(s.m)
 		} else {
 			c.Send(s.to, s.m)
 		}
+	}
+	if sleep != 0 {
+		c.SleepUntil(sleep)
 	}
 	if halt {
 		c.Halt()
@@ -168,11 +194,13 @@ func hashInbox(inbox []dist.Message) uint64 {
 }
 
 // oracle is the naive delivery model: every round, collect what the live
-// nodes send, sort by (sender, send order), price each message with
+// nodes send — all of them but those asleep: a node that asked to sleep until
+// a round not yet reached and has no mail is passed over, any other call
+// clears the request — sort by (sender, send order), price each message with
 // WireSize, and hand it to its receiver unless the receiver has halted by
-// the end of that round. It returns the per-node inbox transcript and the
-// Metrics an engine must report.
-func oracle(g *graph.Graph, sc *script, maxRounds int) (want [][]uint64, met dist.Metrics) {
+// the end of that round. It returns the per-node transcript, the Metrics an
+// engine must report, and how many hooks it passed over.
+func oracle(g *graph.Graph, sc actor, maxRounds int) (want [][]uint64, met dist.Metrics, skipped int) {
 	type sent struct {
 		from, to graph.NodeID
 		m        dist.Message
@@ -180,6 +208,7 @@ func oracle(g *graph.Graph, sc *script, maxRounds int) (want [][]uint64, met dis
 	n := g.N()
 	want = make([][]uint64, n)
 	halted := make([]bool, n)
+	wake := make([]int, n)
 	inbox := make([][]dist.Message, n)
 	alive := n
 	for t := 0; t == 0 || (t <= maxRounds && alive > 0); t++ {
@@ -191,9 +220,14 @@ func oracle(g *graph.Graph, sc *script, maxRounds int) (want [][]uint64, met dis
 				continue
 			}
 			if t > 0 {
-				want[v] = append(want[v], hashInbox(inbox[v]))
+				if len(inbox[v]) == 0 && t < wake[v] {
+					skipped++
+					continue
+				}
+				want[v] = append(want[v], uint64(t), hashInbox(inbox[v]))
 			}
-			sends, halt := sc.act(v, t, g.Peers(v))
+			sends, halt, sleep := sc.act(v, t, g.Peers(v))
+			wake[v] = sleep
 			for _, s := range sends {
 				s.m.From = v
 				if !s.bcast {
@@ -224,7 +258,7 @@ func oracle(g *graph.Graph, sc *script, maxRounds int) (want [][]uint64, met dis
 		}
 	}
 	met.Halted = alive == 0
-	return want, met
+	return want, met, skipped
 }
 
 // seamEngine is the Driver seam with nothing around it: two Drivers over the
@@ -282,11 +316,11 @@ func (seamEngine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.
 		d[0].Deliver(nil)
 		d[1].Deliver(nil)
 	}
-	met := d[0].Finish(rounds)
-	if other := d[1].Finish(rounds); other != met {
+	met, other := d[0].Finish(rounds), d[1].Finish(rounds)
+	met.Halted, other.Halted = alive == 0, alive == 0 // a half only sees its own nodes halt
+	if other != met {
 		panic(fmt.Sprintf("the two halves priced the run differently: %+v and %+v", met, other))
 	}
-	met.Halted = alive == 0
 	return met
 }
 
@@ -332,17 +366,22 @@ func TestEnginesMatchDeliveryOracle(t *testing.T) {
 	dist.CheckInboxRetention = true
 	defer func() { dist.CheckInboxRetention = false }()
 	type row struct {
-		seed uint64
-		hush int
+		seed   uint64
+		hush   int
+		sleepy bool
 	}
 	for gname, g := range graphs {
-		for _, r := range []row{{1, 0}, {2, 0}, {3, 0}, {2, 2}, {3, 4}} { // the last two: a round of silence
+		// Rows four and five: a round of silence. The last two: hooks that ask to sleep.
+		for _, r := range []row{{1, 0, false}, {2, 0, false}, {3, 0, false}, {2, 2, false}, {3, 4, false}, {4, 0, true}, {5, 3, true}} {
 			seed := r.seed
 			for _, budget := range []int{6, 300} { // cut off mid-run, and run until all have halted
-				want, wantMet := oracle(g, &script{seed: seed, hush: r.hush}, budget)
+				want, wantMet, skipped := oracle(g, &script{seed: seed, hush: r.hush, sleepy: r.sleepy}, budget)
+				if (skipped > 0) != r.sleepy {
+					t.Fatalf("%s seed %d budget %d: the model passed over %d hooks, sleepy %v", gname, seed, budget, skipped, r.sleepy)
+				}
 				for _, e := range engines {
-					sc := &script{seed: seed, hush: r.hush, got: make([][]uint64, g.N())}
-					id := fmt.Sprintf("%s seed %d hush %d budget %d on %s", gname, seed, r.hush, budget, e.name)
+					sc := &script{seed: seed, hush: r.hush, sleepy: r.sleepy, got: make([][]uint64, g.N())}
+					id := fmt.Sprintf("%s seed %d hush %d sleepy %v budget %d on %s", gname, seed, r.hush, r.sleepy, budget, e.name)
 					if e.eng == dist.Engine(recov) {
 						recov.KillAt(obs.PhaseDeliver, sc.mixedRound(), 1)
 					}

@@ -15,7 +15,9 @@ import (
 // cost-balanced range of node IDs. A broadcast-only round is one barriered
 // phase: each worker steps its range's hooks — gathering every inbox from
 // the senders' slots into its own buffer — and prices the slots its range
-// wrote; the coordinator merges the metric partials. A round in which any
+// wrote; the coordinator merges the metric partials and, when few spoke,
+// lists the speakers per receiver (sim.listSpeakers) before it releases the
+// next round. A round in which any
 // hook queued a send adds the scatter as two more barriered phases — count
 // (each worker counts its senders' messages per receiver) and fill (each
 // worker writes its senders' messages into precomputed disjoint cells of
@@ -51,9 +53,10 @@ type ParStats struct {
 	// Workers is the effective worker count of the run (after the
 	// GOMAXPROCS default and the node-count cap).
 	Workers int
-	// FusedNodeRounds is always 0: the pool runs every live node's hook every
-	// round. The field stays only until the benchmark row that reads it
-	// (dist.fused_node_rounds) is retired — ROADMAP item 1c.
+	// FusedNodeRounds is always 0: the pool fuses nothing — it steps what
+	// SeqEngine steps, a node at a time, passing over those asleep
+	// (Ctx.SleepUntil). The field stays only until the benchmark row that
+	// reads it (dist.fused_node_rounds) is retired — ROADMAP item 1c.
 	FusedNodeRounds int64
 }
 
@@ -221,7 +224,8 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 				s.account(ws.msgs, ws.words, ws.wire)
 				ws.msgs, ws.words, ws.wire = 0, 0, 0
 			}
-			s.endDelivery(pull)
+			// In a pull round the partials are the slots' alone.
+			s.endDelivery(pull, s.met.Messages-mg0)
 		}
 		sp.EndN(s.met.WireBytes-wb0, s.met.Messages-mg0)
 	}
@@ -261,8 +265,9 @@ func (r *parRun) runJob(i int, jb parJob) {
 	}
 }
 
-// stepRange runs the hooks of worker i's live nodes for round t — sim.step
-// per node, exactly what Driver.StepRange runs — under the worker's step span.
+// stepRange runs the hooks of worker i's live, wakeful nodes for round t —
+// sim.step per node, exactly what Driver.StepRange runs — under the worker's
+// step span, whose count is the hooks run.
 func (r *parRun) stepRange(i, t int) {
 	ws := &r.ws[i]
 	sp := r.e.Trace.Begin(obs.PhaseStep, t, i)

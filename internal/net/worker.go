@@ -318,8 +318,7 @@ func (r *workerLoop) step(t int, live bool) error {
 		return err
 	}
 	sp := w.Trace.Begin(obs.PhaseStep, t, self)
-	r.d.StepList(r.local, t)
-	sp.EndN(0, int64(len(r.local)))
+	sp.EndN(0, int64(r.d.StepList(r.local, t))) // hooks run, as on seq and par
 	if live && w.killed(r.outPhase, t) {
 		return ErrKilled
 	}

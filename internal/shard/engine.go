@@ -194,8 +194,7 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 			}
 			for t := range work[s] {
 				sp := e.trace.Begin(obs.PhaseStep, t, s)
-				d.StepList(shards[s], t)
-				sp.EndN(0, int64(len(shards[s])))
+				sp.EndN(0, int64(d.StepList(shards[s], t))) // hooks run, as on seq and par
 				enc := e.trace.Begin(obs.PhaseEncode, t, s)
 				for _, v := range shards[s] {
 					fan.Emit(d, v, entry)
