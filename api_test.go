@@ -215,6 +215,64 @@ func TestRoundsForAndPowerGrid(t *testing.T) {
 	}
 }
 
+// Theorem I.1's sandwich c(v) ≤ β_T(v) ≤ 2(1+ε)·c(v), asserted against the
+// exact cores on what each surface itself computed: the four engines' runs
+// and a session's values two pushed epochs in (against the exact cores of the
+// mutated graph). Byte-identity to seq says every row must pass; this is the
+// test that would notice byte-identity pinned to a wrong seq.
+func TestSandwichOnEverySurface(t *testing.T) {
+	const eps = 0.5
+	sandwich := func(t *testing.T, g *distkcore.Graph, b []float64) {
+		t.Helper()
+		for v, c := range distkcore.ExactCoreness(g) {
+			if b[v] < c-1e-9 || b[v] > 2*(1+eps)*c+1e-9 {
+				t.Fatalf("β(%d) = %v outside [c, 2(1+ε)c] for c = %v", v, b[v], c)
+			}
+		}
+	}
+	stream := distkcore.NetworkEngine(4, distkcore.GreedyPartitioner())
+	stream.Stream = true
+	engines := map[string]distkcore.Engine{
+		"seq":          distkcore.SequentialEngine(),
+		"par:3":        distkcore.ParallelWorkers(3),
+		"shard:4":      distkcore.ShardedEngine(4, distkcore.GreedyPartitioner()),
+		"net:4 stream": stream,
+	}
+	for name, g := range map[string]*distkcore.Graph{
+		"ba": graph.BarabasiAlbert(200, 3, 41),
+		"er": graph.ErdosRenyi(150, 0.06, 42),
+		"ws": graph.WattsStrogatz(150, 6, 0.2, 43),
+		// The paper's Figure I.1(b) family, where β_T sits strictly above c.
+		"figI1b": graph.FigureI1B(48).G,
+	} {
+		T := distkcore.RoundsFor(g.N(), eps)
+		for ename, eng := range engines {
+			t.Run(name+"/"+ename, func(t *testing.T) {
+				res, _ := distkcore.RunDistributedOn(g, T, eng)
+				sandwich(t, g, res.B)
+			})
+		}
+		t.Run(name+"/session", func(t *testing.T) {
+			s, err := distkcore.OpenSession(g, distkcore.SessionOptions{P: 4, Rounds: T, Part: distkcore.GreedyPartitioner()})
+			if err != nil {
+				t.Fatalf("OpenSession: %v", err)
+			}
+			defer s.Close()
+			cur := g
+			for e := 1; e <= 2; e++ {
+				d := distkcore.RandomChurn(cur, 40, int64(e))
+				if _, err := s.Push(d, 0); err != nil {
+					t.Fatalf("epoch %d push: %v", e, err)
+				}
+				if cur, err = d.Apply(cur); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sandwich(t, cur, s.Values())
+		})
+	}
+}
+
 func TestChurnAPI(t *testing.T) {
 	g := graph.BarabasiAlbert(250, 3, 29)
 	T := distkcore.RoundsFor(g.N(), 0.5)
@@ -223,36 +281,24 @@ func TestChurnAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, refMet := distkcore.RunDistributedOn(g2, T, distkcore.SequentialEngine())
-	for _, churned := range []struct {
-		name string
-		run  func() (distkcore.CorenessResult, distkcore.Metrics, distkcore.ChurnMetrics)
-	}{
-		{"sharded", func() (distkcore.CorenessResult, distkcore.Metrics, distkcore.ChurnMetrics) {
-			eng := distkcore.ShardedEngine(4, distkcore.GreedyPartitioner())
-			eng.Churn(delta, 0)
-			res, met := distkcore.RunDistributedOn(g, T, eng)
-			return res, met, eng.ChurnMetrics()
-		}},
-		{"socket", func() (distkcore.CorenessResult, distkcore.Metrics, distkcore.ChurnMetrics) {
-			eng := distkcore.NetworkEngine(4, distkcore.GreedyPartitioner())
-			eng.Churn(delta, 0)
-			res, met := distkcore.RunDistributedOn(g, T, eng)
-			return res, met, eng.ChurnMetrics()
-		}},
-	} {
-		res, met, cm := churned.run()
-		if met != refMet {
-			t.Fatalf("%s: churned metrics %+v, fresh %+v", churned.name, met, refMet)
+	ref, _ := distkcore.RunDistributedOn(g2, T, distkcore.SequentialEngine())
+	s, err := distkcore.OpenSession(g, distkcore.SessionOptions{P: 4, Rounds: T, Part: distkcore.GreedyPartitioner()})
+	if err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	defer s.Close()
+	rep, err := s.Push(delta, 0)
+	if err != nil {
+		t.Fatalf("push: %v", err)
+	}
+	for v, b := range s.Values() {
+		if b != ref.B[v] {
+			t.Fatalf("pushed β(%d) diverges from a fresh run on the mutated graph", v)
 		}
-		for v := range ref.B {
-			if res.B[v] != ref.B[v] {
-				t.Fatalf("%s: churned β(%d) diverges from a fresh run on the mutated graph", churned.name, v)
-			}
-		}
-		if cm.FrontierSize == 0 || cm.DeltaBytes == 0 {
-			t.Fatalf("%s: implausible churn metrics %+v", churned.name, cm)
-		}
+	}
+	var cm distkcore.ChurnMetrics = rep.Churn
+	if cm.FrontierSize == 0 || cm.DeltaBytes == 0 || cm.EdgeCutAfter > cm.EdgeCutBefore {
+		t.Fatalf("implausible churn metrics %+v", cm)
 	}
 }
 

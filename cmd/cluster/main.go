@@ -21,15 +21,9 @@
 // The coordinator ships only the run *description* — a generator spec,
 // the partitioner name, the protocol spec, Λ — and 64-bit digests of the
 // graph and the partition; every worker rebuilds the inputs locally and
-// the handshake refuses to run unless all digests agree. With -churn
-// OPS[:SEED] the run additionally absorbs a deterministic edge-churn
-// batch (DESIGN.md §9): the delta travels to each worker as one wire
-// record with its digest pinned in the handshake, workers apply it and
-// incrementally rebalance their stale shard assignment (-budget caps the
-// moves), and -verify then demands bit-equality against a fresh
-// sequential run on the *mutated* graph. TCP listeners work the same way
-// (-listen tcp:127.0.0.1:7001), but the protocol has no authentication or
-// encryption: keep it on localhost or a trusted link.
+// the handshake refuses to run unless all digests agree. TCP listeners work
+// the same way (-listen tcp:127.0.0.1:7001), but the protocol has no
+// authentication or encryption: keep it on localhost or a trusted link.
 //
 // With -stream (unix sockets only) round frames travel directly
 // worker↔worker over a mesh of data sockets at <control path>.mesh —
@@ -87,7 +81,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   cluster worker -listen unix:/path.sock|tcp:host:port [-session]
-  cluster coord  (-workers addr,addr,... | -spawn P) -gen ba -n 10000 [-seed S] [-eps E | -T T] [-lambda L] [-part NAME] [-churn OPS[:SEED] [-budget M]] [-stream] [-recover] [-kill W:R] [-verify] [-json FILE] [-trace FILE]
+  cluster coord  (-workers addr,addr,... | -spawn P) -gen ba -n 10000 [-seed S] [-eps E | -T T] [-lambda L] [-part NAME] [-stream] [-recover] [-kill W:R] [-verify] [-json FILE] [-trace FILE]
   cluster serve  (-workers addr,addr,... | -spawn P) -control unix:/path.sock -gen ba -n 10000 [-seed S] [-eps E | -T T] [-part NAME] [-trace FILE] [-debug-addr host:port]
   cluster push   -connect unix:/path.sock -gen ba -n 10000 [-seed S] [-eps E | -T T] -epochs E [-ops N] [-churnseed S] [-budget M] [-verify] [-shutdown]
   cluster sub    -connect unix:/path.sock -topics coreness:5,topk:3 [-count N]
@@ -169,7 +163,6 @@ func runWorker(args []string) {
 	assign := part.Partition(g, h.P)
 	w := dnet.NewWorker(c, g, assign)
 	w.Hello = h
-	w.Part = part // the churn rebalance, when the hello announces a delta
 
 	// Streamed delivery (DESIGN.md §14): the hello carries every shard's
 	// mesh endpoint; this worker binds its own (stable across respawns, so
@@ -210,7 +203,7 @@ func runWorker(args []string) {
 		// Session worker: the run seeds this worker's state, then it keeps the
 		// connection and serves DeltaPush/stamp exchanges until the coordinator
 		// says goodbye — the same life an in-process session worker leads.
-		ws, err := session.ServeWorker(c, w, g, assign, T)
+		ws, err := session.ServeWorker(c, w, g, assign, part, T)
 		if err != nil {
 			fatalTell(c, err)
 		}
@@ -228,7 +221,7 @@ func runWorker(args []string) {
 		}
 	}
 	local := 0
-	for _, s := range w.Assign() {
+	for _, s := range assign {
 		if s == h.Shard {
 			local++
 		}
@@ -263,8 +256,6 @@ func runCoord(args []string) {
 		tFlag    = fs.Int("T", 0, "explicit round budget (overrides -eps)")
 		lambda   = fs.Float64("lambda", 0, "quantize transmitted values to powers of (1+lambda); 0 means Λ = ℝ")
 		partN    = fs.String("part", "greedy", "partitioner: hash, range or greedy")
-		churn    = fs.String("churn", "", cliutil.ChurnUsage)
-		budget   = fs.Int("budget", 0, "rebalance move budget under -churn (0 = whole frontier)")
 		verify   = fs.Bool("verify", false, "run the sequential engine locally and demand byte-identical Metrics and values")
 		stream   = fs.Bool("stream", false, "stream round frames directly worker↔worker over a unix-socket mesh (DESIGN.md §14) instead of relaying every frame through the coordinator")
 		recov    = fs.Bool("recover", false, "arm crash recovery (DESIGN.md §13): the run's frames stay retained and a dead worker is re-exec'd and replayed to instead of failing the run (requires -spawn)")
@@ -291,11 +282,6 @@ func runCoord(args []string) {
 	if T <= 0 {
 		T = core.TForEpsilon(g.N(), *eps)
 	}
-	churnOps, churnSeed, err := cliutil.ParseChurnSpec(*churn)
-	if err != nil {
-		fatal(err)
-	}
-	delta := dist.RandomChurn(g, churnOps, churnSeed)
 	killW, killR, err := parseKillSpec(*killSpec)
 	if err != nil {
 		fatal(err)
@@ -336,14 +322,10 @@ func runCoord(args []string) {
 			}
 			meshSpec = strings.Join(ms, ",")
 		}
-		// Under -churn the run executes on the mutated graph with the
-		// incrementally rebalanced assignment; the handshake pins both and
-		// the delta travels to every worker as a delta record (DESIGN §9).
-		pl, err := shard.Place(part, g, p, delta, *budget)
+		assign, err := shard.Place(part, g, p)
 		if err != nil {
 			return err
 		}
-		runG, runAssign, cm := pl.G, pl.Assign, pl.Churn
 
 		// The tracer sees the coordinator's side only — barrier waits, frame
 		// relays and the funnel's flow matrix; worker timelines live in the
@@ -356,14 +338,12 @@ func runCoord(args []string) {
 			P:          p,
 			MaxRounds:  T,
 			Lam:        lam,
-			GraphHash:  runG.Fingerprint(),
-			PartDigest: shard.PartitionDigest(runAssign),
+			GraphHash:  g.Fingerprint(),
+			PartDigest: shard.PartitionDigest(assign),
 			GraphSpec:  spec,
 			PartName:   part.Name(),
 			ProtoSpec:  fmt.Sprintf("coreness:%d", T),
 			WantValues: true,
-			Delta:      delta,
-			MoveBudget: *budget,
 			Trace:      tracer,
 			Stream:     *stream,
 			MeshSpec:   meshSpec,
@@ -389,8 +369,8 @@ func runCoord(args []string) {
 		if err := f.reap(); err != nil {
 			return err
 		}
-		rep.Sharding.EdgeCutFraction = shard.CutFraction(runG, runAssign)
-		b, err := rep.Assemble(runG.N())
+		rep.Sharding.EdgeCutFraction = shard.CutFraction(g, assign)
+		b, err := rep.Assemble(g.N())
 		if err != nil {
 			return err
 		}
@@ -415,18 +395,10 @@ func runCoord(args []string) {
 			fmt.Printf("  stream: per-worker wire max=%d total=%d relayed=%d chunks=%d\n",
 				max, tot, relayed, chunks)
 		}
-		if delta.Len() > 0 {
-			fmt.Printf("  churn: ops=%d frontier=%d moved=%d movedKB=%.1f deltaBytes=%d cut %.3f→%.3f\n",
-				delta.Len(), cm.FrontierSize, cm.MovedNodes, float64(cm.MovedBytes)/1e3,
-				cm.DeltaBytes, cm.EdgeCutBefore, cm.EdgeCutAfter)
-		}
 
 		verified := false
 		if *verify {
-			// The reference is a fresh sequential run on the MUTATED graph:
-			// a churned cluster must be indistinguishable from rebuilding
-			// from scratch.
-			ref, refMet := core.RunDistributed(runG, core.Options{Rounds: T, Lambda: lam}, dist.SeqEngine{})
+			ref, refMet := core.RunDistributed(g, core.Options{Rounds: T, Lambda: lam}, dist.SeqEngine{})
 			if met != refMet {
 				return fmt.Errorf("METRICS DIVERGE from sequential engine:\n  cluster %+v\n  seq     %+v", met, refMet)
 			}
@@ -442,7 +414,7 @@ func runCoord(args []string) {
 		if err := cliutil.WriteTrace(*traceOut, tracer); err != nil {
 			return err
 		}
-		return writeReport(*jsonOut, spec, p, part.Name(), T, met, sm, delta.Len(), cm, verified, elapsed, tracer)
+		return writeReport(*jsonOut, spec, p, part.Name(), T, met, sm, verified, elapsed, tracer)
 	}()
 	f.close()
 	if runErr != nil {
@@ -592,7 +564,7 @@ func (f *fleet) close() {
 }
 
 // writeReport writes the optional JSON run report (obs.RunReport).
-func writeReport(path, spec string, p int, part string, T int, met dist.Metrics, sm shard.ShardMetrics, churnOps int, cm shard.ChurnMetrics, verified bool, elapsed time.Duration, tracer *obs.Tracer) error {
+func writeReport(path, spec string, p int, part string, T int, met dist.Metrics, sm shard.ShardMetrics, verified bool, elapsed time.Duration, tracer *obs.Tracer) error {
 	if path == "" {
 		return nil
 	}
@@ -605,10 +577,6 @@ func writeReport(path, spec string, p int, part string, T int, met dist.Metrics,
 		Sharding:  sm,
 		Verified:  verified,
 		ElapsedMS: elapsed.Milliseconds(),
-	}
-	if churnOps > 0 {
-		rep.ChurnOps = churnOps
-		rep.Churn = cm
 	}
 	if tracer != nil {
 		rep.Phases = tracer.Trace().PhaseTotals()

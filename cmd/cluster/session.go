@@ -63,11 +63,10 @@ func runServe(args []string) {
 			return err
 		}
 		p := len(f.addrs)
-		pl, err := shard.Place(part, g, p, dist.GraphDelta{}, 0)
+		assign, err := shard.Place(part, g, p)
 		if err != nil {
 			return err
 		}
-		assign := pl.Assign
 
 		// Epoch 0: one full coordinated run over a hub that outlives it.
 		// The tracer (when asked for) spans the whole session life:

@@ -7,16 +7,11 @@
 //	kcore -in graph.txt -eps 0.25 -quantize 0.1
 //	kcore -gen er -n 2000 -exact           # also run to convergence
 //	kcore -gen ba -engine shard:8 -q       # run as a sharded cluster
-//	kcore -gen ba -engine shard:8 -churn 200:9 -q  # ... absorbing churn first
 //
 // Output: one line per node "v beta [core]" plus a summary. With -engine
 // the elimination runs as a real message-passing protocol on the selected
 // engine (seq | par | shard:P[:partitioner]) and communication metrics are
-// reported; every engine produces byte-identical values. -churn applies a
-// deterministic edge-churn batch before the run: cluster engines absorb it
-// through the DESIGN.md §9 delta protocol (wire-encoded batch, incremental
-// rebalance), direct engines run fresh on the mutated graph — the values
-// agree either way.
+// reported; every engine produces byte-identical values.
 package main
 
 import (
@@ -44,7 +39,6 @@ func main() {
 	exactToo := flag.Bool("exact", false, "also compute exact coreness and per-node ratios")
 	quiet := flag.Bool("q", false, "summary only, no per-node lines")
 	engineSpec := flag.String("engine", "", "run as a message-passing protocol on this engine; "+cliutil.EngineUsage+" (empty = centralized simulation)")
-	churn := flag.String("churn", "", cliutil.ChurnUsage)
 	traceOut := flag.String("trace", "", cliutil.TraceUsage)
 	flag.Parse()
 
@@ -58,13 +52,6 @@ func main() {
 	if *lam > 0 {
 		opt.Lambda = quantize.NewPowerGrid(*lam)
 	}
-	churnOps, churnSeed, err := cliutil.ParseChurnSpec(*churn)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kcore:", err)
-		os.Exit(2)
-	}
-	delta := dist.RandomChurn(g, churnOps, churnSeed)
-	mutated := g // the post-churn graph all reporting describes
 	// Tracing needs an engine to thread through; a bare -trace runs the
 	// protocol on the sequential reference engine.
 	var tracer *obs.Tracer
@@ -82,43 +69,16 @@ func main() {
 			os.Exit(2)
 		}
 		eng = cliutil.Traced(eng, tracer)
-		// Cluster engines absorb the churn batch through their own delta
-		// protocol (rebalanced placement, wire-encoded delta) and take the
-		// pre-churn graph; direct engines run fresh on the mutated graph.
-		// Values agree either way.
-		runG, err := cliutil.ApplyChurn(g, delta, 0, eng)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "kcore:", err)
-			os.Exit(1)
-		}
-		if runG != g {
-			mutated = runG // direct engine: ApplyChurn already mutated
-		}
 		var met dist.Metrics
-		res, met = core.RunDistributed(runG, opt, eng)
+		res, met = core.RunDistributed(g, opt, eng)
 		fmt.Printf("# engine=%s rounds=%d messages=%d words=%d wireBytes=%d\n",
 			*engineSpec, met.Rounds, met.Messages, met.Words, met.WireBytes)
 		if se, ok := eng.(*shard.Engine); ok {
 			sm := se.ShardMetrics()
 			fmt.Printf("# shards=%d edgeCut=%.1f%% crossMsgs=%d frameBytes=%d maxShardBytes=%d\n",
 				sm.P, 100*sm.EdgeCutFraction, sm.CrossMessages, sm.CrossFrameBytes, sm.MaxShardBytes)
-			if delta.Len() > 0 {
-				cm := se.ChurnMetrics()
-				fmt.Printf("# churn ops=%d frontier=%d moved=%d cut %.3f→%.3f\n",
-					delta.Len(), cm.FrontierSize, cm.MovedNodes, cm.EdgeCutBefore, cm.EdgeCutAfter)
-			}
 		}
 	}
-	// Per-node reporting and exact ratios always describe the post-churn
-	// graph — the one the values belong to. (Cluster engines kept the
-	// pre-churn graph for Run, so the mutation happens here, once.)
-	if delta.Len() > 0 && mutated == g {
-		if mutated, err = delta.Apply(g); err != nil {
-			fmt.Fprintln(os.Stderr, "kcore:", err)
-			os.Exit(1)
-		}
-	}
-	g = mutated
 	if *engineSpec == "" {
 		res = core.Run(g, opt)
 	}

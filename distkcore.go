@@ -21,14 +21,13 @@
 // message-passing runtime with four byte-identical execution engines:
 // sequential (the reference), batched worker pool, sharded cluster, and a
 // real-socket cluster (coordinator + P workers over pipes or sockets; see
-// cmd/cluster for the multi-process form). Both cluster engines absorb
-// edge churn without re-sharding from scratch: install a GraphDelta with
-// their Churn methods and the run applies it under pinned digests, moves
-// only change-frontier nodes, and stays byte-identical to a fresh run on
-// the mutated graph (DESIGN.md §9). On top of the socket transport,
-// OpenSession keeps a cluster hot across runs: deltas stream to the live
-// workers as epochs, each re-converged incrementally, digest-chained, and
-// published to subscribers (DESIGN.md §10). Every surface threads through
+// cmd/cluster for the multi-process form). A run is a pure function of its
+// graph; edge churn reaches a cluster through OpenSession, which keeps one
+// hot on top of the socket transport: GraphDelta batches stream to the live
+// workers as epochs, each re-converged incrementally — only change-frontier
+// nodes are repaired and re-placed — digest-chained, bit-identical to a
+// fresh run on the mutated graph, and published to subscribers (DESIGN.md
+// §9–10). Every surface threads through
 // an observation-only tracing layer: attach a NewTracer via TracedEngine
 // or SessionOptions.Trace to get per-phase timings, shard-pair byte flows
 // and a Chrome-traceable timeline, provably without perturbing the
@@ -96,13 +95,13 @@ type (
 	// with weight W, or (Del) a deletion of one existing copy.
 	EdgeOp = dist.EdgeOp
 	// GraphDelta is a batched churn delta with a canonical application
-	// order and a 64-bit digest — the unit of edge churn both cluster
-	// engines absorb via their Churn methods (DESIGN.md §9). Apply executes
-	// it against an immutable Graph and returns the mutated one.
+	// order and a 64-bit digest — the unit of edge churn a Session absorbs
+	// per Push (DESIGN.md §9). Apply executes it against an immutable Graph
+	// and returns the mutated one.
 	GraphDelta = dist.GraphDelta
-	// ChurnMetrics reports what absorbing one delta batch cost a cluster:
-	// frontier size, nodes/bytes moved by the incremental rebalance, delta
-	// wire bytes, and the edge cut before/after.
+	// ChurnMetrics reports what absorbing one delta batch cost a cluster
+	// (EpochReport.Churn): frontier size, nodes/bytes moved by the
+	// incremental rebalance, delta wire bytes, and the edge cut before/after.
 	ChurnMetrics = shard.ChurnMetrics
 	// Session is a long-lived cluster: P workers kept hot on persistent
 	// connections after one full run (epoch 0), re-converging incrementally
@@ -150,8 +149,8 @@ type (
 
 // RandomChurn builds a deterministic churn batch of ops edge mutations for
 // g (seeded coin: insert a random unit edge or delete a live one), always
-// cleanly applicable — the workload generator behind the -churn CLI flags
-// and experiment E19.
+// cleanly applicable — the workload generator behind `cluster push` and
+// experiment E19.
 func RandomChurn(g *Graph, ops int, seed int64) GraphDelta { return dist.RandomChurn(g, ops, seed) }
 
 // NewTracer returns an enabled run tracer; its clock starts now. Thread it
@@ -222,9 +221,10 @@ func NetworkEngine(p int, part Partitioner) *SocketEngine { return dnet.NewEngin
 // graph/partition/values digests into a chain. Subscribe registers topics
 // ("coreness:v", "topk:k", "threshold:x") whose changes are reported
 // exactly once per epoch in deterministic order. Sessions require the
-// exact threshold set Λ = ℝ and exactly summable edge weights (unit
-// weights qualify) — OpenSession fails otherwise rather than let epochs
-// drift from fresh runs. Close the session when done.
+// exact threshold set Λ = ℝ and exactly summable edge weights (multiples
+// of 2⁻¹⁰ no larger than 2²⁰; unit weights qualify) — OpenSession fails and
+// Push rejects the batch otherwise, rather than let epochs drift from fresh
+// runs. Close the session when done.
 func OpenSession(g *Graph, opt SessionOptions) (*Session, error) { return session.Open(g, opt) }
 
 // CorenessTopic subscribes to changes of one node's β value.

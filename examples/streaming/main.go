@@ -5,11 +5,11 @@
 // the dynamic-graph extension in the spirit of Aridhi et al., built on the
 // locality of the paper's Theorem I.1 (β_t depends only on the t-hop ball).
 //
-// The finale takes the same churn to the cluster: a 4-shard engine absorbs
-// one dist.GraphDelta batch through the wire codec, the greedy partitioner
-// moves only change-frontier nodes off the stale placement, and the churned
-// run comes out byte-identical to rebuilding and rerunning from scratch
-// (DESIGN.md §9).
+// The finale takes the same churn to the cluster: a 4-worker session absorbs
+// one dist.GraphDelta batch as an epoch, the greedy partitioner moves only
+// change-frontier nodes off the stale placement, and the sealed values come
+// out bit-identical to rebuilding and rerunning from scratch (DESIGN.md
+// §9–10).
 //
 //	go run ./examples/streaming
 package main
@@ -22,6 +22,7 @@ import (
 	"distkcore/internal/dist"
 	"distkcore/internal/dynamic"
 	"distkcore/internal/graph"
+	"distkcore/internal/session"
 	"distkcore/internal/shard"
 )
 
@@ -88,35 +89,40 @@ func main() {
 	// ------------------------------------------------------------------
 	// The same story on a cluster. A deployment does not hold one big
 	// adjacency in one process: the graph is sharded, and a churn batch
-	// must reach every shard, update the placement, and leave the
-	// execution bit-for-bit reproducible. That is the GraphDelta protocol:
-	// install the batch on the engine and run on the PRE-churn graph — the
-	// engine ships the delta through the frame codec, applies it under the
-	// canonical order, and moves only change-frontier nodes.
-	fmt.Println("\n--- churned 4-shard cluster run ---")
+	// must reach every shard, update the placement, and leave the result
+	// bit-for-bit reproducible. That is a session epoch: the workers of the
+	// opening run stay hot, the delta is pushed to all of them, each repairs
+	// only the change frontier, and the coordinator seals what they agree on.
+	fmt.Println("\n--- one churn epoch on a 4-worker session ---")
 	delta := dist.RandomChurn(g, 500, 99)
 	mutated, err := delta.Apply(g)
 	if err != nil {
 		panic(err)
 	}
 
-	eng := shard.NewEngine(4, shard.Greedy{})
-	eng.Churn(delta, 0)
-	res, met := core.RunDistributed(g, core.Options{Rounds: T}, eng)
+	s, err := session.Open(g, session.Options{P: 4, Rounds: T, Part: shard.Greedy{}})
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
+	ep, err := s.Push(delta, 0)
+	if err != nil {
+		panic(err)
+	}
 
-	cm := eng.ChurnMetrics()
+	cm := ep.Churn
 	fmt.Printf("delta: %d ops in %d wire bytes; frontier %d nodes\n",
 		delta.Len(), cm.DeltaBytes, cm.FrontierSize)
 	fmt.Printf("rebalance: moved %d nodes (%.1f KB of state), edge cut %.3f → %.3f\n",
 		cm.MovedNodes, float64(cm.MovedBytes)/1e3, cm.EdgeCutBefore, cm.EdgeCutAfter)
 
-	fresh, freshMet := core.RunDistributed(mutated, core.Options{Rounds: T}, dist.SeqEngine{})
-	same := met == freshMet
-	for v := 0; v < n && same; v++ {
-		same = res.B[v] == fresh.B[v]
+	fresh, _ := core.RunDistributed(mutated, core.Options{Rounds: T}, dist.SeqEngine{})
+	same := true
+	for v, b := range s.Values() {
+		same = same && b == fresh.B[v]
 	}
-	fmt.Printf("churned cluster run == fresh sequential run on the mutated graph: %v\n", same)
-	fmt.Printf("  (rounds=%d messages=%d wireBytes=%d)\n", met.Rounds, met.Messages, met.WireBytes)
+	fmt.Printf("epoch %d values == fresh sequential run on the mutated graph: %v\n", ep.Epoch, same)
+	fmt.Printf("  (%d of %d values moved)\n", len(ep.Changed), n)
 }
 
 func abs(x float64) float64 {

@@ -88,20 +88,13 @@ type Hello struct {
 	MaxRounds  int
 	GraphHash  uint64
 	PartDigest uint64
-	// DeltaDigest pins the churn batch of the run (dist.GraphDelta.Digest).
-	// Non-zero means a delta record follows the hello: the worker must
-	// apply that batch to its pre-churn graph before welcoming, and
-	// GraphHash/PartDigest above pin the *post-churn* graph and the
-	// *rebalanced* assignment. Zero means no churn and the digests pin the
-	// inputs as resolved.
-	DeltaDigest uint64
-	LamKind     byte    // LamReals | LamPowerGrid | LamOpaque
-	LamL        float64 // λ when LamKind == LamPowerGrid
-	LamName     string  // Lambda.Name() when LamKind == LamOpaque
-	GraphSpec   string  // e.g. "ba:10000:7"; empty in-process
-	PartName    string  // partitioner name, e.g. "greedy"
-	ProtoSpec   string  // e.g. "coreness:23"; empty in-process
-	WantValues  bool    // ship per-node result values after the metrics record
+	LamKind    byte    // LamReals | LamPowerGrid | LamOpaque
+	LamL       float64 // λ when LamKind == LamPowerGrid
+	LamName    string  // Lambda.Name() when LamKind == LamOpaque
+	GraphSpec  string  // e.g. "ba:10000:7"; empty in-process
+	PartName   string  // partitioner name, e.g. "greedy"
+	ProtoSpec  string  // e.g. "coreness:23"; empty in-process
+	WantValues bool    // ship per-node result values after the metrics record
 	// Recover arms crash recovery (DESIGN.md §13): the worker folds what it
 	// receives into a frame chain, a streamed worker retains what it sends,
 	// and a respawned incarnation honors Replay records after its
@@ -146,8 +139,11 @@ const (
 // before their first stamp disagrees (DESIGN.md §10.2); version 7 made replay
 // from Init the one restart (DESIGN.md §13): the checkpoint and resume records
 // and the hello's always-zero window field are gone, a metrics record ends
-// with the worker's frame chain, and a stream-resend names no first round.
-const HandshakeVersion = 7
+// with the worker's frame chain, and a stream-resend names no first round;
+// version 8 retired the one-shot churned run — DeltaDigest and the delta
+// record are gone, a delta reaches a cluster as a session epoch (DESIGN.md
+// §10).
+const HandshakeVersion = 8
 
 // AppendHello appends the wire encoding of h to dst.
 func AppendHello(dst []byte, h Hello) []byte {
@@ -157,7 +153,6 @@ func AppendHello(dst []byte, h Hello) []byte {
 	dst = binary.AppendUvarint(dst, uint64(h.MaxRounds))
 	dst = binary.LittleEndian.AppendUint64(dst, h.GraphHash)
 	dst = binary.LittleEndian.AppendUint64(dst, h.PartDigest)
-	dst = binary.LittleEndian.AppendUint64(dst, h.DeltaDigest)
 	dst = append(dst, h.LamKind)
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(h.LamL))
 	dst = appendString(dst, h.LamName)
@@ -181,7 +176,6 @@ func DecodeHello(src []byte) (Hello, int, error) {
 	h.MaxRounds = int(d.Uvarint())
 	h.GraphHash = d.U64()
 	h.PartDigest = d.U64()
-	h.DeltaDigest = d.U64()
 	h.LamKind = d.Byte()
 	h.LamL = math.Float64frombits(d.U64())
 	h.LamName = d.Str()

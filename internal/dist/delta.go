@@ -35,10 +35,9 @@ func (d GraphDelta) Len() int { return len(d.Ops) }
 
 // Digest folds the delta into a deterministic 64-bit digest (word-granular
 // FNV-1a over the op count and every op's kind, endpoints and — for inserts
-// — weight bits). The cluster transport pins it in its handshake next to
-// graph.Fingerprint and shard.PartitionDigest, so a coordinator and its
-// workers cannot silently apply different churn. The empty delta digests to
-// 0, which is the handshake's "no churn" marker.
+// — weight bits). A session coordinator holds the batch it validated to the
+// encoding it broadcasts by it, so coordinator and workers cannot silently
+// apply different churn. The empty delta digests to 0.
 func (d GraphDelta) Digest() uint64 {
 	if len(d.Ops) == 0 {
 		return 0
@@ -138,9 +137,9 @@ func (d GraphDelta) Apply(g *graph.Graph) (*graph.Graph, error) {
 // unit-weight edge or a deletion of a uniformly chosen edge that is alive
 // at that point of the batch (initial edges and earlier inserts included),
 // so the batch always applies cleanly. It is the workload generator behind
-// the -churn CLI flag, experiment E19 and the churn benchmarks; like the
-// graph generators, it is a pure function of (g, ops, seed), which is what
-// lets separate cluster processes agree on a batch by digest alone.
+// `cluster push`, experiment E19 and the session benchmarks; like the graph
+// generators, it is a pure function of (g, ops, seed), which is what lets a
+// push client recompute the graph its receipts describe.
 func RandomChurn(g *graph.Graph, ops int, seed int64) GraphDelta {
 	if ops <= 0 {
 		return GraphDelta{} // don't build the live pool for a no-churn run

@@ -8,6 +8,7 @@ import (
 	"distkcore/internal/dist"
 	"distkcore/internal/dynamic"
 	"distkcore/internal/graph"
+	"distkcore/internal/session"
 	"distkcore/internal/shard"
 	"distkcore/internal/stats"
 )
@@ -25,10 +26,10 @@ func init() {
 //   - the dynamic.Maintainer oracle, which repairs only the change
 //     frontier (its bill, re-evals/op, is the incremental-maintenance
 //     claim: frontier repair beats the n·T full recompute);
-//   - the churned cluster — the sharded engine absorbing the same delta
-//     through the §9 wire codec with the incremental Rebalance moving only
-//     frontier nodes, whose execution must stay byte-identical to the
-//     fresh reference.
+//   - the cluster — a session (DESIGN.md §10) opened on the pre-churn graph
+//     and pushed the same delta as one epoch, every party running the
+//     incremental Rebalance that moves only frontier nodes; the sealed
+//     values must be bit-identical to the fresh reference's.
 //
 // The sweep is churn rate × partitioner × P. Hash never moves a node
 // (placement is ID-pure, the cut drifts wherever churn pushes it); greedy
@@ -38,7 +39,7 @@ func runE19(cfg Config) *Report {
 	rep := &Report{
 		ID:    "E19",
 		Title: "churn-aware cluster: incremental maintenance and repartitioning under edge churn",
-		Claim: "the locality of Theorem I.1 makes churn cheap twice: β repair touches only the change frontier (Aridhi et al. line), and repartitioning moves only frontier nodes — while churned cluster executions stay byte-identical to a fresh run on the mutated graph",
+		Claim: "the locality of Theorem I.1 makes churn cheap twice: β repair touches only the change frontier (Aridhi et al. line), and repartitioning moves only frontier nodes — while a session epoch's values stay bit-identical to a fresh run on the mutated graph",
 	}
 	sz := func(big, small int) int {
 		if cfg.Short {
@@ -65,7 +66,7 @@ func runE19(cfg Config) *Report {
 			if err != nil {
 				panic("E19: " + err.Error())
 			}
-			ref, refMet := core.RunDistributed(g2, core.Options{Rounds: T}, cfg.engine())
+			ref, _ := core.RunDistributed(g2, core.Options{Rounds: T}, cfg.engine())
 
 			// The maintainer oracle: repair the history incrementally and
 			// compare both the values and the bill against from-scratch.
@@ -92,11 +93,17 @@ func runE19(cfg Config) *Report {
 
 			for _, p := range ps {
 				for _, part := range parts {
-					eng := shard.NewEngine(p, part)
-					eng.Churn(delta, 0)
-					res, met := core.RunDistributed(w.G, core.Options{Rounds: T}, eng)
-					cm := eng.ChurnMetrics()
-					match := met == refMet && equalVectors(res.B, ref.B)
+					s, err := session.Open(w.G, session.Options{P: p, Rounds: T, Part: part})
+					if err != nil {
+						panic("E19: " + err.Error())
+					}
+					ep, err := s.Push(delta, 0)
+					if err != nil {
+						panic("E19: " + err.Error())
+					}
+					cm := ep.Churn
+					match := equalVectors(s.Values(), ref.B)
+					s.Close()
 					allMatch = allMatch && match
 					if part.Name() == "greedy" && cm.EdgeCutAfter > cm.EdgeCutBefore {
 						cutOK = false
@@ -114,7 +121,7 @@ func runE19(cfg Config) *Report {
 		rep.Notes = append(rep.Notes, oracle...)
 	}
 	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("every churned cluster run byte-identical (Metrics + values) to a fresh %s run on the mutated graph: %v%s",
+		fmt.Sprintf("every session epoch's values bit-identical to a fresh %s run on the mutated graph: %v%s",
 			engineName(cfg.engine()), allMatch, mismatchTag(allMatch)),
 		fmt.Sprintf("greedy rebalance never worsens the cut (every move strictly co-locates neighbors): %v%s",
 			cutOK, mismatchTag(cutOK)),

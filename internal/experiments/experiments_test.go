@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"distkcore/internal/dist"
+	dnet "distkcore/internal/net"
 	"distkcore/internal/shard"
 )
 
@@ -105,13 +107,17 @@ func TestE18GreedyBeatsHashOnPowerLaw(t *testing.T) {
 
 func TestExperimentsRunOnConfiguredEngine(t *testing.T) {
 	// Engine selection is a Config field: the engine-backed experiments
-	// must produce byte-identical reports on every engine.
-	seq := runE6(Config{Short: true, Seed: 5})
-	shd := runE6(Config{Short: true, Seed: 5, Engine: shard.NewEngine(4, shard.Greedy{})})
-	stripEngine := func(r *Report) string {
-		return strings.ReplaceAll(r.String(), engineName(shard.NewEngine(4, shard.Greedy{})), "seq")
-	}
-	if stripEngine(seq) != stripEngine(shd) {
-		t.Fatalf("E6 differs across engines:\n--- seq ---\n%s\n--- shard ---\n%s", seq, shd)
+	// must produce byte-identical reports on every engine — the sharded one
+	// and the streamed socket cluster here.
+	stream := dnet.NewEngine(4, shard.Greedy{})
+	stream.Stream = true
+	for id, run := range map[string]func(Config) *Report{"E2": runE2, "E6": runE6, "E7": runE7} {
+		seq := run(Config{Short: true, Seed: 5}).String()
+		for _, eng := range []dist.Engine{shard.NewEngine(4, shard.Greedy{}), stream} {
+			got := strings.ReplaceAll(run(Config{Short: true, Seed: 5, Engine: eng}).String(), engineName(eng), "seq")
+			if got != seq {
+				t.Fatalf("%s differs on %s:\n--- seq ---\n%s\n--- %s ---\n%s", id, engineName(eng), seq, engineName(eng), got)
+			}
+		}
 	}
 }

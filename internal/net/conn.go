@@ -15,6 +15,8 @@ import (
 // Record types. Every record is codec.AppendRecord framing around a payload
 // whose first byte is one of these; the rest of the payload is the record
 // body (DESIGN.md §8 specifies each body's layout, §10 the session types).
+// 11 was the delta record of the one-shot churned run; like 19 and 20 it is
+// retired, not reused.
 const (
 	recHello   = byte(1)  // coordinator→worker: codec.Hello
 	recWelcome = byte(2)  // worker→coordinator: codec.Welcome
@@ -26,7 +28,6 @@ const (
 	recMetrics = byte(8)  // worker→coordinator: uvarint messages, words, wireBytes, then the 8-byte frame chain
 	recValues  = byte(9)  // worker→coordinator: uvarint count, then (uvarint node, 8-byte bits)*
 	recError   = byte(10) // either direction: UTF-8 message; aborts the run
-	recDelta   = byte(11) // coordinator→worker: shard.AppendDelta churn batch (follows a hello with DeltaDigest ≠ 0)
 )
 
 // Crash-recovery record types (DESIGN.md §13), spoken only when
@@ -85,9 +86,9 @@ const (
 	recWindow = byte(29)
 )
 
-// Session record types (DESIGN.md §10): the generalization of the one-shot
-// churn record recDelta into a long-lived epoch protocol spoken after a run
-// finishes instead of hanging up. They are exported — unlike the run records
+// Session record types (DESIGN.md §10): the long-lived epoch protocol spoken
+// after a run finishes instead of hanging up — the one way a delta reaches a
+// cluster. They are exported — unlike the run records
 // above — because internal/session speaks them itself over Conn's record IO
 // rather than through this package's run loop; the number space is one
 // table.

@@ -29,14 +29,6 @@ type Spec struct {
 	PartName   string // partitioner name for Partition(g, P); empty in-process
 	ProtoSpec  string // e.g. "coreness:23"; empty in-process
 	WantValues bool   // collect per-node result values after the metrics records
-	// Delta, when non-empty, is the churn batch of the run (DESIGN.md §9):
-	// the coordinator ships it to every worker right after the hello, each
-	// worker applies it to its pre-churn graph and rebalances its stale
-	// assignment under MoveBudget (≤ 0 means the whole frontier may move).
-	// GraphHash and PartDigest must then pin the post-churn graph and the
-	// rebalanced assignment — the run executes on those.
-	Delta      dist.GraphDelta
-	MoveBudget int
 	// IOTimeout, when non-zero, bounds every wait on a worker reply: a
 	// worker that stays silent for longer fails the run with a timeout
 	// error instead of hanging the coordinator forever (fail-fast, the
@@ -267,10 +259,9 @@ type coordinator struct {
 	cur int
 	at  []obs.Phase
 
-	// The handshake as first sent — re-admitting a respawned worker replays
-	// the identical bytes.
-	hellos   [][]byte // hello record body per worker
-	deltaRec []byte   // churn delta record, if any
+	// hellos[w] is worker w's hello record body as first sent — re-admitting
+	// a respawned worker replays the identical bytes.
+	hellos [][]byte
 
 	// chains[w] is the frame chain over everything sealed toward worker w so
 	// far — what w's own fold must read when it reports its metrics. Allocated
@@ -321,7 +312,7 @@ func (c *coordinator) restart(w, upTo int) error {
 	if err != nil {
 		return err
 	}
-	if err := c.admit(w); err != nil {
+	if err := c.hub.Send(w, recHello, c.hellos[w]); err != nil {
 		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
 	}
 	typ, body, err := c.hub.AwaitFrom(w)
@@ -349,21 +340,6 @@ func (c *coordinator) restart(w, upTo int) error {
 	return nil
 }
 
-// admit opens the handshake toward worker i: its hello, then the churn delta
-// when the run has one.
-func (c *coordinator) admit(i int) error {
-	cn := c.hub.Conn(i)
-	if err := cn.WriteRecord(recHello, c.hellos[i]); err != nil {
-		return err
-	}
-	if c.deltaRec != nil {
-		if err := cn.WriteRecord(recDelta, c.deltaRec); err != nil {
-			return err
-		}
-	}
-	return cn.Flush()
-}
-
 // checkWelcome validates one welcome record against the spec (shared by
 // the initial handshake and recovery re-admission).
 func (c *coordinator) checkWelcome(from int, typ byte, body []byte) (codec.Welcome, error) {
@@ -388,31 +364,27 @@ func (c *coordinator) checkWelcome(from int, typ byte, body []byte) (codec.Welco
 func (c *coordinator) run() (dist.Metrics, error) {
 	p := c.hub.P()
 	kind, lamL, lamName := lambdaFields(c.spec.Lam)
-	if len(c.spec.Delta.Ops) > 0 {
-		c.deltaRec = shard.AppendDelta(nil, c.spec.MoveBudget, c.spec.Delta)
-	}
 	for i := 0; i < p; i++ {
 		c.hellos[i] = codec.AppendHello(nil, codec.Hello{
-			Version:     codec.HandshakeVersion,
-			P:           p,
-			Shard:       i,
-			MaxRounds:   c.spec.MaxRounds,
-			GraphHash:   c.spec.GraphHash,
-			PartDigest:  c.spec.PartDigest,
-			DeltaDigest: c.spec.Delta.Digest(),
-			LamKind:     kind,
-			LamL:        lamL,
-			LamName:     lamName,
-			GraphSpec:   c.spec.GraphSpec,
-			PartName:    c.spec.PartName,
-			ProtoSpec:   c.spec.ProtoSpec,
-			WantValues:  c.spec.WantValues,
-			Recover:     c.spec.Recover,
-			Stream:      c.spec.Stream,
-			MeshKind:    meshKindFor(p, c.spec.MeshThreshold, c.spec.Recover),
-			MeshSpec:    c.spec.MeshSpec,
+			Version:    codec.HandshakeVersion,
+			P:          p,
+			Shard:      i,
+			MaxRounds:  c.spec.MaxRounds,
+			GraphHash:  c.spec.GraphHash,
+			PartDigest: c.spec.PartDigest,
+			LamKind:    kind,
+			LamL:       lamL,
+			LamName:    lamName,
+			GraphSpec:  c.spec.GraphSpec,
+			PartName:   c.spec.PartName,
+			ProtoSpec:  c.spec.ProtoSpec,
+			WantValues: c.spec.WantValues,
+			Recover:    c.spec.Recover,
+			Stream:     c.spec.Stream,
+			MeshKind:   meshKindFor(p, c.spec.MeshThreshold, c.spec.Recover),
+			MeshSpec:   c.spec.MeshSpec,
 		})
-		if err := c.admit(i); err != nil {
+		if err := c.hub.Send(i, recHello, c.hellos[i]); err != nil {
 			return dist.Metrics{}, err
 		}
 	}

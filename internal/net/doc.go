@@ -76,12 +76,7 @@
 // ledger the sharded engine reports: a shard.ShardMetrics with the frame
 // traffic that actually crossed worker boundaries (Engine.ClusterMetrics).
 //
-// The cluster also absorbs edge churn without re-sharding (DESIGN.md §9):
-// Engine.Churn installs a dist.GraphDelta that the next run ships to every
-// worker as a delta record, digest-pinned in the handshake next to the
-// post-churn graph fingerprint and the incrementally rebalanced partition
-// digest; workers apply the batch under the canonical order and rerun the
-// partitioner's Rebalance locally, so a churned execution stays
-// byte-identical to a fresh SeqEngine run on the mutated graph.
-// Engine.ChurnMetrics reports the churn ledger.
+// A run is a pure function of (graph, assignment): a cluster takes an edge
+// delta only as a session epoch (internal/session, DESIGN.md §9–10), which
+// keeps the workers of a finished run hot instead of running again.
 package net

@@ -67,10 +67,6 @@ type Engine struct {
 	// sm is the last run's cluster ledger, shared across WithWireLambda
 	// copies exactly like the sharded engine's.
 	sm *shard.ShardMetrics
-	// churn is the installed delta batch (empty when none) and cm its
-	// ledger, both shared across WithWireLambda copies.
-	churn *netChurn
-	cm    *shard.ChurnMetrics
 	// trace, when set, is installed on the coordinator spec and every
 	// in-process worker, so one tracer collects the full cluster timeline:
 	// coordinator barrier-wait and relay/verify spans and shard-pair flows
@@ -109,12 +105,6 @@ func (k *killPlan) fire(ph obs.Phase, r, w int) bool {
 	return true
 }
 
-// netChurn is an installed delta batch awaiting absorption by Run.
-type netChurn struct {
-	delta  dist.GraphDelta
-	budget int
-}
-
 // NewEngine returns a socket-cluster engine with p workers placed by part
 // (nil means shard.Hash{}), running over net.Pipe until Transport says
 // otherwise.
@@ -125,8 +115,7 @@ func NewEngine(p int, part shard.Partitioner) *Engine {
 	if part == nil {
 		part = shard.Hash{}
 	}
-	return &Engine{Transport: TransportPipe, p: p, part: part,
-		sm: &shard.ShardMetrics{}, churn: &netChurn{}, cm: &shard.ChurnMetrics{},
+	return &Engine{Transport: TransportPipe, p: p, part: part, sm: &shard.ShardMetrics{},
 		kill: &killPlan{}, recov: new(int), swire: new([]codec.StreamWire)}
 }
 
@@ -154,24 +143,6 @@ func (e *Engine) KillAt(ph obs.Phase, r, w int) {
 // Recoveries returns the number of worker crash recoveries the most recent
 // Run performed (0 when recovery was off or nothing died).
 func (e *Engine) Recoveries() int { return *e.recov }
-
-// Churn installs a delta batch every subsequent Run absorbs over the wire
-// (DESIGN.md §9): the coordinator ships the batch to all P workers in a
-// delta record, each worker applies it to the pre-churn graph Run was
-// handed and reruns the incremental Rebalance (at most moveBudget frontier
-// nodes move; ≤ 0 means the whole frontier), and the handshake pins the
-// post-churn graph fingerprint, the rebalanced partition digest and the
-// delta digest — so a churned cluster run is byte-identical to a fresh
-// SeqEngine run on the mutated graph. An empty delta clears the
-// installation.
-func (e *Engine) Churn(d dist.GraphDelta, moveBudget int) {
-	e.churn.delta = d
-	e.churn.budget = moveBudget
-}
-
-// ChurnMetrics returns the churn ledger of the most recent Run that
-// absorbed a delta.
-func (e *Engine) ChurnMetrics() shard.ChurnMetrics { return *e.cm }
 
 // SetTracer installs (or, with nil, removes) the tracer subsequent Runs
 // record into; shared with WithWireLambda copies made afterwards. The
@@ -221,20 +192,13 @@ func (e *Engine) ClusterMetrics() shard.ShardMetrics {
 // violations — impossible in a correct in-process run short of a resource
 // failure — panic with the coordinator's diagnosis.
 func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.Metrics {
-	// Under churn the coordinator side pins the post-churn placement in the
-	// handshake; the workers are handed the PRE-churn graph and base
-	// assignment and must arrive at the same results from the delta record —
-	// the full protocol runs even in-process.
-	pl, err := shard.Place(e.part, g, e.p, e.churn.delta, e.churn.budget)
+	assign, err := shard.Place(e.part, g, e.p)
 	if err != nil {
 		panic("net: " + err.Error())
 	}
-	if len(e.churn.delta.Ops) > 0 {
-		*e.cm = pl.Churn
-	}
 	body := func(s Seat) error {
-		w := s.Worker(g, pl.Base)
-		w.lam, w.Part, w.Trace, w.ChunkBytes = e.lam, e.part, e.trace, e.ChunkBytes
+		w := s.Worker(g, assign)
+		w.lam, w.Trace, w.ChunkBytes = e.lam, e.trace, e.ChunkBytes
 		w.Kill = func(ph obs.Phase, r int) bool { return e.kill.fire(ph, r, s.Shard) }
 		_, err := w.run(g, factory, maxRounds)
 		return err
@@ -246,10 +210,8 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	met, rep, err := cl.Run(Spec{
 		MaxRounds:     maxRounds,
 		Lam:           e.lam,
-		GraphHash:     pl.G.Fingerprint(),
-		PartDigest:    shard.PartitionDigest(pl.Assign),
-		Delta:         e.churn.delta,
-		MoveBudget:    e.churn.budget,
+		GraphHash:     g.Fingerprint(),
+		PartDigest:    shard.PartitionDigest(assign),
 		Recover:       e.Recover,
 		MeshThreshold: e.MeshThreshold,
 		Trace:         e.trace,
@@ -260,7 +222,7 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	}
 	*e.recov = rep.Recoveries
 	*e.swire = rep.StreamWire
-	rep.Sharding.EdgeCutFraction = shard.CutFraction(pl.G, pl.Assign)
+	rep.Sharding.EdgeCutFraction = shard.CutFraction(g, assign)
 	*e.sm = rep.Sharding
 	return met
 }

@@ -162,3 +162,77 @@ func TestInboxRetentionCheckCleanOverNet(t *testing.T) {
 		}
 	}
 }
+
+// placed is a Partitioner that hands out one fixed assignment: how a test
+// runs an engine on a placement no Partition call produced.
+type placed []int
+
+func (a placed) Partition(*graph.Graph, int) []int { return a }
+func (a placed) Rebalance(_ shard.Topology, _ int, assign []int, _ []graph.NodeID, _ int) []int {
+	return assign
+}
+func (placed) Name() string { return "placed" }
+
+// rebalanced mutates g by a random churn batch and returns the mutated graph
+// with part's assignment of g rebalanced onto it — the placement the retired
+// one-shot churned run executed on (DESIGN.md §9).
+func rebalanced(t *testing.T, g *graph.Graph, part shard.Partitioner, p, ops int, seed int64) (*graph.Graph, placed) {
+	t.Helper()
+	delta := dist.RandomChurn(g, ops, seed)
+	g2, err := delta.Apply(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g2, shard.RebalanceAssign(part, g2, p, part.Partition(g, p), delta, 0)
+}
+
+// What retiring the one-shot churned run gave up is a run whose placement
+// was rebalanced off a stale assignment rather than partitioned fresh.
+// Nothing else depended on it: on the mutated graph, a cluster run under the
+// rebalanced assignment is byte-identical to a fresh SeqEngine run, over
+// generators × seeds × P × partitioner.
+func TestChurnedNetEquivalence(t *testing.T) {
+	for _, seed := range []int64{2, 9} {
+		for name, g := range map[string]*graph.Graph{
+			"ba": graph.BarabasiAlbert(120, 3, seed),
+			"ws": graph.WattsStrogatz(90, 4, 0.2, seed+1),
+		} {
+			opt := core.Options{Rounds: core.TForEpsilon(g.N(), 0.5), Lambda: quantize.NewPowerGrid(0.1)}
+			for _, p := range []int{1, 2, 4} {
+				for _, part := range []shard.Partitioner{shard.Hash{}, shard.Greedy{}} {
+					g2, next := rebalanced(t, g, part, p, 50, seed+2)
+					ref, refMet := core.RunDistributed(g2, opt, dist.SeqEngine{})
+					res, met := core.RunDistributed(g2, opt, NewEngine(p, next))
+					if met != refMet || !reflect.DeepEqual(res.B, ref.B) {
+						t.Fatalf("seed %d %s net:%d/%s: run under the rebalanced placement diverges from a fresh seq run (metrics %+v, want %+v)",
+							seed, name, p, part.Name(), met, refMet)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The same bytes must survive a real kernel socket, and the cluster ledger
+// must match the in-process sharded engine's under the identical rebalanced
+// placement — frame-for-frame, byte-for-byte.
+func TestChurnedUnixTransportAndLedger(t *testing.T) {
+	g2, next := rebalanced(t, graph.BarabasiAlbert(200, 3, 6), shard.Greedy{}, 3, 80, 7)
+	opt := core.Options{Rounds: core.TForEpsilon(g2.N(), 0.5)}
+	ref, refMet := core.RunDistributed(g2, opt, dist.SeqEngine{})
+
+	se := shard.NewEngine(3, next)
+	core.RunDistributed(g2, opt, se)
+
+	ne := NewEngine(3, next)
+	ne.Transport = TransportUnix
+	res, met := core.RunDistributed(g2, opt, ne)
+	if met != refMet || !reflect.DeepEqual(res.B, ref.B) {
+		t.Fatal("unix-socket run under the rebalanced placement diverges from a fresh seq run")
+	}
+	ssm, nsm := se.ShardMetrics(), ne.ClusterMetrics()
+	if ssm.CrossMessages != nsm.CrossMessages || ssm.CrossFrameBytes != nsm.CrossFrameBytes ||
+		!reflect.DeepEqual(ssm.PerShardBytes, nsm.PerShardBytes) {
+		t.Fatalf("ledgers diverge:\n shard %+v\n net   %+v", ssm, nsm)
+	}
+}

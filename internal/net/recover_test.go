@@ -244,31 +244,6 @@ func TestKillWithoutRecoveryFailsRun(t *testing.T) {
 	}
 }
 
-// Recovery over a churn run: the respawned worker must be handed the delta
-// record again and rebalance before replaying, landing on the identical
-// post-churn execution.
-func TestRecoveryAcrossChurn(t *testing.T) {
-	g := graph.BarabasiAlbert(140, 3, 6)
-	T := core.TForEpsilon(g.N(), 0.5)
-	opt := core.Options{Rounds: T}
-	delta := dist.RandomChurn(g, 40, 13)
-
-	ref := recoveryEngine(3)
-	ref.Churn(delta, 0)
-	refRes, refMet := core.RunDistributed(g, opt, ref)
-
-	eng := recoveryEngine(3)
-	eng.Churn(delta, 0)
-	eng.KillAt(obs.PhaseDeliver, 1, 2)
-	res, met := core.RunDistributed(g, opt, eng)
-	if eng.Recoveries() < 1 {
-		t.Fatal("churned kill point never recovered")
-	}
-	if met != refMet || !reflect.DeepEqual(res.B, refRes.B) {
-		t.Fatalf("churned recovery diverges: metrics %+v want %+v", met, refMet)
-	}
-}
-
 // Respawned worker goroutines must not outlive the run: the recovery path
 // adds goroutines (a new worker, a new hub reader) mid-run, and every one of
 // them has to drain when the run finishes. Run under -race in CI.

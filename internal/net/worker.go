@@ -67,12 +67,6 @@ type Worker struct {
 	// Hello is the pre-read handshake record; when nil, Run reads it from
 	// the connection as its first act.
 	Hello *codec.Hello
-	// Part is the partitioner that produced the worker's assignment. It is
-	// only consulted when the hello announces a churn batch (DeltaDigest ≠
-	// 0): the worker must rerun the identical incremental Rebalance the
-	// coordinator ran to land on the pinned partition digest. A churn run
-	// without it is a protocol error.
-	Part shard.Partitioner
 	// Trace, when set, records this worker's per-round timeline: step,
 	// encode (framing + frame writes; send on the mesh), barrier-wait (done
 	// flushed → release arrives), recv (mesh only) and deliver spans, all
@@ -104,25 +98,13 @@ type Worker struct {
 	g      *graph.Graph
 	assign []int
 	lam    quantize.Lambda
-	st     *workerState
 	plane  workerPlane // set once the run's frame plane is up
 }
 
 // NewWorker returns a worker endpoint over c for a run on g partitioned by
-// assign. The shard this worker owns arrives in the coordinator's hello;
-// when that hello announces churn, g and assign are the *pre-churn* inputs
-// and the worker mutates and rebalances them itself from the delta record
-// (set Part so it can).
+// assign. The shard this worker owns arrives in the coordinator's hello.
 func NewWorker(c *Conn, g *graph.Graph, assign []int) *Worker {
-	return &Worker{c: c, g: g, assign: assign, st: &workerState{}}
-}
-
-// workerState is the slice of worker state that must survive the value
-// copies WithWireLambda hands to protocol drivers: the copy's run records
-// here which assignment the run actually executed on (the rebalanced one
-// under churn), so the caller's SendValues ships the right nodes.
-type workerState struct {
-	assign []int
+	return &Worker{c: c, g: g, assign: assign}
 }
 
 // WithWireLambda implements dist.Engine; protocol drivers call it with the
@@ -219,7 +201,7 @@ type workerLoop struct {
 	w      *Worker
 	h      *codec.Hello
 	lam    quantize.Lambda
-	g      *graph.Graph // the graph the run executes on (post-churn)
+	g      *graph.Graph
 	d      *dist.Driver
 	local  []graph.NodeID // ascending — the shard's step order
 	assign []int
@@ -443,51 +425,11 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 		return dist.Metrics{}, err
 	}
 	assign := w.assign
-	if h.DeltaDigest != 0 {
-		// Churn run (DESIGN.md §9): the delta record follows the hello.
-		// Apply it to the pre-churn graph and rerun the coordinator's
-		// incremental rebalance; the hello's GraphHash/PartDigest pin the
-		// *results*, so the two digest checks below cover the pre-churn
-		// inputs, the batch itself (DeltaDigest) and the application order
-		// all at once.
-		typ, body, err := w.c.ReadRecord()
-		if err != nil {
-			return dist.Metrics{}, fmt.Errorf("net: reading delta: %w", err)
-		}
-		if typ == recError {
-			return dist.Metrics{}, fmt.Errorf("net: coordinator aborted: %s", body)
-		}
-		if typ != recDelta {
-			return dist.Metrics{}, fmt.Errorf("net: expected delta record after churn hello, got type %d", typ)
-		}
-		if w.Part == nil {
-			return dist.Metrics{}, fmt.Errorf("net: churn hello but worker has no partitioner for the rebalance")
-		}
-		budget, delta, used, err := shard.DecodeDelta(body)
-		if err != nil {
-			return dist.Metrics{}, err
-		}
-		if used != len(body) {
-			return dist.Metrics{}, fmt.Errorf("net: delta record carries %d trailing bytes", len(body)-used)
-		}
-		if dg := delta.Digest(); dg != h.DeltaDigest {
-			return dist.Metrics{}, fmt.Errorf("net: delta digest mismatch (hello %#x, record %#x)", h.DeltaDigest, dg)
-		}
-		if g, err = delta.Apply(g); err != nil {
-			return dist.Metrics{}, fmt.Errorf("net: applying delta: %w", err)
-		}
-		// Lean rebalance: the churn ledger lives coordinator-side, so the
-		// worker skips the metric cut scans.
-		assign = shard.RebalanceAssign(w.Part, g, h.P, assign, delta, budget)
-	}
 	switch {
 	case h.GraphHash != g.Fingerprint():
 		return dist.Metrics{}, fmt.Errorf("net: graph fingerprint mismatch (coordinator %#x, worker %#x)", h.GraphHash, g.Fingerprint())
 	case h.PartDigest != shard.PartitionDigest(assign):
 		return dist.Metrics{}, fmt.Errorf("net: partition digest mismatch (coordinator %#x, worker %#x)", h.PartDigest, shard.PartitionDigest(assign))
-	}
-	if w.st != nil {
-		w.st.assign = assign
 	}
 
 	r := &workerLoop{w: w, h: h, lam: lam, g: g, assign: assign, fan: shard.NewFanout(g, assign, h.P),
@@ -593,16 +535,6 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 	}
 }
 
-// Assign returns the assignment the run executed on: under churn the
-// rebalanced one, which the run recorded in the shared worker state (before
-// the run, and without churn, the one the worker was built with).
-func (w *Worker) Assign() []int {
-	if w.st != nil && w.st.assign != nil {
-		return w.st.assign
-	}
-	return w.assign
-}
-
 // SendValues ships the values of this worker's local nodes (vals is the
 // run-global n-sized result vector, e.g. the surviving numbers; remote
 // entries are ignored) as exact float bit patterns. Call it after the run,
@@ -612,7 +544,7 @@ func (w *Worker) SendValues(vals []float64) error {
 	if w.Hello == nil {
 		return fmt.Errorf("net: SendValues before handshake")
 	}
-	assign := w.Assign()
+	assign := w.assign
 	cnt := 0
 	for v := range vals {
 		if assign[v] == w.Hello.Shard {

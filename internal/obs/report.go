@@ -8,11 +8,11 @@ import (
 // RunReport is the report envelope of cmd/cluster's -json run report (the CI
 // smokes assert on its verified and phases fields).
 //
-// Metrics/Sharding/Churn are `any` on purpose: this package sits below
-// dist and shard in the import graph (they call into it to trace), so it
-// cannot name their metric types — callers pass dist.Metrics,
-// shard.ShardMetrics and shard.ChurnMetrics values and the JSON keys come
-// from those structs, identical at every call site by construction.
+// Metrics/Sharding are `any` on purpose: this package sits below dist and
+// shard in the import graph (they call into it to trace), so it cannot name
+// their metric types — callers pass dist.Metrics and shard.ShardMetrics
+// values and the JSON keys come from those structs, identical at every call
+// site by construction.
 type RunReport struct {
 	Graph     string       `json:"graph,omitempty"`
 	Engine    string       `json:"engine,omitempty"`
@@ -21,8 +21,6 @@ type RunReport struct {
 	Rounds    int          `json:"rounds,omitempty"`
 	Metrics   any          `json:"metrics,omitempty"`
 	Sharding  any          `json:"sharding,omitempty"`
-	ChurnOps  int          `json:"churn_ops,omitempty"`
-	Churn     any          `json:"churn,omitempty"`
 	Phases    []PhaseTotal `json:"phases,omitempty"`
 	Verified  bool         `json:"verified"`
 	ElapsedMS int64        `json:"elapsed_ms,omitempty"`

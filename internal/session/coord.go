@@ -111,6 +111,9 @@ func NewCoordinator(hub *net.Hub, g *graph.Graph, assign []int, part shard.Parti
 		subs:   NewSubManager(),
 	}
 	for _, e := range g.Edges() {
+		if !summable(e.W) {
+			return nil, fmt.Errorf("session: edge {%d,%d}: %w", e.U, e.V, errNotSummable(e.W))
+		}
 		if !e.IsLoop() {
 			c.cut.add(1, c.assign[e.U] != c.assign[e.V])
 		}
@@ -235,17 +238,14 @@ func (c *Coordinator) SetTracer(t *obs.Tracer) { c.trace = t }
 // Push absorbs one delta batch as the next epoch: broadcast, collect every
 // worker's reconverge, seal with a stamp, publish notifications. A batch
 // that fails validation (out-of-range endpoint, delete of a missing edge)
-// is rejected BEFORE anything is mutated or broadcast — the error is
-// returned and the session stays live, graph, hash, assignment and epoch
-// untouched, because no worker saw the batch. Any failure after the
+// or an empty one is rejected BEFORE anything is mutated or broadcast — the
+// error is returned and the session stays live, graph, hash, assignment and
+// epoch untouched, because no worker saw the batch. Any failure after the
 // broadcast breaks the session permanently (state may have forked), and
 // every later call returns the original error.
 func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, error) {
 	if c.broken != nil {
 		return nil, fmt.Errorf("session: broken by earlier error: %w", c.broken)
-	}
-	if len(d.Ops) == 0 {
-		return nil, fmt.Errorf("session: empty delta push")
 	}
 	// The epoch's clock and span cover the coordinator's own absorb too; a
 	// rejected batch ends neither, so it records no span and no time.
@@ -338,10 +338,14 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 // absorb is the coordinator's own half of an epoch: encode the push body the
 // workers will decode, hold the batch to that encoding (so what is validated
 // and priced is what is broadcast), validate it against the live adjacency,
-// and only then mutate — adjacency and rolling hash in place, no CSR — and
-// rebalance on the mutated topology. An error means nothing was touched. The
-// ledger comes back with the cut count the seal commits.
+// hold every inserted weight to the exact-sum contract, and only then mutate
+// — adjacency and rolling hash in place, no CSR — and rebalance on the mutated
+// topology. An error means nothing was touched. The ledger comes back with
+// the cut count the seal commits.
 func (c *Coordinator) absorb(epoch int, d dist.GraphDelta, moveBudget int) (push []byte, next []int, cm shard.ChurnMetrics, cut cutCount, err error) {
+	if len(d.Ops) == 0 {
+		return nil, nil, cm, cut, fmt.Errorf("session: empty delta push")
+	}
 	push = AppendDeltaPush(nil, epoch, moveBudget, d)
 	_, budget, decoded, err := DecodeDeltaPush(push)
 	if err != nil {
@@ -353,6 +357,11 @@ func (c *Coordinator) absorb(epoch int, d dist.GraphDelta, moveBudget int) (push
 	if err := c.adj.Validate(decoded); err != nil {
 		return nil, nil, cm, cut, err
 	}
+	for i, op := range decoded.Ops {
+		if !op.Del && !summable(op.W) {
+			return nil, nil, cm, cut, fmt.Errorf("session: delta op %d: %w", i, errNotSummable(op.W))
+		}
+	}
 	if _, err := c.adj.Apply(decoded); err != nil {
 		panic("session: validated delta failed to apply: " + err.Error())
 	}
@@ -362,6 +371,21 @@ func (c *Coordinator) absorb(epoch int, d dist.GraphDelta, moveBudget int) (push
 	// epoch header.
 	cm.DeltaBytes = int64(len(push) - len(binary.AppendUvarint(nil, uint64(epoch))))
 	return push, next, cm, cut, nil
+}
+
+// summable is the exact-sum contract of a session (DESIGN.md §10.2), as one
+// predicate on an edge weight: a multiple of 2⁻¹⁰ no larger than 2²⁰. Any sum
+// of up to 2²³ such weights is exact in a float64 whatever the order, so the
+// incremental oracle, the elimination protocol and a fresh run — which add a
+// node's arcs in three different orders — agree bit for bit. The coordinator
+// holds the base graph's edges and every pushed insert to it; the workers'
+// oracle-versus-run comparison at open stays as the cross-check.
+func summable(w float64) bool {
+	return w >= 0 && w <= 1<<20 && w*(1<<10) == math.Trunc(w*(1<<10))
+}
+
+func errNotSummable(w float64) error {
+	return fmt.Errorf("weight %v is not exactly summable: sessions take multiples of 2^-10 no larger than 2^20", w)
 }
 
 // cutCount is shard.CutFraction in integers, so it can be kept rolling: the

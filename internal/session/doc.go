@@ -38,7 +38,10 @@
 //
 // Sessions run the exact threshold set Λ = ℝ only: the Maintainer repairs
 // exact β_t histories and bit-equality with fresh runs additionally needs
-// exactly summable weights (unit weights qualify; see NewWorkerState).
+// exactly summable weights — one predicate (summable: a multiple of 2⁻¹⁰ no
+// larger than 2²⁰) the coordinator holds the base graph and every pushed
+// insert to, with the workers' oracle-versus-run comparison at open
+// (NewWorkerState) as the cross-check.
 //
 // On top of the epoch stream sits a subscription layer in the want-list /
 // ledger shape of go-ipfs's IPPS exchange proposal (SNIPPETS.md): clients

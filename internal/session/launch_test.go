@@ -150,7 +150,7 @@ func TestBadPlacementRejectedAlike(t *testing.T) {
 		core.RunDistributed(g, core.Options{Rounds: 4}, eng)
 		return ""
 	}
-	_, placeErr := shard.Place(offByOne{}, g, 2, dist.GraphDelta{}, 0)
+	_, placeErr := shard.Place(offByOne{}, g, 2)
 	_, openErr := Open(g, Options{P: 2, Rounds: 4, Part: offByOne{}})
 	for who, got := range map[string]string{
 		"shard.Place (cmd/cluster)": fmt.Sprint(placeErr),

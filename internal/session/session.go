@@ -73,7 +73,7 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 	if part == nil {
 		part = shard.Hash{}
 	}
-	pl, err := shard.Place(part, g, p, dist.GraphDelta{}, 0)
+	assign, err := shard.Place(part, g, p)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
@@ -82,9 +82,9 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 		kill = func(int) net.KillFunc { return nil }
 	}
 	body := func(s net.Seat) error {
-		w := s.Worker(g, pl.Assign)
-		w.Part, w.Trace, w.Kill = part, opt.Trace, kill(s.Shard)
-		_, err := ServeWorker(s.Conn, w, g, pl.Assign, T)
+		w := s.Worker(g, assign)
+		w.Trace, w.Kill = opt.Trace, kill(s.Shard)
+		_, err := ServeWorker(s.Conn, w, g, assign, part, T)
 		return err
 	}
 	cl := &net.Cluster{P: p, Transport: opt.Transport, IOTimeout: opt.IOTimeout}
@@ -96,7 +96,7 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 	met, rep, err := cl.Run(net.Spec{
 		MaxRounds:  T,
 		GraphHash:  g.Fingerprint(),
-		PartDigest: shard.PartitionDigest(pl.Assign),
+		PartDigest: shard.PartitionDigest(assign),
 		WantValues: true,
 		Recover:    opt.Recover,
 		Trace:      opt.Trace,
@@ -105,7 +105,7 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 	if err == nil {
 		var b []float64
 		if b, err = rep.Assemble(g.N()); err == nil {
-			co, err = NewCoordinator(cl.Hub, g, pl.Assign, part, b)
+			co, err = NewCoordinator(cl.Hub, g, assign, part, b)
 		}
 	}
 	if err != nil {

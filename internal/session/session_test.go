@@ -2,6 +2,7 @@ package session
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -188,6 +189,8 @@ func TestSessionRejectedDeltaKeepsSessionLive(t *testing.T) {
 		"missing delete":        {Del: true, U: 9, V: 5}, // the batch's own insert is already spent
 		"NaN weight":            {U: 1, V: 2, W: math.NaN()},
 		"out-of-range endpoint": {U: 3, V: g.N(), W: 1},
+		"non-summable weight":   {U: 1, V: 2, W: 0.1},
+		"oversized weight":      {U: 1, V: 2, W: 1<<20 + 1},
 	} {
 		bad := dist.GraphDelta{Ops: append(append([]dist.EdgeOp(nil), prefix...), last)}
 		if _, err := s.Push(bad, 0); err == nil || !strings.Contains(err.Error(), "delta op 4:") {
@@ -204,8 +207,8 @@ func TestSessionRejectedDeltaKeepsSessionLive(t *testing.T) {
 	if _, err := s.Push(dist.GraphDelta{Ops: []dist.EdgeOp{{Del: true, U: 0, V: 0}}}, 0); err == nil {
 		t.Fatal("bad delta accepted")
 	}
-	if st := s.Stat(); st.Rejected != 4 || st.Pushes != 0 {
-		t.Fatalf("stat after four rejections: %+v", st)
+	if st := s.Stat(); st.Rejected != 6 || st.Pushes != 0 {
+		t.Fatalf("stat after six rejections: %+v", st)
 	}
 
 	// The session still seals good epochs afterwards, exactly as the twin.
@@ -234,6 +237,59 @@ func TestSessionRejectedDeltaKeepsSessionLive(t *testing.T) {
 
 // TestSessionNotificationTranscript pins the deterministic notification
 // order and the exactly-once-per-epoch contract with a literal transcript.
+// Sessions are exact under exactly summable weights only, and the control
+// socket is an outside input: pushes of tenths (epoch 3 of this very sequence
+// used to seal with one of 300 values off a fresh run by an ulp, all P
+// workers agreeing with each other) are refused before broadcast, the session
+// stays live, and the same edges in eighths seal bit-identical to fresh runs.
+// A base graph outside the contract is refused at open.
+func TestSessionHoldsExactSumContract(t *testing.T) {
+	g := graph.BarabasiAlbert(300, 4, 3)
+	n, T := g.N(), core.TForEpsilon(g.N(), 0.5)
+	s, err := Open(g, Options{P: 3, Rounds: T, Part: shard.Greedy{}, IOTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(1))
+	cur := g
+	for e := 1; e <= 3; e++ {
+		var tenths, eighths dist.GraphDelta
+		for i := 0; i < 40; i++ {
+			u, v, k := rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(9))
+			tenths.Ops = append(tenths.Ops, dist.EdgeOp{U: u, V: v, W: k / 10})
+			eighths.Ops = append(eighths.Ops, dist.EdgeOp{U: u, V: v, W: k / 8})
+		}
+		if _, err := s.Push(tenths, 0); err == nil || !strings.Contains(err.Error(), "not exactly summable") {
+			t.Fatalf("epoch %d: push of tenths returned %v, want a summability rejection", e, err)
+		}
+		if s.Err() != nil || s.Epoch() != e-1 {
+			t.Fatalf("epoch %d: rejection left the session at epoch %d, err %v", e, s.Epoch(), s.Err())
+		}
+		if _, err := s.Push(eighths, 0); err != nil {
+			t.Fatalf("epoch %d: push of eighths: %v", e, err)
+		}
+		if cur, err = eighths.Apply(cur); err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := core.RunDistributed(cur, core.Options{Rounds: T}, dist.SeqEngine{})
+		for v, b := range s.Values() {
+			if math.Float64bits(b) != math.Float64bits(ref.B[v]) {
+				t.Fatalf("epoch %d: session β(%d) = %v, fresh sequential run %v", e, v, b, ref.B[v])
+			}
+		}
+	}
+	if st := s.Stat(); st.Rejected != 3 || st.Pushes != 3 {
+		t.Fatalf("stat after three rejections and three epochs: %+v", st)
+	}
+
+	es := g.Edges()
+	es[0].W = 0.3
+	if _, err := Open(graph.FromEdges(n, es), Options{P: 3, Rounds: T}); err == nil || !strings.Contains(err.Error(), "summable") {
+		t.Fatalf("Open on a graph with a 0.3 edge returned %v, want a summability refusal", err)
+	}
+}
+
 func TestSessionNotificationTranscript(t *testing.T) {
 	g := graph.BarabasiAlbert(200, 3, 11)
 	s, err := Open(g, Options{P: 4, Rounds: 8, Part: shard.Greedy{}, IOTimeout: 30 * time.Second})

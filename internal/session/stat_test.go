@@ -78,6 +78,14 @@ func TestSessionStatCounters(t *testing.T) {
 	if rej := s.Stat(); rej.Rejected != 1 || rej.Pushes != 3 || rej.EpochMicros != st.EpochMicros {
 		t.Fatalf("rejected push moved the epoch ledger: %+v, before %+v", rej, st)
 	}
+	// The one rejection a client can trigger at will (`cluster push -ops 0`)
+	// counts like every other.
+	if _, err := s.Push(dist.GraphDelta{}, 0); err == nil {
+		t.Fatal("empty delta accepted")
+	}
+	if rej := s.Stat(); rej.Rejected != 2 || rej.Pushes != 3 || s.co.StatView().Rejected != 2 {
+		t.Fatalf("empty push not counted as a rejection: %+v", rej)
+	}
 }
 
 // TestBreakCauseAttribution drives the broken latch directly through the

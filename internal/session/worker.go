@@ -43,9 +43,10 @@ type WorkerState struct {
 // is the run's result vector; the fresh Maintainer must agree with it bit
 // for bit on this worker's own nodes, or the session is refused — the
 // incremental oracle only matches the elimination protocol exactly under
-// Λ = ℝ with exactly summable weights (unit weights qualify), and a
-// session whose epochs could drift from fresh runs must fail at open, not
-// at some later digest check.
+// Λ = ℝ with exactly summable weights, and a session whose epochs could
+// drift from fresh runs must fail at open, not at some later digest check.
+// (The coordinator holds every weight to the contract itself — summable;
+// this comparison is the cross-check on a sample.)
 func NewWorkerState(c *net.Conn, g *graph.Graph, assign []int, shardIdx, p, T int, part shard.Partitioner, runB []float64) (*WorkerState, error) {
 	n := g.N()
 	switch {
@@ -82,20 +83,17 @@ func NewWorkerState(c *net.Conn, g *graph.Graph, assign []int, shardIdx, p, T in
 // holds it), the epoch-0 run with w as its engine, the run's values shipped
 // to the coordinator, the session state built from them — tracing and dying
 // where w does — and the epoch loop until the coordinator's goodbye. g and
-// assign are what w was built on, T the round budget; w.Part must be set.
+// assign are what w was built on, part the partitioner that produced assign
+// (every epoch reruns its Rebalance), T the round budget.
 // Errors come back unreported (the caller tells the coordinator); protocol
 // violations inside the run panic, as Worker.Run's do.
-func ServeWorker(c *net.Conn, w *net.Worker, g *graph.Graph, assign []int, T int) (*WorkerState, error) {
+func ServeWorker(c *net.Conn, w *net.Worker, g *graph.Graph, assign []int, part shard.Partitioner, T int) (*WorkerState, error) {
 	if w.Hello == nil {
 		h, err := net.ReadHello(c)
 		if err != nil {
 			return nil, err
 		}
 		w.Hello = h
-	}
-	// Sessions open on an unchurned Λ = ℝ run; churn streams in afterwards.
-	if w.Hello.DeltaDigest != 0 {
-		return nil, fmt.Errorf("session: sessions open on an unchurned run; churn streams in afterwards")
 	}
 	if w.Hello.LamKind != codec.LamReals {
 		return nil, fmt.Errorf("session: sessions require the exact threshold set Λ = ℝ")
@@ -104,7 +102,7 @@ func ServeWorker(c *net.Conn, w *net.Worker, g *graph.Graph, assign []int, T int
 	if err := w.SendValues(res.B); err != nil {
 		return nil, err
 	}
-	ws, err := NewWorkerState(c, g, assign, w.Hello.Shard, w.Hello.P, T, w.Part, res.B)
+	ws, err := NewWorkerState(c, g, assign, w.Hello.Shard, w.Hello.P, T, part, res.B)
 	if err != nil {
 		return nil, err
 	}

@@ -11,9 +11,8 @@ import (
 )
 
 // Delta wire format (DESIGN.md §9) — the churn sibling of the message
-// frame format of frame.go, spoken both by the sharded engine (which
-// round-trips every installed delta through it, so the bytes accounted are
-// the bytes applied) and by the socket transport's delta record:
+// frame format of frame.go, and the body of a session's DeltaPush record
+// behind its epoch number (DESIGN.md §10.2):
 //
 //	uvarint moveBudget
 //	uvarint count
@@ -123,8 +122,7 @@ func Frontier(d dist.GraphDelta) []graph.NodeID {
 
 // ChurnMetrics reports what absorbing one delta batch cost at the cluster
 // level — the placement ledger of churn, as ShardMetrics is of steady-state
-// traffic. Both churn-capable engines (the sharded engine and the socket
-// cluster) fill one per absorbed delta.
+// traffic. A session fills one per sealed epoch (EpochReport.Churn).
 type ChurnMetrics struct {
 	// FrontierSize is the number of distinct delta endpoints — the only
 	// nodes the incremental rebalance re-evaluated.
@@ -148,9 +146,8 @@ type ChurnMetrics struct {
 // RebalanceAssign runs part's incremental rebalance for the mutated graph
 // g2 (pre-churn assignment assign, churn batch d, move budget moveBudget;
 // ≤ 0 means "the whole frontier may move") and returns the new assignment
-// only — the lean path a cluster worker takes, where the coordinator
-// already owns the ledger and two extra full-edge cut scans per worker
-// would be pure waste.
+// only — the path every session party takes each epoch, on the adjacency it
+// mutates in place.
 func RebalanceAssign(part Partitioner, g2 Topology, p int, assign []int, d dist.GraphDelta, moveBudget int) []int {
 	frontier := Frontier(d)
 	if moveBudget <= 0 {
@@ -159,17 +156,14 @@ func RebalanceAssign(part Partitioner, g2 Topology, p int, assign []int, d dist.
 	return part.Rebalance(g2, p, assign, frontier, moveBudget)
 }
 
-// RebalanceWithMetrics is RebalanceAssign plus the filled ChurnMetrics
-// (DeltaBytes excluded — the transport that actually encodes the batch
-// accounts it).
+// RebalanceWithMetrics is RebalanceAssign on a rebuilt CSR plus the filled
+// ChurnMetrics, cut scans included (DeltaBytes excluded — the transport that
+// encodes the batch accounts it): the from-scratch reference a session's
+// rolling ledger is held to.
 func RebalanceWithMetrics(part Partitioner, g2 *graph.Graph, p int, assign []int, d dist.GraphDelta, moveBudget int) ([]int, ChurnMetrics) {
-	frontier := Frontier(d)
-	if moveBudget <= 0 {
-		moveBudget = len(frontier)
-	}
-	next := part.Rebalance(g2, p, assign, frontier, moveBudget)
+	next := RebalanceAssign(part, g2, p, assign, d, moveBudget)
 	cm := ChurnMetrics{
-		FrontierSize:  len(frontier),
+		FrontierSize:  len(Frontier(d)),
 		EdgeCutBefore: CutFraction(g2, assign),
 		EdgeCutAfter:  CutFraction(g2, next),
 	}
@@ -182,74 +176,18 @@ func RebalanceWithMetrics(part Partitioner, g2 *graph.Graph, p int, assign []int
 	return next, cm
 }
 
-// AbsorbDelta is the coordinator-side churn absorption shared by the
-// sharded engine, the socket cluster's in-process engine and cmd/cluster:
-// it round-trips (moveBudget, d) through the wire codec — so the bytes
-// accounted are the bytes every consumer actually decodes — applies the
-// decoded batch to g under the canonical order, rebalances assign
-// incrementally, and returns the mutated graph, the new assignment and
-// the filled ChurnMetrics (DeltaBytes included).
-func AbsorbDelta(part Partitioner, g *graph.Graph, p int, assign []int, d dist.GraphDelta, moveBudget int) (*graph.Graph, []int, ChurnMetrics, error) {
-	enc := AppendDelta(nil, moveBudget, d)
-	budget, decoded, _, err := DecodeDelta(enc)
-	if err != nil {
-		return nil, nil, ChurnMetrics{}, fmt.Errorf("shard: delta codec round trip failed: %w", err)
-	}
-	if decoded.Digest() != d.Digest() {
-		return nil, nil, ChurnMetrics{}, fmt.Errorf("shard: delta digest changed across the codec round trip")
-	}
-	g2, err := decoded.Apply(g)
-	if err != nil {
-		return nil, nil, ChurnMetrics{}, err
-	}
-	next, cm := RebalanceWithMetrics(part, g2, p, assign, decoded, budget)
-	cm.DeltaBytes = int64(len(enc))
-	return g2, next, cm, nil
-}
-
-// Placement is the validated answer to "where does every node live" that
-// opens every clustered run: the graph the run executes on with its
-// assignment, and the pre-churn assignment they were derived from.
-type Placement struct {
-	// G and Assign are what the run executes on — the mutated graph and the
-	// rebalanced assignment under churn, the inputs themselves otherwise.
-	G      *graph.Graph
-	Assign []int
-	// Base is part's assignment of the pre-churn graph (Assign itself when
-	// nothing churned): what a worker that absorbs the delta itself starts
-	// from.
-	Base []int
-	// Churn is the ledger of the absorbed batch, zero without one.
-	Churn ChurnMetrics
-}
-
 // Place is the placement prologue shared by the sharded engine, the socket
-// cluster's engine, session.Open and cmd/cluster: partition g into p shards,
-// refuse an assignment that does not cover the graph or leaves [0, p), and
-// absorb d (AbsorbDelta; an empty d absorbs nothing) under moveBudget.
-func Place(part Partitioner, g *graph.Graph, p int, d dist.GraphDelta, moveBudget int) (Placement, error) {
-	check := func(g *graph.Graph, assign []int) error {
-		if len(assign) != g.N() {
-			return fmt.Errorf("shard: partitioner %s returned %d assignments for %d nodes", part.Name(), len(assign), g.N())
+// cluster's engine, session.Open and cmd/cluster: partition g into p shards
+// and refuse an assignment that does not cover the graph or leaves [0, p).
+func Place(part Partitioner, g *graph.Graph, p int) ([]int, error) {
+	assign := part.Partition(g, p)
+	if len(assign) != g.N() {
+		return nil, fmt.Errorf("shard: partitioner %s returned %d assignments for %d nodes", part.Name(), len(assign), g.N())
+	}
+	for v, s := range assign {
+		if s < 0 || s >= p {
+			return nil, fmt.Errorf("shard: partitioner %s assigned node %d to shard %d (p=%d)", part.Name(), v, s, p)
 		}
-		for v, s := range assign {
-			if s < 0 || s >= p {
-				return fmt.Errorf("shard: partitioner %s assigned node %d to shard %d (p=%d)", part.Name(), v, s, p)
-			}
-		}
-		return nil
 	}
-	base := part.Partition(g, p)
-	if err := check(g, base); err != nil {
-		return Placement{}, err
-	}
-	pl := Placement{G: g, Assign: base, Base: base}
-	if len(d.Ops) == 0 {
-		return pl, nil
-	}
-	var err error
-	if pl.G, pl.Assign, pl.Churn, err = AbsorbDelta(part, g, p, base, d, moveBudget); err != nil {
-		return Placement{}, err
-	}
-	return pl, check(pl.G, pl.Assign)
+	return assign, nil
 }

@@ -32,23 +32,12 @@ type Engine struct {
 	// copies WithWireLambda hands to protocol drivers share the sink and
 	// the caller's handle still observes the run.
 	sm *ShardMetrics
-	// churn is the installed delta batch (nil when none); shared across
-	// WithWireLambda copies like the metric sinks, so a delta installed on
-	// the caller's handle reaches the copy the protocol driver runs.
-	churn *churnState
-	cm    *ChurnMetrics
 	// trace, when set, records per-shard step and encode spans, the
 	// coordinator's barrier-wait and deliver spans, and one Flow per
 	// non-empty frame at flush. It observes the ledgers the run already
 	// keeps, so a traced run is byte-identical to an untraced one (obs
 	// package comment).
 	trace *obs.Tracer
-}
-
-// churnState is an installed delta batch awaiting absorption by Run.
-type churnState struct {
-	delta  dist.GraphDelta
-	budget int
 }
 
 // NewEngine returns a sharded engine with p shards placed by part
@@ -60,26 +49,8 @@ func NewEngine(p int, part Partitioner) *Engine {
 	if part == nil {
 		part = Hash{}
 	}
-	return &Engine{p: p, part: part, sm: &ShardMetrics{}, churn: &churnState{}, cm: &ChurnMetrics{}}
+	return &Engine{p: p, part: part, sm: &ShardMetrics{}}
 }
-
-// Churn installs a delta batch the engine absorbs at the start of every
-// subsequent Run (DESIGN.md §9): the graph handed to Run is taken as the
-// pre-churn graph, the delta — round-tripped through the wire codec, so
-// the bytes accounted are the bytes applied — mutates it under the
-// canonical application order, and the partitioner's Rebalance moves at
-// most moveBudget frontier nodes (≤ 0 means the whole frontier) off the
-// stale assignment. The run then executes on the mutated graph,
-// byte-identical to a fresh SeqEngine run on it; ChurnMetrics reports what
-// absorbing the batch cost. An empty delta clears the installation.
-func (e *Engine) Churn(d dist.GraphDelta, moveBudget int) {
-	e.churn.delta = d
-	e.churn.budget = moveBudget
-}
-
-// ChurnMetrics returns the churn ledger of the most recent Run that
-// absorbed a delta.
-func (e *Engine) ChurnMetrics() ChurnMetrics { return *e.cm }
 
 // SetTracer installs (or, with nil, removes) the tracer subsequent Runs
 // record into. Like the metric sinks, the installation is shared with
@@ -117,17 +88,12 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	if lam == nil {
 		lam = quantize.Reals{}
 	}
-	// Like every other engine failure, a placement or a delta that does not
-	// hold is a panic — the Engine interface has no error channel, and
-	// running on a forked input would be worse.
-	pl, err := Place(e.part, g, p, e.churn.delta, e.churn.budget)
+	// Like every other engine failure, a placement that does not hold is a
+	// panic — the Engine interface has no error channel.
+	assign, err := Place(e.part, g, p)
 	if err != nil {
 		panic(err.Error())
 	}
-	if len(e.churn.delta.Ops) > 0 {
-		*e.cm = pl.Churn
-	}
-	g, assign := pl.G, pl.Assign
 	shards := make([][]graph.NodeID, p)
 	for v, s := range assign { // ascending v ⇒ ascending IDs within a shard
 		shards[s] = append(shards[s], v)

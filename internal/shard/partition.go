@@ -10,8 +10,8 @@ import (
 // Implementations must be deterministic functions of their arguments: the
 // engine's byte-identity guarantee covers the partition too, and under
 // churn the coordinator and every worker run Rebalance independently and
-// must land on the same assignment (pinned by PartitionDigest in the
-// handshake).
+// must land on the same assignment (pinned by PartitionDigest in every
+// epoch's stamp).
 type Partitioner interface {
 	// Partition returns one shard index in [0, p) per node.
 	Partition(g *graph.Graph, p int) []int
@@ -31,8 +31,8 @@ type Partitioner interface {
 
 // Topology is what incremental placement reads of a graph: the node count
 // and each node's arcs by index (a self-loop is one arc to the node itself).
-// *graph.Graph satisfies it — the run-time churn path passes the rebuilt CSR
-// — and so does the adjacency a session party mutates in place
+// *graph.Graph satisfies it — the from-scratch reference passes a rebuilt
+// CSR — and so does the adjacency a session party mutates in place
 // (dynamic.Adjacency), which is why an epoch's rebalance needs no rebuild.
 type Topology interface {
 	N() int
