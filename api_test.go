@@ -1,10 +1,13 @@
 package distkcore_test
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"distkcore"
+	"distkcore/internal/densest"
 	"distkcore/internal/graph"
 )
 
@@ -270,6 +273,54 @@ func TestSandwichOnEverySurface(t *testing.T) {
 			}
 			sandwich(t, cur, s.Values())
 		})
+	}
+}
+
+// Theorem I.3 on what each surface itself computed: the distributed
+// protocol's collection is the centralized reference's, subset for subset in
+// the same order, and its best subset is within γ = 2(1+ε) of the exact
+// maximum density. As with the sandwich above, byte-identity to seq says every
+// row must pass, and this is the test that would notice a wrong seq.
+func TestWeakDensestOnEverySurface(t *testing.T) {
+	const eps = 0.5
+	stream := distkcore.NetworkEngine(4, distkcore.GreedyPartitioner())
+	stream.Stream = true
+	engines := map[string]distkcore.Engine{
+		"seq":                      distkcore.SequentialEngine(),
+		"par:3":                    distkcore.ParallelWorkers(3),
+		"shard:4":                  distkcore.ShardedEngine(4, distkcore.GreedyPartitioner()),
+		"net:4:greedy:pipe":        distkcore.NetworkEngine(4, distkcore.GreedyPartitioner()),
+		"net:4:greedy:pipe:stream": stream,
+	}
+	graphs := map[string]*distkcore.Graph{"caveman": graph.Caveman(6, 7)}
+	for seed := int64(1); seed <= 3; seed++ {
+		graphs[fmt.Sprint("ba/", seed)] = graph.BarabasiAlbert(160, 3, seed)
+		graphs[fmt.Sprint("er/", seed)] = graph.ErdosRenyi(120, 0.06, seed)
+		graphs[fmt.Sprint("ws/", seed)] = graph.WattsStrogatz(140, 6, 0.15, seed)
+		graphs[fmt.Sprint("planted/", seed)] = graph.PlantedPartition(4, 20, 0.5, 0.02, seed)
+	}
+	for name, g := range graphs {
+		want := distkcore.WeakDensest(g, eps)
+		_, rho := distkcore.DensestSubset(g)
+		for ename, eng := range engines {
+			t.Run(name+"/"+ename, func(t *testing.T) {
+				got, met := distkcore.WeakDensestDistributed(g, eps, eng)
+				if !met.Halted {
+					t.Fatalf("cut off after %d rounds", met.Rounds)
+				}
+				if len(got.Subsets) != len(want.Subsets) {
+					t.Fatalf("%d subsets, WeakDensest returns %d", len(got.Subsets), len(want.Subsets))
+				}
+				for i := range want.Subsets {
+					if !reflect.DeepEqual(got.Subsets[i], want.Subsets[i]) {
+						t.Fatalf("Subsets[%d] = %+v, WeakDensest returns %+v", i, got.Subsets[i], want.Subsets[i])
+					}
+				}
+				if !densest.GuaranteeHolds(got, 2*(1+eps), rho) {
+					t.Fatalf("best subset %+v misses ρ*/γ = %v/%v", got.Best(), rho, 2*(1+eps))
+				}
+			})
+		}
 	}
 }
 

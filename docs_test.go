@@ -23,6 +23,8 @@ var (
 	heading    = regexp.MustCompile(`(?m)^#{2,3} §(\d+(?:\.\d+)?) (.+)$`)
 	anchorLink = regexp.MustCompile(`DESIGN\.md#([a-z0-9-]+)`)
 	recConst   = regexp.MustCompile(`(?m)^\s*[rR]ec([A-Za-z]+)\s*=\s*byte\((\d+)\)`)
+	testCite   = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
+	testDecl   = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
 	camelBreak = regexp.MustCompile(`([a-z])([A-Z])`)
 )
 
@@ -132,6 +134,59 @@ func TestDesignRecordTableMatchesConn(t *testing.T) {
 		if row := fmt.Sprintf("\n| %s | %s |", m[2], name); !strings.Contains(design, row) {
 			t.Errorf("DESIGN.md §8.2 has no row %q for conn.go's rec%s = %s", strings.TrimSpace(row), m[1], m[2])
 		}
+	}
+}
+
+// The documents argue from tests by name — DESIGN.md's proofs end in "held by
+// TestX", CI and the verify notes say which to run after touching what — so a
+// test that is renamed or deleted must take its citations along. DESIGN.md,
+// the README and ci.yml name tests exactly; the verify notes write `-run`
+// patterns, which match by prefix.
+func TestCitedTestsExist(t *testing.T) {
+	var declared []string
+	walkRepo(t, func(path string) {
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range testDecl.FindAllStringSubmatch(readFile(t, path), -1) {
+				declared = append(declared, m[1])
+			}
+		}
+	})
+	exists := func(name string, prefix bool) bool {
+		for _, d := range declared {
+			if d == name || prefix && strings.HasPrefix(d, name) {
+				return true
+			}
+		}
+		return false
+	}
+	cited := 0
+	for _, doc := range []struct {
+		path   string
+		prefix bool
+	}{
+		{"DESIGN.md", false},
+		{"README.md", false},
+		{".github/workflows/ci.yml", false},
+		{".claude/skills/verify/SKILL.md", true},
+	} {
+		for _, name := range testCite.FindAllString(readFile(t, doc.path), -1) {
+			cited++
+			if !exists(name, doc.prefix) {
+				t.Errorf("%s cites %s, which no _test.go file declares", doc.path, name)
+			}
+		}
+	}
+	// The weak densest protocol's change-driven argument (DESIGN.md §2) rests
+	// on these; the section must go on naming them.
+	design := readFile(t, "DESIGN.md")
+	for _, name := range []string{"TestWeakMessagesMatchChangeOracle", "TestWeakSleepingChangesNoExecution",
+		"TestWeakHooksRunOnBenchmarkGraph", "TestWeakDensestOnEverySurface", "TestTiedSubsetsKeepOneOrder"} {
+		if !strings.Contains(design, name) || !exists(name, false) {
+			t.Errorf("%s must be declared and cited in DESIGN.md", name)
+		}
+	}
+	if cited < 100 {
+		t.Fatalf("only %d test names found in the documents: the pattern no longer matches how they are cited", cited)
 	}
 }
 

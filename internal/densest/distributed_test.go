@@ -23,6 +23,12 @@ func assertSameResult(t *testing.T, name string, want, got *Result) {
 		t.Fatalf("%s: %d subsets centralized vs %d distributed",
 			name, len(want.Subsets), len(got.Subsets))
 	}
+	// Same collection, listed the same way: Best() must name the same subset.
+	for i := range want.Subsets {
+		if w, g := want.Subsets[i].Leader, got.Subsets[i].Leader; w != g {
+			t.Fatalf("%s: Subsets[%d] is leader %d's centralized, leader %d's distributed", name, i, w, g)
+		}
+	}
 	wm, gm := subsetByLeader(want), subsetByLeader(got)
 	for leader, ws := range wm {
 		gs, ok := gm[leader]
@@ -66,6 +72,48 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 		assertSameResult(t, name, want, got)
 		if met.Messages == 0 {
 			t.Fatalf("%s: no messages exchanged", name)
+		}
+	}
+}
+
+// tiedCliques is 60 disjoint unit-weight cliques — clique i on the 3 + (7i mod
+// 3) nodes starting at node 5i, the rest isolated — so the collection is 120
+// subsets (the isolated nodes' singletons included) over four distinct
+// densities: ordering it is all ties.
+func tiedCliques() *graph.Graph {
+	b := graph.NewBuilder(300)
+	for i := 0; i < 60; i++ {
+		for u, size := 5*i, 3+(7*i)%3; u < 5*i+size; u++ {
+			for v := u + 1; v < 5*i+size; v++ {
+				b.AddUnitEdge(u, v)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// TestTiedSubsetsKeepOneOrder: the reference and the protocol list the same
+// collection in the same order, ties included — density descending, then
+// leader ascending — so Best() names one subset whichever produced the Result.
+// (Weak used to sort on density alone, unstably: 119 of these 120 positions
+// held a different leader, and Best() was leader 194's against leader 14's.)
+func TestTiedSubsetsKeepOneOrder(t *testing.T) {
+	g := tiedCliques()
+	cfg := Config{Gamma: 3}
+	want := Weak(g, cfg)
+	got, _ := RunWeakDistributed(g, cfg, dist.SeqEngine{})
+	if len(want.Subsets) != 120 {
+		t.Fatalf("%d subsets, the reproducer has 120", len(want.Subsets))
+	}
+	assertSameResult(t, "tied cliques", want, got)
+	if w, g := want.Best().Leader, got.Best().Leader; w != 14 || g != 14 {
+		t.Fatalf("Best() is leader %d's centralized and leader %d's distributed, want 14 twice", w, g)
+	}
+	for i := 1; i < len(want.Subsets); i++ {
+		a, b := want.Subsets[i-1], want.Subsets[i]
+		if a.Density < b.Density || a.Density == b.Density && a.Leader >= b.Leader {
+			t.Fatalf("Subsets[%d], Subsets[%d] = (%v, leader %d), (%v, leader %d): not density descending, leader ascending",
+				i-1, i, a.Density, a.Leader, b.Density, b.Leader)
 		}
 	}
 }

@@ -53,7 +53,7 @@ type Subset struct {
 // Result is the outcome of the weak densest-subset algorithm.
 type Result struct {
 	// Subsets are the accepted disjoint subsets, sorted by decreasing
-	// density.
+	// density, ties by ascending leader.
 	Subsets []Subset
 	// LeaderOf[v] is the leader v elected (every node elects one; -1 never
 	// occurs), regardless of whether that leader's subset was accepted.
@@ -78,8 +78,38 @@ func (r *Result) Best() *Subset {
 	return &r.Subsets[0]
 }
 
+// sortSubsets puts a collection in Result.Subsets' order: decreasing density,
+// ties by ascending leader — a total order, since leaders are distinct, so
+// the centralized and the distributed run list the same collection the same
+// way and Best names the same subset.
+func sortSubsets(subsets []Subset) {
+	sort.Slice(subsets, func(i, j int) bool {
+		if subsets[i].Density != subsets[j].Density {
+			return subsets[i].Density > subsets[j].Density
+		}
+		return subsets[i].Leader < subsets[j].Leader
+	})
+}
+
 // Weak runs the four-phase algorithm on g.
 func Weak(g *graph.Graph, cfg Config) *Result {
+	res, _ := weak(g, cfg, false)
+	return res
+}
+
+// weakTrail is what a centralized run went through on the way to its Result,
+// kept for the tests that read the distributed protocol's message count off
+// it: the protocol says what moved, and this is what moved.
+type weakTrail struct {
+	leaders  [][]graph.NodeID // leaders[t][v]: v's leader after election step t; [0] is the seed. Only when asked for.
+	parent   []graph.NodeID   // after the request/confirm exchange: self for a root, -1 detached
+	children [][]graph.NodeID // confirmed children
+	num      [][]uint8        // phase 3's survival arrays
+}
+
+// weak is Weak, and returns the run's weakTrail beside the Result; the
+// election's per-step history is recorded only when trail is set.
+func weak(g *graph.Graph, cfg Config, trail bool) (*Result, *weakTrail) {
 	if cfg.Gamma <= 2 {
 		panic("densest: Config.Gamma must exceed 2")
 	}
@@ -113,6 +143,10 @@ func Weak(g *graph.Graph, cfg Config) *Result {
 	newLeader := make([]graph.NodeID, n)
 	newParent := make([]graph.NodeID, n)
 	newDepth := make([]int, n)
+	var leaders [][]graph.NodeID
+	if trail {
+		leaders = append(leaders, append([]graph.NodeID(nil), leader...))
+	}
 	for t := 1; t <= T; t++ {
 		copy(newLeader, leader)
 		copy(newParent, parent)
@@ -136,6 +170,9 @@ func Weak(g *graph.Graph, cfg Config) *Result {
 		leader, newLeader = newLeader, leader
 		parent, newParent = newParent, parent
 		depth, newDepth = newDepth, depth
+		if trail {
+			leaders = append(leaders, append([]graph.NodeID(nil), leader...))
+		}
 	}
 	// Request/confirm parent: detach v if its parent ended with a different
 	// leader (Algorithm 4 lines 7–9).
@@ -265,10 +302,8 @@ func Weak(g *graph.Graph, cfg Config) *Result {
 			TStar:   tstar,
 		})
 	}
-	sort.Slice(res.Subsets, func(i, j int) bool {
-		return res.Subsets[i].Density > res.Subsets[j].Density
-	})
-	return res
+	sortSubsets(res.Subsets)
+	return res, &weakTrail{leaders: leaders, parent: parent, children: children, num: num}
 }
 
 func sameLeaderDegree(g *graph.Graph, v graph.NodeID, leader []graph.NodeID, active []bool) float64 {
