@@ -170,12 +170,13 @@ func TracedEngine(eng Engine, tr *Tracer) Engine { return cliutil.Traced(eng, tr
 // reference scheduler every protocol is tested against.
 func SequentialEngine() Engine { return dist.SeqEngine{} }
 
-// ParallelEngine returns the batched worker-pool engine: GOMAXPROCS
-// long-lived workers own contiguous node ranges, step them in one barriered
-// phase per broadcast-only round (and fill the shared inbox arena in
-// parallel on the others); it runs the hooks SequentialEngine runs — every
-// live node's every round, but for nodes that asked to sleep (DESIGN.md §3,
-// §12). It produces executions byte-identical to SequentialEngine's.
+// ParallelEngine returns the worker-pool engine: GOMAXPROCS workers, the
+// calling goroutine among them, pull each round's nodes off one cursor and
+// step them in one barriered phase per broadcast-only round (and fill the
+// shared inbox arena in parallel on the others); it runs the hooks
+// SequentialEngine runs — every live node's every round, but for nodes that
+// asked to sleep (DESIGN.md §3, §12). It produces executions byte-identical
+// to SequentialEngine's.
 func ParallelEngine() Engine { return dist.ParEngine{} }
 
 // ParallelWorkers is ParallelEngine with an explicit worker count w >= 1

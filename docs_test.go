@@ -194,14 +194,16 @@ func TestCitedTestsExist(t *testing.T) {
 // only the relay honoured, round fusion, the net workers' stand-in programs
 // for remote senders, the checkpoint restart scheme (driver snapshots, its two
 // records, its retention depth) and the one-shot churned run (its record, its
-// absorption, its CLI parsing) are gone; nothing may cite them again. The
+// absorption, its CLI parsing) and the pool's fitted range weight (a step
+// phase's nodes come off a cursor) are gone; nothing may cite them again. The
 // archive (CHANGES.md), the plan (ROADMAP.md, ISSUE.md) and the frozen
 // benchmark directory may name them.
 func TestRetiredNamesStayRetired(t *testing.T) {
 	retired := []string{"BENCH_PR", "cmd/bench", "prodn", "DKC_PERF_SMOKE", "DelayFunc", "ModelDelay",
 		"Fusible", "RoundFusionSafe", "FusedRanges", "ghost program",
 		"Checkpointable", "AppendSnapshot", "RestoreSnapshot", "recCheckpoint", "retainRounds",
-		"recDelta", "AbsorbDelta", "ApplyChurn", "ParseChurnSpec", "netChurn"}
+		"recDelta", "AbsorbDelta", "ApplyChurn", "ParseChurnSpec", "netChurn",
+		"rangeNodeWeight"}
 	exempt := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "docs_test.go": true}
 	walkRepo(t, func(path string) {
 		if exempt[path] || strings.HasPrefix(path, "benchmark/") {

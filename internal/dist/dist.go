@@ -6,12 +6,12 @@
 //     Round hooks), a Ctx handed to every hook (topology queries plus
 //     Broadcast/Send/Halt), and an Engine that drives all n programs in
 //     lock-step rounds. This package provides SeqEngine, a deterministic
-//     single-threaded scheduler, and ParEngine, a batched worker pool (W
-//     long-lived workers owning contiguous node ranges, one barrier per
-//     broadcast-only round, a deterministic parallel inbox fill on the
-//     others — see par.go and DESIGN.md §12). Engines outside the package
-//     register through the same interface by building on Driver, which
-//     exposes the shared step/deliver machinery without giving up the
+//     single-threaded scheduler, and ParEngine, a worker pool (W workers,
+//     the caller among them, pulling a round's nodes off one cursor; one
+//     barrier per broadcast-only round, a deterministic parallel inbox fill
+//     on the others — see par.go and DESIGN.md §12). Engines outside the
+//     package register through the same interface by building on Driver,
+//     which exposes the shared step/deliver machinery without giving up the
 //     determinism contract: internal/shard (P worker goroutines, batched
 //     cross-shard frames) and internal/net (coordinator plus P workers over
 //     real connections). Both read their nodes' sends through the

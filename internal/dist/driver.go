@@ -57,11 +57,12 @@ func (d *Driver) StepList(nodes []graph.NodeID, t int) int {
 }
 
 // StepRange is StepList over the nodes [lo, hi) in ascending order: the
-// range-granular form the worker-pool parallel engine schedules over
-// contiguous CSR blocks; engines built on the Driver (a sharded maintainer, a
-// NUMA-pinned pool) get the same batched shape without re-deriving the loop.
-// Concurrent StepRanges are safe for disjoint ranges; the engine must barrier
-// before Deliver.
+// range-granular form, and the external statement of the contract ParEngine's
+// block cursor schedules under — any cover of [0, n) by disjoint ranges
+// between two barriers, whoever steps which, is one execution. Engines built
+// on the Driver (a sharded maintainer, a NUMA-pinned pool) get the batched
+// shape without re-deriving the loop. Concurrent StepRanges are safe for
+// disjoint ranges; the engine must barrier before Deliver.
 func (d *Driver) StepRange(lo, hi graph.NodeID, t int) int {
 	buf := gatherBufs.Get().(*[]Message)
 	stepped := 0

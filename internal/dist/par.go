@@ -3,42 +3,52 @@ package dist
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"distkcore/internal/graph"
 	"distkcore/internal/obs"
 	"distkcore/internal/quantize"
 )
 
-// ParEngine is the shared-memory parallel engine: a pool of W long-lived
-// workers (default runtime.GOMAXPROCS(0)), each owning one contiguous,
-// cost-balanced range of node IDs. A broadcast-only round is one barriered
-// phase: each worker steps its range's hooks — gathering every inbox from
-// the senders' slots into its own buffer — and prices the slots its range
-// wrote; the coordinator merges the metric partials and, when few spoke,
-// lists the speakers per receiver (sim.listSpeakers) before it releases the
-// next round. A round in which any
-// hook queued a send adds the scatter as two more barriered phases — count
-// (each worker counts its senders' messages per receiver) and fill (each
-// worker writes its senders' messages into precomputed disjoint cells of
-// the shared inbox arena) — with the prefix offsets and arena sizing run by
-// the coordinator in between. Because ranges are contiguous and ascending,
-// "fill per worker" IS the deterministic global fill order of the package
-// (ascending sender ID, ties in send order), and a gathered inbox is in
-// Peers order whoever gathers it, so executions — values, inbox orders,
-// Metrics — are byte-identical to SeqEngine's (DESIGN.md §12 has the
-// argument; the pinned metrics rows and the dist equivalence tests hold
-// the engine to it).
+// ParEngine is the shared-memory parallel engine: a pool of W workers
+// (default runtime.GOMAXPROCS(0)) of which the goroutine that called Run is
+// worker 0, so a phase costs the coordinator one hand-off — an atomic
+// generation bump the other W − 1 workers are already watching — and its own
+// share of the work overlaps their pick-up. A broadcast-only round is one
+// such phase: every worker pulls blocks of parChunk node IDs off one shared
+// cursor, steps each block's hooks — gathering every inbox from the senders'
+// slots into its own buffer — and prices the slots the block wrote; the
+// coordinator joins, merges the metric partials and, when few spoke, lists
+// the speakers per receiver (sim.listSpeakers) before it publishes the next
+// round. A round in which any hook queued a send adds the scatter as two more
+// phases — count (each worker counts its senders' messages per receiver) and
+// fill (each worker writes its senders' messages into precomputed disjoint
+// cells of the shared inbox arena) — with the prefix offsets and arena sizing
+// run by the coordinator in between. Those two phases, and only those, run
+// over one contiguous range per worker: because the ranges are contiguous
+// and ascending, "fill per worker" IS the deterministic global fill order of
+// the package (ascending sender ID, ties in send order). A step phase needs
+// no such order — any cover of [0, n) by disjoint blocks between two barriers
+// runs every due hook once on the same inbox, and a gathered inbox is in
+// Peers order whoever gathers it — so executions — values, inbox orders,
+// Metrics — are byte-identical to SeqEngine's whichever worker took which
+// block (DESIGN.md §12 has the argument and the barrier's; the pinned metrics
+// rows and the dist equivalence tests hold the engine to it).
 //
 // The zero value is ready to use and runs with GOMAXPROCS workers; W == 1
 // (or a single-CPU machine) runs the whole schedule inline on the calling
-// goroutine — no pool, no channels. Lam and Trace are as in SeqEngine,
+// goroutine — no goroutine, no waiting. Lam and Trace are as in SeqEngine,
 // except that step spans are per worker (round, worker) rather than one
-// whole-wave span; deliver spans are per round, identical to seq's. Stats,
-// when non-nil, receives the pool ledger of each Run.
+// whole-wave span: worker 0's runs from the hand-off to the join and carries
+// the round's hook count, the others carry their time alone — who took how
+// many blocks is the scheduler's business, not the execution's. Deliver spans
+// are per round, identical to seq's. Stats, when non-nil, receives the pool
+// ledger of each Run.
 type ParEngine struct {
 	// W is the worker count; <= 0 means runtime.GOMAXPROCS(0). The count is
-	// capped at the node count (empty ranges would only cost barriers).
+	// capped at the node count.
 	W     int
 	Lam   quantize.Lambda
 	Trace *obs.Tracer
@@ -56,7 +66,7 @@ type ParStats struct {
 	// FusedNodeRounds is always 0: the pool fuses nothing — it steps what
 	// SeqEngine steps, a node at a time, passing over those asleep
 	// (Ctx.SleepUntil). The field stays only until the benchmark row that
-	// reads it (dist.fused_node_rounds) is retired — ROADMAP item 1c.
+	// reads it (dist.fused_node_rounds) is retired — ROADMAP item 9a.
 	FusedNodeRounds int64
 }
 
@@ -74,17 +84,35 @@ func (e ParEngine) WithWireLambda(lam quantize.Lambda) Engine {
 	return e
 }
 
-// rangeNodeWeight is what stepping a node costs beyond its arcs, in arcs.
-// Fitted from the two workers' step spans of W = 2 coreness runs on
-// BarabasiAlbert(n, 4) with the split point swept (DESIGN.md §12.1): in
-// cache (n = 2 000) the per-node term vanishes and the split is flat; out of
-// it a node costs 59–68 ns — the slot write is a cross-core invalidation —
-// against 15–25 ns per arc, a ratio of 4.7 at n = 10⁴ and 2.3 at 10⁵. The
-// scatter-era weight of 1 left the low-degree tail range 17 % slower than
-// the hub range at n = 10⁴.
-const rangeNodeWeight = 3
+// parChunk is how many consecutive node IDs a worker takes off the step
+// phase's cursor at a time. The block is the unit of imbalance — the first 128
+// nodes of BarabasiAlbert(2 000, 4, 1) hold 25 % of its arcs, the first 256
+// hold 35 % — and of cache traffic, small blocks interleaving the cores' slot
+// and state lines. Swept over {16, 32, 64, 128, 256, 512} with interleaved
+// scratch builds (DESIGN.md §12.1 has the table): coreness-par's op_p50_ms at
+// n = 2 000, W = 2 read 2.83, 2.60, 2.44, 2.38, 2.35, 2.49 ms against the
+// channel pool's 3.01, and at n = 32 000 everything from 64 up is level and
+// 16 is 10 % behind the channel pool. 128 is the smaller of the two sizes on
+// the flat part: at 256 one block outweighs a worker's share from W = 3 on.
+const parChunk = 128
 
-// parOp is a phase opcode on the pool's job channels.
+// parSpin is how many times a waiter yields (runtime.Gosched) on its
+// condition before it parks on its channel. A yield with nothing else to run
+// is 0.11–0.15 µs on the host the sweep ran on, so 200 keeps a waiter hot for
+// ≈ 28 µs — across all but one deliver of a coreness run at n = 2 000 and
+// across the slower worker's tail of a step phase — and parks it before a
+// long serial section (a scatter's prefix pass at n = 10⁶, a stalled hook, a
+// host with fewer Ps than workers, other pools under t.Parallel()) has cost
+// a core more than that. Swept over {0, 20, 200, 500, 1 000, 2 000}
+// (DESIGN.md §12.1): op_p50_ms 3.18, 2.85, 2.44, —, 2.37, 2.37 on a quiet
+// host with cpu_ms_per_op flat from 200 up, no order among 200–2 000 on a
+// loaded one, no effect at n = 32 000; 0 is a futex wake-up per phase, the
+// channel pool again. 200 is the smallest bound on the flat part, and
+// smallest matters where the CPU quota is below GOMAXPROCS and a spinning
+// worker competes with the coordinator's thread.
+const parSpin = 200
+
+// parOp is a phase opcode of the pool.
 type parOp uint8
 
 const (
@@ -93,22 +121,66 @@ const (
 	opFill
 )
 
-// parJob is one phase of work handed to a worker.
-type parJob struct {
-	op parOp
-	t  int
+// parWaiter is one side's way to wait for the other without costing a
+// wake-up when the wait is short: yield parSpin times on the condition, then
+// park. Parking is the flag-then-recheck handshake: the waiter sets parked,
+// looks at the condition once more and only then blocks; the side that makes
+// the condition true does so first and looks at parked afterwards (rouse).
+// Both accesses are sequentially consistent, so at least one of the two sees
+// the other's write and no wake-up is lost; whoever swaps the flag back owns
+// the wake-up, so a token is sent exactly when somebody is there (or about to
+// be) to take it and the channel is empty again before the next park.
+type parWaiter struct {
+	parked atomic.Bool
+	wake   chan struct{}
 }
 
-// parWorker is the per-worker state of one run. Everything here is owned by
-// exactly one goroutine during a phase and read by the coordinator only
-// between barriers, so none of it needs locking.
+// await returns once ready reports true.
+func (p *parWaiter) await(ready func() bool) {
+	for {
+		for i := 0; i < parSpin; i++ {
+			if ready() {
+				return
+			}
+			runtime.Gosched()
+		}
+		p.parked.Store(true)
+		if ready() {
+			if !p.parked.CompareAndSwap(true, false) {
+				<-p.wake // the other side saw the flag first: its token is ours
+			}
+			return
+		}
+		// A token may also be one a slow rouser owed an earlier wait that
+		// returned by yielding (the coordinator's join can); hence the loop.
+		<-p.wake
+	}
+}
+
+// rouse wakes the waiter if it is parked. Call it after making its condition
+// true, never before.
+func (p *parWaiter) rouse() {
+	if p.parked.Load() && p.parked.CompareAndSwap(true, false) {
+		p.wake <- struct{}{}
+	}
+}
+
+// parWorker is the per-worker state of one run. Everything but the waiter is
+// owned by exactly one goroutine during a phase and read by the coordinator
+// only after the join, so none of it needs locking.
 type parWorker struct {
-	lo, hi int // owned node range [lo, hi)
-	// buf is the worker's gather buffer (sim.inbox).
-	buf []Message
-	// msgs/words/wire are the range's metric partials for one round — its
-	// slots, priced at the end of the step phase, plus its queued sends,
-	// priced by the fill phase — merged by the coordinator in worker order.
+	parWaiter
+	// lo, hi is the worker's contiguous sender range [lo, hi) in the count
+	// and fill phases, cut by the first scatter.
+	lo, hi int
+	// buf is the worker's gather buffer (sim.inbox), borrowed from gatherBufs
+	// for the run.
+	buf *[]Message
+	// stepped is the number of hooks the worker ran in the last step phase.
+	stepped int64
+	// msgs/words/wire are the worker's metric partials for one round — the
+	// slots of the blocks it stepped, priced block by block, plus its range's
+	// queued sends, priced by the fill phase — merged by the coordinator.
 	msgs, words, wire int64
 }
 
@@ -117,7 +189,21 @@ type parRun struct {
 	e  ParEngine
 	s  *sim
 	w  int
-	ws []parWorker
+	ws []parWorker // ws[0] is the coordinator's
+
+	// The phase on offer. op and t are written by the coordinator before it
+	// bumps gen and read by a worker after it has seen the bump; every worker
+	// is waiting on gen whenever they are written, since the coordinator
+	// joins a phase (pending back to 0) before it publishes the next. stop
+	// is teardown's, which may come while a phase is still running.
+	op      parOp
+	t       int
+	gen     atomic.Uint32
+	stop    atomic.Bool
+	pending atomic.Int32   // workers 1..w-1 that have not finished the phase
+	cursor  atomic.Int64   // first node of the step phase nobody has taken
+	exited  sync.WaitGroup // the workers' goroutines
+
 	// cnt is the two-level counting matrix: row i (cnt[i*n:(i+1)*n]) is
 	// worker i's per-receiver message count for the current round. cur is
 	// the matching fill cursor matrix: cur[i*n+v] is the next arena slot for
@@ -142,66 +228,35 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 	}
 
 	r := &parRun{e: e, s: s, w: w, ws: make([]parWorker, w)}
-
-	// Cost-balanced contiguous ranges: split the CSR node order so every
-	// worker owns about the same step cost, rangeNodeWeight + deg(v) per
-	// node (so isolated nodes still spread). Contiguity is what makes the
-	// deterministic parallel fill and the per-range slot pricing possible.
-	total := int64(n) * rangeNodeWeight
-	for v := 0; v < n; v++ {
-		total += int64(g.Degree(v))
-	}
-	lo, acc := 0, int64(0)
-	for i := 0; i < w; i++ {
-		target := total * int64(i+1) / int64(w)
-		// Leave at least one node for every worker after this one (w <= n,
-		// so that is always feasible), and take at least one ourselves.
-		maxHi := n - (w - 1 - i)
-		hi := lo
-		for hi < maxHi && (hi == lo || acc < target) {
-			acc += rangeNodeWeight + int64(g.Degree(hi))
-			hi++
-		}
-		r.ws[i].lo, r.ws[i].hi = lo, hi
-		lo = hi
-	}
-
-	// The pool. Workers block on their job channel and exit when it closes;
-	// the single deferred close owns the goroutines' lifetime on every exit
-	// path, so an early-halting run (or a future error return) leaks
-	// nothing. w == 1 runs every job inline instead — no goroutines at all.
-	var wg sync.WaitGroup
-	var jobs []chan parJob
+	r.ws[0].buf = gatherBufs.Get().(*[]Message)
+	// The pool: W − 1 goroutines beside this one. The single deferred
+	// teardown owns their lifetime on every exit path — the normal end, an
+	// early halt, a panic unwinding out of the coordinator's share of a
+	// phase — and returns once they have all exited. w == 1 starts none.
 	if w > 1 {
-		jobs = make([]chan parJob, w)
-		for i := 0; i < w; i++ {
-			jobs[i] = make(chan parJob, 1)
-			go func(i int) {
-				for jb := range jobs[i] {
-					r.runJob(i, jb)
-					wg.Done()
-				}
-			}(i)
+		r.ws[0].wake = make(chan struct{}, 1)
+		r.exited.Add(w - 1)
+		for i := 1; i < w; i++ {
+			r.ws[i].wake = make(chan struct{}, 1)
+			go r.work(i)
 		}
-		defer func() {
-			for _, c := range jobs {
-				close(c)
-			}
-		}()
 	}
-	// phase runs one opcode on every worker's range and waits for all of them.
-	phase := func(op parOp, t int) {
-		if w == 1 {
-			r.runJob(0, parJob{op: op, t: t})
-			return
-		}
-		wg.Add(w)
-		for _, c := range jobs {
-			c <- parJob{op: op, t: t}
-		}
-		wg.Wait()
-	}
+	defer func() {
+		r.stop.Store(true)
+		r.publish()
+		r.exited.Wait()
+		gatherBufs.Put(r.ws[0].buf)
+	}()
 
+	step := func(t int) {
+		sp := e.Trace.Begin(obs.PhaseStep, t, 0)
+		r.phase(opStep, t)
+		stepped := int64(0)
+		for i := range r.ws {
+			stepped += r.ws[i].stepped
+		}
+		sp.EndN(0, stepped)
+	}
 	deliver := func(t int) {
 		wb0, mg0 := s.met.WireBytes, s.met.Messages
 		sp := e.Trace.Begin(obs.PhaseDeliver, t, -1)
@@ -213,7 +268,7 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 		} else {
 			pull := !s.queued.Load()
 			if !pull {
-				r.parScatter(t, phase)
+				r.parScatter(t)
 			}
 			// Merge the metric partials in worker order (they are integer
 			// sums, so any order would do — worker order keeps it obviously
@@ -230,12 +285,12 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 		sp.EndN(s.met.WireBytes-wb0, s.met.Messages-mg0)
 	}
 
-	phase(opStep, 0)
+	step(0)
 	deliver(0)
 	rounds := 0
 	for t := 1; t <= maxRounds && s.alive > 0; t++ {
 		rounds = t
-		phase(opStep, t)
+		step(t)
 		deliver(t)
 	}
 	if e.Stats != nil {
@@ -244,15 +299,64 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 	return s.finish(rounds)
 }
 
-// runJob executes one phase of one worker's schedule.
-func (r *parRun) runJob(i int, jb parJob) {
-	s, ws := r.s, &r.ws[i]
-	switch jb.op {
-	case opStep:
-		r.stepRange(i, jb.t)
-		if !CheckVecAliasing { // else the sequential deliver prices them
-			ws.msgs, ws.words, ws.wire = s.priceSlots(ws.lo, ws.hi)
+// publish makes what the coordinator has written — a phase's job fields, or
+// stop — the workers' next generation: the bump first, then a wake-up for
+// exactly the workers that had parked.
+func (r *parRun) publish() {
+	r.gen.Add(1)
+	for i := 1; i < r.w; i++ {
+		r.ws[i].rouse()
+	}
+}
+
+// phase runs one opcode on every worker and returns when all of them are
+// done: publish, do worker 0's share, join.
+func (r *parRun) phase(op parOp, t int) {
+	if op == opStep {
+		r.cursor.Store(0)
+	}
+	if r.w == 1 {
+		r.runJob(0, op, t)
+		return
+	}
+	r.op, r.t = op, t
+	r.pending.Store(int32(r.w - 1))
+	r.publish()
+	r.runJob(0, op, t)
+	r.ws[0].await(func() bool { return r.pending.Load() == 0 })
+}
+
+// work is the life of worker i > 0: wait for a generation it has not seen,
+// leave if it is the last one, else run its share and report to the join —
+// whoever finishes last wakes the coordinator if it has parked.
+func (r *parRun) work(i int) {
+	defer r.exited.Done()
+	ws := &r.ws[i]
+	ws.buf = gatherBufs.Get().(*[]Message)
+	defer gatherBufs.Put(ws.buf)
+	for seen := uint32(0); ; seen++ { // a generation is one phase, or the end
+		ws.await(func() bool { return r.gen.Load() != seen })
+		if r.stop.Load() {
+			return
 		}
+		r.runJob(i, r.op, r.t)
+		if r.pending.Add(-1) == 0 {
+			r.ws[0].rouse()
+		}
+	}
+}
+
+// runJob executes worker i's share of one phase.
+func (r *parRun) runJob(i int, op parOp, t int) {
+	s, ws := r.s, &r.ws[i]
+	switch op {
+	case opStep:
+		var sp obs.SpanRef // worker 0 is inside the coordinator's, which outlasts the join
+		if i > 0 {
+			sp = r.e.Trace.Begin(obs.PhaseStep, t, i)
+		}
+		r.stepChunks(ws, t)
+		sp.End()
 	case opCount:
 		n := len(s.ctxs)
 		row := r.cnt[i*n : (i+1)*n]
@@ -265,19 +369,32 @@ func (r *parRun) runJob(i int, jb parJob) {
 	}
 }
 
-// stepRange runs the hooks of worker i's live, wakeful nodes for round t —
-// sim.step per node, exactly what Driver.StepRange runs — under the worker's
-// step span, whose count is the hooks run.
-func (r *parRun) stepRange(i, t int) {
-	ws := &r.ws[i]
-	sp := r.e.Trace.Begin(obs.PhaseStep, t, i)
-	stepped := 0
-	for v := ws.lo; v < ws.hi; v++ {
-		if r.s.step(v, t, &ws.buf) {
-			stepped++
+// stepChunks is one worker's step phase: take the next parChunk nodes off the
+// round's cursor until there are none, run the hooks of each block's live,
+// wakeful nodes — sim.step per node, exactly what Driver.StepRange runs — and
+// price the slots the block wrote.
+func (r *parRun) stepChunks(ws *parWorker, t int) {
+	s := r.s
+	n := len(s.ctxs)
+	var stepped, msgs, words, wire int64
+	for {
+		hi := int(r.cursor.Add(parChunk))
+		lo := hi - parChunk
+		if lo >= n {
+			break
+		}
+		hi = min(hi, n)
+		for v := lo; v < hi; v++ {
+			if s.step(v, t, ws.buf) {
+				stepped++
+			}
+		}
+		if !CheckVecAliasing { // else the sequential deliver prices them
+			m, wd, wi := s.priceSlots(lo, hi)
+			msgs, words, wire = msgs+m, words+wd, wire+wi
 		}
 	}
-	sp.EndN(0, int64(stepped))
+	ws.stepped, ws.msgs, ws.words, ws.wire = stepped, msgs, words, wire
 }
 
 // parScatter is the pool's scatter, for rounds in which some hook queued a
@@ -286,14 +403,22 @@ func (r *parRun) stepRange(i, t int) {
 // range-0 senders' messages first, then range-1's, and so on — which, ranges
 // being contiguous ascending ID blocks, is exactly "ascending sender ID,
 // ties in send order".
-func (r *parRun) parScatter(t int, phase func(parOp, int)) {
+func (r *parRun) parScatter(t int) {
 	s, w := r.s, r.w
 	n := len(s.ctxs)
 	if r.cnt == nil {
 		r.cnt = make([]int32, w*n)
 		r.cur = make([]int32, w*n)
+		// The ranges: equal shares of the arcs, found on the CSR offsets (a
+		// sender's count and fill cost its fan-out). One may be empty.
+		arcs := s.g.ArcOffset(n)
+		for i := 1; i < w; i++ {
+			cut := sort.Search(n, func(v int) bool { return s.g.ArcOffset(v)*w >= arcs*i })
+			r.ws[i-1].hi, r.ws[i].lo = cut, cut
+		}
+		r.ws[w-1].hi = n
 	}
-	phase(opCount, t)
+	r.phase(opCount, t)
 	// Prefix pass (coordinator): walk receivers in ascending ID and, within
 	// one receiver, workers in ascending index, assigning each (worker,
 	// receiver) cell its start cursor.
@@ -307,5 +432,5 @@ func (r *parRun) parScatter(t int, phase func(parOp, int)) {
 	}
 	s.inboxOff[n] = total
 	s.sizeArena(total)
-	phase(opFill, t)
+	r.phase(opFill, t)
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -41,26 +42,266 @@ func TestParPoolMatchesSeqAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// --- the barrier -----------------------------------------------------------
+
+// relayProgram is the trace protocol's traffic — a Broadcast of the least ID
+// heard of every round, a Send with a Vec to the smallest peer, so every round
+// scatters — at a fraction of its cost under -race: instead of formatting a
+// line a hook folds its inbox, in order, into one word of the node's row. Two
+// engines agree iff the rows do. A node with a stall first waits it out,
+// yielding: the worker that took its block holds the phase open while every
+// other waiter — the coordinator in the join when a worker holds it, the
+// workers on the next generation when the coordinator does — runs through its
+// yields and parks. A stall changes nothing a row records.
+type relayProgram struct {
+	T     int
+	min   float64
+	row   []uint64 // row[t]: the inbox of round t, folded
+	stall time.Duration
+}
+
+func (p *relayProgram) Init(c *Ctx) {
+	p.min = float64(c.ID())
+	c.Broadcast(Message{Kind: 1, F0: p.min})
+	if len(c.Peers()) == 0 {
+		c.Halt()
+	}
+}
+
+func (p *relayProgram) Round(c *Ctx, inbox []Message) {
+	for t0 := time.Now(); time.Since(t0) < p.stall; {
+		runtime.Gosched()
+	}
+	h := uint64(len(inbox)) + 1
+	for _, m := range inbox {
+		h = (h*31+uint64(m.From))*31 + uint64(m.Kind)
+		h = h*1099511628211 ^ math.Float64bits(m.F0) ^ vecHash(m.Vec)
+		p.min = min(p.min, m.F0)
+	}
+	p.row[c.Round()] = h
+	if c.Round() >= p.T {
+		c.Halt()
+		return
+	}
+	c.Broadcast(Message{Kind: 1, F0: p.min})
+	c.Send(c.Peers()[0], Message{Kind: 2, Vec: []float64{p.min, float64(c.Round())}})
+}
+
+// relayFactory builds the relay protocol's programs, T rounds long, recording
+// into rows; node stall (if any) stalls d a round.
+func relayFactory(T int, rows [][]uint64, stall graph.NodeID, d time.Duration) Factory {
+	return func(v graph.NodeID) Program {
+		rows[v] = make([]uint64, T+1)
+		p := &relayProgram{T: T, row: rows[v]}
+		if v == stall {
+			p.stall = d
+		}
+		return p
+	}
+}
+
+// runRelay runs the relay protocol to its end on e and returns the rows.
+func runRelay(g *graph.Graph, T int, e Engine, stall graph.NodeID, d time.Duration) ([][]uint64, Metrics) {
+	rows := make([][]uint64, g.N())
+	return rows, e.Run(g, relayFactory(T, rows, stall, d), T+2)
+}
+
+// TestParPoolBarrierStress runs the pool's hand-off and join through the
+// schedules that can break them: more workers than Ps (GOMAXPROCS = 1, W = 8
+// must not deadlock), fewer, and as many; every round a scatter (three phases
+// a round, a serial prefix pass between two of them); runs with no round at
+// all; workers that never get a block; and waits that end before, while and
+// after the waiter parks — the stall is swept from nothing to several times
+// what parSpin yields take, alternately on a node of the first block (the
+// coordinator's, usually) and of the last. Every run is held to SeqEngine on
+// Metrics and on the rows, which record each hook's inbox. A lost wake-up is
+// a hang (the -timeout), a phase run twice or not at all a row diff. CI runs
+// it under -race -count=20.
+func TestParPoolBarrierStress(t *testing.T) {
+	const T, runs = 3, 200
+	relay := func(g *graph.Graph) func(int, Engine) ([][]uint64, Metrics) {
+		return func(_ int, e Engine) ([][]uint64, Metrics) { return runRelay(g, T, e, -1, 0) }
+	}
+	small, twoBlocks := graph.BarabasiAlbert(24, 2, 5), graph.BarabasiAlbert(parChunk+8, 2, 3)
+	scenarios := []struct {
+		name string
+		n    int
+		run  func(i int, e Engine) ([][]uint64, Metrics)
+	}{
+		{"scatter", small.N(), relay(small)},
+		{"halt-in-init", small.N(), func(_ int, e Engine) ([][]uint64, Metrics) {
+			return nil, e.Run(small, func(graph.NodeID) Program { return haltOnInit{} }, T+2)
+		}},
+		{"parks", twoBlocks.N(), func(i int, e Engine) ([][]uint64, Metrics) {
+			stall := graph.NodeID(1)
+			if i%2 == 1 {
+				stall = twoBlocks.N() - 1
+			}
+			return runRelay(twoBlocks, T, e, stall, time.Duration(i/2%50)*4*time.Microsecond)
+		}},
+		{"capped", 3, relay(graph.Path(3))},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, sc := range scenarios {
+		seqRows, seqMet := sc.run(0, SeqEngine{})
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for _, w := range []int{2, 3, 8} {
+				var stats ParStats
+				for i := 0; i < runs; i++ {
+					rows, met := sc.run(i, ParEngine{W: w, Stats: &stats})
+					if met != seqMet {
+						t.Fatalf("%s GOMAXPROCS=%d W=%d run %d: metrics %+v, seq %+v", sc.name, procs, w, i, met, seqMet)
+					}
+					if !reflect.DeepEqual(rows, seqRows) {
+						t.Fatalf("%s GOMAXPROCS=%d W=%d run %d: inboxes differ from seq's", sc.name, procs, w, i)
+					}
+				}
+				if want := min(w, sc.n); stats.Workers != want {
+					t.Fatalf("%s W=%d: pool ran %d workers, want %d", sc.name, w, stats.Workers, want)
+				}
+			}
+		}
+	}
+}
+
+// --- the cursor ------------------------------------------------------------
+
+// coverProgram is the relay protocol counting its own hook invocations per
+// round.
+type coverProgram struct {
+	relayProgram
+	calls []int32 // calls[t]: invocations in round t (Init is round 0)
+}
+
+func (p *coverProgram) Init(c *Ctx) {
+	p.calls[0]++
+	p.relayProgram.Init(c)
+}
+
+func (p *coverProgram) Round(c *Ctx, inbox []Message) {
+	p.calls[c.Round()]++
+	p.relayProgram.Round(c, inbox)
+}
+
+// TestParChunkCoverMatchesSeq holds the step phase's cursor to its one
+// obligation: whatever the node count does to the last block — one node, a
+// block short by one, exact, over by one, one short of and one past a block
+// per worker, many blocks and a ragged tail — and however many workers find the
+// cursor already spent (W = 64 on three blocks), every hook seq runs in a
+// round runs exactly once in that round, on the same inbox. Once with both
+// integrity checks on — a block stepped twice poisons or re-reads an inbox
+// before it double-counts — and once with them off, where the blocks' slots
+// are priced block by block and the scatter is the pool's own.
+func TestParChunkCoverMatchesSeq(t *testing.T) {
+	defer func() { CheckInboxRetention, CheckVecAliasing = false, false }()
+	for _, checks := range []bool{true, false} {
+		CheckInboxRetention, CheckVecAliasing = checks, checks
+		testParChunkCover(t)
+	}
+}
+
+func testParChunkCover(t *testing.T) {
+	const T = 3
+	run := func(g *graph.Graph, e Engine) (rows [][]uint64, calls [][]int32, met Metrics) {
+		rows, calls = make([][]uint64, g.N()), make([][]int32, g.N())
+		met = e.Run(g, func(v graph.NodeID) Program {
+			rows[v], calls[v] = make([]uint64, T+1), make([]int32, T+1)
+			return &coverProgram{relayProgram{T: T, row: rows[v]}, calls[v]}
+		}, T+2)
+		return rows, calls, met
+	}
+	for _, w := range []int{1, 2, 3, 8, 64} {
+		for _, n := range []int{1, parChunk - 1, parChunk, parChunk + 1, parChunk*w - 1, parChunk*w + 1, 10*parChunk + 7} {
+			g := graph.Path(n)
+			if n > 4 {
+				g = graph.BarabasiAlbert(n, 2, int64(n))
+			}
+			seqRows, seqCalls, seqMet := run(g, SeqEngine{})
+			parRows, parCalls, parMet := run(g, ParEngine{W: w})
+			if parMet != seqMet {
+				t.Fatalf("n=%d W=%d: metrics %+v, seq %+v", n, w, parMet, seqMet)
+			}
+			for v := 0; v < n; v++ {
+				if !reflect.DeepEqual(parCalls[v], seqCalls[v]) {
+					t.Fatalf("n=%d W=%d node %d: hooks run per round %v, seq %v", n, w, v, parCalls[v], seqCalls[v])
+				}
+				if !reflect.DeepEqual(parRows[v], seqRows[v]) {
+					t.Fatalf("n=%d W=%d node %d: inboxes %x, seq %x", n, w, v, parRows[v], seqRows[v])
+				}
+			}
+		}
+	}
+}
+
 // --- pool lifecycle --------------------------------------------------------
 
+// goid returns the calling goroutine's ID, off the first line of its stack
+// trace ("goroutine 7 [running]:") — only to tell the goroutine that called
+// Run from the pool's.
+func goid() string {
+	var buf [32]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
 // TestParPoolShutdownNoLeakOnEarlyExit is the shutdown regression for the
-// pool rewrite: a run whose nodes all halt in Init exits the round loop
-// immediately, and the workers must still be torn down by the single
-// deferred close — no goroutine may outlive Run. (The old engine allocated
-// n channels per run and closed them only on the normal path.) Run under
-// -race in CI.
+// pool: no goroutine may outlive Run, whichever way Run ends and wherever the
+// workers are waiting when it does. All-halt-in-Init exits before any round;
+// a budget cut-off and a normal end come a deliver after the last join, with
+// the workers still yielding; a run whose last round holds one worker back
+// (the stall) ends with the others parked; and a hook that panics on the
+// calling goroutine unwinds through the coordinator's share of a step phase
+// while the workers are in theirs. The one deferred teardown has to release
+// all of them. Run under -race in CI.
 func TestParPoolShutdownNoLeakOnEarlyExit(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, 1)
-	before := runtime.NumGoroutine()
-	for i := 0; i < 25; i++ {
-		ParEngine{W: 8}.Run(g, func(graph.NodeID) Program { return haltOnInit{} }, 50)
+	caller := goid()
+	exits := []struct {
+		name string
+		run  func()
+	}{
+		{"all halt in Init", func() {
+			ParEngine{W: 8}.Run(g, func(graph.NodeID) Program { return haltOnInit{} }, 50)
+		}},
+		{"budget exhausted, workers yielding", func() {
+			rows := make([][]uint64, g.N())
+			if met := (ParEngine{W: 8}).Run(g, relayFactory(50, rows, -1, 0), 3); met.Halted || met.Rounds != 3 {
+				t.Fatalf("the budget did not cut the run off: %+v", met)
+			}
+		}},
+		{"normal end, workers yielding", func() {
+			if _, met := runRelay(g, 3, ParEngine{W: 8}, -1, 0); !met.Halted {
+				t.Fatalf("the run did not end by itself: %+v", met)
+			}
+		}},
+		{"normal end, workers parked", func() { runRelay(g, 2, ParEngine{W: 8}, g.N()-1, 2*time.Millisecond) }},
+		{"panic in the coordinator's share", func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("the hook's panic did not reach Run's caller")
+				}
+			}()
+			ParEngine{W: 8}.Run(g, func(graph.NodeID) Program {
+				return programFunc{round: func(*Ctx, []Message) {
+					if goid() == caller {
+						panic("a hook panics on the coordinator")
+					}
+				}}
+			}, 1<<20) // until the coordinator wins a block
+		}},
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("worker goroutines leaked: %d before, %d after 25 early-exit runs", before, got)
+	for _, exit := range exits {
+		before := runtime.NumGoroutine()
+		for i := 0; i < 25; i++ {
+			exit.run()
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Fatalf("%s: worker goroutines leaked: %d before, %d after 25 runs", exit.name, before, got)
+		}
 	}
 }
 

@@ -50,7 +50,12 @@ func checkLayout(t *testing.T, name string, g *Graph) {
 			wdeg[e.V] += e.W
 		}
 	}
+	arcs := 0
 	for v := 0; v < g.N(); v++ {
+		if g.ArcOffset(v) != arcs {
+			t.Fatalf("%s: node %d: ArcOffset %d, the reference has %d arcs before it", name, v, g.ArcOffset(v), arcs)
+		}
+		arcs += len(adj[v])
 		got := g.Adj(v)
 		if len(got) != len(adj[v]) {
 			t.Fatalf("%s: node %d: Adj has %d arcs, reference %d", name, v, len(got), len(adj[v]))
@@ -80,6 +85,9 @@ func checkLayout(t *testing.T, name string, g *Graph) {
 				t.Fatalf("%s: node %d: Peers %v, want %v", name, v, gotPeers, wantPeers)
 			}
 		}
+	}
+	if g.ArcOffset(g.N()) != arcs {
+		t.Fatalf("%s: ArcOffset(N) %d, the reference has %d arcs", name, g.ArcOffset(g.N()), arcs)
 	}
 }
 

@@ -251,6 +251,12 @@ func (g *Graph) Adj(v NodeID) []Arc { return g.arcs[g.off[v]:g.off[v+1]] }
 // Degree returns the number of incident edges of v (self-loop counts once).
 func (g *Graph) Degree(v NodeID) int { return int(g.off[v+1] - g.off[v]) }
 
+// ArcOffset returns the number of arcs owned by the nodes before v,
+// Σ_{u<v} Degree(u) — v's position in the CSR arc array, for 0 ≤ v ≤ N(). It
+// is ascending in v, so a caller can cut the node order into contiguous ranges
+// of equal arc share by binary search.
+func (g *Graph) ArcOffset(v NodeID) int { return int(g.off[v]) }
+
 // Neighbor returns the far endpoint of v's i-th arc, Adj(v)[i].To. With N
 // and Degree it is the read-only topology view placement code walks
 // (shard.Topology), which a mutable adjacency satisfies as well.

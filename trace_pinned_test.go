@@ -57,23 +57,37 @@ func TestPinnedSeqTranscript(t *testing.T) {
 // TestTranscriptRerunIdentical runs the same traced execution twice on
 // fresh tracers: the transcripts must be byte-equal (the canonical order
 // depends only on the execution, never on the clock or scheduler). The
-// shard engine is the interesting case — its spans are recorded from
-// concurrent goroutines.
+// concurrent engines are the interesting cases: the shard engine records its
+// spans from concurrent goroutines, and the pool's workers pull a round's
+// nodes off one cursor, so how many hooks each of them ran is the scheduler's
+// business — a step span of theirs carries no count, the round's total is on
+// worker 0's.
 func TestTranscriptRerunIdentical(t *testing.T) {
 	g := graph.BarabasiAlbert(200, 3, 2)
-	run := func() string {
-		tr := obs.NewTracer()
-		e := shard.NewEngine(3, shard.Greedy{})
-		e.SetTracer(tr)
-		core.RunDistributed(g, core.Options{Rounds: 6}, e)
-		return tr.Trace().Transcript()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Errorf("two runs of one execution produced different transcripts:\n--- first\n%s--- second\n%s", a, b)
-	}
-	if a == "" {
-		t.Error("traced shard run produced an empty transcript")
+	for _, eng := range []struct {
+		name string
+		mk   func(tr *obs.Tracer) dist.Engine
+	}{
+		{"shard:3", func(tr *obs.Tracer) dist.Engine {
+			e := shard.NewEngine(3, shard.Greedy{})
+			e.SetTracer(tr)
+			return e
+		}},
+		{"par:3", func(tr *obs.Tracer) dist.Engine { return dist.ParEngine{W: 3, Trace: tr} }},
+		{"par:8", func(tr *obs.Tracer) dist.Engine { return dist.ParEngine{W: 8, Trace: tr} }},
+	} {
+		run := func() string {
+			tr := obs.NewTracer()
+			core.RunDistributed(g, core.Options{Rounds: 6}, eng.mk(tr))
+			return tr.Trace().Transcript()
+		}
+		a, b := run(), run()
+		if a != b {
+			t.Errorf("%s: two runs of one execution produced different transcripts:\n--- first\n%s--- second\n%s", eng.name, a, b)
+		}
+		if a == "" {
+			t.Errorf("%s: traced run produced an empty transcript", eng.name)
+		}
 	}
 }
 
