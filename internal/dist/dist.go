@@ -15,8 +15,10 @@
 //     determinism contract: internal/shard (P worker goroutines, batched
 //     cross-shard frames) and internal/net (coordinator plus P workers over
 //     real connections). Both read their nodes' sends through the
-//     Slot/Queued tap; a net worker writes the other workers' sends back in
-//     through Inject, and no hook runs there for a node it does not own.
+//     Slot/Queued tap; a net worker builds its Driver over its own nodes
+//     and the ones they can hear (NewSubsetDriver) and writes the other
+//     workers' sends back in through Inject â€” no hook runs, and no Program
+//     exists, there for a node it does not own.
 //     All engines produce byte-identical executions, so every protocol
 //     property can be tested on the cheap engine and trusted on a cluster.
 //
@@ -140,12 +142,15 @@ type Engine interface {
 }
 
 // envelope is a queued outgoing message: every send of a node's round except
-// a leading Broadcast, which lives in the node's slot instead. vh caches the
-// hash of m.Vec at send time when CheckVecAliasing is on (0 otherwise).
+// a leading Broadcast, which lives in the node's slot instead. to is the
+// recipient's ID â€” what the tap reports â€” and at its index among the sim's
+// receivers (the same number on the whole graph), -1 for a recipient another
+// sim steps; the two share one word. vh caches the hash of m.Vec at send time
+// when CheckVecAliasing is on (0 otherwise).
 type envelope struct {
-	to graph.NodeID
-	m  Message
-	vh uint64
+	to, at int32
+	m      Message
+	vh     uint64
 }
 
 // slot is a sender's broadcast slot: the message its round opened with, if
@@ -156,6 +161,11 @@ type envelope struct {
 type slot struct {
 	m   Message
 	seq uint32
+	// shut is the stamp of a round in which the sender queued a send before
+	// any Broadcast: its slot stays empty for that round (Broadcast writes the
+	// slot only as the round's first send), and knowing so takes no look at
+	// the queue.
+	shut uint32
 }
 
 // CheckVecAliasing enables an integrity check on shared Vec payloads in the
@@ -203,14 +213,17 @@ type vecCheck struct {
 // returns are shared and must not be modified.
 type Ctx struct {
 	id    graph.NodeID
-	arcs  []graph.Arc
 	peers []graph.NodeID // distinct neighbors, self excluded, ascending
+	// hear is peers as the runtime reads them: each one's index among the
+	// sim's senders, which is what the gather walks. On the whole graph an
+	// index is an ID and this is peers again.
+	hear []graph.NodeID
 
 	sim    *sim
 	round  int32 // with wake in one word: n contexts are the run's largest array
 	wake   int32 // SleepUntil's round; 0 once a Round hook has been invoked
 	halted bool
-	out    []envelope // this round's queued sends; grown on first use
+	ix     int32 // the node's index among the sim's senders: id on the whole graph
 }
 
 // ID returns the node this context belongs to.
@@ -219,7 +232,7 @@ func (c *Ctx) ID() graph.NodeID { return c.id }
 // Neighbors returns the node's adjacency list: one Arc per incident edge
 // (parallel edges appear once each, a self-loop appears once with
 // To == ID()).
-func (c *Ctx) Neighbors() []graph.Arc { return c.arcs }
+func (c *Ctx) Neighbors() []graph.Arc { return c.sim.g.Adj(c.id) }
 
 // Round returns the current round number: 0 during Init, t during the
 // round-t invocation of Round.
@@ -239,19 +252,16 @@ func (c *Ctx) Broadcast(m Message) {
 	if CheckVecAliasing && len(m.Vec) > 0 {
 		vh = vecHash(m.Vec)
 	}
-	s := c.sim
-	if sl := &s.slots[s.wr+c.id]; sl.seq != s.seq && len(c.out) == 0 {
-		sl.m, sl.seq = m, s.seq
-		if s.slotVH != nil {
-			s.slotVH[s.wr+c.id] = vh
-		}
+	s, ix := c.sim, int(c.ix)
+	if s.open(ix, m, vh) {
 		return
 	}
 	s.noteQueued()
-	c.out = slices.Grow(c.out, len(c.peers))
+	out := slices.Grow(s.outs[ix], len(c.peers))
 	for _, p := range c.peers {
-		c.out = append(c.out, envelope{to: p, m: m, vh: vh})
+		out = append(out, envelope{to: int32(p), at: s.recv(p), m: m, vh: vh})
 	}
+	s.outs[ix] = out
 }
 
 // Send sends m to the neighbor `to`. Sending to a non-neighbor (or to
@@ -265,8 +275,8 @@ func (c *Ctx) Send(to graph.NodeID, m Message) {
 	if CheckVecAliasing && len(m.Vec) > 0 {
 		vh = vecHash(m.Vec)
 	}
-	c.sim.noteQueued()
-	c.out = append(c.out, envelope{to: to, m: m, vh: vh})
+	s := c.sim
+	s.queue(int(c.ix), envelope{to: int32(to), at: s.recv(to), m: m, vh: vh})
 }
 
 // Peers returns the node's distinct neighbors, self excluded, ascending â€”
@@ -331,27 +341,57 @@ func isPeerOf(peers []graph.NodeID, v graph.NodeID) bool {
 //
 // Slots are double-buffered: round k's hooks write half k&1 while they read
 // the half round k-1 wrote, so concurrent steppers never meet on a slot.
+//
+// Receivers and senders (DESIGN.md Â§7, Â§8.5). The sim keeps two kinds of
+// per-node state: a receiver's â€” the nodes whose hooks run here: Program, Ctx,
+// inbox offsets, count scratch â€” and a sender's â€” the nodes whose sends can
+// reach a receiver: the slot pair and the queue. On the whole graph every node
+// is both and either index is its ID. A sim over a subset (newSubsetSim: a
+// cluster worker's) has the subset for receivers and, for senders, the subset
+// and the nodes with a peer in it, which it only hears: their slots and
+// queues are written by Driver.Inject, nothing else of them exists here, and
+// the rest of the graph has no state at all. Both numberings are positions in
+// ascending ID, so every walk below still meets senders in ascending ID and
+// the delivery order is the whole graph's, restricted.
 type sim struct {
-	g     *graph.Graph
-	lam   quantize.Lambda
+	g   *graph.Graph
+	lam quantize.Lambda
+
+	// Per receiver. A Ctx carries whom its node hears: the sender indices of
+	// its Peers, ascending (Ctx.hear; the gather walks it).
 	progs []Program
 	ctxs  []Ctx
 
-	slots  []slot   // 2n: two halves of one slot per sender
+	// Per sender. reach is hear transposed, in CSR form: the receiver indices
+	// among a sender's Peers, ascending â€” whom a Broadcast of its is placed
+	// for (the scatter and the listing walk it). On the whole graph it is the
+	// graph's own Peers storage, and so is every hear. stepOf is the sender's
+	// receiver index, -1 for one only heard; nil on the whole graph.
+	slots    []slot       // 2 per sender: the two halves of its slot
+	outs     [][]envelope // a sender's queued sends this round; grown on first use
+	reachOff []int32
+	reachIx  []graph.NodeID
+	stepOf   []int32
+
+	// ix finds a node by ID at the Driver's surface and for Ctx.Send: its
+	// receiver index, -2 minus its sender index for a node only heard, -1 for
+	// one with no state here. nil on the whole graph.
+	ix []int32
+
 	slotVH []uint64 // send-time Vec hash per slot; nil unless CheckVecAliasing
 	seq    uint32   // stamp of the round being stepped: deliveries done + 1
 	wr, rd int      // offsets of the half being written / read
 	queued atomic.Bool
 	// pull records that the last delivery moved nothing: inboxes come from
 	// slots[rd:]. listed adds that it was sparse enough to list its speakers:
-	// node v's fresh senders are speakers[inboxOff[v]:inboxOff[v+1]].
+	// receiver v's fresh senders are speakers[inboxOff[v]:inboxOff[v+1]].
 	pull, listed bool
 	speakers     []int32
-	sumPeers     int64 // Î£_v |Peers(v)|, what a round in which everyone broadcasts sends
+	sumPeers     int64 // Î£ |hear| over the receivers, what a round in which everyone broadcasts places
 
 	inboxArena []Message // the last scatter's inboxes, sized by its counting pass
-	inboxOff   []int32   // n+1 offsets into inboxArena, or into speakers
-	cnt        []int32   // per-node counting/cursor scratch, zero between rounds
+	inboxOff   []int32   // one offset per receiver and the end, into inboxArena or into speakers
+	cnt        []int32   // per-receiver counting/cursor scratch, zero between rounds
 
 	alive     int
 	haltedNow atomic.Int32 // Halts since the last delivery retired them
@@ -362,34 +402,161 @@ type sim struct {
 
 func newSim(g *graph.Graph, lam quantize.Lambda, factory Factory) *sim {
 	n := g.N()
-	s := &sim{
-		g:        g,
-		lam:      lam,
-		progs:    make([]Program, n),
-		ctxs:     make([]Ctx, n),
-		slots:    make([]slot, 2*n),
-		seq:      1,
-		wr:       n,
-		inboxOff: make([]int32, n+1),
-		cnt:      make([]int32, n),
-		alive:    n,
+	s := &sim{g: g, lam: lam}
+	s.reachOff, s.reachIx = g.PeerCSR()
+	s.alloc(n, n)
+	for v := range s.ctxs {
+		s.seat(v, v, v, factory)
+		s.ctxs[v].hear = s.ctxs[v].peers
 	}
+	return s
+}
+
+// newSubsetSim is newSim with the nodes own (ascending, distinct) for
+// receivers: factory runs for them only, and what the sim allocates follows
+// their number, their degrees and the number of nodes they can hear â€” except
+// ix, four bytes a node of g, the price of finding a node by its ID in O(1).
+func newSubsetSim(g *graph.Graph, lam quantize.Lambda, own []graph.NodeID, factory Factory) *sim {
+	s := &sim{g: g, lam: lam, ix: make([]int32, g.N())}
+	const heard, stepped = 1, 2 // marks, until the indices are known
+	for i, v := range own {
+		if i > 0 && own[i-1] >= v {
+			panic("dist: subset nodes must be ascending and distinct")
+		}
+		s.ix[v] = stepped
+	}
+	senders, links := len(own), 0
+	for _, v := range own {
+		peers := g.Peers(v)
+		links += len(peers)
+		for _, p := range peers {
+			if s.ix[p] == 0 {
+				s.ix[p] = heard
+				senders++
+			}
+		}
+	}
+	s.alloc(len(own), senders)
+	s.stepOf = make([]int32, senders)
+	r, i := 0, 0
+	for v := range s.ix {
+		switch s.ix[v] {
+		case stepped:
+			s.seat(r, i, v, factory)
+			s.ix[v], s.stepOf[i] = int32(r), int32(r)
+			r++
+		case heard:
+			s.ix[v], s.stepOf[i] = int32(-2-i), -1
+		default:
+			s.ix[v] = -1
+			continue
+		}
+		i++
+	}
+	// hear, receiver by receiver, counting each sender's row of reach on the
+	// way; then reach, hear transposed: row sizes to row starts, and a fill in
+	// ascending receiver order â€” which leaves every row ascending â€” that uses
+	// each row's start as its cursor and so leaves the starts one row ahead,
+	// where the copy shifts them back from.
+	hear := make([]graph.NodeID, 0, links)
+	s.reachOff, s.reachIx = make([]int32, senders+1), make([]graph.NodeID, links)
+	for r := range s.ctxs {
+		c, lo := &s.ctxs[r], len(hear)
+		for _, p := range c.peers {
+			i := s.sender(p)
+			hear = append(hear, i)
+			s.reachOff[i+1]++
+		}
+		c.hear = hear[lo:len(hear):len(hear)]
+	}
+	for i := 0; i < senders; i++ {
+		s.reachOff[i+1] += s.reachOff[i]
+	}
+	for r := range s.ctxs {
+		for _, i := range s.ctxs[r].hear {
+			s.reachIx[s.reachOff[i]] = r
+			s.reachOff[i]++
+		}
+	}
+	copy(s.reachOff[1:], s.reachOff)
+	s.reachOff[0] = 0
+	return s
+}
+
+// alloc sizes the per-node arrays and opens round 0.
+func (s *sim) alloc(receivers, senders int) {
+	s.progs = make([]Program, receivers)
+	s.ctxs = make([]Ctx, receivers)
+	s.inboxOff = make([]int32, receivers+1)
+	s.cnt = make([]int32, receivers)
+	s.slots = make([]slot, 2*senders)
+	s.outs = make([][]envelope, senders)
+	s.seq, s.wr, s.alive = 1, senders, receivers
 	if s.lam == nil {
 		s.lam = quantize.Reals{}
 	}
 	if CheckVecAliasing {
-		s.slotVH = make([]uint64, 2*n)
+		s.slotVH = make([]uint64, 2*senders)
 	}
-	for v := 0; v < n; v++ {
-		c := &s.ctxs[v]
-		c.id = v
-		c.arcs = g.Adj(v)
-		c.peers = g.Peers(v)
-		s.sumPeers += int64(len(c.peers))
-		c.sim = s
-		s.progs[v] = factory(v)
+}
+
+// seat makes receiver r, sender i, the node v.
+func (s *sim) seat(r, i int, v graph.NodeID, factory Factory) {
+	peers := s.g.Peers(v)
+	s.ctxs[r] = Ctx{id: v, peers: peers, sim: s, ix: int32(i)}
+	s.sumPeers += int64(len(peers))
+	s.progs[r] = factory(v)
+}
+
+// reach returns the receivers sender i reaches.
+func (s *sim) reach(i int) []graph.NodeID { return s.reachIx[s.reachOff[i]:s.reachOff[i+1]] }
+
+// recv returns node v's receiver index, -1 when no hook runs for it here.
+func (s *sim) recv(v graph.NodeID) int32 {
+	if s.ix == nil {
+		return int32(v)
 	}
-	return s
+	return max(s.ix[v], -1)
+}
+
+// sender returns node v's sender index, -1 when the sim cannot hear it.
+func (s *sim) sender(v graph.NodeID) int {
+	if s.ix == nil {
+		return v
+	}
+	k := int(s.ix[v])
+	if k >= 0 {
+		return int(s.ctxs[k].ix)
+	}
+	return -2 - k // -1 stays -1
+}
+
+// stepped reports whether sender i is a node the sim steps, not one it only
+// hears.
+func (s *sim) stepped(i int) bool { return s.stepOf == nil || s.stepOf[i] >= 0 }
+
+// open puts m in sender i's slot if it is the sender's first send of the
+// round, and reports whether it did.
+func (s *sim) open(i int, m Message, vh uint64) bool {
+	sl := &s.slots[s.wr+i]
+	if sl.seq == s.seq || sl.shut == s.seq {
+		return false
+	}
+	sl.m, sl.seq = m, s.seq
+	if s.slotVH != nil {
+		s.slotVH[s.wr+i] = vh
+	}
+	return true
+}
+
+// queue appends one send of sender i, behind whatever the sender has already
+// sent this round.
+func (s *sim) queue(i int, env envelope) {
+	s.noteQueued()
+	if sl := &s.slots[s.wr+i]; sl.seq != s.seq {
+		sl.shut = s.seq
+	}
+	s.outs[i] = append(s.outs[i], env)
 }
 
 // noteQueued records that this round needs a scatter. Hooks run concurrently
@@ -405,9 +572,9 @@ func (s *sim) noteQueued() {
 // Driver.StepList/StepRange calls and across runs.
 var gatherBufs = sync.Pool{New: func() any { return new([]Message) }}
 
-// inboxOf returns node v's inbox in the round arena of the last scatter
+// inboxOf returns receiver v's inbox in the round arena of the last scatter
 // (empty before the first one).
-func (s *sim) inboxOf(v graph.NodeID) []Message {
+func (s *sim) inboxOf(v int) []Message {
 	return s.inboxArena[s.inboxOff[v]:s.inboxOff[v+1]]
 }
 
@@ -417,7 +584,7 @@ func (s *sim) inboxOf(v graph.NodeID) []Message {
 // walking Peers(v), or read off v's speaker list when the delivery made one,
 // where no mail is an offset compare. Either way the result is only good
 // until the caller steps its next node.
-func (s *sim) inbox(v graph.NodeID, buf *[]Message) []Message {
+func (s *sim) inbox(v int, buf *[]Message) []Message {
 	if !s.pull {
 		return s.inboxOf(v)
 	}
@@ -432,7 +599,7 @@ func (s *sim) inbox(v graph.NodeID, buf *[]Message) []Message {
 		}
 		return b
 	}
-	peers, rd := s.ctxs[v].peers, s.slots[s.rd:]
+	peers, rd := s.ctxs[v].hear, s.slots[s.rd:]
 	b := gatherBuf(buf, len(peers))
 	fresh, k := s.seq-1, 0
 	for _, p := range peers {
@@ -454,7 +621,7 @@ func gatherBuf(buf *[]Message, n int) []Message {
 
 // round runs node v's Round hook for round t on its inbox. The caller has
 // checked that v is not halted.
-func (s *sim) round(v graph.NodeID, t int, inbox []Message) {
+func (s *sim) round(v, t int, inbox []Message) {
 	c := &s.ctxs[v]
 	c.round = int32(t)
 	s.progs[v].Round(c, inbox)
@@ -469,7 +636,7 @@ func (s *sim) round(v graph.NodeID, t int, inbox []Message) {
 // a hook ran: false for a halted node, and for one asleep (Ctx.SleepUntil)
 // with no mail. Every engine steps through here, so the sleep contract is
 // decided once.
-func (s *sim) step(v graph.NodeID, t int, buf *[]Message) bool {
+func (s *sim) step(v, t int, buf *[]Message) bool {
 	c := &s.ctxs[v]
 	if c.halted {
 		return false
@@ -527,12 +694,12 @@ func (s *sim) deliver(route RouteFunc) {
 		s.verifyDeliveredVecs()
 		s.checkSlotVecs(pull)
 	}
-	msgs, words, wire := s.priceSlots(0, len(s.ctxs))
+	fan, msgs, words, wire := s.priceSlots(0, len(s.outs))
 	s.account(msgs, words, wire)
 	if !pull {
 		s.scatter(route)
 	}
-	s.endDelivery(pull, msgs)
+	s.endDelivery(pull, fan)
 }
 
 // account adds one range's metric partials to the run's Metrics.
@@ -544,20 +711,33 @@ func (s *sim) account(msgs, words, wire int64) {
 
 // priceSlots prices the fresh slots of senders [lo, hi): each once, times
 // its fan-out â€” to the byte what pricing every copy would sum to, halted
-// recipients included (a real sender pays for those too).
-func (s *sim) priceSlots(lo, hi graph.NodeID) (msgs, words, wire int64) {
-	wr := s.slots[s.wr : s.wr+len(s.ctxs)]
+// recipients included (a real sender pays for those too). fan is what the
+// slots reach here, the entries a listing of the round would hold. The metric
+// partials are those of the senders stepped here, each at its whole fan-out
+// (all of its Peers, wherever they are stepped); a sender only heard is priced
+// by the sim that steps it â€” so a subset's Metrics are its own nodes' share of the run's,
+// and on the whole graph fan == msgs.
+func (s *sim) priceSlots(lo, hi int) (fan, msgs, words, wire int64) {
+	wr := s.slots[s.wr : s.wr+len(s.outs)]
 	for v := lo; v < hi; v++ {
 		sl := &wr[v]
 		if sl.seq != s.seq {
 			continue
 		}
-		fan := int64(len(s.g.Peers(v))) // the CSR offsets, not the 100-byte Ctx
-		msgs += fan
-		words += fan * int64(sl.m.Words())
-		wire += fan * int64(WireSize(s.lam, sl.m))
+		f := int64(s.reachOff[v+1] - s.reachOff[v]) // the CSR offsets, not the Ctx
+		fan += f
+		if s.stepOf != nil {
+			r := s.stepOf[v]
+			if r < 0 {
+				continue
+			}
+			f = int64(len(s.ctxs[r].peers))
+		}
+		msgs += f
+		words += f * int64(sl.m.Words())
+		wire += f * int64(WireSize(s.lam, sl.m))
 	}
-	return msgs, words, wire
+	return fan, msgs, words, wire
 }
 
 // checkSlotVecs is the per-slot half of CheckVecAliasing: the send-time hash
@@ -565,7 +745,7 @@ func (s *sim) priceSlots(lo, hi graph.NodeID) (msgs, words, wire int64) {
 // â€” a Vec that reaches anyone is queued for re-verification after the
 // receivers' hooks have run.
 func (s *sim) checkSlotVecs(pull bool) {
-	for v := range s.ctxs {
+	for v := range s.outs {
 		sl := &s.slots[s.wr+v]
 		if sl.seq != s.seq || len(sl.m.Vec) == 0 {
 			continue
@@ -573,7 +753,7 @@ func (s *sim) checkSlotVecs(pull bool) {
 		if vecHash(sl.m.Vec) != s.slotVH[s.wr+v] {
 			panic(errVecMutatedAfterSend)
 		}
-		if pull && len(s.ctxs[v].peers) > 0 {
+		if pull && len(s.reach(v)) > 0 {
 			s.vecChecks = append(s.vecChecks, vecCheck{vec: sl.m.Vec, h: s.slotVH[s.wr+v]})
 		}
 	}
@@ -586,7 +766,7 @@ const errVecMutatedAfterSend = "dist: Message.Vec mutated after Broadcast/Send â
 // writes them in the deterministic global order. It prices the queued sends
 // on the way (the slots are priced by priceSlots on both paths).
 func (s *sim) scatter(route RouteFunc) {
-	n := len(s.ctxs)
+	n := len(s.outs)
 	// Halted flags are stable here (they only change inside hooks), so the
 	// counts match the fill pass exactly.
 	s.countSends(0, n, s.cnt)
@@ -619,20 +799,20 @@ func (s *sim) sizeArena(total int32) {
 }
 
 // countSends adds to row, per live receiver, the messages senders [lo, hi)
-// sent this round: slot Ã— peers, then the queue.
-func (s *sim) countSends(lo, hi graph.NodeID, row []int32) {
-	wr := s.slots[s.wr : s.wr+len(s.ctxs)]
+// sent this round: slot Ã— reach, then the queue.
+func (s *sim) countSends(lo, hi int, row []int32) {
+	wr := s.slots[s.wr : s.wr+len(s.outs)]
 	for v := lo; v < hi; v++ {
-		c := &s.ctxs[v]
 		if wr[v].seq == s.seq {
-			for _, to := range c.peers {
+			for _, to := range s.reach(v) {
 				if !s.ctxs[to].halted {
 					row[to]++
 				}
 			}
 		}
-		for i := range c.out {
-			if to := c.out[i].to; !s.ctxs[to].halted {
+		out := s.outs[v]
+		for i := range out {
+			if to := out[i].at; to >= 0 && !s.ctxs[to].halted {
 				row[to]++
 			}
 		}
@@ -640,39 +820,46 @@ func (s *sim) countSends(lo, hi graph.NodeID, row []int32) {
 }
 
 // fillSends places the messages of senders [lo, hi) through the cursors cur
-// â€” sender ascending, slot Ã— peers before the queue, the queue in send
+// â€” sender ascending, slot Ã— reach before the queue, the queue in send
 // order, so each inbox comes out ordered by sender â€” and empties the queues.
-// It returns the metric partials of the queued sends. Ranges with disjoint
-// cursors may fill concurrently when route is nil and CheckVecAliasing off.
-func (s *sim) fillSends(lo, hi graph.NodeID, cur []int32, route RouteFunc) (msgs, words, wire int64) {
-	wr := s.slots[s.wr : s.wr+len(s.ctxs)]
+// It returns the metric partials of the queued sends of the senders stepped
+// here; a sender only heard is priced where it is stepped, queue and slot
+// alike. Ranges with disjoint cursors may fill concurrently when route is nil
+// and CheckVecAliasing off.
+func (s *sim) fillSends(lo, hi int, cur []int32, route RouteFunc) (msgs, words, wire int64) {
+	wr := s.slots[s.wr : s.wr+len(s.outs)]
 	for v := lo; v < hi; v++ {
-		c := &s.ctxs[v]
 		if sl := &wr[v]; sl.seq == s.seq {
-			for _, to := range c.peers {
+			for _, to := range s.reach(v) {
 				s.place(cur, to, sl.m, route)
 			}
 		}
-		for i := range c.out {
-			env := &c.out[i]
-			msgs++
-			words += int64(env.m.Words())
-			wire += int64(WireSize(s.lam, env.m))
+		out := s.outs[v]
+		priced := s.stepped(v)
+		for i := range out {
+			env := &out[i]
+			if priced {
+				msgs++
+				words += int64(env.m.Words())
+				wire += int64(WireSize(s.lam, env.m))
+			}
 			if CheckVecAliasing && len(env.m.Vec) > 0 && vecHash(env.m.Vec) != env.vh {
 				panic(errVecMutatedAfterSend)
 			}
-			s.place(cur, env.to, env.m, route)
+			if env.at >= 0 {
+				s.place(cur, int(env.at), env.m, route)
+			}
 		}
-		c.out = c.out[:0]
+		s.outs[v] = out[:0]
 	}
 	return msgs, words, wire
 }
 
 // place routes one message and, unless its receiver has halted, writes it at
 // the receiver's cursor.
-func (s *sim) place(cur []int32, to graph.NodeID, m Message, route RouteFunc) {
+func (s *sim) place(cur []int32, to int, m Message, route RouteFunc) {
 	if route != nil {
-		m = route(m.From, to, m)
+		m = route(m.From, s.ctxs[to].id, m)
 	}
 	if s.ctxs[to].halted {
 		return
@@ -696,16 +883,16 @@ const listFactor = 4
 // list of its peers whose slot is fresh: count, prefix, fill over the fresh
 // senders' peer lists, the scatter's passes with sender IDs where it places
 // messages. fanOut is what priceSlots counted, so the lists hold exactly
-// fanOut < Î£|Peers|/listFactor entries; the messages stay in the slots.
+// fanOut < Î£|hear|/listFactor entries; the messages stay in the slots.
 func (s *sim) listSpeakers(fanOut int64) {
 	if fanOut == 0 { // a silent round, the long tail's common case
 		clear(s.inboxOff)
 		return
 	}
-	wr := s.slots[s.wr : s.wr+len(s.ctxs)]
+	wr := s.slots[s.wr : s.wr+len(s.outs)]
 	for v := range wr {
 		if wr[v].seq == s.seq {
-			for _, to := range s.g.Peers(v) {
+			for _, to := range s.reach(v) {
 				s.cnt[to]++
 			}
 		}
@@ -717,7 +904,7 @@ func (s *sim) listSpeakers(fanOut int64) {
 	s.speakers = s.speakers[:total]
 	for v := range wr {
 		if wr[v].seq == s.seq {
-			for _, to := range s.g.Peers(v) {
+			for _, to := range s.reach(v) {
 				s.speakers[s.cnt[to]] = int32(v)
 				s.cnt[to]++
 			}
@@ -728,12 +915,12 @@ func (s *sim) listSpeakers(fanOut int64) {
 
 // endDelivery is the shared tail of every delivery: record which path the
 // next round's inboxes come from â€” listing the speakers of a sparse pull,
-// whose slots priced slotMsgs messages â€” flip the slot halves, and retire the
+// whose slots reach slotFan receivers â€” flip the slot halves, and retire the
 // round's Halts incrementally instead of rescanning all n contexts.
-func (s *sim) endDelivery(pull bool, slotMsgs int64) {
-	s.pull, s.listed = pull, pull && slotMsgs*listFactor < s.sumPeers
+func (s *sim) endDelivery(pull bool, slotFan int64) {
+	s.pull, s.listed = pull, pull && slotFan*listFactor < s.sumPeers
 	if s.listed {
-		s.listSpeakers(slotMsgs)
+		s.listSpeakers(slotFan)
 	}
 	s.queued.Store(false)
 	s.seq++

@@ -24,14 +24,28 @@ func NewDriver(g *graph.Graph, lam quantize.Lambda, factory Factory) *Driver {
 	return &Driver{s: newSim(g, lam, factory)}
 }
 
-// Alive returns the number of nodes that have not halted. Valid between a
-// Deliver and the next step wave (deliver is where halts are retired).
-func (d *Driver) Alive() int { return d.s.alive }
+// NewSubsetDriver is NewDriver for an engine that steps only the nodes own
+// (ascending, distinct) of g — one worker of a cluster. It instantiates their
+// Programs and holds state for them and for the nodes they can hear, their
+// peers, whose sends the engine writes in through Inject; the rest of g costs
+// it four bytes a node (DESIGN.md §7). Programs, the tap and Inject keep
+// speaking node IDs of g. Drivers whose subsets partition the nodes, each
+// fed the others' taps, run the execution one Driver over g would — inbox
+// for inbox — and their Metrics sum to its: each prices what its own nodes
+// sent.
+func NewSubsetDriver(g *graph.Graph, lam quantize.Lambda, own []graph.NodeID, factory Factory) *Driver {
+	return &Driver{s: newSubsetSim(g, lam, own, factory)}
+}
+
+// Alive returns the number of stepped nodes that have not halted, the Halts
+// of the round just stepped included (the next Deliver retires them into the
+// count the built-in engines loop on). Call it while no step is running.
+func (d *Driver) Alive() int { return d.s.alive - int(d.s.haltedNow.Load()) }
 
 // Halted reports whether node v has halted. Safe to read concurrently with
 // steps of other nodes; racing it against a step of the same node is the
 // caller's bug.
-func (d *Driver) Halted(v graph.NodeID) bool { return d.s.ctxs[v].halted }
+func (d *Driver) Halted(v graph.NodeID) bool { return d.s.ctxs[d.s.recv(v)].halted }
 
 // StepList runs the hook of every listed node, in list order, for round t —
 // Init when t == 0, Round with the node's current inbox otherwise (valid only
@@ -40,15 +54,14 @@ func (d *Driver) Halted(v graph.NodeID) bool { return d.s.ctxs[v].halted }
 // invoked, the count an engine's step span records. It is the form for an
 // engine whose share of the nodes is not a contiguous range — a shard's, a
 // cluster worker's local nodes — and borrows the gather buffer once for the
-// whole list. A node the engine never lists never runs a hook: its Program may be
-// a stub and its sends, if it has any, come in through Inject. Concurrent
-// StepLists are safe for disjoint lists; the engine must barrier before
-// Deliver.
+// whole list. A node the engine never lists never runs a hook; listing one a
+// subset Driver does not step is the engine's bug. Concurrent StepLists are
+// safe for disjoint lists; the engine must barrier before Deliver.
 func (d *Driver) StepList(nodes []graph.NodeID, t int) int {
 	buf := gatherBufs.Get().(*[]Message)
 	stepped := 0
 	for _, v := range nodes {
-		if d.s.step(v, t, buf) {
+		if d.s.step(int(d.s.recv(v)), t, buf) {
 			stepped++
 		}
 	}
@@ -61,13 +74,14 @@ func (d *Driver) StepList(nodes []graph.NodeID, t int) int {
 // block cursor schedules under — any cover of [0, n) by disjoint ranges
 // between two barriers, whoever steps which, is one execution. Engines built
 // on the Driver (a sharded maintainer, a NUMA-pinned pool) get the batched
-// shape without re-deriving the loop. Concurrent StepRanges are safe for
-// disjoint ranges; the engine must barrier before Deliver.
+// shape without re-deriving the loop. On a subset Driver the range's other
+// nodes are passed over. Concurrent StepRanges are safe for disjoint ranges;
+// the engine must barrier before Deliver.
 func (d *Driver) StepRange(lo, hi graph.NodeID, t int) int {
 	buf := gatherBufs.Get().(*[]Message)
 	stepped := 0
 	for v := lo; v < hi; v++ {
-		if d.s.step(v, t, buf) {
+		if r := d.s.recv(v); r >= 0 && d.s.step(int(r), t, buf) {
 			stepped++
 		}
 	}
@@ -87,7 +101,7 @@ func (d *Driver) StepRange(lo, hi graph.NodeID, t int) int {
 // and must not be retained or mutated.
 func (d *Driver) Slot(v graph.NodeID) (Message, bool) {
 	s := d.s
-	sl := &s.slots[s.wr+v]
+	sl := &s.slots[s.wr+s.sender(v)]
 	return sl.m, sl.seq == s.seq
 }
 
@@ -95,8 +109,9 @@ func (d *Driver) Slot(v graph.NodeID) (Message, bool) {
 // slot — each Send, and the per-peer copies of any Broadcast that was not
 // the round's first send — in send order, without consuming anything.
 func (d *Driver) Queued(v graph.NodeID, fn func(to graph.NodeID, m Message)) {
-	for _, env := range d.s.ctxs[v].out {
-		fn(env.to, env.m)
+	s := d.s
+	for _, env := range s.outs[s.sender(v)] {
+		fn(graph.NodeID(env.to), env.m)
 	}
 }
 
@@ -105,7 +120,7 @@ func (d *Driver) Queued(v graph.NodeID, fn func(to graph.NodeID, m Message)) {
 // Peers(v), then Queued.
 func (d *Driver) Sends(v graph.NodeID, fn func(to graph.NodeID, m Message)) {
 	if m, ok := d.Slot(v); ok {
-		for _, to := range d.s.ctxs[v].peers {
+		for _, to := range d.s.g.Peers(v) {
 			fn(to, m)
 		}
 	}
@@ -119,9 +134,11 @@ func (d *Driver) Sends(v graph.NodeID, fn func(to graph.NodeID, m Message)) {
 // into from's slot; otherwise it is one queued send to the neighbor to.
 // Injecting a node's Slot and then its Queued sends, in order, reproduces its
 // round. What the real hook cannot have produced is refused with an error,
-// not a panic — the entries come off a wire: a sender out of range, a
-// broadcast that is not the sender's first send of the round (a later one
-// travels as its per-peer copies), a recipient that is not a neighbor.
+// not a panic — the entries come off a wire: a sender out of range, or one a
+// subset Driver cannot hear (no peer among the nodes it steps, so no state
+// here), a broadcast that is not the sender's first send of the round (a
+// later one travels as its per-peer copies), a recipient that is not a
+// neighbor of the sender stepped here.
 //
 // Call it between the Deliver that closed the previous round and the one
 // that closes this one. It touches only from's own slot and queue, so it may
@@ -129,21 +146,28 @@ func (d *Driver) Sends(v graph.NodeID, fn func(to graph.NodeID, m Message)) {
 // round's local nodes; the engine orders all of them before Deliver.
 func (d *Driver) Inject(from, to graph.NodeID, m Message) error {
 	s := d.s
-	if from < 0 || from >= len(s.ctxs) {
-		return fmt.Errorf("dist: inject: sender %d out of range [0,%d)", from, len(s.ctxs))
+	if from < 0 || from >= s.g.N() {
+		return fmt.Errorf("dist: inject: sender %d out of range [0,%d)", from, s.g.N())
 	}
-	c := &s.ctxs[from]
+	f := s.sender(from)
+	if f < 0 {
+		return fmt.Errorf("dist: inject: sender %d has no neighbor among this driver's nodes", from)
+	}
+	m.From = from
+	var vh uint64
+	if CheckVecAliasing && len(m.Vec) > 0 {
+		vh = vecHash(m.Vec)
+	}
 	if to >= 0 {
-		if !isPeerOf(c.peers, to) {
+		if to >= s.g.N() || !isPeerOf(s.reach(f), int(s.recv(to))) {
 			return fmt.Errorf("dist: inject: node %d is not a neighbor of sender %d", to, from)
 		}
-		c.Send(to, m)
+		s.queue(f, envelope{to: int32(to), at: s.recv(to), m: m, vh: vh})
 		return nil
 	}
-	if len(c.out) != 0 || s.slots[s.wr+from].seq == s.seq {
+	if !s.open(f, m, vh) {
 		return fmt.Errorf("dist: inject: broadcast of sender %d is not the first send of its round", from)
 	}
-	c.Broadcast(m)
 	return nil
 }
 

@@ -390,7 +390,7 @@ func (r *parRun) stepChunks(ws *parWorker, t int) {
 			}
 		}
 		if !CheckVecAliasing { // else the sequential deliver prices them
-			m, wd, wi := s.priceSlots(lo, hi)
+			_, m, wd, wi := s.priceSlots(lo, hi)
 			msgs, words, wire = msgs+m, words+wd, wire+wi
 		}
 	}

@@ -268,6 +268,12 @@ func (g *Graph) Neighbor(v NodeID, i int) NodeID { return g.arcs[int(g.off[v])+i
 // modify it.
 func (g *Graph) Peers(v NodeID) []NodeID { return g.peers[g.poff[v]:g.poff[v+1]] }
 
+// PeerCSR returns the storage behind Peers: node v's list is
+// peers[off[v]:off[v+1]]. The message-passing runtime walks it directly (a
+// delivery reads the offsets of n senders without building n slice headers).
+// Both slices are shared topology state; the caller must not modify them.
+func (g *Graph) PeerCSR() (off []int32, peers []NodeID) { return g.poff, g.peers }
+
 // WeightedDegree returns deg(v) = Σ_{e : v ∈ e} w(e).
 func (g *Graph) WeightedDegree(v NodeID) float64 { return g.wdeg[v] }
 

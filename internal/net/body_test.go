@@ -194,9 +194,9 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 // What a flow may carry is narrower than what the entry codec can express
 // (DESIGN.md §8.4 step 3): every sender owned by the flow's source shard,
 // every unicast recipient by this one, and at most one broadcast entry per
-// sender per round — first among that sender's entries, and only from a
-// sender with a peer here — and every unicast recipient a neighbor of its
-// sender. Each violation aborts with a flow error: a repeated broadcast would
+// sender per round — first among that sender's entries — every sender one
+// with a peer here (the worker's Driver holds no state for any other), and
+// every unicast recipient a neighbor of its sender. Each violation aborts with a flow error: a repeated broadcast would
 // otherwise fall through Ctx.Broadcast into the queue and deliver twice, a
 // send to a non-neighbor panic inside Ctx.Send.
 func TestAbsorbRefusesMalformedFlows(t *testing.T) {
@@ -223,7 +223,8 @@ func TestAbsorbRefusesMalformedFlows(t *testing.T) {
 		{"broadcast twice", [][]entry{{bc(1), bc(1)}}, 0, "broadcast of sender 1 is not the first send of its round"},
 		{"broadcast twice across chunks", [][]entry{{bc(1)}, {bc(1)}}, 0, "broadcast of sender 1 is not the first send of its round"},
 		{"broadcast behind unicast", [][]entry{{{2, 1}, bc(1)}}, 0, "broadcast of sender 1 is not the first send of its round"},
-		{"broadcast with no peer here", [][]entry{{bc(0)}}, 0, "sender 0, which has no peer in shard 1"},
+		{"broadcast with no peer here", [][]entry{{bc(0)}}, 0, "sender 0 has no neighbor among this driver's nodes"},
+		{"unicast with no peer here", [][]entry{{{2, 4}}}, 0, "sender 4 has no neighbor among this driver's nodes"},
 		{"broadcast from this shard's own node", [][]entry{{bc(2)}}, 0, "sender 2 not owned by shard 0"},
 		{"broadcast from a node out of range", [][]entry{{bc(5)}}, 0, "sender 5 not owned by shard 0"},
 		{"unicast from this shard's own node", [][]entry{{{3, 2}}}, 0, "sender 2 not owned by shard 0"},
@@ -233,8 +234,8 @@ func TestAbsorbRefusesMalformedFlows(t *testing.T) {
 		{"count overstated", [][]entry{{bc(1)}}, 2, "decoded 1 messages, header says 2"},
 	}
 	for _, tc := range cases {
-		r := &workerLoop{h: &codec.Hello{P: 2, Shard: 1}, lam: lam, assign: assign, fan: shard.NewFanout(g, assign, 2),
-			d: dist.NewDriver(g, lam, func(graph.NodeID) dist.Program { return remote{} })}
+		r := &workerLoop{h: &codec.Hello{P: 2, Shard: 1}, lam: lam, assign: assign,
+			d: dist.NewSubsetDriver(g, lam, []graph.NodeID{2, 3}, func(graph.NodeID) dist.Program { return emitProg{} })}
 		var err error
 		for i, chunk := range tc.chunks {
 			var body []byte

@@ -1,9 +1,9 @@
 package net
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -174,38 +174,47 @@ func decodeValues(dst []NodeValue, body []byte) ([]NodeValue, error) {
 	return dst, bodyErr("values", d)
 }
 
-// Conn wraps one coordinator↔worker connection with buffered record IO.
-// It is not safe for concurrent use of the same direction; the coordinator
-// reads each Conn from one goroutine and writes it from another, which is
-// fine because the read and write paths share no state.
+// Conn wraps one connection — coordinator↔worker, worker↔worker on the mesh,
+// server↔client — with buffered record IO. It is not safe for concurrent use
+// of the same direction; the coordinator reads each Conn from one goroutine
+// and writes it from another, which is fine because the read and write paths
+// share no state.
+//
+// Each direction has one buffer, allocated on first use at connBufMin and
+// grown to what crosses it (DESIGN.md §8.1): a record is parsed where the
+// connection's Read put it and assembled where Write takes it from, so a
+// buffer is as large as the largest record — or, writing, the largest run of
+// records between two flushes up to connFlushAt — the link has carried, and a
+// link that only ever carries barrier records stays at a few hundred bytes.
 type Conn struct {
-	nc   net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	rbuf []byte // ReadRecord reuse
-	wbuf []byte // WriteRecord encode scratch
+	nc net.Conn
+	// rb[r:w] is read and not yet returned; ReadRecord's body aliases it.
+	rb   []byte
+	r, w int
+	wb   []byte // records written since the last flush
 	// timeout, when non-zero, arms a read deadline before every record read
-	// and a write deadline before every record write/flush (SetIOTimeout).
+	// and a write deadline before every write to the connection
+	// (SetIOTimeout).
 	timeout time.Duration
 }
 
+const (
+	// connBufMin is the size a direction's buffer starts at. Every barrier
+	// record of a run (step, done, release, ack: under 150 bytes at P = 4)
+	// fits with room to batch, and a run has P·(P−1) mesh ends and 2P control
+	// ends, most of them idle most of the time: at 512 bytes a direction they
+	// cost P·(P+1) KiB.
+	connBufMin = 512
+	// connFlushAt is how much WriteRecord lets accumulate before it writes
+	// the buffer out itself: a sender that queues a round of frames before
+	// its Flush (the relay's coordinator) holds a syscall's worth of them,
+	// not the round.
+	connFlushAt = 64 << 10
+)
+
 // NewConn wraps nc for record IO. The caller keeps ownership of nc's
 // lifetime; Close closes it.
-func NewConn(nc net.Conn) *Conn {
-	return NewConnSize(nc, 1<<16)
-}
-
-// NewConnSize is NewConn with an explicit buffer size. Mesh data connections
-// use small buffers (meshBufSize): a full mesh at P=64 holds ~2×63 links per
-// process and the coordinator-sized 64 KiB buffers would cost hundreds of
-// megabytes across the cluster for no throughput gain.
-func NewConnSize(nc net.Conn, size int) *Conn {
-	return &Conn{
-		nc: nc,
-		br: bufio.NewReaderSize(nc, size),
-		bw: bufio.NewWriterSize(nc, size),
-	}
-}
+func NewConn(nc net.Conn) *Conn { return &Conn{nc: nc} }
 
 // Close closes the underlying connection (without flushing — error paths
 // use it to abort).
@@ -232,17 +241,74 @@ func (c *Conn) ReadRecord() (typ byte, body []byte, err error) {
 	return c.rawReadRecord()
 }
 
-// rawReadRecord is ReadRecord without touching the deadline.
+// rawReadRecord is ReadRecord without touching the deadline. Framing and
+// limits are codec.ReadRecord's: a uvarint payload length capped at
+// codec.MaxRecord, io.EOF untouched when the stream ends between records.
 func (c *Conn) rawReadRecord() (typ byte, body []byte, err error) {
-	payload, err := codec.ReadRecord(c.br, c.rbuf, 0)
-	if err != nil {
-		return 0, nil, err
+	// The length prefix: parse what is buffered, read on while it is cut short.
+	var n uint64
+	var k int
+	for need := 1; k == 0; need = c.w - c.r + 1 {
+		if err := c.fill(need); err != nil {
+			if err == io.EOF && need == 1 {
+				return 0, nil, io.EOF
+			}
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, fmt.Errorf("codec: record length: %w", err)
+		}
+		if n, k = binary.Uvarint(c.rb[c.r:c.w]); k < 0 {
+			return 0, nil, fmt.Errorf("codec: record length: uvarint overflows 64 bits")
+		}
 	}
-	c.rbuf = payload[:0]
-	if len(payload) == 0 {
+	if n > codec.MaxRecord {
+		return 0, nil, fmt.Errorf("codec: record of %d bytes exceeds limit %d", n, codec.MaxRecord)
+	}
+	if n == 0 {
+		c.r += k
 		return 0, nil, fmt.Errorf("net: empty record")
 	}
+	if err := c.fill(k + int(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, nil, fmt.Errorf("codec: truncated record: %w", err)
+	}
+	payload := c.rb[c.r+k : c.r+k+int(n)]
+	c.r += k + int(n)
 	return payload[0], payload[1:], nil
+}
+
+// fill reads from the connection until at least need bytes are unread in the
+// buffer, first making room for them: the unread bytes move to the front
+// when the tail is too short, and the buffer grows — by a quarter more than
+// asked, so a flow whose records creep up in size does not reallocate for
+// each — when need exceeds it. It returns the connection's error, io.EOF
+// untouched, if that comes first.
+func (c *Conn) fill(need int) error {
+	if c.w-c.r >= need {
+		return nil
+	}
+	if c.r == c.w {
+		c.r, c.w = 0, 0
+	}
+	if need > len(c.rb) {
+		nb := make([]byte, max(connBufMin, need+need/4))
+		c.w = copy(nb, c.rb[c.r:c.w])
+		c.r, c.rb = 0, nb
+	} else if c.r+need > len(c.rb) {
+		c.w = copy(c.rb, c.rb[c.r:c.w])
+		c.r = 0
+	}
+	for c.w-c.r < need {
+		n, err := c.nc.Read(c.rb[c.w:])
+		c.w += n
+		if err != nil && c.w-c.r < need {
+			return err
+		}
+	}
+	return nil
 }
 
 // AwaitRecord is ReadRecord minus the deadline: it clears any read deadline
@@ -258,33 +324,40 @@ func (c *Conn) AwaitRecord() (typ byte, body []byte, err error) {
 
 // WriteRecord buffers one record of the given type; chunks are
 // concatenated into the body. The payload length is known up front, so the
-// whole record — uvarint length, type byte, chunks — is assembled in one
-// scratch buffer (frames are the wire hot path; no intermediate copy).
-// Call Flush before switching to reads.
+// whole record — uvarint length, type byte, chunks — is assembled in place
+// in the write buffer (frames are the wire hot path; no intermediate copy),
+// and the chunks are the caller's again when it returns. Call Flush before
+// switching to reads.
 func (c *Conn) WriteRecord(typ byte, chunks ...[]byte) error {
-	if c.timeout > 0 {
-		c.nc.SetWriteDeadline(time.Now().Add(c.timeout))
-	}
 	total := 1
 	for _, ch := range chunks {
 		total += len(ch)
 	}
-	f := binary.AppendUvarint(c.wbuf[:0], uint64(total))
-	f = append(f, typ)
-	for _, ch := range chunks {
-		f = append(f, ch...)
+	if c.wb == nil {
+		c.wb = make([]byte, 0, max(connBufMin, total+binary.MaxVarintLen64))
 	}
-	c.wbuf = f[:0]
-	_, err := c.bw.Write(f)
-	return err
+	c.wb = binary.AppendUvarint(c.wb, uint64(total))
+	c.wb = append(c.wb, typ)
+	for _, ch := range chunks {
+		c.wb = append(c.wb, ch...)
+	}
+	if len(c.wb) >= connFlushAt {
+		return c.Flush()
+	}
+	return nil
 }
 
-// Flush flushes buffered record writes to the connection.
+// Flush writes the buffered records to the connection.
 func (c *Conn) Flush() error {
+	if len(c.wb) == 0 {
+		return nil
+	}
 	if c.timeout > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(c.timeout))
 	}
-	return c.bw.Flush()
+	_, err := c.nc.Write(c.wb)
+	c.wb = c.wb[:0]
+	return err
 }
 
 // Send writes one record and flushes it — the whole of most exchanges.

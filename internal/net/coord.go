@@ -519,7 +519,8 @@ func (c *coordinator) round(t int) (alive int, err error) {
 		c.at[i] = obs.PhaseStep
 	}
 	c.plane.begin(t)
-	step := binary.AppendUvarint(nil, uint64(t))
+	var buf [binary.MaxVarintLen64]byte
+	step := binary.AppendUvarint(buf[:0], uint64(t))
 	for i := 0; i < p; i++ {
 		// Dead before stepping round t: restore through t-1, then step.
 		if _, err := c.sendRestoring(i, t-1, recStep, step); err != nil {

@@ -10,16 +10,19 @@
 // The execution stays byte-identical to dist.SeqEngine — same results,
 // same inbox ordering, same Metrics — by construction:
 //
-//   - Every worker holds the full (immutable) graph and a full dist.Driver,
-//     but steps only the nodes of its own shard. The handshake pins the
-//     inputs (graph.Fingerprint, shard.PartitionDigest, the threshold set
-//     Λ, the round budget) so no two processes can silently disagree.
+//   - Every worker is handed the full (immutable) graph but builds run
+//     state for its shard alone: a dist.Driver over the nodes it owns, which
+//     it steps, and the nodes those can hear, whose sends it is told
+//     (dist.NewSubsetDriver; DESIGN.md §7). The handshake pins the inputs
+//     (graph.Fingerprint, shard.PartitionDigest, the threshold set Λ, the
+//     round budget) so no two processes can silently disagree.
 //   - After the round's local Steps, the worker taps what its nodes sent
 //     (dist.Driver.Slot and Queued: a node's leading Broadcast once, then
-//     its queued sends), prices its shard's share of the protocol Metrics
-//     through dist.WireSize — a broadcast once × its fan-out — and frames
-//     the cross-shard part, one frame per destination shard
-//     (shard.Fanout.Emit over shard.AppendMessage — the lossless entry
+//     its queued sends) and frames the cross-shard part, one frame per
+//     destination shard; its Driver prices its shard's share of the protocol
+//     Metrics — what its own nodes sent, a broadcast once × its fan-out —
+//     when it delivers. The frames are
+//     shard.Fanout.Emit over shard.AppendMessage (the lossless entry
 //     codec, byte-for-byte the sharded engine's format): a leading
 //     Broadcast as ONE broadcast entry per destination shard that holds a
 //     peer of the sender, everything else as one unicast entry per
@@ -31,10 +34,11 @@
 //     is done, then forwarded (relay.go) — or, with Stream, streamed —
 //     chunked straight onto a worker↔worker mesh while the coordinator only
 //     verifies the digest matrix of flows it never sees (stream.go,
-//     mesh.go). Either way a worker validates each entry against its own
-//     copy of the graph and the partition (a broadcast entry names no
-//     recipients — they are the sender's peers, which the receiver knows)
-//     and writes it, as it is decoded, where the remote sender's own hook
+//     mesh.go). Either way a worker validates each entry against the
+//     partition and its Driver's own view of the graph (a broadcast entry
+//     names no recipients — they are the sender's peers among the worker's
+//     nodes, which the Driver knows; a sender with none is refused) and
+//     writes it, as it is decoded, where the remote sender's own hook
 //     put the original (dist.Driver.Inject: a broadcast entry into the
 //     sender's slot, a unicast entry onto its queue) — so the local
 //     delivery assembles every inbox in the package-wide deterministic

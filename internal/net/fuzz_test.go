@@ -2,6 +2,7 @@ package net
 
 import (
 	stdnet "net"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,21 +86,22 @@ func (emitProg) Init(c *dist.Ctx) {
 
 // FuzzAbsorb feeds arbitrary bytes, as the body of one chunk of the flow
 // 0→1, to a worker's whole receive path — entry decode, validation against
-// the worker's own graph and partition, dist.Driver.Inject — and then closes
-// the round over whatever got in. A body is absorbed or refused with an
-// error, never a panic, under both wire-capable threshold sets; an absorbed
-// body holds exactly the announced number of entries.
+// the worker's own partition, dist.Driver.Inject into a Driver that holds
+// shard 1's nodes and the ones they can hear — and then closes the round over
+// whatever got in. A body is absorbed or refused with an error, never a panic
+// or an index past the Driver's arrays, under both wire-capable threshold
+// sets; an absorbed body holds exactly the announced number of entries.
 func FuzzAbsorb(f *testing.F) {
 	b := graph.NewBuilder(6)
 	for _, e := range [][2]int{{0, 3}, {3, 0}, {1, 3}, {1, 4}, {1, 2}, {2, 2}, {3, 4}, {4, 5}, {5, 5}} {
 		b.AddUnitEdge(e[0], e[1]) // a parallel edge and self-loops; node 2 has no peer in shard 1
 	}
 	g, assign := b.Build(), []int{0, 0, 0, 1, 1, 1}
-	fan := shard.NewFanout(g, assign, 2)
+	fan := shard.NewFanout(g, assign, 2, []graph.NodeID{0, 1, 2})
 	lams := []quantize.Lambda{quantize.Reals{}, quantize.NewPowerGrid(0.5)}
 	worker1 := func(lam quantize.Lambda) *workerLoop {
-		return &workerLoop{h: &codec.Hello{P: 2, Shard: 1}, lam: lam, assign: assign, fan: fan,
-			d: dist.NewDriver(g, lam, func(graph.NodeID) dist.Program { return remote{} })}
+		return &workerLoop{h: &codec.Hello{P: 2, Shard: 1}, lam: lam, assign: assign,
+			d: dist.NewSubsetDriver(g, lam, []graph.NodeID{3, 4, 5}, func(graph.NodeID) dist.Program { return emitProg{} })}
 	}
 	// Seeds: what shard 0 really frames toward shard 1 after a round of
 	// emitProg, under each Λ.
@@ -108,16 +110,32 @@ func FuzzAbsorb(f *testing.F) {
 		d.StepList([]graph.NodeID{0, 1, 2}, 0)
 		var body []byte
 		count := 0
-		for v := 0; v < 3; v++ {
-			fan.Emit(d, v, func(_ int, to graph.NodeID, m dist.Message) {
-				body = shard.AppendMessage(body, lam, to, m)
-				count++
-			})
-		}
+		fan.Emit(d, func(_ int, to graph.NodeID, m dist.Message) {
+			body = shard.AppendMessage(body, lam, to, m)
+			count++
+		})
 		if err := worker1(lam).absorb(0, 0, body, count); err != nil {
 			f.Fatalf("a real flow is refused: %v", err)
 		}
 		f.Add(body, count, i == 1)
+		// What the Driver has no state for: a sender shard 1 cannot hear (in
+		// either entry form), a recipient another shard owns, a sender past n.
+		for _, e := range []struct {
+			to graph.NodeID
+			m  dist.Message
+		}{
+			{shard.Broadcast, dist.Message{From: 2, F0: 1}},
+			{3, dist.Message{From: 2, F0: 1}},
+			{0, dist.Message{From: 1, F0: 1}},
+			{shard.Broadcast, dist.Message{From: 6}},
+			{4, dist.Message{From: 1 << 40}},
+		} {
+			bad := shard.AppendMessage(nil, lam, e.to, e.m)
+			if err := worker1(lam).absorb(0, 0, bad, 1); err == nil || !strings.Contains(err.Error(), "net: flow 0→1 ") {
+				f.Fatalf("entry (%d, from %d): %v, want an error naming flow 0→1", e.to, e.m.From, err)
+			}
+			f.Add(bad, 1, i == 1)
+		}
 	}
 	f.Fuzz(func(t *testing.T, body []byte, count int, grid bool) {
 		lam := lams[0]

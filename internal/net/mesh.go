@@ -25,11 +25,10 @@ import (
 // condition variable carries round advances, credit arrivals, flow ends and
 // queue drains.
 
-// meshBufSize is the bufio size of mesh connections. Mesh links are many
-// (P-1 per worker on a full mesh) and each carries a fraction of the
-// traffic, so they get small buffers where the single coordinator
-// connection gets 64 KiB ones.
-const meshBufSize = 8 << 10
+// peerFrameHeaderMax bounds codec.AppendPeerFrame's output (five uvarints): the
+// header is encoded on the stack first, so a chunk's payload — header, then
+// bodies — is one allocation of exactly its size.
+const peerFrameHeaderMax = 5 * binary.MaxVarintLen64
 
 // defaultWindow is the per-peer flow-control window: how many
 // unacknowledged chunks a sender may have in flight toward one destination.
@@ -77,7 +76,10 @@ type meshLink struct {
 	gen  int  // peer incarnation generation from its mesh hello
 	down bool // reader saw death / writer saw a write error
 	q    []outRec
-	busy bool // writer is mid-write/flush (barrier waits for it)
+	// spare is the batch before the one being written, emptied: the writer and
+	// the enqueuers trade two queue arrays instead of growing one per batch.
+	spare []outRec
+	busy  bool // writer is mid-write/flush (barrier waits for it)
 }
 
 // meshConfig is everything a Worker hands its mesh.
@@ -264,7 +266,7 @@ func (m *mesh) dial(dst int) error {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	c := NewConnSize(nc, meshBufSize)
+	c := NewConn(nc)
 	c.SetIOTimeout(m.cfg.Timeout)
 	hello := binary.AppendUvarint(nil, uint64(m.cfg.Self))
 	hello = binary.AppendUvarint(hello, uint64(m.cfg.Gen))
@@ -288,7 +290,7 @@ func (m *mesh) acceptLoop() {
 
 // handleAccepted reads the inbound mesh hello and attaches the link.
 func (m *mesh) handleAccepted(nc net.Conn) {
-	c := NewConnSize(nc, meshBufSize)
+	c := NewConn(nc)
 	c.SetIOTimeout(m.cfg.Timeout)
 	typ, body, err := c.AwaitRecord()
 	if err != nil || typ != recMeshHello {
@@ -411,7 +413,7 @@ func (m *mesh) writeLoop(l *meshLink) {
 			return
 		}
 		batch := l.q
-		l.q = nil
+		l.q, l.spare = l.spare, nil
 		l.busy = true
 		m.mu.Unlock()
 		var werr error
@@ -423,8 +425,9 @@ func (m *mesh) writeLoop(l *meshLink) {
 		if werr == nil {
 			werr = l.c.Flush()
 		}
+		clear(batch) // the payloads are the retention's, or garbage
 		m.mu.Lock()
-		l.busy = false
+		l.busy, l.spare = false, batch[:0]
 		if werr != nil {
 			m.linkDownLocked(l, werr)
 			m.mu.Unlock()
@@ -716,8 +719,9 @@ func (m *mesh) sendChunk(dst int, body []byte, count int) error {
 		return ErrKilled
 	}
 	pf := codec.PeerFrame{Src: m.cfg.Self, Dst: dst, Round: m.round, Seq: m.sendSeq[dst], Count: count}
-	payload := codec.AppendPeerFrame(nil, pf)
-	payload = append(payload, body...)
+	var hdr [peerFrameHeaderMax]byte
+	h := codec.AppendPeerFrame(hdr[:0], pf)
+	payload := append(append(make([]byte, 0, len(h)+len(body)), h...), body...)
 	m.sendSeq[dst]++
 	m.sChunks[dst]++
 	m.sDig[dst] = foldFrame(m.sDig[dst], payload)
@@ -745,7 +749,13 @@ func (m *mesh) sendEnd(dst int, msgs, logicalBytes int64) (codec.PeerDigest, err
 }
 
 // sendLocked retains one record of the current round's flow toward dst under
-// recovery and, on a live round, queues it on the first hop.
+// recovery and, on a live round, queues it on the first hop. Either way the
+// mesh keeps payload: a writer goroutine reads it after this returns and a
+// resend may replay it rounds later, so the caller hands over a slice nobody
+// else will write again — chunk payloads, end markers and credits are each
+// allocated for the one record, never encoded in a reused scratch the way the
+// control plane's bodies are (Conn.WriteRecord copies those before it returns;
+// nothing here is copied again).
 func (m *mesh) sendLocked(dst int, typ byte, payload []byte) {
 	if m.retained != nil {
 		m.retained[dst][m.round] = append(m.retained[dst][m.round], outRec{typ: typ, payload: payload})

@@ -72,7 +72,8 @@ func (p *relayWorker) done(t, alive int, live bool) (bytes, msgs int64, err erro
 	if !live {
 		return 0, 0, nil
 	}
-	done := binary.AppendUvarint(nil, uint64(t))
+	var buf [3 * binary.MaxVarintLen64]byte
+	done := binary.AppendUvarint(buf[:0], uint64(t))
 	done = binary.AppendUvarint(done, uint64(alive))
 	done = binary.AppendUvarint(done, uint64(p.sent))
 	return p.sentBytes, msgs, p.r.w.c.WriteRecord(recDone, done)
@@ -247,7 +248,8 @@ func (p *relayCoord) release(t, q int) (bool, error) {
 		}
 		bytes += int64(len(fr.body))
 	}
-	del := binary.AppendUvarint(nil, uint64(t))
+	var buf [2 * binary.MaxVarintLen64]byte
+	del := binary.AppendUvarint(buf[:0], uint64(t))
 	del = binary.AppendUvarint(del, uint64(len(p.park[q])))
 	if err := cn.WriteRecord(recDeliver, del); err != nil {
 		return false, err

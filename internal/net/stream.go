@@ -24,9 +24,10 @@ import (
 type streamWorker struct {
 	r *workerLoop
 	m *mesh
+	// sent is the done record's entry list, rebuilt every round in place;
 	// recv holds the receive-side digests of the round just completed, for
 	// its ack.
-	recv []codec.PeerDigest
+	sent, recv []codec.PeerDigest
 }
 
 // newStreamWorker forms the mesh; it returns once every neighbor link is
@@ -82,7 +83,7 @@ func (p *streamWorker) begin(t int, live bool) error {
 // the flows and queued nothing, so there is nothing to drain or report.
 func (p *streamWorker) done(t, alive int, live bool) (bytes, msgs int64, err error) {
 	self := p.r.h.Shard
-	ents := make([]codec.PeerDigest, 0, len(p.r.out)-1)
+	ents := p.sent[:0]
 	for q, ps := range p.r.out {
 		if q == self {
 			continue
@@ -100,6 +101,7 @@ func (p *streamWorker) done(t, alive int, live bool) (bytes, msgs int64, err err
 		msgs += int64(ps.Msgs)
 		ps.Reset()
 	}
+	p.sent = ents
 	if !live {
 		return bytes, msgs, nil
 	}
@@ -109,8 +111,8 @@ func (p *streamWorker) done(t, alive int, live bool) (bytes, msgs int64, err err
 	if err := p.m.barrier(); err != nil {
 		return 0, 0, err
 	}
-	return bytes, msgs, p.r.w.c.WriteRecord(recStreamDone, codec.AppendStreamDone(nil,
-		codec.StreamDone{Round: t, Alive: alive, Sent: ents}))
+	p.r.enc = codec.AppendStreamDone(p.r.enc[:0], codec.StreamDone{Round: t, Alive: alive, Sent: ents})
+	return bytes, msgs, p.r.w.c.WriteRecord(recStreamDone, p.r.enc)
 }
 
 func (p *streamWorker) record(typ byte, body []byte) error {
@@ -171,8 +173,8 @@ func (p *streamWorker) inbound(t int, live bool, rel []byte) error {
 }
 
 func (p *streamWorker) ack(t int) error {
-	return p.r.w.c.WriteRecord(recStreamAck, codec.AppendStreamAck(nil,
-		codec.StreamAck{Round: t, Wire: p.m.wireSnapshot(), Recv: p.recv}))
+	p.r.enc = codec.AppendStreamAck(p.r.enc[:0], codec.StreamAck{Round: t, Wire: p.m.wireSnapshot(), Recv: p.recv})
+	return p.r.w.c.WriteRecord(recStreamAck, p.r.enc)
 }
 
 // defaultMeshThreshold is the P at or above which a streamed run (with
@@ -324,7 +326,8 @@ func (p *streamCoord) seal(t int) error {
 }
 
 func (p *streamCoord) release(t, q int) (bool, error) {
-	return true, p.c.hub.Send(q, recDeliver, binary.AppendUvarint(nil, uint64(t)))
+	var buf [binary.MaxVarintLen64]byte
+	return true, p.c.hub.Send(q, recDeliver, binary.AppendUvarint(buf[:0], uint64(t)))
 }
 
 // resend instructs every peer to re-send toward respawned worker w its

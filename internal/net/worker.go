@@ -50,12 +50,15 @@ func foldFrame(h uint64, body []byte) uint64 {
 
 // Worker is the worker-side endpoint of the cluster protocol: a
 // dist.Engine whose Run participates in one coordinated run over a
-// connection instead of driving rounds itself. It holds the full graph and
-// the full shard assignment, steps only the nodes the hello's shard index
-// assigns to it, and injects what the other shards sent it — relayed by the
-// coordinator or streamed by the peers — into its Driver as those senders'
-// own sends, so its local delivery is byte-identical to the global execution
-// (see the package comment for the argument).
+// connection instead of driving rounds itself. It is handed the whole graph
+// and the whole shard assignment (shipping it only its slice is ROADMAP item
+// 5c) but builds run state for its shard alone: a dist.Driver over the nodes
+// the hello's shard index assigns to it and the nodes those can hear
+// (dist.NewSubsetDriver), and a shard.Fanout with rows for the former. It
+// steps its own nodes and injects what the other shards sent it — relayed by
+// the coordinator or streamed by the peers — into the Driver as those
+// senders' own sends, so its local delivery is byte-identical to the global
+// execution (see the package comment for the argument).
 //
 // The in-process Engine constructs Workers itself. cmd/cluster uses one
 // directly: read the hello with ReadHello, resolve graph/partition/
@@ -159,14 +162,6 @@ func (w *Worker) killed(phase obs.Phase, round int) bool {
 	return false
 }
 
-// remote is the Program of every node another worker owns. It is never
-// stepped: what the real node sent arrives through the inbound flows and
-// enters the Driver through Inject.
-type remote struct{}
-
-func (remote) Init(*dist.Ctx)                  { panic("net: hook of a node another worker owns") }
-func (remote) Round(*dist.Ctx, []dist.Message) { panic("net: hook of a node another worker owns") }
-
 // workerPlane is the worker half of a frame plane: how a round's
 // cross-shard messages leave this worker and how the peers' arrive, which
 // is all that differs between relayed and streamed delivery under the one
@@ -194,20 +189,18 @@ type workerPlane interface {
 	close()
 }
 
-// workerLoop is one worker's run state under the round loop: the driver,
-// this shard's share of the protocol metrics, the frame chain, and the
-// outbound streams that feed the frame plane (Worker.plane).
+// workerLoop is one worker's run state under the round loop: the driver —
+// which prices this shard's share of the protocol metrics, what its own
+// nodes sent — the frame chain, and the outbound streams that feed the frame
+// plane (Worker.plane).
 type workerLoop struct {
 	w      *Worker
 	h      *codec.Hello
 	lam    quantize.Lambda
-	g      *graph.Graph
 	d      *dist.Driver
 	local  []graph.NodeID // ascending — the shard's step order
 	assign []int
-	// fan says which shards a node's leading broadcast is framed for, and —
-	// read from the other side — whether a remote sender's broadcast entry
-	// has any business in this shard.
+	// fan says which shards a local node's leading broadcast is framed for.
 	fan *shard.Fanout
 	// outPhase is the plane's name for the outbound half of a round (span
 	// and kill seam): encode or send.
@@ -228,10 +221,13 @@ type workerLoop struct {
 	// a fresh allocation instead.
 	arenas [][2]*shard.VecArena
 
-	msgs, words, wire int64
 	// chain is the frame-chain digest over everything received so far.
 	chain uint64
 	cur   int
+	// enc is the scratch the round's control records (done, ack) are encoded
+	// in: Conn.WriteRecord has copied a body into the connection's buffer by
+	// the time it returns, so one slice serves every round.
+	enc []byte
 	// bw is the round's pending barrier-wait span: begun once the done
 	// record is flushed, ended when the coordinator's release arrives — the
 	// time this worker spends parked at the barrier.
@@ -247,12 +243,12 @@ func (r *workerLoop) resetArenas(t int) {
 
 // absorb decodes count entries shard src sent this worker in the given round
 // and injects each into the Driver as a send of its remote sender, validating
-// that every sender belongs to src, every unicast recipient to this shard,
-// and that a broadcast entry comes from a sender with a peer here — who
-// receives it is read off this worker's own graph, never off the wire —
-// before Inject refuses what the sender's hook cannot have produced. Mesh
-// readers call it while the loop steps the round's local nodes (see Inject);
-// plane.inbound orders them all before Deliver.
+// that every sender belongs to src and every unicast recipient to this shard
+// before Inject refuses what the sender's hook cannot have produced — an entry
+// of a sender with no peer here among it: the Driver holds no state for one,
+// and who receives a broadcast is read off this worker's own graph, never off
+// the wire. Mesh readers call it while the loop steps the round's local nodes
+// (see Inject); plane.inbound orders them all before Deliver.
 func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
 	var ar *shard.VecArena
 	if r.arenas != nil {
@@ -272,8 +268,6 @@ func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
 			return fmt.Errorf("net: flow %d→%d carries sender %d not owned by shard %d", src, self, u, src)
 		case to != shard.Broadcast && (to >= n || assign[to] != self):
 			return fmt.Errorf("net: flow %d→%d addresses node %d outside shard %d", src, self, to, self)
-		case to == shard.Broadcast && !r.fan.Reaches(u, self):
-			return fmt.Errorf("net: flow %d→%d carries a broadcast of sender %d, which has no peer in shard %d", src, self, u, self)
 		}
 		if err := r.d.Inject(u, to, m); err != nil {
 			return fmt.Errorf("net: flow %d→%d carries an entry its sender cannot have sent: %w", src, self, err)
@@ -287,12 +281,12 @@ func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
 }
 
 // step runs the local half of round t: the step hooks, then the tap that
-// prices this shard's share of the protocol Metrics (every send, intra-shard
-// included; a leading broadcast once × its fan-out, as dist prices a slot)
-// and frames the cross-shard subset for the plane (shard.Fanout.Emit), then
-// the done record. A catch-up replay (live false) does all of that but the
-// sending — the peers already hold the dead incarnation's identical bytes;
-// the plane keeps what it would retain of them — and consults no kill seam.
+// frames the cross-shard subset of what they sent for the plane
+// (shard.Fanout.Emit), then the done record; the Driver prices the shard's
+// share of the protocol Metrics when it delivers. A catch-up replay (live
+// false) does all of that but the sending — the peers already hold the dead
+// incarnation's identical bytes; the plane keeps what it would retain of
+// them — and consults no kill seam.
 func (r *workerLoop) step(t int, live bool) error {
 	w, self := r.w, r.h.Shard
 	r.cur = t
@@ -306,34 +300,15 @@ func (r *workerLoop) step(t int, live bool) error {
 	}
 	out := w.Trace.Begin(r.outPhase, t, self)
 	var serr error
-	price := func(fan int64, m dist.Message) {
-		r.msgs += fan
-		r.words += fan * int64(m.Words())
-		r.wire += fan * int64(dist.WireSize(r.lam, m))
-	}
-	queued := func(_ graph.NodeID, m dist.Message) { price(1, m) }
-	entry := func(q int, to graph.NodeID, m dist.Message) {
+	r.fan.Emit(r.d, func(q int, to graph.NodeID, m dist.Message) {
 		if serr == nil {
 			serr = r.out[q].Append(to, m)
 		}
+	})
+	if serr != nil {
+		return serr
 	}
-	for _, v := range r.local {
-		if m, ok := r.d.Slot(v); ok {
-			price(int64(len(r.g.Peers(v))), m)
-		}
-		r.d.Queued(v, queued)
-		r.fan.Emit(r.d, v, entry)
-		if serr != nil {
-			return serr
-		}
-	}
-	alive := 0
-	for _, v := range r.local {
-		if !r.d.Halted(v) {
-			alive++
-		}
-	}
-	bytes, msgs, err := w.plane.done(t, alive, live)
+	bytes, msgs, err := w.plane.done(t, r.d.Alive(), live)
 	if err != nil {
 		return err
 	}
@@ -432,19 +407,9 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 		return dist.Metrics{}, fmt.Errorf("net: partition digest mismatch (coordinator %#x, worker %#x)", h.PartDigest, shard.PartitionDigest(assign))
 	}
 
-	r := &workerLoop{w: w, h: h, lam: lam, g: g, assign: assign, fan: shard.NewFanout(g, assign, h.P),
+	r := &workerLoop{w: w, h: h, lam: lam, assign: assign,
 		out: make([]*shard.PeerStream, h.P), chain: frameChainSeed, cur: -1}
-	for v := 0; v < n; v++ {
-		if assign[v] == h.Shard {
-			r.local = append(r.local, v)
-		}
-	}
-	r.d = dist.NewDriver(g, lam, func(v graph.NodeID) dist.Program {
-		if assign[v] == h.Shard {
-			return factory(v)
-		}
-		return remote{}
-	})
+	r.build(g, factory)
 	if !dist.CheckVecAliasing {
 		r.arenas = make([][2]*shard.VecArena, h.P)
 		for i := range r.arenas {
@@ -509,20 +474,15 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			if err := bodyErr("finish", d); err != nil {
 				return dist.Metrics{}, err
 			}
-			enc := binary.AppendUvarint(nil, uint64(r.msgs))
-			enc = binary.AppendUvarint(enc, uint64(r.words))
-			enc = binary.AppendUvarint(enc, uint64(r.wire))
+			// The Driver priced this shard's share: what its own nodes sent.
+			met := r.d.Finish(int(rounds))
+			met.Halted = halted
+			var buf [3*binary.MaxVarintLen64 + 8]byte
+			enc := binary.AppendUvarint(buf[:0], uint64(met.Messages))
+			enc = binary.AppendUvarint(enc, uint64(met.Words))
+			enc = binary.AppendUvarint(enc, uint64(met.WireBytes))
 			enc = binary.LittleEndian.AppendUint64(enc, r.chain)
-			if err := w.c.Send(recMetrics, enc); err != nil {
-				return dist.Metrics{}, err
-			}
-			return dist.Metrics{
-				Rounds:    int(rounds),
-				Messages:  r.msgs,
-				Words:     r.words,
-				WireBytes: r.wire,
-				Halted:    halted,
-			}, nil
+			return met, w.c.Send(recMetrics, enc)
 
 		case recError:
 			return dist.Metrics{}, fmt.Errorf("net: coordinator aborted: %s", body)
@@ -533,6 +493,27 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			}
 		}
 	}
+}
+
+// build makes the run state that follows the shard, not the graph
+// (TestWorkerSetupBytesScaleWithShard): the step list, sized by one counting
+// pass over the assignment; the fan-out rows of its nodes; a Driver over them
+// and the nodes they can hear.
+func (r *workerLoop) build(g *graph.Graph, factory dist.Factory) {
+	self, cnt := r.h.Shard, 0
+	for _, q := range r.assign {
+		if q == self {
+			cnt++
+		}
+	}
+	r.local = make([]graph.NodeID, 0, cnt)
+	for v, q := range r.assign {
+		if q == self {
+			r.local = append(r.local, v)
+		}
+	}
+	r.fan = shard.NewFanout(g, r.assign, r.h.P, r.local)
+	r.d = dist.NewSubsetDriver(g, r.lam, r.local, factory)
 }
 
 // SendValues ships the values of this worker's local nodes (vals is the

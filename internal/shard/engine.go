@@ -112,7 +112,6 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	// bytes accounted to the execution. The buffer matrix comes from a
 	// sync.Pool, so repeated runs reuse the grown encode buffers instead of
 	// allocating fresh ones.
-	fan := NewFanout(g, assign, p)
 	fs := getFrameSet(p)
 	defer putFrameSet(fs)
 	frames := fs.frames
@@ -149,6 +148,7 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 		work[s] = make(chan int, 1)
 		go func(s int) {
 			row := frames[s*p : (s+1)*p]
+			fan := NewFanout(g, assign, p, shards[s])
 			var scratch VecArena // the check's decoded Vecs, dead after each entry
 			entry := func(q int, to graph.NodeID, m dist.Message) {
 				fb := &row[q]
@@ -162,9 +162,7 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 				sp := e.trace.Begin(obs.PhaseStep, t, s)
 				sp.EndN(0, int64(d.StepList(shards[s], t))) // hooks run, as on seq and par
 				enc := e.trace.Begin(obs.PhaseEncode, t, s)
-				for _, v := range shards[s] {
-					fan.Emit(d, v, entry)
-				}
+				fan.Emit(d, entry)
 				enc.End()
 				wg.Done()
 			}

@@ -198,9 +198,10 @@ func TestFrameGridValuesUseGridCode(t *testing.T) {
 
 // --- foreign-shard table ----------------------------------------------------
 
-// Fanout rows against the definition, read off the graph the slow way:
-// multigraph edges and self-loops add nothing, an isolated node has an empty
-// row, and P may exceed any machine word (no bitmask inside).
+// Fanout rows against the definition, read off the graph the slow way, one
+// table per shard over that shard's nodes: multigraph edges and self-loops
+// add nothing, an isolated node has an empty row, an empty shard an empty
+// table, and P may exceed any machine word (no bitmask inside).
 func TestFanoutMatchesDefinition(t *testing.T) {
 	multi := graph.NewBuilder(6)
 	for _, e := range [][2]int{{0, 1}, {1, 0}, {0, 1}, {2, 2}, {2, 3}, {3, 4}, {4, 2}} {
@@ -209,24 +210,34 @@ func TestFanoutMatchesDefinition(t *testing.T) {
 	for _, g := range []*graph.Graph{multi.Build(), graph.BarabasiAlbert(300, 4, 3), graph.ErdosRenyi(80, 0.02, 5)} {
 		for _, p := range []int{1, 2, 5, 70} {
 			assign := Hash{}.Partition(g, p)
-			f := NewFanout(g, assign, p)
-			for v := 0; v < g.N(); v++ {
-				holds := make([]bool, p)
-				for _, u := range g.Peers(v) {
-					holds[assign[u]] = true
-				}
-				var want []int32
-				for q := 0; q < p; q++ {
-					if holds[q] && q != assign[v] {
-						want = append(want, int32(q))
-					}
-					if q != assign[v] && f.Reaches(v, q) != holds[q] {
-						t.Fatalf("n=%d p=%d: Reaches(%d, %d) = %v, peers there: %v", g.N(), p, v, q, !holds[q], holds[q])
+			rows := 0
+			for s := 0; s < p; s++ {
+				var own []graph.NodeID
+				for v, q := range assign {
+					if q == s {
+						own = append(own, v)
 					}
 				}
-				if got := f.Of(v); !reflect.DeepEqual(append([]int32(nil), got...), want) {
-					t.Fatalf("n=%d p=%d: Of(%d) = %v, want %v", g.N(), p, v, got, want)
+				f := NewFanout(g, assign, p, own)
+				for k, v := range own {
+					holds := make([]bool, p)
+					for _, u := range g.Peers(v) {
+						holds[assign[u]] = true
+					}
+					var want []int32
+					for q := 0; q < p; q++ {
+						if holds[q] && q != s {
+							want = append(want, int32(q))
+						}
+					}
+					if got := f.Of(k); !reflect.DeepEqual(append([]int32(nil), got...), want) {
+						t.Fatalf("n=%d p=%d shard %d: Of(%d) = %v for node %d, want %v", g.N(), p, s, k, got, v, want)
+					}
+					rows++
 				}
+			}
+			if rows != g.N() {
+				t.Fatalf("n=%d p=%d: the shards' tables hold %d rows", g.N(), p, rows)
 			}
 		}
 	}
