@@ -27,9 +27,10 @@
 //
 // With -stream (unix sockets only) round frames travel directly
 // worker↔worker over a mesh of data sockets at <control path>.mesh —
-// full mesh for small clusters, hypercube relay above the threshold —
-// while the coordinator shrinks to a round barrier and digest-matrix
-// verifier (DESIGN.md §14). The execution, ledger included, stays
+// full mesh for small clusters, hypercube relay above the threshold — and
+// the peers' end markers close a round, while the coordinator shrinks to a
+// digest-matrix verifier that follows behind (DESIGN.md §8.4, §14). The
+// execution, ledger included, stays
 // byte-identical; -recover composes with it (the mesh falls back to full
 // topology so retained flows survive any single death).
 package main
@@ -258,8 +259,8 @@ func runCoord(args []string) {
 		partN    = fs.String("part", "greedy", "partitioner: hash, range or greedy")
 		verify   = fs.Bool("verify", false, "run the sequential engine locally and demand byte-identical Metrics and values")
 		stream   = fs.Bool("stream", false, "stream round frames directly worker↔worker over a unix-socket mesh (DESIGN.md §14) instead of relaying every frame through the coordinator")
-		recov    = fs.Bool("recover", false, "arm crash recovery (DESIGN.md §13): the run's frames stay retained and a dead worker is re-exec'd and replayed to instead of failing the run (requires -spawn)")
-		killSpec = fs.String("kill", "", "W:R — SIGKILL spawned worker W at the top of round R, the fault-injection half of the recovery smoke (requires -spawn)")
+		recov    = fs.Bool("recover", false, "arm crash recovery (DESIGN.md §13): the run's frames stay retained and a dead worker is re-exec'd and runs again on them instead of failing the run (requires -spawn)")
+		killSpec = fs.String("kill", "", "W:R — SIGKILL spawned worker W as the coordinator takes up round R (with -stream: wherever the free-running workers have got to), the fault-injection half of the recovery smoke (requires -spawn)")
 		jsonOut  = fs.String("json", "", "write a JSON run report to this file")
 		traceOut = fs.String("trace", "", cliutil.TraceUsage)
 	)
@@ -508,8 +509,8 @@ func (f *fleet) dial(a string) (*dnet.Conn, error) {
 
 // respawn re-execs the worker binary for shard s — incarnation gen, the hub's
 // count (dnet.Spec.Respawn) — on a fresh socket in the run directory and dials
-// it; the coordinator then re-handshakes and replays the run to it from the
-// retained flows. The new incarnation is told its generation, which on a
+// it; the coordinator then re-handshakes and the worker runs the run again on
+// the retained flows. The new incarnation is told its generation, which on a
 // streamed run lets peers tell its mesh links from the dead one's.
 func (f *fleet) respawn(s, gen int) (*dnet.Conn, error) {
 	a := fmt.Sprintf("unix:%s", filepath.Join(f.dir, fmt.Sprintf("w%d-r%d.sock", s, gen)))

@@ -121,8 +121,8 @@ func TestDesignCitationsResolve(t *testing.T) {
 func TestDesignRecordTableMatchesConn(t *testing.T) {
 	design := readFile(t, "DESIGN.md")
 	consts := recConst.FindAllStringSubmatch(readFile(t, "internal/net/conn.go"), -1)
-	if len(consts) < 26 {
-		t.Fatalf("parsed %d record constants from conn.go, want at least 26", len(consts))
+	if len(consts) < 24 {
+		t.Fatalf("parsed %d record constants from conn.go, want at least 24", len(consts))
 	}
 	seen := map[string]string{}
 	for _, m := range consts {
@@ -203,7 +203,7 @@ func TestRetiredNamesStayRetired(t *testing.T) {
 		"Fusible", "RoundFusionSafe", "FusedRanges", "ghost program",
 		"Checkpointable", "AppendSnapshot", "RestoreSnapshot", "recCheckpoint", "retainRounds",
 		"recDelta", "AbsorbDelta", "ApplyChurn", "ParseChurnSpec", "netChurn",
-		"rangeNodeWeight"}
+		"rangeNodeWeight", "recStreamResend", "recStreamReplay", "mesh.barrier"}
 	exempt := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "docs_test.go": true}
 	walkRepo(t, func(path string) {
 		if exempt[path] || strings.HasPrefix(path, "benchmark/") {

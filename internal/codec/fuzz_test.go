@@ -65,9 +65,9 @@ func FuzzDecodePeerFrame(f *testing.F) {
 
 func FuzzDecodeWindow(f *testing.F) {
 	f.Add(AppendWindow(nil, Window{Kind: WindowCredit, Src: 1, Dst: 0, Credits: 1}))
-	f.Add(AppendWindow(nil, Window{Kind: WindowEnd, Src: 2, Dst: 3, Round: 7, Chunks: 4, Msgs: 100, Bytes: 4096, Digest: 0xfeedface}))
+	f.Add(AppendWindow(nil, Window{Kind: WindowEnd, Src: 2, Dst: 3, Round: 7, Chunks: 4, Msgs: 100, Bytes: 4096, Digest: 0xfeedface, Credits: 3, Alive: 500}))
 	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // oversized uvarint
-	f.Add([]byte{9, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0})                // unknown kind
+	f.Add([]byte{9, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0})             // unknown kind
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, n, err := DecodeWindow(data)
 		if err != nil {
@@ -79,7 +79,7 @@ func FuzzDecodeWindow(f *testing.F) {
 		if w.Kind > WindowEnd {
 			t.Fatalf("unknown window kind %d slipped past the decode guard", w.Kind)
 		}
-		if w.Src < 0 || w.Dst < 0 || w.Round < 0 || w.Chunks < 0 || w.Msgs < 0 || w.Bytes < 0 || w.Credits < 0 {
+		if w.Src < 0 || w.Dst < 0 || w.Round < 0 || w.Chunks < 0 || w.Msgs < 0 || w.Bytes < 0 || w.Credits < 0 || w.Alive < 0 {
 			t.Fatalf("negative field slipped past the decode guard: %+v", w)
 		}
 		enc := AppendWindow(nil, w)

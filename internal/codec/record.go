@@ -142,8 +142,10 @@ const (
 // with the worker's frame chain, and a stream-resend names no first round;
 // version 8 retired the one-shot churned run — DeltaDigest and the delta
 // record are gone, a delta reaches a cluster as a session epoch (DESIGN.md
-// §10).
-const HandshakeVersion = 8
+// §10); version 9 closes a streamed round on the mesh — an end marker carries
+// its sender's alive count and the credits it owes, the coordinator's release
+// and the stream-resend and stream-replay records are gone (DESIGN.md §8.4).
+const HandshakeVersion = 9
 
 // AppendHello appends the wire encoding of h to dst.
 func AppendHello(dst []byte, h Hello) []byte {

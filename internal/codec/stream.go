@@ -2,8 +2,9 @@ package codec
 
 // Wire encodings of the streamed delivery protocol (DESIGN.md §14): the
 // chunked peer-frame header workers write on their mesh connections, the
-// window record that carries both flow-control credits and per-round end
-// markers, and the done/ack records the round-barrier coordinator collects.
+// window record that carries flow-control credits and the per-round end
+// markers a round closes on, and the done/ack records the coordinator
+// verifies behind the workers.
 // The message bodies inside a peer-frame chunk reuse the per-message codec
 // of internal/shard, so a streamed run prices the identical logical frame
 // bytes the relay path and the in-process sharded engine price.
@@ -62,15 +63,18 @@ const (
 	WindowCredit = byte(0)
 	// WindowEnd marks the end of the (Src, Dst, Round) flow: exactly Chunks
 	// chunks carrying Msgs messages were sent, folding to Digest. Every
-	// worker ends every flow every round, traffic or not — the end markers
-	// are what a receiver's mesh-completeness barrier counts.
+	// worker ends every flow every round, traffic or not — a worker's round
+	// closes on its peers' end markers, and Σ Alive over them (and its own
+	// count) decides the loop condition everywhere alike. The marker also
+	// returns the Credits its sender owes for the reverse flow's chunks.
 	WindowEnd = byte(1)
 )
 
 // Window is the flow-control and end-of-flow record of the mesh protocol.
-// Credits use Src/Dst/Credits; end markers use Src/Dst/Round/Chunks/Msgs/
-// Bytes/Digest (Bytes is the flow's logical frame pricing: one relay-style
-// frame header plus the message bodies, zero when Msgs is zero).
+// Credits use Src/Dst/Credits; end markers use every field (Bytes is the
+// flow's logical frame pricing: one relay-style frame header plus the
+// message bodies, zero when Msgs is zero; Alive is the sender's live node
+// count after the round's step).
 type Window struct {
 	Kind    byte
 	Src     int
@@ -81,6 +85,7 @@ type Window struct {
 	Bytes   int64
 	Digest  uint64
 	Credits int
+	Alive   int
 }
 
 // AppendWindow appends the wire encoding of w to dst.
@@ -93,7 +98,8 @@ func AppendWindow(dst []byte, w Window) []byte {
 	dst = binary.AppendUvarint(dst, uint64(w.Msgs))
 	dst = binary.AppendUvarint(dst, uint64(w.Bytes))
 	dst = binary.LittleEndian.AppendUint64(dst, w.Digest)
-	return binary.AppendUvarint(dst, uint64(w.Credits))
+	dst = binary.AppendUvarint(dst, uint64(w.Credits))
+	return binary.AppendUvarint(dst, uint64(w.Alive))
 }
 
 // DecodeWindow decodes a Window and returns the bytes consumed.
@@ -109,8 +115,9 @@ func DecodeWindow(src []byte) (Window, int, error) {
 	w.Bytes = int64(d.Uvarint())
 	w.Digest = d.U64()
 	w.Credits = int(d.Uvarint())
+	w.Alive = int(d.Uvarint())
 	if d.err == nil && (w.Src < 0 || w.Dst < 0 || w.Round < 0 || w.Chunks < 0 ||
-		w.Msgs < 0 || w.Bytes < 0 || w.Credits < 0) {
+		w.Msgs < 0 || w.Bytes < 0 || w.Credits < 0 || w.Alive < 0) {
 		d.err = fmt.Errorf("negative field from oversized uvarint")
 	}
 	if d.err == nil && w.Kind > WindowEnd {
@@ -135,7 +142,7 @@ type PeerDigest struct {
 	Digest uint64
 }
 
-// StreamDone is the worker→coordinator barrier record of a streamed round:
+// StreamDone is the worker→coordinator record of a streamed round's sends:
 // the round, the worker's local alive count, and one PeerDigest per other
 // worker (all P-1, zero-traffic flows included).
 type StreamDone struct {
@@ -168,7 +175,8 @@ func DecodeStreamDone(src []byte) (StreamDone, int, error) {
 }
 
 // StreamWire is one worker's cumulative wire-level accounting of the mesh:
-// the bytes of the records it originated (chunks, end markers, credits),
+// the bytes of the records it originated (chunks, end markers, stand-alone
+// credits — Credits counts those; most credits ride the end markers),
 // received as final destination, and forwarded as a relay hop, plus its
 // originated chunk and credit counts. It is observability, not protocol —
 // the deterministic ledger prices logical frame bytes; this measures what

@@ -28,7 +28,7 @@ func TestPeerFrameRoundTrip(t *testing.T) {
 func TestWindowRoundTrip(t *testing.T) {
 	for _, w := range []Window{
 		{Kind: WindowCredit, Src: 1, Dst: 3, Credits: 2},
-		{Kind: WindowEnd, Src: 0, Dst: 63, Round: 9, Chunks: 17, Msgs: 4400, Bytes: 1 << 20, Digest: 0x1234567890abcdef},
+		{Kind: WindowEnd, Src: 0, Dst: 63, Round: 9, Chunks: 17, Msgs: 4400, Bytes: 1 << 20, Digest: 0x1234567890abcdef, Credits: 5, Alive: 1 << 17},
 		{Kind: WindowEnd}, // zero-traffic flow end
 	} {
 		enc := AppendWindow(nil, w)

@@ -125,9 +125,8 @@ func TestInlineBodiesAreStrict(t *testing.T) {
 	}{
 		{"step", uv(0), func(b []byte) error { return workerGets(t, false, recStep, b) }},
 		{"deliver", uv(0, 0), func(b []byte) error { return workerGets(t, false, recDeliver, b) }},
-		{"deliver", uv(0), func(b []byte) error { return workerGets(t, true, recDeliver, b) }},
+		{"step", uv(0), func(b []byte) error { return workerGets(t, true, recStep, b) }}, // the streamed go record
 		{"finish", append(uv(3), 1), func(b []byte) error { return workerGets(t, false, recFinish, b) }},
-		{"stream-resend", uv(0, 2, 1), func(b []byte) error { return workerGets(t, true, recStreamResend, b) }},
 		{"done", uv(0, 0, 0), func(b []byte) error { return coordGets(t, recDone, b) }},
 		{"metrics", append(uv(5, 5, 40), 1, 2, 3, 4, 5, 6, 7, 8), func(b []byte) error { return coordGets(t, recMetrics, b) }},
 		{"values", vals, func(b []byte) error { return coordGets(t, recValues, b) }},

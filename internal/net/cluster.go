@@ -35,7 +35,7 @@ type Cluster struct {
 	P         int
 	Transport string
 	// IOTimeout, when non-zero, arms per-operation deadlines on every
-	// connection, the hub's reply waits and the mesh's barriers.
+	// connection, the hub's reply waits, mesh formation and credit waits.
 	IOTimeout time.Duration
 	// Stream puts the cluster on the streamed frame plane: workers get mesh
 	// endpoints from an in-process broker and Run arms Spec.Stream.

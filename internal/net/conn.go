@@ -20,10 +20,10 @@ import (
 const (
 	recHello   = byte(1)  // coordinator→worker: codec.Hello
 	recWelcome = byte(2)  // worker→coordinator: codec.Welcome
-	recStep    = byte(3)  // coordinator→worker: uvarint round
+	recStep    = byte(3)  // coordinator→worker: uvarint round (streamed: the one go record, round 0)
 	recFrame   = byte(4)  // both directions: codec.FrameHeader + message bodies
 	recDone    = byte(5)  // worker→coordinator: uvarint round, alive, framesSent
-	recDeliver = byte(6)  // coordinator→worker: uvarint round, framesRelayed
+	recDeliver = byte(6)  // coordinator→worker: uvarint round, framesRelayed (relay plane only)
 	recFinish  = byte(7)  // coordinator→worker: uvarint rounds, halted byte
 	recMetrics = byte(8)  // worker→coordinator: uvarint messages, words, wireBytes, then the 8-byte frame chain
 	recValues  = byte(9)  // worker→coordinator: uvarint count, then (uvarint node, 8-byte bits)*
@@ -49,31 +49,20 @@ const (
 )
 
 // Streamed-delivery record types (DESIGN.md §14), spoken only when
-// Hello.Stream armed them. recStreamDone..recStreamReplay travel on the
+// Hello.Stream armed them. recStreamDone and recStreamAck travel on the
 // coordinator connection; recMeshHello..recWindow travel on the mesh data
-// connections between workers.
+// connections between workers. 25 and 26, the resend instruction and replay
+// announcement of a streamed recovery, are retired like 11, 19 and 20.
 const (
-	// recStreamDone replaces recDone on streamed rounds: worker→coordinator,
-	// codec.StreamDone (round, alive, per-peer sent digests). The coordinator
-	// releases the round barrier once all P arrive.
+	// recStreamDone reports a streamed round's sends: worker→coordinator,
+	// codec.StreamDone (round, alive, per-peer sent digests), written once the
+	// round's flows are ended; nothing answers it.
 	recStreamDone = byte(23)
-	// recStreamAck seals a streamed round after delivery: worker→coordinator,
+	// recStreamAck reports a streamed round's delivery: worker→coordinator,
 	// codec.StreamAck (per-peer recv digests + cumulative wire counters). The
-	// coordinator verifies sent[a][b] == recv[b][a] across the matrix.
+	// coordinator verifies sent[a][b] == recv[b][a] across the matrix once the
+	// round's 2P records are in.
 	recStreamAck = byte(24)
-	// recStreamResend asks a worker to re-send its retained flows toward a
-	// respawned peer: coordinator→worker, body is uvarint target, to (the
-	// last round of the range, which starts at round 0), target's generation.
-	// The worker replays the retained chunk and end records verbatim —
-	// byte-identical by determinism, accepted idempotently by the receiver's
-	// Seq gate.
-	recStreamResend = byte(25)
-	// recStreamReplay announces one catch-up round to a respawned streamed
-	// worker: coordinator→worker, codec.Replay with Frames == 0 (the frames
-	// arrive over the mesh, not this connection). The worker re-steps,
-	// re-retaining what it would have sent and sending nothing, awaits the
-	// resent flows, and delivers.
-	recStreamReplay = byte(26)
 	// recMeshHello opens a mesh connection: dialer→acceptor, body is uvarint
 	// src shard, generation. Generation lets a receiver prefer the link of a
 	// respawned incarnation over a stale one.
@@ -82,7 +71,8 @@ const (
 	// Count shard.AppendMessage bodies.
 	recPeerFrame = byte(28)
 	// recWindow is a codec.Window record: a flow-control credit grant or an
-	// end-of-flow marker.
+	// end-of-flow marker (which carries credits too, and its sender's alive
+	// count).
 	recWindow = byte(29)
 )
 
@@ -125,7 +115,7 @@ const (
 
 // uvarints decodes a record body that is exactly len(dst) uvarints — the
 // shape of the run records with no codec type of their own (step, done,
-// deliver, stream-resend, mesh-hello) — through the same latching
+// deliver, mesh-hello) — through the same latching
 // codec.Decoder every other body goes through: a truncated body, trailing
 // bytes or a field past int range is one error naming the record.
 func uvarints(rec string, body []byte, dst ...*int) error {

@@ -37,7 +37,7 @@ type Spec struct {
 	// Recover arms crash recovery (DESIGN.md §13): the inbound flows of every
 	// round are retained for the whole run — by the coordinator on the relay
 	// plane, by their senders on the mesh — and a dead worker is respawned via
-	// Respawn and replays the run from Init out of them instead of failing it.
+	// Respawn and runs the run again from Init on them instead of failing it.
 	Recover bool
 	// Respawn produces a fresh connection to a restarted worker for the
 	// given shard: the in-process engine spawns a goroutine on a fresh
@@ -45,18 +45,21 @@ type Spec struct {
 	// Recovery requires it; a nil Respawn with Recover set fails the run on
 	// the first death, exactly as if recovery were off. gen is the hub's
 	// count of the shard's respawns, this one included; on a streamed run it
-	// is the new incarnation's mesh generation (Worker.MeshGen), the name
-	// resend instructions know it by.
+	// is the new incarnation's mesh generation (Worker.MeshGen), which tells
+	// the peers its links from its predecessor's.
 	Respawn func(shard, gen int) (*Conn, error)
-	// OnRound, when non-nil, runs at the top of every round before the
-	// step broadcast — the fault-injection seam multi-process harnesses use
-	// to SIGKILL a worker at a chosen round.
+	// OnRound, when non-nil, runs as the coordinator takes up every round —
+	// before the step broadcast, or on a streamed run before it collects the
+	// round's records, wherever the free-running workers have got to by then —
+	// the fault-injection seam multi-process harnesses use to SIGKILL a worker
+	// at a chosen round.
 	OnRound func(t int)
-	// Stream selects the streamed frame plane (DESIGN.md §8.4, §14) for the
-	// same round loop: cross-shard messages flow worker↔worker over a mesh
-	// of data connections and the coordinator verifies digests of frames it
-	// never sees. Workers must be given mesh endpoints (Worker.MeshDial et
-	// al., or cmd/cluster's mesh listeners via MeshSpec).
+	// Stream selects the streamed frame plane (DESIGN.md §8.4, §14):
+	// cross-shard messages flow worker↔worker over a mesh of data connections,
+	// the peers' end markers close a round, and the coordinator verifies behind
+	// them the digests of frames it never sees. Workers must be given mesh
+	// endpoints (Worker.MeshDial et al., or cmd/cluster's mesh listeners via
+	// MeshSpec).
 	Stream bool
 	// MeshThreshold is the P at or above which a streamed run uses the
 	// hypercube relay topology instead of the full mesh (power-of-two P
@@ -128,8 +131,11 @@ func (r *Report) Assemble(n int) ([]float64, error) {
 // failure is pinned on (-1 when it cannot be pinned on one — a coordinator-
 // side check, a timeout with several laggards) and where that worker stood
 // in the round by the coordinator's records: step until its done record is
-// in, barrier-wait until it is released, deliver after. With Worker -1 the
-// phase is where the workers still owing a record stood. Hub.Run and
+// in, barrier-wait until it is released (streamed: until its ack is in),
+// deliver after. A streamed worker runs ahead of the coordinator, so Round is
+// the worker's own; a streamed round whose records are all in and do not close
+// is reported at verify, against the worker whose ack disagrees. With Worker
+// -1 the phase is where the workers still owing a record stood. Hub.Run and
 // RunCoordinator return it for every fault past the handshake, so errors.As
 // recovers the structure (the twin of session.BreakCause).
 type RunError struct {
@@ -196,7 +202,7 @@ func (h *Hub) Run(spec Spec) (dist.Metrics, *Report, error) {
 	}
 	if spec.Stream {
 		c.rep.StreamWire = make([]codec.StreamWire, p)
-		c.plane = &streamCoord{c: c}
+		c.stream = &streamCoord{c: c, in: make([]int, p), seq: make([]int, p), owed: make([]bool, p), last: -1}
 	} else {
 		c.plane = &relayCoord{c: c, hist: make([][][]frameRec, p)}
 	}
@@ -214,44 +220,14 @@ func (h *Hub) Run(spec Spec) (dist.Metrics, *Report, error) {
 	return met, c.rep, nil
 }
 
-// coordPlane is the coordinator half of a frame plane: what differs between
-// relayed and streamed delivery under the one round loop. relayCoord
-// (relay.go) parks and forwards the frames themselves; streamCoord
-// (stream.go) never sees one and verifies the digest matrix instead.
-type coordPlane interface {
-	// phase names the coordinator's release span: relay or verify.
-	phase() obs.Phase
-	// begin resets the per-round state for round t.
-	begin(t int)
-	// record consumes one record worker from sent during round t. settled
-	// reports that it was the worker's done record (alive is then its live
-	// node count) or the ack of its release.
-	record(t, from int, typ byte, body []byte) (settled bool, alive int, err error)
-	// discard drops what worker w contributed to the round in flight before
-	// it died short of its done record.
-	discard(w int)
-	// seal closes round t's collection once all P done records are in:
-	// ledger, and under recovery the per-worker chains and whatever the plane
-	// retains at the coordinator. It runs before anything is released, so a
-	// death during the release can still be caught up through round t.
-	seal(t int) error
-	// release writes round t's barrier release to worker q and reports
-	// whether q now owes an ack.
-	release(t, q int) (owesAck bool, err error)
-	// volume is what the release span records: bytes and items released.
-	volume() (bytes, items int64)
-	// resend has the peers re-feed respawned worker w (incarnation gen) the
-	// inbound flows of rounds 0..c.cur, which only they hold.
-	resend(w, gen int) error
-	// replay writes worker w's catch-up of round t to its new connection.
-	replay(cn *Conn, w, t int) (bytes, items int64, err error)
-}
-
 type coordinator struct {
-	hub   *Hub
-	spec  Spec
-	rep   *Report
-	plane coordPlane
+	hub  *Hub
+	spec Spec
+	rep  *Report
+	// plane is a relayed run's frame plane under the barrier loop (relay.go),
+	// stream a streamed run's verifier (stream.go); one of them is set.
+	plane  *relayCoord
+	stream *streamCoord
 
 	// cur is the round in flight (-1 during the handshake, the last executed
 	// round during the finish), and at[w] where worker w stands in it —
@@ -276,39 +252,43 @@ func (c *coordinator) recoverable() bool { return c.spec.Recover && c.spec.Respa
 // the round in flight; waiting is the position of the workers still owing a
 // record, reported when nobody is implicated.
 func (c *coordinator) fail(w int, waiting obs.Phase, err error) error {
+	round := c.cur
 	if w >= 0 {
-		waiting = c.at[w]
+		if waiting = c.at[w]; c.stream != nil {
+			round, waiting = c.stream.position(w)
+		}
 	}
-	return &RunError{Round: c.cur, Phase: waiting, Worker: w, Err: err}
+	return &RunError{Round: round, Phase: waiting, Worker: w, Err: err}
 }
 
-// sendRestoring writes one record to worker i. A write that fails finds the
+// sendRestoring has send write to worker i. A write that fails finds the
 // worker dead since its last release: with recovery armed it is restored
-// through round upTo and handed the record again.
-func (c *coordinator) sendRestoring(i, upTo int, typ byte, body []byte) (restarted bool, err error) {
-	if err = c.hub.Send(i, typ, body); err == nil || !c.recoverable() {
+// through round upTo and send runs again.
+func (c *coordinator) sendRestoring(i, upTo int, send func(w int) error) (restarted bool, err error) {
+	if err = send(i); err == nil || !c.recoverable() {
 		return false, err
 	}
 	if err = c.restart(i, upTo); err != nil {
 		return false, err
 	}
-	return true, c.hub.Send(i, typ, body)
+	return true, send(i)
 }
 
-// restart is the recovery core (DESIGN.md §8.4, §13): respawn worker w, re-admit
-// it with the original handshake, and replay the run to it from Init through
-// round upTo on the frame plane — each round is a re-step that sends nothing
-// (the peers already hold the dead incarnation's identical bytes) fed the
-// round's inbound flows again. A worker's state is a pure function of what it
-// has received, so when restart returns nil the new incarnation is on its way
-// to exactly the state the dead one had sealed at the end of round upTo, and
-// reads whatever the coordinator sends next behind the replay. Deadlock-free:
-// a replaying worker writes nothing on this connection, so the writes below
-// drain as fast as it re-steps.
+// restart is the recovery core (DESIGN.md §8.4, §13): respawn worker w,
+// re-admit it with the original handshake, and have it run the run again from
+// Init. Relayed, the coordinator replays rounds 0..upTo to it — each a re-step
+// that sends nothing (the peers hold the dead incarnation's identical bytes)
+// fed the round's frames again; deadlock-free: a replaying worker writes
+// nothing here, so the writes below drain as fast as it re-steps. Streamed,
+// the go record is all: the incarnation runs live, the peers re-send it what
+// they retained when its links attach, and every repeat it makes is dropped
+// where it arrives. A worker's state is a pure function of what it has
+// received, so the new incarnation is on its way to exactly the state the dead
+// one died in, and reads whatever the coordinator sends next behind it.
 func (c *coordinator) restart(w, upTo int) error {
 	sp := c.spec.Trace.Begin(obs.PhaseRecover, upTo, w)
 	defer sp.End()
-	cn, gen, err := c.hub.Respawn(w, c.spec.Respawn)
+	cn, _, err := c.hub.Respawn(w, c.spec.Respawn)
 	if err != nil {
 		return err
 	}
@@ -322,8 +302,9 @@ func (c *coordinator) restart(w, upTo int) error {
 	if _, err := c.checkWelcome(w, typ, body); err != nil {
 		return err
 	}
-	if err := c.plane.resend(w, gen); err != nil {
-		return err
+	c.rep.Recoveries++
+	if c.stream != nil {
+		return c.stream.readmit(w)
 	}
 	for t := 0; t <= upTo; t++ {
 		rp := c.spec.Trace.Begin(obs.PhaseReplay, t, w)
@@ -336,7 +317,6 @@ func (c *coordinator) restart(w, upTo int) error {
 	if err := cn.Flush(); err != nil {
 		return fmt.Errorf("net: replaying to worker %d: %w", w, err)
 	}
-	c.rep.Recoveries++
 	return nil
 }
 
@@ -398,10 +378,17 @@ func (c *coordinator) run() (dist.Metrics, error) {
 
 	// The round loop mirrors dist.SeqEngine.Run condition for condition:
 	// Init is round 0 and always runs; round t runs while t ≤ maxRounds
-	// and someone is still alive; Rounds is the last t executed.
-	alive, err := c.round(0)
-	for t := 1; err == nil && t <= c.spec.MaxRounds && alive > 0; t++ {
-		alive, err = c.round(t)
+	// and someone is still alive; Rounds is the last t executed. A streamed
+	// run's workers apply it themselves and the coordinator follows.
+	var alive int
+	var err error
+	if c.stream != nil {
+		alive, err = c.stream.run()
+	} else {
+		alive, err = c.round(0)
+		for t := 1; err == nil && t <= c.spec.MaxRounds && alive > 0; t++ {
+			alive, err = c.round(t)
+		}
 	}
 	if err != nil {
 		return dist.Metrics{}, err
@@ -414,13 +401,22 @@ func (c *coordinator) run() (dist.Metrics, error) {
 	} else {
 		fin = append(fin, 0)
 	}
+	// finish writes worker w's finish record — a streamed successor's only once
+	// the records it reports again are all in: until then its control reader
+	// stays on the connection, where an abort reaches it.
+	finish := func(w int) error {
+		if c.stream != nil && c.stream.seq[w] < 2*(rounds+1) {
+			return nil
+		}
+		return c.hub.Send(w, recFinish, fin)
+	}
 	// A finish-phase restart replays the whole worker flow, so a restarted
 	// worker legitimately re-sends records its dead incarnation already
 	// delivered; restarted[i] is what lets the dup checks tolerate that.
 	restarted := make([]bool, p)
 	for i := range restarted {
 		// A worker killed at the last round's delivery surfaces here.
-		if restarted[i], err = c.sendRestoring(i, rounds, recFinish, fin); err != nil {
+		if restarted[i], err = c.sendRestoring(i, rounds, finish); err != nil {
 			return dist.Metrics{}, c.fail(i, obs.PhaseDeliver, err)
 		}
 	}
@@ -462,7 +458,14 @@ func (c *coordinator) run() (dist.Metrics, error) {
 				return false, err
 			}
 		default:
-			return false, fmt.Errorf("net: unexpected record type %d at finish", typ)
+			if c.stream == nil {
+				return false, fmt.Errorf("net: unexpected record type %d at finish", typ)
+			}
+			// What a restarted streamed worker reports again on its way here.
+			if err := c.stream.record(from, typ, body); err != nil {
+				return false, err
+			}
+			return false, finish(from)
 		}
 		return gotMetrics[from] && (!c.spec.WantValues || gotValues[from]), nil
 	}, func(w int, cause error) error {
@@ -479,7 +482,7 @@ func (c *coordinator) run() (dist.Metrics, error) {
 			return err
 		}
 		restarted[w] = true
-		return c.hub.Send(w, recFinish, fin)
+		return finish(w)
 	})
 	if err != nil {
 		return dist.Metrics{}, c.fail(w, obs.PhaseDeliver, err)
@@ -492,7 +495,7 @@ func (c *coordinator) run() (dist.Metrics, error) {
 	return met, nil
 }
 
-// round drives one barrier round on either frame plane: step broadcast,
+// round drives one barrier round of the relay plane: step broadcast,
 // then a pure collection phase until every worker's done record is in, then
 // seal, then the release writes, then — where the plane has workers
 // acknowledge their release — a second collection. Writing only after all P
@@ -506,9 +509,8 @@ func (c *coordinator) run() (dist.Metrics, error) {
 // it surfaces (DESIGN.md §8.4): before the worker's done record, whatever it
 // contributed to round t is discarded and the restored worker re-steps the
 // round; after its done record, its contribution stands — the frames are
-// parked at the coordinator, or on the wire (a streamed worker drains its
-// mesh writers before the done record) — and the worker is restored through
-// round t once the round's last collection ends.
+// parked at the coordinator — and the worker is restored through round t once
+// the round's last collection ends.
 func (c *coordinator) round(t int) (alive int, err error) {
 	if c.spec.OnRound != nil {
 		c.spec.OnRound(t)
@@ -523,7 +525,7 @@ func (c *coordinator) round(t int) (alive int, err error) {
 	step := binary.AppendUvarint(buf[:0], uint64(t))
 	for i := 0; i < p; i++ {
 		// Dead before stepping round t: restore through t-1, then step.
-		if _, err := c.sendRestoring(i, t-1, recStep, step); err != nil {
+		if _, err := c.sendRestoring(i, t-1, func(w int) error { return c.hub.Send(w, recStep, step) }); err != nil {
 			return 0, c.fail(i, obs.PhaseStep, err)
 		}
 	}
@@ -566,7 +568,7 @@ func (c *coordinator) round(t int) (alive int, err error) {
 	if err := c.plane.seal(t); err != nil {
 		return 0, c.fail(-1, obs.PhaseBarrierWait, err)
 	}
-	rl := c.spec.Trace.Begin(c.plane.phase(), t, -1)
+	rl := c.spec.Trace.Begin(obs.PhaseRelay, t, -1)
 	for q := 0; q < p; q++ {
 		if dead[q] {
 			continue

@@ -27,14 +27,14 @@
 //     Broadcast as ONE broadcast entry per destination shard that holds a
 //     peer of the sender, everything else as one unicast entry per
 //     recipient.
-//   - The round closes at the coordinator's barrier, and the cross-shard
-//     messages reach their destination workers on one of two frame planes
-//     under the same round loop (DESIGN.md §8.4): relayed — one frame per
-//     shard pair sent to the coordinator, parked there until every worker
-//     is done, then forwarded (relay.go) — or, with Stream, streamed —
-//     chunked straight onto a worker↔worker mesh while the coordinator only
-//     verifies the digest matrix of flows it never sees (stream.go,
-//     mesh.go). Either way a worker validates each entry against the
+//   - The cross-shard messages reach their destination workers on one of
+//     two frame planes (DESIGN.md §8.4): relayed — one frame per shard pair
+//     sent to the coordinator, parked there until every worker is done, then
+//     forwarded, the round closing at the coordinator's barrier (relay.go) —
+//     or, with Stream, streamed — chunked straight onto a worker↔worker mesh,
+//     the round closed by the peers' end markers, while the coordinator
+//     verifies behind the workers the digest matrix of flows it never sees
+//     (stream.go, mesh.go). Either way a worker validates each entry against the
 //     partition and its Driver's own view of the graph (a broadcast entry
 //     names no recipients — they are the sender's peers among the worker's
 //     nodes, which the Driver knows; a sender with none is refused) and
@@ -47,9 +47,10 @@
 //     nothing on a worker either (DESIGN.md §7).
 //   - Metrics are sums over messages, hence order-independent: the
 //     coordinator adds up the workers' shares and necessarily lands on
-//     SeqEngine's numbers. Rounds and Halted come from the coordinator's
-//     own loop, which mirrors SeqEngine's round loop condition for
-//     condition.
+//     SeqEngine's numbers. Rounds and Halted come from SeqEngine's round
+//     loop, condition for condition: run by the coordinator on the relay
+//     plane, by every streamed worker for itself — from the alive counts on
+//     its peers' end markers — with the coordinator following.
 //
 // Cluster is the one in-process bring-up: dial (net.Pipe, or real localhost
 // sockets with Transport "unix"/"tcp"), deadlines, hub, one goroutine per
@@ -72,8 +73,8 @@
 // With Spec.Recover a worker death is survived instead of failing the run
 // (DESIGN.md §13): a worker's state is a function of the flows it has
 // received, which the frame plane retains for the whole run, and one restart
-// — respawn, repeat the handshake, replay the run from Init on the frame
-// plane — puts the new incarnation in exactly the dead one's sealed state. Any failure that does end a run is
+// — respawn, repeat the handshake, run the run again from Init on the retained
+// flows — puts the new incarnation in exactly the dead one's state. Any failure that does end a run is
 // a *RunError naming the round, the worker and the phase it stood in.
 //
 // What the cluster adds on top of dist.Metrics is the same placement

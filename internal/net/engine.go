@@ -44,14 +44,15 @@ type Engine struct {
 	IOTimeout time.Duration
 	// Recover arms crash recovery (DESIGN.md §13): the run's cross-shard
 	// flows stay retained, and a worker that dies mid-run — the KillAt fault
-	// injection, or a real failure — is respawned on a fresh pipe and
-	// replayed to from Init instead of failing the run. Set it before Run, together with an IOTimeout so a
-	// silent death surfaces as a timeout.
+	// injection, or a real failure — is respawned on a fresh pipe and runs
+	// again from Init instead of failing the run. Set it before Run, together
+	// with an IOTimeout so a silent death surfaces as a timeout.
 	Recover bool
-	// Stream selects the streamed frame plane (DESIGN.md §8.4, §14): the
-	// same round loop, with cross-shard messages flowing worker↔worker over
-	// an in-process mesh of net.Pipe links instead of through the
-	// coordinator. Results stay byte-identical to every other engine's.
+	// Stream selects the streamed frame plane (DESIGN.md §8.4, §14):
+	// cross-shard messages flow worker↔worker over an in-process mesh of
+	// net.Pipe links, the peers' end markers close a round, and the
+	// coordinator verifies behind. Results stay byte-identical to every other
+	// engine's.
 	Stream bool
 	// MeshThreshold is the P at or above which a streamed run relays over
 	// a hypercube instead of the full mesh (≤ 0 means the default of 16;

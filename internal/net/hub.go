@@ -1,6 +1,7 @@
 package net
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -22,6 +23,9 @@ type inRec struct {
 // that keeps dying (a crash loop, a poisoned input) eventually fails the run
 // or breaks the session instead of respawning forever.
 const maxRecoveries = 8
+
+// errAborted marks the fault a worker's error record makes, not a dead link.
+var errAborted = errors.New("aborted")
 
 // Hub owns the coordinator side of P established worker connections: one
 // reader goroutine per connection pumping records into a shared channel, the
@@ -47,6 +51,8 @@ type Hub struct {
 	// on one specific worker; every receive drains it FIFO before touching
 	// the channel again, so per-worker order holds.
 	stash []inRec
+	// timer is take's reply deadline, re-armed by each call.
+	timer *time.Timer
 	ch    chan inRec
 	done  chan struct{}
 	once  sync.Once
@@ -128,9 +134,13 @@ func (h *Hub) reader(i, gen int, cn *Conn) {
 func (h *Hub) take() inRec {
 	var expired <-chan time.Time
 	if h.Timeout > 0 {
-		t := time.NewTimer(h.Timeout)
-		defer t.Stop()
-		expired = t.C
+		if h.timer == nil {
+			h.timer = time.NewTimer(h.Timeout)
+		} else {
+			h.timer.Reset(h.Timeout)
+		}
+		defer h.timer.Stop()
+		expired = h.timer.C
 	}
 	for {
 		select {
@@ -153,7 +163,7 @@ func (r inRec) fault() error {
 	case r.err != nil:
 		return fmt.Errorf("net: worker %d: %w", r.from, r.err)
 	case r.typ == recError:
-		return fmt.Errorf("net: worker %d aborted: %s", r.from, r.body)
+		return fmt.Errorf("net: worker %d %w: %s", r.from, errAborted, r.body)
 	}
 	return nil
 }
@@ -179,6 +189,9 @@ func (h *Hub) AwaitFrom(w int) (typ byte, body []byte, err error) {
 		return r.typ, r.body, r.fault()
 	}
 }
+
+// Pending reports whether a record or a fault is waiting to be received.
+func (h *Hub) Pending() bool { return len(h.stash)+len(h.ch) > 0 }
 
 // Everyone returns a fresh owed set for Collect with every worker marked.
 func (h *Hub) Everyone() []bool {

@@ -13,8 +13,9 @@ import (
 
 // This file is the mesh data plane of streamed delivery (DESIGN.md §14):
 // the worker↔worker connections that carry peer-frame chunks, flow-control
-// credits and end-of-flow markers, leaving the coordinator connection to the
-// barrier records only. One mesh lives inside each streamed Worker.
+// credits and the end-of-flow markers a round closes on, leaving the
+// coordinator connection to the records it verifies behind the workers. One
+// mesh lives inside each streamed Worker.
 //
 // Concurrency shape: per link, one reader goroutine (decode, relay-forward,
 // round-gate, credit) and one writer goroutine draining an ordered queue.
@@ -22,8 +23,8 @@ import (
 // transports (net.Pipe): a reader never writes a connection itself — it only
 // enqueues — so the cycle "A blocked writing to B, B's reader blocked
 // locking A" cannot form. All shared state sits under one mutex; the
-// condition variable carries round advances, credit arrivals, flow ends and
-// queue drains.
+// condition variable carries queued records, credit arrivals, a round's close
+// and the control connection's verdicts (streamWorker.control).
 
 // peerFrameHeaderMax bounds codec.AppendPeerFrame's output (five uvarints): the
 // header is encoded on the stack first, so a chunk's payload — header, then
@@ -32,6 +33,10 @@ const peerFrameHeaderMax = 5 * binary.MaxVarintLen64
 
 // defaultWindow is the per-peer flow-control window: how many
 // unacknowledged chunks a sender may have in flight toward one destination.
+// The receiver returns the credits on its next end marker toward the sender —
+// every pair exchanges one every round — and in a record of their own only
+// once it owes half a window, so a flow longer than the window never waits for
+// the round to turn.
 const defaultWindow = 8
 
 // meshNeighbors returns the sorted neighbor set of self in the topology.
@@ -79,7 +84,6 @@ type meshLink struct {
 	// spare is the batch before the one being written, emptied: the writer and
 	// the enqueuers trade two queue arrays instead of growing one per batch.
 	spare []outRec
-	busy  bool // writer is mid-write/flush (barrier waits for it)
 }
 
 // meshConfig is everything a Worker hands its mesh.
@@ -88,7 +92,8 @@ type meshConfig struct {
 	P       int
 	Kind    byte // codec.MeshFull | codec.MeshCube
 	Gen     int  // this incarnation's generation (0 initial, +1 per respawn)
-	Recover bool // retain every round sent, per destination, for resends
+	Recover bool // retain every round sent, per destination, for a respawned peer
+	// Timeout bounds formation and a wait for credits; 0 waits forever.
 	Timeout time.Duration
 	// Dial opens a raw connection to worker dst's mesh endpoint.
 	Dial func(dst int) (net.Conn, error)
@@ -104,13 +109,12 @@ type meshConfig struct {
 }
 
 // futRec is one inbound flow record buffered because it is ahead of the
-// mesh's current round: the live tail of the next round arriving before
-// this worker has stepped it, or resent rounds arriving while a respawned
-// worker is still replaying earlier ones. Readers never park on the round
-// gate — they buffer and move on, which keeps every link draining and makes
-// the mesh deadlock-free even when recovery interleaves live and resent
-// traffic on one connection. Buffered records are drained, in arrival
-// order, when beginRound reaches their round.
+// mesh's current round: a peer that closed its round first is already
+// streaming the next one, and a respawned worker running the run again is sent
+// every retained round at once. Readers never park on the round gate — they
+// buffer and move on, which keeps every link draining and the mesh
+// deadlock-free. Buffered records are drained, in arrival order, when
+// beginRound reaches their round.
 type futRec struct {
 	typ  byte // recPeerFrame | recWindow
 	pf   codec.PeerFrame
@@ -119,83 +123,69 @@ type futRec struct {
 	full []byte // full record payload (digest fold input)
 }
 
-// mesh is the per-worker data plane: links, flow-control tokens, per-flow
-// send/receive state and the retention rings recovery resends replay from.
+// meshPeer is the mesh's state toward one other worker: the credit window
+// both ways, which lives across rounds, and the current round's two flows.
+type meshPeer struct {
+	tokens int // credit in hand toward the peer
+	owed   int // chunks taken from the peer since the last grant to it
+	// The flow toward the peer: chunks sent and their digest (beginRound resets).
+	sent int
+	sDig uint64
+	// The flow from the peer: rx.Chunks is the next sequence number the gate
+	// admits, rx.Digest folds what it admitted, and the end marker — ended —
+	// fills in the rest and the peer's alive count.
+	rx    codec.PeerDigest
+	alive int
+	ended bool
+	// future buffers the peer's records ahead of the current round.
+	future []futRec
+	// retained[t] holds the records of round t sent toward the peer, verbatim
+	// and for the whole run: what a respawned peer runs again from Init on
+	// (attach re-sends them). Rounds open one by one from 0, so the index is the
+	// round. Recover only.
+	retained [][]outRec
+}
+
+// mesh is the per-worker data plane: links, per-peer flow state and, under
+// recovery, the run's retained flows.
 type mesh struct {
 	cfg  meshConfig
 	mu   sync.Mutex
 	cond *sync.Cond
 
 	links []*meshLink // by neighbor id; nil until attached
+	peers []meshPeer  // by worker id; the own entry is unused
 	round int         // current receive/send round; -1 before the first
-	// live is false while a respawned worker replays the current round: its
-	// flows are sequenced, digested and retained as they were, and nothing is
-	// queued — the peers hold the dead incarnation's identical bytes.
-	live bool
-	err  error
-	// lost is the first link death of a full-mesh run without recovery (see
-	// linkDownLocked): it fails the next receive barrier that cannot
-	// complete.
-	lost   error
-	closed bool
-
-	// Send state, per destination, reset by beginRound.
-	tokens  []int
-	sendSeq []int
-	sChunks []int
-	sDig    []uint64
-
-	// Receive state, per source, reset by beginRound.
-	nextSeq []int
-	ended   []bool
-	rxDig   []uint64
-	rxMsgs  []int64
-	rxBytes []int64
-
-	// future[src] buffers inbound flow records ahead of the current round.
-	future [][]futRec
-
-	// retained[dst][t] holds the records of round t sent toward dst, verbatim
-	// and for the whole run: what a respawned dst replays from Init out of.
-	// Rounds open one by one from 0 (a respawned sender's own replay included),
-	// so the index is the round. Nil when Recover is off.
-	retained [][][]outRec
-
-	wire codec.StreamWire
+	// pending counts the inbound flows of the round not yet ended.
+	pending int
+	err     error
+	closed  bool
+	// timer wakes the worker's wait at its deadline; one a mesh, re-armed by each.
+	timer *time.Timer
+	wire  codec.StreamWire
 }
 
 func newMesh(cfg meshConfig) *mesh {
-	m := &mesh{
-		cfg:     cfg,
-		links:   make([]*meshLink, cfg.P),
-		round:   -1,
-		tokens:  make([]int, cfg.P),
-		sendSeq: make([]int, cfg.P),
-		sChunks: make([]int, cfg.P),
-		sDig:    make([]uint64, cfg.P),
-		nextSeq: make([]int, cfg.P),
-		ended:   make([]bool, cfg.P),
-		rxDig:   make([]uint64, cfg.P),
-		rxMsgs:  make([]int64, cfg.P),
-		rxBytes: make([]int64, cfg.P),
-		future:  make([][]futRec, cfg.P),
-	}
+	m := &mesh{cfg: cfg, links: make([]*meshLink, cfg.P), peers: make([]meshPeer, cfg.P), round: -1}
 	m.cond = sync.NewCond(&m.mu)
-	for j := range m.tokens {
-		m.tokens[j] = defaultWindow
-	}
-	if cfg.Recover {
-		m.retained = make([][][]outRec, cfg.P)
+	for j := range m.peers {
+		m.peers[j].tokens = defaultWindow
 	}
 	return m
 }
 
-// fail latches the first fatal mesh error and wakes every waiter.
+// failLocked latches the first fatal mesh error and wakes every waiter.
 func (m *mesh) failLocked(err error) {
 	if m.err == nil {
 		m.err = err
 	}
 	m.cond.Broadcast()
+}
+
+func (m *mesh) fail(err error) {
+	m.mu.Lock()
+	m.failLocked(err)
+	m.mu.Unlock()
 }
 
 // Close tears the mesh down: the accept loop stops, every link's connection
@@ -232,22 +222,20 @@ func (m *mesh) form() error {
 	for _, j := range nb {
 		if m.cfg.Gen > 0 || j < m.cfg.Self {
 			if err := m.dial(j); err != nil {
-				m.mu.Lock()
-				m.failLocked(err)
-				m.mu.Unlock()
+				m.fail(err)
 				return err
 			}
 		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.wait(m.cfg.Timeout, "mesh formation timed out", func() (bool, error) {
+	return m.wait(m.cfg.Timeout, "mesh formation timed out", func() bool {
 		for _, j := range nb {
 			if m.links[j] == nil {
-				return false, nil
+				return false
 			}
 		}
-		return true, nil
+		return true
 	})
 }
 
@@ -307,9 +295,13 @@ func (m *mesh) handleAccepted(nc net.Conn) {
 
 // attach installs (or swaps in) the link to neighbor j and spawns its
 // reader and writer. A link from a newer peer incarnation replaces an older
-// one; an older or duplicate hello is refused. Swapping resets j's credit
-// state: the new incarnation grants credits from scratch, so the sender's
-// tokens restart at a full window.
+// one; an older or duplicate hello is refused. Swapping resets the credit
+// window both ways and queues on the new link, ahead of anything live, every
+// record retained toward j: the incarnation runs the run again from Init and
+// these are its inbound flows, byte for byte (DESIGN.md §13). Retention and
+// queue move under the one mutex, so j reads the flows of rounds 0.. in order
+// with no gap, whenever it attached. Resent chunks draw no tokens: j buffers
+// what is ahead of its round whatever the window says.
 func (m *mesh) attach(j, gen int, c *Conn) {
 	m.mu.Lock()
 	if m.closed || m.err != nil {
@@ -330,7 +322,17 @@ func (m *mesh) attach(j, gen int, c *Conn) {
 	}
 	l := &meshLink{c: c, gen: gen}
 	m.links[j] = l
-	m.tokens[j] = defaultWindow
+	p := &m.peers[j]
+	p.tokens, p.owed = defaultWindow, 0
+	for _, recs := range p.retained {
+		for _, r := range recs {
+			if r.typ == recPeerFrame {
+				m.wire.Chunks++
+			}
+			m.wire.Sent += int64(len(r.payload) + 1)
+		}
+		l.q = append(l.q, recs...)
+	}
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	go m.readLoop(j, l)
@@ -338,57 +340,45 @@ func (m *mesh) attach(j, gen int, c *Conn) {
 }
 
 // wait is the mesh's one wait discipline. Called with m.mu held, it parks on
-// the condition variable until ready reports true (nil) or an error of its
-// own, and otherwise ends on, in this order: the latched mesh error; the
-// mesh having been closed (ErrKilled — only a fault-injected death closes a
-// mesh somebody still waits on); timeout elapsing (0 waits forever), reported
-// as "worker N <stalled>". The timer only broadcasts; fired is read and
-// written under m.mu like everything else here.
-func (m *mesh) wait(timeout time.Duration, stalled string, ready func() (bool, error)) error {
-	fired := false
-	if timeout > 0 {
-		t := time.AfterFunc(timeout, func() {
-			m.mu.Lock()
-			fired = true
-			m.cond.Broadcast()
-			m.mu.Unlock()
-		})
-		defer t.Stop()
-	}
+// the condition variable until ready reports true and otherwise ends on, in
+// this order: the latched mesh error — a violation a reader found, or the
+// run's abort as streamWorker.control read it off the coordinator connection,
+// which ends every wait of an incarnation whose run is over; the mesh having
+// been closed (ErrKilled — only a fault-injected death closes a mesh somebody
+// still waits on); timeout elapsing (0 waits forever), reported as "worker N
+// <stalled>". The timer only broadcasts; the deadline is read off the clock.
+func (m *mesh) wait(timeout time.Duration, stalled string, ready func() bool) error {
+	var deadline time.Time
 	for {
-		if m.err != nil {
+		switch {
+		case m.err != nil:
 			return m.err
-		}
-		if m.closed {
+		case m.closed:
 			return ErrKilled
-		}
-		if ok, err := ready(); ok || err != nil {
-			return err
-		}
-		if fired {
+		case ready():
+			return nil
+		case timeout > 0 && deadline.IsZero():
+			deadline = time.Now().Add(timeout)
+			if m.timer == nil {
+				m.timer = time.AfterFunc(timeout, func() {
+					m.mu.Lock()
+					m.cond.Broadcast()
+					m.mu.Unlock()
+				})
+			} else {
+				m.timer.Reset(timeout)
+			}
+			defer m.timer.Stop()
+		case timeout > 0 && !time.Now().Before(deadline):
 			return fmt.Errorf("net: worker %d %s", m.cfg.Self, stalled)
 		}
 		m.cond.Wait()
 	}
 }
 
-// awaitToken blocks until a credit toward dst is in hand. The slow path arms
-// the IOTimeout as a backstop — a receiver that stays silent past it (dead,
-// with recovery unable to respawn it in time) fails this worker instead of
-// hanging it; stalled is the timeout message's format, taking dst.
-func (m *mesh) awaitToken(dst int, stalled string) error {
-	if m.tokens[dst] > 0 {
-		return nil
-	}
-	return m.wait(m.cfg.Timeout, fmt.Sprintf(stalled, dst), func() (bool, error) { return m.tokens[dst] > 0, nil })
-}
-
-// drained reports whether link l's writer has nothing queued or in flight.
-func (l *meshLink) drained() bool { return len(l.q) == 0 && !l.busy }
-
 // enqueueLocked queues one record on the link toward neighbor hop. Requires
-// m.mu. Records queued to a down link are dropped — under recovery the
-// resend protocol re-covers them; without it the link death has already
+// m.mu. Records queued to a down link are dropped — under recovery attach
+// re-sends what was retained of them; without it the peer's death has already
 // doomed the run (linkDownLocked).
 func (m *mesh) enqueueLocked(hop int, typ byte, payload []byte) {
 	l := m.links[hop]
@@ -408,13 +398,11 @@ func (m *mesh) writeLoop(l *meshLink) {
 			m.cond.Wait()
 		}
 		if l.down || m.closed || m.err != nil {
-			l.busy = false
 			m.mu.Unlock()
 			return
 		}
 		batch := l.q
 		l.q, l.spare = l.spare, nil
-		l.busy = true
 		m.mu.Unlock()
 		var werr error
 		for _, r := range batch {
@@ -427,45 +415,32 @@ func (m *mesh) writeLoop(l *meshLink) {
 		}
 		clear(batch) // the payloads are the retention's, or garbage
 		m.mu.Lock()
-		l.busy, l.spare = false, batch[:0]
+		l.spare = batch[:0]
 		if werr != nil {
-			m.linkDownLocked(l, werr)
+			m.linkDownLocked(l)
 			m.mu.Unlock()
 			return
 		}
-		m.cond.Broadcast() // barrier() waits for drained queues
 	}
 }
 
-// linkDownLocked marks a link dead. On the full mesh that is not fatal on
-// the spot: the tokens of the destination behind it refill so a sender
-// blocked on credits from the dead peer finishes its round, and what was
-// dropped is re-covered by the resend protocol once the peer respawns —
-// or, without recovery, the loss is latched for the receive barrier. This
-// worker cannot tell a dead peer from a broken link, and aborting mid-step
-// would race the peer's own death to the coordinator and take the blame
-// for it; its done record still goes out, and the coordinator, which sees
-// every control connection, names the dead worker. On a hypercube (never
-// under recovery) the link also carried flows this worker only relays, so
-// nothing downstream can complete: fail at once.
-func (m *mesh) linkDownLocked(l *meshLink, err error) {
+// linkDownLocked marks a link dead, and that is all a lost link is to this
+// worker, recovery or not: the peer's tokens refill so a sender blocked on
+// its credits finishes its round, what was dropped is re-sent once a successor
+// attaches, and a round that cannot close waits — for that successor, or for
+// the coordinator's verdict. Reporting the loss would race the peer's own
+// death to the coordinator and take the blame for it; the coordinator sees
+// every control connection and names the dead worker.
+func (m *mesh) linkDownLocked(l *meshLink) {
 	if l.down {
 		return
 	}
 	l.down = true
 	l.c.Close()
 	l.q = nil
-	err = fmt.Errorf("net: worker %d mesh link: %w", m.cfg.Self, err)
-	if m.cfg.Kind == codec.MeshCube {
-		m.failLocked(err)
-		return
-	}
-	if !m.cfg.Recover && m.lost == nil {
-		m.lost = err
-	}
 	for j, lk := range m.links {
 		if lk == l {
-			m.tokens[j] = defaultWindow
+			m.peers[j].tokens = defaultWindow
 		}
 	}
 	m.cond.Broadcast()
@@ -479,15 +454,13 @@ func (m *mesh) readLoop(j int, l *meshLink) {
 		if err != nil {
 			m.mu.Lock()
 			if m.links[j] == l { // still current — not swapped by a respawn
-				m.linkDownLocked(l, err)
+				m.linkDownLocked(l)
 			}
 			m.mu.Unlock()
 			return
 		}
 		if err := m.handleRecord(typ, body); err != nil {
-			m.mu.Lock()
-			m.failLocked(err)
-			m.mu.Unlock()
+			m.fail(err)
 			return
 		}
 	}
@@ -518,16 +491,7 @@ func (m *mesh) handleRecord(typ byte, body []byte) error {
 		if wd.Dst != m.cfg.Self {
 			return m.relay(wd.Dst, typ, body)
 		}
-		if wd.Kind == codec.WindowCredit {
-			m.mu.Lock()
-			if m.tokens[wd.Src] += wd.Credits; m.tokens[wd.Src] > defaultWindow {
-				m.tokens[wd.Src] = defaultWindow
-			}
-			m.cond.Broadcast()
-			m.mu.Unlock()
-			return nil
-		}
-		return m.acceptEnd(wd)
+		return m.acceptWindow(wd)
 	default:
 		return fmt.Errorf("net: unexpected mesh record type %d", typ)
 	}
@@ -546,64 +510,77 @@ func (m *mesh) relay(dst int, typ byte, body []byte) error {
 }
 
 // acceptChunk routes one inbound chunk addressed to this worker: process it
-// against the current round, or buffer it when it is ahead (the live tail
-// of the next round, or a resent later round during catch-up — the arena it
-// would decode into still holds live vectors, and readers never park, so
-// ahead records wait in memory instead of stalling the link). A credit is
-// granted back to the origin in every case — dropped duplicates included: a
-// respawned sender re-streaming an already-received prefix must not stall
-// on tokens its dead incarnation consumed.
+// against the current round, or buffer it when it is ahead (the arena it
+// would decode into still holds live vectors, and readers never park). The
+// origin is owed a credit in every case — dropped duplicates included: a
+// respawned sender re-streaming a received prefix must not stall on them —
+// which goes back on this worker's next end marker toward it (sendEnd), or in
+// a record of its own once half a window is owed.
 func (m *mesh) acceptChunk(pf codec.PeerFrame, full, msgs []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil || m.closed {
 		return nil // teardown; the latched error surfaces elsewhere
 	}
-	m.wire.Recv += int64(len(full) + 1)
+	p := &m.peers[pf.Src]
 	if pf.Round > m.round {
 		cp := make([]byte, len(full))
 		copy(cp, full)
-		m.future[pf.Src] = append(m.future[pf.Src], futRec{
-			typ: recPeerFrame, pf: pf, full: cp, msgs: cp[len(cp)-len(msgs):],
-		})
+		p.future = append(p.future, futRec{typ: recPeerFrame, pf: pf, full: cp, msgs: cp[len(cp)-len(msgs):]})
 	} else if err := m.processChunkLocked(pf, full, msgs); err != nil {
 		return err
 	}
-	credit := codec.AppendWindow(nil, codec.Window{
-		Kind: codec.WindowCredit, Src: m.cfg.Self, Dst: pf.Src, Credits: 1,
-	})
-	m.wire.Credits++
-	m.enqueueLocked(meshHop(m.cfg.Kind, m.cfg.Self, pf.Src), recWindow, credit)
+	if p.owed++; p.owed >= defaultWindow/2 {
+		m.wire.Credits++
+		m.queueLocked(pf.Src, recWindow, codec.AppendWindow(nil, codec.Window{
+			Kind: codec.WindowCredit, Src: m.cfg.Self, Dst: pf.Src, Credits: p.owed,
+		}))
+		p.owed = 0
+	}
 	return nil
 }
 
 // processChunkLocked sequence-checks and delivers one chunk of the current
 // (or an older) round. Chunks behind the round, out of sequence, or past
-// the flow's end are dropped — they are recovery-resend duplicates,
+// the flow's end are dropped — they are a respawned sender's repeats,
 // byte-identical to what the sequence gate already admitted.
 func (m *mesh) processChunkLocked(pf codec.PeerFrame, full, msgs []byte) error {
-	if pf.Round != m.round || pf.Seq != m.nextSeq[pf.Src] || m.ended[pf.Src] {
+	// Counted here, not on arrival: what a fault-free worker has received by
+	// the ack of round t is then the chunks of rounds 0..t, however far ahead
+	// its peers stream.
+	m.wire.Recv += int64(len(full) + 1)
+	p := &m.peers[pf.Src]
+	if pf.Round != m.round || pf.Seq != p.rx.Chunks || p.ended {
 		return nil
 	}
 	if err := m.cfg.Deliver(pf.Src, pf.Round, msgs, pf.Count); err != nil {
 		return err
 	}
-	m.nextSeq[pf.Src]++
-	m.rxDig[pf.Src] = foldFrame(m.rxDig[pf.Src], full)
-	m.cond.Broadcast()
+	p.rx.Chunks++
+	p.rx.Digest = foldFrame(p.rx.Digest, full)
 	return nil
 }
 
-// acceptEnd routes one inbound end-of-flow marker: ahead of the current
-// round it buffers like a chunk, otherwise it is verified in place.
-func (m *mesh) acceptEnd(wd codec.Window) error {
+// acceptWindow takes the credits a window record returns — an end marker's
+// too, whatever becomes of the marker — and routes an end-of-flow marker:
+// ahead of the current round it buffers like a chunk, otherwise it is
+// verified in place.
+func (m *mesh) acceptWindow(wd codec.Window) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil || m.closed {
 		return nil
 	}
+	p := &m.peers[wd.Src]
+	if wd.Credits > 0 {
+		p.tokens = min(p.tokens+wd.Credits, defaultWindow)
+		m.cond.Broadcast()
+	}
+	if wd.Kind == codec.WindowCredit {
+		return nil
+	}
 	if wd.Round > m.round {
-		m.future[wd.Src] = append(m.future[wd.Src], futRec{typ: recWindow, wd: wd})
+		p.future = append(p.future, futRec{typ: recWindow, wd: wd})
 		return nil
 	}
 	return m.processEndLocked(wd)
@@ -612,275 +589,161 @@ func (m *mesh) acceptEnd(wd codec.Window) error {
 // processEndLocked verifies one end marker against the current round. An
 // accepted end proves the flow arrived whole: the chunk count matches what
 // the sequence gate admitted and the digests agree fold for fold. Ends for
-// older rounds or already-ended flows are resend duplicates and drop; an
-// end whose count outruns the admitted chunks is, under recovery, the live
-// tail of a flow truncated by a link swap — the respawned peer's resend
-// will carry the whole flow, so it drops too. Without recovery that
-// truncation is impossible, so the mismatch is a hard protocol error.
+// older rounds or already-ended flows are a respawned sender's repeats and
+// drop. A differing count is a protocol error, recovery or not: a link carries
+// its flows from chunk 0 with no gap (attach), so every chunk before a marker
+// was admitted or had been already.
 func (m *mesh) processEndLocked(wd codec.Window) error {
-	if wd.Round < m.round || m.ended[wd.Src] {
+	p := &m.peers[wd.Src]
+	if wd.Round < m.round || p.ended {
 		return nil
 	}
-	if m.nextSeq[wd.Src] != wd.Chunks {
-		if m.cfg.Recover {
-			return nil
-		}
+	if p.rx.Chunks != wd.Chunks {
 		return fmt.Errorf("net: worker %d flow %d→%d round %d ended at %d chunks, %d arrived",
-			m.cfg.Self, wd.Src, wd.Dst, wd.Round, wd.Chunks, m.nextSeq[wd.Src])
+			m.cfg.Self, wd.Src, wd.Dst, wd.Round, wd.Chunks, p.rx.Chunks)
 	}
-	if m.rxDig[wd.Src] != wd.Digest {
+	if p.rx.Digest != wd.Digest {
 		return fmt.Errorf("net: worker %d flow %d→%d round %d digest mismatch (sender %#x, receiver %#x)",
-			m.cfg.Self, wd.Src, wd.Dst, wd.Round, wd.Digest, m.rxDig[wd.Src])
+			m.cfg.Self, wd.Src, wd.Dst, wd.Round, wd.Digest, p.rx.Digest)
 	}
-	m.ended[wd.Src] = true
-	m.rxMsgs[wd.Src] = wd.Msgs
-	m.rxBytes[wd.Src] = wd.Bytes
-	m.cond.Broadcast()
+	p.ended, p.alive = true, wd.Alive
+	p.rx.Msgs, p.rx.Bytes = wd.Msgs, wd.Bytes
+	if m.pending--; m.pending == 0 {
+		m.cond.Broadcast()
+	}
 	return nil
 }
 
 // beginRound opens round t for both directions: send flows restart at
-// sequence 0 with fresh digests, receive flows reset, and onNewRound (the
-// worker's arena recycler) runs before the round number advances — no chunk
-// of round t can decode into an arena that is still being reset, because
-// ahead-of-round records sit buffered until this function drains them.
-// Retention opens round t's entry per destination; live false makes the round
-// a replay (see mesh.live).
-func (m *mesh) beginRound(t int, live bool, onNewRound func()) error {
+// sequence 0 with fresh digests, receive flows reset, retention opens the
+// round's entry, and onNewRound (the worker's arena recycler) runs before the
+// round number advances — no chunk of round t can decode into an arena that is
+// still being reset, because ahead-of-round records sit buffered until this
+// function drains them.
+func (m *mesh) beginRound(t int, onNewRound func()) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if onNewRound != nil {
-		onNewRound()
+	onNewRound()
+	m.round, m.pending = t, m.cfg.P-1
+	for j := range m.peers {
+		p := &m.peers[j]
+		p.sent, p.sDig = 0, frameChainSeed
+		p.rx, p.alive, p.ended = codec.PeerDigest{Peer: j, Digest: frameChainSeed}, 0, false
+		if m.cfg.Recover {
+			p.retained = append(p.retained, nil)
+		}
 	}
-	for j := 0; j < m.cfg.P; j++ {
-		m.sendSeq[j] = 0
-		m.sChunks[j] = 0
-		m.sDig[j] = frameChainSeed
-		m.nextSeq[j] = 0
-		m.ended[j] = j == m.cfg.Self
-		m.rxDig[j] = frameChainSeed
-		m.rxMsgs[j] = 0
-		m.rxBytes[j] = 0
-	}
-	for j := range m.retained {
-		m.retained[j] = append(m.retained[j], nil)
-	}
-	m.round, m.live = t, live
 	// Drain the buffered ahead-of-round records that have become current:
-	// in arrival order per source, keeping what is still ahead. Rounds the
-	// barrier skipped past (catch-up) drop.
-	for j := range m.future {
-		kept := m.future[j][:0]
-		for _, fr := range m.future[j] {
-			r := fr.wd.Round
-			if fr.typ == recPeerFrame {
-				r = fr.pf.Round
-			}
-			if r > t {
-				kept = append(kept, fr)
-				continue
-			}
+	// in arrival order per source, keeping what is still ahead.
+	for j := range m.peers {
+		p := &m.peers[j]
+		kept := p.future[:0]
+		for _, fr := range p.future {
 			var err error
-			if fr.typ == recPeerFrame {
+			switch {
+			case fr.typ == recPeerFrame && fr.pf.Round <= t:
 				err = m.processChunkLocked(fr.pf, fr.full, fr.msgs)
-			} else {
+			case fr.typ == recWindow && fr.wd.Round <= t:
 				err = m.processEndLocked(fr.wd)
+			default:
+				kept = append(kept, fr)
 			}
 			if err != nil {
 				m.failLocked(err)
 				return err
 			}
 		}
-		m.future[j] = kept
+		clear(p.future[len(kept):]) // drop the drained chunks' copies
+		p.future = kept
 	}
-	m.cond.Broadcast()
 	return nil
 }
 
 // sendChunk streams one chunk of the current round's flow toward dst:
-// acquire a token (blocking until the receiver credits a slot), stamp the
+// acquire a token (blocking until the receiver credits a slot — the IOTimeout
+// is the backstop against one that stays silent without dying), stamp the
 // next sequence number, fold the sender digest, retain under recovery, and
-// queue on the first hop — the first and the last on a live round only.
-// Called from the worker goroutine only.
+// queue on the first hop. Called from the worker goroutine only.
 func (m *mesh) sendChunk(dst int, body []byte, count int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.live {
-		if err := m.awaitToken(dst, "flow to %d stalled out of credits"); err != nil {
+	p := &m.peers[dst]
+	if p.tokens == 0 || m.err != nil || m.closed { // else nothing to wait for, or to say
+		if err := m.wait(m.cfg.Timeout, fmt.Sprintf("flow to %d stalled out of credits", dst),
+			func() bool { return p.tokens > 0 }); err != nil {
 			return err
 		}
-		m.tokens[dst]--
-		m.wire.Chunks++
 	}
-	if m.err != nil {
-		return m.err
-	}
-	if m.closed {
-		return ErrKilled
-	}
-	pf := codec.PeerFrame{Src: m.cfg.Self, Dst: dst, Round: m.round, Seq: m.sendSeq[dst], Count: count}
+	p.tokens--
+	m.wire.Chunks++
 	var hdr [peerFrameHeaderMax]byte
-	h := codec.AppendPeerFrame(hdr[:0], pf)
+	h := codec.AppendPeerFrame(hdr[:0], codec.PeerFrame{Src: m.cfg.Self, Dst: dst, Round: m.round, Seq: p.sent, Count: count})
 	payload := append(append(make([]byte, 0, len(h)+len(body)), h...), body...)
-	m.sendSeq[dst]++
-	m.sChunks[dst]++
-	m.sDig[dst] = foldFrame(m.sDig[dst], payload)
-	m.sendLocked(dst, recPeerFrame, payload)
+	p.sent++
+	p.sDig = foldFrame(p.sDig, payload)
+	if m.cfg.Recover {
+		p.retained[m.round] = append(p.retained[m.round], outRec{recPeerFrame, payload})
+	}
+	m.queueLocked(dst, recPeerFrame, payload)
 	return nil
 }
 
 // sendEnd closes the current round's flow toward dst with its end marker,
-// carrying the flow's logical totals and sender digest, and returns the
-// PeerDigest entry the done record reports for it.
-func (m *mesh) sendEnd(dst int, msgs, logicalBytes int64) (codec.PeerDigest, error) {
+// carrying the flow's logical totals and sender digest, this worker's alive
+// count and the credits it owes dst, and returns the PeerDigest entry the done
+// record reports for it. What is retained of the marker grants nothing: a
+// credit is owed to the incarnation whose chunk was taken.
+func (m *mesh) sendEnd(dst int, msgs, logicalBytes int64, alive int) (codec.PeerDigest, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil {
 		return codec.PeerDigest{}, m.err
 	}
+	p := &m.peers[dst]
 	wd := codec.Window{
 		Kind: codec.WindowEnd, Src: m.cfg.Self, Dst: dst, Round: m.round,
-		Chunks: m.sChunks[dst], Msgs: msgs, Bytes: logicalBytes, Digest: m.sDig[dst],
+		Chunks: p.sent, Msgs: msgs, Bytes: logicalBytes, Digest: p.sDig, Alive: alive,
 	}
-	m.sendLocked(dst, recWindow, codec.AppendWindow(nil, wd))
-	return codec.PeerDigest{
-		Peer: dst, Chunks: wd.Chunks, Msgs: msgs, Bytes: logicalBytes, Digest: wd.Digest,
-	}, nil
-}
-
-// sendLocked retains one record of the current round's flow toward dst under
-// recovery and, on a live round, queues it on the first hop. Either way the
-// mesh keeps payload: a writer goroutine reads it after this returns and a
-// resend may replay it rounds later, so the caller hands over a slice nobody
-// else will write again — chunk payloads, end markers and credits are each
-// allocated for the one record, never encoded in a reused scratch the way the
-// control plane's bodies are (Conn.WriteRecord copies those before it returns;
-// nothing here is copied again).
-func (m *mesh) sendLocked(dst int, typ byte, payload []byte) {
-	if m.retained != nil {
-		m.retained[dst][m.round] = append(m.retained[dst][m.round], outRec{typ: typ, payload: payload})
-	}
-	if m.live {
-		m.wire.Sent += int64(len(payload) + 1)
-		m.enqueueLocked(meshHop(m.cfg.Kind, m.cfg.Self, dst), typ, payload)
-	}
-}
-
-// resend replays the retained records toward target for rounds 0..to
-// verbatim — byte-identical to the originals by determinism, accepted
-// idempotently by the receiver's sequence gate. gen is the target's new
-// incarnation generation: the resend first waits for that incarnation's link
-// to attach, because records enqueued to the dead incarnation's link (which
-// this worker may not have noticed dying yet) would be silently dropped.
-// to may run ahead of this worker's own round: nothing of those rounds has
-// been streamed or retained, and live traffic toward the fresh link covers
-// them. Tokens
-// toward the target refill (the new incarnation grants credits from
-// scratch); chunk records re-acquire them so the resend respects the window.
-func (m *mesh) resend(target, to, gen int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.wait(m.cfg.Timeout, fmt.Sprintf("resend to %d: incarnation %d never attached", target, gen), func() (bool, error) {
-		l := m.links[target]
-		return l != nil && !l.down && l.gen >= gen, nil
-	}); err != nil {
-		return err
-	}
-	m.tokens[target] = defaultWindow
-	m.cond.Broadcast()
-	hop := meshHop(m.cfg.Kind, m.cfg.Self, target)
-	for t, recs := range m.retained[target] {
-		if t > to {
-			break
-		}
-		for _, r := range recs {
-			if r.typ == recPeerFrame {
-				if err := m.awaitToken(target, "resend to %d stalled out of credits"); err != nil {
-					return err
-				}
-				m.tokens[target]--
-				m.wire.Chunks++
-			}
-			m.wire.Sent += int64(len(r.payload) + 1)
-			m.enqueueLocked(hop, r.typ, r.payload)
-		}
-	}
-	// Flush barrier on the target's link: the resend returns only once the
-	// records are on the wire. Without it, a resend racing the run's finish
-	// could die in the queue — this worker processes its finish record next,
-	// tears the mesh down, and the respawned target waits forever on flows
-	// nobody will send again. A link that went down means the target died
-	// again mid-resend; its next incarnation gets a fresh resend instruction
-	// covering everything dropped here.
-	return m.wait(m.cfg.Timeout, fmt.Sprintf("resend to %d flush timed out", target), func() (bool, error) {
-		l := m.links[hop]
-		return l == nil || l.down || l.drained(), nil
-	})
-}
-
-// barrier waits until every link's writer queue has drained and flushed.
-// The worker crosses it before sending its done record, which is what makes
-// "done received" mean "this worker's chunks are physically on the wire" —
-// the invariant the coordinator's crash attribution leans on.
-func (m *mesh) barrier() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.wait(m.cfg.Timeout, "mesh flush timed out", func() (bool, error) {
-		for _, l := range m.links {
-			if l != nil && !l.down && !l.drained() {
-				return false, nil
-			}
-		}
-		return true, nil
-	})
-}
-
-// waitComplete blocks until every inbound flow of round t has ended, then
-// returns the receive-side PeerDigest entries (ascending source) and the
-// round digest — the ascending-source fold of the per-flow digests that
-// feeds the worker's frame chain. Under recovery a missing flow waits
-// indefinitely (the coordinator restarts the dead sender and its peers
-// resend); without it, a round left incomplete by a lost link fails here
-// and the timeout bounds the wait as the teardown backstop.
-func (m *mesh) waitComplete(t int) ([]codec.PeerDigest, uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	timeout := m.cfg.Timeout
 	if m.cfg.Recover {
-		timeout = 0
+		p.retained[m.round] = append(p.retained[m.round], outRec{recWindow, codec.AppendWindow(nil, wd)})
 	}
-	if err := m.wait(timeout, fmt.Sprintf("round %d receive barrier timed out", t), func() (bool, error) {
-		if m.round != t {
-			return false, fmt.Errorf("net: worker %d completing round %d while mesh is at %d", m.cfg.Self, t, m.round)
-		}
-		for _, e := range m.ended {
-			if !e {
-				return false, m.lost
-			}
-		}
-		return true, nil
-	}); err != nil {
-		return nil, 0, err
-	}
-	ents := make([]codec.PeerDigest, 0, m.cfg.P-1)
-	dig := frameChainSeed
-	for j := 0; j < m.cfg.P; j++ {
-		if j == m.cfg.Self {
-			continue
-		}
-		ents = append(ents, codec.PeerDigest{
-			Peer: j, Chunks: m.nextSeq[j], Msgs: m.rxMsgs[j], Bytes: m.rxBytes[j], Digest: m.rxDig[j],
-		})
-		dig = foldU64(dig, m.rxDig[j])
-	}
-	return ents, dig, nil
+	wd.Credits, p.owed = p.owed, 0
+	m.queueLocked(dst, recWindow, codec.AppendWindow(nil, wd))
+	return codec.PeerDigest{Peer: dst, Chunks: wd.Chunks, Msgs: msgs, Bytes: logicalBytes, Digest: wd.Digest}, nil
 }
 
-// wireSnapshot returns the cumulative wire counters.
-func (m *mesh) wireSnapshot() codec.StreamWire {
+// queueLocked queues one record of this worker's own toward dst on the first
+// hop. The mesh keeps payload — a writer goroutine reads it after this
+// returns, and retained it may be re-sent rounds later — so chunk payloads, end
+// markers and credits are each allocated for the one record, never encoded in
+// a reused scratch the way the control plane's bodies are (Conn.WriteRecord
+// copies those before it returns; nothing here is copied again).
+func (m *mesh) queueLocked(dst int, typ byte, payload []byte) {
+	m.wire.Sent += int64(len(payload) + 1)
+	m.enqueueLocked(meshHop(m.cfg.Kind, m.cfg.Self, dst), typ, payload)
+}
+
+// waitComplete blocks until every inbound flow of the current round has ended
+// — the round's close — then returns the receive-side PeerDigest entries
+// (ascending source, appended to ents), the round digest (their digests'
+// fold, which feeds the worker's frame chain) and the alive counts the end
+// markers carried, summed. No deadline: a missing flow is a peer that is slow,
+// being respawned, or dead, and the last is the coordinator's to say.
+func (m *mesh) waitComplete(ents []codec.PeerDigest) ([]codec.PeerDigest, uint64, int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.wire
+	if err := m.wait(0, "", func() bool { return m.pending == 0 }); err != nil {
+		return nil, 0, 0, err
+	}
+	dig, alive := frameChainSeed, 0
+	for j := range m.peers {
+		if p := &m.peers[j]; j != m.cfg.Self {
+			ents = append(ents, p.rx)
+			dig = foldU64(dig, p.rx.Digest)
+			alive += p.alive
+		}
+	}
+	return ents, dig, alive, nil
 }
 
 // foldU64 folds one 64-bit digest into a chain, little-endian byte by byte,

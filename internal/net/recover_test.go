@@ -1,7 +1,6 @@
 package net
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -294,16 +293,18 @@ func TestStreamRecoveryNoGoroutineLeak(t *testing.T) {
 
 // clusterEngine is a dist.Engine over a hand-driven three-worker Cluster with
 // recovery armed, for the faults Engine.KillAt cannot express: kill is
-// consulted (under mu) at every phase seam of every incarnation, and wrap,
-// when set, stands between the coordinator and each respawned worker.
+// consulted (under mu) at every phase seam of every incarnation, wrap, when
+// set, stands between the coordinator and each respawned worker, and
+// meshWrap, when set, wraps (under mu) every mesh connection a worker accepts.
 type clusterEngine struct {
-	stream bool
-	mu     sync.Mutex
-	kill   func(shard int, ph obs.Phase, round int) bool
-	wrap   func(stdnet.Conn) stdnet.Conn
-	lam    quantize.Lambda
-	rep    *Report
-	err    error
+	stream   bool
+	mu       sync.Mutex
+	kill     func(shard int, ph obs.Phase, round int) bool
+	wrap     func(stdnet.Conn) stdnet.Conn
+	meshWrap func(shard int, nc stdnet.Conn) stdnet.Conn
+	lam      quantize.Lambda
+	rep      *Report
+	err      error
 }
 
 func (e *clusterEngine) WithWireLambda(lam quantize.Lambda) dist.Engine { e.lam = lam; return e }
@@ -317,6 +318,17 @@ func (e *clusterEngine) Run(g *graph.Graph, factory dist.Factory, maxRounds int)
 			e.mu.Lock()
 			defer e.mu.Unlock()
 			return e.kill(s.Shard, ph, r)
+		}
+		if accept := w.MeshAccept; e.meshWrap != nil {
+			w.MeshAccept = func() (stdnet.Conn, error) {
+				nc, err := accept()
+				if err == nil {
+					e.mu.Lock()
+					nc = e.meshWrap(s.Shard, nc)
+					e.mu.Unlock()
+				}
+				return nc, err
+			}
 		}
 		_, err := w.run(g, factory, maxRounds)
 		return err
@@ -374,57 +386,71 @@ func TestTwoDeathsInOneStreamedRun(t *testing.T) {
 	}
 }
 
-// flipConn flips the low bit of the last byte of the first frame record
+// flipConn flips the low bit of the last byte of the first record of type typ
 // written through it — on a float payload under Λ = ℝ, a well-formed value
-// that is not the one sent. Writes start at record boundaries here: the
-// coordinator's buffer is larger than everything one replay writes.
+// that is not the one sent. Writes start at record boundaries here: a Conn
+// hands its connection whole records.
 type flipConn struct {
 	stdnet.Conn
+	typ     byte
 	flipped bool
 }
 
 func (c *flipConn) Write(p []byte) (int, error) {
-	for off := 0; !c.flipped && off < len(p); {
-		n, k := binary.Uvarint(p[off:])
-		end := off + k + int(n)
-		if k <= 0 || n == 0 || end > len(p) {
-			break
-		}
-		if p[off+k] == recFrame {
-			p = append([]byte(nil), p...)
-			p[end-1] ^= 1
-			c.flipped = true
-		}
-		off = end
-	}
-	return c.Conn.Write(p)
+	return c.Conn.Write(eachRecord(p, func(typ byte, _ []byte) bool {
+		flip := !c.flipped && typ == c.typ
+		c.flipped = c.flipped || flip
+		return flip
+	}))
 }
 
-// A replayed flow that differs from what the coordinator sealed — one bit of
-// one value, everything still decoding — must not be replayed into a result:
-// the respawned worker's frame chain, reported with its metrics, disagrees
-// with the coordinator's, and the run aborts naming that worker.
+// A flow fed again to a respawned worker that differs from the original — one
+// bit of one value, everything still decoding — must not be run into a result,
+// and the abort names that worker. Relayed, the coordinator replays the frame:
+// the worker's frame chain, reported with its metrics, disagrees with what the
+// coordinator sealed. Streamed, no replay record is left to corrupt — a peer
+// re-sends the chunk: the flow's digest disagrees with its sender's end
+// marker, the worker says so, and a worker that says why it stops is not
+// respawned again.
 func TestCorruptedReplayAbortsAttributed(t *testing.T) {
 	g := graph.BarabasiAlbert(150, 3, 11)
-	fired := false
-	flip := &flipConn{}
-	eng := &clusterEngine{
-		kill: func(w int, ph obs.Phase, r int) bool {
-			if fired || w != 1 || ph != obs.PhaseDeliver || r != 3 {
-				return false
+	for _, row := range []struct {
+		stream bool
+		typ    byte
+		want   string
+	}{{false, recFrame, "frame chain"}, {true, recPeerFrame, "digest mismatch"}} {
+		fired := false
+		flip := &flipConn{typ: row.typ}
+		through := func(nc stdnet.Conn) stdnet.Conn { flip.Conn = nc; return flip }
+		eng := &clusterEngine{
+			stream: row.stream,
+			kill: func(w int, ph obs.Phase, r int) bool {
+				if fired || w != 1 || ph != obs.PhaseDeliver || r != 3 {
+					return false
+				}
+				fired = true
+				return true
+			},
+		}
+		if row.stream {
+			// Worker 0's end of the link worker 1's successor dials.
+			eng.meshWrap = func(w int, nc stdnet.Conn) stdnet.Conn {
+				if w == 0 && fired {
+					return through(nc)
+				}
+				return nc
 			}
-			fired = true
-			return true
-		},
-		wrap: func(nc stdnet.Conn) stdnet.Conn { flip.Conn = nc; return flip },
-	}
-	core.RunDistributed(g, core.Options{Rounds: 8}, eng)
-	var re *RunError
-	if !flip.flipped || !errors.As(eng.err, &re) {
-		t.Fatalf("corrupted replay (flipped: %v) ended with %v, want a *RunError", flip.flipped, eng.err)
-	}
-	if re.Worker != 1 || !strings.Contains(re.Error(), "frame chain") {
-		t.Errorf("failure %v, want worker 1's frame chain refused", re)
+		} else {
+			eng.wrap = through
+		}
+		core.RunDistributed(g, core.Options{Rounds: 8}, eng)
+		var re *RunError
+		if !flip.flipped || !errors.As(eng.err, &re) {
+			t.Fatalf("stream=%v: corrupted replay (flipped: %v) ended with %v, want a *RunError", row.stream, flip.flipped, eng.err)
+		}
+		if re.Worker != 1 || !strings.Contains(re.Error(), row.want) {
+			t.Errorf("stream=%v: failure %v, want worker 1 refused over its %s", row.stream, re, row.want)
+		}
 	}
 }
 

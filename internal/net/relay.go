@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"distkcore/internal/codec"
-	"distkcore/internal/obs"
 	"distkcore/internal/shard"
 )
 
@@ -47,10 +46,6 @@ func newRelayWorker(r *workerLoop) *relayWorker {
 	}
 	return p
 }
-
-func (p *relayWorker) begin(t int, _ bool) error { p.r.resetArenas(t); return nil }
-func (p *relayWorker) ack(int) error             { return nil }
-func (p *relayWorker) close()                    {}
 
 // done writes one frame per nonempty destination, then the done record
 // announcing how many went out. A replayed round drops what it framed: the
@@ -157,9 +152,7 @@ type relayCoord struct {
 	bytes, n int64 // forwarded this round
 }
 
-func (p *relayCoord) phase() obs.Phase        { return obs.PhaseRelay }
-func (p *relayCoord) volume() (int64, int64)  { return p.bytes, p.n }
-func (p *relayCoord) resend(w, gen int) error { return nil }
+func (p *relayCoord) volume() (int64, int64) { return p.bytes, p.n }
 
 func (p *relayCoord) begin(int) {
 	np := p.c.hub.P()

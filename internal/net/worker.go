@@ -72,8 +72,9 @@ type Worker struct {
 	Hello *codec.Hello
 	// Trace, when set, records this worker's per-round timeline: step,
 	// encode (framing + frame writes; send on the mesh), barrier-wait (done
-	// flushed → release arrives), recv (mesh only) and deliver spans, all
-	// under the worker's shard index.
+	// flushed → release arrives; on the mesh, → the peers' end markers are
+	// in), recv (mesh only) and deliver spans, all under the worker's shard
+	// index.
 	Trace *obs.Tracer
 	// Kill, when non-nil, is the fault-injection hook (KillFunc): consulted
 	// at every phase boundary of the round loop, a true return crashes the
@@ -93,15 +94,16 @@ type Worker struct {
 	// shard.DefaultChunkBytes). Every incarnation of every worker must use
 	// the same value: recovery re-steps re-produce the identical chunking.
 	ChunkBytes int
-	// IOTimeout bounds mesh formation, flush barriers and — without
-	// recovery — the receive barrier (0 means wait forever).
+	// IOTimeout bounds mesh formation and a wait for flow-control credits (0
+	// means wait forever); a round's close has no deadline of the worker's own
+	// — the coordinator's abort ends it.
 	IOTimeout time.Duration
 
 	c      *Conn
 	g      *graph.Graph
 	assign []int
 	lam    quantize.Lambda
-	plane  workerPlane // set once the run's frame plane is up
+	mesh   *streamWorker // set once a streamed run's mesh is up
 }
 
 // NewWorker returns a worker endpoint over c for a run on g partitioned by
@@ -128,9 +130,10 @@ func (w *Worker) Name() string { return "net-worker" }
 // record to the coordinator; cmd/cluster's worker recovers the panic into
 // an exit status. When the hello armed Recover (DESIGN.md §13), the worker
 // additionally folds what it receives into its frame chain and — in a
-// respawned incarnation — honors the coordinator's replay records to rejoin
-// the run at the exact sealed barrier; worker death is then the coordinator's
-// problem, not the run's.
+// respawned incarnation — runs the run again from Init on the retained flows
+// (relayed: the coordinator's replay records; streamed: what the peers re-send
+// it) to the exact state its predecessor died in; worker death is then the
+// coordinator's problem, not the run's.
 func (w *Worker) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.Metrics {
 	met, err := w.run(g, factory, maxRounds)
 	if err != nil {
@@ -152,47 +155,20 @@ func (w *Worker) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 func (w *Worker) killed(phase obs.Phase, round int) bool {
 	if w.Kill != nil && w.Kill(phase, round) {
 		w.c.Close()
-		if w.plane != nil {
+		if w.mesh != nil {
 			// A dead process takes its mesh connections with it; closing
 			// them is what lets the peers observe the death.
-			w.plane.close()
+			w.mesh.m.Close()
 		}
 		return true
 	}
 	return false
 }
 
-// workerPlane is the worker half of a frame plane: how a round's
-// cross-shard messages leave this worker and how the peers' arrive, which
-// is all that differs between relayed and streamed delivery under the one
-// round loop. relayWorker (relay.go) frames them onto the coordinator
-// connection; streamWorker (stream.go) chunks them onto the mesh.
-type workerPlane interface {
-	// begin opens round t before the local step. live is false on a
-	// respawned incarnation's catch-up replay of the round, through done and
-	// inbound alike: the round is produced again and nothing is sent.
-	begin(t int, live bool) error
-	// done finishes the round's outbound streams (workerLoop.out, whose
-	// Flush hooks are the plane's) and buffers the done record that reports
-	// them and the alive count; bytes and msgs are what the outbound span
-	// records. On a replayed round nothing goes out, the done record included.
-	done(t, alive int, live bool) (bytes, msgs int64, err error)
-	// record handles the records only this plane speaks.
-	record(typ byte, body []byte) error
-	// inbound returns once every inbound flow of round t has been absorbed.
-	// On a live round rel is the body of the coordinator's release record,
-	// whose layout is the plane's; it must name round t.
-	inbound(t int, live bool, rel []byte) error
-	// ack buffers whatever acknowledges a live round's delivery.
-	ack(t int) error
-	// close releases the plane's resources when the run ends.
-	close()
-}
-
 // workerLoop is one worker's run state under the round loop: the driver —
 // which prices this shard's share of the protocol metrics, what its own
 // nodes sent — the frame chain, and the outbound streams that feed the frame
-// plane (Worker.plane).
+// plane.
 type workerLoop struct {
 	w      *Worker
 	h      *codec.Hello
@@ -202,9 +178,9 @@ type workerLoop struct {
 	assign []int
 	// fan says which shards a local node's leading broadcast is framed for.
 	fan *shard.Fanout
-	// outPhase is the plane's name for the outbound half of a round (span
-	// and kill seam): encode or send.
-	outPhase obs.Phase
+	// plane is a relayed run's frame plane under the barrier loop; a streamed
+	// worker has none — streamWorker closes its rounds on the mesh.
+	plane *relayWorker
 	// out[q] encodes the round's messages toward shard q (nil for this
 	// shard) and hands them to the plane through its Flush hook: in chunks
 	// as they are produced on the mesh, as the one frame of the round on the
@@ -248,7 +224,7 @@ func (r *workerLoop) resetArenas(t int) {
 // of a sender with no peer here among it: the Driver holds no state for one,
 // and who receives a broadcast is read off this worker's own graph, never off
 // the wire. Mesh readers call it while the loop steps the round's local nodes
-// (see Inject); plane.inbound orders them all before Deliver.
+// (see Inject); the round's close orders them all before Deliver.
 func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
 	var ar *shard.VecArena
 	if r.arenas != nil {
@@ -280,7 +256,7 @@ func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
 	return nil
 }
 
-// step runs the local half of round t: the step hooks, then the tap that
+// step runs the local half of relayed round t: the step hooks, then the tap that
 // frames the cross-shard subset of what they sent for the plane
 // (shard.Fanout.Emit), then the done record; the Driver prices the shard's
 // share of the protocol Metrics when it delivers. A catch-up replay (live
@@ -290,15 +266,13 @@ func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
 func (r *workerLoop) step(t int, live bool) error {
 	w, self := r.w, r.h.Shard
 	r.cur = t
-	if err := w.plane.begin(t, live); err != nil {
-		return err
-	}
+	r.resetArenas(t)
 	sp := w.Trace.Begin(obs.PhaseStep, t, self)
 	sp.EndN(0, int64(r.d.StepList(r.local, t))) // hooks run, as on seq and par
-	if live && w.killed(r.outPhase, t) {
+	if live && w.killed(obs.PhaseEncode, t) {
 		return ErrKilled
 	}
-	out := w.Trace.Begin(r.outPhase, t, self)
+	out := w.Trace.Begin(obs.PhaseEncode, t, self)
 	var serr error
 	r.fan.Emit(r.d, func(q int, to graph.NodeID, m dist.Message) {
 		if serr == nil {
@@ -308,7 +282,7 @@ func (r *workerLoop) step(t int, live bool) error {
 	if serr != nil {
 		return serr
 	}
-	bytes, msgs, err := w.plane.done(t, r.d.Alive(), live)
+	bytes, msgs, err := r.plane.done(t, r.d.Alive(), live)
 	if err != nil {
 		return err
 	}
@@ -326,16 +300,15 @@ func (r *workerLoop) step(t int, live bool) error {
 	return nil
 }
 
-// finish is the receive half of round t: wait out the inbound flows — absorb
-// has put the remote sends into the Driver's slots and queues by the time
-// the last one ends — Deliver every local inbox in the global deterministic
-// order (ascending sender, ties in send order), and acknowledge a live round
-// where the plane has an ack.
+// finish is the receive half of relayed round t: absorb has put the remote
+// sends into the Driver's slots and queues by the time the release arrives —
+// Deliver every local inbox in the global deterministic order (ascending
+// sender, ties in send order).
 func (r *workerLoop) finish(t int, live bool, rel []byte) error {
 	w := r.w
 	r.bw.End()
 	r.bw = obs.SpanRef{}
-	if err := w.plane.inbound(t, live, rel); err != nil {
+	if err := r.plane.inbound(t, live, rel); err != nil {
 		return err
 	}
 	if live && w.killed(obs.PhaseDeliver, t) {
@@ -344,18 +317,11 @@ func (r *workerLoop) finish(t int, live bool, rel []byte) error {
 	dl := w.Trace.Begin(obs.PhaseDeliver, t, r.h.Shard)
 	r.d.Deliver(nil)
 	dl.End()
-	if !live {
-		return nil
-	}
-	if err := w.plane.ack(t); err != nil {
-		return err
-	}
-	return w.c.Flush()
+	return nil
 }
 
-// replay decodes a catch-up round announcement (the planes announce it
-// under their own record numbers) and re-steps that round, sending nothing;
-// the plane then feeds it the round's inbound flows again.
+// replay decodes a catch-up round announcement and re-steps that round,
+// sending nothing; the plane then feeds it the round's inbound flows again.
 func (r *workerLoop) replay(body []byte) (codec.Replay, error) {
 	rp, used, err := codec.DecodeReplay(body)
 	if err != nil {
@@ -418,17 +384,16 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 	}
 	if h.Stream {
 		// The mesh forms before the welcome — the coordinator treats the
-		// welcome as "ready for round records", which on a streamed run means
-		// "reachable by peers".
-		sw, err := newStreamWorker(r)
-		if err != nil {
+		// welcome as "ready to run", which on a streamed run means "reachable
+		// by peers".
+		var err error
+		if w.mesh, err = newStreamWorker(r); err != nil {
 			return dist.Metrics{}, err
 		}
-		w.plane, r.outPhase = sw, obs.PhaseSend
+		defer w.mesh.m.Close()
 	} else {
-		w.plane, r.outPhase = newRelayWorker(r), obs.PhaseEncode
+		r.plane = newRelayWorker(r)
 	}
-	defer w.plane.close()
 
 	if err := w.c.Send(recWelcome, codec.AppendWelcome(nil, codec.Welcome{
 		Version:    codec.HandshakeVersion,
@@ -438,6 +403,13 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 		Nodes:      len(r.local),
 	})); err != nil {
 		return dist.Metrics{}, err
+	}
+	if h.Stream {
+		rounds, halted, err := w.mesh.run(maxRounds)
+		if err != nil {
+			return dist.Metrics{}, err
+		}
+		return r.report(rounds, halted)
 	}
 
 	for {
@@ -469,30 +441,43 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			}
 
 		case recFinish:
-			d := codec.NewDecoder(body)
-			rounds, halted := d.Uvarint(), d.Byte() != 0
-			if err := bodyErr("finish", d); err != nil {
+			rounds, halted, err := decodeFinish(body)
+			if err != nil {
 				return dist.Metrics{}, err
 			}
-			// The Driver priced this shard's share: what its own nodes sent.
-			met := r.d.Finish(int(rounds))
-			met.Halted = halted
-			var buf [3*binary.MaxVarintLen64 + 8]byte
-			enc := binary.AppendUvarint(buf[:0], uint64(met.Messages))
-			enc = binary.AppendUvarint(enc, uint64(met.Words))
-			enc = binary.AppendUvarint(enc, uint64(met.WireBytes))
-			enc = binary.LittleEndian.AppendUint64(enc, r.chain)
-			return met, w.c.Send(recMetrics, enc)
+			return r.report(rounds, halted)
 
 		case recError:
 			return dist.Metrics{}, fmt.Errorf("net: coordinator aborted: %s", body)
 
 		default:
-			if err := w.plane.record(typ, body); err != nil {
+			if err := r.plane.record(typ, body); err != nil {
 				return dist.Metrics{}, err
 			}
 		}
 	}
+}
+
+// decodeFinish decodes the coordinator's finish record: the run's round count
+// and whether it ended with nobody alive.
+func decodeFinish(body []byte) (rounds int, halted bool, err error) {
+	d := codec.NewDecoder(body)
+	rounds, halted = int(d.Uvarint()), d.Byte() != 0
+	return rounds, halted, bodyErr("finish", d)
+}
+
+// report ends the run: the Driver priced this shard's share of the Metrics —
+// what its own nodes sent — and the metrics record carries it with the frame
+// chain.
+func (r *workerLoop) report(rounds int, halted bool) (dist.Metrics, error) {
+	met := r.d.Finish(rounds)
+	met.Halted = halted
+	var buf [3*binary.MaxVarintLen64 + 8]byte
+	enc := binary.AppendUvarint(buf[:0], uint64(met.Messages))
+	enc = binary.AppendUvarint(enc, uint64(met.Words))
+	enc = binary.AppendUvarint(enc, uint64(met.WireBytes))
+	enc = binary.LittleEndian.AppendUint64(enc, r.chain)
+	return met, r.w.c.Send(recMetrics, enc)
 }
 
 // build makes the run state that follows the shard, not the graph

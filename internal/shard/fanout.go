@@ -48,6 +48,16 @@ func NewFanout(g *graph.Graph, assign []int, p int, own []graph.NodeID) *Fanout 
 // modify it.
 func (f *Fanout) Of(k int) []int32 { return f.dst[f.off[k]:f.off[k+1]] }
 
+// Rows returns, per shard of the p, how many of the shard's nodes have it in
+// their row: the most broadcast entries one round can frame toward it.
+func (f *Fanout) Rows(p int) []int {
+	rows := make([]int, p)
+	for _, q := range f.dst {
+		rows[q]++
+	}
+	return rows
+}
+
 // Emit frames the cross-shard part of what the shard's nodes sent this round
 // (d's Slot and Queued, so call it in their window): entry is called once per
 // frame entry with its destination shard, in the order every frame keeps —

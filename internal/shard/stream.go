@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"encoding/binary"
+
 	"distkcore/internal/codec"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
@@ -38,6 +40,24 @@ type PeerStream struct {
 // large enough that the per-chunk header and record framing are noise,
 // small enough that a round's traffic streams instead of parking.
 const DefaultChunkBytes = 32 << 10
+
+// Reserve sizes the encode buffer once, before the first round, for a round
+// in which entries senders with IDs below n each put one plain broadcast entry
+// (ID, tag, an 8-byte value at most) in the flow — every node with a peer in
+// the destination shard announcing — instead of letting the first rounds grow
+// it by doubling. A buffer never outgrows the chunk limit by more than the
+// entry that crosses it, so that is the cap; Vec payloads grow it as before.
+func (ps *PeerStream) Reserve(entries, n int) {
+	var id [binary.MaxVarintLen64]byte
+	size := binary.PutUvarint(id[:], uint64(n)) + 1 + 8
+	limit := ps.Limit
+	if limit <= 0 {
+		limit = DefaultChunkBytes
+	}
+	if want := min(entries*size, limit+size); want > cap(ps.buf) {
+		ps.buf = make([]byte, 0, want)
+	}
+}
 
 // Append encodes one entry — m addressed to node `to`, or to == Broadcast —
 // into the stream, flushing a chunk when the buffer crosses the limit.
