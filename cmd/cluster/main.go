@@ -36,6 +36,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"math"
@@ -260,7 +261,7 @@ func runCoord(args []string) {
 		verify   = fs.Bool("verify", false, "run the sequential engine locally and demand byte-identical Metrics and values")
 		stream   = fs.Bool("stream", false, "stream round frames directly worker↔worker over a unix-socket mesh (DESIGN.md §14) instead of relaying every frame through the coordinator")
 		recov    = fs.Bool("recover", false, "arm crash recovery (DESIGN.md §13): the run's frames stay retained and a dead worker is re-exec'd and runs again on them instead of failing the run (requires -spawn)")
-		killSpec = fs.String("kill", "", "W:R — SIGKILL spawned worker W as the coordinator takes up round R (with -stream: wherever the free-running workers have got to), the fault-injection half of the recovery smoke (requires -spawn)")
+		killSpec = fs.String("kill", "", "W:R — SIGKILL spawned worker W when its done record of round R reaches the coordinator (with -stream: wherever the free-running worker has got to by then), the fault-injection half of the recovery smoke (requires -spawn)")
 		jsonOut  = fs.String("json", "", "write a JSON run report to this file")
 		traceOut = fs.String("trace", "", cliutil.TraceUsage)
 	)
@@ -298,6 +299,9 @@ func runCoord(args []string) {
 		timeout = 30 * time.Second
 	}
 	var f fleet
+	if *killSpec != "" {
+		f.kill = &killTap{w: killW, r: killR}
+	}
 	runErr := func() error {
 		if err := f.open(*workers, *spawn, timeout); err != nil {
 			return err
@@ -353,13 +357,6 @@ func runCoord(args []string) {
 		}
 		if *recov {
 			rspec.Respawn = f.respawn
-		}
-		if *killSpec != "" {
-			rspec.OnRound = func(t int) {
-				if t == killR && f.kill(killW) {
-					fmt.Printf("cluster: SIGKILLed worker %d at round %d\n", killW, t)
-				}
-			}
 		}
 		start := time.Now()
 		met, rep, err := dnet.RunCoordinator(f.conns, rspec)
@@ -437,8 +434,9 @@ type fleet struct {
 	dir   string
 	// timeout is installed on every connection, respawned ones included.
 	timeout time.Duration
-	// killed marks processes this harness SIGKILLed (-kill) — their non-zero
-	// exit is the point, not a failure.
+	// kill, under -kill, watches its worker's first connection; killed marks
+	// the process it is armed to SIGKILL — whose non-zero exit is the point.
+	kill   *killTap
 	killed map[*exec.Cmd]bool
 }
 
@@ -466,7 +464,7 @@ func (f *fleet) open(workers string, spawn int, timeout time.Duration) error {
 		return fmt.Errorf("need -workers or -spawn")
 	}
 	for i, a := range f.addrs {
-		cn, err := f.dial(a)
+		cn, err := f.dial(a, i)
 		if err != nil {
 			return fmt.Errorf("worker %d at %s: %w", i, a, err)
 		}
@@ -491,9 +489,9 @@ func (f *fleet) spawn(a string, extra ...string) error {
 	return nil
 }
 
-// dial connects to the worker at a (retrying while it binds its listener)
-// and arms the fleet's IO timeout.
-func (f *fleet) dial(a string) (*dnet.Conn, error) {
+// dial connects to worker i at a (retrying while it binds its listener) and
+// arms the fleet's IO timeout; -kill watches its worker's first connection.
+func (f *fleet) dial(a string, i int) (*dnet.Conn, error) {
 	network, addr, err := splitAddr(a)
 	if err != nil {
 		return nil, err
@@ -501,6 +499,10 @@ func (f *fleet) dial(a string) (*dnet.Conn, error) {
 	nc, err := dialRetry(network, addr, 5*time.Second)
 	if err != nil {
 		return nil, err
+	}
+	if k := f.kill; k != nil && k.w == i && k.Conn == nil {
+		k.Conn, k.cmd = nc, f.procs[i]
+		f.killed[k.cmd], nc = true, k
 	}
 	cn := dnet.NewConn(nc)
 	cn.SetIOTimeout(f.timeout)
@@ -517,7 +519,7 @@ func (f *fleet) respawn(s, gen int) (*dnet.Conn, error) {
 	if err := f.spawn(a, "-mesh-gen", strconv.Itoa(gen)); err != nil {
 		return nil, err
 	}
-	cn, err := f.dial(a)
+	cn, err := f.dial(a, s)
 	if err != nil {
 		return nil, fmt.Errorf("respawned worker %d at %s: %w", s, a, err)
 	}
@@ -525,15 +527,36 @@ func (f *fleet) respawn(s, gen int) (*dnet.Conn, error) {
 	return cn, nil
 }
 
-// kill SIGKILLs spawned worker w, once; it reports whether this call did.
-func (f *fleet) kill(w int) bool {
-	cmd := f.procs[w]
-	if f.killed[cmd] {
-		return false
+// killTap is -kill W:R on the coordinator's connection to spawned worker W:
+// it SIGKILLs the process as W's done record of round R arrives.
+type killTap struct {
+	net.Conn
+	w, r int
+	cmd  *exec.Cmd // nil once fired
+	buf  []byte    // what has arrived of the record in flight
+}
+
+// The record types of internal/net's wire whose body opens with the round
+// (DESIGN.md §8.2): the relayed and the streamed done record.
+const recDone, recStreamDone = 5, 23
+
+func (k *killTap) Read(p []byte) (int, error) {
+	n, err := k.Conn.Read(p)
+	for k.buf = append(k.buf, p[:n]...); k.cmd != nil; {
+		size, m := binary.Uvarint(k.buf)
+		if end := m + int(size); m <= 0 || size == 0 || end > len(k.buf) {
+			return n, err
+		}
+		rec := k.buf[m : m+int(size)]
+		k.buf = k.buf[m+int(size):]
+		if t, j := binary.Uvarint(rec[1:]); j > 0 && int(t) == k.r && (rec[0] == recDone || rec[0] == recStreamDone) {
+			k.cmd.Process.Kill()
+			fmt.Printf("cluster: SIGKILLed worker %d at round %d\n", k.w, k.r)
+			k.cmd = nil
+		}
 	}
-	f.killed[cmd] = true
-	cmd.Process.Kill()
-	return true
+	k.buf = nil
+	return n, err
 }
 
 // reap waits for the spawned workers to exit by themselves; an exit status

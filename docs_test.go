@@ -25,6 +25,7 @@ var (
 	recConst   = regexp.MustCompile(`(?m)^\s*[rR]ec([A-Za-z]+)\s*=\s*byte\((\d+)\)`)
 	testCite   = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
 	testDecl   = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
+	faultnetIm = regexp.MustCompile(`(?m)^\s*(?:\w+\s+)?"distkcore/internal/net/faultnet"$`)
 	camelBreak = regexp.MustCompile(`([a-z])([A-Z])`)
 )
 
@@ -194,16 +195,18 @@ func TestCitedTestsExist(t *testing.T) {
 // only the relay honoured, round fusion, the net workers' stand-in programs
 // for remote senders, the checkpoint restart scheme (driver snapshots, its two
 // records, its retention depth) and the one-shot churned run (its record, its
-// absorption, its CLI parsing) and the pool's fitted range weight (a step
-// phase's nodes come off a cursor) are gone; nothing may cite them again. The
-// archive (CHANGES.md), the plan (ROADMAP.md, ISSUE.md) and the frozen
-// benchmark directory may name them.
+// absorption, its CLI parsing), the pool's fitted range weight (a step
+// phase's nodes come off a cursor) and the in-protocol kill seams (a death is
+// scheduled on the links now, internal/net/faultnet) are gone; nothing may cite
+// them again. The archive (CHANGES.md), the plan (ROADMAP.md, ISSUE.md) and the
+// frozen benchmark directory may name them.
 func TestRetiredNamesStayRetired(t *testing.T) {
 	retired := []string{"BENCH_PR", "cmd/bench", "prodn", "DKC_PERF_SMOKE", "DelayFunc", "ModelDelay",
 		"Fusible", "RoundFusionSafe", "FusedRanges", "ghost program",
 		"Checkpointable", "AppendSnapshot", "RestoreSnapshot", "recCheckpoint", "retainRounds",
 		"recDelta", "AbsorbDelta", "ApplyChurn", "ParseChurnSpec", "netChurn",
-		"rangeNodeWeight", "recStreamResend", "recStreamReplay", "mesh.barrier"}
+		"rangeNodeWeight", "recStreamResend", "recStreamReplay", "mesh.barrier",
+		"KillAt", "KillFunc", "ErrKilled", "OnRound", "killPlan"}
 	exempt := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "docs_test.go": true}
 	walkRepo(t, func(path string) {
 		if exempt[path] || strings.HasPrefix(path, "benchmark/") {
@@ -216,4 +219,20 @@ func TestRetiredNamesStayRetired(t *testing.T) {
 			}
 		}
 	})
+}
+
+// faultnet is test support: the seam it stands on (net.Cluster.Wrap) is
+// the program's, the schedules are the tests' alone.
+func TestOnlyTestsImportFaultnet(t *testing.T) {
+	importers := 0
+	walkRepo(t, func(path string) {
+		if strings.HasSuffix(path, ".go") && faultnetIm.MatchString(readFile(t, path)) {
+			if importers++; !strings.HasSuffix(path, "_test.go") {
+				t.Errorf("%s imports internal/net/faultnet; only _test.go files may", path)
+			}
+		}
+	})
+	if importers == 0 {
+		t.Fatal("no file imports internal/net/faultnet: the import pattern no longer matches")
+	}
 }

@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -11,7 +12,7 @@ import (
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
 	"distkcore/internal/net"
-	"distkcore/internal/obs"
+	"distkcore/internal/net/faultnet"
 	"distkcore/internal/quantize"
 	"distkcore/internal/shard"
 )
@@ -324,6 +325,44 @@ func (seamEngine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.
 	return met
 }
 
+// recoverEngine runs a streamed, recovery-armed net.Cluster of three workers
+// whose links pass through a fault schedule (net.Cluster.Wrap, the way
+// internal/net's own fault tests drive one): worker 1 dies at the write that
+// carries its ack of round kill — delivered, nothing of the next round in —
+// and its successor re-steps the run, re-fed its flows — broadcast and unicast
+// entries, in chunks of a few — by its peers' resend.
+type recoverEngine struct {
+	kill, recoveries int
+}
+
+// streamAck is internal/net's stream-ack record (DESIGN.md §8.2).
+const streamAck = 24
+
+func (e *recoverEngine) WithWireLambda(quantize.Lambda) dist.Engine { return e }
+
+func (e *recoverEngine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.Metrics {
+	assign := shard.Hash{}.Partition(g, 3)
+	body := func(s net.Seat) error {
+		w := s.Worker(g, assign)
+		w.ChunkBytes = 64
+		w.Run(g, factory, maxRounds)
+		return nil
+	}
+	death := faultnet.Fault{Shard: 1, Peer: faultnet.Control, Type: streamAck, Body: binary.AppendUvarint(nil, uint64(e.kill)), Action: faultnet.Before}
+	cl := &net.Cluster{P: 3, IOTimeout: 10 * time.Second, Stream: true, Wrap: faultnet.New(death).Wrap}
+	if err := cl.Start(body); err != nil {
+		panic(err)
+	}
+	defer cl.Close()
+	met, rep, err := cl.Run(net.Spec{MaxRounds: maxRounds, Recover: true,
+		GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign)}, body)
+	if err != nil {
+		panic(err)
+	}
+	e.recoveries = rep.Recoveries
+	return met
+}
+
 func TestEnginesMatchDeliveryOracle(t *testing.T) {
 	multi := graph.NewBuilder(9)
 	for _, e := range [][2]int{{0, 1}, {1, 0}, {0, 1}, {2, 2}, {2, 3}, {3, 4}, {4, 2}, {4, 4}, {5, 6}, {6, 5}, {7, 0}, {7, 7}} {
@@ -341,12 +380,8 @@ func TestEnginesMatchDeliveryOracle(t *testing.T) {
 	}
 	cube := streamed(4, shard.Hash{})
 	cube.MeshThreshold = 4 // hypercube: 0↔3 and 1↔2 relay through a third worker
-	// recov loses worker 1 between the inbound flows and the delivery of the
-	// run's first mixed round: the restored incarnation re-steps that round
-	// and is re-fed its flows — broadcast and unicast entries, in chunks of a
-	// few — by its peers' resend.
-	recov := streamed(3, shard.Hash{})
-	recov.Recover, recov.IOTimeout, recov.ChunkBytes = true, 10*time.Second, 64
+	// recov loses worker 1 once it has delivered the run's first mixed round.
+	recov := &recoverEngine{}
 	engines := []struct {
 		name string
 		eng  dist.Engine
@@ -382,12 +417,10 @@ func TestEnginesMatchDeliveryOracle(t *testing.T) {
 				for _, e := range engines {
 					sc := &script{seed: seed, hush: r.hush, sleepy: r.sleepy, got: make([][]uint64, g.N())}
 					id := fmt.Sprintf("%s seed %d hush %d sleepy %v budget %d on %s", gname, seed, r.hush, r.sleepy, budget, e.name)
-					if e.eng == dist.Engine(recov) {
-						recov.KillAt(obs.PhaseDeliver, sc.mixedRound(), 1)
-					}
+					recov.kill = sc.mixedRound()
 					met := e.eng.Run(g, func(v graph.NodeID) dist.Program { return &scriptProg{sc: sc, id: v} }, budget)
-					if e.eng == dist.Engine(recov) && recov.Recoveries() != 1 {
-						t.Fatalf("%s: %d recoveries, want the one armed at round %d", id, recov.Recoveries(), sc.mixedRound())
+					if e.eng == dist.Engine(recov) && recov.recoveries != 1 {
+						t.Fatalf("%s: %d recoveries, want the one armed at round %d", id, recov.recoveries, sc.mixedRound())
 					}
 					if wantMet.Halted != (budget == 300) {
 						t.Fatalf("%s: the script no longer covers both ways a run ends", id)

@@ -34,9 +34,7 @@ func workerGets(t *testing.T, stream bool, typ byte, body []byte) error {
 	defer cc.Close()
 	w := NewWorker(wc, g, assign)
 	if stream {
-		br := newMeshBroker(1)
-		ib := br.register(0)
-		w.MeshDial, w.MeshAccept, w.MeshClose = br.dial, ib.accept, func() { br.close(ib) }
+		meshOf(&meshBroker{inboxes: make([]*meshInbox, 1)}, 0, w)
 	}
 	done := make(chan error, 1)
 	go func() {

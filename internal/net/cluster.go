@@ -13,17 +13,12 @@ import (
 	"distkcore/internal/graph"
 )
 
-// Cluster is the one in-process bring-up of a socket cluster: P connection
-// pairs over Transport, a Hub on the coordinator ends, and one goroutine per
-// worker incarnation running Body on the worker end. Everything an
-// in-process cluster needs besides what its workers DO lives here — the
-// dial, the deadlines, the goroutine wrapper that turns a worker's error or
-// panic into an error record (and a fault-injected death into silence), the
-// respawn on a fresh pipe with its mesh generation, the mesh broker of a
-// streamed cluster, the teardown. Engine.Run is "Start, Run, Close";
-// session.Open is the same with a body that continues into the epoch loop
-// and a Close deferred to Session.Close — a session is a run whose hub stays
-// open.
+// Cluster is the one in-process bring-up of a socket cluster (the package
+// comment lists what it owns): P connection pairs over Transport, a Hub on the
+// coordinator ends, one goroutine per worker incarnation running Body on the
+// worker end. Engine.Run is "Start, Run, Close"; session.Open is the same with
+// a body that continues into the epoch loop and a Close deferred to
+// Session.Close — a session is a run whose hub stays open.
 //
 // Set the exported fields, call Start with the worker body, drive the Hub
 // (Run, or the session layer's epochs), Close exactly once. The cluster does
@@ -40,6 +35,10 @@ type Cluster struct {
 	// Stream puts the cluster on the streamed frame plane: workers get mesh
 	// endpoints from an in-process broker and Run arms Spec.Stream.
 	Stream bool
+	// Wrap, when set, is the seam under the workers' links: the worker end of
+	// each incarnation's control connection and every mesh connection it dials
+	// or accepts pass through it (internal/net/faultnet's faults land there).
+	Wrap LinkFunc
 
 	// Hub is the coordinator side, live from Start to Close.
 	Hub *Hub
@@ -51,9 +50,20 @@ type Cluster struct {
 
 // Body is what one worker incarnation does with its Seat, start to finish.
 // A returned error is shipped to the coordinator as an error record, a panic
-// likewise; ErrKilled (returned or panicked) dies silently, as a crashed
-// process would.
+// likewise — nothing arrives from an incarnation whose links are closed.
 type Body func(Seat) error
+
+// A LinkFunc stands between incarnation gen of shard and its link c toward
+// peer (-1: the coordinator), returning the connection the worker uses.
+type LinkFunc func(shard, gen, peer int, c net.Conn) net.Conn
+
+// wrap applies f, the identity when f is nil.
+func (f LinkFunc) wrap(shard, gen, peer int, c net.Conn) net.Conn {
+	if f == nil {
+		return c
+	}
+	return f(shard, gen, peer, c)
+}
 
 // Seat is one worker incarnation's place in a Cluster: its shard and the
 // worker end of its coordinator connection. Worker builds the protocol
@@ -72,8 +82,9 @@ func (s Seat) Worker(g *graph.Graph, assign []int) *Worker {
 	w := NewWorker(s.Conn, g, assign)
 	w.IOTimeout = s.cl.IOTimeout
 	if b := s.cl.broker; b != nil {
-		ib := b.register(s.Shard)
-		w.MeshDial, w.MeshAccept, w.MeshGen = b.dial, ib.accept, s.gen
+		ib := b.register(s.Shard, s.gen)
+		w.MeshDial = func(dst int) (net.Conn, error) { return b.dial(s.Shard, s.gen, dst) }
+		w.MeshAccept, w.MeshGen = ib.accept, s.gen
 		w.MeshClose = func() { b.close(ib) }
 	}
 	return w
@@ -88,22 +99,24 @@ func (cl *Cluster) Start(body Body) error {
 	}
 	cl.cleanup = cleanup
 	if cl.Stream {
-		cl.broker = newMeshBroker(cl.P)
+		cl.broker = &meshBroker{inboxes: make([]*meshInbox, cl.P), wrap: cl.Wrap}
 	}
 	for i := range coord {
 		coord[i].SetIOTimeout(cl.IOTimeout)
-		workers[i].SetIOTimeout(cl.IOTimeout)
 	}
 	cl.Hub = NewHub(coord)
 	cl.Hub.Timeout = cl.IOTimeout
 	for s, c := range workers {
-		cl.spawn(Seat{Shard: s, Conn: c, cl: cl}, body)
+		cl.spawn(s, 0, c.nc, body)
 	}
 	return nil
 }
 
-// spawn runs body in a worker goroutine that Close waits for.
-func (cl *Cluster) spawn(s Seat, body Body) {
+// spawn runs body for incarnation gen of shard, on the worker end nc of its
+// control connection, in a goroutine that Close waits for.
+func (cl *Cluster) spawn(shard, gen int, nc net.Conn, body Body) {
+	s := Seat{Shard: shard, Conn: NewConn(cl.Wrap.wrap(shard, gen, -1, nc)), cl: cl, gen: gen}
+	s.Conn.SetIOTimeout(cl.IOTimeout)
 	cl.wg.Add(1)
 	go func() {
 		defer cl.wg.Done()
@@ -113,12 +126,10 @@ func (cl *Cluster) spawn(s Seat, body Body) {
 		// it becomes an error record and the run aborts with the reason.
 		defer func() {
 			if r := recover(); r != nil {
-				if err, ok := r.(error); !ok || !errors.Is(err, ErrKilled) {
-					s.Conn.SendError(fmt.Errorf("worker panic: %v", r))
-				}
+				s.Conn.SendError(fmt.Errorf("worker panic: %v", r))
 			}
 		}()
-		if err := body(s); err != nil && !errors.Is(err, ErrKilled) {
+		if err := body(s); err != nil {
 			s.Conn.SendError(err)
 		}
 	}()
@@ -132,9 +143,7 @@ func (cl *Cluster) spawn(s Seat, body Body) {
 // listener plumbing.
 func (cl *Cluster) Respawn(shard, gen int, body Body) (*Conn, error) {
 	a, b := net.Pipe()
-	wc := NewConn(b)
-	wc.SetIOTimeout(cl.IOTimeout) // Hub.Respawn arms the coordinator's end
-	cl.spawn(Seat{Shard: shard, Conn: wc, cl: cl, gen: gen}, body)
+	cl.spawn(shard, gen, b, body) // Hub.Respawn arms the coordinator's end
 	return NewConn(a), nil
 }
 
@@ -166,30 +175,28 @@ func (cl *Cluster) Close() {
 
 // meshBroker is the in-process stand-in for the mesh listeners of a real
 // deployment: each worker incarnation registers an inbox of inbound mesh
-// connections, and a dial manufactures a net.Pipe pair, parking one end in
-// the destination's current inbox. Respawns re-register, closing the dead
-// incarnation's inbox so its accept loop exits.
+// connections, and a dial manufactures a net.Pipe pair, both ends through the
+// seam, parking one in the destination's current inbox. Respawns re-register,
+// closing the dead incarnation's inbox so its accept loop exits.
 type meshBroker struct {
 	mu      sync.Mutex
 	inboxes []*meshInbox
+	wrap    LinkFunc
 }
 
 // meshInbox is one incarnation's inbound mesh connection queue.
 type meshInbox struct {
 	ch     chan net.Conn
+	gen    int
 	closed bool
 }
 
-func newMeshBroker(p int) *meshBroker {
-	return &meshBroker{inboxes: make([]*meshInbox, p)}
-}
-
-// register installs a fresh inbox for shard s's newest incarnation, closing
+// register installs a fresh inbox for incarnation gen of shard s, closing
 // any previous one.
-func (b *meshBroker) register(s int) *meshInbox {
+func (b *meshBroker) register(s, gen int) *meshInbox {
 	// Buffered past the worst dial burst (every peer at once, twice over)
 	// so dialers never block parking a conn.
-	ib := &meshInbox{ch: make(chan net.Conn, 2*len(b.inboxes))}
+	ib := &meshInbox{ch: make(chan net.Conn, 2*len(b.inboxes)), gen: gen}
 	b.mu.Lock()
 	old := b.inboxes[s]
 	b.inboxes[s] = ib
@@ -225,8 +232,8 @@ func (ib *meshInbox) accept() (net.Conn, error) {
 	return c, nil
 }
 
-// dial connects to shard dst's current incarnation.
-func (b *meshBroker) dial(dst int) (net.Conn, error) {
+// dial connects incarnation gen of shard src to shard dst's current one.
+func (b *meshBroker) dial(src, gen, dst int) (net.Conn, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	ib := b.inboxes[dst]
@@ -235,8 +242,8 @@ func (b *meshBroker) dial(dst int) (net.Conn, error) {
 	}
 	a, c := net.Pipe()
 	select {
-	case ib.ch <- c:
-		return a, nil
+	case ib.ch <- b.wrap.wrap(dst, ib.gen, src, c):
+		return b.wrap.wrap(src, gen, dst, a), nil
 	default:
 		a.Close()
 		c.Close()

@@ -48,12 +48,6 @@ type Spec struct {
 	// is the new incarnation's mesh generation (Worker.MeshGen), which tells
 	// the peers its links from its predecessor's.
 	Respawn func(shard, gen int) (*Conn, error)
-	// OnRound, when non-nil, runs as the coordinator takes up every round —
-	// before the step broadcast, or on a streamed run before it collects the
-	// round's records, wherever the free-running workers have got to by then —
-	// the fault-injection seam multi-process harnesses use to SIGKILL a worker
-	// at a chosen round.
-	OnRound func(t int)
 	// Stream selects the streamed frame plane (DESIGN.md §8.4, §14):
 	// cross-shard messages flow worker↔worker over a mesh of data connections,
 	// the peers' end markers close a round, and the coordinator verifies behind
@@ -415,7 +409,7 @@ func (c *coordinator) run() (dist.Metrics, error) {
 	// delivered; restarted[i] is what lets the dup checks tolerate that.
 	restarted := make([]bool, p)
 	for i := range restarted {
-		// A worker killed at the last round's delivery surfaces here.
+		// A worker dead since the last round's delivery surfaces here.
 		if restarted[i], err = c.sendRestoring(i, rounds, finish); err != nil {
 			return dist.Metrics{}, c.fail(i, obs.PhaseDeliver, err)
 		}
@@ -512,9 +506,6 @@ func (c *coordinator) run() (dist.Metrics, error) {
 // parked at the coordinator — and the worker is restored through round t once
 // the round's last collection ends.
 func (c *coordinator) round(t int) (alive int, err error) {
-	if c.spec.OnRound != nil {
-		c.spec.OnRound(t)
-	}
 	p := c.hub.P()
 	c.cur = t
 	for i := range c.at {

@@ -56,7 +56,8 @@
 // sockets with Transport "unix"/"tcp"), deadlines, hub, one goroutine per
 // worker running the caller's Body on a Seat — its errors and panics turned
 // into error records — the pipe respawn with its mesh generation, the mesh
-// broker of a streamed cluster, the teardown. Engine is "Start, Run, Close"
+// broker of a streamed cluster, the seam every worker link passes through
+// (Cluster.Wrap, where internal/net/faultnet's deaths land), the teardown. Engine is "Start, Run, Close"
 // over it with Worker.run as the body, and accepts any dist.Factory; a
 // session (internal/session) is the same launcher with a body that goes on
 // into the epoch loop and a hub that stays open. RunCoordinator and Worker

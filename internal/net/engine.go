@@ -2,7 +2,6 @@ package net
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"distkcore/internal/codec"
@@ -42,11 +41,10 @@ type Engine struct {
 	// (Conn.SetIOTimeout) and on the coordinator's reply waits
 	// (Spec.IOTimeout): a stalled peer fails the run instead of hanging it.
 	IOTimeout time.Duration
-	// Recover arms crash recovery (DESIGN.md §13): the run's cross-shard
-	// flows stay retained, and a worker that dies mid-run — the KillAt fault
-	// injection, or a real failure — is respawned on a fresh pipe and runs
-	// again from Init instead of failing the run. Set it before Run, together
-	// with an IOTimeout so a silent death surfaces as a timeout.
+	// Recover arms crash recovery (DESIGN.md §13): the run's cross-shard flows
+	// stay retained, and a worker that dies mid-run is respawned on a fresh
+	// pipe and runs again from Init instead of failing the run. Set it before
+	// Run, with an IOTimeout so a silent death surfaces as a timeout.
 	Recover bool
 	// Stream selects the streamed frame plane (DESIGN.md §8.4, §14):
 	// cross-shard messages flow worker↔worker over an in-process mesh of
@@ -73,37 +71,13 @@ type Engine struct {
 	// coordinator barrier-wait and relay/verify spans and shard-pair flows
 	// interleaved with the per-worker spans.
 	trace *obs.Tracer
-	// kill is the armed fault injection (KillAt) and recov the last run's
-	// recovery count, both shared across WithWireLambda copies like sm.
-	kill  *killPlan
+	// wrap is the cluster's link seam (Cluster.Wrap), for this package's fault
+	// tests; recov the last run's recovery count, shared like sm.
+	wrap  LinkFunc
 	recov *int
 	// swire is the last streamed run's per-worker mesh wire counters,
 	// shared across WithWireLambda copies like sm.
 	swire *[]codec.StreamWire
-}
-
-// killPlan is one armed one-shot fault injection: worker dies the first
-// time it reaches phase ph of round r. fired makes it one-shot, so the
-// respawned incarnation replaying the same round does not die again.
-type killPlan struct {
-	mu     sync.Mutex
-	armed  bool
-	phase  obs.Phase
-	round  int
-	worker int
-	fired  bool
-}
-
-// fire reports (once) whether worker w reaching phase ph of round r is the
-// armed kill point.
-func (k *killPlan) fire(ph obs.Phase, r, w int) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if !k.armed || k.fired || w != k.worker || r != k.round || ph != k.phase {
-		return false
-	}
-	k.fired = true
-	return true
 }
 
 // NewEngine returns a socket-cluster engine with p workers placed by part
@@ -117,7 +91,7 @@ func NewEngine(p int, part shard.Partitioner) *Engine {
 		part = shard.Hash{}
 	}
 	return &Engine{Transport: TransportPipe, p: p, part: part, sm: &shard.ShardMetrics{},
-		kill: &killPlan{}, recov: new(int), swire: new([]codec.StreamWire)}
+		recov: new(int), swire: new([]codec.StreamWire)}
 }
 
 // StreamWire returns each worker's cumulative mesh wire counters from the
@@ -126,19 +100,6 @@ func NewEngine(p int, part shard.Partitioner) *Engine {
 // funnel which grows with total traffic.
 func (e *Engine) StreamWire() []codec.StreamWire {
 	return append([]codec.StreamWire(nil), *e.swire...)
-}
-
-// KillAt arms a one-shot fault injection for the next Run: worker dies —
-// its connection closed mid-protocol, its goroutine aborted — the first
-// time it reaches phase ph of round r. One-shot: the respawned incarnation
-// replaying the same round runs through the same point unharmed. With
-// Recover set the run then exercises the full crash-recovery path and must
-// still produce byte-identical results; without it the run fails exactly as
-// a real death would. Shared with WithWireLambda copies.
-func (e *Engine) KillAt(ph obs.Phase, r, w int) {
-	e.kill.mu.Lock()
-	e.kill.armed, e.kill.phase, e.kill.round, e.kill.worker, e.kill.fired = true, ph, r, w, false
-	e.kill.mu.Unlock()
 }
 
 // Recoveries returns the number of worker crash recoveries the most recent
@@ -200,11 +161,10 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	body := func(s Seat) error {
 		w := s.Worker(g, assign)
 		w.lam, w.Trace, w.ChunkBytes = e.lam, e.trace, e.ChunkBytes
-		w.Kill = func(ph obs.Phase, r int) bool { return e.kill.fire(ph, r, s.Shard) }
 		_, err := w.run(g, factory, maxRounds)
 		return err
 	}
-	cl := &Cluster{P: e.p, Transport: e.Transport, IOTimeout: e.IOTimeout, Stream: e.Stream}
+	cl := &Cluster{P: e.p, Transport: e.Transport, IOTimeout: e.IOTimeout, Stream: e.Stream, Wrap: e.wrap}
 	if err := cl.Start(body); err != nil {
 		panic("net: " + err.Error())
 	}

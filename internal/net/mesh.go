@@ -78,7 +78,7 @@ type outRec struct {
 // meshLink is one attached neighbor connection plus its writer queue.
 type meshLink struct {
 	c    *Conn
-	gen  int  // peer incarnation generation from its mesh hello
+	gen  int  // the peer's generation from its mesh hello; -1 dialed, older than any
 	down bool // reader saw death / writer saw a write error
 	q    []outRec
 	// spare is the batch before the one being written, emptied: the writer and
@@ -188,16 +188,10 @@ func (m *mesh) fail(err error) {
 	m.mu.Unlock()
 }
 
-// Close tears the mesh down: the accept loop stops, every link's connection
-// closes (unblocking its reader), writers exit, waiters wake. Idempotent;
-// safe from any goroutine — the worker's kill hook uses it so a fault-
-// injected death is visible to the peers as closed connections.
+// Close tears the mesh down once its worker is done with it: the accept loop
+// stops, every link's connection closes (unblocking its reader), writers exit.
 func (m *mesh) Close() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
 	m.closed = true
 	for _, l := range m.links {
 		if l != nil {
@@ -262,7 +256,7 @@ func (m *mesh) dial(dst int) error {
 		c.Close()
 		return fmt.Errorf("net: mesh hello %d→%d: %w", m.cfg.Self, dst, err)
 	}
-	m.attach(dst, m.cfg.Gen, c)
+	m.attach(dst, -1, c) // the peer's generation is not known here
 	return nil
 }
 
@@ -343,18 +337,15 @@ func (m *mesh) attach(j, gen int, c *Conn) {
 // the condition variable until ready reports true and otherwise ends on, in
 // this order: the latched mesh error — a violation a reader found, or the
 // run's abort as streamWorker.control read it off the coordinator connection,
-// which ends every wait of an incarnation whose run is over; the mesh having
-// been closed (ErrKilled — only a fault-injected death closes a mesh somebody
-// still waits on); timeout elapsing (0 waits forever), reported as "worker N
-// <stalled>". The timer only broadcasts; the deadline is read off the clock.
+// which ends every wait of an incarnation whose run is over; timeout elapsing
+// (0 waits forever), reported as "worker N <stalled>". The timer only
+// broadcasts; the deadline is read off the clock.
 func (m *mesh) wait(timeout time.Duration, stalled string, ready func() bool) error {
 	var deadline time.Time
 	for {
 		switch {
 		case m.err != nil:
 			return m.err
-		case m.closed:
-			return ErrKilled
 		case ready():
 			return nil
 		case timeout > 0 && deadline.IsZero():
@@ -668,7 +659,7 @@ func (m *mesh) sendChunk(dst int, body []byte, count int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	p := &m.peers[dst]
-	if p.tokens == 0 || m.err != nil || m.closed { // else nothing to wait for, or to say
+	if p.tokens == 0 || m.err != nil { // else nothing to wait for, or to say
 		if err := m.wait(m.cfg.Timeout, fmt.Sprintf("flow to %d stalled out of credits", dst),
 			func() bool { return p.tokens > 0 }); err != nil {
 			return err

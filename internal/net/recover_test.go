@@ -1,6 +1,7 @@
 package net
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -14,30 +15,98 @@ import (
 	"testing"
 	"time"
 
+	"distkcore/internal/codec"
 	"distkcore/internal/core"
 	"distkcore/internal/densest"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
+	"distkcore/internal/net/faultnet"
 	"distkcore/internal/obs"
 	"distkcore/internal/quantize"
 	"distkcore/internal/shard"
 )
 
 // The crash-recovery determinism contract (DESIGN.md §13): a run in which a
-// worker is killed at ANY phase boundary of ANY round and then replayed from
-// Init out of the retained flows must produce results byte-identical to the
+// worker dies at ANY point a death can land and is then replayed from Init
+// out of the retained flows must produce results byte-identical to the
 // undisturbed run — same B vector, same dist.Metrics (Words included), same
-// cluster frame ledger. The sweep below exercises every (worker, phase,
-// round) kill point over the interesting rounds: 0 (Init, nothing to replay),
-// 1 (the first round that carries frames), the middle and the final round
-// (whose recovery surfaces at the finish phase).
+// cluster ledger. The sweep below still names its cells by the phase seams the
+// protocol code used to consult, now each the schedule of faultnet faults on
+// the worker's links that deathAt maps it to, over the interesting rounds: 0
+// (Init, nothing to replay), 1 (the first round that carries frames), the
+// middle and the final round (whose recovery surfaces at the finish phase).
 
-// killPhases are the worker-side fault-injection seams of the round loop on
-// the relay plane. The stream plane names its outbound half send instead of
-// encode and adds the receive wait as a seam, so its sweep covers send/recv
-// instead.
+// The phases the sweep's cells are named by: the relay loop's, and the
+// stream loop's, which names its outbound half send and has a receive wait.
 var killPhases = []obs.Phase{obs.PhaseStep, obs.PhaseEncode, obs.PhaseBarrierWait, obs.PhaseDeliver}
 var streamKillPhases = []obs.Phase{obs.PhaseStep, obs.PhaseSend, obs.PhaseBarrierWait, obs.PhaseRecv, obs.PhaseDeliver}
+
+// opening is the faultnet.Fault.Body of a record whose body opens with the
+// uvarints xs after the bytes pre: a control record naming round r opens with
+// r, an end marker from w to q of round r with WindowEnd, w, q, r.
+func opening(pre []byte, xs ...int) []byte {
+	for _, x := range xs {
+		pre = binary.AppendUvarint(pre, uint64(x))
+	}
+	return pre
+}
+
+// marker keys the end marker of w's round-r flow to the next worker.
+func marker(w, r int) faultnet.Fault {
+	q := (w + 1) % 3
+	return faultnet.Fault{Shard: w, Peer: q, Type: recWindow, Body: opening([]byte{codec.WindowEnd}, w, q, r), Action: faultnet.Hold}
+}
+
+// deathAt is the schedule an old phase cell runs as (DESIGN.md §13.3): worker
+// w of a three-worker run whose last round is last dies at phase ph of round
+// r. Relayed: at the write of round r's frames and done record (step,
+// encode), just after it (barrier-wait), or at the next write — the metrics
+// after the last round (deliver). Streamed: at the write of round r's done
+// record, its end marker toward the next worker held (send); just after that
+// write (barrier-wait); recv and deliver of round r are step of round r + 1,
+// the write of round r's ack (the one of round r + 1's done record, or the
+// last flush).
+func deathAt(stream bool, ph obs.Phase, r, w, last int) []faultnet.Fault {
+	ctl := func(typ byte, r int, a faultnet.Action) faultnet.Fault {
+		return faultnet.Fault{Shard: w, Peer: faultnet.Control, Type: typ, Body: opening(nil, r), Action: a}
+	}
+	switch {
+	case ph == obs.PhaseBarrierWait && stream:
+		return []faultnet.Fault{ctl(recStreamDone, r, faultnet.After)}
+	case ph == obs.PhaseBarrierWait:
+		return []faultnet.Fault{ctl(recDone, r, faultnet.After)}
+	case ph == obs.PhaseSend:
+		return []faultnet.Fault{ctl(recStreamDone, r, faultnet.Before), marker(w, r)}
+	case !stream && ph == obs.PhaseDeliver && r == last:
+		return []faultnet.Fault{{Shard: w, Peer: faultnet.Control, Type: recMetrics, Action: faultnet.Before}}
+	case !stream && ph == obs.PhaseDeliver:
+		return []faultnet.Fault{ctl(recDone, r+1, faultnet.Before)}
+	case !stream:
+		return []faultnet.Fault{ctl(recDone, r, faultnet.Before)}
+	case ph == obs.PhaseStep && r == 0:
+		return []faultnet.Fault{ctl(recStreamDone, 0, faultnet.Before)}
+	case ph == obs.PhaseStep:
+		r--
+	}
+	return []faultnet.Fault{ctl(recStreamAck, r, faultnet.Before)}
+}
+
+// cellDeadline bounds one fault cell: a cell still running after it is a hang.
+const cellDeadline = time.Minute
+
+// cell runs one fault cell: under cellDeadline — past it the test binary
+// dies with every goroutine's stack — and then the goroutine-settle check.
+func cell(t *testing.T, body func()) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	dog := time.AfterFunc(cellDeadline, func() {
+		buf := make([]byte, 1<<20)
+		panic(fmt.Sprintf("%s: fault cell still running after %v\n%s", t.Name(), cellDeadline, buf[:runtime.Stack(buf, true)]))
+	})
+	defer dog.Stop()
+	body()
+	goroutinesSettle(t, before)
+}
 
 func recoveryEngine(p int) *Engine {
 	e := NewEngine(p, shard.Hash{})
@@ -47,8 +116,8 @@ func recoveryEngine(p int) *Engine {
 }
 
 // streamRecoveryEngine arms recovery on the streamed mesh. Tiny chunks force
-// the kill points to land mid-flow, so restarts exercise the seq-gated
-// resend path rather than whole-frame retransmits.
+// the deaths to land mid-flow, so restarts exercise the seq-gated resend path
+// rather than whole-frame retransmits.
 func streamRecoveryEngine(p int) *Engine {
 	e := recoveryEngine(p)
 	e.Stream = true
@@ -109,9 +178,9 @@ func TestRecoverySweepBitIdentical(t *testing.T) {
 	}
 }
 
-// killCell holds one kill point of an arbitrary protocol run to the
-// undisturbed recovery-armed run of the same engine: result, Metrics and
-// cluster ledger byte-identical, and both to the sequential engine.
+// killCell holds one death of an arbitrary protocol run to the undisturbed
+// recovery-armed run of the same engine: result, Metrics and cluster ledger
+// byte-identical, and both to the sequential engine.
 func killCell(t *testing.T, name string, mk func(int) *Engine, ph obs.Phase, round, worker int,
 	run func(dist.Engine) (any, dist.Metrics)) {
 	t.Run(name, func(t *testing.T) {
@@ -122,8 +191,10 @@ func killCell(t *testing.T, name string, mk func(int) *Engine, ph obs.Phase, rou
 			t.Fatalf("recovery-armed run diverges from seq before any fault (metrics %+v, seq %+v)", refMet, seqMet)
 		}
 		eng := mk(3)
-		eng.KillAt(ph, round, worker)
-		res, met := run(eng)
+		eng.wrap = faultnet.New(deathAt(eng.Stream, ph, round, worker, refMet.Rounds)...).Wrap
+		var res any
+		var met dist.Metrics
+		cell(t, func() { res, met = run(eng) })
 		if n := eng.Recoveries(); n != 1 {
 			t.Fatalf("recoveries = %d, want the one armed at %s of round %d", n, ph, round)
 		}
@@ -158,7 +229,7 @@ func loopyMultigraph(n int, seed int64) *graph.Graph {
 	return b.Build()
 }
 
-// sweepRecovery kills each of three workers at every phase seam of the given
+// sweepRecovery kills each of three workers at every phase cell of the given
 // rounds, on both planes, and holds the recovered run to the undisturbed one.
 func sweepRecovery(t *testing.T, prefix string, g *graph.Graph, opt core.Options, killRounds []int) {
 	seqRef, seqMet := core.RunDistributed(g, opt, dist.SeqEngine{})
@@ -191,8 +262,10 @@ func sweepRecovery(t *testing.T, prefix string, g *graph.Graph, opt core.Options
 					name := fmt.Sprintf("%s%s/w%d/%s/r%d", prefix, mode.name, w, ph, r)
 					t.Run(name, func(t *testing.T) {
 						eng := mode.mk(3)
-						eng.KillAt(ph, r, w)
-						res, met := core.RunDistributed(g, opt, eng)
+						eng.wrap = faultnet.New(deathAt(eng.Stream, ph, r, w, refMet.Rounds)...).Wrap
+						var res *core.Result
+						var met dist.Metrics
+						cell(t, func() { res, met = core.RunDistributed(g, opt, eng) })
 						if n := eng.Recoveries(); n < 1 {
 							t.Fatalf("kill point never recovered (recoveries=%d)", n)
 						}
@@ -225,8 +298,8 @@ func TestKillWithoutRecoveryFailsRun(t *testing.T) {
 		eng := NewEngine(2, shard.Hash{})
 		eng.Stream = stream
 		eng.IOTimeout = 2 * time.Second
-		eng.KillAt(obs.PhaseBarrierWait, 1, 1)
-		func() {
+		eng.wrap = faultnet.New(deathAt(stream, obs.PhaseBarrierWait, 1, 1, 6)...).Wrap
+		cell(t, func() {
 			defer func() {
 				err, _ := recover().(error)
 				var re *RunError
@@ -239,7 +312,7 @@ func TestKillWithoutRecoveryFailsRun(t *testing.T) {
 				}
 			}()
 			core.RunDistributed(g, opt, eng)
-		}()
+		})
 	}
 }
 
@@ -252,8 +325,8 @@ func TestRecoveryNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
 		eng := recoveryEngine(2)
-		eng.KillAt(obs.PhaseBarrierWait, 2, i%2)
-		core.RunDistributed(g, opt, eng)
+		eng.wrap = faultnet.New(deathAt(eng.Stream, obs.PhaseBarrierWait, 2, i%2, 8)...).Wrap
+		cell(t, func() { core.RunDistributed(g, opt, eng) })
 		if eng.Recoveries() < 1 {
 			t.Fatalf("iteration %d never recovered", i)
 		}
@@ -276,8 +349,8 @@ func TestStreamRecoveryNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
 		eng := streamRecoveryEngine(2)
-		eng.KillAt(obs.PhaseBarrierWait, 2, i%2)
-		core.RunDistributed(g, opt, eng)
+		eng.wrap = faultnet.New(deathAt(eng.Stream, obs.PhaseBarrierWait, 2, i%2, 8)...).Wrap
+		cell(t, func() { core.RunDistributed(g, opt, eng) })
 		if eng.Recoveries() < 1 {
 			t.Fatalf("iteration %d never recovered", i)
 		}
@@ -291,20 +364,145 @@ func TestStreamRecoveryNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// TestSeededSingleDeaths is the fixed corpus ROADMAP item 1b grows: each seed
+// maps, purely, to one clean single death — plane, transport, protocol,
+// worker, the record it lands at, its round, before or after — and the run
+// must end byte-identical to the undisturbed one, ledger included. Unlike the
+// sweep it reaches unix clusters (a respawn runs over a pipe whatever the
+// transport). A failing seed prints its one-line repro.
+func TestSeededSingleDeaths(t *testing.T) {
+	g := graph.BarabasiAlbert(150, 3, 11)
+	T := core.TForEpsilon(g.N(), 0.5)
+	wcfg := densest.Config{Gamma: 3, Rounds: 5}
+	protocols := []func(dist.Engine) (any, dist.Metrics){
+		func(eng dist.Engine) (any, dist.Metrics) {
+			res, met := core.RunDistributed(g, core.Options{Rounds: T}, eng)
+			return res.B, met
+		},
+		func(eng dist.Engine) (any, dist.Metrics) {
+			res, met := core.RunDistributed(g, core.Options{Rounds: T, TrackAux: true}, eng)
+			return [2]any{res.B, res.AuxEdges}, met
+		},
+		func(eng dist.Engine) (any, dist.Metrics) { return densest.RunWeakDistributed(g, wcfg, eng) },
+	}
+	type undisturbed struct {
+		res    any
+		met    dist.Metrics
+		ledger shard.ShardMetrics
+	}
+	refs := map[[2]int]undisturbed{} // by (plane, protocol)
+	for seed := uint64(1); seed <= 24; seed++ {
+		d := seededDeathOf(seed)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			defer func() {
+				if t.Failed() {
+					t.Logf("repro (%s): go test -run 'TestSeededSingleDeaths/seed=%d$' ./internal/net/", d, seed)
+				}
+			}()
+			mk, plane := recoveryEngine, 0
+			if d.stream {
+				mk, plane = streamRecoveryEngine, 1
+			}
+			run := protocols[d.proto]
+			ref, ok := refs[[2]int{plane, d.proto}]
+			if !ok {
+				seq, seqMet := run(dist.SeqEngine{})
+				eng := mk(3)
+				ref.res, ref.met = run(eng)
+				if ref.ledger = eng.ClusterMetrics(); ref.met != seqMet || !reflect.DeepEqual(ref.res, seq) {
+					t.Fatalf("recovery-armed run diverges from seq before any fault (metrics %+v, seq %+v)", ref.met, seqMet)
+				}
+				refs[[2]int{plane, d.proto}] = ref
+			}
+			eng := mk(3)
+			eng.Transport, eng.wrap = d.transport, faultnet.New(d.faults(ref.met.Rounds)...).Wrap
+			var res any
+			var met dist.Metrics
+			cell(t, func() { res, met = run(eng) })
+			if n := eng.Recoveries(); n != 1 {
+				t.Fatalf("recoveries = %d, want the one death", n)
+			}
+			if met != ref.met || !reflect.DeepEqual(res, ref.res) {
+				t.Errorf("run diverges from the undisturbed one: metrics %+v, want %+v", met, ref.met)
+			}
+			if lg := eng.ClusterMetrics(); !reflect.DeepEqual(lg, ref.ledger) {
+				t.Errorf("cluster ledger %+v, want %+v", lg, ref.ledger)
+			}
+		})
+	}
+}
+
+// seededDeath is one clean single death as a seed names it. The record is a
+// control record the death lands at — relayed, the done record; streamed, the
+// done record, the ack, or the done record with the end marker toward the
+// next worker held (recWindow) — and pick, reduced modulo the rounds it can
+// land in, its round.
+type seededDeath struct {
+	stream        bool
+	transport     string
+	proto, worker int
+	record        byte
+	pick          uint64
+	after         bool
+}
+
+// seededDeathOf draws a seededDeath from seed with splitmix64.
+func seededDeathOf(seed uint64) seededDeath {
+	next := func(n uint64) uint64 {
+		seed += 0x9e3779b97f4a7c15
+		z := (seed ^ seed>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		return (z ^ z>>31) % n
+	}
+	d := seededDeath{stream: next(2) == 1, transport: []string{TransportPipe, TransportUnix}[next(2)],
+		proto: int(next(3)), worker: int(next(3)), record: recDone, after: next(2) == 1}
+	if d.stream {
+		d.record = []byte{recStreamDone, recStreamAck, recWindow}[next(3)]
+	}
+	d.pick = next(1 << 30)
+	return d
+}
+
+func (d seededDeath) String() string {
+	plane, when := "relay", "before"
+	if d.stream {
+		plane = "stream"
+	}
+	if d.after {
+		when = "after"
+	}
+	return fmt.Sprintf("%s/%s %s, worker %d dies %s record %d of round pick %d",
+		plane, d.transport, []string{"coreness", "orientation", "densest"}[d.proto], d.worker, when, d.record, d.pick)
+}
+
+// faults is d's schedule on a three-worker run whose last round is last.
+func (d seededDeath) faults(last int) []faultnet.Fault {
+	r := int(d.pick % uint64(last+1))
+	if d.record == recStreamAck && d.after { // past the last ack the finish may be out: not recoverable (ROADMAP 1b)
+		r = int(d.pick % uint64(last))
+	}
+	f := faultnet.Fault{Shard: d.worker, Peer: faultnet.Control, Type: d.record, Body: opening(nil, r)}
+	if d.after {
+		f.Action = faultnet.After
+	}
+	if d.record == recWindow {
+		f.Type = recStreamDone
+		return []faultnet.Fault{f, marker(d.worker, r)}
+	}
+	return []faultnet.Fault{f}
+}
+
 // clusterEngine is a dist.Engine over a hand-driven three-worker Cluster with
-// recovery armed, for the faults Engine.KillAt cannot express: kill is
-// consulted (under mu) at every phase seam of every incarnation, wrap, when
-// set, stands between the coordinator and each respawned worker, and
-// meshWrap, when set, wraps (under mu) every mesh connection a worker accepts.
+// recovery armed, for the schedules an Engine's one run cannot hold: faults
+// runs on the worker links (Cluster.Wrap), and coord, when set, stands between
+// the coordinator and each respawned worker.
 type clusterEngine struct {
-	stream   bool
-	mu       sync.Mutex
-	kill     func(shard int, ph obs.Phase, round int) bool
-	wrap     func(stdnet.Conn) stdnet.Conn
-	meshWrap func(shard int, nc stdnet.Conn) stdnet.Conn
-	lam      quantize.Lambda
-	rep      *Report
-	err      error
+	stream bool
+	faults *faultnet.Net
+	coord  LinkFunc
+	lam    quantize.Lambda
+	rep    *Report
+	err    error
 }
 
 func (e *clusterEngine) WithWireLambda(lam quantize.Lambda) dist.Engine { e.lam = lam; return e }
@@ -314,26 +512,10 @@ func (e *clusterEngine) Run(g *graph.Graph, factory dist.Factory, maxRounds int)
 	body := func(s Seat) error {
 		w := s.Worker(g, assign)
 		w.lam, w.ChunkBytes = e.lam, 256
-		w.Kill = func(ph obs.Phase, r int) bool {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return e.kill(s.Shard, ph, r)
-		}
-		if accept := w.MeshAccept; e.meshWrap != nil {
-			w.MeshAccept = func() (stdnet.Conn, error) {
-				nc, err := accept()
-				if err == nil {
-					e.mu.Lock()
-					nc = e.meshWrap(s.Shard, nc)
-					e.mu.Unlock()
-				}
-				return nc, err
-			}
-		}
 		_, err := w.run(g, factory, maxRounds)
 		return err
 	}
-	cl := &Cluster{P: 3, IOTimeout: 10 * time.Second, Stream: e.stream}
+	cl := &Cluster{P: 3, IOTimeout: 10 * time.Second, Stream: e.stream, Wrap: e.faults.Wrap}
 	if err := cl.Start(body); err != nil {
 		panic(err)
 	}
@@ -343,8 +525,8 @@ func (e *clusterEngine) Run(g *graph.Graph, factory dist.Factory, maxRounds int)
 		GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign),
 		Respawn: func(s, gen int) (*Conn, error) {
 			cn, err := cl.Respawn(s, gen, body)
-			if err == nil && e.wrap != nil {
-				cn = NewConn(e.wrap(cn.nc))
+			if err == nil {
+				cn = NewConn(e.coord.wrap(s, gen, faultnet.Control, cn.nc))
 			}
 			return cn, err
 		}})
@@ -362,15 +544,12 @@ func TestTwoDeathsInOneStreamedRun(t *testing.T) {
 	refEng := streamRecoveryEngine(3)
 	ref, refMet := core.RunDistributed(g, opt, refEng)
 
-	deaths := map[int]int{0: 2, 2: T/2 + 2} // worker → the round it dies in, once
-	eng := &clusterEngine{stream: true, kill: func(w int, ph obs.Phase, r int) bool {
-		if at, ok := deaths[w]; !ok || ph != obs.PhaseDeliver || r != at {
-			return false
-		}
-		delete(deaths, w)
-		return true
-	}}
-	res, met := core.RunDistributed(g, opt, eng)
+	// Worker 0 dies in round 2's delivery, worker 2 in round T/2+2's.
+	deaths := append(deathAt(true, obs.PhaseDeliver, 2, 0, refMet.Rounds), deathAt(true, obs.PhaseDeliver, T/2+2, 2, refMet.Rounds)...)
+	eng := &clusterEngine{stream: true, faults: faultnet.New(deaths...)}
+	var res *core.Result
+	var met dist.Metrics
+	cell(t, func() { res, met = core.RunDistributed(g, opt, eng) })
 	if eng.err != nil {
 		t.Fatal(eng.err)
 	}
@@ -386,24 +565,6 @@ func TestTwoDeathsInOneStreamedRun(t *testing.T) {
 	}
 }
 
-// flipConn flips the low bit of the last byte of the first record of type typ
-// written through it — on a float payload under Λ = ℝ, a well-formed value
-// that is not the one sent. Writes start at record boundaries here: a Conn
-// hands its connection whole records.
-type flipConn struct {
-	stdnet.Conn
-	typ     byte
-	flipped bool
-}
-
-func (c *flipConn) Write(p []byte) (int, error) {
-	return c.Conn.Write(eachRecord(p, func(typ byte, _ []byte) bool {
-		flip := !c.flipped && typ == c.typ
-		c.flipped = c.flipped || flip
-		return flip
-	}))
-}
-
 // A flow fed again to a respawned worker that differs from the original — one
 // bit of one value, everything still decoding — must not be run into a result,
 // and the abort names that worker. Relayed, the coordinator replays the frame:
@@ -411,7 +572,9 @@ func (c *flipConn) Write(p []byte) (int, error) {
 // coordinator sealed. Streamed, no replay record is left to corrupt — a peer
 // re-sends the chunk: the flow's digest disagrees with its sender's end
 // marker, the worker says so, and a worker that says why it stops is not
-// respawned again.
+// respawned again. The flip is faultnet's, on the low bit of the record's last
+// byte — on a float payload under Λ = ℝ, a well-formed value that is not the
+// one sent.
 func TestCorruptedReplayAbortsAttributed(t *testing.T) {
 	g := graph.BarabasiAlbert(150, 3, 11)
 	for _, row := range []struct {
@@ -419,34 +582,25 @@ func TestCorruptedReplayAbortsAttributed(t *testing.T) {
 		typ    byte
 		want   string
 	}{{false, recFrame, "frame chain"}, {true, recPeerFrame, "digest mismatch"}} {
-		fired := false
-		flip := &flipConn{typ: row.typ}
-		through := func(nc stdnet.Conn) stdnet.Conn { flip.Conn = nc; return flip }
-		eng := &clusterEngine{
-			stream: row.stream,
-			kill: func(w int, ph obs.Phase, r int) bool {
-				if fired || w != 1 || ph != obs.PhaseDeliver || r != 3 {
-					return false
-				}
-				fired = true
-				return true
-			},
-		}
-		if row.stream {
-			// Worker 0's end of the link worker 1's successor dials.
-			eng.meshWrap = func(w int, nc stdnet.Conn) stdnet.Conn {
-				if w == 0 && fired {
-					return through(nc)
-				}
-				return nc
-			}
+		// Worker 1 dies in round 3's delivery; then the first frame its
+		// successor is replayed (the coordinator's end of its new connection),
+		// or the first chunk worker 0 re-sends it, is flipped.
+		deaths := deathAt(row.stream, obs.PhaseDeliver, 3, 1, 8)
+		flip := faultnet.Fault{Shard: 1, Gen: 1, Peer: faultnet.Control, Type: row.typ, Action: faultnet.Flip}
+		eng := &clusterEngine{stream: row.stream, faults: faultnet.New(deaths...)}
+		flips, i := faultnet.New(flip), 0
+		if row.stream { // worker 0's end of the link the successor dials
+			flip.Shard, flip.Gen, flip.Peer = 0, 0, 1
+			eng.faults = faultnet.New(append(deaths, flip)...)
+			flips, i = eng.faults, len(deaths)
 		} else {
-			eng.wrap = through
+			eng.coord = flips.Wrap
 		}
-		core.RunDistributed(g, core.Options{Rounds: 8}, eng)
+		cell(t, func() { core.RunDistributed(g, core.Options{Rounds: 8}, eng) })
+		flipped := flips.Fired(i)
 		var re *RunError
-		if !flip.flipped || !errors.As(eng.err, &re) {
-			t.Fatalf("stream=%v: corrupted replay (flipped: %v) ended with %v, want a *RunError", row.stream, flip.flipped, eng.err)
+		if !flipped || !errors.As(eng.err, &re) {
+			t.Fatalf("stream=%v: corrupted replay (flipped: %v) ended with %v, want a *RunError", row.stream, flipped, eng.err)
 		}
 		if re.Worker != 1 || !strings.Contains(re.Error(), row.want) {
 			t.Errorf("stream=%v: failure %v, want worker 1 refused over its %s", row.stream, re, row.want)
@@ -478,15 +632,14 @@ func TestArmedRunShipsNoStateToCoordinator(t *testing.T) {
 	assign := shard.Hash{}.Partition(g, 3)
 	received := func(stream, armed bool) int64 {
 		var recv atomic.Int64
-		br := newMeshBroker(3)
+		br := &meshBroker{inboxes: make([]*meshInbox, 3)}
 		conns := make([]*Conn, 3)
 		var wg sync.WaitGroup
 		for s := range conns {
 			a, b := stdnet.Pipe()
 			conns[s] = NewConn(countConn{a, &recv})
 			w := NewWorker(NewConn(b), g, assign)
-			ib := br.register(s)
-			w.MeshDial, w.MeshAccept, w.MeshClose = br.dial, ib.accept, func() { br.close(ib) }
+			meshOf(br, s, w)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -14,6 +14,7 @@ import (
 	"distkcore/internal/core"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
+	"distkcore/internal/net/faultnet"
 	"distkcore/internal/obs"
 	"distkcore/internal/shard"
 )
@@ -24,33 +25,29 @@ import (
 // a time, no place on the workers' critical path, and an abort that ends every
 // incarnation's waits.
 
-// eachRecord calls fn for every whole record in p, a buffer that starts at a
-// record boundary (what a Conn hands its connection in one Write), and returns
-// p — a copy if fn asked, by returning true, to flip the low bit of the
-// record's last byte.
-func eachRecord(p []byte, fn func(typ byte, body []byte) (flip bool)) []byte {
-	for off := 0; off < len(p); {
-		n, k := binary.Uvarint(p[off:])
-		end := off + k + int(n)
-		if k <= 0 || n == 0 || end > len(p) {
-			break
-		}
-		if fn(p[off+k], p[off+k+1:end]) {
-			p = append([]byte(nil), p...)
-			p[end-1] ^= 1
-		}
-		off = end
-	}
-	return p
-}
-
-// writeTap sees every record written through a connection.
+// writeTap sees the type of every record written through a coordinator's
+// connection — a Conn hands its connection whole records. (faultnet's seam
+// wraps the worker ends; what a coordinator end carries is the tap's.)
 type writeTap struct {
 	stdnet.Conn
-	fn func(typ byte, body []byte) (flip bool)
+	fn func(typ byte)
 }
 
-func (c writeTap) Write(p []byte) (int, error) { return c.Conn.Write(eachRecord(p, c.fn)) }
+func (c writeTap) Write(p []byte) (int, error) {
+	for off := 0; off < len(p); {
+		n, k := binary.Uvarint(p[off:])
+		c.fn(p[off+k])
+		off += k + int(n)
+	}
+	return c.Conn.Write(p)
+}
+
+// meshOf wires w as worker s of the in-process mesh br.
+func meshOf(br *meshBroker, s int, w *Worker) {
+	ib := br.register(s, 0)
+	w.MeshDial = func(dst int) (stdnet.Conn, error) { return br.dial(s, 0, dst) }
+	w.MeshAccept, w.MeshClose = ib.accept, func() { br.close(ib) }
+}
 
 // goroutinesSettle fails the test unless the goroutine count returns to before.
 func goroutinesSettle(t *testing.T, before int) {
@@ -69,12 +66,12 @@ func goroutinesSettle(t *testing.T, before int) {
 // mesh an in-process broker, their coordinator connections workers[s] — each
 // shipping its values, and returns a function that waits for them.
 func handWorkers(t *testing.T, g *graph.Graph, opt core.Options, assign []int, workers []*Conn, tr *obs.Tracer) (wait func()) {
-	br := newMeshBroker(len(workers))
+	br := &meshBroker{inboxes: make([]*meshInbox, len(workers))}
 	var wg sync.WaitGroup
 	for s, wc := range workers {
 		w := NewWorker(wc, g, assign)
-		ib := br.register(s)
-		w.MeshDial, w.MeshAccept, w.MeshClose, w.Trace = br.dial, ib.accept, func() { br.close(ib) }, tr
+		meshOf(br, s, w)
+		w.Trace = tr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -106,11 +103,10 @@ func TestStreamedRunSendsThreeControlRecords(t *testing.T) {
 	conns, workers := make([]*Conn, 3), make([]*Conn, 3)
 	for s := range conns {
 		a, b := stdnet.Pipe()
-		conns[s], workers[s] = NewConn(writeTap{a, func(typ byte, _ []byte) bool {
+		conns[s], workers[s] = NewConn(writeTap{a, func(typ byte) {
 			mu.Lock()
 			sent[s] = append(sent[s], typ)
 			mu.Unlock()
-			return false
 		}}), NewConn(b)
 	}
 	wait := handWorkers(t, g, opt, assign, workers, nil)
@@ -142,29 +138,25 @@ func TestVerifyBehindCatchesALiar(t *testing.T) {
 	assign := shard.Hash{}.Partition(g, 3)
 	const liar, round = 2, 4
 	for _, tr := range []string{TransportPipe, TransportUnix} {
-		before := runtime.NumGoroutine()
 		body := func(s Seat) error {
-			if s.Shard == liar {
-				s.Conn = NewConn(writeTap{s.Conn.nc, func(typ byte, body []byte) bool {
-					r, _ := binary.Uvarint(body)
-					return typ == recStreamAck && r == round
-				}})
-			}
 			w := s.Worker(g, assign)
 			_, err := w.run(g, func(graph.NodeID) dist.Program { return flood{} }, 8)
 			return err
 		}
-		cl := &Cluster{P: 3, Transport: tr, IOTimeout: 10 * time.Second, Stream: true}
-		if err := cl.Start(body); err != nil {
-			t.Fatal(err)
-		}
-		_, _, err := cl.Run(Spec{MaxRounds: 8, GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign)}, body)
-		cl.Close()
+		lie := faultnet.New(faultnet.Fault{Shard: liar, Peer: faultnet.Control, Type: recStreamAck, Body: opening(nil, round), Action: faultnet.Flip})
+		cl := &Cluster{P: 3, Transport: tr, IOTimeout: 10 * time.Second, Stream: true, Wrap: lie.Wrap}
+		var err error
+		cell(t, func() {
+			if err = cl.Start(body); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = cl.Run(Spec{MaxRounds: 8, GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign)}, body)
+			cl.Close()
+		})
 		var re *RunError
 		if !errors.As(err, &re) || re.Round != round || re.Worker != liar || re.Phase != obs.PhaseVerify || !strings.Contains(err.Error(), "mismatch") {
 			t.Errorf("%s: run ended with %v, want a verify failure at round %d naming worker %d", tr, err, round, liar)
 		}
-		goroutinesSettle(t, before)
 	}
 }
 
@@ -239,51 +231,52 @@ func TestAbortMidCatchUpLeavesNothingWaiting(t *testing.T) {
 	g := graph.BarabasiAlbert(150, 3, 11)
 	assign := shard.Hash{}.Partition(g, 3)
 	for _, tr := range []string{TransportPipe, TransportUnix} {
-		before := runtime.NumGoroutine()
-		cl := &Cluster{P: 3, Transport: tr, IOTimeout: 10 * time.Second, Stream: true}
-		var once sync.Once
-		aborted := make(chan struct{})
+		// Worker 1 dies in round 3's delivery; its successor holds at its done
+		// record of round 1, and as it does worker 0's connection is cut.
+		hold := faultnet.Fault{Shard: 1, Gen: 1, Peer: faultnet.Control, Type: recStreamDone, Body: opening(nil, 1), Action: faultnet.Hold}
+		sched := append(deathAt(true, obs.PhaseDeliver, 3, 1, 8), hold)
+		faults := faultnet.New(sched...)
+		cl := &Cluster{P: 3, Transport: tr, IOTimeout: 10 * time.Second, Stream: true, Wrap: faults.Wrap}
 		body := func(s Seat) error {
 			w := s.Worker(g, assign)
 			w.ChunkBytes = 256
-			w.Kill = func(ph obs.Phase, r int) bool {
-				switch {
-				case s.gen == 0 && s.Shard == 1 && ph == obs.PhaseDeliver && r == 3:
-					return true
-				case s.gen == 1 && ph == obs.PhaseStep && r == 1:
-					once.Do(func() { cl.Hub.Conn(0).Close() })
-					<-aborted
-				}
-				return false
-			}
 			_, err := w.run(g, func(graph.NodeID) dist.Program { return flood{} }, 8)
 			return err
 		}
-		if err := cl.Start(body); err != nil {
-			t.Fatal(err)
-		}
-		_, _, err := cl.Hub.Run(Spec{P: 3, Stream: true, Recover: true, MaxRounds: 8,
-			GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign),
-			Respawn: func(s, gen int) (*Conn, error) {
-				if s == 0 {
-					return nil, errors.New("no spare for worker 0")
+		var err error
+		cell(t, func() {
+			if err := cl.Start(body); err != nil {
+				t.Fatal(err)
+			}
+			stop, cut := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(cut)
+				for !faults.Fired(len(sched) - 1) {
+					select {
+					case <-stop:
+						return
+					case <-time.After(time.Millisecond):
+					}
 				}
-				return cl.Respawn(s, gen, body)
-			}})
-		close(aborted)
-		closed := make(chan struct{})
-		go func() { cl.Close(); close(closed) }()
-		select {
-		case <-closed:
-		case <-time.After(20 * time.Second):
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%s: Close still waiting 20 s after the abort\n%s", tr, buf[:runtime.Stack(buf, true)])
-		}
+				cl.Hub.Conn(0).Close()
+			}()
+			_, _, err = cl.Hub.Run(Spec{P: 3, Stream: true, Recover: true, MaxRounds: 8,
+				GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign),
+				Respawn: func(s, gen int) (*Conn, error) {
+					if s == 0 {
+						return nil, errors.New("no spare for worker 0")
+					}
+					return cl.Respawn(s, gen, body)
+				}})
+			close(stop)
+			<-cut
+			faults.Release()
+			cl.Close()
+		})
 		var re *RunError
 		if !errors.As(err, &re) || re.Worker != 0 || !strings.Contains(err.Error(), "no spare") {
 			t.Errorf("%s: run ended with %v, want the refused respawn of worker 0", tr, err)
 		}
-		goroutinesSettle(t, before)
 	}
 }
 

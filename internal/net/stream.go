@@ -167,9 +167,6 @@ func (p *streamWorker) run(maxRounds int) (rounds int, halted bool, err error) {
 // queued behind it (it rides the next done record's flush, or the run's last).
 func (p *streamWorker) round(t int) (alive int, err error) {
 	r, w, self := p.r, p.r.w, p.r.h.Shard
-	if w.killed(obs.PhaseStep, t) {
-		return 0, ErrKilled
-	}
 	r.cur = t
 	// The arena slot recycles under the mesh mutex, before the round advances.
 	rv := w.Trace.Begin(obs.PhaseRecv, t, self)
@@ -180,9 +177,6 @@ func (p *streamWorker) round(t int) (alive int, err error) {
 	}
 	sp := w.Trace.Begin(obs.PhaseStep, t, self)
 	sp.EndN(0, int64(r.d.StepList(r.local, t))) // hooks run, as on seq and par
-	if w.killed(obs.PhaseSend, t) {
-		return 0, ErrKilled
-	}
 	out := w.Trace.Begin(obs.PhaseSend, t, self)
 	r.fan.Emit(r.d, func(q int, to graph.NodeID, m dist.Message) {
 		if err == nil {
@@ -219,17 +213,11 @@ func (p *streamWorker) round(t int) (alive int, err error) {
 		return 0, err
 	}
 	out.EndN(bytes, msgs)
-	if w.killed(obs.PhaseBarrierWait, t) {
-		return 0, ErrKilled
-	}
 	bw := w.Trace.Begin(obs.PhaseBarrierWait, t, self)
 	recv, dig, peers, err := p.m.waitComplete(p.recv[:0])
 	bw.End()
 	if err != nil {
 		return 0, err
-	}
-	if w.killed(obs.PhaseRecv, t) {
-		return 0, ErrKilled
 	}
 	rv = w.Trace.Begin(obs.PhaseRecv, t, self)
 	var rb, rc int64
@@ -240,9 +228,6 @@ func (p *streamWorker) round(t int) (alive int, err error) {
 	p.recv = recv
 	r.chain = foldU64(r.chain, dig)
 	rv.EndN(rb, rc)
-	if w.killed(obs.PhaseDeliver, t) {
-		return 0, ErrKilled
-	}
 	dl := w.Trace.Begin(obs.PhaseDeliver, t, self)
 	r.d.Deliver(nil)
 	dl.End()
@@ -338,9 +323,6 @@ func (p *streamCoord) run() (alive int, err error) {
 	}
 	for t := 0; ; t++ {
 		c.cur = t
-		if c.spec.OnRound != nil {
-			c.spec.OnRound(t)
-		}
 		bw := c.spec.Trace.Begin(obs.PhaseBarrierWait, t, -1)
 		w, err := p.collect(t, func() bool { return p.round(t).n == 2*len(p.in) })
 		bw.End()

@@ -2,7 +2,6 @@ package net
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -15,19 +14,6 @@ import (
 	"distkcore/internal/quantize"
 	"distkcore/internal/shard"
 )
-
-// ErrKilled is the sentinel a fault-injected worker dies with: the kill
-// hook closed the connection mid-protocol, exactly what a SIGKILL looks
-// like from the coordinator's side. Engine wrappers recognize it (via
-// errors.Is) and suppress the error record a real failure would send — a
-// crashed process sends nothing.
-var ErrKilled = errors.New("net: worker killed by fault injection")
-
-// KillFunc is the fault-injection seam of the recovery test harness: a
-// worker consults it at each phase boundary of its round loop (step,
-// encode or send, barrier-wait, recv on the mesh, deliver) and dies on the
-// spot when it returns true.
-type KillFunc func(phase obs.Phase, round int) bool
 
 // frameChainSeed starts each worker's frame-chain digest: an FNV-1a fold
 // (offset basis, 64-bit prime) over everything the worker receives — every
@@ -76,10 +62,6 @@ type Worker struct {
 	// in), recv (mesh only) and deliver spans, all under the worker's shard
 	// index.
 	Trace *obs.Tracer
-	// Kill, when non-nil, is the fault-injection hook (KillFunc): consulted
-	// at every phase boundary of the round loop, a true return crashes the
-	// worker — connection closed, no error record, Run dies with ErrKilled.
-	Kill KillFunc
 
 	// Stream-plane plumbing (DESIGN.md §14), consulted only when the hello
 	// arms Stream. MeshDial opens a raw connection to a peer's mesh
@@ -103,7 +85,6 @@ type Worker struct {
 	g      *graph.Graph
 	assign []int
 	lam    quantize.Lambda
-	mesh   *streamWorker // set once a streamed run's mesh is up
 }
 
 // NewWorker returns a worker endpoint over c for a run on g partitioned by
@@ -137,32 +118,10 @@ func (w *Worker) Name() string { return "net-worker" }
 func (w *Worker) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.Metrics {
 	met, err := w.run(g, factory, maxRounds)
 	if err != nil {
-		if errors.Is(err, ErrKilled) {
-			// A fault-injected crash: the connection is already closed and a
-			// dead process would send nothing. Panic with the sentinel value
-			// so engine goroutine wrappers can recognize it.
-			panic(err)
-		}
 		w.c.SendError(err)
 		panic("net: worker: " + err.Error())
 	}
 	return met
-}
-
-// killed consults the fault-injection hook and, on a hit, crashes the
-// worker: the connection closes mid-protocol and the caller returns
-// ErrKilled.
-func (w *Worker) killed(phase obs.Phase, round int) bool {
-	if w.Kill != nil && w.Kill(phase, round) {
-		w.c.Close()
-		if w.mesh != nil {
-			// A dead process takes its mesh connections with it; closing
-			// them is what lets the peers observe the death.
-			w.mesh.m.Close()
-		}
-		return true
-	}
-	return false
 }
 
 // workerLoop is one worker's run state under the round loop: the driver —
@@ -262,16 +221,13 @@ func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
 // share of the protocol Metrics when it delivers. A catch-up replay (live
 // false) does all of that but the sending — the peers already hold the dead
 // incarnation's identical bytes; the plane keeps what it would retain of
-// them — and consults no kill seam.
+// them.
 func (r *workerLoop) step(t int, live bool) error {
 	w, self := r.w, r.h.Shard
 	r.cur = t
 	r.resetArenas(t)
 	sp := w.Trace.Begin(obs.PhaseStep, t, self)
 	sp.EndN(0, int64(r.d.StepList(r.local, t))) // hooks run, as on seq and par
-	if live && w.killed(obs.PhaseEncode, t) {
-		return ErrKilled
-	}
 	out := w.Trace.Begin(obs.PhaseEncode, t, self)
 	var serr error
 	r.fan.Emit(r.d, func(q int, to graph.NodeID, m dist.Message) {
@@ -293,9 +249,6 @@ func (r *workerLoop) step(t int, live bool) error {
 	if err := w.c.Flush(); err != nil {
 		return err
 	}
-	if w.killed(obs.PhaseBarrierWait, t) {
-		return ErrKilled
-	}
 	r.bw = w.Trace.Begin(obs.PhaseBarrierWait, t, self)
 	return nil
 }
@@ -310,9 +263,6 @@ func (r *workerLoop) finish(t int, live bool, rel []byte) error {
 	r.bw = obs.SpanRef{}
 	if err := r.plane.inbound(t, live, rel); err != nil {
 		return err
-	}
-	if live && w.killed(obs.PhaseDeliver, t) {
-		return ErrKilled
 	}
 	dl := w.Trace.Begin(obs.PhaseDeliver, t, r.h.Shard)
 	r.d.Deliver(nil)
@@ -382,15 +332,16 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			r.arenas[i][0], r.arenas[i][1] = new(shard.VecArena), new(shard.VecArena)
 		}
 	}
+	var mesh *streamWorker
 	if h.Stream {
 		// The mesh forms before the welcome — the coordinator treats the
 		// welcome as "ready to run", which on a streamed run means "reachable
 		// by peers".
 		var err error
-		if w.mesh, err = newStreamWorker(r); err != nil {
+		if mesh, err = newStreamWorker(r); err != nil {
 			return dist.Metrics{}, err
 		}
-		defer w.mesh.m.Close()
+		defer mesh.m.Close()
 	} else {
 		r.plane = newRelayWorker(r)
 	}
@@ -404,8 +355,8 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 	})); err != nil {
 		return dist.Metrics{}, err
 	}
-	if h.Stream {
-		rounds, halted, err := w.mesh.run(maxRounds)
+	if mesh != nil {
+		rounds, halted, err := mesh.run(maxRounds)
 		if err != nil {
 			return dist.Metrics{}, err
 		}
@@ -425,9 +376,6 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			}
 			if t != r.cur+1 {
 				return dist.Metrics{}, fmt.Errorf("net: step(round %d) but worker is at round %d", t, r.cur)
-			}
-			if w.killed(obs.PhaseStep, t) {
-				return dist.Metrics{}, ErrKilled
 			}
 			if err := r.step(t, true); err != nil {
 				return dist.Metrics{}, err

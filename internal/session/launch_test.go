@@ -96,15 +96,17 @@ func TestSessionLeavesNoGoroutines(t *testing.T) {
 			// Worker 1 dies in the epoch-0 run and nothing may respawn it: the
 			// run fails, Open returns its diagnosis and owns the whole cleanup.
 			opt := base
-			opt.kill = killWorkerAt(1, obs.PhaseBarrierWait, 2)
-			s, err := Open(g, opt)
-			if err == nil {
-				s.Close()
-				t.Fatal("Open sealed an epoch-0 run whose worker died without recovery")
-			}
-			if !strings.Contains(err.Error(), "worker 1") {
-				t.Fatalf("failed Open does not name the dead worker: %v", err)
-			}
+			opt.wrap = killWorkerAt(1, obs.PhaseBarrierWait, 2)
+			cell(t, func() {
+				s, err := Open(g, opt)
+				if err == nil {
+					s.Close()
+					t.Fatal("Open sealed an epoch-0 run whose worker died without recovery")
+				}
+				if !strings.Contains(err.Error(), "worker 1") {
+					t.Fatalf("failed Open does not name the dead worker: %v", err)
+				}
+			})
 		}
 		settle(t, before, "failed Open")
 	})
@@ -114,16 +116,18 @@ func TestSessionLeavesNoGoroutines(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			opt := base
 			opt.Recover = true
-			opt.kill = killWorkerAt(i%2, sessionKillPhases[i%2], 1)
-			s, err := Open(g, opt)
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			driveEpochs(t, s, g, recoveryDeltas(g, 2))
-			if s.Recoveries() < 1 {
-				t.Fatalf("iteration %d never recovered", i)
-			}
-			s.Close()
+			opt.wrap = killWorkerAt(i%2, sessionKillPhases[i%2], 1)
+			cell(t, func() {
+				s, err := Open(g, opt)
+				if err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				defer s.Close()
+				driveEpochs(t, s, g, recoveryDeltas(g, 2))
+				if s.Recoveries() < 1 {
+					t.Fatalf("iteration %d never recovered", i)
+				}
+			})
 		}
 		settle(t, before, "recovered epoch kill")
 	})

@@ -1,16 +1,19 @@
 package session
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
-	"sync"
+	"runtime"
 	"testing"
 	"time"
 
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
 	net "distkcore/internal/net"
+	"distkcore/internal/net/faultnet"
 	"distkcore/internal/obs"
 	"distkcore/internal/shard"
 )
@@ -21,31 +24,48 @@ import (
 // and the chain through e, e+1, e+2 is bit-identical to a session that
 // never saw the fault. The stat must report a recovery count, not BROKEN.
 
-// sessionKillPhases are the worker-side fault seams of the epoch loop:
-// PhaseRepair fires at epochStep entry (death before the worker replies
-// anything), PhaseRebalance after the reconverge is flushed (death between
-// the reply and the seal).
+// sessionKillPhases name the sweep's cells: a worker dies at the write of its
+// reconverge with the record unsent (PhaseRepair: nothing of the epoch is in
+// from it) or just after it went out (PhaseRebalance: between the reply and
+// the seal).
 var sessionKillPhases = []obs.Phase{obs.PhaseRepair, obs.PhaseRebalance}
 
-// killWorkerAt builds the Options.kill hook: a one-shot fault that fires
-// for worker target at (phase, epoch) exactly once across all incarnations.
-func killWorkerAt(target int, ph obs.Phase, epoch int) func(int) net.KillFunc {
-	var mu sync.Mutex
-	fired := false
-	return func(w int) net.KillFunc {
-		return func(p obs.Phase, e int) bool {
-			if w != target || p != ph || e != epoch {
-				return false
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if fired {
-				return false
-			}
-			fired = true
-			return true
-		}
+// recDone is internal/net's relayed done record (DESIGN.md §8.2): epoch 0's
+// run is relayed.
+const recDone = 5
+
+// epochOf is the faultnet.Fault.Body of a record that opens with epoch (or
+// round) e, as a reconverge and a done record do.
+func epochOf(e int) []byte { return binary.AppendUvarint(nil, uint64(e)) }
+
+// killWorkerAt is the Options.wrap of one clean death of worker target, once
+// across its incarnations: at the write of its reconverge of epoch e (phase
+// PhaseRepair: before it goes out, PhaseRebalance: after), or, at
+// PhaseBarrierWait, just after its done record of epoch 0's round e.
+func killWorkerAt(target int, ph obs.Phase, e int) net.LinkFunc {
+	f := faultnet.Fault{Shard: target, Peer: faultnet.Control, Type: net.RecReconverge, Body: epochOf(e), Action: faultnet.After}
+	switch ph {
+	case obs.PhaseRepair:
+		f.Action = faultnet.Before
+	case obs.PhaseBarrierWait:
+		f.Type = recDone
 	}
+	return faultnet.New(f).Wrap
+}
+
+// cell runs one fault cell under a deadline — past it the test binary dies
+// with every goroutine's stack — then holds the goroutine count to what it
+// was before.
+func cell(t *testing.T, body func()) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	dog := time.AfterFunc(time.Minute, func() {
+		buf := make([]byte, 1<<20)
+		panic(fmt.Sprintf("%s: fault cell still running after a minute\n%s", t.Name(), buf[:runtime.Stack(buf, true)]))
+	})
+	defer dog.Stop()
+	body()
+	settle(t, before, t.Name())
 }
 
 // epochTrace drives a session through the given deltas and records each
@@ -105,12 +125,12 @@ func TestSessionRecoverySweep(t *testing.T) {
 	g := graph.BarabasiAlbert(n, 3, 9)
 	part := shard.Greedy{}
 	deltas := recoveryDeltas(g, epochs)
-	open := func(kill func(int) net.KillFunc) *Session {
+	open := func(wrap net.LinkFunc) *Session {
 		t.Helper()
 		s, err := Open(g, Options{
 			P: p, Rounds: T, Part: part,
 			IOTimeout: 10 * time.Second,
-			Recover:   true, kill: kill,
+			Recover:   true, wrap: wrap,
 		})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
@@ -128,9 +148,13 @@ func TestSessionRecoverySweep(t *testing.T) {
 	for w := 0; w < p; w++ {
 		for _, ph := range sessionKillPhases {
 			t.Run(obs.Phase.String(ph)+"/w"+string(rune('0'+w)), func(t *testing.T) {
-				s := open(killWorkerAt(w, ph, 2))
-				defer s.Close()
-				got := driveEpochs(t, s, g, deltas)
+				var s *Session
+				var got epochTrace
+				cell(t, func() {
+					s = open(killWorkerAt(w, ph, 2))
+					defer s.Close()
+					got = driveEpochs(t, s, g, deltas)
+				})
 				if rec := s.Recoveries(); rec < 1 {
 					t.Fatalf("kill point never recovered (recoveries=%d)", rec)
 				}
@@ -177,17 +201,22 @@ func TestSessionRecoveryDuringEpochZero(t *testing.T) {
 	want := driveEpochs(t, ref, g, deltas)
 	ref.Close()
 
-	s, err := Open(g, Options{
-		P: 3, Rounds: 8, Part: part,
-		IOTimeout: 10 * time.Second,
-		Recover:   true,
-		kill:      killWorkerAt(1, obs.PhaseBarrierWait, 2),
+	var s *Session
+	var got epochTrace
+	cell(t, func() {
+		var err error
+		s, err = Open(g, Options{
+			P: 3, Rounds: 8, Part: part,
+			IOTimeout: 10 * time.Second,
+			Recover:   true,
+			wrap:      killWorkerAt(1, obs.PhaseBarrierWait, 2),
+		})
+		if err != nil {
+			t.Fatalf("Open with epoch-0 kill: %v", err)
+		}
+		defer s.Close()
+		got = driveEpochs(t, s, g, deltas)
 	})
-	if err != nil {
-		t.Fatalf("Open with epoch-0 kill: %v", err)
-	}
-	defer s.Close()
-	got := driveEpochs(t, s, g, deltas)
 	if !reflect.DeepEqual(got.chains, want.chains) {
 		t.Fatalf("chain digests %#x, want %#x", got.chains, want.chains)
 	}
@@ -207,9 +236,9 @@ func TestSessionRecoveryPastLogFold(t *testing.T) {
 	if size := g.N() + g.M(); 3*30 >= size || 4*30 < size {
 		t.Fatalf("test graph (n+m = %d) no longer puts the forced fold at epoch 4", size)
 	}
-	open := func(kill func(int) net.KillFunc) *Session {
+	open := func(wrap net.LinkFunc) *Session {
 		t.Helper()
-		s, err := Open(g, Options{P: 3, Rounds: 6, Part: shard.Greedy{}, IOTimeout: 10 * time.Second, Recover: true, kill: kill})
+		s, err := Open(g, Options{P: 3, Rounds: 6, Part: shard.Greedy{}, IOTimeout: 10 * time.Second, Recover: true, wrap: wrap})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -219,15 +248,19 @@ func TestSessionRecoveryPastLogFold(t *testing.T) {
 	want := driveEpochs(t, ref, g, deltas)
 	ref.Close()
 	for _, ph := range sessionKillPhases {
-		s := open(killWorkerAt(1, ph, 6))
-		got := driveEpochs(t, s, g, deltas)
+		var s *Session
+		var got epochTrace
+		cell(t, func() {
+			s = open(killWorkerAt(1, ph, 6))
+			defer s.Close()
+			got = driveEpochs(t, s, g, deltas)
+		})
 		if s.Recoveries() != 1 {
 			t.Fatalf("%v: %d recoveries, want 1", ph, s.Recoveries())
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v: recovered session diverges from the undisturbed one:\nchains %#x\nwant   %#x", ph, got.chains, want.chains)
 		}
-		s.Close()
 	}
 }
 
@@ -235,33 +268,35 @@ func TestSessionRecoveryPastLogFold(t *testing.T) {
 // broken with an attributed BreakCause — recovery is strictly opt-in.
 func TestSessionKillWithoutRecoverBreaks(t *testing.T) {
 	g := graph.BarabasiAlbert(200, 3, 3)
-	s, err := Open(g, Options{
-		P: 2, Rounds: 6, Part: shard.Greedy{},
-		IOTimeout: 2 * time.Second,
-		kill:      killWorkerAt(1, obs.PhaseRepair, 1),
+	cell(t, func() {
+		s, err := Open(g, Options{
+			P: 2, Rounds: 6, Part: shard.Greedy{},
+			IOTimeout: 2 * time.Second,
+			wrap:      killWorkerAt(1, obs.PhaseRepair, 1),
+		})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer s.Close()
+		if _, err := s.Push(dist.RandomChurn(g, 20, 77), 0); err == nil {
+			t.Fatal("killed epoch sealed without recovery armed")
+		}
+		bc := s.Cause()
+		if bc == nil {
+			t.Fatal("broken session has no BreakCause")
+		}
+		if bc.Worker != 1 {
+			t.Fatalf("break attributed to worker %d, want 1", bc.Worker)
+		}
+		if !s.Stat().Broken {
+			t.Fatal("stat does not report BROKEN")
+		}
+		if _, err := s.Push(dist.RandomChurn(g, 20, 78), 0); err == nil {
+			t.Fatal("broken session accepted a later push")
+		} else if !errors.Is(err, s.Err()) && s.Err() == nil {
+			t.Fatal("broken latch lost the original error")
+		}
 	})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer s.Close()
-	if _, err := s.Push(dist.RandomChurn(g, 20, 77), 0); err == nil {
-		t.Fatal("killed epoch sealed without recovery armed")
-	}
-	bc := s.Cause()
-	if bc == nil {
-		t.Fatal("broken session has no BreakCause")
-	}
-	if bc.Worker != 1 {
-		t.Fatalf("break attributed to worker %d, want 1", bc.Worker)
-	}
-	if !s.Stat().Broken {
-		t.Fatal("stat does not report BROKEN")
-	}
-	if _, err := s.Push(dist.RandomChurn(g, 20, 78), 0); err == nil {
-		t.Fatal("broken session accepted a later push")
-	} else if !errors.Is(err, s.Err()) && s.Err() == nil {
-		t.Fatal("broken latch lost the original error")
-	}
 }
 
 // A crash loop must eventually break the session: the per-worker attempt
@@ -269,25 +304,27 @@ func TestSessionKillWithoutRecoverBreaks(t *testing.T) {
 // instead of an infinite respawn cycle.
 func TestSessionRecoveryAttemptCap(t *testing.T) {
 	g := graph.BarabasiAlbert(150, 3, 4)
-	// Fire at PhaseRepair of epoch 1 on EVERY incarnation of worker 0.
-	kill := func(w int) net.KillFunc {
-		return func(p obs.Phase, e int) bool {
-			return w == 0 && p == obs.PhaseRepair && e == 1
+	// Fire at PhaseRepair of epoch 1 on EVERY incarnation of worker 0 (the
+	// hub's cap respawns eight).
+	var kill []faultnet.Fault
+	for gen := 0; gen <= 8; gen++ {
+		kill = append(kill, faultnet.Fault{Shard: 0, Gen: gen, Peer: faultnet.Control, Type: net.RecReconverge, Body: epochOf(1), Action: faultnet.Before})
+	}
+	cell(t, func() {
+		s, err := Open(g, Options{
+			P: 2, Rounds: 6, Part: shard.Greedy{},
+			IOTimeout: 5 * time.Second,
+			Recover:   true, wrap: faultnet.New(kill...).Wrap,
+		})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
 		}
-	}
-	s, err := Open(g, Options{
-		P: 2, Rounds: 6, Part: shard.Greedy{},
-		IOTimeout: 5 * time.Second,
-		Recover:   true, kill: kill,
+		defer s.Close()
+		if _, err := s.Push(dist.RandomChurn(g, 20, 99), 0); err == nil {
+			t.Fatal("crash-looping worker sealed an epoch")
+		}
+		if !s.Stat().Broken {
+			t.Fatal("crash loop did not break the session")
+		}
 	})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer s.Close()
-	if _, err := s.Push(dist.RandomChurn(g, 20, 99), 0); err == nil {
-		t.Fatal("crash-looping worker sealed an epoch")
-	}
-	if !s.Stat().Broken {
-		t.Fatal("crash loop did not break the session")
-	}
 }

@@ -39,10 +39,9 @@ type Options struct {
 	// sealed epoch instead of latching the session broken. Epoch-0
 	// handshake faults stay fatal either way.
 	Recover bool
-	// kill, when non-nil, hands each worker goroutine its fault-injection
-	// hook (the recovery tests' seam; unexported because fault injection is
-	// not part of the public session surface).
-	kill func(worker int) net.KillFunc
+	// wrap is the cluster's link seam (net.Cluster.Wrap), for this package's
+	// fault tests: fault injection is not part of the session surface.
+	wrap net.LinkFunc
 }
 
 // Session is the in-process form of a long-lived cluster: a net.Cluster —
@@ -77,17 +76,13 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	kill := opt.kill
-	if kill == nil {
-		kill = func(int) net.KillFunc { return nil }
-	}
 	body := func(s net.Seat) error {
 		w := s.Worker(g, assign)
-		w.Trace, w.Kill = opt.Trace, kill(s.Shard)
+		w.Trace = opt.Trace
 		_, err := ServeWorker(s.Conn, w, g, assign, part, T)
 		return err
 	}
-	cl := &net.Cluster{P: p, Transport: opt.Transport, IOTimeout: opt.IOTimeout}
+	cl := &net.Cluster{P: p, Transport: opt.Transport, IOTimeout: opt.IOTimeout, Wrap: opt.wrap}
 	if err := cl.Start(body); err != nil {
 		return nil, err
 	}
@@ -133,7 +128,7 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 				if err != nil {
 					return err
 				}
-				ws.trace, ws.Kill = opt.Trace, kill(idx)
+				ws.trace = opt.Trace
 				return ws.ServeResumed()
 			})
 		})

@@ -20,12 +20,6 @@ import (
 // and the digest chain. Drive it with ServeEpochs on the same connection the
 // run used.
 type WorkerState struct {
-	// Kill, when non-nil, is the fault-injection hook of the recovery test
-	// harness (net.KillFunc over epoch phases): consulted at the epoch
-	// boundaries of the serve loop, a true return crashes the worker —
-	// connection closed, no error record, the loop dies with net.ErrKilled.
-	Kill net.KillFunc
-
 	c      *net.Conn
 	assign []int
 	shard  int
@@ -81,8 +75,8 @@ func NewWorkerState(c *net.Conn, g *graph.Graph, assign []int, shardIdx, p, T in
 // both the in-process cluster's worker body and cmd/cluster's `worker
 // -session` process run: the handshake (read here unless w.Hello already
 // holds it), the epoch-0 run with w as its engine, the run's values shipped
-// to the coordinator, the session state built from them — tracing and dying
-// where w does — and the epoch loop until the coordinator's goodbye. g and
+// to the coordinator, the session state built from them — tracing where w
+// does — and the epoch loop until the coordinator's goodbye. g and
 // assign are what w was built on, part the partitioner that produced assign
 // (every epoch reruns its Rebalance), T the round budget.
 // Errors come back unreported (the caller tells the coordinator); protocol
@@ -106,7 +100,7 @@ func ServeWorker(c *net.Conn, w *net.Worker, g *graph.Graph, assign []int, part 
 	if err != nil {
 		return nil, err
 	}
-	ws.trace, ws.Kill = w.Trace, w.Kill
+	ws.trace = w.Trace
 	return ws, ws.ServeEpochs()
 }
 
@@ -195,16 +189,6 @@ func (w *WorkerState) admit(admission byte) error {
 	return w.echoStamp(st)
 }
 
-// killed consults the fault-injection hook and, on a hit, crashes the
-// worker mid-epoch: connection closed, caller returns net.ErrKilled.
-func (w *WorkerState) killed(phase obs.Phase, epoch int) bool {
-	if w.Kill != nil && w.Kill(phase, epoch) {
-		w.c.Close()
-		return true
-	}
-	return false
-}
-
 // epochStep advances one epoch from a DeltaPush body.
 func (w *WorkerState) epochStep(body []byte) error {
 	epoch, budget, d, err := DecodeDeltaPush(body)
@@ -213,11 +197,6 @@ func (w *WorkerState) epochStep(body []byte) error {
 	}
 	if epoch != w.epoch+1 {
 		return fmt.Errorf("session: delta push for epoch %d, worker at %d", epoch, w.epoch)
-	}
-	// Fault-injection seam: death before any reply — the coordinator sees a
-	// reconverge-collection fault with nothing from this worker in yet.
-	if w.killed(obs.PhaseRepair, epoch) {
-		return net.ErrKilled
 	}
 	// Absorbing the delta is the oracle's alone: it mutates its adjacency in
 	// place (rolling hash included) and repairs the frontier. The coordinator
@@ -249,12 +228,6 @@ func (w *WorkerState) epochStep(body []byte) error {
 	rec := AppendReconverge(nil, Reconverge{Epoch: epoch, GraphHash: gh, PartDigest: pd, Changes: own})
 	if err := w.c.Send(net.RecReconverge, rec); err != nil {
 		return err
-	}
-	// Fault-injection seam: death after the reconverge shipped — the
-	// coordinator keeps this worker's change set and recovers it through a
-	// full epoch redo at the stamp phase.
-	if w.killed(obs.PhaseRebalance, epoch) {
-		return net.ErrKilled
 	}
 
 	// Mid-epoch the coordinator owes us a stamp promptly: deadline-armed read.
