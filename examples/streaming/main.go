@@ -61,7 +61,7 @@ func main() {
 	perOp := float64(m.Stats.Reevaluated) / float64(ops)
 	scratch := float64(n * T)
 	fmt.Printf("\nprocessed %d churn events\n", ops)
-	fmt.Printf("incremental work: %.0f node-round re-evaluations per event (%.0f of them settled by one pass against the stored value)\n",
+	fmt.Printf("incremental work: %.0f node-round re-evaluations per event (%.0f of them did not fall below the stored value)\n",
 		perOp, float64(m.Stats.Verified)/float64(ops))
 	fmt.Printf("from-scratch would cost %.0f per event → %.0fx saved\n", scratch, scratch/perOp)
 

@@ -182,9 +182,12 @@ func (u *Updater) step(changed int) (b float64, aux []int) {
 // weight of the k largest — is decided at the first k whose running weight
 // passes the next value down, so only the top of the descending order is
 // ever read: heapify in O(d), then pop the maximum and accumulate until the
-// crossing, O(d + k·log d) with k ≈ β instead of a full O(d·log d) sort.
-// Unlike Updater.Step it needs no stable tie order: the returned value is a
-// function of the (b, w) multiset alone.
+// crossing, O(d + k·log d) with k ≈ β instead of a full O(d·log d) sort. Up
+// to degree sortedUpdateMax the heap costs more than it saves, and the index
+// scratch is insertion-sorted instead (scanSorted). Either way only scratch
+// is permuted: bs and w are read, never written, so a caller may keep them
+// across calls. Unlike Updater.Step it needs no stable tie order: the
+// returned value is a function of the (b, w) multiset alone.
 func UpdateValue(bs, w []float64, scratch []int) float64 {
 	d := len(bs)
 	if d == 0 {
@@ -193,6 +196,9 @@ func UpdateValue(bs, w []float64, scratch []int) float64 {
 	idx := scratch[:0]
 	for i := 0; i < d; i++ {
 		idx = append(idx, i)
+	}
+	if d <= sortedUpdateMax {
+		return scanSorted(idx, bs, w)
 	}
 	for i := d/2 - 1; i >= 0; i-- {
 		siftDownByVal(idx, bs, i, d)
@@ -219,6 +225,45 @@ func UpdateValue(bs, w []float64, scratch []int) float64 {
 		idx[0] = idx[n-1]
 		siftDownByVal(idx, bs, 0, n-1)
 	}
+}
+
+// sortedUpdateMax is the degree up to which UpdateValue insertion-sorts its
+// index scratch rather than heaping it. Sorting reads every value and the heap
+// only the top k, but the heap's sift is a data-dependent tree walk: on a
+// 2-vCPU x86 host the sort was 1.3–2× faster at every degree up to 32, on
+// tie-heavy integer values and on distinct floats alike, and the heap first
+// won at 40–48, on a hub whose crossing comes after a handful of pops.
+const sortedUpdateMax = 32
+
+// scanSorted is UpdateValue's small-degree kernel: it sorts idx by bs
+// descending, then accumulates weight down the order to the first k whose sum
+// passes the next value.
+func scanSorted(idx []int, bs, w []float64) float64 {
+	for i := 1; i < len(idx); i++ {
+		x := idx[i]
+		bx := bs[x]
+		j := i
+		for ; j > 0 && bs[idx[j-1]] < bx; j-- {
+			idx[j] = idx[j-1]
+		}
+		idx[j] = x
+	}
+	s := 0.0
+	for k, i := range idx {
+		s += w[i]
+		next := math.Inf(-1)
+		if k+1 < len(idx) {
+			next = bs[idx[k+1]]
+		}
+		if s > next {
+			if bi := bs[i]; s > bi {
+				return bi
+			}
+			return s
+		}
+	}
+	// Unreachable: at the last k the guard s > -∞ always fires.
+	return 0
 }
 
 // siftDownByVal restores the max-heap property of idx[:n] under bs at root i.

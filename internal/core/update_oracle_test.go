@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -49,14 +51,17 @@ func refUpdateDescending(bs, w []float64) float64 {
 	return best
 }
 
-// TestUpdateValueMatchesFullSortReference holds the lazy top-of-heap kernel
-// to two references that read the whole order. Weights on a 1/64 grid sum
-// exactly in any order, so ties (whose pop order the heap does not specify)
-// cannot excuse a differing bit.
+// TestUpdateValueMatchesFullSortReference holds both kernels — the sorted
+// scan up to sortedUpdateMax, the lazy top-of-heap above it, with a degree on
+// each side of the cut-off — to two references that read the whole order, and
+// checks that neither wrote to its inputs (the asynchronous recompute keeps
+// its weights across calls). Weights on a 1/64 grid sum exactly in any order,
+// so ties (whose order neither kernel specifies) cannot excuse a differing
+// bit.
 func TestUpdateValueMatchesFullSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	grid := func() float64 { return float64(rng.Intn(640)) / 64 }
-	for _, d := range []int{0, 1, 2, 3, 7, 49, 500} {
+	for _, d := range []int{0, 1, 2, 3, 7, sortedUpdateMax - 1, sortedUpdateMax, sortedUpdateMax + 1, 49, 500} {
 		for rep := 0; rep < 200; rep++ {
 			bs, w := make([]float64, d), make([]float64, d)
 			distinct := true
@@ -88,7 +93,11 @@ func TestUpdateValueMatchesFullSortReference(t *testing.T) {
 					bs[i], w[i] = float64(p)+0.5, float64(rng.Intn(2))*rng.Float64()*1e-3
 				}
 			}
+			bs0, w0 := slices.Clone(bs), slices.Clone(w)
 			got := UpdateValue(bs, w, make([]int, 0, d))
+			if !slices.Equal(bs, bs0) || !slices.Equal(w, w0) {
+				t.Fatalf("d=%d rep=%d: UpdateValue permuted its inputs", d, rep)
+			}
 			if distinct {
 				if want := refUpdateDescending(bs, w); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("d=%d rep=%d: UpdateValue=%v, descending full-sort reference=%v", d, rep, got, want)
@@ -98,6 +107,37 @@ func TestUpdateValueMatchesFullSortReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzUpdateValue decodes two bytes per pair, at most 64 pairs: a value (255
+// is +∞, anything else k/8) and a weight k/64, zero included. Both are on the
+// 1/64 grid, so sums are exact in any order and the kernel must return the
+// definition's bits, whichever side of sortedUpdateMax the degree falls, with
+// its inputs unchanged.
+func FuzzUpdateValue(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{255, 64})
+	f.Add([]byte{16, 64, 16, 64, 16, 64, 8, 0})
+	f.Add([]byte{255, 1, 255, 2, 0, 0, 40, 128, 40, 128, 39, 200})
+	f.Add(bytes.Repeat([]byte{24, 64}, sortedUpdateMax+1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var bs, w []float64
+		for i := 0; i+1 < len(data) && len(bs) < 64; i += 2 {
+			b := float64(data[i]) / 8
+			if data[i] == 255 {
+				b = math.Inf(1)
+			}
+			bs, w = append(bs, b), append(w, float64(data[i+1])/64)
+		}
+		bs0, w0 := slices.Clone(bs), slices.Clone(w)
+		got, want := UpdateValue(bs, w, nil), refUpdateByDefinition(bs, w)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("UpdateValue = %v, definition %v\nbs=%v\nw=%v", got, want, bs, w)
+		}
+		if !slices.Equal(bs, bs0) || !slices.Equal(w, w0) {
+			t.Fatalf("UpdateValue permuted its inputs:\nbs=%v, was %v\nw=%v, was %v", bs, bs0, w, w0)
+		}
+	})
 }
 
 // TestUpdateValueGrowsShortScratch: a scratch too small for the degree costs

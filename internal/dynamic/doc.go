@@ -18,8 +18,10 @@
 // DESIGN.md §9). The op's own endpoints obey the same rule, so they are
 // evaluated in round 1 and afterwards only while the op can reach them, and
 // the frontier usually dies out long before the T-hop ball's boundary. An
-// evaluation first verifies the stored value in one pass over the arcs and
-// pays a full gather and heap only when the value fell (eval). The unit of
+// evaluation first sums, in one pass that gathers nothing, the weight above
+// and at the stored value: a value that stands — most of them — is settled
+// there, one that rises gathers only the arcs above it and one that fell only
+// the arcs below it (eval). The unit of
 // repair is the batch, not the op: ApplyDelta mutates the adjacency for
 // every op of a dist.GraphDelta first and then runs one T-round repair for
 // all of them, so each (t, v) is evaluated at most once per batch, against

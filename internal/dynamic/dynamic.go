@@ -48,8 +48,10 @@ type Stats struct {
 	// (t, x) at most once per batch, however many of its ops touch it, and
 	// only when an op or a neighbour's move crosses β_t(x) (see repair).
 	Reevaluated int64
-	// Verified counts those evaluations the pivot pass settled — the stored
-	// value was still feasible — without a full gather and heap (see eval).
+	// Verified counts those evaluations whose stored value was still
+	// feasible, so the answer did not fall: the pivot pass settled them with
+	// no gather when the value stood, or with a gather of the arcs above it
+	// when it rose (see eval).
 	Verified int64
 	// Changed counts those node-rounds whose value actually changed.
 	Changed int64
@@ -77,45 +79,61 @@ func New(g *graph.Graph, T int) *Maintainer {
 	return m
 }
 
-// eval computes β_t(v) from the round t-1 values, given a pivot p it is
-// expected not to lie below (the stored β_t(v); in New, β_{t-1}(v)). One pass
-// sums the weight at p and gathers only the arcs strictly above it. If the
-// weight at or above p reaches p, then β_t(v) ≥ p and no arc below p can
-// decide it, so the answer is UpdateValue of the gathered arcs plus one
-// element (p, weight at p) standing for the ties — in max_k min(b_(k), S_k) a
-// run of equal values peaks at its last member, which is that element; the
-// sums are the same sums in another order, exact under this package's
-// contract. This holds for any p, so verified is not a claim about the
-// pivot's origin. Only a value that fell below p pays the full gather.
+// eval computes β_t(v) from the round t-1 values around a pivot p (the stored
+// β_t(v); in New, β_{t-1}(v)). One pass gathers nothing and sums two weights
+// of S(b′) = Σ_{b_u ≥ b′} w_u: mass, the arcs reading above p, and at, those
+// reading exactly p. That decides which side of p the answer lies on:
+//
+//   - stands, mass ≤ p ≤ mass + at: S(p) ≥ p makes p feasible, and above p
+//     S ≤ mass ≤ p keeps everything infeasible, so β_t(v) = p — no gather, no
+//     kernel;
+//   - rises, mass > p: the answer is above p, where only the arcs above p
+//     count; UpdateValue gets them plus one element (p, at) standing for the
+//     ties (in max_k min(b_(k), S_k) a run of equal values peaks at its last
+//     member, which is that element);
+//   - falls, mass + at < p: everything at or above p is infeasible, and below
+//     p those arcs count only as their total, so UpdateValue gets the arcs
+//     below p plus one element (p, mass + at) — its term is the one the full
+//     descending order reaches at its last arc ≥ p.
+//
+// The sums are the same sums in another order, exact under this package's
+// contract, and the case split holds for any p, so verified (not fallen) is
+// not a claim about the pivot's origin.
 func (m *Maintainer) eval(t int, v graph.NodeID, p float64) (b float64, verified bool) {
 	arcs := m.adj.adj[v]
 	if d := len(arcs) + 1; d > cap(m.scratch) {
 		// Inserts can push a degree past anything seen so far; scratch is
 		// handed to UpdateValue by value, so it has to be grown here — with
-		// room for the tie element on top of d arcs all above the pivot.
+		// room for the element at p on top of every arc on one side of it.
 		m.bs, m.ws, m.scratch = make([]float64, 0, 2*d), make([]float64, 0, 2*d), make([]int, 0, 2*d)
 	}
-	bs, ws := m.bs[:0], m.ws[:0]
 	prev := m.hist[t-1]
 	mass, at := 0.0, 0.0
 	for _, a := range arcs {
 		if b := prev[a.to]; b > p {
-			bs = append(bs, b)
-			ws = append(ws, a.w)
 			mass += a.w
 		} else if b == p {
 			at += a.w
 		}
 	}
-	if mass+at >= p {
-		return core.UpdateValue(append(bs, p), append(ws, at), m.scratch), true
+	fell := mass+at < p
+	if !fell && mass <= p {
+		return p, true
 	}
-	bs, ws = bs[:0], ws[:0]
+	bs, ws := m.bs[:0], m.ws[:0]
 	for _, a := range arcs {
-		bs = append(bs, prev[a.to])
-		ws = append(ws, a.w)
+		if b := prev[a.to]; fell && b < p || !fell && b > p {
+			bs = append(bs, b)
+			ws = append(ws, a.w)
+		}
 	}
-	return core.UpdateValue(bs, ws, m.scratch), false
+	// The element at p carries the ties when the value rose, and all of S(p)
+	// when it fell.
+	pw := at
+	if fell {
+		pw = mass + at
+	}
+	return core.UpdateValue(append(bs, p), append(ws, pw), m.scratch), !fell
 }
 
 // B returns the current β_T values. The slice aliases internal state; do

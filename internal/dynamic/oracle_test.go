@@ -737,6 +737,75 @@ func TestSteadyStateApplyDeltaAllocationFree(t *testing.T) {
 	assertMatchesScratch(t, m, "after steady-state batches")
 }
 
+// TestEvalAtAnyPivot holds eval to the reference's full sort at every (t, v)
+// of the oracle graphs and of a BA graph with weights on a ¼ grid, at pivots
+// on, between and beyond the values v's arcs read: β_t(v), β_{t−1}(v), each
+// neighbour's β_{t−1}, 0, +∞ and the midpoints of consecutive neighbour
+// values. The case split is exact for any pivot, so every answer must equal
+// the reference bit for bit, and eval must report a fall exactly when S(p) <
+// p. Each graph has to exercise all three outcomes.
+func TestEvalAtAnyPivot(t *testing.T) {
+	graphs := oracleGraphs()
+	rng := rand.New(rand.NewSource(17))
+	b := graph.NewBuilder(120)
+	for _, e := range graph.BarabasiAlbert(120, 3, 9).Edges() {
+		b.AddEdge(e.U, e.V, float64(1+rng.Intn(12))/4)
+	}
+	graphs["ba-weighted"] = b.Build()
+	const T = 5
+	for gname, g := range graphs {
+		m, r := New(g, T), newRef(g, T)
+		var stands, rises, falls int
+		for tt := 1; tt <= T; tt++ {
+			prev := r.hist[tt-1]
+			for v := 0; v < g.N(); v++ {
+				want := r.eval(tt, v)
+				var near []float64
+				for _, a := range r.adj[v] {
+					near = append(near, prev[a.to])
+				}
+				slices.Sort(near)
+				pivots := append([]float64{r.hist[tt][v], prev[v], 0, math.Inf(1)}, near...)
+				for i := 1; i < len(near); i++ {
+					if near[i-1] < near[i] {
+						pivots = append(pivots, (near[i-1]+near[i])/2)
+					}
+				}
+				for _, p := range pivots {
+					// The weight above p and S(p), from the reference's own lists.
+					above, atOrAbove := 0.0, 0.0
+					for _, a := range r.adj[v] {
+						if prev[a.to] > p {
+							above += a.w
+						}
+						if prev[a.to] >= p {
+							atOrAbove += a.w
+						}
+					}
+					got, verified := m.eval(tt, v, p)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: eval(%d, %d) at pivot %v = %v, full-sort reference %v", gname, tt, v, p, got, want)
+					}
+					if verified != (atOrAbove >= p) {
+						t.Fatalf("%s: eval(%d, %d) at pivot %v: verified = %v with S(p) = %v", gname, tt, v, p, verified, atOrAbove)
+					}
+					switch {
+					case atOrAbove < p:
+						falls++
+					case above > p:
+						rises++
+					default:
+						stands++
+					}
+				}
+			}
+		}
+		if stands == 0 || rises == 0 || falls == 0 {
+			t.Fatalf("%s: %d evaluations stood, %d rose, %d fell; each outcome has to run", gname, stands, rises, falls)
+		}
+	}
+}
+
 // TestEvalScratchHoldsTheTieElement: when every arc of a node reads a value
 // above the pivot, the verified evaluation hands UpdateValue d + 1 elements —
 // the d arcs and the tie element. A hub grown one edge at a time passes through
