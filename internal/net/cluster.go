@@ -73,6 +73,7 @@ type Seat struct {
 	Conn  *Conn
 	cl    *Cluster
 	gen   int
+	inbox *meshInbox // on a streamed cluster, registered before the spawn
 }
 
 // Worker returns a worker endpoint for this seat's connection on g
@@ -81,8 +82,7 @@ type Seat struct {
 func (s Seat) Worker(g *graph.Graph, assign []int) *Worker {
 	w := NewWorker(s.Conn, g, assign)
 	w.IOTimeout = s.cl.IOTimeout
-	if b := s.cl.broker; b != nil {
-		ib := b.register(s.Shard, s.gen)
+	if b, ib := s.cl.broker, s.inbox; b != nil {
 		w.MeshDial = func(dst int) (net.Conn, error) { return b.dial(s.Shard, s.gen, dst) }
 		w.MeshAccept, w.MeshGen = ib.accept, s.gen
 		w.MeshClose = func() { b.close(ib) }
@@ -106,21 +106,42 @@ func (cl *Cluster) Start(body Body) error {
 	}
 	cl.Hub = NewHub(coord)
 	cl.Hub.Timeout = cl.IOTimeout
+	// Every mesh inbox is up before any worker runs, so no first dial finds
+	// its peer not yet accepting.
+	inboxes := make([]*meshInbox, cl.P)
+	for s := range inboxes {
+		inboxes[s] = cl.register(s, 0)
+	}
 	for s, c := range workers {
-		cl.spawn(s, 0, c.nc, body)
+		cl.spawn(s, 0, c.nc, inboxes[s], body)
 	}
 	return nil
 }
 
+// register installs incarnation gen of shard's mesh inbox on a streamed
+// cluster (nil otherwise).
+func (cl *Cluster) register(shard, gen int) *meshInbox {
+	if cl.broker == nil {
+		return nil
+	}
+	return cl.broker.register(shard, gen)
+}
+
 // spawn runs body for incarnation gen of shard, on the worker end nc of its
-// control connection, in a goroutine that Close waits for.
-func (cl *Cluster) spawn(shard, gen int, nc net.Conn, body Body) {
-	s := Seat{Shard: shard, Conn: NewConn(cl.Wrap.wrap(shard, gen, -1, nc)), cl: cl, gen: gen}
+// control connection and with its mesh inbox ib, in a goroutine that Close
+// waits for.
+func (cl *Cluster) spawn(shard, gen int, nc net.Conn, ib *meshInbox, body Body) {
+	s := Seat{Shard: shard, Conn: NewConn(cl.Wrap.wrap(shard, gen, -1, nc)), cl: cl, gen: gen, inbox: ib}
 	s.Conn.SetIOTimeout(cl.IOTimeout)
 	cl.wg.Add(1)
 	go func() {
 		defer cl.wg.Done()
 		defer s.Conn.Close()
+		if ib != nil {
+			// The inbox lives no longer than its incarnation, whether or not
+			// the body ever built a mesh on it.
+			defer cl.broker.close(ib)
+		}
 		// A panic anywhere in the worker stack (a factory bug; Worker.Run
 		// converts protocol errors into panics) must not hang the coordinator:
 		// it becomes an error record and the run aborts with the reason.
@@ -143,7 +164,7 @@ func (cl *Cluster) spawn(shard, gen int, nc net.Conn, body Body) {
 // listener plumbing.
 func (cl *Cluster) Respawn(shard, gen int, body Body) (*Conn, error) {
 	a, b := net.Pipe()
-	cl.spawn(shard, gen, b, body) // Hub.Respawn arms the coordinator's end
+	cl.spawn(shard, gen, b, cl.register(shard, gen), body) // Hub.Respawn arms the coordinator's end
 	return NewConn(a), nil
 }
 

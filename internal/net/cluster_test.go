@@ -54,3 +54,31 @@ func TestClusterFailedRunLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("goroutines leaked across failed runs: %d before, %d after", before, got)
 	}
 }
+
+// A streamed cluster's mesh inboxes are the launcher's, registered before the
+// first worker runs (and a respawn's before its spawn): a worker that dials a
+// peer which has not yet built its endpoint must find it accepting, not
+// sleep in the dial's retry loop. Here no body ever builds one, and every
+// ordered pair still dials through the broker.
+func TestMeshInboxesRegisteredBeforeWorkersRun(t *testing.T) {
+	const p = 4
+	release := make(chan struct{})
+	cl := &Cluster{P: p, Stream: true, IOTimeout: 5 * time.Second}
+	if err := cl.Start(func(Seat) error { <-release; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	defer close(release)
+	for src := 0; src < p; src++ {
+		for dst := 0; dst < p; dst++ {
+			if src == dst {
+				continue
+			}
+			c, err := cl.broker.dial(src, 0, dst)
+			if err != nil {
+				t.Fatalf("dial %d→%d before any worker built its mesh: %v", src, dst, err)
+			}
+			c.Close()
+		}
+	}
+}

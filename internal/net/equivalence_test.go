@@ -168,8 +168,8 @@ func TestInboxRetentionCheckCleanOverNet(t *testing.T) {
 type placed []int
 
 func (a placed) Partition(*graph.Graph, int) []int { return a }
-func (a placed) Rebalance(_ shard.Topology, _ int, assign []int, _ []graph.NodeID, _ int) []int {
-	return assign
+func (a placed) Rebalance(_ shard.Topology, _ int, _ []int, _ []graph.NodeID, _ int, moves []shard.Move) []shard.Move {
+	return moves[:0]
 }
 func (placed) Name() string { return "placed" }
 

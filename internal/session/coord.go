@@ -55,15 +55,22 @@ type Coordinator struct {
 	// runs one epoch ahead of the seal while a Push is in flight). The sealed
 	// graph is base — the epoch-0 CSR, or the last fold — plus log, the ops
 	// sealed since; Graph folds them.
-	adj    *dynamic.Adjacency
-	base   *graph.Graph
-	log    []dist.EdgeOp
-	assign []int
-	cut    cutCount // of the sealed graph under assign
+	adj  *dynamic.Adjacency
+	base *graph.Graph
+	log  []dist.EdgeOp
+	// assign is the sealed assignment; next is the epoch in flight's, equal
+	// to assign between epochs. An epoch's moves go into next at rebalance
+	// and into assign at commit, so recovery sees only the sealed one.
+	assign, next []int
+	moves        []shard.Move // the epoch in flight's, ascending by node
+	cut          cutCount     // of the sealed graph under assign
 
-	part   shard.Partitioner
-	p      int
-	b      []float64
+	part shard.Partitioner
+	p    int
+	// b is the sealed value vector; cur is the scratch the epoch in flight
+	// folds its changes into. The seal swaps them, and the old vector catches
+	// up by the same changes once Publish has read it.
+	b, cur []float64
 	epoch  int
 	chain  uint64
 	gh, pd uint64
@@ -91,7 +98,8 @@ type Coordinator struct {
 
 // NewCoordinator seals epoch 0 over the hub: g, assign and b are the
 // epoch-0 run's graph, assignment and assembled value vector (the
-// coordinator takes copies of assign and b). It broadcasts the epoch-0
+// coordinator takes two copies of each, the sealed one and the one the epoch
+// in flight writes). It broadcasts the epoch-0
 // stamp and collects every worker's verify echo, so a returned Coordinator
 // means all P oracles agree with the run bit for bit.
 func NewCoordinator(hub *net.Hub, g *graph.Graph, assign []int, part shard.Partitioner, b []float64) (*Coordinator, error) {
@@ -106,9 +114,9 @@ func NewCoordinator(hub *net.Hub, g *graph.Graph, assign []int, part shard.Parti
 	}
 	c := &Coordinator{
 		hub: hub, adj: dynamic.NewAdjacency(g), base: g, part: part, p: p,
-		assign: append([]int(nil), assign...),
-		b:      append([]float64(nil), b...),
-		subs:   NewSubManager(),
+		assign: slices.Clone(assign), next: slices.Clone(assign),
+		b: slices.Clone(b), cur: slices.Clone(b),
+		subs: NewSubManager(),
 	}
 	for _, e := range g.Edges() {
 		if !summable(e.W) {
@@ -252,7 +260,7 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 	epoch := c.epoch + 1
 	sealStart := time.Now()
 	ep := c.trace.Begin(obs.PhaseEpoch, epoch, -1)
-	push, next, cm, cut, err := c.absorb(epoch, d, moveBudget)
+	push, cm, cut, err := c.absorb(epoch, d, moveBudget)
 	if err != nil {
 		c.rejected++
 		c.publishStat()
@@ -270,23 +278,22 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 			return nil, c.fail(epoch, "delta-broadcast", faultOf(i, err))
 		}
 	}
-	gh, pd := c.adj.Hash(), shard.PartitionDigest(next)
-	all, byWorker, err := c.collectReconverges(epoch, gh, pd, next, push)
+	gh, pd := c.adj.Hash(), shard.PartitionDigest(c.next)
+	all, byWorker, err := c.collectReconverges(epoch, gh, pd, push)
 	if err != nil {
 		return nil, c.fail(epoch, "reconverge", err)
 	}
 
-	// Fold the changes into a fresh vector; prev stays intact for Publish.
-	prev := c.b
-	cur := append([]float64(nil), prev...)
+	// Fold the changes into the scratch vector; the sealed one stays intact
+	// for Publish.
 	for _, ch := range all {
-		if math.Float64bits(prev[ch.Node]) != ch.OldBits {
+		if math.Float64bits(c.b[ch.Node]) != ch.OldBits {
 			return nil, c.fail(epoch, "reconverge", fmt.Errorf("session: epoch %d change at node %d claims old bits %#x, coordinator holds %#x",
-				epoch, ch.Node, ch.OldBits, math.Float64bits(prev[ch.Node])))
+				epoch, ch.Node, ch.OldBits, math.Float64bits(c.b[ch.Node])))
 		}
-		cur[ch.Node] = math.Float64frombits(ch.NewBits)
+		c.cur[ch.Node] = math.Float64frombits(ch.NewBits)
 	}
-	vd := ValuesDigest(cur)
+	vd := ValuesDigest(c.cur)
 	chain := ChainNext(c.chain, gh, pd, vd)
 	st := codec.Stamp{Epoch: epoch, GraphHash: gh, PartDigest: pd, ValuesDigest: vd, ChainDigest: chain, Changed: len(all)}
 	for i := 0; i < c.p; i++ {
@@ -313,14 +320,21 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 	if len(c.log) >= c.base.N()+c.base.M() {
 		c.Graph()
 	}
-	c.assign, c.b = next, cur
+	shard.ApplyMoves(c.assign, c.moves)
+	prev := c.b
+	c.b, c.cur = c.cur, prev
 	c.cut = cut
 	c.epoch, c.chain = epoch, chain
 	c.gh, c.pd, c.vd = gh, pd, vd
 	c.lastStamp = st
 	pub := c.trace.Begin(obs.PhasePublish, epoch, -1)
-	notifs := c.subs.Publish(epoch, prev, cur, changedNodes(all))
+	notifs := c.subs.Publish(epoch, prev, c.b, changedNodes(all))
 	pub.EndN(0, int64(len(notifs)))
+	// Publish keeps neither vector; the old one becomes the next epoch's
+	// scratch by the same changes.
+	for _, ch := range all {
+		c.cur[ch.Node] = math.Float64frombits(ch.NewBits)
+	}
 	ep.EndN(int64(len(push)), int64(len(all)))
 	c.pushes++
 	c.changed += int64(len(all))
@@ -340,37 +354,39 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 // and priced is what is broadcast), validate it against the live adjacency,
 // hold every inserted weight to the exact-sum contract, and only then mutate
 // — adjacency and rolling hash in place, no CSR — and rebalance on the mutated
-// topology. An error means nothing was touched. The ledger comes back with
-// the cut count the seal commits.
-func (c *Coordinator) absorb(epoch int, d dist.GraphDelta, moveBudget int) (push []byte, next []int, cm shard.ChurnMetrics, cut cutCount, err error) {
+// topology, its moves applied to next. An error means nothing was touched.
+// The ledger comes back with the cut count the seal commits.
+func (c *Coordinator) absorb(epoch int, d dist.GraphDelta, moveBudget int) (push []byte, cm shard.ChurnMetrics, cut cutCount, err error) {
 	if len(d.Ops) == 0 {
-		return nil, nil, cm, cut, fmt.Errorf("session: empty delta push")
+		return nil, cm, cut, fmt.Errorf("session: empty delta push")
 	}
 	push = AppendDeltaPush(nil, epoch, moveBudget, d)
 	_, budget, decoded, err := DecodeDeltaPush(push)
 	if err != nil {
-		return nil, nil, cm, cut, fmt.Errorf("session: delta codec round trip failed: %w", err)
+		return nil, cm, cut, fmt.Errorf("session: delta codec round trip failed: %w", err)
 	}
 	if decoded.Digest() != d.Digest() {
-		return nil, nil, cm, cut, fmt.Errorf("session: delta digest changed across the codec round trip")
+		return nil, cm, cut, fmt.Errorf("session: delta digest changed across the codec round trip")
 	}
 	if err := c.adj.Validate(decoded); err != nil {
-		return nil, nil, cm, cut, err
+		return nil, cm, cut, err
 	}
 	for i, op := range decoded.Ops {
 		if !op.Del && !summable(op.W) {
-			return nil, nil, cm, cut, fmt.Errorf("session: delta op %d: %w", i, errNotSummable(op.W))
+			return nil, cm, cut, fmt.Errorf("session: delta op %d: %w", i, errNotSummable(op.W))
 		}
 	}
 	if _, err := c.adj.Apply(decoded); err != nil {
 		panic("session: validated delta failed to apply: " + err.Error())
 	}
-	next = shard.RebalanceAssign(c.part, c.adj, c.p, c.assign, decoded, budget)
-	cm, cut = c.ledger(decoded, next)
+	frontier := shard.Frontier(decoded)
+	c.moves = c.part.Rebalance(c.adj, c.p, c.assign, frontier, budget, c.moves)
+	shard.ApplyMoves(c.next, c.moves)
+	cm, cut = c.ledger(decoded, frontier)
 	// The ledger prices the shard delta encoding: the push body less its
 	// epoch header.
 	cm.DeltaBytes = int64(len(push) - len(binary.AppendUvarint(nil, uint64(epoch))))
-	return push, next, cm, cut, nil
+	return push, cm, cut, nil
 }
 
 // summable is the exact-sum contract of a session (DESIGN.md §10.2), as one
@@ -410,9 +426,9 @@ func (k cutCount) fraction() float64 {
 // ledger fills the batch's shard.ChurnMetrics (DeltaBytes aside) exactly as
 // shard.RebalanceWithMetrics would on a rebuilt CSR, without walking the
 // graph: the sealed cut count moves by the batch's own edges for the "before"
-// cut (mutated graph, stale assignment) and by the arcs of the nodes that
-// changed shard for the "after" one. It returns the count under next.
-func (c *Coordinator) ledger(d dist.GraphDelta, next []int) (shard.ChurnMetrics, cutCount) {
+// cut (mutated graph, stale assignment) and by the arcs of the epoch's moves
+// for the "after" one. It returns the count under next.
+func (c *Coordinator) ledger(d dist.GraphDelta, frontier []graph.NodeID) (shard.ChurnMetrics, cutCount) {
 	k := c.cut
 	for _, op := range d.Ops {
 		if op.U != op.V {
@@ -423,15 +439,12 @@ func (c *Coordinator) ledger(d dist.GraphDelta, next []int) (shard.ChurnMetrics,
 			k.add(by, c.assign[op.U] != c.assign[op.V])
 		}
 	}
-	cm := shard.ChurnMetrics{FrontierSize: len(shard.Frontier(d)), EdgeCutBefore: k.fraction()}
+	cm := shard.ChurnMetrics{FrontierSize: len(frontier), EdgeCutBefore: k.fraction()}
 	// Take the moves one at a time, ascending: when v moves, every mover
 	// below it already sits where next puts it, every other node where
 	// assign does.
-	for v, to := range next {
-		from := c.assign[v]
-		if from == to {
-			continue
-		}
+	for _, mv := range c.moves {
+		v, from, to := mv.Node, mv.From, mv.To
 		deg := c.adj.Degree(v)
 		cm.MovedNodes++
 		cm.MovedBytes += 8 + 8*int64(deg)
@@ -442,7 +455,7 @@ func (c *Coordinator) ledger(d dist.GraphDelta, next []int) (shard.ChurnMetrics,
 			}
 			at := c.assign[u]
 			if u < v {
-				at = next[u]
+				at = c.next[u]
 			}
 			if at != from {
 				k.cut--
@@ -464,7 +477,7 @@ func (c *Coordinator) ledger(d dist.GraphDelta, next []int) (shard.ChurnMetrics,
 // contribution — if any — is discarded, the worker restored to the sealed
 // epoch, and the push re-sent; its fresh reconverge is bit-identical by
 // determinism.
-func (c *Coordinator) collectReconverges(epoch int, gh, pd uint64, next []int, push []byte) ([]ValueChange, [][]ValueChange, error) {
+func (c *Coordinator) collectReconverges(epoch int, gh, pd uint64, push []byte) ([]ValueChange, [][]ValueChange, error) {
 	byWorker := make([][]ValueChange, c.p)
 	owed := c.hub.Everyone()
 	w, err := c.hub.Collect(owed, func(from int, typ byte, body []byte) (bool, error) {
@@ -484,11 +497,11 @@ func (c *Coordinator) collectReconverges(epoch int, gh, pd uint64, next []int, p
 			return false, fmt.Errorf("session: worker %d epoch %d partition digest %#x, coordinator %#x", from, epoch, r.PartDigest, pd)
 		}
 		for _, ch := range r.Changes {
-			if ch.Node < 0 || ch.Node >= len(next) {
-				return false, fmt.Errorf("session: worker %d shipped change for node %d of %d", from, ch.Node, len(next))
+			if ch.Node < 0 || ch.Node >= len(c.next) {
+				return false, fmt.Errorf("session: worker %d shipped change for node %d of %d", from, ch.Node, len(c.next))
 			}
-			if next[ch.Node] != from {
-				return false, fmt.Errorf("session: worker %d shipped change for node %d owned by shard %d", from, ch.Node, next[ch.Node])
+			if c.next[ch.Node] != from {
+				return false, fmt.Errorf("session: worker %d shipped change for node %d owned by shard %d", from, ch.Node, c.next[ch.Node])
 			}
 		}
 		byWorker[from] = r.Changes

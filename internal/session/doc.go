@@ -23,8 +23,10 @@
 // its adjacency in place under the canonical order (the worker's only copy of
 // the graph; no CSR is rebuilt) and repairs its history (frontier repair, not
 // a re-run) — reruns the coordinator's incremental Rebalance on that
-// adjacency, and ships only the values of its own post-rebalance shard that
-// actually changed, as the repair reported them. The coordinator, which
+// adjacency, applies the moves it returns to the assignment buffers it holds
+// (no party copies an n-sized array per epoch), and ships only the values of
+// its own post-rebalance shard that actually changed, as the repair reported
+// them. The coordinator, which
 // validated the batch against its own bare adjacency before mutating or
 // broadcasting anything, folds those into its value vector and seals the
 // epoch with a stamp carrying the post-churn graph's rolling edge-multiset

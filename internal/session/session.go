@@ -116,11 +116,14 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 		// this demand) and assignment — read here, at respawn time, so a
 		// recovery mid-epoch-e restores to the sealed epoch e-1, not to the
 		// adjacency the in-flight batch already mutated — and joins via
-		// ServeResumed. The exact incremental
-		// oracle under Λ = ℝ makes the recomputed state bit-identical to what
-		// the dead incarnation held at the last seal, so no state ships; there
-		// is no fresh run to cross-check against (runB nil), the resume stamp's
-		// values digest is the admission check instead.
+		// ServeResumed. The sealed assignment takes the epoch's moves in place
+		// at commit, but NewWorkerState has copied it before the worker echoes
+		// its admission, and no commit comes before that echo. The exact
+		// incremental oracle under Λ = ℝ makes the recomputed state
+		// bit-identical to what the dead incarnation held at the last seal, so
+		// no state ships; there is no fresh run to cross-check against (runB
+		// nil), the resume stamp's values digest is the admission check
+		// instead.
 		co.EnableRecovery(func(idx, gen int) (*net.Conn, error) {
 			g2, as2 := co.Graph(), co.assign
 			return cl.Respawn(idx, gen, func(s net.Seat) error {

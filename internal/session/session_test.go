@@ -3,6 +3,7 @@ package session
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -393,5 +394,57 @@ func TestSessionSurvivesInboxPoisoning(t *testing.T) {
 	}
 	if _, _, vd := s.Digests(); vd != ValuesDigest(ref.B) {
 		t.Fatalf("poisoned session epoch: values digest %#x, fresh seq %#x", vd, ValuesDigest(ref.B))
+	}
+}
+
+// TestEpochAllocationFollowsTheDelta holds a session epoch to what DESIGN.md
+// §10 says it allocates: in proportion to its delta, not to the graph. Every
+// party keeps its assignment and value buffers in place, so the bytes a
+// 32-op push allocates — all P+1 parties together, the workers being
+// goroutines of this process — barely grow from n = 2 000 to n = 16 000.
+// A copy of an n-sized array per party per epoch would grow them ~6×. Not
+// parallel: TotalAlloc counts the whole process.
+func TestEpochAllocationFollowsTheDelta(t *testing.T) {
+	const (
+		p      = 4
+		ops    = 32
+		warmup = 20
+		timed  = 20
+	)
+	perPush := func(n int) float64 {
+		g := graph.BarabasiAlbert(n, 4, 1)
+		deltas := make([]dist.GraphDelta, warmup+timed)
+		cur := g
+		for i := range deltas {
+			deltas[i] = dist.RandomChurn(cur, ops, int64(i+1))
+			var err error
+			if cur, err = deltas[i].Apply(cur); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := Open(g, Options{P: p, Rounds: core.TForEpsilon(n, 0.5), Part: shard.Greedy{}, IOTimeout: 30 * time.Second})
+		if err != nil {
+			t.Fatalf("n=%d: Open: %v", n, err)
+		}
+		defer s.Close()
+		push := func(ds []dist.GraphDelta) {
+			for _, d := range ds {
+				if _, err := s.Push(d, 0); err != nil {
+					t.Fatalf("n=%d: Push: %v", n, err)
+				}
+			}
+		}
+		push(deltas[:warmup])
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		push(deltas[warmup:])
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / timed
+	}
+	small, large := perPush(2000), perPush(16000)
+	t.Logf("bytes per %d-op epoch: n=2000 %.0f, n=16000 %.0f (%.2f×)", ops, small, large, large/small)
+	if large > 3*small {
+		t.Fatalf("a %d-op epoch allocates %.0f B at n=16000, %.2f× the %.0f B at n=2000 (limit 3×): some party copies an n-sized array per epoch",
+			ops, large, large/small, small)
 	}
 }

@@ -3,6 +3,7 @@ package session
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"distkcore/internal/codec"
 	"distkcore/internal/core"
@@ -20,15 +21,19 @@ import (
 // and the digest chain. Drive it with ServeEpochs on the same connection the
 // run used.
 type WorkerState struct {
-	c      *net.Conn
-	assign []int
-	shard  int
-	p      int
-	part   shard.Partitioner
-	m      *dynamic.Maintainer // between epochs, m.B() is the sealed value vector
-	epoch  int
-	chain  uint64
-	trace  *obs.Tracer
+	c *net.Conn
+	// assign is the sealed assignment, next the epoch in flight's: equal
+	// between epochs, the epoch's moves go into next at rebalance and into
+	// assign at commit.
+	assign, next []int
+	moves        []shard.Move
+	shard        int
+	p            int
+	part         shard.Partitioner
+	m            *dynamic.Maintainer // between epochs, m.B() is the sealed value vector
+	epoch        int
+	chain        uint64
+	trace        *obs.Tracer
 }
 
 // NewWorkerState builds the session state for shard shardIdx of p over c:
@@ -66,7 +71,7 @@ func NewWorkerState(c *net.Conn, g *graph.Graph, assign []int, shardIdx, p, T in
 		}
 	}
 	return &WorkerState{
-		c: c, assign: append([]int(nil), assign...),
+		c: c, assign: slices.Clone(assign), next: slices.Clone(assign),
 		shard: shardIdx, p: p, part: part, m: m,
 	}, nil
 }
@@ -210,7 +215,8 @@ func (w *WorkerState) epochStep(body []byte) error {
 	}
 	adj := w.m.Adjacency()
 	rb := w.trace.Begin(obs.PhaseRebalance, epoch, w.shard)
-	next := shard.RebalanceAssign(w.part, adj, w.p, w.assign, d, budget)
+	w.moves = w.part.Rebalance(adj, w.p, w.assign, shard.Frontier(d), budget, w.moves)
+	shard.ApplyMoves(w.next, w.moves)
 	rb.End()
 
 	// The change set is the repair's own round-T moved list (for the stamp's
@@ -219,12 +225,12 @@ func (w *WorkerState) epochStep(body []byte) error {
 	cur, moved := w.m.B(), w.m.Moved()
 	var own []ValueChange
 	for _, mv := range moved {
-		if next[mv.Node] == w.shard {
+		if w.next[mv.Node] == w.shard {
 			own = append(own, ValueChange{Node: mv.Node, OldBits: math.Float64bits(mv.Old), NewBits: math.Float64bits(cur[mv.Node])})
 		}
 	}
 	changed := len(moved)
-	gh, pd := adj.Hash(), shard.PartitionDigest(next)
+	gh, pd := adj.Hash(), shard.PartitionDigest(w.next)
 	rec := AppendReconverge(nil, Reconverge{Epoch: epoch, GraphHash: gh, PartDigest: pd, Changes: own})
 	if err := w.c.Send(net.RecReconverge, rec); err != nil {
 		return err
@@ -259,7 +265,7 @@ func (w *WorkerState) epochStep(body []byte) error {
 	}
 
 	// Commit: the epoch is sealed on both sides.
-	w.assign = next
+	shard.ApplyMoves(w.assign, w.moves)
 	w.epoch, w.chain = epoch, st.ChainDigest
 	return nil
 }

@@ -103,11 +103,11 @@ func TestRebalanceProperties(t *testing.T) {
 		for _, part := range []Partitioner{Hash{}, Range{}, Greedy{}} {
 			assign := part.Partition(g, p)
 			before := append([]int(nil), assign...)
-			next := part.Rebalance(g2, p, assign, frontier, len(frontier))
+			next := rebalanceCopy(part, g2, p, assign, frontier, len(frontier))
 			if !reflect.DeepEqual(assign, before) {
 				t.Fatalf("%s/P=%d: Rebalance mutated the input assignment", part.Name(), p)
 			}
-			again := part.Rebalance(g2, p, assign, frontier, len(frontier))
+			again := rebalanceCopy(part, g2, p, assign, frontier, len(frontier))
 			if !reflect.DeepEqual(next, again) {
 				t.Fatalf("%s/P=%d: Rebalance is nondeterministic", part.Name(), p)
 			}
@@ -130,7 +130,7 @@ func TestRebalanceProperties(t *testing.T) {
 					t.Fatalf("greedy/P=%d: rebalance worsened the cut", p)
 				}
 				// The budget is a hard cap.
-				capped := part.Rebalance(g2, p, assign, frontier, 1)
+				capped := rebalanceCopy(part, g2, p, assign, frontier, 1)
 				cm := 0
 				for v := range capped {
 					if capped[v] != assign[v] {
@@ -143,6 +143,14 @@ func TestRebalanceProperties(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rebalanceCopy is part's rebalance as a whole array: a copy of assign with
+// the returned moves applied.
+func rebalanceCopy(part Partitioner, g Topology, p int, assign []int, frontier []graph.NodeID, moveBudget int) []int {
+	next := append([]int(nil), assign...)
+	ApplyMoves(next, part.Rebalance(g, p, assign, frontier, moveBudget, nil))
+	return next
 }
 
 func containsNode(sorted []graph.NodeID, v graph.NodeID) bool {
@@ -159,8 +167,8 @@ func containsNode(sorted []graph.NodeID, v graph.NodeID) bool {
 type placed []int
 
 func (a placed) Partition(*graph.Graph, int) []int { return a }
-func (a placed) Rebalance(_ Topology, _ int, assign []int, _ []graph.NodeID, _ int) []int {
-	return assign
+func (a placed) Rebalance(_ Topology, _ int, _ []int, _ []graph.NodeID, _ int, moves []Move) []Move {
+	return moves[:0]
 }
 func (placed) Name() string { return "placed" }
 

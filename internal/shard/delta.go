@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
@@ -106,18 +106,12 @@ func DecodeDelta(src []byte) (moveBudget int, d dist.GraphDelta, n int, err erro
 // changed, hence the only candidates an incremental rebalance considers —
 // the placement twin of internal/dynamic's repair frontier.
 func Frontier(d dist.GraphDelta) []graph.NodeID {
-	seen := make(map[graph.NodeID]bool, 2*len(d.Ops))
 	out := make([]graph.NodeID, 0, 2*len(d.Ops))
 	for _, op := range d.Ops {
-		for _, v := range [2]graph.NodeID{op.U, op.V} {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
+		out = append(out, op.U, op.V)
 	}
-	sort.Ints(out) // graph.NodeID = int
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ChurnMetrics reports what absorbing one delta batch cost at the cluster
@@ -146,14 +140,17 @@ type ChurnMetrics struct {
 // RebalanceAssign runs part's incremental rebalance for the mutated graph
 // g2 (pre-churn assignment assign, churn batch d, move budget moveBudget;
 // ≤ 0 means "the whole frontier may move") and returns the new assignment
-// only — the path every session party takes each epoch, on the adjacency it
-// mutates in place.
+// as a fresh array — or assign itself when nothing moved. It is the copying
+// form of Rebalance, for callers that want the whole array; a session party
+// keeps its own and applies the moves in place.
 func RebalanceAssign(part Partitioner, g2 Topology, p int, assign []int, d dist.GraphDelta, moveBudget int) []int {
-	frontier := Frontier(d)
-	if moveBudget <= 0 {
-		moveBudget = len(frontier)
+	moves := part.Rebalance(g2, p, assign, Frontier(d), moveBudget, nil)
+	if len(moves) == 0 {
+		return assign
 	}
-	return part.Rebalance(g2, p, assign, frontier, moveBudget)
+	next := append([]int(nil), assign...)
+	ApplyMoves(next, moves)
+	return next
 }
 
 // RebalanceWithMetrics is RebalanceAssign on a rebuilt CSR plus the filled

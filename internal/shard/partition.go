@@ -10,23 +10,39 @@ import (
 // Implementations must be deterministic functions of their arguments: the
 // engine's byte-identity guarantee covers the partition too, and under
 // churn the coordinator and every worker run Rebalance independently and
-// must land on the same assignment (pinned by PartitionDigest in every
-// epoch's stamp).
+// must land on the same moves (pinned by PartitionDigest in every epoch's
+// stamp).
 type Partitioner interface {
 	// Partition returns one shard index in [0, p) per node.
 	Partition(g *graph.Graph, p int) []int
-	// Rebalance returns the assignment for the mutated topology g, given the
-	// pre-churn assignment assign and the change frontier (the distinct
-	// endpoints of the delta's ops, ascending — shard.Frontier). At most
-	// moveBudget nodes may change shard (moveBudget ≤ 0 means the whole
-	// frontier may move); implementations must not mutate assign (return
-	// it unchanged when nothing moves). Locality-aware partitioners
+	// Rebalance re-places the change frontier (the distinct endpoints of the
+	// delta's ops, ascending — shard.Frontier) on the mutated topology g,
+	// given the pre-churn assignment assign. It returns the nodes that change
+	// shard as moves ascending by node, appended to moves[:0], at most
+	// moveBudget of them (moveBudget ≤ 0 means the whole frontier may move).
+	// assign is unchanged on return: an implementation may write a move into
+	// it while it decides the rest, but must restore it before returning, so
+	// an epoch allocates what its delta moved, not a copy of the assignment
+	// (ApplyMoves carries the moves over). Locality-aware partitioners
 	// re-place only frontier nodes — the placement twin of
 	// internal/dynamic's repair frontier; placement that is a pure function
 	// of the node ID (Hash, Range) never moves anything.
-	Rebalance(g Topology, p int, assign []int, frontier []graph.NodeID, moveBudget int) []int
+	Rebalance(g Topology, p int, assign []int, frontier []graph.NodeID, moveBudget int, moves []Move) []Move
 	// Name identifies the partitioner in experiment tables and CLI flags.
 	Name() string
+}
+
+// Move is one node changing shard in a rebalance.
+type Move struct {
+	Node     graph.NodeID
+	From, To int
+}
+
+// ApplyMoves writes each move's destination into assign.
+func ApplyMoves(assign []int, moves []Move) {
+	for _, mv := range moves {
+		assign[mv.Node] = mv.To
+	}
 }
 
 // Topology is what incremental placement reads of a graph: the node count
@@ -95,8 +111,8 @@ func (Hash) Partition(g *graph.Graph, p int) []int {
 
 // Rebalance implements Partitioner. Hash placement is a pure function of
 // the node ID, so churn never moves a node.
-func (Hash) Rebalance(_ Topology, _ int, assign []int, _ []graph.NodeID, _ int) []int {
-	return assign
+func (Hash) Rebalance(_ Topology, _ int, _ []int, _ []graph.NodeID, _ int, moves []Move) []Move {
+	return moves[:0]
 }
 
 // Range assigns contiguous ID blocks of ~n/p nodes per shard. It wins when
@@ -119,8 +135,8 @@ func (Range) Partition(g *graph.Graph, p int) []int {
 
 // Rebalance implements Partitioner. Range placement is a pure function of
 // the node ID, so churn never moves a node.
-func (Range) Rebalance(_ Topology, _ int, assign []int, _ []graph.NodeID, _ int) []int {
-	return assign
+func (Range) Rebalance(_ Topology, _ int, _ []int, _ []graph.NodeID, _ int, moves []Move) []Move {
+	return moves[:0]
 }
 
 // Greedy is the streaming LDG partitioner (Stanton–Kliot): nodes arrive in
@@ -199,23 +215,26 @@ func (gr Greedy) Partition(g *graph.Graph, p int) []int {
 // by load: at churn time every neighbor is already placed, so raw
 // co-location counts are exact, and the capacity bound alone keeps shards
 // balanced.
-func (gr Greedy) Rebalance(g Topology, p int, assign []int, frontier []graph.NodeID, moveBudget int) []int {
+//
+// A decided move is written into assign at once — later frontier nodes count
+// their neighbors where the earlier moves put them — and undone before
+// returning, so the pass holds nothing larger than its p-sized counters.
+func (gr Greedy) Rebalance(g Topology, p int, assign []int, frontier []graph.NodeID, moveBudget int, moves []Move) []Move {
+	moves = moves[:0]
 	if len(frontier) == 0 {
-		return assign
+		return moves
 	}
 	if moveBudget <= 0 {
 		moveBudget = len(frontier)
 	}
 	capacity := gr.capacity(g.N(), p)
-	next := append([]int(nil), assign...)
 	load := make([]int, p)
-	for _, s := range next {
+	for _, s := range assign {
 		load[s]++
 	}
 	placed := make([]int, p)
-	moved := 0
 	for _, v := range frontier {
-		if moved >= moveBudget {
+		if len(moves) >= moveBudget {
 			break
 		}
 		for i := range placed {
@@ -223,10 +242,10 @@ func (gr Greedy) Rebalance(g Topology, p int, assign []int, frontier []graph.Nod
 		}
 		for i, d := 0, g.Degree(v); i < d; i++ {
 			if to := g.Neighbor(v, i); to != v {
-				placed[next[to]]++
+				placed[assign[to]]++
 			}
 		}
-		cur := next[v]
+		cur := assign[v]
 		best := cur
 		for s := 0; s < p; s++ {
 			if s == cur || load[s] >= capacity {
@@ -239,13 +258,16 @@ func (gr Greedy) Rebalance(g Topology, p int, assign []int, frontier []graph.Nod
 			}
 		}
 		if best != cur && placed[best] > placed[cur] {
-			next[v] = best
+			assign[v] = best
 			load[cur]--
 			load[best]++
-			moved++
+			moves = append(moves, Move{Node: v, From: cur, To: best})
 		}
 	}
-	return next
+	for i := len(moves) - 1; i >= 0; i-- { // in reverse: a node listed twice ends where it began
+		assign[moves[i].Node] = moves[i].From
+	}
+	return moves
 }
 
 // capacity is the per-shard node cap both the streaming pass and the
