@@ -80,9 +80,19 @@ func (a *Adjacency) Validate(d dist.GraphDelta) error {
 // and nil, or the index of the first op that cannot apply and its error,
 // with exactly the ops before it in place (Validate first for all-or-nothing).
 func (a *Adjacency) Apply(d dist.GraphDelta) (int, error) {
+	return a.apply(d, nil)
+}
+
+// apply is Apply that also sets w[i], when w is not nil, to the weight op i
+// added or removed: an insert's own, a delete's that of the copy it took.
+func (a *Adjacency) apply(d dist.GraphDelta, w []float64) (int, error) {
 	for i, op := range d.Ops {
-		if err := a.mutate(i, op); err != nil {
+		x, err := a.mutate(i, op)
+		if err != nil {
 			return i, err
+		}
+		if w != nil {
+			w[i] = x
 		}
 	}
 	return len(d.Ops), nil
@@ -118,15 +128,16 @@ func (a *Adjacency) copies(u, v graph.NodeID) int {
 	return c
 }
 
-// mutate applies one op to the lists and the hash.
-func (a *Adjacency) mutate(i int, op dist.EdgeOp) error {
+// mutate applies one op to the lists and the hash and returns the weight of
+// the edge it added or removed.
+func (a *Adjacency) mutate(i int, op dist.EdgeOp) (float64, error) {
 	if err := a.check(i, op); err != nil {
-		return err
+		return 0, err
 	}
 	if op.Del {
 		w, ok := a.removeArc(op.U, op.V)
 		if !ok {
-			return errMissing(i, op)
+			return 0, errMissing(i, op)
 		}
 		if op.U != op.V {
 			if _, ok := a.removeArc(op.V, op.U); !ok {
@@ -134,14 +145,14 @@ func (a *Adjacency) mutate(i int, op dist.EdgeOp) error {
 			}
 		}
 		a.hash -= graph.EdgeTerm(op.U, op.V, w)
-		return nil
+		return w, nil
 	}
 	a.adj[op.U] = append(a.adj[op.U], arc{to: op.V, w: op.W})
 	if op.U != op.V {
 		a.adj[op.V] = append(a.adj[op.V], arc{to: op.U, w: op.W})
 	}
 	a.hash += graph.EdgeTerm(op.U, op.V, op.W)
-	return nil
+	return op.W, nil
 }
 
 // removeArc removes the FIRST arc from→to in adjacency order,

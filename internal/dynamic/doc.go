@@ -17,11 +17,17 @@
 // pruning every h-index-style core maintenance uses (proof at repair and in
 // DESIGN.md §9). The op's own endpoints obey the same rule, so they are
 // evaluated in round 1 and afterwards only while the op can reach them, and
-// the frontier usually dies out long before the T-hop ball's boundary. An
-// evaluation first sums, in one pass that gathers nothing, the weight above
-// and at the stored value: a value that stands — most of them — is settled
-// there, one that rises gathers only the arcs above it and one that fell only
-// the arcs below it (eval). The unit of
+// the frontier usually dies out long before the T-hop ball's boundary. The
+// Maintainer also keeps, per node-round, S at the stored value — the weight
+// of the arcs reading at or above it — exact at the ops and moves the repair
+// already walks, so a candidate only downward moves admitted (or whose S
+// equals its value) is settled without the pass: it stands on one
+// comparison, or falls gathering the arcs below its value (settle). Any
+// other evaluation first sums, in one pass that gathers nothing, the weight
+// above and at the stored value: a value that stands is settled there, one
+// that rises gathers only the arcs above it and one that fell only the arcs
+// below it (eval). The mass is kept only while every weight held is
+// Summable; otherwise every candidate takes the pass. The unit of
 // repair is the batch, not the op: ApplyDelta mutates the adjacency for
 // every op of a dist.GraphDelta first and then runs one T-round repair for
 // all of them, so each (t, v) is evaluated at most once per batch, against
@@ -39,10 +45,10 @@
 // worker's Maintainer is its only copy of the graph; the session coordinator
 // holds a bare Adjacency (DESIGN.md §10.2).
 // Experiment E14 measures the bill (re-evals per update, and how many of them
-// the one-pass check settled, versus the n·T full recompute); DensestValue
-// additionally keeps max_v β_T(v), the
-// evolving-graphs densest-subgraph functionality of the Epasto et al. /
-// Hu et al. lines the paper cites, for one slice scan per repair.
+// found their stored value still feasible, versus the n·T full recompute);
+// DensestValue additionally keeps max_v β_T(v), the evolving-graphs
+// densest-subgraph functionality of the Epasto et al. / Hu et al. lines the
+// paper cites, for one slice scan per repair.
 //
 // The package is also the churn oracle of the cluster protocol
 // (DESIGN.md §9): Maintainer.ApplyDelta absorbs the same dist.GraphDelta
@@ -50,8 +56,8 @@
 // E19 pins the two against each other — the maintainer must land on the
 // same β values as a from-scratch run on the mutated graph while touching
 // only the frontier. That equality is exact to the bit under the contract
-// sessions open on: Λ = ℝ and exactly summable weights, so that float sums
-// do not depend on order.
+// sessions open on: Λ = ℝ and exactly summable weights (Summable), so that
+// float sums do not depend on order.
 //
 // Everything here is centralized, single-threaded and deterministic; the
 // distributed twin of an update is the engines' churn path, not this

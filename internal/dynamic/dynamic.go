@@ -16,19 +16,34 @@ type Maintainer struct {
 	adj *Adjacency
 	// hist[t][v] = β_t(v); hist[0][v] = +∞ (the initial surviving number).
 	hist [][]float64
+	// mass[t][v] = S_t(v) for t ≥ 1: the weight of v's arcs whose far end
+	// reads at least β_t(v) in round t-1, kept exact through every repair
+	// (see repair and settle). nil once the Maintainer has held a weight
+	// outside the exact-sum contract (Summable): from then on every candidate
+	// is evaluated by a pass.
+	mass [][]float64
 	// eval scratch, grown to the largest degree evaluated so far plus one
 	bs, ws  []float64
 	scratch []int
 	// Frontier of the repair in flight, reused across batches: cand the nodes
 	// to evaluate this round, moved those whose value moved last round (after
 	// a repair: in round T); mark[x] == gen means x is already in cand.
-	// far[2i], far[2i+1] are the values op i's U and V held in the previous
-	// round before the repair touched it — what a deleted arc's far end read.
+	// up[x] == gen means an upward crossing or an insert admitted x. far[2i],
+	// far[2i+1] are the values op i's U and V held in the previous round
+	// before the repair touched it — what a deleted arc's far end read, and
+	// where an inserted one enters the kept mass; opW[i] is the weight op i
+	// added or removed.
 	cand  []graph.NodeID
 	moved []Move
 	far   []float64
+	opW   []float64
 	mark  []uint32
+	up    []uint32
 	gen   uint32
+	// stood and fell count the candidates the kept mass settled without the
+	// pass eval makes: by one comparison, or by gathering the arcs below a
+	// value that fell.
+	stood, fell int64
 	// Stats accumulates work counters across updates.
 	Stats Stats
 }
@@ -49,9 +64,9 @@ type Stats struct {
 	// only when an op or a neighbour's move crosses β_t(x) (see repair).
 	Reevaluated int64
 	// Verified counts those evaluations whose stored value was still
-	// feasible, so the answer did not fall: the pivot pass settled them with
-	// no gather when the value stood, or with a gather of the arcs above it
-	// when it rose (see eval).
+	// feasible, so the answer did not fall: the kept mass or the pivot pass
+	// settled them with no gather when the value stood, or a gather of the
+	// arcs above it did when it rose (see settle and eval).
 	Verified int64
 	// Changed counts those node-rounds whose value actually changed.
 	Changed int64
@@ -64,49 +79,71 @@ func New(g *graph.Graph, T int) *Maintainer {
 		panic("dynamic: T must be >= 1")
 	}
 	n := g.N()
-	m := &Maintainer{T: T, adj: NewAdjacency(g), mark: make([]uint32, n)}
+	m := &Maintainer{T: T, adj: NewAdjacency(g), mark: make([]uint32, n), up: make([]uint32, n)}
 	m.hist = make([][]float64, T+1)
 	m.hist[0] = make([]float64, n)
 	for v := range m.hist[0] {
 		m.hist[0][v] = math.Inf(1)
 	}
+	exact := true
+	for _, arcs := range m.adj.adj {
+		for _, a := range arcs {
+			exact = exact && Summable(a.w)
+		}
+	}
+	if exact {
+		m.mass = make([][]float64, T+1)
+	}
 	for t := 1; t <= T; t++ {
 		m.hist[t] = make([]float64, n)
+		var mass []float64
+		if exact {
+			mass = make([]float64, n)
+			m.mass[t] = mass
+		}
 		for v := 0; v < n; v++ {
-			m.hist[t][v], _ = m.eval(t, v, m.hist[t-1][v]) // β_t ≤ β_{t-1}
+			b, s, _ := m.eval(t, v, m.hist[t-1][v]) // β_t ≤ β_{t-1}
+			m.hist[t][v] = b
+			if mass != nil {
+				mass[v] = s
+			}
 		}
 	}
 	return m
 }
 
+// Summable is the exact-sum contract (DESIGN.md §10.2) as one predicate on an
+// edge weight: a multiple of 2⁻¹⁰ no larger than 2²⁰. Any sum of up to 2²³
+// such weights is exact in a float64 whatever the order, so the Maintainer,
+// the elimination protocol and a fresh run — which add a node's arcs in
+// different orders — agree bit for bit, and a kept sum never drifts from a
+// recount. Sessions hold every weight to it; the Maintainer keeps its mass
+// only while every weight it has held passes.
+func Summable(w float64) bool {
+	return w >= 0 && w <= 1<<20 && w*(1<<10) == math.Trunc(w*(1<<10))
+}
+
 // eval computes β_t(v) from the round t-1 values around a pivot p (the stored
-// β_t(v); in New, β_{t-1}(v)). One pass gathers nothing and sums two weights
-// of S(b′) = Σ_{b_u ≥ b′} w_u: mass, the arcs reading above p, and at, those
+// β_t(v); in New, β_{t-1}(v)), and S(b) = Σ_{b_u ≥ b} w_u at its answer b —
+// the kept mass when the pivot is the stored value. One pass gathers nothing
+// and sums two weights of S: mass, the arcs reading above p, and at, those
 // reading exactly p. That decides which side of p the answer lies on:
 //
 //   - stands, mass ≤ p ≤ mass + at: S(p) ≥ p makes p feasible, and above p
-//     S ≤ mass ≤ p keeps everything infeasible, so β_t(v) = p — no gather, no
-//     kernel;
+//     S ≤ mass ≤ p keeps everything infeasible, so β_t(v) = p and S = mass +
+//     at — no gather, no kernel;
 //   - rises, mass > p: the answer is above p, where only the arcs above p
 //     count; UpdateValue gets them plus one element (p, at) standing for the
 //     ties (in max_k min(b_(k), S_k) a run of equal values peaks at its last
-//     member, which is that element);
-//   - falls, mass + at < p: everything at or above p is infeasible, and below
-//     p those arcs count only as their total, so UpdateValue gets the arcs
-//     below p plus one element (p, mass + at) — its term is the one the full
-//     descending order reaches at its last arc ≥ p.
+//     member, which is that element), and S is the gathered arcs at or above
+//     the answer;
+//   - falls, mass + at < p: see fall, with S(p) = mass + at.
 //
 // The sums are the same sums in another order, exact under this package's
 // contract, and the case split holds for any p, so verified (not fallen) is
 // not a claim about the pivot's origin.
-func (m *Maintainer) eval(t int, v graph.NodeID, p float64) (b float64, verified bool) {
+func (m *Maintainer) eval(t int, v graph.NodeID, p float64) (b, s float64, verified bool) {
 	arcs := m.adj.adj[v]
-	if d := len(arcs) + 1; d > cap(m.scratch) {
-		// Inserts can push a degree past anything seen so far; scratch is
-		// handed to UpdateValue by value, so it has to be grown here — with
-		// room for the element at p on top of every arc on one side of it.
-		m.bs, m.ws, m.scratch = make([]float64, 0, 2*d), make([]float64, 0, 2*d), make([]int, 0, 2*d)
-	}
 	prev := m.hist[t-1]
 	mass, at := 0.0, 0.0
 	for _, a := range arcs {
@@ -116,24 +153,65 @@ func (m *Maintainer) eval(t int, v graph.NodeID, p float64) (b float64, verified
 			at += a.w
 		}
 	}
-	fell := mass+at < p
-	if !fell && mass <= p {
-		return p, true
+	if mass+at < p {
+		b, s = m.fall(t, v, p, mass+at)
+		return b, s, false
 	}
+	if mass <= p {
+		return p, mass + at, true
+	}
+	m.grow(len(arcs))
 	bs, ws := m.bs[:0], m.ws[:0]
 	for _, a := range arcs {
-		if b := prev[a.to]; fell && b < p || !fell && b > p {
+		if b := prev[a.to]; b > p {
 			bs = append(bs, b)
 			ws = append(ws, a.w)
 		}
 	}
-	// The element at p carries the ties when the value rose, and all of S(p)
-	// when it fell.
-	pw := at
-	if fell {
-		pw = mass + at
+	// The element at p carries the ties.
+	b = core.UpdateValue(append(bs, p), append(ws, at), m.scratch)
+	return b, atOrAbove(bs, ws, b, 0), true
+}
+
+// fall computes β_t(v) when the value p has fallen, given S(p) = sp < p, and
+// S at the answer. Everything at or above p is infeasible, and below p those
+// arcs count only as their total, so UpdateValue gets the arcs below p plus
+// one element (p, sp) — its term is the one the full descending order reaches
+// at its last arc ≥ p. S at the answer is sp plus the gathered arcs at or
+// above it.
+func (m *Maintainer) fall(t int, v graph.NodeID, p, sp float64) (b, s float64) {
+	arcs := m.adj.adj[v]
+	m.grow(len(arcs))
+	prev := m.hist[t-1]
+	bs, ws := m.bs[:0], m.ws[:0]
+	for _, a := range arcs {
+		if b := prev[a.to]; b < p {
+			bs = append(bs, b)
+			ws = append(ws, a.w)
+		}
 	}
-	return core.UpdateValue(append(bs, p), append(ws, pw), m.scratch), !fell
+	b = core.UpdateValue(append(bs, p), append(ws, sp), m.scratch)
+	return b, atOrAbove(bs, ws, b, sp)
+}
+
+// atOrAbove returns s plus the gathered weights whose value is at least b.
+func atOrAbove(bs, ws []float64, b, s float64) float64 {
+	for i, x := range bs {
+		if x >= b {
+			s += ws[i]
+		}
+	}
+	return s
+}
+
+// grow sizes the gather scratch for a node of degree d. Inserts can push a
+// degree past anything seen so far; scratch is handed to UpdateValue by
+// value, so it has to be grown here — with room for the element at p on top
+// of every arc on one side of it.
+func (m *Maintainer) grow(d int) {
+	if d++; d > cap(m.scratch) {
+		m.bs, m.ws, m.scratch = make([]float64, 0, 2*d), make([]float64, 0, 2*d), make([]int, 0, 2*d)
+	}
 }
 
 // B returns the current β_T values. The slice aliases internal state; do
@@ -177,8 +255,14 @@ func (m *Maintainer) DeleteEdge(u, v graph.NodeID) bool {
 // delta must abort a run, not fork state silently — callers treat the error
 // the way the wire protocol treats a digest mismatch).
 func (m *Maintainer) ApplyDelta(d dist.GraphDelta) error {
-	applied, err := m.adj.Apply(d)
+	m.opW = slices.Grow(m.opW[:0], len(d.Ops))[:len(d.Ops)]
+	applied, err := m.adj.apply(d, m.opW)
 	m.Stats.Updates += applied
+	for _, op := range d.Ops[:applied] {
+		if !op.Del && !Summable(op.W) {
+			m.mass = nil // a kept sum could drift from a recount from here on
+		}
+	}
 	m.repair(d.Ops[:applied])
 	return err
 }
@@ -213,6 +297,12 @@ func (m *Maintainer) Moved() []Move { return m.moved }
 // contract: Λ = ℝ, exactly summable weights. Each (t, x) is evaluated once,
 // against an already final hist[t-1], so hist[t] ends as the from-scratch β_t
 // of the mutated graph.
+//
+// The same loops keep the round's mass S_t = S(r) exact before any candidate
+// is settled: an op's arc leaves it, or enters it as if it had always read
+// its far end's pre-repair value, when that value is ≥ r (a self-loop once);
+// a move old → now then carries every current arc across r — out when now <
+// r ≤ old, in when old < r ≤ now.
 func (m *Maintainer) repair(ops []dist.EdgeOp) {
 	m.moved = m.moved[:0]
 	m.far = m.far[:0]
@@ -222,28 +312,45 @@ func (m *Maintainer) repair(ops []dist.EdgeOp) {
 	for t := 1; t <= m.T; t++ {
 		if m.gen++; m.gen == 0 { // wrapped: stale marks could alias
 			clear(m.mark)
+			clear(m.up)
 			m.gen = 1
 		}
 		m.cand = m.cand[:0]
 		prev, cur := m.hist[t-1], m.hist[t]
+		var mass []float64
+		if m.mass != nil {
+			mass = m.mass[t]
+		}
 		for i, op := range ops {
-			if !op.Del {
-				if cur[op.U] < prev[op.V] {
+			farU, farV := m.far[2*i], m.far[2*i+1]
+			m.far[2*i], m.far[2*i+1] = cur[op.U], cur[op.V] // before round t overwrites them
+			if mass != nil {
+				w := m.opW[i]
+				if op.Del {
+					w = -w
+				}
+				if farV >= cur[op.U] {
+					mass[op.U] += w
+				}
+				if op.U != op.V && farU >= cur[op.V] {
+					mass[op.V] += w
+				}
+			}
+			if op.Del {
+				if cur[op.U] <= farV {
 					m.push(op.U)
 				}
-				if cur[op.V] < prev[op.U] {
+				if cur[op.V] <= farU {
 					m.push(op.V)
 				}
 				continue
 			}
-			farU, farV := m.far[2*i], m.far[2*i+1]
-			if cur[op.U] <= farV {
-				m.push(op.U)
+			if cur[op.U] < prev[op.V] {
+				m.pushUp(op.U)
 			}
-			if cur[op.V] <= farU {
-				m.push(op.V)
+			if cur[op.V] < prev[op.U] {
+				m.pushUp(op.V)
 			}
-			m.far[2*i], m.far[2*i+1] = cur[op.U], cur[op.V] // before round t overwrites them
 		}
 		for _, mv := range m.moved {
 			old, now := mv.Old, prev[mv.Node]
@@ -251,21 +358,31 @@ func (m *Maintainer) repair(ops []dist.EdgeOp) {
 				for _, a := range m.adj.adj[mv.Node] {
 					if r := cur[a.to]; now < r && r <= old {
 						m.push(a.to)
+						if mass != nil {
+							mass[a.to] -= a.w
+						}
 					}
 				}
-			} else {
-				for _, a := range m.adj.adj[mv.Node] {
-					if r := cur[a.to]; old <= r && r < now {
-						m.push(a.to)
-					}
+				continue
+			}
+			for _, a := range m.adj.adj[mv.Node] {
+				r := cur[a.to]
+				if old <= r && r < now {
+					m.pushUp(a.to)
+				}
+				if mass != nil && old < r && r <= now {
+					mass[a.to] += a.w
 				}
 			}
 		}
 		m.moved = m.moved[:0]
 		for _, x := range m.cand {
-			nb, verified := m.eval(t, x, cur[x])
+			nb, s, verified := m.settle(t, x, cur[x], mass)
 			if verified {
 				m.Stats.Verified++
+			}
+			if mass != nil {
+				mass[x] = s
 			}
 			if nb != cur[x] {
 				m.moved = append(m.moved, Move{Node: x, Old: cur[x]})
@@ -278,12 +395,44 @@ func (m *Maintainer) repair(ops []dist.EdgeOp) {
 	slices.SortFunc(m.moved, func(a, b Move) int { return a.Node - b.Node })
 }
 
+// settle decides candidate x of round t, whose stored value is p, and returns
+// its answer, S at the answer and whether p was still feasible. With the kept
+// mass s = S(p) it reads no arc when it can: G(p), the weight strictly above
+// p, was ≤ p before the batch (p was the answer), and
+//
+//   - s = p: x stands, whatever admitted it — G(p) ≤ S(p) = p ≤ S(p);
+//   - every admitting move was downward (a down-crossing or a delete): G(p)
+//     could only fall, so x stands if s > p and falls if s < p, where fall
+//     needs only the arcs below p;
+//
+// and otherwise (an up-crossing or an insert admitted it, and s ≠ p) eval
+// makes its pass. Without the kept mass every candidate takes eval's pass.
+func (m *Maintainer) settle(t int, x graph.NodeID, p float64, mass []float64) (b, s float64, verified bool) {
+	if mass == nil || m.up[x] == m.gen && mass[x] != p {
+		return m.eval(t, x, p)
+	}
+	if s = mass[x]; s >= p {
+		m.stood++
+		return p, s, true
+	}
+	m.fell++
+	b, s = m.fall(t, x, p, s)
+	return b, s, false
+}
+
 // push adds x to the current round's candidates once.
 func (m *Maintainer) push(x graph.NodeID) {
 	if m.mark[x] != m.gen {
 		m.mark[x] = m.gen
 		m.cand = append(m.cand, x)
 	}
+}
+
+// pushUp is push for an upward crossing or an insert, which can raise the
+// weight above x's value and so keeps x from being settled by its mass alone.
+func (m *Maintainer) pushUp(x graph.NodeID) {
+	m.push(x)
+	m.up[x] = m.gen
 }
 
 // DensestValue returns max_v β_T(v), a 2·n^{1/T}-approximation of the

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -58,8 +59,8 @@ func fuzzSeed(ops []dist.EdgeOp) []byte {
 // parallels, deletes of live and of missing edges — to the oracle multigraph
 // and holds the maintainer, after every batch, to a fresh core.Run on the
 // canonically applied graph: every level of the history bit for bit, the
-// rolling hash against a from-scratch one, and the prefix contract of a batch
-// that fails mid-way.
+// rolling hash against a from-scratch one, the kept mass against a recount,
+// and the prefix contract of a batch that fails mid-way.
 func FuzzRepairMatchesScratch(f *testing.F) {
 	ins := func(u, v int, w float64) dist.EdgeOp { return dist.EdgeOp{U: u, V: v, W: w} }
 	del := func(u, v int) dist.EdgeOp { return dist.EdgeOp{Del: true, U: u, V: v} }
@@ -110,6 +111,7 @@ func FuzzRepairMatchesScratch(f *testing.F) {
 					}
 				}
 			}
+			assertMassMatchesRecount(t, m, fmt.Sprintf("batch %d", bi))
 		}
 	})
 }

@@ -1,0 +1,146 @@
+package dynamic
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"distkcore/internal/core"
+	"distkcore/internal/dist"
+	"distkcore/internal/graph"
+)
+
+// assertMassMatchesRecount holds every kept S_t(v) to a recount from scratch,
+// bit for bit: the weight of v's arcs, in a freshly materialized graph, whose
+// far end reads at least β_t(v) in round t-1 of a fresh core.Run — whose
+// history m must also match bit for bit.
+func assertMassMatchesRecount(t *testing.T, m *Maintainer, label string) {
+	t.Helper()
+	if m.mass == nil {
+		t.Fatalf("%s: no mass kept, and every weight held is summable", label)
+	}
+	g := m.Graph()
+	fresh := core.Run(g, core.Options{Rounds: m.T, RecordHistory: true})
+	prev := make([]float64, g.N())
+	for v := range prev {
+		prev[v] = math.Inf(1)
+	}
+	for tt := 1; tt <= m.T; tt++ {
+		cur := fresh.History[tt-1]
+		for v := 0; v < g.N(); v++ {
+			if math.Float64bits(m.hist[tt][v]) != math.Float64bits(cur[v]) {
+				t.Fatalf("%s: β_%d(%d) = %v, fresh core.Run %v", label, tt, v, m.hist[tt][v], cur[v])
+			}
+			s := 0.0
+			for _, a := range g.Adj(v) {
+				if prev[a.To] >= cur[v] {
+					s += a.W
+				}
+			}
+			if math.Float64bits(m.mass[tt][v]) != math.Float64bits(s) {
+				t.Fatalf("%s: kept S_%d(%d) = %v, a recount %v", label, tt, v, m.mass[tt][v], s)
+			}
+		}
+		prev = cur
+	}
+}
+
+// massExtras are the ops RandomChurn never makes, appended to its batches: a
+// self-loop inserted and one deleted, parallel copies of different weights
+// (one of them taken again by the delete that follows, the lowest copy in
+// canonical order), and an edge deleted by the batch that inserted it.
+func massExtras(rng *rand.Rand, n int) []dist.EdgeOp {
+	ws := [...]float64{0, 0.25, 0.5, 2}
+	w := func() float64 { return ws[rng.Intn(len(ws))] }
+	u, v, x, y := rng.Intn(n), rng.Intn(n), rng.Intn(n), rng.Intn(n)
+	return []dist.EdgeOp{
+		{U: u, V: u, W: w()}, {Del: true, U: u, V: u},
+		{U: v, V: u, W: 0.25}, {U: u, V: v, W: 2}, {Del: true, U: u, V: v},
+		{U: x, V: y, W: w()}, {Del: true, U: y, V: x},
+		{U: y, V: y, W: w()},
+	}
+}
+
+// TestMaintainedMassMatchesRecount chains RandomChurn batches of 1, 7 and 64
+// ops, each with massExtras appended, through one Maintainer per graph — BA,
+// Caveman, and a BA weighted on a ¼ grid with zero weights — and holds the
+// kept mass to a recount after New and after every batch. The settle that
+// reads no arc, and the fall that gathers below its value only, must both
+// have fired on every graph.
+func TestMaintainedMassMatchesRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	b := graph.NewBuilder(300)
+	for _, e := range graph.BarabasiAlbert(300, 3, 11).Edges() {
+		b.AddEdge(e.U, e.V, float64(rng.Intn(12))/4)
+	}
+	graphs := map[string]*graph.Graph{
+		"ba":          graph.BarabasiAlbert(300, 3, 5),
+		"caveman":     graph.Caveman(30, 6),
+		"ba-weighted": b.Build(),
+	}
+	const T = 6
+	for gname, g := range graphs {
+		m := New(g, T)
+		assertMassMatchesRecount(t, m, gname+" after New")
+		for i := 0; i < 12; i++ {
+			size := [...]int{1, 7, 64}[i%3]
+			d := dist.RandomChurn(m.Graph(), size, int64(i))
+			d.Ops = append(d.Ops, massExtras(rng, g.N())...)
+			if err := m.ApplyDelta(d); err != nil {
+				t.Fatalf("%s batch %d: %v", gname, i, err)
+			}
+			assertMassMatchesRecount(t, m, fmt.Sprintf("%s batch %d (%d ops)", gname, i, len(d.Ops)))
+		}
+		if m.stood == 0 || m.fell == 0 {
+			t.Fatalf("%s: the kept mass settled %d stands and %d falls; both have to run", gname, m.stood, m.fell)
+		}
+	}
+}
+
+// TestMassOnlyUnderExactSums: a Maintainer that holds a weight outside
+// Summable keeps no mass and settles nothing without eval's pass, through
+// churn; one that takes such a weight later drops its mass at that batch and
+// does not take it back when the edge is deleted again. Its values still
+// match a fresh run, to rounding.
+func TestMassOnlyUnderExactSums(t *testing.T) {
+	ba := graph.BarabasiAlbert(240, 3, 5)
+	b := graph.NewBuilder(ba.N())
+	for i, e := range ba.Edges() {
+		w := e.W
+		if i == 0 {
+			w = 0.1
+		}
+		b.AddEdge(e.U, e.V, w)
+	}
+	exact := New(ba, 6)
+	if exact.mass == nil {
+		t.Fatal("unit weights: no mass kept")
+	}
+	if err := exact.ApplyDelta(dist.GraphDelta{Ops: []dist.EdgeOp{{U: 1, V: 2, W: 0.1}}}); err != nil {
+		t.Fatal(err)
+	}
+	exact.DeleteEdge(1, 2)
+	for label, m := range map[string]*Maintainer{"0.1 from the start": New(b.Build(), 6), "0.1 inserted and deleted": exact} {
+		stood, fell := m.stood, m.fell
+		for i := 0; i < 20; i++ {
+			if err := m.ApplyDelta(dist.RandomChurn(m.Graph(), 16, int64(i))); err != nil {
+				t.Fatal(err)
+			}
+			if m.mass != nil || m.stood != stood || m.fell != fell {
+				t.Fatalf("%s batch %d: mass kept = %v, settled without a pass: %d stands, %d falls", label, i, m.mass != nil, m.stood-stood, m.fell-fell)
+			}
+			assertMatchesScratch(t, m, fmt.Sprintf("%s batch %d", label, i))
+		}
+	}
+	for _, w := range []float64{0, 1.0 / 1024, 0.25, 3, 1 << 20} {
+		if !Summable(w) {
+			t.Fatalf("Summable(%v) = false", w)
+		}
+	}
+	for _, w := range []float64{-1, 0.1, 1.0 / 2048, 1<<20 + 1, math.Inf(1), math.NaN()} {
+		if Summable(w) {
+			t.Fatalf("Summable(%v) = true", w)
+		}
+	}
+}

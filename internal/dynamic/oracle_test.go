@@ -737,13 +737,25 @@ func TestSteadyStateApplyDeltaAllocationFree(t *testing.T) {
 	assertMatchesScratch(t, m, "after steady-state batches")
 }
 
+// recount is S(b) = Σ_{b_u ≥ b} w_u over arcs whose far ends read prev.
+func recount(arcs []refArc, prev []float64, b float64) float64 {
+	s := 0.0
+	for _, a := range arcs {
+		if prev[a.to] >= b {
+			s += a.w
+		}
+	}
+	return s
+}
+
 // TestEvalAtAnyPivot holds eval to the reference's full sort at every (t, v)
 // of the oracle graphs and of a BA graph with weights on a ¼ grid, at pivots
 // on, between and beyond the values v's arcs read: β_t(v), β_{t−1}(v), each
 // neighbour's β_{t−1}, 0, +∞ and the midpoints of consecutive neighbour
 // values. The case split is exact for any pivot, so every answer must equal
-// the reference bit for bit, and eval must report a fall exactly when S(p) <
-// p. Each graph has to exercise all three outcomes.
+// the reference bit for bit, S at it must equal a recount, and eval must
+// report a fall exactly when S(p) < p. Each graph has to exercise all three
+// outcomes.
 func TestEvalAtAnyPivot(t *testing.T) {
 	graphs := oracleGraphs()
 	rng := rand.New(rand.NewSource(17))
@@ -782,9 +794,12 @@ func TestEvalAtAnyPivot(t *testing.T) {
 							atOrAbove += a.w
 						}
 					}
-					got, verified := m.eval(tt, v, p)
+					got, s, verified := m.eval(tt, v, p)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s: eval(%d, %d) at pivot %v = %v, full-sort reference %v", gname, tt, v, p, got, want)
+					}
+					if rs := recount(r.adj[v], prev, got); math.Float64bits(s) != math.Float64bits(rs) {
+						t.Fatalf("%s: eval(%d, %d) at pivot %v: S at its answer %v is %v, a recount %v", gname, tt, v, p, got, s, rs)
 					}
 					if verified != (atOrAbove >= p) {
 						t.Fatalf("%s: eval(%d, %d) at pivot %v: verified = %v with S(p) = %v", gname, tt, v, p, verified, atOrAbove)

@@ -119,7 +119,7 @@ func NewCoordinator(hub *net.Hub, g *graph.Graph, assign []int, part shard.Parti
 		subs: NewSubManager(),
 	}
 	for _, e := range g.Edges() {
-		if !summable(e.W) {
+		if !dynamic.Summable(e.W) {
 			return nil, fmt.Errorf("session: edge {%d,%d}: %w", e.U, e.V, errNotSummable(e.W))
 		}
 		if !e.IsLoop() {
@@ -372,7 +372,7 @@ func (c *Coordinator) absorb(epoch int, d dist.GraphDelta, moveBudget int) (push
 		return nil, cm, cut, err
 	}
 	for i, op := range decoded.Ops {
-		if !op.Del && !summable(op.W) {
+		if !op.Del && !dynamic.Summable(op.W) {
 			return nil, cm, cut, fmt.Errorf("session: delta op %d: %w", i, errNotSummable(op.W))
 		}
 	}
@@ -389,17 +389,10 @@ func (c *Coordinator) absorb(epoch int, d dist.GraphDelta, moveBudget int) (push
 	return push, cm, cut, nil
 }
 
-// summable is the exact-sum contract of a session (DESIGN.md §10.2), as one
-// predicate on an edge weight: a multiple of 2⁻¹⁰ no larger than 2²⁰. Any sum
-// of up to 2²³ such weights is exact in a float64 whatever the order, so the
-// incremental oracle, the elimination protocol and a fresh run — which add a
-// node's arcs in three different orders — agree bit for bit. The coordinator
-// holds the base graph's edges and every pushed insert to it; the workers'
+// errNotSummable is the refusal of a weight outside the exact-sum contract
+// of a session (DESIGN.md §10.2), dynamic.Summable: the coordinator holds the
+// base graph's edges and every pushed insert to it; the workers'
 // oracle-versus-run comparison at open stays as the cross-check.
-func summable(w float64) bool {
-	return w >= 0 && w <= 1<<20 && w*(1<<10) == math.Trunc(w*(1<<10))
-}
-
 func errNotSummable(w float64) error {
 	return fmt.Errorf("weight %v is not exactly summable: sessions take multiples of 2^-10 no larger than 2^20", w)
 }

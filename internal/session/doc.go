@@ -40,9 +40,9 @@
 //
 // Sessions run the exact threshold set Λ = ℝ only: the Maintainer repairs
 // exact β_t histories and bit-equality with fresh runs additionally needs
-// exactly summable weights — one predicate (summable: a multiple of 2⁻¹⁰ no
-// larger than 2²⁰) the coordinator holds the base graph and every pushed
-// insert to, with the workers' oracle-versus-run comparison at open
+// exactly summable weights — one predicate (dynamic.Summable: a multiple of
+// 2⁻¹⁰ no larger than 2²⁰) the coordinator holds the base graph and every
+// pushed insert to, with the workers' oracle-versus-run comparison at open
 // (NewWorkerState) as the cross-check.
 //
 // On top of the epoch stream sits a subscription layer in the want-list /

@@ -44,8 +44,8 @@ type WorkerState struct {
 // incremental oracle only matches the elimination protocol exactly under
 // Λ = ℝ with exactly summable weights, and a session whose epochs could
 // drift from fresh runs must fail at open, not at some later digest check.
-// (The coordinator holds every weight to the contract itself — summable;
-// this comparison is the cross-check on a sample.)
+// (The coordinator holds every weight to the contract itself —
+// dynamic.Summable; this comparison is the cross-check on a sample.)
 func NewWorkerState(c *net.Conn, g *graph.Graph, assign []int, shardIdx, p, T int, part shard.Partitioner, runB []float64) (*WorkerState, error) {
 	n := g.N()
 	switch {
