@@ -8,6 +8,7 @@ import (
 
 	"distkcore"
 	"distkcore/internal/densest"
+	"distkcore/internal/dist"
 	"distkcore/internal/graph"
 )
 
@@ -39,31 +40,6 @@ func TestApproxCorenessAPI(t *testing.T) {
 	// triangle nodes have coreness 2, path nodes 1
 	if exact[0] != 2 || exact[4] != 1 {
 		t.Fatalf("exact coreness wrong: %v", exact)
-	}
-}
-
-func TestApproxCorenessRoundsAPI(t *testing.T) {
-	g := buildTriPendant()
-	r1 := distkcore.ApproxCorenessRounds(g, 1)
-	r5 := distkcore.ApproxCorenessRounds(g, 5)
-	for v := 0; v < g.N(); v++ {
-		if r5.B[v] > r1.B[v]+1e-9 {
-			t.Fatal("more rounds must not increase β")
-		}
-	}
-	if r1.Guarantee <= r5.Guarantee {
-		t.Fatal("guarantee must tighten with rounds")
-	}
-}
-
-func TestMaximalDensitiesAPI(t *testing.T) {
-	g := buildTriPendant()
-	r := distkcore.MaximalDensities(g)
-	c := distkcore.ExactCoreness(g)
-	for v := 0; v < g.N(); v++ {
-		if r[v] > c[v]+1e-9 || c[v] > 2*r[v]+1e-9 {
-			t.Fatalf("sandwich violated at %d: r=%v c=%v", v, r[v], c[v])
-		}
 	}
 }
 
@@ -117,8 +93,8 @@ func TestDensestSubsetAPI(t *testing.T) {
 
 func TestRunDistributedAPI(t *testing.T) {
 	g := graph.ErdosRenyi(200, 0.05, 17)
-	seq, m1 := distkcore.RunDistributed(g, 6, false)
-	par, m2 := distkcore.RunDistributed(g, 6, true)
+	seq, m1 := distkcore.RunDistributedOn(g, 6, distkcore.SequentialEngine())
+	par, m2 := distkcore.RunDistributedOn(g, 6, distkcore.ParallelEngine())
 	for v := 0; v < g.N(); v++ {
 		if seq.B[v] != par.B[v] {
 			t.Fatalf("engines disagree at %d", v)
@@ -129,6 +105,25 @@ func TestRunDistributedAPI(t *testing.T) {
 	}
 	if m1.Rounds != 6 {
 		t.Fatalf("rounds=%d", m1.Rounds)
+	}
+}
+
+// The asynchronous elimination reaches the exact coreness, says when a budget
+// was enough, and reports its makespan in rounds.
+func TestAsyncCorenessAPI(t *testing.T) {
+	g := graph.BarabasiAlbert(200, 3, 19)
+	d := distkcore.DelayModel{Base: 1, Jitter: 3, Seed: 5}
+	res, met := distkcore.AsyncCoreness(g, d, 500)
+	if !res.Quiesced || res.Makespan < 1 || res.Makespan >= 500 || met.Messages == 0 {
+		t.Fatalf("implausible run: quiesced=%v makespan=%d %+v", res.Quiesced, res.Makespan, met)
+	}
+	for v, c := range distkcore.ExactCoreness(g) {
+		if res.B[v] != c {
+			t.Fatalf("b(%d) = %v, coreness %v", v, res.B[v], c)
+		}
+	}
+	if cut, _ := distkcore.AsyncCoreness(g, d, 2); cut.Quiesced {
+		t.Fatal("a 2-round budget cannot quiesce")
 	}
 }
 
@@ -188,23 +183,6 @@ func TestNetworkEngineAPI(t *testing.T) {
 	}
 }
 
-func TestParallelWorkersAPI(t *testing.T) {
-	g := graph.BarabasiAlbert(300, 3, 23)
-	T := distkcore.RoundsFor(g.N(), 0.5)
-	ref, refMet := distkcore.RunDistributedOn(g, T, distkcore.SequentialEngine())
-	for _, w := range []int{1, 3, 8} {
-		res, met := distkcore.RunDistributedOn(g, T, distkcore.ParallelWorkers(w))
-		if met != refMet {
-			t.Fatalf("w=%d: metrics %+v, want %+v", w, met, refMet)
-		}
-		for v := range ref.B {
-			if math.Float64bits(res.B[v]) != math.Float64bits(ref.B[v]) {
-				t.Fatalf("w=%d: β(%d) diverges from sequential", w, v)
-			}
-		}
-	}
-}
-
 func TestRoundsForAndPowerGrid(t *testing.T) {
 	if distkcore.RoundsFor(1024, 1.0) != 10 {
 		t.Fatal("RoundsFor wrong")
@@ -237,7 +215,7 @@ func TestSandwichOnEverySurface(t *testing.T) {
 	stream.Stream = true
 	engines := map[string]distkcore.Engine{
 		"seq":          distkcore.SequentialEngine(),
-		"par:3":        distkcore.ParallelWorkers(3),
+		"par:3":        dist.ParEngine{W: 3},
 		"shard:4":      distkcore.ShardedEngine(4, distkcore.GreedyPartitioner()),
 		"net:4 stream": stream,
 	}
@@ -287,7 +265,7 @@ func TestWeakDensestOnEverySurface(t *testing.T) {
 	stream.Stream = true
 	engines := map[string]distkcore.Engine{
 		"seq":                      distkcore.SequentialEngine(),
-		"par:3":                    distkcore.ParallelWorkers(3),
+		"par:3":                    dist.ParEngine{W: 3},
 		"shard:4":                  distkcore.ShardedEngine(4, distkcore.GreedyPartitioner()),
 		"net:4:greedy:pipe":        distkcore.NetworkEngine(4, distkcore.GreedyPartitioner()),
 		"net:4:greedy:pipe:stream": stream,
@@ -393,9 +371,6 @@ func TestSessionAPI(t *testing.T) {
 	}
 	if led, ok := s.Ledger(sub); !ok || led.Topics != 2 {
 		t.Fatalf("ledger %+v", led)
-	}
-	if tp, err := distkcore.ParseTopic("coreness:17"); err != nil || tp != distkcore.CorenessTopic(17) {
-		t.Fatalf("ParseTopic: %v %v", tp, err)
 	}
 }
 

@@ -72,10 +72,12 @@ type (
 	// Engine is a pluggable message-passing execution engine; obtain one
 	// from SequentialEngine or ParallelEngine.
 	Engine = dist.Engine
-	// DelayModel drives message delays in the asynchronous simulator.
-	DelayModel = dist.DelayModel
-	// AsyncMetrics reports the cost of an asynchronous run.
-	AsyncMetrics = dist.AsyncMetrics
+	// DelayModel draws the per-value delays, in rounds, of AsyncCoreness.
+	DelayModel = core.DelayModel
+	// AsyncResult is what AsyncCoreness returns besides the engine metrics:
+	// the values at the round budget, the makespan in rounds, and whether
+	// the run quiesced.
+	AsyncResult = core.AsyncResult
 	// Partitioner assigns nodes to shards for the sharded cluster engine;
 	// obtain one from HashPartitioner, RangePartitioner or
 	// GreedyPartitioner.
@@ -117,7 +119,7 @@ type (
 	// digests, changed values and emitted notifications.
 	EpochReport = session.EpochReport
 	// Topic is one subscription subject for Session.Subscribe; build them
-	// with CorenessTopic, TopKTopic, ThresholdTopic or ParseTopic.
+	// with CorenessTopic, TopKTopic or ThresholdTopic.
 	Topic = session.Topic
 	// Notification is one topic firing for one subscriber at one epoch.
 	Notification = session.Notification
@@ -179,11 +181,6 @@ func SequentialEngine() Engine { return dist.SeqEngine{} }
 // to SequentialEngine's.
 func ParallelEngine() Engine { return dist.ParEngine{} }
 
-// ParallelWorkers is ParallelEngine with an explicit worker count w >= 1
-// (the -engine par:W spelling of the CLIs). The worker count changes the
-// schedule, never the execution: every w yields the same bytes.
-func ParallelWorkers(w int) Engine { return dist.ParEngine{W: w} }
-
 // ShardedEngine returns the sharded cluster engine: nodes are partitioned
 // into p shards by part (nil means HashPartitioner), each shard runs as
 // one worker, and cross-shard traffic moves as batched per-round frames.
@@ -239,11 +236,6 @@ func TopKTopic(k int) Topic { return Topic{Kind: session.TopicTopK, K: k} }
 // way).
 func ThresholdTopic(x float64) Topic { return Topic{Kind: session.TopicThreshold, X: x} }
 
-// ParseTopic parses the canonical topic string form ("coreness:17",
-// "topk:5", "threshold:2.5") — the spelling cmd/cluster's sub command and
-// the wire subscribe record use.
-func ParseTopic(s string) (Topic, error) { return session.ParseTopic(s) }
-
 // HashPartitioner spreads nodes by an integer hash of their ID — the
 // locality-oblivious baseline (expected edge cut 1−1/p).
 func HashPartitioner() Partitioner { return shard.Hash{} }
@@ -281,22 +273,8 @@ func ApproxCoreness(g *Graph, eps float64) CorenessResult {
 	return CorenessResult{B: res.B, T: T, Guarantee: core.GuaranteeAtT(g.N(), T)}
 }
 
-// ApproxCorenessRounds is ApproxCoreness with an explicit round budget T;
-// the guarantee degrades gracefully to 2·n^{1/T} (Theorem I.1).
-func ApproxCorenessRounds(g *Graph, T int) CorenessResult {
-	res := core.Run(g, core.Options{Rounds: T})
-	return CorenessResult{B: res.B, T: T, Guarantee: core.GuaranteeAtT(g.N(), T)}
-}
-
 // ExactCoreness computes exact coreness values centrally (weighted peeling).
 func ExactCoreness(g *Graph) []float64 { return exact.CoresWeighted(g) }
-
-// MaximalDensities computes the exact maximal density r(v) of every node
-// (Definition II.3) via repeated maximal-densest-subset extraction.
-func MaximalDensities(g *Graph) []float64 {
-	r, _, _ := exact.LocallyDense(g)
-	return r
-}
 
 // OrientationResult is the outcome of the approximate min-max orientation.
 type OrientationResult struct {
@@ -304,8 +282,8 @@ type OrientationResult struct {
 	O Orientation
 	// MaxLoad is the achieved maximum weighted in-degree.
 	MaxLoad float64
-	// LowerBound is ρ* when computed (see ApproxOrientation) — the LP
-	// lower bound on the optimum.
+	// B[v] is the surviving number β_T(v) of the augmented run the
+	// orientation was read from.
 	B []float64
 	// T is the number of rounds executed.
 	T int
@@ -343,20 +321,9 @@ func WeakDensest(g *Graph, eps float64) *WeakDensestResult {
 	return densest.Weak(g, densest.Config{Gamma: 2 * (1 + eps)})
 }
 
-// RunDistributed executes the compact elimination procedure as a real
-// message-passing protocol (the worker-pool engine when parallel is true)
-// and reports communication metrics alongside the result. It is shorthand
-// for RunDistributedOn with SequentialEngine or ParallelEngine.
-func RunDistributed(g *Graph, T int, parallel bool) (CorenessResult, Metrics) {
-	if parallel {
-		return RunDistributedOn(g, T, ParallelEngine())
-	}
-	return RunDistributedOn(g, T, SequentialEngine())
-}
-
-// RunDistributedOn executes the compact elimination procedure on an
-// explicit Engine — the seam future transports (sharded engines, real
-// networks) plug into.
+// RunDistributedOn executes the compact elimination procedure as a real
+// message-passing protocol on eng and reports communication metrics
+// alongside the result.
 func RunDistributedOn(g *Graph, T int, eng Engine) (CorenessResult, Metrics) {
 	res, met := core.RunDistributed(g, core.Options{Rounds: T}, eng)
 	return CorenessResult{B: res.B, T: T, Guarantee: core.GuaranteeAtT(g.N(), T)}, met
@@ -379,15 +346,15 @@ func WeakDensestDistributed(g *Graph, eps float64, eng Engine) (*WeakDensestResu
 	return densest.RunWeakDistributed(g, densest.Config{Gamma: 2 * (1 + eps)}, eng)
 }
 
-// AsyncCoreness runs the elimination in the fully asynchronous model under
-// the given delay model: no rounds, no barriers, convergence to the exact
-// coreness at quiescence (see internal/core's RunAsyncElimination).
-// maxEvents bounds runaway schedules; Quiesced in the returned metrics
-// reports whether the run converged (false means the budget cut it off
-// with messages still in flight).
-func AsyncCoreness(g *Graph, d DelayModel, maxEvents int64) ([]float64, AsyncMetrics) {
-	res, met := core.RunAsyncElimination(g, d, maxEvents)
-	return res.B, met
+// AsyncCoreness runs the elimination in the asynchronous regime for at most
+// rounds rounds on SequentialEngine: every value a node sends is delayed by
+// its own number of rounds, drawn from d, and the run converges to the exact
+// coreness whatever the delays (see internal/core's RunAsyncElimination,
+// which also gives a budget that always suffices). Quiesced in the result
+// reports whether it did before the budget (false means values were still
+// in flight); Makespan is the last round a value was sent in.
+func AsyncCoreness(g *Graph, d DelayModel, rounds int) (*AsyncResult, Metrics) {
+	return core.RunAsyncElimination(g, d, rounds, SequentialEngine())
 }
 
 // RoundsFor returns T = ⌈log_{1+eps} n⌉, the budget all three algorithms

@@ -196,8 +196,11 @@ func TestCitedTestsExist(t *testing.T) {
 // for remote senders, the checkpoint restart scheme (driver snapshots, its two
 // records, its retention depth) and the one-shot churned run (its record, its
 // absorption, its CLI parsing), the pool's fitted range weight (a step
-// phase's nodes come off a cursor) and the in-protocol kill seams (a death is
-// scheduled on the links now, internal/net/faultnet) are gone; nothing may cite
+// phase's nodes come off a cursor), the in-protocol kill seams (a death is
+// scheduled on the links now, internal/net/faultnet), the event-queue
+// simulator with its own program, context and per-peer table (the
+// asynchronous elimination is a Program on the round engines), E12's copy of
+// Updater and the facade's worker-count constructor are gone; nothing may cite
 // them again. The archive (CHANGES.md), the plan (ROADMAP.md, ISSUE.md) and the
 // frozen benchmark directory may name them.
 func TestRetiredNamesStayRetired(t *testing.T) {
@@ -206,7 +209,9 @@ func TestRetiredNamesStayRetired(t *testing.T) {
 		"Checkpointable", "AppendSnapshot", "RestoreSnapshot", "recCheckpoint", "retainRounds",
 		"recDelta", "AbsorbDelta", "ApplyChurn", "ParseChurnSpec", "netChurn",
 		"rangeNodeWeight", "recStreamResend", "recStreamReplay", "mesh.barrier",
-		"KillAt", "KillFunc", "ErrKilled", "OnRound", "killPlan"}
+		"KillAt", "KillFunc", "ErrKilled", "OnRound", "killPlan",
+		"AsyncProgram", "AsyncCtx", "AsyncFactory", "AsyncMetrics", "eventQueue", "PeerTable",
+		"asyncElimination", "UnstableUpdater", "RunAblatedTieBreak", "ParallelWorkers"}
 	exempt := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "docs_test.go": true}
 	walkRepo(t, func(path string) {
 		if exempt[path] || strings.HasPrefix(path, "benchmark/") {

@@ -8,8 +8,9 @@ import (
 )
 
 // Micro-benchmarks of the parts of this package the trusted benchmark
-// (benchmark/README.md) has no row for: the tie-break ablation (E12), the
-// run-to-a-fixed-point mode (E7) and the asynchronous simulator (E15). The
+// (benchmark/README.md) has no row for: the stable tie-break (E12; the
+// ablated one is benchmarked next to E12), the run-to-a-fixed-point mode (E7)
+// and the asynchronous elimination (E15). The
 // fixed-T elimination itself is core.central_run_ms / core.step_ns_per_node
 // there.
 
@@ -25,16 +26,6 @@ func BenchmarkStableTieBreak5k(b *testing.B) {
 	}
 }
 
-func BenchmarkUnstableTieBreak5k(b *testing.B) {
-	g := benchGraph(5_000)
-	T := TForEpsilon(5_000, 0.5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunAblatedTieBreak(g, T)
-	}
-}
-
 func BenchmarkExactConvergence10k(b *testing.B) {
 	g := benchGraph(10_000)
 	b.ReportAllocs()
@@ -46,12 +37,15 @@ func BenchmarkExactConvergence10k(b *testing.B) {
 
 func BenchmarkAsyncElimination5k(b *testing.B) {
 	g := benchGraph(5_000)
+	d := DelayModel{Base: 1, Jitter: 1}
+	budget := asyncBudget(g, d)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var events int64
+	var msgs int64
 	for i := 0; i < b.N; i++ {
-		_, met := RunAsyncElimination(g, dist.DelayModel{Base: 1, Jitter: 1, Seed: int64(i)}, 1e9)
-		events = met.Events
+		d.Seed = int64(i)
+		_, met := RunAsyncElimination(g, d, budget, dist.SeqEngine{})
+		msgs = met.Messages
 	}
-	b.ReportMetric(float64(events), "events/run")
+	b.ReportMetric(float64(msgs), "msgs/run")
 }

@@ -91,26 +91,6 @@ func TestHistoryIsFullLength(t *testing.T) {
 	}
 }
 
-// TestAblatedBetaMatchesStable: the unstable tie-break changes only the
-// auxiliary sets, never the surviving numbers (quick-checked).
-func TestAblatedBetaMatchesStable(t *testing.T) {
-	check := func(seed int64, tRaw uint8) bool {
-		T := int(tRaw%6) + 1
-		g := graph.ErdosRenyi(25, 0.25, seed)
-		stable := Run(g, Options{Rounds: T})
-		ablated, _ := RunAblatedTieBreak(g, T)
-		for v := 0; v < g.N(); v++ {
-			if !almostEq(stable.B[v], ablated.B[v]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSurvivingNumberDominatesSubsets is the structural heart of
 // Lemma III.2 stated directly: for any subset S containing v, β_t(v) is at
 // least the minimum induced degree of S.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -159,6 +160,28 @@ func testGraphs(seed int64) map[string]*graph.Graph {
 		"ba":      graph.BarabasiAlbert(60, 3, seed),
 		"caveman": graph.Caveman(4, 6),
 	}
+}
+
+// LoopyMultigraph is a BA graph with weights in quarters (sums are exact in
+// any order, so the centralized simulator's heap-ordered sums agree with the
+// distributed program's to the bit), a parallel copy of every fourth edge and
+// a self-loop on every third node — the arcs whose value is the node's own,
+// which is what a skipped step has to account for. Exported for the
+// external test package.
+func LoopyMultigraph(n int, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	w := func() float64 { return float64(1+rng.Intn(12)) / 4 }
+	b := graph.NewBuilder(n)
+	for i, e := range graph.BarabasiAlbert(n, 3, seed).Edges() {
+		b.AddEdge(e.U, e.V, w())
+		if i%4 == 0 {
+			b.AddEdge(e.V, e.U, w())
+		}
+	}
+	for v := 0; v < n; v += 3 {
+		b.AddEdge(v, v, w())
+	}
+	return b.Build()
 }
 
 func exactCorenessRef(g *graph.Graph) []float64 {

@@ -22,24 +22,15 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// TestPeerTableRejectsNonPeers is the regression for Set's silent overwrite:
-// sort.SearchInts returns the insertion point, so a value from a node that
-// is not a neighbor used to land in the next-larger neighbor's slot (and
-// only panicked past the last one). Set and Get must refuse — and so must
-// ElimState.Advance, which files what it hears under the sender's arcs by the
-// same search.
-func TestPeerTableRejectsNonPeers(t *testing.T) {
+// TestElimStateRejectsNonPeers is the regression for a silent overwrite:
+// sort.SearchInts returns the insertion point, so a value from a node that is
+// not a neighbor would land on the next-larger neighbor's arcs (and only panic
+// past the last one). ElimState.Advance, which files what it hears under the
+// sender's arcs by that search, must refuse.
+func TestElimStateRejectsNonPeers(t *testing.T) {
 	peers := []graph.NodeID{2, 5, 9}
 	arcs := []graph.Arc{{To: 5}, {To: 2}, {To: 9}, {To: 7}} // 7 is the node itself
 	for _, from := range []graph.NodeID{0, 3, 7, 11} {      // below, between, self, above
-		tab := NewPeerTable(7, arcs, peers, math.Inf(1))
-		mustPanic(t, "Set from a non-peer", func() { tab.Set(from, 1) })
-		mustPanic(t, "Get of a non-peer", func() { tab.Get(from) })
-		for rk, p := range peers {
-			if got := tab.vals[rk]; !math.IsInf(got, 1) {
-				t.Fatalf("rejected sender %d still overwrote neighbor %d's value with %v", from, p, got)
-			}
-		}
 		var es ElimState
 		es.Start(7, arcs, peers, nil)
 		mustPanic(t, "Advance on a non-peer's message", func() {

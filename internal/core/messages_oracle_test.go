@@ -24,27 +24,6 @@ import (
 // knows nothing of inboxes, tables or flags), with β₀ = +∞ — every node whose
 // value moved in round t < T tells each distinct neighbor once.
 
-// loopyMultigraph is a BA graph with weights in quarters (sums are exact in
-// any order, so the centralized simulator's heap-ordered sums agree with the
-// distributed program's to the bit), a parallel copy of every fourth edge and
-// a self-loop on every third node — the arcs whose value is the node's own,
-// which is what a skipped step has to account for.
-func loopyMultigraph(n int, seed int64) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	w := func() float64 { return float64(1+rng.Intn(12)) / 4 }
-	b := graph.NewBuilder(n)
-	for i, e := range graph.BarabasiAlbert(n, 3, seed).Edges() {
-		b.AddEdge(e.U, e.V, w())
-		if i%4 == 0 {
-			b.AddEdge(e.V, e.U, w())
-		}
-	}
-	for v := 0; v < n; v += 3 {
-		b.AddEdge(v, v, w())
-	}
-	return b.Build()
-}
-
 // changeCount returns Σ_{t=1..T−1} Σ_{v : β_t(v) ≠ β_{t−1}(v)} |Peers(v)| from
 // the centralized history, the every-round count T·Σ_v |Peers(v)| the program
 // sent before it was change-driven (Init plus rounds 1..T−1), and β_T.
@@ -83,7 +62,7 @@ func TestMessagesMatchChangeOracle(t *testing.T) {
 			"ba":    graph.BarabasiAlbert(150, 3, seed),
 			"ws":    graph.WattsStrogatz(120, 6, 0.1, seed),
 			"er":    graph.ErdosRenyi(100, 0.06, seed),
-			"loopy": loopyMultigraph(90, seed),
+			"loopy": core.LoopyMultigraph(90, seed),
 		}
 		for gname, g := range graphs {
 			T := core.TForEpsilon(g.N(), 0.5)

@@ -173,10 +173,9 @@ func (u *Updater) step(changed int) (b float64, aux []int) {
 // set: it returns only the new surviving number for a node whose incident
 // edges have weights w and whose neighbors currently hold values bs.
 // This is the allocation-free path used by the centralized simulator when
-// auxiliary sets are not requested, by the asynchronous elimination's
-// recompute, and by dynamic.Maintainer's frontier repair — all of which
-// call it once per node evaluation on their hot paths (pinned by
-// TestAsyncRecomputeAllocationFree).
+// auxiliary sets are not requested and by dynamic.Maintainer's frontier
+// repair — both of which call it once per node evaluation on their hot paths
+// (pinned by TestSteadyStateApplyDeltaAllocationFree).
 //
 // The answer max_k min(b_(k), S_k) — b_(k) the k-th largest value, S_k the
 // weight of the k largest — is decided at the first k whose running weight

@@ -1,37 +1,31 @@
 // Package dist is the message-passing runtime the distributed algorithms of
 // the paper run on. It deliberately exposes a very small surface, fixed by
-// its call sites in internal/core and internal/densest:
+// its call sites in internal/core and internal/densest: a Program (per-node
+// state machine with Init and Round hooks), a Ctx handed to every hook
+// (topology queries plus Broadcast/Send/Halt), and an Engine that drives all
+// n programs in lock-step rounds. This package provides SeqEngine, a
+// deterministic single-threaded scheduler, and ParEngine, a worker pool (W
+// workers, the caller among them, pulling a round's nodes off one cursor; one
+// barrier per broadcast-only round, a deterministic parallel inbox fill on the
+// others — see par.go and DESIGN.md §12). Engines outside the package register
+// through the same interface by building on Driver, which exposes the shared
+// step/deliver machinery without giving up the determinism contract:
+// internal/shard (P worker goroutines, batched cross-shard frames) and
+// internal/net (coordinator plus P workers over real connections). Both read
+// their nodes' sends through the Slot/Queued tap; a net worker builds its
+// Driver over its own nodes and the ones they can hear (NewSubsetDriver) and
+// writes the other workers' sends back in through Inject — no hook runs, and
+// no Program exists, there for a node it does not own. All engines produce
+// byte-identical executions, so every protocol property can be tested on the
+// cheap engine and trusted on a cluster. Asynchrony is a protocol matter, not
+// an engine's: core.RunAsyncElimination delays its values in the program.
 //
-//   - the synchronous side — a Program (per-node state machine with Init and
-//     Round hooks), a Ctx handed to every hook (topology queries plus
-//     Broadcast/Send/Halt), and an Engine that drives all n programs in
-//     lock-step rounds. This package provides SeqEngine, a deterministic
-//     single-threaded scheduler, and ParEngine, a worker pool (W workers,
-//     the caller among them, pulling a round's nodes off one cursor; one
-//     barrier per broadcast-only round, a deterministic parallel inbox fill
-//     on the others — see par.go and DESIGN.md §12). Engines outside the
-//     package register through the same interface by building on Driver,
-//     which exposes the shared step/deliver machinery without giving up the
-//     determinism contract: internal/shard (P worker goroutines, batched
-//     cross-shard frames) and internal/net (coordinator plus P workers over
-//     real connections). Both read their nodes' sends through the
-//     Slot/Queued tap; a net worker builds its Driver over its own nodes
-//     and the ones they can hear (NewSubsetDriver) and writes the other
-//     workers' sends back in through Inject — no hook runs, and no Program
-//     exists, there for a node it does not own.
-//     All engines produce byte-identical executions, so every protocol
-//     property can be tested on the cheap engine and trusted on a cluster.
-//
-//   - the asynchronous side — an AsyncProgram (InitAsync/OnMessage hooks),
-//     an AsyncCtx, and RunAsync, a seeded event-queue simulator driven by a
-//     DelayModel. See async.go.
-//
-// Timing model of the synchronous side (the LOCAL/Congest model of
-// Section II of the paper): Init runs at round 0; a message sent during
-// round t is delivered at the start of round t+1; Round(c, inbox) is called
-// once per round on every node that has not halted, whether or not its
-// inbox is empty — unless the node asked, with Ctx.SleepUntil, not to be
-// called on an empty one for a while (the sleep contract, DESIGN.md §3). A
+// Timing model (the LOCAL/Congest model of Section II of the paper): Init
+// runs at round 0; a message sent during round t is delivered at the start of
+// round t+1; Round(c, inbox) is called once per round on every node that has
+// not halted, whether or not its inbox is empty — unless the node asked, with
+// Ctx.SleepUntil, not to be called on an empty one for a while (the sleep
+// contract, DESIGN.md §3). A
 // round costs what was said in it: a node asleep with no mail costs an offset
 // compare, and a round in which few spoke lists its speakers per receiver
 // instead of having every receiver look at every neighbor (DESIGN.md §7).
@@ -311,7 +305,7 @@ func (c *Ctx) SleepUntil(t int) { c.wake = int32(t) }
 func (c *Ctx) Mutex() *sync.Mutex { return &c.sim.mu }
 
 // isPeerOf reports membership in a sorted distinct-peer list (the
-// graph.Peers shape shared by the sync and async contexts).
+// graph.Peers shape).
 func isPeerOf(peers []graph.NodeID, v graph.NodeID) bool {
 	i := sort.SearchInts(peers, v)
 	return i < len(peers) && peers[i] == v

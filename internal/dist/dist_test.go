@@ -485,103 +485,3 @@ func btoi(b bool) int {
 	}
 	return 0
 }
-
-// --- asynchronous simulator ----------------------------------------------
-
-// echoProgram broadcasts once at init; every first message from a neighbor
-// is acknowledged back on the same link (then ignored), giving a bounded,
-// easily countable event cascade.
-type echoProgram struct {
-	seen map[graph.NodeID]bool
-}
-
-func (p *echoProgram) InitAsync(c *AsyncCtx) {
-	p.seen = make(map[graph.NodeID]bool)
-	c.Broadcast(Message{Kind: 1, F0: c.WeightedDegree()})
-}
-
-func (p *echoProgram) OnMessage(c *AsyncCtx, m Message) {
-	if m.Kind == 1 && !p.seen[m.From] {
-		p.seen[m.From] = true
-		c.Send(m.From, Message{Kind: 2})
-	}
-}
-
-type asyncTraceProgram struct {
-	id    graph.NodeID
-	trace *[]string
-}
-
-func (p *asyncTraceProgram) InitAsync(c *AsyncCtx) {
-	c.Broadcast(Message{F0: float64(p.id)})
-}
-
-func (p *asyncTraceProgram) OnMessage(c *AsyncCtx, m Message) {
-	*p.trace = append(*p.trace, fmt.Sprintf("%d<-%d@%.6f", p.id, m.From, c.Now()))
-	if m.F0 > 0 { // relay a damped copy once per message, bounded cascade
-		c.Broadcast(Message{F0: 0})
-	}
-}
-
-func asyncTrace(g *graph.Graph, d DelayModel) ([]string, AsyncMetrics) {
-	var trace []string
-	met := RunAsync(g, func(v graph.NodeID) AsyncProgram {
-		return &asyncTraceProgram{id: v, trace: &trace}
-	}, d, 1e6)
-	return trace, met
-}
-
-func TestRunAsyncDeterministicForFixedSeed(t *testing.T) {
-	g := graph.BarabasiAlbert(40, 3, 5)
-	for _, d := range []DelayModel{
-		{Base: 1, Jitter: 0, Seed: 9},
-		{Base: 0.5, Jitter: 3, Seed: 9},
-		{Base: 1, Jitter: 50, Seed: 123},
-	} {
-		t1, m1 := asyncTrace(g, d)
-		t2, m2 := asyncTrace(g, d)
-		if m1 != m2 {
-			t.Fatalf("%+v: metrics differ across identical runs: %+v vs %+v", d, m1, m2)
-		}
-		if !reflect.DeepEqual(t1, t2) {
-			t.Fatalf("%+v: delivery traces differ across identical runs", d)
-		}
-	}
-}
-
-func TestAsyncMetricsHandComputedOnTriangle(t *testing.T) {
-	// K3 with echoProgram, Base=1, Jitter=0: 3 initial broadcasts of 2
-	// messages each arrive at time 1; each of the 6 deliveries triggers one
-	// ack, arriving at time 2. Total: 12 messages, 12 events, makespan 2.
-	g := graph.Clique(3)
-	met := RunAsync(g, func(graph.NodeID) AsyncProgram { return &echoProgram{} },
-		DelayModel{Base: 1, Jitter: 0, Seed: 1}, 1e6)
-	want := AsyncMetrics{Events: 12, Messages: 12, VirtualTime: 2, Quiesced: true}
-	if met != want {
-		t.Fatalf("metrics %+v, want %+v", met, want)
-	}
-}
-
-func TestAsyncEventBudgetStopsDeliveries(t *testing.T) {
-	g := graph.Clique(6)
-	met := RunAsync(g, func(graph.NodeID) AsyncProgram { return &echoProgram{} },
-		DelayModel{Base: 1, Jitter: 0.5, Seed: 2}, 7)
-	if met.Events != 7 {
-		t.Fatalf("events=%d, want exactly the budget 7", met.Events)
-	}
-	if met.Quiesced {
-		t.Fatal("a budget-cut run must not report quiescence")
-	}
-}
-
-func TestAsyncJitterStretchesMakespan(t *testing.T) {
-	g := graph.Clique(4)
-	_, m0 := asyncTrace(g, DelayModel{Base: 1, Jitter: 0, Seed: 3})
-	_, m1 := asyncTrace(g, DelayModel{Base: 1, Jitter: 10, Seed: 3})
-	if !(m1.VirtualTime > m0.VirtualTime) {
-		t.Fatalf("jitter did not stretch makespan: %v vs %v", m1.VirtualTime, m0.VirtualTime)
-	}
-	if math.IsInf(m1.VirtualTime, 0) || m1.VirtualTime <= 0 {
-		t.Fatalf("implausible makespan %v", m1.VirtualTime)
-	}
-}

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"distkcore/internal/core"
+	"distkcore/internal/graph"
 	"distkcore/internal/stats"
 )
 
@@ -30,11 +32,12 @@ func runE12(cfg Config) *Report {
 		for _, T := range []int{2, 4, 8} {
 			stable := core.Run(w.G, core.Options{Rounds: T, TrackAux: true})
 			stableUnclaimed := countUnclaimed(w.G.M(), stable.AuxEdges)
-			ablated, unstableUnclaimed := core.RunAblatedTieBreak(w.G, T)
+			ablatedB, ablatedAux := unstableRun(w.G, T)
+			unstableUnclaimed := countUnclaimed(w.G.M(), ablatedAux)
 			totalViol += unstableUnclaimed
 			diff := false
 			for v := range stable.B {
-				if stable.B[v] != ablated.B[v] {
+				if stable.B[v] != ablatedB[v] {
 					diff = true
 					break
 				}
@@ -47,6 +50,31 @@ func runE12(cfg Config) *Report {
 		fmt.Sprintf("total unclaimed edges with the unstable rule: %d; with the paper's rule: always 0", totalViol),
 		"β values agree in both variants — only the auxiliary orientation sets depend on the tie-breaking, exactly as the paper's analysis divides the work")
 	return rep
+}
+
+// unstableRun is Algorithm 2 with the tie order forgotten every round: each
+// node's Updater is rebuilt from the (neighbor ID, arc index) start before its
+// step, so ties fall by identity alone, never by past surviving numbers. It
+// returns β_T and the auxiliary sets as edge IDs.
+func unstableRun(g *graph.Graph, T int) (b []float64, aux [][]int) {
+	n := g.N()
+	b, prev, aux := make([]float64, n), make([]float64, n), make([][]int, n)
+	for v := range b {
+		b[v] = math.Inf(1)
+	}
+	for t := 1; t <= T; t++ {
+		copy(prev, b)
+		for v := 0; v < n; v++ {
+			arcs := g.Adj(v)
+			nb, arcIdx := core.NewUpdater(arcs).Step(func(i int) float64 { return prev[arcs[i].To] })
+			aux[v] = aux[v][:0]
+			for _, i := range arcIdx {
+				aux[v] = append(aux[v], arcs[i].EdgeID)
+			}
+			b[v] = nb
+		}
+	}
+	return b, aux
 }
 
 func countUnclaimed(m int, aux [][]int) int {
