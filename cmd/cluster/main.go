@@ -30,9 +30,10 @@
 // full mesh for small clusters, hypercube relay above the threshold — and
 // the peers' end markers close a round, while the coordinator shrinks to a
 // digest-matrix verifier that follows behind (DESIGN.md §8.4, §14). The
-// execution, ledger included, stays
-// byte-identical; -recover composes with it (the mesh falls back to full
-// topology so retained flows survive any single death).
+// execution, ledger included, stays byte-identical. -recover streams (it
+// implies -stream): the senders on the full mesh retain their flows, and a
+// dead worker is re-exec'd and runs again on them. A worker keeps its mesh
+// until the coordinator hangs up, which it does before it reaps them.
 package main
 
 import (
@@ -106,7 +107,7 @@ func splitAddr(s string) (network, addr string, err error) {
 
 // runWorker serves exactly one coordinated run: accept the coordinator,
 // resolve the inputs its hello describes, run the protocol as this shard,
-// ship the local result values, exit.
+// ship the local result values, exit once the coordinator hangs up.
 func runWorker(args []string) {
 	fs := flag.NewFlagSet("cluster worker", flag.ExitOnError)
 	listen := fs.String("listen", "unix:/tmp/dkc-worker.sock", "address to await the coordinator on")
@@ -230,6 +231,7 @@ func runWorker(args []string) {
 	}
 	fmt.Printf("cluster worker: shard %d/%d done: %d of %d nodes, local share %d msgs / %d wire bytes, %d rounds\n",
 		h.Shard, h.P, local, g.N(), met.Messages, met.WireBytes, met.Rounds)
+	c.AwaitRecord() // the hang-up: a streamed worker's mesh serves a peer's successor until then
 }
 
 // parseProto resolves the handshake's protocol spec. Only the coreness
@@ -260,7 +262,7 @@ func runCoord(args []string) {
 		partN    = fs.String("part", "greedy", "partitioner: hash, range or greedy")
 		verify   = fs.Bool("verify", false, "run the sequential engine locally and demand byte-identical Metrics and values")
 		stream   = fs.Bool("stream", false, "stream round frames directly worker↔worker over a unix-socket mesh (DESIGN.md §14) instead of relaying every frame through the coordinator")
-		recov    = fs.Bool("recover", false, "arm crash recovery (DESIGN.md §13): the run's frames stay retained and a dead worker is re-exec'd and runs again on them instead of failing the run (requires -spawn)")
+		recov    = fs.Bool("recover", false, "arm crash recovery (DESIGN.md §13): streams (implies -stream), the senders retain the run's flows and a dead worker is re-exec'd and runs again on them instead of failing the run (requires -spawn)")
 		killSpec = fs.String("kill", "", "W:R — SIGKILL spawned worker W when its done record of round R reaches the coordinator (with -stream: wherever the free-running worker has got to by then), the fault-injection half of the recovery smoke (requires -spawn)")
 		jsonOut  = fs.String("json", "", "write a JSON run report to this file")
 		traceOut = fs.String("trace", "", cliutil.TraceUsage)
@@ -291,6 +293,7 @@ func runCoord(args []string) {
 	if (*recov || *killSpec != "") && *spawn <= 0 {
 		fatal(fmt.Errorf("-recover and -kill only work with -spawn (the coordinator must own the worker processes)"))
 	}
+	*stream = *stream || *recov
 
 	var timeout time.Duration
 	if *recov {
@@ -364,6 +367,7 @@ func runCoord(args []string) {
 			return err
 		}
 		elapsed := time.Since(start)
+		f.hangUp()
 		if err := f.reap(); err != nil {
 			return err
 		}
@@ -559,6 +563,14 @@ func (k *killTap) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// hangUp closes the worker connections: a worker exits once it reads the
+// hang-up, which it waits for to keep its mesh up for a peer's successor.
+func (f *fleet) hangUp() {
+	for _, c := range f.conns {
+		c.Close()
+	}
+}
+
 // reap waits for the spawned workers to exit by themselves; an exit status
 // this harness did not cause is an error (the rest stay for close to kill).
 func (f *fleet) reap() error {
@@ -575,9 +587,7 @@ func (f *fleet) reap() error {
 // close releases whatever is still held: connections, unreaped worker
 // processes (killed), the socket directory.
 func (f *fleet) close() {
-	for _, c := range f.conns {
-		c.Close()
-	}
+	f.hangUp()
 	for _, cmd := range f.procs {
 		cmd.Process.Kill()
 		cmd.Wait()

@@ -1,34 +1,33 @@
 package codec
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
 
-// The replay header of the recovery protocol (DESIGN.md §13) is decoded from
-// bytes straight off a socket, so its decoder gets the same hostile-input
-// contract as the frame and delta codecs: no panic, no over-consumption, and
-// anything that decodes must survive an encode/decode round trip bit for bit.
+// The handshake is the first record a worker reads, and `cluster worker`
+// reads it straight off a socket, so its decoder gets the same hostile-input
+// contract as the frame and delta codecs: no panic, and whatever decodes
+// re-encodes to exactly the bytes it consumed.
 
-func FuzzDecodeReplay(f *testing.F) {
-	f.Add(AppendReplay(nil, Replay{Round: 4, Frames: 2}))
-	f.Add(AppendReplay(nil, Replay{}))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+func FuzzDecodeHello(f *testing.F) {
+	f.Add(AppendHello(nil, Hello{Version: HandshakeVersion, P: 4, Shard: 2, MaxRounds: 23,
+		GraphHash: 0xfeedface, PartDigest: 0xdeadbeef, LamKind: LamPowerGrid, LamL: 0.1,
+		GraphSpec: "ba:2000:7", PartName: "greedy", ProtoSpec: "coreness:23", WantValues: true,
+		Recover: true, Stream: true, MeshKind: MeshFull, MeshSpec: "unix:/a.mesh,unix:/b.mesh"}))
+	f.Add(AppendHello(nil, Hello{}))
+	f.Add([]byte{10, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // oversized uvarint
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, n, err := DecodeReplay(data)
+		h, n, err := DecodeHello(data)
 		if err != nil {
 			return
 		}
 		if n > len(data) {
 			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
 		}
-		enc := AppendReplay(nil, r)
-		r2, n2, err := DecodeReplay(enc)
-		if err != nil {
-			t.Fatalf("re-decode of a re-encoded replay failed: %v", err)
-		}
-		if n2 != len(enc) || r2 != r {
-			t.Fatalf("replay changed across a round trip: %+v (%d bytes) vs %+v (%d bytes)", r, n2, r2, len(enc))
+		if enc := AppendHello(nil, h); !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("hello %+v re-encodes to %x, decoded from %x", h, enc, data[:n])
 		}
 	})
 }

@@ -95,10 +95,10 @@ type Hello struct {
 	PartName   string  // partitioner name, e.g. "greedy"
 	ProtoSpec  string  // e.g. "coreness:23"; empty in-process
 	WantValues bool    // ship per-node result values after the metrics record
-	// Recover arms crash recovery (DESIGN.md §13): the worker folds what it
-	// receives into a frame chain, a streamed worker retains what it sends,
-	// and a respawned incarnation honors Replay records after its
-	// re-admission handshake.
+	// Recover arms crash recovery (DESIGN.md §13), which is the streamed
+	// plane's: the worker folds what it receives into a frame chain and
+	// retains what it sends on the mesh, so a respawned peer runs again from
+	// Init on it.
 	Recover bool
 	// Stream switches round delivery to direct worker↔worker frame
 	// streaming over a mesh of data connections (DESIGN.md §14); the
@@ -144,8 +144,12 @@ const (
 // record are gone, a delta reaches a cluster as a session epoch (DESIGN.md
 // §10); version 9 closes a streamed round on the mesh — an end marker carries
 // its sender's alive count and the credits it owes, the coordinator's release
-// and the stream-resend and stream-replay records are gone (DESIGN.md §8.4).
-const HandshakeVersion = 9
+// and the stream-resend and stream-replay records are gone (DESIGN.md §8.4);
+// version 10 made recovery the streamed plane's alone — a recovering hello
+// arms Stream too, the relay's replay record (21) is gone, and a respawned
+// session worker is re-admitted on the stamp record, the epoch-resume record
+// (22) gone with it (DESIGN.md §13).
+const HandshakeVersion = 10
 
 // AppendHello appends the wire encoding of h to dst.
 func AppendHello(dst []byte, h Hello) []byte {
@@ -184,9 +188,9 @@ func DecodeHello(src []byte) (Hello, int, error) {
 	h.GraphSpec = d.Str()
 	h.PartName = d.Str()
 	h.ProtoSpec = d.Str()
-	h.WantValues = d.Byte() != 0
-	h.Recover = d.Byte() != 0
-	h.Stream = d.Byte() != 0
+	h.WantValues = d.Bool()
+	h.Recover = d.Bool()
+	h.Stream = d.Bool()
 	h.MeshKind = d.Byte()
 	h.MeshSpec = d.Str()
 	if d.err != nil {
@@ -282,8 +286,12 @@ func (d *Decoder) Uvarint() uint64 {
 		return 0
 	}
 	u, k := binary.Uvarint(d.src[d.n:])
-	if k <= 0 {
+	switch {
+	case k <= 0:
 		d.err = fmt.Errorf("truncated uvarint at offset %d", d.n)
+		return 0
+	case k > UvarintSize(u):
+		d.err = fmt.Errorf("overlong uvarint at offset %d", d.n)
 		return 0
 	}
 	d.n += k
@@ -327,6 +335,16 @@ func (d *Decoder) Byte() byte {
 	b := d.src[d.n]
 	d.n++
 	return b
+}
+
+// Bool reads a flag byte, which appendBool writes as 0 or 1; any other byte
+// is an error.
+func (d *Decoder) Bool() bool {
+	b := d.Byte()
+	if b > 1 {
+		d.Fail(fmt.Errorf("flag byte %d at offset %d", b, d.n-1))
+	}
+	return b == 1
 }
 
 func (d *Decoder) Str() string {

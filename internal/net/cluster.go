@@ -50,7 +50,10 @@ type Cluster struct {
 
 // Body is what one worker incarnation does with its Seat, start to finish.
 // A returned error is shipped to the coordinator as an error record, a panic
-// likewise — nothing arrives from an incarnation whose links are closed.
+// likewise — nothing arrives from an incarnation whose links are closed. A
+// body that returns nil has its seat held until the coordinator hangs up
+// (Close), so what it kept past its run — a streamed worker's mesh — serves a
+// successor of a peer that died after its last record.
 type Body func(Seat) error
 
 // A LinkFunc stands between incarnation gen of shard and its link c toward
@@ -152,7 +155,9 @@ func (cl *Cluster) spawn(shard, gen int, nc net.Conn, ib *meshInbox, body Body) 
 		}()
 		if err := body(s); err != nil {
 			s.Conn.SendError(err)
+			return
 		}
+		s.Conn.AwaitRecord() // the hang-up
 	}()
 }
 
@@ -171,7 +176,7 @@ func (cl *Cluster) Respawn(shard, gen int, body Body) (*Conn, error) {
 // Run drives one coordinated run over the cluster's hub (Hub.Run), filling
 // in what the bring-up already decided: the fan-out, the frame plane and,
 // when spec arms recovery, a respawn of body — the one Start was given, so a
-// respawned incarnation replays the whole worker life.
+// respawned incarnation runs the whole worker life again.
 func (cl *Cluster) Run(spec Spec, body Body) (dist.Metrics, *Report, error) {
 	spec.P, spec.Stream = cl.P, cl.Stream
 	if spec.Recover {
@@ -180,11 +185,11 @@ func (cl *Cluster) Run(spec Spec, body Body) (dist.Metrics, *Report, error) {
 	return cl.Hub.Run(spec)
 }
 
-// Close tears the cluster down: coordinator connections closed (every
-// worker still alive sees EOF and exits), hub readers released, worker
-// goroutines waited for, listener leftovers removed. After a recovery the
-// hub's slots hold the respawned workers' connections; dead incarnations
-// were closed at restart.
+// Close tears the cluster down: coordinator connections closed (the hang-up:
+// every worker still alive sees EOF, releases its mesh and exits), hub readers
+// released, worker goroutines waited for, listener leftovers removed. After a
+// recovery the hub's slots hold the respawned workers' connections; dead
+// incarnations were closed at restart.
 func (cl *Cluster) Close() {
 	for i := 0; i < cl.P; i++ {
 		cl.Hub.Conn(i).Close()

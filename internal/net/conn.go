@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"distkcore/internal/codec"
@@ -15,8 +16,8 @@ import (
 // Record types. Every record is codec.AppendRecord framing around a payload
 // whose first byte is one of these; the rest of the payload is the record
 // body (DESIGN.md §8 specifies each body's layout, §10 the session types).
-// 11 was the delta record of the one-shot churned run; like 19 and 20 it is
-// retired, not reused.
+// 11 was the delta record of the one-shot churned run; like 19–22, 25 and 26
+// it is retired, not reused.
 const (
 	recHello   = byte(1)  // coordinator→worker: codec.Hello
 	recWelcome = byte(2)  // worker→coordinator: codec.Welcome
@@ -30,29 +31,10 @@ const (
 	recError   = byte(10) // either direction: UTF-8 message; aborts the run
 )
 
-// Crash-recovery record types (DESIGN.md §13), spoken only when
-// Hello.Recover armed them. They share the run records' number space but
-// sit after the exported session block, so the table stays append-only
-// (19 and 20 were the checkpoint and resume records of the restart scheme
-// replay-from-Init replaced).
-const (
-	// recReplay announces one replayed round to a respawned worker, which
-	// replays the run from Init: coordinator→worker, codec.Replay; exactly
-	// Frames recFrame records for that round follow.
-	recReplay = byte(21)
-	// RecEpochResume re-admits a session worker between epochs:
-	// coordinator→worker, body is the codec.Stamp of the last sealed epoch;
-	// the worker recomputes its state from the current graph, verifies the
-	// stamp, and echoes it byte-identically (DESIGN.md §13). Exported with
-	// the session records because internal/session speaks it itself.
-	RecEpochResume = byte(22)
-)
-
 // Streamed-delivery record types (DESIGN.md §14), spoken only when
 // Hello.Stream armed them. recStreamDone and recStreamAck travel on the
 // coordinator connection; recMeshHello..recWindow travel on the mesh data
-// connections between workers. 25 and 26, the resend instruction and replay
-// announcement of a streamed recovery, are retired like 11, 19 and 20.
+// connections between workers.
 const (
 	// recStreamDone reports a streamed round's sends: worker→coordinator,
 	// codec.StreamDone (round, alive, per-peer sent digests), written once the
@@ -186,6 +168,10 @@ type Conn struct {
 	// and a write deadline before every write to the connection
 	// (SetIOTimeout).
 	timeout time.Duration
+	// kept is what a streamed worker keeps up past its run — its mesh — until
+	// the first record read after the run returns or the connection closes
+	// (keepUntilRead).
+	kept atomic.Pointer[func()]
 }
 
 const (
@@ -207,8 +193,24 @@ const (
 func NewConn(nc net.Conn) *Conn { return &Conn{nc: nc} }
 
 // Close closes the underlying connection (without flushing — error paths
-// use it to abort).
-func (c *Conn) Close() error { return c.nc.Close() }
+// use it to abort), releasing what the worker on it kept.
+func (c *Conn) Close() error {
+	err := c.nc.Close()
+	c.release()
+	return err
+}
+
+// keepUntilRead hands c what a worker keeps up past its run (a streamed
+// worker's mesh, DESIGN.md §13): release runs once, when the next record read
+// returns — the coordinator's next record, or its hang-up — or when c closes.
+func (c *Conn) keepUntilRead(release func()) { c.kept.Store(&release) }
+
+// release runs what keepUntilRead handed c, once.
+func (c *Conn) release() {
+	if f := c.kept.Swap(nil); f != nil {
+		(*f)()
+	}
+}
 
 // SetIOTimeout installs a per-operation deadline: every subsequent record
 // read gets a read deadline of d, every record write/flush a write deadline
@@ -228,7 +230,9 @@ func (c *Conn) ReadRecord() (typ byte, body []byte, err error) {
 	if c.timeout > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(c.timeout))
 	}
-	return c.rawReadRecord()
+	typ, body, err = c.rawReadRecord()
+	c.release()
+	return typ, body, err
 }
 
 // rawReadRecord is ReadRecord without touching the deadline. Framing and
@@ -309,7 +313,9 @@ func (c *Conn) AwaitRecord() (typ byte, body []byte, err error) {
 	if c.timeout > 0 {
 		c.nc.SetReadDeadline(time.Time{})
 	}
-	return c.rawReadRecord()
+	typ, body, err = c.rawReadRecord()
+	c.release()
+	return typ, body, err
 }
 
 // WriteRecord buffers one record of the given type; chunks are

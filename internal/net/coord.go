@@ -34,19 +34,20 @@ type Spec struct {
 	// error instead of hanging the coordinator forever (fail-fast, the
 	// deadline side of "determinism over availability").
 	IOTimeout time.Duration
-	// Recover arms crash recovery (DESIGN.md §13): the inbound flows of every
-	// round are retained for the whole run — by the coordinator on the relay
-	// plane, by their senders on the mesh — and a dead worker is respawned via
-	// Respawn and runs the run again from Init on them instead of failing it.
+	// Recover arms crash recovery (DESIGN.md §13): the senders on the mesh
+	// retain every round's flows for the whole run, and a dead worker is
+	// respawned via Respawn and runs the run again from Init on them instead
+	// of failing it. Recovery is the streamed plane's: a spec that arms it
+	// without Stream is refused before any hello is written.
 	Recover bool
 	// Respawn produces a fresh connection to a restarted worker for the
 	// given shard: the in-process engine spawns a goroutine on a fresh
 	// pipe, cmd/cluster re-execs the worker binary on a fresh socket.
 	// Recovery requires it; a nil Respawn with Recover set fails the run on
 	// the first death, exactly as if recovery were off. gen is the hub's
-	// count of the shard's respawns, this one included; on a streamed run it
-	// is the new incarnation's mesh generation (Worker.MeshGen), which tells
-	// the peers its links from its predecessor's.
+	// count of the shard's respawns, this one included: the new
+	// incarnation's mesh generation (Worker.MeshGen), which tells the peers
+	// its links from its predecessor's.
 	Respawn func(shard, gen int) (*Conn, error)
 	// Stream selects the streamed frame plane (DESIGN.md §8.4, §14):
 	// cross-shard messages flow worker↔worker over a mesh of data connections,
@@ -183,6 +184,9 @@ func (h *Hub) Run(spec Spec) (dist.Metrics, *Report, error) {
 	if p == 0 || (spec.P != 0 && spec.P != p) {
 		return dist.Metrics{}, nil, fmt.Errorf("net: %d connections for P=%d", p, spec.P)
 	}
+	if spec.Recover && !spec.Stream {
+		return dist.Metrics{}, nil, fmt.Errorf("net: recovery runs on the streamed plane: Spec.Recover needs Spec.Stream")
+	}
 	if spec.IOTimeout > 0 && h.Timeout == 0 {
 		h.Timeout = spec.IOTimeout
 	}
@@ -198,7 +202,7 @@ func (h *Hub) Run(spec Spec) (dist.Metrics, *Report, error) {
 		c.rep.StreamWire = make([]codec.StreamWire, p)
 		c.stream = &streamCoord{c: c, in: make([]int, p), seq: make([]int, p), owed: make([]bool, p), last: -1}
 	} else {
-		c.plane = &relayCoord{c: c, hist: make([][][]frameRec, p)}
+		c.plane = &relayCoord{c: c}
 	}
 	if spec.Recover {
 		c.chains = make([]uint64, p)
@@ -230,7 +234,7 @@ type coordinator struct {
 	at  []obs.Phase
 
 	// hellos[w] is worker w's hello record body as first sent — re-admitting
-	// a respawned worker replays the identical bytes.
+	// a respawned worker re-sends the identical bytes.
 	hellos [][]byte
 
 	// chains[w] is the frame chain over everything sealed toward worker w so
@@ -256,34 +260,30 @@ func (c *coordinator) fail(w int, waiting obs.Phase, err error) error {
 }
 
 // sendRestoring has send write to worker i. A write that fails finds the
-// worker dead since its last release: with recovery armed it is restored
-// through round upTo and send runs again.
-func (c *coordinator) sendRestoring(i, upTo int, send func(w int) error) (restarted bool, err error) {
+// worker dead: with recovery armed it is restored (the death surfaced in round
+// t) and send runs again.
+func (c *coordinator) sendRestoring(i, t int, send func(w int) error) (restarted bool, err error) {
 	if err = send(i); err == nil || !c.recoverable() {
 		return false, err
 	}
-	if err = c.restart(i, upTo); err != nil {
+	if err = c.restart(i, t); err != nil {
 		return false, err
 	}
 	return true, send(i)
 }
 
 // restart is the recovery core (DESIGN.md §8.4, §13): respawn worker w,
-// re-admit it with the original handshake, and have it run the run again from
-// Init. Relayed, the coordinator replays rounds 0..upTo to it — each a re-step
-// that sends nothing (the peers hold the dead incarnation's identical bytes)
-// fed the round's frames again; deadlock-free: a replaying worker writes
-// nothing here, so the writes below drain as fast as it re-steps. Streamed,
-// the go record is all: the incarnation runs live, the peers re-send it what
+// re-admit it with the original handshake, and send it the go record. The
+// incarnation runs the run again from Init, live: the peers re-send it what
 // they retained when its links attach, and every repeat it makes is dropped
 // where it arrives. A worker's state is a pure function of what it has
 // received, so the new incarnation is on its way to exactly the state the dead
-// one died in, and reads whatever the coordinator sends next behind it.
-func (c *coordinator) restart(w, upTo int) error {
-	sp := c.spec.Trace.Begin(obs.PhaseRecover, upTo, w)
+// one died in, and reads whatever the coordinator sends next behind it. t is
+// the round the death surfaced in.
+func (c *coordinator) restart(w, t int) error {
+	sp := c.spec.Trace.Begin(obs.PhaseRecover, t, w)
 	defer sp.End()
-	cn, _, err := c.hub.Respawn(w, c.spec.Respawn)
-	if err != nil {
+	if _, _, err := c.hub.Respawn(w, c.spec.Respawn); err != nil {
 		return err
 	}
 	if err := c.hub.Send(w, recHello, c.hellos[w]); err != nil {
@@ -297,21 +297,7 @@ func (c *coordinator) restart(w, upTo int) error {
 		return err
 	}
 	c.rep.Recoveries++
-	if c.stream != nil {
-		return c.stream.readmit(w)
-	}
-	for t := 0; t <= upTo; t++ {
-		rp := c.spec.Trace.Begin(obs.PhaseReplay, t, w)
-		bytes, items, err := c.plane.replay(cn, w, t)
-		if err != nil {
-			return fmt.Errorf("net: replaying round %d to worker %d: %w", t, w, err)
-		}
-		rp.EndN(bytes, items)
-	}
-	if err := cn.Flush(); err != nil {
-		return fmt.Errorf("net: replaying to worker %d: %w", w, err)
-	}
-	return nil
+	return c.stream.readmit(w)
 }
 
 // checkWelcome validates one welcome record against the spec (shared by
@@ -404,12 +390,12 @@ func (c *coordinator) run() (dist.Metrics, error) {
 		}
 		return c.hub.Send(w, recFinish, fin)
 	}
-	// A finish-phase restart replays the whole worker flow, so a restarted
+	// A finish-phase restart runs the whole worker flow again, so a restarted
 	// worker legitimately re-sends records its dead incarnation already
 	// delivered; restarted[i] is what lets the dup checks tolerate that.
 	restarted := make([]bool, p)
 	for i := range restarted {
-		// A worker dead since the last round's delivery surfaces here.
+		// A worker dead since its last record surfaces here.
 		if restarted[i], err = c.sendRestoring(i, rounds, finish); err != nil {
 			return dist.Metrics{}, c.fail(i, obs.PhaseDeliver, err)
 		}
@@ -428,8 +414,8 @@ func (c *coordinator) run() (dist.Metrics, error) {
 			if err != nil {
 				return false, err
 			}
-			// What the worker folded — live, or replayed to a respawned
-			// incarnation — must be what the coordinator sealed toward it.
+			// What the worker folded — a respawned incarnation's run from Init
+			// included — must be what the coordinator sealed toward it.
 			if c.chains != nil && chain != c.chains[from] {
 				return false, fmt.Errorf("net: worker %d folded its inbound flows to frame chain %#x, coordinator sealed %#x",
 					from, chain, c.chains[from])
@@ -489,22 +475,13 @@ func (c *coordinator) run() (dist.Metrics, error) {
 	return met, nil
 }
 
-// round drives one barrier round of the relay plane: step broadcast,
-// then a pure collection phase until every worker's done record is in, then
-// seal, then the release writes, then — where the plane has workers
-// acknowledge their release — a second collection. Writing only after all P
-// dones is what makes the protocol deadlock-free on unbuffered transports
-// (net.Pipe): by then every worker has flushed its last record of the round
-// and sits in its read loop, so the coordinator's writes always drain.
-// Returns the number of nodes still alive across the cluster after the
-// round.
-//
-// With recovery armed, a worker death inside the round is handled by where
-// it surfaces (DESIGN.md §8.4): before the worker's done record, whatever it
-// contributed to round t is discarded and the restored worker re-steps the
-// round; after its done record, its contribution stands — the frames are
-// parked at the coordinator — and the worker is restored through round t once
-// the round's last collection ends.
+// round drives one barrier round of the relay plane: step broadcast, then a
+// pure collection phase until every worker's done record is in, then the
+// release writes. Writing only after all P dones is what makes the protocol
+// deadlock-free on unbuffered transports (net.Pipe): by then every worker has
+// flushed its last record of the round and sits in its read loop, so the
+// coordinator's writes always drain. Returns the number of nodes still alive
+// across the cluster after the round.
 func (c *coordinator) round(t int) (alive int, err error) {
 	p := c.hub.P()
 	c.cur = t
@@ -515,84 +492,30 @@ func (c *coordinator) round(t int) (alive int, err error) {
 	var buf [binary.MaxVarintLen64]byte
 	step := binary.AppendUvarint(buf[:0], uint64(t))
 	for i := 0; i < p; i++ {
-		// Dead before stepping round t: restore through t-1, then step.
-		if _, err := c.sendRestoring(i, t-1, func(w int) error { return c.hub.Send(w, recStep, step) }); err != nil {
+		if err := c.hub.Send(i, recStep, step); err != nil {
 			return 0, c.fail(i, obs.PhaseStep, err)
 		}
 	}
-	owed := c.hub.Everyone()
-	// dead marks workers that died with their round-t contribution standing
-	// (after their done record, or at their release): restored through t
-	// once the round's collections end.
-	dead := make([]bool, p)
-	handle := func(from int, typ byte, body []byte) (bool, error) {
+	bw := c.spec.Trace.Begin(obs.PhaseBarrierWait, t, -1)
+	w, err := c.hub.Collect(c.hub.Everyone(), func(from int, typ byte, body []byte) (bool, error) {
 		settled, n, err := c.plane.record(t, from, typ, body)
 		alive += n
-		if settled && c.at[from] == obs.PhaseStep {
+		if settled {
 			c.at[from] = obs.PhaseBarrierWait // its done record is in
 		}
 		return settled, err
-	}
-	bw := c.spec.Trace.Begin(obs.PhaseBarrierWait, t, -1)
-	w, err := c.hub.Collect(owed, handle, func(w int, cause error) error {
-		if !c.recoverable() {
-			return cause
-		}
-		if !owed[w] {
-			// Died after its done record (per-conn FIFO: everything it sent
-			// preceded the fault): the round stands.
-			dead[w] = true
-			return nil
-		}
-		// Died mid-round: drop its partial round t, restore through t-1,
-		// re-step.
-		c.plane.discard(w)
-		if err := c.restart(w, t-1); err != nil {
-			return err
-		}
-		return c.hub.Send(w, recStep, step)
-	})
+	}, nil)
 	bw.End()
 	if err != nil {
 		return 0, c.fail(w, obs.PhaseStep, err)
 	}
-	if err := c.plane.seal(t); err != nil {
-		return 0, c.fail(-1, obs.PhaseBarrierWait, err)
-	}
 	rl := c.spec.Trace.Begin(obs.PhaseRelay, t, -1)
 	for q := 0; q < p; q++ {
-		if dead[q] {
-			continue
+		if err := c.plane.release(t, q); err != nil {
+			return 0, c.fail(q, obs.PhaseBarrierWait, err)
 		}
-		owesAck, err := c.plane.release(t, q)
-		if err != nil {
-			if !c.recoverable() {
-				return 0, c.fail(q, obs.PhaseBarrierWait, err)
-			}
-			dead[q] = true // its done record is in: restore through t below
-			continue
-		}
-		c.at[q], owed[q] = obs.PhaseDeliver, owesAck
+		c.at[q] = obs.PhaseDeliver
 	}
-	w, err = c.hub.Collect(owed, handle, func(w int, cause error) error {
-		if !c.recoverable() {
-			return cause
-		}
-		// Died at its receive barrier, its delivery, or just after the ack:
-		// its done stood, so restore through t with the rest.
-		dead[w], owed[w] = true, false
-		return nil
-	})
 	rl.EndN(c.plane.volume())
-	if err != nil {
-		return 0, c.fail(w, obs.PhaseDeliver, err)
-	}
-	for q := range dead {
-		if dead[q] {
-			if err := c.restart(q, t); err != nil {
-				return 0, c.fail(q, obs.PhaseDeliver, err)
-			}
-		}
-	}
 	return alive, nil
 }

@@ -41,10 +41,11 @@ type Engine struct {
 	// (Conn.SetIOTimeout) and on the coordinator's reply waits
 	// (Spec.IOTimeout): a stalled peer fails the run instead of hanging it.
 	IOTimeout time.Duration
-	// Recover arms crash recovery (DESIGN.md §13): the run's cross-shard flows
-	// stay retained, and a worker that dies mid-run is respawned on a fresh
-	// pipe and runs again from Init instead of failing the run. Set it before
-	// Run, with an IOTimeout so a silent death surfaces as a timeout.
+	// Recover arms crash recovery (DESIGN.md §13): the run goes on the streamed
+	// plane whatever Stream says, its senders retain the cross-shard flows, and
+	// a worker that dies mid-run is respawned on a fresh pipe and runs again
+	// from Init instead of failing the run. Set it before Run, with an
+	// IOTimeout so a silent death surfaces as a timeout.
 	Recover bool
 	// Stream selects the streamed frame plane (DESIGN.md §8.4, §14):
 	// cross-shard messages flow worker↔worker over an in-process mesh of
@@ -95,7 +96,7 @@ func NewEngine(p int, part shard.Partitioner) *Engine {
 }
 
 // StreamWire returns each worker's cumulative mesh wire counters from the
-// most recent streamed Run (nil when Stream was off) — the per-worker wire
+// most recent streamed Run (nil when it ran relayed) — the per-worker wire
 // traffic that must stay ~flat as P grows, versus the relay coordinator's
 // funnel which grows with total traffic.
 func (e *Engine) StreamWire() []codec.StreamWire {
@@ -118,17 +119,21 @@ func (e *Engine) P() int { return e.p }
 
 // Name identifies the engine configuration in experiment tables,
 // e.g. "net:4/greedy" ("net:4/greedy/unix" off the default transport,
-// "net:4/greedy/stream" with streamed delivery).
+// "net:4/greedy/stream" when it runs streamed: Stream, or Recover).
 func (e *Engine) Name() string {
 	n := fmt.Sprintf("net:%d/%s", e.p, e.part.Name())
 	if e.Transport != "" && e.Transport != TransportPipe {
 		n += "/" + e.Transport
 	}
-	if e.Stream {
+	if e.streamed() {
 		n += "/stream"
 	}
 	return n
 }
+
+// streamed reports whether a Run goes on the streamed plane: recovery is that
+// plane's.
+func (e *Engine) streamed() bool { return e.Stream || e.Recover }
 
 // WithWireLambda implements dist.Engine. The copy shares the cluster
 // ledger with the original, so e.ClusterMetrics() reflects runs made
@@ -164,7 +169,7 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 		_, err := w.run(g, factory, maxRounds)
 		return err
 	}
-	cl := &Cluster{P: e.p, Transport: e.Transport, IOTimeout: e.IOTimeout, Stream: e.Stream, Wrap: e.wrap}
+	cl := &Cluster{P: e.p, Transport: e.Transport, IOTimeout: e.IOTimeout, Stream: e.streamed(), Wrap: e.wrap}
 	if err := cl.Start(body); err != nil {
 		panic("net: " + err.Error())
 	}

@@ -190,9 +190,6 @@ func (h *Hub) AwaitFrom(w int) (typ byte, body []byte, err error) {
 	}
 }
 
-// Pending reports whether a record or a fault is waiting to be received.
-func (h *Hub) Pending() bool { return len(h.stash)+len(h.ch) > 0 }
-
 // Everyone returns a fresh owed set for Collect with every worker marked.
 func (h *Hub) Everyone() []bool {
 	owed := make([]bool, len(h.conns))

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	stdnet "net"
@@ -33,12 +34,12 @@ import (
 // cluster ledger. The sweep below still names its cells by the phase seams the
 // protocol code used to consult, now each the schedule of faultnet faults on
 // the worker's links that deathAt maps it to, over the interesting rounds: 0
-// (Init, nothing to replay), 1 (the first round that carries frames), the
-// middle and the final round (whose recovery surfaces at the finish phase).
+// (Init, nothing to run again on), 1 (the first round that carries frames),
+// the middle and the final round (whose deliver cell dies after the last ack,
+// where the finish may be out and the peers' runs over).
 
-// The phases the sweep's cells are named by: the relay loop's, and the
-// stream loop's, which names its outbound half send and has a receive wait.
-var killPhases = []obs.Phase{obs.PhaseStep, obs.PhaseEncode, obs.PhaseBarrierWait, obs.PhaseDeliver}
+// The phases the sweep's cells are named by: the stream loop's, which names
+// its outbound half send and has a receive wait.
 var streamKillPhases = []obs.Phase{obs.PhaseStep, obs.PhaseSend, obs.PhaseBarrierWait, obs.PhaseRecv, obs.PhaseDeliver}
 
 // opening is the faultnet.Fault.Body of a record whose body opens with the
@@ -58,14 +59,13 @@ func marker(w, r int) faultnet.Fault {
 }
 
 // deathAt is the schedule an old phase cell runs as (DESIGN.md §13.3): worker
-// w of a three-worker run whose last round is last dies at phase ph of round
-// r. Relayed: at the write of round r's frames and done record (step,
-// encode), just after it (barrier-wait), or at the next write — the metrics
-// after the last round (deliver). Streamed: at the write of round r's done
-// record, its end marker toward the next worker held (send); just after that
-// write (barrier-wait); recv and deliver of round r are step of round r + 1,
+// w of a three-worker streamed run whose last round is last dies at phase ph
+// of round r: at the write of round r's done record, its end marker toward the
+// next worker held (send); just after that write (barrier-wait; relayed — the
+// one cell left of that plane, for a run without recovery — after the write
+// of its done record); recv and deliver of round r are step of round r + 1,
 // the write of round r's ack (the one of round r + 1's done record, or the
-// last flush).
+// last flush), but deliver of the last round is just after that last flush.
 func deathAt(stream bool, ph obs.Phase, r, w, last int) []faultnet.Fault {
 	ctl := func(typ byte, r int, a faultnet.Action) faultnet.Fault {
 		return faultnet.Fault{Shard: w, Peer: faultnet.Control, Type: typ, Body: opening(nil, r), Action: a}
@@ -77,12 +77,8 @@ func deathAt(stream bool, ph obs.Phase, r, w, last int) []faultnet.Fault {
 		return []faultnet.Fault{ctl(recDone, r, faultnet.After)}
 	case ph == obs.PhaseSend:
 		return []faultnet.Fault{ctl(recStreamDone, r, faultnet.Before), marker(w, r)}
-	case !stream && ph == obs.PhaseDeliver && r == last:
-		return []faultnet.Fault{{Shard: w, Peer: faultnet.Control, Type: recMetrics, Action: faultnet.Before}}
-	case !stream && ph == obs.PhaseDeliver:
-		return []faultnet.Fault{ctl(recDone, r+1, faultnet.Before)}
-	case !stream:
-		return []faultnet.Fault{ctl(recDone, r, faultnet.Before)}
+	case ph == obs.PhaseDeliver && r == last:
+		return []faultnet.Fault{ctl(recStreamAck, r, faultnet.After)}
 	case ph == obs.PhaseStep && r == 0:
 		return []faultnet.Fault{ctl(recStreamDone, 0, faultnet.Before)}
 	case ph == obs.PhaseStep:
@@ -108,19 +104,13 @@ func cell(t *testing.T, body func()) {
 	goroutinesSettle(t, before)
 }
 
-func recoveryEngine(p int) *Engine {
+// streamRecoveryEngine arms recovery, which runs on the streamed mesh. Tiny
+// chunks force the deaths to land mid-flow, so restarts exercise the
+// seq-gated resend path rather than whole-frame retransmits.
+func streamRecoveryEngine(p int) *Engine {
 	e := NewEngine(p, shard.Hash{})
 	e.Recover = true
 	e.IOTimeout = 10 * time.Second
-	return e
-}
-
-// streamRecoveryEngine arms recovery on the streamed mesh. Tiny chunks force
-// the deaths to land mid-flow, so restarts exercise the seq-gated resend path
-// rather than whole-frame retransmits.
-func streamRecoveryEngine(p int) *Engine {
-	e := recoveryEngine(p)
-	e.Stream = true
 	e.ChunkBytes = 256
 	return e
 }
@@ -134,7 +124,7 @@ func TestRecoverySweepBitIdentical(t *testing.T) {
 	// The change-driven program's own corner: a weighted multigraph with
 	// self-loops and parallel edges, Λ = ℝ, killed in an early round (the first
 	// whose inboxes hold the changed senders only) and in a late, quiet one,
-	// where nobody has anything to say and a replayed round carries no frame.
+	// where nobody has anything to say and a round run again carries no frame.
 	// The reference is held to the centralized every-round simulation first.
 	lg := loopyMultigraph(90, 5)
 	const lT = 18 // past the 12 of TForEpsilon: this graph settles in round 13
@@ -152,10 +142,10 @@ func TestRecoverySweepBitIdentical(t *testing.T) {
 	sweepRecovery(t, "loopy/", lg, lopt, []int{2, lT - 2})
 
 	// Recovery is a property of the runtime, not of one program: a worker's
-	// state is replayed, never serialized, so the orientation run (auxiliary
+	// state is run again, never serialized, so the orientation run (auxiliary
 	// arc sets, published in the last round) and the weak densest subset
 	// pipeline (four phases, unicasts, Vec payloads — killed while the trees
-	// aggregate) recover like coreness does, on both planes.
+	// aggregate) recover like coreness does.
 	orientation := func(eng dist.Engine) (any, dist.Metrics) {
 		res, met := core.RunDistributed(g, core.Options{Rounds: T, TrackAux: true}, eng)
 		return [2]any{res.B, res.AuxEdges}, met
@@ -168,30 +158,27 @@ func TestRecoverySweepBitIdentical(t *testing.T) {
 		}
 		return res, met
 	}
-	for _, plane := range []struct {
-		name string
-		mk   func(int) *Engine
-		ph   obs.Phase
-	}{{"relay", recoveryEngine, obs.PhaseEncode}, {"stream", streamRecoveryEngine, obs.PhaseRecv}} {
-		killCell(t, "orientation/"+plane.name, plane.mk, plane.ph, T, 1, orientation)
-		killCell(t, "densest/"+plane.name, plane.mk, plane.ph, 3*wcfg.Rounds+3, 2, weak)
-	}
+	killCell(t, "orientation/stream", obs.PhaseRecv, T, 1, orientation)
+	killCell(t, "densest/stream", obs.PhaseRecv, 3*wcfg.Rounds+3, 2, weak)
 }
 
 // killCell holds one death of an arbitrary protocol run to the undisturbed
-// recovery-armed run of the same engine: result, Metrics and cluster ledger
-// byte-identical, and both to the sequential engine.
-func killCell(t *testing.T, name string, mk func(int) *Engine, ph obs.Phase, round, worker int,
+// recovery-armed run: result, Metrics and cluster ledger byte-identical, and
+// both to the sequential engine. A negative round names the run's last.
+func killCell(t *testing.T, name string, ph obs.Phase, round, worker int,
 	run func(dist.Engine) (any, dist.Metrics)) {
 	t.Run(name, func(t *testing.T) {
 		seq, seqMet := run(dist.SeqEngine{})
-		refEng := mk(3)
+		refEng := streamRecoveryEngine(3)
 		ref, refMet := run(refEng)
 		if refEng.Recoveries() != 0 || refMet != seqMet || !reflect.DeepEqual(ref, seq) {
 			t.Fatalf("recovery-armed run diverges from seq before any fault (metrics %+v, seq %+v)", refMet, seqMet)
 		}
-		eng := mk(3)
-		eng.wrap = faultnet.New(deathAt(eng.Stream, ph, round, worker, refMet.Rounds)...).Wrap
+		if round < 0 {
+			round = refMet.Rounds
+		}
+		eng := streamRecoveryEngine(3)
+		eng.wrap = faultnet.New(deathAt(true, ph, round, worker, refMet.Rounds)...).Wrap
 		var res any
 		var met dist.Metrics
 		cell(t, func() { res, met = run(eng) })
@@ -230,57 +217,76 @@ func loopyMultigraph(n int, seed int64) *graph.Graph {
 }
 
 // sweepRecovery kills each of three workers at every phase cell of the given
-// rounds, on both planes, and holds the recovered run to the undisturbed one.
+// rounds and holds the recovered run to the undisturbed one.
 func sweepRecovery(t *testing.T, prefix string, g *graph.Graph, opt core.Options, killRounds []int) {
 	seqRef, seqMet := core.RunDistributed(g, opt, dist.SeqEngine{})
 
-	modes := []struct {
-		name   string
-		mk     func(int) *Engine
-		phases []obs.Phase
-	}{
-		{"relay", recoveryEngine, killPhases},
-		{"stream", streamRecoveryEngine, streamKillPhases},
+	// Undisturbed capture — note the reference runs WITH recovery armed (chains
+	// folded, flows retained) so the sweep isolates the kill+restart path, and
+	// a plain recovery-armed run is separately pinned against seq.
+	refEng := streamRecoveryEngine(3)
+	ref, refMet := core.RunDistributed(g, opt, refEng)
+	refLedger := refEng.ClusterMetrics()
+	if refEng.Recoveries() != 0 {
+		t.Fatalf("%sstream: undisturbed run recovered %d times", prefix, refEng.Recoveries())
 	}
-	for _, mode := range modes {
-		// Undisturbed capture — note the reference runs WITH recovery armed
-		// (chains folded, flows retained) so the sweep isolates the kill+replay
-		// path, and a plain recovery-armed run is separately pinned against seq.
-		refEng := mode.mk(3)
-		ref, refMet := core.RunDistributed(g, opt, refEng)
-		refLedger := refEng.ClusterMetrics()
-		if refEng.Recoveries() != 0 {
-			t.Fatalf("%s%s: undisturbed run recovered %d times", prefix, mode.name, refEng.Recoveries())
-		}
-		if refMet != seqMet || !reflect.DeepEqual(ref.B, seqRef.B) {
-			t.Fatalf("%s%s: recovery-armed run diverges from seq before any fault", prefix, mode.name)
-		}
+	if refMet != seqMet || !reflect.DeepEqual(ref.B, seqRef.B) {
+		t.Fatalf("%sstream: recovery-armed run diverges from seq before any fault", prefix)
+	}
 
-		for w := 0; w < 3; w++ {
-			for _, ph := range mode.phases {
-				for _, r := range killRounds {
-					name := fmt.Sprintf("%s%s/w%d/%s/r%d", prefix, mode.name, w, ph, r)
-					t.Run(name, func(t *testing.T) {
-						eng := mode.mk(3)
-						eng.wrap = faultnet.New(deathAt(eng.Stream, ph, r, w, refMet.Rounds)...).Wrap
-						var res *core.Result
-						var met dist.Metrics
-						cell(t, func() { res, met = core.RunDistributed(g, opt, eng) })
-						if n := eng.Recoveries(); n < 1 {
-							t.Fatalf("kill point never recovered (recoveries=%d)", n)
-						}
-						if met != refMet {
-							t.Errorf("metrics %+v, want %+v", met, refMet)
-						}
-						if !reflect.DeepEqual(res.B, ref.B) {
-							t.Errorf("B vector diverges from undisturbed run")
-						}
-						if lg := eng.ClusterMetrics(); !reflect.DeepEqual(lg, refLedger) {
-							t.Errorf("cluster ledger %+v, want %+v", lg, refLedger)
-						}
-					})
-				}
+	for w := 0; w < 3; w++ {
+		for _, ph := range streamKillPhases {
+			for _, r := range killRounds {
+				name := fmt.Sprintf("%sstream/w%d/%s/r%d", prefix, w, ph, r)
+				t.Run(name, func(t *testing.T) {
+					eng := streamRecoveryEngine(3)
+					eng.wrap = faultnet.New(deathAt(true, ph, r, w, refMet.Rounds)...).Wrap
+					var res *core.Result
+					var met dist.Metrics
+					cell(t, func() { res, met = core.RunDistributed(g, opt, eng) })
+					if n := eng.Recoveries(); n < 1 {
+						t.Fatalf("kill point never recovered (recoveries=%d)", n)
+					}
+					if met != refMet {
+						t.Errorf("metrics %+v, want %+v", met, refMet)
+					}
+					if !reflect.DeepEqual(res.B, ref.B) {
+						t.Errorf("B vector diverges from undisturbed run")
+					}
+					if lg := eng.ClusterMetrics(); !reflect.DeepEqual(lg, refLedger) {
+						t.Errorf("cluster ledger %+v, want %+v", lg, refLedger)
+					}
+				})
 			}
+		}
+	}
+}
+
+// A streamed worker that dies just after its last ack — the coordinator may
+// have sent the finish, and its peers may have reported — is run again from
+// Init like any other death: every peer keeps its mesh, retained flows
+// included, until its coordinator hangs up. Each of three workers, on each
+// protocol, ends byte-identical to the undisturbed run, ledger included.
+func TestStreamedDeathAfterLastAckRecovers(t *testing.T) {
+	g := graph.BarabasiAlbert(150, 3, 11)
+	T := core.TForEpsilon(g.N(), 0.5)
+	wcfg := densest.Config{Gamma: 3, Rounds: 5}
+	for _, proto := range []struct {
+		name string
+		run  func(dist.Engine) (any, dist.Metrics)
+	}{
+		{"coreness", func(eng dist.Engine) (any, dist.Metrics) {
+			res, met := core.RunDistributed(g, core.Options{Rounds: T}, eng)
+			return res.B, met
+		}},
+		{"orientation", func(eng dist.Engine) (any, dist.Metrics) {
+			res, met := core.RunDistributed(g, core.Options{Rounds: T, TrackAux: true}, eng)
+			return [2]any{res.B, res.AuxEdges}, met
+		}},
+		{"densest", func(eng dist.Engine) (any, dist.Metrics) { return densest.RunWeakDistributed(g, wcfg, eng) }},
+	} {
+		for w := 0; w < 3; w++ {
+			killCell(t, fmt.Sprintf("%s/w%d", proto.name, w), obs.PhaseDeliver, -1, w, proto.run)
 		}
 	}
 }
@@ -316,30 +322,6 @@ func TestKillWithoutRecoveryFailsRun(t *testing.T) {
 	}
 }
 
-// Respawned worker goroutines must not outlive the run: the recovery path
-// adds goroutines (a new worker, a new hub reader) mid-run, and every one of
-// them has to drain when the run finishes. Run under -race in CI.
-func TestRecoveryNoGoroutineLeak(t *testing.T) {
-	g := graph.BarabasiAlbert(100, 3, 4)
-	opt := core.Options{Rounds: 8}
-	before := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
-		eng := recoveryEngine(2)
-		eng.wrap = faultnet.New(deathAt(eng.Stream, obs.PhaseBarrierWait, 2, i%2, 8)...).Wrap
-		cell(t, func() { core.RunDistributed(g, opt, eng) })
-		if eng.Recoveries() < 1 {
-			t.Fatalf("iteration %d never recovered", i)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("goroutines leaked across recovered runs: %d before, %d after", before, got)
-	}
-}
-
 // The streamed mesh multiplies the goroutine surface — per-link writer
 // loops and reader loops on every worker, plus the respawn path's fresh
 // mesh generation — and every one of them must drain at run end too.
@@ -349,7 +331,7 @@ func TestStreamRecoveryNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
 		eng := streamRecoveryEngine(2)
-		eng.wrap = faultnet.New(deathAt(eng.Stream, obs.PhaseBarrierWait, 2, i%2, 8)...).Wrap
+		eng.wrap = faultnet.New(deathAt(true, obs.PhaseBarrierWait, 2, i%2, 8)...).Wrap
 		cell(t, func() { core.RunDistributed(g, opt, eng) })
 		if eng.Recoveries() < 1 {
 			t.Fatalf("iteration %d never recovered", i)
@@ -365,8 +347,8 @@ func TestStreamRecoveryNoGoroutineLeak(t *testing.T) {
 }
 
 // TestSeededSingleDeaths is the fixed corpus ROADMAP item 1b grows: each seed
-// maps, purely, to one clean single death — plane, transport, protocol,
-// worker, the record it lands at, its round, before or after — and the run
+// maps, purely, to one clean single death — transport, protocol, worker, the
+// record it lands at, its round, before or after — and the run
 // must end byte-identical to the undisturbed one, ledger included. Unlike the
 // sweep it reaches unix clusters (a respawn runs over a pipe whatever the
 // transport). A failing seed prints its one-line repro.
@@ -390,7 +372,7 @@ func TestSeededSingleDeaths(t *testing.T) {
 		met    dist.Metrics
 		ledger shard.ShardMetrics
 	}
-	refs := map[[2]int]undisturbed{} // by (plane, protocol)
+	refs := map[int]undisturbed{} // by protocol
 	for seed := uint64(1); seed <= 24; seed++ {
 		d := seededDeathOf(seed)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -399,22 +381,18 @@ func TestSeededSingleDeaths(t *testing.T) {
 					t.Logf("repro (%s): go test -run 'TestSeededSingleDeaths/seed=%d$' ./internal/net/", d, seed)
 				}
 			}()
-			mk, plane := recoveryEngine, 0
-			if d.stream {
-				mk, plane = streamRecoveryEngine, 1
-			}
 			run := protocols[d.proto]
-			ref, ok := refs[[2]int{plane, d.proto}]
+			ref, ok := refs[d.proto]
 			if !ok {
 				seq, seqMet := run(dist.SeqEngine{})
-				eng := mk(3)
+				eng := streamRecoveryEngine(3)
 				ref.res, ref.met = run(eng)
 				if ref.ledger = eng.ClusterMetrics(); ref.met != seqMet || !reflect.DeepEqual(ref.res, seq) {
 					t.Fatalf("recovery-armed run diverges from seq before any fault (metrics %+v, seq %+v)", ref.met, seqMet)
 				}
-				refs[[2]int{plane, d.proto}] = ref
+				refs[d.proto] = ref
 			}
-			eng := mk(3)
+			eng := streamRecoveryEngine(3)
 			eng.Transport, eng.wrap = d.transport, faultnet.New(d.faults(ref.met.Rounds)...).Wrap
 			var res any
 			var met dist.Metrics
@@ -433,12 +411,10 @@ func TestSeededSingleDeaths(t *testing.T) {
 }
 
 // seededDeath is one clean single death as a seed names it. The record is a
-// control record the death lands at — relayed, the done record; streamed, the
-// done record, the ack, or the done record with the end marker toward the
-// next worker held (recWindow) — and pick, reduced modulo the rounds it can
-// land in, its round.
+// control record the death lands at — the done record, the ack, or the done
+// record with the end marker toward the next worker held (recWindow) — and
+// pick, reduced modulo the rounds it can land in, its round.
 type seededDeath struct {
-	stream        bool
 	transport     string
 	proto, worker int
 	record        byte
@@ -454,9 +430,13 @@ func seededDeathOf(seed uint64) seededDeath {
 		z = (z ^ z>>27) * 0x94d049bb133111eb
 		return (z ^ z>>31) % n
 	}
-	d := seededDeath{stream: next(2) == 1, transport: []string{TransportPipe, TransportUnix}[next(2)],
-		proto: int(next(3)), worker: int(next(3)), record: recDone, after: next(2) == 1}
-	if d.stream {
+	// The first draw picked the plane when recovery ran on the relay too: a seed
+	// that drew relay lands its death at the streamed done record, every other
+	// draw as it was.
+	relay := next(2) == 0
+	d := seededDeath{transport: []string{TransportPipe, TransportUnix}[next(2)],
+		proto: int(next(3)), worker: int(next(3)), record: recStreamDone, after: next(2) == 1}
+	if !relay {
 		d.record = []byte{recStreamDone, recStreamAck, recWindow}[next(3)]
 	}
 	d.pick = next(1 << 30)
@@ -464,23 +444,17 @@ func seededDeathOf(seed uint64) seededDeath {
 }
 
 func (d seededDeath) String() string {
-	plane, when := "relay", "before"
-	if d.stream {
-		plane = "stream"
-	}
+	when := "before"
 	if d.after {
 		when = "after"
 	}
-	return fmt.Sprintf("%s/%s %s, worker %d dies %s record %d of round pick %d",
-		plane, d.transport, []string{"coreness", "orientation", "densest"}[d.proto], d.worker, when, d.record, d.pick)
+	return fmt.Sprintf("%s %s, worker %d dies %s record %d of round pick %d",
+		d.transport, []string{"coreness", "orientation", "densest"}[d.proto], d.worker, when, d.record, d.pick)
 }
 
 // faults is d's schedule on a three-worker run whose last round is last.
 func (d seededDeath) faults(last int) []faultnet.Fault {
 	r := int(d.pick % uint64(last+1))
-	if d.record == recStreamAck && d.after { // past the last ack the finish may be out: not recoverable (ROADMAP 1b)
-		r = int(d.pick % uint64(last))
-	}
 	f := faultnet.Fault{Shard: d.worker, Peer: faultnet.Control, Type: d.record, Body: opening(nil, r)}
 	if d.after {
 		f.Action = faultnet.After
@@ -492,14 +466,11 @@ func (d seededDeath) faults(last int) []faultnet.Fault {
 	return []faultnet.Fault{f}
 }
 
-// clusterEngine is a dist.Engine over a hand-driven three-worker Cluster with
-// recovery armed, for the schedules an Engine's one run cannot hold: faults
-// runs on the worker links (Cluster.Wrap), and coord, when set, stands between
-// the coordinator and each respawned worker.
+// clusterEngine is a dist.Engine over a hand-driven three-worker streamed
+// Cluster with recovery armed, for the schedules an Engine's one run cannot
+// hold: faults runs on the worker links (Cluster.Wrap).
 type clusterEngine struct {
-	stream bool
 	faults *faultnet.Net
-	coord  LinkFunc
 	lam    quantize.Lambda
 	rep    *Report
 	err    error
@@ -515,27 +486,20 @@ func (e *clusterEngine) Run(g *graph.Graph, factory dist.Factory, maxRounds int)
 		_, err := w.run(g, factory, maxRounds)
 		return err
 	}
-	cl := &Cluster{P: 3, IOTimeout: 10 * time.Second, Stream: e.stream, Wrap: e.faults.Wrap}
+	cl := &Cluster{P: 3, IOTimeout: 10 * time.Second, Stream: true, Wrap: e.faults.Wrap}
 	if err := cl.Start(body); err != nil {
 		panic(err)
 	}
 	defer cl.Close()
 	var met dist.Metrics
-	met, e.rep, e.err = cl.Hub.Run(Spec{P: 3, Stream: e.stream, MaxRounds: maxRounds, Lam: e.lam, Recover: true,
-		GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign),
-		Respawn: func(s, gen int) (*Conn, error) {
-			cn, err := cl.Respawn(s, gen, body)
-			if err == nil {
-				cn = NewConn(e.coord.wrap(s, gen, faultnet.Control, cn.nc))
-			}
-			return cn, err
-		}})
+	met, e.rep, e.err = cl.Run(Spec{MaxRounds: maxRounds, Lam: e.lam, Recover: true,
+		GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign)}, body)
 	return met
 }
 
 // Two workers die in one streamed run, rounds apart. The second death is fed
 // by the first one's successor, whose sends of the rounds before its own death
-// exist only because its replay retained them again: the run still ends
+// exist only because its run from Init retained them again: the run still ends
 // byte-identical, ledger included.
 func TestTwoDeathsInOneStreamedRun(t *testing.T) {
 	g := graph.BarabasiAlbert(150, 3, 11)
@@ -546,7 +510,7 @@ func TestTwoDeathsInOneStreamedRun(t *testing.T) {
 
 	// Worker 0 dies in round 2's delivery, worker 2 in round T/2+2's.
 	deaths := append(deathAt(true, obs.PhaseDeliver, 2, 0, refMet.Rounds), deathAt(true, obs.PhaseDeliver, T/2+2, 2, refMet.Rounds)...)
-	eng := &clusterEngine{stream: true, faults: faultnet.New(deaths...)}
+	eng := &clusterEngine{faults: faultnet.New(deaths...)}
 	var res *core.Result
 	var met dist.Metrics
 	cell(t, func() { res, met = core.RunDistributed(g, opt, eng) })
@@ -567,44 +531,27 @@ func TestTwoDeathsInOneStreamedRun(t *testing.T) {
 
 // A flow fed again to a respawned worker that differs from the original — one
 // bit of one value, everything still decoding — must not be run into a result,
-// and the abort names that worker. Relayed, the coordinator replays the frame:
-// the worker's frame chain, reported with its metrics, disagrees with what the
-// coordinator sealed. Streamed, no replay record is left to corrupt — a peer
-// re-sends the chunk: the flow's digest disagrees with its sender's end
-// marker, the worker says so, and a worker that says why it stops is not
-// respawned again. The flip is faultnet's, on the low bit of the record's last
-// byte — on a float payload under Λ = ℝ, a well-formed value that is not the
-// one sent.
+// and the abort names that worker. A peer re-sends the chunk: the flow's
+// digest disagrees with its sender's end marker, the worker says so, and a
+// worker that says why it stops is not respawned again. The flip is
+// faultnet's, on the low bit of the record's last byte — on a float payload
+// under Λ = ℝ, a well-formed value that is not the one sent.
 func TestCorruptedReplayAbortsAttributed(t *testing.T) {
 	g := graph.BarabasiAlbert(150, 3, 11)
-	for _, row := range []struct {
-		stream bool
-		typ    byte
-		want   string
-	}{{false, recFrame, "frame chain"}, {true, recPeerFrame, "digest mismatch"}} {
-		// Worker 1 dies in round 3's delivery; then the first frame its
-		// successor is replayed (the coordinator's end of its new connection),
-		// or the first chunk worker 0 re-sends it, is flipped.
-		deaths := deathAt(row.stream, obs.PhaseDeliver, 3, 1, 8)
-		flip := faultnet.Fault{Shard: 1, Gen: 1, Peer: faultnet.Control, Type: row.typ, Action: faultnet.Flip}
-		eng := &clusterEngine{stream: row.stream, faults: faultnet.New(deaths...)}
-		flips, i := faultnet.New(flip), 0
-		if row.stream { // worker 0's end of the link the successor dials
-			flip.Shard, flip.Gen, flip.Peer = 0, 0, 1
-			eng.faults = faultnet.New(append(deaths, flip)...)
-			flips, i = eng.faults, len(deaths)
-		} else {
-			eng.coord = flips.Wrap
-		}
-		cell(t, func() { core.RunDistributed(g, core.Options{Rounds: 8}, eng) })
-		flipped := flips.Fired(i)
-		var re *RunError
-		if !flipped || !errors.As(eng.err, &re) {
-			t.Fatalf("stream=%v: corrupted replay (flipped: %v) ended with %v, want a *RunError", row.stream, flipped, eng.err)
-		}
-		if re.Worker != 1 || !strings.Contains(re.Error(), row.want) {
-			t.Errorf("stream=%v: failure %v, want worker 1 refused over its %s", row.stream, re, row.want)
-		}
+	// Worker 1 dies in round 3's delivery; then the first chunk worker 0
+	// re-sends it, on worker 0's end of the link the successor dials, is
+	// flipped.
+	deaths := deathAt(true, obs.PhaseDeliver, 3, 1, 8)
+	flip := faultnet.Fault{Shard: 0, Gen: 0, Peer: 1, Type: recPeerFrame, Action: faultnet.Flip}
+	eng := &clusterEngine{faults: faultnet.New(append(deaths, flip)...)}
+	cell(t, func() { core.RunDistributed(g, core.Options{Rounds: 8}, eng) })
+	flipped := eng.faults.Fired(len(deaths))
+	var re *RunError
+	if !flipped || !errors.As(eng.err, &re) {
+		t.Fatalf("corrupted resend (flipped: %v) ended with %v, want a *RunError", flipped, eng.err)
+	}
+	if re.Worker != 1 || !strings.Contains(re.Error(), "digest mismatch") {
+		t.Errorf("failure %v, want worker 1 refused over its digest mismatch", re)
 	}
 }
 
@@ -620,17 +567,17 @@ func (c countConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Arming recovery costs the coordinator nothing on a fault-free run: what is
-// kept to recover from a fault stays where the flows already are, so the
-// workers send it the same bytes, to the byte, as with recovery off — no
-// per-round state, on either plane.
+// Arming recovery costs the coordinator nothing on a fault-free streamed run:
+// what is kept to recover from a fault stays where the flows already are, so
+// the workers send it the same bytes, to the byte, as with recovery off — no
+// per-round state.
 func TestArmedRunShipsNoStateToCoordinator(t *testing.T) {
 	g := graph.BarabasiAlbert(150, 3, 11)
 	T := core.TForEpsilon(g.N(), 0.5)
 	opt := core.Options{Rounds: T}
 	_, seqMet := core.RunDistributed(g, opt, dist.SeqEngine{})
 	assign := shard.Hash{}.Partition(g, 3)
-	received := func(stream, armed bool) int64 {
+	received := func(armed bool) int64 {
 		var recv atomic.Int64
 		br := &meshBroker{inboxes: make([]*meshInbox, 3)}
 		conns := make([]*Conn, 3)
@@ -647,20 +594,61 @@ func TestArmedRunShipsNoStateToCoordinator(t *testing.T) {
 				core.RunDistributed(g, opt, w)
 			}()
 		}
-		met, _, err := RunCoordinator(conns, Spec{P: 3, Stream: stream, Recover: armed, MaxRounds: T,
+		met, _, err := RunCoordinator(conns, Spec{P: 3, Stream: true, Recover: armed, MaxRounds: T,
 			GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign)})
 		for _, c := range conns {
 			c.Close() // the caller owns them; a worker still reading sees EOF
 		}
 		wg.Wait()
 		if err != nil || met != seqMet {
-			t.Fatalf("stream=%v armed=%v: metrics %+v (%v), want %+v", stream, armed, met, err, seqMet)
+			t.Fatalf("armed=%v: metrics %+v (%v), want %+v", armed, met, err, seqMet)
 		}
 		return recv.Load()
 	}
-	for _, stream := range []bool{false, true} {
-		if off, on := received(stream, false), received(stream, true); on != off || off == 0 {
-			t.Errorf("stream=%v: the coordinator received %d bytes with recovery armed, %d without", stream, on, off)
-		}
+	if off, on := received(false), received(true); on != off || off == 0 {
+		t.Errorf("the coordinator received %d bytes with recovery armed, %d without", on, off)
+	}
+}
+
+// Recovery is the streamed plane's: a spec that arms it without Stream is
+// refused before the coordinator writes a byte, and an Engine that arms it
+// runs streamed, and says so, whatever its Stream field holds.
+func TestRecoveryRunsStreamed(t *testing.T) {
+	var written atomic.Int64
+	var wg sync.WaitGroup
+	conns := make([]*Conn, 2)
+	for i := range conns {
+		a, b := stdnet.Pipe()
+		conns[i] = NewConn(a)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n, _ := io.Copy(io.Discard, b)
+			written.Add(n)
+		}()
+	}
+	_, _, err := RunCoordinator(conns, Spec{P: 2, Recover: true, MaxRounds: 4,
+		Respawn: func(int, int) (*Conn, error) { return nil, errors.New("unused") }})
+	for _, c := range conns {
+		c.Close()
+	}
+	wg.Wait()
+	if err == nil || !strings.Contains(err.Error(), "Stream") {
+		t.Errorf("Spec{Recover} without Stream ended with %v, want it refused", err)
+	}
+	if n := written.Load(); n != 0 {
+		t.Errorf("the refused run wrote %d bytes to its workers", n)
+	}
+
+	g := graph.BarabasiAlbert(100, 3, 4)
+	opt := core.Options{Rounds: 8}
+	_, seqMet := core.RunDistributed(g, opt, dist.SeqEngine{})
+	eng := NewEngine(3, shard.Hash{})
+	eng.Recover, eng.IOTimeout = true, 10*time.Second
+	if _, met := core.RunDistributed(g, opt, eng); met != seqMet {
+		t.Errorf("metrics %+v, want %+v", met, seqMet)
+	}
+	if eng.StreamWire() == nil || !strings.HasSuffix(eng.Name(), "/stream") {
+		t.Errorf("Engine{Recover: true} (%s) ran relayed: stream wire %v", eng.Name(), eng.StreamWire())
 	}
 }

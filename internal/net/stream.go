@@ -345,12 +345,6 @@ func (p *streamCoord) run() (alive int, err error) {
 	if len(p.open) > 0 {
 		return 0, c.fail(-1, obs.PhaseDeliver, fmt.Errorf("net: records of round %d are in, past the run's last", p.last+1))
 	}
-	// What is queued behind the last round's records is a fault: a worker that
-	// died waiting for finish. Taken now it is restored while its peers still
-	// hold their meshes — a finish record tears them down.
-	if w, err := p.collect(p.last, func() bool { return !c.hub.Pending() }); err != nil {
-		return 0, c.fail(w, obs.PhaseDeliver, err)
-	}
 	return alive, nil
 }
 

@@ -15,17 +15,16 @@ import (
 	"distkcore/internal/shard"
 )
 
-// frameChainSeed starts each worker's frame-chain digest: an FNV-1a fold
-// (offset basis, 64-bit prime) over everything the worker receives — every
-// relayed frame, length then bytes, or every streamed round's digest —
-// maintained identically by the coordinator when it seals the round. The
-// worker's metrics record carries the chain so the coordinator can verify the
-// worker received exactly what the rounds sent it — and a respawned
-// incarnation's replay, folding the identical inbound flows in the identical
-// order, lands on the identical chain (DESIGN.md §13).
+// frameChainSeed starts each streamed worker's frame-chain digest: an FNV-1a
+// fold (offset basis, 64-bit prime) over every round digest the worker
+// receives, maintained identically by the coordinator when it seals the
+// round. The worker's metrics record carries the chain so the coordinator can
+// verify the worker received exactly what the rounds sent it — and a respawned
+// incarnation, folding the identical inbound flows in the identical order,
+// lands on the identical chain (DESIGN.md §13).
 const frameChainSeed = uint64(14695981039346656037)
 
-// foldFrame folds one frame (or streamed chunk) record body into a chain.
+// foldFrame folds one streamed chunk's record body into a flow digest.
 func foldFrame(h uint64, body []byte) uint64 {
 	h = (h ^ uint64(len(body))) * 1099511628211
 	for _, b := range body {
@@ -109,12 +108,14 @@ func (w *Worker) Name() string { return "net-worker" }
 // pre-read) and serves rounds until the coordinator finishes the run. Any
 // connection failure or protocol violation panics after a best-effort error
 // record to the coordinator; cmd/cluster's worker recovers the panic into
-// an exit status. When the hello armed Recover (DESIGN.md §13), the worker
-// additionally folds what it receives into its frame chain and — in a
-// respawned incarnation — runs the run again from Init on the retained flows
-// (relayed: the coordinator's replay records; streamed: what the peers re-send
-// it) to the exact state its predecessor died in; worker death is then the
-// coordinator's problem, not the run's.
+// an exit status. When the hello armed Recover (DESIGN.md §13), the mesh
+// retains what the worker sends, and a respawned incarnation runs the run
+// again from Init on what its peers re-send it, to the exact state its
+// predecessor died in; worker death is then the coordinator's problem, not
+// the run's. A streamed worker keeps its mesh past the run — a peer that dies
+// after its last record is run again on it too — until the first record read
+// off its connection after the run returns (the coordinator's next record, or
+// its hang-up), or until the connection closes.
 func (w *Worker) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.Metrics {
 	met, err := w.run(g, factory, maxRounds)
 	if err != nil {
@@ -218,11 +219,8 @@ func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
 // step runs the local half of relayed round t: the step hooks, then the tap that
 // frames the cross-shard subset of what they sent for the plane
 // (shard.Fanout.Emit), then the done record; the Driver prices the shard's
-// share of the protocol Metrics when it delivers. A catch-up replay (live
-// false) does all of that but the sending — the peers already hold the dead
-// incarnation's identical bytes; the plane keeps what it would retain of
-// them.
-func (r *workerLoop) step(t int, live bool) error {
+// share of the protocol Metrics when it delivers.
+func (r *workerLoop) step(t int) error {
 	w, self := r.w, r.h.Shard
 	r.cur = t
 	r.resetArenas(t)
@@ -238,14 +236,11 @@ func (r *workerLoop) step(t int, live bool) error {
 	if serr != nil {
 		return serr
 	}
-	bytes, msgs, err := r.plane.done(t, r.d.Alive(), live)
+	bytes, msgs, err := r.plane.done(t, r.d.Alive())
 	if err != nil {
 		return err
 	}
 	out.EndN(bytes, msgs)
-	if !live {
-		return nil
-	}
 	if err := w.c.Flush(); err != nil {
 		return err
 	}
@@ -257,33 +252,17 @@ func (r *workerLoop) step(t int, live bool) error {
 // sends into the Driver's slots and queues by the time the release arrives —
 // Deliver every local inbox in the global deterministic order (ascending
 // sender, ties in send order).
-func (r *workerLoop) finish(t int, live bool, rel []byte) error {
+func (r *workerLoop) finish(t int, rel []byte) error {
 	w := r.w
 	r.bw.End()
 	r.bw = obs.SpanRef{}
-	if err := r.plane.inbound(t, live, rel); err != nil {
+	if err := r.plane.inbound(t, rel); err != nil {
 		return err
 	}
 	dl := w.Trace.Begin(obs.PhaseDeliver, t, r.h.Shard)
 	r.d.Deliver(nil)
 	dl.End()
 	return nil
-}
-
-// replay decodes a catch-up round announcement and re-steps that round,
-// sending nothing; the plane then feeds it the round's inbound flows again.
-func (r *workerLoop) replay(body []byte) (codec.Replay, error) {
-	rp, used, err := codec.DecodeReplay(body)
-	if err != nil {
-		return rp, err
-	}
-	if used != len(body) {
-		return rp, fmt.Errorf("net: replay record carries %d trailing bytes", len(body)-used)
-	}
-	if rp.Round != r.cur+1 || rp.Frames < 0 {
-		return rp, fmt.Errorf("net: replay(round %d, %d frames) but worker is at round %d", rp.Round, rp.Frames, r.cur)
-	}
-	return rp, r.step(rp.Round, false)
 }
 
 func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.Metrics, error) {
@@ -336,12 +315,16 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 	if h.Stream {
 		// The mesh forms before the welcome — the coordinator treats the
 		// welcome as "ready to run", which on a streamed run means "reachable
-		// by peers".
+		// by peers". It outlives a run that ends well (Run), and no other.
 		var err error
 		if mesh, err = newStreamWorker(r); err != nil {
 			return dist.Metrics{}, err
 		}
-		defer mesh.m.Close()
+		defer func() {
+			if mesh != nil {
+				mesh.m.Close()
+			}
+		}()
 	} else {
 		r.plane = newRelayWorker(r)
 	}
@@ -360,7 +343,12 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 		if err != nil {
 			return dist.Metrics{}, err
 		}
-		return r.report(rounds, halted)
+		met, err := r.report(rounds, halted)
+		if err == nil {
+			w.c.keepUntilRead(mesh.m.Close)
+			mesh = nil
+		}
+		return met, err
 	}
 
 	for {
@@ -377,14 +365,14 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			if t != r.cur+1 {
 				return dist.Metrics{}, fmt.Errorf("net: step(round %d) but worker is at round %d", t, r.cur)
 			}
-			if err := r.step(t, true); err != nil {
+			if err := r.step(t); err != nil {
 				return dist.Metrics{}, err
 			}
 
 		case recDeliver:
 			// The barrier release: all P dones are in — receive and deliver.
 			// Its body is the plane's to decode (inbound).
-			if err := r.finish(r.cur, true, body); err != nil {
+			if err := r.finish(r.cur, body); err != nil {
 				return dist.Metrics{}, err
 			}
 

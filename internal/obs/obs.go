@@ -71,12 +71,9 @@ const (
 	PhasePublish
 	// PhaseEpoch is one whole session epoch, broadcast to seal.
 	PhaseEpoch
-	// PhaseRecover is crash recovery: re-admitting a dead worker and
-	// replaying the run to it from the retained flows (DESIGN.md §13).
+	// PhaseRecover is crash recovery: respawning a dead worker and
+	// re-admitting it (DESIGN.md §13).
 	PhaseRecover
-	// PhaseReplay is catch-up replay: re-sending one round of relayed
-	// frames to a recovered worker.
-	PhaseReplay
 	// PhaseSend is direct worker→worker streaming (DESIGN.md §14): chunking
 	// the round's cross-shard sends onto the mesh connections as they are
 	// produced. It replaces PhaseRelay on streamed runs — the relay funnel's
@@ -96,7 +93,7 @@ const (
 
 var phaseNames = [numPhases]string{
 	"step", "encode", "relay", "deliver", "barrier-wait",
-	"repair", "rebalance", "publish", "epoch", "recover", "replay",
+	"repair", "rebalance", "publish", "epoch", "recover",
 	"send", "recv", "verify",
 }
 

@@ -177,7 +177,7 @@ func (c *Coordinator) recoverThen(w int, cause error, then func() error) error {
 
 // recoverWorker respawns worker w and re-admits it: the fresh connection
 // replaces the dead one in the hub, the last sealed epoch's stamp goes out
-// as the resume record, and the worker — having recomputed its state from
+// on the ordinary stamp record, and the worker — having recomputed its state from
 // the committed graph — must echo it byte-identically. On return the worker
 // stands at the last sealed epoch, parked in its serve loop.
 func (c *Coordinator) recoverWorker(w int) error {
@@ -187,7 +187,7 @@ func (c *Coordinator) recoverWorker(w int) error {
 		return err
 	}
 	st := c.lastStamp
-	if err := c.sendTo(w, net.RecEpochResume, codec.AppendStamp(nil, st)); err != nil {
+	if err := c.sendTo(w, net.RecValuesDigest, codec.AppendStamp(nil, st)); err != nil {
 		return err
 	}
 	typ, body, err := c.hub.AwaitFrom(w)

@@ -30,9 +30,9 @@ import (
 // the seal).
 var sessionKillPhases = []obs.Phase{obs.PhaseRepair, obs.PhaseRebalance}
 
-// recDone is internal/net's relayed done record (DESIGN.md §8.2): epoch 0's
-// run is relayed.
-const recDone = 5
+// recDone is internal/net's streamed done record (DESIGN.md §8.2): epoch 0's
+// run is streamed.
+const recDone = 23
 
 // epochOf is the faultnet.Fault.Body of a record that opens with epoch (or
 // round) e, as a reconverge and a done record do.
@@ -186,7 +186,7 @@ func TestSessionRecoverySweep(t *testing.T) {
 	}
 }
 
-// A kill during the epoch-0 run exercises the net-layer replay path
+// A kill during the epoch-0 run exercises the net-layer restart path
 // wired through Options.Recover: the session must still open, seal epoch 0
 // and run epochs bit-identically to an undisturbed session.
 func TestSessionRecoveryDuringEpochZero(t *testing.T) {

@@ -33,11 +33,12 @@ type Options struct {
 	// seal/publish spans coordinator-side and repair/rebalance spans
 	// worker-side.
 	Trace *obs.Tracer
-	// Recover arms crash recovery (DESIGN.md §13): a worker death during
-	// the epoch-0 run is replayed to its successor by the net layer, and one
-	// during a later epoch seal is respawned and re-admitted at the last
-	// sealed epoch instead of latching the session broken. Epoch-0
-	// handshake faults stay fatal either way.
+	// Recover arms crash recovery (DESIGN.md §13): a worker that dies during
+	// the epoch-0 run is respawned by the net layer and runs it again from
+	// Init on what its peers' meshes retained, and one that dies during a
+	// later epoch seal is respawned and re-admitted at the last sealed epoch
+	// instead of latching the session broken. Epoch-0 handshake faults stay
+	// fatal either way.
 	Recover bool
 	// wrap is the cluster's link seam (net.Cluster.Wrap), for this package's
 	// fault tests: fault injection is not part of the session surface.
@@ -59,8 +60,9 @@ type Session struct {
 }
 
 // Open brings up P in-process workers whose body is ServeWorker, runs epoch
-// 0 (a full coordinated run, byte-identical to dist.SeqEngine's) and seals
-// it into the digest chain. The returned session owns the cluster; Close it.
+// 0 (a full coordinated run on the streamed plane, byte-identical to
+// dist.SeqEngine's) and seals it into the digest chain. The returned session
+// owns the cluster; Close it.
 func Open(g *graph.Graph, opt Options) (*Session, error) {
 	p, T, part := opt.P, opt.Rounds, opt.Part
 	if p < 1 {
@@ -82,12 +84,14 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 		_, err := ServeWorker(s.Conn, w, g, assign, part, T)
 		return err
 	}
-	cl := &net.Cluster{P: p, Transport: opt.Transport, IOTimeout: opt.IOTimeout, Wrap: opt.wrap}
+	cl := &net.Cluster{P: p, Transport: opt.Transport, IOTimeout: opt.IOTimeout, Stream: true, Wrap: opt.wrap}
 	if err := cl.Start(body); err != nil {
 		return nil, err
 	}
-	// With Recover an epoch-0 respawn replays the whole worker life: handshake,
-	// the run replayed from Init, then the serve loop.
+	// With Recover an epoch-0 respawn runs the whole worker life again:
+	// handshake, the run from Init on what the peers' meshes retained, then the
+	// serve loop. Each worker keeps its mesh until the epoch-0 stamp reaches it,
+	// so a death after its last round is recovered the same way.
 	met, rep, err := cl.Run(net.Spec{
 		MaxRounds:  T,
 		GraphHash:  g.Fingerprint(),
@@ -122,8 +126,7 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 		// incremental oracle under Λ = ℝ makes the recomputed state
 		// bit-identical to what the dead incarnation held at the last seal, so
 		// no state ships; there is no fresh run to cross-check against (runB
-		// nil), the resume stamp's values digest is the admission check
-		// instead.
+		// nil), the admission stamp's values digest is the check instead.
 		co.EnableRecovery(func(idx, gen int) (*net.Conn, error) {
 			g2, as2 := co.Graph(), co.assign
 			return cl.Respawn(idx, gen, func(s net.Seat) error {

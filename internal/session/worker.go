@@ -124,23 +124,24 @@ func ServeWorker(c *net.Conn, w *net.Worker, g *graph.Graph, assign []int, part 
 // Waits for the next epoch go through AwaitRecord (idleness is not death);
 // the intra-epoch stamp read is deadline-armed when the connection has an
 // IO timeout, because mid-epoch silence is.
-func (w *WorkerState) ServeEpochs() error { return w.serve(net.RecValuesDigest) }
+func (w *WorkerState) ServeEpochs() error { return w.serve(false) }
 
 // ServeResumed is the serve loop of a respawned session worker (DESIGN.md
-// §13): instead of an epoch-0 stamp, the first record must be the
-// coordinator's RecEpochResume carrying the stamp of the last sealed epoch.
+// §13): instead of an epoch-0 stamp, the first record is the stamp of the
+// last sealed epoch, on the ordinary stamp record.
 // The worker holds *recomputed* state — the caller built it from the
 // current committed graph and assignment, so the oracle is already at the
 // sealed values (derived-state recovery ships no state) — verifies the
 // stamp's graph/partition/values digests against that state, adopts the
 // epoch number and chain digest, echoes the stamp byte-identically as its
 // re-admission proof, and joins the ordinary epoch loop.
-func (w *WorkerState) ServeResumed() error { return w.serve(net.RecEpochResume) }
+func (w *WorkerState) ServeResumed() error { return w.serve(true) }
 
-// serve admits the worker with the stamp record it must see first, then runs
-// the steady-state epoch loop fresh and resumed workers share.
-func (w *WorkerState) serve(admission byte) error {
-	if err := w.admit(admission); err != nil {
+// serve admits the worker with the stamp it must see first — resumed, the last
+// sealed epoch's; otherwise epoch 0's — then runs the steady-state epoch loop
+// fresh and resumed workers share.
+func (w *WorkerState) serve(resumed bool) error {
+	if err := w.admit(resumed); err != nil {
 		return err
 	}
 	for {
@@ -168,13 +169,13 @@ func (w *WorkerState) serve(admission byte) error {
 // adopts the stamp's epoch and chain — the chain folds the whole epoch
 // history and cannot be re-derived from the graph alone, and every later
 // epoch re-verifies its extension as usual.
-func (w *WorkerState) admit(admission byte) error {
+func (w *WorkerState) admit(resumed bool) error {
 	typ, body, err := w.c.AwaitRecord()
 	if err != nil {
 		return fmt.Errorf("session: worker awaiting its admission stamp: %w", err)
 	}
-	if typ != admission {
-		return fmt.Errorf("session: expected admission stamp (record type %d), got record type %d", admission, typ)
+	if typ != net.RecValuesDigest {
+		return fmt.Errorf("session: expected admission stamp (record type %d), got record type %d", net.RecValuesDigest, typ)
 	}
 	st, _, err := codec.DecodeStamp(body)
 	if err != nil {
@@ -182,7 +183,7 @@ func (w *WorkerState) admit(admission byte) error {
 	}
 	var opening uint64 // epoch 0 extends the empty chain
 	prevChain := &opening
-	if admission == net.RecEpochResume {
+	if resumed {
 		prevChain = nil
 	} else if st.Epoch != 0 || st.Changed != 0 {
 		return fmt.Errorf("session: epoch-0 stamp claims epoch %d with %d changes", st.Epoch, st.Changed)
