@@ -202,8 +202,9 @@ func TestCitedTestsExist(t *testing.T) {
 // asynchronous elimination is a Program on the round engines), E12's copy of
 // Updater, the facade's worker-count constructor, the relay's replay of a
 // recovered run (its record, codec, trace phase and state) and the session's
-// resume record are gone; nothing may cite them again. The archive (CHANGES.md), the plan (ROADMAP.md, ISSUE.md) and the
-// frozen benchmark directory may name them.
+// resume record are gone; nothing may cite them again. The archive
+// (CHANGES.md), the plan documents and the frozen benchmark directory may
+// name them.
 func TestRetiredNamesStayRetired(t *testing.T) {
 	retired := []string{"BENCH_PR", "cmd/bench", "prodn", "DKC_PERF_SMOKE", "DelayFunc", "ModelDelay",
 		"Fusible", "RoundFusionSafe", "FusedRanges", "ghost program",
