@@ -204,8 +204,9 @@ func runWorker(args []string) {
 
 	if *sess {
 		// Session worker: the run seeds this worker's state, then it keeps the
-		// connection and serves DeltaPush/stamp exchanges until the coordinator
-		// says goodbye — the same life an in-process session worker leads.
+		// connection and answers each DeltaPush with its reconverge until the
+		// coordinator says goodbye — the same life an in-process session worker
+		// leads.
 		ws, err := session.ServeWorker(c, w, g, assign, part, T)
 		if err != nil {
 			fatalTell(c, err)

@@ -148,8 +148,10 @@ const (
 // version 10 made recovery the streamed plane's alone — a recovering hello
 // arms Stream too, the relay's replay record (21) is gone, and a respawned
 // session worker is re-admitted on the stamp record, the epoch-resume record
-// (22) gone with it (DESIGN.md §13).
-const HandshakeVersion = 10
+// (22) gone with it (DESIGN.md §13); version 11 made a session epoch one
+// exchange — a reconverge opens with the whole stamp its worker arrived at,
+// and the per-epoch stamp broadcast and echo are gone (DESIGN.md §10.2).
+const HandshakeVersion = 11
 
 // AppendHello appends the wire encoding of h to dst.
 func AppendHello(dst []byte, h Hello) []byte {

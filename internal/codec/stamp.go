@@ -5,17 +5,17 @@ import (
 	"fmt"
 )
 
-// Stamp seals one session epoch (DESIGN.md §10): after the coordinator has
-// absorbed a delta batch and assembled the re-converged values, it pins the
-// resulting state in a stamp — the epoch number, the post-churn graph's
-// edge-multiset hash (graph.EdgeSetHash, which every party keeps rolling as
-// it mutates), the rebalanced partition digest, the digest of the full
-// value vector, and the running chain digest that folds all of those into
-// every digest of every earlier epoch. Workers verify each field against
-// their own state and echo the stamp back; any mismatch aborts the session.
-// Changed carries the number of nodes whose value moved this epoch (a
-// cross-check for the reconverge exchange, and the datum subscription
-// receipts report).
+// Stamp seals one session epoch (DESIGN.md §10): the epoch number, the
+// post-churn graph's edge-multiset hash (graph.EdgeSetHash, which every party
+// keeps rolling as it mutates), the rebalanced partition digest, the digest of
+// the full value vector, and the running chain digest that folds all of those
+// into every digest of every earlier epoch. Changed is the number of nodes
+// whose value moved this epoch (the datum subscription receipts report).
+// Every worker derives the whole stamp itself and sends it ahead of its
+// reconverge's changes; the coordinator seals an epoch only when all P equal
+// the one it computes from the folded changes. Coordinator→worker a stamp is
+// an admission (epoch 0's, or a respawned worker's at the last sealed epoch),
+// which the worker verifies and echoes back.
 type Stamp struct {
 	Epoch        int
 	GraphHash    uint64
@@ -37,16 +37,16 @@ func AppendStamp(dst []byte, s Stamp) []byte {
 
 // DecodeStamp decodes a Stamp and returns the number of bytes consumed.
 func DecodeStamp(src []byte) (Stamp, int, error) {
-	var s Stamp
 	d := Decoder{src: src}
-	s.Epoch = int(d.Uvarint())
-	s.GraphHash = d.U64()
-	s.PartDigest = d.U64()
-	s.ValuesDigest = d.U64()
-	s.ChainDigest = d.U64()
-	s.Changed = int(d.Uvarint())
+	s := d.Stamp()
 	if d.err != nil {
 		return Stamp{}, 0, fmt.Errorf("codec: bad stamp record: %w", d.err)
 	}
 	return s, d.n, nil
+}
+
+// Stamp reads the fields AppendStamp writes.
+func (d *Decoder) Stamp() Stamp {
+	return Stamp{Epoch: int(d.Uvarint()), GraphHash: d.U64(), PartDigest: d.U64(),
+		ValuesDigest: d.U64(), ChainDigest: d.U64(), Changed: int(d.Uvarint())}
 }

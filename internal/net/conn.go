@@ -69,13 +69,15 @@ const (
 	// uvarint epoch ++ shard.AppendDelta(budget, batch); client→coordinator
 	// the epoch field is 0 ("assign the next epoch").
 	RecDeltaPush = byte(12)
-	// RecReconverge is the worker's epoch reply: uvarint epoch, post-churn
-	// graph fingerprint and rebalanced partition digest (8 bytes each), then
-	// the changed values of the worker's own shard.
+	// RecReconverge is the worker's epoch reply, the one record an epoch
+	// sends back: the codec.Stamp the worker arrived at (epoch, graph hash,
+	// partition, values and chain digests, moved count), then the changed
+	// values of the worker's own shard.
 	RecReconverge = byte(13)
-	// RecValuesDigest carries a codec.Stamp sealing one epoch: coordinator→
-	// worker as the commit broadcast, worker→coordinator as the verify echo,
-	// coordinator→client as the push receipt.
+	// RecValuesDigest carries a codec.Stamp: coordinator→worker as an
+	// admission (epoch 0's, or the last sealed epoch's for a respawned
+	// worker), worker→coordinator as its verify echo, coordinator→client as
+	// the push receipt.
 	RecValuesDigest = byte(14)
 	// RecSubscribe registers topics: client→coordinator the body is a topic
 	// list; the echo back carries the assigned subscriber ID.

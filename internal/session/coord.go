@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -99,9 +100,9 @@ type Coordinator struct {
 // NewCoordinator seals epoch 0 over the hub: g, assign and b are the
 // epoch-0 run's graph, assignment and assembled value vector (the
 // coordinator takes two copies of each, the sealed one and the one the epoch
-// in flight writes). It broadcasts the epoch-0
-// stamp and collects every worker's verify echo, so a returned Coordinator
-// means all P oracles agree with the run bit for bit.
+// in flight writes). It sends every worker the epoch-0 stamp as its
+// admission and collects every worker's verify echo, so a returned
+// Coordinator means all P oracles agree with the run bit for bit.
 func NewCoordinator(hub *net.Hub, g *graph.Graph, assign []int, part shard.Partitioner, b []float64) (*Coordinator, error) {
 	p := hub.P()
 	switch {
@@ -134,7 +135,7 @@ func NewCoordinator(hub *net.Hub, g *graph.Graph, assign []int, part shard.Parti
 			return nil, c.fail(0, "stamp-broadcast", faultOf(i, err))
 		}
 	}
-	if err := c.collectEchoes(st, nil, nil); err != nil {
+	if err := c.collectEchoes(st); err != nil {
 		return nil, c.fail(0, "stamp-echo", err)
 	}
 	c.lastStamp = st
@@ -209,42 +210,13 @@ func (c *Coordinator) recoverWorker(w int) error {
 	return nil
 }
 
-// redoEpoch walks a freshly recovered worker — standing at the last sealed
-// epoch — through the in-flight epoch privately: re-send the delta push,
-// collect its reconverge (which determinism demands equal the dead
-// incarnation's change set bit for bit), and hand it the sealing stamp. Its
-// echo then arrives through the ordinary collection.
-func (c *Coordinator) redoEpoch(w, epoch int, push []byte, st codec.Stamp, want []ValueChange) error {
-	if err := c.sendTo(w, net.RecDeltaPush, push); err != nil {
-		return err
-	}
-	typ, body, err := c.hub.AwaitFrom(w)
-	if err != nil {
-		return fmt.Errorf("session: redoing epoch %d at worker %d: %w", epoch, w, err)
-	}
-	if typ != net.RecReconverge {
-		return fmt.Errorf("session: worker %d sent record type %d during epoch %d redo, want reconverge", w, typ, epoch)
-	}
-	r, err := DecodeReconverge(body)
-	if err != nil {
-		return err
-	}
-	if r.Epoch != epoch || r.GraphHash != st.GraphHash || r.PartDigest != st.PartDigest {
-		return fmt.Errorf("session: worker %d redo reconverge (epoch %d, %#x, %#x) disagrees with seal (epoch %d, %#x, %#x)",
-			w, r.Epoch, r.GraphHash, r.PartDigest, epoch, st.GraphHash, st.PartDigest)
-	}
-	if !slices.Equal(r.Changes, want) {
-		return fmt.Errorf("session: worker %d redo shipped %d changes that differ from the dead incarnation's %d", w, len(r.Changes), len(want))
-	}
-	return c.sendTo(w, net.RecValuesDigest, codec.AppendStamp(nil, st))
-}
-
 // SetTracer installs (or, with nil, removes) the tracer subsequent pushes
 // record their epoch and publish spans into.
 func (c *Coordinator) SetTracer(t *obs.Tracer) { c.trace = t }
 
 // Push absorbs one delta batch as the next epoch: broadcast, collect every
-// worker's reconverge, seal with a stamp, publish notifications. A batch
+// worker's reconverge, seal when every worker's stamp equals the one the
+// folded changes give, publish notifications. A batch
 // that fails validation (out-of-range endpoint, delete of a missing edge)
 // or an empty one is rejected BEFORE anything is mutated or broadcast — the
 // error is returned and the session stays live, graph, hash, assignment and
@@ -279,7 +251,7 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 		}
 	}
 	gh, pd := c.adj.Hash(), shard.PartitionDigest(c.next)
-	all, byWorker, err := c.collectReconverges(epoch, gh, pd, push)
+	stamps, all, err := c.collectReconverges(epoch, gh, pd, push)
 	if err != nil {
 		return nil, c.fail(epoch, "reconverge", err)
 	}
@@ -296,19 +268,13 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 	vd := ValuesDigest(c.cur)
 	chain := ChainNext(c.chain, gh, pd, vd)
 	st := codec.Stamp{Epoch: epoch, GraphHash: gh, PartDigest: pd, ValuesDigest: vd, ChainDigest: chain, Changed: len(all)}
-	for i := 0; i < c.p; i++ {
-		err := c.sendTo(i, net.RecValuesDigest, codec.AppendStamp(nil, st))
-		if err != nil {
-			// Dead between its reconverge and the seal: recover to the sealed
-			// epoch and redo the in-flight one privately.
-			err = c.recoverThen(i, err, func() error { return c.redoEpoch(i, epoch, push, st, byWorker[i]) })
+	// Epoch, graph and partition were held to the coordinator's as each reply
+	// landed; what is left to differ is what the fold decides.
+	for w, ws := range stamps {
+		if ws != st {
+			return nil, c.fail(epoch, "reconverge", faultOf(w, fmt.Errorf("session: worker %d stamped epoch %d values %#x, chain %#x, %d changed; coordinator %#x, %#x, %d",
+				w, epoch, ws.ValuesDigest, ws.ChainDigest, ws.Changed, vd, chain, len(all))))
 		}
-		if err != nil {
-			return nil, c.fail(epoch, "stamp-broadcast", faultOf(i, err))
-		}
-	}
-	if err := c.collectEchoes(st, push, byWorker); err != nil {
-		return nil, c.fail(epoch, "stamp-echo", err)
 	}
 
 	// Sealed: commit, then publish against the committed transition. The
@@ -462,20 +428,27 @@ func (c *Coordinator) ledger(d dist.GraphDelta, frontier []graph.NodeID) (shard.
 	return cm, k
 }
 
-// collectReconverges gathers one reconverge per worker, verifying digests,
-// epoch, post-rebalance ownership and duplicate-freedom. It returns the
-// merged change set ascending by node plus each worker's own slice (what a
-// stamp-phase recovery redo must reproduce). A worker fault mid-collection
-// is recovered inline when recovery is armed: the dead worker's
-// contribution — if any — is discarded, the worker restored to the sealed
-// epoch, and the push re-sent; its fresh reconverge is bit-identical by
-// determinism.
-func (c *Coordinator) collectReconverges(epoch int, gh, pd uint64, push []byte) ([]ValueChange, [][]ValueChange, error) {
-	byWorker := make([][]ValueChange, c.p)
+// collectReconverges gathers one reconverge per worker, verifying epoch,
+// digests, post-rebalance ownership and duplicate-freedom. It returns each
+// worker's stamp and the merged change set ascending by node. A worker fault
+// mid-collection is recovered inline when recovery is armed: the worker is
+// restored to the sealed epoch and the push re-sent. Determinism makes its
+// fresh reconverge bit-identical to whatever its dead incarnation got out, so
+// one that already replied is held to those bytes, and one that had not is
+// checked like any other.
+func (c *Coordinator) collectReconverges(epoch int, gh, pd uint64, push []byte) ([]codec.Stamp, []ValueChange, error) {
+	stamps, got := make([]codec.Stamp, c.p), make([][]byte, c.p)
+	var all []ValueChange
 	owed := c.hub.Everyone()
 	w, err := c.hub.Collect(owed, func(from int, typ byte, body []byte) (bool, error) {
 		if typ != net.RecReconverge {
 			return false, fmt.Errorf("session: worker %d sent record type %d, want reconverge", from, typ)
+		}
+		if got[from] != nil {
+			if !bytes.Equal(body, got[from]) {
+				return false, fmt.Errorf("session: worker %d's epoch %d reconverge differs from its dead incarnation's", from, epoch)
+			}
+			return true, nil
 		}
 		r, err := DecodeReconverge(body)
 		if err != nil {
@@ -497,20 +470,16 @@ func (c *Coordinator) collectReconverges(epoch int, gh, pd uint64, push []byte) 
 				return false, fmt.Errorf("session: worker %d shipped change for node %d owned by shard %d", from, ch.Node, c.next[ch.Node])
 			}
 		}
-		byWorker[from] = r.Changes
+		stamps[from], got[from] = r.Stamp, body
+		all = append(all, r.Changes...)
 		return true, nil
 	}, func(w int, cause error) error {
-		// Whether it died before or after reconverging, drop its set and let
-		// the recovered worker reproduce it, so one path covers both orders.
-		byWorker[w], owed[w] = nil, true
+		// Dead before or after its reply, it owes the one its successor sends.
+		owed[w] = true
 		return c.recoverThen(w, cause, func() error { return c.sendTo(w, net.RecDeltaPush, push) })
 	})
 	if err != nil {
 		return nil, nil, faultOf(w, err)
-	}
-	var all []ValueChange
-	for _, chs := range byWorker {
-		all = append(all, chs...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Node < all[j].Node })
 	for i := 1; i < len(all); i++ {
@@ -518,7 +487,7 @@ func (c *Coordinator) collectReconverges(epoch int, gh, pd uint64, push []byte) 
 			return nil, nil, fmt.Errorf("session: two workers shipped node %d at epoch %d", all[i].Node, epoch)
 		}
 	}
-	return all, byWorker, nil
+	return stamps, all, nil
 }
 
 // sendTo writes and flushes one record to worker i (through the hub, so a
@@ -530,13 +499,10 @@ func (c *Coordinator) sendTo(i int, typ byte, body []byte) error {
 	return nil
 }
 
-// collectEchoes demands every worker's byte-identical stamp echo. With
-// recovery armed (push non-nil), a worker fault is answered by recovering
-// the worker and walking it through a private epoch redo; its echo then
-// arrives like everyone else's.
-func (c *Coordinator) collectEchoes(want codec.Stamp, push []byte, byWorker [][]ValueChange) error {
-	owed := c.hub.Everyone()
-	w, err := c.hub.Collect(owed, func(from int, typ byte, body []byte) (bool, error) {
+// collectEchoes demands every worker's byte-identical echo of the epoch-0
+// stamp; any fault ends it.
+func (c *Coordinator) collectEchoes(want codec.Stamp) error {
+	w, err := c.hub.Collect(c.hub.Everyone(), func(from int, typ byte, body []byte) (bool, error) {
 		if typ != net.RecValuesDigest {
 			return false, fmt.Errorf("session: worker %d sent record type %d, want stamp echo", from, typ)
 		}
@@ -548,15 +514,7 @@ func (c *Coordinator) collectEchoes(want codec.Stamp, push []byte, byWorker [][]
 			return false, fmt.Errorf("session: worker %d echoed %+v, want %+v", from, st, want)
 		}
 		return true, nil
-	}, func(w int, cause error) error {
-		if push == nil {
-			return cause
-		}
-		// Even one that echoed and then died must be re-admitted for the
-		// epochs to come, and the redo makes it echo again.
-		owed[w] = true
-		return c.recoverThen(w, cause, func() error { return c.redoEpoch(w, want.Epoch, push, want, byWorker[w]) })
-	})
+	}, nil)
 	return faultOf(w, err)
 }
 

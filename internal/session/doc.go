@@ -12,12 +12,15 @@
 // finishes. The coordinator seals the run as epoch 0
 // with a values-digest stamp, every worker verifies it against the
 // incremental oracle it just built (a dynamic.Maintainer seeded from the
-// run's graph), and from then on the session speaks the epoch protocol:
+// run's graph) and echoes it, and from then on an epoch is one exchange:
 //
 //	DeltaPush    coordinator → workers    one dist.GraphDelta batch, epoch e
-//	Reconverge   worker → coordinator     own-shard changed values after repair
-//	ValuesDigest both directions          codec.Stamp sealing epoch e (+ echo)
+//	Reconverge   worker → coordinator     the codec.Stamp the worker arrived
+//	                                      at, then its own-shard changed values
 //	Bye          either direction         clean goodbye
+//
+// (ValuesDigest, the stamp on its own, is admission's: epoch 0's above, and
+// a respawned worker's at the last sealed epoch, each echoed back.)
 //
 // Each epoch every worker hands the batch to its Maintainer — which mutates
 // its adjacency in place under the canonical order (the worker's only copy of
@@ -26,17 +29,17 @@
 // adjacency, applies the moves it returns to the assignment buffers it holds
 // (no party copies an n-sized array per epoch), and ships only the values of
 // its own post-rebalance shard that actually changed, as the repair reported
-// them. The coordinator, which
+// them, behind the stamp it arrived at: the post-churn graph's rolling
+// edge-multiset hash, the rebalanced partition digest, the digest of its full
+// value vector, a running chain digest that binds every earlier epoch, and
+// its repair's moved count. It commits as it sends. The coordinator, which
 // validated the batch against its own bare adjacency before mutating or
-// broadcasting anything, folds those into its value vector and seals the
-// epoch with a stamp carrying the post-churn graph's rolling edge-multiset
-// hash, the rebalanced partition digest, the digest of the full value vector
-// and a running chain digest that binds every earlier epoch. Workers verify
-// all four against local state — P redundant oracles cross-checking one
-// another and the coordinator bit for bit — so an N-epoch session is
-// byte-identical to N fresh sequential runs on the cumulatively mutated
-// graph, and any divergence kills the session at the epoch that introduced
-// it.
+// broadcasting anything, folds the changes into its value vector, computes
+// the same stamp itself and seals the epoch only when all P workers' equal it
+// — P redundant oracles cross-checking one another and the coordinator bit
+// for bit — so an N-epoch session is byte-identical to N fresh sequential
+// runs on the cumulatively mutated graph, and any divergence kills the
+// session at the epoch that introduced it.
 //
 // Sessions run the exact threshold set Λ = ℝ only: the Maintainer repairs
 // exact β_t histories and bit-equality with fresh runs additionally needs

@@ -1,9 +1,10 @@
 package session
 
 import (
-	"reflect"
+	"bytes"
 	"testing"
 
+	"distkcore/internal/codec"
 	"distkcore/internal/dist"
 )
 
@@ -11,24 +12,25 @@ import (
 // decoded from bytes straight off a socket (a client's push included), so
 // they get the hostile-input contract of the run records: no panic, no
 // count-driven allocation beyond the payload, full consumption or an error,
-// and whatever decodes survives an encode/decode round trip.
+// and whatever decodes re-encodes to the very bytes it came from — one record,
+// one spelling, so a recovered worker's reply can be held to its dead
+// incarnation's byte for byte.
 
 func FuzzDecodeReconverge(f *testing.F) {
-	f.Add(AppendReconverge(nil, Reconverge{Epoch: 3, GraphHash: 0x3ca38c8a75247921, PartDigest: 0xfeedface,
+	f.Add(AppendReconverge(nil, Reconverge{Stamp: codec.Stamp{Epoch: 3, GraphHash: 0x3ca38c8a75247921, PartDigest: 0xfeedface,
+		ValuesDigest: 0x9e3779b97f4a7c15, ChainDigest: 0xc0ffee, Changed: 2},
 		Changes: []ValueChange{{Node: 7, OldBits: 0x4008000000000000, NewBits: 0x4000000000000000}, {Node: 1999}}}))
 	f.Add(AppendReconverge(nil, Reconverge{}))
-	f.Add(append(make([]byte, 17), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)) // hostile change count
+	// A hostile change count behind the zero stamp header (34 bytes).
+	hostile := AppendReconverge(nil, Reconverge{})
+	f.Add(append(hostile[:len(hostile)-1], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeReconverge(data)
 		if err != nil {
 			return
 		}
-		r2, err := DecodeReconverge(AppendReconverge(nil, r))
-		if err != nil {
-			t.Fatalf("re-decode of a re-encoded reconverge failed: %v", err)
-		}
-		if !reflect.DeepEqual(r2, r) {
-			t.Fatalf("reconverge changed across a round trip: %+v vs %+v", r, r2)
+		if enc := AppendReconverge(nil, r); !bytes.Equal(enc, data) {
+			t.Fatalf("reconverge re-encodes to %x, decoded from %x", enc, data)
 		}
 	})
 }
@@ -42,13 +44,8 @@ func FuzzDecodeDeltaPush(f *testing.F) {
 		if err != nil {
 			return
 		}
-		epoch2, budget2, d2, err := DecodeDeltaPush(AppendDeltaPush(nil, epoch, budget, d))
-		if err != nil {
-			t.Fatalf("re-decode of a re-encoded delta push failed: %v", err)
-		}
-		if epoch2 != epoch || budget2 != budget || len(d2.Ops) != len(d.Ops) || d2.Digest() != d.Digest() {
-			t.Fatalf("delta push changed across a round trip: epoch %d→%d, budget %d→%d, ops %d→%d, digest %#x→%#x",
-				epoch, epoch2, budget, budget2, len(d.Ops), len(d2.Ops), d.Digest(), d2.Digest())
+		if enc := AppendDeltaPush(nil, epoch, budget, d); !bytes.Equal(enc, data) {
+			t.Fatalf("delta push re-encodes to %x, decoded from %x", enc, data)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,14 +21,15 @@ import (
 
 // The session-level recovery contract (DESIGN.md §13): a worker killed
 // while epoch e is being sealed is respawned, recomputes its state from the
-// committed graph, is re-admitted at epoch e-1 and walked through e again —
+// committed graph, is re-admitted at epoch e-1 and pushed e again —
 // and the chain through e, e+1, e+2 is bit-identical to a session that
 // never saw the fault. The stat must report a recovery count, not BROKEN.
 
 // sessionKillPhases name the sweep's cells: a worker dies at the write of its
 // reconverge with the record unsent (PhaseRepair: nothing of the epoch is in
-// from it) or just after it went out (PhaseRebalance: between the reply and
-// the seal).
+// from it) or just after it went out (PhaseRebalance: the epoch's one reply is
+// in, and the death surfaces inside the collection if it is still open, else
+// at the next epoch's push).
 var sessionKillPhases = []obs.Phase{obs.PhaseRepair, obs.PhaseRebalance}
 
 // recDone is internal/net's streamed done record (DESIGN.md §8.2): epoch 0's
@@ -184,6 +186,102 @@ func TestSessionRecoverySweep(t *testing.T) {
 			})
 		}
 	}
+}
+
+// openDeathMidCollection opens a recovering session on g whose worker 0 dies
+// just after its epoch-2 reconverge is out, while worker 1's is held until
+// the coordinator has re-admitted worker 0: the death lands with the epoch's
+// collection still open. With flip, the successor's reconverge goes out with
+// its last bit flipped. Call the returned func to end the hold and close.
+func openDeathMidCollection(t *testing.T, g *graph.Graph, flip bool) (*Session, func()) {
+	t.Helper()
+	sched := []faultnet.Fault{
+		{Shard: 1, Peer: faultnet.Control, Type: net.RecReconverge, Body: epochOf(2), Action: faultnet.Hold},
+		{Shard: 0, Peer: faultnet.Control, Type: net.RecReconverge, Body: epochOf(2), Action: faultnet.After},
+	}
+	if flip {
+		sched = append(sched, faultnet.Fault{Shard: 0, Gen: 1, Peer: faultnet.Control, Type: net.RecReconverge, Body: epochOf(2), Action: faultnet.Flip})
+	}
+	fn := faultnet.New(sched...)
+	s, err := Open(g, Options{P: 3, Rounds: 8, Part: shard.Greedy{}, IOTimeout: 10 * time.Second, Recover: true, wrap: fn.Wrap})
+	if err != nil {
+		fn.Release()
+		t.Fatalf("Open: %v", err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		defer fn.Release()
+		for s.co.StatView().Recoveries < 1 {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	return s, func() {
+		close(stop)
+		<-done
+		s.Close()
+	}
+}
+
+// A worker that dies after its reconverge got out, inside the collection, is
+// re-admitted and re-pushed there, and its successor's reconverge is held to
+// the dead one's bytes: the session seals on as if nothing happened.
+func TestSessionDeathMidCollection(t *testing.T) {
+	g := graph.BarabasiAlbert(300, 3, 9)
+	deltas := recoveryDeltas(g, 3)
+	ref, err := Open(g, Options{P: 3, Rounds: 8, Part: shard.Greedy{}, IOTimeout: 10 * time.Second, Recover: true})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	want := driveEpochs(t, ref, g, deltas)
+	ref.Close()
+	var s *Session
+	var got epochTrace
+	cell(t, func() {
+		var end func()
+		s, end = openDeathMidCollection(t, g, false)
+		defer end()
+		got = driveEpochs(t, s, g, deltas)
+	})
+	if s.Recoveries() != 1 || s.Stat().Broken {
+		t.Fatalf("%d recoveries, broken %v: want one recovery and a live session", s.Recoveries(), s.Stat().Broken)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered session diverges from the undisturbed one:\nchains %#x\nwant   %#x", got.chains, want.chains)
+	}
+}
+
+// The same death, but the successor's reconverge is not the dead one's: that
+// is a fork, not a death, and the session breaks at the epoch naming the
+// worker.
+func TestSessionForkedSuccessorBreaks(t *testing.T) {
+	g := graph.BarabasiAlbert(300, 3, 9)
+	deltas := recoveryDeltas(g, 3)
+	cell(t, func() {
+		s, end := openDeathMidCollection(t, g, true)
+		defer end()
+		if _, err := s.Push(deltas[0], 0); err != nil {
+			t.Fatalf("epoch 1: %v", err)
+		}
+		if _, err := s.Push(deltas[1], 0); err == nil {
+			t.Fatal("epoch 2 sealed on a successor that differs from its dead incarnation")
+		}
+		bc := s.Cause()
+		if bc == nil || bc.Epoch != 2 || bc.Phase != "reconverge" || bc.Worker != 0 ||
+			!strings.Contains(bc.Error(), "differs from its dead incarnation's") {
+			t.Fatalf("break cause %v, want epoch 2, phase reconverge, worker 0, a successor that differs from its dead incarnation", bc)
+		}
+		if s.Recoveries() != 1 || !s.Stat().Broken {
+			t.Fatalf("%d recoveries, broken %v: want one recovery, then a break", s.Recoveries(), s.Stat().Broken)
+		}
+		if _, err := s.Push(deltas[2], 0); err == nil {
+			t.Fatal("broken session accepted a later push")
+		}
+	})
 }
 
 // A kill during the epoch-0 run exercises the net-layer restart path

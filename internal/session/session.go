@@ -36,9 +36,10 @@ type Options struct {
 	// Recover arms crash recovery (DESIGN.md §13): a worker that dies during
 	// the epoch-0 run is respawned by the net layer and runs it again from
 	// Init on what its peers' meshes retained, and one that dies during a
-	// later epoch seal is respawned and re-admitted at the last sealed epoch
-	// instead of latching the session broken. Epoch-0 handshake faults stay
-	// fatal either way.
+	// later epoch is respawned, re-admitted at the last sealed epoch and
+	// pushed the epoch's batch again instead of latching the session broken;
+	// its reconverge must then equal whatever its dead incarnation got out.
+	// Epoch-0 handshake faults stay fatal either way.
 	Recover bool
 	// wrap is the cluster's link seam (net.Cluster.Wrap), for this package's
 	// fault tests: fault injection is not part of the session surface.
@@ -121,8 +122,8 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 		// recovery mid-epoch-e restores to the sealed epoch e-1, not to the
 		// adjacency the in-flight batch already mutated — and joins via
 		// ServeResumed. The sealed assignment takes the epoch's moves in place
-		// at commit, but NewWorkerState has copied it before the worker echoes
-		// its admission, and no commit comes before that echo. The exact
+		// at the seal, but NewWorkerState has copied it before the worker echoes
+		// its admission, and no seal comes before that echo. The exact
 		// incremental oracle under Λ = ℝ makes the recomputed state
 		// bit-identical to what the dead incarnation held at the last seal, so
 		// no state ships; there is no fresh run to cross-check against (runB

@@ -40,42 +40,36 @@ func AppendDeltaPush(dst []byte, epoch, moveBudget int, d dist.GraphDelta) []byt
 
 // DecodeDeltaPush decodes a DeltaPush body, requiring full consumption.
 func DecodeDeltaPush(src []byte) (epoch, moveBudget int, d dist.GraphDelta, err error) {
-	e, k := binary.Uvarint(src)
-	if k <= 0 {
-		return 0, 0, d, fmt.Errorf("session: truncated delta push (epoch)")
-	}
-	moveBudget, d, n, err := shard.DecodeDelta(src[k:])
-	if err != nil {
+	dec := codec.NewDecoder(src)
+	epoch = int(dec.Uvarint())
+	moveBudget, d = shard.DecodeDelta(dec)
+	if err := finish(dec, "delta push"); err != nil {
 		return 0, 0, dist.GraphDelta{}, err
 	}
-	if k+n != len(src) {
-		return 0, 0, dist.GraphDelta{}, fmt.Errorf("session: delta push carries %d trailing bytes", len(src)-k-n)
-	}
-	return int(e), moveBudget, d, nil
+	return epoch, moveBudget, d, nil
 }
 
-// Reconverge is a worker's epoch reply: the post-churn graph hash
-// and rebalanced partition digest it arrived at, plus the changed values of
-// the shard it owns after the rebalance, ascending by node.
+// Reconverge is a worker's epoch reply: the whole stamp it arrived at — the
+// epoch, the post-churn graph hash, the rebalanced partition digest, the
+// digest of its full value vector, its extension of the chain and its
+// repair's moved count — then the changed values of the shard it owns after
+// the rebalance, ascending by node. The stamp leads, so the body opens with
+// the epoch as every epoch record does.
 type Reconverge struct {
-	Epoch      int
-	GraphHash  uint64
-	PartDigest uint64
-	Changes    []ValueChange
+	codec.Stamp
+	Changes []ValueChange
 }
 
-// AppendReconverge appends the wire encoding of r to dst.
+// AppendReconverge appends the wire encoding of r to dst: AppendStamp, then
+// the change list.
 func AppendReconverge(dst []byte, r Reconverge) []byte {
-	dst = binary.AppendUvarint(dst, uint64(r.Epoch))
-	dst = binary.LittleEndian.AppendUint64(dst, r.GraphHash)
-	dst = binary.LittleEndian.AppendUint64(dst, r.PartDigest)
-	return appendChanges(dst, r.Changes)
+	return appendChanges(codec.AppendStamp(dst, r.Stamp), r.Changes)
 }
 
 // DecodeReconverge decodes a Reconverge body, requiring full consumption.
 func DecodeReconverge(src []byte) (Reconverge, error) {
 	d := codec.NewDecoder(src)
-	r := Reconverge{Epoch: int(d.Uvarint()), GraphHash: d.U64(), PartDigest: d.U64(), Changes: decodeChanges(d)}
+	r := Reconverge{Stamp: d.Stamp(), Changes: decodeChanges(d)}
 	if err := finish(d, "reconverge"); err != nil {
 		return Reconverge{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"distkcore/internal/codec"
 	"distkcore/internal/dist"
 )
 
@@ -36,9 +37,8 @@ func TestDeltaPushRoundTrip(t *testing.T) {
 
 func TestReconvergeRoundTrip(t *testing.T) {
 	r := Reconverge{
-		Epoch:      3,
-		GraphHash:  0xdeadbeefcafe,
-		PartDigest: 0x123456789abcdef0,
+		Stamp: codec.Stamp{Epoch: 3, GraphHash: 0xdeadbeefcafe, PartDigest: 0x123456789abcdef0,
+			ValuesDigest: 0x0fedcba987654321, ChainDigest: 0xfeedface, Changed: 5},
 		Changes: []ValueChange{
 			{Node: 4, OldBits: 100, NewBits: 200},
 			{Node: 9, OldBits: 0, NewBits: 1},
@@ -70,7 +70,7 @@ func TestReconvergeRoundTrip(t *testing.T) {
 func TestReconvergeHostileChangeCount(t *testing.T) {
 	// Header plus a count claiming far more changes than the payload holds:
 	// must fail before any count-sized allocation.
-	enc := AppendReconverge(nil, Reconverge{Epoch: 1, GraphHash: 1, PartDigest: 1})
+	enc := AppendReconverge(nil, Reconverge{Stamp: codec.Stamp{Epoch: 1, GraphHash: 1, PartDigest: 1}})
 	enc = enc[:len(enc)-1] // drop the count 0
 	enc = append(enc, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
 	if _, err := DecodeReconverge(enc); err == nil || !strings.Contains(err.Error(), "exceeds payload") {

@@ -22,18 +22,17 @@ import (
 // run used.
 type WorkerState struct {
 	c *net.Conn
-	// assign is the sealed assignment, next the epoch in flight's: equal
-	// between epochs, the epoch's moves go into next at rebalance and into
-	// assign at commit.
-	assign, next []int
-	moves        []shard.Move
-	shard        int
-	p            int
-	part         shard.Partitioner
-	m            *dynamic.Maintainer // between epochs, m.B() is the sealed value vector
-	epoch        int
-	chain        uint64
-	trace        *obs.Tracer
+	// assign is the one assignment buffer: an epoch's moves go into it at
+	// rebalance, and the worker commits as it sends its reconverge.
+	assign []int
+	moves  []shard.Move
+	shard  int
+	p      int
+	part   shard.Partitioner
+	m      *dynamic.Maintainer // between epochs, m.B() is the committed value vector
+	epoch  int
+	chain  uint64
+	trace  *obs.Tracer
 }
 
 // NewWorkerState builds the session state for shard shardIdx of p over c:
@@ -71,7 +70,7 @@ func NewWorkerState(c *net.Conn, g *graph.Graph, assign []int, shardIdx, p, T in
 		}
 	}
 	return &WorkerState{
-		c: c, assign: slices.Clone(assign), next: slices.Clone(assign),
+		c: c, assign: slices.Clone(assign),
 		shard: shardIdx, p: p, part: part, m: m,
 	}, nil
 }
@@ -111,19 +110,19 @@ func ServeWorker(c *net.Conn, w *net.Worker, g *graph.Graph, assign []int, part 
 
 // ServeEpochs runs the worker's session loop until a Bye or an error. The
 // first record must be the coordinator's epoch-0 stamp, which seals the run
-// into the digest chain; then every DeltaPush advances one epoch:
+// into the digest chain and is echoed back; then every DeltaPush advances one
+// epoch in one exchange:
 //
 //	apply the batch (canonical order) → Maintainer frontier repair →
-//	incremental Rebalance → ship own-shard changed values → verify and
-//	echo the coordinator's stamp → commit.
+//	incremental Rebalance → commit and send the reconverge: the stamp this
+//	worker arrived at, then its own shard's changed values.
 //
-// Any verification failure ends the loop with the error — sessions choose
-// determinism over availability exactly like runs do — and the caller ships
-// it to the coordinator as an error record (Cluster's worker wrapper,
-// cmd/cluster's worker).
-// Waits for the next epoch go through AwaitRecord (idleness is not death);
-// the intra-epoch stamp read is deadline-armed when the connection has an
-// IO timeout, because mid-epoch silence is.
+// The coordinator seals the epoch only if all P stamps equal its own, so a
+// fork breaks the session there — sessions choose determinism over
+// availability exactly like runs do. Any local failure ends the loop with the
+// error, and the caller ships it to the coordinator as an error record
+// (Cluster's worker wrapper, cmd/cluster's worker). Waits for the next epoch
+// go through AwaitRecord: idleness is not death.
 func (w *WorkerState) ServeEpochs() error { return w.serve(false) }
 
 // ServeResumed is the serve loop of a respawned session worker (DESIGN.md
@@ -168,7 +167,7 @@ func (w *WorkerState) serve(resumed bool) error {
 // also carry the chain digest the worker derives itself; a resumed worker
 // adopts the stamp's epoch and chain — the chain folds the whole epoch
 // history and cannot be re-derived from the graph alone, and every later
-// epoch re-verifies its extension as usual.
+// epoch's reconverge carries its extension for the coordinator to check.
 func (w *WorkerState) admit(resumed bool) error {
 	typ, body, err := w.c.AwaitRecord()
 	if err != nil {
@@ -181,18 +180,21 @@ func (w *WorkerState) admit(resumed bool) error {
 	if err != nil {
 		return err
 	}
-	var opening uint64 // epoch 0 extends the empty chain
-	prevChain := &opening
-	if resumed {
-		prevChain = nil
-	} else if st.Epoch != 0 || st.Changed != 0 {
+	gh, pd, vd := w.m.Adjacency().Hash(), shard.PartitionDigest(w.assign), ValuesDigest(w.m.B())
+	switch {
+	case st.GraphHash != gh:
+		return fmt.Errorf("session: epoch %d graph hash mismatch (stamp %#x, worker %#x)", st.Epoch, st.GraphHash, gh)
+	case st.PartDigest != pd:
+		return fmt.Errorf("session: epoch %d partition digest mismatch (stamp %#x, worker %#x)", st.Epoch, st.PartDigest, pd)
+	case st.ValuesDigest != vd:
+		return fmt.Errorf("session: epoch %d values digest mismatch (stamp %#x, worker %#x)", st.Epoch, st.ValuesDigest, vd)
+	case !resumed && (st.Epoch != 0 || st.Changed != 0):
 		return fmt.Errorf("session: epoch-0 stamp claims epoch %d with %d changes", st.Epoch, st.Changed)
-	}
-	if err := w.verifyStamp(st, prevChain, w.m.Adjacency().Hash(), shard.PartitionDigest(w.assign), ValuesDigest(w.m.B())); err != nil {
-		return err
+	case !resumed && st.ChainDigest != ChainNext(0, gh, pd, vd): // epoch 0 extends the empty chain
+		return fmt.Errorf("session: epoch 0 chain digest mismatch (stamp %#x, worker %#x)", st.ChainDigest, ChainNext(0, gh, pd, vd))
 	}
 	w.epoch, w.chain = st.Epoch, st.ChainDigest
-	return w.echoStamp(st)
+	return w.c.Send(net.RecValuesDigest, codec.AppendStamp(nil, st))
 }
 
 // epochStep advances one epoch from a DeltaPush body.
@@ -217,88 +219,29 @@ func (w *WorkerState) epochStep(body []byte) error {
 	adj := w.m.Adjacency()
 	rb := w.trace.Begin(obs.PhaseRebalance, epoch, w.shard)
 	w.moves = w.part.Rebalance(adj, w.p, w.assign, shard.Frontier(d), budget, w.moves)
-	shard.ApplyMoves(w.next, w.moves)
+	shard.ApplyMoves(w.assign, w.moves)
 	rb.End()
 
-	// The change set is the repair's own round-T moved list (for the stamp's
-	// count); this worker ships its slice of it under the POST-rebalance
-	// ownership.
+	// The change set is the repair's own round-T moved list (the stamp's
+	// count); this worker ships its slice of it under the post-rebalance
+	// ownership, behind the stamp it arrived at. It commits as it sends: a
+	// stamp the coordinator does not share breaks the session, so there is
+	// nothing to roll back to.
 	cur, moved := w.m.B(), w.m.Moved()
 	var own []ValueChange
 	for _, mv := range moved {
-		if w.next[mv.Node] == w.shard {
+		if w.assign[mv.Node] == w.shard {
 			own = append(own, ValueChange{Node: mv.Node, OldBits: math.Float64bits(mv.Old), NewBits: math.Float64bits(cur[mv.Node])})
 		}
 	}
-	changed := len(moved)
-	gh, pd := adj.Hash(), shard.PartitionDigest(w.next)
-	rec := AppendReconverge(nil, Reconverge{Epoch: epoch, GraphHash: gh, PartDigest: pd, Changes: own})
-	if err := w.c.Send(net.RecReconverge, rec); err != nil {
-		return err
-	}
-
-	// Mid-epoch the coordinator owes us a stamp promptly: deadline-armed read.
-	typ, sb, err := w.c.ReadRecord()
-	if err != nil {
-		return fmt.Errorf("session: worker awaiting epoch %d stamp: %w", epoch, err)
-	}
-	if typ == net.RecBye {
-		return fmt.Errorf("session: coordinator said goodbye mid-epoch %d", epoch)
-	}
-	if typ != net.RecValuesDigest {
-		return fmt.Errorf("session: expected epoch %d stamp, got record type %d", epoch, typ)
-	}
-	st, _, err := codec.DecodeStamp(sb)
-	if err != nil {
-		return err
-	}
-	if st.Epoch != epoch {
-		return fmt.Errorf("session: stamp seals epoch %d, worker at %d", st.Epoch, epoch)
-	}
-	if st.Changed != changed {
-		return fmt.Errorf("session: epoch %d stamp counts %d changes, oracle saw %d", epoch, st.Changed, changed)
-	}
-	if err := w.verifyStamp(st, &w.chain, gh, pd, ValuesDigest(cur)); err != nil {
-		return err
-	}
-	if err := w.echoStamp(st); err != nil {
-		return err
-	}
-
-	// Commit: the epoch is sealed on both sides.
-	shard.ApplyMoves(w.assign, w.moves)
-	w.epoch, w.chain = epoch, st.ChainDigest
-	return nil
+	gh, pd, vd := adj.Hash(), shard.PartitionDigest(w.assign), ValuesDigest(cur)
+	w.epoch, w.chain = epoch, ChainNext(w.chain, gh, pd, vd)
+	st := codec.Stamp{Epoch: epoch, GraphHash: gh, PartDigest: pd, ValuesDigest: vd, ChainDigest: w.chain, Changed: len(moved)}
+	return w.c.Send(net.RecReconverge, AppendReconverge(nil, Reconverge{Stamp: st, Changes: own}))
 }
 
-// verifyStamp checks a stamp's digests against locally derived state — and,
-// unless prevChain is nil, its chain digest against the extension of
-// *prevChain — and advances nothing.
-func (w *WorkerState) verifyStamp(st codec.Stamp, prevChain *uint64, gh, pd, vd uint64) error {
-	switch {
-	case st.GraphHash != gh:
-		return fmt.Errorf("session: epoch %d graph hash mismatch (stamp %#x, worker %#x)", st.Epoch, st.GraphHash, gh)
-	case st.PartDigest != pd:
-		return fmt.Errorf("session: epoch %d partition digest mismatch (stamp %#x, worker %#x)", st.Epoch, st.PartDigest, pd)
-	case st.ValuesDigest != vd:
-		return fmt.Errorf("session: epoch %d values digest mismatch (stamp %#x, worker %#x)", st.Epoch, st.ValuesDigest, vd)
-	}
-	if prevChain == nil {
-		return nil
-	}
-	if chain := ChainNext(*prevChain, gh, pd, vd); st.ChainDigest != chain {
-		return fmt.Errorf("session: epoch %d chain digest mismatch (stamp %#x, worker %#x)", st.Epoch, st.ChainDigest, chain)
-	}
-	return nil
-}
-
-// echoStamp returns the verified stamp to the coordinator.
-func (w *WorkerState) echoStamp(st codec.Stamp) error {
-	return w.c.Send(net.RecValuesDigest, codec.AppendStamp(nil, st))
-}
-
-// Epoch returns the last sealed epoch.
+// Epoch returns the last committed epoch.
 func (w *WorkerState) Epoch() int { return w.epoch }
 
-// ChainDigest returns the chain digest of the last sealed epoch.
+// ChainDigest returns the chain digest of the last committed epoch.
 func (w *WorkerState) ChainDigest() uint64 { return w.chain }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"distkcore/internal/codec"
 	"distkcore/internal/core"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
@@ -21,12 +22,10 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 		{U: 1 << 20, V: 2, W: math.Inf(1)}, // codec is value-agnostic; validation is Apply's job
 	}}
 	enc := AppendDelta(nil, 17, d)
-	budget, got, n, err := DecodeDelta(enc)
-	if err != nil {
+	dec := codec.NewDecoder(enc)
+	budget, got := DecodeDelta(dec)
+	if err := dec.Finish(); err != nil {
 		t.Fatal(err)
-	}
-	if n != len(enc) {
-		t.Fatalf("decoded %d of %d bytes", n, len(enc))
 	}
 	if budget != 17 {
 		t.Fatalf("budget %d, want 17", budget)
@@ -37,10 +36,12 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	if got.Digest() != d.Digest() {
 		t.Fatal("digest changed across the round trip")
 	}
-	// Trailing bytes are left for the caller (n says where the delta ends).
-	budget2, got2, n2, err := DecodeDelta(append(enc, 0xAA, 0xBB))
-	if err != nil || budget2 != 17 || n2 != len(enc) || !reflect.DeepEqual(got2.Ops, d.Ops) {
-		t.Fatalf("decode with trailing bytes: budget=%d n=%d err=%v", budget2, n2, err)
+	// Trailing bytes are left for the caller (the decoder stops where the
+	// delta ends).
+	dec = codec.NewDecoder(append(enc, 0xAA, 0xBB))
+	budget2, got2 := DecodeDelta(dec)
+	if budget2 != 17 || dec.Rest() != 2 || !reflect.DeepEqual(got2.Ops, d.Ops) {
+		t.Fatalf("decode with trailing bytes: budget=%d rest=%d", budget2, dec.Rest())
 	}
 }
 
@@ -48,12 +49,17 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 // point, hostile count and unknown tag must come back as an error — never
 // a panic, never a huge allocation.
 func TestDeltaDecodeHostileInputs(t *testing.T) {
+	decodeErr := func(src []byte) error {
+		d := codec.NewDecoder(src)
+		DecodeDelta(d)
+		return d.Finish()
+	}
 	good := AppendDelta(nil, 3, dist.GraphDelta{Ops: []dist.EdgeOp{
 		{U: 200, V: 1, W: 2.5}, {Del: true, U: 1, V: 200},
 	}})
 	// Every strict prefix is truncated somewhere.
 	for cut := 0; cut < len(good); cut++ {
-		if _, _, _, err := DecodeDelta(good[:cut]); err == nil {
+		if err := decodeErr(good[:cut]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(good))
 		}
 	}
@@ -65,7 +71,7 @@ func TestDeltaDecodeHostileInputs(t *testing.T) {
 		"non-terminated uvarint": {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
 	}
 	for name, src := range hostile {
-		if _, _, _, err := DecodeDelta(src); err == nil {
+		if err := decodeErr(src); err == nil {
 			t.Errorf("%s: hostile input decoded without error", name)
 		}
 	}
@@ -73,7 +79,7 @@ func TestDeltaDecodeHostileInputs(t *testing.T) {
 	// guard caps at len/3, so this must not OOM regardless of the claimed
 	// 2^28 ops.
 	lying := []byte{0, 0x80, 0x80, 0x80, 0x80, 0x01, 0, 1, 2}
-	if _, _, _, err := DecodeDelta(lying); err == nil {
+	if err := decodeErr(lying); err == nil {
 		t.Error("lying count decoded without error")
 	}
 }

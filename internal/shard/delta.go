@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"distkcore/internal/codec"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
 )
@@ -46,59 +47,33 @@ func AppendDelta(dst []byte, moveBudget int, d dist.GraphDelta) []byte {
 	return dst
 }
 
-// DecodeDelta reads one delta encoding and returns the move budget, the
-// delta and the number of bytes consumed. Like the rest of the frame codec
-// it runs on bytes straight off a socket, so hostile lengths fail cleanly
-// (before any count-sized allocation) instead of panicking.
-func DecodeDelta(src []byte) (moveBudget int, d dist.GraphDelta, n int, err error) {
-	b, k := binary.Uvarint(src)
-	if k <= 0 {
-		return 0, d, 0, fmt.Errorf("shard: truncated delta (budget)")
-	}
-	n += k
-	cnt, k := binary.Uvarint(src[n:])
-	if k <= 0 {
-		return 0, d, 0, fmt.Errorf("shard: truncated delta (count)")
-	}
-	n += k
+// DecodeDelta reads one delta encoding off d: the move budget and the delta.
+// Like the rest of the frame codec it runs on bytes straight off a socket, so
+// a truncation, an overlong uvarint, an unknown tag or a hostile count latches
+// d's error (before any count-sized allocation) instead of panicking; what
+// reads cleanly re-encodes to the bytes it came from.
+func DecodeDelta(d *codec.Decoder) (moveBudget int, gd dist.GraphDelta) {
+	moveBudget = int(d.Uvarint())
+	cnt := d.Uvarint()
 	// Every op occupies at least 3 bytes (tag + two 1-byte uvarints), so a
-	// count beyond len(src)/3 is a lie about bytes that cannot be there.
-	if cnt > uint64(len(src[n:]))/3 {
-		return 0, d, 0, fmt.Errorf("shard: delta count %d exceeds payload", cnt)
+	// count beyond the rest/3 is a lie about bytes that cannot be there.
+	if cnt > uint64(d.Rest())/3 {
+		d.Fail(fmt.Errorf("delta count %d exceeds payload", cnt))
+		return 0, gd
 	}
-	d.Ops = make([]dist.EdgeOp, 0, cnt)
+	gd.Ops = make([]dist.EdgeOp, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
-		if n >= len(src) {
-			return 0, dist.GraphDelta{}, 0, fmt.Errorf("shard: truncated delta op %d (tag)", i)
-		}
-		tag := src[n]
-		n++
+		tag := d.Byte()
 		if tag&^deltaTagDel != 0 {
-			return 0, dist.GraphDelta{}, 0, fmt.Errorf("shard: delta op %d carries unknown tag bits %#x", i, tag)
+			d.Fail(fmt.Errorf("delta op %d carries unknown tag bits %#x", i, tag))
 		}
-		var op dist.EdgeOp
-		op.Del = tag&deltaTagDel != 0
-		u, k := binary.Uvarint(src[n:])
-		if k <= 0 {
-			return 0, dist.GraphDelta{}, 0, fmt.Errorf("shard: truncated delta op %d (u)", i)
-		}
-		n += k
-		v, k := binary.Uvarint(src[n:])
-		if k <= 0 {
-			return 0, dist.GraphDelta{}, 0, fmt.Errorf("shard: truncated delta op %d (v)", i)
-		}
-		n += k
-		op.U, op.V = graph.NodeID(u), graph.NodeID(v)
+		op := dist.EdgeOp{Del: tag&deltaTagDel != 0, U: graph.NodeID(d.Uvarint()), V: graph.NodeID(d.Uvarint())}
 		if !op.Del {
-			if len(src[n:]) < 8 {
-				return 0, dist.GraphDelta{}, 0, fmt.Errorf("shard: truncated delta op %d (weight)", i)
-			}
-			op.W = math.Float64frombits(binary.LittleEndian.Uint64(src[n:]))
-			n += 8
+			op.W = math.Float64frombits(d.U64())
 		}
-		d.Ops = append(d.Ops, op)
+		gd.Ops = append(gd.Ops, op)
 	}
-	return int(b), d, n, nil
+	return moveBudget, gd
 }
 
 // Frontier returns the change frontier of a delta: the distinct endpoints

@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
+	"distkcore/internal/codec"
 	"distkcore/internal/dist"
 	"distkcore/internal/quantize"
 )
@@ -56,32 +58,22 @@ func FuzzDecodeMessage(f *testing.F) {
 }
 
 // FuzzDecodeDelta is the same contract for the churn-batch decoder: no
-// panic, no over-consumption, no count-driven allocation beyond the
-// payload, and whatever decodes re-encodes to an identical batch (same
-// digest — the value every session digest chain hangs off).
+// panic, no count-driven allocation beyond the payload, and whatever decodes
+// re-encodes to the very bytes it came from — so one batch has one encoding,
+// and the digest every session chain hangs off cannot differ between two
+// spellings of it.
 func FuzzDecodeDelta(f *testing.F) {
 	f.Add(AppendDelta(nil, 4, dist.GraphDelta{Ops: []dist.EdgeOp{{U: 1, V: 2, W: 1}, {Del: true, U: 2, V: 3}}}))
 	f.Add(AppendDelta(nil, 0, dist.GraphDelta{}))
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // hostile count
 	f.Fuzz(func(t *testing.T, data []byte) {
-		budget, d, n, err := DecodeDelta(data)
-		if err != nil {
+		dec := codec.NewDecoder(data)
+		budget, d := DecodeDelta(dec)
+		if dec.Finish() != nil {
 			return
 		}
-		if n > len(data) {
-			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
-		}
-		enc := AppendDelta(nil, budget, d)
-		budget2, d2, n2, err := DecodeDelta(enc)
-		if err != nil {
-			t.Fatalf("re-decode of a re-encoded delta failed: %v", err)
-		}
-		if n2 != len(enc) || budget2 != budget || len(d2.Ops) != len(d.Ops) {
-			t.Fatalf("delta shape changed across a round trip: budget %d→%d, ops %d→%d, consumed %d of %d",
-				budget, budget2, len(d.Ops), len(d2.Ops), n2, len(enc))
-		}
-		if d2.Digest() != d.Digest() {
-			t.Fatalf("delta digest changed across a round trip: %#x vs %#x", d.Digest(), d2.Digest())
+		if enc := AppendDelta(nil, budget, d); !bytes.Equal(enc, data) {
+			t.Fatalf("delta re-encodes to %x, decoded from %x", enc, data)
 		}
 	})
 }
