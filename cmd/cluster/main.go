@@ -26,13 +26,12 @@
 // authentication or encryption: keep it on localhost or a trusted link.
 //
 // With -stream (unix sockets only) round frames travel directly
-// worker↔worker over a mesh of data sockets at <control path>.mesh —
-// full mesh for small clusters, hypercube relay above the threshold — and
-// the peers' end markers close a round, while the coordinator shrinks to a
-// digest-matrix verifier that follows behind (DESIGN.md §8.4, §14). The
+// worker↔worker over a full mesh of data sockets at <control path>.mesh,
+// and the peers' end markers close a round, while the coordinator shrinks to
+// a digest-matrix verifier that follows behind (DESIGN.md §8.4, §14). The
 // execution, ledger included, stays byte-identical. -recover streams (it
-// implies -stream): the senders on the full mesh retain their flows, and a
-// dead worker is re-exec'd and runs again on them. A worker keeps its mesh
+// implies -stream): the senders on the mesh retain their flows, and a dead
+// worker is re-exec'd and runs again on them. A worker keeps its mesh
 // until the coordinator hangs up, which it does before it reaps them.
 package main
 
@@ -385,18 +384,13 @@ func runCoord(args []string) {
 		fmt.Printf("  cluster: cut=%.3f crossMsgs=%d frameBytes=%d maxShardBytes=%d\n",
 			sm.EdgeCutFraction, sm.CrossMessages, sm.CrossFrameBytes, sm.MaxShardBytes)
 		if *stream && len(rep.StreamWire) > 0 {
-			var tot, max, relayed, chunks int64
+			var tot, busiest, chunks int64
 			for _, sw := range rep.StreamWire {
-				v := sw.Sent + sw.Relayed
-				tot += v
-				relayed += sw.Relayed
+				tot += sw.Sent
 				chunks += sw.Chunks
-				if v > max {
-					max = v
-				}
+				busiest = max(busiest, sw.Sent)
 			}
-			fmt.Printf("  stream: per-worker wire max=%d total=%d relayed=%d chunks=%d\n",
-				max, tot, relayed, chunks)
+			fmt.Printf("  stream: per-worker wire max=%d total=%d chunks=%d\n", busiest, tot, chunks)
 		}
 
 		verified := false

@@ -201,10 +201,11 @@ func TestCitedTestsExist(t *testing.T) {
 // simulator with its own program, context and per-peer table (the
 // asynchronous elimination is a Program on the round engines), E12's copy of
 // Updater, the facade's worker-count constructor, the relay's replay of a
-// recovered run (its record, codec, trace phase and state) and the session's
-// resume record are gone; nothing may cite them again. The archive
-// (CHANGES.md), the plan documents and the frozen benchmark directory may
-// name them.
+// recovered run (its record, codec, trace phase and state), the session's
+// resume record and the hypercube mesh topology (its hello byte, its
+// threshold knobs, its neighbor and hop rules) are gone; nothing may cite
+// them again. The archive (CHANGES.md), the plan documents and the frozen
+// benchmark directory may name them.
 func TestRetiredNamesStayRetired(t *testing.T) {
 	retired := []string{"BENCH_PR", "cmd/bench", "prodn", "DKC_PERF_SMOKE", "DelayFunc", "ModelDelay",
 		"Fusible", "RoundFusionSafe", "FusedRanges", "ghost program",
@@ -215,7 +216,9 @@ func TestRetiredNamesStayRetired(t *testing.T) {
 		"AsyncProgram", "AsyncCtx", "AsyncFactory", "AsyncMetrics", "eventQueue", "PeerTable",
 		"asyncElimination", "UnstableUpdater", "RunAblatedTieBreak", "ParallelWorkers",
 		"recReplay", "codec.Replay", "AppendReplay", "DecodeReplay", "PhaseReplay", "replayLeft",
-		"relayCoord.hist", "workerLoop.replay", "RecEpochResume"}
+		"relayCoord.hist", "workerLoop.replay", "RecEpochResume",
+		"MeshCube", "MeshFull", "MeshKind", "MeshThreshold", "meshHop", "meshKindFor", "meshNeighbors",
+		"defaultMeshThreshold"}
 	exempt := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "docs_test.go": true}
 	walkRepo(t, func(path string) {
 		if exempt[path] || strings.HasPrefix(path, "benchmark/") {

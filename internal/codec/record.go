@@ -104,34 +104,18 @@ type Hello struct {
 	// streaming over a mesh of data connections (DESIGN.md §14); the
 	// coordinator then acts only as a round barrier and digest verifier.
 	Stream bool
-	// MeshKind selects the mesh topology when Stream is set: MeshFull or
-	// MeshCube. Every worker must agree (relay routing depends on it), so
-	// the coordinator decides and the hello pins it.
-	MeshKind byte
 	// MeshSpec names the workers' mesh listen addresses (comma-joined,
 	// indexed by shard) for multi-process clusters; empty in-process, where
 	// the engine wires the mesh through an in-memory broker.
 	MeshSpec string
 }
 
-// Mesh topologies a streamed hello can pin (DESIGN.md §14).
-const (
-	// MeshFull is a full mesh: every worker holds a data connection to
-	// every other worker, one hop per flow.
-	MeshFull = byte(0)
-	// MeshCube is a hypercube: workers connect to their log2(P) bit
-	// neighbors and relay flows dimension-ordered (e-cube), so the per-
-	// worker connection count stays logarithmic at large P. Requires P to
-	// be a power of two.
-	MeshCube = byte(1)
-)
-
 // HandshakeVersion is the protocol version stamped into Hello and Welcome;
 // both sides reject a peer speaking any other version. Version 2 added
 // DeltaDigest and the delta record of the churn protocol (DESIGN.md §9);
 // version 3 added Hello.Recover and the records of the crash-recovery
 // protocol (DESIGN.md §13); version 4 added the streamed delivery fields
-// (Stream, MeshKind, MeshSpec) and the mesh record types of DESIGN.md §14; version 5 changed the frame entry layout (tag
+// (Stream, a mesh-kind byte, MeshSpec) and the mesh record types of DESIGN.md §14; version 5 changed the frame entry layout (tag
 // ahead of the receiver) and added the broadcast entry (DESIGN.md §6);
 // version 6 changed what a session stamp's graph field digests — the rolling
 // edge-multiset hash (graph.EdgeSetHash), no longer graph.Fingerprint — with
@@ -150,8 +134,11 @@ const (
 // session worker is re-admitted on the stamp record, the epoch-resume record
 // (22) gone with it (DESIGN.md §13); version 11 made a session epoch one
 // exchange — a reconverge opens with the whole stamp its worker arrived at,
-// and the per-epoch stamp broadcast and echo are gone (DESIGN.md §10.2).
-const HandshakeVersion = 11
+// and the per-epoch stamp broadcast and echo are gone (DESIGN.md §10.2);
+// version 12 made the full mesh the one topology — the hello's mesh-kind byte
+// is gone, and a mesh record's sender is the link it arrived on (DESIGN.md
+// §14).
+const HandshakeVersion = 12
 
 // AppendHello appends the wire encoding of h to dst.
 func AppendHello(dst []byte, h Hello) []byte {
@@ -170,7 +157,6 @@ func AppendHello(dst []byte, h Hello) []byte {
 	dst = appendBool(dst, h.WantValues)
 	dst = appendBool(dst, h.Recover)
 	dst = appendBool(dst, h.Stream)
-	dst = append(dst, h.MeshKind)
 	return appendString(dst, h.MeshSpec)
 }
 
@@ -193,7 +179,6 @@ func DecodeHello(src []byte) (Hello, int, error) {
 	h.WantValues = d.Bool()
 	h.Recover = d.Bool()
 	h.Stream = d.Bool()
-	h.MeshKind = d.Byte()
 	h.MeshSpec = d.Str()
 	if d.err != nil {
 		return Hello{}, 0, fmt.Errorf("codec: bad hello record: %w", d.err)

@@ -176,15 +176,17 @@ func DecodeStreamDone(src []byte) (StreamDone, int, error) {
 
 // StreamWire is one worker's cumulative wire-level accounting of the mesh:
 // the bytes of the records it originated (chunks, end markers, stand-alone
-// credits — Credits counts those; most credits ride the end markers),
-// received as final destination, and forwarded as a relay hop, plus its
-// originated chunk and credit counts. It is observability, not protocol —
-// the deterministic ledger prices logical frame bytes; this measures what
-// the mesh actually moved, which is the quantity that must stay ~flat per
-// worker as P grows.
+// credits — Credits counts those; most credits ride the end markers) and
+// received, plus its originated chunk and credit counts. It is
+// observability, not protocol — the deterministic ledger prices logical frame
+// bytes; this measures what the mesh actually moved, which is the quantity
+// that must stay ~flat per worker as P grows.
 type StreamWire struct {
-	Sent    int64
-	Recv    int64
+	Sent int64
+	Recv int64
+	// Relayed is always 0: the mesh is full and forwards nothing. The field
+	// stays on the wire for the benchmark's net.relayed_mb_per_op row until
+	// ROADMAP item 9a retires both.
 	Relayed int64
 	Chunks  int64
 	Credits int64

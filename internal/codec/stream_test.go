@@ -89,7 +89,7 @@ func TestHelloStreamFieldsRoundTrip(t *testing.T) {
 	h := Hello{
 		Version: HandshakeVersion, P: 8, Shard: 3, MaxRounds: 40,
 		GraphHash: 1, PartDigest: 2,
-		Stream: true, MeshKind: MeshCube,
+		Stream:   true,
 		MeshSpec: "/tmp/w0.sock.mesh,/tmp/w1.sock.mesh",
 	}
 	enc := AppendHello(nil, h)

@@ -378,8 +378,6 @@ func TestEnginesMatchDeliveryOracle(t *testing.T) {
 		e.Stream = true
 		return e
 	}
-	cube := streamed(4, shard.Hash{})
-	cube.MeshThreshold = 4 // hypercube: 0↔3 and 1↔2 relay through a third worker
 	// recov loses worker 1 once it has delivered the run's first mixed round.
 	recov := &recoverEngine{}
 	engines := []struct {
@@ -393,7 +391,7 @@ func TestEnginesMatchDeliveryOracle(t *testing.T) {
 		{"net:pipe", net.NewEngine(3, shard.Hash{})},
 		{"net:pipe:stream", streamed(3, shard.Hash{})},
 		{"net:pipe:stream/greedy", streamed(3, shard.Greedy{})},
-		{"net:pipe:stream/cube", cube},
+		{"net:pipe:stream/p4", streamed(4, shard.Hash{})},
 		{"net:pipe:stream/recover", recov},
 	}
 	// The script never keeps an inbox, so it must read the same under the

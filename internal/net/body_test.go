@@ -43,7 +43,7 @@ func workerGets(t *testing.T, stream bool, typ byte, body []byte) error {
 		done <- err
 	}()
 	hello := codec.AppendHello(nil, codec.Hello{
-		Version: codec.HandshakeVersion, P: 1, MaxRounds: 3, Stream: stream, MeshKind: codec.MeshFull,
+		Version: codec.HandshakeVersion, P: 1, MaxRounds: 3, Stream: stream,
 		GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign),
 	})
 	if err := cc.Send(recHello, hello); err != nil {
@@ -93,7 +93,7 @@ func coordGets(t *testing.T, typ byte, body []byte) error {
 // a closed connection and no link — so the row's error is the decode's own.
 func meshGets(t *testing.T, body []byte) error {
 	t.Helper()
-	m := newMesh(meshConfig{Self: 0, P: 3, Kind: codec.MeshFull})
+	m := newMesh(meshConfig{Self: 0, P: 3})
 	defer m.Close()
 	a, b := stdnet.Pipe()
 	go func() { _ = NewConn(b).Send(recMeshHello, body) }()
@@ -108,6 +108,62 @@ func meshGets(t *testing.T, body []byte) error {
 		t.Fatalf("mesh-hello %x: link attached %v, decode error %v", body, attached, err)
 	}
 	return err
+}
+
+// meshLinkGets reads one record off a fresh P=3 mesh's link from worker 1,
+// as worker 0, and returns the error the mesh latched for it (nil if none).
+// The mesh is in no round yet, so an admitted record is buffered, not
+// delivered.
+func meshLinkGets(t *testing.T, typ byte, body []byte) error {
+	t.Helper()
+	m := newMesh(meshConfig{Self: 0, P: 3})
+	defer m.Close()
+	a, b := stdnet.Pipe()
+	l := &meshLink{c: NewConn(a)}
+	m.links[1] = l
+	go func() {
+		_ = NewConn(b).Send(typ, body)
+		b.Close()
+	}()
+	m.readLoop(1, l) // returns on the refusal or on the link's end
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.err
+}
+
+// A full mesh forwards nothing, so the link a mesh record arrived on names its
+// sender, and its destination is the reader's own worker: a chunk or an end
+// marker claiming another sender or another destination is refused, never
+// filed under the sender its bytes claim nor passed on.
+func TestMeshRecordsNameTheirLink(t *testing.T) {
+	chunk := func(src, dst int) []byte {
+		return append(codec.AppendPeerFrame(nil, codec.PeerFrame{Src: src, Dst: dst, Count: 1}),
+			shard.AppendMessage(nil, quantize.Reals{}, 0, dist.Message{From: 5, F0: 1})...)
+	}
+	end := func(src, dst int) []byte {
+		return codec.AppendWindow(nil, codec.Window{Kind: codec.WindowEnd, Src: src, Dst: dst, Chunks: 1, Msgs: 1})
+	}
+	for _, tc := range []struct {
+		name     string
+		typ      byte
+		body     []byte
+		accepted bool
+	}{
+		{"chunk from the link's peer", recPeerFrame, chunk(1, 0), true},
+		{"end marker from the link's peer", recWindow, end(1, 0), true},
+		{"chunk claiming another sender", recPeerFrame, chunk(2, 0), false},
+		{"chunk for another destination", recPeerFrame, chunk(1, 2), false},
+		{"end marker claiming another sender", recWindow, end(2, 0), false},
+		{"end marker for another destination", recWindow, end(1, 2), false},
+	} {
+		err := meshLinkGets(t, tc.typ, tc.body)
+		switch {
+		case tc.accepted && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case !tc.accepted && (err == nil || !strings.Contains(err.Error(), "on the link from 1 to 0")):
+			t.Errorf("%s: %v, want a refusal naming the link from 1 to 0", tc.name, err)
+		}
+	}
 }
 
 // Every run record whose body is decoded in place — no codec type of its own

@@ -56,11 +56,6 @@ type Spec struct {
 	// endpoints (Worker.MeshDial et al., or cmd/cluster's mesh listeners via
 	// MeshSpec).
 	Stream bool
-	// MeshThreshold is the P at or above which a streamed run uses the
-	// hypercube relay topology instead of the full mesh (power-of-two P
-	// only; ≤ 0 means the default of 16). Recovery forces the full mesh —
-	// resends need a direct path that a relay hop's death cannot sever.
-	MeshThreshold int
 	// MeshSpec names the workers' mesh listen addresses for multi-process
 	// streamed runs (comma-joined, indexed by shard); empty in-process.
 	MeshSpec string
@@ -283,7 +278,7 @@ func (c *coordinator) sendRestoring(i, t int, send func(w int) error) (restarted
 func (c *coordinator) restart(w, t int) error {
 	sp := c.spec.Trace.Begin(obs.PhaseRecover, t, w)
 	defer sp.End()
-	if _, _, err := c.hub.Respawn(w, c.spec.Respawn); err != nil {
+	if _, err := c.hub.Respawn(w, c.spec.Respawn); err != nil {
 		return err
 	}
 	if err := c.hub.Send(w, recHello, c.hellos[w]); err != nil {
@@ -341,7 +336,6 @@ func (c *coordinator) run() (dist.Metrics, error) {
 			WantValues: c.spec.WantValues,
 			Recover:    c.spec.Recover,
 			Stream:     c.spec.Stream,
-			MeshKind:   meshKindFor(p, c.spec.MeshThreshold, c.spec.Recover),
 			MeshSpec:   c.spec.MeshSpec,
 		})
 		if err := c.hub.Send(i, recHello, c.hellos[i]); err != nil {

@@ -53,10 +53,6 @@ type Engine struct {
 	// coordinator verifies behind. Results stay byte-identical to every other
 	// engine's.
 	Stream bool
-	// MeshThreshold is the P at or above which a streamed run relays over
-	// a hypercube instead of the full mesh (≤ 0 means the default of 16;
-	// power-of-two P only, and recovery forces the full mesh).
-	MeshThreshold int
 	// ChunkBytes overrides the streaming chunk flush threshold (≤ 0 means
 	// shard.DefaultChunkBytes). Tests shrink it to force multi-chunk flows.
 	ChunkBytes int
@@ -174,13 +170,12 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 		panic("net: " + err.Error())
 	}
 	met, rep, err := cl.Run(Spec{
-		MaxRounds:     maxRounds,
-		Lam:           e.lam,
-		GraphHash:     g.Fingerprint(),
-		PartDigest:    shard.PartitionDigest(assign),
-		Recover:       e.Recover,
-		MeshThreshold: e.MeshThreshold,
-		Trace:         e.trace,
+		MaxRounds:  maxRounds,
+		Lam:        e.lam,
+		GraphHash:  g.Fingerprint(),
+		PartDigest: shard.PartitionDigest(assign),
+		Recover:    e.Recover,
+		Trace:      e.trace,
 	}, body)
 	cl.Close()
 	if err != nil {

@@ -43,20 +43,14 @@ func netEngines(t *testing.T) map[string]*Engine {
 	}
 	// Streamed rows: the direct worker↔worker mesh must carry the identical
 	// execution. Tiny chunks force multi-chunk flows through the per-peer
-	// credit windows; the cube row drops the mesh threshold to 4 so P=4
-	// routes every frame through e-cube relay hops instead of direct links.
-	parts := []shard.Partitioner{shard.Hash{}, shard.Range{}, shard.Greedy{}}
-	for i, p := range []int{1, 2, 4} {
+	// credit windows.
+	parts := []shard.Partitioner{shard.Hash{}, shard.Range{}, shard.Greedy{}, shard.Hash{}}
+	for i, p := range []int{1, 2, 4, 4} {
 		e := NewEngine(p, parts[i])
 		e.Stream = true
 		e.ChunkBytes = 512
 		out[fmt.Sprintf("net:%d/%s/stream", p, parts[i].Name())] = e
 	}
-	cube := NewEngine(4, shard.Hash{})
-	cube.Stream = true
-	cube.ChunkBytes = 512
-	cube.MeshThreshold = 4
-	out["net:4/hash/stream-cube"] = cube
 	return out
 }
 

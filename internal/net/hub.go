@@ -256,21 +256,21 @@ func (h *Hub) Collect(owed []bool,
 }
 
 // Respawn swaps worker w's dead connection for a fresh incarnation obtained
-// from spawn and starts a reader for it, returning the connection and w's
-// new generation — the number of respawns it has had. The hub is the one
-// owner of that count: spawn is handed it, so the incarnation it starts can
-// carry it (streamed runs name the incarnation's mesh links by it). The dead
+// from spawn and starts a reader for it, returning w's new generation — the
+// number of respawns it has had. The hub is the one owner of that count:
+// spawn is handed it, so the incarnation it starts can carry it (streamed
+// runs name the incarnation's mesh links by it). The dead
 // connection is closed (releasing its descriptor and unparking its reader);
 // records still in flight from it are dropped by generation. A worker past
 // maxRecoveries respawns fails instead.
-func (h *Hub) Respawn(w int, spawn func(shard, gen int) (*Conn, error)) (*Conn, int, error) {
+func (h *Hub) Respawn(w int, spawn func(shard, gen int) (*Conn, error)) (gen int, err error) {
 	if h.gens[w] >= maxRecoveries {
-		return nil, 0, fmt.Errorf("net: worker %d died %d times; giving up", w, h.gens[w]+1)
+		return 0, fmt.Errorf("net: worker %d died %d times; giving up", w, h.gens[w]+1)
 	}
-	gen := h.gens[w] + 1
+	gen = h.gens[w] + 1
 	cn, err := spawn(w, gen)
 	if err != nil {
-		return nil, 0, fmt.Errorf("net: respawning worker %d: %w", w, err)
+		return 0, fmt.Errorf("net: respawning worker %d: %w", w, err)
 	}
 	if h.Timeout > 0 {
 		cn.SetIOTimeout(h.Timeout)
@@ -278,5 +278,5 @@ func (h *Hub) Respawn(w int, spawn func(shard, gen int) (*Conn, error)) (*Conn, 
 	h.conns[w].Close()
 	h.gens[w], h.conns[w] = gen, cn
 	go h.reader(w, gen, cn)
-	return cn, gen, nil
+	return gen, nil
 }

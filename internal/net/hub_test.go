@@ -64,7 +64,7 @@ func TestHubDiscipline(t *testing.T) {
 			buffered(t, h, 1)
 			cc, wc := pipe()
 			defer wc.Close()
-			if _, gen, err := h.Respawn(0, func(int, int) (*Conn, error) { return cc, nil }); err != nil || gen != 1 {
+			if gen, err := h.Respawn(0, func(int, int) (*Conn, error) { return cc, nil }); err != nil || gen != 1 {
 				t.Fatalf("Respawn: generation %d, %v", gen, err)
 			}
 			buffered(t, h, 2) // the stale record and the old reader's terminal error
@@ -114,11 +114,11 @@ func TestHubDiscipline(t *testing.T) {
 				return cc, nil
 			}
 			for i := 1; i <= maxRecoveries; i++ {
-				if _, gen, err := h.Respawn(2, spawn); err != nil || gen != i || told != i {
+				if gen, err := h.Respawn(2, spawn); err != nil || gen != i || told != i {
 					t.Fatalf("recovery %d: generation %d (spawn told %d), %v", i, gen, told, err)
 				}
 			}
-			if _, _, err := h.Respawn(2, spawn); err == nil || !strings.Contains(err.Error(), "giving up") {
+			if _, err := h.Respawn(2, spawn); err == nil || !strings.Contains(err.Error(), "giving up") {
 				t.Fatalf("recovery %d: %v, want the cap error", maxRecoveries+1, err)
 			}
 		}},

@@ -3,7 +3,6 @@ package net
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"net"
 	"sync"
 	"time"
@@ -17,7 +16,11 @@ import (
 // coordinator connection to the records it verifies behind the workers. One
 // mesh lives inside each streamed Worker.
 //
-// Concurrency shape: per link, one reader goroutine (decode, relay-forward,
+// The mesh is full: every worker holds one link to every other, and a record
+// on the link to j is j's own, addressed to this worker — nothing is
+// forwarded, so a record claiming another sender or destination is refused.
+//
+// Concurrency shape: per link, one reader goroutine (decode, link check,
 // round-gate, credit) and one writer goroutine draining an ordered queue.
 // The writer goroutines are what keep the mesh deadlock-free on synchronous
 // transports (net.Pipe): a reader never writes a connection itself — it only
@@ -39,35 +42,6 @@ const peerFrameHeaderMax = 5 * binary.MaxVarintLen64
 // the round to turn.
 const defaultWindow = 8
 
-// meshNeighbors returns the sorted neighbor set of self in the topology.
-func meshNeighbors(kind byte, self, p int) []int {
-	var nb []int
-	if kind == codec.MeshCube {
-		for b := 0; 1<<b < p; b++ {
-			nb = append(nb, self^(1<<b))
-		}
-		return nb
-	}
-	for j := 0; j < p; j++ {
-		if j != self {
-			nb = append(nb, j)
-		}
-	}
-	return nb
-}
-
-// meshHop returns the neighbor self forwards traffic for dst to: dst itself
-// on a full mesh, the lowest-differing-bit neighbor (dimension-ordered
-// e-cube routing) on a hypercube. Every worker applying the same rule is
-// what makes each flow's path — and so its chunk order — deterministic.
-func meshHop(kind byte, self, dst int) int {
-	if kind == codec.MeshCube {
-		d := uint(self ^ dst)
-		return self ^ (1 << uint(bits.TrailingZeros(d)))
-	}
-	return dst
-}
-
 // outRec is one queued mesh write: a record type and its payload (without
 // the type byte; the writer passes both to Conn.WriteRecord).
 type outRec struct {
@@ -75,7 +49,7 @@ type outRec struct {
 	payload []byte
 }
 
-// meshLink is one attached neighbor connection plus its writer queue.
+// meshLink is one attached peer connection plus its writer queue.
 type meshLink struct {
 	c    *Conn
 	gen  int  // the peer's generation from its mesh hello; -1 dialed, older than any
@@ -90,7 +64,6 @@ type meshLink struct {
 type meshConfig struct {
 	Self    int
 	P       int
-	Kind    byte // codec.MeshFull | codec.MeshCube
 	Gen     int  // this incarnation's generation (0 initial, +1 per respawn)
 	Recover bool // retain every round sent, per destination, for a respawned peer
 	// Timeout bounds formation and a wait for credits; 0 waits forever.
@@ -153,7 +126,7 @@ type mesh struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	links []*meshLink // by neighbor id; nil until attached
+	links []*meshLink // by worker id; nil until attached, the own entry unused
 	peers []meshPeer  // by worker id; the own entry is unused
 	round int         // current receive/send round; -1 before the first
 	// pending counts the inbound flows of the round not yet ended.
@@ -205,16 +178,15 @@ func (m *mesh) Close() {
 	}
 }
 
-// form establishes the neighbor links: this worker dials every neighbor
-// with a lower id (a respawned incarnation dials all of them — its peers
-// hold dead connections), accepts the rest, and returns once every
-// neighbor is attached. The accept loop keeps running for the whole run, so
-// respawned peers can re-dial at any time.
+// form establishes the links: this worker dials every worker with a lower id
+// (a respawned incarnation dials all of them — its peers hold dead
+// connections), accepts the rest, and returns once every other worker is
+// attached. The accept loop keeps running for the whole run, so respawned
+// peers can re-dial at any time.
 func (m *mesh) form() error {
 	go m.acceptLoop()
-	nb := meshNeighbors(m.cfg.Kind, m.cfg.Self, m.cfg.P)
-	for _, j := range nb {
-		if m.cfg.Gen > 0 || j < m.cfg.Self {
+	for j := 0; j < m.cfg.P; j++ {
+		if j != m.cfg.Self && (m.cfg.Gen > 0 || j < m.cfg.Self) {
 			if err := m.dial(j); err != nil {
 				m.fail(err)
 				return err
@@ -224,8 +196,8 @@ func (m *mesh) form() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.wait(m.cfg.Timeout, "mesh formation timed out", func() bool {
-		for _, j := range nb {
-			if m.links[j] == nil {
+		for j, l := range m.links {
+			if l == nil && j != m.cfg.Self {
 				return false
 			}
 		}
@@ -287,7 +259,7 @@ func (m *mesh) handleAccepted(nc net.Conn) {
 	m.attach(src, gen, c)
 }
 
-// attach installs (or swaps in) the link to neighbor j and spawns its
+// attach installs (or swaps in) the link to worker j and spawns its
 // reader and writer. A link from a newer peer incarnation replaces an older
 // one; an older or duplicate hello is refused. Swapping resets the credit
 // window both ways and queues on the new link, ahead of anything live, every
@@ -367,19 +339,6 @@ func (m *mesh) wait(timeout time.Duration, stalled string, ready func() bool) er
 	}
 }
 
-// enqueueLocked queues one record on the link toward neighbor hop. Requires
-// m.mu. Records queued to a down link are dropped — under recovery attach
-// re-sends what was retained of them; without it the peer's death has already
-// doomed the run (linkDownLocked).
-func (m *mesh) enqueueLocked(hop int, typ byte, payload []byte) {
-	l := m.links[hop]
-	if l == nil || l.down {
-		return
-	}
-	l.q = append(l.q, outRec{typ: typ, payload: payload})
-	m.cond.Broadcast()
-}
-
 // writeLoop drains one link's queue. On a write error the link is marked
 // down (linkDownLocked decides what that means for the run).
 func (m *mesh) writeLoop(l *meshLink) {
@@ -450,25 +409,25 @@ func (m *mesh) readLoop(j int, l *meshLink) {
 			m.mu.Unlock()
 			return
 		}
-		if err := m.handleRecord(typ, body); err != nil {
+		if err := m.handleRecord(j, typ, body); err != nil {
 			m.fail(err)
 			return
 		}
 	}
 }
 
-func (m *mesh) handleRecord(typ byte, body []byte) error {
+// handleRecord decodes one record read off the link to worker j. The link is
+// its identity: a chunk or window record must name j as its sender and this
+// worker as its destination, whatever else its bytes say.
+func (m *mesh) handleRecord(j int, typ byte, body []byte) error {
 	switch typ {
 	case recPeerFrame:
 		pf, k, err := codec.DecodePeerFrame(body)
 		if err != nil {
 			return err
 		}
-		if pf.Src < 0 || pf.Src >= m.cfg.P || pf.Dst < 0 || pf.Dst >= m.cfg.P || pf.Src == pf.Dst {
-			return fmt.Errorf("net: mesh chunk with bad shard pair %d→%d", pf.Src, pf.Dst)
-		}
-		if pf.Dst != m.cfg.Self {
-			return m.relay(pf.Dst, typ, body)
+		if pf.Src != j || pf.Dst != m.cfg.Self {
+			return fmt.Errorf("net: mesh chunk %d→%d on the link from %d to %d", pf.Src, pf.Dst, j, m.cfg.Self)
 		}
 		return m.acceptChunk(pf, body, body[k:])
 	case recWindow:
@@ -476,28 +435,13 @@ func (m *mesh) handleRecord(typ byte, body []byte) error {
 		if err != nil {
 			return err
 		}
-		if wd.Src < 0 || wd.Src >= m.cfg.P || wd.Dst < 0 || wd.Dst >= m.cfg.P {
-			return fmt.Errorf("net: mesh window with bad shard pair %d→%d", wd.Src, wd.Dst)
-		}
-		if wd.Dst != m.cfg.Self {
-			return m.relay(wd.Dst, typ, body)
+		if wd.Src != j || wd.Dst != m.cfg.Self {
+			return fmt.Errorf("net: mesh window %d→%d on the link from %d to %d", wd.Src, wd.Dst, j, m.cfg.Self)
 		}
 		return m.acceptWindow(wd)
 	default:
 		return fmt.Errorf("net: unexpected mesh record type %d", typ)
 	}
-}
-
-// relay forwards a record addressed to another worker one hop further along
-// its e-cube path. The reader's buffer is reused, so the payload is copied.
-func (m *mesh) relay(dst int, typ byte, body []byte) error {
-	cp := make([]byte, len(body))
-	copy(cp, body)
-	m.mu.Lock()
-	m.wire.Relayed += int64(len(body) + 1)
-	m.enqueueLocked(meshHop(m.cfg.Kind, m.cfg.Self, dst), typ, cp)
-	m.mu.Unlock()
-	return nil
 }
 
 // acceptChunk routes one inbound chunk addressed to this worker: process it
@@ -654,7 +598,7 @@ func (m *mesh) beginRound(t int, onNewRound func()) error {
 // acquire a token (blocking until the receiver credits a slot — the IOTimeout
 // is the backstop against one that stays silent without dying), stamp the
 // next sequence number, fold the sender digest, retain under recovery, and
-// queue on the first hop. Called from the worker goroutine only.
+// queue on the link. Called from the worker goroutine only.
 func (m *mesh) sendChunk(dst int, body []byte, count int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -703,15 +647,22 @@ func (m *mesh) sendEnd(dst int, msgs, logicalBytes int64, alive int) (codec.Peer
 	return codec.PeerDigest{Peer: dst, Chunks: wd.Chunks, Msgs: msgs, Bytes: logicalBytes, Digest: wd.Digest}, nil
 }
 
-// queueLocked queues one record of this worker's own toward dst on the first
-// hop. The mesh keeps payload — a writer goroutine reads it after this
-// returns, and retained it may be re-sent rounds later — so chunk payloads, end
-// markers and credits are each allocated for the one record, never encoded in
-// a reused scratch the way the control plane's bodies are (Conn.WriteRecord
-// copies those before it returns; nothing here is copied again).
+// queueLocked queues one record toward dst on its link. The mesh keeps
+// payload — a writer goroutine reads it after this returns, and retained it
+// may be re-sent rounds later — so chunk payloads, end markers and credits are
+// each allocated for the one record, never encoded in a reused scratch the way
+// the control plane's bodies are (Conn.WriteRecord copies those before it
+// returns; nothing here is copied again). Records queued to a down link are
+// dropped — under recovery attach re-sends what was retained of them; without
+// it the peer's death has already doomed the run (linkDownLocked).
 func (m *mesh) queueLocked(dst int, typ byte, payload []byte) {
 	m.wire.Sent += int64(len(payload) + 1)
-	m.enqueueLocked(meshHop(m.cfg.Kind, m.cfg.Self, dst), typ, payload)
+	l := m.links[dst]
+	if l == nil || l.down {
+		return
+	}
+	l.q = append(l.q, outRec{typ: typ, payload: payload})
+	m.cond.Broadcast()
 }
 
 // waitComplete blocks until every inbound flow of the current round has ended

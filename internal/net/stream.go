@@ -38,21 +38,15 @@ type streamWorker struct {
 	fin     []byte
 }
 
-// newStreamWorker forms the mesh; it returns once every neighbor link is
-// attached.
+// newStreamWorker forms the mesh; it returns once the link to every other
+// worker is attached.
 func newStreamWorker(r *workerLoop) (*streamWorker, error) {
 	w, h := r.w, r.h
 	if w.MeshDial == nil || w.MeshAccept == nil {
 		return nil, fmt.Errorf("net: streamed hello but worker %d has no mesh endpoints", h.Shard)
 	}
-	if h.MeshKind != codec.MeshFull && h.MeshKind != codec.MeshCube {
-		return nil, fmt.Errorf("net: unknown mesh kind %d", h.MeshKind)
-	}
-	if h.MeshKind == codec.MeshCube && h.P&(h.P-1) != 0 {
-		return nil, fmt.Errorf("net: hypercube mesh needs a power-of-two P, got %d", h.P)
-	}
 	m := newMesh(meshConfig{
-		Self: h.Shard, P: h.P, Kind: h.MeshKind, Gen: w.MeshGen,
+		Self: h.Shard, P: h.P, Gen: w.MeshGen,
 		Recover: h.Recover, Timeout: w.IOTimeout,
 		Dial: w.MeshDial, Accept: w.MeshAccept, CloseAccept: w.MeshClose,
 		Deliver: r.absorb,
@@ -236,25 +230,6 @@ func (p *streamWorker) round(t int) (alive int, err error) {
 	p.m.mu.Unlock()
 	r.enc = codec.AppendStreamAck(r.enc[:0], codec.StreamAck{Round: t, Wire: wire, Recv: recv})
 	return own + peers, w.c.WriteRecord(recStreamAck, r.enc)
-}
-
-// defaultMeshThreshold is the P at or above which a streamed run (with
-// recovery off and a power-of-two P) switches from the full mesh to the
-// hypercube relay topology.
-const defaultMeshThreshold = 16
-
-// meshKindFor picks the mesh topology for a streamed run: the hypercube
-// needs a power-of-two P at or above the threshold, and recovery forces the
-// full mesh — a resend must have a direct path to the respawned worker that
-// no relay hop's own death can sever.
-func meshKindFor(p, threshold int, recov bool) byte {
-	if threshold <= 0 {
-		threshold = defaultMeshThreshold
-	}
-	if !recov && p >= threshold && p&(p-1) == 0 {
-		return codec.MeshCube
-	}
-	return codec.MeshFull
 }
 
 // streamCoord is the coordinator half: it verifies, a round at a time and

@@ -184,7 +184,7 @@ func (c *Coordinator) recoverThen(w int, cause error, then func() error) error {
 func (c *Coordinator) recoverWorker(w int) error {
 	sp := c.trace.Begin(obs.PhaseRecover, c.epoch, w)
 	defer sp.End()
-	if _, _, err := c.hub.Respawn(w, c.respawn); err != nil {
+	if _, err := c.hub.Respawn(w, c.respawn); err != nil {
 		return err
 	}
 	st := c.lastStamp

@@ -101,17 +101,16 @@ func TestPinnedEngineMetrics(t *testing.T) {
 		"par4": dist.ParEngine{W: 4},
 		"par8": dist.ParEngine{W: 8},
 		// The streamed worker↔worker mesh (PR 10) is pinned to the same
-		// captures: direct peer frame delivery — full mesh and forced
-		// hypercube relay alike — may not move a byte either.
-		"net2stream":     streamPinEngine(2, 0),
-		"net4streamcube": streamPinEngine(4, 4),
+		// captures: direct peer frame delivery may not move a byte either.
+		"net2stream": streamPinEngine(2),
+		"net4stream": streamPinEngine(4),
 	}
 	// The captures are engine-invariant by contract, so the net engine's
 	// and the explicit-worker-count pool's expected rows are the seq rows
 	// verbatim.
 	for _, w := range want[:len(want):len(want)] {
 		if w.engine == "seq" {
-			for _, eng := range []string{"net2greedy", "par4", "par8", "net2stream", "net4streamcube"} {
+			for _, eng := range []string{"net2greedy", "par4", "par8", "net2stream", "net4stream"} {
 				row := w
 				row.engine = eng
 				want = append(want, row)
@@ -143,12 +142,11 @@ func TestPinnedEngineMetrics(t *testing.T) {
 
 // streamPinEngine builds a streamed-mesh cluster engine for the pinned
 // matrix. A small chunk size forces multi-chunk flow control even on these
-// mid-size graphs; threshold 4 at P=4 forces the hypercube relay topology.
-func streamPinEngine(p, threshold int) *dnet.Engine {
+// mid-size graphs.
+func streamPinEngine(p int) *dnet.Engine {
 	e := dnet.NewEngine(p, shard.Greedy{})
 	e.Stream = true
 	e.ChunkBytes = 1024
-	e.MeshThreshold = threshold
 	return e
 }
 
