@@ -29,10 +29,10 @@
 // worker↔worker over a full mesh of data sockets at <control path>.mesh,
 // and the peers' end markers close a round, while the coordinator shrinks to
 // a digest-matrix verifier that follows behind (DESIGN.md §8.4, §14). The
-// execution, ledger included, stays byte-identical. -recover streams (it
-// implies -stream): the senders on the mesh retain their flows, and a dead
-// worker is re-exec'd and runs again on them. A worker keeps its mesh
-// until the coordinator hangs up, which it does before it reaps them.
+// execution, ledger included, stays byte-identical. The senders on the mesh
+// retain their flows, and with -spawn a dead worker is re-exec'd and runs
+// again on them (DESIGN.md §13); a relayed or -workers run fails on a death. A
+// worker keeps its mesh until the coordinator hangs up, before it reaps them.
 package main
 
 import (
@@ -83,7 +83,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   cluster worker -listen unix:/path.sock|tcp:host:port [-session]
-  cluster coord  (-workers addr,addr,... | -spawn P) -gen ba -n 10000 [-seed S] [-eps E | -T T] [-lambda L] [-part NAME] [-stream] [-recover] [-kill W:R] [-verify] [-json FILE] [-trace FILE]
+  cluster coord  (-workers addr,addr,... | -spawn P) -gen ba -n 10000 [-seed S] [-eps E | -T T] [-lambda L] [-part NAME] [-stream] [-kill W:R] [-verify] [-json FILE] [-trace FILE]
   cluster serve  (-workers addr,addr,... | -spawn P) -control unix:/path.sock -gen ba -n 10000 [-seed S] [-eps E | -T T] [-part NAME] [-trace FILE] [-debug-addr host:port]
   cluster push   -connect unix:/path.sock -gen ba -n 10000 [-seed S] [-eps E | -T T] -epochs E [-ops N] [-churnseed S] [-budget M] [-verify] [-shutdown]
   cluster sub    -connect unix:/path.sock -topics coreness:5,topk:3 [-count N]
@@ -261,8 +261,7 @@ func runCoord(args []string) {
 		lambda   = fs.Float64("lambda", 0, "quantize transmitted values to powers of (1+lambda); 0 means Λ = ℝ")
 		partN    = fs.String("part", "greedy", "partitioner: hash, range or greedy")
 		verify   = fs.Bool("verify", false, "run the sequential engine locally and demand byte-identical Metrics and values")
-		stream   = fs.Bool("stream", false, "stream round frames directly worker↔worker over a unix-socket mesh (DESIGN.md §14) instead of relaying every frame through the coordinator")
-		recov    = fs.Bool("recover", false, "arm crash recovery (DESIGN.md §13): streams (implies -stream), the senders retain the run's flows and a dead worker is re-exec'd and runs again on them instead of failing the run (requires -spawn)")
+		stream   = fs.Bool("stream", false, "stream round frames directly worker↔worker over a unix-socket mesh (DESIGN.md §14) instead of relaying every frame through the coordinator; with -spawn a dead worker is re-exec'd and runs again on its peers' retained flows (DESIGN.md §13)")
 		killSpec = fs.String("kill", "", "W:R — SIGKILL spawned worker W when its done record of round R reaches the coordinator (with -stream: wherever the free-running worker has got to by then), the fault-injection half of the recovery smoke (requires -spawn)")
 		jsonOut  = fs.String("json", "", "write a JSON run report to this file")
 		traceOut = fs.String("trace", "", cliutil.TraceUsage)
@@ -290,13 +289,15 @@ func runCoord(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	if (*recov || *killSpec != "") && *spawn <= 0 {
-		fatal(fmt.Errorf("-recover and -kill only work with -spawn (the coordinator must own the worker processes)"))
+	if *killSpec != "" && *spawn <= 0 {
+		fatal(fmt.Errorf("-kill only works with -spawn (the coordinator must own the worker processes)"))
 	}
-	*stream = *stream || *recov
 
+	// A streamed run over workers the coordinator spawned recovers: it can
+	// re-exec a dead one.
+	recoverable := *stream && *spawn > 0
 	var timeout time.Duration
-	if *recov {
+	if recoverable {
 		// Deadlines on every conn: a run that can survive deaths must detect
 		// them as timeouts, never block forever on one.
 		timeout = 30 * time.Second
@@ -356,9 +357,8 @@ func runCoord(args []string) {
 			Stream:     *stream,
 			MeshSpec:   meshSpec,
 			IOTimeout:  timeout,
-			Recover:    *recov,
 		}
-		if *recov {
+		if recoverable {
 			rspec.Respawn = f.respawn
 		}
 		start := time.Now()

@@ -202,9 +202,11 @@ func TestCitedTestsExist(t *testing.T) {
 // asynchronous elimination is a Program on the round engines), E12's copy of
 // Updater, the facade's worker-count constructor, the relay's replay of a
 // recovered run (its record, codec, trace phase and state), the session's
-// resume record and the hypercube mesh topology (its hello byte, its
-// threshold knobs, its neighbor and hop rules) are gone; nothing may cite
-// them again. The archive (CHANGES.md), the plan documents and the frozen
+// resume record, the hypercube mesh topology (its hello byte, its
+// threshold knobs, its neighbor and hop rules) and recovery as an opt-in mode
+// (its spec, engine, session and hello fields, the mesh's switch, the
+// engine's streamed-or-recovering test) are gone; nothing may cite them
+// again. The archive (CHANGES.md), the plan documents and the frozen
 // benchmark directory may name them.
 func TestRetiredNamesStayRetired(t *testing.T) {
 	retired := []string{"BENCH_PR", "cmd/bench", "prodn", "DKC_PERF_SMOKE", "DelayFunc", "ModelDelay",
@@ -218,7 +220,8 @@ func TestRetiredNamesStayRetired(t *testing.T) {
 		"recReplay", "codec.Replay", "AppendReplay", "DecodeReplay", "PhaseReplay", "replayLeft",
 		"relayCoord.hist", "workerLoop.replay", "RecEpochResume",
 		"MeshCube", "MeshFull", "MeshKind", "MeshThreshold", "meshHop", "meshKindFor", "meshNeighbors",
-		"defaultMeshThreshold"}
+		"defaultMeshThreshold",
+		"Spec.Recover", "Engine.Recover", "Options.Recover", "Hello.Recover", "cfg.Recover", "e.streamed"}
 	exempt := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "docs_test.go": true}
 	walkRepo(t, func(path string) {
 		if exempt[path] || strings.HasPrefix(path, "benchmark/") {

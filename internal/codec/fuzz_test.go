@@ -15,7 +15,7 @@ func FuzzDecodeHello(f *testing.F) {
 	f.Add(AppendHello(nil, Hello{Version: HandshakeVersion, P: 4, Shard: 2, MaxRounds: 23,
 		GraphHash: 0xfeedface, PartDigest: 0xdeadbeef, LamKind: LamPowerGrid, LamL: 0.1,
 		GraphSpec: "ba:2000:7", PartName: "greedy", ProtoSpec: "coreness:23", WantValues: true,
-		Recover: true, Stream: true, MeshSpec: "unix:/a.mesh,unix:/b.mesh"}))
+		Stream: true, MeshSpec: "unix:/a.mesh,unix:/b.mesh"}))
 	f.Add(AppendHello(nil, Hello{}))
 	f.Add([]byte{10, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // oversized uvarint
 	f.Fuzz(func(t *testing.T, data []byte) {

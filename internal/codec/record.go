@@ -95,13 +95,9 @@ type Hello struct {
 	PartName   string  // partitioner name, e.g. "greedy"
 	ProtoSpec  string  // e.g. "coreness:23"; empty in-process
 	WantValues bool    // ship per-node result values after the metrics record
-	// Recover arms crash recovery (DESIGN.md §13), which is the streamed
-	// plane's: the worker folds what it receives into a frame chain and
-	// retains what it sends on the mesh, so a respawned peer runs again from
-	// Init on it.
-	Recover bool
 	// Stream switches round delivery to direct worker↔worker frame
-	// streaming over a mesh of data connections (DESIGN.md §14); the
+	// streaming over a mesh of data connections (DESIGN.md §14), whose
+	// senders retain their flows for a respawned peer (DESIGN.md §13); the
 	// coordinator then acts only as a round barrier and digest verifier.
 	Stream bool
 	// MeshSpec names the workers' mesh listen addresses (comma-joined,
@@ -113,8 +109,8 @@ type Hello struct {
 // HandshakeVersion is the protocol version stamped into Hello and Welcome;
 // both sides reject a peer speaking any other version. Version 2 added
 // DeltaDigest and the delta record of the churn protocol (DESIGN.md §9);
-// version 3 added Hello.Recover and the records of the crash-recovery
-// protocol (DESIGN.md §13); version 4 added the streamed delivery fields
+// version 3 added the hello's recover byte and the crash-recovery records
+// (DESIGN.md §13); version 4 added the streamed delivery fields
 // (Stream, a mesh-kind byte, MeshSpec) and the mesh record types of DESIGN.md §14; version 5 changed the frame entry layout (tag
 // ahead of the receiver) and added the broadcast entry (DESIGN.md §6);
 // version 6 changed what a session stamp's graph field digests — the rolling
@@ -137,8 +133,10 @@ type Hello struct {
 // and the per-epoch stamp broadcast and echo are gone (DESIGN.md §10.2);
 // version 12 made the full mesh the one topology — the hello's mesh-kind byte
 // is gone, and a mesh record's sender is the link it arrived on (DESIGN.md
-// §14).
-const HandshakeVersion = 12
+// §14); version 13 made recovery the streamed plane's default — the hello's
+// recover byte is gone, and every streamed worker retains its flows and
+// reports the frame chain the coordinator checks (DESIGN.md §13).
+const HandshakeVersion = 13
 
 // AppendHello appends the wire encoding of h to dst.
 func AppendHello(dst []byte, h Hello) []byte {
@@ -155,7 +153,6 @@ func AppendHello(dst []byte, h Hello) []byte {
 	dst = appendString(dst, h.PartName)
 	dst = appendString(dst, h.ProtoSpec)
 	dst = appendBool(dst, h.WantValues)
-	dst = appendBool(dst, h.Recover)
 	dst = appendBool(dst, h.Stream)
 	return appendString(dst, h.MeshSpec)
 }
@@ -177,7 +174,6 @@ func DecodeHello(src []byte) (Hello, int, error) {
 	h.PartName = d.Str()
 	h.ProtoSpec = d.Str()
 	h.WantValues = d.Bool()
-	h.Recover = d.Bool()
 	h.Stream = d.Bool()
 	h.MeshSpec = d.Str()
 	if d.err != nil {

@@ -325,7 +325,7 @@ func (seamEngine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.
 	return met
 }
 
-// recoverEngine runs a streamed, recovery-armed net.Cluster of three workers
+// recoverEngine runs a streamed net.Cluster of three workers (which recovers)
 // whose links pass through a fault schedule (net.Cluster.Wrap, the way
 // internal/net's own fault tests drive one): worker 1 dies at the write that
 // carries its ack of round kill — delivered, nothing of the next round in —
@@ -354,7 +354,7 @@ func (e *recoverEngine) Run(g *graph.Graph, factory dist.Factory, maxRounds int)
 		panic(err)
 	}
 	defer cl.Close()
-	met, rep, err := cl.Run(net.Spec{MaxRounds: maxRounds, Recover: true,
+	met, rep, err := cl.Run(net.Spec{MaxRounds: maxRounds,
 		GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign)}, body)
 	if err != nil {
 		panic(err)

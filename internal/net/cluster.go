@@ -174,12 +174,12 @@ func (cl *Cluster) Respawn(shard, gen int, body Body) (*Conn, error) {
 }
 
 // Run drives one coordinated run over the cluster's hub (Hub.Run), filling
-// in what the bring-up already decided: the fan-out, the frame plane and,
-// when spec arms recovery, a respawn of body — the one Start was given, so a
+// in what the bring-up already decided: the fan-out, the frame plane and, on
+// a streamed cluster, a respawn of body — the one Start was given, so a
 // respawned incarnation runs the whole worker life again.
 func (cl *Cluster) Run(spec Spec, body Body) (dist.Metrics, *Report, error) {
 	spec.P, spec.Stream = cl.P, cl.Stream
-	if spec.Recover {
+	if cl.Stream {
 		spec.Respawn = func(s, gen int) (*Conn, error) { return cl.Respawn(s, gen, body) }
 	}
 	return cl.Hub.Run(spec)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"distkcore/internal/codec"
@@ -34,20 +35,16 @@ type Spec struct {
 	// error instead of hanging the coordinator forever (fail-fast, the
 	// deadline side of "determinism over availability").
 	IOTimeout time.Duration
-	// Recover arms crash recovery (DESIGN.md §13): the senders on the mesh
-	// retain every round's flows for the whole run, and a dead worker is
-	// respawned via Respawn and runs the run again from Init on them instead
-	// of failing it. Recovery is the streamed plane's: a spec that arms it
-	// without Stream is refused before any hello is written.
-	Recover bool
 	// Respawn produces a fresh connection to a restarted worker for the
 	// given shard: the in-process engine spawns a goroutine on a fresh
-	// pipe, cmd/cluster re-execs the worker binary on a fresh socket.
-	// Recovery requires it; a nil Respawn with Recover set fails the run on
-	// the first death, exactly as if recovery were off. gen is the hub's
-	// count of the shard's respawns, this one included: the new
-	// incarnation's mesh generation (Worker.MeshGen), which tells the peers
-	// its links from its predecessor's.
+	// pipe, cmd/cluster re-execs the worker binary on a fresh socket. A
+	// streamed run with a Respawn recovers (DESIGN.md §13): the senders on
+	// the mesh retain every round's flows for the whole run, and a dead
+	// worker is respawned and runs the run again from Init on them instead
+	// of failing it. With no Respawn, or on the relay plane, a death fails
+	// the run. gen is the hub's count of the shard's respawns, this one
+	// included: the new incarnation's mesh generation (Worker.MeshGen), which
+	// tells the peers its links from its predecessor's.
 	Respawn func(shard, gen int) (*Conn, error)
 	// Stream selects the streamed frame plane (DESIGN.md §8.4, §14):
 	// cross-shard messages flow worker↔worker over a mesh of data connections,
@@ -156,8 +153,8 @@ func (e *RunError) Unwrap() error { return e.Err }
 // availability. Any connection error, version skew, digest mismatch or
 // protocol violation aborts the whole run with an error (a *RunError once
 // the handshake is through) after best-effort error records to the
-// surviving workers; unless Spec.Recover is armed there is no retry,
-// reconnect or partial result. Spec.IOTimeout (or deadlines set on the
+// surviving workers; unless a streamed run has a Spec.Respawn there is no
+// retry, reconnect or partial result. Spec.IOTimeout (or deadlines set on the
 // conns) makes a dead worker fail fast instead of hanging the coordinator.
 // The caller owns the connections and closes them afterwards; together with
 // the hub teardown that releases channel-blocked readers, that terminates
@@ -179,9 +176,6 @@ func (h *Hub) Run(spec Spec) (dist.Metrics, *Report, error) {
 	if p == 0 || (spec.P != 0 && spec.P != p) {
 		return dist.Metrics{}, nil, fmt.Errorf("net: %d connections for P=%d", p, spec.P)
 	}
-	if spec.Recover && !spec.Stream {
-		return dist.Metrics{}, nil, fmt.Errorf("net: recovery runs on the streamed plane: Spec.Recover needs Spec.Stream")
-	}
 	if spec.IOTimeout > 0 && h.Timeout == 0 {
 		h.Timeout = spec.IOTimeout
 	}
@@ -196,14 +190,9 @@ func (h *Hub) Run(spec Spec) (dist.Metrics, *Report, error) {
 	if spec.Stream {
 		c.rep.StreamWire = make([]codec.StreamWire, p)
 		c.stream = &streamCoord{c: c, in: make([]int, p), seq: make([]int, p), owed: make([]bool, p), last: -1}
+		c.chains = slices.Repeat([]uint64{frameChainSeed}, p)
 	} else {
 		c.plane = &relayCoord{c: c}
-	}
-	if spec.Recover {
-		c.chains = make([]uint64, p)
-		for i := range c.chains {
-			c.chains[i] = frameChainSeed
-		}
 	}
 	met, err := c.run()
 	if err != nil {
@@ -234,12 +223,12 @@ type coordinator struct {
 
 	// chains[w] is the frame chain over everything sealed toward worker w so
 	// far — what w's own fold must read when it reports its metrics. Allocated
-	// when spec.Recover; nil otherwise.
+	// on a streamed run; nil on a relayed one.
 	chains []uint64
 }
 
 // recoverable reports whether worker death is survivable in this run.
-func (c *coordinator) recoverable() bool { return c.spec.Recover && c.spec.Respawn != nil }
+func (c *coordinator) recoverable() bool { return c.stream != nil && c.spec.Respawn != nil }
 
 // fail attributes a fatal fault to worker w (-1: nobody) at its position in
 // the round in flight; waiting is the position of the workers still owing a
@@ -255,7 +244,7 @@ func (c *coordinator) fail(w int, waiting obs.Phase, err error) error {
 }
 
 // sendRestoring has send write to worker i. A write that fails finds the
-// worker dead: with recovery armed it is restored (the death surfaced in round
+// worker dead: in a recoverable run it is restored (the death surfaced in round
 // t) and send runs again.
 func (c *coordinator) sendRestoring(i, t int, send func(w int) error) (restarted bool, err error) {
 	if err = send(i); err == nil || !c.recoverable() {
@@ -334,7 +323,6 @@ func (c *coordinator) run() (dist.Metrics, error) {
 			PartName:   c.spec.PartName,
 			ProtoSpec:  c.spec.ProtoSpec,
 			WantValues: c.spec.WantValues,
-			Recover:    c.spec.Recover,
 			Stream:     c.spec.Stream,
 			MeshSpec:   c.spec.MeshSpec,
 		})

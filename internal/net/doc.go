@@ -71,15 +71,15 @@
 // everyone else's records stashed in order), Respawn (generations, the
 // per-worker cap) — for Run here and for internal/session's epochs alike.
 //
-// With Spec.Recover, which runs on the streamed plane only, a worker death is
-// survived instead of failing the run (DESIGN.md §13): a worker's state is a
-// function of the flows it has received, which their senders on the mesh
-// retain for the whole run, and one restart — respawn, repeat the handshake,
-// run the run again from Init on what the peers re-send — puts the new
-// incarnation in exactly the dead one's state. A worker keeps its mesh past
-// its run until its coordinator's next record or hang-up, so a death after
-// its last record is restarted the same way. Any failure that does end a run
-// is a *RunError naming the round, the worker and the phase it stood in.
+// A streamed run with a Spec.Respawn survives a worker death instead of failing
+// (DESIGN.md §13); a relayed run, or one with no Respawn, fails on it. A
+// worker's state is a function of the flows it has received, which their
+// senders on the mesh retain for the whole run, and one restart — respawn,
+// repeat the handshake, run the run again from Init on what the peers re-send —
+// puts the new incarnation in exactly the dead one's state. A worker keeps its
+// mesh past its run until its coordinator's next record or hang-up, so a death
+// after its last record is restarted the same way. Any failure that does end a
+// run is a *RunError naming the round, the worker and the phase it stood in.
 //
 // What the cluster adds on top of dist.Metrics is the same placement
 // ledger the sharded engine reports: a shard.ShardMetrics with the frame

@@ -41,17 +41,13 @@ type Engine struct {
 	// (Conn.SetIOTimeout) and on the coordinator's reply waits
 	// (Spec.IOTimeout): a stalled peer fails the run instead of hanging it.
 	IOTimeout time.Duration
-	// Recover arms crash recovery (DESIGN.md §13): the run goes on the streamed
-	// plane whatever Stream says, its senders retain the cross-shard flows, and
-	// a worker that dies mid-run is respawned on a fresh pipe and runs again
-	// from Init instead of failing the run. Set it before Run, with an
-	// IOTimeout so a silent death surfaces as a timeout.
-	Recover bool
 	// Stream selects the streamed frame plane (DESIGN.md §8.4, §14):
 	// cross-shard messages flow worker↔worker over an in-process mesh of
 	// net.Pipe links, the peers' end markers close a round, and the
 	// coordinator verifies behind. Results stay byte-identical to every other
-	// engine's.
+	// engine's. A worker that dies mid-run is respawned on a fresh pipe and
+	// runs again from Init on its peers' retained flows instead of failing the
+	// run (DESIGN.md §13); with an IOTimeout a silent death surfaces as one.
 	Stream bool
 	// ChunkBytes overrides the streaming chunk flush threshold (≤ 0 means
 	// shard.DefaultChunkBytes). Tests shrink it to force multi-chunk flows.
@@ -100,7 +96,7 @@ func (e *Engine) StreamWire() []codec.StreamWire {
 }
 
 // Recoveries returns the number of worker crash recoveries the most recent
-// Run performed (0 when recovery was off or nothing died).
+// Run performed (0 when it ran relayed or nothing died).
 func (e *Engine) Recoveries() int { return *e.recov }
 
 // SetTracer installs (or, with nil, removes) the tracer subsequent Runs
@@ -115,21 +111,17 @@ func (e *Engine) P() int { return e.p }
 
 // Name identifies the engine configuration in experiment tables,
 // e.g. "net:4/greedy" ("net:4/greedy/unix" off the default transport,
-// "net:4/greedy/stream" when it runs streamed: Stream, or Recover).
+// "net:4/greedy/stream" when it runs streamed).
 func (e *Engine) Name() string {
 	n := fmt.Sprintf("net:%d/%s", e.p, e.part.Name())
 	if e.Transport != "" && e.Transport != TransportPipe {
 		n += "/" + e.Transport
 	}
-	if e.streamed() {
+	if e.Stream {
 		n += "/stream"
 	}
 	return n
 }
-
-// streamed reports whether a Run goes on the streamed plane: recovery is that
-// plane's.
-func (e *Engine) streamed() bool { return e.Stream || e.Recover }
 
 // WithWireLambda implements dist.Engine. The copy shares the cluster
 // ledger with the original, so e.ClusterMetrics() reflects runs made
@@ -165,7 +157,7 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 		_, err := w.run(g, factory, maxRounds)
 		return err
 	}
-	cl := &Cluster{P: e.p, Transport: e.Transport, IOTimeout: e.IOTimeout, Stream: e.streamed(), Wrap: e.wrap}
+	cl := &Cluster{P: e.p, Transport: e.Transport, IOTimeout: e.IOTimeout, Stream: e.Stream, Wrap: e.wrap}
 	if err := cl.Start(body); err != nil {
 		panic("net: " + err.Error())
 	}
@@ -174,7 +166,6 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 		Lam:        e.lam,
 		GraphHash:  g.Fingerprint(),
 		PartDigest: shard.PartitionDigest(assign),
-		Recover:    e.Recover,
 		Trace:      e.trace,
 	}, body)
 	cl.Close()

@@ -62,10 +62,9 @@ type meshLink struct {
 
 // meshConfig is everything a Worker hands its mesh.
 type meshConfig struct {
-	Self    int
-	P       int
-	Gen     int  // this incarnation's generation (0 initial, +1 per respawn)
-	Recover bool // retain every round sent, per destination, for a respawned peer
+	Self int
+	P    int
+	Gen  int // this incarnation's generation (0 initial, +1 per respawn)
 	// Timeout bounds formation and a wait for credits; 0 waits forever.
 	Timeout time.Duration
 	// Dial opens a raw connection to worker dst's mesh endpoint.
@@ -112,15 +111,14 @@ type meshPeer struct {
 	ended bool
 	// future buffers the peer's records ahead of the current round.
 	future []futRec
-	// retained[t] holds the records of round t sent toward the peer, verbatim
-	// and for the whole run: what a respawned peer runs again from Init on
-	// (attach re-sends them). Rounds open one by one from 0, so the index is the
-	// round. Recover only.
-	retained [][]outRec
+	// retained holds every record sent toward the peer, verbatim, in order and
+	// for the whole run: what a respawned peer runs again from Init on (attach
+	// re-sends them).
+	retained []outRec
 }
 
-// mesh is the per-worker data plane: links, per-peer flow state and, under
-// recovery, the run's retained flows.
+// mesh is the per-worker data plane: links, per-peer flow state and the
+// run's retained flows.
 type mesh struct {
 	cfg  meshConfig
 	mu   sync.Mutex
@@ -290,15 +288,13 @@ func (m *mesh) attach(j, gen int, c *Conn) {
 	m.links[j] = l
 	p := &m.peers[j]
 	p.tokens, p.owed = defaultWindow, 0
-	for _, recs := range p.retained {
-		for _, r := range recs {
-			if r.typ == recPeerFrame {
-				m.wire.Chunks++
-			}
-			m.wire.Sent += int64(len(r.payload) + 1)
+	for _, r := range p.retained {
+		if r.typ == recPeerFrame {
+			m.wire.Chunks++
 		}
-		l.q = append(l.q, recs...)
+		m.wire.Sent += int64(len(r.payload) + 1)
 	}
+	l.q = append(l.q, p.retained...)
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	go m.readLoop(j, l)
@@ -550,11 +546,10 @@ func (m *mesh) processEndLocked(wd codec.Window) error {
 }
 
 // beginRound opens round t for both directions: send flows restart at
-// sequence 0 with fresh digests, receive flows reset, retention opens the
-// round's entry, and onNewRound (the worker's arena recycler) runs before the
-// round number advances — no chunk of round t can decode into an arena that is
-// still being reset, because ahead-of-round records sit buffered until this
-// function drains them.
+// sequence 0 with fresh digests, receive flows reset, and onNewRound (the
+// worker's arena recycler) runs before the round number advances — no chunk of
+// round t can decode into an arena that is still being reset, because
+// ahead-of-round records sit buffered until this function drains them.
 func (m *mesh) beginRound(t int, onNewRound func()) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -564,9 +559,6 @@ func (m *mesh) beginRound(t int, onNewRound func()) error {
 		p := &m.peers[j]
 		p.sent, p.sDig = 0, frameChainSeed
 		p.rx, p.alive, p.ended = codec.PeerDigest{Peer: j, Digest: frameChainSeed}, 0, false
-		if m.cfg.Recover {
-			p.retained = append(p.retained, nil)
-		}
 	}
 	// Drain the buffered ahead-of-round records that have become current:
 	// in arrival order per source, keeping what is still ahead.
@@ -597,7 +589,7 @@ func (m *mesh) beginRound(t int, onNewRound func()) error {
 // sendChunk streams one chunk of the current round's flow toward dst:
 // acquire a token (blocking until the receiver credits a slot — the IOTimeout
 // is the backstop against one that stays silent without dying), stamp the
-// next sequence number, fold the sender digest, retain under recovery, and
+// next sequence number, fold the sender digest, retain, and
 // queue on the link. Called from the worker goroutine only.
 func (m *mesh) sendChunk(dst int, body []byte, count int) error {
 	m.mu.Lock()
@@ -616,9 +608,7 @@ func (m *mesh) sendChunk(dst int, body []byte, count int) error {
 	payload := append(append(make([]byte, 0, len(h)+len(body)), h...), body...)
 	p.sent++
 	p.sDig = foldFrame(p.sDig, payload)
-	if m.cfg.Recover {
-		p.retained[m.round] = append(p.retained[m.round], outRec{recPeerFrame, payload})
-	}
+	p.retained = append(p.retained, outRec{recPeerFrame, payload})
 	m.queueLocked(dst, recPeerFrame, payload)
 	return nil
 }
@@ -639,9 +629,7 @@ func (m *mesh) sendEnd(dst int, msgs, logicalBytes int64, alive int) (codec.Peer
 		Kind: codec.WindowEnd, Src: m.cfg.Self, Dst: dst, Round: m.round,
 		Chunks: p.sent, Msgs: msgs, Bytes: logicalBytes, Digest: p.sDig, Alive: alive,
 	}
-	if m.cfg.Recover {
-		p.retained[m.round] = append(p.retained[m.round], outRec{recWindow, codec.AppendWindow(nil, wd)})
-	}
+	p.retained = append(p.retained, outRec{recWindow, codec.AppendWindow(nil, wd)})
 	wd.Credits, p.owed = p.owed, 0
 	m.queueLocked(dst, recWindow, codec.AppendWindow(nil, wd))
 	return codec.PeerDigest{Peer: dst, Chunks: wd.Chunks, Msgs: msgs, Bytes: logicalBytes, Digest: wd.Digest}, nil
@@ -653,8 +641,8 @@ func (m *mesh) sendEnd(dst int, msgs, logicalBytes int64, alive int) (codec.Peer
 // each allocated for the one record, never encoded in a reused scratch the way
 // the control plane's bodies are (Conn.WriteRecord copies those before it
 // returns; nothing here is copied again). Records queued to a down link are
-// dropped — under recovery attach re-sends what was retained of them; without
-// it the peer's death has already doomed the run (linkDownLocked).
+// dropped — attach re-sends what was retained of them to a successor; with no
+// successor the peer's death has already doomed the run (linkDownLocked).
 func (m *mesh) queueLocked(dst int, typ byte, payload []byte) {
 	m.wire.Sent += int64(len(payload) + 1)
 	l := m.links[dst]

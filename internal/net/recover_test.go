@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	stdnet "net"
@@ -12,7 +11,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,12 +102,12 @@ func cell(t *testing.T, body func()) {
 	goroutinesSettle(t, before)
 }
 
-// streamRecoveryEngine arms recovery, which runs on the streamed mesh. Tiny
+// streamRecoveryEngine runs on the streamed mesh, which recovers. Tiny
 // chunks force the deaths to land mid-flow, so restarts exercise the
 // seq-gated resend path rather than whole-frame retransmits.
 func streamRecoveryEngine(p int) *Engine {
 	e := NewEngine(p, shard.Hash{})
-	e.Recover = true
+	e.Stream = true
 	e.IOTimeout = 10 * time.Second
 	e.ChunkBytes = 256
 	return e
@@ -163,7 +161,7 @@ func TestRecoverySweepBitIdentical(t *testing.T) {
 }
 
 // killCell holds one death of an arbitrary protocol run to the undisturbed
-// recovery-armed run: result, Metrics and cluster ledger byte-identical, and
+// streamed run: result, Metrics and cluster ledger byte-identical, and
 // both to the sequential engine. A negative round names the run's last.
 func killCell(t *testing.T, name string, ph obs.Phase, round, worker int,
 	run func(dist.Engine) (any, dist.Metrics)) {
@@ -172,7 +170,7 @@ func killCell(t *testing.T, name string, ph obs.Phase, round, worker int,
 		refEng := streamRecoveryEngine(3)
 		ref, refMet := run(refEng)
 		if refEng.Recoveries() != 0 || refMet != seqMet || !reflect.DeepEqual(ref, seq) {
-			t.Fatalf("recovery-armed run diverges from seq before any fault (metrics %+v, seq %+v)", refMet, seqMet)
+			t.Fatalf("undisturbed streamed run diverges from seq before any fault (metrics %+v, seq %+v)", refMet, seqMet)
 		}
 		if round < 0 {
 			round = refMet.Rounds
@@ -221,9 +219,9 @@ func loopyMultigraph(n int, seed int64) *graph.Graph {
 func sweepRecovery(t *testing.T, prefix string, g *graph.Graph, opt core.Options, killRounds []int) {
 	seqRef, seqMet := core.RunDistributed(g, opt, dist.SeqEngine{})
 
-	// Undisturbed capture — note the reference runs WITH recovery armed (chains
+	// Undisturbed capture — the reference is a streamed run too (chains
 	// folded, flows retained) so the sweep isolates the kill+restart path, and
-	// a plain recovery-armed run is separately pinned against seq.
+	// it is separately pinned against seq.
 	refEng := streamRecoveryEngine(3)
 	ref, refMet := core.RunDistributed(g, opt, refEng)
 	refLedger := refEng.ClusterMetrics()
@@ -231,7 +229,7 @@ func sweepRecovery(t *testing.T, prefix string, g *graph.Graph, opt core.Options
 		t.Fatalf("%sstream: undisturbed run recovered %d times", prefix, refEng.Recoveries())
 	}
 	if refMet != seqMet || !reflect.DeepEqual(ref.B, seqRef.B) {
-		t.Fatalf("%sstream: recovery-armed run diverges from seq before any fault", prefix)
+		t.Fatalf("%sstream: undisturbed run diverges from seq before any fault", prefix)
 	}
 
 	for w := 0; w < 3; w++ {
@@ -291,34 +289,97 @@ func TestStreamedDeathAfterLastAckRecovers(t *testing.T) {
 	}
 }
 
-// A kill without recovery armed must still fail the run — fault injection
-// does not soften the determinism-over-availability contract — and the
-// failure must say where: the round in flight, the dead worker, and the
-// phase it stood in (its done record was in, its release was not), however
-// the death reached the coordinator — as an EOF during the collection or as
-// a failed release write.
+// A kill the run cannot recover from — a relayed run, or a streamed one with
+// no Respawn (RunCoordinator over workers it did not spawn) — must still fail
+// the run: fault injection does not soften the determinism-over-availability
+// contract. And the failure must say where: the round in flight, the dead
+// worker, and the phase it stood in (its done record was in, its release was
+// not), however the death reached the coordinator — as an EOF during the
+// collection or as a failed release write.
 func TestKillWithoutRecoveryFailsRun(t *testing.T) {
 	g := graph.BarabasiAlbert(80, 3, 2)
 	opt := core.Options{Rounds: 6}
 	for _, stream := range []bool{false, true} {
-		eng := NewEngine(2, shard.Hash{})
-		eng.Stream = stream
-		eng.IOTimeout = 2 * time.Second
-		eng.wrap = faultnet.New(deathAt(stream, obs.PhaseBarrierWait, 1, 1, 6)...).Wrap
+		faults := faultnet.New(deathAt(stream, obs.PhaseBarrierWait, 1, 1, 6)...)
+		var err error
 		cell(t, func() {
-			defer func() {
-				err, _ := recover().(error)
-				var re *RunError
-				if !errors.As(err, &re) {
-					t.Fatalf("stream=%v: killed run without recovery ended with %v, want a *RunError", stream, err)
-				}
-				if re.Round != 1 || re.Phase != obs.PhaseBarrierWait || re.Worker != 1 {
-					t.Errorf("stream=%v: failure attributed to round %d, %s, worker %d (%v); want round 1, barrier-wait, worker 1",
-						stream, re.Round, re.Phase, re.Worker, re)
-				}
-			}()
+			if stream {
+				err = meshRun(g, opt, 2, faults)
+				return
+			}
+			eng := NewEngine(2, shard.Hash{})
+			eng.IOTimeout = 2 * time.Second
+			eng.wrap = faults.Wrap
+			defer func() { err, _ = recover().(error) }()
 			core.RunDistributed(g, opt, eng)
 		})
+		var re *RunError
+		if !errors.As(err, &re) {
+			t.Fatalf("stream=%v: killed run without recovery ended with %v, want a *RunError", stream, err)
+		}
+		if re.Round != 1 || re.Phase != obs.PhaseBarrierWait || re.Worker != 1 {
+			t.Errorf("stream=%v: failure attributed to round %d, %s, worker %d (%v); want round 1, barrier-wait, worker 1",
+				stream, re.Round, re.Phase, re.Worker, re)
+		}
+	}
+}
+
+// meshRun runs p streamed workers of a coreness run on g by hand — their mesh
+// an in-process broker, every link of theirs through faults — under
+// RunCoordinator, which has no Respawn, and returns how the run ended.
+func meshRun(g *graph.Graph, opt core.Options, p int, faults *faultnet.Net) error {
+	assign := shard.Hash{}.Partition(g, p)
+	br := &meshBroker{inboxes: make([]*meshInbox, p), wrap: faults.Wrap}
+	conns := make([]*Conn, p)
+	var wg sync.WaitGroup
+	for s := range conns {
+		a, b := stdnet.Pipe()
+		conns[s] = NewConn(a)
+		w := NewWorker(NewConn(faults.Wrap(s, 0, faultnet.Control, b)), g, assign)
+		w.IOTimeout = 2 * time.Second
+		meshOf(br, s, w)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer w.c.Close()
+			defer func() { recover() }() // Worker.Run panics on a failed run
+			core.RunDistributed(g, opt, w)
+		}()
+	}
+	_, _, err := RunCoordinator(conns, Spec{P: p, Stream: true, MaxRounds: opt.Rounds, IOTimeout: 2 * time.Second,
+		GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign)})
+	for _, c := range conns {
+		c.Close() // the caller owns them; a worker still reading sees EOF
+	}
+	wg.Wait()
+	return err
+}
+
+// Recovery is not armed: a plain streamed Engine hands its run a Respawn, so
+// a worker that dies mid-run is run again, and the run ends on seq's metrics
+// and values.
+func TestStreamedEngineRecoversUnasked(t *testing.T) {
+	g := graph.BarabasiAlbert(150, 3, 11)
+	opt := core.Options{Rounds: 8}
+	seq, seqMet := core.RunDistributed(g, opt, dist.SeqEngine{})
+	eng := NewEngine(3, shard.Hash{})
+	eng.Stream, eng.IOTimeout = true, 10*time.Second
+	eng.wrap = faultnet.New(deathAt(true, obs.PhaseBarrierWait, 3, 1, seqMet.Rounds)...).Wrap
+	var res *core.Result
+	var met dist.Metrics
+	cell(t, func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("the streamed run did not survive its worker's death: %v", r)
+			}
+		}()
+		res, met = core.RunDistributed(g, opt, eng)
+	})
+	if met != seqMet || !reflect.DeepEqual(res.B, seq.B) {
+		t.Errorf("metrics %+v, want %+v (values equal: %v)", met, seqMet, reflect.DeepEqual(res.B, seq.B))
+	}
+	if n := eng.Recoveries(); n != 1 {
+		t.Errorf("%d recoveries, want 1", n)
 	}
 }
 
@@ -467,7 +528,7 @@ func (d seededDeath) faults(last int) []faultnet.Fault {
 }
 
 // clusterEngine is a dist.Engine over a hand-driven three-worker streamed
-// Cluster with recovery armed, for the schedules an Engine's one run cannot
+// Cluster, which recovers, for the schedules an Engine's one run cannot
 // hold: faults runs on the worker links (Cluster.Wrap).
 type clusterEngine struct {
 	faults *faultnet.Net
@@ -492,7 +553,7 @@ func (e *clusterEngine) Run(g *graph.Graph, factory dist.Factory, maxRounds int)
 	}
 	defer cl.Close()
 	var met dist.Metrics
-	met, e.rep, e.err = cl.Run(Spec{MaxRounds: maxRounds, Lam: e.lam, Recover: true,
+	met, e.rep, e.err = cl.Run(Spec{MaxRounds: maxRounds, Lam: e.lam,
 		GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign)}, body)
 	return met
 }
@@ -555,100 +616,21 @@ func TestCorruptedReplayAbortsAttributed(t *testing.T) {
 	}
 }
 
-// countConn counts the bytes read through it.
-type countConn struct {
-	stdnet.Conn
-	n *atomic.Int64
-}
-
-func (c countConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.n.Add(int64(n))
-	return n, err
-}
-
-// Arming recovery costs the coordinator nothing on a fault-free streamed run:
-// what is kept to recover from a fault stays where the flows already are, so
-// the workers send it the same bytes, to the byte, as with recovery off — no
-// per-round state.
-func TestArmedRunShipsNoStateToCoordinator(t *testing.T) {
+// The coordinator holds every streamed worker's frame chain — the fold of the
+// flows it received, which a successor's run from Init must reproduce — to
+// the chain it sealed from the digest matrix, whether or not the run could
+// recover: a metrics record whose chain field is one bit off, everything else
+// in order, fails the run against that worker.
+func TestStreamedRunChecksEveryFrameChain(t *testing.T) {
 	g := graph.BarabasiAlbert(150, 3, 11)
-	T := core.TForEpsilon(g.N(), 0.5)
-	opt := core.Options{Rounds: T}
-	_, seqMet := core.RunDistributed(g, opt, dist.SeqEngine{})
-	assign := shard.Hash{}.Partition(g, 3)
-	received := func(armed bool) int64 {
-		var recv atomic.Int64
-		br := &meshBroker{inboxes: make([]*meshInbox, 3)}
-		conns := make([]*Conn, 3)
-		var wg sync.WaitGroup
-		for s := range conns {
-			a, b := stdnet.Pipe()
-			conns[s] = NewConn(countConn{a, &recv})
-			w := NewWorker(NewConn(b), g, assign)
-			meshOf(br, s, w)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer w.c.Close()
-				core.RunDistributed(g, opt, w)
-			}()
-		}
-		met, _, err := RunCoordinator(conns, Spec{P: 3, Stream: true, Recover: armed, MaxRounds: T,
-			GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign)})
-		for _, c := range conns {
-			c.Close() // the caller owns them; a worker still reading sees EOF
-		}
-		wg.Wait()
-		if err != nil || met != seqMet {
-			t.Fatalf("armed=%v: metrics %+v (%v), want %+v", armed, met, err, seqMet)
-		}
-		return recv.Load()
+	flip := faultnet.New(faultnet.Fault{Shard: 1, Peer: faultnet.Control, Type: recMetrics, Action: faultnet.Flip})
+	var err error
+	cell(t, func() { err = meshRun(g, core.Options{Rounds: 8}, 3, flip) })
+	var re *RunError
+	if !flip.Fired(0) || !errors.As(err, &re) {
+		t.Fatalf("flipped chain (flipped: %v) ended with %v, want a *RunError", flip.Fired(0), err)
 	}
-	if off, on := received(false), received(true); on != off || off == 0 {
-		t.Errorf("the coordinator received %d bytes with recovery armed, %d without", on, off)
-	}
-}
-
-// Recovery is the streamed plane's: a spec that arms it without Stream is
-// refused before the coordinator writes a byte, and an Engine that arms it
-// runs streamed, and says so, whatever its Stream field holds.
-func TestRecoveryRunsStreamed(t *testing.T) {
-	var written atomic.Int64
-	var wg sync.WaitGroup
-	conns := make([]*Conn, 2)
-	for i := range conns {
-		a, b := stdnet.Pipe()
-		conns[i] = NewConn(a)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n, _ := io.Copy(io.Discard, b)
-			written.Add(n)
-		}()
-	}
-	_, _, err := RunCoordinator(conns, Spec{P: 2, Recover: true, MaxRounds: 4,
-		Respawn: func(int, int) (*Conn, error) { return nil, errors.New("unused") }})
-	for _, c := range conns {
-		c.Close()
-	}
-	wg.Wait()
-	if err == nil || !strings.Contains(err.Error(), "Stream") {
-		t.Errorf("Spec{Recover} without Stream ended with %v, want it refused", err)
-	}
-	if n := written.Load(); n != 0 {
-		t.Errorf("the refused run wrote %d bytes to its workers", n)
-	}
-
-	g := graph.BarabasiAlbert(100, 3, 4)
-	opt := core.Options{Rounds: 8}
-	_, seqMet := core.RunDistributed(g, opt, dist.SeqEngine{})
-	eng := NewEngine(3, shard.Hash{})
-	eng.Recover, eng.IOTimeout = true, 10*time.Second
-	if _, met := core.RunDistributed(g, opt, eng); met != seqMet {
-		t.Errorf("metrics %+v, want %+v", met, seqMet)
-	}
-	if eng.StreamWire() == nil || !strings.HasSuffix(eng.Name(), "/stream") {
-		t.Errorf("Engine{Recover: true} (%s) ran relayed: stream wire %v", eng.Name(), eng.StreamWire())
+	if re.Worker != 1 || !strings.Contains(re.Error(), "frame chain") {
+		t.Errorf("failure %v, want worker 1 refused over its frame chain", re)
 	}
 }

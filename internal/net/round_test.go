@@ -260,7 +260,7 @@ func TestAbortMidCatchUpLeavesNothingWaiting(t *testing.T) {
 				}
 				cl.Hub.Conn(0).Close()
 			}()
-			_, _, err = cl.Hub.Run(Spec{P: 3, Stream: true, Recover: true, MaxRounds: 8,
+			_, _, err = cl.Hub.Run(Spec{P: 3, Stream: true, MaxRounds: 8,
 				GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign),
 				Respawn: func(s, gen int) (*Conn, error) {
 					if s == 0 {

@@ -22,7 +22,7 @@ import (
 // waits for no answer. The coordinator never sees a frame and never gates a
 // round: it verifies behind the workers that the digest matrix closes —
 // sent[a][b] == recv[b][a] for every pair, every round — and prices the
-// ledger and, under recovery, each worker's frame chain from it.
+// ledger and each worker's frame chain from it.
 
 // streamWorker is the worker half: per-peer chunk streams going out over
 // the mesh, whose readers absorb the inbound chunks as they arrive.
@@ -46,8 +46,7 @@ func newStreamWorker(r *workerLoop) (*streamWorker, error) {
 		return nil, fmt.Errorf("net: streamed hello but worker %d has no mesh endpoints", h.Shard)
 	}
 	m := newMesh(meshConfig{
-		Self: h.Shard, P: h.P, Gen: w.MeshGen,
-		Recover: h.Recover, Timeout: w.IOTimeout,
+		Self: h.Shard, P: h.P, Gen: w.MeshGen, Timeout: w.IOTimeout,
 		Dial: w.MeshDial, Accept: w.MeshAccept, CloseAccept: w.MeshClose,
 		Deliver: r.absorb,
 	})
@@ -421,7 +420,7 @@ func (p *streamCoord) record(from int, typ byte, body []byte) error {
 // worker w says it received from q is, entry for entry, what q says it sent w —
 // a mismatch names w, whose ack is the record that disagrees. Then the ledger
 // and trace are priced from the done records — what the relay plane would have
-// priced for the same frames — and, under recovery, the frame chains advance:
+// priced for the same frames — and the frame chains advance:
 // worker w's round digest is the ascending-source fold of the flows it received.
 func (p *streamCoord) seal(t int) (bytes, flows int64, liar int, err error) {
 	rd, c := &p.open[0], p.c
@@ -450,14 +449,12 @@ func (p *streamCoord) seal(t int) (bytes, flows int64, liar int, err error) {
 			}
 		}
 	}
-	if c.chains != nil {
-		for w, ents := range rd.recv {
-			dig := frameChainSeed
-			for _, e := range ents {
-				dig = foldU64(dig, e.Digest)
-			}
-			c.chains[w] = foldU64(c.chains[w], dig)
+	for w, ents := range rd.recv {
+		dig := frameChainSeed
+		for _, e := range ents {
+			dig = foldU64(dig, e.Digest)
 		}
+		c.chains[w] = foldU64(c.chains[w], dig)
 	}
 	return bytes, flows, -1, nil
 }

@@ -108,11 +108,11 @@ func (w *Worker) Name() string { return "net-worker" }
 // pre-read) and serves rounds until the coordinator finishes the run. Any
 // connection failure or protocol violation panics after a best-effort error
 // record to the coordinator; cmd/cluster's worker recovers the panic into
-// an exit status. When the hello armed Recover (DESIGN.md §13), the mesh
-// retains what the worker sends, and a respawned incarnation runs the run
-// again from Init on what its peers re-send it, to the exact state its
-// predecessor died in; worker death is then the coordinator's problem, not
-// the run's. A streamed worker keeps its mesh past the run — a peer that dies
+// an exit status. On the streamed plane (DESIGN.md §13) the mesh retains
+// what the worker sends, and a respawned incarnation runs the run again from
+// Init on what its peers re-send it, to the exact state its predecessor died
+// in; worker death is then the coordinator's problem, not the run's. A
+// streamed worker keeps its mesh past the run — a peer that dies
 // after its last record is run again on it too — until the first record read
 // off its connection after the run returns (the coordinator's next record, or
 // its hang-up), or until the connection closes.

@@ -12,7 +12,7 @@ import (
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
 	net "distkcore/internal/net"
-	"distkcore/internal/obs"
+	"distkcore/internal/net/faultnet"
 	"distkcore/internal/shard"
 )
 
@@ -93,10 +93,15 @@ func TestSessionLeavesNoGoroutines(t *testing.T) {
 	t.Run("failed-open", func(t *testing.T) {
 		before := runtime.NumGoroutine()
 		for i := 0; i < 5; i++ {
-			// Worker 1 dies in the epoch-0 run and nothing may respawn it: the
-			// run fails, Open returns its diagnosis and owns the whole cleanup.
+			// Worker 1 dies in the epoch-0 run, and so does every incarnation
+			// up to the hub's respawn cap (eight): the run fails, Open returns
+			// its diagnosis and owns the whole cleanup.
+			var kill []faultnet.Fault
+			for gen := 0; gen <= 8; gen++ {
+				kill = append(kill, faultnet.Fault{Shard: 1, Gen: gen, Peer: faultnet.Control, Type: recDone, Body: epochOf(2), Action: faultnet.After})
+			}
 			opt := base
-			opt.wrap = killWorkerAt(1, obs.PhaseBarrierWait, 2)
+			opt.wrap = faultnet.New(kill...).Wrap
 			cell(t, func() {
 				s, err := Open(g, opt)
 				if err == nil {
@@ -115,7 +120,6 @@ func TestSessionLeavesNoGoroutines(t *testing.T) {
 		before := runtime.NumGoroutine()
 		for i := 0; i < 5; i++ {
 			opt := base
-			opt.Recover = true
 			opt.wrap = killWorkerAt(i%2, sessionKillPhases[i%2], 1)
 			cell(t, func() {
 				s, err := Open(g, opt)

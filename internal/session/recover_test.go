@@ -131,8 +131,7 @@ func TestSessionRecoverySweep(t *testing.T) {
 		t.Helper()
 		s, err := Open(g, Options{
 			P: p, Rounds: T, Part: part,
-			IOTimeout: 10 * time.Second,
-			Recover:   true, wrap: wrap,
+			IOTimeout: 10 * time.Second, wrap: wrap,
 		})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
@@ -203,7 +202,7 @@ func openDeathMidCollection(t *testing.T, g *graph.Graph, flip bool) (*Session, 
 		sched = append(sched, faultnet.Fault{Shard: 0, Gen: 1, Peer: faultnet.Control, Type: net.RecReconverge, Body: epochOf(2), Action: faultnet.Flip})
 	}
 	fn := faultnet.New(sched...)
-	s, err := Open(g, Options{P: 3, Rounds: 8, Part: shard.Greedy{}, IOTimeout: 10 * time.Second, Recover: true, wrap: fn.Wrap})
+	s, err := Open(g, Options{P: 3, Rounds: 8, Part: shard.Greedy{}, IOTimeout: 10 * time.Second, wrap: fn.Wrap})
 	if err != nil {
 		fn.Release()
 		t.Fatalf("Open: %v", err)
@@ -233,7 +232,7 @@ func openDeathMidCollection(t *testing.T, g *graph.Graph, flip bool) (*Session, 
 func TestSessionDeathMidCollection(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, 9)
 	deltas := recoveryDeltas(g, 3)
-	ref, err := Open(g, Options{P: 3, Rounds: 8, Part: shard.Greedy{}, IOTimeout: 10 * time.Second, Recover: true})
+	ref, err := Open(g, Options{P: 3, Rounds: 8, Part: shard.Greedy{}, IOTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -285,14 +284,14 @@ func TestSessionForkedSuccessorBreaks(t *testing.T) {
 }
 
 // A kill during the epoch-0 run exercises the net-layer restart path
-// wired through Options.Recover: the session must still open, seal epoch 0
+// every session has: the session must still open, seal epoch 0
 // and run epochs bit-identically to an undisturbed session.
 func TestSessionRecoveryDuringEpochZero(t *testing.T) {
 	g := graph.BarabasiAlbert(250, 3, 5)
 	part := shard.Greedy{}
 	deltas := recoveryDeltas(g, 2)
 
-	ref, err := Open(g, Options{P: 3, Rounds: 8, Part: part, IOTimeout: 10 * time.Second, Recover: true})
+	ref, err := Open(g, Options{P: 3, Rounds: 8, Part: part, IOTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -306,7 +305,6 @@ func TestSessionRecoveryDuringEpochZero(t *testing.T) {
 		s, err = Open(g, Options{
 			P: 3, Rounds: 8, Part: part,
 			IOTimeout: 10 * time.Second,
-			Recover:   true,
 			wrap:      killWorkerAt(1, obs.PhaseBarrierWait, 2),
 		})
 		if err != nil {
@@ -336,7 +334,7 @@ func TestSessionRecoveryPastLogFold(t *testing.T) {
 	}
 	open := func(wrap net.LinkFunc) *Session {
 		t.Helper()
-		s, err := Open(g, Options{P: 3, Rounds: 6, Part: shard.Greedy{}, IOTimeout: 10 * time.Second, Recover: true, wrap: wrap})
+		s, err := Open(g, Options{P: 3, Rounds: 6, Part: shard.Greedy{}, IOTimeout: 10 * time.Second, wrap: wrap})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -362,8 +360,10 @@ func TestSessionRecoveryPastLogFold(t *testing.T) {
 	}
 }
 
-// Without Recover, a mid-epoch worker death must still latch the session
-// broken with an attributed BreakCause — recovery is strictly opt-in.
+// A coordinator that cannot respawn — NewCoordinator with no EnableRecovery,
+// as cluster serve builds it over workers it did not spawn — must still latch
+// the session broken on a mid-epoch worker death, with an attributed
+// BreakCause.
 func TestSessionKillWithoutRecoverBreaks(t *testing.T) {
 	g := graph.BarabasiAlbert(200, 3, 3)
 	cell(t, func() {
@@ -376,8 +376,9 @@ func TestSessionKillWithoutRecoverBreaks(t *testing.T) {
 			t.Fatalf("Open: %v", err)
 		}
 		defer s.Close()
+		s.co.respawn = nil // what NewCoordinator leaves, and cluster serve keeps
 		if _, err := s.Push(dist.RandomChurn(g, 20, 77), 0); err == nil {
-			t.Fatal("killed epoch sealed without recovery armed")
+			t.Fatal("killed epoch sealed with no respawn")
 		}
 		bc := s.Cause()
 		if bc == nil {
@@ -411,8 +412,7 @@ func TestSessionRecoveryAttemptCap(t *testing.T) {
 	cell(t, func() {
 		s, err := Open(g, Options{
 			P: 2, Rounds: 6, Part: shard.Greedy{},
-			IOTimeout: 5 * time.Second,
-			Recover:   true, wrap: faultnet.New(kill...).Wrap,
+			IOTimeout: 5 * time.Second, wrap: faultnet.New(kill...).Wrap,
 		})
 		if err != nil {
 			t.Fatalf("Open: %v", err)

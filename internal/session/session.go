@@ -33,14 +33,6 @@ type Options struct {
 	// seal/publish spans coordinator-side and repair/rebalance spans
 	// worker-side.
 	Trace *obs.Tracer
-	// Recover arms crash recovery (DESIGN.md §13): a worker that dies during
-	// the epoch-0 run is respawned by the net layer and runs it again from
-	// Init on what its peers' meshes retained, and one that dies during a
-	// later epoch is respawned, re-admitted at the last sealed epoch and
-	// pushed the epoch's batch again instead of latching the session broken;
-	// its reconverge must then equal whatever its dead incarnation got out.
-	// Epoch-0 handshake faults stay fatal either way.
-	Recover bool
 	// wrap is the cluster's link seam (net.Cluster.Wrap), for this package's
 	// fault tests: fault injection is not part of the session surface.
 	wrap net.LinkFunc
@@ -62,8 +54,9 @@ type Session struct {
 
 // Open brings up P in-process workers whose body is ServeWorker, runs epoch
 // 0 (a full coordinated run on the streamed plane, byte-identical to
-// dist.SeqEngine's) and seals it into the digest chain. The returned session
-// owns the cluster; Close it.
+// dist.SeqEngine's) and seals it into the digest chain. A worker death past
+// the handshake is recovered, in the epoch-0 run or a later epoch (DESIGN.md
+// §13, §13.4). The returned session owns the cluster; Close it.
 func Open(g *graph.Graph, opt Options) (*Session, error) {
 	p, T, part := opt.P, opt.Rounds, opt.Part
 	if p < 1 {
@@ -89,16 +82,15 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 	if err := cl.Start(body); err != nil {
 		return nil, err
 	}
-	// With Recover an epoch-0 respawn runs the whole worker life again:
-	// handshake, the run from Init on what the peers' meshes retained, then the
-	// serve loop. Each worker keeps its mesh until the epoch-0 stamp reaches it,
-	// so a death after its last round is recovered the same way.
+	// An epoch-0 respawn runs the whole worker life again: handshake, the run
+	// from Init on what the peers' meshes retained, then the serve loop. Each
+	// worker keeps its mesh until the epoch-0 stamp reaches it, so a death
+	// after its last round is recovered the same way.
 	met, rep, err := cl.Run(net.Spec{
 		MaxRounds:  T,
 		GraphHash:  g.Fingerprint(),
 		PartDigest: shard.PartitionDigest(assign),
 		WantValues: true,
-		Recover:    opt.Recover,
 		Trace:      opt.Trace,
 	}, body)
 	var co *Coordinator
@@ -115,31 +107,29 @@ func Open(g *graph.Graph, opt Options) (*Session, error) {
 		return nil, err
 	}
 	co.SetTracer(opt.Trace)
-	if opt.Recover {
-		// Session-layer recovery (DESIGN.md §13): the respawned worker rebuilds
-		// its oracle from the coordinator's sealed graph (folded to a CSR on
-		// this demand) and assignment — read here, at respawn time, so a
-		// recovery mid-epoch-e restores to the sealed epoch e-1, not to the
-		// adjacency the in-flight batch already mutated — and joins via
-		// ServeResumed. The sealed assignment takes the epoch's moves in place
-		// at the seal, but NewWorkerState has copied it before the worker echoes
-		// its admission, and no seal comes before that echo. The exact
-		// incremental oracle under Λ = ℝ makes the recomputed state
-		// bit-identical to what the dead incarnation held at the last seal, so
-		// no state ships; there is no fresh run to cross-check against (runB
-		// nil), the admission stamp's values digest is the check instead.
-		co.EnableRecovery(func(idx, gen int) (*net.Conn, error) {
-			g2, as2 := co.Graph(), co.assign
-			return cl.Respawn(idx, gen, func(s net.Seat) error {
-				ws, err := NewWorkerState(s.Conn, g2, as2, idx, p, T, part, nil)
-				if err != nil {
-					return err
-				}
-				ws.trace = opt.Trace
-				return ws.ServeResumed()
-			})
+	// Session-layer recovery (DESIGN.md §13): the respawned worker rebuilds
+	// its oracle from the coordinator's sealed graph (folded to a CSR on
+	// this demand) and assignment — read here, at respawn time, so a
+	// recovery mid-epoch-e restores to the sealed epoch e-1, not to the
+	// adjacency the in-flight batch already mutated — and joins via
+	// ServeResumed. The sealed assignment takes the epoch's moves in place
+	// at the seal, but NewWorkerState has copied it before the worker echoes
+	// its admission, and no seal comes before that echo. The exact
+	// incremental oracle under Λ = ℝ makes the recomputed state
+	// bit-identical to what the dead incarnation held at the last seal, so
+	// no state ships; there is no fresh run to cross-check against (runB
+	// nil), the admission stamp's values digest is the check instead.
+	co.EnableRecovery(func(idx, gen int) (*net.Conn, error) {
+		g2, as2 := co.Graph(), co.assign
+		return cl.Respawn(idx, gen, func(s net.Seat) error {
+			ws, err := NewWorkerState(s.Conn, g2, as2, idx, p, T, part, nil)
+			if err != nil {
+				return err
+			}
+			ws.trace = opt.Trace
+			return ws.ServeResumed()
 		})
-	}
+	})
 	return &Session{co: co, cl: cl, met: met, rep: rep}, nil
 }
 
