@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -96,13 +97,19 @@ func FuzzDecodeWindow(f *testing.F) {
 // control connection; the coordinator decodes them before any of its own
 // checks run.
 
+// staleDigests is a used entry list handed back to a decoder: room for two
+// entries, both still holding an earlier record's.
+func staleDigests() []PeerDigest {
+	return []PeerDigest{{Peer: 7, Chunks: 1, Msgs: 2, Bytes: 3, Digest: 4}, {Peer: 9, Digest: 5}}
+}
+
 func FuzzDecodeStreamDone(f *testing.F) {
 	f.Add(AppendStreamDone(nil, StreamDone{Round: 3, Alive: 41, Sent: []PeerDigest{
 		{Peer: 0, Chunks: 2, Msgs: 310, Bytes: 4021, Digest: 0xfeedface}, {Peer: 2}}}))
 	f.Add(AppendStreamDone(nil, StreamDone{}))
 	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // hostile entry count
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sd, n, err := DecodeStreamDone(data)
+		sd, n, err := DecodeStreamDone(data, nil)
 		if err != nil {
 			return
 		}
@@ -110,12 +117,17 @@ func FuzzDecodeStreamDone(f *testing.F) {
 			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
 		}
 		enc := AppendStreamDone(nil, sd)
-		sd2, n2, err := DecodeStreamDone(enc)
+		sd2, n2, err := DecodeStreamDone(enc, nil)
 		if err != nil {
 			t.Fatalf("re-decode of a re-encoded stream-done failed: %v", err)
 		}
 		if n2 != len(enc) || !reflect.DeepEqual(sd2, sd) {
 			t.Fatalf("stream-done changed across a round trip: %+v (%d bytes) vs %+v (%d bytes)", sd, len(enc), sd2, n2)
+		}
+		// Decoded into a list handed back, the entries are the same.
+		sd3, _, err := DecodeStreamDone(enc, staleDigests())
+		if err != nil || sd3.Round != sd.Round || sd3.Alive != sd.Alive || !slices.Equal(sd3.Sent, sd.Sent) {
+			t.Fatalf("stream-done decoded into a used list: %+v, %v; want %+v", sd3, err, sd)
 		}
 	})
 }
@@ -127,7 +139,7 @@ func FuzzDecodeStreamAck(f *testing.F) {
 	f.Add(AppendStreamAck(nil, StreamAck{}))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // hostile entry count
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sa, n, err := DecodeStreamAck(data)
+		sa, n, err := DecodeStreamAck(data, nil)
 		if err != nil {
 			return
 		}
@@ -135,12 +147,16 @@ func FuzzDecodeStreamAck(f *testing.F) {
 			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
 		}
 		enc := AppendStreamAck(nil, sa)
-		sa2, n2, err := DecodeStreamAck(enc)
+		sa2, n2, err := DecodeStreamAck(enc, nil)
 		if err != nil {
 			t.Fatalf("re-decode of a re-encoded stream-ack failed: %v", err)
 		}
 		if n2 != len(enc) || !reflect.DeepEqual(sa2, sa) {
 			t.Fatalf("stream-ack changed across a round trip: %+v (%d bytes) vs %+v (%d bytes)", sa, len(enc), sa2, n2)
+		}
+		sa3, _, err := DecodeStreamAck(enc, staleDigests())
+		if err != nil || sa3.Round != sa.Round || sa3.Wire != sa.Wire || !slices.Equal(sa3.Recv, sa.Recv) {
+			t.Fatalf("stream-ack decoded into a used list: %+v, %v; want %+v", sa3, err, sa)
 		}
 	})
 }

@@ -158,13 +158,14 @@ func AppendStreamDone(dst []byte, sd StreamDone) []byte {
 	return appendPeerDigests(dst, sd.Sent)
 }
 
-// DecodeStreamDone decodes a StreamDone and returns the bytes consumed.
-func DecodeStreamDone(src []byte) (StreamDone, int, error) {
+// DecodeStreamDone decodes a StreamDone and returns the bytes consumed. Sent
+// is decoded into ents' storage when it has room (see peerDigests).
+func DecodeStreamDone(src []byte, ents []PeerDigest) (StreamDone, int, error) {
 	var sd StreamDone
 	d := Decoder{src: src}
 	sd.Round = int(d.Uvarint())
 	sd.Alive = int(d.Uvarint())
-	sd.Sent = d.peerDigests()
+	sd.Sent = d.peerDigests(ents)
 	if d.err == nil && (sd.Round < 0 || sd.Alive < 0) {
 		d.err = fmt.Errorf("negative field from oversized uvarint")
 	}
@@ -230,13 +231,14 @@ func AppendStreamAck(dst []byte, sa StreamAck) []byte {
 	return appendPeerDigests(dst, sa.Recv)
 }
 
-// DecodeStreamAck decodes a StreamAck and returns the bytes consumed.
-func DecodeStreamAck(src []byte) (StreamAck, int, error) {
+// DecodeStreamAck decodes a StreamAck and returns the bytes consumed. Recv is
+// decoded into ents' storage when it has room (see peerDigests).
+func DecodeStreamAck(src []byte, ents []PeerDigest) (StreamAck, int, error) {
 	var sa StreamAck
 	d := Decoder{src: src}
 	sa.Round = int(d.Uvarint())
 	sa.Wire = d.streamWire()
-	sa.Recv = d.peerDigests()
+	sa.Recv = d.peerDigests(ents)
 	if d.err == nil && sa.Round < 0 {
 		d.err = fmt.Errorf("negative field from oversized uvarint")
 	}
@@ -259,10 +261,13 @@ func appendPeerDigests(dst []byte, pds []PeerDigest) []byte {
 	return dst
 }
 
-// peerDigests decodes a counted PeerDigest list. Each entry occupies at
-// least 12 bytes (four uvarints plus the 8-byte digest), so a hostile count
-// is rejected against the remaining input instead of driving an allocation.
-func (d *Decoder) peerDigests() []PeerDigest {
+// peerDigests decodes a counted PeerDigest list into dst's storage, or a
+// fresh array when dst has no room for the count: a caller that hands back the
+// list it decoded last allocates nothing for lists no longer than it. Each
+// entry occupies at least 12 bytes (four uvarints plus the 8-byte digest), so
+// a hostile count is rejected against the remaining input instead of driving
+// an allocation.
+func (d *Decoder) peerDigests(dst []PeerDigest) []PeerDigest {
 	cnt := d.Uvarint()
 	if d.err != nil {
 		return nil
@@ -271,7 +276,10 @@ func (d *Decoder) peerDigests() []PeerDigest {
 		d.err = fmt.Errorf("peer-digest count %d exceeds remaining input", cnt)
 		return nil
 	}
-	pds := make([]PeerDigest, 0, cnt)
+	pds := dst[:0]
+	if uint64(cap(dst)) < cnt {
+		pds = make([]PeerDigest, 0, cnt)
+	}
 	for i := uint64(0); i < cnt; i++ {
 		var pd PeerDigest
 		pd.Peer = int(d.Uvarint())

@@ -54,7 +54,7 @@ func TestStreamDoneAckRoundTrip(t *testing.T) {
 		{Peer: 2}, // zero-traffic flow still reported
 	}}
 	enc := AppendStreamDone(nil, sd)
-	got, n, err := DecodeStreamDone(enc)
+	got, n, err := DecodeStreamDone(enc, nil)
 	if err != nil || n != len(enc) {
 		t.Fatalf("decode stream-done: n=%d err=%v", n, err)
 	}
@@ -67,7 +67,7 @@ func TestStreamDoneAckRoundTrip(t *testing.T) {
 		Recv: []PeerDigest{{Peer: 0, Chunks: 1, Msgs: 2, Bytes: 64, Digest: 0xff}},
 	}
 	encA := AppendStreamAck(nil, sa)
-	gotA, nA, err := DecodeStreamAck(encA)
+	gotA, nA, err := DecodeStreamAck(encA, nil)
 	if err != nil || nA != len(encA) {
 		t.Fatalf("decode stream-ack: n=%d err=%v", nA, err)
 	}
@@ -80,7 +80,7 @@ func TestPeerDigestsHostileCount(t *testing.T) {
 	// A count claiming ~2^60 entries must fail fast against the remaining
 	// input instead of allocating.
 	hostile := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}
-	if _, _, err := DecodeStreamDone(append([]byte{5, 1}, hostile...)); err == nil {
+	if _, _, err := DecodeStreamDone(append([]byte{5, 1}, hostile...), nil); err == nil {
 		t.Fatalf("hostile peer-digest count decoded without error")
 	}
 }

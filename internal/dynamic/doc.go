@@ -18,21 +18,20 @@
 // DESIGN.md §9). The op's own endpoints obey the same rule, so they are
 // evaluated in round 1 and afterwards only while the op can reach them, and
 // the frontier usually dies out long before the T-hop ball's boundary. The
-// Maintainer also keeps, per node-round, S at the stored value — the weight
-// of the arcs reading at or above it — exact at the ops and moves the repair
-// already walks, so a candidate only downward moves admitted (or whose S
-// equals its value) is settled without the pass: it stands on one
-// comparison, or falls gathering the arcs below its value (settle). Any
-// other evaluation first sums, in one pass that gathers nothing, the weight
-// above and at the stored value: a value that stands is settled there, one
-// that rises gathers only the arcs above it and one that fell only the arcs
-// below it (eval). The mass is kept only while every weight held is
-// Summable; otherwise every candidate takes the pass. The unit of
-// repair is the batch, not the op: ApplyDelta mutates the adjacency for
-// every op of a dist.GraphDelta first and then runs one T-round repair for
-// all of them, so each (t, v) is evaluated at most once per batch, against
-// final round-(t-1) values, and H[t] is
-// exactly the from-scratch β_t of the mutated graph. InsertEdge and
+// Maintainer also keeps, per node-round, two masses at the stored value: S,
+// the weight of the arcs reading at or above it, and G, of those reading
+// strictly above it, exact at the ops and moves the repair already walks. A
+// candidate is settled from them with no pass over its arcs (settle): it
+// falls when S is below its value, gathering the arcs below it; stands when
+// G ≤ value ≤ S, reading none; and rises when G is above it, gathering the
+// arcs above it. Without the masses an evaluation first sums the same two
+// weights in one pass that gathers nothing (eval). The masses are kept only
+// while every weight held is Summable; otherwise every candidate takes the
+// pass. The unit of repair is the batch, not the op: ApplyDelta mutates the
+// adjacency for every op of a dist.GraphDelta first and then runs one
+// T-round repair for all of them, so each (t, v) is evaluated at most once
+// per batch, against final round-(t-1) values, and H[t] is exactly the
+// from-scratch β_t of the mutated graph. InsertEdge and
 // DeleteEdge are batches of one. The frontier lives in generation-stamped
 // marks and reused slices; a steady-state repair allocates nothing, and
 // Moved reports the batch's change set — the nodes whose β_T moved, with

@@ -16,34 +16,33 @@ type Maintainer struct {
 	adj *Adjacency
 	// hist[t][v] = β_t(v); hist[0][v] = +∞ (the initial surviving number).
 	hist [][]float64
-	// mass[t][v] = S_t(v) for t ≥ 1: the weight of v's arcs whose far end
-	// reads at least β_t(v) in round t-1, kept exact through every repair
-	// (see repair and settle). nil once the Maintainer has held a weight
-	// outside the exact-sum contract (Summable): from then on every candidate
-	// is evaluated by a pass.
-	mass [][]float64
+	// mass[t][v] = S_t(v) and above[t][v] = G_t(v) for t ≥ 1: the weight of
+	// v's arcs whose far end reads at least β_t(v) in round t-1, and of those
+	// reading strictly above it, kept exact through every repair (see repair
+	// and settle). Both nil once the Maintainer has held a weight outside the
+	// exact-sum contract (Summable): from then on every candidate is
+	// evaluated by a pass.
+	mass, above [][]float64
 	// eval scratch, grown to the largest degree evaluated so far plus one
 	bs, ws  []float64
 	scratch []int
 	// Frontier of the repair in flight, reused across batches: cand the nodes
 	// to evaluate this round, moved those whose value moved last round (after
 	// a repair: in round T); mark[x] == gen means x is already in cand.
-	// up[x] == gen means an upward crossing or an insert admitted x. far[2i],
-	// far[2i+1] are the values op i's U and V held in the previous round
-	// before the repair touched it — what a deleted arc's far end read, and
-	// where an inserted one enters the kept mass; opW[i] is the weight op i
-	// added or removed.
+	// far[2i], far[2i+1] are the values op i's U and V held in the previous
+	// round before the repair touched it — what a deleted arc's far end read,
+	// and where an inserted one enters the kept masses; opW[i] is the weight
+	// op i added or removed.
 	cand  []graph.NodeID
 	moved []Move
 	far   []float64
 	opW   []float64
 	mark  []uint32
-	up    []uint32
 	gen   uint32
-	// stood and fell count the candidates the kept mass settled without the
-	// pass eval makes: by one comparison, or by gathering the arcs below a
-	// value that fell.
-	stood, fell int64
+	// stood, fell and rose count the candidates the kept masses settled
+	// without the pass eval makes: by two comparisons, by gathering the arcs
+	// below a value that fell, or those above one that rose.
+	stood, fell, rose int64
 	// Stats accumulates work counters across updates.
 	Stats Stats
 }
@@ -64,9 +63,9 @@ type Stats struct {
 	// only when an op or a neighbour's move crosses β_t(x) (see repair).
 	Reevaluated int64
 	// Verified counts those evaluations whose stored value was still
-	// feasible, so the answer did not fall: the kept mass or the pivot pass
-	// settled them with no gather when the value stood, or a gather of the
-	// arcs above it did when it rose (see settle and eval).
+	// feasible, so the answer did not fall: the kept masses or the pivot
+	// pass settled them with no gather when the value stood, or a gather of
+	// the arcs above it did when it rose (see settle and eval).
 	Verified int64
 	// Changed counts those node-rounds whose value actually changed.
 	Changed int64
@@ -79,7 +78,7 @@ func New(g *graph.Graph, T int) *Maintainer {
 		panic("dynamic: T must be >= 1")
 	}
 	n := g.N()
-	m := &Maintainer{T: T, adj: NewAdjacency(g), mark: make([]uint32, n), up: make([]uint32, n)}
+	m := &Maintainer{T: T, adj: NewAdjacency(g), mark: make([]uint32, n)}
 	m.hist = make([][]float64, T+1)
 	m.hist[0] = make([]float64, n)
 	for v := range m.hist[0] {
@@ -92,20 +91,20 @@ func New(g *graph.Graph, T int) *Maintainer {
 		}
 	}
 	if exact {
-		m.mass = make([][]float64, T+1)
+		m.mass, m.above = make([][]float64, T+1), make([][]float64, T+1)
 	}
 	for t := 1; t <= T; t++ {
 		m.hist[t] = make([]float64, n)
-		var mass []float64
+		var mass, above []float64
 		if exact {
-			mass = make([]float64, n)
-			m.mass[t] = mass
+			mass, above = make([]float64, n), make([]float64, n)
+			m.mass[t], m.above[t] = mass, above
 		}
 		for v := 0; v < n; v++ {
-			b, s, _ := m.eval(t, v, m.hist[t-1][v]) // β_t ≤ β_{t-1}
+			b, s, g, _ := m.eval(t, v, m.hist[t-1][v]) // β_t ≤ β_{t-1}
 			m.hist[t][v] = b
 			if mass != nil {
-				mass[v] = s
+				mass[v], above[v] = s, g
 			}
 		}
 	}
@@ -124,43 +123,61 @@ func Summable(w float64) bool {
 }
 
 // eval computes β_t(v) from the round t-1 values around a pivot p (the stored
-// β_t(v); in New, β_{t-1}(v)), and S(b) = Σ_{b_u ≥ b} w_u at its answer b —
-// the kept mass when the pivot is the stored value. One pass gathers nothing
-// and sums two weights of S: mass, the arcs reading above p, and at, those
-// reading exactly p. That decides which side of p the answer lies on:
-//
-//   - stands, mass ≤ p ≤ mass + at: S(p) ≥ p makes p feasible, and above p
-//     S ≤ mass ≤ p keeps everything infeasible, so β_t(v) = p and S = mass +
-//     at — no gather, no kernel;
-//   - rises, mass > p: the answer is above p, where only the arcs above p
-//     count; UpdateValue gets them plus one element (p, at) standing for the
-//     ties (in max_k min(b_(k), S_k) a run of equal values peaks at its last
-//     member, which is that element), and S is the gathered arcs at or above
-//     the answer;
-//   - falls, mass + at < p: see fall, with S(p) = mass + at.
-//
-// The sums are the same sums in another order, exact under this package's
-// contract, and the case split holds for any p, so verified (not fallen) is
-// not a claim about the pivot's origin.
-func (m *Maintainer) eval(t int, v graph.NodeID, p float64) (b, s float64, verified bool) {
-	arcs := m.adj.adj[v]
+// β_t(v); in New, β_{t-1}(v)) with one pass over v's arcs that gathers
+// nothing: it sums g = G(p), the arcs reading above p, and at, those reading
+// exactly p, so S(p) = g + at, and settle decides from the two. A rise takes
+// at itself as the ties' weight: only summable weights make S(p) − G(p) round
+// back to it, and eval also serves a Maintainer that holds others. It returns
+// S and G at the answer and whether p was feasible. The split holds for any p, so verified (not
+// fallen) is not a claim about the pivot's origin.
+func (m *Maintainer) eval(t int, v graph.NodeID, p float64) (b, s, g float64, verified bool) {
 	prev := m.hist[t-1]
-	mass, at := 0.0, 0.0
-	for _, a := range arcs {
+	above, at := 0.0, 0.0
+	for _, a := range m.adj.adj[v] {
 		if b := prev[a.to]; b > p {
-			mass += a.w
+			above += a.w
 		} else if b == p {
 			at += a.w
 		}
 	}
-	if mass+at < p {
-		b, s = m.fall(t, v, p, mass+at)
-		return b, s, false
+	if above > p {
+		b, s, g = m.rise(t, v, p, at)
+		return b, s, g, true
 	}
-	if mass <= p {
-		return p, mass + at, true
+	return m.settle(t, v, p, above+at, above)
+}
+
+// settle decides β_t(v) from its pivot p, S(p) = s and G(p) = g, the weights
+// of v's arcs reading at or above p and strictly above it, and returns the
+// answer, S and G at it, and whether p was feasible:
+//
+//   - falls, s < p: see fall;
+//   - stands, g ≤ p ≤ s: S(p) ≥ p makes p feasible, and above p S ≤ g ≤ p
+//     keeps everything infeasible, so β_t(v) = p — no arc is read;
+//   - rises, g > p: see rise, with the ties weighing s − g.
+//
+// In a repair s and g are the kept masses; eval hands it its pass's sums.
+func (m *Maintainer) settle(t int, v graph.NodeID, p, s, g float64) (b, sb, gb float64, verified bool) {
+	switch {
+	case s < p:
+		b, sb, gb = m.fall(t, v, p, s)
+		return b, sb, gb, false
+	case g <= p:
+		return p, s, g, true
 	}
+	b, sb, gb = m.rise(t, v, p, s-g)
+	return b, sb, gb, true
+}
+
+// rise computes β_t(v) when it lies above p, given the weight at of the arcs
+// reading exactly p. Only the arcs above p count there: UpdateValue gets them
+// plus one element (p, at) standing for the ties (in max_k min(b_(k), S_k) a
+// run of equal values peaks at its last member, which is that element). S and
+// G at the answer are the gathered arcs at or above it and strictly above it.
+func (m *Maintainer) rise(t int, v graph.NodeID, p, at float64) (b, s, g float64) {
+	arcs := m.adj.adj[v]
 	m.grow(len(arcs))
+	prev := m.hist[t-1]
 	bs, ws := m.bs[:0], m.ws[:0]
 	for _, a := range arcs {
 		if b := prev[a.to]; b > p {
@@ -168,18 +185,18 @@ func (m *Maintainer) eval(t int, v graph.NodeID, p float64) (b, s float64, verif
 			ws = append(ws, a.w)
 		}
 	}
-	// The element at p carries the ties.
 	b = core.UpdateValue(append(bs, p), append(ws, at), m.scratch)
-	return b, atOrAbove(bs, ws, b, 0), true
+	s, g = sums(bs, ws, b, 0)
+	return b, s, g
 }
 
 // fall computes β_t(v) when the value p has fallen, given S(p) = sp < p, and
-// S at the answer. Everything at or above p is infeasible, and below p those
-// arcs count only as their total, so UpdateValue gets the arcs below p plus
-// one element (p, sp) — its term is the one the full descending order reaches
-// at its last arc ≥ p. S at the answer is sp plus the gathered arcs at or
-// above it.
-func (m *Maintainer) fall(t int, v graph.NodeID, p, sp float64) (b, s float64) {
+// S and G at the answer. Everything at or above p is infeasible, and below p
+// those arcs count only as their total, so UpdateValue gets the arcs below p
+// plus one element (p, sp) — its term is the one the full descending order
+// reaches at its last arc ≥ p. The answer is below p, so S and G at it are sp
+// plus the gathered arcs at or above it and strictly above it.
+func (m *Maintainer) fall(t int, v graph.NodeID, p, sp float64) (b, s, g float64) {
 	arcs := m.adj.adj[v]
 	m.grow(len(arcs))
 	prev := m.hist[t-1]
@@ -191,17 +208,23 @@ func (m *Maintainer) fall(t int, v graph.NodeID, p, sp float64) (b, s float64) {
 		}
 	}
 	b = core.UpdateValue(append(bs, p), append(ws, sp), m.scratch)
-	return b, atOrAbove(bs, ws, b, sp)
+	s, g = sums(bs, ws, b, sp)
+	return b, s, g
 }
 
-// atOrAbove returns s plus the gathered weights whose value is at least b.
-func atOrAbove(bs, ws []float64, b, s float64) float64 {
+// sums returns base plus the gathered weights whose value is at least b, and
+// base plus those whose value is above b.
+func sums(bs, ws []float64, b, base float64) (s, g float64) {
+	s, g = base, base
 	for i, x := range bs {
 		if x >= b {
 			s += ws[i]
+			if x > b {
+				g += ws[i]
+			}
 		}
 	}
-	return s
+	return s, g
 }
 
 // grow sizes the gather scratch for a node of degree d. Inserts can push a
@@ -260,7 +283,7 @@ func (m *Maintainer) ApplyDelta(d dist.GraphDelta) error {
 	m.Stats.Updates += applied
 	for _, op := range d.Ops[:applied] {
 		if !op.Del && !Summable(op.W) {
-			m.mass = nil // a kept sum could drift from a recount from here on
+			m.mass, m.above = nil, nil // a kept sum could drift from a recount from here on
 		}
 	}
 	m.repair(d.Ops[:applied])
@@ -298,11 +321,14 @@ func (m *Maintainer) Moved() []Move { return m.moved }
 // against an already final hist[t-1], so hist[t] ends as the from-scratch β_t
 // of the mutated graph.
 //
-// The same loops keep the round's mass S_t = S(r) exact before any candidate
-// is settled: an op's arc leaves it, or enters it as if it had always read
-// its far end's pre-repair value, when that value is ≥ r (a self-loop once);
-// a move old → now then carries every current arc across r — out when now <
-// r ≤ old, in when old < r ≤ now.
+// The same loops keep the round's masses S_t = S(r) and G_t = G(r), the weight
+// reading strictly above r, exact before any candidate is settled: an op's arc
+// leaves them, or enters them as if it had always read its far end's
+// pre-repair value, when that value is ≥ r (S) or > r (G), a self-loop once; a
+// move old → now then carries every current arc across — S out when now < r ≤
+// old and in when old < r ≤ now, G out when now ≤ r < old and in when old ≤ r
+// < now. A down-move admits the nodes whose S it lowers, an up-move those whose
+// G it raises.
 func (m *Maintainer) repair(ops []dist.EdgeOp) {
 	m.moved = m.moved[:0]
 	m.far = m.far[:0]
@@ -312,14 +338,13 @@ func (m *Maintainer) repair(ops []dist.EdgeOp) {
 	for t := 1; t <= m.T; t++ {
 		if m.gen++; m.gen == 0 { // wrapped: stale marks could alias
 			clear(m.mark)
-			clear(m.up)
 			m.gen = 1
 		}
 		m.cand = m.cand[:0]
 		prev, cur := m.hist[t-1], m.hist[t]
-		var mass []float64
+		var mass, above []float64
 		if m.mass != nil {
-			mass = m.mass[t]
+			mass, above = m.mass[t], m.above[t]
 		}
 		for i, op := range ops {
 			farU, farV := m.far[2*i], m.far[2*i+1]
@@ -329,11 +354,9 @@ func (m *Maintainer) repair(ops []dist.EdgeOp) {
 				if op.Del {
 					w = -w
 				}
-				if farV >= cur[op.U] {
-					mass[op.U] += w
-				}
-				if op.U != op.V && farU >= cur[op.V] {
-					mass[op.V] += w
+				kept(mass, above, op.U, cur[op.U], farV, w)
+				if op.U != op.V {
+					kept(mass, above, op.V, cur[op.V], farU, w)
 				}
 			}
 			if op.Del {
@@ -346,21 +369,25 @@ func (m *Maintainer) repair(ops []dist.EdgeOp) {
 				continue
 			}
 			if cur[op.U] < prev[op.V] {
-				m.pushUp(op.U)
+				m.push(op.U)
 			}
 			if cur[op.V] < prev[op.U] {
-				m.pushUp(op.V)
+				m.push(op.V)
 			}
 		}
 		for _, mv := range m.moved {
 			old, now := mv.Old, prev[mv.Node]
 			if now < old {
 				for _, a := range m.adj.adj[mv.Node] {
-					if r := cur[a.to]; now < r && r <= old {
+					r := cur[a.to]
+					if now < r && r <= old {
 						m.push(a.to)
 						if mass != nil {
 							mass[a.to] -= a.w
 						}
+					}
+					if mass != nil && now <= r && r < old {
+						above[a.to] -= a.w
 					}
 				}
 				continue
@@ -368,7 +395,10 @@ func (m *Maintainer) repair(ops []dist.EdgeOp) {
 			for _, a := range m.adj.adj[mv.Node] {
 				r := cur[a.to]
 				if old <= r && r < now {
-					m.pushUp(a.to)
+					m.push(a.to)
+					if mass != nil {
+						above[a.to] += a.w
+					}
 				}
 				if mass != nil && old < r && r <= now {
 					mass[a.to] += a.w
@@ -377,15 +407,27 @@ func (m *Maintainer) repair(ops []dist.EdgeOp) {
 		}
 		m.moved = m.moved[:0]
 		for _, x := range m.cand {
-			nb, s, verified := m.settle(t, x, cur[x], mass)
+			p := cur[x]
+			var nb float64
+			var verified bool
+			if mass != nil {
+				nb, mass[x], above[x], verified = m.settle(t, x, p, mass[x], above[x])
+				switch {
+				case nb < p:
+					m.fell++
+				case nb > p:
+					m.rose++
+				default:
+					m.stood++
+				}
+			} else {
+				nb, _, _, verified = m.eval(t, x, p)
+			}
 			if verified {
 				m.Stats.Verified++
 			}
-			if mass != nil {
-				mass[x] = s
-			}
-			if nb != cur[x] {
-				m.moved = append(m.moved, Move{Node: x, Old: cur[x]})
+			if nb != p {
+				m.moved = append(m.moved, Move{Node: x, Old: p})
 				cur[x] = nb
 			}
 		}
@@ -395,29 +437,15 @@ func (m *Maintainer) repair(ops []dist.EdgeOp) {
 	slices.SortFunc(m.moved, func(a, b Move) int { return a.Node - b.Node })
 }
 
-// settle decides candidate x of round t, whose stored value is p, and returns
-// its answer, S at the answer and whether p was still feasible. With the kept
-// mass s = S(p) it reads no arc when it can: G(p), the weight strictly above
-// p, was ≤ p before the batch (p was the answer), and
-//
-//   - s = p: x stands, whatever admitted it — G(p) ≤ S(p) = p ≤ S(p);
-//   - every admitting move was downward (a down-crossing or a delete): G(p)
-//     could only fall, so x stands if s > p and falls if s < p, where fall
-//     needs only the arcs below p;
-//
-// and otherwise (an up-crossing or an insert admitted it, and s ≠ p) eval
-// makes its pass. Without the kept mass every candidate takes eval's pass.
-func (m *Maintainer) settle(t int, x graph.NodeID, p float64, mass []float64) (b, s float64, verified bool) {
-	if mass == nil || m.up[x] == m.gen && mass[x] != p {
-		return m.eval(t, x, p)
+// kept moves an op's arc of weight w (negative for a delete) into node x's
+// kept masses, whose stored value is r, as if it had always read far.
+func kept(mass, above []float64, x graph.NodeID, r, far, w float64) {
+	if far >= r {
+		mass[x] += w
+		if far > r {
+			above[x] += w
+		}
 	}
-	if s = mass[x]; s >= p {
-		m.stood++
-		return p, s, true
-	}
-	m.fell++
-	b, s = m.fall(t, x, p, s)
-	return b, s, false
 }
 
 // push adds x to the current round's candidates once.
@@ -426,13 +454,6 @@ func (m *Maintainer) push(x graph.NodeID) {
 		m.mark[x] = m.gen
 		m.cand = append(m.cand, x)
 	}
-}
-
-// pushUp is push for an upward crossing or an insert, which can raise the
-// weight above x's value and so keeps x from being settled by its mass alone.
-func (m *Maintainer) pushUp(x graph.NodeID) {
-	m.push(x)
-	m.up[x] = m.gen
 }
 
 // DensestValue returns max_v β_T(v), a 2·n^{1/T}-approximation of the

@@ -59,7 +59,7 @@ func fuzzSeed(ops []dist.EdgeOp) []byte {
 // parallels, deletes of live and of missing edges — to the oracle multigraph
 // and holds the maintainer, after every batch, to a fresh core.Run on the
 // canonically applied graph: every level of the history bit for bit, the
-// rolling hash against a from-scratch one, the kept mass against a recount,
+// rolling hash against a from-scratch one, the kept masses against a recount,
 // and the prefix contract of a batch that fails mid-way.
 func FuzzRepairMatchesScratch(f *testing.F) {
 	ins := func(u, v int, w float64) dist.EdgeOp { return dist.EdgeOp{U: u, V: v, W: w} }

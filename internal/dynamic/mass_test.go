@@ -11,13 +11,14 @@ import (
 	"distkcore/internal/graph"
 )
 
-// assertMassMatchesRecount holds every kept S_t(v) to a recount from scratch,
-// bit for bit: the weight of v's arcs, in a freshly materialized graph, whose
-// far end reads at least β_t(v) in round t-1 of a fresh core.Run — whose
-// history m must also match bit for bit.
+// assertMassMatchesRecount holds every kept S_t(v) and G_t(v) to a recount
+// from scratch, bit for bit: the weight of v's arcs, in a freshly materialized
+// graph, whose far end reads at least β_t(v) in round t-1 of a fresh core.Run,
+// and of those reading strictly above it — whose history m must also match
+// bit for bit.
 func assertMassMatchesRecount(t *testing.T, m *Maintainer, label string) {
 	t.Helper()
-	if m.mass == nil {
+	if m.mass == nil || m.above == nil {
 		t.Fatalf("%s: no mass kept, and every weight held is summable", label)
 	}
 	g := m.Graph()
@@ -32,14 +33,20 @@ func assertMassMatchesRecount(t *testing.T, m *Maintainer, label string) {
 			if math.Float64bits(m.hist[tt][v]) != math.Float64bits(cur[v]) {
 				t.Fatalf("%s: β_%d(%d) = %v, fresh core.Run %v", label, tt, v, m.hist[tt][v], cur[v])
 			}
-			s := 0.0
+			s, above := 0.0, 0.0
 			for _, a := range g.Adj(v) {
 				if prev[a.To] >= cur[v] {
 					s += a.W
 				}
+				if prev[a.To] > cur[v] {
+					above += a.W
+				}
 			}
 			if math.Float64bits(m.mass[tt][v]) != math.Float64bits(s) {
 				t.Fatalf("%s: kept S_%d(%d) = %v, a recount %v", label, tt, v, m.mass[tt][v], s)
+			}
+			if math.Float64bits(m.above[tt][v]) != math.Float64bits(above) {
+				t.Fatalf("%s: kept G_%d(%d) = %v, a recount %v", label, tt, v, m.above[tt][v], above)
 			}
 		}
 		prev = cur
@@ -65,9 +72,9 @@ func massExtras(rng *rand.Rand, n int) []dist.EdgeOp {
 // TestMaintainedMassMatchesRecount chains RandomChurn batches of 1, 7 and 64
 // ops, each with massExtras appended, through one Maintainer per graph — BA,
 // Caveman, and a BA weighted on a ¼ grid with zero weights — and holds the
-// kept mass to a recount after New and after every batch. The settle that
-// reads no arc, and the fall that gathers below its value only, must both
-// have fired on every graph.
+// kept masses to a recount after New and after every batch. The settle that
+// reads no arc, the fall that gathers below its value only and the rise that
+// gathers above it only must each have fired on every graph.
 func TestMaintainedMassMatchesRecount(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	b := graph.NewBuilder(300)
@@ -92,8 +99,8 @@ func TestMaintainedMassMatchesRecount(t *testing.T) {
 			}
 			assertMassMatchesRecount(t, m, fmt.Sprintf("%s batch %d (%d ops)", gname, i, len(d.Ops)))
 		}
-		if m.stood == 0 || m.fell == 0 {
-			t.Fatalf("%s: the kept mass settled %d stands and %d falls; both have to run", gname, m.stood, m.fell)
+		if m.stood == 0 || m.fell == 0 || m.rose == 0 {
+			t.Fatalf("%s: the kept masses settled %d stands, %d falls and %d rises; each has to run", gname, m.stood, m.fell, m.rose)
 		}
 	}
 }
@@ -122,13 +129,14 @@ func TestMassOnlyUnderExactSums(t *testing.T) {
 	}
 	exact.DeleteEdge(1, 2)
 	for label, m := range map[string]*Maintainer{"0.1 from the start": New(b.Build(), 6), "0.1 inserted and deleted": exact} {
-		stood, fell := m.stood, m.fell
+		stood, fell, rose := m.stood, m.fell, m.rose
 		for i := 0; i < 20; i++ {
 			if err := m.ApplyDelta(dist.RandomChurn(m.Graph(), 16, int64(i))); err != nil {
 				t.Fatal(err)
 			}
-			if m.mass != nil || m.stood != stood || m.fell != fell {
-				t.Fatalf("%s batch %d: mass kept = %v, settled without a pass: %d stands, %d falls", label, i, m.mass != nil, m.stood-stood, m.fell-fell)
+			if m.mass != nil || m.above != nil || m.stood != stood || m.fell != fell || m.rose != rose {
+				t.Fatalf("%s batch %d: mass kept = %v, settled without a pass: %d stands, %d falls, %d rises",
+					label, i, m.mass != nil || m.above != nil, m.stood-stood, m.fell-fell, m.rose-rose)
 			}
 			assertMatchesScratch(t, m, fmt.Sprintf("%s batch %d", label, i))
 		}

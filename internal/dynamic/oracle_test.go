@@ -748,12 +748,23 @@ func recount(arcs []refArc, prev []float64, b float64) float64 {
 	return s
 }
 
+// recountAbove is G(b) = Σ_{b_u > b} w_u over arcs whose far ends read prev.
+func recountAbove(arcs []refArc, prev []float64, b float64) float64 {
+	g := 0.0
+	for _, a := range arcs {
+		if prev[a.to] > b {
+			g += a.w
+		}
+	}
+	return g
+}
+
 // TestEvalAtAnyPivot holds eval to the reference's full sort at every (t, v)
 // of the oracle graphs and of a BA graph with weights on a ¼ grid, at pivots
 // on, between and beyond the values v's arcs read: β_t(v), β_{t−1}(v), each
 // neighbour's β_{t−1}, 0, +∞ and the midpoints of consecutive neighbour
 // values. The case split is exact for any pivot, so every answer must equal
-// the reference bit for bit, S at it must equal a recount, and eval must
+// the reference bit for bit, S and G at it must equal a recount, and eval must
 // report a fall exactly when S(p) < p. Each graph has to exercise all three
 // outcomes.
 func TestEvalAtAnyPivot(t *testing.T) {
@@ -794,12 +805,15 @@ func TestEvalAtAnyPivot(t *testing.T) {
 							atOrAbove += a.w
 						}
 					}
-					got, s, verified := m.eval(tt, v, p)
+					got, s, g, verified := m.eval(tt, v, p)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s: eval(%d, %d) at pivot %v = %v, full-sort reference %v", gname, tt, v, p, got, want)
 					}
 					if rs := recount(r.adj[v], prev, got); math.Float64bits(s) != math.Float64bits(rs) {
 						t.Fatalf("%s: eval(%d, %d) at pivot %v: S at its answer %v is %v, a recount %v", gname, tt, v, p, got, s, rs)
+					}
+					if rg := recountAbove(r.adj[v], prev, got); math.Float64bits(g) != math.Float64bits(rg) {
+						t.Fatalf("%s: eval(%d, %d) at pivot %v: G at its answer %v is %v, a recount %v", gname, tt, v, p, got, g, rg)
 					}
 					if verified != (atOrAbove >= p) {
 						t.Fatalf("%s: eval(%d, %d) at pivot %v: verified = %v with S(p) = %v", gname, tt, v, p, verified, atOrAbove)

@@ -61,7 +61,7 @@ func runE14(cfg Config) *Report {
 	rep.Tables = append(rep.Tables, Table{Name: "incremental repair cost", Body: tbl.String()})
 	rep.Notes = append(rep.Notes,
 		"re-evals/op ≪ n·T: the change frontier usually dies within a few hops",
-		"verified/op: the re-evals whose stored value was still feasible, so nothing below it was gathered — one pass settled a value that stood, or none did when the kept mass S(p) decided it (S(p) = p, or only downward moves reached it); a gather of the arcs above it settled one that rose",
+		"verified/op: the re-evals whose stored value was still feasible, so nothing below it was gathered — the kept masses S(p) and G(p) settle a value that stood with no arc read, and a gather of the arcs above it one that rose",
 		"correctness vs from-scratch recomputation is asserted by internal/dynamic's tests")
 	return rep
 }

@@ -102,6 +102,32 @@ func (h *Hub) Send(i int, typ byte, chunks ...[]byte) error {
 	return h.conns[i].Send(typ, chunks...)
 }
 
+// Broadcast writes and flushes one record to every worker's current
+// connection at once: worker 0's write runs on the caller, every other on a
+// goroutine of its own, and Broadcast returns when all have returned, with
+// worker i's error in slot i. A synchronous link's write returns only once
+// its worker has read, so one write after another would hold the last
+// worker's record until every earlier one had been taken — on fewer cores
+// than workers, until an earlier worker's work freed one. body is shared by
+// the writes and must not change until Broadcast returns.
+func (h *Hub) Broadcast(typ byte, body []byte) []error {
+	errs := make([]error, len(h.conns))
+	if len(errs) == 0 {
+		return errs
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(h.conns); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = h.conns[i].Send(typ, body)
+		}()
+	}
+	errs[0] = h.conns[0].Send(typ, body)
+	wg.Wait()
+	return errs
+}
+
 // reader pumps one connection's records into the shared channel, copying
 // each payload out of the Conn's reused buffer. It exits on the first read
 // error (EOF included, which is the normal end once the caller closes the

@@ -1,7 +1,10 @@
 package net
 
 import (
+	"errors"
+	"fmt"
 	stdnet "net"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -139,5 +142,73 @@ func TestHubDiscipline(t *testing.T) {
 			}()
 			tc.run(t, h, ws)
 		})
+	}
+}
+
+// TestBroadcastWritesEveryWorkerAtOnce: over net.Pipe a write returns only once
+// its worker has read, and here worker i reads only after worker i + 1 has.
+// Writing one worker after another then blocks on worker 0 for good — the
+// first write runs into its deadline — while Broadcast, which writes to all of
+// them at once, completes with every worker holding the record.
+func TestBroadcastWritesEveryWorkerAtOnce(t *testing.T) {
+	const P, recA = 4, byte(200)
+	// reverse starts P workers that each read one record off their end once
+	// the worker above has, and reports what each read; timeout bounds the
+	// hub's writes.
+	reverse := func(timeout time.Duration) (*Hub, chan string, func()) {
+		conns, ws := make([]*Conn, P), make([]*Conn, P)
+		for i := range conns {
+			a, b := stdnet.Pipe()
+			conns[i], ws[i] = NewConn(a), NewConn(b)
+			conns[i].SetIOTimeout(timeout)
+		}
+		h := NewHub(conns)
+		read := make([]chan struct{}, P+1)
+		for i := range read {
+			read[i] = make(chan struct{})
+		}
+		close(read[P])
+		got := make(chan string, P)
+		for i, w := range ws {
+			go func() {
+				<-read[i+1]
+				typ, body, err := w.ReadRecord()
+				got <- fmt.Sprintf("%d:%d:%s:%v", i, typ, body, err)
+				close(read[i])
+			}()
+		}
+		return h, got, func() {
+			h.Close()
+			for i := range ws {
+				h.Conn(i).Close()
+				ws[i].Close()
+			}
+		}
+	}
+
+	h, _, done := reverse(50 * time.Millisecond)
+	if err := h.Send(0, recA, []byte("go")); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("one after another: the write to worker 0 returned %v, want it blocked until its deadline", err)
+	}
+	done()
+
+	h, got, done := reverse(0)
+	defer done()
+	finished := make(chan []error, 1)
+	go func() { finished <- h.Broadcast(recA, []byte("go")) }()
+	select {
+	case errs := <-finished:
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("Broadcast: worker %d: %v", i, err)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Broadcast did not complete within 10s")
+	}
+	for i := P - 1; i >= 0; i-- {
+		if s, want := <-got, fmt.Sprintf("%d:%d:go:<nil>", i, recA); s != want {
+			t.Fatalf("read %q, want %q", s, want)
+		}
 	}
 }

@@ -42,6 +42,16 @@ const peerFrameHeaderMax = 5 * binary.MaxVarintLen64
 // the round to turn.
 const defaultWindow = 8
 
+// maxReservedEnds caps the end markers each peer's retained list is reserved
+// for at formation: a run with a larger round budget (an asynchronous one's
+// may be 2³¹−1) adds blocks past it rather than reserving rounds it may never
+// run.
+const maxReservedEnds = 128
+
+// retainBlock is the size of the blocks a retained list adds once its
+// reservation is full: records are never copied to grow it.
+const retainBlock = 16
+
 // outRec is one queued mesh write: a record type and its payload (without
 // the type byte; the writer passes both to Conn.WriteRecord).
 type outRec struct {
@@ -65,6 +75,10 @@ type meshConfig struct {
 	Self int
 	P    int
 	Gen  int // this incarnation's generation (0 initial, +1 per respawn)
+	// Ends is how many end markers the run sends each peer at most (its
+	// round budget + 1): each retained list is reserved for them up to
+	// maxReservedEnds, so only chunks add blocks to it.
+	Ends int
 	// Timeout bounds formation and a wait for credits; 0 waits forever.
 	Timeout time.Duration
 	// Dial opens a raw connection to worker dst's mesh endpoint.
@@ -113,8 +127,19 @@ type meshPeer struct {
 	future []futRec
 	// retained holds every record sent toward the peer, verbatim, in order and
 	// for the whole run: what a respawned peer runs again from Init on (attach
-	// re-sends them).
-	retained []outRec
+	// re-sends them). Its first block is reserved at formation for the run's
+	// end markers; chunks past that add blocks (retain).
+	retained [][]outRec
+}
+
+// retain appends r to the records retained toward the peer: to the last block
+// while it has room, else to a new one of retainBlock records.
+func (p *meshPeer) retain(r outRec) {
+	if k := len(p.retained) - 1; k >= 0 && len(p.retained[k]) < cap(p.retained[k]) {
+		p.retained[k] = append(p.retained[k], r)
+		return
+	}
+	p.retained = append(p.retained, append(make([]outRec, 0, retainBlock), r))
 }
 
 // mesh is the per-worker data plane: links, per-peer flow state and the
@@ -139,8 +164,13 @@ type mesh struct {
 func newMesh(cfg meshConfig) *mesh {
 	m := &mesh{cfg: cfg, links: make([]*meshLink, cfg.P), peers: make([]meshPeer, cfg.P), round: -1}
 	m.cond = sync.NewCond(&m.mu)
+	ends := max(0, min(cfg.Ends, maxReservedEnds))
+	reserved := make([]outRec, cfg.P*ends)
 	for j := range m.peers {
 		m.peers[j].tokens = defaultWindow
+		if j != cfg.Self && ends > 0 {
+			m.peers[j].retained = [][]outRec{reserved[j*ends : j*ends : (j+1)*ends]}
+		}
 	}
 	return m
 }
@@ -288,13 +318,15 @@ func (m *mesh) attach(j, gen int, c *Conn) {
 	m.links[j] = l
 	p := &m.peers[j]
 	p.tokens, p.owed = defaultWindow, 0
-	for _, r := range p.retained {
-		if r.typ == recPeerFrame {
-			m.wire.Chunks++
+	for _, b := range p.retained {
+		for _, r := range b {
+			if r.typ == recPeerFrame {
+				m.wire.Chunks++
+			}
+			m.wire.Sent += int64(len(r.payload) + 1)
 		}
-		m.wire.Sent += int64(len(r.payload) + 1)
+		l.q = append(l.q, b...)
 	}
-	l.q = append(l.q, p.retained...)
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	go m.readLoop(j, l)
@@ -608,7 +640,7 @@ func (m *mesh) sendChunk(dst int, body []byte, count int) error {
 	payload := append(append(make([]byte, 0, len(h)+len(body)), h...), body...)
 	p.sent++
 	p.sDig = foldFrame(p.sDig, payload)
-	p.retained = append(p.retained, outRec{recPeerFrame, payload})
+	p.retain(outRec{recPeerFrame, payload})
 	m.queueLocked(dst, recPeerFrame, payload)
 	return nil
 }
@@ -629,7 +661,7 @@ func (m *mesh) sendEnd(dst int, msgs, logicalBytes int64, alive int) (codec.Peer
 		Kind: codec.WindowEnd, Src: m.cfg.Self, Dst: dst, Round: m.round,
 		Chunks: p.sent, Msgs: msgs, Bytes: logicalBytes, Digest: p.sDig, Alive: alive,
 	}
-	p.retained = append(p.retained, outRec{recWindow, codec.AppendWindow(nil, wd)})
+	p.retain(outRec{recWindow, codec.AppendWindow(nil, wd)})
 	wd.Credits, p.owed = p.owed, 0
 	m.queueLocked(dst, recWindow, codec.AppendWindow(nil, wd))
 	return codec.PeerDigest{Peer: dst, Chunks: wd.Chunks, Msgs: msgs, Bytes: logicalBytes, Digest: wd.Digest}, nil

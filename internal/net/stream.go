@@ -46,7 +46,7 @@ func newStreamWorker(r *workerLoop) (*streamWorker, error) {
 		return nil, fmt.Errorf("net: streamed hello but worker %d has no mesh endpoints", h.Shard)
 	}
 	m := newMesh(meshConfig{
-		Self: h.Shard, P: h.P, Gen: w.MeshGen, Timeout: w.IOTimeout,
+		Self: h.Shard, P: h.P, Gen: w.MeshGen, Ends: h.MaxRounds + 1, Timeout: w.IOTimeout,
 		Dial: w.MeshDial, Accept: w.MeshAccept, CloseAccept: w.MeshClose,
 		Deliver: r.absorb,
 	})
@@ -249,19 +249,32 @@ type streamCoord struct {
 	// last is the run's last round, -1 until the loop condition ended it.
 	last int
 	owed []bool
+	// spare holds the record sets of sealed rounds, handed back by seal for
+	// rounds still to open; ents is what records are decoded into.
+	spare []streamRound
+	ents  []codec.PeerDigest
 }
 
 // streamRound is one round's records as they arrive: worker w's done and ack
-// entry lists (nil until in), their count, the done records' alive counts summed.
+// entry lists (stale, in a set seal handed back, until w's are in), their
+// count, the done records' alive counts summed.
 type streamRound struct {
 	sent, recv [][]codec.PeerDigest
 	n, alive   int
 }
 
-// round returns round t's record set, opening rounds up to it.
+// round returns round t's record set, opening rounds up to it — on a set seal
+// handed back when there is one, so a run allocates the lists of the rounds
+// open at once, not of every round.
 func (p *streamCoord) round(t int) *streamRound {
 	for np := len(p.in); t-p.base >= len(p.open); {
-		p.open = append(p.open, streamRound{sent: make([][]codec.PeerDigest, np), recv: make([][]codec.PeerDigest, np)})
+		rd := streamRound{}
+		if k := len(p.spare) - 1; k >= 0 {
+			rd.sent, rd.recv, p.spare = p.spare[k].sent, p.spare[k].recv, p.spare[:k]
+		} else {
+			rd.sent, rd.recv = make([][]codec.PeerDigest, np), make([][]codec.PeerDigest, np)
+		}
+		p.open = append(p.open, rd)
 	}
 	return &p.open[t-p.base]
 }
@@ -286,15 +299,13 @@ func (p *streamCoord) readmit(w int) error {
 	return p.c.hub.Send(w, recStep, []byte{0})
 }
 
-// run follows the streamed run: the go records, then round after round —
-// collect the round's 2P records, verify, seal — until SeqEngine's loop
-// condition, read off the sealed alive counts, ends it where the workers ended
-// it themselves. Returns the alive count of the last round.
+// run follows the streamed run: the go record to every worker at once, then
+// round after round — collect the round's 2P records, verify, seal — until
+// SeqEngine's loop condition, read off the sealed alive counts, ends it where
+// the workers ended it themselves. Returns the alive count of the last round.
 func (p *streamCoord) run() (alive int, err error) {
 	c := p.c
-	for i := range p.in {
-		_ = p.readmit(i) // a failed write finds the worker dead: its reader says so below
-	}
+	c.hub.Broadcast(recStep, []byte{0}) // a failed write finds the worker dead: its reader says so below
 	for t := 0; ; t++ {
 		c.cur = t
 		bw := c.spec.Trace.Begin(obs.PhaseBarrierWait, t, -1)
@@ -303,14 +314,13 @@ func (p *streamCoord) run() (alive int, err error) {
 		if err != nil {
 			return 0, c.fail(w, obs.PhaseStep, err)
 		}
+		alive = p.open[0].alive
 		vf := c.spec.Trace.Begin(obs.PhaseVerify, t, -1)
 		bytes, flows, liar, err := p.seal(t)
 		vf.EndN(bytes, flows)
 		if err != nil {
 			return 0, &RunError{Round: t, Phase: obs.PhaseVerify, Worker: liar, Err: err}
 		}
-		alive = p.open[0].alive
-		p.open, p.base = p.open[1:], p.base+1
 		if t >= c.spec.MaxRounds || alive == 0 {
 			p.last = t
 			break
@@ -374,11 +384,11 @@ func (p *streamCoord) record(from int, typ byte, body []byte) error {
 	switch {
 	case typ == recStreamDone && k%2 == 0:
 		var sd codec.StreamDone
-		sd, used, err = codec.DecodeStreamDone(body)
+		sd, used, err = codec.DecodeStreamDone(body, p.ents)
 		ents, round, alive = sd.Sent, sd.Round, sd.Alive
 	case typ == recStreamAck && k%2 == 1:
 		var sa codec.StreamAck
-		sa, used, err = codec.DecodeStreamAck(body)
+		sa, used, err = codec.DecodeStreamAck(body, p.ents)
 		if ents, round = sa.Recv, sa.Round; err == nil && k >= p.in[from] {
 			p.c.rep.StreamWire[from] = sa.Wire
 		}
@@ -397,6 +407,7 @@ func (p *streamCoord) record(from int, typ byte, body []byte) error {
 	case p.last >= 0 && t > p.last:
 		return fmt.Errorf("net: worker %d ran past the run's last round %d", from, p.last)
 	}
+	p.ents = ents
 	for i, e := range ents { // the others, ascending
 		if (i < from && e.Peer != i) || (i >= from && e.Peer != i+1) {
 			return fmt.Errorf("net: worker %d round %d entry %d names peer %d", from, t, i, e.Peer)
@@ -409,9 +420,9 @@ func (p *streamCoord) record(from int, typ byte, body []byte) error {
 	p.in[from]++
 	rd := p.round(t)
 	if rd.n++; k%2 == 0 {
-		rd.sent[from], rd.alive = ents, rd.alive+alive
+		rd.sent[from], rd.alive = append(rd.sent[from][:0], ents...), rd.alive+alive
 	} else {
-		rd.recv[from] = ents
+		rd.recv[from] = append(rd.recv[from][:0], ents...)
 	}
 	return nil
 }
@@ -422,6 +433,7 @@ func (p *streamCoord) record(from int, typ byte, body []byte) error {
 // and trace are priced from the done records — what the relay plane would have
 // priced for the same frames — and the frame chains advance:
 // worker w's round digest is the ascending-source fold of the flows it received.
+// The sealed round's lists are handed back for a round still to open.
 func (p *streamCoord) seal(t int) (bytes, flows int64, liar int, err error) {
 	rd, c := &p.open[0], p.c
 	for w, ents := range rd.recv {
@@ -456,5 +468,7 @@ func (p *streamCoord) seal(t int) (bytes, flows int64, liar int, err error) {
 		}
 		c.chains[w] = foldU64(c.chains[w], dig)
 	}
+	p.spare = append(p.spare, *rd)
+	p.open, p.base = p.open[1:], p.base+1
 	return bytes, flows, -1, nil
 }

@@ -130,8 +130,8 @@ func NewCoordinator(hub *net.Hub, g *graph.Graph, assign []int, part shard.Parti
 	c.gh, c.pd, c.vd = c.adj.Hash(), shard.PartitionDigest(c.assign), ValuesDigest(c.b)
 	c.chain = ChainNext(0, c.gh, c.pd, c.vd)
 	st := codec.Stamp{Epoch: 0, GraphHash: c.gh, PartDigest: c.pd, ValuesDigest: c.vd, ChainDigest: c.chain}
-	for i := 0; i < p; i++ {
-		if err := c.sendTo(i, net.RecValuesDigest, codec.AppendStamp(nil, st)); err != nil {
+	for i, err := range c.broadcast(net.RecValuesDigest, codec.AppendStamp(nil, st)) {
+		if err != nil {
 			return nil, c.fail(0, "stamp-broadcast", faultOf(i, err))
 		}
 	}
@@ -238,13 +238,12 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 		c.publishStat()
 		return nil, fmt.Errorf("session: delta rejected (session still live): %w", err)
 	}
-	for i := 0; i < c.p; i++ {
-		resend := func() error { return c.sendTo(i, net.RecDeltaPush, push) }
-		err := resend()
+	// The push goes to every worker at once, so none waits for the others to
+	// read theirs first; one found dead before the epoch reached it is
+	// recovered to the sealed epoch and handed the push again.
+	for i, err := range c.broadcast(net.RecDeltaPush, push) {
 		if err != nil {
-			// Dead before the epoch reached it: recover to the sealed epoch
-			// and hand it the push again.
-			err = c.recoverThen(i, err, resend)
+			err = c.recoverThen(i, err, func() error { return c.sendTo(i, net.RecDeltaPush, push) })
 		}
 		if err != nil {
 			return nil, c.fail(epoch, "delta-broadcast", faultOf(i, err))
@@ -499,6 +498,19 @@ func (c *Coordinator) sendTo(i int, typ byte, body []byte) error {
 	return nil
 }
 
+// broadcast writes and flushes one record to every worker at once (through
+// the hub, so a recovery's replacement connection is picked up), with worker
+// i's failure, worded as sendTo words it, in slot i.
+func (c *Coordinator) broadcast(typ byte, body []byte) []error {
+	errs := c.hub.Broadcast(typ, body)
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("session: record to worker %d: %w", i, err)
+		}
+	}
+	return errs
+}
+
 // collectEchoes demands every worker's byte-identical echo of the epoch-0
 // stamp; any fault ends it.
 func (c *Coordinator) collectEchoes(want codec.Stamp) error {
@@ -520,11 +532,7 @@ func (c *Coordinator) collectEchoes(want codec.Stamp) error {
 
 // Bye broadcasts a clean goodbye (best-effort; the session is over either
 // way).
-func (c *Coordinator) Bye() {
-	for i := 0; i < c.p; i++ {
-		_ = c.sendTo(i, net.RecBye, nil)
-	}
-}
+func (c *Coordinator) Bye() { c.hub.Broadcast(net.RecBye, nil) }
 
 // Err returns the error that broke the session, nil while it is live. A
 // break from a seal in flight is a *BreakCause carrying the epoch, phase

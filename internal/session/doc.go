@@ -22,11 +22,12 @@
 // (ValuesDigest, the stamp on its own, is admission's: epoch 0's above, and
 // a respawned worker's at the last sealed epoch, each echoed back.)
 //
-// Each epoch every worker hands the batch to its Maintainer — which mutates
-// its adjacency in place under the canonical order (the worker's only copy of
-// the graph; no CSR is rebuilt) and repairs its history (frontier repair, not
-// a re-run) — reruns the coordinator's incremental Rebalance on that
-// adjacency, applies the moves it returns to the assignment buffers it holds
+// Each epoch the coordinator writes the batch to every worker at once
+// (net.Hub.Broadcast), and every worker hands it to its Maintainer — which
+// mutates its adjacency in place under the canonical order (the worker's only
+// copy of the graph; no CSR is rebuilt) and repairs its history (frontier
+// repair, not a re-run) — reruns the coordinator's incremental Rebalance on
+// that adjacency, applies the moves it returns to the assignment buffers it holds
 // (no party copies an n-sized array per epoch), and ships only the values of
 // its own post-rebalance shard that actually changed, as the repair reported
 // them, behind the stamp it arrived at: the post-churn graph's rolling
