@@ -82,7 +82,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  cluster worker -listen unix:/path.sock|tcp:host:port [-session]
+  cluster worker -listen unix:/path.sock|tcp:host:port
   cluster coord  (-workers addr,addr,... | -spawn P) -gen ba -n 10000 [-seed S] [-eps E | -T T] [-lambda L] [-part NAME] [-stream] [-kill W:R] [-verify] [-json FILE] [-trace FILE]
   cluster serve  (-workers addr,addr,... | -spawn P) -control unix:/path.sock -gen ba -n 10000 [-seed S] [-eps E | -T T] [-part NAME] [-trace FILE] [-debug-addr host:port]
   cluster push   -connect unix:/path.sock -gen ba -n 10000 [-seed S] [-eps E | -T T] -epochs E [-ops N] [-churnseed S] [-budget M] [-verify] [-shutdown]
@@ -104,13 +104,13 @@ func splitAddr(s string) (network, addr string, err error) {
 	}
 }
 
-// runWorker serves exactly one coordinated run: accept the coordinator,
-// resolve the inputs its hello describes, run the protocol as this shard,
-// ship the local result values, exit once the coordinator hangs up.
+// runWorker serves exactly one coordinator: accept it, resolve the inputs its
+// hello describes and, as this shard, either run the protocol, ship the local
+// result values and exit once the coordinator hangs up, or — a session's
+// hello — serve its epochs until the goodbye.
 func runWorker(args []string) {
 	fs := flag.NewFlagSet("cluster worker", flag.ExitOnError)
 	listen := fs.String("listen", "unix:/tmp/dkc-worker.sock", "address to await the coordinator on")
-	sess := fs.Bool("session", false, "stay alive after the run and serve session epochs (DESIGN.md §10)")
 	meshGen := fs.Int("mesh-gen", 0, "mesh incarnation number for streamed respawns (set by the coordinator's respawn path, not by hand)")
 	fs.Parse(args)
 
@@ -158,11 +158,26 @@ func runWorker(args []string) {
 	if err != nil {
 		fatalTell(c, err)
 	}
-	T, err := parseProto(h.ProtoSpec)
+	proto, T, err := parseProto(h.ProtoSpec)
 	if err != nil {
 		fatalTell(c, err)
 	}
 	assign := part.Partition(g, h.P)
+	if proto == "session" {
+		// Session worker: build the oracle, answer the hello with epoch 0's
+		// reconverge and every DeltaPush with the next until the coordinator
+		// says goodbye — the same life an in-process session worker leads.
+		ws, err := session.NewWorkerState(c, g, assign, h.Shard, h.P, T, part)
+		if err == nil {
+			err = ws.Serve(h)
+		}
+		if err != nil {
+			fatalTell(c, err)
+		}
+		fmt.Printf("cluster worker: shard %d/%d session closed after epoch %d (chain %#x)\n",
+			h.Shard, h.P, ws.Epoch(), ws.ChainDigest())
+		return
+	}
 	w := dnet.NewWorker(c, g, assign)
 	w.Hello = h
 
@@ -201,19 +216,6 @@ func runWorker(args []string) {
 		w.MeshGen = *meshGen
 	}
 
-	if *sess {
-		// Session worker: the run seeds this worker's state, then it keeps the
-		// connection and answers each DeltaPush with its reconverge until the
-		// coordinator says goodbye — the same life an in-process session worker
-		// leads.
-		ws, err := session.ServeWorker(c, w, g, assign, part, T)
-		if err != nil {
-			fatalTell(c, err)
-		}
-		fmt.Printf("cluster worker: shard %d/%d session closed after epoch %d (chain %#x)\n",
-			h.Shard, h.P, ws.Epoch(), ws.ChainDigest())
-		return
-	}
 	// The worker side of the protocol is just core.RunDistributed with the
 	// Worker as its engine — the same driver stack every other engine runs
 	// under, which is the point: nothing protocol-specific lives here.
@@ -234,18 +236,18 @@ func runWorker(args []string) {
 	c.AwaitRecord() // the hang-up: a streamed worker's mesh serves a peer's successor until then
 }
 
-// parseProto resolves the handshake's protocol spec. Only the coreness
-// elimination ships for now ("coreness:T"); the weak-densest pipeline can
-// slot in the same way once a deployment needs it.
-func parseProto(spec string) (T int, err error) {
+// parseProto resolves the handshake's protocol spec: a run of the coreness
+// elimination ("coreness:T") or a session on its oracle ("session:T"); the
+// weak-densest pipeline can slot in the same way once a deployment needs it.
+func parseProto(spec string) (proto string, T int, err error) {
 	parts := strings.Split(spec, ":")
-	if len(parts) != 2 || parts[0] != "coreness" {
-		return 0, fmt.Errorf("unknown protocol spec %q (want coreness:T)", spec)
+	if len(parts) != 2 || parts[0] != "coreness" && parts[0] != "session" {
+		return "", 0, fmt.Errorf("unknown protocol spec %q (want coreness:T or session:T)", spec)
 	}
 	if T, err = strconv.Atoi(parts[1]); err != nil || T < 1 {
-		return 0, fmt.Errorf("bad round budget in protocol spec %q", spec)
+		return "", 0, fmt.Errorf("bad round budget in protocol spec %q", spec)
 	}
-	return T, nil
+	return parts[0], T, nil
 }
 
 func runCoord(args []string) {
@@ -427,8 +429,6 @@ func runCoord(args []string) {
 type fleet struct {
 	addrs []string
 	conns []*dnet.Conn
-	// flags are appended to every spawned worker's command line.
-	flags []string
 	procs []*exec.Cmd
 	dir   string
 	// timeout is installed on every connection, respawned ones included.
@@ -478,7 +478,7 @@ func (f *fleet) spawn(a string, extra ...string) error {
 	if err != nil {
 		return err
 	}
-	args := append(append([]string{"worker", "-listen", a}, f.flags...), extra...)
+	args := append([]string{"worker", "-listen", a}, extra...)
 	cmd := exec.Command(exe, args...)
 	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
 	if err := cmd.Start(); err != nil {

@@ -22,14 +22,15 @@ import (
 	"distkcore/internal/shard"
 )
 
-// runServe opens a long-lived session (DESIGN.md §10): run epoch 0 over P
-// session workers, keep the connections hot, and expose the epoch protocol
-// to push/sub clients on a control socket. Sessions always run Λ = ℝ.
+// runServe opens a long-lived session (DESIGN.md §10): seal epoch 0 over P
+// workers in one hello-and-reconverge exchange, keep the connections hot, and
+// expose the epoch protocol to push/sub clients on a control socket. Sessions
+// always run Λ = ℝ.
 func runServe(args []string) {
 	fs := flag.NewFlagSet("cluster serve", flag.ExitOnError)
 	var (
-		workers   = fs.String("workers", "", "comma-separated worker addresses (workers must run with -session)")
-		spawn     = fs.Int("spawn", 0, "spawn P session-worker subprocesses over unix sockets instead of dialing -workers")
+		workers   = fs.String("workers", "", "comma-separated worker addresses")
+		spawn     = fs.Int("spawn", 0, "spawn P worker subprocesses over unix sockets instead of dialing -workers")
 		gen       = fs.String("gen", "ba", "graph generator (ba, er, rmat, grid, caveman, planted)")
 		n         = fs.Int("n", 10000, "node count")
 		seed      = fs.Int64("seed", 7, "generator seed")
@@ -57,7 +58,7 @@ func runServe(args []string) {
 		T = core.TForEpsilon(g.N(), *eps)
 	}
 
-	f := fleet{flags: []string{"-session"}}
+	var f fleet
 	runErr := func() error {
 		if err := f.open(*workers, *spawn, *timeout); err != nil {
 			return err
@@ -68,36 +69,19 @@ func runServe(args []string) {
 			return err
 		}
 
-		// Epoch 0: one full coordinated run over a hub that outlives it.
-		// The tracer (when asked for) spans the whole session life:
-		// coordinator-side run spans, then per-epoch seal/publish spans.
+		// Epoch 0: the hello names the inputs every worker rebuilds and the
+		// oracle it builds on them; the reconverges seal it. The tracer (when
+		// asked for) spans the whole session life: per-epoch seal/publish
+		// spans.
 		var tracer *obs.Tracer
 		if *traceOut != "" {
 			tracer = obs.NewTracer()
 		}
 		hub := dnet.NewHub(f.conns)
 		defer hub.Close()
+		hub.Timeout = *timeout
 		start := time.Now()
-		met, rep, err := hub.Run(dnet.Spec{
-			P:          p,
-			MaxRounds:  T,
-			GraphHash:  g.Fingerprint(),
-			PartDigest: shard.PartitionDigest(assign),
-			GraphSpec:  spec,
-			PartName:   part.Name(),
-			ProtoSpec:  fmt.Sprintf("coreness:%d", T),
-			WantValues: true,
-			IOTimeout:  *timeout,
-			Trace:      tracer,
-		})
-		if err != nil {
-			return err
-		}
-		b, err := rep.Assemble(g.N())
-		if err != nil {
-			return err
-		}
-		co, err := session.NewCoordinator(hub, g, assign, part, b)
+		co, err := session.NewCoordinator(hub, g, spec, assign, part, T, nil)
 		if err != nil {
 			return err
 		}
@@ -113,8 +97,8 @@ func runServe(args []string) {
 			}()
 			fmt.Printf("cluster serve: pprof/expvar on http://%s/debug/\n", *debugAddr)
 		}
-		fmt.Printf("cluster serve: epoch 0 sealed in %v (%s over %d workers, T=%d, rounds=%d, chain %#x)\n",
-			time.Since(start).Round(time.Millisecond), spec, p, T, met.Rounds, co.ChainDigest())
+		fmt.Printf("cluster serve: epoch 0 sealed in %v (%s over %d workers, T=%d, chain %#x)\n",
+			time.Since(start).Round(time.Millisecond), spec, p, T, co.ChainDigest())
 
 		network, addr, err := splitAddr(*control)
 		if err != nil {
@@ -131,8 +115,8 @@ func runServe(args []string) {
 		fmt.Printf("cluster serve: control listening on %s\n", *control)
 		serveErr := session.Serve(co, ln, func(f string, a ...any) { fmt.Printf(f+"\n", a...) })
 
-		// The trace covers the whole session: epoch 0's run spans plus every
-		// later epoch's repair/rebalance/publish spans, on one clock.
+		// The trace covers the whole session: every epoch's seal and publish
+		// spans, on one clock.
 		if err := cliutil.WriteTrace(*traceOut, tracer); err != nil && serveErr == nil {
 			serveErr = err
 		}

@@ -211,9 +211,9 @@ const (
 // protocol.
 func NetworkEngine(p int, part Partitioner) *SocketEngine { return dnet.NewEngine(p, part) }
 
-// OpenSession dials opt.P in-process workers over real connections, runs
-// epoch 0 (a full coordinated run, byte-identical to SequentialEngine's)
-// and keeps the cluster hot: every Push streams a GraphDelta batch to all
+// OpenSession dials opt.P in-process workers over real connections, seals
+// epoch 0 on their incremental oracles in one exchange (values
+// byte-identical to a SequentialEngine run) and keeps the cluster hot: every Push streams a GraphDelta batch to all
 // workers, which re-converge incrementally (frontier repair + incremental
 // rebalance) instead of re-running, and the coordinator seals each epoch's
 // graph/partition/values digests into a chain. Subscribe registers topics

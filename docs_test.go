@@ -27,6 +27,7 @@ var (
 	testDecl   = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
 	faultnetIm = regexp.MustCompile(`(?m)^\s*(?:\w+\s+)?"distkcore/internal/net/faultnet"$`)
 	camelBreak = regexp.MustCompile(`([a-z])([A-Z])`)
+	killTapRec = regexp.MustCompile(`(?m)^const recDone, recStreamDone = (\d+), (\d+)$`)
 )
 
 func readFile(t *testing.T, path string) string {
@@ -118,7 +119,10 @@ func TestDesignCitationsResolve(t *testing.T) {
 }
 
 // DESIGN.md §8.2 is the normative record table: every record-type constant of
-// internal/net/conn.go appears there as a row "| <number> | <name> |".
+// internal/net/conn.go appears there as a row "| <number> | <name> |". The one
+// copy of two numbers outside conn.go — cmd/cluster's -kill tap, which reads
+// the done records off the wire — is held to them too: a renumbering would
+// otherwise disarm -kill without a word.
 func TestDesignRecordTableMatchesConn(t *testing.T) {
 	design := readFile(t, "DESIGN.md")
 	consts := recConst.FindAllStringSubmatch(readFile(t, "internal/net/conn.go"), -1)
@@ -134,6 +138,15 @@ func TestDesignRecordTableMatchesConn(t *testing.T) {
 		seen[m[2]] = name
 		if row := fmt.Sprintf("\n| %s | %s |", m[2], name); !strings.Contains(design, row) {
 			t.Errorf("DESIGN.md §8.2 has no row %q for conn.go's rec%s = %s", strings.TrimSpace(row), m[1], m[2])
+		}
+	}
+	tap := killTapRec.FindStringSubmatch(readFile(t, "cmd/cluster/main.go"))
+	if tap == nil {
+		t.Fatal("cmd/cluster/main.go declares no `const recDone, recStreamDone = N, M` for its kill tap")
+	}
+	for i, name := range []string{"done", "stream-done"} {
+		if seen[tap[i+1]] != name {
+			t.Errorf("cmd/cluster's kill tap takes record %s for %s; conn.go numbers that record %q", tap[i+1], name, seen[tap[i+1]])
 		}
 	}
 }
@@ -221,7 +234,8 @@ func TestRetiredNamesStayRetired(t *testing.T) {
 		"relayCoord.hist", "workerLoop.replay", "RecEpochResume",
 		"MeshCube", "MeshFull", "MeshKind", "MeshThreshold", "meshHop", "meshKindFor", "meshNeighbors",
 		"defaultMeshThreshold",
-		"Spec.Recover", "Engine.Recover", "Options.Recover", "Hello.Recover", "cfg.Recover", "e.streamed"}
+		"Spec.Recover", "Engine.Recover", "Options.Recover", "Hello.Recover", "cfg.Recover", "e.streamed",
+		"ServeWorker", "runB", "collectEchoes", "EnableRecovery"}
 	exempt := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "docs_test.go": true}
 	walkRepo(t, func(path string) {
 		if exempt[path] || strings.HasPrefix(path, "benchmark/") {

@@ -16,13 +16,13 @@ import (
 // Cluster is the one in-process bring-up of a socket cluster (the package
 // comment lists what it owns): P connection pairs over Transport, a Hub on the
 // coordinator ends, one goroutine per worker incarnation running Body on the
-// worker end. Engine.Run is "Start, Run, Close"; session.Open is the same with
-// a body that continues into the epoch loop and a Close deferred to
-// Session.Close — a session is a run whose hub stays open.
+// worker end. Engine.Run is "Start, Run, Close"; session.Open is "Start", the
+// session's opening exchange over the Hub and a Close deferred to
+// Session.Close.
 //
 // Set the exported fields, call Start with the worker body, drive the Hub
 // (Run, or the session layer's epochs), Close exactly once. The cluster does
-// not keep the body: a session's epoch-0 body closes over the epoch-0 graph,
+// not keep the body: a session's body closes over the graph it opened on,
 // which must be free to go once later epochs have replaced it.
 type Cluster struct {
 	// P is the worker count and Transport the connection kind
@@ -163,8 +163,8 @@ func (cl *Cluster) spawn(shard, gen int, nc net.Conn, ib *meshInbox, body Body) 
 
 // Respawn starts incarnation gen of shard (the generation Hub.Respawn hands
 // its spawn callback) running body and returns the coordinator end of its
-// connection — the shape Spec.Respawn and the session layer's epoch recovery
-// want. Whatever the original transport, the replacement runs over a fresh
+// connection — the shape Spec.Respawn and the session layer's recovery want.
+// Whatever the original transport, the replacement runs over a fresh
 // net.Pipe: the protocol bytes are transport-agnostic and the pipe needs no
 // listener plumbing.
 func (cl *Cluster) Respawn(shard, gen int, body Body) (*Conn, error) {

@@ -58,9 +58,9 @@ const (
 	recWindow = byte(29)
 )
 
-// Session record types (DESIGN.md §10): the long-lived epoch protocol spoken
-// after a run finishes instead of hanging up — the one way a delta reaches a
-// cluster. They are exported — unlike the run records
+// Session record types (DESIGN.md §10): the long-lived epoch protocol a
+// session's workers speak after its hello instead of a run — the one way a
+// delta reaches a cluster. They are exported — unlike the run records
 // above — because internal/session speaks them itself over Conn's record IO
 // rather than through this package's run loop; the number space is one
 // table.
@@ -70,14 +70,14 @@ const (
 	// the epoch field is 0 ("assign the next epoch").
 	RecDeltaPush = byte(12)
 	// RecReconverge is the worker's epoch reply, the one record an epoch
-	// sends back: the codec.Stamp the worker arrived at (epoch, graph hash,
-	// partition, values and chain digests, moved count), then the changed
-	// values of the worker's own shard.
+	// sends back — epoch 0's answers the hello: the codec.Stamp the worker
+	// arrived at (epoch, graph hash, partition, values and chain digests,
+	// moved count), then the changed values of the worker's own shard.
 	RecReconverge = byte(13)
-	// RecValuesDigest carries a codec.Stamp: coordinator→worker as an
-	// admission (epoch 0's, or the last sealed epoch's for a respawned
-	// worker), worker→coordinator as its verify echo, coordinator→client as
-	// the push receipt.
+	// RecValuesDigest carries a codec.Stamp: coordinator→worker as a
+	// respawned worker's admission at the last sealed epoch,
+	// worker→coordinator as its verify echo, coordinator→client as the push
+	// receipt.
 	RecValuesDigest = byte(14)
 	// RecSubscribe registers topics: client→coordinator the body is a topic
 	// list; the echo back carries the assigned subscriber ID.
@@ -91,10 +91,11 @@ const (
 	// the reply carries a codec.Stat snapshot (epoch, chain digest,
 	// subscriber and push totals, timing, break cause).
 	RecStat = byte(18)
-	// RecError re-exports the run protocol's error record for session
-	// endpoints: error records abort whatever exchange is in flight in both
-	// protocols.
-	RecError = recError
+	// RecHello and RecError re-export the run protocol's hello and error
+	// records for session endpoints: a session opens with the hello
+	// (Hub.Hello) as a run does, and an error record aborts whatever exchange
+	// is in flight in both protocols.
+	RecHello, RecError = recHello, recError
 )
 
 // uvarints decodes a record body that is exactly len(dst) uvarints — the

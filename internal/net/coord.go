@@ -158,9 +158,7 @@ func (e *RunError) Unwrap() error { return e.Err }
 // conns) makes a dead worker fail fast instead of hanging the coordinator.
 // The caller owns the connections and closes them afterwards; together with
 // the hub teardown that releases channel-blocked readers, that terminates
-// the reader goroutines this call spawns. To keep the workers alive for more
-// exchanges after the run — a session — build a Hub yourself and call its
-// Run; this wrapper tears the hub down when the run ends.
+// the reader goroutines this call spawns.
 func RunCoordinator(conns []*Conn, spec Spec) (dist.Metrics, *Report, error) {
 	h := NewHub(conns)
 	defer h.Close()
@@ -168,9 +166,7 @@ func RunCoordinator(conns []*Conn, spec Spec) (dist.Metrics, *Report, error) {
 }
 
 // Run drives one coordinated run over the hub's connections (see
-// RunCoordinator). The hub stays usable afterwards: readers keep pumping,
-// so a session layer can continue with epoch exchanges on the same
-// connections.
+// RunCoordinator).
 func (h *Hub) Run(spec Spec) (dist.Metrics, *Report, error) {
 	p := len(h.conns)
 	if p == 0 || (spec.P != 0 && spec.P != p) {
@@ -180,12 +176,11 @@ func (h *Hub) Run(spec Spec) (dist.Metrics, *Report, error) {
 		h.Timeout = spec.IOTimeout
 	}
 	c := &coordinator{
-		hub:    h,
-		spec:   spec,
-		rep:    &Report{Sharding: shard.ShardMetrics{P: p, PerShardBytes: make([]int64, p)}},
-		cur:    -1,
-		at:     make([]obs.Phase, p),
-		hellos: make([][]byte, p),
+		hub:  h,
+		spec: spec,
+		rep:  &Report{Sharding: shard.ShardMetrics{P: p, PerShardBytes: make([]int64, p)}},
+		cur:  -1,
+		at:   make([]obs.Phase, p),
 	}
 	if spec.Stream {
 		c.rep.StreamWire = make([]codec.StreamWire, p)
@@ -216,10 +211,6 @@ type coordinator struct {
 	// what a RunError reports.
 	cur int
 	at  []obs.Phase
-
-	// hellos[w] is worker w's hello record body as first sent — re-admitting
-	// a respawned worker re-sends the identical bytes.
-	hellos [][]byte
 
 	// chains[w] is the frame chain over everything sealed toward worker w so
 	// far — what w's own fold must read when it reports its metrics. Allocated
@@ -270,7 +261,7 @@ func (c *coordinator) restart(w, t int) error {
 	if _, err := c.hub.Respawn(w, c.spec.Respawn); err != nil {
 		return err
 	}
-	if err := c.hub.Send(w, recHello, c.hellos[w]); err != nil {
+	if err := c.hub.Hello(c.spec, w); err != nil {
 		return fmt.Errorf("net: re-admitting worker %d: %w", w, err)
 	}
 	typ, body, err := c.hub.AwaitFrom(w)
@@ -305,28 +296,34 @@ func (c *coordinator) checkWelcome(from int, typ byte, body []byte) (codec.Welco
 	return w, nil
 }
 
+// Hello writes worker w the hello spec describes for its shard: the first
+// record a run and a session send, and what re-admits a respawned worker —
+// the same bytes again, the encoding being a function of (spec, w).
+func (h *Hub) Hello(spec Spec, w int) error {
+	kind, lamL, lamName := lambdaFields(spec.Lam)
+	return h.Send(w, recHello, codec.AppendHello(nil, codec.Hello{
+		Version:    codec.HandshakeVersion,
+		P:          len(h.conns),
+		Shard:      w,
+		MaxRounds:  spec.MaxRounds,
+		GraphHash:  spec.GraphHash,
+		PartDigest: spec.PartDigest,
+		LamKind:    kind,
+		LamL:       lamL,
+		LamName:    lamName,
+		GraphSpec:  spec.GraphSpec,
+		PartName:   spec.PartName,
+		ProtoSpec:  spec.ProtoSpec,
+		WantValues: spec.WantValues,
+		Stream:     spec.Stream,
+		MeshSpec:   spec.MeshSpec,
+	}))
+}
+
 func (c *coordinator) run() (dist.Metrics, error) {
 	p := c.hub.P()
-	kind, lamL, lamName := lambdaFields(c.spec.Lam)
 	for i := 0; i < p; i++ {
-		c.hellos[i] = codec.AppendHello(nil, codec.Hello{
-			Version:    codec.HandshakeVersion,
-			P:          p,
-			Shard:      i,
-			MaxRounds:  c.spec.MaxRounds,
-			GraphHash:  c.spec.GraphHash,
-			PartDigest: c.spec.PartDigest,
-			LamKind:    kind,
-			LamL:       lamL,
-			LamName:    lamName,
-			GraphSpec:  c.spec.GraphSpec,
-			PartName:   c.spec.PartName,
-			ProtoSpec:  c.spec.ProtoSpec,
-			WantValues: c.spec.WantValues,
-			Stream:     c.spec.Stream,
-			MeshSpec:   c.spec.MeshSpec,
-		})
-		if err := c.hub.Send(i, recHello, c.hellos[i]); err != nil {
+		if err := c.hub.Hello(c.spec, i); err != nil {
 			return dist.Metrics{}, err
 		}
 	}

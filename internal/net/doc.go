@@ -59,8 +59,8 @@
 // broker of a streamed cluster, the seam every worker link passes through
 // (Cluster.Wrap, where internal/net/faultnet's deaths land), the teardown. Engine is "Start, Run, Close"
 // over it with Worker.run as the body, and accepts any dist.Factory; a
-// session (internal/session) is the same launcher with a body that goes on
-// into the epoch loop and a hub that stays open. RunCoordinator and Worker
+// session (internal/session) is the same launcher with a body that serves
+// epochs and no run. RunCoordinator and Worker
 // are the two protocol endpoints cmd/cluster wires to separate processes;
 // there the factory cannot cross the process boundary, so the handshake
 // carries generator/partitioner/protocol spec strings each worker resolves
@@ -69,7 +69,8 @@
 // discipline every exchange on top uses — Collect (an owed set, the one
 // place a timeout is blamed on a worker), AwaitFrom (one worker's reply,
 // everyone else's records stashed in order), Respawn (generations, the
-// per-worker cap) — for Run here and for internal/session's epochs alike.
+// per-worker cap) — and the hello (Hello), for Run here and for
+// internal/session's epochs alike.
 //
 // A streamed run with a Spec.Respawn survives a worker death instead of failing
 // (DESIGN.md §13); a relayed run, or one with no Respawn, fails on it. A
@@ -86,6 +87,6 @@
 // traffic that actually crossed worker boundaries (Engine.ClusterMetrics).
 //
 // A run is a pure function of (graph, assignment): a cluster takes an edge
-// delta only as a session epoch (internal/session, DESIGN.md §9–10), which
-// keeps the workers of a finished run hot instead of running again.
+// delta only as a session epoch (internal/session, DESIGN.md §9–10), whose
+// workers stay hot on their incremental oracles instead of running again.
 package net

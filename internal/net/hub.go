@@ -30,11 +30,9 @@ var errAborted = errors.New("aborted")
 // Hub owns the coordinator side of P established worker connections: one
 // reader goroutine per connection pumping records into a shared channel, the
 // receive/respawn discipline every protocol on top needs (Collect,
-// AwaitFrom, Respawn), and the run protocol itself (Run). Unlike the
-// one-shot RunCoordinator wrapper, a Hub outlives a run — its readers keep
-// pumping after Run returns, which is what lets a session
-// (internal/session) keep the same workers hot across an epoch stream on
-// one set of connections. All methods but Close belong to the single
+// AwaitFrom, Respawn), the hello both protocols open with (Hello) and the
+// run protocol itself (Run); a session (internal/session) drives its epochs
+// over a hub that runs none. All methods but Close belong to the single
 // protocol-driving goroutine. Close it exactly once, after the last
 // exchange; the caller still owns and closes the connections themselves.
 type Hub struct {

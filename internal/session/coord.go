@@ -47,9 +47,9 @@ func (r *EpochReport) Stamp() codec.Stamp {
 
 // Coordinator is the coordinator side of a live session: the authoritative
 // graph, assignment and value vector, the digest chain, and the
-// subscription registry. It drives epochs over a net.Hub whose workers have
-// already completed their epoch-0 run and entered ServeEpochs. Not safe for
-// concurrent use — one goroutine owns the session.
+// subscription registry. It opens the session over a net.Hub with the hello
+// and drives every epoch after it. Not safe for concurrent use — one
+// goroutine owns the session.
 type Coordinator struct {
 	hub *net.Hub
 	// adj is the live graph, mutated in place as a batch is absorbed (so it
@@ -81,13 +81,16 @@ type Coordinator struct {
 	// trace, when set, records one epoch span per Push plus the publish
 	// span (repair/rebalance spans come from the worker side).
 	trace *obs.Tracer
-	// Crash recovery (DESIGN.md §13), armed by EnableRecovery: respawn
-	// produces a fresh connection to a restarted worker, lastStamp is the
-	// re-admission stamp (the last sealed epoch's) and recovered counts the
-	// successful recoveries. The receive/respawn discipline itself — stash,
-	// generations, the per-worker cap — is the hub's.
-	respawn   func(shard, gen int) (*net.Conn, error)
+	// spec is the session's hello (Hub.Hello).
+	spec net.Spec
+	// Crash recovery (DESIGN.md §13): respawn, when set, produces a fresh
+	// connection to a restarted worker, lastStamp is the re-admission stamp
+	// (the last sealed epoch's; sealed says there is one) and recovered
+	// counts the successful recoveries. The receive/respawn discipline
+	// itself — stash, generations, the per-worker cap — is the hub's.
+	respawn   func(shard, gen int, g *graph.Graph, assign []int) (*net.Conn, error)
 	lastStamp codec.Stamp
+	sealed    bool
 	recovered int64
 	// Running totals behind Stat; owned by the session goroutine.
 	pushes, rejected    int64
@@ -97,27 +100,35 @@ type Coordinator struct {
 	statp atomic.Pointer[codec.Stat]
 }
 
-// NewCoordinator seals epoch 0 over the hub: g, assign and b are the
-// epoch-0 run's graph, assignment and assembled value vector (the
-// coordinator takes two copies of each, the sealed one and the one the epoch
-// in flight writes). It sends every worker the epoch-0 stamp as its
-// admission and collects every worker's verify echo, so a returned
-// Coordinator means all P oracles agree with the run bit for bit.
-func NewCoordinator(hub *net.Hub, g *graph.Graph, assign []int, part shard.Partitioner, b []float64) (*Coordinator, error) {
+// NewCoordinator opens a session over the hub on graph g placed by assign
+// and seals it as epoch 0, which is one exchange like every later epoch:
+// every worker gets its hello and answers with its epoch-0 reconverge, the
+// β_T of its own shard as changes from +∞, and the coordinator folds them
+// and seals only when all P stamps equal the one the fold gives. The hello
+// names the inputs: the round budget T every oracle runs, and — for workers
+// in other processes; "" in-process — graphSpec, what they rebuild g from
+// (cliutil.LoadGraphSpec), and part's name. respawn, when non-nil, restarts
+// worker shard as incarnation gen on the sealed graph g and assignment
+// assign, and arms crash recovery (DESIGN.md §13.4): a worker that dies
+// before epoch 0's seal is respawned and handed the hello again, one that
+// dies later is re-admitted at the last sealed epoch. With a nil respawn a
+// death breaks the session.
+func NewCoordinator(hub *net.Hub, g *graph.Graph, graphSpec string, assign []int, part shard.Partitioner, T int,
+	respawn func(shard, gen int, g *graph.Graph, assign []int) (*net.Conn, error)) (*Coordinator, error) {
 	p := hub.P()
 	switch {
 	case len(assign) != g.N():
 		return nil, fmt.Errorf("session: assignment covers %d nodes, graph has %d", len(assign), g.N())
-	case len(b) != g.N():
-		return nil, fmt.Errorf("session: values cover %d nodes, graph has %d", len(b), g.N())
 	case part == nil:
 		return nil, fmt.Errorf("session: coordinator needs the partitioner for epoch rebalances")
 	}
+	// Before epoch 0 every value is +∞, what its reconverges change.
+	inf := slices.Repeat([]float64{math.Inf(1)}, g.N())
 	c := &Coordinator{
 		hub: hub, adj: dynamic.NewAdjacency(g), base: g, part: part, p: p,
 		assign: slices.Clone(assign), next: slices.Clone(assign),
-		b: slices.Clone(b), cur: slices.Clone(b),
-		subs: NewSubManager(),
+		b: inf, cur: slices.Clone(inf),
+		subs: NewSubManager(), respawn: respawn,
 	}
 	for _, e := range g.Edges() {
 		if !dynamic.Summable(e.W) {
@@ -127,67 +138,71 @@ func NewCoordinator(hub *net.Hub, g *graph.Graph, assign []int, part shard.Parti
 			c.cut.add(1, c.assign[e.U] != c.assign[e.V])
 		}
 	}
-	c.gh, c.pd, c.vd = c.adj.Hash(), shard.PartitionDigest(c.assign), ValuesDigest(c.b)
-	c.chain = ChainNext(0, c.gh, c.pd, c.vd)
-	st := codec.Stamp{Epoch: 0, GraphHash: c.gh, PartDigest: c.pd, ValuesDigest: c.vd, ChainDigest: c.chain}
-	for i, err := range c.broadcast(net.RecValuesDigest, codec.AppendStamp(nil, st)) {
-		if err != nil {
-			return nil, c.fail(0, "stamp-broadcast", faultOf(i, err))
+	c.spec = net.Spec{MaxRounds: T, GraphHash: g.Fingerprint(), PartDigest: shard.PartitionDigest(assign),
+		GraphSpec: graphSpec, PartName: part.Name(), ProtoSpec: fmt.Sprintf("session:%d", T)}
+	hello := func(w int) error { return c.hub.Hello(c.spec, w) }
+	for i := 0; i < p; i++ {
+		if err := hello(i); err != nil {
+			if err = c.recoverThen(i, err, hello); err != nil {
+				return nil, c.fail(0, "hello", faultOf(i, err))
+			}
 		}
 	}
-	if err := c.collectEchoes(st); err != nil {
-		return nil, c.fail(0, "stamp-echo", err)
+	if _, err := c.seal(0, c.adj.Hash(), shard.PartitionDigest(c.assign), hello); err != nil {
+		return nil, err
 	}
-	c.lastStamp = st
 	c.publishStat()
 	return c, nil
-}
-
-// EnableRecovery arms session-level crash recovery (DESIGN.md §13): a
-// worker fault during an epoch seal is answered by respawning the worker
-// and re-admitting it with the last sealed epoch's stamp instead of
-// latching the session broken. The respawned worker recomputes its state
-// from the current committed graph — sessions run Λ = ℝ with an exact
-// incremental oracle, so the recomputation is bit-identical to the state
-// the dead worker held — which is why no state ships. respawn is called
-// from the session-owning goroutine. Epoch-0 faults (NewCoordinator) stay
-// fatal: recovery can only be armed on a sealed session.
-func (c *Coordinator) EnableRecovery(respawn func(shard, gen int) (*net.Conn, error)) {
-	c.respawn = respawn
 }
 
 // Recoveries returns the number of worker crash recoveries this session has
 // performed.
 func (c *Coordinator) Recoveries() int64 { return c.recovered }
 
-// recoverable reports whether worker death is survivable.
-func (c *Coordinator) recoverable() bool { return c.respawn != nil }
-
 // recoverThen answers a fault of worker w: with recovery armed the worker is
-// re-admitted at the last sealed epoch and then walked forward by then;
+// respawned, re-admitted at the last sealed epoch if there is one, and
+// handed again by resend what prompts its reply in the exchange in flight;
 // otherwise, or when the re-admission itself fails, the fault stands.
-func (c *Coordinator) recoverThen(w int, cause error, then func() error) error {
-	if !c.recoverable() {
+func (c *Coordinator) recoverThen(w int, cause error, resend func(w int) error) error {
+	if c.respawn == nil {
 		return cause
 	}
 	if rerr := c.recoverWorker(w); rerr != nil {
 		return fmt.Errorf("%v (recovery: %w)", cause, rerr)
 	}
-	return then()
+	return resend(w)
 }
 
-// recoverWorker respawns worker w and re-admits it: the fresh connection
-// replaces the dead one in the hub, the last sealed epoch's stamp goes out
-// on the ordinary stamp record, and the worker — having recomputed its state from
-// the committed graph — must echo it byte-identically. On return the worker
-// stands at the last sealed epoch, parked in its serve loop.
+// recoverWorker respawns worker w on the sealed graph and assignment, read
+// now — so a recovery mid-epoch-e restores to the sealed epoch e-1, not to
+// the adjacency the batch in flight already mutated — and the fresh
+// connection replaces the dead one in the hub. Before epoch 0's seal that is
+// all: the successor is owed the hello, as its predecessor was. After it, the
+// last sealed epoch's stamp goes out on the ordinary stamp record, and the
+// worker — having recomputed its state from the sealed graph — must echo it
+// byte-identically; it then stands at the last sealed epoch, parked in its
+// serve loop. The sealed assignment takes an epoch's moves in place at the
+// seal, but the successor has copied it before its echo or its reply, and no
+// seal comes before either.
 func (c *Coordinator) recoverWorker(w int) error {
 	sp := c.trace.Begin(obs.PhaseRecover, c.epoch, w)
 	defer sp.End()
-	if _, err := c.hub.Respawn(w, c.respawn); err != nil {
+	g, assign := c.Graph(), c.assign
+	if _, err := c.hub.Respawn(w, func(s, gen int) (*net.Conn, error) { return c.respawn(s, gen, g, assign) }); err != nil {
 		return err
 	}
-	st := c.lastStamp
+	if c.sealed {
+		if err := c.readmit(w, c.lastStamp); err != nil {
+			return err
+		}
+	}
+	c.recovered++
+	c.publishStat()
+	return nil
+}
+
+// readmit sends a respawned worker w the stamp st and demands its echo.
+func (c *Coordinator) readmit(w int, st codec.Stamp) error {
 	if err := c.sendTo(w, net.RecValuesDigest, codec.AppendStamp(nil, st)); err != nil {
 		return err
 	}
@@ -205,8 +220,6 @@ func (c *Coordinator) recoverWorker(w int) error {
 	if echo != st {
 		return fmt.Errorf("session: worker %d resume echo %+v, want %+v", w, echo, st)
 	}
-	c.recovered++
-	c.publishStat()
 	return nil
 }
 
@@ -241,20 +254,51 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 	// The push goes to every worker at once, so none waits for the others to
 	// read theirs first; one found dead before the epoch reached it is
 	// recovered to the sealed epoch and handed the push again.
+	resend := func(w int) error { return c.sendTo(w, net.RecDeltaPush, push) }
 	for i, err := range c.broadcast(net.RecDeltaPush, push) {
 		if err != nil {
-			err = c.recoverThen(i, err, func() error { return c.sendTo(i, net.RecDeltaPush, push) })
+			err = c.recoverThen(i, err, resend)
 		}
 		if err != nil {
 			return nil, c.fail(epoch, "delta-broadcast", faultOf(i, err))
 		}
 	}
-	gh, pd := c.adj.Hash(), shard.PartitionDigest(c.next)
-	stamps, all, err := c.collectReconverges(epoch, gh, pd, push)
+	rep, err := c.seal(epoch, c.adj.Hash(), shard.PartitionDigest(c.next), resend)
+	if err != nil {
+		return nil, err
+	}
+	// The sealed graph advances by the batch; it is folded into a fresh CSR
+	// only when asked for (Graph), or here once the log has grown to the size
+	// of its base — so the log stays O(n+m) and a fold costs O(1) per op it
+	// clears.
+	c.log = append(c.log, d.Ops...)
+	if len(c.log) >= c.base.N()+c.base.M() {
+		c.Graph()
+	}
+	shard.ApplyMoves(c.assign, c.moves)
+	c.cut = cut
+	rep.Churn = cm
+	ep.EndN(int64(len(push)), int64(len(rep.Changed)))
+	c.pushes++
+	c.changed += int64(len(rep.Changed))
+	c.deltaBytes += int64(len(push))
+	c.notifs += int64(len(rep.Notifications))
+	c.epochMicros += time.Since(sealStart).Microseconds()
+	c.publishStat()
+	return rep, nil
+}
+
+// seal ends the exchange of epoch, whose record every worker has been sent
+// (resend sends it to a successor again): it collects every reconverge,
+// folds the changes into the scratch vector and seals only when every
+// worker's stamp equals the one the fold gives — gh and pd are the graph hash
+// and partition digest the coordinator holds for the epoch. Sealed, the
+// values and digests are committed and the transition published.
+func (c *Coordinator) seal(epoch int, gh, pd uint64, resend func(w int) error) (*EpochReport, error) {
+	stamps, all, err := c.collectReconverges(epoch, gh, pd, resend)
 	if err != nil {
 		return nil, c.fail(epoch, "reconverge", err)
 	}
-
 	// Fold the changes into the scratch vector; the sealed one stays intact
 	// for Publish.
 	for _, ch := range all {
@@ -276,22 +320,12 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 		}
 	}
 
-	// Sealed: commit, then publish against the committed transition. The
-	// sealed graph advances by the batch; it is folded into a fresh CSR only
-	// when asked for (Graph), or here once the log has grown to the size of
-	// its base — so the log stays O(n+m) and a fold costs O(1) per op it
-	// clears.
-	c.log = append(c.log, d.Ops...)
-	if len(c.log) >= c.base.N()+c.base.M() {
-		c.Graph()
-	}
-	shard.ApplyMoves(c.assign, c.moves)
+	// Sealed: commit, then publish against the committed transition.
 	prev := c.b
 	c.b, c.cur = c.cur, prev
-	c.cut = cut
 	c.epoch, c.chain = epoch, chain
 	c.gh, c.pd, c.vd = gh, pd, vd
-	c.lastStamp = st
+	c.lastStamp, c.sealed = st, true
 	pub := c.trace.Begin(obs.PhasePublish, epoch, -1)
 	notifs := c.subs.Publish(epoch, prev, c.b, changedNodes(all))
 	pub.EndN(0, int64(len(notifs)))
@@ -300,15 +334,8 @@ func (c *Coordinator) Push(d dist.GraphDelta, moveBudget int) (*EpochReport, err
 	for _, ch := range all {
 		c.cur[ch.Node] = math.Float64frombits(ch.NewBits)
 	}
-	ep.EndN(int64(len(push)), int64(len(all)))
-	c.pushes++
-	c.changed += int64(len(all))
-	c.deltaBytes += int64(len(push))
-	c.notifs += int64(len(notifs))
-	c.epochMicros += time.Since(sealStart).Microseconds()
-	c.publishStat()
 	return &EpochReport{
-		Epoch: epoch, Changed: all, Churn: cm,
+		Epoch: epoch, Changed: all,
 		GraphHash: gh, PartDigest: pd, ValuesDigest: vd, ChainDigest: chain,
 		Notifications: notifs,
 	}, nil
@@ -356,8 +383,8 @@ func (c *Coordinator) absorb(epoch int, d dist.GraphDelta, moveBudget int) (push
 
 // errNotSummable is the refusal of a weight outside the exact-sum contract
 // of a session (DESIGN.md §10.2), dynamic.Summable: the coordinator holds the
-// base graph's edges and every pushed insert to it; the workers'
-// oracle-versus-run comparison at open stays as the cross-check.
+// base graph's edges and every pushed insert to it, so every worker's oracle
+// is the elimination bit for bit.
 func errNotSummable(w float64) error {
 	return fmt.Errorf("weight %v is not exactly summable: sessions take multiples of 2^-10 no larger than 2^20", w)
 }
@@ -431,11 +458,11 @@ func (c *Coordinator) ledger(d dist.GraphDelta, frontier []graph.NodeID) (shard.
 // digests, post-rebalance ownership and duplicate-freedom. It returns each
 // worker's stamp and the merged change set ascending by node. A worker fault
 // mid-collection is recovered inline when recovery is armed: the worker is
-// restored to the sealed epoch and the push re-sent. Determinism makes its
-// fresh reconverge bit-identical to whatever its dead incarnation got out, so
-// one that already replied is held to those bytes, and one that had not is
-// checked like any other.
-func (c *Coordinator) collectReconverges(epoch int, gh, pd uint64, push []byte) ([]codec.Stamp, []ValueChange, error) {
+// restored to the sealed epoch and resend hands it the epoch's record again.
+// Determinism makes its fresh reconverge bit-identical to whatever its dead
+// incarnation got out, so one that already replied is held to those bytes,
+// and one that had not is checked like any other.
+func (c *Coordinator) collectReconverges(epoch int, gh, pd uint64, resend func(w int) error) ([]codec.Stamp, []ValueChange, error) {
 	stamps, got := make([]codec.Stamp, c.p), make([][]byte, c.p)
 	var all []ValueChange
 	owed := c.hub.Everyone()
@@ -475,7 +502,7 @@ func (c *Coordinator) collectReconverges(epoch int, gh, pd uint64, push []byte) 
 	}, func(w int, cause error) error {
 		// Dead before or after its reply, it owes the one its successor sends.
 		owed[w] = true
-		return c.recoverThen(w, cause, func() error { return c.sendTo(w, net.RecDeltaPush, push) })
+		return c.recoverThen(w, cause, resend)
 	})
 	if err != nil {
 		return nil, nil, faultOf(w, err)
@@ -509,25 +536,6 @@ func (c *Coordinator) broadcast(typ byte, body []byte) []error {
 		}
 	}
 	return errs
-}
-
-// collectEchoes demands every worker's byte-identical echo of the epoch-0
-// stamp; any fault ends it.
-func (c *Coordinator) collectEchoes(want codec.Stamp) error {
-	w, err := c.hub.Collect(c.hub.Everyone(), func(from int, typ byte, body []byte) (bool, error) {
-		if typ != net.RecValuesDigest {
-			return false, fmt.Errorf("session: worker %d sent record type %d, want stamp echo", from, typ)
-		}
-		st, _, err := codec.DecodeStamp(body)
-		if err != nil {
-			return false, err
-		}
-		if st != want {
-			return false, fmt.Errorf("session: worker %d echoed %+v, want %+v", from, st, want)
-		}
-		return true, nil
-	}, nil)
-	return faultOf(w, err)
 }
 
 // Bye broadcasts a clean goodbye (best-effort; the session is over either

@@ -1,26 +1,24 @@
 // Package session is the fifth execution surface: a long-lived cluster
-// that keeps P workers hot across runs and re-converges incrementally as
+// that keeps P workers hot and re-converges incrementally as
 // churn streams in, instead of paying a full cold start per update
 // (DESIGN.md §10).
 //
-// A session is a run whose hub stays open. It begins as an ordinary
-// coordinated run over internal/net — brought up by the same net.Cluster
-// launcher the net engine uses, the handshake pinning the graph fingerprint
-// and the partition digest exactly as before — but the worker body
-// (ServeWorker, the one worker life in-process goroutines and `cluster
-// worker -session` processes both lead) does not hang up when the run
-// finishes. The coordinator seals the run as epoch 0
-// with a values-digest stamp, every worker verifies it against the
-// incremental oracle it just built (a dynamic.Maintainer seeded from the
-// run's graph) and echoes it, and from then on an epoch is one exchange:
+// A session opens on its oracles. It is brought up by the same net.Cluster
+// launcher the net engine uses, but runs no protocol run: every worker gets
+// its hello (net.Hub.Hello — the record a `cluster worker` process resolves
+// its inputs from, protocol "session:T"), builds a dynamic.Maintainer on the
+// graph — whose β_T is the elimination's bit for bit under the exact-sum
+// contract below — and answers with epoch 0's reconverge, its own shard's
+// values as changes from +∞. The coordinator folds and seals them as it
+// seals every later epoch, and from then on an epoch is one exchange:
 //
 //	DeltaPush    coordinator → workers    one dist.GraphDelta batch, epoch e
 //	Reconverge   worker → coordinator     the codec.Stamp the worker arrived
 //	                                      at, then its own-shard changed values
 //	Bye          either direction         clean goodbye
 //
-// (ValuesDigest, the stamp on its own, is admission's: epoch 0's above, and
-// a respawned worker's at the last sealed epoch, each echoed back.)
+// (ValuesDigest, the stamp on its own, is a respawned worker's admission at
+// the last sealed epoch, echoed back.)
 //
 // Each epoch the coordinator writes the batch to every worker at once
 // (net.Hub.Broadcast), and every worker hands it to its Maintainer — which
@@ -46,8 +44,7 @@
 // exact β_t histories and bit-equality with fresh runs additionally needs
 // exactly summable weights — one predicate (dynamic.Summable: a multiple of
 // 2⁻¹⁰ no larger than 2²⁰) the coordinator holds the base graph and every
-// pushed insert to, with the workers' oracle-versus-run comparison at open
-// (NewWorkerState) as the cross-check.
+// pushed insert to.
 //
 // On top of the epoch stream sits a subscription layer in the want-list /
 // ledger shape of go-ipfs's IPPS exchange proposal (SNIPPETS.md): clients

@@ -58,15 +58,21 @@ func (c *recordTap) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// After admission, every epoch is one delta-push to each worker and one
-// reconverge back, and no stamp record passes either way.
+// Opening a session is one exchange too — one hello in and one epoch-0
+// reconverge out per worker, no run record either way and no mesh — and
+// every epoch after it is one delta-push to each worker and one reconverge
+// back, and no stamp record passes either way.
 func TestEpochIsOneExchange(t *testing.T) {
 	const p, epochs = 3, 5
 	g := graph.BarabasiAlbert(300, 3, 5)
 	var mu sync.Mutex
 	sent, got := make([][256]int, p), make([][256]int, p)
+	meshLinks := 0
 	wrap := func(shard, gen, peer int, c stdnet.Conn) stdnet.Conn {
+		mu.Lock()
+		defer mu.Unlock()
 		if peer != faultnet.Control {
+			meshLinks++
 			return c
 		}
 		return &recordTap{Conn: c, mu: &mu, sent: &sent[shard], got: &got[shard]}
@@ -78,11 +84,29 @@ func TestEpochIsOneExchange(t *testing.T) {
 	defer s.Close()
 	mu.Lock()
 	sent0, got0 := slices.Clone(sent), slices.Clone(got)
+	if meshLinks != 0 {
+		t.Errorf("opening the session wrapped %d mesh links, want none", meshLinks)
+	}
 	mu.Unlock()
 	for w := 0; w < p; w++ {
-		if got0[w][net.RecValuesDigest] != 1 || sent0[w][net.RecValuesDigest] != 1 {
-			t.Fatalf("worker %d admission: got %d stamps, echoed %d, want 1 and 1", w, got0[w][net.RecValuesDigest], sent0[w][net.RecValuesDigest])
+		for typ := range sent0[w] {
+			want := [2]int{} // got, sent
+			switch byte(typ) {
+			case net.RecHello:
+				want[0] = 1
+			case net.RecReconverge:
+				want[1] = 1
+			}
+			// Every other type — stamp, step, done, frame, stream-done,
+			// stream-ack, finish, metrics, values — must not pass at all.
+			if have := [2]int{got0[w][typ], sent0[w][typ]}; have != want {
+				t.Errorf("worker %d, record type %d while Open ran: got %d and sent %d, want %d and %d",
+					w, typ, have[0], have[1], want[0], want[1])
+			}
 		}
+	}
+	if t.Failed() {
+		t.FailNow()
 	}
 	for e, d := range recoveryDeltas(g, epochs) {
 		if _, err := s.Push(d, 0); err != nil {

@@ -22,13 +22,12 @@ import (
 // same words everywhere.
 
 // A session is transport-agnostic: over real unix sockets it seals the same
-// epoch-0 run and the same epochs, bit for bit, as over pipes.
+// epochs, bit for bit, as over pipes.
 func TestSessionTransportsSealIdentically(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, 11)
 	deltas := recoveryDeltas(g, 3)
 	type sealed struct {
 		epochTrace
-		met        dist.Metrics
 		gh, pd, vd uint64
 	}
 	run := func(transport string) sealed {
@@ -38,8 +37,7 @@ func TestSessionTransportsSealIdentically(t *testing.T) {
 			t.Fatalf("Open over %s: %v", transport, err)
 		}
 		defer s.Close()
-		out := sealed{met: s.Metrics()}
-		out.epochTrace = driveEpochs(t, s, g, deltas)
+		out := sealed{epochTrace: driveEpochs(t, s, g, deltas)}
 		out.gh, out.pd, out.vd = s.Digests()
 		return out
 	}
@@ -93,12 +91,12 @@ func TestSessionLeavesNoGoroutines(t *testing.T) {
 	t.Run("failed-open", func(t *testing.T) {
 		before := runtime.NumGoroutine()
 		for i := 0; i < 5; i++ {
-			// Worker 1 dies in the epoch-0 run, and so does every incarnation
-			// up to the hub's respawn cap (eight): the run fails, Open returns
-			// its diagnosis and owns the whole cleanup.
+			// Worker 1 dies at the write of its epoch-0 reconverge, and so does
+			// every incarnation up to the hub's respawn cap (eight): the open
+			// fails, Open returns its diagnosis and owns the whole cleanup.
 			var kill []faultnet.Fault
 			for gen := 0; gen <= 8; gen++ {
-				kill = append(kill, faultnet.Fault{Shard: 1, Gen: gen, Peer: faultnet.Control, Type: recDone, Body: epochOf(2), Action: faultnet.After})
+				kill = append(kill, faultnet.Fault{Shard: 1, Gen: gen, Peer: faultnet.Control, Type: net.RecReconverge, Body: epochOf(0), Action: faultnet.Before})
 			}
 			opt := base
 			opt.wrap = faultnet.New(kill...).Wrap
@@ -106,7 +104,7 @@ func TestSessionLeavesNoGoroutines(t *testing.T) {
 				s, err := Open(g, opt)
 				if err == nil {
 					s.Close()
-					t.Fatal("Open sealed an epoch-0 run whose worker died without recovery")
+					t.Fatal("Open sealed an epoch 0 whose worker died at every respawn")
 				}
 				if !strings.Contains(err.Error(), "worker 1") {
 					t.Fatalf("failed Open does not name the dead worker: %v", err)

@@ -32,25 +32,17 @@ import (
 // at the next epoch's push).
 var sessionKillPhases = []obs.Phase{obs.PhaseRepair, obs.PhaseRebalance}
 
-// recDone is internal/net's streamed done record (DESIGN.md §8.2): epoch 0's
-// run is streamed.
-const recDone = 23
-
 // epochOf is the faultnet.Fault.Body of a record that opens with epoch (or
 // round) e, as a reconverge and a done record do.
 func epochOf(e int) []byte { return binary.AppendUvarint(nil, uint64(e)) }
 
 // killWorkerAt is the Options.wrap of one clean death of worker target, once
 // across its incarnations: at the write of its reconverge of epoch e (phase
-// PhaseRepair: before it goes out, PhaseRebalance: after), or, at
-// PhaseBarrierWait, just after its done record of epoch 0's round e.
+// PhaseRepair: before it goes out, PhaseRebalance: after).
 func killWorkerAt(target int, ph obs.Phase, e int) net.LinkFunc {
 	f := faultnet.Fault{Shard: target, Peer: faultnet.Control, Type: net.RecReconverge, Body: epochOf(e), Action: faultnet.After}
-	switch ph {
-	case obs.PhaseRepair:
+	if ph == obs.PhaseRepair {
 		f.Action = faultnet.Before
-	case obs.PhaseBarrierWait:
-		f.Type = recDone
 	}
 	return faultnet.New(f).Wrap
 }
@@ -283,9 +275,10 @@ func TestSessionForkedSuccessorBreaks(t *testing.T) {
 	})
 }
 
-// A kill during the epoch-0 run exercises the net-layer restart path
-// every session has: the session must still open, seal epoch 0
-// and run epochs bit-identically to an undisturbed session.
+// A kill at the epoch-0 reconverge — before it goes out or after — is a
+// death before the seal: the worker is respawned and handed the hello again,
+// and the session must still open, seal epoch 0 and run epochs
+// bit-identically to an undisturbed session, the recovery counted.
 func TestSessionRecoveryDuringEpochZero(t *testing.T) {
 	g := graph.BarabasiAlbert(250, 3, 5)
 	part := shard.Greedy{}
@@ -298,26 +291,28 @@ func TestSessionRecoveryDuringEpochZero(t *testing.T) {
 	want := driveEpochs(t, ref, g, deltas)
 	ref.Close()
 
-	var s *Session
-	var got epochTrace
-	cell(t, func() {
-		var err error
-		s, err = Open(g, Options{
-			P: 3, Rounds: 8, Part: part,
-			IOTimeout: 10 * time.Second,
-			wrap:      killWorkerAt(1, obs.PhaseBarrierWait, 2),
+	for _, ph := range sessionKillPhases {
+		var s *Session
+		var got epochTrace
+		cell(t, func() {
+			var err error
+			s, err = Open(g, Options{
+				P: 3, Rounds: 8, Part: part,
+				IOTimeout: 10 * time.Second,
+				wrap:      killWorkerAt(1, ph, 0),
+			})
+			if err != nil {
+				t.Fatalf("%v: Open with epoch-0 kill: %v", ph, err)
+			}
+			defer s.Close()
+			got = driveEpochs(t, s, g, deltas)
 		})
-		if err != nil {
-			t.Fatalf("Open with epoch-0 kill: %v", err)
+		if !reflect.DeepEqual(got.chains, want.chains) {
+			t.Fatalf("%v: chain digests %#x, want %#x", ph, got.chains, want.chains)
 		}
-		defer s.Close()
-		got = driveEpochs(t, s, g, deltas)
-	})
-	if !reflect.DeepEqual(got.chains, want.chains) {
-		t.Fatalf("chain digests %#x, want %#x", got.chains, want.chains)
-	}
-	if s.Report() == nil || s.Metrics().Rounds == 0 {
-		t.Fatal("epoch-0 run report missing after recovery")
+		if s.Recoveries() != 1 || s.Stat().Broken {
+			t.Fatalf("%v: %d recoveries, broken %v: want one recovery and a live session", ph, s.Recoveries(), s.Stat().Broken)
+		}
 	}
 }
 
@@ -360,8 +355,8 @@ func TestSessionRecoveryPastLogFold(t *testing.T) {
 	}
 }
 
-// A coordinator that cannot respawn — NewCoordinator with no EnableRecovery,
-// as cluster serve builds it over workers it did not spawn — must still latch
+// A coordinator that cannot respawn — NewCoordinator with a nil respawn, as
+// cluster serve builds it over workers it did not spawn — must still latch
 // the session broken on a mid-epoch worker death, with an attributed
 // BreakCause.
 func TestSessionKillWithoutRecoverBreaks(t *testing.T) {
@@ -376,7 +371,7 @@ func TestSessionKillWithoutRecoverBreaks(t *testing.T) {
 			t.Fatalf("Open: %v", err)
 		}
 		defer s.Close()
-		s.co.respawn = nil // what NewCoordinator leaves, and cluster serve keeps
+		s.co.respawn = nil // what cluster serve hands NewCoordinator
 		if _, err := s.Push(dist.RandomChurn(g, 20, 77), 0); err == nil {
 			t.Fatal("killed epoch sealed with no respawn")
 		}
