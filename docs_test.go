@@ -235,7 +235,8 @@ func TestRetiredNamesStayRetired(t *testing.T) {
 		"MeshCube", "MeshFull", "MeshKind", "MeshThreshold", "meshHop", "meshKindFor", "meshNeighbors",
 		"defaultMeshThreshold",
 		"Spec.Recover", "Engine.Recover", "Options.Recover", "Hello.Recover", "cfg.Recover", "e.streamed",
-		"ServeWorker", "runB", "collectEchoes", "EnableRecovery"}
+		"ServeWorker", "runB", "collectEchoes", "EnableRecovery",
+		"Maintainer.eval", "TestEvalAtAnyPivot", "TestMassOnlyUnderExactSums"}
 	exempt := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "docs_test.go": true}
 	walkRepo(t, func(path string) {
 		if exempt[path] || strings.HasPrefix(path, "benchmark/") {

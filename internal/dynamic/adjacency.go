@@ -54,7 +54,8 @@ func (a *Adjacency) Neighbor(v graph.NodeID, i int) graph.NodeID { return a.adj[
 func (a *Adjacency) Hash() uint64 { return a.hash }
 
 // Validate reports what applying d would fail with — the errors of
-// dist.GraphDelta.Apply, at the same op index — and mutates nothing. A
+// dist.GraphDelta.Apply, at the same op index, and the refusal of an insert
+// outside the exact-sum contract (Summable) — and mutates nothing. A
 // delete is live iff the copies in the list plus the batch's earlier inserts
 // of the pair minus its earlier deletes leave one to remove.
 func (a *Adjacency) Validate(d dist.GraphDelta) error {
@@ -99,13 +100,18 @@ func (a *Adjacency) apply(d dist.GraphDelta, w []float64) (int, error) {
 }
 
 // check is the half of an op's validity that does not depend on the edges
-// present: endpoints in range, insert weight finite and non-negative.
+// present: endpoints in range, insert weight finite and non-negative (in
+// dist.GraphDelta.Apply's words) and exactly summable.
 func (a *Adjacency) check(i int, op dist.EdgeOp) error {
-	if n := len(a.adj); op.U < 0 || op.U >= n || op.V < 0 || op.V >= n {
+	switch n := len(a.adj); {
+	case op.U < 0 || op.U >= n || op.V < 0 || op.V >= n:
 		return fmt.Errorf("dynamic: delta op %d: edge (%d,%d) out of range [0,%d)", i, op.U, op.V, n)
-	}
-	if !op.Del && (op.W < 0 || math.IsNaN(op.W) || math.IsInf(op.W, 0)) {
+	case op.Del:
+		return nil
+	case op.W < 0 || math.IsNaN(op.W) || math.IsInf(op.W, 0):
 		return fmt.Errorf("dynamic: delta op %d: invalid insert weight %v", i, op.W)
+	case !Summable(op.W):
+		return fmt.Errorf("dynamic: delta op %d: insert weight %v is not exactly summable", i, op.W)
 	}
 	return nil
 }

@@ -24,15 +24,17 @@
 // candidate is settled from them with no pass over its arcs (settle): it
 // falls when S is below its value, gathering the arcs below it; stands when
 // G ≤ value ≤ S, reading none; and rises when G is above it, gathering the
-// arcs above it. Without the masses an evaluation first sums the same two
-// weights in one pass that gathers nothing (eval). The masses are kept only
-// while every weight held is Summable; otherwise every candidate takes the
-// pass. The unit of repair is the batch, not the op: ApplyDelta mutates the
-// adjacency for every op of a dist.GraphDelta first and then runs one
-// T-round repair for all of them, so each (t, v) is evaluated at most once
-// per batch, against final round-(t-1) values, and H[t] is exactly the
-// from-scratch β_t of the mutated graph. InsertEdge and
-// DeleteEdge are batches of one. The frontier lives in generation-stamped
+// arcs above it. The masses stay exact because every weight held is Summable:
+// New panics on any other base weight, and Validate and ApplyDelta refuse such
+// an insert. New is the same repair seeded with every node: round 1 stored at
+// +∞, where S is the weighted degree and G is 0, and each later round stored
+// at the one before and repaired by its moves, so every value the package
+// computes is settled from the kept masses. The unit of repair is the batch,
+// not the op: ApplyDelta mutates the adjacency for every op of a
+// dist.GraphDelta first and then runs one T-round repair for all of them, so
+// each (t, v) is evaluated at most once per batch, against final round-(t-1)
+// values, and H[t] is exactly the from-scratch β_t of the mutated graph.
+// InsertEdge and DeleteEdge are batches of one. The frontier lives in generation-stamped
 // marks and reused slices; a steady-state repair allocates nothing, and
 // Moved reports the batch's change set — the nodes whose β_T moved, with
 // their old values — straight from the last round.

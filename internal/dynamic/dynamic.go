@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -19,15 +20,13 @@ type Maintainer struct {
 	// mass[t][v] = S_t(v) and above[t][v] = G_t(v) for t ≥ 1: the weight of
 	// v's arcs whose far end reads at least β_t(v) in round t-1, and of those
 	// reading strictly above it, kept exact through every repair (see repair
-	// and settle). Both nil once the Maintainer has held a weight outside the
-	// exact-sum contract (Summable): from then on every candidate is
-	// evaluated by a pass.
+	// and settle) because every weight held is Summable.
 	mass, above [][]float64
-	// eval scratch, grown to the largest degree evaluated so far plus one
+	// gather scratch, grown to the largest degree gathered so far plus one
 	bs, ws  []float64
 	scratch []int
 	// Frontier of the repair in flight, reused across batches: cand the nodes
-	// to evaluate this round, moved those whose value moved last round (after
+	// to settle this round, moved those whose value moved last round (after
 	// a repair: in round T); mark[x] == gen means x is already in cand.
 	// far[2i], far[2i+1] are the values op i's U and V held in the previous
 	// round before the repair touched it — what a deleted arc's far end read,
@@ -39,9 +38,9 @@ type Maintainer struct {
 	opW   []float64
 	mark  []uint32
 	gen   uint32
-	// stood, fell and rose count the candidates the kept masses settled
-	// without the pass eval makes: by two comparisons, by gathering the arcs
-	// below a value that fell, or those above one that rose.
+	// stood, fell and rose count the candidates the kept masses settled: by
+	// two comparisons, by gathering the arcs below a value that fell, or those
+	// above one that rose.
 	stood, fell, rose int64
 	// Stats accumulates work counters across updates.
 	Stats Stats
@@ -63,51 +62,51 @@ type Stats struct {
 	// only when an op or a neighbour's move crosses β_t(x) (see repair).
 	Reevaluated int64
 	// Verified counts those evaluations whose stored value was still
-	// feasible, so the answer did not fall: the kept masses or the pivot
-	// pass settled them with no gather when the value stood, or a gather of
-	// the arcs above it did when it rose (see settle and eval).
+	// feasible, so the answer did not fall: the kept masses settled them with
+	// no gather when the value stood, or a gather of the arcs above it did
+	// when it rose (see settle).
 	Verified int64
 	// Changed counts those node-rounds whose value actually changed.
 	Changed int64
 }
 
 // New builds a Maintainer for g with round budget T (use
-// core.TForEpsilon(n, eps) for a 2(1+eps) guarantee).
+// core.TForEpsilon(n, eps) for a 2(1+eps) guarantee) by the repair's own
+// loops, seeded with every node: round 1 is stored at +∞, where S is the
+// weighted degree and G is 0, and each later round is stored at the one
+// before, masses included — round t-1's values are round t-2's function, so
+// that is a consistent history, and round t-1's moves repair it. New panics on
+// T < 1 and on a weight outside the exact-sum contract (Summable), and leaves
+// Stats at zero.
 func New(g *graph.Graph, T int) *Maintainer {
 	if T < 1 {
 		panic("dynamic: T must be >= 1")
 	}
 	n := g.N()
-	m := &Maintainer{T: T, adj: NewAdjacency(g), mark: make([]uint32, n)}
-	m.hist = make([][]float64, T+1)
-	m.hist[0] = make([]float64, n)
-	for v := range m.hist[0] {
-		m.hist[0][v] = math.Inf(1)
-	}
-	exact := true
-	for _, arcs := range m.adj.adj {
+	m := &Maintainer{T: T, adj: NewAdjacency(g), mark: make([]uint32, n),
+		hist: make([][]float64, T+1), mass: make([][]float64, T+1), above: make([][]float64, T+1),
+		cand: make([]graph.NodeID, 0, n), moved: make([]Move, 0, n)}
+	m.hist[0] = slices.Repeat([]float64{math.Inf(1)}, n)
+	m.hist[1], m.mass[1], m.above[1] = slices.Clone(m.hist[0]), make([]float64, n), make([]float64, n)
+	for v, arcs := range m.adj.adj {
 		for _, a := range arcs {
-			exact = exact && Summable(a.w)
-		}
-	}
-	if exact {
-		m.mass, m.above = make([][]float64, T+1), make([][]float64, T+1)
-	}
-	for t := 1; t <= T; t++ {
-		m.hist[t] = make([]float64, n)
-		var mass, above []float64
-		if exact {
-			mass, above = make([]float64, n), make([]float64, n)
-			m.mass[t], m.above[t] = mass, above
-		}
-		for v := 0; v < n; v++ {
-			b, s, g, _ := m.eval(t, v, m.hist[t-1][v]) // β_t ≤ β_{t-1}
-			m.hist[t][v] = b
-			if mass != nil {
-				mass[v], above[v] = s, g
+			if !Summable(a.w) {
+				panic(fmt.Sprintf("dynamic: edge {%d,%d}: weight %v is not exactly summable", v, a.to, a.w))
 			}
+			m.mass[1][v] += a.w
 		}
 	}
+	m.begin()
+	for v := range n {
+		m.push(v)
+	}
+	m.round(1)
+	for t := 2; t <= T; t++ {
+		m.hist[t], m.mass[t], m.above[t] = slices.Clone(m.hist[t-1]), slices.Clone(m.mass[t-1]), slices.Clone(m.above[t-1])
+		m.begin()
+		m.round(t)
+	}
+	m.moved, m.Stats, m.stood, m.fell, m.rose = m.moved[:0], Stats{}, 0, 0, 0
 	return m
 }
 
@@ -116,47 +115,24 @@ func New(g *graph.Graph, T int) *Maintainer {
 // such weights is exact in a float64 whatever the order, so the Maintainer,
 // the elimination protocol and a fresh run — which add a node's arcs in
 // different orders — agree bit for bit, and a kept sum never drifts from a
-// recount. Sessions hold every weight to it; the Maintainer keeps its mass
-// only while every weight it has held passes.
+// recount. The Maintainer holds every weight to it: New panics on a base
+// weight outside it, and Validate and ApplyDelta refuse such an insert.
 func Summable(w float64) bool {
 	return w >= 0 && w <= 1<<20 && w*(1<<10) == math.Trunc(w*(1<<10))
 }
 
-// eval computes β_t(v) from the round t-1 values around a pivot p (the stored
-// β_t(v); in New, β_{t-1}(v)) with one pass over v's arcs that gathers
-// nothing: it sums g = G(p), the arcs reading above p, and at, those reading
-// exactly p, so S(p) = g + at, and settle decides from the two. A rise takes
-// at itself as the ties' weight: only summable weights make S(p) − G(p) round
-// back to it, and eval also serves a Maintainer that holds others. It returns
-// S and G at the answer and whether p was feasible. The split holds for any p, so verified (not
-// fallen) is not a claim about the pivot's origin.
-func (m *Maintainer) eval(t int, v graph.NodeID, p float64) (b, s, g float64, verified bool) {
-	prev := m.hist[t-1]
-	above, at := 0.0, 0.0
-	for _, a := range m.adj.adj[v] {
-		if b := prev[a.to]; b > p {
-			above += a.w
-		} else if b == p {
-			at += a.w
-		}
-	}
-	if above > p {
-		b, s, g = m.rise(t, v, p, at)
-		return b, s, g, true
-	}
-	return m.settle(t, v, p, above+at, above)
-}
-
-// settle decides β_t(v) from its pivot p, S(p) = s and G(p) = g, the weights
-// of v's arcs reading at or above p and strictly above it, and returns the
-// answer, S and G at it, and whether p was feasible:
+// settle decides β_t(v) from its pivot p, the stored value, with S(p) = s
+// and G(p) = g, the kept weights of v's arcs reading at or above p and
+// strictly above it, and returns the answer, S and G at it, and whether p
+// was feasible:
 //
 //   - falls, s < p: see fall;
 //   - stands, g ≤ p ≤ s: S(p) ≥ p makes p feasible, and above p S ≤ g ≤ p
 //     keeps everything infeasible, so β_t(v) = p — no arc is read;
 //   - rises, g > p: see rise, with the ties weighing s − g.
 //
-// In a repair s and g are the kept masses; eval hands it its pass's sums.
+// The split holds for any p, so verified (not fallen) is not a claim about
+// the pivot's origin.
 func (m *Maintainer) settle(t int, v graph.NodeID, p, s, g float64) (b, sb, gb float64, verified bool) {
 	switch {
 	case s < p:
@@ -273,19 +249,15 @@ func (m *Maintainer) DeleteEdge(u, v graph.NodeID) bool {
 // op in the delta's canonical application order, then ONE T-round repair
 // runs for all of them, so a node touched by many ops of a batch is
 // re-evaluated at most once per round, not once per op per round. A
-// delete of a missing edge fails the batch at its op index with the
-// Maintainer reflecting exactly the prefix that applied, repaired (a failed
+// delete of a missing edge, or an insert outside the exact-sum contract
+// (Summable), fails the batch at its op index with the Maintainer
+// reflecting exactly the prefix that applied, repaired (a failed
 // delta must abort a run, not fork state silently — callers treat the error
 // the way the wire protocol treats a digest mismatch).
 func (m *Maintainer) ApplyDelta(d dist.GraphDelta) error {
 	m.opW = slices.Grow(m.opW[:0], len(d.Ops))[:len(d.Ops)]
 	applied, err := m.adj.apply(d, m.opW)
 	m.Stats.Updates += applied
-	for _, op := range d.Ops[:applied] {
-		if !op.Del && !Summable(op.W) {
-			m.mass, m.above = nil, nil // a kept sum could drift from a recount from here on
-		}
-	}
 	m.repair(d.Ops[:applied])
 	return err
 }
@@ -336,28 +308,18 @@ func (m *Maintainer) repair(ops []dist.EdgeOp) {
 		m.far = append(m.far, math.Inf(1), math.Inf(1))
 	}
 	for t := 1; t <= m.T; t++ {
-		if m.gen++; m.gen == 0 { // wrapped: stale marks could alias
-			clear(m.mark)
-			m.gen = 1
-		}
-		m.cand = m.cand[:0]
-		prev, cur := m.hist[t-1], m.hist[t]
-		var mass, above []float64
-		if m.mass != nil {
-			mass, above = m.mass[t], m.above[t]
-		}
+		m.begin()
+		prev, cur, mass, above := m.hist[t-1], m.hist[t], m.mass[t], m.above[t]
 		for i, op := range ops {
 			farU, farV := m.far[2*i], m.far[2*i+1]
 			m.far[2*i], m.far[2*i+1] = cur[op.U], cur[op.V] // before round t overwrites them
-			if mass != nil {
-				w := m.opW[i]
-				if op.Del {
-					w = -w
-				}
-				kept(mass, above, op.U, cur[op.U], farV, w)
-				if op.U != op.V {
-					kept(mass, above, op.V, cur[op.V], farU, w)
-				}
+			w := m.opW[i]
+			if op.Del {
+				w = -w
+			}
+			kept(mass, above, op.U, cur[op.U], farV, w)
+			if op.U != op.V {
+				kept(mass, above, op.V, cur[op.V], farU, w)
 			}
 			if op.Del {
 				if cur[op.U] <= farV {
@@ -375,66 +337,75 @@ func (m *Maintainer) repair(ops []dist.EdgeOp) {
 				m.push(op.V)
 			}
 		}
-		for _, mv := range m.moved {
-			old, now := mv.Old, prev[mv.Node]
-			if now < old {
-				for _, a := range m.adj.adj[mv.Node] {
-					r := cur[a.to]
-					if now < r && r <= old {
-						m.push(a.to)
-						if mass != nil {
-							mass[a.to] -= a.w
-						}
-					}
-					if mass != nil && now <= r && r < old {
-						above[a.to] -= a.w
-					}
-				}
-				continue
-			}
-			for _, a := range m.adj.adj[mv.Node] {
-				r := cur[a.to]
-				if old <= r && r < now {
-					m.push(a.to)
-					if mass != nil {
-						above[a.to] += a.w
-					}
-				}
-				if mass != nil && old < r && r <= now {
-					mass[a.to] += a.w
-				}
-			}
-		}
-		m.moved = m.moved[:0]
-		for _, x := range m.cand {
-			p := cur[x]
-			var nb float64
-			var verified bool
-			if mass != nil {
-				nb, mass[x], above[x], verified = m.settle(t, x, p, mass[x], above[x])
-				switch {
-				case nb < p:
-					m.fell++
-				case nb > p:
-					m.rose++
-				default:
-					m.stood++
-				}
-			} else {
-				nb, _, _, verified = m.eval(t, x, p)
-			}
-			if verified {
-				m.Stats.Verified++
-			}
-			if nb != p {
-				m.moved = append(m.moved, Move{Node: x, Old: p})
-				cur[x] = nb
-			}
-		}
-		m.Stats.Reevaluated += int64(len(m.cand))
-		m.Stats.Changed += int64(len(m.moved))
+		m.round(t)
 	}
 	slices.SortFunc(m.moved, func(a, b Move) int { return a.Node - b.Node })
+}
+
+// begin opens a round's frontier: no candidates, and a fresh generation of
+// marks.
+func (m *Maintainer) begin() {
+	if m.gen++; m.gen == 0 { // wrapped: stale marks could alias
+		clear(m.mark)
+		m.gen = 1
+	}
+	m.cand = m.cand[:0]
+}
+
+// round finishes round t of a repair whose seeds are in cand: it carries the
+// previous round's moves across the kept masses, admits the nodes they cross,
+// settles every candidate and leaves the round's own moves in moved.
+func (m *Maintainer) round(t int) {
+	prev, cur, mass, above := m.hist[t-1], m.hist[t], m.mass[t], m.above[t]
+	for _, mv := range m.moved {
+		old, now := mv.Old, prev[mv.Node]
+		if now < old {
+			for _, a := range m.adj.adj[mv.Node] {
+				r := cur[a.to]
+				if now < r && r <= old {
+					m.push(a.to)
+					mass[a.to] -= a.w
+				}
+				if now <= r && r < old {
+					above[a.to] -= a.w
+				}
+			}
+			continue
+		}
+		for _, a := range m.adj.adj[mv.Node] {
+			r := cur[a.to]
+			if old <= r && r < now {
+				m.push(a.to)
+				above[a.to] += a.w
+			}
+			if old < r && r <= now {
+				mass[a.to] += a.w
+			}
+		}
+	}
+	m.moved = m.moved[:0]
+	for _, x := range m.cand {
+		p := cur[x]
+		nb, s, g, verified := m.settle(t, x, p, mass[x], above[x])
+		mass[x], above[x] = s, g
+		switch {
+		case nb < p:
+			m.fell++
+		case nb > p:
+			m.rose++
+		default:
+			m.stood++
+		}
+		if verified {
+			m.Stats.Verified++
+		}
+		if nb != p {
+			m.moved = append(m.moved, Move{Node: x, Old: p})
+			cur[x] = nb
+		}
+	}
+	m.Stats.Reevaluated += int64(len(m.cand))
+	m.Stats.Changed += int64(len(m.moved))
 }
 
 // kept moves an op's arc of weight w (negative for a delete) into node x's

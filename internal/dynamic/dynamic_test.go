@@ -11,6 +11,8 @@ import (
 	"distkcore/internal/graph"
 )
 
+// assertMatchesScratch holds every History row to a fresh core.Run on the
+// materialized graph bit for bit, and the kept masses to a recount.
 func assertMatchesScratch(t *testing.T, m *Maintainer, label string) {
 	t.Helper()
 	g := m.Graph()
@@ -18,12 +20,13 @@ func assertMatchesScratch(t *testing.T, m *Maintainer, label string) {
 	for tt := 1; tt <= m.T; tt++ {
 		got := m.History(tt)
 		for v := 0; v < g.N(); v++ {
-			if math.Abs(got[v]-want.History[tt-1][v]) > 1e-9 {
+			if math.Float64bits(got[v]) != math.Float64bits(want.History[tt-1][v]) {
 				t.Fatalf("%s: round %d node %d: incremental %v, scratch %v",
 					label, tt, v, got[v], want.History[tt-1][v])
 			}
 		}
 	}
+	assertMassMatchesRecount(t, m, label)
 }
 
 func TestNewMatchesScratch(t *testing.T) {
@@ -212,7 +215,7 @@ func TestApplyDeltaMatchesScratchAndCanonicalApply(t *testing.T) {
 	}
 	want := core.Run(g2, core.Options{Rounds: 5})
 	for v := 0; v < g.N(); v++ {
-		if math.Abs(m.B()[v]-want.B[v]) > 1e-9 {
+		if math.Float64bits(m.B()[v]) != math.Float64bits(want.B[v]) {
 			t.Fatalf("node %d: maintainer %v, canonical-apply scratch %v", v, m.B()[v], want.B[v])
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"distkcore/internal/core"
@@ -18,9 +19,6 @@ import (
 // bit for bit.
 func assertMassMatchesRecount(t *testing.T, m *Maintainer, label string) {
 	t.Helper()
-	if m.mass == nil || m.above == nil {
-		t.Fatalf("%s: no mass kept, and every weight held is summable", label)
-	}
 	g := m.Graph()
 	fresh := core.Run(g, core.Options{Rounds: m.T, RecordHistory: true})
 	prev := make([]float64, g.N())
@@ -105,12 +103,42 @@ func TestMaintainedMassMatchesRecount(t *testing.T) {
 	}
 }
 
-// TestMassOnlyUnderExactSums: a Maintainer that holds a weight outside
-// Summable keeps no mass and settles nothing without eval's pass, through
-// churn; one that takes such a weight later drops its mass at that batch and
-// does not take it back when the edge is deleted again. Its values still
-// match a fresh run, to rounding.
-func TestMassOnlyUnderExactSums(t *testing.T) {
+// TestNewIsARepairFromInfinity: New is the repair seeded with every node from
+// +∞, so on every graph shape — hubs, random, small-world, a grid, self-loops
+// and isolated nodes, weights 1 and 8 mixed — and at T = 1, 2 and 19 every
+// History row equals core.Run's bit for bit, every kept S_t(v) and G_t(v)
+// equals a recount, and the build leaves the work counters at zero.
+func TestNewIsARepairFromInfinity(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	b := graph.NewBuilder(600)
+	for _, e := range graph.BarabasiAlbert(600, 4, 2).Edges() {
+		b.AddEdge(e.U, e.V, float64(1+7*rng.Intn(2)))
+	}
+	graphs := map[string]*graph.Graph{
+		"ba":          graph.BarabasiAlbert(2000, 4, 1),
+		"er":          graph.ErdosRenyi(400, 0.02, 3),
+		"ws":          graph.WattsStrogatz(400, 6, 0.1, 4),
+		"grid":        graph.Grid(20, 20),
+		"multi":       oracleGraphs()["multi"],
+		"ba-weighted": b.Build(),
+	}
+	for gname, g := range graphs {
+		for _, T := range []int{1, 2, 19} {
+			m := New(g, T)
+			label := fmt.Sprintf("%s T=%d", gname, T)
+			assertMatchesScratch(t, m, label)
+			if m.Stats != (Stats{}) || len(m.Moved()) != 0 {
+				t.Fatalf("%s: New left stats %+v and %d moves", label, m.Stats, len(m.Moved()))
+			}
+		}
+	}
+}
+
+// TestMaintainerRefusesUnsummableWeights: the exact-sum contract is the
+// Maintainer's own. New panics on a base weight outside it; Validate and
+// ApplyDelta refuse an insert outside it at that op's index, and ApplyDelta
+// leaves the prefix before it applied and repaired.
+func TestMaintainerRefusesUnsummableWeights(t *testing.T) {
 	ba := graph.BarabasiAlbert(240, 3, 5)
 	b := graph.NewBuilder(ba.N())
 	for i, e := range ba.Edges() {
@@ -120,27 +148,31 @@ func TestMassOnlyUnderExactSums(t *testing.T) {
 		}
 		b.AddEdge(e.U, e.V, w)
 	}
-	exact := New(ba, 6)
-	if exact.mass == nil {
-		t.Fatal("unit weights: no mass kept")
-	}
-	if err := exact.ApplyDelta(dist.GraphDelta{Ops: []dist.EdgeOp{{U: 1, V: 2, W: 0.1}}}); err != nil {
-		t.Fatal(err)
-	}
-	exact.DeleteEdge(1, 2)
-	for label, m := range map[string]*Maintainer{"0.1 from the start": New(b.Build(), 6), "0.1 inserted and deleted": exact} {
-		stood, fell, rose := m.stood, m.fell, m.rose
-		for i := 0; i < 20; i++ {
-			if err := m.ApplyDelta(dist.RandomChurn(m.Graph(), 16, int64(i))); err != nil {
-				t.Fatal(err)
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not exactly summable") {
+				t.Fatalf("New on a 0.1 base weight: recovered %v, want a summability panic", r)
 			}
-			if m.mass != nil || m.above != nil || m.stood != stood || m.fell != fell || m.rose != rose {
-				t.Fatalf("%s batch %d: mass kept = %v, settled without a pass: %d stands, %d falls, %d rises",
-					label, i, m.mass != nil || m.above != nil, m.stood-stood, m.fell-fell, m.rose-rose)
-			}
-			assertMatchesScratch(t, m, fmt.Sprintf("%s batch %d", label, i))
+		}()
+		New(b.Build(), 6)
+	}()
+	m, e := New(ba, 6), ba.Edges()[0]
+	d := dist.GraphDelta{Ops: []dist.EdgeOp{{U: 1, V: 2, W: 0.5}, {Del: true, U: e.U, V: e.V}, {U: 3, V: 4, W: 0.1}, {U: 5, V: 6, W: 1}}}
+	verr := m.Adjacency().Validate(d) // before ApplyDelta mutates anything
+	aerr := m.ApplyDelta(d)
+	for name, err := range map[string]error{"Validate": verr, "ApplyDelta": aerr} {
+		if err == nil || !strings.Contains(err.Error(), "delta op 2:") || !strings.Contains(err.Error(), "not exactly summable") {
+			t.Fatalf("%s of a 0.1 insert at op 2: %v", name, err)
 		}
 	}
+	prefix, err := dist.GraphDelta{Ops: d.Ops[:2]}.Apply(ba)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats.Updates != 2 || m.Adjacency().Hash() != prefix.EdgeSetHash() {
+		t.Fatalf("ApplyDelta applied %d ops, hash %#x; the prefix is 2 ops, hash %#x", m.Stats.Updates, m.Adjacency().Hash(), prefix.EdgeSetHash())
+	}
+	assertMatchesScratch(t, m, "after the refused batch")
 	for _, w := range []float64{0, 1.0 / 1024, 0.25, 3, 1 << 20} {
 		if !Summable(w) {
 			t.Fatalf("Summable(%v) = false", w)

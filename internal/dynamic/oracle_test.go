@@ -707,7 +707,7 @@ func TestValidateMatchesCanonicalApply(t *testing.T) {
 }
 
 // TestSteadyStateApplyDeltaAllocationFree starts from an edgeless graph, so
-// every degree the repair ever meets was created by inserts: the eval
+// every degree the repair ever meets was created by inserts: the gather
 // scratch has to grow with them, or each evaluation of a node that outgrew
 // it allocates inside UpdateValue.
 func TestSteadyStateApplyDeltaAllocationFree(t *testing.T) {
@@ -759,15 +759,15 @@ func recountAbove(arcs []refArc, prev []float64, b float64) float64 {
 	return g
 }
 
-// TestEvalAtAnyPivot holds eval to the reference's full sort at every (t, v)
-// of the oracle graphs and of a BA graph with weights on a ¼ grid, at pivots
-// on, between and beyond the values v's arcs read: β_t(v), β_{t−1}(v), each
-// neighbour's β_{t−1}, 0, +∞ and the midpoints of consecutive neighbour
-// values. The case split is exact for any pivot, so every answer must equal
-// the reference bit for bit, S and G at it must equal a recount, and eval must
-// report a fall exactly when S(p) < p. Each graph has to exercise all three
-// outcomes.
-func TestEvalAtAnyPivot(t *testing.T) {
+// TestSettleAtAnyPivot holds settle, fed a recount of S(p) and G(p), to the
+// reference's full sort at every (t, v) of the oracle graphs and of a BA graph
+// with weights on a ¼ grid, at pivots on, between and beyond the values v's
+// arcs read: β_t(v), β_{t−1}(v), each neighbour's β_{t−1}, 0, +∞ and the
+// midpoints of consecutive neighbour values. The case split is exact for any
+// pivot, so every answer must equal the reference bit for bit, S and G at it
+// must equal a recount, and settle must report a fall exactly when S(p) < p.
+// Each graph has to exercise all three outcomes.
+func TestSettleAtAnyPivot(t *testing.T) {
 	graphs := oracleGraphs()
 	rng := rand.New(rand.NewSource(17))
 	b := graph.NewBuilder(120)
@@ -795,28 +795,20 @@ func TestEvalAtAnyPivot(t *testing.T) {
 					}
 				}
 				for _, p := range pivots {
-					// The weight above p and S(p), from the reference's own lists.
-					above, atOrAbove := 0.0, 0.0
-					for _, a := range r.adj[v] {
-						if prev[a.to] > p {
-							above += a.w
-						}
-						if prev[a.to] >= p {
-							atOrAbove += a.w
-						}
-					}
-					got, s, g, verified := m.eval(tt, v, p)
+					// G(p) and S(p), recounted from the reference's own lists.
+					above, atOrAbove := recountAbove(r.adj[v], prev, p), recount(r.adj[v], prev, p)
+					got, s, g, verified := m.settle(tt, v, p, atOrAbove, above)
 					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s: eval(%d, %d) at pivot %v = %v, full-sort reference %v", gname, tt, v, p, got, want)
+						t.Fatalf("%s: settle(%d, %d) at pivot %v = %v, full-sort reference %v", gname, tt, v, p, got, want)
 					}
 					if rs := recount(r.adj[v], prev, got); math.Float64bits(s) != math.Float64bits(rs) {
-						t.Fatalf("%s: eval(%d, %d) at pivot %v: S at its answer %v is %v, a recount %v", gname, tt, v, p, got, s, rs)
+						t.Fatalf("%s: settle(%d, %d) at pivot %v: S at its answer %v is %v, a recount %v", gname, tt, v, p, got, s, rs)
 					}
 					if rg := recountAbove(r.adj[v], prev, got); math.Float64bits(g) != math.Float64bits(rg) {
-						t.Fatalf("%s: eval(%d, %d) at pivot %v: G at its answer %v is %v, a recount %v", gname, tt, v, p, got, g, rg)
+						t.Fatalf("%s: settle(%d, %d) at pivot %v: G at its answer %v is %v, a recount %v", gname, tt, v, p, got, g, rg)
 					}
 					if verified != (atOrAbove >= p) {
-						t.Fatalf("%s: eval(%d, %d) at pivot %v: verified = %v with S(p) = %v", gname, tt, v, p, verified, atOrAbove)
+						t.Fatalf("%s: settle(%d, %d) at pivot %v: verified = %v with S(p) = %v", gname, tt, v, p, verified, atOrAbove)
 					}
 					switch {
 					case atOrAbove < p:

@@ -131,8 +131,10 @@ func NewCoordinator(hub *net.Hub, g *graph.Graph, graphSpec string, assign []int
 		subs: NewSubManager(), respawn: respawn,
 	}
 	for _, e := range g.Edges() {
+		// The exact-sum contract (DESIGN.md §10.2), which the adjacency holds
+		// every pushed insert to: each worker's oracle is the elimination bit for bit.
 		if !dynamic.Summable(e.W) {
-			return nil, fmt.Errorf("session: edge {%d,%d}: %w", e.U, e.V, errNotSummable(e.W))
+			return nil, fmt.Errorf("session: edge {%d,%d}: weight %v is not exactly summable: sessions take multiples of 2^-10 no larger than 2^20", e.U, e.V, e.W)
 		}
 		if !e.IsLoop() {
 			c.cut.add(1, c.assign[e.U] != c.assign[e.V])
@@ -343,11 +345,11 @@ func (c *Coordinator) seal(epoch int, gh, pd uint64, resend func(w int) error) (
 
 // absorb is the coordinator's own half of an epoch: encode the push body the
 // workers will decode, hold the batch to that encoding (so what is validated
-// and priced is what is broadcast), validate it against the live adjacency,
-// hold every inserted weight to the exact-sum contract, and only then mutate
-// — adjacency and rolling hash in place, no CSR — and rebalance on the mutated
-// topology, its moves applied to next. An error means nothing was touched.
-// The ledger comes back with the cut count the seal commits.
+// and priced is what is broadcast), validate it against the live adjacency
+// (which holds every inserted weight to the exact-sum contract), and only
+// then mutate — adjacency and rolling hash in place, no CSR — and rebalance on
+// the mutated topology, its moves applied to next. An error means nothing was
+// touched. The ledger comes back with the cut count the seal commits.
 func (c *Coordinator) absorb(epoch int, d dist.GraphDelta, moveBudget int) (push []byte, cm shard.ChurnMetrics, cut cutCount, err error) {
 	if len(d.Ops) == 0 {
 		return nil, cm, cut, fmt.Errorf("session: empty delta push")
@@ -363,11 +365,6 @@ func (c *Coordinator) absorb(epoch int, d dist.GraphDelta, moveBudget int) (push
 	if err := c.adj.Validate(decoded); err != nil {
 		return nil, cm, cut, err
 	}
-	for i, op := range decoded.Ops {
-		if !op.Del && !dynamic.Summable(op.W) {
-			return nil, cm, cut, fmt.Errorf("session: delta op %d: %w", i, errNotSummable(op.W))
-		}
-	}
 	if _, err := c.adj.Apply(decoded); err != nil {
 		panic("session: validated delta failed to apply: " + err.Error())
 	}
@@ -379,14 +376,6 @@ func (c *Coordinator) absorb(epoch int, d dist.GraphDelta, moveBudget int) (push
 	// epoch header.
 	cm.DeltaBytes = int64(len(push) - len(binary.AppendUvarint(nil, uint64(epoch))))
 	return push, cm, cut, nil
-}
-
-// errNotSummable is the refusal of a weight outside the exact-sum contract
-// of a session (DESIGN.md §10.2), dynamic.Summable: the coordinator holds the
-// base graph's edges and every pushed insert to it, so every worker's oracle
-// is the elimination bit for bit.
-func errNotSummable(w float64) error {
-	return fmt.Errorf("weight %v is not exactly summable: sessions take multiples of 2^-10 no larger than 2^20", w)
 }
 
 // cutCount is shard.CutFraction in integers, so it can be kept rolling: the

@@ -1,6 +1,10 @@
 package session
 
-import "math"
+import (
+	"math"
+
+	"distkcore/internal/graph"
+)
 
 // FNV-1a parameters, matching graph.Fingerprint and dist.GraphDelta.Digest
 // so every digest in the protocol speaks the same hash family.
@@ -13,12 +17,16 @@ const (
 // its length): the session's pin for "we agree on every β_T(v)". The run
 // protocol ships whole value vectors to verify bit-equality; the session
 // seals each epoch with this digest instead, and P workers comparing it
-// against their local oracles gives the same guarantee for 8 bytes.
+// against their local oracles gives the same guarantee for 8 bytes. Each
+// value's bits are mixed (graph.Mix64) before they are folded: under the
+// exact-sum contract the low mantissa bits of β_T are zero, and a multiply
+// only carries bits upward, so folded raw they would never reach the
+// digest's low bits.
 func ValuesDigest(b []float64) uint64 {
 	h := fnvOffset
 	h = (h ^ uint64(len(b))) * fnvPrime
 	for _, x := range b {
-		h = (h ^ math.Float64bits(x)) * fnvPrime
+		h = (h ^ graph.Mix64(math.Float64bits(x))) * fnvPrime
 	}
 	return h
 }

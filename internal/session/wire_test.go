@@ -1,6 +1,7 @@
 package session
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -194,5 +195,24 @@ func TestDigestHelpers(t *testing.T) {
 	}
 	if ChainNext(0, 1, 2, 3) != c0 {
 		t.Fatal("chain digest is not a pure function")
+	}
+}
+
+// TestValuesDigestMixesEveryBit: β_T under the exact-sum contract has its low
+// mantissa bits zero, and a fold that only multiplies carries bits upward, so
+// 1 000 seeded vectors of 2 000 integer values in [1, 40] must still land on
+// 1 000 distinct low 32 bits of the digest.
+func TestValuesDigestMixesEveryBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	low := make(map[uint32]bool)
+	b := make([]float64, 2000)
+	for i := 0; i < 1000; i++ {
+		for v := range b {
+			b[v] = float64(1 + rng.Intn(40))
+		}
+		low[uint32(ValuesDigest(b))] = true
+	}
+	if len(low) != 1000 {
+		t.Fatalf("1000 value vectors share %d low-32-bit digests", len(low))
 	}
 }

@@ -1,78 +1,12 @@
-// Package stats provides small numeric summaries and ASCII table rendering
-// used by the experiment harness.
+// Package stats provides the ASCII table rendering used by the experiment
+// harness.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Summary describes a sample of float64 values.
-type Summary struct {
-	N              int
-	Min, Max, Mean float64
-	P50, P90, P99  float64
-}
-
-// Summarize computes a Summary; NaN values are skipped, an empty sample
-// yields the zero Summary.
-func Summarize(xs []float64) Summary {
-	clean := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if !math.IsNaN(x) {
-			clean = append(clean, x)
-		}
-	}
-	if len(clean) == 0 {
-		return Summary{}
-	}
-	sort.Float64s(clean)
-	sum := 0.0
-	for _, x := range clean {
-		sum += x
-	}
-	q := func(p float64) float64 {
-		idx := p * float64(len(clean)-1)
-		lo := int(math.Floor(idx))
-		hi := int(math.Ceil(idx))
-		if lo == hi {
-			return clean[lo]
-		}
-		frac := idx - float64(lo)
-		return clean[lo]*(1-frac) + clean[hi]*frac
-	}
-	return Summary{
-		N:    len(clean),
-		Min:  clean[0],
-		Max:  clean[len(clean)-1],
-		Mean: sum / float64(len(clean)),
-		P50:  q(0.50),
-		P90:  q(0.90),
-		P99:  q(0.99),
-	}
-}
-
-// Ratios returns elementwise a[i]/b[i]; pairs with b[i] == 0 yield 1 when
-// a[i] == 0 (0/0 convention: exact) and NaN otherwise.
-func Ratios(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("stats: length mismatch")
-	}
-	r := make([]float64, len(a))
-	for i := range a {
-		switch {
-		case b[i] != 0:
-			r[i] = a[i] / b[i]
-		case a[i] == 0:
-			r[i] = 1
-		default:
-			r[i] = math.NaN()
-		}
-	}
-	return r
-}
 
 // Table accumulates rows and renders a fixed-width ASCII table, the output
 // format of cmd/repro.
@@ -141,18 +75,6 @@ func (t *Table) String() string {
 	writeRow(sep)
 	for _, r := range t.rows {
 		writeRow(r)
-	}
-	return sb.String()
-}
-
-// CSV renders the table as comma-separated values.
-func (t *Table) CSV() string {
-	var sb strings.Builder
-	sb.WriteString(strings.Join(t.header, ","))
-	sb.WriteByte('\n')
-	for _, r := range t.rows {
-		sb.WriteString(strings.Join(r, ","))
-		sb.WriteByte('\n')
 	}
 	return sb.String()
 }
