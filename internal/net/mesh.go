@@ -21,13 +21,13 @@ import (
 // forwarded, so a record claiming another sender or destination is refused.
 //
 // Concurrency shape: per link, one reader goroutine (decode, link check,
-// round-gate, credit) and one writer goroutine draining an ordered queue.
-// The writer goroutines are what keep the mesh deadlock-free on synchronous
-// transports (net.Pipe): a reader never writes a connection itself — it only
-// enqueues — so the cycle "A blocked writing to B, B's reader blocked
-// locking A" cannot form. All shared state sits under one mutex; the
-// condition variable carries queued records, credit arrivals, a round's close
-// and the control connection's verdicts (streamWorker.control).
+// round-gate, credit) and an ordered queue; per mesh, one writer goroutine
+// draining every link's queue in turn. The writer is what keeps the mesh
+// deadlock-free on synchronous transports (net.Pipe): a reader never writes a
+// connection itself — it only enqueues — so the cycle "A blocked writing to B,
+// B's reader blocked locking A" cannot form. All shared state sits under one
+// mutex; the condition variable carries queued records, credit arrivals, a
+// round's close and the control connection's verdicts (streamWorker.control).
 
 // peerFrameHeaderMax bounds codec.AppendPeerFrame's output (five uvarints): the
 // header is encoded on the stack first, so a chunk's payload — header, then
@@ -59,15 +59,12 @@ type outRec struct {
 	payload []byte
 }
 
-// meshLink is one attached peer connection plus its writer queue.
+// meshLink is one attached peer connection plus its write queue.
 type meshLink struct {
 	c    *Conn
 	gen  int  // the peer's generation from its mesh hello; -1 dialed, older than any
 	down bool // reader saw death / writer saw a write error
 	q    []outRec
-	// spare is the batch before the one being written, emptied: the writer and
-	// the enqueuers trade two queue arrays instead of growing one per batch.
-	spare []outRec
 }
 
 // meshConfig is everything a Worker hands its mesh.
@@ -190,7 +187,7 @@ func (m *mesh) fail(err error) {
 }
 
 // Close tears the mesh down once its worker is done with it: the accept loop
-// stops, every link's connection closes (unblocking its reader), writers exit.
+// stops, every link's connection closes (its reader unblocks), the writer exits.
 func (m *mesh) Close() {
 	m.mu.Lock()
 	m.closed = true
@@ -209,10 +206,11 @@ func (m *mesh) Close() {
 // form establishes the links: this worker dials every worker with a lower id
 // (a respawned incarnation dials all of them — its peers hold dead
 // connections), accepts the rest, and returns once every other worker is
-// attached. The accept loop keeps running for the whole run, so respawned
+// attached. The accept loop and the writer run for the whole run, so respawned
 // peers can re-dial at any time.
 func (m *mesh) form() error {
 	go m.acceptLoop()
+	go m.writeAll()
 	for j := 0; j < m.cfg.P; j++ {
 		if j != m.cfg.Self && (m.cfg.Gen > 0 || j < m.cfg.Self) {
 			if err := m.dial(j); err != nil {
@@ -288,7 +286,7 @@ func (m *mesh) handleAccepted(nc net.Conn) {
 }
 
 // attach installs (or swaps in) the link to worker j and spawns its
-// reader and writer. A link from a newer peer incarnation replaces an older
+// reader. A link from a newer peer incarnation replaces an older
 // one; an older or duplicate hello is refused. Swapping resets the credit
 // window both ways and queues on the new link, ahead of anything live, every
 // record retained toward j: the incarnation runs the run again from Init and
@@ -310,9 +308,7 @@ func (m *mesh) attach(j, gen int, c *Conn) {
 		return
 	}
 	if old != nil {
-		old.down = true
-		old.c.Close()
-		old.q = nil
+		m.linkDownLocked(old)
 	}
 	l := &meshLink{c: c, gen: gen}
 	m.links[j] = l
@@ -330,7 +326,6 @@ func (m *mesh) attach(j, gen int, c *Conn) {
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	go m.readLoop(j, l)
-	go m.writeLoop(l)
 }
 
 // wait is the mesh's one wait discipline. Called with m.mu held, it parks on
@@ -367,37 +362,41 @@ func (m *mesh) wait(timeout time.Duration, stalled string, ready func() bool) er
 	}
 }
 
-// writeLoop drains one link's queue. On a write error the link is marked
-// down (linkDownLocked decides what that means for the run).
-func (m *mesh) writeLoop(l *meshLink) {
+// writeAll is the mesh's one writer: it drains every link's queue in turn, a
+// batch at a time, and never holds m.mu while it writes. On a write error the
+// link is marked down (linkDownLocked decides what that means for the run).
+func (m *mesh) writeAll() {
+	// spare is the batch before the one being written, emptied: the writer and
+	// the enqueuers trade queue arrays instead of growing one per batch.
+	var spare []outRec
 	m.mu.Lock()
-	for {
-		for len(l.q) == 0 && !l.down && !m.closed && m.err == nil {
-			m.cond.Wait()
-		}
-		if l.down || m.closed || m.err != nil {
+	defer m.mu.Unlock()
+	for !m.closed && m.err == nil {
+		idle := true
+		for _, l := range m.links {
+			if l == nil || l.down || len(l.q) == 0 || m.closed || m.err != nil {
+				continue
+			}
+			batch := l.q
+			l.q, spare, idle = spare, nil, false
 			m.mu.Unlock()
-			return
-		}
-		batch := l.q
-		l.q, l.spare = l.spare, nil
-		m.mu.Unlock()
-		var werr error
-		for _, r := range batch {
-			if werr = l.c.WriteRecord(r.typ, r.payload); werr != nil {
-				break
+			var werr error
+			for _, r := range batch {
+				if werr = l.c.WriteRecord(r.typ, r.payload); werr != nil {
+					break
+				}
+			}
+			if werr == nil {
+				werr = l.c.Flush()
+			}
+			clear(batch) // the payloads are the retention's, or garbage
+			m.mu.Lock()
+			if spare = batch[:0]; werr != nil {
+				m.linkDownLocked(l)
 			}
 		}
-		if werr == nil {
-			werr = l.c.Flush()
-		}
-		clear(batch) // the payloads are the retention's, or garbage
-		m.mu.Lock()
-		l.spare = batch[:0]
-		if werr != nil {
-			m.linkDownLocked(l)
-			m.mu.Unlock()
-			return
+		if idle {
+			m.cond.Wait()
 		}
 	}
 }
@@ -667,14 +666,15 @@ func (m *mesh) sendEnd(dst int, msgs, logicalBytes int64, alive int) (codec.Peer
 	return codec.PeerDigest{Peer: dst, Chunks: wd.Chunks, Msgs: msgs, Bytes: logicalBytes, Digest: wd.Digest}, nil
 }
 
-// queueLocked queues one record toward dst on its link. The mesh keeps
-// payload — a writer goroutine reads it after this returns, and retained it
-// may be re-sent rounds later — so chunk payloads, end markers and credits are
-// each allocated for the one record, never encoded in a reused scratch the way
-// the control plane's bodies are (Conn.WriteRecord copies those before it
-// returns; nothing here is copied again). Records queued to a down link are
-// dropped — attach re-sends what was retained of them to a successor; with no
-// successor the peer's death has already doomed the run (linkDownLocked).
+// queueLocked queues one record toward dst on its link and wakes the writer
+// (and at most the worker besides). The mesh keeps payload — the writer reads
+// it after this returns, and retained it may be re-sent rounds later — so
+// chunk payloads, end markers and credits are each allocated for the one
+// record, never encoded in a reused scratch the way the control plane's bodies
+// are (Conn.WriteRecord copies those before it returns; nothing here is copied
+// again). Records queued to a down link are dropped — attach re-sends what was
+// retained of them to a successor; with no successor the peer's death has
+// already doomed the run (linkDownLocked).
 func (m *mesh) queueLocked(dst int, typ byte, payload []byte) {
 	m.wire.Sent += int64(len(payload) + 1)
 	l := m.links[dst]

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"reflect"
@@ -8,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"distkcore/internal/codec"
 	"distkcore/internal/core"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
+	"distkcore/internal/net/faultnet"
 	"distkcore/internal/quantize"
 	"distkcore/internal/shard"
 )
@@ -90,9 +93,10 @@ func checkNoFunnel(t *testing.T, p int, e *Engine) {
 }
 
 // P=64 pipe soak, gated behind DKC_SCALE_SOAK=1: a full mesh (64 workers,
-// 2 016 links, each with a reader and a writer goroutine per end, plus the
-// control conns) runs a full protocol byte-identical to seq, no worker funnels
-// the traffic, and the whole apparatus drains without leaking a goroutine.
+// 2 016 links, each with a reader goroutine per end, one writer goroutine a
+// worker, plus the control conns) runs a full protocol byte-identical to seq,
+// no worker funnels the traffic, and the whole apparatus drains without
+// leaking a goroutine.
 func TestStreamSoakP64(t *testing.T) {
 	if os.Getenv("DKC_SCALE_SOAK") == "" {
 		t.Skip("set DKC_SCALE_SOAK=1 to run the P=64 mesh soak")
@@ -124,6 +128,64 @@ func TestStreamSoakP64(t *testing.T) {
 	if got := runtime.NumGoroutine(); got > before {
 		t.Fatalf("goroutines leaked across the soak: %d before, %d after", before, got)
 	}
+}
+
+// A streamed worker has one mesh writer, whatever P: one goroutine drains
+// every link's queue in turn, so a P = 8 run stands P writers up, not the
+// P·(P − 1) a writer per link made. Holding one end marker parks its worker's
+// writer — and with it every flow of that worker — while the dump is taken;
+// released, the run ends byte-identical to seq. A held link is a delay, never
+// a third outcome.
+func TestOneMeshWriterPerWorker(t *testing.T) {
+	const p, w, q = 8, 2, 5
+	g := graph.BarabasiAlbert(400, 4, 7)
+	opt := core.Options{Rounds: core.TForEpsilon(g.N(), 0.5), Lambda: quantize.NewPowerGrid(0.1)}
+	ref, refMet := core.RunDistributed(g, opt, dist.SeqEngine{})
+	faults := faultnet.New(faultnet.Fault{Shard: w, Peer: q, Type: recWindow,
+		Body: opening([]byte{codec.WindowEnd}, w, q, 1), Action: faultnet.Hold})
+	e := streamEngine(p, shard.Hash{})
+	e.wrap = faults.Wrap
+	var res *core.Result
+	var met dist.Metrics
+	writers := 0
+	cell(t, func() {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			res, met = core.RunDistributed(g, opt, e)
+		}()
+		for !faults.Fired(0) {
+			time.Sleep(time.Millisecond)
+		}
+		// Writers of an earlier test's closed meshes may still be on their way out.
+		deadline := time.Now().Add(5 * time.Second)
+		for writers = meshWriters(); writers != p && time.Now().Before(deadline); writers = meshWriters() {
+			time.Sleep(5 * time.Millisecond)
+		}
+		faults.Release()
+		<-done
+	})
+	if writers != p {
+		t.Errorf("%d goroutines in a mesh writer while the run was parked, want %d (one a worker)", writers, p)
+	}
+	if n := e.Recoveries(); n != 0 {
+		t.Errorf("a held link cost %d recoveries, want none", n)
+	}
+	if met != refMet || !reflect.DeepEqual(res.B, ref.B) {
+		t.Errorf("metrics %+v, want %+v (values equal: %v)", met, refMet, reflect.DeepEqual(res.B, ref.B))
+	}
+}
+
+// meshWriters counts the goroutines standing in a mesh writer function.
+func meshWriters() int {
+	buf := make([]byte, 1<<23)
+	n := 0
+	for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+		if bytes.Contains(g, []byte("net.(*mesh).write")) {
+			n++
+		}
+	}
+	return n
 }
 
 // The streamed ledger must price frames identically to the relay path: the

@@ -116,6 +116,9 @@ type Coordinator struct {
 func NewCoordinator(hub *net.Hub, g *graph.Graph, graphSpec string, assign []int, part shard.Partitioner, T int,
 	respawn func(shard, gen int, g *graph.Graph, assign []int) (*net.Conn, error)) (*Coordinator, error) {
 	p := hub.P()
+	if err := checkBase(p, T, g); err != nil {
+		return nil, err
+	}
 	switch {
 	case len(assign) != g.N():
 		return nil, fmt.Errorf("session: assignment covers %d nodes, graph has %d", len(assign), g.N())
@@ -131,11 +134,6 @@ func NewCoordinator(hub *net.Hub, g *graph.Graph, graphSpec string, assign []int
 		subs: NewSubManager(), respawn: respawn,
 	}
 	for _, e := range g.Edges() {
-		// The exact-sum contract (DESIGN.md §10.2), which the adjacency holds
-		// every pushed insert to: each worker's oracle is the elimination bit for bit.
-		if !dynamic.Summable(e.W) {
-			return nil, fmt.Errorf("session: edge {%d,%d}: weight %v is not exactly summable: sessions take multiples of 2^-10 no larger than 2^20", e.U, e.V, e.W)
-		}
 		if !e.IsLoop() {
 			c.cut.add(1, c.assign[e.U] != c.assign[e.V])
 		}
@@ -155,6 +153,22 @@ func NewCoordinator(hub *net.Hub, g *graph.Graph, graphSpec string, assign []int
 	}
 	c.publishStat()
 	return c, nil
+}
+
+// checkBase refuses a session before any work: P and T at least 1, and every
+// base weight inside the exact-sum contract (DESIGN.md §10.2), which the
+// adjacency holds every pushed insert to: each worker's oracle is the
+// elimination bit for bit. Open calls it before any worker starts.
+func checkBase(p, T int, g *graph.Graph) error {
+	if p < 1 || T < 1 {
+		return fmt.Errorf("session: a session requires P >= 1 and Rounds >= 1, got %d and %d", p, T)
+	}
+	for _, e := range g.Edges() {
+		if !dynamic.Summable(e.W) {
+			return fmt.Errorf("session: edge {%d,%d}: weight %v is not exactly summable: sessions take multiples of 2^-10 no larger than 2^20", e.U, e.V, e.W)
+		}
+	}
+	return nil
 }
 
 // Recoveries returns the number of worker crash recoveries this session has

@@ -56,11 +56,8 @@ type Session struct {
 // session owns the cluster; Close it.
 func Open(g *graph.Graph, opt Options) (*Session, error) {
 	p, T, part := opt.P, opt.Rounds, opt.Part
-	if p < 1 {
-		return nil, fmt.Errorf("session: Open requires P >= 1")
-	}
-	if T < 1 {
-		return nil, fmt.Errorf("session: Open requires Rounds >= 1")
+	if err := checkBase(p, T, g); err != nil {
+		return nil, err
 	}
 	if part == nil {
 		part = shard.Hash{}

@@ -3,15 +3,18 @@ package session
 import (
 	"math"
 	"math/rand"
+	stdnet "net"
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"distkcore/internal/core"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
+	"distkcore/internal/net/faultnet"
 	"distkcore/internal/shard"
 )
 
@@ -243,7 +246,8 @@ func TestSessionRejectedDeltaKeepsSessionLive(t *testing.T) {
 // used to seal with one of 300 values off a fresh run by an ulp, all P
 // workers agreeing with each other) are refused before broadcast, the session
 // stays live, and the same edges in eighths seal bit-identical to fresh runs.
-// A base graph outside the contract is refused at open.
+// A base graph outside the contract is refused at open, before any worker
+// incarnation starts (and builds an oracle the graph would make panic).
 func TestSessionHoldsExactSumContract(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 4, 3)
 	n, T := g.N(), core.TForEpsilon(g.N(), 0.5)
@@ -286,8 +290,18 @@ func TestSessionHoldsExactSumContract(t *testing.T) {
 
 	es := g.Edges()
 	es[0].W = 0.3
-	if _, err := Open(graph.FromEdges(n, es), Options{P: 3, Rounds: T}); err == nil || !strings.Contains(err.Error(), "summable") {
+	var incarnations atomic.Int32
+	count := func(shard, gen, peer int, c stdnet.Conn) stdnet.Conn {
+		if peer == faultnet.Control {
+			incarnations.Add(1)
+		}
+		return c
+	}
+	if _, err := Open(graph.FromEdges(n, es), Options{P: 3, Rounds: T, wrap: count}); err == nil || !strings.Contains(err.Error(), "summable") {
 		t.Fatalf("Open on a graph with a 0.3 edge returned %v, want a summability refusal", err)
+	}
+	if k := incarnations.Load(); k != 0 {
+		t.Fatalf("the refused Open started %d worker incarnations, want none", k)
 	}
 }
 
