@@ -51,6 +51,7 @@ import (
 	"distkcore/internal/cliutil"
 	"distkcore/internal/core"
 	"distkcore/internal/dist"
+	"distkcore/internal/graph"
 	dnet "distkcore/internal/net"
 	"distkcore/internal/obs"
 	"distkcore/internal/quantize"
@@ -89,6 +90,30 @@ func usage() {
   cluster sub    -connect unix:/path.sock -topics coreness:5,topk:3 [-count N]
   cluster stat   -connect unix:/path.sock`)
 	os.Exit(2)
+}
+
+// graphFlags declares on fs the flags that name the generated graph a command
+// runs on and its round budget — -gen -n -seed, and -eps or -T — with note
+// ending each usage line. The load it returns, called after fs.Parse, builds
+// the graph and resolves T: -T when set, else ε's.
+func graphFlags(fs *flag.FlagSet, note string) (load func() (spec string, g *graph.Graph, T int)) {
+	gen := fs.String("gen", "ba", "graph generator (ba, er, rmat, grid, caveman, planted)"+note)
+	n := fs.Int("n", 10000, "node count"+note)
+	seed := fs.Int64("seed", 7, "generator seed"+note)
+	eps := fs.Float64("eps", 0.5, "approximation parameter (sets T = ceil(log_{1+eps} n))"+note)
+	tFlag := fs.Int("T", 0, "explicit round budget (overrides -eps)"+note)
+	return func() (string, *graph.Graph, int) {
+		spec := cliutil.GraphSpec(*gen, *n, *seed)
+		g, err := cliutil.LoadGraphSpec(spec)
+		if err != nil {
+			fatal(err)
+		}
+		T := *tFlag
+		if T <= 0 {
+			T = core.TForEpsilon(g.N(), *eps)
+		}
+		return spec, g, T
+	}
 }
 
 // splitAddr parses "unix:/path" or "tcp:host:port" into a (network,
@@ -255,11 +280,7 @@ func runCoord(args []string) {
 	var (
 		workers  = fs.String("workers", "", "comma-separated worker addresses (unix:/path or tcp:host:port)")
 		spawn    = fs.Int("spawn", 0, "spawn P worker subprocesses over unix sockets instead of dialing -workers")
-		gen      = fs.String("gen", "ba", "graph generator (ba, er, rmat, grid, caveman, planted)")
-		n        = fs.Int("n", 10000, "node count")
-		seed     = fs.Int64("seed", 7, "generator seed")
-		eps      = fs.Float64("eps", 0.5, "approximation parameter (sets T = ceil(log_{1+eps} n))")
-		tFlag    = fs.Int("T", 0, "explicit round budget (overrides -eps)")
+		load     = graphFlags(fs, "")
 		lambda   = fs.Float64("lambda", 0, "quantize transmitted values to powers of (1+lambda); 0 means Λ = ℝ")
 		partN    = fs.String("part", "greedy", "partitioner: hash, range or greedy")
 		verify   = fs.Bool("verify", false, "run the sequential engine locally and demand byte-identical Metrics and values")
@@ -270,11 +291,7 @@ func runCoord(args []string) {
 	)
 	fs.Parse(args)
 
-	spec := cliutil.GraphSpec(*gen, *n, *seed)
-	g, err := cliutil.LoadGraphSpec(spec)
-	if err != nil {
-		fatal(err)
-	}
+	spec, g, T := load()
 	part, err := cliutil.ParsePartitioner(*partN)
 	if err != nil {
 		fatal(err)
@@ -282,10 +299,6 @@ func runCoord(args []string) {
 	var lam quantize.Lambda
 	if *lambda > 0 {
 		lam = quantize.NewPowerGrid(*lambda)
-	}
-	T := *tFlag
-	if T <= 0 {
-		T = core.TForEpsilon(g.N(), *eps)
 	}
 	killW, killR, err := parseKillSpec(*killSpec)
 	if err != nil {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"expvar"
 	"flag"
 	"fmt"
@@ -31,11 +30,7 @@ func runServe(args []string) {
 	var (
 		workers   = fs.String("workers", "", "comma-separated worker addresses")
 		spawn     = fs.Int("spawn", 0, "spawn P worker subprocesses over unix sockets instead of dialing -workers")
-		gen       = fs.String("gen", "ba", "graph generator (ba, er, rmat, grid, caveman, planted)")
-		n         = fs.Int("n", 10000, "node count")
-		seed      = fs.Int64("seed", 7, "generator seed")
-		eps       = fs.Float64("eps", 0.5, "approximation parameter (sets T = ceil(log_{1+eps} n))")
-		tFlag     = fs.Int("T", 0, "explicit round budget (overrides -eps)")
+		load      = graphFlags(fs, "")
 		partN     = fs.String("part", "greedy", "partitioner: hash, range or greedy")
 		control   = fs.String("control", "unix:/tmp/dkc-session.sock", "control address push/sub clients connect to")
 		timeout   = fs.Duration("timeout", 30*time.Second, "per-operation IO deadline on worker connections (0 = none)")
@@ -44,18 +39,10 @@ func runServe(args []string) {
 	)
 	fs.Parse(args)
 
-	spec := cliutil.GraphSpec(*gen, *n, *seed)
-	g, err := cliutil.LoadGraphSpec(spec)
-	if err != nil {
-		fatal(err)
-	}
+	spec, g, T := load()
 	part, err := cliutil.ParsePartitioner(*partN)
 	if err != nil {
 		fatal(err)
-	}
-	T := *tFlag
-	if T <= 0 {
-		T = core.TForEpsilon(g.N(), *eps)
 	}
 
 	var f fleet
@@ -144,11 +131,7 @@ func runPush(args []string) {
 	fs := flag.NewFlagSet("cluster push", flag.ExitOnError)
 	var (
 		connect   = fs.String("connect", "unix:/tmp/dkc-session.sock", "session server control address")
-		gen       = fs.String("gen", "ba", "graph generator of the served graph")
-		n         = fs.Int("n", 10000, "node count of the served graph")
-		seed      = fs.Int64("seed", 7, "generator seed of the served graph")
-		eps       = fs.Float64("eps", 0.5, "approximation parameter (must match serve)")
-		tFlag     = fs.Int("T", 0, "explicit round budget (must match serve)")
+		load      = graphFlags(fs, "; must match serve")
 		epochs    = fs.Int("epochs", 1, "number of delta epochs to push")
 		ops       = fs.Int("ops", 100, "mutations per epoch")
 		churnSeed = fs.Int64("churnseed", 1, "base churn seed (epoch e uses churnseed+e)")
@@ -158,14 +141,7 @@ func runPush(args []string) {
 	)
 	fs.Parse(args)
 
-	g, err := cliutil.LoadGraphSpec(cliutil.GraphSpec(*gen, *n, *seed))
-	if err != nil {
-		fatal(err)
-	}
-	T := *tFlag
-	if T <= 0 {
-		T = core.TForEpsilon(g.N(), *eps)
-	}
+	_, g, T := load()
 	network, addr, err := splitAddr(*connect)
 	if err != nil {
 		fatal(err)
@@ -195,7 +171,7 @@ func runPush(args []string) {
 		if typ != dnet.RecValuesDigest {
 			fatal(fmt.Errorf("expected stamp receipt, got record type %d", typ))
 		}
-		st, _, err := codec.DecodeStamp(body)
+		st, err := codec.DecodeStamp(body)
 		if err != nil {
 			fatal(err)
 		}
@@ -262,7 +238,7 @@ func runStat(args []string) {
 	if typ != dnet.RecStat {
 		fatal(fmt.Errorf("expected stat record, got record type %d", typ))
 	}
-	st, _, err := codec.DecodeStat(body)
+	st, err := codec.DecodeStat(body)
 	if err != nil {
 		fatal(err)
 	}
@@ -336,9 +312,9 @@ func runSub(args []string) {
 	if typ != dnet.RecSubscribe {
 		fatal(fmt.Errorf("expected subscribe echo, got record type %d", typ))
 	}
-	id, k := binary.Uvarint(body)
-	if k <= 0 {
-		fatal(fmt.Errorf("truncated subscribe echo"))
+	id, err := session.DecodeSubscribeEcho(body)
+	if err != nil {
+		fatal(err)
 	}
 	fmt.Printf("cluster sub: registered as sub%d (%d topics)\n", id, len(topics))
 

@@ -119,15 +119,24 @@ func TestDesignCitationsResolve(t *testing.T) {
 }
 
 // DESIGN.md §8.2 is the normative record table: every record-type constant of
-// internal/net/conn.go appears there as a row "| <number> | <name> |". The one
-// copy of two numbers outside conn.go — cmd/cluster's -kill tap, which reads
-// the done records off the wire — is held to them too: a renumbering would
-// otherwise disarm -kill without a word.
+// internal/net/conn.go appears there as a row "| <number> | <name> |", and in
+// FuzzRecordBodies as a row of the same number and name, so a record cannot
+// join the wire without its body's round trip. The one copy of two numbers
+// outside conn.go — cmd/cluster's -kill tap, which reads the done records off
+// the wire — is held to them too: a renumbering would otherwise disarm -kill
+// without a word.
 func TestDesignRecordTableMatchesConn(t *testing.T) {
 	design := readFile(t, "DESIGN.md")
 	consts := recConst.FindAllStringSubmatch(readFile(t, "internal/net/conn.go"), -1)
 	if len(consts) < 22 {
 		t.Fatalf("parsed %d record constants from conn.go, want at least 22", len(consts))
+	}
+	fuzzed := map[string]string{}
+	for _, r := range recordBodies() {
+		fuzzed[fmt.Sprint(r.num)] = r.name
+	}
+	if len(fuzzed) != len(consts) {
+		t.Errorf("FuzzRecordBodies has %d rows for conn.go's %d record constants", len(fuzzed), len(consts))
 	}
 	seen := map[string]string{}
 	for _, m := range consts {
@@ -138,6 +147,9 @@ func TestDesignRecordTableMatchesConn(t *testing.T) {
 		seen[m[2]] = name
 		if row := fmt.Sprintf("\n| %s | %s |", m[2], name); !strings.Contains(design, row) {
 			t.Errorf("DESIGN.md §8.2 has no row %q for conn.go's rec%s = %s", strings.TrimSpace(row), m[1], m[2])
+		}
+		if fuzzed[m[2]] != name {
+			t.Errorf("FuzzRecordBodies has no row %s %q for conn.go's rec%s", m[2], name, m[1])
 		}
 	}
 	tap := killTapRec.FindStringSubmatch(readFile(t, "cmd/cluster/main.go"))

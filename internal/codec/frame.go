@@ -33,19 +33,14 @@ func AppendFrameHeader(dst []byte, h FrameHeader) []byte {
 }
 
 // DecodeFrameHeader reads one header and returns it with the number of
-// bytes consumed.
+// bytes consumed: the frame's message bodies follow it.
 func DecodeFrameHeader(src []byte) (FrameHeader, int, error) {
-	var h FrameHeader
-	n := 0
-	for _, field := range []*int{&h.Src, &h.Dst, &h.Round, &h.Count} {
-		u, k := binary.Uvarint(src[n:])
-		if k <= 0 {
-			return FrameHeader{}, 0, fmt.Errorf("codec: truncated frame header")
-		}
-		*field = int(u)
-		n += k
+	d := Decoder{src: src}
+	h := FrameHeader{Src: d.Int(), Dst: d.Int(), Round: d.Int(), Count: d.Int()}
+	if d.err != nil {
+		return FrameHeader{}, 0, fmt.Errorf("codec: bad frame header: %w", d.err)
 	}
-	return h, n, nil
+	return h, d.n, nil
 }
 
 // FrameHeaderSize returns len(AppendFrameHeader(nil, h)) without building

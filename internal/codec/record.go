@@ -1,12 +1,14 @@
 package codec
 
 // This file carries the transport-layer encodings the real-socket cluster
-// engine (internal/net) speaks: a length-prefixed record framing and the
-// handshake records (Hello, Welcome) exchanged before a run. The frame
-// payloads inside the records reuse FrameHeader and the per-message body
-// codec of internal/shard, so the bytes a socket carries are the same bytes
-// the in-process sharded engine accounts. DESIGN.md §8 is the normative
-// wire-protocol spec.
+// engine (internal/net) speaks: the length-prefixed record framing, the
+// Decoder every record body is read through, and the run records' bodies
+// (hello through values). Every whole body has one Append/Decode pair — here,
+// beside its kind (stream.go, stamp.go, stat.go) or in internal/session — and
+// every Decode ends in Decoder.Finish; only the frame and peer-frame headers,
+// which a payload of shard message bodies follows, report what they consumed.
+// DESIGN.md §8 is the normative wire-protocol spec; FuzzRecordBodies holds
+// every record's body to one round trip.
 
 import (
 	"encoding/binary"
@@ -157,29 +159,14 @@ func AppendHello(dst []byte, h Hello) []byte {
 	return appendString(dst, h.MeshSpec)
 }
 
-// DecodeHello decodes a Hello and returns the number of bytes consumed.
-func DecodeHello(src []byte) (Hello, int, error) {
-	var h Hello
+// DecodeHello decodes a hello body.
+func DecodeHello(src []byte) (Hello, error) {
 	d := Decoder{src: src}
-	h.Version = int(d.Uvarint())
-	h.P = int(d.Uvarint())
-	h.Shard = int(d.Uvarint())
-	h.MaxRounds = int(d.Uvarint())
-	h.GraphHash = d.U64()
-	h.PartDigest = d.U64()
-	h.LamKind = d.Byte()
-	h.LamL = math.Float64frombits(d.U64())
-	h.LamName = d.Str()
-	h.GraphSpec = d.Str()
-	h.PartName = d.Str()
-	h.ProtoSpec = d.Str()
-	h.WantValues = d.Bool()
-	h.Stream = d.Bool()
-	h.MeshSpec = d.Str()
-	if d.err != nil {
-		return Hello{}, 0, fmt.Errorf("codec: bad hello record: %w", d.err)
-	}
-	return h, d.n, nil
+	h := Hello{Version: d.Int(), P: d.Int(), Shard: d.Int(), MaxRounds: d.Int(), GraphHash: d.U64(),
+		PartDigest: d.U64(), LamKind: d.Byte(), LamL: math.Float64frombits(d.U64()), LamName: d.Str(),
+		GraphSpec: d.Str(), PartName: d.Str(), ProtoSpec: d.Str(), WantValues: d.Bool(), Stream: d.Bool(),
+		MeshSpec: d.Str()}
+	return h, d.Finish("hello")
 }
 
 // Welcome is the worker→coordinator handshake reply: the worker echoes the
@@ -202,19 +189,127 @@ func AppendWelcome(dst []byte, w Welcome) []byte {
 	return binary.AppendUvarint(dst, uint64(w.Nodes))
 }
 
-// DecodeWelcome decodes a Welcome and returns the number of bytes consumed.
-func DecodeWelcome(src []byte) (Welcome, int, error) {
-	var w Welcome
+// DecodeWelcome decodes a welcome body.
+func DecodeWelcome(src []byte) (Welcome, error) {
 	d := Decoder{src: src}
-	w.Version = int(d.Uvarint())
-	w.Shard = int(d.Uvarint())
-	w.GraphHash = d.U64()
-	w.PartDigest = d.U64()
-	w.Nodes = int(d.Uvarint())
-	if d.err != nil {
-		return Welcome{}, 0, fmt.Errorf("codec: bad welcome record: %w", d.err)
+	w := Welcome{Version: d.Int(), Shard: d.Int(), GraphHash: d.U64(), PartDigest: d.U64(), Nodes: d.Int()}
+	return w, d.Finish("welcome")
+}
+
+// AppendStep appends a step body: the round to run (0 = Init; a streamed
+// run's one go record names round 0).
+func AppendStep(dst []byte, round int) []byte { return binary.AppendUvarint(dst, uint64(round)) }
+
+// DecodeStep decodes a step body.
+func DecodeStep(src []byte) (round int, err error) {
+	d := Decoder{src: src}
+	round = d.Int()
+	return round, d.Finish("step")
+}
+
+// Done is the relay plane's worker→coordinator record closing its sends of a
+// round: the round, the worker's alive count and the frames it sent ahead of
+// it.
+type Done struct{ Round, Alive, Frames int }
+
+// AppendDone appends the wire encoding of dn to dst.
+func AppendDone(dst []byte, dn Done) []byte {
+	dst = binary.AppendUvarint(dst, uint64(dn.Round))
+	dst = binary.AppendUvarint(dst, uint64(dn.Alive))
+	return binary.AppendUvarint(dst, uint64(dn.Frames))
+}
+
+// DecodeDone decodes a done body.
+func DecodeDone(src []byte) (Done, error) {
+	d := Decoder{src: src}
+	dn := Done{Round: d.Int(), Alive: d.Int(), Frames: d.Int()}
+	return dn, d.Finish("done")
+}
+
+// Deliver is the relay plane's barrier release: the round and the number of
+// frames the coordinator forwarded ahead of it.
+type Deliver struct{ Round, Frames int }
+
+// AppendDeliver appends the wire encoding of dl to dst.
+func AppendDeliver(dst []byte, dl Deliver) []byte {
+	dst = binary.AppendUvarint(dst, uint64(dl.Round))
+	return binary.AppendUvarint(dst, uint64(dl.Frames))
+}
+
+// DecodeDeliver decodes a deliver body.
+func DecodeDeliver(src []byte) (Deliver, error) {
+	d := Decoder{src: src}
+	dl := Deliver{Round: d.Int(), Frames: d.Int()}
+	return dl, d.Finish("deliver")
+}
+
+// Finish ends a run, coordinator→worker: its round count and whether it ended
+// with nobody alive.
+type Finish struct {
+	Rounds int
+	Halted bool
+}
+
+// AppendFinish appends the wire encoding of f to dst.
+func AppendFinish(dst []byte, f Finish) []byte {
+	return appendBool(binary.AppendUvarint(dst, uint64(f.Rounds)), f.Halted)
+}
+
+// DecodeFinish decodes a finish body.
+func DecodeFinish(src []byte) (Finish, error) {
+	d := Decoder{src: src}
+	f := Finish{Rounds: d.Int(), Halted: d.Bool()}
+	return f, d.Finish("finish")
+}
+
+// Metrics is a worker's report at the end of a run: its shard's share of the
+// protocol counters, then the frame chain over everything it received.
+type Metrics struct {
+	Messages, Words, WireBytes int64
+	Chain                      uint64
+}
+
+// AppendMetrics appends the wire encoding of m to dst.
+func AppendMetrics(dst []byte, m Metrics) []byte {
+	dst = binary.AppendUvarint(dst, uint64(m.Messages))
+	dst = binary.AppendUvarint(dst, uint64(m.Words))
+	dst = binary.AppendUvarint(dst, uint64(m.WireBytes))
+	return binary.LittleEndian.AppendUint64(dst, m.Chain)
+}
+
+// DecodeMetrics decodes a metrics body.
+func DecodeMetrics(src []byte) (Metrics, error) {
+	d := Decoder{src: src}
+	m := Metrics{Messages: d.Int64(), Words: d.Int64(), WireBytes: d.Int64(), Chain: d.U64()}
+	return m, d.Finish("metrics")
+}
+
+// NodeValue is one node's result value as shipped by a worker — the exact
+// float bit pattern, so cross-process verification can demand bit equality.
+type NodeValue struct {
+	Node int
+	Bits uint64
+}
+
+// AppendValues appends a values body: the count, then each (node, bits) pair.
+func AppendValues(dst []byte, vals []NodeValue) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(vals)))
+	for _, v := range vals {
+		dst = binary.AppendUvarint(dst, uint64(v.Node))
+		dst = binary.LittleEndian.AppendUint64(dst, v.Bits)
 	}
-	return w, d.n, nil
+	return dst
+}
+
+// DecodeValues appends the pairs of a values body to dst.
+func DecodeValues(dst []NodeValue, src []byte) ([]NodeValue, error) {
+	d := Decoder{src: src}
+	// A pair is at least 9 bytes, so a lying count fails before the loop runs
+	// on its say-so.
+	for cnt := d.Count(9); cnt > 0; cnt-- {
+		dst = append(dst, NodeValue{Node: d.Int(), Bits: d.U64()})
+	}
+	return dst, d.Finish("values")
 }
 
 // appendString appends a uvarint length followed by the string bytes.
@@ -232,10 +327,12 @@ func appendBool(dst []byte, b bool) []byte {
 }
 
 // Decoder is a cursor over a record body that latches the first error, so
-// record decoders — this package's and, through NewDecoder, the session
-// layer's — read field after field without per-field error plumbing. It runs
-// on bytes straight off a socket: truncations and hostile lengths latch an
-// error, never panic.
+// body decoders — this package's and, through NewDecoder, the session and
+// shard layers' — read field after field without per-field error plumbing.
+// It runs on bytes straight off a socket: truncations, overlong uvarints,
+// integers past int range, flag bytes other than 0 and 1 and hostile counts
+// and lengths latch an error, never panic. Finish states the one body rule
+// (DESIGN.md §8.1).
 type Decoder struct {
 	src []byte
 	n   int
@@ -255,13 +352,17 @@ func (d *Decoder) Fail(err error) {
 	}
 }
 
-// Finish ends a decode that must consume its whole input: the latched error,
-// or an error naming the trailing bytes.
-func (d *Decoder) Finish() error {
+// Finish ends the decode of a body, which must be consumed whole: a
+// truncation, trailing bytes or any other latched error is one error naming
+// the record rec.
+func (d *Decoder) Finish(rec string) error {
 	if d.err == nil && d.n != len(d.src) {
 		d.err = fmt.Errorf("%d trailing bytes", len(d.src)-d.n)
 	}
-	return d.err
+	if d.err != nil {
+		return fmt.Errorf("codec: bad %s record: %w", rec, d.err)
+	}
+	return nil
 }
 
 func (d *Decoder) Uvarint() uint64 {
@@ -281,17 +382,31 @@ func (d *Decoder) Uvarint() uint64 {
 	return u
 }
 
-func (d *Decoder) Varint() int64 {
-	if d.err != nil {
+// Int reads a uvarint that must fit an int.
+func (d *Decoder) Int() int { return int(d.upTo(math.MaxInt)) }
+
+// Int64 reads a uvarint that must fit an int64.
+func (d *Decoder) Int64() int64 { return int64(d.upTo(math.MaxInt64)) }
+
+func (d *Decoder) upTo(limit uint64) uint64 {
+	u := d.Uvarint()
+	if u > limit {
+		d.Fail(fmt.Errorf("uvarint %d at offset %d is past int range", u, d.n))
 		return 0
 	}
-	x, k := binary.Varint(d.src[d.n:])
-	if k <= 0 {
-		d.err = fmt.Errorf("truncated varint at offset %d", d.n)
+	return u
+}
+
+// Count reads the length of a list whose entries take at least size bytes
+// each: a count the rest of the body cannot hold is an error, not an
+// allocation on its say-so.
+func (d *Decoder) Count(size int) int {
+	cnt := d.Uvarint()
+	if cnt > uint64(d.Rest()/size) {
+		d.Fail(fmt.Errorf("count %d at offset %d exceeds payload", cnt, d.n))
 		return 0
 	}
-	d.n += k
-	return x
+	return int(cnt)
 }
 
 func (d *Decoder) U64() uint64 {

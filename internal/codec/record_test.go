@@ -51,12 +51,12 @@ func TestHandshakeRoundTrip(t *testing.T) {
 		GraphSpec: "ba:10000:7", PartName: "greedy", ProtoSpec: "coreness:23",
 		WantValues: true,
 	}
-	got, n, err := DecodeHello(AppendHello(nil, h))
-	if err != nil || got != h || n != len(AppendHello(nil, h)) {
-		t.Fatalf("hello round trip: %+v, %d, %v", got, n, err)
+	got, err := DecodeHello(AppendHello(nil, h))
+	if err != nil || got != h {
+		t.Fatalf("hello round trip: %+v, %v", got, err)
 	}
 	w := Welcome{Version: HandshakeVersion, Shard: 5, GraphHash: 1, PartDigest: 2, Nodes: 1250}
-	gw, _, err := DecodeWelcome(AppendWelcome(nil, w))
+	gw, err := DecodeWelcome(AppendWelcome(nil, w))
 	if err != nil || gw != w {
 		t.Fatalf("welcome round trip: %+v, %v", gw, err)
 	}
@@ -72,7 +72,7 @@ func TestDecodeHelloRejectsHostileStringLength(t *testing.T) {
 	off := 4 + 8 + 8 + 1 + 8
 	hostile := append([]byte{}, enc[:off]...)
 	hostile = binary.AppendUvarint(hostile, 1<<63)
-	if _, _, err := DecodeHello(hostile); err == nil {
+	if _, err := DecodeHello(hostile); err == nil {
 		t.Fatal("hostile string length accepted")
 	}
 }
@@ -83,13 +83,13 @@ func TestStampRoundTrip(t *testing.T) {
 		ValuesDigest: 0xfeedface, ChainDigest: 0xc0ffee, Changed: 42,
 	}
 	enc := AppendStamp(nil, s)
-	got, n, err := DecodeStamp(enc)
-	if err != nil || got != s || n != len(enc) {
-		t.Fatalf("stamp round trip: %+v, %d, %v", got, n, err)
+	got, err := DecodeStamp(enc)
+	if err != nil || got != s {
+		t.Fatalf("stamp round trip: %+v, %v", got, err)
 	}
 	// Every truncation must error, never panic or decode garbage.
 	for k := 0; k < len(enc); k++ {
-		if _, _, err := DecodeStamp(enc[:k]); err == nil {
+		if _, err := DecodeStamp(enc[:k]); err == nil {
 			t.Fatalf("truncated stamp (%d of %d bytes) accepted", k, len(enc))
 		}
 	}

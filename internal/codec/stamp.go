@@ -1,9 +1,6 @@
 package codec
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Stamp seals one session epoch (DESIGN.md §10): the epoch number, the
 // post-churn graph's edge-multiset hash (graph.EdgeSetHash, which every party
@@ -35,18 +32,15 @@ func AppendStamp(dst []byte, s Stamp) []byte {
 	return binary.AppendUvarint(dst, uint64(s.Changed))
 }
 
-// DecodeStamp decodes a Stamp and returns the number of bytes consumed.
-func DecodeStamp(src []byte) (Stamp, int, error) {
+// DecodeStamp decodes a stamp body: a values-digest record.
+func DecodeStamp(src []byte) (Stamp, error) {
 	d := Decoder{src: src}
 	s := d.Stamp()
-	if d.err != nil {
-		return Stamp{}, 0, fmt.Errorf("codec: bad stamp record: %w", d.err)
-	}
-	return s, d.n, nil
+	return s, d.Finish("values-digest")
 }
 
 // Stamp reads the fields AppendStamp writes.
 func (d *Decoder) Stamp() Stamp {
-	return Stamp{Epoch: int(d.Uvarint()), GraphHash: d.U64(), PartDigest: d.U64(),
-		ValuesDigest: d.U64(), ChainDigest: d.U64(), Changed: int(d.Uvarint())}
+	return Stamp{Epoch: d.Int(), GraphHash: d.U64(), PartDigest: d.U64(),
+		ValuesDigest: d.U64(), ChainDigest: d.U64(), Changed: d.Int()}
 }

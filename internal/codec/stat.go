@@ -1,9 +1,6 @@
 package codec
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Stat is a live session's introspection snapshot, as served over the
 // control socket in reply to a stat request (net.RecStat) and exported over
@@ -57,43 +54,20 @@ func AppendStat(dst []byte, s Stat) []byte {
 	dst = binary.AppendUvarint(dst, uint64(s.Notifications))
 	dst = binary.AppendUvarint(dst, uint64(s.EpochMicros))
 	dst = binary.AppendUvarint(dst, uint64(s.Recoveries))
-	if s.Broken {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
+	dst = appendBool(dst, s.Broken)
 	dst = binary.AppendUvarint(dst, uint64(s.CauseEpoch))
 	// CauseWorker is -1 when unattributable; shift into uvarint range.
 	dst = binary.AppendUvarint(dst, uint64(s.CauseWorker+1))
-	dst = binary.AppendUvarint(dst, uint64(len(s.CausePhase)))
-	dst = append(dst, s.CausePhase...)
-	dst = binary.AppendUvarint(dst, uint64(len(s.Cause)))
-	return append(dst, s.Cause...)
+	dst = appendString(dst, s.CausePhase)
+	return appendString(dst, s.Cause)
 }
 
-// DecodeStat decodes a Stat and returns the number of bytes consumed.
-func DecodeStat(src []byte) (Stat, int, error) {
-	var s Stat
+// DecodeStat decodes a stat reply body.
+func DecodeStat(src []byte) (Stat, error) {
 	d := Decoder{src: src}
-	s.Epoch = int(d.Uvarint())
-	s.ChainDigest = d.U64()
-	s.Workers = int(d.Uvarint())
-	s.Nodes = int(d.Uvarint())
-	s.Subscribers = int(d.Uvarint())
-	s.Pushes = int64(d.Uvarint())
-	s.Rejected = int64(d.Uvarint())
-	s.Changed = int64(d.Uvarint())
-	s.DeltaBytes = int64(d.Uvarint())
-	s.Notifications = int64(d.Uvarint())
-	s.EpochMicros = int64(d.Uvarint())
-	s.Recoveries = int64(d.Uvarint())
-	s.Broken = d.Byte() != 0
-	s.CauseEpoch = int(d.Uvarint())
-	s.CauseWorker = int(d.Uvarint()) - 1
-	s.CausePhase = d.Str()
-	s.Cause = d.Str()
-	if d.err != nil {
-		return Stat{}, 0, fmt.Errorf("codec: bad stat record: %w", d.err)
-	}
-	return s, d.n, nil
+	s := Stat{Epoch: d.Int(), ChainDigest: d.U64(), Workers: d.Int(), Nodes: d.Int(), Subscribers: d.Int(),
+		Pushes: d.Int64(), Rejected: d.Int64(), Changed: d.Int64(), DeltaBytes: d.Int64(),
+		Notifications: d.Int64(), EpochMicros: d.Int64(), Recoveries: d.Int64(), Broken: d.Bool(),
+		CauseEpoch: d.Int(), CauseWorker: d.Int() - 1, CausePhase: d.Str(), Cause: d.Str()}
+	return s, d.Finish("stat")
 }

@@ -18,12 +18,9 @@ func TestStatRoundTrip(t *testing.T) {
 	}
 	for i, want := range cases {
 		enc := AppendStat(nil, want)
-		got, n, err := DecodeStat(enc)
+		got, err := DecodeStat(enc)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
-		}
-		if n != len(enc) {
-			t.Fatalf("case %d: consumed %d of %d bytes", i, n, len(enc))
 		}
 		if got != want {
 			t.Fatalf("case %d: round trip changed the stat:\n got  %+v\n want %+v", i, got, want)
@@ -40,7 +37,7 @@ func TestStatDecodeTruncated(t *testing.T) {
 		Broken: true, CauseEpoch: 9, CauseWorker: 1, CausePhase: "delta-broadcast", Cause: "boom",
 	})
 	for i := 0; i < len(enc); i++ {
-		if _, _, err := DecodeStat(enc[:i]); err == nil {
+		if _, err := DecodeStat(enc[:i]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", i, len(enc))
 		}
 	}
@@ -53,7 +50,7 @@ func TestStatDecodeHostileLength(t *testing.T) {
 	// The phase-string length prefix is the third byte from the end of
 	// "x" + len + "y": corrupt the final length byte to claim 100 bytes.
 	enc[len(enc)-2] = 100
-	if _, _, err := DecodeStat(enc); err == nil {
+	if _, err := DecodeStat(enc); err == nil {
 		t.Fatal("oversized string length decoded without error")
 	}
 }

@@ -1,10 +1,10 @@
 package codec
 
-// Wire encodings of the streamed delivery protocol (DESIGN.md §14): the
-// chunked peer-frame header workers write on their mesh connections, the
-// window record that carries flow-control credits and the per-round end
-// markers a round closes on, and the done/ack records the coordinator
-// verifies behind the workers.
+// Wire encodings of the streamed delivery protocol (DESIGN.md §14): the mesh
+// hello that opens a link, the chunked peer-frame header workers write on
+// their mesh connections, the window record that carries flow-control credits
+// and the per-round end markers a round closes on, and the done/ack records
+// the coordinator verifies behind the workers.
 // The message bodies inside a peer-frame chunk reuse the per-message codec
 // of internal/shard, so a streamed run prices the identical logical frame
 // bytes the relay path and the in-process sharded engine price.
@@ -37,22 +37,32 @@ func AppendPeerFrame(dst []byte, pf PeerFrame) []byte {
 	return binary.AppendUvarint(dst, uint64(pf.Count))
 }
 
-// DecodePeerFrame decodes a chunk header and returns the bytes consumed.
+// DecodePeerFrame decodes a chunk header and returns the bytes consumed: the
+// chunk's message bodies follow it.
 func DecodePeerFrame(src []byte) (PeerFrame, int, error) {
-	var pf PeerFrame
 	d := Decoder{src: src}
-	pf.Src = int(d.Uvarint())
-	pf.Dst = int(d.Uvarint())
-	pf.Round = int(d.Uvarint())
-	pf.Seq = int(d.Uvarint())
-	pf.Count = int(d.Uvarint())
-	if d.err == nil && (pf.Src < 0 || pf.Dst < 0 || pf.Round < 0 || pf.Seq < 0 || pf.Count < 0) {
-		d.err = fmt.Errorf("negative field from oversized uvarint")
-	}
+	pf := PeerFrame{Src: d.Int(), Dst: d.Int(), Round: d.Int(), Seq: d.Int(), Count: d.Int()}
 	if d.err != nil {
 		return PeerFrame{}, 0, fmt.Errorf("codec: bad peer-frame header: %w", d.err)
 	}
 	return pf, d.n, nil
+}
+
+// MeshHello opens a mesh link, dialer→acceptor: the dialer's shard and its
+// incarnation's generation, which lets a receiver prefer the link of a
+// respawned incarnation over a stale one.
+type MeshHello struct{ Src, Gen int }
+
+// AppendMeshHello appends the wire encoding of mh to dst.
+func AppendMeshHello(dst []byte, mh MeshHello) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(dst, uint64(mh.Src)), uint64(mh.Gen))
+}
+
+// DecodeMeshHello decodes a mesh-hello body.
+func DecodeMeshHello(src []byte) (MeshHello, error) {
+	d := Decoder{src: src}
+	mh := MeshHello{Src: d.Int(), Gen: d.Int()}
+	return mh, d.Finish("mesh-hello")
 }
 
 // Window record kinds.
@@ -102,31 +112,15 @@ func AppendWindow(dst []byte, w Window) []byte {
 	return binary.AppendUvarint(dst, uint64(w.Alive))
 }
 
-// DecodeWindow decodes a Window and returns the bytes consumed.
-func DecodeWindow(src []byte) (Window, int, error) {
-	var w Window
+// DecodeWindow decodes a window body.
+func DecodeWindow(src []byte) (Window, error) {
 	d := Decoder{src: src}
-	w.Kind = d.Byte()
-	w.Src = int(d.Uvarint())
-	w.Dst = int(d.Uvarint())
-	w.Round = int(d.Uvarint())
-	w.Chunks = int(d.Uvarint())
-	w.Msgs = int64(d.Uvarint())
-	w.Bytes = int64(d.Uvarint())
-	w.Digest = d.U64()
-	w.Credits = int(d.Uvarint())
-	w.Alive = int(d.Uvarint())
-	if d.err == nil && (w.Src < 0 || w.Dst < 0 || w.Round < 0 || w.Chunks < 0 ||
-		w.Msgs < 0 || w.Bytes < 0 || w.Credits < 0 || w.Alive < 0) {
-		d.err = fmt.Errorf("negative field from oversized uvarint")
+	w := Window{Kind: d.Byte(), Src: d.Int(), Dst: d.Int(), Round: d.Int(), Chunks: d.Int(), Msgs: d.Int64(),
+		Bytes: d.Int64(), Digest: d.U64(), Credits: d.Int(), Alive: d.Int()}
+	if w.Kind > WindowEnd {
+		d.Fail(fmt.Errorf("unknown window kind %d", w.Kind))
 	}
-	if d.err == nil && w.Kind > WindowEnd {
-		d.err = fmt.Errorf("unknown window kind %d", w.Kind)
-	}
-	if d.err != nil {
-		return Window{}, 0, fmt.Errorf("codec: bad window record: %w", d.err)
-	}
-	return w, d.n, nil
+	return w, d.Finish("window")
 }
 
 // PeerDigest is one peer's entry in a done or ack record: the flow toward
@@ -158,21 +152,12 @@ func AppendStreamDone(dst []byte, sd StreamDone) []byte {
 	return appendPeerDigests(dst, sd.Sent)
 }
 
-// DecodeStreamDone decodes a StreamDone and returns the bytes consumed. Sent
-// is decoded into ents' storage when it has room (see peerDigests).
-func DecodeStreamDone(src []byte, ents []PeerDigest) (StreamDone, int, error) {
-	var sd StreamDone
+// DecodeStreamDone decodes a stream-done body. Sent is decoded into ents'
+// storage when it has room (see peerDigests).
+func DecodeStreamDone(src []byte, ents []PeerDigest) (StreamDone, error) {
 	d := Decoder{src: src}
-	sd.Round = int(d.Uvarint())
-	sd.Alive = int(d.Uvarint())
-	sd.Sent = d.peerDigests(ents)
-	if d.err == nil && (sd.Round < 0 || sd.Alive < 0) {
-		d.err = fmt.Errorf("negative field from oversized uvarint")
-	}
-	if d.err != nil {
-		return StreamDone{}, 0, fmt.Errorf("codec: bad stream-done record: %w", d.err)
-	}
-	return sd, d.n, nil
+	sd := StreamDone{Round: d.Int(), Alive: d.Int(), Sent: d.peerDigests(ents)}
+	return sd, d.Finish("stream-done")
 }
 
 // StreamWire is one worker's cumulative wire-level accounting of the mesh:
@@ -203,16 +188,7 @@ func AppendStreamWire(dst []byte, sw StreamWire) []byte {
 }
 
 func (d *Decoder) streamWire() StreamWire {
-	var sw StreamWire
-	sw.Sent = int64(d.Uvarint())
-	sw.Recv = int64(d.Uvarint())
-	sw.Relayed = int64(d.Uvarint())
-	sw.Chunks = int64(d.Uvarint())
-	sw.Credits = int64(d.Uvarint())
-	if d.err == nil && (sw.Sent < 0 || sw.Recv < 0 || sw.Relayed < 0 || sw.Chunks < 0 || sw.Credits < 0) {
-		d.err = fmt.Errorf("negative field from oversized uvarint")
-	}
-	return sw
+	return StreamWire{Sent: d.Int64(), Recv: d.Int64(), Relayed: d.Int64(), Chunks: d.Int64(), Credits: d.Int64()}
 }
 
 // StreamAck is the worker→coordinator record sealing a streamed round after
@@ -231,21 +207,12 @@ func AppendStreamAck(dst []byte, sa StreamAck) []byte {
 	return appendPeerDigests(dst, sa.Recv)
 }
 
-// DecodeStreamAck decodes a StreamAck and returns the bytes consumed. Recv is
-// decoded into ents' storage when it has room (see peerDigests).
-func DecodeStreamAck(src []byte, ents []PeerDigest) (StreamAck, int, error) {
-	var sa StreamAck
+// DecodeStreamAck decodes a stream-ack body. Recv is decoded into ents'
+// storage when it has room (see peerDigests).
+func DecodeStreamAck(src []byte, ents []PeerDigest) (StreamAck, error) {
 	d := Decoder{src: src}
-	sa.Round = int(d.Uvarint())
-	sa.Wire = d.streamWire()
-	sa.Recv = d.peerDigests(ents)
-	if d.err == nil && sa.Round < 0 {
-		d.err = fmt.Errorf("negative field from oversized uvarint")
-	}
-	if d.err != nil {
-		return StreamAck{}, 0, fmt.Errorf("codec: bad stream-ack record: %w", d.err)
-	}
-	return sa, d.n, nil
+	sa := StreamAck{Round: d.Int(), Wire: d.streamWire(), Recv: d.peerDigests(ents)}
+	return sa, d.Finish("stream-ack")
 }
 
 // appendPeerDigests appends a uvarint count followed by the entries.
@@ -264,37 +231,15 @@ func appendPeerDigests(dst []byte, pds []PeerDigest) []byte {
 // peerDigests decodes a counted PeerDigest list into dst's storage, or a
 // fresh array when dst has no room for the count: a caller that hands back the
 // list it decoded last allocates nothing for lists no longer than it. Each
-// entry occupies at least 12 bytes (four uvarints plus the 8-byte digest), so
-// a hostile count is rejected against the remaining input instead of driving
-// an allocation.
+// entry occupies at least 12 bytes (four uvarints plus the 8-byte digest).
 func (d *Decoder) peerDigests(dst []PeerDigest) []PeerDigest {
-	cnt := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if cnt > uint64(len(d.src)-d.n)/12 {
-		d.err = fmt.Errorf("peer-digest count %d exceeds remaining input", cnt)
-		return nil
-	}
+	cnt := d.Count(12)
 	pds := dst[:0]
-	if uint64(cap(dst)) < cnt {
+	if cap(dst) < cnt {
 		pds = make([]PeerDigest, 0, cnt)
 	}
-	for i := uint64(0); i < cnt; i++ {
-		var pd PeerDigest
-		pd.Peer = int(d.Uvarint())
-		pd.Chunks = int(d.Uvarint())
-		pd.Msgs = int64(d.Uvarint())
-		pd.Bytes = int64(d.Uvarint())
-		pd.Digest = d.U64()
-		if d.err != nil {
-			return nil
-		}
-		if pd.Peer < 0 || pd.Chunks < 0 || pd.Msgs < 0 || pd.Bytes < 0 {
-			d.err = fmt.Errorf("negative field from oversized uvarint")
-			return nil
-		}
-		pds = append(pds, pd)
+	for ; cnt > 0 && d.err == nil; cnt-- {
+		pds = append(pds, PeerDigest{Peer: d.Int(), Chunks: d.Int(), Msgs: d.Int64(), Bytes: d.Int64(), Digest: d.U64()})
 	}
 	return pds
 }

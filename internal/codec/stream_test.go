@@ -32,18 +32,15 @@ func TestWindowRoundTrip(t *testing.T) {
 		{Kind: WindowEnd}, // zero-traffic flow end
 	} {
 		enc := AppendWindow(nil, w)
-		got, n, err := DecodeWindow(enc)
+		got, err := DecodeWindow(enc)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", w, err)
-		}
-		if n != len(enc) {
-			t.Fatalf("decode %+v consumed %d of %d bytes", w, n, len(enc))
 		}
 		if got != w {
 			t.Fatalf("round trip changed %+v into %+v", w, got)
 		}
 	}
-	if _, _, err := DecodeWindow(AppendWindow(nil, Window{Kind: 9})); err == nil {
+	if _, err := DecodeWindow(AppendWindow(nil, Window{Kind: 9})); err == nil {
 		t.Fatalf("unknown window kind decoded without error")
 	}
 }
@@ -54,9 +51,9 @@ func TestStreamDoneAckRoundTrip(t *testing.T) {
 		{Peer: 2}, // zero-traffic flow still reported
 	}}
 	enc := AppendStreamDone(nil, sd)
-	got, n, err := DecodeStreamDone(enc, nil)
-	if err != nil || n != len(enc) {
-		t.Fatalf("decode stream-done: n=%d err=%v", n, err)
+	got, err := DecodeStreamDone(enc, nil)
+	if err != nil {
+		t.Fatalf("decode stream-done: %v", err)
 	}
 	if !reflect.DeepEqual(got, sd) {
 		t.Fatalf("stream-done round trip: %+v vs %+v", sd, got)
@@ -67,9 +64,9 @@ func TestStreamDoneAckRoundTrip(t *testing.T) {
 		Recv: []PeerDigest{{Peer: 0, Chunks: 1, Msgs: 2, Bytes: 64, Digest: 0xff}},
 	}
 	encA := AppendStreamAck(nil, sa)
-	gotA, nA, err := DecodeStreamAck(encA, nil)
-	if err != nil || nA != len(encA) {
-		t.Fatalf("decode stream-ack: n=%d err=%v", nA, err)
+	gotA, err := DecodeStreamAck(encA, nil)
+	if err != nil {
+		t.Fatalf("decode stream-ack: %v", err)
 	}
 	if !reflect.DeepEqual(gotA, sa) {
 		t.Fatalf("stream-ack round trip: %+v vs %+v", sa, gotA)
@@ -80,7 +77,7 @@ func TestPeerDigestsHostileCount(t *testing.T) {
 	// A count claiming ~2^60 entries must fail fast against the remaining
 	// input instead of allocating.
 	hostile := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}
-	if _, _, err := DecodeStreamDone(append([]byte{5, 1}, hostile...), nil); err == nil {
+	if _, err := DecodeStreamDone(append([]byte{5, 1}, hostile...), nil); err == nil {
 		t.Fatalf("hostile peer-digest count decoded without error")
 	}
 }
@@ -93,9 +90,9 @@ func TestHelloStreamFieldsRoundTrip(t *testing.T) {
 		MeshSpec: "/tmp/w0.sock.mesh,/tmp/w1.sock.mesh",
 	}
 	enc := AppendHello(nil, h)
-	got, n, err := DecodeHello(enc)
-	if err != nil || n != len(enc) {
-		t.Fatalf("decode hello: n=%d err=%v", n, err)
+	got, err := DecodeHello(enc)
+	if err != nil {
+		t.Fatalf("decode hello: %v", err)
 	}
 	if !reflect.DeepEqual(got, h) {
 		t.Fatalf("hello stream fields changed across a round trip: %+v vs %+v", h, got)

@@ -102,8 +102,7 @@ func meshGets(t *testing.T, body []byte) error {
 	m.mu.Lock()
 	attached := m.links[1] != nil
 	m.mu.Unlock()
-	var src, gen int
-	err := uvarints("mesh-hello", body, &src, &gen)
+	_, err := codec.DecodeMeshHello(body)
 	if attached != (err == nil) {
 		t.Fatalf("mesh-hello %x: link attached %v, decode error %v", body, attached, err)
 	}
@@ -166,10 +165,9 @@ func TestMeshRecordsNameTheirLink(t *testing.T) {
 	}
 }
 
-// Every run record whose body is decoded in place — no codec type of its own
-// — must be consumed whole: a truncated body and one with bytes after the last
-// field are both an error naming the record, at the site that reads it off the
-// wire.
+// Each run record's body is held whole at the site that reads it off the wire,
+// not only in its codec round trip (FuzzRecordBodies): a truncated body and one
+// with bytes after the last field are both an error naming the record.
 func TestInlineBodiesAreStrict(t *testing.T) {
 	vals := append(uv(1, 7), 0, 0, 0, 0, 0, 0, 0xf0, 0x3f) // one (node, bits) pair
 	cases := []struct {

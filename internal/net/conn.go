@@ -9,25 +9,27 @@ import (
 	"time"
 
 	"distkcore/internal/codec"
-	"distkcore/internal/graph"
 	"distkcore/internal/quantize"
 )
 
 // Record types. Every record is codec.AppendRecord framing around a payload
 // whose first byte is one of these; the rest of the payload is the record
 // body (DESIGN.md §8 specifies each body's layout, §10 the session types).
-// 11 was the delta record of the one-shot churned run; like 19–22, 25 and 26
-// it is retired, not reused.
+// Every body but the error record's text has one Append/Decode pair — in
+// internal/codec, or internal/session for the epoch records — whose decode
+// consumes it whole, and the root FuzzRecordBodies has one row for each
+// constant here. 11 was the delta record of the one-shot churned run; like
+// 19–22, 25 and 26 it is retired, not reused.
 const (
 	recHello   = byte(1)  // coordinator→worker: codec.Hello
 	recWelcome = byte(2)  // worker→coordinator: codec.Welcome
-	recStep    = byte(3)  // coordinator→worker: uvarint round (streamed: the one go record, round 0)
+	recStep    = byte(3)  // coordinator→worker: codec.AppendStep (streamed: the one go record, round 0)
 	recFrame   = byte(4)  // both directions: codec.FrameHeader + message bodies
-	recDone    = byte(5)  // worker→coordinator: uvarint round, alive, framesSent
-	recDeliver = byte(6)  // coordinator→worker: uvarint round, framesRelayed (relay plane only)
-	recFinish  = byte(7)  // coordinator→worker: uvarint rounds, halted byte
-	recMetrics = byte(8)  // worker→coordinator: uvarint messages, words, wireBytes, then the 8-byte frame chain
-	recValues  = byte(9)  // worker→coordinator: uvarint count, then (uvarint node, 8-byte bits)*
+	recDone    = byte(5)  // worker→coordinator: codec.Done
+	recDeliver = byte(6)  // coordinator→worker: codec.Deliver (relay plane only)
+	recFinish  = byte(7)  // coordinator→worker: codec.Finish
+	recMetrics = byte(8)  // worker→coordinator: codec.Metrics
+	recValues  = byte(9)  // worker→coordinator: codec.AppendValues
 	recError   = byte(10) // either direction: UTF-8 message; aborts the run
 )
 
@@ -45,9 +47,8 @@ const (
 	// coordinator verifies sent[a][b] == recv[b][a] across the matrix once the
 	// round's 2P records are in.
 	recStreamAck = byte(24)
-	// recMeshHello opens a mesh connection: dialer→acceptor, body is uvarint
-	// src shard, generation. Generation lets a receiver prefer the link of a
-	// respawned incarnation over a stale one.
+	// recMeshHello opens a mesh connection: dialer→acceptor, codec.MeshHello
+	// (src shard, generation).
 	recMeshHello = byte(27)
 	// recPeerFrame is one streamed chunk: codec.PeerFrame header followed by
 	// Count shard.AppendMessage bodies.
@@ -80,7 +81,8 @@ const (
 	// receipt.
 	RecValuesDigest = byte(14)
 	// RecSubscribe registers topics: client→coordinator the body is a topic
-	// list; the echo back carries the assigned subscriber ID.
+	// list (session.AppendSubscribe); the echo back carries the assigned
+	// subscriber ID (session.AppendSubscribeEcho).
 	RecSubscribe = byte(15)
 	// RecNotify ships one subscription notification (session.AppendNotify).
 	RecNotify = byte(16)
@@ -97,57 +99,6 @@ const (
 	// is in flight in both protocols.
 	RecHello, RecError = recHello, recError
 )
-
-// uvarints decodes a record body that is exactly len(dst) uvarints — the
-// shape of the run records with no codec type of their own (step, done,
-// deliver, mesh-hello) — through the same latching
-// codec.Decoder every other body goes through: a truncated body, trailing
-// bytes or a field past int range is one error naming the record.
-func uvarints(rec string, body []byte, dst ...*int) error {
-	d := codec.NewDecoder(body)
-	for _, p := range dst {
-		if *p = int(d.Uvarint()); *p < 0 {
-			d.Fail(fmt.Errorf("negative field from oversized uvarint"))
-		}
-	}
-	return bodyErr(rec, d)
-}
-
-// bodyErr ends the decode of a record body that must be consumed whole.
-func bodyErr(rec string, d *codec.Decoder) error {
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("net: bad %s record: %w", rec, err)
-	}
-	return nil
-}
-
-// decodeMetrics decodes a metrics record body: the worker's share of the
-// protocol counters, then the frame chain over everything it received.
-func decodeMetrics(body []byte) (msgs, words, wire int64, chain uint64, err error) {
-	d := codec.NewDecoder(body)
-	msgs, words, wire, chain = int64(d.Uvarint()), int64(d.Uvarint()), int64(d.Uvarint()), d.U64()
-	if msgs|words|wire < 0 {
-		d.Fail(fmt.Errorf("negative field from oversized uvarint"))
-	}
-	return msgs, words, wire, chain, bodyErr("metrics", d)
-}
-
-// decodeValues appends the (node, value bits) pairs of a values record body
-// to dst.
-func decodeValues(dst []NodeValue, body []byte) ([]NodeValue, error) {
-	d := codec.NewDecoder(body)
-	cnt := d.Uvarint()
-	// A pair is at least 9 bytes, so a lying count fails before the loop runs
-	// on its say-so.
-	if cnt > uint64(d.Rest())/9 {
-		d.Fail(fmt.Errorf("count %d exceeds the %d bytes that follow", cnt, d.Rest()))
-		cnt = 0
-	}
-	for ; cnt > 0; cnt-- {
-		dst = append(dst, NodeValue{Node: graph.NodeID(d.Uvarint()), Bits: d.U64()})
-	}
-	return dst, bodyErr("values", d)
-}
 
 // Conn wraps one connection — coordinator↔worker, worker↔worker on the mesh,
 // server↔client — with buffered record IO. It is not safe for concurrent use
@@ -386,7 +337,7 @@ func ReadHello(c *Conn) (*codec.Hello, error) {
 	if typ != recHello {
 		return nil, fmt.Errorf("net: expected hello record, got type %d", typ)
 	}
-	h, _, err := codec.DecodeHello(body)
+	h, err := codec.DecodeHello(body)
 	if err != nil {
 		return nil, err
 	}

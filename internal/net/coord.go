@@ -9,7 +9,6 @@ import (
 
 	"distkcore/internal/codec"
 	"distkcore/internal/dist"
-	"distkcore/internal/graph"
 	"distkcore/internal/obs"
 	"distkcore/internal/quantize"
 	"distkcore/internal/shard"
@@ -64,13 +63,6 @@ type Spec struct {
 	Trace *obs.Tracer
 }
 
-// NodeValue is one node's result value as shipped by a worker — the exact
-// float bit pattern, so cross-process verification can demand bit equality.
-type NodeValue struct {
-	Node graph.NodeID
-	Bits uint64
-}
-
 // Report is the cluster-level outcome of one coordinated run — what
 // dist.Metrics cannot see because it depends on where nodes live.
 type Report struct {
@@ -85,7 +77,7 @@ type Report struct {
 	Nodes int
 	// Values holds every worker's shipped node values when Spec.WantValues
 	// was set, in arrival order; nil otherwise.
-	Values []NodeValue
+	Values []codec.NodeValue
 	// Recoveries counts worker crash recoveries performed during the run
 	// (0 when recovery is disabled or nothing died).
 	Recoveries int
@@ -281,7 +273,7 @@ func (c *coordinator) checkWelcome(from int, typ byte, body []byte) (codec.Welco
 	if typ != recWelcome {
 		return codec.Welcome{}, fmt.Errorf("net: worker %d sent record %d before welcome", from, typ)
 	}
-	w, _, err := codec.DecodeWelcome(body)
+	w, err := codec.DecodeWelcome(body)
 	if err != nil {
 		return codec.Welcome{}, err
 	}
@@ -354,12 +346,7 @@ func (c *coordinator) run() (dist.Metrics, error) {
 	}
 	rounds := c.cur
 
-	fin := binary.AppendUvarint(nil, uint64(rounds))
-	if alive == 0 {
-		fin = append(fin, 1)
-	} else {
-		fin = append(fin, 0)
-	}
+	fin := codec.AppendFinish(nil, codec.Finish{Rounds: rounds, Halted: alive == 0})
 	// finish writes worker w's finish record — a streamed successor's only once
 	// the records it reports again are all in: until then its control reader
 	// stays on the connection, where an abort reaches it.
@@ -389,23 +376,23 @@ func (c *coordinator) run() (dist.Metrics, error) {
 			if gotMetrics[from] && !restarted[from] {
 				return false, fmt.Errorf("net: worker %d reported metrics twice", from)
 			}
-			msgs, words, wire, chain, err := decodeMetrics(body)
+			m, err := codec.DecodeMetrics(body)
 			if err != nil {
 				return false, err
 			}
 			// What the worker folded — a respawned incarnation's run from Init
 			// included — must be what the coordinator sealed toward it.
-			if c.chains != nil && chain != c.chains[from] {
+			if c.chains != nil && m.Chain != c.chains[from] {
 				return false, fmt.Errorf("net: worker %d folded its inbound flows to frame chain %#x, coordinator sealed %#x",
-					from, chain, c.chains[from])
+					from, m.Chain, c.chains[from])
 			}
 			if !gotMetrics[from] {
 				// (A restarted worker's re-send is byte-identical to what its
 				// dead incarnation already had counted, and is dropped.)
 				gotMetrics[from] = true
-				met.Messages += msgs
-				met.Words += words
-				met.WireBytes += wire
+				met.Messages += m.Messages
+				met.Words += m.Words
+				met.WireBytes += m.WireBytes
 			}
 		case recValues:
 			if !c.spec.WantValues || gotValues[from] {
@@ -413,7 +400,7 @@ func (c *coordinator) run() (dist.Metrics, error) {
 			}
 			gotValues[from] = true
 			var err error
-			if c.rep.Values, err = decodeValues(c.rep.Values, body); err != nil {
+			if c.rep.Values, err = codec.DecodeValues(c.rep.Values, body); err != nil {
 				return false, err
 			}
 		default:
@@ -469,7 +456,7 @@ func (c *coordinator) round(t int) (alive int, err error) {
 	}
 	c.plane.begin(t)
 	var buf [binary.MaxVarintLen64]byte
-	step := binary.AppendUvarint(buf[:0], uint64(t))
+	step := codec.AppendStep(buf[:0], t)
 	for i := 0; i < p; i++ {
 		if err := c.hub.Send(i, recStep, step); err != nil {
 			return 0, c.fail(i, obs.PhaseStep, err)

@@ -248,9 +248,7 @@ func (m *mesh) dial(dst int) error {
 	}
 	c := NewConn(nc)
 	c.SetIOTimeout(m.cfg.Timeout)
-	hello := binary.AppendUvarint(nil, uint64(m.cfg.Self))
-	hello = binary.AppendUvarint(hello, uint64(m.cfg.Gen))
-	if err := c.Send(recMeshHello, hello); err != nil {
+	if err := c.Send(recMeshHello, codec.AppendMeshHello(nil, codec.MeshHello{Src: m.cfg.Self, Gen: m.cfg.Gen})); err != nil {
 		c.Close()
 		return fmt.Errorf("net: mesh hello %d→%d: %w", m.cfg.Self, dst, err)
 	}
@@ -277,12 +275,12 @@ func (m *mesh) handleAccepted(nc net.Conn) {
 		c.Close()
 		return
 	}
-	var src, gen int
-	if uvarints("mesh-hello", body, &src, &gen) != nil || src >= m.cfg.P || src == m.cfg.Self {
+	mh, err := codec.DecodeMeshHello(body)
+	if err != nil || mh.Src >= m.cfg.P || mh.Src == m.cfg.Self {
 		c.Close()
 		return
 	}
-	m.attach(src, gen, c)
+	m.attach(mh.Src, mh.Gen, c)
 }
 
 // attach installs (or swaps in) the link to worker j and spawns its
@@ -458,7 +456,7 @@ func (m *mesh) handleRecord(j int, typ byte, body []byte) error {
 		}
 		return m.acceptChunk(pf, body, body[k:])
 	case recWindow:
-		wd, _, err := codec.DecodeWindow(body)
+		wd, err := codec.DecodeWindow(body)
 		if err != nil {
 			return err
 		}

@@ -61,9 +61,7 @@ func (p *relayWorker) done(t, alive int) (bytes, msgs int64, err error) {
 		ps.Reset()
 	}
 	var buf [3 * binary.MaxVarintLen64]byte
-	done := binary.AppendUvarint(buf[:0], uint64(t))
-	done = binary.AppendUvarint(done, uint64(alive))
-	done = binary.AppendUvarint(done, uint64(p.sent))
+	done := codec.AppendDone(buf[:0], codec.Done{Round: t, Alive: alive, Frames: p.sent})
 	return p.sentBytes, msgs, p.r.w.c.WriteRecord(recDone, done)
 }
 
@@ -76,7 +74,7 @@ func (p *relayWorker) record(typ byte, body []byte) error {
 	if err != nil {
 		return err
 	}
-	if fh.Dst != r.h.Shard || fh.Src == r.h.Shard || fh.Src < 0 || fh.Src >= r.h.P || fh.Round != r.cur {
+	if fh.Dst != r.h.Shard || fh.Src == r.h.Shard || fh.Src >= r.h.P || fh.Round != r.cur {
 		return fmt.Errorf("net: stray frame %+v at shard %d round %d", fh, r.h.Shard, r.cur)
 	}
 	if err := r.absorb(fh.Src, fh.Round, body[k:], fh.Count); err != nil {
@@ -90,12 +88,12 @@ func (p *relayWorker) record(typ byte, body []byte) error {
 // same connection — but holds the release to the round in flight and the
 // count that arrived.
 func (p *relayWorker) inbound(t int, rel []byte) error {
-	var round, nf int
-	if err := uvarints("deliver", rel, &round, &nf); err != nil {
+	dl, err := codec.DecodeDeliver(rel)
+	if err != nil {
 		return err
 	}
-	if round != t || nf != p.framesIn {
-		return fmt.Errorf("net: deliver(round %d, %d frames) but worker is at round %d with %d frames in", round, nf, t, p.framesIn)
+	if dl.Round != t || dl.Frames != p.framesIn {
+		return fmt.Errorf("net: deliver(round %d, %d frames) but worker is at round %d with %d frames in", dl.Round, dl.Frames, t, p.framesIn)
 	}
 	p.framesIn = 0
 	return nil
@@ -122,11 +120,13 @@ func (p *relayCoord) begin(int) {
 func (p *relayCoord) record(t, from int, typ byte, body []byte) (bool, int, error) {
 	switch typ {
 	case recFrame:
-		fh, _, err := codec.DecodeFrameHeader(body)
+		fh, k, err := codec.DecodeFrameHeader(body)
 		if err != nil {
 			return false, 0, err
 		}
-		if fh.Src != from || fh.Dst < 0 || fh.Dst >= len(p.park) || fh.Dst == fh.Src || fh.Round != t || fh.Count <= 0 {
+		// Every message body takes at least a byte: a count the frame cannot
+		// hold is refused here, not parked for its receiver to find out.
+		if fh.Src != from || fh.Dst >= len(p.park) || fh.Dst == fh.Src || fh.Round != t || fh.Count <= 0 || fh.Count > len(body)-k {
 			return false, 0, fmt.Errorf("net: invalid frame %+v from worker %d in round %d", fh, from, t)
 		}
 		// The relayed record body is byte-for-byte the frame (header +
@@ -141,17 +141,17 @@ func (p *relayCoord) record(t, from int, typ byte, body []byte) (bool, int, erro
 		p.park[fh.Dst] = append(p.park[fh.Dst], body)
 		return false, 0, nil
 	case recDone:
-		var round, alive, sent int
-		if err := uvarints("done", body, &round, &alive, &sent); err != nil {
+		dn, err := codec.DecodeDone(body)
+		if err != nil {
 			return false, 0, err
 		}
-		if round != t {
-			return false, 0, fmt.Errorf("net: worker %d done for round %d during round %d", from, round, t)
+		if dn.Round != t {
+			return false, 0, fmt.Errorf("net: worker %d done for round %d during round %d", from, dn.Round, t)
 		}
-		if sent != p.framesFrom[from] {
-			return false, 0, fmt.Errorf("net: worker %d announced %d frames, %d arrived", from, sent, p.framesFrom[from])
+		if dn.Frames != p.framesFrom[from] {
+			return false, 0, fmt.Errorf("net: worker %d announced %d frames, %d arrived", from, dn.Frames, p.framesFrom[from])
 		}
-		return true, alive, nil
+		return true, dn.Alive, nil
 	}
 	return false, 0, fmt.Errorf("net: unexpected record type %d from worker %d in round %d", typ, from, t)
 }
@@ -168,8 +168,7 @@ func (p *relayCoord) release(t, q int) error {
 		bytes += int64(len(fr))
 	}
 	var buf [2 * binary.MaxVarintLen64]byte
-	del := binary.AppendUvarint(buf[:0], uint64(t))
-	del = binary.AppendUvarint(del, uint64(len(p.park[q])))
+	del := codec.AppendDeliver(buf[:0], codec.Deliver{Round: t, Frames: len(p.park[q])})
 	if err := cn.WriteRecord(recDeliver, del); err != nil {
 		return err
 	}

@@ -82,7 +82,6 @@ func (p *streamWorker) control() {
 	m := p.m
 	for {
 		typ, body, err := p.r.w.c.AwaitRecord()
-		var round int
 		m.mu.Lock()
 		switch {
 		case err != nil:
@@ -90,7 +89,8 @@ func (p *streamWorker) control() {
 		case typ == recError:
 			err = fmt.Errorf("net: coordinator aborted: %s", body)
 		case typ == recStep && !p.started:
-			if err = uvarints("step", body, &round); err == nil && round != 0 {
+			var round int
+			if round, err = codec.DecodeStep(body); err == nil && round != 0 {
 				err = fmt.Errorf("net: go record names round %d", round)
 			}
 			p.started = true
@@ -144,11 +144,12 @@ func (p *streamWorker) run(maxRounds int) (rounds int, halted bool, err error) {
 	if err := p.await(func() bool { return p.fin != nil }); err != nil {
 		return 0, false, err
 	}
-	if rounds, halted, err = decodeFinish(p.fin); err == nil && (rounds != t || halted != (alive == 0)) {
+	fin, err := codec.DecodeFinish(p.fin)
+	if err == nil && (fin.Rounds != t || fin.Halted != (alive == 0)) {
 		err = fmt.Errorf("net: finish(%d rounds, halted %v) but worker %d closed round %d with %d alive",
-			rounds, halted, p.r.h.Shard, t, alive)
+			fin.Rounds, fin.Halted, p.r.h.Shard, t, alive)
 	}
-	return rounds, halted, err
+	return fin.Rounds, fin.Halted, err
 }
 
 // round runs round t and returns the number of nodes alive across the cluster
@@ -296,7 +297,7 @@ func (p *streamCoord) position(w int) (int, obs.Phase) {
 // readmit sends worker w the go record; its records count from 0 (again).
 func (p *streamCoord) readmit(w int) error {
 	p.seq[w] = 0
-	return p.c.hub.Send(w, recStep, []byte{0})
+	return p.c.hub.Send(w, recStep, codec.AppendStep(nil, 0))
 }
 
 // run follows the streamed run: the go record to every worker at once, then
@@ -305,7 +306,7 @@ func (p *streamCoord) readmit(w int) error {
 // the workers ended it themselves. Returns the alive count of the last round.
 func (p *streamCoord) run() (alive int, err error) {
 	c := p.c
-	c.hub.Broadcast(recStep, []byte{0}) // a failed write finds the worker dead: its reader says so below
+	c.hub.Broadcast(recStep, codec.AppendStep(nil, 0)) // a failed write finds the worker dead: its reader says so below
 	for t := 0; ; t++ {
 		c.cur = t
 		bw := c.spec.Trace.Begin(obs.PhaseBarrierWait, t, -1)
@@ -379,16 +380,16 @@ func (p *streamCoord) record(from int, typ byte, body []byte) error {
 	k, np := p.seq[from], len(p.in)
 	t := k / 2
 	var ents []codec.PeerDigest
-	var round, alive, used int
+	var round, alive int
 	var err error
 	switch {
 	case typ == recStreamDone && k%2 == 0:
 		var sd codec.StreamDone
-		sd, used, err = codec.DecodeStreamDone(body, p.ents)
+		sd, err = codec.DecodeStreamDone(body, p.ents)
 		ents, round, alive = sd.Sent, sd.Round, sd.Alive
 	case typ == recStreamAck && k%2 == 1:
 		var sa codec.StreamAck
-		sa, used, err = codec.DecodeStreamAck(body, p.ents)
+		sa, err = codec.DecodeStreamAck(body, p.ents)
 		if ents, round = sa.Recv, sa.Round; err == nil && k >= p.in[from] {
 			p.c.rep.StreamWire[from] = sa.Wire
 		}
@@ -398,8 +399,6 @@ func (p *streamCoord) record(from int, typ byte, body []byte) error {
 	switch {
 	case err != nil:
 		return err
-	case used != len(body):
-		return fmt.Errorf("net: worker %d record %d carries %d trailing bytes", from, k, len(body)-used)
 	case round != t:
 		return fmt.Errorf("net: worker %d reports round %d in record %d, which is round %d's", from, round, k, t)
 	case len(ents) != np-1:

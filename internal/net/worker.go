@@ -358,8 +358,8 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 		}
 		switch typ {
 		case recStep:
-			var t int
-			if err := uvarints("step", body, &t); err != nil {
+			t, err := codec.DecodeStep(body)
+			if err != nil {
 				return dist.Metrics{}, err
 			}
 			if t != r.cur+1 {
@@ -377,11 +377,11 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 			}
 
 		case recFinish:
-			rounds, halted, err := decodeFinish(body)
+			fin, err := codec.DecodeFinish(body)
 			if err != nil {
 				return dist.Metrics{}, err
 			}
-			return r.report(rounds, halted)
+			return r.report(fin.Rounds, fin.Halted)
 
 		case recError:
 			return dist.Metrics{}, fmt.Errorf("net: coordinator aborted: %s", body)
@@ -394,14 +394,6 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 	}
 }
 
-// decodeFinish decodes the coordinator's finish record: the run's round count
-// and whether it ended with nobody alive.
-func decodeFinish(body []byte) (rounds int, halted bool, err error) {
-	d := codec.NewDecoder(body)
-	rounds, halted = int(d.Uvarint()), d.Byte() != 0
-	return rounds, halted, bodyErr("finish", d)
-}
-
 // report ends the run: the Driver priced this shard's share of the Metrics —
 // what its own nodes sent — and the metrics record carries it with the frame
 // chain.
@@ -409,10 +401,8 @@ func (r *workerLoop) report(rounds int, halted bool) (dist.Metrics, error) {
 	met := r.d.Finish(rounds)
 	met.Halted = halted
 	var buf [3*binary.MaxVarintLen64 + 8]byte
-	enc := binary.AppendUvarint(buf[:0], uint64(met.Messages))
-	enc = binary.AppendUvarint(enc, uint64(met.Words))
-	enc = binary.AppendUvarint(enc, uint64(met.WireBytes))
-	enc = binary.LittleEndian.AppendUint64(enc, r.chain)
+	enc := codec.AppendMetrics(buf[:0], codec.Metrics{Messages: met.Messages, Words: met.Words,
+		WireBytes: met.WireBytes, Chain: r.chain})
 	return met, r.w.c.Send(recMetrics, enc)
 }
 
@@ -446,19 +436,11 @@ func (w *Worker) SendValues(vals []float64) error {
 	if w.Hello == nil {
 		return fmt.Errorf("net: SendValues before handshake")
 	}
-	assign := w.assign
-	cnt := 0
-	for v := range vals {
-		if assign[v] == w.Hello.Shard {
-			cnt++
-		}
-	}
-	enc := binary.AppendUvarint(nil, uint64(cnt))
+	var own []codec.NodeValue
 	for v, x := range vals {
-		if assign[v] == w.Hello.Shard {
-			enc = binary.AppendUvarint(enc, uint64(v))
-			enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(x))
+		if w.assign[v] == w.Hello.Shard {
+			own = append(own, codec.NodeValue{Node: v, Bits: math.Float64bits(x)})
 		}
 	}
-	return w.c.Send(recValues, enc)
+	return w.c.Send(recValues, codec.AppendValues(nil, own))
 }

@@ -2,7 +2,6 @@ package session
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -229,7 +228,7 @@ func (c *Coordinator) readmit(w int, st codec.Stamp) error {
 	if typ != net.RecValuesDigest {
 		return fmt.Errorf("session: worker %d answered resume with record type %d", w, typ)
 	}
-	echo, _, err := codec.DecodeStamp(body)
+	echo, err := codec.DecodeStamp(body)
 	if err != nil {
 		return fmt.Errorf("session: re-admitting worker %d: %w", w, err)
 	}
@@ -388,7 +387,7 @@ func (c *Coordinator) absorb(epoch int, d dist.GraphDelta, moveBudget int) (push
 	cm, cut = c.ledger(decoded, frontier)
 	// The ledger prices the shard delta encoding: the push body less its
 	// epoch header.
-	cm.DeltaBytes = int64(len(push) - len(binary.AppendUvarint(nil, uint64(epoch))))
+	cm.DeltaBytes = int64(len(push) - codec.UvarintSize(uint64(epoch)))
 	return push, cm, cut, nil
 }
 

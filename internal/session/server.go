@@ -1,7 +1,6 @@
 package session
 
 import (
-	"encoding/binary"
 	"fmt"
 	stdnet "net"
 
@@ -82,7 +81,7 @@ func Serve(co *Coordinator, ln stdnet.Listener, logf func(format string, args ..
 			id := co.Subs().Subscribe(topics)
 			cl.subs = append(cl.subs, id)
 			subOwner[id] = cl
-			_ = cl.c.Send(net.RecSubscribe, binary.AppendUvarint(nil, uint64(id)))
+			_ = cl.c.Send(net.RecSubscribe, AppendSubscribeEcho(nil, id))
 			logf("session server: client %d subscribed as sub%d (%d topics)", cl.id, id, len(topics))
 
 		case net.RecDeltaPush:

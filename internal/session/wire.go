@@ -11,10 +11,10 @@ import (
 	"distkcore/internal/shard"
 )
 
-// Wire bodies of the session records (DESIGN.md §10). Like the rest of the
-// frame codec these decoders run on bytes straight off a socket: hostile
-// lengths and truncations fail cleanly, never panic, and every decode
-// demands full consumption so trailing garbage is an error, not a shrug.
+// Wire bodies of the session records (DESIGN.md §10). Like every record body
+// they are read through codec.Decoder and end in its Finish: hostile lengths
+// and truncations fail cleanly, never panic, and a body is consumed whole or
+// is an error naming its record.
 
 // ValueChange is one node whose β_T moved across an epoch, as exact float
 // bit patterns (the session's unit of change, of notification payloads and
@@ -41,12 +41,9 @@ func AppendDeltaPush(dst []byte, epoch, moveBudget int, d dist.GraphDelta) []byt
 // DecodeDeltaPush decodes a DeltaPush body, requiring full consumption.
 func DecodeDeltaPush(src []byte) (epoch, moveBudget int, d dist.GraphDelta, err error) {
 	dec := codec.NewDecoder(src)
-	epoch = int(dec.Uvarint())
+	epoch = dec.Int()
 	moveBudget, d = shard.DecodeDelta(dec)
-	if err := finish(dec, "delta push"); err != nil {
-		return 0, 0, dist.GraphDelta{}, err
-	}
-	return epoch, moveBudget, d, nil
+	return epoch, moveBudget, d, dec.Finish("delta-push")
 }
 
 // Reconverge is a worker's epoch reply: the whole stamp it arrived at — the
@@ -70,10 +67,7 @@ func AppendReconverge(dst []byte, r Reconverge) []byte {
 func DecodeReconverge(src []byte) (Reconverge, error) {
 	d := codec.NewDecoder(src)
 	r := Reconverge{Stamp: d.Stamp(), Changes: decodeChanges(d)}
-	if err := finish(d, "reconverge"); err != nil {
-		return Reconverge{}, err
-	}
-	return r, nil
+	return r, d.Finish("reconverge")
 }
 
 // appendChanges appends uvarint count then (uvarint node, old bits, new
@@ -89,8 +83,7 @@ func appendChanges(dst []byte, chs []ValueChange) []byte {
 }
 
 // AppendSubscribe appends a Subscribe request body: uvarint topic count,
-// then each topic's canonical string. (The reply body is a bare uvarint
-// subscriber ID.)
+// then each topic's canonical string.
 func AppendSubscribe(dst []byte, topics []Topic) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(topics)))
 	for _, t := range topics {
@@ -105,19 +98,23 @@ func AppendSubscribe(dst []byte, topics []Topic) []byte {
 // consumption and well-formed topics.
 func DecodeSubscribe(src []byte) ([]Topic, error) {
 	d := codec.NewDecoder(src)
-	cnt := d.Uvarint()
-	if cnt > uint64(len(src)) {
-		d.Fail(fmt.Errorf("topic count %d exceeds payload", cnt))
-		cnt = 0
-	}
+	cnt := d.Count(1)
 	topics := make([]Topic, 0, cnt)
-	for i := uint64(0); i < cnt; i++ {
+	for ; cnt > 0; cnt-- {
 		topics = append(topics, decodeTopic(d))
 	}
-	if err := finish(d, "subscribe"); err != nil {
-		return nil, err
-	}
-	return topics, nil
+	return topics, d.Finish("subscribe")
+}
+
+// AppendSubscribeEcho appends the Subscribe reply body: the subscriber ID the
+// server assigned.
+func AppendSubscribeEcho(dst []byte, id int) []byte { return binary.AppendUvarint(dst, uint64(id)) }
+
+// DecodeSubscribeEcho decodes a Subscribe reply body.
+func DecodeSubscribeEcho(src []byte) (id int, err error) {
+	d := codec.NewDecoder(src)
+	id = d.Int()
+	return id, d.Finish("subscribe")
 }
 
 // AppendNotify appends the wire encoding of n to dst: subscriber ID, epoch,
@@ -134,16 +131,18 @@ func AppendNotify(dst []byte, n Notification) []byte {
 // DecodeNotify decodes a Notify body, requiring full consumption.
 func DecodeNotify(src []byte) (Notification, error) {
 	d := codec.NewDecoder(src)
-	n := Notification{Sub: int(d.Uvarint()), Epoch: int(d.Uvarint()), Topic: decodeTopic(d), Changes: decodeChanges(d)}
-	if err := finish(d, "notify"); err != nil {
-		return Notification{}, err
-	}
-	return n, nil
+	n := Notification{Sub: d.Int(), Epoch: d.Int(), Topic: decodeTopic(d), Changes: decodeChanges(d)}
+	return n, d.Finish("notify")
 }
 
-// decodeTopic reads one topic in its canonical string form.
+// decodeTopic reads one topic in its canonical string form — the one
+// Topic.String writes, so a topic has one spelling on the wire.
 func decodeTopic(d *codec.Decoder) Topic {
-	t, err := ParseTopic(d.Str())
+	s := d.Str()
+	t, err := ParseTopic(s)
+	if err == nil && t.String() != s {
+		err = fmt.Errorf("session: topic %q is not in canonical form %q", s, t)
+	}
 	if err != nil {
 		d.Fail(err)
 	}
@@ -152,25 +151,12 @@ func decodeTopic(d *codec.Decoder) Topic {
 
 // decodeChanges reads a change list: uvarint count, then count changes.
 func decodeChanges(d *codec.Decoder) []ValueChange {
-	cnt := d.Uvarint()
 	// Every change occupies at least 17 bytes (1-byte node uvarint + two
-	// words), so a larger count is a lie about bytes that cannot be there.
-	if cnt > uint64(d.Rest())/17 {
-		d.Fail(fmt.Errorf("change count %d exceeds payload", cnt))
-		return nil
-	}
+	// words).
+	cnt := d.Count(17)
 	chs := make([]ValueChange, 0, cnt)
-	for i := uint64(0); i < cnt; i++ {
-		chs = append(chs, ValueChange{Node: graph.NodeID(d.Uvarint()), OldBits: d.U64(), NewBits: d.U64()})
+	for ; cnt > 0; cnt-- {
+		chs = append(chs, ValueChange{Node: d.Int(), OldBits: d.U64(), NewBits: d.U64()})
 	}
 	return chs
-}
-
-// finish ends a session-body decode: a latched error or unconsumed trailing
-// bytes fail it.
-func finish(d *codec.Decoder, what string) error {
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("session: bad %s record: %w", what, err)
-	}
-	return nil
 }

@@ -115,7 +115,7 @@ func (w *WorkerState) admit(h *codec.Hello) error {
 		case net.RecValuesDigest:
 			return w.resume(body)
 		case net.RecHello:
-			hello, _, err := codec.DecodeHello(body)
+			hello, err := codec.DecodeHello(body)
 			if err != nil {
 				return err
 			}
@@ -153,7 +153,7 @@ func (w *WorkerState) admit(h *codec.Hello) error {
 // resume verifies a respawned worker's admission stamp against the state it
 // recomputed, adopts the stamp's epoch and chain and echoes it.
 func (w *WorkerState) resume(body []byte) error {
-	st, _, err := codec.DecodeStamp(body)
+	st, err := codec.DecodeStamp(body)
 	if err != nil {
 		return err
 	}

@@ -24,7 +24,7 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	enc := AppendDelta(nil, 17, d)
 	dec := codec.NewDecoder(enc)
 	budget, got := DecodeDelta(dec)
-	if err := dec.Finish(); err != nil {
+	if err := dec.Finish("delta"); err != nil {
 		t.Fatal(err)
 	}
 	if budget != 17 {
@@ -52,7 +52,7 @@ func TestDeltaDecodeHostileInputs(t *testing.T) {
 	decodeErr := func(src []byte) error {
 		d := codec.NewDecoder(src)
 		DecodeDelta(d)
-		return d.Finish()
+		return d.Finish("delta")
 	}
 	good := AppendDelta(nil, 3, dist.GraphDelta{Ops: []dist.EdgeOp{
 		{U: 200, V: 1, W: 2.5}, {Del: true, U: 1, V: 200},

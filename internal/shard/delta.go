@@ -53,21 +53,16 @@ func AppendDelta(dst []byte, moveBudget int, d dist.GraphDelta) []byte {
 // d's error (before any count-sized allocation) instead of panicking; what
 // reads cleanly re-encodes to the bytes it came from.
 func DecodeDelta(d *codec.Decoder) (moveBudget int, gd dist.GraphDelta) {
-	moveBudget = int(d.Uvarint())
-	cnt := d.Uvarint()
-	// Every op occupies at least 3 bytes (tag + two 1-byte uvarints), so a
-	// count beyond the rest/3 is a lie about bytes that cannot be there.
-	if cnt > uint64(d.Rest())/3 {
-		d.Fail(fmt.Errorf("delta count %d exceeds payload", cnt))
-		return 0, gd
-	}
+	moveBudget = d.Int()
+	// Every op occupies at least 3 bytes (tag + two 1-byte uvarints).
+	cnt := d.Count(3)
 	gd.Ops = make([]dist.EdgeOp, 0, cnt)
-	for i := uint64(0); i < cnt; i++ {
+	for i := 0; i < cnt; i++ {
 		tag := d.Byte()
 		if tag&^deltaTagDel != 0 {
 			d.Fail(fmt.Errorf("delta op %d carries unknown tag bits %#x", i, tag))
 		}
-		op := dist.EdgeOp{Del: tag&deltaTagDel != 0, U: graph.NodeID(d.Uvarint()), V: graph.NodeID(d.Uvarint())}
+		op := dist.EdgeOp{Del: tag&deltaTagDel != 0, U: d.Int(), V: d.Int()}
 		if !op.Del {
 			op.W = math.Float64frombits(d.U64())
 		}

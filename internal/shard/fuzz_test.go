@@ -69,7 +69,7 @@ func FuzzDecodeDelta(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := codec.NewDecoder(data)
 		budget, d := DecodeDelta(dec)
-		if dec.Finish() != nil {
+		if dec.Finish("delta") != nil {
 			return
 		}
 		if enc := AppendDelta(nil, budget, d); !bytes.Equal(enc, data) {
