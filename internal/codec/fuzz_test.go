@@ -2,15 +2,27 @@ package codec
 
 import (
 	"bytes"
-	"reflect"
 	"slices"
 	"testing"
 )
 
-// The handshake is the first record a worker reads, and `cluster worker`
-// reads it straight off a socket, so its decoder gets the same hostile-input
-// contract as the frame and delta codecs: no panic, and whatever decodes
-// re-encodes to exactly the bytes it consumed.
+// Each record body a worker or coordinator reads straight off a socket keeps
+// a fuzzer of its own here, seeded with the bodies that once broke it; the
+// root FuzzRecordBodies holds every record at once to the same contract: no
+// panic, and whatever decodes re-encodes to exactly the bytes it consumed.
+
+// wholeTrip decodes data with a whole-body decoder and, when that succeeds,
+// holds the value to re-encode to exactly data.
+func wholeTrip[T any](t *testing.T, data []byte, dec func([]byte) (T, error), enc func([]byte, T) []byte) (T, bool) {
+	v, err := dec(data)
+	if err != nil {
+		return v, false
+	}
+	if got := enc(nil, v); !bytes.Equal(got, data) {
+		t.Fatalf("%+v re-encodes to %x, decoded from %x", v, got, data)
+	}
+	return v, true
+}
 
 func FuzzDecodeHello(f *testing.F) {
 	f.Add(AppendHello(nil, Hello{Version: HandshakeVersion, P: 4, Shard: 2, MaxRounds: 23,
@@ -19,23 +31,13 @@ func FuzzDecodeHello(f *testing.F) {
 		Stream: true, MeshSpec: "unix:/a.mesh,unix:/b.mesh"}))
 	f.Add(AppendHello(nil, Hello{}))
 	f.Add([]byte{10, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // oversized uvarint
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, n, err := DecodeHello(data)
-		if err != nil {
-			return
-		}
-		if n > len(data) {
-			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
-		}
-		if enc := AppendHello(nil, h); !bytes.Equal(enc, data[:n]) {
-			t.Fatalf("hello %+v re-encodes to %x, decoded from %x", h, enc, data[:n])
-		}
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { wholeTrip(t, data, DecodeHello, AppendHello) })
 }
 
 // The mesh records of the streamed delivery protocol (DESIGN.md §14) are
 // decoded by per-peer reader goroutines from bytes straight off worker↔
-// worker data connections — the same hostile-input contract applies.
+// worker data connections. A peer frame is a header: the chunk's message
+// bodies follow it, so it re-encodes to the bytes it consumed.
 
 func FuzzDecodePeerFrame(f *testing.F) {
 	f.Add(AppendPeerFrame(nil, PeerFrame{Src: 1, Dst: 2, Round: 3, Seq: 4, Count: 5}))
@@ -52,13 +54,8 @@ func FuzzDecodePeerFrame(f *testing.F) {
 		if pf.Src < 0 || pf.Dst < 0 || pf.Round < 0 || pf.Seq < 0 || pf.Count < 0 {
 			t.Fatalf("negative field slipped past the decode guard: %+v", pf)
 		}
-		enc := AppendPeerFrame(nil, pf)
-		pf2, n2, err := DecodePeerFrame(enc)
-		if err != nil {
-			t.Fatalf("re-decode of a re-encoded peer frame failed: %v", err)
-		}
-		if n2 != len(enc) || pf2 != pf {
-			t.Fatalf("peer frame changed across a round trip: %+v (%d bytes) vs %+v (%d bytes)", pf, len(enc), pf2, n2)
+		if enc := AppendPeerFrame(nil, pf); !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("peer frame %+v re-encodes to %x, decoded from %x", pf, enc, data[:n])
 		}
 	})
 }
@@ -69,33 +66,19 @@ func FuzzDecodeWindow(f *testing.F) {
 	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // oversized uvarint
 	f.Add([]byte{9, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0})             // unknown kind
 	f.Fuzz(func(t *testing.T, data []byte) {
-		w, n, err := DecodeWindow(data)
-		if err != nil {
-			return
-		}
-		if n > len(data) {
-			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
-		}
-		if w.Kind > WindowEnd {
+		w, ok := wholeTrip(t, data, DecodeWindow, AppendWindow)
+		if ok && w.Kind > WindowEnd {
 			t.Fatalf("unknown window kind %d slipped past the decode guard", w.Kind)
 		}
-		if w.Src < 0 || w.Dst < 0 || w.Round < 0 || w.Chunks < 0 || w.Msgs < 0 || w.Bytes < 0 || w.Credits < 0 || w.Alive < 0 {
+		if ok && (w.Src < 0 || w.Dst < 0 || w.Round < 0 || w.Chunks < 0 || w.Msgs < 0 || w.Bytes < 0 || w.Credits < 0 || w.Alive < 0) {
 			t.Fatalf("negative field slipped past the decode guard: %+v", w)
-		}
-		enc := AppendWindow(nil, w)
-		w2, n2, err := DecodeWindow(enc)
-		if err != nil {
-			t.Fatalf("re-decode of a re-encoded window failed: %v", err)
-		}
-		if n2 != len(enc) || w2 != w {
-			t.Fatalf("window changed across a round trip: %+v (%d bytes) vs %+v (%d bytes)", w, len(enc), w2, n2)
 		}
 	})
 }
 
 // The barrier records of the streamed plane travel worker→coordinator on the
-// control connection; the coordinator decodes them before any of its own
-// checks run.
+// control connection; the coordinator decodes them, into the entry list of
+// the record before, ahead of any of its own checks.
 
 // staleDigests is a used entry list handed back to a decoder: room for two
 // entries, both still holding an earlier record's.
@@ -109,25 +92,13 @@ func FuzzDecodeStreamDone(f *testing.F) {
 	f.Add(AppendStreamDone(nil, StreamDone{}))
 	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // hostile entry count
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sd, n, err := DecodeStreamDone(data, nil)
-		if err != nil {
+		sd, ok := wholeTrip(t, data, func(b []byte) (StreamDone, error) { return DecodeStreamDone(b, nil) }, AppendStreamDone)
+		if !ok {
 			return
 		}
-		if n > len(data) {
-			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
-		}
-		enc := AppendStreamDone(nil, sd)
-		sd2, n2, err := DecodeStreamDone(enc, nil)
-		if err != nil {
-			t.Fatalf("re-decode of a re-encoded stream-done failed: %v", err)
-		}
-		if n2 != len(enc) || !reflect.DeepEqual(sd2, sd) {
-			t.Fatalf("stream-done changed across a round trip: %+v (%d bytes) vs %+v (%d bytes)", sd, len(enc), sd2, n2)
-		}
-		// Decoded into a list handed back, the entries are the same.
-		sd3, _, err := DecodeStreamDone(enc, staleDigests())
-		if err != nil || sd3.Round != sd.Round || sd3.Alive != sd.Alive || !slices.Equal(sd3.Sent, sd.Sent) {
-			t.Fatalf("stream-done decoded into a used list: %+v, %v; want %+v", sd3, err, sd)
+		sd2, err := DecodeStreamDone(data, staleDigests())
+		if err != nil || sd2.Round != sd.Round || sd2.Alive != sd.Alive || !slices.Equal(sd2.Sent, sd.Sent) {
+			t.Fatalf("stream-done decoded into a used list: %+v, %v; want %+v", sd2, err, sd)
 		}
 	})
 }
@@ -139,24 +110,13 @@ func FuzzDecodeStreamAck(f *testing.F) {
 	f.Add(AppendStreamAck(nil, StreamAck{}))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // hostile entry count
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sa, n, err := DecodeStreamAck(data, nil)
-		if err != nil {
+		sa, ok := wholeTrip(t, data, func(b []byte) (StreamAck, error) { return DecodeStreamAck(b, nil) }, AppendStreamAck)
+		if !ok {
 			return
 		}
-		if n > len(data) {
-			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
-		}
-		enc := AppendStreamAck(nil, sa)
-		sa2, n2, err := DecodeStreamAck(enc, nil)
-		if err != nil {
-			t.Fatalf("re-decode of a re-encoded stream-ack failed: %v", err)
-		}
-		if n2 != len(enc) || !reflect.DeepEqual(sa2, sa) {
-			t.Fatalf("stream-ack changed across a round trip: %+v (%d bytes) vs %+v (%d bytes)", sa, len(enc), sa2, n2)
-		}
-		sa3, _, err := DecodeStreamAck(enc, staleDigests())
-		if err != nil || sa3.Round != sa.Round || sa3.Wire != sa.Wire || !slices.Equal(sa3.Recv, sa.Recv) {
-			t.Fatalf("stream-ack decoded into a used list: %+v, %v; want %+v", sa3, err, sa)
+		sa2, err := DecodeStreamAck(data, staleDigests())
+		if err != nil || sa2.Round != sa.Round || sa2.Wire != sa.Wire || !slices.Equal(sa2.Recv, sa.Recv) {
+			t.Fatalf("stream-ack decoded into a used list: %+v, %v; want %+v", sa2, err, sa)
 		}
 	})
 }

@@ -43,6 +43,30 @@ func FuzzReadRecord(f *testing.F) {
 	})
 }
 
+// FuzzDecodeCoordBodies drives arbitrary bytes through the two finish-phase
+// bodies the coordinator decodes — a worker's metrics share and its shipped
+// values. Either decode errors or it consumed the whole body: no panic, no
+// negative counter, and never more pairs than the body has bytes for (a lying
+// count must not buy work or memory).
+func FuzzDecodeCoordBodies(f *testing.F) {
+	f.Add([]byte{5, 5, 40, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{1, 7, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
+	f.Add([]byte{0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // hostile count
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if m, err := codec.DecodeMetrics(body); err == nil && (m.Messages < 0 || m.Words < 0 || m.WireBytes < 0) {
+			t.Fatalf("metrics %x decoded negative: %+v", body, m)
+		}
+		vals, err := codec.DecodeValues(nil, body)
+		if 9*len(vals) > len(body) {
+			t.Fatalf("values %x decoded %d pairs from %d bytes", body, len(vals), len(body))
+		}
+		if err == nil && len(body) == 0 {
+			t.Fatal("empty values body accepted")
+		}
+	})
+}
+
 // emitProg opens its round with a Broadcast and follows it with a Send to
 // its lowest peer, Vec payloads on both for even nodes: every kind of entry
 // shard.Fanout.Emit frames.
