@@ -73,6 +73,9 @@ func FuzzDecodeWindow(f *testing.F) {
 		if ok && (w.Src < 0 || w.Dst < 0 || w.Round < 0 || w.Chunks < 0 || w.Msgs < 0 || w.Bytes < 0 || w.Credits < 0 || w.Alive < 0) {
 			t.Fatalf("negative field slipped past the decode guard: %+v", w)
 		}
+		if ok && WindowSize(w) != len(data) {
+			t.Fatalf("WindowSize(%+v) = %d, its encoding is %d bytes", w, WindowSize(w), len(data))
+		}
 	})
 }
 

@@ -345,6 +345,10 @@ func NewDecoder(src []byte) *Decoder { return &Decoder{src: src} }
 // Rest returns the number of bytes not yet consumed.
 func (d *Decoder) Rest() int { return len(d.src) - d.n }
 
+// Err returns the latched error, for a caller that reads a prefix of a body
+// and goes on without the decoder.
+func (d *Decoder) Err() error { return d.err }
+
 // Fail latches err unless an earlier error already is.
 func (d *Decoder) Fail(err error) {
 	if d.err == nil {

@@ -112,6 +112,14 @@ func AppendWindow(dst []byte, w Window) []byte {
 	return binary.AppendUvarint(dst, uint64(w.Alive))
 }
 
+// WindowSize returns len(AppendWindow(nil, w)) without building the
+// encoding, so a window record can be encoded into one exact allocation.
+func WindowSize(w Window) int {
+	return 1 + UvarintSize(uint64(w.Src)) + UvarintSize(uint64(w.Dst)) + UvarintSize(uint64(w.Round)) +
+		UvarintSize(uint64(w.Chunks)) + UvarintSize(uint64(w.Msgs)) + UvarintSize(uint64(w.Bytes)) + 8 +
+		UvarintSize(uint64(w.Credits)) + UvarintSize(uint64(w.Alive))
+}
+
 // DecodeWindow decodes a window body.
 func DecodeWindow(src []byte) (Window, error) {
 	d := Decoder{src: src}

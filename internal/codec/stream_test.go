@@ -32,6 +32,9 @@ func TestWindowRoundTrip(t *testing.T) {
 		{Kind: WindowEnd}, // zero-traffic flow end
 	} {
 		enc := AppendWindow(nil, w)
+		if WindowSize(w) != len(enc) {
+			t.Fatalf("WindowSize(%+v) = %d, the encoding is %d bytes", w, WindowSize(w), len(enc))
+		}
 		got, err := DecodeWindow(enc)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", w, err)

@@ -392,11 +392,22 @@ type sim struct {
 	mu        sync.Mutex
 	met       Metrics
 	vecChecks []vecCheck // delivered Vecs awaiting verification (CheckVecAliasing)
+
+	// mem holds the arrays above that the sim sized by its node counts; a
+	// Driver's comes off the free list and goes back to it on Release (mem.go).
+	mem *simMem
 }
 
-func newSim(g *graph.Graph, lam quantize.Lambda, factory Factory) *sim {
+// newSim builds the sim of a run over the whole of g, in memory off the free
+// list when reuse is set and in new arrays otherwise.
+func newSim(g *graph.Graph, lam quantize.Lambda, factory Factory, reuse bool) *sim {
 	n := g.N()
 	s := &sim{g: g, lam: lam}
+	if reuse {
+		s.mem = takeMem(simShape{receivers: n, senders: n})
+	} else {
+		s.mem = new(simMem)
+	}
 	s.reachOff, s.reachIx = g.PeerCSR()
 	s.alloc(n, n)
 	for v := range s.ctxs {
@@ -407,39 +418,44 @@ func newSim(g *graph.Graph, lam quantize.Lambda, factory Factory) *sim {
 }
 
 // newSubsetSim is newSim with the nodes own (ascending, distinct) for
-// receivers: factory runs for them only, and what the sim allocates follows
-// their number, their degrees and the number of nodes they can hear — except
-// ix, four bytes a node of g, the price of finding a node by its ID in O(1).
+// receivers, always in memory off the free list: factory runs for them only,
+// and what the sim sizes follows their number, their degrees and the number
+// of nodes they can hear — except ix, four bytes a node of g, the price of
+// finding a node by its ID in O(1).
 func newSubsetSim(g *graph.Graph, lam quantize.Lambda, own []graph.NodeID, factory Factory) *sim {
-	s := &sim{g: g, lam: lam, ix: make([]int32, g.N())}
-	const heard, stepped = 1, 2 // marks, until the indices are known
+	// The shape first — who can be heard is marked in a bitmap — so that the
+	// free list is searched for memory that fits it.
+	n := g.N()
+	marked := make([]uint64, (n+63)/64)
 	for i, v := range own {
 		if i > 0 && own[i-1] >= v {
 			panic("dist: subset nodes must be ascending and distinct")
 		}
-		s.ix[v] = stepped
+		marked[v/64] |= 1 << (v % 64)
 	}
 	senders, links := len(own), 0
 	for _, v := range own {
 		peers := g.Peers(v)
 		links += len(peers)
 		for _, p := range peers {
-			if s.ix[p] == 0 {
-				s.ix[p] = heard
+			if w, b := &marked[p/64], uint64(1)<<(p%64); *w&b == 0 {
+				*w |= b
 				senders++
 			}
 		}
 	}
+	mem := takeMem(simShape{receivers: len(own), senders: senders, links: links, nodes: n})
+	s := &sim{g: g, lam: lam, mem: mem}
 	s.alloc(len(own), senders)
-	s.stepOf = make([]int32, senders)
+	s.ix, s.stepOf = take(&mem.ix, n), take(&mem.stepOf, senders)
 	r, i := 0, 0
 	for v := range s.ix {
-		switch s.ix[v] {
-		case stepped:
+		switch {
+		case r < len(own) && own[r] == v:
 			s.seat(r, i, v, factory)
 			s.ix[v], s.stepOf[i] = int32(r), int32(r)
 			r++
-		case heard:
+		case marked[v/64]&(1<<(v%64)) != 0:
 			s.ix[v], s.stepOf[i] = int32(-2-i), -1
 		default:
 			s.ix[v] = -1
@@ -452,8 +468,8 @@ func newSubsetSim(g *graph.Graph, lam quantize.Lambda, own []graph.NodeID, facto
 	// ascending receiver order — which leaves every row ascending — that uses
 	// each row's start as its cursor and so leaves the starts one row ahead,
 	// where the copy shifts them back from.
-	hear := make([]graph.NodeID, 0, links)
-	s.reachOff, s.reachIx = make([]int32, senders+1), make([]graph.NodeID, links)
+	hear := take(&mem.hear, links)[:0]
+	s.reachOff, s.reachIx = take(&mem.rowOff, senders+1), take(&mem.rows, links)
 	for r := range s.ctxs {
 		c, lo := &s.ctxs[r], len(hear)
 		for _, p := range c.peers {
@@ -477,14 +493,15 @@ func newSubsetSim(g *graph.Graph, lam quantize.Lambda, own []graph.NodeID, facto
 	return s
 }
 
-// alloc sizes the per-node arrays and opens round 0.
+// alloc sizes the per-node arrays, in the sim's memory, and opens round 0.
 func (s *sim) alloc(receivers, senders int) {
-	s.progs = make([]Program, receivers)
-	s.ctxs = make([]Ctx, receivers)
-	s.inboxOff = make([]int32, receivers+1)
-	s.cnt = make([]int32, receivers)
-	s.slots = make([]slot, 2*senders)
-	s.outs = make([][]envelope, senders)
+	m := s.mem
+	s.progs = take(&m.progs, receivers)
+	s.ctxs = take(&m.ctxs, receivers)
+	s.inboxOff = take(&m.inboxOff, receivers+1)
+	s.cnt = take(&m.cnt, receivers)
+	s.slots = take(&m.slots, 2*senders)
+	s.outs = take(&m.outs, senders)
 	s.seq, s.wr, s.alive = 1, senders, receivers
 	if s.lam == nil {
 		s.lam = quantize.Reals{}

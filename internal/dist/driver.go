@@ -21,7 +21,7 @@ type Driver struct{ s *sim }
 // NewDriver instantiates one Program per node of g via factory and returns
 // the driver handle. lam prices Metrics.WireBytes (nil means Λ = ℝ).
 func NewDriver(g *graph.Graph, lam quantize.Lambda, factory Factory) *Driver {
-	return &Driver{s: newSim(g, lam, factory)}
+	return &Driver{s: newSim(g, lam, factory, true)}
 }
 
 // NewSubsetDriver is NewDriver for an engine that steps only the nodes own
@@ -35,6 +35,18 @@ func NewDriver(g *graph.Graph, lam quantize.Lambda, factory Factory) *Driver {
 // sent.
 func NewSubsetDriver(g *graph.Graph, lam quantize.Lambda, own []graph.NodeID, factory Factory) *Driver {
 	return &Driver{s: newSubsetSim(g, lam, own, factory)}
+}
+
+// Release hands the Driver's per-node arrays to the next Driver built, which
+// clears them as it takes them, instead of leaving them to the collector
+// (DESIGN.md §7). Call it once the run is over and nothing will touch the
+// Driver again — no hook running, no Inject pending, nothing read off the
+// tap still in use; the Driver is unusable afterwards. A Driver whose run
+// may still have a hook in flight — a worker incarnation that died — is
+// dropped instead, never released. Not releasing is always safe.
+func (d *Driver) Release() {
+	d.s.release()
+	d.s = nil
 }
 
 // Alive returns the number of stepped nodes that have not halted, the Halts

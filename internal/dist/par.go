@@ -214,7 +214,7 @@ type parRun struct {
 
 // Run implements Engine.
 func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
-	s := newSim(g, e.Lam, factory)
+	s := newSim(g, e.Lam, factory, false)
 	n := g.N()
 	w := e.W
 	if w <= 0 {

@@ -33,7 +33,7 @@ func (e SeqEngine) WithWireLambda(lam quantize.Lambda) Engine {
 
 // Run implements Engine.
 func (e SeqEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
-	s := newSim(g, e.Lam, factory)
+	s := newSim(g, e.Lam, factory, false)
 	buf := gatherBufs.Get().(*[]Message)
 	defer gatherBufs.Put(buf)
 	rounds := 0

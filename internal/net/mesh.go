@@ -492,7 +492,7 @@ func (m *mesh) acceptChunk(pf codec.PeerFrame, full, msgs []byte) error {
 	}
 	if p.owed++; p.owed >= defaultWindow/2 {
 		m.wire.Credits++
-		m.queueLocked(pf.Src, recWindow, codec.AppendWindow(nil, codec.Window{
+		m.queueLocked(pf.Src, recWindow, encodeWindow(codec.Window{
 			Kind: codec.WindowCredit, Src: m.cfg.Self, Dst: pf.Src, Credits: p.owed,
 		}))
 		p.owed = 0
@@ -658,10 +658,16 @@ func (m *mesh) sendEnd(dst int, msgs, logicalBytes int64, alive int) (codec.Peer
 		Kind: codec.WindowEnd, Src: m.cfg.Self, Dst: dst, Round: m.round,
 		Chunks: p.sent, Msgs: msgs, Bytes: logicalBytes, Digest: p.sDig, Alive: alive,
 	}
-	p.retain(outRec{recWindow, codec.AppendWindow(nil, wd)})
+	p.retain(outRec{recWindow, encodeWindow(wd)})
 	wd.Credits, p.owed = p.owed, 0
-	m.queueLocked(dst, recWindow, codec.AppendWindow(nil, wd))
+	m.queueLocked(dst, recWindow, encodeWindow(wd))
 	return codec.PeerDigest{Peer: dst, Chunks: wd.Chunks, Msgs: msgs, Bytes: logicalBytes, Digest: wd.Digest}, nil
+}
+
+// encodeWindow encodes a window record into a payload of its own, allocated
+// once at its exact size.
+func encodeWindow(wd codec.Window) []byte {
+	return codec.AppendWindow(make([]byte, 0, codec.WindowSize(wd)), wd)
 }
 
 // queueLocked queues one record toward dst on its link and wakes the writer

@@ -13,6 +13,13 @@ import (
 	"distkcore/internal/shard"
 )
 
+// emptyFreeList lets go of the Driver memory earlier runs released: the free
+// list keeps it through one collection, not two (dist.Driver.Release).
+func emptyFreeList() {
+	runtime.GC()
+	runtime.GC()
+}
+
 // allocated returns the bytes fn allocates, garbage included.
 func allocated(fn func()) uint64 {
 	var m0, m1 runtime.MemStats
@@ -54,6 +61,8 @@ func (e factoryOf) Run(_ *graph.Graph, factory dist.Factory, _ int) dist.Metrics
 // graph costs with the same programs, and the four together under three
 // fifths of the four whole-graph Drivers they used to build.
 func TestWorkerSetupBytesScaleWithShard(t *testing.T) {
+	// Every Driver here is built in new memory, and none is released.
+	emptyFreeList()
 	idle := func(graph.NodeID) dist.Program { return emitProg{} } // zero-size: the runtime's own bytes
 	cave := graph.Caveman(800, 10)
 	at := func(p int) uint64 {

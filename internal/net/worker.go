@@ -394,11 +394,16 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 	}
 }
 
-// report ends the run: the Driver priced this shard's share of the Metrics —
-// what its own nodes sent — and the metrics record carries it with the frame
-// chain.
+// report ends a run that finished cleanly: the Driver priced this shard's
+// share of the Metrics — what its own nodes sent — and the metrics record
+// carries it with the frame chain. The Driver is released before the record
+// goes out, for the next run's Drivers to take — the coordinator may start
+// that run as soon as it has read the record. Nothing touches it again: its
+// hooks ran on this goroutine, and every inbound flow of the last round has
+// ended, so all a kept mesh still reads is repeats its gates drop.
 func (r *workerLoop) report(rounds int, halted bool) (dist.Metrics, error) {
 	met := r.d.Finish(rounds)
+	r.d.Release()
 	met.Halted = halted
 	var buf [3*binary.MaxVarintLen64 + 8]byte
 	enc := codec.AppendMetrics(buf[:0], codec.Metrics{Messages: met.Messages, Words: met.Words,

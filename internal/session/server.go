@@ -119,6 +119,11 @@ func Serve(co *Coordinator, ln stdnet.Listener, logf func(format string, args ..
 				rep.Epoch, d.Len(), len(rep.Changed), len(rep.Notifications), rep.ChainDigest)
 
 		case net.RecStat:
+			if err := DecodeStatRequest(e.body); err != nil {
+				cl.c.SendError(err)
+				drop(cl)
+				continue
+			}
 			// Introspection: a read-only snapshot, served from the same
 			// goroutine that owns the session, so no locking is needed.
 			_ = cl.c.Send(net.RecStat, codec.AppendStat(nil, co.Stat()))

@@ -2,12 +2,17 @@ package session
 
 import (
 	"errors"
+	stdnet "net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"distkcore/internal/codec"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
+	"distkcore/internal/net"
 	"distkcore/internal/obs"
 	"distkcore/internal/shard"
 )
@@ -200,5 +205,75 @@ func TestSessionTracedEpochsIdentical(t *testing.T) {
 		if !seen[want] {
 			t.Fatalf("traced session missing %q spans; got %v", want, seen)
 		}
+	}
+}
+
+// A stat request is empty (DESIGN.md §8.2). The server answers an empty one
+// and refuses one that carries a body the way it refuses a malformed
+// subscribe: an error record, then the client is dropped — while it goes on
+// serving everyone else.
+func TestServeRefusesAStatRequestWithABody(t *testing.T) {
+	g := graph.BarabasiAlbert(200, 3, 5)
+	s, err := Open(g, Options{P: 2, Rounds: 8, Part: shard.Greedy{}, IOTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	dir, err := os.MkdirTemp("", "dkc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	ln, err := stdnet.Listen("unix", filepath.Join(dir, "ctl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() { served <- Serve(s.co, ln, nil) }()
+
+	dial := func() *net.Conn {
+		t.Helper()
+		nc, err := stdnet.Dial("unix", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net.NewConn(nc)
+	}
+	stat := func(c *net.Conn) {
+		t.Helper()
+		if err := c.Send(net.RecStat, nil); err != nil {
+			t.Fatal(err)
+		}
+		typ, body, err := c.AwaitRecord()
+		if err != nil || typ != net.RecStat {
+			t.Fatalf("stat request answered with record %d (%q), err %v", typ, body, err)
+		}
+		if st, err := codec.DecodeStat(body); err != nil || st.Nodes != g.N() {
+			t.Fatalf("stat reply %+v, err %v", st, err)
+		}
+	}
+	good, bad := dial(), dial()
+	defer good.Close()
+	defer bad.Close()
+	stat(good)
+
+	if err := bad.Send(net.RecStat, []byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	typ, body, err := bad.AwaitRecord()
+	if err != nil || typ != net.RecError || !strings.Contains(string(body), "stat request") {
+		t.Fatalf("a stat request with a body was answered with record %d (%q), err %v", typ, body, err)
+	}
+	if typ, _, err := bad.AwaitRecord(); err == nil {
+		t.Fatalf("the client that sent it was not dropped: record %d", typ)
+	}
+
+	stat(good)
+	if err := good.Send(net.RecBye, []byte("shutdown")); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
 }

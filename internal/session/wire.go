@@ -117,6 +117,10 @@ func DecodeSubscribeEcho(src []byte) (id int, err error) {
 	return id, d.Finish("subscribe")
 }
 
+// DecodeStatRequest checks a client's stat request body, which is empty
+// (DESIGN.md §8.2): the reply is codec.AppendStat's.
+func DecodeStatRequest(src []byte) error { return codec.NewDecoder(src).Finish("stat request") }
+
 // AppendNotify appends the wire encoding of n to dst: subscriber ID, epoch,
 // topic string, changes.
 func AppendNotify(dst []byte, n Notification) []byte {

@@ -198,7 +198,9 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 		}
 	}
 	*e.sm = sm
-	return d.Finish(rounds)
+	met := d.Finish(rounds)
+	d.Release()
+	return met
 }
 
 // assertRoundTrip decodes the entry just encoded and panics unless it is

@@ -171,31 +171,21 @@ func AppendMessage(dst []byte, lam quantize.Lambda, to graph.NodeID, m dist.Mess
 // consumed. Vec payloads are carved from a when non-nil (see VecArena for
 // the lifetime contract) and freshly allocated otherwise.
 func DecodeMessage(src []byte, lam quantize.Lambda, a *VecArena) (to graph.NodeID, m dist.Message, n int, err error) {
-	from, k := binary.Uvarint(src)
-	if k <= 0 {
-		return 0, m, 0, fmt.Errorf("shard: truncated frame message (from)")
-	}
-	n += k
-	if n >= len(src) {
-		return 0, m, 0, fmt.Errorf("shard: truncated frame message (tag)")
-	}
-	tag := src[n]
-	n++
+	// The addresses are read through codec.Decoder, which holds each to its
+	// one spelling: an overlong uvarint is an error, and so is one past the
+	// int range — a receiver there would wrap negative, onto Broadcast for
+	// one value, and no graph has such a node.
+	d := codec.NewDecoder(src)
+	m.From = d.Int()
+	tag := d.Byte()
 	to = Broadcast
 	if tag&tagBcast == 0 {
-		toU, k := binary.Uvarint(src[n:])
-		if k <= 0 {
-			return 0, m, 0, fmt.Errorf("shard: truncated frame message (to)")
-		}
-		// A receiver past the int range would wrap negative — onto Broadcast,
-		// for one value — and no graph has such a node.
-		if toU > math.MaxInt64 {
-			return 0, m, 0, fmt.Errorf("shard: frame message addresses node %d", toU)
-		}
-		to = graph.NodeID(toU)
-		n += k
+		to = d.Int()
 	}
-	m.From = graph.NodeID(from)
+	if err := d.Err(); err != nil {
+		return 0, dist.Message{}, 0, fmt.Errorf("shard: bad frame message address: %w", err)
+	}
+	n = len(src) - d.Rest()
 	if tag&tagKind != 0 {
 		if n >= len(src) {
 			return 0, m, 0, fmt.Errorf("shard: truncated frame message (kind)")

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -24,6 +25,8 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{0, byte(tagVec), 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})         // hostile vec length
 	f.Add([]byte{0, byte(tagBcast | tagVec), 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // the same on a broadcast entry
 	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0})                       // receiver 2⁶⁴−1: must not read as Broadcast
+	f.Add(append([]byte{0x83, 0x00, byte(tagBcast)}, make([]byte, 8)...))                                    // sender 3, overlong: 03 10 … is its one spelling
+	f.Add(append([]byte{3, 0, 0x87, 0x00}, make([]byte, 8)...))                                              // receiver 7, overlong
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, lam := range []quantize.Lambda{quantize.Reals{}, quantize.NewPowerGrid(0.5)} {
 			to, m, n, err := DecodeMessage(data, lam, nil)
@@ -35,6 +38,16 @@ func FuzzDecodeMessage(f *testing.F) {
 			}
 			if to < Broadcast {
 				t.Fatalf("decoded receiver %d is neither a node nor Broadcast", to)
+			}
+			// The addresses have one spelling: the sender's uvarint, the tag,
+			// then the receiver's unless the entry is a broadcast.
+			addr := binary.AppendUvarint(nil, uint64(m.From))
+			addr = append(addr, data[len(addr)])
+			if to != Broadcast {
+				addr = binary.AppendUvarint(addr, uint64(to))
+			}
+			if !bytes.HasPrefix(data, addr) {
+				t.Fatalf("(%d → %d) decoded from % x, whose addresses are not spelled % x", m.From, to, data, addr)
 			}
 			enc := AppendMessage(nil, lam, to, m)
 			to2, m2, n2, err := DecodeMessage(enc, lam, nil)
