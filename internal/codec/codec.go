@@ -5,8 +5,9 @@
 // is transmitted as its grid *index*, a small signed integer that varint-
 // encodes to 1–2 bytes; under Λ = ℝ the full float64 is shipped.
 //
-// Experiment E6 uses EncodedSize to report measured wire bytes next to the
-// information-theoretic estimate.
+// Every engine prices Metrics.WireBytes with SizeOf (dist.WireSize), which
+// experiment E6 reports next to the information-theoretic estimate;
+// EncodedSize is the encoder SizeOf is held to.
 package codec
 
 import (

@@ -399,15 +399,10 @@ type sim struct {
 }
 
 // newSim builds the sim of a run over the whole of g, in memory off the free
-// list when reuse is set and in new arrays otherwise.
-func newSim(g *graph.Graph, lam quantize.Lambda, factory Factory, reuse bool) *sim {
+// list.
+func newSim(g *graph.Graph, lam quantize.Lambda, factory Factory) *sim {
 	n := g.N()
-	s := &sim{g: g, lam: lam}
-	if reuse {
-		s.mem = takeMem(simShape{receivers: n, senders: n})
-	} else {
-		s.mem = new(simMem)
-	}
+	s := &sim{g: g, lam: lam, mem: takeMem(simShape{receivers: n, senders: n})}
 	s.reachOff, s.reachIx = g.PeerCSR()
 	s.alloc(n, n)
 	for v := range s.ctxs {
@@ -418,10 +413,9 @@ func newSim(g *graph.Graph, lam quantize.Lambda, factory Factory, reuse bool) *s
 }
 
 // newSubsetSim is newSim with the nodes own (ascending, distinct) for
-// receivers, always in memory off the free list: factory runs for them only,
-// and what the sim sizes follows their number, their degrees and the number
-// of nodes they can hear — except ix, four bytes a node of g, the price of
-// finding a node by its ID in O(1).
+// receivers: factory runs for them only, and what the sim sizes follows their
+// number, their degrees and the number of nodes they can hear — except ix,
+// four bytes a node of g, the price of finding a node by its ID in O(1).
 func newSubsetSim(g *graph.Graph, lam quantize.Lambda, own []graph.NodeID, factory Factory) *sim {
 	// The shape first — who can be heard is marked in a bitmap — so that the
 	// free list is searched for memory that fits it.

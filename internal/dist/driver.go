@@ -21,7 +21,7 @@ type Driver struct{ s *sim }
 // NewDriver instantiates one Program per node of g via factory and returns
 // the driver handle. lam prices Metrics.WireBytes (nil means Λ = ℝ).
 func NewDriver(g *graph.Graph, lam quantize.Lambda, factory Factory) *Driver {
-	return &Driver{s: newSim(g, lam, factory, true)}
+	return &Driver{s: newSim(g, lam, factory)}
 }
 
 // NewSubsetDriver is NewDriver for an engine that steps only the nodes own

@@ -56,7 +56,7 @@ func TestPeersMatchGraph(t *testing.T) {
 	b.AddUnitEdge(2, 2) // self-loop
 	b.AddUnitEdge(3, 1)
 	g := b.Build()
-	s := newSim(g, nil, func(v graph.NodeID) Program { return haltOnInit{} }, false)
+	s := newSim(g, nil, func(v graph.NodeID) Program { return haltOnInit{} })
 	want := [][]graph.NodeID{{1}, {0, 3}, {}, {1}, {}}
 	for v := 0; v < g.N(); v++ {
 		p := s.ctxs[v].Peers()
@@ -116,7 +116,7 @@ func BenchmarkSimSetup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := newSim(g, nil, func(v graph.NodeID) Program { return haltOnInit{} }, false)
+		s := newSim(g, nil, func(v graph.NodeID) Program { return haltOnInit{} })
 		if s.alive != g.N() {
 			b.Fatal("bad sim")
 		}

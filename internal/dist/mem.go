@@ -10,8 +10,9 @@ import (
 
 // This file is the free list of Driver memory (DESIGN.md §7, "What a streamed
 // op allocates"): the per-node arrays a sim sizes by its node counts, handed
-// from a Driver whose run is over (Driver.Release) to the next Driver built,
-// which clears what it takes. SeqEngine and ParEngine allocate theirs per run.
+// from a run that is over to the next sim built, which clears what it takes.
+// Every sim draws on it: SeqEngine and ParEngine release theirs when a run
+// returns, an engine on a Driver by Driver.Release.
 
 // simMem is the memory of one sim's per-node arrays: alloc's, and a subset
 // sim's own index and rows. A whole-graph sim takes none of the latter — its

@@ -214,7 +214,7 @@ type parRun struct {
 
 // Run implements Engine.
 func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
-	s := newSim(g, e.Lam, factory, false)
+	s := newSim(g, e.Lam, factory)
 	n := g.N()
 	w := e.W
 	if w <= 0 {
@@ -296,7 +296,11 @@ func (e ParEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 	if e.Stats != nil {
 		*e.Stats = ParStats{Workers: w}
 	}
-	return s.finish(rounds)
+	// The pool is parked and touches nothing of the sim on its way out, so
+	// the arrays go back before the teardown; a panic drops them instead.
+	met := s.finish(rounds)
+	s.release()
+	return met
 }
 
 // publish makes what the coordinator has written — a phase's job fields, or

@@ -33,7 +33,7 @@ func (e SeqEngine) WithWireLambda(lam quantize.Lambda) Engine {
 
 // Run implements Engine.
 func (e SeqEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
-	s := newSim(g, e.Lam, factory, false)
+	s := newSim(g, e.Lam, factory)
 	buf := gatherBufs.Get().(*[]Message)
 	defer gatherBufs.Put(buf)
 	rounds := 0
@@ -49,5 +49,7 @@ func (e SeqEngine) Run(g *graph.Graph, factory Factory, maxRounds int) Metrics {
 		sp.EndN(0, int64(stepped))
 		s.traceDeliver(e.Trace, t, nil)
 	}
-	return s.finish(rounds)
+	met := s.finish(rounds)
+	s.release() // a hook that panicked has dropped them instead
+	return met
 }

@@ -191,15 +191,18 @@ func (c *Conn) ReadRecord() (typ byte, body []byte, err error) {
 
 // rawReadRecord is ReadRecord without touching the deadline. Framing and
 // limits are codec.ReadRecord's: a uvarint payload length capped at
-// codec.MaxRecord, io.EOF untouched when the stream ends between records.
+// codec.MaxRecord. A link that ends or fails between records — no byte of the
+// next one read, as every link does at a run's teardown — returns the
+// connection's error untouched, io.EOF included; a record cut short is a
+// wrapped error.
 func (c *Conn) rawReadRecord() (typ byte, body []byte, err error) {
 	// The length prefix: parse what is buffered, read on while it is cut short.
 	var n uint64
 	var k int
 	for need := 1; k == 0; need = c.w - c.r + 1 {
 		if err := c.fill(need); err != nil {
-			if err == io.EOF && need == 1 {
-				return 0, nil, io.EOF
+			if need == 1 {
+				return 0, nil, err
 			}
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF

@@ -11,8 +11,9 @@
 // same inbox ordering, same Metrics — by construction:
 //
 //   - Every worker is handed the full (immutable) graph but builds run
-//     state for its shard alone: a dist.Driver over the nodes it owns, which
-//     it steps, and the nodes those can hear, whose sends it is told
+//     state for its shard alone, a shard.Local — the one the sharded engine
+//     runs P of: a dist.Driver over the nodes it owns, which it steps, and
+//     the nodes those can hear, whose sends it is told
 //     (dist.NewSubsetDriver; DESIGN.md §7). The handshake pins the inputs
 //     (graph.Fingerprint, shard.PartitionDigest, the threshold set Λ, the
 //     round budget) so no two processes can silently disagree.
@@ -22,7 +23,7 @@
 //     destination shard; its Driver prices its shard's share of the protocol
 //     Metrics — what its own nodes sent, a broadcast once × its fan-out —
 //     when it delivers. The frames are
-//     shard.Fanout.Emit over shard.AppendMessage (the lossless entry
+//     shard.Local.Emit over shard.AppendMessage (the lossless entry
 //     codec, byte-for-byte the sharded engine's format): a leading
 //     Broadcast as ONE broadcast entry per destination shard that holds a
 //     peer of the sender, everything else as one unicast entry per

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"distkcore/internal/codec"
-	"distkcore/internal/shard"
 )
 
 // This file is the relay frame plane (DESIGN.md §8.4), both halves: a
@@ -33,15 +32,16 @@ type relayWorker struct {
 func newRelayWorker(r *workerLoop) *relayWorker {
 	p := &relayWorker{r: r}
 	w, self := r.w, r.h.Shard
-	for q := range r.out {
-		if q == self {
+	for q, ps := range r.loc.Out {
+		if ps == nil {
 			continue
 		}
-		r.out[q] = &shard.PeerStream{Lam: r.lam, Limit: math.MaxInt, Flush: func(body []byte, count int) error {
+		ps.Limit = math.MaxInt
+		ps.Flush = func(body []byte, count int) error {
 			p.hdr = codec.AppendFrameHeader(p.hdr[:0], codec.FrameHeader{Src: self, Dst: q, Round: r.cur, Count: count})
 			p.sent, p.sentBytes = p.sent+1, p.sentBytes+int64(len(p.hdr)+len(body))
 			return w.c.WriteRecord(recFrame, p.hdr, body)
-		}}
+		}
 	}
 	return p
 }
@@ -50,7 +50,7 @@ func newRelayWorker(r *workerLoop) *relayWorker {
 // announcing how many went out.
 func (p *relayWorker) done(t, alive int) (bytes, msgs int64, err error) {
 	p.sent, p.sentBytes = 0, 0
-	for _, ps := range p.r.out {
+	for _, ps := range p.r.loc.Out {
 		if ps == nil {
 			continue
 		}
@@ -77,7 +77,7 @@ func (p *relayWorker) record(typ byte, body []byte) error {
 	if fh.Dst != r.h.Shard || fh.Src == r.h.Shard || fh.Src >= r.h.P || fh.Round != r.cur {
 		return fmt.Errorf("net: stray frame %+v at shard %d round %d", fh, r.h.Shard, r.cur)
 	}
-	if err := r.absorb(fh.Src, fh.Round, body[k:], fh.Count); err != nil {
+	if err := r.loc.Absorb(fh.Src, fh.Round, body[k:], fh.Count); err != nil {
 		return err
 	}
 	p.framesIn++

@@ -2,10 +2,12 @@ package net
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	stdnet "net"
 	"runtime"
 	"testing"
 
-	"distkcore/internal/codec"
 	"distkcore/internal/core"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
@@ -30,15 +32,15 @@ func allocated(fn func()) uint64 {
 }
 
 // workerSetupBytes returns what each of the p workers of a run on g allocates
-// for the state workerLoop.build makes — step list, fan-out rows, Driver —
-// with the given factory.
+// for the run state shard.NewLocal makes — step list, fan-out rows, Driver,
+// streams and arenas — with the given factory.
 func workerSetupBytes(g *graph.Graph, part shard.Partitioner, p int, factory dist.Factory) []uint64 {
 	assign := part.Partition(g, p)
 	out := make([]uint64, p)
 	for q := range out {
-		r := &workerLoop{h: &codec.Hello{P: p, Shard: q}, lam: quantize.Reals{}, assign: assign}
-		out[q] = allocated(func() { r.build(g, factory) })
-		runtime.KeepAlive(r)
+		var l *shard.Local
+		out[q] = allocated(func() { l = shard.NewLocal(g, assign, p, q, quantize.Reals{}, factory) })
+		runtime.KeepAlive(l)
 	}
 	return out
 }
@@ -63,7 +65,7 @@ func (e factoryOf) Run(_ *graph.Graph, factory dist.Factory, _ int) dist.Metrics
 func TestWorkerSetupBytesScaleWithShard(t *testing.T) {
 	// Every Driver here is built in new memory, and none is released.
 	emptyFreeList()
-	idle := func(graph.NodeID) dist.Program { return emitProg{} } // zero-size: the runtime's own bytes
+	idle := func(graph.NodeID) dist.Program { return flood{} } // zero-size: the runtime's own bytes
 	cave := graph.Caveman(800, 10)
 	at := func(p int) uint64 {
 		var worst uint64
@@ -156,5 +158,23 @@ func TestConnBuffersFollowTraffic(t *testing.T) {
 		a.Close()
 		b.Close()
 		cleanup()
+	}
+}
+
+// A link that closes between records — every link at a run's teardown —
+// returns the connection's own error, unwrapped and at no allocation: no
+// error is formatted that no one reads on a clean run.
+func TestLinkClosedBetweenRecordsCostsNothing(t *testing.T) {
+	a, b := stdnet.Pipe()
+	defer b.Close()
+	c := NewConn(a)
+	a.Close()
+	var err error
+	allocs := testing.AllocsPerRun(100, func() { _, _, err = c.ReadRecord() })
+	if !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("read on a closed pipe end: %v, want io.ErrClosedPipe", err)
+	}
+	if allocs != 0 {
+		t.Errorf("a read on a closed link allocates %.0f times, want 0", allocs)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"distkcore/internal/codec"
-	"distkcore/internal/dist"
-	"distkcore/internal/graph"
 	"distkcore/internal/obs"
 	"distkcore/internal/shard"
 )
@@ -48,7 +46,7 @@ func newStreamWorker(r *workerLoop) (*streamWorker, error) {
 	m := newMesh(meshConfig{
 		Self: h.Shard, P: h.P, Gen: w.MeshGen, Ends: h.MaxRounds + 1, Timeout: w.IOTimeout,
 		Dial: w.MeshDial, Accept: w.MeshAccept, CloseAccept: w.MeshClose,
-		Deliver: r.absorb,
+		Deliver: r.loc.Absorb,
 	})
 	if err := m.form(); err != nil {
 		m.Close()
@@ -58,14 +56,14 @@ func newStreamWorker(r *workerLoop) (*streamWorker, error) {
 	if chunk <= 0 {
 		chunk = shard.DefaultChunkBytes
 	}
-	rows := r.fan.Rows(h.P)
-	for q := range r.out {
-		if q == h.Shard {
+	rows := r.loc.Fan.Rows(h.P)
+	for q, ps := range r.loc.Out {
+		if ps == nil {
 			continue
 		}
-		r.out[q] = &shard.PeerStream{Lam: r.lam, Limit: chunk,
-			Flush: func(body []byte, count int) error { return m.sendChunk(q, body, count) }}
-		r.out[q].Reserve(rows[q], len(r.assign))
+		ps.Limit = chunk
+		ps.Flush = func(body []byte, count int) error { return m.sendChunk(q, body, count) }
+		ps.Reserve(rows[q], len(w.assign))
 	}
 	return &streamWorker{r: r, m: m}, nil
 }
@@ -160,33 +158,28 @@ func (p *streamWorker) run(maxRounds int) (rounds int, halted bool, err error) {
 // again — the inbound flows are whole, their volume recorded; deliver, the ack
 // queued behind it (it rides the next done record's flush, or the run's last).
 func (p *streamWorker) round(t int) (alive int, err error) {
-	r, w, self := p.r, p.r.w, p.r.h.Shard
+	r, w, self, l := p.r, p.r.w, p.r.h.Shard, p.r.loc
 	r.cur = t
 	// The arena slot recycles under the mesh mutex, before the round advances.
 	rv := w.Trace.Begin(obs.PhaseRecv, t, self)
-	err = p.m.beginRound(t, func() { r.resetArenas(t) })
+	err = p.m.beginRound(t, func() { l.ResetArenas(t) })
 	rv.End()
 	if err != nil {
 		return 0, err
 	}
 	sp := w.Trace.Begin(obs.PhaseStep, t, self)
-	sp.EndN(0, int64(r.d.StepList(r.local, t))) // hooks run, as on seq and par
+	sp.EndN(0, int64(l.D.StepList(l.Own, t))) // hooks run, as on seq and par
 	out := w.Trace.Begin(obs.PhaseSend, t, self)
-	r.fan.Emit(r.d, func(q int, to graph.NodeID, m dist.Message) {
-		if err == nil {
-			err = r.out[q].Append(to, m)
-		}
-	})
-	if err != nil {
+	if err := l.Emit(); err != nil {
 		return 0, err
 	}
 	// The ledger prices logical frame bytes (one relay-style header + bodies
 	// per nonempty flow): ShardMetrics stays bit-equal to the relay plane's.
-	own := r.d.Alive()
+	own := l.D.Alive()
 	var bytes, msgs int64
 	p.sent = p.sent[:0]
-	for q, ps := range r.out {
-		if q == self {
+	for q, ps := range l.Out {
+		if ps == nil {
 			continue
 		}
 		if err := ps.Finish(); err != nil {
@@ -223,7 +216,7 @@ func (p *streamWorker) round(t int) (alive int, err error) {
 	r.chain = foldU64(r.chain, dig)
 	rv.EndN(rb, rc)
 	dl := w.Trace.Begin(obs.PhaseDeliver, t, self)
-	r.d.Deliver(nil)
+	l.D.Deliver(nil)
 	dl.End()
 	p.m.mu.Lock()
 	wire := p.m.wire

@@ -37,13 +37,14 @@ func foldFrame(h uint64, body []byte) uint64 {
 // dist.Engine whose Run participates in one coordinated run over a
 // connection instead of driving rounds itself. It is handed the whole graph
 // and the whole shard assignment (shipping it only its slice is ROADMAP item
-// 5c) but builds run state for its shard alone: a dist.Driver over the nodes
-// the hello's shard index assigns to it and the nodes those can hear
-// (dist.NewSubsetDriver), and a shard.Fanout with rows for the former. It
-// steps its own nodes and injects what the other shards sent it — relayed by
-// the coordinator or streamed by the peers — into the Driver as those
-// senders' own sends, so its local delivery is byte-identical to the global
-// execution (see the package comment for the argument).
+// 5c) but builds run state for its shard alone, a shard.Local: a
+// dist.Driver over the nodes the hello's shard index assigns to it and the
+// nodes those can hear (dist.NewSubsetDriver), and a shard.Fanout with rows
+// for the former. It steps its own nodes and injects what the other shards
+// sent it — relayed by the coordinator or streamed by the peers — into the
+// Driver as those senders' own sends, so its local delivery is
+// byte-identical to the global execution (see the package comment for the
+// argument).
 //
 // The in-process Engine constructs Workers itself. cmd/cluster uses one
 // directly: read the hello with ReadHello, resolve graph/partition/
@@ -125,37 +126,18 @@ func (w *Worker) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	return met
 }
 
-// workerLoop is one worker's run state under the round loop: the driver —
-// which prices this shard's share of the protocol metrics, what its own
-// nodes sent — the frame chain, and the outbound streams that feed the frame
-// plane.
+// workerLoop is one worker's run state under the round loop: the shard's
+// shard.Local, whose Driver prices this shard's share of the protocol
+// metrics — what its own nodes sent — and the frame chain.
 type workerLoop struct {
-	w      *Worker
-	h      *codec.Hello
-	lam    quantize.Lambda
-	d      *dist.Driver
-	local  []graph.NodeID // ascending — the shard's step order
-	assign []int
-	// fan says which shards a local node's leading broadcast is framed for.
-	fan *shard.Fanout
+	w   *Worker
+	h   *codec.Hello
+	loc *shard.Local
 	// plane is a relayed run's frame plane under the barrier loop; a streamed
-	// worker has none — streamWorker closes its rounds on the mesh.
+	// worker has none — streamWorker closes its rounds on the mesh. Either
+	// sets loc.Out's Flush hooks: in chunks as they are produced on the mesh,
+	// as the one frame of the round on the relay.
 	plane *relayWorker
-	// out[q] encodes the round's messages toward shard q (nil for this
-	// shard) and hands them to the plane through its Flush hook: in chunks
-	// as they are produced on the mesh, as the one frame of the round on the
-	// relay.
-	out []*shard.PeerStream
-
-	// arenas[src] holds the Vec payloads decoded from src's flows. They live
-	// exactly one round, but round t's flows can arrive while round t-1's
-	// vectors are still feeding local hooks — so the arenas double-buffer by
-	// round parity: slot t%2 is reset when round t opens, when its round t-2
-	// tenants are provably dead. One pair per source keeps concurrent
-	// decodes (streamed mesh readers) disjoint. Nil under CheckVecAliasing,
-	// which re-hashes delivered Vecs one delivery later: every Vec then gets
-	// a fresh allocation instead.
-	arenas [][2]*shard.VecArena
 
 	// chain is the frame-chain digest over everything received so far.
 	chain uint64
@@ -170,73 +152,21 @@ type workerLoop struct {
 	bw obs.SpanRef
 }
 
-// resetArenas recycles the arena slot round t decodes into.
-func (r *workerLoop) resetArenas(t int) {
-	for i := range r.arenas {
-		r.arenas[i][t&1].Reset()
-	}
-}
-
-// absorb decodes count entries shard src sent this worker in the given round
-// and injects each into the Driver as a send of its remote sender, validating
-// that every sender belongs to src and every unicast recipient to this shard
-// before Inject refuses what the sender's hook cannot have produced — an entry
-// of a sender with no peer here among it: the Driver holds no state for one,
-// and who receives a broadcast is read off this worker's own graph, never off
-// the wire. Mesh readers call it while the loop steps the round's local nodes
-// (see Inject); the round's close orders them all before Deliver.
-func (r *workerLoop) absorb(src, round int, body []byte, count int) error {
-	var ar *shard.VecArena
-	if r.arenas != nil {
-		ar = r.arenas[src][round&1]
-	}
-	assign, self, cnt := r.assign, r.h.Shard, 0
-	n := len(assign)
-	for len(body) > 0 {
-		to, m, used, err := shard.DecodeMessage(body, r.lam, ar)
-		if err != nil {
-			return err
-		}
-		body = body[used:]
-		u := m.From
-		switch {
-		case u < 0 || u >= n || assign[u] != src:
-			return fmt.Errorf("net: flow %d→%d carries sender %d not owned by shard %d", src, self, u, src)
-		case to != shard.Broadcast && (to >= n || assign[to] != self):
-			return fmt.Errorf("net: flow %d→%d addresses node %d outside shard %d", src, self, to, self)
-		}
-		if err := r.d.Inject(u, to, m); err != nil {
-			return fmt.Errorf("net: flow %d→%d carries an entry its sender cannot have sent: %w", src, self, err)
-		}
-		cnt++
-	}
-	if cnt != count {
-		return fmt.Errorf("net: flow %d→%d decoded %d messages, header says %d", src, self, cnt, count)
-	}
-	return nil
-}
-
 // step runs the local half of relayed round t: the step hooks, then the tap that
 // frames the cross-shard subset of what they sent for the plane
-// (shard.Fanout.Emit), then the done record; the Driver prices the shard's
+// (shard.Local.Emit), then the done record; the Driver prices the shard's
 // share of the protocol Metrics when it delivers.
 func (r *workerLoop) step(t int) error {
-	w, self := r.w, r.h.Shard
+	w, self, l := r.w, r.h.Shard, r.loc
 	r.cur = t
-	r.resetArenas(t)
+	l.ResetArenas(t)
 	sp := w.Trace.Begin(obs.PhaseStep, t, self)
-	sp.EndN(0, int64(r.d.StepList(r.local, t))) // hooks run, as on seq and par
+	sp.EndN(0, int64(l.D.StepList(l.Own, t))) // hooks run, as on seq and par
 	out := w.Trace.Begin(obs.PhaseEncode, t, self)
-	var serr error
-	r.fan.Emit(r.d, func(q int, to graph.NodeID, m dist.Message) {
-		if serr == nil {
-			serr = r.out[q].Append(to, m)
-		}
-	})
-	if serr != nil {
-		return serr
+	if err := l.Emit(); err != nil {
+		return err
 	}
-	bytes, msgs, err := r.plane.done(t, r.d.Alive())
+	bytes, msgs, err := r.plane.done(t, l.D.Alive())
 	if err != nil {
 		return err
 	}
@@ -248,7 +178,7 @@ func (r *workerLoop) step(t int) error {
 	return nil
 }
 
-// finish is the receive half of relayed round t: absorb has put the remote
+// finish is the receive half of relayed round t: Absorb has put the remote
 // sends into the Driver's slots and queues by the time the release arrives —
 // Deliver every local inbox in the global deterministic order (ascending
 // sender, ties in send order).
@@ -260,7 +190,7 @@ func (r *workerLoop) finish(t int, rel []byte) error {
 		return err
 	}
 	dl := w.Trace.Begin(obs.PhaseDeliver, t, r.h.Shard)
-	r.d.Deliver(nil)
+	r.loc.D.Deliver(nil)
 	dl.End()
 	return nil
 }
@@ -302,15 +232,8 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 		return dist.Metrics{}, fmt.Errorf("net: partition digest mismatch (coordinator %#x, worker %#x)", h.PartDigest, shard.PartitionDigest(assign))
 	}
 
-	r := &workerLoop{w: w, h: h, lam: lam, assign: assign,
-		out: make([]*shard.PeerStream, h.P), chain: frameChainSeed, cur: -1}
-	r.build(g, factory)
-	if !dist.CheckVecAliasing {
-		r.arenas = make([][2]*shard.VecArena, h.P)
-		for i := range r.arenas {
-			r.arenas[i][0], r.arenas[i][1] = new(shard.VecArena), new(shard.VecArena)
-		}
-	}
+	r := &workerLoop{w: w, h: h, loc: shard.NewLocal(g, assign, h.P, h.Shard, lam, factory),
+		chain: frameChainSeed, cur: -1}
 	var mesh *streamWorker
 	if h.Stream {
 		// The mesh forms before the welcome — the coordinator treats the
@@ -334,7 +257,7 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 		Shard:      h.Shard,
 		GraphHash:  h.GraphHash,
 		PartDigest: h.PartDigest,
-		Nodes:      len(r.local),
+		Nodes:      len(r.loc.Own),
 	})); err != nil {
 		return dist.Metrics{}, err
 	}
@@ -402,34 +325,13 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 // hooks ran on this goroutine, and every inbound flow of the last round has
 // ended, so all a kept mesh still reads is repeats its gates drop.
 func (r *workerLoop) report(rounds int, halted bool) (dist.Metrics, error) {
-	met := r.d.Finish(rounds)
-	r.d.Release()
+	met := r.loc.D.Finish(rounds)
+	r.loc.D.Release()
 	met.Halted = halted
 	var buf [3*binary.MaxVarintLen64 + 8]byte
 	enc := codec.AppendMetrics(buf[:0], codec.Metrics{Messages: met.Messages, Words: met.Words,
 		WireBytes: met.WireBytes, Chain: r.chain})
 	return met, r.w.c.Send(recMetrics, enc)
-}
-
-// build makes the run state that follows the shard, not the graph
-// (TestWorkerSetupBytesScaleWithShard): the step list, sized by one counting
-// pass over the assignment; the fan-out rows of its nodes; a Driver over them
-// and the nodes they can hear.
-func (r *workerLoop) build(g *graph.Graph, factory dist.Factory) {
-	self, cnt := r.h.Shard, 0
-	for _, q := range r.assign {
-		if q == self {
-			cnt++
-		}
-	}
-	r.local = make([]graph.NodeID, 0, cnt)
-	for v, q := range r.assign {
-		if q == self {
-			r.local = append(r.local, v)
-		}
-	}
-	r.fan = shard.NewFanout(g, r.assign, r.h.P, r.local)
-	r.d = dist.NewSubsetDriver(g, r.lam, r.local, factory)
 }
 
 // SendValues ships the values of this worker's local nodes (vals is the

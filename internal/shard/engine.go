@@ -5,23 +5,23 @@ import (
 	"math"
 	"sync"
 
-	"distkcore/internal/codec"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
 	"distkcore/internal/obs"
 	"distkcore/internal/quantize"
 )
 
-// Engine is the sharded cluster engine. It implements dist.Engine on a
-// dist.Driver: P worker goroutines each step the nodes of one shard
-// (ascending ID within the shard) and frame what they sent across shard
-// boundaries, a barrier closes the round, and the coordinator prices the
-// frames and delivers single-threaded. Every frame entry is decoded back
-// and held bit for bit to the message it was encoded from (a difference
-// panics), so the bytes accounted in ShardMetrics are exactly bytes the
-// execution could have run on. Executions are byte-identical to
-// dist.SeqEngine's (the dist package's determinism contract; asserted by
-// this package's equivalence tests).
+// Engine is the sharded cluster engine: a dist.Engine that runs P shards in
+// one process, one worker goroutine and one Local — the run state an
+// internal/net worker holds — each. A round: every shard steps its own nodes
+// (ascending ID) and frames what they sent across shard boundaries, each
+// frame handed whole to the shard it is for, which decodes it into its Driver
+// (Local.Absorb); a barrier; every shard delivers its own inboxes; the round
+// closes on the alive count summed over the shards. The decoded entries are
+// what the receiving shard runs on, so a frame codec that lost a bit would
+// show as a divergence from dist.SeqEngine, to which this package's
+// equivalence tests hold every execution byte for byte, as internal/net's do
+// theirs. ShardMetrics prices each frame as the net planes do.
 //
 // Obtain one with NewEngine; the zero value is not usable.
 type Engine struct {
@@ -32,11 +32,10 @@ type Engine struct {
 	// copies WithWireLambda hands to protocol drivers share the sink and
 	// the caller's handle still observes the run.
 	sm *ShardMetrics
-	// trace, when set, records per-shard step and encode spans, the
-	// coordinator's barrier-wait and deliver spans, and one Flow per
-	// non-empty frame at flush. It observes the ledgers the run already
-	// keeps, so a traced run is byte-identical to an untraced one (obs
-	// package comment).
+	// trace, when set, records per-shard step, encode and deliver spans, the
+	// coordinator's barrier-wait span, and one Flow per non-empty frame. It
+	// observes the ledgers the run already keeps, so a traced run is
+	// byte-identical to an untraced one (obs package comment).
 	trace *obs.Tracer
 }
 
@@ -94,129 +93,110 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	if err != nil {
 		panic(err.Error())
 	}
-	shards := make([][]graph.NodeID, p)
-	for v, s := range assign { // ascending v ⇒ ascending IDs within a shard
-		shards[s] = append(shards[s], v)
-	}
-
 	sm := ShardMetrics{P: p, PerShardBytes: make([]int64, p), EdgeCutFraction: CutFraction(g, assign)}
-
-	d := dist.NewDriver(g, lam, factory)
-
-	// frames[s*p+q] batches this round's s→q traffic. Shard s's worker
-	// frames its own nodes' sends right after stepping them (Fanout.Emit:
-	// one entry per destination shard for a leading broadcast, one per
-	// cross-shard recipient for everything else), so row s of the matrix
-	// has one writer. Every entry is decoded again on the spot and held to
-	// the message it encodes, bit for bit — the round trip that ties the
-	// bytes accounted to the execution. The buffer matrix comes from a
-	// sync.Pool, so repeated runs reuse the grown encode buffers instead of
-	// allocating fresh ones.
-	fs := getFrameSet(p)
-	defer putFrameSet(fs)
-	frames := fs.frames
-	// flush closes the round's frames: prices each non-empty one (header +
-	// body) and its entries into the shard ledgers, emits its Flow record,
-	// and resets the buffers.
-	flush := func(round int) {
-		for s := 0; s < p; s++ {
-			for q := 0; q < p; q++ {
-				fb := &frames[s*p+q]
-				if fb.count == 0 {
-					continue
-				}
-				n := int64(codec.FrameHeaderSize(codec.FrameHeader{
-					Src: s, Dst: q, Round: round, Count: fb.count,
-				})) + int64(len(fb.buf))
-				sm.CrossMessages += int64(fb.count)
-				sm.CrossFrameBytes += n
-				sm.PerShardBytes[s] += n
-				e.trace.Flow(round, s, q, n, int64(fb.count))
-				fb.buf = fb.buf[:0]
-				fb.count = 0
+	entries := make([]int64, p) // frame entries shard s sent; its bytes are PerShardBytes[s]
+	locals := make([]*Local, p)
+	for s := range locals {
+		locals[s] = NewLocal(g, assign, p, s, lam, factory)
+	}
+	// cur is the round in flight. The coordinator sets it while every worker
+	// is parked; the hand-off on work orders it before the workers read it.
+	cur := 0
+	for s, l := range locals {
+		rows := l.Fan.Rows(p)
+		for q, ps := range l.Out {
+			if ps != nil { // one frame a pair a round, as on the relay plane
+				ps.Limit = math.MaxInt
+				ps.Flush = func(body []byte, count int) error { return locals[q].Absorb(s, cur, body, count) }
+				ps.Reserve(rows[q], g.N())
 			}
 		}
 	}
-
-	// One worker per shard; a round value on the work channel means "step
-	// your nodes, then frame what they sent" (0 = Init). The WaitGroup is
-	// the per-round barrier and the happens-before edge that makes the
-	// coordinator's flush and Deliver safe.
-	work := make([]chan int, p)
-	var wg sync.WaitGroup
-	for s := 0; s < p; s++ {
-		work[s] = make(chan int, 1)
-		go func(s int) {
-			row := frames[s*p : (s+1)*p]
-			fan := NewFanout(g, assign, p, shards[s])
-			var scratch VecArena // the check's decoded Vecs, dead after each entry
-			entry := func(q int, to graph.NodeID, m dist.Message) {
-				fb := &row[q]
-				start := len(fb.buf)
-				fb.buf = AppendMessage(fb.buf, lam, to, m)
-				fb.count++
-				scratch.Reset()
-				assertRoundTrip(fb.buf[start:], lam, &scratch, to, m)
+	// send hands every peer shard s's frame of round t, each absorbed before
+	// the next is framed, and prices it as the streamed worker does.
+	send := func(s, t int) (bytes, msgs int64) {
+		l := locals[s]
+		if err := l.Emit(); err != nil {
+			panic(err.Error())
+		}
+		for q, ps := range l.Out {
+			if ps == nil || ps.Msgs == 0 {
+				continue
 			}
-			for t := range work[s] {
-				sp := e.trace.Begin(obs.PhaseStep, t, s)
-				sp.EndN(0, int64(d.StepList(shards[s], t))) // hooks run, as on seq and par
-				enc := e.trace.Begin(obs.PhaseEncode, t, s)
-				fan.Emit(d, entry)
-				enc.End()
+			if err := ps.Finish(); err != nil {
+				panic(err.Error())
+			}
+			lb := LogicalFrameBytes(s, q, t, ps.Msgs, ps.BodyBytes)
+			e.trace.Flow(t, s, q, lb, int64(ps.Msgs))
+			bytes, msgs = bytes+lb, msgs+int64(ps.Msgs)
+			ps.Reset()
+		}
+		sm.PerShardBytes[s] += bytes
+		entries[s] += msgs
+		return bytes, msgs
+	}
+
+	// One worker per shard: false on its work channel means "step your nodes,
+	// then send", true "deliver your inboxes". The WaitGroup is the barrier
+	// after each phase and the happens-before edge between them.
+	work := make([]chan bool, p)
+	var wg sync.WaitGroup
+	for s := range locals {
+		work[s] = make(chan bool, 1)
+		go func() {
+			l := locals[s]
+			for deliver := range work[s] {
+				t := cur
+				if deliver {
+					dl := e.trace.Begin(obs.PhaseDeliver, t, s)
+					l.D.Deliver(nil)
+					dl.End()
+				} else {
+					sp := e.trace.Begin(obs.PhaseStep, t, s)
+					sp.EndN(0, int64(l.D.StepList(l.Own, t))) // hooks run, as on seq and par
+					enc := e.trace.Begin(obs.PhaseEncode, t, s)
+					enc.EndN(send(s, t))
+				}
 				wg.Done()
 			}
-		}(s)
+		}()
 	}
-	step := func(t int) {
+	phase := func(deliver bool) {
 		wg.Add(p)
-		for s := 0; s < p; s++ {
-			work[s] <- t
+		for _, w := range work {
+			w <- deliver
+		}
+		wg.Wait()
+	}
+
+	rounds, alive := 0, 0
+	for t := 0; t == 0 || (t <= maxRounds && alive > 0); t++ {
+		rounds, cur = t, t
+		for _, l := range locals {
+			l.ResetArenas(t)
 		}
 		bw := e.trace.Begin(obs.PhaseBarrierWait, t, -1)
-		wg.Wait()
+		phase(false)
 		bw.End()
-		cb0, cm0 := sm.CrossFrameBytes, sm.CrossMessages
-		dl := e.trace.Begin(obs.PhaseDeliver, t, -1)
-		flush(t)
-		d.Deliver(nil)
-		dl.EndN(sm.CrossFrameBytes-cb0, sm.CrossMessages-cm0)
-	}
-
-	step(0)
-	rounds := 0
-	for t := 1; t <= maxRounds && d.Alive() > 0; t++ {
-		rounds = t
-		step(t)
-	}
-	for s := 0; s < p; s++ {
-		close(work[s])
-	}
-	for _, b := range sm.PerShardBytes {
-		if b > sm.MaxShardBytes {
-			sm.MaxShardBytes = b
+		phase(true)
+		alive = 0
+		for _, l := range locals {
+			alive += l.D.Alive()
 		}
 	}
+	for _, w := range work {
+		close(w)
+	}
+	var met dist.Metrics
+	for s, l := range locals {
+		m := l.D.Finish(rounds)
+		l.D.Release()
+		met.Messages, met.Words, met.WireBytes = met.Messages+m.Messages, met.Words+m.Words, met.WireBytes+m.WireBytes
+		sm.CrossMessages += entries[s]
+		sm.CrossFrameBytes += sm.PerShardBytes[s]
+		sm.MaxShardBytes = max(sm.MaxShardBytes, sm.PerShardBytes[s])
+	}
+	met.Rounds, met.Halted = rounds, alive == 0
 	*e.sm = sm
-	met := d.Finish(rounds)
-	d.Release()
 	return met
-}
-
-// assertRoundTrip decodes the entry just encoded and panics unless it is
-// exactly (to, m) and nothing more: a codec that lost a bit would otherwise
-// only show on the surfaces that deliver the decoded bytes.
-func assertRoundTrip(enc []byte, lam quantize.Lambda, a *VecArena, to graph.NodeID, m dist.Message) {
-	dto, dm, n, err := DecodeMessage(enc, lam, a)
-	if err != nil {
-		panic("shard: frame codec round trip failed: " + err.Error())
-	}
-	same := n == len(enc) && dto == to && dm.From == m.From && dm.Kind == m.Kind && dm.I0 == m.I0 &&
-		math.Float64bits(dm.F0) == math.Float64bits(m.F0) && len(dm.Vec) == len(m.Vec)
-	for i := 0; same && i < len(m.Vec); i++ {
-		same = math.Float64bits(dm.Vec[i]) == math.Float64bits(m.Vec[i])
-	}
-	if !same {
-		panic(fmt.Sprintf("shard: frame codec round trip changed an entry: (%d, %+v) decoded as (%d, %+v)", to, m, dto, dm))
-	}
 }

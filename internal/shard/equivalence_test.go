@@ -106,3 +106,20 @@ func TestFramingDoesNotPerturbProtocolMetrics(t *testing.T) {
 		t.Fatalf("implausible edge cut %v", sm.EdgeCutFraction)
 	}
 }
+
+// With the runtime re-hashing every delivered Vec one delivery later
+// (dist.CheckVecAliasing), a weak-densest run — whose Vecs cross the shards
+// as frame entries and are decoded into the receiving shard's Driver — must
+// still be seq's execution: no Vec, sent or decoded, is rewritten while an
+// inbox holds it. The arenas stand aside under the check (Local); the
+// equivalence tests above run them.
+func TestVecAliasingCheckCleanOverShards(t *testing.T) {
+	dist.CheckVecAliasing = true
+	defer func() { dist.CheckVecAliasing = false }()
+	g := graph.BarabasiAlbert(80, 3, 3)
+	ref, refMet := densest.RunWeakDistributed(g, densest.Config{Gamma: 3}, dist.SeqEngine{})
+	res, met := densest.RunWeakDistributed(g, densest.Config{Gamma: 3}, NewEngine(3, Hash{}))
+	if met != refMet || !reflect.DeepEqual(res, ref) {
+		t.Fatalf("aliasing-checked shard run diverges from seq")
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 
 	"distkcore/internal/codec"
 	"distkcore/internal/dist"
@@ -35,13 +34,14 @@ import (
 // the engine's Λ: codec.RoundTrips decides per value whether the grid code
 // reproduces the exact bit pattern, and the raw escape (tagRawF0) covers
 // everything else. That is what keeps a run whose traffic crossed the wire
-// byte-identical to dist.SeqEngine — the engine here asserts the round trip
-// on every entry it accounts, internal/net delivers the decoded bytes.
+// byte-identical to dist.SeqEngine: every surface, this package's Engine
+// included, delivers the decoded bytes.
 //
 // AppendMessage and DecodeMessage are exported because the real-socket
 // cluster transport (internal/net) ships the exact same body encoding over
 // its connections; the frame bytes a socket carries are byte-for-byte the
-// frame bytes this engine accounts (asserted by internal/net's tests).
+// frame bytes this package's Engine hands over in memory (asserted by
+// internal/net's tests).
 const (
 	tagKind  = 1 << 0 // Kind ≠ 0 follows
 	tagI0    = 1 << 1 // I0 ≠ 0 follows
@@ -53,41 +53,6 @@ const (
 // Broadcast is the `to` of a broadcast entry: what AppendMessage takes to
 // write one and what DecodeMessage reports for one.
 const Broadcast graph.NodeID = -1
-
-// frameBuf accumulates one shard pair's entries for the current round; the
-// header is accounted when the frame is flushed.
-type frameBuf struct {
-	buf   []byte
-	count int
-}
-
-// frameSet is the p×p matrix of frame buffers of one run. Sets are recycled
-// through framePool so the encode buffers — grown to each shard pair's
-// steady-state frame size — survive across runs instead of being
-// reallocated per Engine.Run.
-type frameSet struct {
-	frames []frameBuf
-}
-
-var framePool = sync.Pool{New: func() any { return new(frameSet) }}
-
-// getFrameSet returns a frame matrix for p shards with every buffer empty.
-// Return it with putFrameSet when the run is done.
-func getFrameSet(p int) *frameSet {
-	fs := framePool.Get().(*frameSet)
-	if cap(fs.frames) < p*p {
-		fs.frames = make([]frameBuf, p*p)
-		return fs
-	}
-	fs.frames = fs.frames[:p*p]
-	for i := range fs.frames {
-		fs.frames[i].buf = fs.frames[i].buf[:0]
-		fs.frames[i].count = 0
-	}
-	return fs
-}
-
-func putFrameSet(fs *frameSet) { framePool.Put(fs) }
 
 // VecArena recycles the []float64 payloads DecodeMessage materializes for
 // Vec-carrying messages. Decoded Vecs live exactly one round — they sit in

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"distkcore/internal/codec"
 	"distkcore/internal/dist"
+	"distkcore/internal/graph"
 	"distkcore/internal/quantize"
 )
 
@@ -88,5 +90,98 @@ func FuzzDecodeDelta(f *testing.F) {
 		if enc := AppendDelta(nil, budget, d); !bytes.Equal(enc, data) {
 			t.Fatalf("delta re-encodes to %x, decoded from %x", enc, data)
 		}
+	})
+}
+
+// emitProg opens its round with a Broadcast and follows it with a Send to
+// its lowest peer, Vec payloads on both for even nodes: every kind of entry
+// Fanout.Emit frames.
+type emitProg struct{}
+
+func (emitProg) Round(*dist.Ctx, []dist.Message) {}
+func (emitProg) Init(c *dist.Ctx) {
+	var vec []float64
+	if c.ID()%2 == 0 {
+		vec = []float64{1, 2.5}
+	}
+	c.Broadcast(dist.Message{F0: 1.5, Vec: vec})
+	if ps := c.Peers(); len(ps) > 0 {
+		c.Send(ps[0], dist.Message{Kind: 2, I0: -3, F0: float64(c.ID()), Vec: vec})
+	}
+}
+
+// FuzzAbsorb feeds arbitrary bytes, as the body of one chunk of the flow
+// 0→1, to a shard's whole receive path (Local.Absorb) — entry decode,
+// validation against the shard's own partition, dist.Driver.Inject into a
+// Driver that holds shard 1's nodes and the ones they can hear — and then
+// closes the round over whatever got in. A body is absorbed or refused with an error, never a panic
+// or an index past the Driver's arrays, under both wire-capable threshold
+// sets; an absorbed body holds exactly the announced number of entries.
+func FuzzAbsorb(f *testing.F) {
+	b := graph.NewBuilder(6)
+	for _, e := range [][2]int{{0, 3}, {3, 0}, {1, 3}, {1, 4}, {1, 2}, {2, 2}, {3, 4}, {4, 5}, {5, 5}} {
+		b.AddUnitEdge(e[0], e[1]) // a parallel edge and self-loops; node 2 has no peer in shard 1
+	}
+	g, assign := b.Build(), []int{0, 0, 0, 1, 1, 1}
+	fan := NewFanout(g, assign, 2, []graph.NodeID{0, 1, 2})
+	lams := []quantize.Lambda{quantize.Reals{}, quantize.NewPowerGrid(0.5)}
+	shard1 := func(lam quantize.Lambda) *Local {
+		return NewLocal(g, assign, 2, 1, lam, func(graph.NodeID) dist.Program { return emitProg{} })
+	}
+	// Seeds: what shard 0 really frames toward shard 1 after a round of
+	// emitProg, under each Λ.
+	for i, lam := range lams {
+		d := dist.NewDriver(g, lam, func(graph.NodeID) dist.Program { return emitProg{} })
+		d.StepList([]graph.NodeID{0, 1, 2}, 0)
+		var body []byte
+		count := 0
+		fan.Emit(d, func(_ int, to graph.NodeID, m dist.Message) {
+			body = AppendMessage(body, lam, to, m)
+			count++
+		})
+		if err := shard1(lam).Absorb(0, 0, body, count); err != nil {
+			f.Fatalf("a real flow is refused: %v", err)
+		}
+		f.Add(body, count, i == 1)
+		// What the Driver has no state for: a sender shard 1 cannot hear (in
+		// either entry form), a recipient another shard owns, a sender past n.
+		for _, e := range []struct {
+			to graph.NodeID
+			m  dist.Message
+		}{
+			{Broadcast, dist.Message{From: 2, F0: 1}},
+			{3, dist.Message{From: 2, F0: 1}},
+			{0, dist.Message{From: 1, F0: 1}},
+			{Broadcast, dist.Message{From: 6}},
+			{4, dist.Message{From: 1 << 40}},
+		} {
+			bad := AppendMessage(nil, lam, e.to, e.m)
+			if err := shard1(lam).Absorb(0, 0, bad, 1); err == nil || !strings.Contains(err.Error(), "shard: flow 0→1 ") {
+				f.Fatalf("entry (%d, from %d): %v, want an error naming flow 0→1", e.to, e.m.From, err)
+			}
+			f.Add(bad, 1, i == 1)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte, count int, grid bool) {
+		lam := lams[0]
+		if grid {
+			lam = lams[1]
+		}
+		l := shard1(lam)
+		if l.Absorb(0, 0, body, count) != nil {
+			return
+		}
+		entries := 0
+		for rest := body; len(rest) > 0; entries++ {
+			_, _, used, err := DecodeMessage(rest, lam, nil)
+			if err != nil {
+				t.Fatalf("absorbed body %x does not decode: %v", body, err)
+			}
+			rest = rest[used:]
+		}
+		if entries != count {
+			t.Fatalf("absorbed body %x holds %d entries, %d announced", body, entries, count)
+		}
+		l.D.Deliver(nil)
 	})
 }

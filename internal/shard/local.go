@@ -1,0 +1,141 @@
+package shard
+
+import (
+	"fmt"
+
+	"distkcore/internal/dist"
+	"distkcore/internal/graph"
+	"distkcore/internal/quantize"
+)
+
+// Local is one shard's run state, the half of a cluster worker no transport
+// touches: a dist.Driver over the nodes the shard owns and the nodes they can
+// hear (dist.NewSubsetDriver), the Fanout rows of its nodes, one outbound
+// PeerStream per other shard and the arenas inbound Vecs are decoded into. A
+// transport sets each stream's Limit and Flush hook, runs the rounds, and
+// hands every inbound flow to Absorb: Engine runs P Locals in memory,
+// internal/net one a worker over its frame plane. Either way the decoded
+// entries are what the receiving shard runs on, so its delivery is the global
+// execution's (dist.NewSubsetDriver).
+type Local struct {
+	// D is the shard's Driver. It prices the shard's share of the protocol
+	// Metrics: what its own nodes sent.
+	D *dist.Driver
+	// Own lists the shard's nodes, ascending: its step order.
+	Own []graph.NodeID
+	// Fan says which shards a local node's leading broadcast is framed for.
+	Fan *Fanout
+	// Out[q] encodes the round's entries toward shard q (nil for this shard)
+	// and hands them to the transport through its Flush hook.
+	Out []*PeerStream
+
+	self   int
+	assign []int
+	lam    quantize.Lambda
+	// arenas[src] holds the Vec payloads decoded from src's flows. They live
+	// exactly one round, but round t's flows can arrive while round t-1's
+	// vectors are still feeding local hooks — so the arenas double-buffer by
+	// round parity: slot t%2 is reset when round t opens, when its round t-2
+	// tenants are provably dead. One pair per source keeps concurrent
+	// decodes (one per inbound flow) disjoint. Nil under
+	// dist.CheckVecAliasing, which re-hashes delivered Vecs one delivery
+	// later: every Vec then gets a fresh allocation instead.
+	arenas [][2]*VecArena
+}
+
+// NewLocal builds the run state of shard self of p for a run of factory on g
+// placed by assign, under the threshold set lam (not nil). What it holds
+// follows the shard, not the graph: the step list, sized by one counting pass
+// over the assignment; the fan-out rows of its nodes; a Driver over them and
+// the nodes they can hear.
+func NewLocal(g *graph.Graph, assign []int, p, self int, lam quantize.Lambda, factory dist.Factory) *Local {
+	cnt := 0
+	for _, q := range assign {
+		if q == self {
+			cnt++
+		}
+	}
+	own := make([]graph.NodeID, 0, cnt)
+	for v, q := range assign {
+		if q == self {
+			own = append(own, v)
+		}
+	}
+	l := &Local{Own: own, Fan: NewFanout(g, assign, p, own), Out: make([]*PeerStream, p),
+		self: self, assign: assign, lam: lam}
+	l.D = dist.NewSubsetDriver(g, lam, own, factory)
+	for q := range l.Out {
+		if q != self {
+			l.Out[q] = &PeerStream{Lam: lam}
+		}
+	}
+	if !dist.CheckVecAliasing {
+		l.arenas = make([][2]*VecArena, p)
+		for i := range l.arenas {
+			l.arenas[i] = [2]*VecArena{new(VecArena), new(VecArena)}
+		}
+	}
+	return l
+}
+
+// Emit frames the cross-shard part of what the shard's nodes sent this round
+// into Out, in Fanout.Emit's order, each stream flushing a chunk whenever it
+// crosses its Limit. Call it after the round's steps and before Deliver; it
+// stops at the first Flush error and returns it.
+func (l *Local) Emit() error {
+	var err error
+	l.Fan.Emit(l.D, func(q int, to graph.NodeID, m dist.Message) {
+		if err == nil {
+			err = l.Out[q].Append(to, m)
+		}
+	})
+	return err
+}
+
+// ResetArenas recycles the arena slot round t decodes into. Call it as round
+// t opens, before any of its flows is absorbed.
+func (l *Local) ResetArenas(t int) {
+	for i := range l.arenas {
+		l.arenas[i][t&1].Reset()
+	}
+}
+
+// Absorb decodes count entries shard src sent this one in the given round and
+// injects each into the Driver as a send of its remote sender, validating
+// that every sender belongs to src and every unicast recipient to this shard
+// before Inject refuses what the sender's hook cannot have produced — an entry
+// of a sender with no peer here among it: the Driver holds no state for one,
+// and who receives a broadcast is read off this shard's own graph, never off
+// the wire. Flows of distinct sources may be absorbed concurrently with each
+// other and with the steps of the round's local nodes (see Inject); the
+// transport orders them all before Deliver.
+func (l *Local) Absorb(src, round int, body []byte, count int) error {
+	var ar *VecArena
+	if l.arenas != nil {
+		ar = l.arenas[src][round&1]
+	}
+	assign, self, cnt := l.assign, l.self, 0
+	n := len(assign)
+	for len(body) > 0 {
+		to, m, used, err := DecodeMessage(body, l.lam, ar)
+		if err != nil {
+			return err
+		}
+		body = body[used:]
+		u := m.From
+		switch {
+		case u < 0 || u >= n || assign[u] != src:
+			return fmt.Errorf("shard: flow %d→%d carries sender %d not owned by shard %d", src, self, u, src)
+		case to != Broadcast && (to >= n || assign[to] != self):
+			return fmt.Errorf("shard: flow %d→%d addresses node %d outside shard %d", src, self, to, self)
+		}
+		if err := l.D.Inject(u, to, m); err != nil {
+			return fmt.Errorf("shard: flow %d→%d carries an entry its sender cannot have sent: %w", src, self, err)
+		}
+		cnt++
+	}
+	if cnt != count {
+		return fmt.Errorf("shard: flow %d→%d decoded %d messages, header says %d", src, self, cnt, count)
+	}
+	return nil
+}

@@ -5,16 +5,18 @@
 // frames encoded through internal/codec. Intra-shard messages are handed
 // over in memory and never touch the wire.
 //
-// The engine produces executions byte-identical to dist.SeqEngine — same
-// inbox ordering, same results, same Metrics — because it is built on
-// dist.Driver: workers only run node hooks (which touch per-node state) and
-// frame what their own nodes sent, and all delivery happens single-threaded
-// between barriers in the package-wide deterministic order. The frame
-// codec is lossless (see frame.go) and the engine asserts as much on every
-// entry it accounts, so the same frames carried over a real wire
-// (internal/net) cannot perturb the execution either. What sharding adds is
-// the *placement* ledger: ShardMetrics reports how much of the protocol's
-// traffic actually crossed machine boundaries, and how evenly.
+// A shard's run state is a Local — the same one each internal/net worker
+// holds: a dist.Driver over the shard's nodes and the nodes they hear, which
+// steps its own nodes, frames what they sent (Fanout.Emit) and injects what
+// the other shards' frames decode to as those senders' own sends. Drivers
+// over a partition of the nodes, each fed the others' sends, run the
+// execution one Driver over the graph would (dist.NewSubsetDriver), so the
+// engine is byte-identical to dist.SeqEngine — same inbox ordering, same
+// results, same Metrics — as long as the frame codec is lossless (see
+// frame.go), and the frames carried over a real wire (internal/net) are the
+// same frames. What sharding adds is the *placement* ledger: ShardMetrics
+// reports how much of the protocol's traffic actually crossed machine
+// boundaries, and how evenly.
 //
 // Partitioners decide placement: Hash (locality-oblivious baseline), Range
 // (contiguous ID blocks) and Greedy (streaming LDG edge-cut minimization).

@@ -9,15 +9,14 @@ import (
 	"distkcore/internal/quantize"
 )
 
-// PeerStream is the streaming form of a frameBuf (DESIGN.md §14): one
-// destination shard's outbound frame entries for the current round,
-// flushed in chunks as they are produced instead of parked until the
-// barrier. The transport (internal/net's mesh) supplies the Flush hook,
-// which receives each full chunk body and its entry count; PeerStream
-// itself is transport-agnostic and carries the round's logical accounting —
-// Msgs (entries) and BodyBytes — which is what keeps the streamed ledger
-// bit-equal to the relay path's (one relay-style frame header plus these
-// bodies).
+// PeerStream is one destination shard's outbound frame entries for the
+// current round (DESIGN.md §14), flushed in chunks as they are produced —
+// or, with an unbounded Limit, as the round's one frame. The transport (the
+// mesh, the relay plane, Engine's in-memory hand-over) supplies the Flush
+// hook, which receives each chunk body and its entry count; PeerStream itself
+// is transport-agnostic and carries the round's logical accounting — Msgs
+// (entries) and BodyBytes — which is what keeps every ledger bit-equal (one
+// relay-style frame header plus these bodies, LogicalFrameBytes).
 type PeerStream struct {
 	// Lam is the threshold set messages encode under (AppendMessage).
 	Lam quantize.Lambda
@@ -54,7 +53,11 @@ func (ps *PeerStream) Reserve(entries, n int) {
 	if limit <= 0 {
 		limit = DefaultChunkBytes
 	}
-	if want := min(entries*size, limit+size); want > cap(ps.buf) {
+	want := entries * size
+	if want > limit { // and limit+size cannot overflow, even at an unbounded Limit
+		want = min(want, limit+size)
+	}
+	if want > cap(ps.buf) {
 		ps.buf = make([]byte, 0, want)
 	}
 }
@@ -101,11 +104,11 @@ func (ps *PeerStream) flush() error {
 }
 
 // LogicalFrameBytes prices one round's flow toward a peer the way the relay
-// path and the in-process sharded engine do: a single codec.FrameHeader for
-// the whole round's messages plus the body bytes, and zero for an empty
-// flow (the relay path sends no frame at all then). The streamed ledger
-// stays bit-equal to ShardMetrics because both sides price this quantity,
-// never the chunked wire form.
+// path does: a single codec.FrameHeader for the whole round's messages plus
+// the body bytes, and zero for an empty flow (the relay path sends no frame
+// at all then). The streamed ledger and the sharded engine's ShardMetrics
+// stay bit-equal to the relay's because they price this quantity, never the
+// chunked wire form.
 func LogicalFrameBytes(src, dst, round, msgs int, bodyBytes int64) int64 {
 	if msgs == 0 {
 		return 0
