@@ -76,6 +76,7 @@ func RunAsyncElimination(g *graph.Graph, d DelayModel, rounds int, eng dist.Engi
 	n := g.N()
 	run := &asyncRun{d: d, rounds: rounds, b: make([]float64, n), last: make([]int32, n), open: make([]bool, n)}
 	met := eng.WithWireLambda(quantize.Reals{}).Run(g, run.program, rounds)
+	run.slab.Release() // a run that panicked drops it
 	res := &AsyncResult{B: run.b, Quiesced: true}
 	for v := range run.last {
 		res.Makespan = max(res.Makespan, int(run.last[v]))
@@ -94,13 +95,10 @@ type asyncRun struct {
 	last   []int32 // the round of the node's last send
 	open   []bool  // the node had values in flight at the budget
 	slab   Slab
-	progs  []asyncProgram // current chunk, guarded by slab.mu
 }
 
 func (r *asyncRun) program(v graph.NodeID) dist.Program {
-	r.slab.mu.Lock()
-	p := &carve(&r.progs, 1)[0]
-	r.slab.mu.Unlock()
+	p := Alloc[asyncProgram](&r.slab)
 	p.run, p.id = r, v
 	return p
 }
@@ -132,7 +130,7 @@ type asyncProgram struct {
 
 func (p *asyncProgram) Init(c *dist.Ctx) {
 	p.Start(p.id, c.Neighbors(), c.Peers(), &p.run.slab)
-	_, p.sent, _ = p.run.slab.carve(0, len(c.Peers()), 0)
+	_, p.sent, _, _ = p.run.slab.Carve(0, len(c.Peers()), 0, 0)
 	for r := range p.sent {
 		p.sent[r] = math.Inf(1)
 	}

@@ -43,7 +43,7 @@ type ElimState struct {
 // are carved from sl (nil allocates them individually). It sends nothing.
 func (s *ElimState) Start(id graph.NodeID, arcs []graph.Arc, peers []graph.NodeID, sl *Slab) {
 	d, np := len(arcs), len(peers)
-	order, vals, idx := sl.carve(d, d, np+1+d)
+	order, vals, idx, _ := sl.Carve(d, d, np+1+d, 0)
 	s.upd.init(arcs, order, vals)
 	s.peers, s.start, s.byPeer = peers, idx[:np+1], idx[np+1:]
 	k, r := int32(0), -1
@@ -139,7 +139,7 @@ type eliminationProgram struct {
 }
 
 // eliminationRun is what the programs of one run share: the protocol
-// parameters, the result sink, and the slabs their state is carved from —
+// parameters, the result sink, and the slab their state is carved from —
 // the programs themselves included, so a run's allocation count does not
 // grow with n.
 type eliminationRun struct {
@@ -148,13 +148,10 @@ type eliminationRun struct {
 	trackAux bool
 	sink     *DistResult
 	slab     Slab
-	progs    []eliminationProgram // current chunk, guarded by slab.mu
 }
 
 func (r *eliminationRun) program(v graph.NodeID) dist.Program {
-	r.slab.mu.Lock()
-	p := &carve(&r.progs, 1)[0]
-	r.slab.mu.Unlock()
+	p := Alloc[eliminationProgram](&r.slab)
 	p.run, p.id = r, v
 	return p
 }
@@ -196,6 +193,7 @@ func RunDistributed(g *graph.Graph, opt Options, eng dist.Engine) (*Result, dist
 	}
 	run := &eliminationRun{T: opt.Rounds, lam: lam, trackAux: opt.TrackAux, sink: sink}
 	met := eng.Run(g, run.program, opt.Rounds)
+	run.slab.Release() // the sink holds copies; a run that panicked drops the slab
 	res := &Result{B: sink.B, AuxEdges: sink.AuxEdges, Rounds: met.Rounds}
 	return res, met
 }

@@ -145,7 +145,7 @@ func TestSlabCarvesDisjointZeroedArrays(t *testing.T) {
 	var sl Slab
 	var all [][]float64
 	for _, n := range []int{3, 0, 5, slabChunkBytes, 1, slabChunkBytes / 8, 2} {
-		_, f, _ := sl.carve(0, n, 0)
+		_, f, _, _ := sl.Carve(0, n, 0, 0)
 		if len(f) != n || cap(f) != n {
 			t.Fatalf("carve(%d): len %d cap %d", n, len(f), cap(f))
 		}

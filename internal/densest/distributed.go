@@ -42,9 +42,9 @@ const (
 )
 
 // weakRun is what the programs of one run share: the protocol parameters,
-// the slab phase 1's arrays are carved from, and the per-node outcomes. Each
-// node writes its own elements, and nobody reads before the engine returns,
-// so the parallel engines need no lock.
+// the slab the programs and their arrays are carved from, and the per-node
+// outcomes. Each node writes its own elements, and nobody reads before the
+// engine returns, so the parallel engines need no lock.
 type weakRun struct {
 	T     int
 	gamma float64 // 1 under Config.LiteralAcceptance: the test becomes bmax ≥ b_v
@@ -82,7 +82,9 @@ func newWeakRun(g *graph.Graph, cfg Config) *weakRun {
 }
 
 func (r *weakRun) program(v graph.NodeID) dist.Program {
-	return &weakProgram{run: r, id: v}
+	p := core.Alloc[weakProgram](&r.slab)
+	p.run, p.id = r, v
+	return p
 }
 
 // weakProgram is the per-node protocol state machine.
@@ -122,6 +124,7 @@ type weakProgram struct {
 func RunWeakDistributed(g *graph.Graph, cfg Config, eng dist.Engine) (*Result, dist.Metrics) {
 	run := newWeakRun(g, cfg)
 	met := eng.Run(g, run.program, 6*run.T+10)
+	run.slab.Release() // the outcomes are the run's own arrays; a run that panicked drops the slab
 	return assembleResult(g, run), met
 }
 
@@ -357,13 +360,11 @@ func seek(peers []graph.NodeID, r int, u graph.NodeID) int {
 	return sort.SearchInts(peers, u)
 }
 
-// openRecording sets up phase 3's per-node arrays at slot 0, whose inbox —
+// openRecording carves phase 3's per-node arrays at slot 0, whose inbox —
 // every neighbor's kActive — fills nbrIn.
 func (p *weakProgram) openRecording(c *dist.Ctx) {
 	arcs, peers := c.Neighbors(), c.Peers()
-	p.rec = make([]float64, 2*p.run.T)
-	p.nbrIn = make([]bool, len(peers))
-	p.arcRank = make([]int32, len(arcs))
+	_, p.rec, p.arcRank, p.nbrIn = p.run.slab.Carve(0, 2*p.run.T, len(arcs), len(peers))
 	r := 0
 	for i, a := range arcs {
 		if a.To == p.id {

@@ -125,7 +125,14 @@ type Factory func(v graph.NodeID) Program
 // node of g via factory and drives them for at most maxRounds rounds,
 // delivering messages between rounds. Implementations must be
 // deterministic: the same (g, protocol, maxRounds) yields the same
-// execution and the same Metrics.
+// execution and the same Metrics. Run returns only once no hook of the run
+// can still execute — none running, none to come, a dead worker
+// incarnation's included — so the caller may reuse what the programs
+// worked on as soon as it returns (core.Slab.Release). SeqEngine and
+// net.Worker step on the calling goroutine; ParEngine joins its pool, and
+// shard.Engine's shard goroutines have passed their last phase barrier, before
+// either returns; net.Engine waits for every worker incarnation in
+// Cluster.Close.
 type Engine interface {
 	Run(g *graph.Graph, factory Factory, maxRounds int) Metrics
 	// WithWireLambda returns a copy of the engine whose Metrics.WireBytes
@@ -495,7 +502,8 @@ func (s *sim) alloc(receivers, senders int) {
 	s.inboxOff = take(&m.inboxOff, receivers+1)
 	s.cnt = take(&m.cnt, receivers)
 	s.slots = take(&m.slots, 2*senders)
-	s.outs = take(&m.outs, senders)
+	s.outs = keep(&m.outs, senders)
+	s.inboxArena, s.speakers = m.arena[:0], m.speakers[:0]
 	s.seq, s.wr, s.alive = 1, senders, receivers
 	if s.lam == nil {
 		s.lam = quantize.Reals{}
@@ -903,7 +911,7 @@ func (s *sim) listSpeakers(fanOut int64) {
 		}
 	}
 	total := s.prefixCounts()
-	if s.speakers == nil {
+	if cap(s.speakers) < int(total) {
 		s.speakers = make([]int32, s.sumPeers/listFactor) // every sparse round fits
 	}
 	s.speakers = s.speakers[:total]

@@ -16,7 +16,9 @@ import (
 
 // simMem is the memory of one sim's per-node arrays: alloc's, and a subset
 // sim's own index and rows. A whole-graph sim takes none of the latter — its
-// rows are the graph's own — and leaves them for the next subset sim.
+// rows are the graph's own — and leaves them for the next subset sim. The
+// round buffers a sim sizes by its traffic ride along: the scatter's arena,
+// the speaker lists and the capacity of every sender's queue.
 type simMem struct {
 	progs              []Program
 	ctxs               []Ctx
@@ -25,6 +27,8 @@ type simMem struct {
 	outs               [][]envelope
 	ix, stepOf, rowOff []int32
 	hear, rows         []graph.NodeID
+	arena              []Message
+	speakers           []int32
 }
 
 // simShape is what a sim sizes its arrays by: its receivers and senders, and
@@ -65,49 +69,72 @@ func (m *simMem) fit(sh simShape) (short, held int) {
 	return short, held
 }
 
-// freeMems lists the released memory, weakly. What keeps a released memory
-// alive is agingMems, a sync.Pool each release also puts it in: the pool's
-// victim cache holds it through the next collection and lets it go at the
-// one after, unless a release put it back in between. So a run after a forced
-// collection still finds the last run's arrays, and memory no Driver takes
-// again is not kept for good; its entry then reads nil and is pruned.
-var (
-	freeMems struct {
-		sync.Mutex
-		list []weak.Pointer[simMem]
+// FreeList holds released run memory of type M until a later run takes it.
+// It is the one lifetime rule for memory that outlives its run — a Driver's
+// arrays here, core.Slab's chunks — and it holds its entries weakly. What
+// keeps a released memory alive is an aging sync.Pool each Put also puts it
+// in: the pool's victim cache holds it through the next collection and lets
+// it go at the one after, unless a Put released it again in between. So a run
+// after a forced collection still finds the last run's memory, and memory no
+// run takes again is not kept for good; its entry then reads nil and is
+// pruned. The zero value is empty and ready to use.
+type FreeList[M any] struct {
+	mu    sync.Mutex
+	list  []weak.Pointer[M]
+	aging sync.Pool
+}
+
+// Put releases m: nothing may touch it again until a Take returns it.
+func (f *FreeList[M]) Put(m *M) {
+	f.aging.Put(m)
+	f.mu.Lock()
+	f.list = append(f.list, weak.Make(m))
+	f.mu.Unlock()
+}
+
+// Take removes and returns the released memory whose cost is least — its two
+// numbers compared in order, the earlier release winning a tie — or nil when
+// none is free.
+func (f *FreeList[M]) Take(cost func(*M) (int, int)) *M {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var best *M
+	at, best0, best1 := 0, 0, 0
+	live := f.list[:0]
+	for _, wp := range f.list {
+		m := wp.Value()
+		if m == nil {
+			continue
+		}
+		if c0, c1 := cost(m); best == nil || c0 < best0 || c0 == best0 && c1 < best1 {
+			best, at, best0, best1 = m, len(live), c0, c1
+		}
+		live = append(live, wp)
 	}
-	agingMems sync.Pool
-)
+	clear(f.list[len(live):])
+	if best == nil {
+		f.list = live
+		return nil
+	}
+	last := len(live) - 1
+	copy(live[at:], live[at+1:])
+	live[last] = weak.Pointer[M]{}
+	f.list = live[:last]
+	return best
+}
+
+// freeMems is the free list of sim memory.
+var freeMems FreeList[simMem]
 
 // takeMem returns the released memory that fits a sim of shape sh best — the
 // least to allocate anew, then the least held, so that Drivers of unlike
 // shapes built at once each find the memory of their own shape — or new
 // memory when none is free.
 func takeMem(sh simShape) *simMem {
-	freeMems.Lock()
-	defer freeMems.Unlock()
-	var best *simMem
-	at, bestShort, bestHeld := 0, 0, 0
-	live := freeMems.list[:0]
-	for _, wp := range freeMems.list {
-		m := wp.Value()
-		if m == nil {
-			continue
-		}
-		if short, held := m.fit(sh); best == nil || short < bestShort || short == bestShort && held < bestHeld {
-			best, at, bestShort, bestHeld = m, len(live), short, held
-		}
-		live = append(live, wp)
+	if m := freeMems.Take(func(m *simMem) (int, int) { return m.fit(sh) }); m != nil {
+		return m
 	}
-	clear(freeMems.list[len(live):])
-	if best == nil {
-		freeMems.list = live
-		return new(simMem)
-	}
-	last := len(live) - 1
-	live[at], live[last] = live[last], weak.Pointer[simMem]{}
-	freeMems.list = live[:last]
-	return best
+	return new(simMem)
 }
 
 // take returns *buf resized to n zero elements, reusing its array when it is
@@ -122,17 +149,36 @@ func take[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-// release hands the sim's memory to the free list. The arrays that point into
-// the run — programs, contexts, slots, queues — are cleared first, so the
-// list keeps nothing of it alive.
+// keep returns *buf resized to n elements, keeping what its array holds —
+// the queues release emptied, with their capacity — and keeps the result in
+// *buf.
+func keep[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = append(make([]T, 0, n), (*buf)[:cap(*buf)]...)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// release hands the sim's memory to the free list. What points into the run —
+// programs, contexts, slots, queued messages, the arena's Vecs — is cleared
+// first, so the list keeps nothing of it alive; the queues keep their
+// capacity. The arena keeps the rest of its messages: an inbox a program kept
+// against the contract reads what CheckInboxRetention left there until the
+// next run writes over it.
 func (s *sim) release() {
 	m := s.mem
+	m.arena, m.speakers = s.inboxArena, s.speakers
 	clear(m.progs)
 	clear(m.ctxs)
 	clear(m.slots)
-	clear(m.outs)
-	agingMems.Put(m)
-	freeMems.Lock()
-	freeMems.list = append(freeMems.list, weak.Make(m))
-	freeMems.Unlock()
+	for i, q := range m.outs {
+		clear(q[:cap(q)])
+		m.outs[i] = q[:0]
+	}
+	arena := m.arena[:cap(m.arena)]
+	for i := range arena {
+		arena[i].Vec = nil
+	}
+	freeMems.Put(m)
 }

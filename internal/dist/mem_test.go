@@ -61,8 +61,8 @@ func TestReleasedMemoryGoesToItsShape(t *testing.T) {
 	hm = nil
 	runtime.GC()
 	runtime.GC()
-	freeMems.Lock()
-	defer freeMems.Unlock()
+	freeMems.mu.Lock()
+	defer freeMems.mu.Unlock()
 	for _, wp := range freeMems.list {
 		if wp.Value() != nil {
 			t.Fatal("memory released before two collections is still on the free list")

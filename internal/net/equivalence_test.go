@@ -120,17 +120,22 @@ func TestSocketTransportsEquivalent(t *testing.T) {
 }
 
 // Vec payloads (the weak-densest aggregation vectors) must survive the
-// socket transport under the aliasing checker: decoded Vecs are delivered
-// into inboxes and re-hashed a round later, so any arena-lifetime bug in
-// the transport's decode path would trip the panic.
+// socket transport under the aliasing checker on both frame planes: decoded
+// Vecs are delivered into inboxes from the workers' arenas and re-hashed a
+// round later, so any arena-lifetime bug in the transport's decode path would
+// trip the panic.
 func TestVecAliasingCheckCleanOverNet(t *testing.T) {
 	dist.CheckVecAliasing = true
 	defer func() { dist.CheckVecAliasing = false }()
 	g := graph.BarabasiAlbert(80, 3, 3)
 	ref, refMet := densest.RunWeakDistributed(g, densest.Config{Gamma: 3}, dist.SeqEngine{})
-	res, met := densest.RunWeakDistributed(g, densest.Config{Gamma: 3}, NewEngine(3, shard.Hash{}))
-	if met != refMet || !reflect.DeepEqual(res, ref) {
-		t.Fatalf("aliasing-checked net run diverges from seq")
+	for _, stream := range []bool{false, true} {
+		eng := NewEngine(3, shard.Hash{})
+		eng.Stream = stream
+		res, met := densest.RunWeakDistributed(g, densest.Config{Gamma: 3}, eng)
+		if met != refMet || !reflect.DeepEqual(res, ref) {
+			t.Fatalf("stream=%v: aliasing-checked net run diverges from seq", stream)
+		}
 	}
 }
 

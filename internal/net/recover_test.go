@@ -289,6 +289,50 @@ func TestStreamedDeathAfterLastAckRecovers(t *testing.T) {
 	}
 }
 
+// A run after a recovered one takes the memory the recovered run released —
+// its workers' Drivers, its slab — while the dead incarnation released none:
+// its hooks may have been running until the engine's Cluster.Close waited it
+// out. Each protocol's run with a death mid-run, then a run of each protocol
+// with none on the same engine, must all be seq's, byte for byte. Under the
+// race detector (CI's zombie-hooks step) a dead incarnation's hook that wrote
+// into memory a later run took would race that run.
+func TestRunAgainAfterRecovery(t *testing.T) {
+	g := graph.BarabasiAlbert(150, 3, 11)
+	T := core.TForEpsilon(g.N(), 0.5)
+	wcfg := densest.Config{Gamma: 3, Rounds: 5}
+	protos := []struct {
+		name string
+		run  func(dist.Engine) (any, dist.Metrics)
+	}{
+		{"coreness", func(eng dist.Engine) (any, dist.Metrics) {
+			res, met := core.RunDistributed(g, core.Options{Rounds: T}, eng)
+			return res.B, met
+		}},
+		{"densest", func(eng dist.Engine) (any, dist.Metrics) { return densest.RunWeakDistributed(g, wcfg, eng) }},
+	}
+	seq, seqMet := make([]any, len(protos)), make([]dist.Metrics, len(protos))
+	for i, pr := range protos {
+		seq[i], seqMet[i] = pr.run(dist.SeqEngine{})
+	}
+	for i, pr := range protos {
+		eng := streamRecoveryEngine(3)
+		eng.wrap = faultnet.New(deathAt(true, obs.PhaseBarrierWait, 3, 1, seqMet[i].Rounds)...).Wrap
+		var res any
+		var met dist.Metrics
+		cell(t, func() { res, met = pr.run(eng) })
+		if n := eng.Recoveries(); n != 1 || met != seqMet[i] || !reflect.DeepEqual(res, seq[i]) {
+			t.Fatalf("%s with a death: %d recoveries, metrics %+v, want 1 and %+v, or the result diverges from seq", pr.name, n, met, seqMet[i])
+		}
+		eng.wrap = nil
+		for j, again := range protos {
+			cell(t, func() { res, met = again.run(eng) })
+			if n := eng.Recoveries(); n != 0 || met != seqMet[j] || !reflect.DeepEqual(res, seq[j]) {
+				t.Fatalf("%s after %s recovered: %d recoveries, metrics %+v, want 0 and %+v, or the result diverges from seq", again.name, pr.name, n, met, seqMet[j])
+			}
+		}
+	}
+}
+
 // A kill the run cannot recover from — a relayed run, or a streamed one with
 // no Respawn (RunCoordinator over workers it did not spawn) — must still fail
 // the run: fault injection does not soften the determinism-over-availability

@@ -28,10 +28,12 @@ type relayWorker struct {
 }
 
 // newRelayWorker makes each outbound stream one chunk per round: it never
-// flushes on its own, and finishing it writes the round's frame.
+// flushes on its own, and finishing it writes the round's frame. Each stream's
+// buffer is sized once from the fan-out rows, as on the mesh.
 func newRelayWorker(r *workerLoop) *relayWorker {
 	p := &relayWorker{r: r}
 	w, self := r.w, r.h.Shard
+	rows := r.loc.Fan.Rows(r.h.P)
 	for q, ps := range r.loc.Out {
 		if ps == nil {
 			continue
@@ -42,6 +44,7 @@ func newRelayWorker(r *workerLoop) *relayWorker {
 			p.sent, p.sentBytes = p.sent+1, p.sentBytes+int64(len(p.hdr)+len(body))
 			return w.c.WriteRecord(recFrame, p.hdr, body)
 		}
+		ps.Reserve(rows[q], len(w.assign))
 	}
 	return p
 }

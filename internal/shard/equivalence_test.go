@@ -111,8 +111,8 @@ func TestFramingDoesNotPerturbProtocolMetrics(t *testing.T) {
 // (dist.CheckVecAliasing), a weak-densest run — whose Vecs cross the shards
 // as frame entries and are decoded into the receiving shard's Driver — must
 // still be seq's execution: no Vec, sent or decoded, is rewritten while an
-// inbox holds it. The arenas stand aside under the check (Local); the
-// equivalence tests above run them.
+// inbox holds it. The decoded Vecs sit in the shards' arenas, which the check
+// re-hashes a delivery later, before the slot they sit in is reset (Local).
 func TestVecAliasingCheckCleanOverShards(t *testing.T) {
 	dist.CheckVecAliasing = true
 	defer func() { dist.CheckVecAliasing = false }()

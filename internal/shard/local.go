@@ -37,9 +37,11 @@ type Local struct {
 	// vectors are still feeding local hooks — so the arenas double-buffer by
 	// round parity: slot t%2 is reset when round t opens, when its round t-2
 	// tenants are provably dead. One pair per source keeps concurrent
-	// decodes (one per inbound flow) disjoint. Nil under
-	// dist.CheckVecAliasing, which re-hashes delivered Vecs one delivery
-	// later: every Vec then gets a fresh allocation instead.
+	// decodes (one per inbound flow) disjoint. Under dist.CheckVecAliasing
+	// the Driver re-hashes the Vecs delivered at the close of round t-1 when
+	// it closes round t, and round t+1 opens only after that close — the mesh
+	// holds back a flow of round t+1 until then — so the re-hash reads slot
+	// (t-1)%2 before its reset: the check guards this lifetime too.
 	arenas [][2]*VecArena
 }
 
@@ -69,11 +71,9 @@ func NewLocal(g *graph.Graph, assign []int, p, self int, lam quantize.Lambda, fa
 			l.Out[q] = &PeerStream{Lam: lam}
 		}
 	}
-	if !dist.CheckVecAliasing {
-		l.arenas = make([][2]*VecArena, p)
-		for i := range l.arenas {
-			l.arenas[i] = [2]*VecArena{new(VecArena), new(VecArena)}
-		}
+	l.arenas = make([][2]*VecArena, p)
+	for i := range l.arenas {
+		l.arenas[i] = [2]*VecArena{new(VecArena), new(VecArena)}
 	}
 	return l
 }
@@ -110,10 +110,7 @@ func (l *Local) ResetArenas(t int) {
 // other and with the steps of the round's local nodes (see Inject); the
 // transport orders them all before Deliver.
 func (l *Local) Absorb(src, round int, body []byte, count int) error {
-	var ar *VecArena
-	if l.arenas != nil {
-		ar = l.arenas[src][round&1]
-	}
+	ar := l.arenas[src][round&1]
 	assign, self, cnt := l.assign, l.self, 0
 	n := len(assign)
 	for len(body) > 0 {
