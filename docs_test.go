@@ -248,7 +248,8 @@ func TestRetiredNamesStayRetired(t *testing.T) {
 		"defaultMeshThreshold",
 		"Spec.Recover", "Engine.Recover", "Options.Recover", "Hello.Recover", "cfg.Recover", "e.streamed",
 		"ServeWorker", "runB", "collectEchoes", "EnableRecovery",
-		"Maintainer.eval", "TestEvalAtAnyPivot", "TestMassOnlyUnderExactSums"}
+		"Maintainer.eval", "TestEvalAtAnyPivot", "TestMassOnlyUnderExactSums",
+		"WindowCredit", "defaultWindow", "queueLocked"}
 	exempt := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "docs_test.go": true}
 	walkRepo(t, func(path string) {
 		if exempt[path] || strings.HasPrefix(path, "benchmark/") {

@@ -137,8 +137,11 @@ type Hello struct {
 // is gone, and a mesh record's sender is the link it arrived on (DESIGN.md
 // §14); version 13 made recovery the streamed plane's default — the hello's
 // recover byte is gone, and every streamed worker retains its flows and
-// reports the frame chain the coordinator checks (DESIGN.md §13).
-const HandshakeVersion = 13
+// reports the frame chain the coordinator checks (DESIGN.md §13); version 14
+// made a round the mesh's one flow control — the window record is the end
+// marker alone, its kind byte and credits field gone, and no credit record is
+// sent (DESIGN.md §14).
+const HandshakeVersion = 14
 
 // AppendHello appends the wire encoding of h to dst.
 func AppendHello(dst []byte, h Hello) []byte {

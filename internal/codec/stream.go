@@ -2,9 +2,9 @@ package codec
 
 // Wire encodings of the streamed delivery protocol (DESIGN.md §14): the mesh
 // hello that opens a link, the chunked peer-frame header workers write on
-// their mesh connections, the window record that carries flow-control credits
-// and the per-round end markers a round closes on, and the done/ack records
-// the coordinator verifies behind the workers.
+// their mesh connections, the window record — the per-round end-of-flow
+// marker a round closes on — and the done/ack records the coordinator
+// verifies behind the workers.
 // The message bodies inside a peer-frame chunk reuse the per-message codec
 // of internal/shard, so a streamed run prices the identical logical frame
 // bytes the relay path and the in-process sharded engine price.
@@ -65,42 +65,27 @@ func DecodeMeshHello(src []byte) (MeshHello, error) {
 	return mh, d.Finish("mesh-hello")
 }
 
-// Window record kinds.
-const (
-	// WindowCredit returns Credits flow-control tokens from a chunk's
-	// receiver (Src) to its origin (Dst): the origin may have Window
-	// unacknowledged chunks in flight toward each peer.
-	WindowCredit = byte(0)
-	// WindowEnd marks the end of the (Src, Dst, Round) flow: exactly Chunks
-	// chunks carrying Msgs messages were sent, folding to Digest. Every
-	// worker ends every flow every round, traffic or not — a worker's round
-	// closes on its peers' end markers, and Σ Alive over them (and its own
-	// count) decides the loop condition everywhere alike. The marker also
-	// returns the Credits its sender owes for the reverse flow's chunks.
-	WindowEnd = byte(1)
-)
-
-// Window is the flow-control and end-of-flow record of the mesh protocol.
-// Credits use Src/Dst/Credits; end markers use every field (Bytes is the
-// flow's logical frame pricing: one relay-style frame header plus the
+// Window is the end-of-flow marker of the mesh protocol: the (Src, Dst, Round)
+// flow is over, exactly Chunks chunks carrying Msgs messages were sent,
+// folding to Digest. Every worker ends every flow every round, traffic or not
+// — a worker's round closes on its peers' end markers, and Σ Alive over them
+// (and its own count) decides the loop condition everywhere alike. Bytes is
+// the flow's logical frame pricing: one relay-style frame header plus the
 // message bodies, zero when Msgs is zero; Alive is the sender's live node
-// count after the round's step).
+// count after the round's step.
 type Window struct {
-	Kind    byte
-	Src     int
-	Dst     int
-	Round   int
-	Chunks  int
-	Msgs    int64
-	Bytes   int64
-	Digest  uint64
-	Credits int
-	Alive   int
+	Src    int
+	Dst    int
+	Round  int
+	Chunks int
+	Msgs   int64
+	Bytes  int64
+	Digest uint64
+	Alive  int
 }
 
 // AppendWindow appends the wire encoding of w to dst.
 func AppendWindow(dst []byte, w Window) []byte {
-	dst = append(dst, w.Kind)
 	dst = binary.AppendUvarint(dst, uint64(w.Src))
 	dst = binary.AppendUvarint(dst, uint64(w.Dst))
 	dst = binary.AppendUvarint(dst, uint64(w.Round))
@@ -108,26 +93,22 @@ func AppendWindow(dst []byte, w Window) []byte {
 	dst = binary.AppendUvarint(dst, uint64(w.Msgs))
 	dst = binary.AppendUvarint(dst, uint64(w.Bytes))
 	dst = binary.LittleEndian.AppendUint64(dst, w.Digest)
-	dst = binary.AppendUvarint(dst, uint64(w.Credits))
 	return binary.AppendUvarint(dst, uint64(w.Alive))
 }
 
 // WindowSize returns len(AppendWindow(nil, w)) without building the
 // encoding, so a window record can be encoded into one exact allocation.
 func WindowSize(w Window) int {
-	return 1 + UvarintSize(uint64(w.Src)) + UvarintSize(uint64(w.Dst)) + UvarintSize(uint64(w.Round)) +
+	return UvarintSize(uint64(w.Src)) + UvarintSize(uint64(w.Dst)) + UvarintSize(uint64(w.Round)) +
 		UvarintSize(uint64(w.Chunks)) + UvarintSize(uint64(w.Msgs)) + UvarintSize(uint64(w.Bytes)) + 8 +
-		UvarintSize(uint64(w.Credits)) + UvarintSize(uint64(w.Alive))
+		UvarintSize(uint64(w.Alive))
 }
 
 // DecodeWindow decodes a window body.
 func DecodeWindow(src []byte) (Window, error) {
 	d := Decoder{src: src}
-	w := Window{Kind: d.Byte(), Src: d.Int(), Dst: d.Int(), Round: d.Int(), Chunks: d.Int(), Msgs: d.Int64(),
-		Bytes: d.Int64(), Digest: d.U64(), Credits: d.Int(), Alive: d.Int()}
-	if w.Kind > WindowEnd {
-		d.Fail(fmt.Errorf("unknown window kind %d", w.Kind))
-	}
+	w := Window{Src: d.Int(), Dst: d.Int(), Round: d.Int(), Chunks: d.Int(), Msgs: d.Int64(),
+		Bytes: d.Int64(), Digest: d.U64(), Alive: d.Int()}
 	return w, d.Finish("window")
 }
 
@@ -169,9 +150,8 @@ func DecodeStreamDone(src []byte, ents []PeerDigest) (StreamDone, error) {
 }
 
 // StreamWire is one worker's cumulative wire-level accounting of the mesh:
-// the bytes of the records it originated (chunks, end markers, stand-alone
-// credits — Credits counts those; most credits ride the end markers) and
-// received, plus its originated chunk and credit counts. It is
+// the bytes of the records it originated (chunks and end markers) and
+// received, plus its originated chunk count. It is
 // observability, not protocol — the deterministic ledger prices logical frame
 // bytes; this measures what the mesh actually moved, which is the quantity
 // that must stay ~flat per worker as P grows.
@@ -183,6 +163,9 @@ type StreamWire struct {
 	// ROADMAP item 9a retires both.
 	Relayed int64
 	Chunks  int64
+	// Credits is always 0: the mesh has no flow-control records. The field
+	// stays on the wire for the benchmark's net.credits_per_op row until
+	// ROADMAP item 9a retires both.
 	Credits int64
 }
 

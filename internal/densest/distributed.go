@@ -256,12 +256,22 @@ func (p *weakProgram) elect(c *dist.Ctx, inbox []dist.Message, t int) {
 }
 
 // confirm is round 2T+1: process requests, send acks — children are fixed
-// here — and enter phase 3 active.
+// here, carved from the run's slab once they are counted — and enter phase 3
+// active.
 func (p *weakProgram) confirm(c *dist.Ctx, inbox []dist.Message) {
 	for _, m := range inbox {
 		if m.Kind == kReq && m.I0 == p.leader {
-			p.children = append(p.children, m.From)
 			p.pending++
+		}
+	}
+	if p.pending > 0 {
+		p.children, _, _, _ = p.run.slab.Carve(p.pending, 0, 0, 0)
+	}
+	i := 0
+	for _, m := range inbox {
+		if m.Kind == kReq && m.I0 == p.leader {
+			p.children[i] = m.From
+			i++
 			c.Send(m.From, dist.Message{Kind: kAck})
 		}
 	}
@@ -390,10 +400,12 @@ func (p *weakProgram) degree(arcs []graph.Arc) float64 {
 	return d
 }
 
-// absorb adds a child's report; only acked children send one, each once.
+// absorb adds a child's report; only acked children send one, each once. The
+// sum starts as a copy of rec, carved from the run's slab.
 func (p *weakProgram) absorb(vec []float64) {
 	if p.agg == nil {
-		p.agg = append([]float64(nil), p.rec...)
+		_, p.agg, _, _ = p.run.slab.Carve(0, len(p.rec), 0, 0)
+		copy(p.agg, p.rec)
 	}
 	for i, x := range vec {
 		p.agg[i] += x

@@ -140,7 +140,7 @@ func TestMeshRecordsNameTheirLink(t *testing.T) {
 			shard.AppendMessage(nil, quantize.Reals{}, 0, dist.Message{From: 5, F0: 1})...)
 	}
 	end := func(src, dst int) []byte {
-		return codec.AppendWindow(nil, codec.Window{Kind: codec.WindowEnd, Src: src, Dst: dst, Chunks: 1, Msgs: 1})
+		return codec.AppendWindow(nil, codec.Window{Src: src, Dst: dst, Chunks: 1, Msgs: 1})
 	}
 	for _, tc := range []struct {
 		name     string

@@ -30,7 +30,7 @@ type Cluster struct {
 	P         int
 	Transport string
 	// IOTimeout, when non-zero, arms per-operation deadlines on every
-	// connection, the hub's reply waits, mesh formation and credit waits.
+	// connection, the hub's reply waits and mesh formation.
 	IOTimeout time.Duration
 	// Stream puts the cluster on the streamed frame plane: workers get mesh
 	// endpoints from an in-process broker and Run arms Spec.Stream.

@@ -53,9 +53,8 @@ const (
 	// recPeerFrame is one streamed chunk: codec.PeerFrame header followed by
 	// Count shard.AppendMessage bodies.
 	recPeerFrame = byte(28)
-	// recWindow is a codec.Window record: a flow-control credit grant or an
-	// end-of-flow marker (which carries credits too, and its sender's alive
-	// count).
+	// recWindow is a codec.Window record: the end-of-flow marker of a
+	// (src, dst, round) flow, with its sender's alive count.
 	recWindow = byte(29)
 )
 

@@ -33,7 +33,9 @@
 //     sent to the coordinator, parked there until every worker is done, then
 //     forwarded, the round closing at the coordinator's barrier (relay.go) —
 //     or, with Stream, streamed — chunked straight onto a worker↔worker mesh,
-//     the round closed by the peers' end markers, while the coordinator
+//     the round closed by the peers' end markers, which is all the flow
+//     control the mesh has (a sender never waits on its receiver; no worker
+//     runs more than a round ahead of another), while the coordinator
 //     verifies behind the workers the digest matrix of flows it never sees
 //     (stream.go, mesh.go). Either way a worker validates each entry against the
 //     partition and its Driver's own view of the graph (a broadcast entry

@@ -50,7 +50,8 @@ type Engine struct {
 	// run (DESIGN.md §13); with an IOTimeout a silent death surfaces as one.
 	Stream bool
 	// ChunkBytes overrides the streaming chunk flush threshold (≤ 0 means
-	// shard.DefaultChunkBytes). Tests shrink it to force multi-chunk flows.
+	// shard.DefaultChunkBytes). Tests shrink it to force multi-chunk flows;
+	// however many chunks a flow has, its sender never waits to send them.
 	ChunkBytes int
 
 	p    int

@@ -42,8 +42,7 @@ func netEngines(t *testing.T) map[string]*Engine {
 		}
 	}
 	// Streamed rows: the direct worker↔worker mesh must carry the identical
-	// execution. Tiny chunks force multi-chunk flows through the per-peer
-	// credit windows.
+	// execution. Tiny chunks force multi-chunk flows.
 	parts := []shard.Partitioner{shard.Hash{}, shard.Range{}, shard.Greedy{}, shard.Hash{}}
 	for i, p := range []int{1, 2, 4, 4} {
 		e := NewEngine(p, parts[i])

@@ -11,36 +11,31 @@ import (
 )
 
 // This file is the mesh data plane of streamed delivery (DESIGN.md §14):
-// the worker↔worker connections that carry peer-frame chunks, flow-control
-// credits and the end-of-flow markers a round closes on, leaving the
-// coordinator connection to the records it verifies behind the workers. One
-// mesh lives inside each streamed Worker.
+// the worker↔worker connections that carry peer-frame chunks and the
+// end-of-flow markers a round closes on, leaving the coordinator connection to
+// the records it verifies behind the workers. One mesh lives inside each
+// streamed Worker.
 //
 // The mesh is full: every worker holds one link to every other, and a record
 // on the link to j is j's own, addressed to this worker — nothing is
 // forwarded, so a record claiming another sender or destination is refused.
 //
 // Concurrency shape: per link, one reader goroutine (decode, link check,
-// round-gate, credit) and an ordered queue; per mesh, one writer goroutine
-// draining every link's queue in turn. The writer is what keeps the mesh
-// deadlock-free on synchronous transports (net.Pipe): a reader never writes a
-// connection itself — it only enqueues — so the cycle "A blocked writing to B,
-// B's reader blocked locking A" cannot form. All shared state sits under one
-// mutex; the condition variable carries queued records, credit arrivals, a
-// round's close and the control connection's verdicts (streamWorker.control).
+// round-gate) and a cursor into the records retained toward its peer; per
+// mesh, one writer goroutine that writes every link's records past its cursor
+// in turn. Nothing waits on a receiver: a sender retains a record and moves
+// on, a round is the mesh's flow control (no sender runs more than one round
+// ahead of any receiver, DESIGN.md §14), and a reader never writes — it only
+// decodes — so the cycle "A blocked writing to B, B's reader blocked locking
+// A" cannot form, on synchronous transports (net.Pipe) included. All shared
+// state sits under one mutex; the condition variable carries retained
+// records, a round's close and the control connection's verdicts
+// (streamWorker.control).
 
 // peerFrameHeaderMax bounds codec.AppendPeerFrame's output (five uvarints): the
 // header is encoded on the stack first, so a chunk's payload — header, then
 // bodies — is one allocation of exactly its size.
 const peerFrameHeaderMax = 5 * binary.MaxVarintLen64
-
-// defaultWindow is the per-peer flow-control window: how many
-// unacknowledged chunks a sender may have in flight toward one destination.
-// The receiver returns the credits on its next end marker toward the sender —
-// every pair exchanges one every round — and in a record of their own only
-// once it owes half a window, so a flow longer than the window never waits for
-// the round to turn.
-const defaultWindow = 8
 
 // maxReservedEnds caps the end markers each peer's retained list is reserved
 // for at formation: a run with a larger round budget (an asynchronous one's
@@ -52,19 +47,37 @@ const maxReservedEnds = 128
 // reservation is full: records are never copied to grow it.
 const retainBlock = 16
 
-// outRec is one queued mesh write: a record type and its payload (without
+// outRec is one retained mesh record: a record type and its payload (without
 // the type byte; the writer passes both to Conn.WriteRecord).
 type outRec struct {
 	typ     byte
 	payload []byte
 }
 
-// meshLink is one attached peer connection plus its write queue.
+// meshLink is one attached peer connection plus its cursor into the records
+// retained toward that peer: the writer has taken every record before block
+// blk's record off. A fresh link's cursor is record 0.
 type meshLink struct {
-	c    *Conn
-	gen  int  // the peer's generation from its mesh hello; -1 dialed, older than any
-	down bool // reader saw death / writer saw a write error
-	q    []outRec
+	c        *Conn
+	gen      int  // the peer's generation from its mesh hello; -1 dialed, older than any
+	down     bool // reader saw death / writer saw a write error
+	blk, off int
+}
+
+// take returns the records of retained past the link's cursor, up to the end
+// of the block they start in, and moves the cursor past them; nil when the
+// writer has taken them all. Every block but the last is full (retain), so the
+// cursor steps to the next block once it reaches a block's end.
+func (l *meshLink) take(retained [][]outRec) []outRec {
+	for l.blk < len(retained)-1 && l.off == len(retained[l.blk]) {
+		l.blk, l.off = l.blk+1, 0
+	}
+	if l.blk >= len(retained) {
+		return nil
+	}
+	b := retained[l.blk][l.off:]
+	l.off += len(b)
+	return b
 }
 
 // meshConfig is everything a Worker hands its mesh.
@@ -76,7 +89,7 @@ type meshConfig struct {
 	// round budget + 1): each retained list is reserved for them up to
 	// maxReservedEnds, so only chunks add blocks to it.
 	Ends int
-	// Timeout bounds formation and a wait for credits; 0 waits forever.
+	// Timeout bounds formation and each write to a link; 0 waits forever.
 	Timeout time.Duration
 	// Dial opens a raw connection to worker dst's mesh endpoint.
 	Dial func(dst int) (net.Conn, error)
@@ -106,11 +119,9 @@ type futRec struct {
 	full []byte // full record payload (digest fold input)
 }
 
-// meshPeer is the mesh's state toward one other worker: the credit window
-// both ways, which lives across rounds, and the current round's two flows.
+// meshPeer is the mesh's state toward one other worker: the current round's
+// two flows, and every record of the run sent toward it.
 type meshPeer struct {
-	tokens int // credit in hand toward the peer
-	owed   int // chunks taken from the peer since the last grant to it
 	// The flow toward the peer: chunks sent and their digest (beginRound resets).
 	sent int
 	sDig uint64
@@ -123,9 +134,10 @@ type meshPeer struct {
 	// future buffers the peer's records ahead of the current round.
 	future []futRec
 	// retained holds every record sent toward the peer, verbatim, in order and
-	// for the whole run: what a respawned peer runs again from Init on (attach
-	// re-sends them). Its first block is reserved at formation for the run's
-	// end markers; chunks past that add blocks (retain).
+	// for the whole run: the log the link's writer works through, and what a
+	// respawned peer runs again from Init on (attach re-sends it). Its first
+	// block is reserved at formation for the run's end markers; chunks past
+	// that add blocks (retain).
 	retained [][]outRec
 }
 
@@ -153,9 +165,7 @@ type mesh struct {
 	pending int
 	err     error
 	closed  bool
-	// timer wakes the worker's wait at its deadline; one a mesh, re-armed by each.
-	timer *time.Timer
-	wire  codec.StreamWire
+	wire    codec.StreamWire
 }
 
 func newMesh(cfg meshConfig) *mesh {
@@ -164,7 +174,6 @@ func newMesh(cfg meshConfig) *mesh {
 	ends := max(0, min(cfg.Ends, maxReservedEnds))
 	reserved := make([]outRec, cfg.P*ends)
 	for j := range m.peers {
-		m.peers[j].tokens = defaultWindow
 		if j != cfg.Self && ends > 0 {
 			m.peers[j].retained = [][]outRec{reserved[j*ends : j*ends : (j+1)*ends]}
 		}
@@ -285,13 +294,12 @@ func (m *mesh) handleAccepted(nc net.Conn) {
 
 // attach installs (or swaps in) the link to worker j and spawns its
 // reader. A link from a newer peer incarnation replaces an older
-// one; an older or duplicate hello is refused. Swapping resets the credit
-// window both ways and queues on the new link, ahead of anything live, every
-// record retained toward j: the incarnation runs the run again from Init and
+// one; an older or duplicate hello is refused. The new link's cursor starts at
+// record 0, so the writer re-sends it every record retained toward j, ahead of
+// anything retained later: the incarnation runs the run again from Init and
 // these are its inbound flows, byte for byte (DESIGN.md §13). Retention and
-// queue move under the one mutex, so j reads the flows of rounds 0.. in order
-// with no gap, whenever it attached. Resent chunks draw no tokens: j buffers
-// what is ahead of its round whatever the window says.
+// cursor move under the one mutex, so j reads the flows of rounds 0.. in order
+// with no gap, whenever it attached; what is ahead of its round it buffers.
 func (m *mesh) attach(j, gen int, c *Conn) {
 	m.mu.Lock()
 	if m.closed || m.err != nil {
@@ -310,16 +318,13 @@ func (m *mesh) attach(j, gen int, c *Conn) {
 	}
 	l := &meshLink{c: c, gen: gen}
 	m.links[j] = l
-	p := &m.peers[j]
-	p.tokens, p.owed = defaultWindow, 0
-	for _, b := range p.retained {
+	for _, b := range m.peers[j].retained {
 		for _, r := range b {
 			if r.typ == recPeerFrame {
 				m.wire.Chunks++
 			}
 			m.wire.Sent += int64(len(r.payload) + 1)
 		}
-		l.q = append(l.q, b...)
 	}
 	m.cond.Broadcast()
 	m.mu.Unlock()
@@ -343,16 +348,12 @@ func (m *mesh) wait(timeout time.Duration, stalled string, ready func() bool) er
 			return nil
 		case timeout > 0 && deadline.IsZero():
 			deadline = time.Now().Add(timeout)
-			if m.timer == nil {
-				m.timer = time.AfterFunc(timeout, func() {
-					m.mu.Lock()
-					m.cond.Broadcast()
-					m.mu.Unlock()
-				})
-			} else {
-				m.timer.Reset(timeout)
-			}
-			defer m.timer.Stop()
+			timer := time.AfterFunc(timeout, func() {
+				m.mu.Lock()
+				m.cond.Broadcast()
+				m.mu.Unlock()
+			})
+			defer timer.Stop()
 		case timeout > 0 && !time.Now().Before(deadline):
 			return fmt.Errorf("net: worker %d %s", m.cfg.Self, stalled)
 		}
@@ -360,23 +361,25 @@ func (m *mesh) wait(timeout time.Duration, stalled string, ready func() bool) er
 	}
 }
 
-// writeAll is the mesh's one writer: it drains every link's queue in turn, a
-// batch at a time, and never holds m.mu while it writes. On a write error the
-// link is marked down (linkDownLocked decides what that means for the run).
+// writeAll is the mesh's one writer: it writes every link's retained records
+// past its cursor in turn, a block at a time, and never holds m.mu while it
+// writes — what it writes is the retention's, which only ever appends past it.
+// On a write error the link is marked down (linkDownLocked decides what that
+// means for the run).
 func (m *mesh) writeAll() {
-	// spare is the batch before the one being written, emptied: the writer and
-	// the enqueuers trade queue arrays instead of growing one per batch.
-	var spare []outRec
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for !m.closed && m.err == nil {
 		idle := true
-		for _, l := range m.links {
-			if l == nil || l.down || len(l.q) == 0 || m.closed || m.err != nil {
+		for j, l := range m.links {
+			if l == nil || l.down || m.closed || m.err != nil {
 				continue
 			}
-			batch := l.q
-			l.q, spare, idle = spare, nil, false
+			batch := l.take(m.peers[j].retained)
+			if len(batch) == 0 {
+				continue
+			}
+			idle = false
 			m.mu.Unlock()
 			var werr error
 			for _, r := range batch {
@@ -387,9 +390,8 @@ func (m *mesh) writeAll() {
 			if werr == nil {
 				werr = l.c.Flush()
 			}
-			clear(batch) // the payloads are the retention's, or garbage
 			m.mu.Lock()
-			if spare = batch[:0]; werr != nil {
+			if werr != nil {
 				m.linkDownLocked(l)
 			}
 		}
@@ -400,24 +402,17 @@ func (m *mesh) writeAll() {
 }
 
 // linkDownLocked marks a link dead, and that is all a lost link is to this
-// worker, recovery or not: the peer's tokens refill so a sender blocked on
-// its credits finishes its round, what was dropped is re-sent once a successor
-// attaches, and a round that cannot close waits — for that successor, or for
-// the coordinator's verdict. Reporting the loss would race the peer's own
-// death to the coordinator and take the blame for it; the coordinator sees
-// every control connection and names the dead worker.
+// worker, recovery or not: what the peer did not get is re-sent once a
+// successor attaches, and a round that cannot close waits — for that
+// successor, or for the coordinator's verdict. Reporting the loss would race
+// the peer's own death to the coordinator and take the blame for it; the
+// coordinator sees every control connection and names the dead worker.
 func (m *mesh) linkDownLocked(l *meshLink) {
 	if l.down {
 		return
 	}
 	l.down = true
 	l.c.Close()
-	l.q = nil
-	for j, lk := range m.links {
-		if lk == l {
-			m.peers[j].tokens = defaultWindow
-		}
-	}
 	m.cond.Broadcast()
 }
 
@@ -471,33 +466,21 @@ func (m *mesh) handleRecord(j int, typ byte, body []byte) error {
 
 // acceptChunk routes one inbound chunk addressed to this worker: process it
 // against the current round, or buffer it when it is ahead (the arena it
-// would decode into still holds live vectors, and readers never park). The
-// origin is owed a credit in every case — dropped duplicates included: a
-// respawned sender re-streaming a received prefix must not stall on them —
-// which goes back on this worker's next end marker toward it (sendEnd), or in
-// a record of its own once half a window is owed.
+// would decode into still holds live vectors, and readers never park).
 func (m *mesh) acceptChunk(pf codec.PeerFrame, full, msgs []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil || m.closed {
 		return nil // teardown; the latched error surfaces elsewhere
 	}
-	p := &m.peers[pf.Src]
 	if pf.Round > m.round {
+		p := &m.peers[pf.Src]
 		cp := make([]byte, len(full))
 		copy(cp, full)
 		p.future = append(p.future, futRec{typ: recPeerFrame, pf: pf, full: cp, msgs: cp[len(cp)-len(msgs):]})
-	} else if err := m.processChunkLocked(pf, full, msgs); err != nil {
-		return err
+		return nil
 	}
-	if p.owed++; p.owed >= defaultWindow/2 {
-		m.wire.Credits++
-		m.queueLocked(pf.Src, recWindow, encodeWindow(codec.Window{
-			Kind: codec.WindowCredit, Src: m.cfg.Self, Dst: pf.Src, Credits: p.owed,
-		}))
-		p.owed = 0
-	}
-	return nil
+	return m.processChunkLocked(pf, full, msgs)
 }
 
 // processChunkLocked sequence-checks and delivers one chunk of the current
@@ -521,25 +504,16 @@ func (m *mesh) processChunkLocked(pf codec.PeerFrame, full, msgs []byte) error {
 	return nil
 }
 
-// acceptWindow takes the credits a window record returns — an end marker's
-// too, whatever becomes of the marker — and routes an end-of-flow marker:
-// ahead of the current round it buffers like a chunk, otherwise it is
-// verified in place.
+// acceptWindow routes an end-of-flow marker: ahead of the current round it
+// buffers like a chunk, otherwise it is verified in place.
 func (m *mesh) acceptWindow(wd codec.Window) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil || m.closed {
 		return nil
 	}
-	p := &m.peers[wd.Src]
-	if wd.Credits > 0 {
-		p.tokens = min(p.tokens+wd.Credits, defaultWindow)
-		m.cond.Broadcast()
-	}
-	if wd.Kind == codec.WindowCredit {
-		return nil
-	}
 	if wd.Round > m.round {
+		p := &m.peers[wd.Src]
 		p.future = append(p.future, futRec{typ: recWindow, wd: wd})
 		return nil
 	}
@@ -615,38 +589,30 @@ func (m *mesh) beginRound(t int, onNewRound func()) error {
 	return nil
 }
 
-// sendChunk streams one chunk of the current round's flow toward dst:
-// acquire a token (blocking until the receiver credits a slot — the IOTimeout
-// is the backstop against one that stays silent without dying), stamp the
-// next sequence number, fold the sender digest, retain, and
-// queue on the link. Called from the worker goroutine only.
+// sendChunk streams one chunk of the current round's flow toward dst: stamp
+// the next sequence number, fold the sender digest and retain it for the
+// link's writer. It never waits on the receiver. Called from the worker
+// goroutine only.
 func (m *mesh) sendChunk(dst int, body []byte, count int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	p := &m.peers[dst]
-	if p.tokens == 0 || m.err != nil { // else nothing to wait for, or to say
-		if err := m.wait(m.cfg.Timeout, fmt.Sprintf("flow to %d stalled out of credits", dst),
-			func() bool { return p.tokens > 0 }); err != nil {
-			return err
-		}
+	if m.err != nil {
+		return m.err
 	}
-	p.tokens--
+	p := &m.peers[dst]
 	m.wire.Chunks++
 	var hdr [peerFrameHeaderMax]byte
 	h := codec.AppendPeerFrame(hdr[:0], codec.PeerFrame{Src: m.cfg.Self, Dst: dst, Round: m.round, Seq: p.sent, Count: count})
 	payload := append(append(make([]byte, 0, len(h)+len(body)), h...), body...)
 	p.sent++
 	p.sDig = foldFrame(p.sDig, payload)
-	p.retain(outRec{recPeerFrame, payload})
-	m.queueLocked(dst, recPeerFrame, payload)
+	m.sentLocked(dst, outRec{recPeerFrame, payload})
 	return nil
 }
 
 // sendEnd closes the current round's flow toward dst with its end marker,
-// carrying the flow's logical totals and sender digest, this worker's alive
-// count and the credits it owes dst, and returns the PeerDigest entry the done
-// record reports for it. What is retained of the marker grants nothing: a
-// credit is owed to the incarnation whose chunk was taken.
+// carrying the flow's logical totals and sender digest and this worker's alive
+// count, and returns the PeerDigest entry the done record reports for it.
 func (m *mesh) sendEnd(dst int, msgs, logicalBytes int64, alive int) (codec.PeerDigest, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -655,37 +621,24 @@ func (m *mesh) sendEnd(dst int, msgs, logicalBytes int64, alive int) (codec.Peer
 	}
 	p := &m.peers[dst]
 	wd := codec.Window{
-		Kind: codec.WindowEnd, Src: m.cfg.Self, Dst: dst, Round: m.round,
+		Src: m.cfg.Self, Dst: dst, Round: m.round,
 		Chunks: p.sent, Msgs: msgs, Bytes: logicalBytes, Digest: p.sDig, Alive: alive,
 	}
-	p.retain(outRec{recWindow, encodeWindow(wd)})
-	wd.Credits, p.owed = p.owed, 0
-	m.queueLocked(dst, recWindow, encodeWindow(wd))
+	m.sentLocked(dst, outRec{recWindow, codec.AppendWindow(make([]byte, 0, codec.WindowSize(wd)), wd)})
 	return codec.PeerDigest{Peer: dst, Chunks: wd.Chunks, Msgs: msgs, Bytes: logicalBytes, Digest: wd.Digest}, nil
 }
 
-// encodeWindow encodes a window record into a payload of its own, allocated
-// once at its exact size.
-func encodeWindow(wd codec.Window) []byte {
-	return codec.AppendWindow(make([]byte, 0, codec.WindowSize(wd)), wd)
-}
-
-// queueLocked queues one record toward dst on its link and wakes the writer
-// (and at most the worker besides). The mesh keeps payload — the writer reads
-// it after this returns, and retained it may be re-sent rounds later — so
-// chunk payloads, end markers and credits are each allocated for the one
-// record, never encoded in a reused scratch the way the control plane's bodies
-// are (Conn.WriteRecord copies those before it returns; nothing here is copied
-// again). Records queued to a down link are dropped — attach re-sends what was
-// retained of them to a successor; with no successor the peer's death has
-// already doomed the run (linkDownLocked).
-func (m *mesh) queueLocked(dst int, typ byte, payload []byte) {
-	m.wire.Sent += int64(len(payload) + 1)
-	l := m.links[dst]
-	if l == nil || l.down {
-		return
-	}
-	l.q = append(l.q, outRec{typ: typ, payload: payload})
+// sentLocked retains one record toward dst, counts it and wakes the writer
+// (and at most the worker besides). The retained payload is what the link's
+// writer writes, now or to a successor rounds later, so chunk payloads and
+// end markers are each allocated for the one record at its exact size, never
+// encoded in a reused scratch the way the control plane's bodies are
+// (Conn.WriteRecord copies those before it returns; nothing here is copied
+// again). A record retained toward a down link waits for its successor; with
+// none the peer's death has already doomed the run (linkDownLocked).
+func (m *mesh) sentLocked(dst int, r outRec) {
+	m.peers[dst].retain(r)
+	m.wire.Sent += int64(len(r.payload) + 1)
 	m.cond.Broadcast()
 }
 

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"distkcore/internal/codec"
 	"distkcore/internal/core"
 	"distkcore/internal/densest"
 	"distkcore/internal/dist"
@@ -42,7 +41,7 @@ var streamKillPhases = []obs.Phase{obs.PhaseStep, obs.PhaseSend, obs.PhaseBarrie
 
 // opening is the faultnet.Fault.Body of a record whose body opens with the
 // uvarints xs after the bytes pre: a control record naming round r opens with
-// r, an end marker from w to q of round r with WindowEnd, w, q, r.
+// r, an end marker from w to q of round r with w, q, r.
 func opening(pre []byte, xs ...int) []byte {
 	for _, x := range xs {
 		pre = binary.AppendUvarint(pre, uint64(x))
@@ -53,7 +52,7 @@ func opening(pre []byte, xs ...int) []byte {
 // marker keys the end marker of w's round-r flow to the next worker.
 func marker(w, r int) faultnet.Fault {
 	q := (w + 1) % 3
-	return faultnet.Fault{Shard: w, Peer: q, Type: recWindow, Body: opening([]byte{codec.WindowEnd}, w, q, r), Action: faultnet.Hold}
+	return faultnet.Fault{Shard: w, Peer: q, Type: recWindow, Body: opening(nil, w, q, r), Action: faultnet.Hold}
 }
 
 // deathAt is the schedule an old phase cell runs as (DESIGN.md §13.3): worker

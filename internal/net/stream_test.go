@@ -3,13 +3,13 @@ package net
 import (
 	"bytes"
 	"fmt"
+	stdnet "net"
 	"os"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
-	"distkcore/internal/codec"
 	"distkcore/internal/core"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
@@ -28,7 +28,7 @@ import (
 func streamEngine(p int, part shard.Partitioner) *Engine {
 	e := NewEngine(p, part)
 	e.Stream = true
-	e.ChunkBytes = 512 // force multi-chunk flows and window refills
+	e.ChunkBytes = 512 // force multi-chunk flows
 	return e
 }
 
@@ -131,7 +131,7 @@ func TestStreamSoakP64(t *testing.T) {
 }
 
 // A streamed worker has one mesh writer, whatever P: one goroutine drains
-// every link's queue in turn, so a P = 8 run stands P writers up, not the
+// every link's retained log in turn, so a P = 8 run stands P writers up, not the
 // P·(P − 1) a writer per link made. Holding one end marker parks its worker's
 // writer — and with it every flow of that worker — while the dump is taken;
 // released, the run ends byte-identical to seq. A held link is a delay, never
@@ -142,7 +142,7 @@ func TestOneMeshWriterPerWorker(t *testing.T) {
 	opt := core.Options{Rounds: core.TForEpsilon(g.N(), 0.5), Lambda: quantize.NewPowerGrid(0.1)}
 	ref, refMet := core.RunDistributed(g, opt, dist.SeqEngine{})
 	faults := faultnet.New(faultnet.Fault{Shard: w, Peer: q, Type: recWindow,
-		Body: opening([]byte{codec.WindowEnd}, w, q, 1), Action: faultnet.Hold})
+		Body: opening(nil, w, q, 1), Action: faultnet.Hold})
 	e := streamEngine(p, shard.Hash{})
 	e.wrap = faults.Wrap
 	var res *core.Result
@@ -174,6 +174,117 @@ func TestOneMeshWriterPerWorker(t *testing.T) {
 	if met != refMet || !reflect.DeepEqual(res.B, ref.B) {
 		t.Errorf("metrics %+v, want %+v (values equal: %v)", met, refMet, reflect.DeepEqual(res.B, ref.B))
 	}
+}
+
+// A sender never waits on its receiver: a round is the mesh's flow control,
+// and a sender retains what it streams for the whole run anyway. At
+// ChunkBytes 64 worker w's round-1 flow to q runs to 19 chunks. w's
+// mesh writer is held at the first of them, so q reads nothing of that flow,
+// and still w ends its send phase: the second hold catches its round-1 done
+// record on the control link. Released, the run ends byte-identical to seq.
+func TestSenderNeverWaitsOnItsReceiver(t *testing.T) {
+	const p, w, q = 3, 0, 1
+	g := graph.BarabasiAlbert(1000, 4, 7)
+	opt := core.Options{Rounds: core.TForEpsilon(g.N(), 0.5), Lambda: quantize.NewPowerGrid(0.1)}
+	ref, refMet := core.RunDistributed(g, opt, dist.SeqEngine{})
+	faults := faultnet.New(
+		faultnet.Fault{Shard: w, Peer: q, Type: recPeerFrame, Body: opening(nil, w, q, 1), Action: faultnet.Hold},
+		faultnet.Fault{Shard: w, Peer: faultnet.Control, Type: recStreamDone, Body: opening(nil, 1), Action: faultnet.Hold})
+	e := streamEngine(p, shard.Hash{})
+	e.ChunkBytes = 64
+	e.wrap = faults.Wrap
+	var res *core.Result
+	var met dist.Metrics
+	sent := false
+	cell(t, func() {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			res, met = core.RunDistributed(g, opt, e)
+		}()
+		deadline := time.Now().Add(10 * time.Second)
+		for !faults.Fired(1) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		sent = faults.Fired(1)
+		faults.Release()
+		<-done
+	})
+	if !sent {
+		t.Errorf("worker %d did not end its round-1 sends while its flow to %d was held", w, q)
+	}
+	if met != refMet || !reflect.DeepEqual(res.B, ref.B) {
+		t.Errorf("metrics %+v, want %+v (values equal: %v)", met, refMet, reflect.DeepEqual(res.B, ref.B))
+	}
+}
+
+// A link's cursor walks the retained log: a successor attached once the log
+// has outgrown its reserved end-marker block into retainBlock blocks is
+// written every record from record 0, in order, each once, and a record
+// retained while that resend is under way follows them.
+func TestSuccessorIsWrittenTheWholeLog(t *testing.T) {
+	m := newMesh(meshConfig{Self: 0, P: 2, Ends: 2})
+	defer m.Close()
+	go m.writeAll()
+	if err := m.beginRound(0, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	chunk := func(i int) {
+		t.Helper()
+		if err := m.sendChunk(1, []byte{byte(i)}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 2 + 2*retainBlock + 3 // the reservation, two whole blocks and part of a third
+	for i := range n {
+		chunk(i)
+	}
+	if _, err := m.sendEnd(1, int64(n), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	retained := func() (log []outRec, blocks int) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for _, b := range m.peers[1].retained {
+			log = append(log, b...)
+		}
+		return log, len(m.peers[1].retained)
+	}
+	log, blocks := retained()
+	if blocks != 4 || len(log) != n+1 {
+		t.Fatalf("log of %d records in %d blocks, want %d in 4", len(log), blocks, n+1)
+	}
+	expect := func(c *Conn, i int, want outRec) {
+		t.Helper()
+		typ, body, err := c.AwaitRecord()
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if typ != want.typ || !bytes.Equal(body, want.payload) {
+			t.Fatalf("record %d is type %d %x, want type %d %x", i, typ, body, want.typ, want.payload)
+		}
+	}
+	// The first link takes part of the log, then a successor replaces it.
+	a, b := stdnet.Pipe()
+	m.attach(1, 0, NewConn(a))
+	first := NewConn(b)
+	for i := range 3 {
+		expect(first, i, log[i])
+	}
+	a, b = stdnet.Pipe()
+	m.attach(1, 1, NewConn(a))
+	first.Close()
+	next := NewConn(b)
+	expect(next, 0, log[0])
+	chunk(n) // retained mid-resend
+	log, _ = retained()
+	for i := 1; i < len(log); i++ {
+		expect(next, i, log[i])
+	}
+	// Nothing was written twice: the next record on the link is the next one retained.
+	chunk(n + 1)
+	log, _ = retained()
+	expect(next, len(log)-1, log[len(log)-1])
 }
 
 // meshWriters counts the goroutines standing in a mesh writer function.

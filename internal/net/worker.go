@@ -76,9 +76,10 @@ type Worker struct {
 	// shard.DefaultChunkBytes). Every incarnation of every worker must use
 	// the same value: recovery re-steps re-produce the identical chunking.
 	ChunkBytes int
-	// IOTimeout bounds mesh formation and a wait for flow-control credits (0
-	// means wait forever); a round's close has no deadline of the worker's own
-	// — the coordinator's abort ends it.
+	// IOTimeout bounds mesh formation and each write to a mesh link (0 means
+	// wait forever); nothing on the mesh waits on a receiver, and a round's
+	// close has no deadline of the worker's own — the coordinator's abort
+	// ends it.
 	IOTimeout time.Duration
 
 	c      *Conn

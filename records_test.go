@@ -146,10 +146,10 @@ func recordBodies() []bodyRow {
 			more: [][]byte{codec.AppendPeerFrame(nil, codec.PeerFrame{Src: 1, Dst: 2, Round: 3, Seq: 4, Count: 5}),
 				codec.AppendPeerFrame(nil, codec.PeerFrame{}), append(slices.Clone(oversized), 0, 0, 0, 0)},
 			trips: []trip{header(codec.DecodePeerFrame, codec.AppendPeerFrame)}},
-		{num: 29, name: "window", good: [][]byte{codec.AppendWindow(nil, codec.Window{Kind: codec.WindowEnd, Src: 2, Dst: 3, Round: 7,
-			Chunks: 4, Msgs: 100, Bytes: 4096, Digest: 0xfeedface, Credits: 3, Alive: 500}),
-			codec.AppendWindow(nil, codec.Window{Kind: codec.WindowCredit, Src: 1, Credits: 1})},
-			more:  [][]byte{append([]byte{1}, oversized...), {9, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0}},
+		{num: 29, name: "window", good: [][]byte{codec.AppendWindow(nil, codec.Window{Src: 2, Dst: 3, Round: 7,
+			Chunks: 4, Msgs: 100, Bytes: 4096, Digest: 0xfeedface, Alive: 500}),
+			codec.AppendWindow(nil, codec.Window{Src: 1})},
+			more:  [][]byte{slices.Clone(oversized), {0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0}},
 			trips: []trip{pair(codec.DecodeWindow, codec.AppendWindow)}},
 	}
 }
