@@ -249,7 +249,9 @@ func TestRetiredNamesStayRetired(t *testing.T) {
 		"Spec.Recover", "Engine.Recover", "Options.Recover", "Hello.Recover", "cfg.Recover", "e.streamed",
 		"ServeWorker", "runB", "collectEchoes", "EnableRecovery",
 		"Maintainer.eval", "TestEvalAtAnyPivot", "TestMassOnlyUnderExactSums",
-		"WindowCredit", "defaultWindow", "queueLocked"}
+		"WindowCredit", "defaultWindow", "queueLocked",
+		// outRec with what can stand before it: "WithoutRecovery" holds it bare.
+		" outRec", "]outRec", "`outRec`", "retainBlock", "maxReservedEnds", "meshPeer.retained"}
 	exempt := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true, "docs_test.go": true}
 	walkRepo(t, func(path string) {
 		if exempt[path] || strings.HasPrefix(path, "benchmark/") {

@@ -97,7 +97,8 @@ func AppendWindow(dst []byte, w Window) []byte {
 }
 
 // WindowSize returns len(AppendWindow(nil, w)) without building the
-// encoding, so a window record can be encoded into one exact allocation.
+// encoding, so room for a window record can be made before it is encoded in
+// place (the mesh's retained log).
 func WindowSize(w Window) int {
 	return UvarintSize(uint64(w.Src)) + UvarintSize(uint64(w.Dst)) + UvarintSize(uint64(w.Round)) +
 		UvarintSize(uint64(w.Chunks)) + UvarintSize(uint64(w.Msgs)) + UvarintSize(uint64(w.Bytes)) + 8 +

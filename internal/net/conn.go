@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"distkcore/internal/codec"
+	"distkcore/internal/dist"
 	"distkcore/internal/quantize"
 )
 
@@ -111,6 +112,10 @@ const (
 // buffer is as large as the largest record — or, writing, the largest run of
 // records between two flushes up to connFlushAt — the link has carried, and a
 // link that only ever carries barrier records stays at a few hundred bytes.
+// A mesh link is the exception both ways: its reader takes its read buffer
+// from a free list and hands it back once it reads no more (takeReadBuf,
+// putReadBuf), and its writer hands writeRecords whole records already in
+// wire form — the mesh's retained log — so it has no write buffer.
 type Conn struct {
 	nc net.Conn
 	// rb[r:w] is read and not yet returned; ReadRecord's body aliases it.
@@ -261,6 +266,34 @@ func (c *Conn) fill(need int) error {
 	return nil
 }
 
+// readBufs is the free list of mesh links' read buffers: a link's reader
+// takes one before its first read and releases it once it reads no more, so a
+// run's links read into the buffers the last run's grew (DESIGN.md §8.1).
+var readBufs dist.FreeList[[]byte]
+
+// takeReadBuf gives c the largest released read buffer, if one is free and c
+// has none yet. Only the goroutine that reads c calls it.
+func (c *Conn) takeReadBuf() {
+	if c.rb != nil {
+		return
+	}
+	if b := readBufs.Take(func(b *[]byte) (int, int) { return -cap(*b), 0 }); b != nil {
+		c.rb = *b
+	}
+}
+
+// putReadBuf releases c's read buffer to the next mesh link. The goroutine
+// that reads c calls it once it will read no more: Close alone must not,
+// because a Read may still be filling the buffer.
+func (c *Conn) putReadBuf() {
+	if c.rb == nil {
+		return
+	}
+	b := c.rb
+	c.rb, c.r, c.w = nil, 0, 0
+	readBufs.Put(&b)
+}
+
 // AwaitRecord is ReadRecord minus the deadline: it clears any read deadline
 // first, so it can park indefinitely. Session endpoints use it at epoch
 // boundaries — a worker waiting for the next delta push, a server waiting
@@ -304,11 +337,20 @@ func (c *Conn) Flush() error {
 	if len(c.wb) == 0 {
 		return nil
 	}
+	err := c.writeRecords(c.wb)
+	c.wb = c.wb[:0]
+	return err
+}
+
+// writeRecords writes records — whole, each in its wire form: uvarint
+// length, type byte, body — to the connection in one Write, arming the write
+// deadline. It bypasses the write buffer, so it must not be mixed with
+// unflushed WriteRecord calls.
+func (c *Conn) writeRecords(recs []byte) error {
 	if c.timeout > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(c.timeout))
 	}
-	_, err := c.nc.Write(c.wb)
-	c.wb = c.wb[:0]
+	_, err := c.nc.Write(recs)
 	return err
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"distkcore/internal/codec"
+	"distkcore/internal/dist"
 )
 
 // This file is the mesh data plane of streamed delivery (DESIGN.md §14):
@@ -21,10 +22,10 @@ import (
 // forwarded, so a record claiming another sender or destination is refused.
 //
 // Concurrency shape: per link, one reader goroutine (decode, link check,
-// round-gate) and a cursor into the records retained toward its peer; per
-// mesh, one writer goroutine that writes every link's records past its cursor
-// in turn. Nothing waits on a receiver: a sender retains a record and moves
-// on, a round is the mesh's flow control (no sender runs more than one round
+// round-gate) and a cursor into the log retained toward its peer; per mesh,
+// one writer goroutine that writes every link's log past its cursor in turn.
+// Nothing waits on a receiver: a sender retains a record and moves on, a
+// round is the mesh's flow control (no sender runs more than one round
 // ahead of any receiver, DESIGN.md §14), and a reader never writes — it only
 // decodes — so the cycle "A blocked writing to B, B's reader blocked locking
 // A" cannot form, on synchronous transports (net.Pipe) included. All shared
@@ -33,30 +34,20 @@ import (
 // (streamWorker.control).
 
 // peerFrameHeaderMax bounds codec.AppendPeerFrame's output (five uvarints): the
-// header is encoded on the stack first, so a chunk's payload — header, then
-// bodies — is one allocation of exactly its size.
+// header is encoded on the stack first, so the record's size is known before
+// it is written — length, type byte, header, bodies — straight into the
+// retained log, the one copy a chunk's bytes make on the way out.
 const peerFrameHeaderMax = 5 * binary.MaxVarintLen64
 
-// maxReservedEnds caps the end markers each peer's retained list is reserved
-// for at formation: a run with a larger round budget (an asynchronous one's
-// may be 2³¹−1) adds blocks past it rather than reserving rounds it may never
-// run.
-const maxReservedEnds = 128
+// logBlockMin is the smallest block a retained log or an ahead-of-round buffer
+// allocates. A log's next block is as large as what the log already holds, so
+// a log of b bytes sits in about log₂(b/logBlockMin) blocks, and a later run's
+// log takes them back in order.
+const logBlockMin = 1 << 10
 
-// retainBlock is the size of the blocks a retained list adds once its
-// reservation is full: records are never copied to grow it.
-const retainBlock = 16
-
-// outRec is one retained mesh record: a record type and its payload (without
-// the type byte; the writer passes both to Conn.WriteRecord).
-type outRec struct {
-	typ     byte
-	payload []byte
-}
-
-// meshLink is one attached peer connection plus its cursor into the records
-// retained toward that peer: the writer has taken every record before block
-// blk's record off. A fresh link's cursor is record 0.
+// meshLink is one attached peer connection plus its cursor into the log
+// retained toward that peer: the writer has taken every byte before block
+// blk's byte off. A fresh link's cursor is byte 0 of block 0.
 type meshLink struct {
 	c        *Conn
 	gen      int  // the peer's generation from its mesh hello; -1 dialed, older than any
@@ -64,18 +55,19 @@ type meshLink struct {
 	blk, off int
 }
 
-// take returns the records of retained past the link's cursor, up to the end
-// of the block they start in, and moves the cursor past them; nil when the
-// writer has taken them all. Every block but the last is full (retain), so the
-// cursor steps to the next block once it reaches a block's end.
-func (l *meshLink) take(retained [][]outRec) []outRec {
-	for l.blk < len(retained)-1 && l.off == len(retained[l.blk]) {
+// take returns the bytes of log past the link's cursor, up to the end of the
+// block they start in, and moves the cursor past them; nil when the writer has
+// taken them all. Only the last block grows, so the cursor steps to the next
+// block once it reaches a block's end and a later one exists. A block holds
+// whole records, so what take returns is whole records too.
+func (l *meshLink) take(log [][]byte) []byte {
+	for l.blk < len(log)-1 && l.off == len(log[l.blk]) {
 		l.blk, l.off = l.blk+1, 0
 	}
-	if l.blk >= len(retained) {
+	if l.blk >= len(log) {
 		return nil
 	}
-	b := retained[l.blk][l.off:]
+	b := log[l.blk][l.off:]
 	l.off += len(b)
 	return b
 }
@@ -85,10 +77,6 @@ type meshConfig struct {
 	Self int
 	P    int
 	Gen  int // this incarnation's generation (0 initial, +1 per respawn)
-	// Ends is how many end markers the run sends each peer at most (its
-	// round budget + 1): each retained list is reserved for them up to
-	// maxReservedEnds, so only chunks add blocks to it.
-	Ends int
 	// Timeout bounds formation and each write to a link; 0 waits forever.
 	Timeout time.Duration
 	// Dial opens a raw connection to worker dst's mesh endpoint.
@@ -110,13 +98,13 @@ type meshConfig struct {
 // every retained round at once. Readers never park on the round gate — they
 // buffer and move on, which keeps every link draining and the mesh
 // deadlock-free. Buffered records are drained, in arrival order, when
-// beginRound reaches their round.
+// beginRound reaches their round, and decoded again then: a record is its
+// round and a copy of its body, so a run far ahead costs its peers 40 bytes a
+// record on top of the copies.
 type futRec struct {
-	typ  byte // recPeerFrame | recWindow
-	pf   codec.PeerFrame
-	wd   codec.Window
-	msgs []byte // chunk message bodies (aliases full)
-	full []byte // full record payload (digest fold input)
+	typ   byte // recPeerFrame | recWindow
+	round int
+	body  []byte // the record's body, a copy in meshPeer.ahead
 }
 
 // meshPeer is the mesh's state toward one other worker: the current round's
@@ -131,24 +119,122 @@ type meshPeer struct {
 	rx    codec.PeerDigest
 	alive int
 	ended bool
-	// future buffers the peer's records ahead of the current round.
+	// future buffers the peer's records ahead of the current round, and ahead
+	// holds the copies of their bytes: it only grows while records are
+	// buffered — a copy never moves once made — and beginRound empties it once
+	// it has drained them all.
 	future []futRec
-	// retained holds every record sent toward the peer, verbatim, in order and
-	// for the whole run: the log the link's writer works through, and what a
-	// respawned peer runs again from Init on (attach re-sends it). Its first
-	// block is reserved at formation for the run's end markers; chunks past
-	// that add blocks (retain).
-	retained [][]outRec
+	ahead  []byte
+	// log holds every record sent toward the peer in its wire form — uvarint
+	// length, type byte, payload — in order and for the whole run: the bytes
+	// the link's writer works through, and what a respawned peer runs again
+	// from Init on (attach re-sends it). Its blocks are log[:nlog]; those past
+	// nlog are an earlier run's, emptied, which the log takes in order as it
+	// grows (record). A record never straddles two blocks.
+	log  [][]byte
+	nlog int
+	// logged and chunks total what the log holds: the bytes wire.Sent counts
+	// for it (each record's type byte and payload) and its chunk records.
+	logged, chunks int64
 }
 
-// retain appends r to the records retained toward the peer: to the last block
-// while it has room, else to a new one of retainBlock records.
-func (p *meshPeer) retain(r outRec) {
-	if k := len(p.retained) - 1; k >= 0 && len(p.retained[k]) < cap(p.retained[k]) {
-		p.retained[k] = append(p.retained[k], r)
-		return
+// record appends one record of type typ with a payload of size bytes to the
+// peer's log, in its wire form, and returns the payload's bytes for the
+// caller to fill. A record that does not fit the last block opens the next
+// (open).
+func (p *meshPeer) record(typ byte, size int) []byte {
+	var pre [binary.MaxVarintLen64 + 1]byte
+	k := binary.PutUvarint(pre[:], uint64(size+1))
+	pre[k] = typ
+	k++
+	if p.nlog == 0 || cap(p.log[p.nlog-1])-len(p.log[p.nlog-1]) < k+size {
+		p.open(k + size)
 	}
-	p.retained = append(p.retained, append(make([]outRec, 0, retainBlock), r))
+	b := append(p.log[p.nlog-1], pre[:k]...)
+	p.log[p.nlog-1] = b[:len(b)+size]
+	p.logged += int64(size + 1)
+	return b[len(b) : len(b)+size]
+}
+
+// open adds a block that holds a record of n bytes to the log: the first of
+// an earlier run's blocks it fits, in their order — a run like the last one
+// takes them back as they were — else a new block as large as the log already
+// holds, and never smaller than the record, so a record larger than a block
+// gets a block of its own.
+func (p *meshPeer) open(n int) {
+	spare := p.log[p.nlog:]
+	i := 0
+	for i < len(spare) && cap(spare[i]) < n {
+		i++
+	}
+	if i == len(spare) {
+		held := 0
+		for _, b := range p.log[:p.nlog] {
+			held += cap(b)
+		}
+		p.log = append(p.log, make([]byte, 0, max(n, held, logBlockMin)))
+		spare = p.log[p.nlog:]
+	}
+	spare[0], spare[i] = spare[i], spare[0]
+	p.nlog++
+}
+
+// keepAhead copies b, a record ahead of the current round, into the peer's
+// ahead buffer and returns the copy. A copy that does not fit goes to a new
+// buffer twice as large, the full one left to the copies already in it.
+func (p *meshPeer) keepAhead(b []byte) []byte {
+	if cap(p.ahead)-len(p.ahead) < len(b) {
+		p.ahead = make([]byte, 0, max(2*cap(p.ahead), len(b), logBlockMin))
+	}
+	at := len(p.ahead)
+	p.ahead = append(p.ahead, b...)
+	return p.ahead[at:len(p.ahead):len(p.ahead)]
+}
+
+// empty resets the peer's state for another run, keeping its memory: the
+// log's blocks, emptied, the ahead buffer and the future list's capacity.
+func (p *meshPeer) empty() {
+	for i := range p.log[:p.nlog] {
+		p.log[i] = p.log[i][:0]
+	}
+	clear(p.future[:cap(p.future)])
+	*p = meshPeer{log: p.log, ahead: p.ahead[:0], future: p.future[:0]}
+}
+
+// meshMem is the memory a mesh holds for its run: its per-peer state, whose
+// logs, ahead buffers and future lists are all of the mesh that grows with
+// its traffic. A mesh takes one at newMesh and, once a run that ended well is
+// over and nothing the mesh started can reach it, hands it to the next mesh
+// built (Release) — a dist.FreeList, the one retention rule of run memory
+// (DESIGN.md §7). The mesh struct, its mutex, flags and links stay out of it:
+// a late handleAccepted may still read them.
+type meshMem struct {
+	self  int
+	peers []meshPeer
+}
+
+// meshMems is the free list of mesh memory.
+var meshMems dist.FreeList[meshMem]
+
+// takeMeshMem returns the released mesh memory that fits worker self of p
+// best — one a mesh of that worker of that many released, since a worker's
+// flows follow its shard; else the earliest released — or new memory when
+// none is free, with one emptied peer state per worker.
+func takeMeshMem(self, p int) *meshMem {
+	mm := meshMems.Take(func(mm *meshMem) (int, int) {
+		if mm.self == self && len(mm.peers) == p {
+			return 0, 0
+		}
+		return 1, 0
+	})
+	if mm == nil {
+		mm = new(meshMem)
+	}
+	if cap(mm.peers) < p {
+		mm.peers = append(mm.peers[:cap(mm.peers)], make([]meshPeer, p-cap(mm.peers))...)
+	}
+	mm.self, mm.peers = self, mm.peers[:p]
+	return mm
 }
 
 // mesh is the per-worker data plane: links, per-peer flow state and the
@@ -157,9 +243,14 @@ type mesh struct {
 	cfg  meshConfig
 	mu   sync.Mutex
 	cond *sync.Cond
+	// running counts the goroutines that reach the mesh's memory on their own —
+	// the writer form starts and every attached link's reader — so Release
+	// hands it on only once they have all returned.
+	running sync.WaitGroup
 
+	mem   *meshMem
 	links []*meshLink // by worker id; nil until attached, the own entry unused
-	peers []meshPeer  // by worker id; the own entry is unused
+	peers []meshPeer  // mem.peers: by worker id, the own entry unused
 	round int         // current receive/send round; -1 before the first
 	// pending counts the inbound flows of the round not yet ended.
 	pending int
@@ -169,15 +260,9 @@ type mesh struct {
 }
 
 func newMesh(cfg meshConfig) *mesh {
-	m := &mesh{cfg: cfg, links: make([]*meshLink, cfg.P), peers: make([]meshPeer, cfg.P), round: -1}
+	mem := takeMeshMem(cfg.Self, cfg.P)
+	m := &mesh{cfg: cfg, mem: mem, links: make([]*meshLink, cfg.P), peers: mem.peers, round: -1}
 	m.cond = sync.NewCond(&m.mu)
-	ends := max(0, min(cfg.Ends, maxReservedEnds))
-	reserved := make([]outRec, cfg.P*ends)
-	for j := range m.peers {
-		if j != cfg.Self && ends > 0 {
-			m.peers[j].retained = [][]outRec{reserved[j*ends : j*ends : (j+1)*ends]}
-		}
-	}
 	return m
 }
 
@@ -197,6 +282,9 @@ func (m *mesh) fail(err error) {
 
 // Close tears the mesh down once its worker is done with it: the accept loop
 // stops, every link's connection closes (its reader unblocks), the writer exits.
+// It waits for none of them, and the mesh's memory is dropped with it: this is
+// how a run that failed, or a dead incarnation, ends its mesh — its hooks, and
+// so its sendChunk, may still be running.
 func (m *mesh) Close() {
 	m.mu.Lock()
 	m.closed = true
@@ -212,6 +300,20 @@ func (m *mesh) Close() {
 	}
 }
 
+// Release ends the mesh of a run that ended well: Close, then — once the
+// writer and every reader have returned, so nothing the mesh started can reach
+// its memory — the memory goes to the next mesh built. None of them can park
+// once its link is closed; a handleAccepted still reading a hello is not
+// waited for, and it touches nothing pooled (attach sees closed).
+func (m *mesh) Release() {
+	m.Close()
+	m.running.Wait()
+	for j := range m.peers {
+		m.peers[j].empty()
+	}
+	meshMems.Put(m.mem)
+}
+
 // form establishes the links: this worker dials every worker with a lower id
 // (a respawned incarnation dials all of them — its peers hold dead
 // connections), accepts the rest, and returns once every other worker is
@@ -219,7 +321,11 @@ func (m *mesh) Close() {
 // peers can re-dial at any time.
 func (m *mesh) form() error {
 	go m.acceptLoop()
-	go m.writeAll()
+	m.running.Add(1)
+	go func() {
+		defer m.running.Done()
+		m.writeAll()
+	}()
 	for j := 0; j < m.cfg.P; j++ {
 		if j != m.cfg.Self && (m.cfg.Gen > 0 || j < m.cfg.Self) {
 			if err := m.dial(j); err != nil {
@@ -257,7 +363,8 @@ func (m *mesh) dial(dst int) error {
 	}
 	c := NewConn(nc)
 	c.SetIOTimeout(m.cfg.Timeout)
-	if err := c.Send(recMeshHello, codec.AppendMeshHello(nil, codec.MeshHello{Src: m.cfg.Self, Gen: m.cfg.Gen})); err != nil {
+	hello := codec.AppendMeshHello([]byte{recMeshHello}, codec.MeshHello{Src: m.cfg.Self, Gen: m.cfg.Gen})
+	if err := c.writeRecords(codec.AppendRecord(nil, hello)); err != nil {
 		c.Close()
 		return fmt.Errorf("net: mesh hello %d→%d: %w", m.cfg.Self, dst, err)
 	}
@@ -275,10 +382,13 @@ func (m *mesh) acceptLoop() {
 	}
 }
 
-// handleAccepted reads the inbound mesh hello and attaches the link.
+// handleAccepted reads the inbound mesh hello and attaches the link. The
+// link's read buffer is taken here, its first read; a link refused before it
+// attaches drops it.
 func (m *mesh) handleAccepted(nc net.Conn) {
 	c := NewConn(nc)
 	c.SetIOTimeout(m.cfg.Timeout)
+	c.takeReadBuf()
 	typ, body, err := c.AwaitRecord()
 	if err != nil || typ != recMeshHello {
 		c.Close()
@@ -295,7 +405,7 @@ func (m *mesh) handleAccepted(nc net.Conn) {
 // attach installs (or swaps in) the link to worker j and spawns its
 // reader. A link from a newer peer incarnation replaces an older
 // one; an older or duplicate hello is refused. The new link's cursor starts at
-// record 0, so the writer re-sends it every record retained toward j, ahead of
+// byte 0, so the writer re-sends it every record retained toward j, ahead of
 // anything retained later: the incarnation runs the run again from Init and
 // these are its inbound flows, byte for byte (DESIGN.md §13). Retention and
 // cursor move under the one mutex, so j reads the flows of rounds 0.. in order
@@ -318,17 +428,15 @@ func (m *mesh) attach(j, gen int, c *Conn) {
 	}
 	l := &meshLink{c: c, gen: gen}
 	m.links[j] = l
-	for _, b := range m.peers[j].retained {
-		for _, r := range b {
-			if r.typ == recPeerFrame {
-				m.wire.Chunks++
-			}
-			m.wire.Sent += int64(len(r.payload) + 1)
-		}
-	}
+	m.wire.Chunks += m.peers[j].chunks
+	m.wire.Sent += m.peers[j].logged
+	m.running.Add(1)
 	m.cond.Broadcast()
 	m.mu.Unlock()
-	go m.readLoop(j, l)
+	go func() {
+		defer m.running.Done()
+		m.readLoop(j, l)
+	}()
 }
 
 // wait is the mesh's one wait discipline. Called with m.mu held, it parks on
@@ -361,11 +469,12 @@ func (m *mesh) wait(timeout time.Duration, stalled string, ready func() bool) er
 	}
 }
 
-// writeAll is the mesh's one writer: it writes every link's retained records
-// past its cursor in turn, a block at a time, and never holds m.mu while it
-// writes — what it writes is the retention's, which only ever appends past it.
-// On a write error the link is marked down (linkDownLocked decides what that
-// means for the run).
+// writeAll is the mesh's one writer: it writes every link's retained log past
+// its cursor in turn, one Write a block range — never one a record: on a
+// net.Pipe every Write waits for its reader — and never holds m.mu while it
+// writes: what it writes is the log's, which only ever appends past it. On a
+// write error the link is marked down (linkDownLocked decides what that means
+// for the run).
 func (m *mesh) writeAll() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -375,21 +484,14 @@ func (m *mesh) writeAll() {
 			if l == nil || l.down || m.closed || m.err != nil {
 				continue
 			}
-			batch := l.take(m.peers[j].retained)
-			if len(batch) == 0 {
+			p := &m.peers[j]
+			recs := l.take(p.log[:p.nlog])
+			if len(recs) == 0 {
 				continue
 			}
 			idle = false
 			m.mu.Unlock()
-			var werr error
-			for _, r := range batch {
-				if werr = l.c.WriteRecord(r.typ, r.payload); werr != nil {
-					break
-				}
-			}
-			if werr == nil {
-				werr = l.c.Flush()
-			}
+			werr := l.c.writeRecords(recs)
 			m.mu.Lock()
 			if werr != nil {
 				m.linkDownLocked(l)
@@ -417,8 +519,11 @@ func (m *mesh) linkDownLocked(l *meshLink) {
 }
 
 // readLoop decodes one link's inbound records for as long as the link is
-// current.
+// current. The link's read buffer is the reader's: taken before its first read
+// unless handleAccepted took it, released when the loop returns.
 func (m *mesh) readLoop(j int, l *meshLink) {
+	l.c.takeReadBuf()
+	defer l.c.putReadBuf()
 	for {
 		typ, body, err := l.c.AwaitRecord()
 		if err != nil {
@@ -458,7 +563,7 @@ func (m *mesh) handleRecord(j int, typ byte, body []byte) error {
 		if wd.Src != j || wd.Dst != m.cfg.Self {
 			return fmt.Errorf("net: mesh window %d→%d on the link from %d to %d", wd.Src, wd.Dst, j, m.cfg.Self)
 		}
-		return m.acceptWindow(wd)
+		return m.acceptWindow(wd, body)
 	default:
 		return fmt.Errorf("net: unexpected mesh record type %d", typ)
 	}
@@ -475,9 +580,7 @@ func (m *mesh) acceptChunk(pf codec.PeerFrame, full, msgs []byte) error {
 	}
 	if pf.Round > m.round {
 		p := &m.peers[pf.Src]
-		cp := make([]byte, len(full))
-		copy(cp, full)
-		p.future = append(p.future, futRec{typ: recPeerFrame, pf: pf, full: cp, msgs: cp[len(cp)-len(msgs):]})
+		p.future = append(p.future, futRec{recPeerFrame, pf.Round, p.keepAhead(full)})
 		return nil
 	}
 	return m.processChunkLocked(pf, full, msgs)
@@ -504,9 +607,9 @@ func (m *mesh) processChunkLocked(pf codec.PeerFrame, full, msgs []byte) error {
 	return nil
 }
 
-// acceptWindow routes an end-of-flow marker: ahead of the current round it
-// buffers like a chunk, otherwise it is verified in place.
-func (m *mesh) acceptWindow(wd codec.Window) error {
+// acceptWindow routes an end-of-flow marker, wd decoded from body: ahead of
+// the current round it buffers like a chunk, otherwise it is verified in place.
+func (m *mesh) acceptWindow(wd codec.Window, body []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil || m.closed {
@@ -514,7 +617,7 @@ func (m *mesh) acceptWindow(wd codec.Window) error {
 	}
 	if wd.Round > m.round {
 		p := &m.peers[wd.Src]
-		p.future = append(p.future, futRec{typ: recWindow, wd: wd})
+		p.future = append(p.future, futRec{recWindow, wd.Round, p.keepAhead(body)})
 		return nil
 	}
 	return m.processEndLocked(wd)
@@ -569,30 +672,44 @@ func (m *mesh) beginRound(t int, onNewRound func()) error {
 		p := &m.peers[j]
 		kept := p.future[:0]
 		for _, fr := range p.future {
-			var err error
-			switch {
-			case fr.typ == recPeerFrame && fr.pf.Round <= t:
-				err = m.processChunkLocked(fr.pf, fr.full, fr.msgs)
-			case fr.typ == recWindow && fr.wd.Round <= t:
-				err = m.processEndLocked(fr.wd)
-			default:
+			if fr.round > t {
 				kept = append(kept, fr)
+				continue
 			}
-			if err != nil {
+			if err := m.processBufferedLocked(fr); err != nil {
 				m.failLocked(err)
 				return err
 			}
 		}
 		clear(p.future[len(kept):]) // drop the drained chunks' copies
-		p.future = kept
+		if p.future = kept; len(kept) == 0 {
+			p.ahead = p.ahead[:0]
+		}
 	}
 	return nil
 }
 
+// processBufferedLocked decodes a buffered record again — its bytes decoded
+// once already, on arrival — and processes it against the current round.
+func (m *mesh) processBufferedLocked(fr futRec) error {
+	if fr.typ == recWindow {
+		wd, err := codec.DecodeWindow(fr.body)
+		if err != nil {
+			return err
+		}
+		return m.processEndLocked(wd)
+	}
+	pf, k, err := codec.DecodePeerFrame(fr.body)
+	if err != nil {
+		return err
+	}
+	return m.processChunkLocked(pf, fr.body, fr.body[k:])
+}
+
 // sendChunk streams one chunk of the current round's flow toward dst: stamp
-// the next sequence number, fold the sender digest and retain it for the
-// link's writer. It never waits on the receiver. Called from the worker
-// goroutine only.
+// the next sequence number, write the record into the log for the link's
+// writer and fold the sender digest over it. It never waits on the receiver.
+// Called from the worker goroutine only.
 func (m *mesh) sendChunk(dst int, body []byte, count int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -600,13 +717,15 @@ func (m *mesh) sendChunk(dst int, body []byte, count int) error {
 		return m.err
 	}
 	p := &m.peers[dst]
-	m.wire.Chunks++
 	var hdr [peerFrameHeaderMax]byte
 	h := codec.AppendPeerFrame(hdr[:0], codec.PeerFrame{Src: m.cfg.Self, Dst: dst, Round: m.round, Seq: p.sent, Count: count})
-	payload := append(append(make([]byte, 0, len(h)+len(body)), h...), body...)
+	payload := p.record(recPeerFrame, len(h)+len(body))
+	copy(payload[copy(payload, h):], body)
 	p.sent++
+	p.chunks++
 	p.sDig = foldFrame(p.sDig, payload)
-	m.sentLocked(dst, outRec{recPeerFrame, payload})
+	m.wire.Chunks++
+	m.sentLocked(len(payload))
 	return nil
 }
 
@@ -624,21 +743,21 @@ func (m *mesh) sendEnd(dst int, msgs, logicalBytes int64, alive int) (codec.Peer
 		Src: m.cfg.Self, Dst: dst, Round: m.round,
 		Chunks: p.sent, Msgs: msgs, Bytes: logicalBytes, Digest: p.sDig, Alive: alive,
 	}
-	m.sentLocked(dst, outRec{recWindow, codec.AppendWindow(make([]byte, 0, codec.WindowSize(wd)), wd)})
+	size := codec.WindowSize(wd)
+	codec.AppendWindow(p.record(recWindow, size)[:0], wd)
+	m.sentLocked(size)
 	return codec.PeerDigest{Peer: dst, Chunks: wd.Chunks, Msgs: msgs, Bytes: logicalBytes, Digest: wd.Digest}, nil
 }
 
-// sentLocked retains one record toward dst, counts it and wakes the writer
-// (and at most the worker besides). The retained payload is what the link's
-// writer writes, now or to a successor rounds later, so chunk payloads and
-// end markers are each allocated for the one record at its exact size, never
-// encoded in a reused scratch the way the control plane's bodies are
-// (Conn.WriteRecord copies those before it returns; nothing here is copied
-// again). A record retained toward a down link waits for its successor; with
-// none the peer's death has already doomed the run (linkDownLocked).
-func (m *mesh) sentLocked(dst int, r outRec) {
-	m.peers[dst].retain(r)
-	m.wire.Sent += int64(len(r.payload) + 1)
+// sentLocked counts one record of size payload bytes just logged toward a
+// peer and wakes the writer (and at most the worker besides). The log's bytes
+// are what the link's writer writes, now or to a successor rounds later, so a
+// record is written into it once, in wire form, and never moves: the log's
+// blocks only grow past what the writer has taken. A record logged toward a
+// down link waits for its successor; with none the peer's death has already
+// doomed the run (linkDownLocked).
+func (m *mesh) sentLocked(size int) {
+	m.wire.Sent += int64(size + 1)
 	m.cond.Broadcast()
 }
 

@@ -23,18 +23,22 @@ import (
 // across SeqEngine, ParEngine, shard.Engine and both net planes, in one
 // process, must each be the reference's run — Metrics, and the results bit for
 // bit — so state a reused array or chunk kept from the run before would show.
-// The references are computed first, each on an emptied free list; the
+// The streamed engine runs at two chunk sizes, so a mesh's log blocks, ahead
+// buffers and links' read buffers pass between runs of unlike shape too (the
+// second at ChunkBytes 64: many-block logs and many records ahead of their
+// round). The references are computed first, each on an emptied free list; the
 // coreness values and auxiliary sets are held to core.Run, which builds no sim
 // and carves no slab.
 func TestReusedDriversRunLikeSeq(t *testing.T) {
 	graphs := []*graph.Graph{graph.BarabasiAlbert(300, 3, 4), graph.ErdosRenyi(110, 0.06, 5)}
-	relayed, streamed := NewEngine(3, shard.Greedy{}), NewEngine(3, shard.Hash{})
+	relayed, streamed, streamed64 := NewEngine(3, shard.Greedy{}), NewEngine(3, shard.Hash{}), NewEngine(3, shard.Hash{})
 	streamed.Stream, streamed.ChunkBytes = true, 512
+	streamed64.Stream, streamed64.ChunkBytes = true, 64
 	engines := []struct {
 		name string
 		eng  dist.Engine
 	}{{"seq", dist.SeqEngine{}}, {"shard:3", shard.NewEngine(3, shard.Range{})}, {"par:3", dist.ParEngine{W: 3}},
-		{"net:3 relayed", relayed}, {"net:3 streamed", streamed}}
+		{"net:3 relayed", relayed}, {"net:3 streamed", streamed}, {"net:3 streamed 64", streamed64}}
 	cfg := densest.Config{Gamma: 3}
 	delays := core.DelayModel{Base: 1, Jitter: 3, Seed: 7}
 	type reference struct {
@@ -122,5 +126,61 @@ func TestSecondStreamedRunReusesDrivers(t *testing.T) {
 	t.Logf("first run %d bytes, second %d", first, second)
 	if 2*second >= first {
 		t.Errorf("the second streamed run allocated %d bytes, the first %d: not under half", second, first)
+	}
+}
+
+// transportBound is what a streamed run on BarabasiAlbert(2 000, 4, 1) at
+// P = 4 may allocate once an earlier run's memory of its shape is there to
+// take: the result vector, the partition, the coordinator's ledgers, the
+// pipes, dial, hub and hellos. Such a run read 93–169 KB (136–234 KB under the
+// race detector); a second run read 463–479 KB while the mesh's logs, the
+// links' read buffers and shard.Local's memory were allocated afresh every run.
+const transportBound = 320 << 10
+
+// growBound is transportBound plus what a default run grows after a run at
+// ChunkBytes 64 whose shape never needed it — the links' read buffers and the
+// encode buffers sized for 5 KB chunks, the copies of chunks that size ahead of
+// their round: such a run read 216–271 KB (253–327 KB under the race
+// detector).
+const growBound = 448 << 10
+
+// A second streamed run takes the first one's transport memory — each mesh's
+// log blocks, ahead buffers and links' read buffers (mesh.Release), each
+// worker's shard.Local (Local.Release) — with its Drivers' arrays and its
+// protocol's slab: it allocates under transportBound. Runs of unlike chunk
+// sizes take each other's memory the same way: after a run at ChunkBytes 64
+// (many-block logs, many chunks copied ahead of their round) a default run
+// grows only what the smaller shape never needed, and a ChunkBytes 64 run
+// after both allocates under transportBound again. Every run is byte-identical
+// to seq. No collection runs but the two that empty the free lists: under the
+// race detector sync.Pool drops a random quarter of what it is handed, and a
+// collection would then free that memory.
+func TestSecondStreamedRunReusesItsTransport(t *testing.T) {
+	g := graph.BarabasiAlbert(2000, 4, 1)
+	opt := core.Options{Rounds: core.TForEpsilon(g.N(), 0.5)}
+	ref, refMet := core.RunDistributed(g, opt, dist.SeqEngine{})
+	eng := NewEngine(4, shard.Greedy{})
+	eng.Stream = true
+	run := func(chunk int) uint64 {
+		t.Helper()
+		eng.ChunkBytes = chunk
+		var res *core.Result
+		var met dist.Metrics
+		n := allocated(func() { res, met = core.RunDistributed(g, opt, eng) })
+		if met != refMet || !sameBits(res.B, ref.B) {
+			t.Fatalf("ChunkBytes %d: metrics %+v, want %+v, or the values are not seq's", chunk, met, refMet)
+		}
+		t.Logf("ChunkBytes %d: %d bytes", chunk, n)
+		return n
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	type step struct{ chunk, bound int }
+	for _, runs := range [][]step{{{0, 0}, {0, transportBound}}, {{64, 0}, {0, growBound}, {64, transportBound}}} {
+		emptyFreeList()
+		for i, r := range runs {
+			if n := run(r.chunk); i > 0 && n >= uint64(r.bound) {
+				t.Errorf("run %d of %v allocated %d bytes, want < %d", i+1, runs, n, r.bound)
+			}
+		}
 	}
 }

@@ -44,7 +44,7 @@ func newStreamWorker(r *workerLoop) (*streamWorker, error) {
 		return nil, fmt.Errorf("net: streamed hello but worker %d has no mesh endpoints", h.Shard)
 	}
 	m := newMesh(meshConfig{
-		Self: h.Shard, P: h.P, Gen: w.MeshGen, Ends: h.MaxRounds + 1, Timeout: w.IOTimeout,
+		Self: h.Shard, P: h.P, Gen: w.MeshGen, Timeout: w.IOTimeout,
 		Dial: w.MeshDial, Accept: w.MeshAccept, CloseAccept: w.MeshClose,
 		Deliver: r.loc.Absorb,
 	})

@@ -2,6 +2,7 @@ package net
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	stdnet "net"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"distkcore/internal/codec"
 	"distkcore/internal/core"
 	"distkcore/internal/dist"
 	"distkcore/internal/graph"
@@ -219,11 +221,12 @@ func TestSenderNeverWaitsOnItsReceiver(t *testing.T) {
 }
 
 // A link's cursor walks the retained log: a successor attached once the log
-// has outgrown its reserved end-marker block into retainBlock blocks is
-// written every record from record 0, in order, each once, and a record
-// retained while that resend is under way follows them.
+// has grown into several blocks is written every record from byte 0, in order,
+// each once, and a record logged while that resend is under way follows them.
+// Every block holds whole records.
 func TestSuccessorIsWrittenTheWholeLog(t *testing.T) {
-	m := newMesh(meshConfig{Self: 0, P: 2, Ends: 2})
+	emptyFreeList() // the log starts in new blocks, not in a released mesh's
+	m := newMesh(meshConfig{Self: 0, P: 2})
 	defer m.Close()
 	go m.writeAll()
 	if err := m.beginRound(0, func() {}); err != nil {
@@ -231,37 +234,51 @@ func TestSuccessorIsWrittenTheWholeLog(t *testing.T) {
 	}
 	chunk := func(i int) {
 		t.Helper()
-		if err := m.sendChunk(1, []byte{byte(i)}, 1); err != nil {
+		if err := m.sendChunk(1, bytes.Repeat([]byte{byte(i)}, 100), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n := 2 + 2*retainBlock + 3 // the reservation, two whole blocks and part of a third
+	const n = 40 // 107-byte records: past three blocks of the log
 	for i := range n {
 		chunk(i)
 	}
 	if _, err := m.sendEnd(1, int64(n), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	retained := func() (log []outRec, blocks int) {
+	type rec struct {
+		typ  byte
+		body []byte
+	}
+	retained := func() (log []rec, blocks int) {
+		t.Helper()
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		for _, b := range m.peers[1].retained {
-			log = append(log, b...)
+		p := &m.peers[1]
+		for _, b := range p.log[:p.nlog] {
+			for len(b) > 0 {
+				size, k := binary.Uvarint(b)
+				if k <= 0 || size == 0 || k+int(size) > len(b) {
+					t.Fatalf("block %d of the log does not end on a record", blocks)
+				}
+				log = append(log, rec{b[k], append([]byte(nil), b[k+1:k+int(size)]...)})
+				b = b[k+int(size):]
+			}
+			blocks++
 		}
-		return log, len(m.peers[1].retained)
+		return log, blocks
 	}
 	log, blocks := retained()
-	if blocks != 4 || len(log) != n+1 {
-		t.Fatalf("log of %d records in %d blocks, want %d in 4", len(log), blocks, n+1)
+	if blocks < 4 || len(log) != n+1 {
+		t.Fatalf("log of %d records in %d blocks, want %d in 4 or more", len(log), blocks, n+1)
 	}
-	expect := func(c *Conn, i int, want outRec) {
+	expect := func(c *Conn, i int, want rec) {
 		t.Helper()
 		typ, body, err := c.AwaitRecord()
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if typ != want.typ || !bytes.Equal(body, want.payload) {
-			t.Fatalf("record %d is type %d %x, want type %d %x", i, typ, body, want.typ, want.payload)
+		if typ != want.typ || !bytes.Equal(body, want.body) {
+			t.Fatalf("record %d is type %d %x, want type %d %x", i, typ, body, want.typ, want.body)
 		}
 	}
 	// The first link takes part of the log, then a successor replaces it.
@@ -276,15 +293,35 @@ func TestSuccessorIsWrittenTheWholeLog(t *testing.T) {
 	first.Close()
 	next := NewConn(b)
 	expect(next, 0, log[0])
-	chunk(n) // retained mid-resend
+	chunk(n) // logged mid-resend
 	log, _ = retained()
 	for i := 1; i < len(log); i++ {
 		expect(next, i, log[i])
 	}
-	// Nothing was written twice: the next record on the link is the next one retained.
+	// Nothing was written twice: the next record on the link is the next one logged.
 	chunk(n + 1)
 	log, _ = retained()
 	expect(next, len(log)-1, log[len(log)-1])
+}
+
+// The mesh's wire counters are pinned to one fixed run's:
+// BarabasiAlbert(1 000, 4, 7) at P = 3 over pipes with ChunkBytes 256, each
+// worker's StreamWire — the bytes (each record's type byte and payload, its
+// length prefix not counted) and chunk records it sent, and the chunk bytes it
+// processed. How the log holds a record must not move one counted byte.
+func TestStreamWireCountersPinned(t *testing.T) {
+	g := graph.BarabasiAlbert(1000, 4, 7)
+	e := NewEngine(3, shard.Hash{})
+	e.Stream, e.ChunkBytes = true, 256
+	core.RunDistributed(g, core.Options{Rounds: core.TForEpsilon(g.N(), 0.5)}, e)
+	want := []codec.StreamWire{
+		{Sent: 17465, Recv: 16836, Chunks: 84},
+		{Sent: 18623, Recv: 16750, Chunks: 86},
+		{Sent: 16836, Recv: 17348, Chunks: 80},
+	}
+	if got := e.StreamWire(); !reflect.DeepEqual(got, want) {
+		t.Errorf("StreamWire %+v, want %+v", got, want)
+	}
 }
 
 // meshWriters counts the goroutines standing in a mesh writer function.

@@ -239,7 +239,8 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 	if h.Stream {
 		// The mesh forms before the welcome — the coordinator treats the
 		// welcome as "ready to run", which on a streamed run means "reachable
-		// by peers". It outlives a run that ends well (Run), and no other.
+		// by peers". It outlives a run that ends well (Run), and no other; only
+		// such a run hands its memory on (mesh.Release), a failed one drops it.
 		var err error
 		if mesh, err = newStreamWorker(r); err != nil {
 			return dist.Metrics{}, err
@@ -269,7 +270,7 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 		}
 		met, err := r.report(rounds, halted)
 		if err == nil {
-			w.c.keepUntilRead(mesh.m.Close)
+			w.c.keepUntilRead(mesh.m.Release)
 			mesh = nil
 		}
 		return met, err
@@ -320,14 +321,16 @@ func (w *Worker) run(g *graph.Graph, factory dist.Factory, maxRounds int) (dist.
 
 // report ends a run that finished cleanly: the Driver priced this shard's
 // share of the Metrics — what its own nodes sent — and the metrics record
-// carries it with the frame chain. The Driver is released before the record
-// goes out, for the next run's Drivers to take — the coordinator may start
-// that run as soon as it has read the record. Nothing touches it again: its
-// hooks ran on this goroutine, and every inbound flow of the last round has
-// ended, so all a kept mesh still reads is repeats its gates drop.
+// carries it with the frame chain. The shard's run state — the Driver, and
+// the Local's streams, rows and arenas — is released before the record goes
+// out, for the next run's Locals to take: the coordinator may start that run
+// as soon as it has read the record. Nothing touches it again: its hooks ran
+// on this goroutine, and every inbound flow of the last round has ended, so
+// all a kept mesh still reads is repeats its gates drop before Absorb. The
+// kept mesh's own memory goes back when it is torn down (mesh.Release).
 func (r *workerLoop) report(rounds int, halted bool) (dist.Metrics, error) {
 	met := r.loc.D.Finish(rounds)
-	r.loc.D.Release()
+	r.loc.Release()
 	met.Halted = halted
 	var buf [3*binary.MaxVarintLen64 + 8]byte
 	enc := codec.AppendMetrics(buf[:0], codec.Metrics{Messages: met.Messages, Words: met.Words,

@@ -190,7 +190,7 @@ func (e *Engine) Run(g *graph.Graph, factory dist.Factory, maxRounds int) dist.M
 	var met dist.Metrics
 	for s, l := range locals {
 		m := l.D.Finish(rounds)
-		l.D.Release()
+		l.Release()
 		met.Messages, met.Words, met.WireBytes = met.Messages+m.Messages, met.Words+m.Words, met.WireBytes+m.WireBytes
 		sm.CrossMessages += entries[s]
 		sm.CrossFrameBytes += sm.PerShardBytes[s]

@@ -26,7 +26,20 @@ type Fanout struct {
 // NewFanout builds the table of the shard that owns the nodes own
 // (ascending) of g placed by assign over p shards.
 func NewFanout(g *graph.Graph, assign []int, p int, own []graph.NodeID) *Fanout {
-	f := &Fanout{assign: assign, own: own, off: make([]int32, len(own)+1), dst: make([]int32, 0, len(own))}
+	f := new(Fanout)
+	f.build(g, assign, p, own)
+	return f
+}
+
+// build fills f with the table NewFanout builds, in f's arrays while they are
+// large enough (a released Local's, NewLocal).
+func (f *Fanout) build(g *graph.Graph, assign []int, p int, own []graph.NodeID) {
+	f.assign, f.own = assign, own
+	f.off = resize(f.off, len(own)+1)
+	f.off[0] = 0
+	if f.dst = f.dst[:0]; cap(f.dst) < len(own) {
+		f.dst = make([]int32, 0, len(own))
+	}
 	seen := make([]graph.NodeID, p) // seen[q] == v+1: shard q is already in v's row
 	for k, v := range own {
 		seen[assign[v]] = v + 1
@@ -40,7 +53,6 @@ func NewFanout(g *graph.Graph, assign []int, p int, own []graph.NodeID) *Fanout 
 		slices.Sort(f.dst[row:])
 		f.off[k+1] = int32(len(f.dst))
 	}
-	return f
 }
 
 // Of returns the foreign shards holding a peer of the k-th node of the
